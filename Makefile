@@ -1,15 +1,16 @@
 # qens build/verify harness. `make check` is the tier-1 gate referenced
-# by ROADMAP.md: formatting, vet, build, and the race-enabled test run.
+# by ROADMAP.md: formatting, vet, build, the race-enabled test run, and
+# the same for the nested benchmark module.
 # `make ci` is what the GitHub Actions workflow runs: the full check
 # plus a live gateway load-smoke against a tiny simulated fleet.
 
 GO ?= go
 
-.PHONY: all check ci loadsmoke fuzz fmt fmt-check vet build test race bench bench-train bench-wire bench-telemetry bench-shard bench-ingest bench-reuse bench-paper clean
+.PHONY: all check ci loadsmoke fuzz fmt fmt-check vet build test race bench-check loc bench bench-train bench-wire bench-telemetry bench-shard bench-ingest bench-reuse bench-paper clean
 
 all: check
 
-check: fmt-check vet build race
+check: fmt-check vet build race bench-check
 
 ci: check loadsmoke
 
@@ -45,6 +46,21 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# bench/ is its own module (qens/bench), so `./...` at the root does
+# not see it; it compiles against internal/*, so an API refactor there
+# can break the repository benchmark without any root check noticing.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) build -o /dev/null ./... && $(GO) test -race ./...
+
+# Non-test Go lines per internal package — ROADMAP's "number to push
+# down" — and for the whole repo outside bench/.
+loc:
+	@for d in internal/*/; do \
+		printf '%-22s %6d\n' "$$d" "$$(cat $$(ls $$d*.go | grep -v _test.go) | wc -l)"; \
+	done
+	@printf '%-22s %6d\n' "repo (without bench/)" \
+		"$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l)"
 
 # Planner microbenchmarks (BenchmarkPlan, fleet size x dims) rendered
 # as BENCH_plan.json; fails if the query-driven fast path allocates.

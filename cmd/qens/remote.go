@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -19,7 +20,7 @@ import (
 // address, collects cluster summaries, draws a query workload over the
 // advertised space, and compares query-driven selection against random
 // selection. Scoring happens on the nodes themselves (the leader holds
-// no data): each query trains a FedAvg global model via ExecuteRounds
+// no data): each query trains a two-round FedAvg global model
 // and every node reports its in-query loss, pooled by sample count.
 func runRemote(addrs []string, wireProto int, opts experiments.Options) error {
 	opts = opts.WithDefaults()
@@ -87,7 +88,7 @@ func runRemote(addrs []string, wireProto int, opts experiments.Options) error {
 	for _, arm := range arms {
 		total, samples, executed := 0.0, 0, 0
 		for _, q := range workload {
-			res, err := leader.ExecuteRounds(q, arm.sel, 2)
+			res, _, err := leader.Execute(context.Background(), federation.Request{Query: q, Selector: arm.sel, Rounds: 2})
 			if err != nil {
 				continue
 			}

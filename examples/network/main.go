@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -90,7 +91,11 @@ func main() {
 	}
 	fmt.Printf("executing %s over %v\n", q.ID, q.Bounds)
 
-	res, err := leader.Execute(q, selection.QueryDriven{Epsilon: 0.6, TopL: 2}, federation.WeightedAveraging)
+	res, _, err := leader.Execute(context.Background(), federation.Request{
+		Query:       q,
+		Selector:    selection.QueryDriven{Epsilon: 0.6, TopL: 2},
+		Aggregation: federation.WeightedAveraging,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -15,6 +15,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 
@@ -63,11 +64,14 @@ func main() {
 
 	hits := 0
 	for _, q := range workload {
-		res, reused, err := fleet.Leader.ExecuteWithReuse(cache, q, adaptive, federation.WeightedAveraging)
+		res, kind, err := fleet.Leader.Execute(context.Background(), federation.Request{
+			Query: q, Selector: adaptive, Aggregation: federation.WeightedAveraging, Cache: cache,
+		})
 		if err != nil {
 			fmt.Printf("%-8s no participants (%v)\n", q.ID, err)
 			continue
 		}
+		reused := kind.Reused()
 		if reused {
 			hits++
 		}

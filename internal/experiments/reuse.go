@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -77,12 +78,14 @@ func Reuse(opts Options) (*ReuseResult, error) {
 	lossCached, lossFresh := 0.0, 0.0
 	scoredCached, scoredFresh := 0, 0
 	for _, q := range workload {
-		res, reused, err := env.Fleet.Leader.ExecuteWithReuse(cache, q, sel, federation.WeightedAveraging)
+		res, kind, err := env.Fleet.Leader.Execute(context.Background(), federation.Request{
+			Query: q, Selector: sel, Aggregation: federation.WeightedAveraging, Cache: cache,
+		})
 		if err != nil {
 			continue
 		}
 		out.Queries++
-		if reused {
+		if kind.Reused() {
 			hits++
 		} else {
 			out.TimeWithCache += res.Stats.TrainTime

@@ -1,7 +1,6 @@
 package federation
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -9,7 +8,6 @@ import (
 
 	"qens/internal/geometry"
 	"qens/internal/query"
-	"qens/internal/selection"
 	"qens/internal/telemetry"
 )
 
@@ -599,12 +597,6 @@ func (c *ReuseCache) recordFallback() {
 	}
 }
 
-// Stats reports exact-tier cache effectiveness (legacy two-value
-// form; see CacheStats for the full picture).
-func (c *ReuseCache) Stats() (hits, misses int) {
-	return int(c.hits.Load()), int(c.misses.Load())
-}
-
 // Len returns the current number of cached results.
 func (c *ReuseCache) Len() int {
 	if v := c.view.Load(); v != nil {
@@ -642,67 +634,6 @@ func (c *ReuseCache) CacheStats() ReuseCacheStats {
 		Probes:            c.probes.Load(),
 		Fallbacks:         c.fallbacks.Load(),
 	}
-}
-
-// ExecuteWithReuse answers the query from the cache when possible and
-// otherwise runs the normal Execute, storing the fresh result. reused
-// reports which path was taken.
-func (l *Leader) ExecuteWithReuse(cache *ReuseCache, q query.Query, sel selection.Selector, agg Aggregation) (res *Result, reused bool, err error) {
-	return l.ExecuteWithReuseContext(context.Background(), cache, q, sel, agg)
-}
-
-// ExecuteWithReuseContext is ExecuteWithReuse with deadline and
-// cancellation support; cache hits are served even for an expired
-// context since they cost nothing. Lookups are fenced by the registry's
-// reuse epoch: after InvalidateSummaries (or a node drift signal) the
-// epoch advances and results trained against the old advertisement stop
-// matching, fixing the stale-ensemble leak of the unversioned cache.
-func (l *Leader) ExecuteWithReuseContext(ctx context.Context, cache *ReuseCache, q query.Query, sel selection.Selector, agg Aggregation) (res *Result, reused bool, err error) {
-	r, kind, err := l.ExecuteAdaptiveContext(ctx, cache, q, sel, agg)
-	if err != nil {
-		return nil, false, err
-	}
-	return r, kind.Reused(), nil
-}
-
-// ExecuteAdaptiveContext is the full adaptive serving pipeline: exact
-// reuse, then (when configured) the approximate model-answer tier with
-// its deterministic probe schedule, then federated training. With the
-// approximate tier disabled it is step-for-step identical to the
-// original reuse path — same lookups, same RNG draws, same stores — so
-// seeded replays stay bit-exact.
-func (l *Leader) ExecuteAdaptiveContext(ctx context.Context, cache *ReuseCache, q query.Query, sel selection.Selector, agg Aggregation) (*Result, ServeKind, error) {
-	if cache == nil {
-		return nil, ServeFresh, fmt.Errorf("federation: nil reuse cache")
-	}
-	epoch := l.reg.ReuseEpoch()
-	if hit, ok := cache.LookupEpoch(q, epoch); ok {
-		return hit, ServeExact, nil
-	}
-	if cache.approx.Enabled() {
-		if ent, pred, ok := cache.lookupApprox(q, epoch); ok {
-			if cache.probeDue() {
-				res, err := l.ExecuteContext(ctx, q, sel, agg)
-				if err == nil {
-					realized := ensembleDivergence(ent.res.Ensemble, res.Ensemble, q, l.cfg.Spec.InputDim)
-					cache.recordProbe(ent, pred, realized)
-					cache.Store(res)
-					return res, ServeProbe, nil
-				}
-				// Training failed; the cached answer still clears the
-				// bound, so serve it rather than surfacing the error.
-			}
-			cache.recordApproxHit(ent)
-			return ent.res, ServeApprox, nil
-		}
-		cache.recordFallback()
-	}
-	res, err := l.ExecuteContext(ctx, q, sel, agg)
-	if err != nil {
-		return nil, ServeFresh, err
-	}
-	cache.Store(res)
-	return res, ServeFresh, nil
 }
 
 // ensembleDivergence scores how differently two ensembles answer the

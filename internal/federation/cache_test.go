@@ -29,7 +29,7 @@ func TestReuseCacheHitAndMiss(t *testing.T) {
 	sel := selection.QueryDriven{Epsilon: 0.6, TopL: 2}
 	q := midQuery(t)
 
-	res1, reused, err := fleet.Leader.ExecuteWithReuse(cache, q, sel, WeightedAveraging)
+	res1, reused, err := executeCached(fleet.Leader, cache, q, sel, WeightedAveraging)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestReuseCacheHitAndMiss(t *testing.T) {
 	// An almost identical query must hit.
 	near, _ := query.New("q-near", geometry.MustRect(
 		[]float64{10.5, -50}, []float64{40, 150}))
-	res2, reused, err := fleet.Leader.ExecuteWithReuse(cache, near, sel, WeightedAveraging)
+	res2, reused, err := executeCached(fleet.Leader, cache, near, sel, WeightedAveraging)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,16 +57,15 @@ func TestReuseCacheHitAndMiss(t *testing.T) {
 	// A far-away query (still supported by the fleet) must miss.
 	far, _ := query.New("q-far", geometry.MustRect(
 		[]float64{60, 50}, []float64{90, 200}))
-	_, reused, err = fleet.Leader.ExecuteWithReuse(cache, far, sel, WeightedAveraging)
+	_, reused, err = executeCached(fleet.Leader, cache, far, sel, WeightedAveraging)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if reused {
 		t.Fatal("disjoint query hit the cache")
 	}
-	hits, misses := cache.Stats()
-	if hits != 1 || misses != 2 {
-		t.Fatalf("stats %d/%d, want 1/2", hits, misses)
+	if st := cache.CacheStats(); st.Hits != 1 || st.Misses != 2 {
+		t.Fatalf("stats %d/%d, want 1/2", st.Hits, st.Misses)
 	}
 }
 
@@ -140,11 +139,11 @@ func TestReuseCacheEpochFencing(t *testing.T) {
 	}
 }
 
-// TestExecuteWithReuseEpochInvalidation is the end-to-end version of
+// TestExecuteCachedEpochInvalidation is the end-to-end version of
 // the stale-ensemble fix: after InvalidateSummaries the advertisement
 // epoch moves, the cached result stops matching, and the same query
 // retrains instead of serving the pre-invalidation ensemble.
-func TestExecuteWithReuseEpochInvalidation(t *testing.T) {
+func TestExecuteCachedEpochInvalidation(t *testing.T) {
 	fleet := testFleet(t)
 	cache, err := NewReuseCache(0.9, 8)
 	if err != nil {
@@ -153,7 +152,7 @@ func TestExecuteWithReuseEpochInvalidation(t *testing.T) {
 	sel := selection.QueryDriven{Epsilon: 0.6, TopL: 2}
 	q := midQuery(t)
 
-	res1, reused, err := fleet.Leader.ExecuteWithReuse(cache, q, sel, WeightedAveraging)
+	res1, reused, err := executeCached(fleet.Leader, cache, q, sel, WeightedAveraging)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,13 +162,13 @@ func TestExecuteWithReuseEpochInvalidation(t *testing.T) {
 	if res1.Epoch == 0 {
 		t.Fatal("result missing the advertisement epoch stamp")
 	}
-	if _, reused, _ = fleet.Leader.ExecuteWithReuse(cache, q, sel, WeightedAveraging); !reused {
+	if _, reused, _ = executeCached(fleet.Leader, cache, q, sel, WeightedAveraging); !reused {
 		t.Fatal("identical query at the same epoch must hit")
 	}
 
 	fleet.Leader.InvalidateSummaries()
 
-	res2, reused, err := fleet.Leader.ExecuteWithReuse(cache, q, sel, WeightedAveraging)
+	res2, reused, err := executeCached(fleet.Leader, cache, q, sel, WeightedAveraging)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +180,7 @@ func TestExecuteWithReuseEpochInvalidation(t *testing.T) {
 	}
 	// The fresh result replaced the stale generation in the cache and
 	// now serves hits at the new epoch.
-	if _, reused, _ = fleet.Leader.ExecuteWithReuse(cache, q, sel, WeightedAveraging); !reused {
+	if _, reused, _ = executeCached(fleet.Leader, cache, q, sel, WeightedAveraging); !reused {
 		t.Fatal("retrained result not cached at the new epoch")
 	}
 }

@@ -14,8 +14,8 @@ import (
 )
 
 // TestConcurrentExecute hammers one leader from many goroutines mixing
-// Execute, ExecuteParallel and ExecuteWithReuse — the contract the
-// gateway's worker pool depends on. Run under -race (make check does)
+// plain and cache-fronted Execute with concurrent Rounds — the contract
+// the gateway's worker pool and the region tier depend on. Run under -race (make check does)
 // this validates the shared-RNG locking and the summary/warm-up cache
 // guards.
 func TestConcurrentExecute(t *testing.T) {
@@ -51,13 +51,13 @@ func TestConcurrentExecute(t *testing.T) {
 				var err error
 				switch (g + i) % 4 {
 				case 0:
-					_, err = fleet.Leader.Execute(q, sel, WeightedAveraging)
+					_, err = execute(fleet.Leader, q, sel, WeightedAveraging)
 				case 1:
-					_, err = fleet.Leader.ExecuteParallel(q, sel, ModelAveraging)
+					err = concurrentRound(fleet.Leader, q, sel)
 				case 2:
-					_, _, err = fleet.Leader.ExecuteWithReuse(cache, q, sel, WeightedAveraging)
+					_, _, err = executeCached(fleet.Leader, cache, q, sel, WeightedAveraging)
 				case 3:
-					_, err = fleet.Leader.Execute(q, rnd, ModelAveraging)
+					_, err = execute(fleet.Leader, q, rnd, ModelAveraging)
 				}
 				if err != nil {
 					errs <- fmt.Errorf("goroutine %d iter %d (%s): %w", g, i, q.ID, err)
@@ -73,6 +73,29 @@ func TestConcurrentExecute(t *testing.T) {
 	}
 }
 
+// concurrentRound plans q and trains its participants in one
+// concurrent Round, the way a regional leader does.
+func concurrentRound(l *Leader, q query.Query, sel selection.Selector) error {
+	ctx := context.Background()
+	pl, err := l.PlanContext(ctx, q, sel)
+	if err != nil {
+		return err
+	}
+	defer pl.Release()
+	model, err := l.cfg.Spec.New()
+	if err != nil {
+		return err
+	}
+	for _, o := range l.Round(ctx, RoundRequest{
+		Spec: l.cfg.Spec, Params: model.Params(), Participants: pl.CopyParticipants(), Concurrent: true,
+	}) {
+		if o.Err != nil {
+			return fmt.Errorf("round on %s: %w", o.NodeID, o.Err)
+		}
+	}
+	return nil
+}
+
 // TestConcurrentExecuteWithColdCaches starts every goroutine before
 // the summary/warm-up caches are populated, so the lazy fetch itself
 // races unless serialized.
@@ -85,7 +108,7 @@ func TestConcurrentExecuteWithColdCaches(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := fleet.Leader.Execute(q, sel, ModelAveraging); err != nil {
+			if _, err := execute(fleet.Leader, q, sel, ModelAveraging); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -93,38 +116,65 @@ func TestConcurrentExecuteWithColdCaches(t *testing.T) {
 	wg.Wait()
 }
 
-// TestExecuteContextExpired: an already-expired deadline must return
-// the context error without touching the fleet.
-func TestExecuteContextExpired(t *testing.T) {
+// TestExecuteExpiredContext: an already-expired deadline must return
+// the context error without touching the fleet, whatever the request
+// shape; a Round handed the dead context trains nobody either.
+func TestExecuteExpiredContext(t *testing.T) {
 	fleet := testFleet(t)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Millisecond))
 	defer cancel()
-	start := time.Now()
-	_, err := fleet.Leader.ExecuteContext(ctx, midQuery(t), selection.AllNodes{}, ModelAveraging)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	cache, err := NewReuseCache(0.9, 8)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if time.Since(start) > time.Second {
-		t.Fatal("expired query did not return promptly")
+	for name, req := range map[string]Request{
+		"single round": {},
+		"rounds":       {Rounds: 2},
+		"cached":       {Cache: cache},
+	} {
+		req.Query, req.Selector, req.Aggregation = midQuery(t), selection.AllNodes{}, ModelAveraging
+		start := time.Now()
+		if _, _, err := fleet.Leader.Execute(ctx, req); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%s: err = %v, want context.DeadlineExceeded", name, err)
+		}
+		if time.Since(start) > time.Second {
+			t.Fatalf("%s: expired query did not return promptly", name)
+		}
 	}
-	_, err = fleet.Leader.ExecuteParallelContext(ctx, midQuery(t), selection.AllNodes{}, ModelAveraging)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("parallel err = %v, want context.DeadlineExceeded", err)
+
+	model, err := fleet.Leader.cfg.Spec.New()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := fleet.Leader.ExecuteRoundsContext(ctx, midQuery(t), selection.AllNodes{}, 2); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("rounds err = %v, want context.DeadlineExceeded", err)
+	round := RoundRequest{
+		Spec:         fleet.Leader.cfg.Spec,
+		Params:       model.Params(),
+		Participants: []selection.Participant{{NodeID: "node-0"}, {NodeID: "node-1"}},
+	}
+	if outs := fleet.Leader.Round(ctx, round); outs != nil {
+		t.Fatalf("sequential round on a dead context returned %d outcomes, want nil", len(outs))
+	}
+	round.Concurrent = true
+	outs := fleet.Leader.Round(ctx, round)
+	if len(outs) != 2 {
+		t.Fatalf("concurrent round returned %d outcomes, want 2", len(outs))
+	}
+	for _, o := range outs {
+		if !errors.Is(o.Err, context.DeadlineExceeded) {
+			t.Fatalf("%s: err = %v, want context.DeadlineExceeded", o.NodeID, o.Err)
+		}
 	}
 }
 
-// TestExecuteContextCancelMidQuery: cancellation between training
+// TestExecuteCancelMidQuery: cancellation between training
 // rounds aborts the remaining participants.
-func TestExecuteContextCancelMidQuery(t *testing.T) {
+func TestExecuteCancelMidQuery(t *testing.T) {
 	fleet := testFleet(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	// LocalClient checks ctx before each round; with a canceled ctx
 	// selection itself may run but no training must complete.
-	res, err := fleet.Leader.ExecuteContext(ctx, midQuery(t), selection.AllNodes{}, ModelAveraging)
+	res, _, err := fleet.Leader.Execute(ctx, Request{Query: midQuery(t), Selector: selection.AllNodes{}, Aggregation: ModelAveraging})
 	if err == nil {
 		t.Fatalf("expected error, got result with %d params", len(res.LocalParams))
 	}

@@ -1,6 +1,7 @@
 package federation_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -48,10 +49,10 @@ func Example() {
 	// Output: selected 2 participants, used 9% of federation data
 }
 
-// ExampleLeader_ExecuteRounds shows multi-round FedAvg training: the
-// leader re-distributes the parameter average between rounds and the
+// ExampleLeader_Execute shows multi-round FedAvg training: the leader
+// re-distributes the parameter average between rounds and the
 // per-round deltas trace convergence.
-func ExampleLeader_ExecuteRounds() {
+func ExampleLeader_Execute() {
 	data, _ := dataset.PaperNodeDatasets(dataset.Config{
 		Nodes: 4, SamplesPerNode: 400, Seed: 5,
 	})
@@ -63,10 +64,14 @@ func ExampleLeader_ExecuteRounds() {
 	}
 	space, _ := fleet.Space()
 	q, _ := query.Uniform(space, rng.New(9))
-	res, err := fleet.Leader.ExecuteRounds(q, selection.QueryDriven{Epsilon: 0.6, TopL: 2}, 3)
+	res, _, err := fleet.Leader.Execute(context.Background(), federation.Request{
+		Query:    q,
+		Selector: selection.QueryDriven{Epsilon: 0.6, TopL: 2},
+		Rounds:   3,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("rounds=%d, single global model: %v\n", res.Rounds, res.Ensemble.Size() == 1)
+	fmt.Printf("rounds=%d, single global model: %v\n", len(res.RoundDeltas), res.Ensemble.Size() == 1)
 	// Output: rounds=3, single global model: true
 }

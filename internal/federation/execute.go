@@ -1,0 +1,212 @@
+package federation
+
+import (
+	"context"
+	"fmt"
+	"time"
+
+	"qens/internal/query"
+	"qens/internal/registry"
+	"qens/internal/selection"
+)
+
+// Request is one query handed to Leader.Execute.
+type Request struct {
+	Query       query.Query
+	Selector    selection.Selector
+	Aggregation Aggregation
+	// Rounds is the number of communication rounds; 0 means the
+	// paper's single round (select, train locally, aggregate
+	// predictions). With more than one the leader runs the classic
+	// FedAvg loop ([6], [15], [16]) over the once-selected
+	// participants: after every round it replaces the global model
+	// with the rank-weighted parameter average and re-distributes it,
+	// so the Result's ensemble is the single converged model
+	// (GlobalParams, with RoundDeltas as its convergence history) and
+	// Aggregation is recorded as WeightedAveraging.
+	Rounds int
+	// Cache, when non-nil, fronts training with the reuse tiers: exact
+	// IoU reuse, then (when the cache enables it) the approximate
+	// model-answer tier with its deterministic probe schedule. Fresh
+	// results are stored back.
+	Cache *ReuseCache
+}
+
+// Execute runs the §IV-B loop for one query — plan the participants
+// (Eq. 2–4), draw the initial global model, Round × Rounds, Assemble
+// (Eq. 5–7) — and reports which tier answered. It is the leader's one
+// query entry point; the number of rounds and the cache are fields of
+// Request.
+//
+// The context is consulted before selection and before every training
+// round and handed to each participant client, so an expired query
+// aborts instead of occupying the fleet; cache hits are served even
+// then since they cost nothing. Cache lookups are fenced by the
+// registry's reuse epoch: after InvalidateSummaries or a node drift
+// signal, results trained against the old advertisements stop
+// matching. A cache whose approximate tier is disabled makes exactly
+// the lookups, RNG draws and stores of plain exact-IoU reuse, so seeded
+// replays stay bit-exact.
+func (l *Leader) Execute(ctx context.Context, req Request) (*Result, ServeKind, error) {
+	if req.Rounds < 0 {
+		return nil, ServeFresh, fmt.Errorf("federation: rounds %d < 0", req.Rounds)
+	}
+	kind := ServeFresh
+	var (
+		probed    *cacheEntry // approx-servable entry this query probes
+		predicted float64
+	)
+	if c := req.Cache; c != nil {
+		epoch := l.reg.ReuseEpoch()
+		if hit, ok := c.LookupEpoch(req.Query, epoch); ok {
+			return hit, ServeExact, nil
+		}
+		if c.approx.Enabled() {
+			ent, pred, ok := c.lookupApprox(req.Query, epoch)
+			switch {
+			case !ok:
+				c.recordFallback()
+			case c.probeDue():
+				probed, predicted, kind = ent, pred, ServeProbe
+			default:
+				c.recordApproxHit(ent)
+				return ent.res, ServeApprox, nil
+			}
+		}
+	}
+	res, err := l.train(ctx, req)
+	if err != nil {
+		if probed == nil {
+			return nil, ServeFresh, err
+		}
+		// The probe's training failed; the cached answer still clears
+		// the bound, so serve it rather than surfacing the error.
+		req.Cache.recordApproxHit(probed)
+		return probed.res, ServeApprox, nil
+	}
+	if probed != nil {
+		realized := ensembleDivergence(probed.res.Ensemble, res.Ensemble, req.Query, l.cfg.Spec.InputDim)
+		req.Cache.recordProbe(probed, predicted, realized)
+	}
+	if req.Cache != nil {
+		req.Cache.Store(res)
+	}
+	return res, kind, nil
+}
+
+// train is Execute past the cache: the two-stage pipeline of
+// planner.Plan (pure CPU, lock-free over the registry snapshot)
+// followed by the I/O-bound rounds. When a tracer is installed it
+// emits one trace with selection, per-node train and aggregation spans
+// sharing the query's trace ID.
+func (l *Leader) train(ctx context.Context, req Request) (_ *Result, retErr error) {
+	rounds, agg := req.Rounds, req.Aggregation
+	if rounds == 0 {
+		rounds = 1
+	} else if rounds > 1 {
+		agg = WeightedAveraging
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	qspan := l.startQuerySpan(req.Query, req.Selector)
+	defer func() { qspan.End(retErr) }()
+
+	pl, selectionTime, err := l.planWithSpan(ctx, qspan, req.Query, req.Selector)
+	if err != nil {
+		return nil, err
+	}
+	defer pl.Release()
+
+	// Initial global model w. Only its parameters travel: nodes seed
+	// their own models, so they are sent the configured spec.
+	spec := l.cfg.Spec
+	spec.Seed = uint64(l.src.Int63())
+	global, err := spec.New()
+	if err != nil {
+		return nil, err
+	}
+	current := global.Params()
+
+	// The Result owns deep copies of the plan's participants, so
+	// releasing the plan afterwards is safe.
+	res := &Result{
+		Query:        pl.Query,
+		Epoch:        pl.Epoch,
+		Selector:     pl.Selector,
+		Aggregation:  agg,
+		Participants: pl.CopyParticipants(),
+	}
+	if snap := pl.Snapshot(); snap != nil {
+		res.Stats.SamplesAllNodes = snap.TotalSamples
+		captureTrainingBounds(res, snap, res.Participants)
+	}
+	for r := 0; r < rounds; r++ {
+		outs := l.Round(ctx, RoundRequest{
+			Spec:         l.cfg.Spec,
+			Params:       current,
+			Participants: res.Participants,
+			LocalEpochs:  l.cfg.LocalEpochs,
+			Round:        r,
+			Parent:       qspan,
+		})
+		if outs == nil {
+			return nil, ctx.Err()
+		}
+		if err := Assemble(res, outs, Assembly{
+			Spec:             l.cfg.Spec,
+			Initial:          current,
+			Round:            r,
+			TolerateFailures: l.cfg.TolerateFailures,
+			FedAvg:           rounds > 1,
+			Span:             qspan,
+		}); err != nil {
+			return nil, err
+		}
+		current = res.GlobalParams // FedAvg re-distribution; unused after a single round
+	}
+	res.Stats.SelectionTime = selectionTime
+	res.Stats.WallTime = time.Since(start)
+	ObserveQuery(l.metrics, pl.Selector, selectionTime, len(res.Failed))
+	return res, nil
+}
+
+// captureTrainingBounds copies the supporting-cluster rectangles of
+// every participant out of the plan snapshot into the Result, before
+// the plan (and its snapshot reference) is released. A participant
+// with a nil cluster directive trains on its whole dataset, so all of
+// its advertised cluster rectangles count. The copy is a few hundred
+// floats at most and never touches the RNG, so seeded replays are
+// unaffected.
+func captureTrainingBounds(res *Result, snap *registry.Snapshot, participants []selection.Participant) {
+	d := snap.Dims
+	if d <= 0 {
+		return
+	}
+	byID := make(map[string]*registry.NodeGeom, len(snap.Nodes))
+	for i := range snap.Nodes {
+		byID[snap.Nodes[i].NodeID] = &snap.Nodes[i]
+	}
+	for _, p := range participants {
+		g, ok := byID[p.NodeID]
+		if !ok {
+			continue
+		}
+		if p.Clusters == nil {
+			res.TrainMins = append(res.TrainMins, g.Mins...)
+			res.TrainMaxs = append(res.TrainMaxs, g.Maxs...)
+			continue
+		}
+		for _, k := range p.Clusters {
+			if k < 0 || (k+1)*d > len(g.Mins) {
+				continue
+			}
+			res.TrainMins = append(res.TrainMins, g.Mins[k*d:(k+1)*d]...)
+			res.TrainMaxs = append(res.TrainMaxs, g.Maxs[k*d:(k+1)*d]...)
+		}
+	}
+	if len(res.TrainMins) > 0 {
+		res.TrainDims = d
+	}
+}

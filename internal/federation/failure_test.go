@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"qens/internal/cluster"
@@ -11,6 +12,7 @@ import (
 	"qens/internal/ml"
 	"qens/internal/rng"
 	"qens/internal/selection"
+	"qens/internal/telemetry"
 )
 
 // flakyClient wraps a Client and fails training after failAfter calls.
@@ -74,7 +76,7 @@ func failureFleet(t *testing.T, tolerate bool) (*Leader, []*Node, *dataset.Datas
 
 func TestExecuteAbortsOnFailureByDefault(t *testing.T) {
 	leader, _, _ := failureFleet(t, false)
-	_, err := leader.Execute(midQuery(t), selection.AllNodes{}, ModelAveraging)
+	_, err := execute(leader, midQuery(t), selection.AllNodes{}, ModelAveraging)
 	if err == nil {
 		t.Fatal("expected failure to abort the query")
 	}
@@ -82,7 +84,7 @@ func TestExecuteAbortsOnFailureByDefault(t *testing.T) {
 
 func TestExecuteToleratesFailures(t *testing.T) {
 	leader, _, test := failureFleet(t, true)
-	res, err := leader.Execute(midQuery(t), selection.AllNodes{}, ModelAveraging)
+	res, err := execute(leader, midQuery(t), selection.AllNodes{}, ModelAveraging)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +116,7 @@ func TestExecuteFailsWhenAllParticipantsFail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := leader.Execute(midQuery(t), selection.AllNodes{}, ModelAveraging); err == nil {
+	if _, err := execute(leader, midQuery(t), selection.AllNodes{}, ModelAveraging); err == nil {
 		t.Fatal("all-failed query must error even with tolerance")
 	}
 }
@@ -131,5 +133,70 @@ func TestSummariesFailFast(t *testing.T) {
 	// node must surface immediately, tolerance or not.
 	if _, err := leader.Summaries(); err == nil {
 		t.Fatal("summaries succeeded with a dead node")
+	}
+}
+
+// driftingClient echoes an advertisement epoch one past the node's own
+// on every training response, as a node that requantized mid-round
+// would.
+type driftingClient struct{ Client }
+
+func (d driftingClient) Train(ctx context.Context, req TrainRequest) (TrainResponse, error) {
+	resp, err := d.Client.Train(ctx, req)
+	resp.SummaryEpoch++
+	return resp, err
+}
+
+// TestAbortedQueryKeepsCompletedRounds: a failure at the third
+// participant aborts the query, but the two rounds that already
+// completed still count — the first node's echoed drift invalidates
+// the registry, the health tracker sees two successes and one failure,
+// and every contacted node gets its round-latency observation.
+func TestAbortedQueryKeepsCompletedRounds(t *testing.T) {
+	var clients []Client
+	for i := 0; i < 3; i++ {
+		// Ids unique to this test: the round metrics are process-global.
+		n, err := NewNode(fmt.Sprintf("abort-%d", i), lineDataset(200, 2, 1, 0, 40, uint64(90+i)), 3, rng.New(uint64(90+i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		clients = append(clients, LocalClient{n})
+	}
+	clients[0] = driftingClient{clients[0]}
+	clients[2] = &flakyClient{Client: clients[2], failAfter: 0}
+	leader, err := NewLeader(Config{Spec: ml.PaperLR(1), ClusterK: 3, Seed: 3}, nil, clients)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := leader.Summaries(); err != nil {
+		t.Fatal(err)
+	}
+	epoch := leader.Registry().ReuseEpoch()
+
+	_, err = execute(leader, midQuery(t), selection.AllNodes{}, ModelAveraging)
+	if err == nil || !strings.Contains(err.Error(), "abort-2") {
+		t.Fatalf("err = %v, want the query aborted by abort-2", err)
+	}
+	if got := leader.Registry().ReuseEpoch(); got <= epoch {
+		t.Fatalf("reuse epoch %d did not advance past %d: abort-0's drift signal was dropped", got, epoch)
+	}
+	health := leader.Health().Report(nil)
+	if len(health) != 3 {
+		t.Fatalf("health tracks %d nodes, want all 3 contacted ones", len(health))
+	}
+	for _, h := range health {
+		wantFailures := int64(0)
+		if h.NodeID == "abort-2" {
+			wantFailures = 1
+		}
+		if h.Rounds != 1 || h.Failures != wantFailures {
+			t.Fatalf("%s health: %d rounds, %d failures; want 1 round, %d failures", h.NodeID, h.Rounds, h.Failures, wantFailures)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		node := telemetry.Label{Key: "node", Value: fmt.Sprintf("abort-%d", i)}
+		if n := telemetry.Default().Histogram("qens_leader_train_round_ms", node).Count(); n != 1 {
+			t.Fatalf("abort-%d: %d round-latency observations, want 1", i, n)
+		}
 	}
 }

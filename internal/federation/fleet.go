@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"context"
 	"fmt"
 
 	"qens/internal/dataset"
@@ -100,8 +101,10 @@ func (f *Fleet) Space() (geometry.Rect, error) {
 	return query.GlobalSpace(bounds)
 }
 
-// Execute runs a query and returns the result; a convenience wrapper
-// over the leader.
+// Execute trains one query on the simulated fleet — Leader.Execute
+// with a background context, one round and no cache, which is what
+// the experiments want.
 func (f *Fleet) Execute(q query.Query, sel selection.Selector, agg Aggregation) (*Result, error) {
-	return f.Leader.Execute(q, sel, agg)
+	res, _, err := f.Leader.Execute(context.Background(), Request{Query: q, Selector: sel, Aggregation: agg})
+	return res, err
 }

@@ -100,9 +100,9 @@ func (c Config) Validate() error {
 // model, reuse-cache entries, plan fingerprints — is keyed to that
 // epoch and dies with it when the registry refreshes.
 //
-// A Leader is safe for concurrent callers: Execute, ExecuteParallel,
-// ExecuteRounds and ExecuteWithReuse may run simultaneously from many
-// goroutines (the serving path in internal/gateway depends on this).
+// A Leader is safe for concurrent callers: Execute and Round may run
+// simultaneously from many goroutines (the serving path in
+// internal/gateway depends on this).
 // The shared RNG is internally locked (see internal/rng), the summary
 // registry publishes copy-on-write snapshots, and the stateful
 // selectors (Fairness, Contribution, Adaptive) lock internally.
@@ -114,14 +114,13 @@ type Leader struct {
 
 	reg     *registry.Registry // versioned advertisement store
 	planner *plan.Planner      // pure-CPU planning stage
-	exec    *Executor          // I/O-bound execution stage
 
 	warmupMu    sync.Mutex
 	warmup      *ml.Params // cached §II warm-up model
 	warmupEpoch uint64     // registry epoch the warm-up was fit under
 
 	tracer  *telemetry.Tracer // nil: fall back to telemetry.DefaultTracer
-	metrics *leaderMetrics
+	metrics *telemetry.Registry
 	health  *fleet.Tracker // per-node round latency/error EWMAs
 
 	push leaderPush // summary push subscriptions (see push.go)
@@ -148,9 +147,11 @@ func NewLeader(cfg Config, leaderData *dataset.Dataset, clients []Client) (*Lead
 	}
 	l := &Leader{
 		cfg: cfg, data: leaderData, clients: clients, src: rng.New(cfg.Seed),
-		metrics: newLeaderMetrics(telemetry.Default()),
+		metrics: telemetry.Default(),
 		health:  fleet.NewTracker(telemetry.Default()),
 	}
+	l.metrics.SetHelp("qens_queries_total", "Queries executed by the leader, by selector.")
+	l.metrics.SetHelp("qens_selection_ms", "Leader-side participant ranking/selection latency (ms).")
 	regCfg := registry.Config{
 		Fetch: l.fetchSummaries,
 		TTL:   cfg.SummaryTTL,
@@ -165,7 +166,6 @@ func NewLeader(cfg Config, leaderData *dataset.Dataset, clients []Client) (*Lead
 	}
 	l.reg = reg
 	l.planner = plan.NewPlanner(reg)
-	l.exec = NewExecutor(l)
 	return l, nil
 }
 
@@ -270,9 +270,6 @@ func (l *Leader) Registry() *registry.Registry { return l.reg }
 // Planner exposes the pure-CPU planning stage.
 func (l *Leader) Planner() *plan.Planner { return l.planner }
 
-// Executor exposes the I/O-bound execution stage.
-func (l *Leader) Executor() *Executor { return l.exec }
-
 // Health exposes the leader's fleet health tracker: per-node round
 // latency/error EWMAs fed by every executed round, scored for the
 // gateway's /v1/fleet endpoint and the qens_fleet_* gauges.
@@ -338,25 +335,10 @@ func (l *Leader) evaluateWarmup(ctx context.Context, nodeID string) (float64, er
 	if err != nil {
 		return 0, err
 	}
-	l.signalEpoch(nodeID, resp.SummaryEpoch)
+	// Evaluation responses carry advertisement epochs just like
+	// training responses, so pre-test scoring doubles as a drift probe.
+	l.reg.SignalNodeEpoch(nodeID, resp.SummaryEpoch)
 	return resp.MSE, nil
-}
-
-// signalEpoch feeds a node-reported advertisement version into the
-// registry's drift detection; evaluation responses carry epochs just
-// like training responses, so pre-test scoring doubles as a drift
-// probe. Zero epochs (older daemons) are ignored.
-func (l *Leader) signalEpoch(nodeID string, epoch uint64) {
-	if epoch == 0 {
-		return
-	}
-	l.reg.SignalNodeEpoch(nodeID, epoch)
-}
-
-// SelectionContext builds the Context handed to selectors: the
-// leader's RNG plus the warm-up evaluator.
-func (l *Leader) SelectionContext() *selection.Context {
-	return l.selectionContext(context.Background())
 }
 
 // selectionContext binds the selector dependencies to one query's
@@ -442,49 +424,13 @@ type Result struct {
 	TrainMins []float64
 	TrainMaxs []float64
 	TrainDims int
-	Stats     Stats
-}
-
-// Execute runs the full §IV-B loop for one query: select participants,
-// send the initial global model, let each participant train over its
-// supporting clusters, and build the aggregated predictor. When a
-// tracer is installed the execution emits one trace with selection,
-// per-node train and aggregation spans sharing the query's trace ID.
-func (l *Leader) Execute(q query.Query, sel selection.Selector, agg Aggregation) (*Result, error) {
-	return l.ExecuteContext(context.Background(), q, sel, agg)
-}
-
-// ExecuteContext is Execute with deadline/cancellation support: the
-// context is consulted before selection and before every training
-// round, and is handed to each participant client, so an expired query
-// aborts instead of occupying the fleet. A query whose context is
-// already done returns ctx.Err() immediately.
-//
-// Internally this is the two-stage pipeline: planner.Plan (pure CPU,
-// lock-free over the registry snapshot) followed by Executor.run (the
-// I/O-bound training fan-out and aggregation).
-func (l *Leader) ExecuteContext(ctx context.Context, q query.Query, sel selection.Selector, agg Aggregation) (_ *Result, retErr error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	qspan := l.startQuerySpan(q, sel)
-	defer func() { qspan.End(retErr) }()
-
-	pl, selectionTime, err := l.planWithSpan(ctx, qspan, q, sel)
-	if err != nil {
-		return nil, err
-	}
-	defer pl.Release()
-
-	res, err := l.exec.run(ctx, qspan, pl, agg, false)
-	if err != nil {
-		return nil, err
-	}
-	res.Stats.SelectionTime = selectionTime
-	res.Stats.WallTime = time.Since(start)
-	l.metrics.query(sel.Name(), selectionTime, len(res.Failed))
-	return res, nil
+	// RoundDeltas and GlobalParams are set by multi-round execution
+	// (Request.Rounds > 1): the L2 distance between consecutive global
+	// parameter vectors, one per round — a shrinking sequence indicates
+	// convergence — and the final FedAvg parameter vector.
+	RoundDeltas  []float64
+	GlobalParams ml.Params
+	Stats        Stats
 }
 
 // PlanContext runs only the pure-CPU planning stage for a query: the
@@ -540,8 +486,8 @@ func (l *Leader) planWithSpan(ctx context.Context, qspan *telemetry.SpanHandle, 
 }
 
 // EvaluateGlobal scores a single global model (e.g. the FedAvg output
-// of ExecuteRounds) against the federation's own data restricted to
-// bounds, without any raw data reaching the leader: every participant
+// of a multi-round Execute) against the federation's own data, restricted
+// to bounds, without any raw data reaching the leader: every participant
 // reports its local (MSE, sample count) and the leader pools them by
 // sample weight. ok is false when no participant holds in-bounds data.
 func (l *Leader) EvaluateGlobal(params ml.Params, bounds geometry.Rect) (mse float64, samples int, err error) {
@@ -557,7 +503,7 @@ func (l *Leader) EvaluateGlobalContext(ctx context.Context, params ml.Params, bo
 		if err != nil {
 			return 0, 0, fmt.Errorf("federation: evaluate on %s: %w", c.ID(), err)
 		}
-		l.signalEpoch(c.ID(), resp.SummaryEpoch)
+		l.reg.SignalNodeEpoch(c.ID(), resp.SummaryEpoch)
 		totalSq += resp.MSE * float64(resp.Samples)
 		samples += resp.Samples
 	}
@@ -565,23 +511,6 @@ func (l *Leader) EvaluateGlobalContext(ctx context.Context, params ml.Params, bo
 		return 0, 0, nil
 	}
 	return totalSq / float64(samples), samples, nil
-}
-
-// trainOn runs one participant's training round, attributing it to the
-// given span (nil for untraced runs).
-func (l *Leader) trainOn(ctx context.Context, p selection.Participant, initial ml.Params, span *telemetry.SpanHandle) (TrainResponse, error) {
-	c, err := l.client(p.NodeID)
-	if err != nil {
-		return TrainResponse{}, err
-	}
-	return c.Train(ctx, TrainRequest{
-		Spec:        l.cfg.Spec,
-		Params:      initial,
-		Clusters:    p.Clusters,
-		LocalEpochs: l.cfg.LocalEpochs,
-		TraceID:     span.TraceID(),
-		SpanID:      span.SpanID(),
-	})
 }
 
 // EvaluateResult scores a result's ensemble against test data

@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -29,6 +30,20 @@ func testFleet(t *testing.T) *Fleet {
 		t.Fatal(err)
 	}
 	return fleet
+}
+
+// execute is the call most tests make: one uncached single-round
+// query under a background context.
+func execute(l *Leader, q query.Query, sel selection.Selector, agg Aggregation) (*Result, error) {
+	res, _, err := l.Execute(context.Background(), Request{Query: q, Selector: sel, Aggregation: agg})
+	return res, err
+}
+
+// executeCached is execute fronted by cache; reused reports that the
+// answer cost no training.
+func executeCached(l *Leader, cache *ReuseCache, q query.Query, sel selection.Selector, agg Aggregation) (res *Result, reused bool, err error) {
+	res, kind, err := l.Execute(context.Background(), Request{Query: q, Selector: sel, Aggregation: agg, Cache: cache})
+	return res, kind.Reused(), err
 }
 
 func midQuery(t *testing.T) query.Query {

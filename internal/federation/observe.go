@@ -24,8 +24,8 @@ import (
 type NodeRound struct {
 	// NodeID is the participant.
 	NodeID string
-	// Round is the communication round index (always 0 for the
-	// single-round Execute/ExecuteParallel paths).
+	// Round is the communication round index (0 for the paper's
+	// single round).
 	Round int
 	// Elapsed is the leader-observed wall time of the round.
 	Elapsed time.Duration
@@ -37,35 +37,16 @@ type NodeRound struct {
 // Failed reports whether the round failed.
 func (r NodeRound) Failed() bool { return r.Err != "" }
 
-// leaderMetrics caches the leader's registry handle; individual series
-// are looked up per query because their labels (selector, node) vary.
-type leaderMetrics struct {
-	reg *telemetry.Registry
-}
-
-func newLeaderMetrics(reg *telemetry.Registry) *leaderMetrics {
-	reg.SetHelp("qens_queries_total", "Queries executed by the leader, by selector.")
-	reg.SetHelp("qens_selection_ms", "Leader-side participant ranking/selection latency (ms).")
-	return &leaderMetrics{reg: reg}
-}
-
-func (m *leaderMetrics) query(selector string, selectionTime time.Duration, failed int) {
-	if m == nil {
-		return
-	}
-	m.reg.Counter("qens_queries_total", telemetry.Label{Key: "selector", Value: selector}).Inc()
-	m.reg.Histogram("qens_selection_ms").ObserveDuration(selectionTime)
+// ObserveQuery records one trained query in reg — qens_queries_total by
+// selector, qens_selection_ms, and qens_node_failures_total for
+// tolerated failures. The single leader and the root coordinator both
+// report through it, so either topology emits the same series.
+func ObserveQuery(reg *telemetry.Registry, selector string, selectionTime time.Duration, failed int) {
+	reg.Counter("qens_queries_total", telemetry.Label{Key: "selector", Value: selector}).Inc()
+	reg.Histogram("qens_selection_ms").ObserveDuration(selectionTime)
 	if failed > 0 {
-		m.reg.Counter("qens_node_failures_total").Add(int64(failed))
+		reg.Counter("qens_node_failures_total").Add(int64(failed))
 	}
-}
-
-func (m *leaderMetrics) round(nodeID string, elapsed time.Duration) {
-	if m == nil {
-		return
-	}
-	m.reg.Counter("qens_leader_train_rounds_total", telemetry.Label{Key: "node", Value: nodeID}).Inc()
-	m.reg.Histogram("qens_leader_train_round_ms", telemetry.Label{Key: "node", Value: nodeID}).ObserveDuration(elapsed)
 }
 
 // SetTracer pins a tracer to this leader (overriding the process
@@ -101,16 +82,6 @@ func startTrainSpan(parent *telemetry.SpanHandle, nodeID string, round int) *tel
 		sp.SetAttr("round", strconv.Itoa(round))
 	}
 	return sp
-}
-
-// recordNodeSpans folds the node-side phase spans piggybacked on an
-// RPC response into the leader's tracer, parented under the RPC span
-// that solicited them: the leader mints span IDs, stamps the node's
-// identity as the span's process, and the flat retained list now holds
-// the complete cross-process tree for telemetry.AssembleTrace. No-op
-// when tracing is off or the response carried no spans.
-func recordNodeSpans(t *telemetry.Tracer, rpc *telemetry.SpanHandle, nodeID string, spans []NodeSpan) {
-	RecordRemoteSpans(t, rpc, nodeID, spans)
 }
 
 // RecordRemoteSpans re-parents phase spans reported by a remote process

@@ -43,7 +43,7 @@ func healthyFleet(t *testing.T) *Leader {
 // participant, in execution order, with positive elapsed times.
 func TestNodeRoundsRecorded(t *testing.T) {
 	leader := healthyFleet(t)
-	res, err := leader.Execute(midQuery(t), selection.AllNodes{}, ModelAveraging)
+	res, err := execute(leader, midQuery(t), selection.AllNodes{}, ModelAveraging)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestNodeRoundsRecorded(t *testing.T) {
 // skips are not silent.
 func TestNodeRoundsShowToleratedFailure(t *testing.T) {
 	leader, _, _ := failureFleet(t, true)
-	res, err := leader.Execute(midQuery(t), selection.AllNodes{}, ModelAveraging)
+	res, err := execute(leader, midQuery(t), selection.AllNodes{}, ModelAveraging)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,31 +103,6 @@ func TestNodeRoundsShowToleratedFailure(t *testing.T) {
 	}
 }
 
-// TestExecuteParallelNodeRounds: the concurrent path records the same
-// per-node attribution as the serial one, including failures.
-func TestExecuteParallelNodeRounds(t *testing.T) {
-	leader, _, _ := failureFleet(t, true)
-	res, err := leader.ExecuteParallel(midQuery(t), selection.AllNodes{}, ModelAveraging)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.NodeRounds) != 3 {
-		t.Fatalf("NodeRounds = %d, want 3", len(res.NodeRounds))
-	}
-	byNode := map[string]NodeRound{}
-	for _, nr := range res.NodeRounds {
-		byNode[nr.NodeID] = nr
-	}
-	if nr := byNode["node-1"]; !nr.Failed() || !strings.Contains(nr.Err, "simulated edge outage") {
-		t.Fatalf("node-1 round = %+v", nr)
-	}
-	for _, id := range []string{"node-0", "node-2"} {
-		if nr := byNode[id]; nr.Failed() {
-			t.Fatalf("%s round failed: %+v", id, nr)
-		}
-	}
-}
-
 // TestTracedFailureSpans: a tolerated failure shows up as an errored
 // train span inside the query's trace.
 func TestTracedFailureSpans(t *testing.T) {
@@ -135,7 +110,7 @@ func TestTracedFailureSpans(t *testing.T) {
 	var buf bytes.Buffer
 	tr := telemetry.NewTracer(&buf)
 	leader.SetTracer(tr)
-	if _, err := leader.Execute(midQuery(t), selection.AllNodes{}, ModelAveraging); err != nil {
+	if _, err := execute(leader, midQuery(t), selection.AllNodes{}, ModelAveraging); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.Flush(); err != nil {
@@ -179,7 +154,7 @@ func TestTracedFailureSpans(t *testing.T) {
 // aborts, but the error must name the failing node.
 func TestExecuteAbortNamesNode(t *testing.T) {
 	leader, _, _ := failureFleet(t, false)
-	_, err := leader.Execute(midQuery(t), selection.AllNodes{}, ModelAveraging)
+	_, err := execute(leader, midQuery(t), selection.AllNodes{}, ModelAveraging)
 	if err == nil || !strings.Contains(err.Error(), "node-1") {
 		t.Fatalf("abort error = %v, want it to name node-1", err)
 	}

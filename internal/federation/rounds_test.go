@@ -1,25 +1,39 @@
 package federation
 
 import (
+	"context"
 	"math"
 	"testing"
 
-	"qens/internal/cluster"
 	"qens/internal/geometry"
 	"qens/internal/query"
 	"qens/internal/selection"
 )
 
-func TestExecuteRounds(t *testing.T) {
+// executeMultiRound runs q as an n-round FedAvg query.
+func executeMultiRound(l *Leader, q query.Query, sel selection.Selector, n int) (*Result, error) {
+	res, _, err := l.Execute(context.Background(), Request{Query: q, Selector: sel, Aggregation: WeightedAveraging, Rounds: n})
+	return res, err
+}
+
+func TestExecuteMultiRound(t *testing.T) {
 	fleet := testFleet(t)
 	q := midQuery(t)
 	sel := selection.QueryDriven{Epsilon: 0.6, TopL: 2}
-	res, err := fleet.Leader.ExecuteRounds(q, sel, 3)
+	res, err := executeMultiRound(fleet.Leader, q, sel, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rounds != 3 || len(res.RoundDeltas) != 3 {
-		t.Fatalf("rounds %d deltas %d", res.Rounds, len(res.RoundDeltas))
+	if len(res.RoundDeltas) != 3 {
+		t.Fatalf("round deltas %d, want 3", len(res.RoundDeltas))
+	}
+	// Every round of every participant is attributed, and the result
+	// says which aggregate it carries.
+	if want := 3 * len(res.Participants); len(res.NodeRounds) != want || res.NodeRounds[want-1].Round != 2 {
+		t.Fatalf("node rounds %+v, want %d ending in round 2", res.NodeRounds, want)
+	}
+	if res.Aggregation != WeightedAveraging || len(res.GlobalParams.Values) == 0 {
+		t.Fatalf("aggregation %v, global params %v", res.Aggregation, res.GlobalParams)
 	}
 	// The converged single global model must predict the line.
 	if res.Ensemble.Size() != 1 {
@@ -39,28 +53,28 @@ func TestExecuteRounds(t *testing.T) {
 	}
 }
 
-func TestExecuteRoundsValidation(t *testing.T) {
+func TestExecuteMultiRoundValidation(t *testing.T) {
 	fleet := testFleet(t)
 	sel := selection.QueryDriven{Epsilon: 0.6, TopL: 2}
-	if _, err := fleet.Leader.ExecuteRounds(midQuery(t), sel, 0); err == nil {
-		t.Fatal("accepted 0 rounds")
+	if _, err := executeMultiRound(fleet.Leader, midQuery(t), sel, -1); err == nil {
+		t.Fatal("accepted -1 rounds")
 	}
 }
 
-func TestExecuteRoundsImprovesOverOneRound(t *testing.T) {
+func TestExecuteMultiRoundImprovesOverOneRound(t *testing.T) {
 	fleet := testFleet(t)
 	q := midQuery(t)
 	sel := selection.QueryDriven{Epsilon: 0.6, TopL: 2}
-	one, err := fleet.Leader.ExecuteRounds(q, sel, 1)
+	one, err := executeMultiRound(fleet.Leader, q, sel, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	five, err := fleet.Leader.ExecuteRounds(q, sel, 5)
+	five, err := executeMultiRound(fleet.Leader, q, sel, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mse1, _, ok1 := EvaluateResult(&one.Result, fleet.Test)
-	mse5, _, ok5 := EvaluateResult(&five.Result, fleet.Test)
+	mse1, _, ok1 := EvaluateResult(one, fleet.Test)
+	mse5, _, ok5 := EvaluateResult(five, fleet.Test)
 	if !ok1 || !ok5 {
 		t.Fatal("no test data in query")
 	}
@@ -71,61 +85,11 @@ func TestExecuteRoundsImprovesOverOneRound(t *testing.T) {
 	}
 }
 
-func TestExecuteParallelMatchesSequentialSelection(t *testing.T) {
-	fleet := testFleet(t)
-	q := midQuery(t)
-	sel := selection.QueryDriven{Epsilon: 0.6, TopL: 2}
-	res, err := fleet.Leader.ExecuteParallel(q, sel, WeightedAveraging)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Participants) == 0 || res.Ensemble == nil {
-		t.Fatal("parallel execute incomplete")
-	}
-	for _, p := range res.Participants {
-		if p.NodeID == "node-3" {
-			t.Fatal("parallel execute selected the adversarial node")
-		}
-	}
-	if res.Stats.SamplesUsed == 0 || res.Stats.TrainTime <= 0 {
-		t.Fatalf("stats missing: %+v", res.Stats)
-	}
-	// Quality parity with the sequential path.
-	seq, err := fleet.Execute(q, sel, WeightedAveraging)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mseP, _, _ := EvaluateResult(res, fleet.Test)
-	mseS, _, _ := EvaluateResult(seq, fleet.Test)
-	if mseP > mseS*3 && mseP > mseS+20 {
-		t.Fatalf("parallel quality %v far from sequential %v", mseP, mseS)
-	}
-}
-
-func TestExecuteParallelErrorPropagates(t *testing.T) {
-	fleet := testFleet(t)
-	// A selector that demands a nonexistent cluster index triggers a
-	// node-side training error, which must surface.
-	bad := badClusterSelector{}
-	if _, err := fleet.Leader.ExecuteParallel(midQuery(t), bad, ModelAveraging); err == nil {
-		t.Fatal("parallel execute swallowed a node error")
-	}
-}
-
-// badClusterSelector selects node-0 with an out-of-range cluster.
-type badClusterSelector struct{}
-
-func (badClusterSelector) Name() string { return "bad" }
-
-func (badClusterSelector) Select(_ query.Query, _ []cluster.NodeSummary, _ *selection.Context) ([]selection.Participant, error) {
-	return []selection.Participant{{NodeID: "node-0", Rank: 1, Clusters: []int{99}}}, nil
-}
-
 func TestEvaluateGlobal(t *testing.T) {
 	fleet := testFleet(t)
 	q := midQuery(t)
 	sel := selection.QueryDriven{Epsilon: 0.6, TopL: 2}
-	res, err := fleet.Leader.ExecuteRounds(q, sel, 2)
+	res, err := executeMultiRound(fleet.Leader, q, sel, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,21 +40,13 @@ var (
 	ErrDraining = errors.New("gateway: draining, not accepting queries")
 )
 
-// Executor runs one admitted query. The production implementation is
-// LeaderExecutor; tests substitute controllable stubs. reused reports
-// that the result came from a reuse cache rather than fresh training.
+// Executor runs one admitted query and says which serving tier
+// answered it (fresh training, exact reuse, approximate model-answer,
+// ground-truth probe). The production implementations are
+// LeaderExecutor and *region.Router; tests substitute controllable
+// stubs.
 type Executor interface {
-	ExecuteQuery(ctx context.Context, q query.Query, sel selection.Selector, agg federation.Aggregation) (res *federation.Result, reused bool, err error)
-}
-
-// KindExecutor is the optional richer seam: executors that can say
-// WHICH serving tier answered (fresh training, exact reuse,
-// approximate model-answer, ground-truth probe) implement it alongside
-// Executor. The scheduler type-asserts for it so third-party Executor
-// stubs keep working unchanged. LeaderExecutor and *region.Router both
-// implement it.
-type KindExecutor interface {
-	ExecuteQueryKind(ctx context.Context, q query.Query, sel selection.Selector, agg federation.Aggregation) (*federation.Result, federation.ServeKind, error)
+	ExecuteQuery(ctx context.Context, q query.Query, sel selection.Selector, agg federation.Aggregation) (*federation.Result, federation.ServeKind, error)
 }
 
 // Request is one unit of work offered to the scheduler.
@@ -124,7 +116,6 @@ type task struct {
 
 	done      chan struct{}
 	res       *federation.Result
-	reused    bool
 	kind      federation.ServeKind
 	err       error
 	queueWait time.Duration
@@ -142,11 +133,8 @@ type Ticket struct {
 // Outcome is a completed query as seen by one waiter.
 type Outcome struct {
 	Result *federation.Result
-	// Reused reports a reuse-cache hit inside the executor.
-	Reused bool
 	// Kind is the serving tier that answered (fresh/exact/approx/
-	// probe) when the executor implements KindExecutor; ServeFresh
-	// otherwise.
+	// probe); Kind.Reused() reports a cache hit inside the executor.
 	Kind federation.ServeKind
 	// Coalesced reports that the waiter shared another query's task.
 	Coalesced bool
@@ -170,7 +158,6 @@ func (tk *Ticket) Wait(ctx context.Context) (*Outcome, error) {
 	}
 	return &Outcome{
 		Result:    tk.t.res,
-		Reused:    tk.t.reused,
 		Kind:      tk.t.kind,
 		Coalesced: tk.Coalesced,
 		QueueWait: tk.t.queueWait,
@@ -378,15 +365,7 @@ func (s *Scheduler) run(t *task) {
 	// individual submitter: coalesced peers (and the reuse cache)
 	// depend on the task even when its originator walks away.
 	ctx, cancel := context.WithTimeout(s.rootCtx, timeout)
-	if ke, ok := s.cfg.Executor.(KindExecutor); ok {
-		t.res, t.kind, t.err = ke.ExecuteQueryKind(ctx, t.req.Query, t.req.Selector, t.req.Aggregation)
-		t.reused = t.kind.Reused()
-	} else {
-		t.res, t.reused, t.err = s.cfg.Executor.ExecuteQuery(ctx, t.req.Query, t.req.Selector, t.req.Aggregation)
-		if t.reused {
-			t.kind = federation.ServeExact
-		}
-	}
+	t.res, t.kind, t.err = s.cfg.Executor.ExecuteQuery(ctx, t.req.Query, t.req.Selector, t.req.Aggregation)
 	cancel()
 	t.elapsed = time.Since(t.enqueued)
 
@@ -398,8 +377,9 @@ func (s *Scheduler) run(t *task) {
 		}
 	}
 	s.mu.Unlock()
-	close(t.done)
 
+	// Counted before the waiters wake, so a caller that saw its outcome
+	// also sees it in the stats.
 	s.m.inflight.Set(float64(s.inflight.Add(-1)))
 	s.m.e2eMS.Observe(float64(t.elapsed) / float64(time.Millisecond))
 	switch {
@@ -410,6 +390,7 @@ func (s *Scheduler) run(t *task) {
 	default:
 		s.m.completedErr.Inc()
 	}
+	close(t.done)
 }
 
 // Draining reports whether the scheduler has begun shutting down.
@@ -514,19 +495,9 @@ type LeaderExecutor struct {
 	Cache *federation.ReuseCache
 }
 
-// ExecuteQuery implements Executor.
-func (e LeaderExecutor) ExecuteQuery(ctx context.Context, q query.Query, sel selection.Selector, agg federation.Aggregation) (*federation.Result, bool, error) {
-	res, kind, err := e.ExecuteQueryKind(ctx, q, sel, agg)
-	return res, kind.Reused(), err
-}
-
-// ExecuteQueryKind implements KindExecutor: the full adaptive pipeline
-// (exact reuse → approximate model-answer → probe → fresh training)
-// when a cache is installed, plain execution otherwise.
-func (e LeaderExecutor) ExecuteQueryKind(ctx context.Context, q query.Query, sel selection.Selector, agg federation.Aggregation) (*federation.Result, federation.ServeKind, error) {
-	if e.Cache != nil {
-		return e.Leader.ExecuteAdaptiveContext(ctx, e.Cache, q, sel, agg)
-	}
-	res, err := e.Leader.ExecuteContext(ctx, q, sel, agg)
-	return res, federation.ServeFresh, err
+// ExecuteQuery implements Executor: the full adaptive pipeline (exact
+// reuse → approximate model-answer → probe → fresh training) when a
+// cache is installed, plain execution otherwise.
+func (e LeaderExecutor) ExecuteQuery(ctx context.Context, q query.Query, sel selection.Selector, agg federation.Aggregation) (*federation.Result, federation.ServeKind, error) {
+	return e.Leader.Execute(ctx, federation.Request{Query: q, Selector: sel, Aggregation: agg, Cache: e.Cache})
 }

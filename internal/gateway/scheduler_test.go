@@ -27,7 +27,7 @@ type stubExecutor struct {
 	err     error
 }
 
-func (e *stubExecutor) ExecuteQuery(ctx context.Context, q query.Query, sel selection.Selector, agg federation.Aggregation) (*federation.Result, bool, error) {
+func (e *stubExecutor) ExecuteQuery(ctx context.Context, q query.Query, sel selection.Selector, agg federation.Aggregation) (*federation.Result, federation.ServeKind, error) {
 	e.calls.Add(1)
 	if e.started != nil {
 		e.started <- struct{}{}
@@ -36,20 +36,20 @@ func (e *stubExecutor) ExecuteQuery(ctx context.Context, q query.Query, sel sele
 		select {
 		case <-e.gate:
 		case <-ctx.Done():
-			return nil, false, ctx.Err()
+			return nil, federation.ServeFresh, ctx.Err()
 		}
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, false, err
+		return nil, federation.ServeFresh, err
 	}
 	if e.err != nil {
-		return nil, false, e.err
+		return nil, federation.ServeFresh, e.err
 	}
 	return &federation.Result{
 		Query:    q,
 		Selector: sel.Name(),
 		Ensemble: &federation.Ensemble{},
-	}, false, nil
+	}, federation.ServeFresh, nil
 }
 
 func testQuery(t *testing.T, id string, lo float64) query.Query {
@@ -87,7 +87,7 @@ func TestSchedulerSubmitWait(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Result.Query.ID != "q1" || out.Coalesced || out.Reused {
+	if out.Result.Query.ID != "q1" || out.Coalesced || out.Kind.Reused() {
 		t.Fatalf("unexpected outcome %+v", out)
 	}
 	st := s.SchedStats()

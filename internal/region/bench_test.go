@@ -152,7 +152,7 @@ func BenchmarkShardServe(b *testing.B) {
 		lead := benchSingle(b, samples)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := lead.ExecuteContext(ctx, queries[i%len(queries)], sel, federation.WeightedAveraging); err != nil {
+			if _, _, err := lead.Execute(ctx, federation.Request{Query: queries[i%len(queries)], Selector: sel, Aggregation: federation.WeightedAveraging}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -152,15 +152,25 @@ func (l *Leader) Train(ctx context.Context, req TrainRequest) (TrainResponse, er
 		}
 	}
 	start := time.Now()
-	outs := l.fed.TrainRound(ctx, req.Spec, req.Params, req.Participants, req.LocalEpochs, req.TraceID, req.SpanID)
+	outs := l.fed.Round(ctx, federation.RoundRequest{
+		Spec:         req.Spec,
+		Params:       req.Params,
+		Participants: req.Participants,
+		LocalEpochs:  req.LocalEpochs,
+		Concurrent:   true,
+		TraceID:      req.TraceID,
+		SpanID:       req.SpanID,
+	})
 	resp := TrainResponse{
 		RegionID: l.id,
 		Results:  make([]RoundResult, 0, len(outs)),
 		Epoch:    l.fed.Registry().ReuseEpoch(),
 	}
 	for _, o := range outs {
-		rr := RoundResult{NodeID: o.NodeID, ElapsedNS: int64(o.Elapsed), Err: o.Err}
-		if o.Err == "" {
+		rr := RoundResult{NodeID: o.NodeID, ElapsedNS: int64(o.Elapsed)}
+		if o.Err != nil {
+			rr.Err = o.Err.Error()
+		} else {
 			rr.Params = o.Resp.Params
 			rr.SamplesUsed = o.Resp.SamplesUsed
 			rr.TotalSamples = o.Resp.TotalSamples

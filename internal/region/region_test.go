@@ -72,6 +72,14 @@ func singleFixture(t testing.TB) *federation.Leader {
 func shardedFixture(t testing.TB, regions int, rcfg Config) (*Router, []*Leader, []*federation.Node) {
 	t.Helper()
 	nodes := buildNodes(t)
+	router, leaders := shardNodes(t, nodes, func(_ string, c federation.Client) federation.Client { return c }, regions, rcfg)
+	return router, leaders, nodes
+}
+
+// shardNodes splits nodes into `regions` spatial shards under a root
+// Router; wrap decorates each node's client (fault injection).
+func shardNodes(t testing.TB, nodes []*federation.Node, wrap func(id string, c federation.Client) federation.Client, regions int, rcfg Config) (*Router, []*Leader) {
+	t.Helper()
 	summaries := make([]cluster.NodeSummary, len(nodes))
 	rosterIndex := make(map[string]int, len(nodes))
 	for i, n := range nodes {
@@ -88,7 +96,7 @@ func shardedFixture(t testing.TB, regions int, rcfg Config) (*Router, []*Leader,
 	for r, shard := range shards {
 		clients := make([]federation.Client, 0, len(shard))
 		for _, idx := range shard {
-			clients = append(clients, federation.LocalClient{Node: nodes[idx]})
+			clients = append(clients, wrap(nodes[idx].ID(), federation.LocalClient{Node: nodes[idx]}))
 		}
 		fed, err := federation.NewLeader(cfg, nil, clients)
 		if err != nil {
@@ -108,7 +116,7 @@ func shardedFixture(t testing.TB, regions int, rcfg Config) (*Router, []*Leader,
 	if err != nil {
 		t.Fatal(err)
 	}
-	return router, leaders, nodes
+	return router, leaders
 }
 
 // mustQuery builds a 2-D query rectangle. Eq. 2 scores support as the
@@ -259,12 +267,12 @@ func TestLeaderTrainValidation(t *testing.T) {
 func TestRouterRoutesQueryDrivenToOverlappingRegion(t *testing.T) {
 	router, _, _ := shardedFixture(t, 2, Config{})
 	ctx := context.Background()
-	res, reused, err := router.ExecuteQuery(ctx, mustQuery(t, "q-left", 1, 20, -500, 75),
+	res, kind, err := router.ExecuteQuery(ctx, mustQuery(t, "q-left", 1, 20, -500, 75),
 		selection.QueryDriven{Epsilon: 1e-9, TopL: 2}, federation.ModelAveraging)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reused {
+	if kind.Reused() {
 		t.Fatal("first execution reported reuse")
 	}
 	if len(res.Participants) != 2 || res.Ensemble == nil {

@@ -188,14 +188,6 @@ func (r *Router) Regions() []string {
 	return out
 }
 
-// observeEpoch folds a response epoch into member i's high-water mark.
-func (r *Router) observeEpoch(i int, epoch uint64) {
-	if epoch == 0 {
-		return
-	}
-	r.members[i].observe(epoch)
-}
-
 // topoValid reports whether every member's latest observed epoch still
 // matches the topology's build basis.
 func (r *Router) topoValid(t *topology) bool {
@@ -371,10 +363,6 @@ func (r *Router) ApplyRegionInfo(info Info) bool {
 	return true
 }
 
-// TopologyPatches reports how many pushed region Infos were folded
-// into the routing view in place (vs full rebuilds).
-func (r *Router) TopologyPatches() int64 { return r.topoPatches.Load() }
-
 // NodeIDs returns the global fleet roster in roster order, resolving
 // the topology if needed.
 func (r *Router) NodeIDs(ctx context.Context) ([]string, error) {
@@ -526,7 +514,7 @@ func (r *Router) planFanout(ctx context.Context, parent *telemetry.SpanHandle, t
 		if errs[k] != nil {
 			return nil, nil, nil, fmt.Errorf("region: plan on %s: %w", r.members[mi].id, errs[k])
 		}
-		r.observeEpoch(mi, resps[k].Epoch)
+		r.members[mi].observe(resps[k].Epoch)
 		basis[k] = epochPair{member: mi, epoch: resps[k].Epoch}
 		merged = append(merged, resps[k].Ranks...)
 	}
@@ -569,17 +557,9 @@ func selectErr(sel selection.Selector, q query.Query, err error) error {
 
 // ExecuteQuery implements the gateway Executor seam: plan across the
 // routed regions, select globally, train across the shards, aggregate.
-// reused reports a root-side reuse-cache hit.
-func (r *Router) ExecuteQuery(ctx context.Context, q query.Query, sel selection.Selector, agg federation.Aggregation) (*federation.Result, bool, error) {
-	res, kind, err := r.ExecuteQueryKind(ctx, q, sel, agg)
-	return res, kind.Reused(), err
-}
-
-// ExecuteQueryKind is ExecuteQuery with the serving tier surfaced:
-// exact root-cache hit, approximate coverage-based serve, or a fresh
-// regional fan-out. The gateway's scheduler uses it to label responses
-// and stats.
-func (r *Router) ExecuteQueryKind(ctx context.Context, q query.Query, sel selection.Selector, agg federation.Aggregation) (*federation.Result, federation.ServeKind, error) {
+// The returned kind says which tier answered: exact root-cache hit,
+// approximate coverage-based serve, or a fresh regional fan-out.
+func (r *Router) ExecuteQuery(ctx context.Context, q query.Query, sel selection.Selector, agg federation.Aggregation) (*federation.Result, federation.ServeKind, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, federation.ServeFresh, err
 	}
@@ -683,7 +663,6 @@ func (r *Router) execute(ctx context.Context, q query.Query, sel selection.Selec
 		return nil, nil, err
 	}
 	initial := global.Params()
-	paramBytes := int64(8 * len(initial.Values))
 
 	res := &federation.Result{
 		Query:        q,
@@ -700,60 +679,28 @@ func (r *Router) execute(ctx context.Context, q query.Query, sel selection.Selec
 	}
 
 	// Stage 3: collect in global participant order and aggregate —
-	// the executor's collection loop, verbatim semantics.
-	ranks := make([]float64, 0, len(parts))
-	var firstErr error
-	for gi, p := range parts {
-		o := outs[gi]
-		round := federation.NodeRound{NodeID: p.NodeID, Elapsed: time.Duration(o.ElapsedNS)}
-		if o.Err != "" {
-			round.Err = o.Err
-			res.NodeRounds = append(res.NodeRounds, round)
-			if r.cfg.TolerateFailures {
-				res.Failed = append(res.Failed, p.NodeID)
-				continue
-			}
-			if firstErr == nil {
-				firstErr = fmt.Errorf("federation: training on %s: %s", p.NodeID, o.Err)
-			}
-			continue
-		}
-		res.NodeRounds = append(res.NodeRounds, round)
-		res.LocalParams = append(res.LocalParams, o.Params)
-		ranks = append(ranks, p.Rank)
-		res.Stats.TrainTime += o.TrainTime
-		res.Stats.SamplesUsed += o.SamplesUsed
-		res.Stats.SamplesSelectedNodes += o.TotalSamples
-		res.Stats.BytesUp += paramBytes
-		res.Stats.BytesDown += int64(8 * len(o.Params.Values))
-	}
-	if firstErr != nil {
-		return nil, nil, firstErr
-	}
-	if len(res.LocalParams) == 0 {
-		return nil, nil, fmt.Errorf("federation: every selected participant failed for %s", q.ID)
-	}
-
-	aggSpan := qspan.Child("aggregation")
-	ensemble, err := federation.NewEnsemble(r.cfg.Spec, res.LocalParams, ranks, agg)
-	aggSpan.End(err)
-	if err != nil {
+	// the single leader's own step.
+	if err := federation.Assemble(res, outs, federation.Assembly{
+		Spec:             r.cfg.Spec,
+		Initial:          initial,
+		TolerateFailures: r.cfg.TolerateFailures,
+		Span:             qspan,
+	}); err != nil {
 		return nil, nil, err
 	}
-	res.Ensemble = ensemble
 	res.Stats.SelectionTime = selectionTime
 	res.Stats.WallTime = time.Since(start)
-	r.metricReg.Counter("qens_queries_total", telemetry.Label{Key: "selector", Value: sel.Name()}).Inc()
-	r.metricReg.Histogram("qens_selection_ms").ObserveDuration(selectionTime)
+	federation.ObserveQuery(r.metricReg, sel.Name(), selectionTime, len(res.Failed))
 	return res, basis, nil
 }
 
 // trainFanout groups the participants by owning region (preserving
 // global participant order inside each group), issues one Train RPC
 // per region concurrently, and scatters the results back into global
-// participant slots. Remote region and node phase spans are re-parented
-// under the per-region RPC span, completing the cross-process trace.
-func (r *Router) trainFanout(ctx context.Context, qspan *telemetry.SpanHandle, t *topology, q query.Query, spec ml.Spec, initial ml.Params, parts []selection.Participant) ([]RoundResult, error) {
+// participant slots as round outcomes. Remote region and node phase
+// spans are re-parented under the per-region RPC span, completing the
+// cross-process trace.
+func (r *Router) trainFanout(ctx context.Context, qspan *telemetry.SpanHandle, t *topology, q query.Query, spec ml.Spec, initial ml.Params, parts []selection.Participant) ([]federation.RoundOutcome, error) {
 	type group struct {
 		mi    int
 		parts []selection.Participant
@@ -776,7 +723,7 @@ func (r *Router) trainFanout(ctx context.Context, qspan *telemetry.SpanHandle, t
 		g.slots = append(g.slots, gi)
 	}
 
-	outs := make([]RoundResult, len(parts))
+	outs := make([]federation.RoundOutcome, len(parts))
 	errs := make([]error, len(order))
 	var wg sync.WaitGroup
 	for k, mi := range order {
@@ -803,12 +750,23 @@ func (r *Router) trainFanout(ctx context.Context, qspan *telemetry.SpanHandle, t
 				errs[k] = fmt.Errorf("region: training on %s: %w", m.id, err)
 				return
 			}
-			r.observeEpoch(g.mi, resp.Epoch)
+			m.observe(resp.Epoch)
 			tr := r.activeTracer()
 			federation.RecordRemoteSpans(tr, rspan, m.id, resp.Spans)
 			for j, rr := range resp.Results {
 				federation.RecordRemoteSpans(tr, rspan, rr.NodeID, rr.Spans)
-				outs[g.slots[j]] = rr
+				o := &outs[g.slots[j]]
+				o.NodeID, o.Elapsed = rr.NodeID, time.Duration(rr.ElapsedNS)
+				if rr.Err != "" {
+					o.Err = errors.New(rr.Err)
+					continue
+				}
+				o.Resp = federation.TrainResponse{
+					Params:       rr.Params,
+					SamplesUsed:  rr.SamplesUsed,
+					TotalSamples: rr.TotalSamples,
+					TrainTime:    rr.TrainTime,
+				}
 			}
 			rspan.End(nil)
 		}(k, byMember[mi])

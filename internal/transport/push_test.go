@@ -64,6 +64,11 @@ func TestPushEndToEnd(t *testing.T) {
 	if err := next.Validate(); err != nil {
 		t.Fatalf("pushed summary invalid: %v", err)
 	}
+	// The server counts a frame after its write returns, which can be
+	// after the subscriber already handled it.
+	for deadline := time.Now().Add(10 * time.Second); srv.PushesSent() < 2 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	if srv.PushesSent() < 2 || client.PushesReceived() < 2 {
 		t.Fatalf("push counters: sent=%d received=%d", srv.PushesSent(), client.PushesReceived())
 	}

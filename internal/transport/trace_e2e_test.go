@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"context"
 	"testing"
 	"time"
 
@@ -60,7 +61,7 @@ func TestTraceEndToEndOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := leader.Execute(q, selection.AllNodes{}, federation.ModelAveraging)
+	res, _, err := leader.Execute(context.Background(), federation.Request{Query: q, Selector: selection.AllNodes{}, Aggregation: federation.ModelAveraging})
 	if err != nil {
 		t.Fatal(err)
 	}

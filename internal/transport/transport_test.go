@@ -242,7 +242,7 @@ func TestFederationOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := leader.Execute(q, selection.QueryDriven{Epsilon: 0.6, TopL: 2}, federation.WeightedAveraging)
+	res, _, err := leader.Execute(context.Background(), federation.Request{Query: q, Selector: selection.QueryDriven{Epsilon: 0.6, TopL: 2}, Aggregation: federation.WeightedAveraging})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestFederationOverTCP(t *testing.T) {
 		t.Fatalf("TCP ensemble predicts %v at x=20, want ~41", got)
 	}
 	// GT selection must also work over TCP (it exercises Evaluate).
-	gt, err := leader.Execute(q, selection.GameTheory{L: 1}, federation.ModelAveraging)
+	gt, _, err := leader.Execute(context.Background(), federation.Request{Query: q, Selector: selection.GameTheory{L: 1}, Aggregation: federation.ModelAveraging})
 	if err != nil {
 		t.Fatal(err)
 	}
