@@ -6,11 +6,11 @@
 
 GO ?= go
 
-.PHONY: all check ci loadsmoke fuzz fmt fmt-check vet build test race bench-check loc bench bench-train bench-wire bench-telemetry bench-shard bench-ingest bench-reuse bench-paper clean
+.PHONY: all check ci loadsmoke fuzz fmt fmt-check vet build test race bench-check loc loc-check bench bench-train bench-wire bench-telemetry bench-shard bench-ingest bench-reuse bench-paper clean
 
 all: check
 
-check: fmt-check vet build race bench-check
+check: fmt-check vet build race bench-check loc-check
 
 ci: check loadsmoke
 
@@ -61,6 +61,16 @@ loc:
 	done
 	@printf '%-22s %6d\n' "repo (without bench/)" \
 		"$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l)"
+
+# The serving packages' non-test line budget: ROADMAP item 2 pushes
+# federation+region+gateway down, so growing them past the committed
+# number fails the gate. Lower LOC_BUDGET when a PR shrinks them.
+LOC_BUDGET ?= 6439
+loc-check:
+	@n=$$(cat $$(ls internal/federation/*.go internal/region/*.go internal/gateway/*.go | grep -v _test.go) | wc -l); \
+	if [ "$$n" -gt $(LOC_BUDGET) ]; then \
+		echo "loc-check: federation+region+gateway hold $$n non-test lines, budget $(LOC_BUDGET)"; exit 1; \
+	fi
 
 # Planner microbenchmarks (BenchmarkPlan, fleet size x dims) rendered
 # as BENCH_plan.json; fails if the query-driven fast path allocates.

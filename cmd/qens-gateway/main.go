@@ -67,8 +67,8 @@ func main() {
 		epsilon     = flag.Float64("epsilon", 0.6, "default query-driven support threshold")
 		topL        = flag.Int("topl", 3, "default query-driven top-l")
 
-		approxErr      = flag.Float64("approx-err", 0, "approximate answering: max predicted error for serving a query from the model cache (0 disables the tier in both topologies; requires -reuse-iou)")
-		approxCoverage = flag.Float64("approx-coverage", 0.25, "minimum cached-rectangle coverage of the query before an approximate answer is considered (training rectangles single-leader, root cache entries sharded)")
+		approxErr      = flag.Float64("approx-err", 0, "approximate answering: max predicted error for serving a query from the model cache (0 disables the tier; requires -reuse-iou)")
+		approxCoverage = flag.Float64("approx-coverage", 0.25, "minimum coverage of the query by a cached result's training rectangles before an approximate answer is considered (the root records the query rectangle as its training rectangle)")
 		approxProbe    = flag.Int("approx-probe", 8, "ground-truth probe cadence: every Nth cache-servable query still trains fresh to score the cached answer")
 		banditOn       = flag.Bool("bandit", false, "enable the selector-config bandit behind selector \"auto\"")
 		banditExplore  = flag.Float64("bandit-explore", 0.1, "bandit epsilon-greedy exploration rate")
@@ -132,16 +132,28 @@ func main() {
 		fmt.Printf("qens-gateway: config bandit on (%d arms, explore %.2f); submit with selector \"auto\"\n",
 			len(selection.DefaultConfigArms(*epsilon)), *banditExplore)
 	}
+	// One reuse cache, handed to whichever topology serves.
+	if *approxErr > 0 && *reuseIoU <= 0 {
+		fatal("-approx-err requires the reuse cache (-reuse-iou > 0)")
+	}
+	if *reuseIoU > 0 {
+		cache, err := federation.NewAdaptiveCache(*reuseIoU, *reuseCap, federation.ApproxConfig{
+			MaxPredictedError: *approxErr,
+			MinCoverage:       *approxCoverage,
+			ProbeEvery:        *approxProbe,
+		})
+		if err != nil {
+			fatal("%v", err)
+		}
+		cfg.Cache = cache
+		if *approxErr > 0 {
+			fmt.Printf("qens-gateway: approximate answering on (err<=%.2f, coverage>=%.2f, probe 1/%d)\n",
+				*approxErr, *approxCoverage, *approxProbe)
+		}
+	}
 	var fleetSize int
 	if *regionAddrs != "" {
-		// The root's approximate tier reuses -approx-err as the master
-		// switch but is driven purely by coverage: the root never sees
-		// training rectangles, so cached query bounds stand in.
-		rootCoverage := 0.0
-		if *approxErr > 0 {
-			rootCoverage = *approxCoverage
-		}
-		router, transportStats, cleanup, err := buildRouter(*regionAddrs, *epochs, *seed, *model, *dialTimeout, *wireProto, *reuseIoU, *reuseCap, rootCoverage)
+		router, transportStats, cleanup, err := buildRouter(*regionAddrs, *epochs, *seed, *model, *dialTimeout, *wireProto)
 		if err != nil {
 			fatal("%v", err)
 		}
@@ -174,24 +186,6 @@ func main() {
 			}
 			fmt.Printf("qens-gateway: summary push from %d/%d nodes (rest on TTL pull)\n",
 				n, len(leader.NodeIDs()))
-		}
-		if *approxErr > 0 && *reuseIoU <= 0 {
-			fatal("-approx-err requires the reuse cache (-reuse-iou > 0)")
-		}
-		if *reuseIoU > 0 {
-			cache, err := federation.NewAdaptiveCache(*reuseIoU, *reuseCap, federation.ApproxConfig{
-				MaxPredictedError: *approxErr,
-				MinCoverage:       *approxCoverage,
-				ProbeEvery:        *approxProbe,
-			})
-			if err != nil {
-				fatal("%v", err)
-			}
-			cfg.Cache = cache
-			if *approxErr > 0 {
-				fmt.Printf("qens-gateway: approximate answering on (err<=%.2f, coverage>=%.2f, probe 1/%d)\n",
-					*approxErr, *approxCoverage, *approxProbe)
-			}
 		}
 		cfg.Leader = leader
 		cfg.TransportStats = transportStats
@@ -237,10 +231,8 @@ func main() {
 }
 
 // buildRouter dials every qens-region daemon and wires the root
-// coordinator over them. Result reuse lives in the router itself
-// (epoch-fenced per region), not in the gateway's single-leader
-// cache, so -reuse-iou/-reuse-cap feed the router config here.
-func buildRouter(regionAddrs string, epochs int, seed uint64, model string, dialTimeout time.Duration, wireProto int, reuseIoU float64, reuseCap int, approxCoverage float64) (*region.Router, func() any, func(), error) {
+// coordinator over them.
+func buildRouter(regionAddrs string, epochs int, seed uint64, model string, dialTimeout time.Duration, wireProto int) (*region.Router, func() any, func(), error) {
 	var remotes []*transport.RegionClient
 	var services []region.Service
 	closeAll := func() {
@@ -264,10 +256,7 @@ func buildRouter(regionAddrs string, epochs int, seed uint64, model string, dial
 		remotes = append(remotes, rc)
 		services = append(services, rc)
 	}
-	router, err := region.NewRouter(region.Config{
-		Spec: specFor(model, 1), LocalEpochs: epochs, Seed: seed,
-		ReuseIoU: reuseIoU, ReuseCap: reuseCap, ApproxCoverage: approxCoverage,
-	}, services)
+	router, err := region.NewRouter(region.Config{Spec: specFor(model, 1), LocalEpochs: epochs, Seed: seed}, services)
 	if err != nil {
 		closeAll()
 		return nil, nil, nil, err

@@ -62,11 +62,18 @@ func main() {
 	var auditBuf bytes.Buffer
 	audit := federation.NewAuditLog(&auditBuf)
 
+	// The reuse cache takes deterministic mechanisms only, and Adaptive
+	// is stateful until its pre-test has run: from then on the service
+	// selects with the branch the pre-test committed to.
+	var sel selection.Selector = adaptive
 	hits := 0
 	for _, q := range workload {
 		res, kind, err := fleet.Leader.Execute(context.Background(), federation.Request{
-			Query: q, Selector: adaptive, Aggregation: federation.WeightedAveraging, Cache: cache,
+			Query: q, Selector: sel, Aggregation: federation.WeightedAveraging, Cache: cache,
 		})
+		if regime, ok := adaptive.Regime(); ok && regime == selection.RegimeHeterogeneous {
+			sel = selection.QueryDriven{Epsilon: adaptive.Epsilon, TopL: adaptive.TopL}
+		}
 		if err != nil {
 			fmt.Printf("%-8s no participants (%v)\n", q.ID, err)
 			continue

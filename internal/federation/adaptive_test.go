@@ -33,7 +33,7 @@ func TestAdaptiveCacheValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Approx(); got.MinCoverage != 0.5 || got.ProbeEvery != 8 || got.ResidualAlpha != 0.25 {
+	if got := c.approx; got.MinCoverage != 0.5 || got.ProbeEvery != 8 || got.ResidualAlpha != 0.25 {
 		t.Fatalf("defaults not applied: %+v", got)
 	}
 }
@@ -143,7 +143,7 @@ func TestAdaptiveResidualEviction(t *testing.T) {
 	q, _ := query.New("s", geometry.MustRect([]float64{0, 0}, []float64{10, 10}))
 	res := &Result{Query: q, Ensemble: &Ensemble{},
 		TrainMins: []float64{0, 0}, TrainMaxs: []float64{10, 10}, TrainDims: 2}
-	cache.Store(res)
+	cache.store(res, nil, Fence{})
 	ent := cache.view.Load().entries[0]
 
 	// A good probe keeps the entry.
@@ -170,8 +170,8 @@ func TestAdaptiveAnswerTiers(t *testing.T) {
 		t.Fatal(err)
 	}
 	q, _ := query.New("s", geometry.MustRect([]float64{0, 0}, []float64{10, 10}))
-	cache.Store(&Result{Query: q, Ensemble: &Ensemble{},
-		TrainMins: []float64{0, 0}, TrainMaxs: []float64{10, 10}, TrainDims: 2})
+	cache.store(&Result{Query: q, Ensemble: &Ensemble{},
+		TrainMins: []float64{0, 0}, TrainMaxs: []float64{10, 10}, TrainDims: 2}, nil, Fence{})
 
 	exact, _ := query.New("p1", geometry.MustRect([]float64{0, 0}, []float64{10, 10}))
 	if _, kind, ok := cache.Answer(exact, 0); !ok || kind != ServeExact {
@@ -333,7 +333,7 @@ func TestAdaptiveDisabledGoldenReplay(t *testing.T) {
 	}
 }
 
-// TestReuseCacheConcurrentStress hammers Store / Lookup / LookupEpoch /
+// TestReuseCacheConcurrentStress hammers Store / lookup /
 // Answer / CacheStats / Len from many goroutines, with mixed dims
 // (forcing the linear fallback), advancing epochs (exercising the
 // prune-on-store path) and capacity churn. Run under -race (make check
@@ -377,15 +377,15 @@ func TestReuseCacheConcurrentStress(t *testing.T) {
 						n := w*ops + i
 						switch i % 5 {
 						case 0:
-							cache.Store(mk(n))
+							cache.store(mk(n), nil, Fence{})
 						case 1:
 							q, _ := query.New("p", geometry.MustRect(
 								[]float64{float64(n % 50), 0}, []float64{float64(n%50) + 5, 10}))
-							cache.Lookup(q)
+							cache.lookup(q, reuseKey{}, Fence{})
 						case 2:
 							q, _ := query.New("p", geometry.MustRect(
 								[]float64{float64(n % 50), 0}, []float64{float64(n%50) + 5, 10}))
-							cache.LookupEpoch(q, uint64(1+n/400))
+							cache.lookup(q, reuseKey{}, Fence{Epoch: uint64(1 + n/400)})
 						case 3:
 							q, _ := query.New("p", geometry.MustRect(
 								[]float64{float64(n%50) + 1, 1}, []float64{float64(n%50) + 4, 9}))

@@ -130,7 +130,10 @@ type cacheEntry struct {
 	// seq is the insertion sequence number: the FIFO order and the
 	// deterministic tie-break (older entry wins equal scores, which
 	// reproduces the original first-match-wins scan order).
-	seq      uint64
+	seq uint64
+	// stamps is the vector validity basis (nil under the scalar one,
+	// where Result.Epoch alone fences the entry).
+	stamps   []EpochStamp
 	trainBox geometry.Rect // bounding box of the training rectangles
 	hasBox   bool
 
@@ -268,26 +271,51 @@ func NewAdaptiveCache(minIoU float64, capacity int, approx ApproxConfig) (*Reuse
 	}, nil
 }
 
-// Approx returns the approximate-tier configuration (zero when off).
-func (c *ReuseCache) Approx() ApproxConfig { return c.approx }
-
-// Lookup returns the best cached result whose query rectangle matches
-// q at or above the IoU threshold, regardless of the summary epoch the
-// result was built against.
-func (c *ReuseCache) Lookup(q query.Query) (*Result, bool) {
-	return c.lookup(q, 0)
+// EpochStamp pins a cached result to the epoch one of its sources (a
+// region of the sharded topology) reported when the result was planned.
+type EpochStamp struct {
+	Source int
+	Epoch  uint64
 }
 
-// LookupEpoch is Lookup restricted to results built against summary
-// epoch `epoch`. Entries stamped with an older epoch were trained on a
-// fleet advertisement that has since been invalidated and are skipped;
-// entries with Epoch 0 (built outside the registry pipeline, e.g. by
-// legacy callers) match any epoch. epoch 0 disables the check.
-func (c *ReuseCache) LookupEpoch(q query.Query, epoch uint64) (*Result, bool) {
-	return c.lookup(q, epoch)
+// Fence is a serving tier's validity basis for cached results. The
+// zero Fence accepts every entry.
+type Fence struct {
+	// Epoch is the scalar basis, a single leader's registry ReuseEpoch:
+	// results planned against another advertisement epoch are skipped.
+	// Epoch-0 results (built outside the registry pipeline) match any
+	// epoch; 0 disables the check.
+	Epoch uint64
+	// Current is the vector basis, the root router's per-region epochs:
+	// a result stored with stamps is valid only while every stamped
+	// source still reports the stamped epoch, so a shard that moved
+	// kills exactly the entries that routed through it.
+	Current func(source int) uint64
 }
 
-func (c *ReuseCache) lookup(q query.Query, epoch uint64) (*Result, bool) {
+func (f Fence) valid(e *cacheEntry) bool {
+	for _, s := range e.stamps {
+		if f.Current == nil || f.Current(s.Source) != s.Epoch {
+			return false
+		}
+	}
+	return f.Epoch == 0 || e.res.Epoch == 0 || e.res.Epoch == f.Epoch
+}
+
+// reuseKey narrows a lookup to results of the same selection mechanism
+// and aggregation. The zero key matches any entry.
+type reuseKey struct {
+	selector string
+	agg      Aggregation
+}
+
+func (k reuseKey) matches(r *Result) bool {
+	return k.selector == "" || (k.selector == r.Selector && k.agg == r.Aggregation)
+}
+
+// lookup returns the best valid cached result under key whose query
+// rectangle matches q at or above the IoU threshold.
+func (c *ReuseCache) lookup(q query.Query, key reuseKey, f Fence) (*Result, bool) {
 	var best *cacheEntry
 	bestIoU := 0.0
 	consider := func(e *cacheEntry) {
@@ -295,7 +323,7 @@ func (c *ReuseCache) lookup(q query.Query, epoch uint64) (*Result, bool) {
 		if r.Query.Dims() != q.Dims() {
 			return
 		}
-		if epoch != 0 && r.Epoch != 0 && r.Epoch != epoch {
+		if !key.matches(r) || !f.valid(e) {
 			return
 		}
 		iou := geometry.IoU(q.Bounds, r.Query.Bounds)
@@ -350,7 +378,7 @@ func (c *ReuseCache) scan(v *cacheView, index *geometry.RTree, q query.Query, co
 // for q, returning it only when the prediction clears the configured
 // bound. It does not touch hit/miss accounting — callers record the
 // outcome once they decide between serving and probing.
-func (c *ReuseCache) lookupApprox(q query.Query, epoch uint64) (*cacheEntry, float64, bool) {
+func (c *ReuseCache) lookupApprox(q query.Query, key reuseKey, f Fence) (*cacheEntry, float64, bool) {
 	if !c.approx.Enabled() {
 		return nil, 0, false
 	}
@@ -374,7 +402,7 @@ func (c *ReuseCache) lookupApprox(q query.Query, epoch uint64) (*cacheEntry, flo
 		if !e.trainBox.Intersects(q.Bounds) {
 			return
 		}
-		if epoch != 0 && r.Epoch != 0 && r.Epoch != epoch {
+		if !key.matches(r) || !f.valid(e) {
 			return
 		}
 		cov := geometry.QueryCoverageFlat(q.Bounds.Min, q.Bounds.Max, r.TrainMins, r.TrainMaxs)
@@ -393,50 +421,44 @@ func (c *ReuseCache) lookupApprox(q query.Query, epoch uint64) (*cacheEntry, flo
 	return best, bestPred, true
 }
 
-// Answer serves q from the cache without any fleet interaction: exact
-// tier first, then the approximate tier. The gateway uses it to answer
-// queries whose selection found no live candidates — a cached ensemble
-// may still cover a rectangle no current advertisement supports.
+// Answer serves q from the cache without any fleet interaction — Serve
+// in cache-only mode, unkeyed, fenced by one scalar epoch.
 func (c *ReuseCache) Answer(q query.Query, epoch uint64) (*Result, ServeKind, bool) {
-	if hit, ok := c.lookup(q, epoch); ok {
-		return hit, ServeExact, true
-	}
-	if ent, _, ok := c.lookupApprox(q, epoch); ok {
-		c.recordApproxHit(ent)
-		return ent.res, ServeApprox, true
-	}
-	return nil, ServeFresh, false
+	res, kind, err := Serve(Request{Query: q, Cache: c, CacheOnly: true}, Tier{Fence: Fence{Epoch: epoch}})
+	return res, kind, err == nil
 }
 
-// Store records a freshly built result, evicting at capacity. When the
-// result carries a summary epoch, entries built against strictly older
-// epochs are pruned first — their models were trained on cluster
-// advertisements that have since been invalidated, so they would only
-// ever serve stale ensembles. Eviction is FIFO when the approximate
-// tier is off (the original contract); with the tier on, the entry
-// with the worst probe-measured residual goes first (oldest wins
-// residual ties, degrading to FIFO for unprobed entries).
-func (c *ReuseCache) Store(res *Result) {
+// store records a freshly built result, evicting at capacity. Entries
+// the new result proves dead are pruned first: unstamped ones built
+// against a strictly older summary epoch — their models were trained on
+// cluster advertisements that have since been invalidated — and
+// stamped ones with a source that moved. Eviction is FIFO when the
+// approximate tier is off (the original contract); with the tier on,
+// the entry with the worst probe-measured residual goes first (oldest
+// wins residual ties, degrading to FIFO for unprobed entries).
+func (c *ReuseCache) store(res *Result, stamps []EpochStamp, f Fence) {
 	if res == nil || res.Ensemble == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	entries := c.entriesLocked()
-	if res.Epoch != 0 {
-		kept := entries[:0]
-		for _, e := range entries {
-			if e.res.Epoch != 0 && e.res.Epoch < res.Epoch {
-				c.pruned.Add(1)
-				if c.evictEpochCtr != nil {
-					c.evictEpochCtr.Inc()
-				}
-				continue
-			}
-			kept = append(kept, e)
+	kept := entries[:0]
+	for _, e := range entries {
+		dead := res.Epoch != 0 && e.res.Epoch != 0 && e.res.Epoch < res.Epoch
+		if len(e.stamps) > 0 {
+			dead = !f.valid(e)
 		}
-		entries = kept
+		if dead {
+			c.pruned.Add(1)
+			if c.evictEpochCtr != nil {
+				c.evictEpochCtr.Inc()
+			}
+			continue
+		}
+		kept = append(kept, e)
 	}
+	entries = kept
 	if len(entries) >= c.cap {
 		victim := 0
 		if c.approx.Enabled() {
@@ -452,7 +474,7 @@ func (c *ReuseCache) Store(res *Result) {
 			c.evictCapCtr.Inc()
 		}
 	}
-	ent := &cacheEntry{res: res, seq: c.seq}
+	ent := &cacheEntry{res: res, seq: c.seq, stamps: stamps}
 	c.seq++
 	if res.TrainDims > 0 && len(res.TrainMins) >= res.TrainDims {
 		ent.trainBox = trainBoundingBox(res)

@@ -1,6 +1,8 @@
 package federation
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"qens/internal/geometry"
@@ -75,26 +77,26 @@ func TestReuseCacheEviction(t *testing.T) {
 		q, _ := query.New("q", geometry.MustRect([]float64{lo, 0}, []float64{lo + 1, 1}))
 		return &Result{Query: q, Ensemble: &Ensemble{}}
 	}
-	cache.Store(mk(0))
-	cache.Store(mk(10))
-	cache.Store(mk(20)) // evicts the first
+	cache.store(mk(0), nil, Fence{})
+	cache.store(mk(10), nil, Fence{})
+	cache.store(mk(20), nil, Fence{}) // evicts the first
 	if cache.Len() != 2 {
 		t.Fatalf("len %d", cache.Len())
 	}
 	q0, _ := query.New("probe", geometry.MustRect([]float64{0, 0}, []float64{1, 1}))
-	if _, ok := cache.Lookup(q0); ok {
+	if _, ok := cache.lookup(q0, reuseKey{}, Fence{}); ok {
 		t.Fatal("evicted entry still served")
 	}
 	q20, _ := query.New("probe", geometry.MustRect([]float64{20, 0}, []float64{21, 1}))
-	if _, ok := cache.Lookup(q20); !ok {
+	if _, ok := cache.lookup(q20, reuseKey{}, Fence{}); !ok {
 		t.Fatal("fresh entry missing")
 	}
 }
 
 func TestReuseCacheIgnoresNilResults(t *testing.T) {
 	cache, _ := NewReuseCache(0.9, 2)
-	cache.Store(nil)
-	cache.Store(&Result{}) // no ensemble
+	cache.store(nil, nil, Fence{})
+	cache.store(&Result{}, nil, Fence{}) // no ensemble
 	if cache.Len() != 0 {
 		t.Fatalf("len %d", cache.Len())
 	}
@@ -110,31 +112,31 @@ func TestReuseCacheEpochFencing(t *testing.T) {
 		q, _ := query.New(id, geometry.MustRect([]float64{lo, 0}, []float64{lo + 1, 1}))
 		return &Result{Query: q, Ensemble: &Ensemble{}, Epoch: epoch}
 	}
-	cache.Store(mk("old", 0, 1))
-	cache.Store(mk("legacy", 10, 0))
+	cache.store(mk("old", 0, 1), nil, Fence{})
+	cache.store(mk("legacy", 10, 0), nil, Fence{})
 
 	probe, _ := query.New("p", geometry.MustRect([]float64{0, 0}, []float64{1, 1}))
-	if _, ok := cache.LookupEpoch(probe, 1); !ok {
+	if _, ok := cache.lookup(probe, reuseKey{}, Fence{Epoch: 1}); !ok {
 		t.Fatal("same-epoch lookup missed")
 	}
-	if _, ok := cache.LookupEpoch(probe, 2); ok {
+	if _, ok := cache.lookup(probe, reuseKey{}, Fence{Epoch: 2}); ok {
 		t.Fatal("stale epoch-1 entry served at epoch 2")
 	}
-	if _, ok := cache.Lookup(probe); !ok {
-		t.Fatal("unversioned Lookup must ignore epochs")
+	if _, ok := cache.lookup(probe, reuseKey{}, Fence{}); !ok {
+		t.Fatal("an unfenced lookup must ignore epochs")
 	}
 	legacyProbe, _ := query.New("p", geometry.MustRect([]float64{10, 0}, []float64{11, 1}))
-	if _, ok := cache.LookupEpoch(legacyProbe, 7); !ok {
+	if _, ok := cache.lookup(legacyProbe, reuseKey{}, Fence{Epoch: 7}); !ok {
 		t.Fatal("Epoch-0 entry must match any epoch")
 	}
 
 	// Storing an epoch-3 result prunes the epoch-1 entry but keeps the
 	// legacy Epoch-0 one.
-	cache.Store(mk("new", 20, 3))
+	cache.store(mk("new", 20, 3), nil, Fence{})
 	if cache.Len() != 2 {
 		t.Fatalf("len %d after pruning, want 2 (legacy + new)", cache.Len())
 	}
-	if _, ok := cache.LookupEpoch(probe, 1); ok {
+	if _, ok := cache.lookup(probe, reuseKey{}, Fence{Epoch: 1}); ok {
 		t.Fatal("pruned epoch-1 entry still served")
 	}
 }
@@ -182,6 +184,72 @@ func TestExecuteCachedEpochInvalidation(t *testing.T) {
 	// now serves hits at the new epoch.
 	if _, reused, _ = executeCached(fleet.Leader, cache, q, sel, WeightedAveraging); !reused {
 		t.Fatal("retrained result not cached at the new epoch")
+	}
+}
+
+// TestReuseKeyedBySelectorAndAggregation: reuse is keyed by (selector
+// name, aggregation) and limited to deterministic selectors — an
+// all-nodes/averaging request is not answered with the cached
+// query-driven/weighted ensemble, and a random selection neither reuses
+// nor is stored, on the execute path and on the cache-only path alike.
+func TestReuseKeyedBySelectorAndAggregation(t *testing.T) {
+	fleet := testFleet(t)
+	cache, err := NewReuseCache(0.9, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := midQuery(t)
+	qd := selection.QueryDriven{Epsilon: 0.6, TopL: 2}
+	first, _, err := executeCached(fleet.Leader, cache, q, qd, WeightedAveraging)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cacheOnly := func(sel selection.Selector, agg Aggregation) error {
+		_, _, err := fleet.Leader.Execute(context.Background(),
+			Request{Query: q, Selector: sel, Aggregation: agg, Cache: cache, CacheOnly: true})
+		return err
+	}
+	for _, other := range []struct {
+		sel selection.Selector
+		agg Aggregation
+	}{
+		{selection.AllNodes{}, ModelAveraging},
+		{selection.AllNodes{}, WeightedAveraging},
+		{qd, ModelAveraging},
+	} {
+		if err := cacheOnly(other.sel, other.agg); !errors.Is(err, ErrNotCached) {
+			t.Fatalf("%s/%v cache-only: err = %v, want ErrNotCached", other.sel.Name(), other.agg, err)
+		}
+		res, reused, err := executeCached(fleet.Leader, cache, q, other.sel, other.agg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reused || res == first {
+			t.Fatalf("%s/%v answered with the cached query-driven/weighted result", other.sel.Name(), other.agg)
+		}
+		if res.Selector != other.sel.Name() || res.Aggregation != other.agg {
+			t.Fatalf("got a %s/%v result for a %s/%v request", res.Selector, res.Aggregation, other.sel.Name(), other.agg)
+		}
+	}
+	if res, reused, _ := executeCached(fleet.Leader, cache, q, qd, WeightedAveraging); !reused || res != first {
+		t.Fatal("the original key stopped hitting")
+	}
+	if err := cacheOnly(qd, WeightedAveraging); err != nil {
+		t.Fatalf("cache-only on the original key: %v", err)
+	}
+
+	stored := cache.Len()
+	rnd := selection.Random{L: 2}
+	for i := 0; i < 2; i++ {
+		if _, reused, err := executeCached(fleet.Leader, cache, q, rnd, WeightedAveraging); err != nil || reused {
+			t.Fatalf("random run %d: reused=%v err=%v, want a fresh training", i, reused, err)
+		}
+	}
+	if cache.Len() != stored {
+		t.Fatalf("random results were stored: %d -> %d entries", stored, cache.Len())
+	}
+	if err := cacheOnly(rnd, WeightedAveraging); !errors.Is(err, ErrNotCached) {
+		t.Fatalf("random cache-only: err = %v, want ErrNotCached", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package federation
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -28,45 +29,63 @@ type Request struct {
 	// Cache, when non-nil, fronts training with the reuse tiers: exact
 	// IoU reuse, then (when the cache enables it) the approximate
 	// model-answer tier with its deterministic probe schedule. Fresh
-	// results are stored back.
+	// results are stored back. Reuse is keyed by (selector name,
+	// aggregation) and limited to selection.Deterministic selectors; a
+	// nil Selector looks up unkeyed.
 	Cache *ReuseCache
+	// CacheOnly answers from Cache or fails with ErrNotCached — no
+	// planning, no training, no probe. The gateway asks this for a
+	// query nobody can train before rejecting it: a cached ensemble may
+	// still cover a rectangle no current advertisement supports.
+	CacheOnly bool
 }
 
-// Execute runs the §IV-B loop for one query — plan the participants
-// (Eq. 2–4), draw the initial global model, Round × Rounds, Assemble
-// (Eq. 5–7) — and reports which tier answered. It is the leader's one
-// query entry point; the number of rounds and the cache are fields of
-// Request.
-//
-// The context is consulted before selection and before every training
-// round and handed to each participant client, so an expired query
-// aborts instead of occupying the fleet; cache hits are served even
-// then since they cost nothing. Cache lookups are fenced by the
-// registry's reuse epoch: after InvalidateSummaries or a node drift
-// signal, results trained against the old advertisements stop
-// matching. A cache whose approximate tier is disabled makes exactly
-// the lookups, RNG draws and stores of plain exact-IoU reuse, so seeded
-// replays stay bit-exact.
-func (l *Leader) Execute(ctx context.Context, req Request) (*Result, ServeKind, error) {
-	if req.Rounds < 0 {
-		return nil, ServeFresh, fmt.Errorf("federation: rounds %d < 0", req.Rounds)
+// ErrNotCached is a CacheOnly request's miss.
+var ErrNotCached = errors.New("federation: not answerable from the reuse cache")
+
+// Tier is what a serving tier — the single leader, the root router —
+// brings to Serve: its validity basis and its training path.
+type Tier struct {
+	Fence Fence
+	// InputDim is the model's feature count (probe scoring).
+	InputDim int
+	// Train executes the query for real. The stamps it returns pin the
+	// result under a vector Fence; nil under the scalar one.
+	Train func() (*Result, []EpochStamp, error)
+}
+
+// Serve is the adaptive serving sequence every tier runs: exact reuse →
+// approximate model-answer → (every ProbeEvery-th servable query) a
+// ground-truth probe → fresh training → store. Cache hits are served
+// without consulting any context since they cost nothing. A cache whose
+// approximate tier is disabled makes exactly the lookups and stores of
+// plain exact-IoU reuse, so seeded replays stay bit-exact.
+func Serve(req Request, t Tier) (*Result, ServeKind, error) {
+	c := req.Cache
+	key := reuseKey{}
+	if req.Selector != nil {
+		if !selection.Deterministic(req.Selector) {
+			c = nil
+		}
+		key = reuseKey{req.Selector.Name(), req.Aggregation}
 	}
 	kind := ServeFresh
 	var (
 		probed    *cacheEntry // approx-servable entry this query probes
 		predicted float64
 	)
-	if c := req.Cache; c != nil {
-		epoch := l.reg.ReuseEpoch()
-		if hit, ok := c.LookupEpoch(req.Query, epoch); ok {
+	if c != nil {
+		if hit, ok := c.lookup(req.Query, key, t.Fence); ok {
 			return hit, ServeExact, nil
 		}
 		if c.approx.Enabled() {
-			ent, pred, ok := c.lookupApprox(req.Query, epoch)
+			ent, pred, ok := c.lookupApprox(req.Query, key, t.Fence)
 			switch {
 			case !ok:
-				c.recordFallback()
-			case c.probeDue():
+				if !req.CacheOnly {
+					c.recordFallback()
+				}
+			case !req.CacheOnly && c.probeDue():
 				probed, predicted, kind = ent, pred, ServeProbe
 			default:
 				c.recordApproxHit(ent)
@@ -74,24 +93,56 @@ func (l *Leader) Execute(ctx context.Context, req Request) (*Result, ServeKind, 
 			}
 		}
 	}
-	res, err := l.train(ctx, req)
+	if req.CacheOnly {
+		return nil, ServeFresh, ErrNotCached
+	}
+	res, stamps, err := t.Train()
 	if err != nil {
 		if probed == nil {
 			return nil, ServeFresh, err
 		}
 		// The probe's training failed; the cached answer still clears
 		// the bound, so serve it rather than surfacing the error.
-		req.Cache.recordApproxHit(probed)
+		c.recordApproxHit(probed)
 		return probed.res, ServeApprox, nil
 	}
 	if probed != nil {
-		realized := ensembleDivergence(probed.res.Ensemble, res.Ensemble, req.Query, l.cfg.Spec.InputDim)
-		req.Cache.recordProbe(probed, predicted, realized)
+		realized := ensembleDivergence(probed.res.Ensemble, res.Ensemble, req.Query, t.InputDim)
+		c.recordProbe(probed, predicted, realized)
 	}
-	if req.Cache != nil {
-		req.Cache.Store(res)
+	if c != nil {
+		c.store(res, stamps, t.Fence)
 	}
 	return res, kind, nil
+}
+
+// Execute runs the §IV-B loop for one query — plan the participants
+// (Eq. 2–4), draw the initial global model, Round × Rounds, Assemble
+// (Eq. 5–7) — behind Serve's reuse tiers, and reports which tier
+// answered. It is the leader's one query entry point; the number of
+// rounds and the cache are fields of Request.
+//
+// The context is consulted before selection and before every training
+// round and handed to each participant client, so an expired query
+// aborts instead of occupying the fleet. Cache lookups are fenced by
+// the registry's reuse epoch: after InvalidateSummaries or a node drift
+// signal, results trained against the old advertisements stop
+// matching.
+func (l *Leader) Execute(ctx context.Context, req Request) (*Result, ServeKind, error) {
+	if req.Rounds < 0 {
+		return nil, ServeFresh, fmt.Errorf("federation: rounds %d < 0", req.Rounds)
+	}
+	if req.Rounds > 1 {
+		req.Aggregation = WeightedAveraging
+	}
+	return Serve(req, Tier{
+		Fence:    Fence{Epoch: l.reg.ReuseEpoch()},
+		InputDim: l.cfg.Spec.InputDim,
+		Train: func() (*Result, []EpochStamp, error) {
+			res, err := l.train(ctx, req)
+			return res, nil, err
+		},
+	})
 }
 
 // train is Execute past the cache: the two-stage pipeline of
@@ -100,12 +151,7 @@ func (l *Leader) Execute(ctx context.Context, req Request) (*Result, ServeKind, 
 // emits one trace with selection, per-node train and aggregation spans
 // sharing the query's trace ID.
 func (l *Leader) train(ctx context.Context, req Request) (_ *Result, retErr error) {
-	rounds, agg := req.Rounds, req.Aggregation
-	if rounds == 0 {
-		rounds = 1
-	} else if rounds > 1 {
-		agg = WeightedAveraging
-	}
+	rounds, agg := max(req.Rounds, 1), req.Aggregation
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

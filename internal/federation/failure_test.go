@@ -180,7 +180,7 @@ func TestAbortedQueryKeepsCompletedRounds(t *testing.T) {
 	if got := leader.Registry().ReuseEpoch(); got <= epoch {
 		t.Fatalf("reuse epoch %d did not advance past %d: abort-0's drift signal was dropped", got, epoch)
 	}
-	health := leader.Health().Report(nil)
+	health := leader.health.Report(nil)
 	if len(health) != 3 {
 		t.Fatalf("health tracks %d nodes, want all 3 contacted ones", len(health))
 	}

@@ -86,19 +86,7 @@ func NewSimulatedFleet(data []*dataset.Dataset, cfg Config, opts FleetOptions) (
 // Space returns the global data space: the union of all node bounds,
 // used to draw the query workload.
 func (f *Fleet) Space() (geometry.Rect, error) {
-	summaries, err := f.Leader.Summaries()
-	if err != nil {
-		return geometry.Rect{}, err
-	}
-	bounds := make([]geometry.Rect, 0, len(summaries))
-	for _, s := range summaries {
-		node := s.Clusters[0].Bounds.Clone()
-		for _, c := range s.Clusters[1:] {
-			node = node.Union(c.Bounds)
-		}
-		bounds = append(bounds, node)
-	}
-	return query.GlobalSpace(bounds)
+	return f.Leader.Space(context.Background())
 }
 
 // Execute trains one query on the simulated fleet — Leader.Execute

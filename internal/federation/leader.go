@@ -256,6 +256,16 @@ func (l *Leader) SummariesContext(ctx context.Context) ([]cluster.NodeSummary, e
 	return snap.Summaries, nil
 }
 
+// Space returns the global data space: the union of every node's
+// advertised cluster rectangles, which queries are drawn over.
+func (l *Leader) Space(ctx context.Context) (geometry.Rect, error) {
+	snap, err := l.reg.Snapshot(ctx)
+	if err != nil {
+		return geometry.Rect{}, err
+	}
+	return query.GlobalSpace(snap.NodeBounds)
+}
+
 // InvalidateSummaries marks the cached advertisements stale (call
 // after node data changes): the next query re-fetches the fleet and
 // bumps the registry epoch, flushing every epoch-keyed derived cache.
@@ -270,10 +280,34 @@ func (l *Leader) Registry() *registry.Registry { return l.reg }
 // Planner exposes the pure-CPU planning stage.
 func (l *Leader) Planner() *plan.Planner { return l.planner }
 
-// Health exposes the leader's fleet health tracker: per-node round
-// latency/error EWMAs fed by every executed round, scored for the
-// gateway's /v1/fleet endpoint and the qens_fleet_* gauges.
-func (l *Leader) Health() *fleet.Tracker { return l.health }
+// HealthReport scores every roster node — including ones that never
+// answered a round — from the round latency/error EWMAs, merged with
+// the registry's state at report time: each node's advertisement epoch
+// and the registry-wide staleness (the registry invalidates as a whole
+// when any node signals drift; until the refresh lands every node is
+// planned against potentially stale geometry). wire adds transport
+// state for remote nodes. Nothing is fetched: the report works on a
+// dead fleet.
+func (l *Leader) HealthReport(wire []fleet.WireStatus) (registry.Stats, []fleet.NodeHealth) {
+	st := l.reg.Stats()
+	meta := make(map[string]fleet.Meta, len(l.clients))
+	for _, c := range l.clients {
+		meta[c.ID()] = fleet.Meta{}
+	}
+	if snap, ok := l.reg.Current(); ok {
+		for _, n := range snap.Nodes {
+			m := meta[n.NodeID]
+			m.SummaryEpoch, m.Stale = snap.NodeSummaryEpoch(n.NodeID), st.Stale
+			meta[n.NodeID] = m
+		}
+	}
+	for i := range wire {
+		m := meta[wire[i].NodeID]
+		m.Wire = &wire[i]
+		meta[wire[i].NodeID] = m
+	}
+	return st, l.health.Report(meta)
+}
 
 // SummaryEpoch returns the current advertisement epoch (0 before the
 // first fetch). Lock-free.
@@ -465,6 +499,52 @@ func (l *Leader) ExplainContext(ctx context.Context, q query.Query, sel selectio
 		return nil, fmt.Errorf("federation: %s selection for %s: %w", sel.Name(), q.ID, err)
 	}
 	return pl, nil
+}
+
+// Explanation is the EXPLAIN view of one query — what a topology would
+// select and the full per-node ranking (Eqs. 2–4) behind it — owning
+// its memory. Epoch is the registry epoch the plan derives from; under
+// the root router it is the routing-topology generation and Regions
+// lists the shards.
+type Explanation struct {
+	Epoch        uint64
+	Selector     string
+	Epsilon      float64
+	Key          string
+	Regions      []string
+	Participants []selection.Participant
+	Rankings     []selection.NodeRank
+}
+
+// PlanKey plans the query and returns the plan's identity fingerprint
+// (see plan.Plan.Key) without training.
+func (l *Leader) PlanKey(ctx context.Context, q query.Query, sel selection.Selector) (string, error) {
+	pl, err := l.PlanContext(ctx, q, sel)
+	if err != nil {
+		return "", err
+	}
+	defer pl.Release()
+	return pl.Key(), nil
+}
+
+// ExplainQuery is ExplainContext copied out of the plan's arenas.
+func (l *Leader) ExplainQuery(ctx context.Context, q query.Query, sel selection.Selector) (*Explanation, error) {
+	pl, err := l.ExplainContext(ctx, q, sel)
+	if err != nil {
+		return nil, err
+	}
+	defer pl.Release()
+	ex := &Explanation{
+		Epoch: pl.Epoch, Selector: pl.Selector, Epsilon: pl.Epsilon, Key: pl.Key(),
+		Participants: pl.CopyParticipants(),
+		Rankings:     make([]selection.NodeRank, len(pl.Rankings)),
+	}
+	for i, nr := range pl.Rankings {
+		nr.Supporting = append([]int(nil), nr.Supporting...)
+		nr.Overlaps, nr.Sizes = nil, nil // arena-backed; EXPLAIN renders neither
+		ex.Rankings[i] = nr
+	}
+	return ex, nil
 }
 
 // planWithSpan resolves the snapshot and plans under a selection span,

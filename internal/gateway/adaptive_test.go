@@ -7,78 +7,8 @@ import (
 	"testing"
 	"time"
 
-	"qens/internal/federation"
 	"qens/internal/selection"
 )
-
-// TestGatewayApproxAnswerBefore422: a query that selection cannot
-// place (psi above any achievable rank — no supporting candidates) is
-// served from the model cache instead of being rejected, first exact
-// then approx.
-func TestGatewayApproxAnswerBefore422(t *testing.T) {
-	fleet := testFleet(t)
-	cache, err := federation.NewAdaptiveCache(0.9, 8, federation.ApproxConfig{
-		MaxPredictedError: 0.9, MinCoverage: 0.05, ProbeEvery: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, ts := newGatewayServer(t, ServerConfig{Leader: fleet.Leader, Cache: cache})
-
-	// Warm the cache with a plannable query.
-	code, doc, _ := postQuery(t, ts.URL,
-		`{"bounds":{"min":[10,-50],"max":[40,150]},"selector":"query-driven","epsilon":0.6,"top_l":2}`)
-	if code != http.StatusOK {
-		t.Fatalf("warm query: status %d (%v)", code, doc)
-	}
-
-	// Identical bounds at an unsatisfiable psi threshold: planning
-	// fails with no-candidates, but the exact tier answers.
-	code, doc, _ = postQuery(t, ts.URL,
-		`{"bounds":{"min":[10,-50],"max":[40,150]},"selector":"query-driven","epsilon":0.6,"psi":100}`)
-	if code != http.StatusOK {
-		t.Fatalf("unplannable exact query: status %d (%v), want 200 from cache", code, doc)
-	}
-	if reused, _ := doc["reused"].(bool); !reused {
-		t.Fatalf("cache-served response not marked reused: %v", doc)
-	}
-	if approx, _ := doc["approx"].(bool); approx {
-		t.Fatalf("exact-tier serve marked approx: %v", doc)
-	}
-
-	// Shifted bounds: exact IoU misses, training-rectangle coverage
-	// carries it through the approximate tier.
-	code, doc, _ = postQuery(t, ts.URL,
-		`{"bounds":{"min":[15,-50],"max":[35,150]},"selector":"query-driven","epsilon":0.6,"psi":100}`)
-	if code != http.StatusOK {
-		t.Fatalf("unplannable covered query: status %d (%v), want 200 from approx tier", code, doc)
-	}
-	if approx, _ := doc["approx"].(bool); !approx {
-		t.Fatalf("approx-tier serve not marked approx: %v", doc)
-	}
-
-	// A query the cache cannot cover still gets the 422.
-	code, doc, _ = postQuery(t, ts.URL,
-		`{"bounds":{"min":[1000,1000],"max":[1001,1001]},"selector":"query-driven","epsilon":0.6,"top_l":2}`)
-	if code != http.StatusUnprocessableEntity {
-		t.Fatalf("uncoverable query: status %d (%v), want 422", code, doc)
-	}
-
-	// The stats surface carries the full cache scorecard — and the
-	// scheduler admitted only the warm query: the cache-served answers
-	// never occupied a queue slot.
-	var stats struct {
-		Scheduler Stats                       `json:"scheduler"`
-		Reuse     *federation.ReuseCacheStats `json:"reuse_cache"`
-	}
-	getJSON(t, ts.URL+"/v1/stats", &stats)
-	if stats.Reuse == nil || !stats.Reuse.ApproxEnabled || stats.Reuse.ApproxHits < 1 {
-		t.Fatalf("stats reuse block %+v: want approx tier visible", stats.Reuse)
-	}
-	if stats.Scheduler.Admitted != 1 {
-		t.Fatalf("scheduler admitted %d queries, want 1 (cache answers bypass admission)", stats.Scheduler.Admitted)
-	}
-}
 
 // TestGatewayBanditAutoSelector drives selector "auto" end to end: the
 // bandit picks arms, finished queries feed rewards back, EXPLAIN uses

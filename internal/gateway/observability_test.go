@@ -105,46 +105,6 @@ func TestGatewayTraceDisabled404(t *testing.T) {
 	}
 }
 
-func TestGatewayFleetEndpoint(t *testing.T) {
-	fl := testFleet(t)
-	_, ts := newGatewayServer(t, ServerConfig{Leader: fl.Leader})
-	if code, doc, _ := postQuery(t, ts.URL, queryBody); code != http.StatusOK {
-		t.Fatalf("query status %d (%v)", code, doc)
-	}
-
-	var resp struct {
-		Nodes []struct {
-			NodeID    string  `json:"node_id"`
-			Score     float64 `json:"score"`
-			Rounds    int64   `json:"rounds"`
-			LatencyMS float64 `json:"latency_ewma_ms"`
-		} `json:"nodes"`
-	}
-	if code := getJSON(t, ts.URL+"/v1/fleet", &resp); code != http.StatusOK {
-		t.Fatalf("/v1/fleet status %d", code)
-	}
-	// The full roster appears, observed or not.
-	if len(resp.Nodes) != 3 {
-		t.Fatalf("%d fleet nodes, want 3", len(resp.Nodes))
-	}
-	observed := 0
-	for _, n := range resp.Nodes {
-		if n.Score < 0 || n.Score > 1 {
-			t.Fatalf("node %s score %v outside [0,1]", n.NodeID, n.Score)
-		}
-		if n.Rounds > 0 {
-			observed++
-			if n.LatencyMS <= 0 {
-				t.Fatalf("observed node %s has no latency EWMA", n.NodeID)
-			}
-		}
-	}
-	// top_l=2 selects two participants for the query.
-	if observed == 0 {
-		t.Fatal("no node recorded a training round")
-	}
-}
-
 func TestGatewayStatsWindow(t *testing.T) {
 	fl := testFleet(t)
 	_, ts := newGatewayServer(t, ServerConfig{Leader: fl.Leader})

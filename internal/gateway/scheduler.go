@@ -7,7 +7,7 @@
 // The serving pipeline is
 //
 //	HTTP handler -> Scheduler.Submit (admission) -> worker pool
-//	            -> Executor (federation.Leader) -> edge nodes
+//	            -> Executor (federation.Leader, region.Router) -> edge nodes
 //
 // Admission is a fixed-depth queue: when it is full the gateway sheds
 // load immediately (HTTP 429 + Retry-After) instead of building an
@@ -25,8 +25,6 @@ import (
 
 	"qens/internal/federation"
 	"qens/internal/geometry"
-	"qens/internal/query"
-	"qens/internal/selection"
 	"qens/internal/telemetry"
 )
 
@@ -42,18 +40,16 @@ var (
 
 // Executor runs one admitted query and says which serving tier
 // answered it (fresh training, exact reuse, approximate model-answer,
-// ground-truth probe). The production implementations are
-// LeaderExecutor and *region.Router; tests substitute controllable
-// stubs.
+// ground-truth probe). *federation.Leader and *region.Router both
+// satisfy it; tests substitute controllable stubs.
 type Executor interface {
-	ExecuteQuery(ctx context.Context, q query.Query, sel selection.Selector, agg federation.Aggregation) (*federation.Result, federation.ServeKind, error)
+	Execute(ctx context.Context, req federation.Request) (*federation.Result, federation.ServeKind, error)
 }
 
-// Request is one unit of work offered to the scheduler.
+// Request is one unit of work offered to the scheduler: what the
+// Executor is handed, plus how the scheduler treats it.
 type Request struct {
-	Query       query.Query
-	Selector    selection.Selector
-	Aggregation federation.Aggregation
+	federation.Request
 	// Timeout bounds the query's execution once a worker picks it up
 	// (0 uses the scheduler default). Queue wait does not consume the
 	// budget; admission control bounds that separately.
@@ -365,7 +361,7 @@ func (s *Scheduler) run(t *task) {
 	// individual submitter: coalesced peers (and the reuse cache)
 	// depend on the task even when its originator walks away.
 	ctx, cancel := context.WithTimeout(s.rootCtx, timeout)
-	t.res, t.kind, t.err = s.cfg.Executor.ExecuteQuery(ctx, t.req.Query, t.req.Selector, t.req.Aggregation)
+	t.res, t.kind, t.err = s.cfg.Executor.Execute(ctx, t.req.Request)
 	cancel()
 	t.elapsed = time.Since(t.enqueued)
 
@@ -485,19 +481,4 @@ func (s *Scheduler) LatencySnapshot() telemetry.HistogramSnapshot {
 // end-to-end latency (see telemetry.RollingHistogram).
 func (s *Scheduler) LatencyWindow() telemetry.WindowStats {
 	return s.m.e2eWin.Stats()
-}
-
-// LeaderExecutor adapts a federation.Leader (optionally fronted by a
-// ReuseCache) to the Executor interface.
-type LeaderExecutor struct {
-	Leader *federation.Leader
-	// Cache, when non-nil, serves high-IoU repeats without training.
-	Cache *federation.ReuseCache
-}
-
-// ExecuteQuery implements Executor: the full adaptive pipeline (exact
-// reuse → approximate model-answer → probe → fresh training) when a
-// cache is installed, plain execution otherwise.
-func (e LeaderExecutor) ExecuteQuery(ctx context.Context, q query.Query, sel selection.Selector, agg federation.Aggregation) (*federation.Result, federation.ServeKind, error) {
-	return e.Leader.Execute(ctx, federation.Request{Query: q, Selector: sel, Aggregation: agg, Cache: e.Cache})
 }

@@ -19,7 +19,7 @@ import (
 // stubExecutor is a controllable Executor: it blocks while gate is
 // held (gate may be nil for instant completion), counts executions,
 // and honors context cancellation — exactly the contract
-// LeaderExecutor provides.
+// federation.Leader.Execute provides.
 type stubExecutor struct {
 	gate    chan struct{} // when non-nil, execution blocks until the gate closes
 	started chan struct{} // when non-nil, receives one token per execution start
@@ -27,7 +27,7 @@ type stubExecutor struct {
 	err     error
 }
 
-func (e *stubExecutor) ExecuteQuery(ctx context.Context, q query.Query, sel selection.Selector, agg federation.Aggregation) (*federation.Result, federation.ServeKind, error) {
+func (e *stubExecutor) Execute(ctx context.Context, req federation.Request) (*federation.Result, federation.ServeKind, error) {
 	e.calls.Add(1)
 	if e.started != nil {
 		e.started <- struct{}{}
@@ -46,10 +46,15 @@ func (e *stubExecutor) ExecuteQuery(ctx context.Context, q query.Query, sel sele
 		return nil, federation.ServeFresh, e.err
 	}
 	return &federation.Result{
-		Query:    q,
-		Selector: sel.Name(),
+		Query:    req.Query,
+		Selector: req.Selector.Name(),
 		Ensemble: &federation.Ensemble{},
 	}, federation.ServeFresh, nil
+}
+
+// work is the scheduler Request for (q, sel).
+func work(q query.Query, sel selection.Selector) Request {
+	return Request{Request: federation.Request{Query: q, Selector: sel}}
 }
 
 func testQuery(t *testing.T, id string, lo float64) query.Query {
@@ -77,9 +82,7 @@ func newTestScheduler(t *testing.T, cfg Config) *Scheduler {
 func TestSchedulerSubmitWait(t *testing.T) {
 	exec := &stubExecutor{}
 	s := newTestScheduler(t, Config{Workers: 2, QueueDepth: 4, Executor: exec})
-	tk, err := s.Submit(context.Background(), Request{
-		Query: testQuery(t, "q1", 0), Selector: selection.AllNodes{},
-	})
+	tk, err := s.Submit(context.Background(), work(testQuery(t, "q1", 0), selection.AllNodes{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,9 +110,7 @@ func TestSchedulerQueueFull(t *testing.T) {
 
 	var tickets []*Ticket
 	// Occupy the single worker...
-	tk0, err := s.Submit(context.Background(), Request{
-		Query: testQuery(t, "q0", 0), Selector: selection.AllNodes{},
-	})
+	tk0, err := s.Submit(context.Background(), work(testQuery(t, "q0", 0), selection.AllNodes{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,18 +118,14 @@ func TestSchedulerQueueFull(t *testing.T) {
 	<-started // the worker is now blocked inside the executor
 	// ...then fill the queue to capacity.
 	for i := 1; i <= 2; i++ {
-		tk, err := s.Submit(context.Background(), Request{
-			Query: testQuery(t, fmt.Sprintf("q%d", i), float64(100*i)), Selector: selection.AllNodes{},
-		})
+		tk, err := s.Submit(context.Background(), work(testQuery(t, fmt.Sprintf("q%d", i), float64(100*i)), selection.AllNodes{}))
 		if err != nil {
 			t.Fatalf("submission %d: %v", i, err)
 		}
 		tickets = append(tickets, tk)
 	}
 	// Worker busy + queue full: the next submission must be shed.
-	if _, err := s.Submit(context.Background(), Request{
-		Query: testQuery(t, "overflow", 999), Selector: selection.AllNodes{},
-	}); !errors.Is(err, ErrQueueFull) {
+	if _, err := s.Submit(context.Background(), work(testQuery(t, "overflow", 999), selection.AllNodes{})); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("err = %v, want ErrQueueFull", err)
 	}
 	if s.SchedStats().RejectedFull == 0 {
@@ -150,14 +147,12 @@ func TestSchedulerCoalesce(t *testing.T) {
 	s := newTestScheduler(t, Config{Workers: 1, QueueDepth: 4, CoalesceIoU: 0.95, Executor: exec})
 
 	q := testQuery(t, "orig", 0)
-	tk1, err := s.Submit(context.Background(), Request{Query: q, Selector: selection.AllNodes{}})
+	tk1, err := s.Submit(context.Background(), work(q, selection.AllNodes{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Same bounds, different id: must attach to the live task.
-	tk2, err := s.Submit(context.Background(), Request{
-		Query: testQuery(t, "dup", 0), Selector: selection.AllNodes{},
-	})
+	tk2, err := s.Submit(context.Background(), work(testQuery(t, "dup", 0), selection.AllNodes{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,9 +160,7 @@ func TestSchedulerCoalesce(t *testing.T) {
 		t.Fatal("identical concurrent query not coalesced")
 	}
 	// Different selector must NOT coalesce.
-	tk3, err := s.Submit(context.Background(), Request{
-		Query: testQuery(t, "othersel", 0), Selector: selection.Random{L: 1},
-	})
+	tk3, err := s.Submit(context.Background(), work(testQuery(t, "othersel", 0), selection.Random{L: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,9 +168,7 @@ func TestSchedulerCoalesce(t *testing.T) {
 		t.Fatal("different selector coalesced")
 	}
 	// Disjoint bounds must NOT coalesce.
-	tk4, err := s.Submit(context.Background(), Request{
-		Query: testQuery(t, "far", 500), Selector: selection.AllNodes{},
-	})
+	tk4, err := s.Submit(context.Background(), work(testQuery(t, "far", 500), selection.AllNodes{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +209,7 @@ func TestSchedulerExpiredSubmit(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	start := time.Now()
-	_, err := s.Submit(ctx, Request{Query: testQuery(t, "late", 0), Selector: selection.AllNodes{}})
+	_, err := s.Submit(ctx, work(testQuery(t, "late", 0), selection.AllNodes{}))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -239,10 +230,9 @@ func TestSchedulerExecutionTimeout(t *testing.T) {
 	gate := make(chan struct{}) // never closed: execution hangs
 	exec := &stubExecutor{gate: gate}
 	s := newTestScheduler(t, Config{Workers: 1, QueueDepth: 1, Executor: exec})
-	tk, err := s.Submit(context.Background(), Request{
-		Query: testQuery(t, "slow", 0), Selector: selection.AllNodes{},
-		Timeout: 50 * time.Millisecond,
-	})
+	slow := work(testQuery(t, "slow", 0), selection.AllNodes{})
+	slow.Timeout = 50 * time.Millisecond
+	tk, err := s.Submit(context.Background(), slow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,9 +250,7 @@ func TestSchedulerWaiterAbandons(t *testing.T) {
 	gate := make(chan struct{})
 	exec := &stubExecutor{gate: gate}
 	s := newTestScheduler(t, Config{Workers: 1, QueueDepth: 1, Executor: exec})
-	tk, err := s.Submit(context.Background(), Request{
-		Query: testQuery(t, "q", 0), Selector: selection.AllNodes{},
-	})
+	tk, err := s.Submit(context.Background(), work(testQuery(t, "q", 0), selection.AllNodes{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,9 +274,7 @@ func TestSchedulerDrain(t *testing.T) {
 	s := newTestScheduler(t, Config{Workers: 1, QueueDepth: 4, Executor: exec})
 	var tickets []*Ticket
 	for i := 0; i < 3; i++ {
-		tk, err := s.Submit(context.Background(), Request{
-			Query: testQuery(t, fmt.Sprintf("q%d", i), float64(100*i)), Selector: selection.AllNodes{},
-		})
+		tk, err := s.Submit(context.Background(), work(testQuery(t, fmt.Sprintf("q%d", i), float64(100*i)), selection.AllNodes{}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,9 +293,7 @@ func TestSchedulerDrain(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := s.Submit(context.Background(), Request{
-		Query: testQuery(t, "late", 900), Selector: selection.AllNodes{},
-	}); !errors.Is(err, ErrDraining) {
+	if _, err := s.Submit(context.Background(), work(testQuery(t, "late", 900), selection.AllNodes{})); !errors.Is(err, ErrDraining) {
 		t.Fatalf("err = %v, want ErrDraining", err)
 	}
 
@@ -333,9 +317,7 @@ func TestSchedulerDrainTimeout(t *testing.T) {
 	gate := make(chan struct{}) // never closed
 	exec := &stubExecutor{gate: gate}
 	s := newTestScheduler(t, Config{Workers: 1, QueueDepth: 1, Executor: exec})
-	tk, err := s.Submit(context.Background(), Request{
-		Query: testQuery(t, "stuck", 0), Selector: selection.AllNodes{},
-	})
+	tk, err := s.Submit(context.Background(), work(testQuery(t, "stuck", 0), selection.AllNodes{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,10 +343,7 @@ func TestSchedulerConcurrentSubmit(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
-				tk, err := s.Submit(context.Background(), Request{
-					Query:    testQuery(t, fmt.Sprintf("g%d-i%d", g, i), float64(20*(i%4))),
-					Selector: selection.AllNodes{},
-				})
+				tk, err := s.Submit(context.Background(), work(testQuery(t, fmt.Sprintf("g%d-i%d", g, i), float64(20*(i%4))), selection.AllNodes{}))
 				if errors.Is(err, ErrQueueFull) {
 					continue // legitimate shed under burst
 				}

@@ -14,27 +14,22 @@ import (
 	"qens/internal/federation"
 	"qens/internal/fleet"
 	"qens/internal/geometry"
-	"qens/internal/plan"
 	"qens/internal/query"
 	"qens/internal/region"
-	"qens/internal/registry"
 	"qens/internal/selection"
 	"qens/internal/telemetry"
 )
 
 // ServerConfig parameterizes the HTTP serving layer.
 type ServerConfig struct {
-	// Leader executes queries against a single-leader fleet. Exactly
-	// one of Leader and Router must be set.
+	// Leader serves a single-leader fleet; Router a spatially sharded
+	// multi-leader topology (see internal/region) through its root
+	// coordinator. Exactly one must be set; NewServer resolves it to
+	// the Serving every endpoint goes through.
 	Leader *federation.Leader
-	// Router executes queries against a spatially sharded multi-leader
-	// topology (see internal/region): every endpoint — submit, plan,
-	// stats, fleet — routes through the root coordinator instead of a
-	// single leader. Exactly one of Leader and Router must be set.
 	Router *region.Router
-	// Cache, when non-nil, fronts the leader with result reuse. Only
-	// valid with Leader: the router carries its own epoch-fenced reuse
-	// cache (region.Config.ReuseIoU).
+	// Cache, when non-nil, fronts whichever topology serves with result
+	// reuse (see federation.Serve).
 	Cache *federation.ReuseCache
 
 	// Workers, QueueDepth, DefaultTimeout and CoalesceIoU configure
@@ -81,11 +76,11 @@ type ServerConfig struct {
 	// Tracer backs GET /v1/trace/{id} and /v1/traces; when nil the
 	// process-default tracer (telemetry.DefaultTracer) serves them. The
 	// endpoints 404 when neither is installed. NewServer pins a non-nil
-	// Tracer to the leader, so query spans land in the same store the
+	// Tracer to the topology, so query spans land in the same store the
 	// endpoints serve.
 	Tracer *telemetry.Tracer
 	// WireStatus, when non-nil, supplies typed per-node transport state
-	// merged into GET /v1/fleet for remote fleets.
+	// merged into GET /v1/fleet for remote single-leader fleets.
 	WireStatus func() []fleet.WireStatus
 }
 
@@ -115,6 +110,8 @@ func (c ServerConfig) withDefaults() ServerConfig {
 // admission, response shaping, and the stats/metrics surface.
 type Server struct {
 	cfg     ServerConfig
+	srv     Serving
+	cache   *federation.ReuseCache
 	sched   *Scheduler
 	records *recordStore
 	start   time.Time
@@ -136,37 +133,37 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if (cfg.Leader == nil) == (cfg.Router == nil) {
 		return nil, errors.New("gateway: server needs exactly one of Leader and Router")
 	}
-	if cfg.Router != nil && cfg.Cache != nil {
-		return nil, errors.New("gateway: Cache is a single-leader option; the router has its own reuse cache")
+	var srv Serving = cfg.Router
+	if cfg.Leader != nil {
+		srv = leaderServing{Leader: cfg.Leader, wire: cfg.WireStatus}
 	}
+	return newServer(cfg, srv, cfg.Cache)
+}
+
+// newServer builds the server over a resolved topology and cache.
+func newServer(cfg ServerConfig, srv Serving, cache *federation.ReuseCache) (*Server, error) {
 	coalesce := cfg.CoalesceIoU
 	if coalesce < 0 {
 		coalesce = 0 // explicit opt-out
-	}
-	var exec Executor = cfg.Router
-	if cfg.Leader != nil {
-		exec = LeaderExecutor{Leader: cfg.Leader, Cache: cfg.Cache}
 	}
 	sched, err := NewScheduler(Config{
 		Workers:        cfg.Workers,
 		QueueDepth:     cfg.QueueDepth,
 		DefaultTimeout: cfg.DefaultTimeout,
 		CoalesceIoU:    coalesce,
-		Executor:       exec,
+		Executor:       srv,
 		Registry:       cfg.Registry,
 	})
 	if err != nil {
 		return nil, err
 	}
 	if cfg.Tracer != nil {
-		if cfg.Leader != nil {
-			cfg.Leader.SetTracer(cfg.Tracer)
-		} else {
-			cfg.Router.SetTracer(cfg.Tracer)
-		}
+		srv.SetTracer(cfg.Tracer)
 	}
 	s := &Server{
 		cfg:          cfg,
+		srv:          srv,
+		cache:        cache,
 		sched:        sched,
 		records:      newRecordStore(cfg.RecordCapacity),
 		start:        time.Now(),
@@ -200,64 +197,31 @@ func (s *Server) Scheduler() *Scheduler { return s.sched }
 // gated off first, so late frames from the fleet cannot mutate the
 // registry mid-teardown.
 func (s *Server) Drain(ctx context.Context) error {
-	if s.cfg.Leader != nil {
-		s.cfg.Leader.StopPush()
-	}
+	s.srv.StopPush()
 	return s.sched.Drain(ctx)
 }
 
 // Close force-drains the scheduler.
 func (s *Server) Close() {
-	if s.cfg.Leader != nil {
-		s.cfg.Leader.StopPush()
-	}
+	s.srv.StopPush()
 	s.sched.Close()
 }
 
+// healthTimeout bounds the topology's share of a /healthz probe: a
+// region that stopped answering must not stall it for the full client
+// timeout.
+const healthTimeout = 2 * time.Second
+
 // health feeds the /healthz document.
 func (s *Server) health() map[string]any {
+	ctx, cancel := context.WithTimeout(context.Background(), healthTimeout)
+	defer cancel()
+	doc := s.srv.Health(ctx)
 	st := s.sched.SchedStats()
-	doc := map[string]any{
-		"draining":    st.Draining,
-		"queue_depth": st.QueueDepth,
-		"inflight":    st.InFlight,
-	}
-	if s.cfg.Leader != nil {
-		doc["nodes"] = len(s.cfg.Leader.NodeIDs())
-		// Summary freshness mode: how many participants push their
-		// advertisements (vs being pulled on the TTL), with the
-		// registry's applied/dropped push accounting alongside.
-		subscribed := s.cfg.Leader.PushSubscribed()
-		doc["push_subscribed"] = subscribed
-		if subscribed > 0 {
-			doc["summary_mode"] = "push"
-		} else {
-			doc["summary_mode"] = "pull"
-		}
-		if reg := s.cfg.Leader.Registry(); reg != nil {
-			st := reg.Stats()
-			doc["push_applied"] = st.PushApplied
-			doc["push_dropped_stale"] = st.PushDroppedStale
-		}
-	} else {
-		nodes, _ := s.cfg.Router.NodeIDs(context.Background())
-		doc["nodes"] = len(nodes)
-		doc["regions"] = len(s.cfg.Router.Regions())
-	}
+	doc["draining"] = st.Draining
+	doc["queue_depth"] = st.QueueDepth
+	doc["inflight"] = st.InFlight
 	return doc
-}
-
-// nodeIDs resolves the global roster from whichever topology backs the
-// gateway.
-func (s *Server) nodeIDs(ctx context.Context) []string {
-	if s.cfg.Leader != nil {
-		return s.cfg.Leader.NodeIDs()
-	}
-	ids, err := s.cfg.Router.NodeIDs(ctx)
-	if err != nil {
-		return nil
-	}
-	return ids
 }
 
 // queryRequest is the POST /v1/query body.
@@ -437,31 +401,14 @@ func (s *Server) statefulSelector(key string, mk func() selection.Selector) sele
 // other planning error is advisory (execution replans and surfaces
 // it).
 func (s *Server) planAheadKey(ctx context.Context, q query.Query, sel selection.Selector) (string, error) {
-	switch sel.(type) {
-	case selection.QueryDriven, selection.AllNodes:
-	default:
+	if !selection.Deterministic(sel) {
 		return "", nil
 	}
-	if s.cfg.Router != nil {
-		key, err := s.cfg.Router.PlanKey(ctx, q, sel)
-		if err != nil {
-			if errors.Is(err, selection.ErrNoCandidates) {
-				return "", err
-			}
-			return "", nil
-		}
-		return key, nil
-	}
-	pl, err := s.cfg.Leader.PlanContext(ctx, q, sel)
-	if err != nil {
-		if errors.Is(err, selection.ErrNoCandidates) {
-			return "", err
-		}
+	key, err := s.srv.PlanKey(ctx, q, sel)
+	if err != nil && !errors.Is(err, selection.ErrNoCandidates) {
 		return "", nil
 	}
-	key := pl.Key()
-	pl.Release()
-	return key, nil
+	return key, err
 }
 
 func buildAggregation(name string) (federation.Aggregation, error) {
@@ -548,13 +495,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	freq := federation.Request{Query: q, Selector: sel, Aggregation: agg, Cache: s.cache}
 	planKey, err := s.planAheadKey(r.Context(), q, sel)
 	if err != nil {
 		// No edge node's cluster space supports the requested bounds.
 		// Before rejecting, ask the model cache: an ensemble trained on
 		// a nearby subspace can still answer within the predicted-error
 		// bound even when nobody can train this exact rectangle.
-		if resp, ok := s.answerFromCache(id, q); ok {
+		if resp, ok := s.answerFromCache(r.Context(), id, freq); ok {
 			now := time.Now()
 			s.records.put(id, &record{ID: id, Status: recordDone, Submitted: now, Finished: &now, Result: resp})
 			if req.Async {
@@ -577,7 +525,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// already-expired budget is rejected inside Submit too.
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
-	tk, err := s.sched.Submit(ctx, Request{Query: q, Selector: sel, Aggregation: agg, Timeout: timeout, PlanKey: planKey})
+	tk, err := s.sched.Submit(ctx, Request{Request: freq, Timeout: timeout, PlanKey: planKey})
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrQueueFull):
@@ -607,16 +555,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	out, err := tk.Wait(ctx)
 	if err != nil {
-		switch {
-		case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-			writeError(w, http.StatusGatewayTimeout, "query %s: %v", id, err)
-		case errors.Is(err, selection.ErrNoCandidates):
-			// A property of the query, not a server fault: no edge
-			// node's cluster space supports the requested bounds.
-			writeError(w, http.StatusUnprocessableEntity, "query %s: %v", id, err)
-		default:
-			writeError(w, http.StatusBadGateway, "query %s: %v", id, err)
-		}
+		writeServingError(w, id, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, buildResponse(id, out, req.IncludeParams))
@@ -653,17 +592,11 @@ func (s *Server) trackRecord(id string, includeParams bool, banditArm int, tk *T
 // answerFromCache tries to serve a query that cannot be planned (no
 // supporting candidates) straight from the model cache: exact-IoU
 // match first, then the approximate tier under its predicted-error
-// bound. Single-leader gateways with a cache only.
-func (s *Server) answerFromCache(id string, q query.Query) (*queryResponse, bool) {
-	if s.cfg.Cache == nil || s.cfg.Leader == nil {
-		return nil, false
-	}
-	var epoch uint64
-	if reg := s.cfg.Leader.Registry(); reg != nil {
-		epoch = reg.ReuseEpoch()
-	}
-	res, kind, ok := s.cfg.Cache.Answer(q, epoch)
-	if !ok {
+// bound — keyed and fenced like any other lookup of the topology's.
+func (s *Server) answerFromCache(ctx context.Context, id string, req federation.Request) (*queryResponse, bool) {
+	req.CacheOnly = true
+	res, kind, err := s.srv.Execute(ctx, req)
+	if err != nil {
 		return nil, false
 	}
 	resp := buildResponse(id, &Outcome{Result: res, Kind: kind}, false)
@@ -736,7 +669,7 @@ func buildResponse(id string, out *Outcome, includeParams bool) queryResponse {
 }
 
 // planResponse is the POST /v1/plan (EXPLAIN) body: the selection the
-// leader would execute for the query, plus the full per-node ranking
+// topology would execute for the query, plus the full per-node ranking
 // behind it, produced without a single training RPC.
 type planResponse struct {
 	ID         string  `json:"id"`
@@ -794,28 +727,21 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "selector %q is stateful; planning it would advance its state", sel.Name())
 		return
 	}
-	if s.cfg.Router != nil {
-		ex, err := s.cfg.Router.ExplainQuery(r.Context(), q, sel)
-		if err != nil {
-			writePlanError(w, id, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, buildExplainResponse(id, sel.Name(), ex))
-		return
-	}
-	pl, err := s.cfg.Leader.ExplainContext(r.Context(), q, sel)
+	ex, err := s.srv.ExplainQuery(r.Context(), q, sel)
 	if err != nil {
-		writePlanError(w, id, err)
+		writeServingError(w, id, err)
 		return
 	}
-	resp := buildPlanResponse(id, pl)
-	pl.Release()
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, buildPlanResponse(id, ex))
 }
 
-func writePlanError(w http.ResponseWriter, id string, err error) {
+// writeServingError maps what the topology reports for a query to a
+// status, the same for execution and planning.
+func writeServingError(w http.ResponseWriter, id string, err error) {
 	switch {
 	case errors.Is(err, selection.ErrNoCandidates):
+		// A property of the query, not a server fault: no edge node's
+		// cluster space supports the requested bounds.
 		writeError(w, http.StatusUnprocessableEntity, "query %s: %v", id, err)
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		writeError(w, http.StatusGatewayTimeout, "query %s: %v", id, err)
@@ -824,58 +750,26 @@ func writePlanError(w http.ResponseWriter, id string, err error) {
 	}
 }
 
-// buildExplainResponse shapes a router-mode EXPLAIN: the cross-region
-// merged ranking over the whole fleet (routing pruning does not apply
-// to EXPLAIN) and the participants the policy would select.
-func buildExplainResponse(id, selector string, ex *region.Explain) planResponse {
+// buildPlanResponse shapes an EXPLAIN for the wire.
+func buildPlanResponse(id string, ex *federation.Explanation) planResponse {
 	resp := planResponse{
 		ID:         id,
-		Epoch:      ex.Generation,
-		Selector:   selector,
+		Epoch:      ex.Epoch,
+		Selector:   ex.Selector,
 		Epsilon:    ex.Epsilon,
+		Key:        ex.Key,
 		Candidates: len(ex.Rankings),
 		Regions:    ex.Regions,
 	}
 	for _, p := range ex.Participants {
-		resp.Participants = append(resp.Participants, participantJSON{
-			NodeID: p.NodeID, Rank: p.Rank, Clusters: append([]int(nil), p.Clusters...),
-		})
+		resp.Participants = append(resp.Participants, participantJSON{NodeID: p.NodeID, Rank: p.Rank, Clusters: p.Clusters})
 	}
 	for _, nr := range ex.Rankings {
 		resp.Rankings = append(resp.Rankings, rankJSON{
 			NodeID:            nr.NodeID,
 			Rank:              nr.Rank,
 			Potential:         nr.Potential,
-			Supporting:        append([]int(nil), nr.Supporting...),
-			SupportingSamples: nr.SupportingSamples,
-			TotalSamples:      nr.TotalSamples,
-		})
-	}
-	return resp
-}
-
-// buildPlanResponse shapes a plan for the wire. Every slice is deep-
-// copied: the plan's slices are arena-backed and die at Release.
-func buildPlanResponse(id string, pl *plan.Plan) planResponse {
-	resp := planResponse{
-		ID:         id,
-		Epoch:      pl.Epoch,
-		Selector:   pl.Selector,
-		Epsilon:    pl.Epsilon,
-		Key:        pl.Key(),
-		Candidates: pl.NumCandidates(),
-	}
-	for _, p := range pl.Participants {
-		resp.Participants = append(resp.Participants, participantJSON{
-			NodeID: p.NodeID, Rank: p.Rank, Clusters: append([]int(nil), p.Clusters...),
-		})
-	}
-	for _, nr := range pl.Rankings {
-		resp.Rankings = append(resp.Rankings, rankJSON{
-			NodeID:            nr.NodeID,
-			Rank:              nr.Rank,
-			Potential:         nr.Potential,
-			Supporting:        append([]int(nil), nr.Supporting...),
+			Supporting:        nr.Supporting,
 			SupportingSamples: nr.SupportingSamples,
 			TotalSamples:      nr.TotalSamples,
 		})
@@ -909,7 +803,7 @@ type windowJSON struct {
 type statsResponse struct {
 	UptimeS   float64 `json:"uptime_s"`
 	Scheduler Stats   `json:"scheduler"`
-	// Reuse is the single-leader cache's full scoreboard: exact-tier
+	// Reuse is the reuse cache's full scoreboard: exact-tier
 	// hit/miss/eviction counts plus the approximate tier's hits,
 	// ground-truth probes and fallbacks when it is enabled.
 	Reuse *federation.ReuseCacheStats `json:"reuse_cache,omitempty"`
@@ -927,14 +821,10 @@ type statsResponse struct {
 		// Scheduler.LatencyWindow) next to the cumulative numbers.
 		Window windowJSON `json:"window"`
 	} `json:"latency"`
-	Nodes    []string        `json:"nodes"`
-	Space    *geometry.Rect  `json:"space,omitempty"`
-	Registry *registry.Stats `json:"registry,omitempty"`
-	// Router carries the sharded topology's routing view — per-region
-	// shard membership, routed-query counts and epochs (router mode
-	// only).
-	Router    *region.RouterStats `json:"router,omitempty"`
-	Transport any                 `json:"transport,omitempty"`
+	// Description is the topology's part: nodes, space and registry
+	// (single leader) or router (sharded) stats.
+	region.Description
+	Transport any `json:"transport,omitempty"`
 }
 
 // handleStats serves GET /v1/stats: scheduler counters, reuse-cache
@@ -944,9 +834,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	var resp statsResponse
 	resp.UptimeS = time.Since(s.start).Seconds()
 	resp.Scheduler = s.sched.SchedStats()
-	resp.Nodes = s.nodeIDs(r.Context())
-	if s.cfg.Cache != nil {
-		st := s.cfg.Cache.CacheStats()
+	resp.Description = s.srv.Describe(r.Context())
+	if s.cache != nil {
+		st := s.cache.CacheStats()
 		resp.Reuse = &st
 	}
 	if s.cfg.Bandit != nil {
@@ -971,45 +861,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		P99MS:   win.P99,
 		MaxMS:   win.Max,
 	}
-	if space, err := s.space(r.Context()); err == nil {
-		resp.Space = &space
-	}
-	if s.cfg.Leader != nil {
-		if reg := s.cfg.Leader.Registry(); reg != nil {
-			st := reg.Stats()
-			resp.Registry = &st
-		}
-	} else if rs, err := s.cfg.Router.Stats(r.Context()); err == nil {
-		resp.Router = &rs
-	}
 	if s.cfg.TransportStats != nil {
 		resp.Transport = s.cfg.TransportStats()
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// space computes the union of every advertised cluster rectangle — the
-// global data space queries are drawn over.
-func (s *Server) space(ctx context.Context) (geometry.Rect, error) {
-	if s.cfg.Router != nil {
-		return s.cfg.Router.Space(ctx)
-	}
-	summaries, err := s.cfg.Leader.SummariesContext(ctx)
-	if err != nil {
-		return geometry.Rect{}, err
-	}
-	bounds := make([]geometry.Rect, 0, len(summaries))
-	for _, sum := range summaries {
-		if len(sum.Clusters) == 0 {
-			continue
-		}
-		node := sum.Clusters[0].Bounds.Clone()
-		for _, c := range sum.Clusters[1:] {
-			node = node.Union(c.Bounds)
-		}
-		bounds = append(bounds, node)
-	}
-	return query.GlobalSpace(bounds)
 }
 
 // tracer resolves the tracer backing the trace endpoints: the
@@ -1089,98 +944,18 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"traces": out})
 }
 
-// fleetResponse is the GET /v1/fleet document.
-type fleetResponse struct {
-	Nodes []fleet.NodeHealth `json:"nodes"`
-	// RegistryEpoch/RegistryStale mirror the summary registry's state
-	// at report time (single-leader mode).
-	RegistryEpoch uint64 `json:"registry_epoch"`
-	RegistryStale bool   `json:"registry_stale"`
-	// Regions carries per-region shard membership and health in router
-	// mode; Nodes is then the concatenation across regions.
-	Regions []regionFleetJSON `json:"regions,omitempty"`
-}
-
-// regionFleetJSON is one region's block in a router-mode /v1/fleet.
-type regionFleetJSON struct {
-	RegionID      string             `json:"region_id"`
-	Nodes         []fleet.NodeHealth `json:"nodes"`
-	NodeIDs       []string           `json:"node_ids"`
-	RegistryEpoch uint64             `json:"registry_epoch"`
-	RegistryStale bool               `json:"registry_stale"`
-	TotalSamples  int                `json:"total_samples"`
-}
-
-// handleFleet serves GET /v1/fleet: per-node health scores from the
-// leader's round observations, merged with summary-epoch staleness
-// from the registry and (for remote fleets) wire-level transport
-// state. In router mode the report is assembled per region from each
+// handleFleet serves GET /v1/fleet: per-node health scores from round
+// observations, merged with summary-epoch staleness from the registry
+// and (for remote single-leader fleets) wire-level transport state.
+// Under the root router the report is assembled per region from each
 // regional leader's own registry and health tracker.
 func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.Router != nil {
-		s.handleRegionFleet(w, r)
-		return
-	}
-	var resp fleetResponse
-	meta := map[string]fleet.Meta{}
-	// Seed the roster so nodes that never answered a round still
-	// appear.
-	for _, id := range s.cfg.Leader.NodeIDs() {
-		meta[id] = fleet.Meta{}
-	}
-	if reg := s.cfg.Leader.Registry(); reg != nil {
-		st := reg.Stats()
-		resp.RegistryEpoch = st.Epoch
-		resp.RegistryStale = st.Stale
-		if snap, ok := reg.Current(); ok {
-			for _, n := range snap.Nodes {
-				m := meta[n.NodeID]
-				m.SummaryEpoch = snap.NodeSummaryEpoch(n.NodeID)
-				// The registry invalidates as a whole when any node
-				// signals drift; until the refresh lands every node is
-				// planned against potentially stale geometry.
-				m.Stale = st.Stale
-				meta[n.NodeID] = m
-			}
-		}
-	}
-	if s.cfg.WireStatus != nil {
-		for _, ws := range s.cfg.WireStatus() {
-			ws := ws
-			m := meta[ws.NodeID]
-			m.Wire = &ws
-			meta[ws.NodeID] = m
-		}
-	}
-	resp.Nodes = s.cfg.Leader.Health().Report(meta)
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleRegionFleet assembles the router-mode /v1/fleet document from
-// every region's Stats report.
-func (s *Server) handleRegionFleet(w http.ResponseWriter, r *http.Request) {
-	reports, err := s.cfg.Router.FleetReport(r.Context())
+	rep, err := s.srv.Fleet(r.Context())
 	if err != nil {
 		writeError(w, http.StatusBadGateway, "fleet report: %v", err)
 		return
 	}
-	var resp fleetResponse
-	for _, rep := range reports {
-		ids := make([]string, 0, len(rep.Info.Nodes))
-		for _, n := range rep.Info.Nodes {
-			ids = append(ids, n.NodeID)
-		}
-		resp.Regions = append(resp.Regions, regionFleetJSON{
-			RegionID:      rep.Info.RegionID,
-			Nodes:         rep.Health,
-			NodeIDs:       ids,
-			RegistryEpoch: rep.Registry.Epoch,
-			RegistryStale: rep.Registry.Stale,
-			TotalSamples:  rep.Info.TotalSamples,
-		})
-		resp.Nodes = append(resp.Nodes, rep.Health...)
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, rep)
 }
 
 // recordStatus is a stored query's lifecycle phase.

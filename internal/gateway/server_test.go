@@ -98,12 +98,17 @@ func newGatewayServer(t *testing.T, cfg ServerConfig) (*Server, *httptest.Server
 	if err != nil {
 		t.Fatal(err)
 	}
+	return s, newHTTPServer(t, s)
+}
+
+func newHTTPServer(t *testing.T, s *Server) *httptest.Server {
+	t.Helper()
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()
 		s.Close()
 	})
-	return s, ts
+	return ts
 }
 
 // doPost submits one query; goroutine-safe (no testing.T).
@@ -431,21 +436,6 @@ func TestGatewayBadRequests(t *testing.T) {
 	}
 }
 
-// TestGatewayUnsupportedQuery422: a rectangle no edge node's cluster
-// space supports is the client's problem, not a gateway fault.
-func TestGatewayUnsupportedQuery422(t *testing.T) {
-	fleet := testFleet(t)
-	_, ts := newGatewayServer(t, ServerConfig{Leader: fleet.Leader})
-	code, doc, _ := postQuery(t, ts.URL,
-		`{"bounds":{"min":[1000,1000],"max":[1001,1001]},"selector":"query-driven","epsilon":0.6,"top_l":2}`)
-	if code != http.StatusUnprocessableEntity {
-		t.Fatalf("status %d (%v), want 422", code, doc)
-	}
-	if msg, _ := doc["error"].(string); !strings.Contains(msg, "no node supports") {
-		t.Fatalf("error %q does not name the unsupported query", msg)
-	}
-}
-
 // TestGatewayMetricsExposition: the Prometheus surface carries the
 // gateway families after traffic.
 func TestGatewayMetricsExposition(t *testing.T) {
@@ -499,70 +489,6 @@ func TestRecordStoreEviction(t *testing.T) {
 	}
 }
 
-// TestGatewayPlanExplain: POST /v1/plan returns the selection and the
-// full ranking without executing a single training round.
-func TestGatewayPlanExplain(t *testing.T) {
-	gate := make(chan struct{}) // never opened: any training RPC would hang
-	defer close(gate)
-	leader := gatedLeader(t, gate)
-	_, ts := newGatewayServer(t, ServerConfig{Leader: leader})
-
-	resp, err := http.Post(ts.URL+"/v1/plan", "application/json", strings.NewReader(
-		`{"bounds":{"min":[5,-50],"max":[35,150]},"selector":"query-driven","epsilon":0.6,"top_l":2}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var doc planResponse
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d, want 200", resp.StatusCode)
-	}
-	if doc.Epoch == 0 {
-		t.Fatal("plan has no advertisement epoch")
-	}
-	if doc.Selector != "query-driven" {
-		t.Fatalf("selector %q", doc.Selector)
-	}
-	if len(doc.Participants) == 0 || len(doc.Participants) > 2 {
-		t.Fatalf("participants %v, want 1..2", doc.Participants)
-	}
-	if doc.Candidates != 2 || len(doc.Rankings) != 2 {
-		t.Fatalf("candidates %d rankings %d, want 2 each", doc.Candidates, len(doc.Rankings))
-	}
-	if doc.Key == "" {
-		t.Fatal("plan has no key")
-	}
-	for _, p := range doc.Participants {
-		if len(p.Clusters) == 0 {
-			t.Fatalf("participant %s has no supporting clusters", p.NodeID)
-		}
-	}
-
-	// Stateful selectors are not EXPLAINable (planning would advance
-	// their state); unsupported bounds are the query's fault (422).
-	resp2, err := http.Post(ts.URL+"/v1/plan", "application/json", strings.NewReader(
-		`{"bounds":{"min":[5,-50],"max":[35,150]},"selector":"fairness"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusBadRequest {
-		t.Fatalf("stateful plan: status %d, want 400", resp2.StatusCode)
-	}
-	resp3, err := http.Post(ts.URL+"/v1/plan", "application/json", strings.NewReader(
-		`{"bounds":{"min":[1000,1000],"max":[1001,1001]},"selector":"query-driven"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp3.Body.Close()
-	if resp3.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("unsupported plan: status %d, want 422", resp3.StatusCode)
-	}
-}
-
 // TestGatewayStatefulSelectors: fairness and contribution are served
 // through persistent per-(mechanism,L) instances, so the fairness
 // rotation advances across requests instead of resetting.
@@ -596,27 +522,5 @@ func TestGatewayStatefulSelectors(t *testing.T) {
 		`{"bounds":{"min":[0,-50],"max":[90,200]},"selector":"contribution","l":2}`)
 	if code != http.StatusOK {
 		t.Fatalf("contribution: status %d (%v)", code, doc)
-	}
-}
-
-// TestGatewayStatsRegistry: /v1/stats surfaces the summary registry's
-// epoch once a query has forced a snapshot.
-func TestGatewayStatsRegistry(t *testing.T) {
-	fleet := testFleet(t)
-	_, ts := newGatewayServer(t, ServerConfig{Leader: fleet.Leader})
-	if code, doc, _ := postQuery(t, ts.URL,
-		`{"bounds":{"min":[0,-50],"max":[90,200]},"selector":"all-nodes"}`); code != http.StatusOK {
-		t.Fatalf("status %d (%v)", code, doc)
-	}
-	var stats statsResponse
-	getJSON(t, ts.URL+"/v1/stats", &stats)
-	if stats.Registry == nil {
-		t.Fatal("/v1/stats has no registry section")
-	}
-	if stats.Registry.Epoch == 0 {
-		t.Fatalf("registry epoch 0 after a served query: %+v", stats.Registry)
-	}
-	if stats.Registry.Nodes != 3 {
-		t.Fatalf("registry nodes %d, want 3", stats.Registry.Nodes)
 	}
 }

@@ -12,52 +12,22 @@ import (
 	"qens/internal/selection"
 )
 
-func TestRouterApproxRequiresReuseCache(t *testing.T) {
-	cfg := fedConfig()
-	nodes := buildNodes(t)
-	clients := make([]federation.Client, len(nodes))
-	roster := make(map[string]int, len(nodes))
-	for i, n := range nodes {
-		clients[i] = federation.LocalClient{Node: n}
-		roster[n.ID()] = i
-	}
-	fed, err := federation.NewLeader(cfg, nil, clients)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lead, err := NewLeader("r0", fed, roster)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = NewRouter(Config{
-		Spec: cfg.Spec, LocalEpochs: cfg.LocalEpochs, Seed: cfg.Seed,
-		ApproxCoverage: 0.5, // no ReuseIoU
-	}, []Service{lead})
-	if err == nil {
-		t.Fatal("accepted approx coverage without a reuse cache")
-	}
-}
-
 // TestRouterApproxTierServes: after an exact-IoU miss, a valid cached
 // entry that blankets the new query serves it — reported as the approx
 // tier so clients can tell a subspace answer from an exact replay.
 func TestRouterApproxTierServes(t *testing.T) {
-	cfg := fedConfig()
-	router, _, _ := shardedFixture(t, 2, Config{
-		Spec: cfg.Spec, LocalEpochs: cfg.LocalEpochs, Seed: cfg.Seed,
-		ReuseIoU: 0.95, ReuseCap: 8, ApproxCoverage: 0.5,
-	})
+	router, _ := reuseFixture(t, 0.95, 8, federation.ApproxConfig{MaxPredictedError: 0.5, ProbeEvery: 3})
 	ctx := context.Background()
 	sel := selection.QueryDriven{Epsilon: 1e-9, TopL: 2}
 
 	wide := mustQuery(t, "q-wide", 0, 34, -500, 500)
-	if _, kind, err := router.ExecuteQuery(ctx, wide, sel, federation.ModelAveraging); err != nil || kind != federation.ServeFresh {
+	if _, kind, err := router.run(ctx, wide, sel, federation.ModelAveraging); err != nil || kind != federation.ServeFresh {
 		t.Fatalf("first execution: kind=%v err=%v", kind, err)
 	}
 	// Contained query: IoU (area ratio) is well under 0.95 but the wide
 	// entry covers it completely.
 	inner := mustQuery(t, "q-inner", 5, 30, -400, 400)
-	res, kind, err := router.ExecuteQuery(ctx, inner, sel, federation.ModelAveraging)
+	res, kind, err := router.run(ctx, inner, sel, federation.ModelAveraging)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,34 +37,37 @@ func TestRouterApproxTierServes(t *testing.T) {
 	if res == nil || !kind.Reused() {
 		t.Fatal("approx serve must be a reused result")
 	}
-	st, err := router.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Reuse == nil || st.Reuse.ApproxHits != 1 || st.Reuse.ApproxPct != 50 {
-		t.Fatalf("reuse stats %+v: want 1 approx hit at 50%%", st.Reuse)
+	if st := router.cache.CacheStats(); st.ApproxHits != 1 || !st.ApproxEnabled {
+		t.Fatalf("reuse stats %+v: want 1 approx hit", st)
 	}
 
 	// Approx serves still count as reused for callers that only ask
 	// whether training happened.
 	inner2 := mustQuery(t, "q-inner-2", 6, 29, -400, 400)
-	if _, kind, err := router.ExecuteQuery(ctx, inner2, sel, federation.ModelAveraging); err != nil || !kind.Reused() {
+	if _, kind, err := router.run(ctx, inner2, sel, federation.ModelAveraging); err != nil || !kind.Reused() {
 		t.Fatalf("second approx serve: kind=%v err=%v", kind, err)
+	}
+
+	// Every third servable query trains anyway and scores the cached
+	// answer against the fresh one, which is stored.
+	inner3 := mustQuery(t, "q-inner-3", 7, 28, -400, 400)
+	probe, kind, err := router.run(ctx, inner3, sel, federation.ModelAveraging)
+	if err != nil || kind != federation.ServeProbe || probe == res {
+		t.Fatalf("probe round: kind=%v err=%v fresh=%v", kind, err, probe != res)
+	}
+	if st := router.cache.CacheStats(); st.Probes != 1 || st.Size != 2 {
+		t.Fatalf("reuse stats %+v: want 1 probe and its result stored", st)
 	}
 }
 
-// TestRouterApproxDisabledGoldenReplay pins ApproxCoverage=0 to the
+// TestRouterApproxDisabledGoldenReplay pins a disabled approx tier to the
 // seed semantics: a 60-query replay where the expected hit/miss
 // decision is computed by an inline reference of the original root
 // cache (insertion-order scan, first entry at or above the IoU
 // threshold wins). Any divergence — an approx serve leaking in, a scan
 // order change — fails the replay.
 func TestRouterApproxDisabledGoldenReplay(t *testing.T) {
-	cfg := fedConfig()
-	router, _, _ := shardedFixture(t, 2, Config{
-		Spec: cfg.Spec, LocalEpochs: cfg.LocalEpochs, Seed: cfg.Seed,
-		ReuseIoU: 0.9, ReuseCap: 4,
-	})
+	router, _ := reuseFixture(t, 0.9, 4, federation.ApproxConfig{})
 	ctx := context.Background()
 	sel := selection.QueryDriven{Epsilon: 1e-9, TopL: 2}
 
@@ -133,7 +106,7 @@ func TestRouterApproxDisabledGoldenReplay(t *testing.T) {
 		q := mustQuery(t, fmt.Sprintf("r-%d", i), lo, hi, -500, 500)
 
 		want := refLookup(q)
-		res, kind, err := router.ExecuteQuery(ctx, q, sel, federation.ModelAveraging)
+		res, kind, err := router.run(ctx, q, sel, federation.ModelAveraging)
 		if err != nil {
 			t.Fatalf("q%d: %v", i, err)
 		}
@@ -152,14 +125,11 @@ func TestRouterApproxDisabledGoldenReplay(t *testing.T) {
 			refStore(q, res)
 		}
 	}
-	st, err := router.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
+	st := router.cache.CacheStats()
+	if st.ApproxHits != 0 || st.ApproxEnabled {
+		t.Fatalf("reuse stats %+v: approx tier must stay silent", st)
 	}
-	if st.Reuse == nil || st.Reuse.ApproxHits != 0 || st.Reuse.ApproxPct != 0 {
-		t.Fatalf("reuse stats %+v: approx tier must stay silent", st.Reuse)
-	}
-	if st.Reuse.Hits == 0 {
-		t.Fatalf("reuse stats %+v: hot workload produced no hits", st.Reuse)
+	if st.Hits == 0 {
+		t.Fatalf("reuse stats %+v: hot workload produced no hits", st)
 	}
 }

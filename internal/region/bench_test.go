@@ -66,9 +66,8 @@ func benchConfig() federation.Config {
 	return federation.Config{Spec: ml.PaperLR(1), ClusterK: 3, LocalEpochs: 5, Seed: 42}
 }
 
-// benchSingle wires the fleet under one leader (the gateway's
-// LeaderExecutor path: plan, then one sequential round per
-// participant).
+// benchSingle wires the fleet under one leader (Leader.Execute: plan,
+// then one sequential round per participant).
 func benchSingle(b *testing.B, samples int) *federation.Leader {
 	b.Helper()
 	nodes := benchNodes(b, samples)
@@ -125,10 +124,10 @@ func benchSharded(b *testing.B, samples, regions int) *Router {
 
 // BenchmarkShardServe compares the two gateway serving paths over the
 // same 8-node fleet and workload: a single leader executing queries
-// through the plan-then-sequential-round pipeline (what
-// gateway.LeaderExecutor runs) versus the root coordinator fanning
-// the same queries out to regional leaders that each train their
-// shard concurrently (Router.ExecuteQuery). The workload mixes
+// through the plan-then-sequential-round pipeline (Leader.Execute)
+// versus the root coordinator fanning the same queries out to
+// regional leaders that each train their shard concurrently
+// (Router.Execute). The workload mixes
 // spanning rectangles (fan out everywhere) with half-space ones
 // (routing prunes to one region), mirroring what qensload generates.
 // Node rounds carry benchServiceTime of modeled remote service time,
@@ -162,7 +161,7 @@ func BenchmarkShardServe(b *testing.B) {
 			router := benchSharded(b, samples, regions)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := router.ExecuteQuery(ctx, queries[i%len(queries)], sel, federation.WeightedAveraging); err != nil {
+				if _, _, err := router.Execute(ctx, federation.Request{Query: queries[i%len(queries)], Selector: sel, Aggregation: federation.WeightedAveraging}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -8,20 +8,30 @@ import (
 	"testing"
 
 	"qens/internal/federation"
+	"qens/internal/query"
 	"qens/internal/selection"
 )
 
-func reuseFixture(t *testing.T) (*Router, []*federation.Node) {
+// cachedRouter fronts a 2-region router with a reuse cache the way the
+// gateway does: the cache rides on every request.
+type cachedRouter struct {
+	*Router
+	cache *federation.ReuseCache
+}
+
+func (c cachedRouter) run(ctx context.Context, q query.Query, sel selection.Selector, agg federation.Aggregation) (*federation.Result, federation.ServeKind, error) {
+	return c.Execute(ctx, federation.Request{Query: q, Selector: sel, Aggregation: agg, Cache: c.cache})
+}
+
+func reuseFixture(t *testing.T, minIoU float64, capacity int, approx federation.ApproxConfig) (cachedRouter, []*federation.Node) {
 	t.Helper()
 	cfg := fedConfig()
-	router, _, nodes := shardedFixture(t, 2, Config{
-		Spec:        cfg.Spec,
-		LocalEpochs: cfg.LocalEpochs,
-		Seed:        cfg.Seed,
-		ReuseIoU:    0.99,
-		ReuseCap:    8,
-	})
-	return router, nodes
+	router, _, nodes := shardedFixture(t, 2, Config{Spec: cfg.Spec, LocalEpochs: cfg.LocalEpochs, Seed: cfg.Seed})
+	cache, err := federation.NewAdaptiveCache(minIoU, capacity, approx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cachedRouter{router, cache}, nodes
 }
 
 // TestReuseFencedPerRegion verifies the cross-tier fencing contract: a
@@ -29,7 +39,7 @@ func reuseFixture(t *testing.T) (*Router, []*federation.Node) {
 // snapshot and the root-side reuse entries whose epoch basis touched
 // it — entries routed through other regions keep serving.
 func TestReuseFencedPerRegion(t *testing.T) {
-	router, nodes := reuseFixture(t)
+	router, nodes := reuseFixture(t, 0.99, 8, federation.ApproxConfig{})
 	ctx := context.Background()
 	sel := selection.QueryDriven{Epsilon: 1e-9, TopL: 2}
 	// qLeft routes only to region-0, qRight only to region-1 (disjoint
@@ -37,16 +47,16 @@ func TestReuseFencedPerRegion(t *testing.T) {
 	qLeft := mustQuery(t, "q-left", 1, 20, -500, 75)
 	qRight := mustQuery(t, "q-right", 41, 60, 85, 130)
 
-	if _, kind, err := router.ExecuteQuery(ctx, qLeft, sel, federation.ModelAveraging); err != nil || kind.Reused() {
+	if _, kind, err := router.run(ctx, qLeft, sel, federation.ModelAveraging); err != nil || kind.Reused() {
 		t.Fatalf("qLeft first: kind=%v err=%v", kind, err)
 	}
-	if _, kind, err := router.ExecuteQuery(ctx, qLeft, sel, federation.ModelAveraging); err != nil || !kind.Reused() {
+	if _, kind, err := router.run(ctx, qLeft, sel, federation.ModelAveraging); err != nil || !kind.Reused() {
 		t.Fatalf("qLeft second: kind=%v err=%v", kind, err)
 	}
-	if _, kind, err := router.ExecuteQuery(ctx, qRight, sel, federation.ModelAveraging); err != nil || kind.Reused() {
+	if _, kind, err := router.run(ctx, qRight, sel, federation.ModelAveraging); err != nil || kind.Reused() {
 		t.Fatalf("qRight first: kind=%v err=%v", kind, err)
 	}
-	if _, kind, err := router.ExecuteQuery(ctx, qRight, sel, federation.ModelAveraging); err != nil || !kind.Reused() {
+	if _, kind, err := router.run(ctx, qRight, sel, federation.ModelAveraging); err != nil || !kind.Reused() {
 		t.Fatalf("qRight second: kind=%v err=%v", kind, err)
 	}
 
@@ -57,33 +67,29 @@ func TestReuseFencedPerRegion(t *testing.T) {
 	if err := nodes[5].Requantize(); err != nil {
 		t.Fatal(err)
 	}
-	if _, kind, err := router.ExecuteQuery(ctx, mustQuery(t, "q-all", -10, 80, -30, 160),
-		selection.Random{L: 6}, federation.ModelAveraging); err != nil || kind.Reused() {
+	if _, kind, err := router.run(ctx, mustQuery(t, "q-all", -10, 80, -30, 160), selection.Random{L: 6}, federation.ModelAveraging); err != nil || kind.Reused() {
 		t.Fatalf("drift round: kind=%v err=%v", kind, err)
 	}
 
 	// Region-1's basis moved: qRight must re-execute. Region-0 was
 	// untouched: qLeft keeps serving from cache.
-	if _, kind, err := router.ExecuteQuery(ctx, qLeft, sel, federation.ModelAveraging); err != nil || !kind.Reused() {
+	if _, kind, err := router.run(ctx, qLeft, sel, federation.ModelAveraging); err != nil || !kind.Reused() {
 		t.Fatalf("qLeft after drift: kind=%v err=%v (fenced too broadly)", kind, err)
 	}
-	if _, kind, err := router.ExecuteQuery(ctx, qRight, sel, federation.ModelAveraging); err != nil || kind.Reused() {
+	if _, kind, err := router.run(ctx, qRight, sel, federation.ModelAveraging); err != nil || kind.Reused() {
 		t.Fatalf("qRight after drift: kind=%v err=%v (stale entry survived the fence)", kind, err)
 	}
 	// And the re-executed entry is valid again at the new epoch.
-	if _, kind, err := router.ExecuteQuery(ctx, qRight, sel, federation.ModelAveraging); err != nil || !kind.Reused() {
+	if _, kind, err := router.run(ctx, qRight, sel, federation.ModelAveraging); err != nil || !kind.Reused() {
 		t.Fatalf("qRight re-cache: kind=%v err=%v", kind, err)
 	}
 
-	st, err := router.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
+	st := router.cache.CacheStats()
+	if st.Pruned == 0 {
+		t.Fatalf("reuse stats %+v: expected fenced entries", st)
 	}
-	if st.Reuse == nil || st.Reuse.Fenced == 0 {
-		t.Fatalf("reuse stats %+v: expected fenced entries", st.Reuse)
-	}
-	if st.Reuse.Hits < 3 {
-		t.Fatalf("reuse stats %+v: expected at least 3 hits", st.Reuse)
+	if st.Hits < 3 {
+		t.Fatalf("reuse stats %+v: expected at least 3 hits", st)
 	}
 }
 
@@ -93,7 +99,7 @@ func TestReuseFencedPerRegion(t *testing.T) {
 // only that every outcome is a result or a no-candidates miss, and
 // that the topology converges to the post-drift epochs.
 func TestEpochFencingRaceStress(t *testing.T) {
-	router, nodes := reuseFixture(t)
+	router, nodes := reuseFixture(t, 0.99, 8, federation.ApproxConfig{})
 	ctx := context.Background()
 	queries := []struct {
 		id       string
@@ -113,8 +119,7 @@ func TestEpochFencingRaceStress(t *testing.T) {
 			for i := 0; i < 12; i++ {
 				spec := queries[(w+i)%len(queries)]
 				q := mustQuery(t, fmt.Sprintf("stress-%d-%d-%s", w, i, spec.id), spec.xlo, spec.xhi, spec.ylo, spec.yhi)
-				_, _, err := router.ExecuteQuery(ctx, q,
-					selection.QueryDriven{Epsilon: 1e-9, TopL: 2}, federation.WeightedAveraging)
+				_, _, err := router.run(ctx, q, selection.QueryDriven{Epsilon: 1e-9, TopL: 2}, federation.WeightedAveraging)
 				if err != nil && !errors.Is(err, selection.ErrNoCandidates) {
 					t.Errorf("worker %d query %d: %v", w, i, err)
 					return
@@ -141,7 +146,7 @@ func TestEpochFencingRaceStress(t *testing.T) {
 				t.Errorf("stats: %v", err)
 				return
 			}
-			if _, err := router.FleetReport(ctx); err != nil {
+			if _, err := router.Fleet(ctx); err != nil {
 				t.Errorf("fleet report: %v", err)
 				return
 			}
@@ -153,8 +158,7 @@ func TestEpochFencingRaceStress(t *testing.T) {
 	}
 	// One more full-fleet round flushes any drift still unobserved by
 	// the root, then the topology must be self-consistent.
-	if _, _, err := router.ExecuteQuery(ctx, mustQuery(t, "stress-flush", -10, 80, -30, 160),
-		selection.AllNodes{}, federation.ModelAveraging); err != nil {
+	if _, _, err := router.run(ctx, mustQuery(t, "stress-flush", -10, 80, -30, 160), selection.AllNodes{}, federation.ModelAveraging); err != nil {
 		t.Fatal(err)
 	}
 	st, err := router.Stats(ctx)

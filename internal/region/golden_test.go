@@ -106,7 +106,7 @@ func TestGoldenShardedMatchesSingleLeader(t *testing.T) {
 			executed, misses := 0, 0
 			for _, q := range queries {
 				want, _, wantErr := single.Execute(ctx, federation.Request{Query: q, Selector: tc.sel, Aggregation: tc.agg})
-				got, kind, gotErr := router.ExecuteQuery(ctx, q, tc.sel, tc.agg)
+				got, kind, gotErr := router.Execute(ctx, federation.Request{Query: q, Selector: tc.sel, Aggregation: tc.agg})
 				if (wantErr == nil) != (gotErr == nil) {
 					t.Fatalf("%s: single-leader err %v vs sharded err %v", q.ID, wantErr, gotErr)
 				}
@@ -190,8 +190,8 @@ func TestGoldenRouterIndexedMatchesBrute(t *testing.T) {
 			ctx := context.Background()
 			executed := 0
 			for _, q := range goldenWorkload(200) {
-				want, _, wantErr := brute.ExecuteQuery(ctx, q, tc.sel, federation.WeightedAveraging)
-				got, _, gotErr := indexed.ExecuteQuery(ctx, q, tc.sel, federation.WeightedAveraging)
+				want, _, wantErr := brute.Execute(ctx, federation.Request{Query: q, Selector: tc.sel, Aggregation: federation.WeightedAveraging})
+				got, _, gotErr := indexed.Execute(ctx, federation.Request{Query: q, Selector: tc.sel, Aggregation: federation.WeightedAveraging})
 				if (wantErr == nil) != (gotErr == nil) {
 					t.Fatalf("%s: brute err %v vs indexed err %v", q.ID, wantErr, gotErr)
 				}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"qens/internal/federation"
-	"qens/internal/fleet"
 	"qens/internal/registry"
 	"qens/internal/selection"
 )
@@ -190,27 +189,13 @@ func (l *Leader) Train(ctx context.Context, req TrainRequest) (TrainResponse, er
 	return resp, nil
 }
 
-// Stats implements Service: the region's registry counters and its
-// health tracker's per-node report, with summary-epoch staleness
-// merged exactly like the single-leader gateway's /v1/fleet.
+// Stats implements Service: the shard's Info plus its leader's
+// registry counters and per-node health report.
 func (l *Leader) Stats(ctx context.Context) (Stats, error) {
 	info, err := l.Info(ctx)
 	if err != nil {
 		return Stats{}, err
 	}
-	reg := l.fed.Registry()
-	st := reg.Stats()
-	meta := map[string]fleet.Meta{}
-	for _, id := range l.fed.NodeIDs() {
-		meta[id] = fleet.Meta{}
-	}
-	if snap, ok := reg.Current(); ok {
-		for _, n := range snap.Nodes {
-			m := meta[n.NodeID]
-			m.SummaryEpoch = snap.NodeSummaryEpoch(n.NodeID)
-			m.Stale = st.Stale
-			meta[n.NodeID] = m
-		}
-	}
-	return Stats{Info: info, Registry: st, Health: l.fed.Health().Report(meta)}, nil
+	st, health := l.fed.HealthReport(nil)
+	return Stats{Info: info, Registry: st, Health: health}, nil
 }

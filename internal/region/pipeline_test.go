@@ -3,6 +3,7 @@ package region
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -114,7 +115,7 @@ var pipelineModes = []struct {
 		router, _ := shardNodes(t, f.nodes(t), f.wrap, 2, Config{
 			Spec: cfg.Spec, LocalEpochs: cfg.LocalEpochs, Seed: cfg.Seed, TolerateFailures: f.tolerate,
 		})
-		res, _, err := router.ExecuteQuery(ctx, q, sel, agg)
+		res, _, err := router.Execute(ctx, federation.Request{Query: q, Selector: sel, Aggregation: agg})
 		return res, err
 	}},
 }
@@ -297,5 +298,196 @@ func TestPipelineFailureContract(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// servingModes are the two topologies that front the same fleet with
+// federation.Serve: each build returns a fresh Execute over a fresh
+// region_test fleet.
+var servingModes = []struct {
+	name  string
+	build func(t *testing.T) func(context.Context, federation.Request) (*federation.Result, federation.ServeKind, error)
+}{
+	{"leader", func(t *testing.T) func(context.Context, federation.Request) (*federation.Result, federation.ServeKind, error) {
+		return singleFixture(t).Execute
+	}},
+	{"2-region router", func(t *testing.T) func(context.Context, federation.Request) (*federation.Result, federation.ServeKind, error) {
+		router, _, _ := shardedFixture(t, 2, Config{})
+		return router.Execute
+	}},
+}
+
+// replayWorkload is the reuse replays' 60-query sequence: three hot
+// rectangles revisited with jitter, interleaved with cold scans.
+func replayWorkload(t *testing.T) []query.Query {
+	src := rng.New(99)
+	hot := [][2]float64{{0, 22}, {12, 34}, {40, 62}}
+	qs := make([]query.Query, 60)
+	for i := range qs {
+		var lo, hi float64
+		if i%2 == 0 {
+			h := hot[(i/2)%len(hot)]
+			j := src.Uniform(-0.5, 0.5)
+			lo, hi = h[0]+j, h[1]+j
+		} else {
+			lo = src.Uniform(0, 50)
+			hi = lo + src.Uniform(10, 24)
+		}
+		qs[i] = mustQuery(t, fmt.Sprintf("r-%d", i), lo, hi, -500, 500)
+	}
+	return qs
+}
+
+// containedWorkload is 60 queries along the data's y = 2x+1 band: two
+// anchors over the outer thirds of the fleet, then windows contained in
+// an anchor, with two windows over the middle third recurring
+// unchanged. Only one cached rectangle ever overlaps a given query, so
+// which entry the approximate tier picks does not depend on how
+// coverage is measured.
+func containedWorkload(t *testing.T) []query.Query {
+	src := rng.New(99)
+	anchors := [][2]float64{{0, 22}, {52, 74}}
+	middle := [][2]float64{{24, 34}, {40, 50}}
+	qs := make([]query.Query, 60)
+	for i := range qs {
+		lo, hi := anchors[i%2][0], anchors[i%2][1]
+		switch {
+		case i < 2:
+		case i%5 == 4:
+			lo, hi = middle[(i/5)%2][0], middle[(i/5)%2][1]
+		default:
+			lo = src.Uniform(lo, lo+8)
+			hi = lo + src.Uniform(6, 14)
+		}
+		qs[i] = mustQuery(t, fmt.Sprintf("c-%d", i), lo, hi, 2*lo, 2*hi+2)
+	}
+	return qs
+}
+
+// TestPipelineCachedReplay: the same query sequence through both
+// topologies, each fronted by a reuse cache of the same configuration,
+// is served by the same tier query for query and answers bit for bit
+// the same — with the approximate tier off and on.
+//
+// The tier-on replay selects every supporting node and never probes.
+// The leader measures coverage against the clusters it trained on, the
+// root against the query rectangle standing in for them; the two agree
+// on whether an answer is servable here, but once a probe has stored a
+// second result overlapping the first they may rank the two
+// differently, and then serve different (each valid) ensembles.
+func TestPipelineCachedReplay(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		workload func(*testing.T) []query.Query
+		sel      selection.Selector
+		approx   federation.ApproxConfig
+	}{
+		{"approx off", replayWorkload, selection.QueryDriven{Epsilon: 1e-9, TopL: 2}, federation.ApproxConfig{}},
+		{"approx on", containedWorkload, selection.QueryDriven{Epsilon: 1e-9, TopL: len(slabs)},
+			federation.ApproxConfig{MaxPredictedError: 0.5, MinCoverage: 0.25, ProbeEvery: -1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var wantKinds []federation.ServeKind
+			var wantAnswers []uint64
+			for _, mode := range servingModes {
+				execute := mode.build(t)
+				cache, err := federation.NewAdaptiveCache(0.9, 4, tc.approx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var kinds []federation.ServeKind
+				var answers []uint64
+				seen := map[federation.ServeKind]int{}
+				for _, q := range tc.workload(t) {
+					res, kind, err := execute(context.Background(), federation.Request{
+						Query: q, Selector: tc.sel, Aggregation: federation.ModelAveraging, Cache: cache,
+					})
+					if err != nil {
+						t.Fatalf("%s %s: %v", mode.name, q.ID, err)
+					}
+					kinds = append(kinds, kind)
+					seen[kind]++
+					answers = append(answers, math.Float64bits(res.Ensemble.Predict(q.Bounds.Center()[:1])))
+				}
+				if seen[federation.ServeFresh] == 0 || seen[federation.ServeExact] == 0 || tc.approx.Enabled() != (seen[federation.ServeApprox] > 0) {
+					t.Fatalf("%s: replay served %v — it does not exercise the tiers under test", mode.name, seen)
+				}
+				if wantKinds == nil {
+					wantKinds, wantAnswers = kinds, answers
+					continue
+				}
+				for i := range kinds {
+					if kinds[i] != wantKinds[i] {
+						t.Fatalf("query %d: %s served %v, %s served %v", i, servingModes[0].name, wantKinds[i], mode.name, kinds[i])
+					}
+					if answers[i] != wantAnswers[i] {
+						t.Fatalf("query %d (%v): answers differ between %s and %s", i, kinds[i], servingModes[0].name, mode.name)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestPipelineCacheParity: what the reuse tiers do that training does
+// not, row by row, the same in both topologies.
+func TestPipelineCacheParity(t *testing.T) {
+	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Millisecond))
+	defer cancel()
+	qd := selection.QueryDriven{Epsilon: 0.3, TopL: 3}
+	for _, mode := range servingModes {
+		t.Run(mode.name, func(t *testing.T) {
+			execute := mode.build(t)
+			cache, err := federation.NewReuseCache(0.9, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req := federation.Request{Query: leftQuery(t), Selector: qd, Aggregation: federation.WeightedAveraging, Cache: cache}
+			warm, kind, err := execute(context.Background(), req)
+			if err != nil || kind != federation.ServeFresh {
+				t.Fatalf("warm-up: kind=%v err=%v", kind, err)
+			}
+			with := func(edit func(*federation.Request)) federation.Request {
+				r := req
+				edit(&r)
+				return r
+			}
+			for _, row := range []struct {
+				name    string
+				ctx     context.Context
+				req     federation.Request
+				want    federation.ServeKind
+				wantErr error
+				stored  int // cache entries afterwards
+			}{
+				{"a hit costs nothing, so an expired context still gets it", expired, req,
+					federation.ServeExact, nil, 1},
+				{"a miss under an expired context trains nobody", expired, with(func(r *federation.Request) { r.Query = mustQuery(t, "q-right", 41, 60, 85, 130) }),
+					federation.ServeFresh, context.DeadlineExceeded, 1},
+				{"cache-only hit", context.Background(), with(func(r *federation.Request) { r.CacheOnly = true }),
+					federation.ServeExact, nil, 1},
+				{"cache-only miss is not trained", context.Background(), with(func(r *federation.Request) { r.CacheOnly = true; r.Aggregation = federation.ModelAveraging }),
+					federation.ServeFresh, federation.ErrNotCached, 1},
+				{"another aggregation trains and is stored apart", context.Background(), with(func(r *federation.Request) { r.Aggregation = federation.ModelAveraging }),
+					federation.ServeFresh, nil, 2},
+				{"another selector trains and is stored apart", context.Background(), with(func(r *federation.Request) { r.Selector = selection.AllNodes{} }),
+					federation.ServeFresh, nil, 3},
+				{"a random draw never reuses and is never stored", context.Background(), with(func(r *federation.Request) { r.Selector = selection.Random{L: 2} }),
+					federation.ServeFresh, nil, 3},
+				{"the original key still hits", context.Background(), req,
+					federation.ServeExact, nil, 3},
+			} {
+				res, kind, err := execute(row.ctx, row.req)
+				if !errors.Is(err, row.wantErr) || kind != row.want {
+					t.Fatalf("%s: kind=%v err=%v, want %v / %v", row.name, kind, err, row.want, row.wantErr)
+				}
+				if (kind == federation.ServeExact) != (res == warm) {
+					t.Fatalf("%s: served the wrong result", row.name)
+				}
+				if cache.Len() != row.stored {
+					t.Fatalf("%s: cache holds %d entries, want %d", row.name, cache.Len(), row.stored)
+				}
+			}
+		})
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"qens/internal/cluster"
 	"qens/internal/dataset"
@@ -267,8 +269,7 @@ func TestLeaderTrainValidation(t *testing.T) {
 func TestRouterRoutesQueryDrivenToOverlappingRegion(t *testing.T) {
 	router, _, _ := shardedFixture(t, 2, Config{})
 	ctx := context.Background()
-	res, kind, err := router.ExecuteQuery(ctx, mustQuery(t, "q-left", 1, 20, -500, 75),
-		selection.QueryDriven{Epsilon: 1e-9, TopL: 2}, federation.ModelAveraging)
+	res, kind, err := router.Execute(ctx, federation.Request{Query: mustQuery(t, "q-left", 1, 20, -500, 75), Selector: selection.QueryDriven{Epsilon: 1e-9, TopL: 2}, Aggregation: federation.ModelAveraging})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,8 +298,7 @@ func TestRouterRoutesQueryDrivenToOverlappingRegion(t *testing.T) {
 
 func TestRouterZeroOverlapIsNoCandidates(t *testing.T) {
 	router, _, _ := shardedFixture(t, 2, Config{})
-	_, _, err := router.ExecuteQuery(context.Background(), mustQuery(t, "q-miss", 500, 600, 2000, 3000),
-		selection.QueryDriven{Epsilon: 1e-9, TopL: 2}, federation.ModelAveraging)
+	_, _, err := router.Execute(context.Background(), federation.Request{Query: mustQuery(t, "q-miss", 500, 600, 2000, 3000), Selector: selection.QueryDriven{Epsilon: 1e-9, TopL: 2}, Aggregation: federation.ModelAveraging})
 	if !errors.Is(err, selection.ErrNoCandidates) {
 		t.Fatalf("zero-overlap error = %v, want ErrNoCandidates", err)
 	}
@@ -314,8 +314,7 @@ func TestRouterZeroOverlapIsNoCandidates(t *testing.T) {
 func TestRouterAllNodesFansOutEverywhere(t *testing.T) {
 	router, _, _ := shardedFixture(t, 2, Config{})
 	ctx := context.Background()
-	res, _, err := router.ExecuteQuery(ctx, mustQuery(t, "q-left-all", 1, 8, -500, 75),
-		selection.AllNodes{}, federation.ModelAveraging)
+	res, _, err := router.Execute(ctx, federation.Request{Query: mustQuery(t, "q-left-all", 1, 8, -500, 75), Selector: selection.AllNodes{}, Aggregation: federation.ModelAveraging})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,8 +330,7 @@ func TestRouterAllNodesFansOutEverywhere(t *testing.T) {
 func TestRouterSpanningRectFansOutEverywhere(t *testing.T) {
 	router, _, _ := shardedFixture(t, 2, Config{})
 	ctx := context.Background()
-	_, _, err := router.ExecuteQuery(ctx, mustQuery(t, "q-span", -100, 1000, -1000, 1000),
-		selection.QueryDriven{Epsilon: 1e-9, TopL: 4}, federation.ModelAveraging)
+	_, _, err := router.Execute(ctx, federation.Request{Query: mustQuery(t, "q-span", -100, 1000, -1000, 1000), Selector: selection.QueryDriven{Epsilon: 1e-9, TopL: 4}, Aggregation: federation.ModelAveraging})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,9 +358,9 @@ func TestRouterStatsAndFleetReport(t *testing.T) {
 			t.Fatalf("roster out of order: %v", ids)
 		}
 	}
-	space, err := router.Space(ctx)
-	if err != nil {
-		t.Fatal(err)
+	space := router.Describe(ctx).Space
+	if space == nil {
+		t.Fatal("no data space")
 	}
 	if space.Min[0] > 1 || space.Max[0] < slabs[len(slabs)-1][1]-1 {
 		t.Fatalf("space %v", space)
@@ -377,15 +375,15 @@ func TestRouterStatsAndFleetReport(t *testing.T) {
 	if st.Regions[0].Nodes != 3 || st.Regions[1].Nodes != 3 {
 		t.Fatalf("shard sizes %+v", st.Regions)
 	}
-	reports, err := router.FleetReport(ctx)
+	report, err := router.Fleet(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reports) != 2 {
-		t.Fatalf("%d region reports", len(reports))
+	if len(report.Regions) != 2 || len(report.Nodes) != len(slabs) {
+		t.Fatalf("%d region reports over %d nodes", len(report.Regions), len(report.Nodes))
 	}
-	for _, rep := range reports {
-		if len(rep.Health) != 3 || rep.Registry.Epoch == 0 {
+	for _, rep := range report.Regions {
+		if len(rep.Nodes) != 3 || len(rep.NodeIDs) != 3 || rep.RegistryEpoch == 0 {
 			t.Fatalf("region report %+v", rep)
 		}
 	}
@@ -403,5 +401,52 @@ func TestRouterRejectsBadTopologies(t *testing.T) {
 	if _, err := NewRouter(Config{Spec: ml.Spec{Kind: "nope"}, Seed: 1},
 		[]Service{leaders[0]}); err == nil {
 		t.Fatal("accepted invalid spec")
+	}
+}
+
+// stalledRegion answers Info only while live.
+type stalledRegion struct {
+	Service
+	live *atomic.Bool
+}
+
+func (r stalledRegion) Info(ctx context.Context) (Info, error) {
+	if r.live.Load() {
+		return r.Service.Info(ctx)
+	}
+	<-ctx.Done()
+	return Info{}, ctx.Err()
+}
+
+// TestRouterHealthBounded: a region that stopped answering Info cannot
+// stall the health probe past its context; the roster size then comes
+// from the last valid topology.
+func TestRouterHealthBounded(t *testing.T) {
+	_, leaders, _ := shardedFixture(t, 2, Config{})
+	var live atomic.Bool
+	live.Store(true)
+	router, err := NewRouter(Config{Spec: ml.PaperLR(1), Seed: 1},
+		[]Service{stalledRegion{leaders[0], &live}, stalledRegion{leaders[1], &live}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := router.Health(context.Background()); got["nodes"] != len(slabs) || got["regions"] != 2 {
+		t.Fatalf("healthy probe: %v", got)
+	}
+	// A pushed Info with another membership invalidates the routing
+	// view: the next resolve needs every region's Info.
+	live.Store(false)
+	router.ApplyRegionInfo(Info{RegionID: "region-1", Epoch: 1 << 40})
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if got := router.Health(ctx); got["nodes"] != len(slabs) || got["regions"] != 2 {
+		t.Fatalf("probe during a failed refresh: %v, want the last valid roster", got)
+	}
+	if time.Since(start) > 2*time.Second {
+		t.Fatal("health probe outlived its context")
+	}
+	if _, err := router.NodeIDs(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("roster refresh: err = %v, want the stalled Info's deadline", err)
 	}
 }

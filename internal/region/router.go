@@ -37,27 +37,11 @@ type Config struct {
 	// model init). With the same seed, fleet and query sequence, the
 	// sharded topology reproduces the single-leader path bit-exactly.
 	Seed uint64
-	// ReuseIoU enables the root-side result reuse cache at this IoU
-	// threshold (0 disables). Entries are fenced per region epoch: a
-	// requantize inside one shard kills only the entries that routed
-	// through it.
-	ReuseIoU float64
-	// ReuseCap bounds the reuse cache (default 32 when enabled).
-	ReuseCap int
-	// ApproxCoverage enables the root's approximate answering tier:
-	// after an exact-IoU miss, a basis-valid cached entry covering at
-	// least this fraction of the query rectangle's volume still
-	// serves it — zero regional fan-out, zero training RPCs. Requires
-	// ReuseIoU != 0; 0 disables (bit-exact with the plain cache).
-	ApproxCoverage float64
 }
 
 func (c Config) withDefaults() Config {
 	if c.LocalEpochs == 0 {
 		c.LocalEpochs = 5
-	}
-	if c.ReuseCap == 0 {
-		c.ReuseCap = 32
 	}
 	return c
 }
@@ -118,7 +102,9 @@ type Router struct {
 	topo   atomic.Pointer[topology]
 	gen    atomic.Uint64
 
-	cache *reuseCache
+	// fence validates reuse-cache entries against the members' latest
+	// observed epochs (see federation.Fence.Current).
+	fence federation.Fence
 
 	queries       atomic.Int64
 	spanning      atomic.Int64 // fan-outs that hit every region
@@ -155,15 +141,7 @@ func NewRouter(cfg Config, services []Service) (*Router, error) {
 		seen[svc.ID()] = true
 		r.members = append(r.members, &member{svc: svc, id: svc.ID()})
 	}
-	if cfg.ReuseIoU != 0 {
-		c, err := newReuseCache(cfg.ReuseIoU, cfg.ReuseCap, cfg.ApproxCoverage)
-		if err != nil {
-			return nil, err
-		}
-		r.cache = c
-	} else if cfg.ApproxCoverage != 0 {
-		return nil, errors.New("region: approx coverage requires the reuse cache (ReuseIoU != 0)")
-	}
+	r.fence.Current = func(i int) uint64 { return r.members[i].epoch.Load() }
 	r.metricReg.SetHelp("qens_region_routed_total", "Queries fanned out to each region by the root coordinator.")
 	return r, nil
 }
@@ -373,16 +351,6 @@ func (r *Router) NodeIDs(ctx context.Context) ([]string, error) {
 	return t.nodeIDs, nil
 }
 
-// Space returns the global data space: the union of every region's
-// covering rectangle.
-func (r *Router) Space(ctx context.Context) (geometry.Rect, error) {
-	t, err := r.topology(ctx)
-	if err != nil {
-		return geometry.Rect{}, err
-	}
-	return t.space, nil
-}
-
 // route picks the regions that could hold supporting clusters for the
 // query. Only the paper's query-driven mechanism may prune: every
 // other selector picks by roster position (or warm-up loss), so its
@@ -398,20 +366,17 @@ func (r *Router) Space(ctx context.Context) (geometry.Rect, error) {
 // support threshold. Returns member indices in ascending order. A
 // query no region can support has no supporting cluster anywhere, so
 // it surfaces selection.ErrNoCandidates — the gateway's 422
-// no-candidates taxonomy, not a routing failure.
+// no-candidates taxonomy, not a routing failure. Pure: planFanout does
+// the counting.
 func (r *Router) route(t *topology, q query.Query, sel selection.Selector, eps float64) ([]int, error) {
 	_, prune := sel.(selection.QueryDriven)
-	all := make([]int, len(r.members))
-	for i := range all {
-		all[i] = i
-	}
-	if !prune {
-		return all, nil
-	}
 	// Rectangle-spanning fallback: a query covering the whole indexed
 	// space fans out everywhere without walking the tree.
-	if q.Bounds.Dims() == t.dims && q.Bounds.ContainsRect(t.space) {
-		r.spanning.Add(1)
+	if !prune || (q.Bounds.Dims() == t.dims && q.Bounds.ContainsRect(t.space)) {
+		all := make([]int, len(r.members))
+		for i := range all {
+			all[i] = i
+		}
 		return all, nil
 	}
 	hit := make([]bool, len(r.members))
@@ -429,13 +394,8 @@ func (r *Router) route(t *topology, q query.Query, sel selection.Selector, eps f
 		}
 		routed = append(routed, i)
 	}
-	r.regionsPruned.Add(int64(len(all) - len(routed)))
 	if len(routed) == 0 {
-		r.noRoute.Add(1)
 		return nil, selection.ErrNoCandidates
-	}
-	if len(routed) == len(all) {
-		r.spanning.Add(1)
 	}
 	return routed, nil
 }
@@ -477,17 +437,28 @@ func epsilonFor(sel selection.Selector) float64 {
 // planFanout routes the query, fans Plan RPCs out to the routed
 // regions, and merges their ranking rows into global roster order.
 // Returns the merged rows, the routed member indices and the per-region
-// epoch basis the rankings derive from.
-func (r *Router) planFanout(ctx context.Context, parent *telemetry.SpanHandle, t *topology, q query.Query, sel selection.Selector, eps float64) ([]selection.NodeRank, []int, []epochPair, error) {
+// epoch basis the rankings derive from: a result (or plan key) built on
+// them is valid only while every routed member still reports the epoch
+// stamped here.
+func (r *Router) planFanout(ctx context.Context, parent *telemetry.SpanHandle, t *topology, q query.Query, sel selection.Selector, eps float64) ([]selection.NodeRank, []int, []federation.EpochStamp, error) {
 	routed, err := r.route(t, q, sel, eps)
-	if err != nil {
-		return nil, nil, nil, err
-	}
 	// The paper's stateless query-driven policy never reads per-node
 	// overlap vectors, so its fan-out may take the regions'
 	// R-tree-pruned kernel; every other selector needs full-fidelity
 	// rows.
 	_, queryDriven := sel.(selection.QueryDriven)
+	if queryDriven && (err == nil || errors.Is(err, selection.ErrNoCandidates)) {
+		r.regionsPruned.Add(int64(len(r.members) - len(routed)))
+		switch len(routed) {
+		case 0:
+			r.noRoute.Add(1)
+		case len(r.members):
+			r.spanning.Add(1)
+		}
+	}
+	if err != nil {
+		return nil, nil, nil, err
+	}
 	resps := make([]PlanResponse, len(routed))
 	errs := make([]error, len(routed))
 	var wg sync.WaitGroup
@@ -496,26 +467,21 @@ func (r *Router) planFanout(ctx context.Context, parent *telemetry.SpanHandle, t
 		go func(k, mi int) {
 			defer wg.Done()
 			m := r.members[mi]
-			var sp *telemetry.SpanHandle
-			if parent != nil {
-				sp = parent.Child("region.plan")
-				sp.SetAttr("region", m.id)
-			}
+			sp := parent.Child("region.plan") // a nil parent's child is a no-op
+			sp.SetAttr("region", m.id)
 			resps[k], errs[k] = m.svc.Plan(ctx, PlanRequest{Query: q, Epsilon: eps, QueryDriven: queryDriven})
-			if sp != nil {
-				sp.End(errs[k])
-			}
+			sp.End(errs[k])
 		}(k, mi)
 	}
 	wg.Wait()
-	basis := make([]epochPair, len(routed))
+	basis := make([]federation.EpochStamp, len(routed))
 	var merged []selection.NodeRank
 	for k, mi := range routed {
 		if errs[k] != nil {
 			return nil, nil, nil, fmt.Errorf("region: plan on %s: %w", r.members[mi].id, errs[k])
 		}
 		r.members[mi].observe(resps[k].Epoch)
-		basis[k] = epochPair{member: mi, epoch: resps[k].Epoch}
+		basis[k] = federation.EpochStamp{Source: mi, Epoch: resps[k].Epoch}
 		merged = append(merged, resps[k].Ranks...)
 	}
 	// Canonical global order: sort by roster index (node id breaks
@@ -555,53 +521,91 @@ func selectErr(sel selection.Selector, q query.Query, err error) error {
 	return fmt.Errorf("federation: %s selection for %s: %w", sel.Name(), q.ID, err)
 }
 
-// ExecuteQuery implements the gateway Executor seam: plan across the
-// routed regions, select globally, train across the shards, aggregate.
-// The returned kind says which tier answered: exact root-cache hit,
-// approximate coverage-based serve, or a fresh regional fan-out.
-func (r *Router) ExecuteQuery(ctx context.Context, q query.Query, sel selection.Selector, agg federation.Aggregation) (*federation.Result, federation.ServeKind, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, federation.ServeFresh, err
-	}
-	// Only deterministic stateless policies are reusable: a random
-	// draw must stay in lock-step with the RNG stream, and stateful
-	// selectors advance per invocation.
-	cacheable := r.cache != nil && reusableSelector(sel)
-	if cacheable {
-		if res, approx := r.cache.lookup(q, sel.Name(), agg.String(), r.memberEpoch); res != nil {
-			if approx {
-				return res, federation.ServeApprox, nil
-			}
-			return res, federation.ServeExact, nil
-		}
-	}
-	res, basis, err := r.execute(ctx, q, sel, agg)
-	if err != nil {
-		return nil, federation.ServeFresh, err
-	}
-	if cacheable {
-		r.cache.store(q, sel.Name(), agg.String(), res, basis)
-	}
-	return res, federation.ServeFresh, nil
+// rootPlan is the outcome of the root's selection stage.
+type rootPlan struct {
+	t      *topology
+	eps    float64
+	ranks  []selection.NodeRank    // merged, in global roster order
+	routed []int                   // members the query routes to
+	basis  []federation.EpochStamp // the routed members' epochs behind ranks
+	parts  []selection.Participant
 }
 
-// memberEpoch is the cache's validation hook: the latest epoch
-// observed from member i.
-func (r *Router) memberEpoch(i int) uint64 { return r.members[i].epoch.Load() }
-
-// reusableSelector reports whether results under sel may be served
-// from the reuse cache.
-func reusableSelector(sel selection.Selector) bool {
-	switch sel.(type) {
-	case selection.QueryDriven, selection.AllNodes:
-		return true
-	default:
-		return false
+// plan is the selection stage execute, PlanKey and ExplainQuery share:
+// resolve the topology, route, fan the ranking out, merge, apply the
+// policy — under one "selection" span like the single-leader path.
+// everywhere ranks every region with full-fidelity rows (EXPLAIN shows
+// the complete fleet); routed and basis describe the routed regions
+// either way. A non-nil seed means the query goes on to train: the
+// fan-out counts as routed, and the model seed is drawn under the same
+// lock as the selection draw, which keeps the RNG stream per-query
+// atomic, in the single leader's draw order.
+func (r *Router) plan(ctx context.Context, qspan *telemetry.SpanHandle, q query.Query, sel selection.Selector, everywhere bool, seed *uint64) (p rootPlan, err error) {
+	cs, ok := sel.(selection.CandidateSelector)
+	if !ok {
+		return p, fmt.Errorf("region: selector %s is not supported by the sharded topology", sel.Name())
 	}
+	if p.t, err = r.topology(ctx); err != nil {
+		return p, err
+	}
+	span := qspan.Child("selection")
+	p.eps = epsilonFor(sel)
+	if qd, ok := sel.(selection.QueryDriven); ok && (qd.TopL > 0) == (qd.Psi > 0) {
+		err = fmt.Errorf("selection: query-driven needs exactly one of TopL (%d) or Psi (%v)", qd.TopL, qd.Psi)
+	} else if !everywhere {
+		p.ranks, p.routed, p.basis, err = r.planFanout(ctx, span, p.t, q, sel, p.eps)
+	} else if p.routed, err = r.route(p.t, q, sel, p.eps); err == nil {
+		// AllNodes is not query-driven, so the fan-out reaches every
+		// region: all[i] is member i's stamp.
+		var all []federation.EpochStamp
+		if p.ranks, _, all, err = r.planFanout(ctx, span, p.t, q, selection.AllNodes{}, p.eps); err == nil {
+			for _, mi := range p.routed {
+				p.basis = append(p.basis, all[mi])
+			}
+		}
+	}
+	if err == nil {
+		if seed != nil {
+			for _, mi := range p.routed {
+				r.members[mi].routed.Add(1)
+				r.metricReg.Counter("qens_region_routed_total", telemetry.Label{Key: "region", Value: r.members[mi].id}).Inc()
+			}
+		}
+		set := selection.CandidateSet{Query: q, Epsilon: p.eps, Ranks: p.ranks}
+		r.selectMu.Lock()
+		if p.parts, err = cs.SelectFrom(&set, r.selectionContext()); err == nil && seed != nil {
+			*seed = uint64(r.src.Int63())
+		}
+		r.selectMu.Unlock()
+	}
+	span.End(err)
+	if err != nil {
+		return p, selectErr(sel, q, err)
+	}
+	return p, nil
+}
+
+// Execute is the root's one query entry point, with the single
+// leader's signature and serving sequence (federation.Serve): the reuse
+// tiers of req.Cache, fenced per region, in front of execute.
+func (r *Router) Execute(ctx context.Context, req federation.Request) (*federation.Result, federation.ServeKind, error) {
+	if req.Rounds > 1 {
+		return nil, federation.ServeFresh, fmt.Errorf("region: %d rounds; the sharded topology runs the paper's single round", req.Rounds)
+	}
+	return federation.Serve(req, federation.Tier{
+		Fence:    r.fence,
+		InputDim: r.cfg.Spec.InputDim,
+		Train: func() (*federation.Result, []federation.EpochStamp, error) {
+			return r.execute(ctx, req.Query, req.Selector, req.Aggregation)
+		},
+	})
 }
 
 // execute runs one query end to end across the sharded topology.
-func (r *Router) execute(ctx context.Context, q query.Query, sel selection.Selector, agg federation.Aggregation) (_ *federation.Result, _ []epochPair, retErr error) {
+func (r *Router) execute(ctx context.Context, q query.Query, sel selection.Selector, agg federation.Aggregation) (_ *federation.Result, _ []federation.EpochStamp, retErr error) {
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
 	start := time.Now()
 	qspan := r.activeTracer().StartTrace("query")
 	qspan.SetAttr("query", q.ID)
@@ -610,50 +614,14 @@ func (r *Router) execute(ctx context.Context, q query.Query, sel selection.Selec
 	defer func() { qspan.End(retErr) }()
 	r.queries.Add(1)
 
-	if qd, ok := sel.(selection.QueryDriven); ok {
-		if (qd.TopL > 0) == (qd.Psi > 0) {
-			return nil, nil, selectErr(sel, q, fmt.Errorf("selection: query-driven needs exactly one of TopL (%d) or Psi (%v)", qd.TopL, qd.Psi))
-		}
-	}
-	cs, ok := sel.(selection.CandidateSelector)
-	if !ok {
-		return nil, nil, fmt.Errorf("region: selector %s is not supported by the sharded topology", sel.Name())
-	}
-
-	t, err := r.topology(ctx)
+	// Stage 1: route + plan fan-out + global selection + seed draw.
+	selStart := time.Now()
+	spec := r.cfg.Spec
+	p, err := r.plan(ctx, qspan, q, sel, false, &spec.Seed)
 	if err != nil {
 		return nil, nil, err
 	}
-
-	// Stage 1: route + plan fan-out + global selection, under one
-	// selection span like the single-leader path.
-	selStart := time.Now()
-	selSpan := qspan.Child("selection")
-	eps := epsilonFor(sel)
-	merged, routed, basis, err := r.planFanout(ctx, selSpan, t, q, sel, eps)
-	var parts []selection.Participant
-	var spec ml.Spec
-	if err == nil {
-		for _, mi := range routed {
-			r.members[mi].routed.Add(1)
-			r.metricReg.Counter("qens_region_routed_total", telemetry.Label{Key: "region", Value: r.members[mi].id}).Inc()
-		}
-		set := selection.CandidateSet{Query: q, Epsilon: eps, Ranks: merged}
-		// One lock around the selection draw and the model-seed draw
-		// keeps the RNG stream per-query atomic, mirroring the
-		// single-leader executor's draw order under concurrency.
-		r.selectMu.Lock()
-		parts, err = cs.SelectFrom(&set, r.selectionContext())
-		if err == nil {
-			spec = r.cfg.Spec
-			spec.Seed = uint64(r.src.Int63())
-		}
-		r.selectMu.Unlock()
-	}
-	selSpan.End(err)
-	if err != nil {
-		return nil, nil, selectErr(sel, q, err)
-	}
+	t, parts := p.t, p.parts
 	selectionTime := time.Since(selStart)
 
 	// Stage 2: initial global model at the root (exactly the
@@ -672,6 +640,10 @@ func (r *Router) execute(ctx context.Context, q query.Query, sel selection.Selec
 		Participants: parts,
 	}
 	res.Stats.SamplesAllNodes = t.total
+	// Training rectangles stay leader-side; the query rectangle stands
+	// in for the trained subspace in the approximate tier's coverage
+	// term.
+	res.TrainMins, res.TrainMaxs, res.TrainDims = q.Bounds.Min, q.Bounds.Max, q.Dims()
 
 	outs, err := r.trainFanout(ctx, qspan, t, q, spec, initial, parts)
 	if err != nil {
@@ -691,7 +663,7 @@ func (r *Router) execute(ctx context.Context, q query.Query, sel selection.Selec
 	res.Stats.SelectionTime = selectionTime
 	res.Stats.WallTime = time.Since(start)
 	federation.ObserveQuery(r.metricReg, sel.Name(), selectionTime, len(res.Failed))
-	return res, basis, nil
+	return res, p.basis, nil
 }
 
 // trainFanout groups the participants by owning region (preserving
@@ -786,33 +758,24 @@ func (r *Router) trainFanout(ctx context.Context, qspan *telemetry.SpanHandle, t
 // selectors (query-driven, all-nodes) should be keyed — the gateway's
 // plan-ahead path enforces that.
 func (r *Router) PlanKey(ctx context.Context, q query.Query, sel selection.Selector) (string, error) {
-	cs, ok := sel.(selection.CandidateSelector)
-	if !ok {
-		return "", fmt.Errorf("region: selector %s is not supported by the sharded topology", sel.Name())
-	}
-	t, err := r.topology(ctx)
+	p, err := r.plan(ctx, nil, q, sel, false, nil)
 	if err != nil {
 		return "", err
 	}
-	eps := epsilonFor(sel)
-	merged, routed, basis, err := r.planFanout(ctx, nil, t, q, sel, eps)
-	if err != nil {
-		return "", selectErr(sel, q, err)
-	}
-	set := selection.CandidateSet{Query: q, Epsilon: eps, Ranks: merged}
-	parts, err := cs.SelectFrom(&set, r.selectionContext())
-	if err != nil {
-		return "", selectErr(sel, q, err)
-	}
+	return r.planKey(sel, p.basis, p.parts), nil
+}
+
+// planKey renders "region:epoch,…|selector|node:clusters|…".
+func (r *Router) planKey(sel selection.Selector, basis []federation.EpochStamp, parts []selection.Participant) string {
 	var b strings.Builder
 	b.Grow(24 + 16*len(parts))
-	for k, mi := range routed {
+	for k, st := range basis {
 		if k > 0 {
 			b.WriteByte(',')
 		}
-		b.WriteString(r.members[mi].id)
+		b.WriteString(r.members[st.Source].id)
 		b.WriteByte(':')
-		b.WriteString(strconv.FormatUint(basis[k].epoch, 10))
+		b.WriteString(strconv.FormatUint(st.Epoch, 10))
 	}
 	b.WriteByte('|')
 	b.WriteString(sel.Name())
@@ -829,59 +792,27 @@ func (r *Router) PlanKey(ctx context.Context, q query.Query, sel selection.Selec
 			}
 		}
 	}
-	return b.String(), nil
+	return b.String()
 }
 
-// Explain is the EXPLAIN surface behind the gateway's /v1/plan in
-// router mode: the full cross-region ranking (every region is planned,
-// routing pruning does not apply) plus the participants the policy
-// would select.
-type Explain struct {
-	Epsilon      float64
-	Generation   uint64
-	Rankings     []selection.NodeRank
-	Participants []selection.Participant
-	Regions      []string
-}
-
-// ExplainQuery plans the query across all regions and applies the
-// selection policy without training.
-func (r *Router) ExplainQuery(ctx context.Context, q query.Query, sel selection.Selector) (*Explain, error) {
-	cs, ok := sel.(selection.CandidateSelector)
-	if !ok {
-		return nil, fmt.Errorf("region: selector %s is not supported by the sharded topology", sel.Name())
-	}
-	t, err := r.topology(ctx)
+// ExplainQuery is the EXPLAIN surface behind the gateway's /v1/plan:
+// the ranking shows the complete fleet, including nodes routing would
+// prune; Key is what PlanKey returns for the same query.
+func (r *Router) ExplainQuery(ctx context.Context, q query.Query, sel selection.Selector) (*federation.Explanation, error) {
+	p, err := r.plan(ctx, nil, q, sel, true, nil)
 	if err != nil {
 		return nil, err
 	}
-	eps := epsilonFor(sel)
-	// Plan against every region — EXPLAIN output shows the complete
-	// fleet ranking, including nodes routing would prune.
-	all := allNodesSelector{}
-	merged, _, _, err := r.planFanout(ctx, nil, t, q, all, eps)
-	if err != nil {
-		return nil, selectErr(sel, q, err)
-	}
-	set := selection.CandidateSet{Query: q, Epsilon: eps, Ranks: merged}
-	r.selectMu.Lock()
-	parts, err := cs.SelectFrom(&set, r.selectionContext())
-	r.selectMu.Unlock()
-	if err != nil {
-		return nil, selectErr(sel, q, err)
-	}
-	return &Explain{
-		Epsilon:      eps,
-		Generation:   t.gen,
-		Rankings:     merged,
-		Participants: parts,
+	return &federation.Explanation{
+		Epoch:        p.t.gen,
+		Selector:     sel.Name(),
+		Epsilon:      p.eps,
+		Key:          r.planKey(sel, p.basis, p.parts),
 		Regions:      r.Regions(),
+		Participants: p.parts,
+		Rankings:     p.ranks,
 	}, nil
 }
-
-// allNodesSelector forces planFanout's route() to fan out everywhere
-// (it is not QueryDriven) while keeping the caller's ε.
-type allNodesSelector = selection.AllNodes
 
 // RegionStat is one region's routing view in RouterStats. Registry
 // carries the region's own registry counters (index/prune/delta
@@ -906,7 +837,6 @@ type RouterStats struct {
 	NoRoute       int64        `json:"no_route_rejects"`
 	RegionsPruned int64        `json:"regions_pruned"`
 	TopoPatches   int64        `json:"topology_patches"`
-	Reuse         *ReuseStats  `json:"reuse_cache,omitempty"`
 	Regions       []RegionStat `json:"regions"`
 }
 
@@ -925,60 +855,93 @@ func (r *Router) Stats(ctx context.Context) (RouterStats, error) {
 		RegionsPruned: r.regionsPruned.Load(),
 		TopoPatches:   r.topoPatches.Load(),
 	}
-	if r.cache != nil {
-		rs := r.cache.stats()
-		st.Reuse = &rs
-	}
-	// Best-effort per-region registry counters: a slow or failed region
-	// leaves its Registry block nil instead of failing the whole report.
-	regStats := make([]*registry.Stats, len(r.members))
-	var wg sync.WaitGroup
+	reps, errs := r.regionStats(ctx)
 	for i, m := range r.members {
-		wg.Add(1)
-		go func(i int, m *member) {
-			defer wg.Done()
-			if rs, err := m.svc.Stats(ctx); err == nil {
-				cp := rs.Registry
-				regStats[i] = &cp
-			}
-		}(i, m)
-	}
-	wg.Wait()
-	for i, m := range r.members {
-		ids := make([]string, 0, len(t.infos[i].Nodes))
-		for _, n := range t.infos[i].Nodes {
-			ids = append(ids, n.NodeID)
-		}
-		st.Regions = append(st.Regions, RegionStat{
+		ids := t.infos[i].nodeIDs()
+		rs := RegionStat{
 			RegionID: m.id,
 			Nodes:    len(ids),
 			Epoch:    m.epoch.Load(),
 			Routed:   m.routed.Load(),
 			NodeIDs:  ids,
-			Registry: regStats[i],
-		})
+		}
+		// Best-effort registry counters: a slow or failed region leaves
+		// its block nil instead of failing the whole report.
+		if errs[i] == nil {
+			rs.Registry = &reps[i].Registry
+		}
+		st.Regions = append(st.Regions, rs)
 	}
 	return st, nil
 }
 
-// FleetReport gathers every region's Stats (registry state + per-node
-// health) for the gateway's /v1/fleet.
-func (r *Router) FleetReport(ctx context.Context) ([]Stats, error) {
-	out := make([]Stats, len(r.members))
+// regionStats asks every region for its Stats concurrently.
+func (r *Router) regionStats(ctx context.Context) ([]Stats, []error) {
+	reps := make([]Stats, len(r.members))
 	errs := make([]error, len(r.members))
 	var wg sync.WaitGroup
 	for i, m := range r.members {
 		wg.Add(1)
 		go func(i int, m *member) {
 			defer wg.Done()
-			out[i], errs[i] = m.svc.Stats(ctx)
+			reps[i], errs[i] = m.svc.Stats(ctx)
 		}(i, m)
 	}
 	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("region: stats from %s: %w", r.members[i].id, err)
+	return reps, errs
+}
+
+// Describe is the topology's part of GET /v1/stats: the global roster,
+// the data space (the union of every region's covering rectangle) and
+// the routing view. Empty when the topology cannot be resolved.
+func (r *Router) Describe(ctx context.Context) Description {
+	st, err := r.Stats(ctx)
+	if err != nil {
+		return Description{}
+	}
+	t := r.topo.Load() // Stats resolved it
+	return Description{Nodes: t.nodeIDs, Space: &t.space, Router: &st}
+}
+
+// Health is the topology's part of /healthz. A region that stopped
+// answering Info fails the refresh within ctx; the roster size then
+// comes from the last valid topology.
+func (r *Router) Health(ctx context.Context) map[string]any {
+	t, err := r.topology(ctx)
+	if err != nil {
+		t = r.topo.Load()
+	}
+	nodes := 0
+	if t != nil {
+		nodes = len(t.nodeIDs)
+	}
+	return map[string]any{"nodes": nodes, "regions": len(r.members)}
+}
+
+// StopPush is a no-op: the root subscribes to nothing. Regions push
+// their Info upward through ApplyRegionInfo, which epoch-fences on its
+// own.
+func (r *Router) StopPush() {}
+
+// Fleet gathers every region's Stats (registry state + per-node
+// health) into the /v1/fleet document: one block per region, Nodes
+// their concatenation.
+func (r *Router) Fleet(ctx context.Context) (FleetReport, error) {
+	reps, errs := r.regionStats(ctx)
+	var out FleetReport
+	for i, rep := range reps {
+		if errs[i] != nil {
+			return FleetReport{}, fmt.Errorf("region: stats from %s: %w", r.members[i].id, errs[i])
 		}
+		out.Regions = append(out.Regions, RegionFleet{
+			RegionID:      rep.Info.RegionID,
+			Nodes:         rep.Health,
+			NodeIDs:       rep.Info.nodeIDs(),
+			RegistryEpoch: rep.Registry.Epoch,
+			RegistryStale: rep.Registry.Stale,
+			TotalSamples:  rep.Info.TotalSamples,
+		})
+		out.Nodes = append(out.Nodes, rep.Health...)
 	}
 	return out, nil
 }

@@ -61,6 +61,14 @@ type Info struct {
 	TotalSamples int `json:"total_samples"`
 }
 
+func (i Info) nodeIDs() []string {
+	ids := make([]string, len(i.Nodes))
+	for k, n := range i.Nodes {
+		ids[k] = n.NodeID
+	}
+	return ids
+}
+
 // PlanRequest asks a region to rank its shard for one query at ε.
 // QueryDriven marks the ranking as feeding a stateless Eq. 2–4
 // selector, which lets the region take the R-tree-pruned fast path:
@@ -139,6 +147,38 @@ type Stats struct {
 	Info     Info               `json:"info"`
 	Registry registry.Stats     `json:"registry"`
 	Health   []fleet.NodeHealth `json:"health"`
+}
+
+// Description is a serving topology's part of the gateway's /v1/stats:
+// roster, global data space, and a single leader's registry counters
+// or the root router's routing view.
+type Description struct {
+	Nodes    []string        `json:"nodes"`
+	Space    *geometry.Rect  `json:"space,omitempty"`
+	Registry *registry.Stats `json:"registry,omitempty"`
+	Router   *RouterStats    `json:"router,omitempty"`
+}
+
+// FleetReport is the gateway's /v1/fleet document.
+type FleetReport struct {
+	Nodes []fleet.NodeHealth `json:"nodes"`
+	// RegistryEpoch/RegistryStale mirror a single leader's summary
+	// registry at report time.
+	RegistryEpoch uint64 `json:"registry_epoch"`
+	RegistryStale bool   `json:"registry_stale"`
+	// Regions carries per-region shard membership and health under the
+	// root router; Nodes is then the concatenation across regions.
+	Regions []RegionFleet `json:"regions,omitempty"`
+}
+
+// RegionFleet is one region's block of a FleetReport.
+type RegionFleet struct {
+	RegionID      string             `json:"region_id"`
+	Nodes         []fleet.NodeHealth `json:"nodes"`
+	NodeIDs       []string           `json:"node_ids"`
+	RegistryEpoch uint64             `json:"registry_epoch"`
+	RegistryStale bool               `json:"registry_stale"`
+	TotalSamples  int                `json:"total_samples"`
 }
 
 // Service is the regional-leader RPC surface the root coordinator

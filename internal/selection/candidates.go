@@ -100,6 +100,21 @@ type Stateful interface {
 	StatefulSelection()
 }
 
+// Deterministic reports whether sel picks the same participants from
+// the same candidates every time: no RNG draw, no per-invocation state,
+// no pre-test. Only such selections may be planned ahead for a
+// coalescing key or served from (and stored into) a reuse cache — a
+// random draw must stay in lock-step with the RNG stream, and stateful
+// selectors advance on every call.
+func Deterministic(sel Selector) bool {
+	switch sel.(type) {
+	case QueryDriven, AllNodes:
+		return true
+	default:
+		return false
+	}
+}
+
 // participantsFromRanks materializes chosen ranks in order, copying the
 // supporting sets so callers own them.
 func participantsFromRanks(chosen []NodeRank) []Participant {

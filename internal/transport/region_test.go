@@ -117,11 +117,11 @@ func TestRegionRPCEquivalentToLocal(t *testing.T) {
 			}
 
 			ctx := context.Background()
-			want, _, err := localRouter.ExecuteQuery(ctx, q, sel, federation.WeightedAveraging)
+			want, _, err := localRouter.Execute(ctx, federation.Request{Query: q, Selector: sel, Aggregation: federation.WeightedAveraging})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := remoteRouter.ExecuteQuery(ctx, q, sel, federation.WeightedAveraging)
+			got, _, err := remoteRouter.Execute(ctx, federation.Request{Query: q, Selector: sel, Aggregation: federation.WeightedAveraging})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,16 +149,16 @@ func TestRegionRPCEquivalentToLocal(t *testing.T) {
 			}
 
 			// Stats and fleet reports cross the wire intact.
-			reports, err := remoteRouter.FleetReport(ctx)
+			report, err := remoteRouter.Fleet(ctx)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(reports) != 2 {
-				t.Fatalf("fleet report has %d regions, want 2", len(reports))
+			if len(report.Regions) != 2 {
+				t.Fatalf("fleet report has %d regions, want 2", len(report.Regions))
 			}
-			for _, rep := range reports {
-				if rep.Info.Epoch == 0 || len(rep.Info.Nodes) != 2 || len(rep.Health) != 2 {
-					t.Fatalf("region report %+v incomplete", rep.Info)
+			for _, rep := range report.Regions {
+				if rep.RegistryEpoch == 0 || len(rep.NodeIDs) != 2 || len(rep.Nodes) != 2 {
+					t.Fatalf("region report %+v incomplete", rep)
 				}
 			}
 		})

@@ -3,8 +3,8 @@
 # qens-gateway and qensload, boot a tiny simulated fleet, fire a short
 # closed-loop load run, then SIGTERM the gateway and assert it drains
 # cleanly; then repeat against a sharded topology (two qens-region
-# daemons under a root gateway) and assert the per-region routing
-# surface; then a sustained-ingest soak (one qensd streaming with a
+# daemons under a root gateway with the reuse cache on) and assert the
+# per-region routing surface and the root's cache hits; then a sustained-ingest soak (one qensd streaming with a
 # drift schedule, one on wire v1, under closed-loop load) asserting
 # autonomous escalation, push-mode freshness with a v1 pull fallback,
 # and a flat p99. Used by `make loadsmoke` / `make ci`.
@@ -148,7 +148,7 @@ done
 
 echo "loadsmoke: starting root gateway on $SHARD_ADDR"
 "$BIN/qens-gateway" -addr "$SHARD_ADDR" -region-addrs "$R0_ADDR,$R1_ADDR" \
-    -workers 4 -queue 32 &
+    -workers 4 -queue 32 -reuse-iou 0.9 &
 GW_PID=$!
 
 echo "loadsmoke: running closed-loop load against the sharded topology"
@@ -174,6 +174,21 @@ for want in '"router"' '"region_id":"region-0"' '"region_id":"region-1"' '"route
             ;;
     esac
 done
+# The root fronts the regions with the same reuse cache a single leader
+# gets: its scoreboard sits at the top level of /v1/stats, and the 6
+# distinct rectangles of the load run must have hit it.
+reuse_hits=$(printf '%s' "$stats_json" | sed -n 's/.*"reuse_cache":{"hits":\([0-9]*\).*/\1/p')
+if [ -z "$reuse_hits" ] || [ "$reuse_hits" -eq 0 ]; then
+    echo "loadsmoke: FAIL root /v1/stats reports no reuse_cache hits: $stats_json" >&2
+    exit 1
+fi
+case "$stats_json" in
+    *'"router":{'*'"reuse_cache"'*)
+        echo "loadsmoke: FAIL /v1/stats still nests a reuse_cache under router: $stats_json" >&2
+        exit 1
+        ;;
+esac
+echo "loadsmoke: root reuse cache served $reuse_hits hits"
 fleet_json=$(curl -sf "$SHARD_URL/v1/fleet")
 for want in '"regions"' '"region_id":"region-0"' '"registry_epoch"' '"score"'; do
     case "$fleet_json" in
