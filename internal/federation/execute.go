@@ -9,6 +9,7 @@ import (
 	"qens/internal/query"
 	"qens/internal/registry"
 	"qens/internal/selection"
+	"qens/internal/telemetry"
 )
 
 // Request is one query handed to Leader.Execute.
@@ -38,6 +39,39 @@ type Request struct {
 	// query nobody can train before rejecting it: a cached ensemble may
 	// still cover a rectangle no current advertisement supports.
 	CacheOnly bool
+	// Prepared, when non-nil, is the selection stage already run for this
+	// query (the gateway plans at admission). Execute trains from it while
+	// its basis is still current and plans afresh otherwise.
+	Prepared *Prepared
+}
+
+// Prepared is a selection stage's outcome. It owns its memory, so a
+// request that is shed, cancelled or coalesced away just drops it. Only
+// selection.Deterministic selections are prepared ahead — planning any
+// other consumes RNG draws or selector state that belong to execution.
+type Prepared struct {
+	Participants []selection.Participant
+	// Epoch is the basis the participants were ranked against: the
+	// leader's snapshot epoch; under the root router the topology
+	// generation, with Stamps the routed regions' epochs.
+	Epoch  uint64
+	Stamps []EpochStamp
+	// PlanTime is how long ranking and selection took (qens_selection_ms).
+	PlanTime time.Duration
+	// PlanKey fingerprints the selection (plan.Plan.Key's format): equal
+	// keys mean the same participants with the same training directives
+	// at the same basis, so the executions are interchangeable.
+	PlanKey string
+
+	snap *registry.Snapshot // leader: where the training rectangles are cut from
+}
+
+// Key is PlanKey, "" on a nil Prepared.
+func (p *Prepared) Key() string {
+	if p == nil {
+		return ""
+	}
+	return p.PlanKey
 }
 
 // ErrNotCached is a CacheOnly request's miss.
@@ -145,11 +179,30 @@ func (l *Leader) Execute(ctx context.Context, req Request) (*Result, ServeKind, 
 	})
 }
 
-// train is Execute past the cache: the two-stage pipeline of
-// planner.Plan (pure CPU, lock-free over the registry snapshot)
-// followed by the I/O-bound rounds. When a tracer is installed it
-// emits one trace with selection, per-node train and aggregation spans
-// sharing the query's trace ID.
+// Prepare runs the selection stage alone and copies the outcome out of
+// the planner's arenas. No training RPC is issued.
+func (l *Leader) Prepare(ctx context.Context, q query.Query, sel selection.Selector) (*Prepared, error) {
+	return l.prepare(ctx, nil, q, sel)
+}
+
+func (l *Leader) prepare(ctx context.Context, qspan *telemetry.SpanHandle, q query.Query, sel selection.Selector) (*Prepared, error) {
+	start := time.Now()
+	pl, err := l.plan(ctx, qspan, q, sel, false)
+	if err != nil {
+		return nil, err
+	}
+	defer pl.Release()
+	return &Prepared{
+		Participants: pl.CopyParticipants(), Epoch: pl.Epoch, PlanKey: pl.Key(),
+		snap: pl.Snapshot(), PlanTime: time.Since(start),
+	}, nil
+}
+
+// train is Execute past the cache: the selection stage — req.Prepared
+// while the registry still reports the epoch it was ranked against (the
+// reuse fence's comparison), planned now otherwise — then the I/O-bound
+// rounds. With a tracer installed it emits one trace of selection (when
+// it planned), per-node train and aggregation spans.
 func (l *Leader) train(ctx context.Context, req Request) (_ *Result, retErr error) {
 	rounds, agg := max(req.Rounds, 1), req.Aggregation
 	if err := ctx.Err(); err != nil {
@@ -159,11 +212,15 @@ func (l *Leader) train(ctx context.Context, req Request) (_ *Result, retErr erro
 	qspan := l.startQuerySpan(req.Query, req.Selector)
 	defer func() { qspan.End(retErr) }()
 
-	pl, selectionTime, err := l.planWithSpan(ctx, qspan, req.Query, req.Selector)
-	if err != nil {
-		return nil, err
+	prep := req.Prepared
+	var selectionTime time.Duration
+	if prep == nil || prep.snap == nil || prep.Epoch != l.reg.ReuseEpoch() || !selection.Deterministic(req.Selector) {
+		var err error
+		if prep, err = l.prepare(ctx, qspan, req.Query, req.Selector); err != nil {
+			return nil, err
+		}
+		selectionTime = prep.PlanTime
 	}
-	defer pl.Release()
 
 	// Initial global model w. Only its parameters travel: nodes seed
 	// their own models, so they are sent the configured spec.
@@ -175,19 +232,15 @@ func (l *Leader) train(ctx context.Context, req Request) (_ *Result, retErr erro
 	}
 	current := global.Params()
 
-	// The Result owns deep copies of the plan's participants, so
-	// releasing the plan afterwards is safe.
 	res := &Result{
-		Query:        pl.Query,
-		Epoch:        pl.Epoch,
-		Selector:     pl.Selector,
+		Query:        req.Query,
+		Epoch:        prep.Epoch,
+		Selector:     req.Selector.Name(),
 		Aggregation:  agg,
-		Participants: pl.CopyParticipants(),
+		Participants: prep.Participants,
 	}
-	if snap := pl.Snapshot(); snap != nil {
-		res.Stats.SamplesAllNodes = snap.TotalSamples
-		captureTrainingBounds(res, snap, res.Participants)
-	}
+	res.Stats.SamplesAllNodes = prep.snap.TotalSamples
+	captureTrainingBounds(res, prep.snap)
 	for r := 0; r < rounds; r++ {
 		outs := l.Round(ctx, RoundRequest{
 			Spec:         l.cfg.Spec,
@@ -214,18 +267,17 @@ func (l *Leader) train(ctx context.Context, req Request) (_ *Result, retErr erro
 	}
 	res.Stats.SelectionTime = selectionTime
 	res.Stats.WallTime = time.Since(start)
-	ObserveQuery(l.metrics, pl.Selector, selectionTime, len(res.Failed))
+	ObserveQuery(l.metrics, res.Selector, prep.PlanTime, len(res.Failed))
 	return res, nil
 }
 
 // captureTrainingBounds copies the supporting-cluster rectangles of
-// every participant out of the plan snapshot into the Result, before
-// the plan (and its snapshot reference) is released. A participant
-// with a nil cluster directive trains on its whole dataset, so all of
-// its advertised cluster rectangles count. The copy is a few hundred
-// floats at most and never touches the RNG, so seeded replays are
-// unaffected.
-func captureTrainingBounds(res *Result, snap *registry.Snapshot, participants []selection.Participant) {
+// every participant out of the plan snapshot into the Result. A
+// participant with a nil cluster directive trains on its whole dataset,
+// so all of its advertised cluster rectangles count. The copy is a few
+// hundred floats at most and never touches the RNG, so seeded replays
+// are unaffected.
+func captureTrainingBounds(res *Result, snap *registry.Snapshot) {
 	d := snap.Dims
 	if d <= 0 {
 		return
@@ -234,7 +286,7 @@ func captureTrainingBounds(res *Result, snap *registry.Snapshot, participants []
 	for i := range snap.Nodes {
 		byID[snap.Nodes[i].NodeID] = &snap.Nodes[i]
 	}
-	for _, p := range participants {
+	for _, p := range res.Participants {
 		g, ok := byID[p.NodeID]
 		if !ok {
 			continue

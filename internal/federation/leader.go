@@ -396,7 +396,8 @@ func (l *Leader) PreTest(ratioThreshold float64) (*selection.PreTestResult, erro
 
 // Stats accounts for one query execution.
 type Stats struct {
-	// SelectionTime is the leader-side time to rank and select.
+	// SelectionTime is the time this execution spent ranking and
+	// selecting: 0 when it trained from Request.Prepared.
 	SelectionTime time.Duration
 	// TrainTime is the summed node-reported training time.
 	TrainTime time.Duration
@@ -467,38 +468,41 @@ type Result struct {
 	Stats        Stats
 }
 
-// PlanContext runs only the pure-CPU planning stage for a query: the
-// registry snapshot is resolved (fetching the fleet at most once), the
-// candidate ranking is computed, and the selection policy applied — no
-// training RPC is issued. This is what the gateway's EXPLAIN endpoint
-// serves. The caller must Release the returned plan.
-func (l *Leader) PlanContext(ctx context.Context, q query.Query, sel selection.Selector) (*plan.Plan, error) {
+// plan resolves the registry snapshot (fetching the fleet at most once)
+// and runs the pure-CPU planning stage — candidate ranking, selection
+// policy — under a "selection" child of qspan (nil: untraced). explain
+// disables the spatial-index fast path so every ranking row carries
+// full per-dimension overlap detail; the participant set is the same.
+// Only selection failures are wrapped. The caller must Release the plan.
+func (l *Leader) plan(ctx context.Context, qspan *telemetry.SpanHandle, q query.Query, sel selection.Selector, explain bool) (*plan.Plan, error) {
 	snap, err := l.reg.Snapshot(ctx)
 	if err != nil {
 		return nil, err
 	}
-	pl, err := l.planner.PlanOn(snap, q, sel, l.selectionContext(ctx))
+	span := qspan.Child("selection")
+	var pl *plan.Plan
+	if explain {
+		pl, err = l.planner.ExplainOn(snap, q, sel, l.selectionContext(ctx))
+	} else {
+		pl, err = l.planner.PlanOn(snap, q, sel, l.selectionContext(ctx))
+	}
+	span.End(err)
 	if err != nil {
 		return nil, fmt.Errorf("federation: %s selection for %s: %w", sel.Name(), q.ID, err)
 	}
 	return pl, nil
 }
 
-// ExplainContext is PlanContext with the spatial-index fast path
-// disabled: every ranking row carries full per-dimension overlap
-// detail, which is what the gateway's EXPLAIN endpoint renders. The
-// participant set is identical to PlanContext's. The caller must
-// Release the returned plan.
+// PlanContext plans a query without issuing a training RPC. The caller
+// must Release the returned plan.
+func (l *Leader) PlanContext(ctx context.Context, q query.Query, sel selection.Selector) (*plan.Plan, error) {
+	return l.plan(ctx, nil, q, sel, false)
+}
+
+// ExplainContext is PlanContext with the full-detail ranking the
+// gateway's EXPLAIN endpoint renders.
 func (l *Leader) ExplainContext(ctx context.Context, q query.Query, sel selection.Selector) (*plan.Plan, error) {
-	snap, err := l.reg.Snapshot(ctx)
-	if err != nil {
-		return nil, err
-	}
-	pl, err := l.planner.ExplainOn(snap, q, sel, l.selectionContext(ctx))
-	if err != nil {
-		return nil, fmt.Errorf("federation: %s selection for %s: %w", sel.Name(), q.ID, err)
-	}
-	return pl, nil
+	return l.plan(ctx, nil, q, sel, true)
 }
 
 // Explanation is the EXPLAIN view of one query — what a topology would
@@ -514,17 +518,6 @@ type Explanation struct {
 	Regions      []string
 	Participants []selection.Participant
 	Rankings     []selection.NodeRank
-}
-
-// PlanKey plans the query and returns the plan's identity fingerprint
-// (see plan.Plan.Key) without training.
-func (l *Leader) PlanKey(ctx context.Context, q query.Query, sel selection.Selector) (string, error) {
-	pl, err := l.PlanContext(ctx, q, sel)
-	if err != nil {
-		return "", err
-	}
-	defer pl.Release()
-	return pl.Key(), nil
 }
 
 // ExplainQuery is ExplainContext copied out of the plan's arenas.
@@ -545,24 +538,6 @@ func (l *Leader) ExplainQuery(ctx context.Context, q query.Query, sel selection.
 		ex.Rankings[i] = nr
 	}
 	return ex, nil
-}
-
-// planWithSpan resolves the snapshot and plans under a selection span,
-// preserving the legacy error shapes: summary-fetch failures surface
-// unwrapped, selection failures get the "%s selection for %s" wrap.
-func (l *Leader) planWithSpan(ctx context.Context, qspan *telemetry.SpanHandle, q query.Query, sel selection.Selector) (*plan.Plan, time.Duration, error) {
-	snap, err := l.reg.Snapshot(ctx)
-	if err != nil {
-		return nil, 0, err
-	}
-	selStart := time.Now()
-	selSpan := startSelectionSpan(qspan)
-	pl, err := l.planner.PlanOn(snap, q, sel, l.selectionContext(ctx))
-	selSpan.End(err)
-	if err != nil {
-		return nil, 0, fmt.Errorf("federation: %s selection for %s: %w", sel.Name(), q.ID, err)
-	}
-	return pl, time.Since(selStart), nil
 }
 
 // EvaluateGlobal scores a single global model (e.g. the FedAvg output

@@ -3,6 +3,7 @@ package federation
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"qens/internal/dataset"
@@ -243,6 +244,46 @@ func TestExecuteNoCandidates(t *testing.T) {
 	far, _ := query.New("q-far", geometry.MustRect([]float64{1e6, 1e6}, []float64{2e6, 2e6}))
 	if _, err := fleet.Execute(far, selection.QueryDriven{Epsilon: 0.1, TopL: 2}, ModelAveraging); err == nil {
 		t.Fatal("expected no-candidates failure")
+	}
+}
+
+// TestPreparedOwnsItsMemory: a Prepared is detached from the planner's
+// pooled arenas and keys like the plan it came from, so it can sit in a
+// queue (or be dropped) while other queries plan; Execute trains exactly
+// its participants, and falls back to planning for one it cannot vouch
+// for.
+func TestPreparedOwnsItsMemory(t *testing.T) {
+	l, ctx := testFleet(t).Leader, context.Background()
+	q, sel := midQuery(t), selection.QueryDriven{Epsilon: 0.1, TopL: 2}
+	pl, err := l.PlanContext(ctx, q, sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, want := pl.Key(), pl.CopyParticipants()
+	pl.Release()
+	prep, err := l.Prepare(ctx, q, sel)
+	if err != nil || prep.Key() != key || prep.Epoch != l.SummaryEpoch() {
+		t.Fatalf("Prepare: key %q epoch %d err %v, want the plan's key %q at epoch %d", prep.Key(), prep.Epoch, err, key, l.SummaryEpoch())
+	}
+	// Other plans reuse the pooled arenas the selection was copied from.
+	for x := 0.0; x < 40; x += 5 {
+		other, _ := query.New("q-other", geometry.MustRect([]float64{x, -50}, []float64{x + 50, 250}))
+		if _, err := l.Prepare(ctx, other, selection.QueryDriven{Epsilon: 0.1, TopL: 3}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(prep.Participants, want) {
+		t.Fatalf("prepared participants changed under later plans: %+v, want %+v", prep.Participants, want)
+	}
+	res, _, err := l.Execute(ctx, Request{Query: q, Selector: sel, Prepared: prep})
+	if err != nil || !reflect.DeepEqual(res.Participants, want) || res.Stats.SelectionTime != 0 {
+		t.Fatalf("Execute from the prepared plan: %+v (selection %v) err %v", res, res.Stats.SelectionTime, err)
+	}
+	// A Prepared built elsewhere carries no snapshot to cut training
+	// rectangles from: execute plans for itself.
+	res, _, err = l.Execute(ctx, Request{Query: q, Selector: sel, Prepared: &Prepared{Epoch: prep.Epoch}})
+	if err != nil || !reflect.DeepEqual(res.Participants, want) || res.Stats.SelectionTime == 0 {
+		t.Fatalf("Execute from a foreign Prepared: %+v err %v, want a replan", res, err)
 	}
 }
 

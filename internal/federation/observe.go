@@ -69,11 +69,6 @@ func (l *Leader) startQuerySpan(q query.Query, sel selection.Selector) *telemetr
 	return sp
 }
 
-// startSelectionSpan opens the selection child span.
-func startSelectionSpan(parent *telemetry.SpanHandle) *telemetry.SpanHandle {
-	return parent.Child("selection")
-}
-
 // startTrainSpan opens a per-node train child span.
 func startTrainSpan(parent *telemetry.SpanHandle, nodeID string, round int) *telemetry.SpanHandle {
 	sp := parent.Child("train")

@@ -54,12 +54,6 @@ type Request struct {
 	// (0 uses the scheduler default). Queue wait does not consume the
 	// budget; admission control bounds that separately.
 	Timeout time.Duration
-	// PlanKey, when non-empty, is the plan.Plan.Key() fingerprint the
-	// submitter computed for this query (participants + training
-	// directives at one advertisement epoch). Two live requests with
-	// equal keys would execute identical work, so they coalesce
-	// exactly — regardless of rectangle IoU.
-	PlanKey string
 }
 
 // Config parameterizes a Scheduler.
@@ -77,8 +71,9 @@ type Config struct {
 	// CoalesceIoU enables request coalescing: a submission whose
 	// rectangle has IoU >= CoalesceIoU with a live (queued or
 	// executing) query under the same selector and aggregation
-	// attaches to that query instead of enqueueing. 0 disables;
-	// 1 coalesces only identical rectangles.
+	// attaches to that query instead of enqueueing. 1 coalesces only
+	// identical rectangles; 0 leaves only the exact match on the
+	// requests' Prepared keys; negative disables coalescing.
 	CoalesceIoU float64
 	// Executor runs admitted queries. Required.
 	Executor Executor
@@ -250,8 +245,8 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 	if cfg.QueueDepth < 1 {
 		return nil, fmt.Errorf("gateway: queue depth %d < 1", cfg.QueueDepth)
 	}
-	if cfg.CoalesceIoU < 0 || cfg.CoalesceIoU > 1 {
-		return nil, fmt.Errorf("gateway: coalesce IoU %v outside [0,1]", cfg.CoalesceIoU)
+	if cfg.CoalesceIoU > 1 {
+		return nil, fmt.Errorf("gateway: coalesce IoU %v > 1", cfg.CoalesceIoU)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Scheduler{
@@ -269,10 +264,10 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 }
 
 // coalesceMatch reports whether a live task can serve req: same
-// selector mechanism, same aggregation, and either an exact plan-key
-// match (the two queries would train the same participants on the same
-// clusters at the same advertisement epoch) or rectangle IoU at or
-// above the threshold.
+// selector mechanism, same aggregation, and either equal Prepared keys
+// (the two queries would train the same participants on the same
+// clusters at the same advertisement epoch, whatever their rectangles)
+// or rectangle IoU at or above the threshold.
 func coalesceMatch(live, incoming Request, minIoU float64) bool {
 	if live.Selector.Name() != incoming.Selector.Name() {
 		return false
@@ -280,7 +275,7 @@ func coalesceMatch(live, incoming Request, minIoU float64) bool {
 	if live.Aggregation != incoming.Aggregation {
 		return false
 	}
-	if live.PlanKey != "" && live.PlanKey == incoming.PlanKey {
+	if key := live.Prepared.Key(); key != "" && key == incoming.Prepared.Key() {
 		return true
 	}
 	if minIoU <= 0 {
@@ -315,7 +310,7 @@ func (s *Scheduler) Submit(ctx context.Context, req Request) (*Ticket, error) {
 		s.m.rejectedDrain.Inc()
 		return nil, ErrDraining
 	}
-	if s.cfg.CoalesceIoU > 0 || req.PlanKey != "" {
+	if s.cfg.CoalesceIoU >= 0 {
 		for _, t := range s.live {
 			if coalesceMatch(t.req, req, s.cfg.CoalesceIoU) {
 				s.mu.Unlock()

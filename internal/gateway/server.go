@@ -142,15 +142,11 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 
 // newServer builds the server over a resolved topology and cache.
 func newServer(cfg ServerConfig, srv Serving, cache *federation.ReuseCache) (*Server, error) {
-	coalesce := cfg.CoalesceIoU
-	if coalesce < 0 {
-		coalesce = 0 // explicit opt-out
-	}
 	sched, err := NewScheduler(Config{
 		Workers:        cfg.Workers,
 		QueueDepth:     cfg.QueueDepth,
 		DefaultTimeout: cfg.DefaultTimeout,
-		CoalesceIoU:    coalesce,
+		CoalesceIoU:    cfg.CoalesceIoU,
 		Executor:       srv,
 		Registry:       cfg.Registry,
 	})
@@ -390,25 +386,24 @@ func (s *Server) statefulSelector(key string, mk func() selection.Selector) sele
 	return sel
 }
 
-// planAheadKey runs the pure-CPU planning stage at admission time for
-// deterministic mechanisms and returns the plan's identity fingerprint
-// — the scheduler coalesces exact-key matches without an IoU
-// approximation. Nondeterministic (random draws) and stateful
-// (rotation, history) selectors return "" so admission does not
-// consume their state; they fall back to IoU coalescing. A query no
-// advertised cluster supports fails here with
-// selection.ErrNoCandidates before it can occupy a queue slot; any
-// other planning error is advisory (execution replans and surfaces
-// it).
-func (s *Server) planAheadKey(ctx context.Context, q query.Query, sel selection.Selector) (string, error) {
+// planAhead runs the selection stage at admission time for
+// deterministic mechanisms: the scheduler coalesces on the outcome's
+// key without an IoU approximation, and execution trains from it
+// instead of planning again. Nondeterministic and stateful selectors
+// return nil so admission does not consume their draws or state; they
+// plan inside execute and coalesce by IoU. A query no advertised
+// cluster supports fails here with selection.ErrNoCandidates before it
+// can occupy a queue slot; any other planning error is advisory
+// (execution replans and surfaces it).
+func (s *Server) planAhead(ctx context.Context, q query.Query, sel selection.Selector) (*federation.Prepared, error) {
 	if !selection.Deterministic(sel) {
-		return "", nil
+		return nil, nil
 	}
-	key, err := s.srv.PlanKey(ctx, q, sel)
+	p, err := s.srv.Prepare(ctx, q, sel)
 	if err != nil && !errors.Is(err, selection.ErrNoCandidates) {
-		return "", nil
+		return nil, nil
 	}
-	return key, err
+	return p, err
 }
 
 func buildAggregation(name string) (federation.Aggregation, error) {
@@ -496,8 +491,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	freq := federation.Request{Query: q, Selector: sel, Aggregation: agg, Cache: s.cache}
-	planKey, err := s.planAheadKey(r.Context(), q, sel)
-	if err != nil {
+	if freq.Prepared, err = s.planAhead(r.Context(), q, sel); err != nil {
 		// No edge node's cluster space supports the requested bounds.
 		// Before rejecting, ask the model cache: an ensemble trained on
 		// a nearby subspace can still answer within the predicted-error
@@ -517,15 +511,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity, "query %s: %v", id, err)
 		return
 	}
-	if s.cfg.CoalesceIoU < 0 {
-		planKey = "" // coalescing explicitly disabled
-	}
 
 	// The submitter's context carries the query deadline so an
 	// already-expired budget is rejected inside Submit too.
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
-	tk, err := s.sched.Submit(ctx, Request{Request: freq, Timeout: timeout, PlanKey: planKey})
+	tk, err := s.sched.Submit(ctx, Request{Request: freq, Timeout: timeout})
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrQueueFull):

@@ -264,28 +264,12 @@ func TestGatewayCoalesceDeterministic(t *testing.T) {
 
 	// Both records converge to done, sharing one execution.
 	for _, id := range []string{"orig", "dup"} {
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			var rec record
-			if code := getJSON(t, ts.URL+"/v1/query/"+id, &rec); code != http.StatusOK {
-				t.Fatalf("GET %s: status %d", id, code)
-			}
-			if rec.Status == recordDone {
-				if rec.Result == nil || len(rec.Result.Participants) == 0 {
-					t.Fatalf("record %s done without result", id)
-				}
-				if id == "dup" && !rec.Result.Coalesced {
-					t.Fatal("dup record not marked coalesced")
-				}
-				break
-			}
-			if rec.Status == recordError {
-				t.Fatalf("record %s failed: %s", id, rec.Error)
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("record %s stuck at %s", id, rec.Status)
-			}
-			time.Sleep(10 * time.Millisecond)
+		rec := awaitRecord(t, ts.URL, id)
+		if rec.Status != recordDone || rec.Result == nil || len(rec.Result.Participants) == 0 {
+			t.Fatalf("record %s: %s %s, result %v", id, rec.Status, rec.Error, rec.Result)
+		}
+		if id == "dup" && !rec.Result.Coalesced {
+			t.Fatal("dup record not marked coalesced")
 		}
 	}
 	getJSON(t, ts.URL+"/v1/stats", &stats)
@@ -310,18 +294,7 @@ func TestGatewayQueueOverflow429(t *testing.T) {
 		`{"bounds":{"min":[0,-50],"max":[20,150]},"selector":"all-nodes","async":true}`); code != http.StatusAccepted {
 		t.Fatalf("status %d (%v)", code, doc)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		var stats statsResponse
-		getJSON(t, ts.URL+"/v1/stats", &stats)
-		if stats.Scheduler.InFlight == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("first query never started executing")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	awaitInflight(t, ts.URL, 1)
 	// Fill the queue.
 	if code, doc, _ := postQuery(t, ts.URL,
 		`{"bounds":{"min":[10,-50],"max":[30,150]},"selector":"all-nodes","async":true}`); code != http.StatusAccepted {

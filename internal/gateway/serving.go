@@ -17,9 +17,10 @@ import (
 type Serving interface {
 	// Executor runs admitted queries, and CacheOnly ones.
 	Executor
-	// PlanKey plans without training and fingerprints the outcome:
-	// equal keys mean interchangeable executions.
-	PlanKey(ctx context.Context, q query.Query, sel selection.Selector) (string, error)
+	// Prepare runs the selection stage without training. The outcome
+	// rides on the admitted request: its Key is the coalescing
+	// fingerprint, and Execute trains from it while its basis holds.
+	Prepare(ctx context.Context, q query.Query, sel selection.Selector) (*federation.Prepared, error)
 	// ExplainQuery plans without training and keeps the full ranking.
 	ExplainQuery(ctx context.Context, q query.Query, sel selection.Selector) (*federation.Explanation, error)
 	// Describe is the topology's part of /v1/stats; what cannot be
@@ -35,7 +36,7 @@ type Serving interface {
 	StopPush()
 }
 
-// leaderServing serves a single-leader fleet. Execute, PlanKey,
+// leaderServing serves a single-leader fleet. Execute, Prepare,
 // ExplainQuery, SetTracer and StopPush are the leader's own.
 type leaderServing struct {
 	*federation.Leader

@@ -5,12 +5,19 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"qens/internal/cluster"
 	"qens/internal/federation"
+	"qens/internal/geometry"
 	"qens/internal/ml"
 	"qens/internal/query"
 	"qens/internal/region"
@@ -356,8 +363,8 @@ func (s *stubServing) Execute(ctx context.Context, req federation.Request) (*fed
 	return &federation.Result{Query: req.Query, Selector: req.Selector.Name(), Ensemble: &federation.Ensemble{}}, federation.ServeFresh, nil
 }
 
-func (s *stubServing) PlanKey(context.Context, query.Query, selection.Selector) (string, error) {
-	return "k", s.planErr
+func (s *stubServing) Prepare(context.Context, query.Query, selection.Selector) (*federation.Prepared, error) {
+	return &federation.Prepared{PlanKey: "k"}, s.planErr
 }
 
 func (s *stubServing) ExplainQuery(_ context.Context, _ query.Query, sel selection.Selector) (*federation.Explanation, error) {
@@ -428,5 +435,520 @@ func TestServingErrorTaxonomy(t *testing.T) {
 	getJSONDoc(t, ts.URL+"/healthz")
 	if !stub.healthDeadline {
 		t.Fatal("/healthz handed the topology an unbounded context")
+	}
+}
+
+// servingOf resolves a ServerConfig's topology the way NewServer does.
+func servingOf(cfg ServerConfig) Serving {
+	if cfg.Leader != nil {
+		return leaderServing{Leader: cfg.Leader, wire: cfg.WireStatus}
+	}
+	return cfg.Router
+}
+
+// recordingServing notes, in execution order, what every admitted query
+// was executed with and what came back.
+type recordingServing struct {
+	Serving
+	mu   sync.Mutex
+	runs []servedRun
+}
+
+type servedRun struct {
+	req federation.Request
+	res *federation.Result
+}
+
+func (r *recordingServing) Execute(ctx context.Context, req federation.Request) (*federation.Result, federation.ServeKind, error) {
+	res, kind, err := r.Serving.Execute(ctx, req)
+	if !req.CacheOnly {
+		r.mu.Lock()
+		r.runs = append(r.runs, servedRun{req, res})
+		r.mu.Unlock()
+	}
+	return res, kind, err
+}
+
+// run returns the recorded execution of query id.
+func (r *recordingServing) run(t *testing.T, id string) servedRun {
+	t.Helper()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, run := range r.runs {
+		if run.req.Query.ID == id {
+			return run
+		}
+	}
+	t.Fatalf("query %s never executed", id)
+	return servedRun{}
+}
+
+func recordedServer(t *testing.T, cfg ServerConfig) (*recordingServing, *httptest.Server) {
+	t.Helper()
+	cfg.Registry = &telemetry.Registry{}
+	rec := &recordingServing{Serving: servingOf(cfg)}
+	s, err := newServer(cfg.withDefaults(), rec, cfg.Cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec, newHTTPServer(t, s)
+}
+
+// awaitRecord polls GET /v1/query/{id} until the query finished.
+func awaitRecord(t *testing.T, url, id string) record {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		var rec record
+		if code := getJSON(t, url+"/v1/query/"+id, &rec); code != http.StatusOK {
+			t.Fatalf("GET %s: status %d", id, code)
+		}
+		if rec.Status != recordPending {
+			return rec
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("record %s stuck at %s", id, rec.Status)
+		}
+	}
+}
+
+// awaitInflight waits until n queries are executing.
+func awaitInflight(t *testing.T, url string, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		var stats statsResponse
+		getJSON(t, url+"/v1/stats", &stats)
+		if stats.Scheduler.InFlight == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("inflight = %d, want %d", stats.Scheduler.InFlight, n)
+		}
+	}
+}
+
+// stubRegion is a region.Service under the test's control: a fixed
+// shard whose nodes all support every query with the one cluster
+// [epoch] — a training directive names the generation it was planned at
+// — counting Plan calls and noting, per query, every directive Train
+// was handed from a generation other than the live one.
+type stubRegion struct {
+	id     string
+	nodes  []region.NodeInfo
+	bounds geometry.Rect
+	epoch  atomic.Uint64
+	plans  atomic.Int64
+	gate   chan struct{} // non-nil: Train waits for it to close
+
+	mu   sync.Mutex
+	dead map[string][]string // query id -> participants trained on a dead directive
+}
+
+// stubRegions builds west (w0, w1 over x in [0,10]) and east (e0, e1
+// over x in [20,30]), both at epoch 1, under a root router.
+func stubRegions(t *testing.T) (west, east *stubRegion, router *region.Router) {
+	t.Helper()
+	mk := func(id string, first int, lo float64) *stubRegion {
+		s := &stubRegion{
+			id:     id,
+			nodes:  []region.NodeInfo{{NodeID: id[:1] + "0", RosterIndex: first}, {NodeID: id[:1] + "1", RosterIndex: first + 1}},
+			bounds: geometry.MustRect([]float64{lo, 0}, []float64{lo + 10, 10}),
+			dead:   map[string][]string{},
+		}
+		s.epoch.Store(1)
+		return s
+	}
+	west, east = mk("west", 0, 0), mk("east", 2, 20)
+	router, err := region.NewRouter(region.Config{Spec: ml.PaperLR(1), Seed: 1}, []region.Service{west, east})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return west, east, router
+}
+
+func (s *stubRegion) ID() string { return s.id }
+
+func (s *stubRegion) Info(context.Context) (region.Info, error) {
+	return region.Info{RegionID: s.id, Nodes: s.nodes, Epoch: s.epoch.Load(), Bounds: s.bounds, Dims: 2, TotalSamples: 200}, nil
+}
+
+func (s *stubRegion) Plan(context.Context, region.PlanRequest) (region.PlanResponse, error) {
+	s.plans.Add(1)
+	epoch := s.epoch.Load()
+	ranks := make([]selection.NodeRank, len(s.nodes))
+	for i, n := range s.nodes {
+		ranks[i] = selection.NodeRank{
+			NodeID: n.NodeID, Overlaps: []float64{1}, Supporting: []int{int(epoch)}, Potential: 1,
+			Rank: 1 / float64(1+n.RosterIndex), SupportingSamples: 10, TotalSamples: 100, Sizes: []int{100},
+		}
+	}
+	return region.PlanResponse{RegionID: s.id, Epoch: epoch, Ranks: ranks}, nil
+}
+
+func (s *stubRegion) Train(ctx context.Context, req region.TrainRequest) (region.TrainResponse, error) {
+	if s.gate != nil {
+		select {
+		case <-s.gate:
+		case <-ctx.Done():
+			return region.TrainResponse{}, ctx.Err()
+		}
+	}
+	epoch := s.epoch.Load()
+	resp := region.TrainResponse{RegionID: s.id, Epoch: epoch}
+	for _, p := range req.Participants {
+		if !reflect.DeepEqual(p.Clusters, []int{int(epoch)}) {
+			s.mu.Lock()
+			s.dead[req.QueryID] = append(s.dead[req.QueryID], p.NodeID)
+			s.mu.Unlock()
+		}
+		resp.Results = append(resp.Results, region.RoundResult{NodeID: p.NodeID, Params: req.Params, SamplesUsed: 10, TotalSamples: 100})
+	}
+	return resp, nil
+}
+
+func (s *stubRegion) Stats(ctx context.Context) (region.Stats, error) {
+	info, err := s.Info(ctx)
+	return region.Stats{Info: info}, err
+}
+
+// leaderPlans is how many times the leader's planner ranked the fleet
+// for a query-driven selection.
+func leaderPlans(l *federation.Leader) int64 {
+	st := l.Registry().Stats()
+	return st.IndexedPlans + st.BrutePlans
+}
+
+// TestPlanOncePerQuery: the admission-time plan is the execution plan.
+// N synchronous deterministic queries rank the fleet exactly N times —
+// one Plan RPC per routed region per query under the router, one
+// planner run per query under a single leader — and the router counts
+// one routing decision per query.
+func TestPlanOncePerQuery(t *testing.T) {
+	const n = 6
+	t.Run("router", func(t *testing.T) {
+		west, east, router := stubRegions(t)
+		_, ts := newGatewayServer(t, ServerConfig{Router: router, Workers: 2, QueueDepth: 8, CoalesceIoU: -1})
+		for i := 0; i < n; i++ {
+			// Distinct rectangles, each spanning both regions.
+			body := fmt.Sprintf(`{"bounds":{"min":[%d,-1],"max":[31,11]},"selector":"query-driven","top_l":4}`, -1-i)
+			if code, doc, _ := postQuery(t, ts.URL, body); code != http.StatusOK || len(doc["participants"].([]any)) != 4 {
+				t.Fatalf("query %d: %d: %v", i, code, doc)
+			}
+		}
+		if w, e := west.plans.Load(), east.plans.Load(); w != n || e != n {
+			t.Fatalf("plan RPCs west=%d east=%d for %d queries, want one per query per region", w, e, n)
+		}
+		rs := getJSONDoc(t, ts.URL+"/v1/stats")["router"].(map[string]any)
+		if rs["queries"].(float64) != n || rs["spanning_fanouts"].(float64) != n || rs["regions_pruned"].(float64) != 0 {
+			t.Fatalf("router stats %v, want queries = spanning_fanouts = %d", rs, n)
+		}
+		for _, r := range rs["regions"].([]any) {
+			if reg := r.(map[string]any); reg["routed"].(float64) != n {
+				t.Fatalf("region %v routed, want %d", reg, n)
+			}
+		}
+	})
+	t.Run("leader", func(t *testing.T) {
+		cfg, nodes := slabFleet(t)
+		lead := slabLeader(t, cfg, nodes)
+		_, ts := newGatewayServer(t, ServerConfig{Leader: lead, Workers: 2, QueueDepth: 8, CoalesceIoU: -1})
+		for i := 0; i < n; i++ {
+			body := fmt.Sprintf(`{"bounds":{"min":[%d,-500],"max":[20,75]},"selector":"query-driven","epsilon":1e-9,"top_l":2}`, i)
+			if code, doc, _ := postQuery(t, ts.URL, body); code != http.StatusOK {
+				t.Fatalf("query %d: %d: %v", i, code, doc)
+			} else if ms := doc["stats"].(map[string]any)["selection_ms"].(float64); ms != 0 {
+				t.Fatalf("query %d spent %v ms selecting inside execute, want 0", i, ms)
+			}
+		}
+		if got := leaderPlans(lead); got != n {
+			t.Fatalf("planner ran %d times for %d queries", got, n)
+		}
+	})
+}
+
+// TestAdmissionPlanStaleness: a plan whose basis moved between admission
+// and execution is not trained. With the worker held, a query is
+// admitted, the epoch moves, and the worker is released: execute plans
+// again, the result carries the new epoch, and no directive of the dead
+// generation reaches a node.
+func TestAdmissionPlanStaleness(t *testing.T) {
+	const body = `{"id":%q,"bounds":{"min":[%d,-50],"max":[35,150]},"selector":"query-driven","top_l":4,"async":true}`
+	submit := func(t *testing.T, url, id string, lo int) {
+		t.Helper()
+		if code, doc, _ := postQuery(t, url, fmt.Sprintf(body, id, lo)); code != http.StatusAccepted {
+			t.Fatalf("submit %s: %d: %v", id, code, doc)
+		}
+	}
+	t.Run("router", func(t *testing.T) {
+		west, east, router := stubRegions(t)
+		gate := make(chan struct{})
+		west.gate, east.gate = gate, gate
+		rec, ts := recordedServer(t, ServerConfig{Router: router, Workers: 1, QueueDepth: 4, CoalesceIoU: -1})
+		submit(t, ts.URL, "a", -1)
+		awaitInflight(t, ts.URL, 1)
+		submit(t, ts.URL, "b", -2) // admitted and planned at east's epoch 1
+		east.epoch.Store(2)
+		if info, _ := east.Info(context.Background()); !router.ApplyRegionInfo(info) {
+			t.Fatal("the root did not take east's new epoch")
+		}
+		close(gate)
+		for _, id := range []string{"a", "b"} {
+			if r := awaitRecord(t, ts.URL, id); r.Status != recordDone {
+				t.Fatalf("%s: %s %s", id, r.Status, r.Error)
+			}
+		}
+		b := rec.run(t, "b")
+		if b.req.Prepared == nil || b.res.Epoch <= b.req.Prepared.Epoch {
+			t.Fatalf("b executed at topology generation %d, admitted at %+v: want a replan on the new one", b.res.Epoch, b.req.Prepared)
+		}
+		if w, e := west.plans.Load(), east.plans.Load(); w != 3 || e != 3 {
+			t.Fatalf("plan RPCs west=%d east=%d, want 3 each (a, b at admission, b again at execution)", w, e)
+		}
+		if dead := append(west.dead["b"], east.dead["b"]...); len(dead) != 0 {
+			t.Fatalf("b trained %v on a dead generation's directive", dead)
+		}
+		for _, p := range b.res.Participants {
+			if want := []int{1 + strings.Count(p.NodeID, "e")}; !reflect.DeepEqual(p.Clusters, want) {
+				t.Fatalf("b's participant %+v, want the live generation's directive %v", p, want)
+			}
+		}
+	})
+	t.Run("leader", func(t *testing.T) {
+		gate := make(chan struct{})
+		lead := gatedLeader(t, gate)
+		rec, ts := recordedServer(t, ServerConfig{Leader: lead, Workers: 1, QueueDepth: 4, CoalesceIoU: -1})
+		submit(t, ts.URL, "a", 5)
+		awaitInflight(t, ts.URL, 1)
+		submit(t, ts.URL, "b", 6)
+		submit(t, ts.URL, "c", 7)
+		lead.InvalidateSummaries()
+		close(gate)
+		for _, id := range []string{"a", "b", "c"} {
+			if r := awaitRecord(t, ts.URL, id); r.Status != recordDone {
+				t.Fatalf("%s: %s %s", id, r.Status, r.Error)
+			}
+		}
+		// b refreshes the registry and replans; c's admission plan is as
+		// dead as b's was, so it replans too, on the epoch b published.
+		for _, id := range []string{"b", "c"} {
+			run := rec.run(t, id)
+			if run.req.Prepared == nil || run.res.Epoch != run.req.Prepared.Epoch+1 || run.res.Epoch != lead.SummaryEpoch() {
+				t.Fatalf("%s executed at epoch %d, admitted at %+v, registry at %d", id, run.res.Epoch, run.req.Prepared, lead.SummaryEpoch())
+			}
+			if run.res.Stats.SelectionTime <= 0 {
+				t.Fatalf("%s replanned without selection time", id)
+			}
+		}
+		if got := leaderPlans(lead); got != 5 {
+			t.Fatalf("planner ran %d times, want 5 (three admissions, two replans)", got)
+		}
+	})
+}
+
+// replayWorkload is a seeded stream of rectangles over slabFleet's
+// space — some supported by nobody, every fourth a repeat the cache can
+// answer — under deterministic selectors and, every seventh query, a
+// random draw that must stay in stream order.
+func replayWorkload(n int) []queryRequest {
+	src := rng.New(77)
+	out := make([]queryRequest, n)
+	for i := range out {
+		if i%4 == 3 {
+			out[i] = out[i-3]
+			out[i].ID = fmt.Sprintf("replay-%d", i)
+			continue
+		}
+		x, y := src.Uniform(-5, 60), src.Uniform(-50, 100)
+		out[i] = queryRequest{
+			ID:     fmt.Sprintf("replay-%d", i),
+			Bounds: geometry.MustRect([]float64{x, y}, []float64{x + src.Uniform(3, 30), y + src.Uniform(20, 150)}),
+		}
+		switch {
+		case i%7 == 6:
+			out[i].Selector, out[i].L = "random", 2
+		case i%5 == 4:
+			out[i].Selector = "all-nodes"
+		default:
+			out[i].Selector, out[i].Epsilon, out[i].TopL = "query-driven", 0.3, 2
+		}
+	}
+	return out
+}
+
+// sameAnswer requires an HTTP answer to equal a direct Execute bit for
+// bit: participants, training directives and every local parameter.
+func sameAnswer(t *testing.T, id string, doc map[string]any, res *federation.Result) {
+	t.Helper()
+	parts, _ := doc["participants"].([]any)
+	if len(parts) != len(res.Participants) {
+		t.Fatalf("%s: %d participants over HTTP, %d direct", id, len(parts), len(res.Participants))
+	}
+	for i, p := range parts {
+		pm, want := p.(map[string]any), res.Participants[i]
+		raw, _ := pm["clusters"].([]any) // omitted for a whole-dataset directive
+		clusters := make([]int, len(raw))
+		for k, c := range raw {
+			clusters[k] = int(c.(float64))
+		}
+		if pm["node_id"] != want.NodeID || math.Float64bits(pm["rank"].(float64)) != math.Float64bits(want.Rank) ||
+			!reflect.DeepEqual(clusters, append([]int{}, want.Clusters...)) {
+			t.Fatalf("%s: participant %d = %v over HTTP, %+v direct", id, i, pm, want)
+		}
+	}
+	params, _ := doc["local_params"].([]any)
+	if len(params) != len(res.LocalParams) {
+		t.Fatalf("%s: %d local models over HTTP, %d direct", id, len(params), len(res.LocalParams))
+	}
+	for i, vec := range params {
+		for j, v := range vec.([]any) {
+			if math.Float64bits(v.(float64)) != math.Float64bits(res.LocalParams[i].Values[j]) {
+				t.Fatalf("%s: model %d weight %d = %v over HTTP, %v direct", id, i, j, v, res.LocalParams[i].Values[j])
+			}
+		}
+	}
+}
+
+// TestSubmitReplayBitExact: a seeded workload answered through
+// POST /v1/query — planned at admission, trained from that plan — equals
+// the same workload run through Execute directly on a twin topology,
+// bit for bit, with and without the reuse cache, in both topologies.
+func TestSubmitReplayBitExact(t *testing.T) {
+	for _, mode := range servingModes {
+		n := 200
+		if mode.regions > 0 {
+			n = 60
+		}
+		for _, cached := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/cached=%v", mode.name, cached), func(t *testing.T) {
+				cfg, twin := mode.config(t), servingOf(mode.config(t))
+				var twinCache *federation.ReuseCache
+				if cached {
+					var err error
+					if cfg.Cache, err = federation.NewReuseCache(0.9, 16); err != nil {
+						t.Fatal(err)
+					}
+					twinCache, _ = federation.NewReuseCache(0.9, 16)
+				}
+				cfg.Workers, cfg.QueueDepth, cfg.CoalesceIoU = 2, 8, -1
+				s, ts := newGatewayServer(t, cfg)
+				trained, reused := 0, 0
+				for _, req := range replayWorkload(n) {
+					req.IncludeParams = true
+					body, _ := json.Marshal(req)
+					code, doc, _ := postQuery(t, ts.URL, string(body))
+					q, _ := query.New(req.ID, req.Bounds)
+					sel, err := s.buildSelector(req)
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, kind, err := twin.Execute(context.Background(), federation.Request{
+						Query: q, Selector: sel, Aggregation: federation.WeightedAveraging, Cache: twinCache,
+					})
+					if errors.Is(err, selection.ErrNoCandidates) {
+						if code != http.StatusUnprocessableEntity {
+							t.Fatalf("%s: %d over HTTP, no candidates direct", req.ID, code)
+						}
+						continue
+					}
+					if err != nil || code != http.StatusOK || doc["reused"] != kind.Reused() {
+						t.Fatalf("%s: %d %v over HTTP; %v (reused=%v) direct", req.ID, code, doc, err, kind.Reused())
+					}
+					sameAnswer(t, req.ID, doc, res)
+					if kind.Reused() {
+						reused++
+					} else {
+						trained++
+					}
+				}
+				if trained < n/4 || cached && reused == 0 {
+					t.Fatalf("workload trained %d and reused %d of %d queries: not a replay worth pinning", trained, reused, n)
+				}
+			})
+		}
+	}
+}
+
+// TestSeedDrawnAtExecution: concurrent submissions are planned in
+// whatever order they arrive, but the model seed is drawn when a query
+// executes — replaying the execution order directly on a twin leader
+// reproduces every answer bit for bit.
+func TestSeedDrawnAtExecution(t *testing.T) {
+	cfg, nodes := slabFleet(t)
+	rec, ts := recordedServer(t, ServerConfig{Leader: slabLeader(t, cfg, nodes), Workers: 1, QueueDepth: 32, CoalesceIoU: -1})
+	const n = 16
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			body := fmt.Sprintf(`{"id":"c-%d","bounds":{"min":[%d,-500],"max":[%d,200]},"selector":"query-driven","epsilon":1e-9,"top_l":2}`, i, i, 30+i)
+			if code, doc, _, err := doPost(ts.URL, body); err != nil || code != http.StatusOK {
+				t.Errorf("c-%d: %d %v %v", i, code, doc, err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	_, twinNodes := slabFleet(t)
+	twin := slabLeader(t, cfg, twinNodes)
+	if len(rec.runs) != n {
+		t.Fatalf("%d executions, want %d", len(rec.runs), n)
+	}
+	for _, run := range rec.runs {
+		if run.req.Prepared == nil {
+			t.Fatalf("%s executed without its admission plan", run.req.Query.ID)
+		}
+		res, _, err := twin.Execute(context.Background(), federation.Request{Query: run.req.Query, Selector: run.req.Selector, Aggregation: run.req.Aggregation})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range res.LocalParams {
+			for j, v := range p.Values {
+				if math.Float64bits(v) != math.Float64bits(run.res.LocalParams[i].Values[j]) {
+					t.Fatalf("%s: model %d weight %d differs from the in-order replay", run.req.Query.ID, i, j)
+				}
+			}
+		}
+	}
+}
+
+// TestOnlyDeterministicSelectionsPrepared: a selector that draws or
+// keeps state is never planned at admission, and requests that never
+// reach a worker of their own — shed, abandoned by their client,
+// coalesced onto another — leave the planner exactly as a served one
+// does: every admission plans once, and nobody plans again.
+func TestOnlyDeterministicSelectionsPrepared(t *testing.T) {
+	gate := make(chan struct{})
+	lead := gatedLeader(t, gate)
+	rec, ts := recordedServer(t, ServerConfig{Leader: lead, Workers: 1, QueueDepth: 2, CoalesceIoU: 0.95})
+	const rect = `"bounds":{"min":[%d,-50],"max":[35,150]}`
+	post := func(id, rest string, lo, want int) {
+		t.Helper()
+		body := fmt.Sprintf(`{"id":%q,`+rect+`,%s}`, id, lo, rest)
+		if code, doc, _ := postQuery(t, ts.URL, body); code != want {
+			t.Fatalf("%s: %d (%v), want %d", id, code, doc, want)
+		}
+	}
+	post("held", `"selector":"query-driven","top_l":2,"async":true`, 0, http.StatusAccepted)
+	awaitInflight(t, ts.URL, 1)
+	post("follower", `"selector":"query-driven","top_l":2,"async":true`, 0, http.StatusAccepted) // coalesces onto held
+	post("abandoned", `"selector":"all-nodes","timeout_ms":30`, 2, http.StatusGatewayTimeout)    // its client gives up; the task stays queued
+	post("random", `"selector":"random","l":1,"async":true`, 4, http.StatusAccepted)
+	post("shed", `"selector":"query-driven","top_l":2,"async":true`, 6, http.StatusTooManyRequests)
+	if got := leaderPlans(lead); got != 3 {
+		t.Fatalf("planner ran %d times at admission, want 3 (held, follower, shed)", got)
+	}
+	close(gate)
+	for _, id := range []string{"held", "follower", "random"} {
+		if r := awaitRecord(t, ts.URL, id); r.Status != recordDone {
+			t.Fatalf("%s: %s %s", id, r.Status, r.Error)
+		}
+	}
+	post("fairness", `"selector":"fairness","l":1`, 8, http.StatusOK)
+	for id, prepared := range map[string]bool{"held": true, "random": false, "fairness": false} {
+		if got := rec.run(t, id).req.Prepared != nil; got != prepared {
+			t.Fatalf("%s executed with an admission plan: %v, want %v", id, got, prepared)
+		}
+	}
+	if got := leaderPlans(lead); got != 3 {
+		t.Fatalf("planner ran %d times in all, want 3: execution must not plan a prepared query again", got)
 	}
 }

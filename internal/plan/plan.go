@@ -115,9 +115,20 @@ func (pl *Plan) Key() string {
 	b := pl.keyBuf[:0]
 	b = append(b, 'e')
 	b = strconv.AppendUint(b, pl.Epoch, 10)
+	b = AppendSelectionKey(b, pl.Selector, pl.Participants)
+	pl.keyBuf = b
+	pl.key = string(b)
+	return pl.key
+}
+
+// AppendSelectionKey appends "|<selector>|node:clusters|…" — the part of
+// a plan fingerprint that names the selection — to a rendered epoch
+// basis. The region tier keys its cross-region plans with it, so both
+// topologies spell a selection the same way.
+func AppendSelectionKey(b []byte, selector string, parts []selection.Participant) []byte {
 	b = append(b, '|')
-	b = append(b, pl.Selector...)
-	for _, p := range pl.Participants {
+	b = append(b, selector...)
+	for _, p := range parts {
 		b = append(b, '|')
 		b = append(b, p.NodeID...)
 		if p.Clusters != nil {
@@ -130,19 +141,24 @@ func (pl *Plan) Key() string {
 			}
 		}
 	}
-	pl.keyBuf = b
-	pl.key = string(b)
-	return pl.key
+	return b
 }
 
 // CopyParticipants returns a deep copy of the participant list that
 // survives Release — what executors embed into long-lived Results.
 func (pl *Plan) CopyParticipants() []selection.Participant {
+	n := 0
+	for _, p := range pl.Participants {
+		n += len(p.Clusters)
+	}
+	clusters := make([]int, 0, n) // one backing array for every directive
 	out := make([]selection.Participant, len(pl.Participants))
 	for i, p := range pl.Participants {
 		out[i] = selection.Participant{NodeID: p.NodeID, Rank: p.Rank}
-		if p.Clusters != nil {
-			out[i].Clusters = append([]int(nil), p.Clusters...)
+		if len(p.Clusters) > 0 {
+			at := len(clusters)
+			clusters = append(clusters, p.Clusters...)
+			out[i].Clusters = clusters[at:len(clusters):len(clusters)]
 		}
 	}
 	return out

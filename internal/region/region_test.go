@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -338,8 +339,78 @@ func TestRouterSpanningRectFansOutEverywhere(t *testing.T) {
 	if st.Regions[0].Routed != 1 || st.Regions[1].Routed != 1 {
 		t.Fatalf("routed counts %+v", st.Regions)
 	}
-	if st.Spanning == 0 {
-		t.Fatal("spanning fan-out not counted")
+	if st.Spanning != 1 || st.Queries != 1 {
+		t.Fatalf("%d spanning fan-outs over %d queries, want one routing decision per query", st.Spanning, st.Queries)
+	}
+}
+
+// TestRouterPrepare: Prepare is the selection stage alone — keyed as
+// ever, one routing decision, nothing routed or trained — and Execute
+// starts from it, without another plan round, until a routed region
+// moves.
+func TestRouterPrepare(t *testing.T) {
+	router, leaders, nodes := shardedFixture(t, 2, Config{})
+	ctx, q := context.Background(), mustQuery(t, "q", 1, 45, -500, 130)
+	for _, tc := range []struct {
+		sel selection.Selector
+		key string
+	}{
+		{selection.QueryDriven{Epsilon: 1e-9, TopL: 2}, "region-0:1,region-1:1|query-driven|node-1:0,1,2|node-2:0,1,2"},
+		{selection.AllNodes{}, "region-0:1,region-1:1|all-nodes|node-0|node-1|node-2|node-3|node-4|node-5"},
+	} {
+		key, err := router.PlanKey(ctx, q, tc.sel)
+		ex, exErr := router.ExplainQuery(ctx, q, tc.sel)
+		if err != nil || exErr != nil || key != tc.key || ex.Key != tc.key {
+			t.Fatalf("%s: PlanKey %q (%v), EXPLAIN key %q (%v), want %q", tc.sel.Name(), key, err, ex.Key, exErr, tc.key)
+		}
+	}
+	regionPlans := func() (n int64) {
+		for _, l := range leaders {
+			st := l.Federation().Registry().Stats()
+			n += st.IndexedPlans + st.BrutePlans
+		}
+		return n
+	}
+	sel := selection.QueryDriven{Epsilon: 1e-9, TopL: 2}
+	prep, err := router.Prepare(ctx, q, sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// PlanKey and Prepare each decided a query-driven route; EXPLAIN
+	// counts nothing.
+	if st, _ := router.Stats(ctx); st.Queries != 0 || st.Spanning != 2 || st.Regions[0].Routed+st.Regions[1].Routed != 0 {
+		t.Fatalf("after Prepare: %+v", st)
+	}
+	planned := regionPlans()
+	res, _, err := router.Execute(ctx, federation.Request{Query: q, Selector: sel, Prepared: prep})
+	if err != nil || res.Epoch != prep.Epoch || res.Stats.SelectionTime != 0 || regionPlans() != planned {
+		t.Fatalf("Execute from the prepared plan: epoch %d (prepared at %d), selection %v, %d more region plans, err %v",
+			res.Epoch, prep.Epoch, res.Stats.SelectionTime, regionPlans()-planned, err)
+	}
+	if st, _ := router.Stats(ctx); st.Queries != 1 || st.Spanning != 2 || st.Regions[0].Routed != 1 || st.Regions[1].Routed != 1 {
+		t.Fatalf("after Execute: %+v", st)
+	}
+
+	// Region-1 moves after admission and pushes its Info to the root:
+	// the admission plan is dead.
+	leaders[1].OnInfoChange(func(info Info) { router.ApplyRegionInfo(info) })
+	if prep, err = router.Prepare(ctx, q, sel); err != nil {
+		t.Fatal(err)
+	}
+	if err := nodes[5].Requantize(); err != nil {
+		t.Fatal(err)
+	}
+	leaders[1].Federation().InvalidateSummaries()
+	moved, err := leaders[1].Info(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err = router.Execute(ctx, federation.Request{Query: q, Selector: sel, Prepared: prep})
+	if err != nil || res.Epoch <= prep.Epoch || res.Stats.SelectionTime == 0 {
+		t.Fatalf("Execute from a stale plan: generation %d (prepared at %d), selection %v, err %v", res.Epoch, prep.Epoch, res.Stats.SelectionTime, err)
+	}
+	if key, _ := router.PlanKey(ctx, q, sel); !strings.HasPrefix(key, fmt.Sprintf("region-0:1,region-1:%d|", moved.Epoch)) || moved.Epoch < 2 {
+		t.Fatalf("key %q after region-1 moved to epoch %d", key, moved.Epoch)
 	}
 }
 

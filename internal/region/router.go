@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -82,10 +81,14 @@ type topology struct {
 	space   geometry.Rect
 	roster  []NodeInfo
 	nodeIDs []string
-	byNode  map[string]int // node id -> member index
-	total   int            // fleet-wide Σ|D_i|
+	byNode  map[string]nodeRef
+	total   int // fleet-wide Σ|D_i|
 	dims    int
 }
+
+// nodeRef locates a node: its owning member and its position in the
+// global roster (the canonical order merged rankings are sorted into).
+type nodeRef struct{ member, pos int }
 
 // Router is the root coordinator of the hierarchical federation: the
 // gateway-facing executor that routes each query rectangle to the
@@ -210,7 +213,7 @@ func (r *Router) topology(ctx context.Context) (*topology, error) {
 	t := &topology{
 		infos:  infos,
 		epochs: make([]uint64, len(infos)),
-		byNode: map[string]int{},
+		byNode: map[string]nodeRef{},
 		dims:   -1,
 	}
 	entries := make([]geometry.Entry, len(infos))
@@ -234,7 +237,7 @@ func (r *Router) topology(ctx context.Context) (*topology, error) {
 			if _, dup := t.byNode[n.NodeID]; dup {
 				return nil, fmt.Errorf("region: node %s claimed by two regions", n.NodeID)
 			}
-			t.byNode[n.NodeID] = i
+			t.byNode[n.NodeID] = nodeRef{member: i}
 			t.roster = append(t.roster, n)
 		}
 	}
@@ -252,6 +255,7 @@ func (r *Router) topology(ctx context.Context) (*topology, error) {
 	t.nodeIDs = make([]string, len(t.roster))
 	for i, n := range t.roster {
 		t.nodeIDs[i] = n.NodeID
+		t.byNode[n.NodeID] = nodeRef{member: t.byNode[n.NodeID].member, pos: i}
 	}
 	t.gen = r.gen.Add(1)
 	for i := range r.members {
@@ -366,8 +370,8 @@ func (r *Router) NodeIDs(ctx context.Context) ([]string, error) {
 // support threshold. Returns member indices in ascending order. A
 // query no region can support has no supporting cluster anywhere, so
 // it surfaces selection.ErrNoCandidates — the gateway's 422
-// no-candidates taxonomy, not a routing failure. Pure: planFanout does
-// the counting.
+// no-candidates taxonomy, not a routing failure. Pure: plan does the
+// counting.
 func (r *Router) route(t *topology, q query.Query, sel selection.Selector, eps float64) ([]int, error) {
 	_, prune := sel.(selection.QueryDriven)
 	// Rectangle-spanning fallback: a query covering the whole indexed
@@ -434,71 +438,50 @@ func epsilonFor(sel selection.Selector) float64 {
 	return eps
 }
 
-// planFanout routes the query, fans Plan RPCs out to the routed
-// regions, and merges their ranking rows into global roster order.
-// Returns the merged rows, the routed member indices and the per-region
-// epoch basis the rankings derive from: a result (or plan key) built on
-// them is valid only while every routed member still reports the epoch
-// stamped here.
-func (r *Router) planFanout(ctx context.Context, parent *telemetry.SpanHandle, t *topology, q query.Query, sel selection.Selector, eps float64) ([]selection.NodeRank, []int, []federation.EpochStamp, error) {
-	routed, err := r.route(t, q, sel, eps)
-	// The paper's stateless query-driven policy never reads per-node
-	// overlap vectors, so its fan-out may take the regions'
-	// R-tree-pruned kernel; every other selector needs full-fidelity
-	// rows.
-	_, queryDriven := sel.(selection.QueryDriven)
-	if queryDriven && (err == nil || errors.Is(err, selection.ErrNoCandidates)) {
-		r.regionsPruned.Add(int64(len(r.members) - len(routed)))
-		switch len(routed) {
-		case 0:
-			r.noRoute.Add(1)
-		case len(r.members):
-			r.spanning.Add(1)
-		}
-	}
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	resps := make([]PlanResponse, len(routed))
-	errs := make([]error, len(routed))
+// rank fans Plan RPCs out to the listed members and merges their
+// ranking rows into global roster order. stamps[k] is members[k]'s
+// epoch behind the rows: a result (or plan key) built on them is valid
+// only while that member still reports it. pruned lets the regions take
+// their R-tree-pruned kernel, which is sound only for the stateless
+// query-driven policy — it never reads per-node overlap vectors; every
+// other consumer needs full-fidelity rows.
+func (r *Router) rank(ctx context.Context, parent *telemetry.SpanHandle, t *topology, q query.Query, eps float64, members []int, pruned bool) ([]selection.NodeRank, []federation.EpochStamp, error) {
+	resps := make([]PlanResponse, len(members))
+	errs := make([]error, len(members))
 	var wg sync.WaitGroup
-	for k, mi := range routed {
+	for k, mi := range members {
 		wg.Add(1)
 		go func(k, mi int) {
 			defer wg.Done()
 			m := r.members[mi]
 			sp := parent.Child("region.plan") // a nil parent's child is a no-op
 			sp.SetAttr("region", m.id)
-			resps[k], errs[k] = m.svc.Plan(ctx, PlanRequest{Query: q, Epsilon: eps, QueryDriven: queryDriven})
+			resps[k], errs[k] = m.svc.Plan(ctx, PlanRequest{Query: q, Epsilon: eps, QueryDriven: pruned})
 			sp.End(errs[k])
 		}(k, mi)
 	}
 	wg.Wait()
-	basis := make([]federation.EpochStamp, len(routed))
+	stamps := make([]federation.EpochStamp, len(members))
 	var merged []selection.NodeRank
-	for k, mi := range routed {
+	for k, mi := range members {
 		if errs[k] != nil {
-			return nil, nil, nil, fmt.Errorf("region: plan on %s: %w", r.members[mi].id, errs[k])
+			return nil, nil, fmt.Errorf("region: plan on %s: %w", r.members[mi].id, errs[k])
 		}
 		r.members[mi].observe(resps[k].Epoch)
-		basis[k] = federation.EpochStamp{Source: mi, Epoch: resps[k].Epoch}
+		stamps[k] = federation.EpochStamp{Source: mi, Epoch: resps[k].Epoch}
 		merged = append(merged, resps[k].Ranks...)
 	}
-	// Canonical global order: sort by roster index (node id breaks
+	// Canonical global order: sort by roster position (node id breaks
 	// ties). Selectors that pick by position and the order-sensitive
 	// ensemble summation both require the exact single-leader order.
-	rosterIdx := make(map[string]int, len(t.roster))
-	for i, n := range t.roster {
-		rosterIdx[n.NodeID] = i
-	}
 	sort.SliceStable(merged, func(a, b int) bool {
-		ia, ib := rosterIdx[merged[a].NodeID], rosterIdx[merged[b].NodeID]
+		ia, ib := t.byNode[merged[a].NodeID].pos, t.byNode[merged[b].NodeID].pos
 		if ia != ib {
 			return ia < ib
 		}
 		return merged[a].NodeID < merged[b].NodeID
 	})
-	return merged, routed, basis, nil
+	return merged, stamps, nil
 }
 
 // selectionContext builds the selector Context: the root's RNG (kept
@@ -515,74 +498,105 @@ func (r *Router) selectionContext() *selection.Context {
 	}
 }
 
-// selectErr mirrors the single-leader error shape so gateway taxonomy
-// (422 on ErrNoCandidates) keeps working unchanged.
-func selectErr(sel selection.Selector, q query.Query, err error) error {
-	return fmt.Errorf("federation: %s selection for %s: %w", sel.Name(), q.ID, err)
-}
-
-// rootPlan is the outcome of the root's selection stage.
-type rootPlan struct {
-	t      *topology
-	eps    float64
-	ranks  []selection.NodeRank    // merged, in global roster order
-	routed []int                   // members the query routes to
-	basis  []federation.EpochStamp // the routed members' epochs behind ranks
-	parts  []selection.Participant
-}
-
-// plan is the selection stage execute, PlanKey and ExplainQuery share:
-// resolve the topology, route, fan the ranking out, merge, apply the
-// policy — under one "selection" span like the single-leader path.
-// everywhere ranks every region with full-fidelity rows (EXPLAIN shows
-// the complete fleet); routed and basis describe the routed regions
-// either way. A non-nil seed means the query goes on to train: the
-// fan-out counts as routed, and the model seed is drawn under the same
-// lock as the selection draw, which keeps the RNG stream per-query
-// atomic, in the single leader's draw order.
-func (r *Router) plan(ctx context.Context, qspan *telemetry.SpanHandle, q query.Query, sel selection.Selector, everywhere bool, seed *uint64) (p rootPlan, err error) {
+// plan is the root's selection stage, behind Prepare, execute and
+// ExplainQuery: resolve the topology, route, fan the ranking out, merge
+// (ranks, in global roster order), apply the policy — under one
+// "selection" span like the single-leader path. It counts one routing
+// decision per query-driven query; explain counts nothing and ranks
+// every region with full-fidelity rows (EXPLAIN shows the complete
+// fleet). Stamps describes the routed regions either way.
+func (r *Router) plan(ctx context.Context, qspan *telemetry.SpanHandle, q query.Query, sel selection.Selector, explain bool) (_ *federation.Prepared, _ *topology, ranks []selection.NodeRank, err error) {
+	start := time.Now()
 	cs, ok := sel.(selection.CandidateSelector)
 	if !ok {
-		return p, fmt.Errorf("region: selector %s is not supported by the sharded topology", sel.Name())
+		return nil, nil, nil, fmt.Errorf("region: selector %s is not supported by the sharded topology", sel.Name())
 	}
-	if p.t, err = r.topology(ctx); err != nil {
-		return p, err
+	t, err := r.topology(ctx)
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	span := qspan.Child("selection")
-	p.eps = epsilonFor(sel)
-	if qd, ok := sel.(selection.QueryDriven); ok && (qd.TopL > 0) == (qd.Psi > 0) {
+	eps := epsilonFor(sel)
+	qd, queryDriven := sel.(selection.QueryDriven)
+	var (
+		routed []int
+		basis  []federation.EpochStamp // the routed members' epochs behind ranks
+		parts  []selection.Participant
+	)
+	if queryDriven && (qd.TopL > 0) == (qd.Psi > 0) {
 		err = fmt.Errorf("selection: query-driven needs exactly one of TopL (%d) or Psi (%v)", qd.TopL, qd.Psi)
-	} else if !everywhere {
-		p.ranks, p.routed, p.basis, err = r.planFanout(ctx, span, p.t, q, sel, p.eps)
-	} else if p.routed, err = r.route(p.t, q, sel, p.eps); err == nil {
-		// AllNodes is not query-driven, so the fan-out reaches every
-		// region: all[i] is member i's stamp.
+	} else if routed, err = r.route(t, q, sel, eps); !explain && queryDriven && (err == nil || errors.Is(err, selection.ErrNoCandidates)) {
+		r.regionsPruned.Add(int64(len(r.members) - len(routed)))
+		switch len(routed) {
+		case 0:
+			r.noRoute.Add(1)
+		case len(r.members):
+			r.spanning.Add(1)
+		}
+	}
+	if err == nil && !explain {
+		ranks, basis, err = r.rank(ctx, span, t, q, eps, routed, queryDriven)
+	} else if err == nil {
+		// AllNodes is not query-driven, so it routes to every region:
+		// all[mi] is member mi's stamp.
+		everywhere, _ := r.route(t, q, selection.AllNodes{}, eps)
 		var all []federation.EpochStamp
-		if p.ranks, _, all, err = r.planFanout(ctx, span, p.t, q, selection.AllNodes{}, p.eps); err == nil {
-			for _, mi := range p.routed {
-				p.basis = append(p.basis, all[mi])
+		if ranks, all, err = r.rank(ctx, span, t, q, eps, everywhere, false); err == nil {
+			for _, mi := range routed {
+				basis = append(basis, all[mi])
 			}
 		}
 	}
 	if err == nil {
-		if seed != nil {
-			for _, mi := range p.routed {
-				r.members[mi].routed.Add(1)
-				r.metricReg.Counter("qens_region_routed_total", telemetry.Label{Key: "region", Value: r.members[mi].id}).Inc()
-			}
-		}
-		set := selection.CandidateSet{Query: q, Epsilon: p.eps, Ranks: p.ranks}
+		set := selection.CandidateSet{Query: q, Epsilon: eps, Ranks: ranks}
 		r.selectMu.Lock()
-		if p.parts, err = cs.SelectFrom(&set, r.selectionContext()); err == nil && seed != nil {
-			*seed = uint64(r.src.Int63())
-		}
+		parts, err = cs.SelectFrom(&set, r.selectionContext())
 		r.selectMu.Unlock()
 	}
 	span.End(err)
 	if err != nil {
-		return p, selectErr(sel, q, err)
+		// The single leader's error shape, so gateway taxonomy (422 on
+		// ErrNoCandidates) keeps working unchanged.
+		return nil, nil, nil, fmt.Errorf("federation: %s selection for %s: %w", sel.Name(), q.ID, err)
 	}
-	return p, nil
+	// The key: "region:epoch,…|selector|node:clusters|…" — the routed
+	// regions' epoch basis plus the selection as plan.Plan.Key spells it.
+	key := make([]byte, 0, 48+16*len(parts))
+	for k, st := range basis {
+		if k > 0 {
+			key = append(key, ',')
+		}
+		key = append(key, r.members[st.Source].id...)
+		key = append(key, ':')
+		key = strconv.AppendUint(key, st.Epoch, 10)
+	}
+	return &federation.Prepared{
+		Participants: parts, Epoch: t.gen, Stamps: basis,
+		PlanTime: time.Since(start), PlanKey: string(plan.AppendSelectionKey(key, sel.Name(), parts)),
+	}, t, ranks, nil
+}
+
+// Prepare runs the root's selection stage alone: one plan round to the
+// routed regions, no training.
+func (r *Router) Prepare(ctx context.Context, q query.Query, sel selection.Selector) (*federation.Prepared, error) {
+	p, _, _, err := r.plan(ctx, nil, q, sel, false)
+	return p, err
+}
+
+// current returns the topology p was prepared over while it is still
+// the live, valid one and every routed region still reports its stamped
+// epoch (the reuse fence's comparison); nil once p's basis moved.
+func (r *Router) current(p *federation.Prepared) *topology {
+	t := r.topo.Load()
+	if p == nil || t == nil || t.gen != p.Epoch || !r.topoValid(t) {
+		return nil
+	}
+	for _, st := range p.Stamps {
+		if r.fence.Current(st.Source) != st.Epoch {
+			return nil
+		}
+	}
+	return t
 }
 
 // Execute is the root's one query entry point, with the single
@@ -596,16 +610,17 @@ func (r *Router) Execute(ctx context.Context, req federation.Request) (*federati
 		Fence:    r.fence,
 		InputDim: r.cfg.Spec.InputDim,
 		Train: func() (*federation.Result, []federation.EpochStamp, error) {
-			return r.execute(ctx, req.Query, req.Selector, req.Aggregation)
+			return r.execute(ctx, req)
 		},
 	})
 }
 
 // execute runs one query end to end across the sharded topology.
-func (r *Router) execute(ctx context.Context, q query.Query, sel selection.Selector, agg federation.Aggregation) (_ *federation.Result, _ []federation.EpochStamp, retErr error) {
+func (r *Router) execute(ctx context.Context, req federation.Request) (_ *federation.Result, _ []federation.EpochStamp, retErr error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
+	q, sel := req.Query, req.Selector
 	start := time.Now()
 	qspan := r.activeTracer().StartTrace("query")
 	qspan.SetAttr("query", q.ID)
@@ -614,15 +629,27 @@ func (r *Router) execute(ctx context.Context, q query.Query, sel selection.Selec
 	defer func() { qspan.End(retErr) }()
 	r.queries.Add(1)
 
-	// Stage 1: route + plan fan-out + global selection + seed draw.
-	selStart := time.Now()
-	spec := r.cfg.Spec
-	p, err := r.plan(ctx, qspan, q, sel, false, &spec.Seed)
-	if err != nil {
-		return nil, nil, err
+	// Stage 1: the selection (req.Prepared while its basis holds, else
+	// planned now), then the seed draw — under the selection lock, so it
+	// cannot split another query's draws.
+	prep, t := req.Prepared, r.current(req.Prepared)
+	var selectionTime time.Duration
+	if t == nil || !selection.Deterministic(sel) {
+		var err error
+		if prep, t, _, err = r.plan(ctx, qspan, q, sel, false); err != nil {
+			return nil, nil, err
+		}
+		selectionTime = prep.PlanTime
 	}
-	t, parts := p.t, p.parts
-	selectionTime := time.Since(selStart)
+	for _, st := range prep.Stamps {
+		m := r.members[st.Source]
+		m.routed.Add(1)
+		r.metricReg.Counter("qens_region_routed_total", telemetry.Label{Key: "region", Value: m.id}).Inc()
+	}
+	spec := r.cfg.Spec
+	r.selectMu.Lock()
+	spec.Seed = uint64(r.src.Int63())
+	r.selectMu.Unlock()
 
 	// Stage 2: initial global model at the root (exactly the
 	// single-leader executor's draw), then the region train fan-out.
@@ -634,10 +661,10 @@ func (r *Router) execute(ctx context.Context, q query.Query, sel selection.Selec
 
 	res := &federation.Result{
 		Query:        q,
-		Epoch:        t.gen,
+		Epoch:        prep.Epoch,
 		Selector:     sel.Name(),
-		Aggregation:  agg,
-		Participants: parts,
+		Aggregation:  req.Aggregation,
+		Participants: prep.Participants,
 	}
 	res.Stats.SamplesAllNodes = t.total
 	// Training rectangles stay leader-side; the query rectangle stands
@@ -645,7 +672,7 @@ func (r *Router) execute(ctx context.Context, q query.Query, sel selection.Selec
 	// term.
 	res.TrainMins, res.TrainMaxs, res.TrainDims = q.Bounds.Min, q.Bounds.Max, q.Dims()
 
-	outs, err := r.trainFanout(ctx, qspan, t, q, spec, initial, parts)
+	outs, err := r.trainFanout(ctx, qspan, t, q, spec, initial, res.Participants)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -662,8 +689,8 @@ func (r *Router) execute(ctx context.Context, q query.Query, sel selection.Selec
 	}
 	res.Stats.SelectionTime = selectionTime
 	res.Stats.WallTime = time.Since(start)
-	federation.ObserveQuery(r.metricReg, sel.Name(), selectionTime, len(res.Failed))
-	return res, p.basis, nil
+	federation.ObserveQuery(r.metricReg, res.Selector, prep.PlanTime, len(res.Failed))
+	return res, prep.Stamps, nil
 }
 
 // trainFanout groups the participants by owning region (preserving
@@ -681,10 +708,11 @@ func (r *Router) trainFanout(ctx context.Context, qspan *telemetry.SpanHandle, t
 	byMember := map[int]*group{}
 	var order []int
 	for gi, p := range parts {
-		mi, ok := t.byNode[p.NodeID]
+		ref, ok := t.byNode[p.NodeID]
 		if !ok {
 			return nil, fmt.Errorf("region: participant %s belongs to no region", p.NodeID)
 		}
+		mi := ref.member
 		g := byMember[mi]
 		if g == nil {
 			g = &group{mi: mi}
@@ -752,65 +780,28 @@ func (r *Router) trainFanout(ctx context.Context, qspan *telemetry.SpanHandle, t
 	return outs, nil
 }
 
-// PlanKey computes the coalescing/reuse fingerprint for a query
-// without training: the routed regions' epoch basis plus the selected
-// participant set, mirroring plan.Plan.Key. Only deterministic
-// selectors (query-driven, all-nodes) should be keyed — the gateway's
-// plan-ahead path enforces that.
+// PlanKey is Prepare's coalescing fingerprint alone.
 func (r *Router) PlanKey(ctx context.Context, q query.Query, sel selection.Selector) (string, error) {
-	p, err := r.plan(ctx, nil, q, sel, false, nil)
-	if err != nil {
-		return "", err
-	}
-	return r.planKey(sel, p.basis, p.parts), nil
-}
-
-// planKey renders "region:epoch,…|selector|node:clusters|…".
-func (r *Router) planKey(sel selection.Selector, basis []federation.EpochStamp, parts []selection.Participant) string {
-	var b strings.Builder
-	b.Grow(24 + 16*len(parts))
-	for k, st := range basis {
-		if k > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(r.members[st.Source].id)
-		b.WriteByte(':')
-		b.WriteString(strconv.FormatUint(st.Epoch, 10))
-	}
-	b.WriteByte('|')
-	b.WriteString(sel.Name())
-	for _, p := range parts {
-		b.WriteByte('|')
-		b.WriteString(p.NodeID)
-		if p.Clusters != nil {
-			b.WriteByte(':')
-			for j, c := range p.Clusters {
-				if j > 0 {
-					b.WriteByte(',')
-				}
-				b.WriteString(strconv.Itoa(c))
-			}
-		}
-	}
-	return b.String()
+	p, err := r.Prepare(ctx, q, sel)
+	return p.Key(), err
 }
 
 // ExplainQuery is the EXPLAIN surface behind the gateway's /v1/plan:
 // the ranking shows the complete fleet, including nodes routing would
 // prune; Key is what PlanKey returns for the same query.
 func (r *Router) ExplainQuery(ctx context.Context, q query.Query, sel selection.Selector) (*federation.Explanation, error) {
-	p, err := r.plan(ctx, nil, q, sel, true, nil)
+	p, _, ranks, err := r.plan(ctx, nil, q, sel, true)
 	if err != nil {
 		return nil, err
 	}
 	return &federation.Explanation{
-		Epoch:        p.t.gen,
+		Epoch:        p.Epoch,
 		Selector:     sel.Name(),
-		Epsilon:      p.eps,
-		Key:          r.planKey(sel, p.basis, p.parts),
+		Epsilon:      epsilonFor(sel),
+		Key:          p.PlanKey,
 		Regions:      r.Regions(),
-		Participants: p.parts,
-		Rankings:     p.ranks,
+		Participants: p.Participants,
+		Rankings:     ranks,
 	}, nil
 }
 

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -13,23 +14,28 @@ import (
 // alternating key, value pairs; a trailing odd value is rendered under
 // the key "msg".
 func FormatKV(kvs ...any) string {
-	var b strings.Builder
+	var b []byte
 	for i := 0; i < len(kvs); i += 2 {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
 		if i+1 >= len(kvs) {
-			fmt.Fprintf(&b, "msg=%s", quoteIfNeeded(fmt.Sprint(kvs[i])))
+			b = AppendKV(b, "msg", fmt.Sprint(kvs[i]))
 			break
 		}
-		fmt.Fprintf(&b, "%s=%s", fmt.Sprint(kvs[i]), quoteIfNeeded(fmt.Sprint(kvs[i+1])))
+		b = AppendKV(b, fmt.Sprint(kvs[i]), fmt.Sprint(kvs[i+1]))
 	}
-	return b.String()
+	return string(b)
 }
 
-func quoteIfNeeded(v string) string {
-	if v == "" || strings.ContainsAny(v, " \t\n\"=") {
-		return fmt.Sprintf("%q", v)
+// AppendKV appends one key=value pair of a FormatKV line to b, after a
+// separating space unless b is empty, and without allocating — the form
+// for lines written per request.
+func AppendKV(b []byte, key, value string) []byte {
+	if len(b) > 0 {
+		b = append(b, ' ')
 	}
-	return v
+	b = append(b, key...)
+	b = append(b, '=')
+	if value == "" || strings.ContainsAny(value, " \t\n\"=") {
+		return strconv.AppendQuote(b, value)
+	}
+	return append(b, value...)
 }

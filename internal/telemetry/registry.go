@@ -81,22 +81,39 @@ var defaultRegistry = &Registry{}
 // Default returns the process-wide registry.
 func Default() *Registry { return defaultRegistry }
 
-// labelKey canonicalizes labels: sorted by key, rendered k="v".
-func labelKey(labels []Label) string {
-	if len(labels) == 0 {
-		return ""
+// sortedLabels returns labels ordered by key: the slice itself when it
+// already is (every call site with at most one label, and most others),
+// otherwise a sorted copy in scratch, which stays on the caller's stack
+// for the label counts in use.
+func sortedLabels(labels []Label, scratch *[4]Label) []Label {
+	inOrder := true
+	for i := 1; i < len(labels) && inOrder; i++ {
+		inOrder = labels[i-1].Key <= labels[i].Key
 	}
-	sorted := make([]Label, len(labels))
-	copy(sorted, labels)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
-	var b strings.Builder
+	if inOrder {
+		return labels
+	}
+	sorted := append(scratch[:0], labels...)
+	for i := 1; i < len(sorted); i++ { // insertion sort: sort.Slice would move scratch to the heap
+		for j := i; j > 0 && sorted[j].Key < sorted[j-1].Key; j-- {
+			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
+		}
+	}
+	return sorted
+}
+
+// appendLabelKey renders the canonical series key — sorted by label
+// key, k="v" comma-joined — into b.
+func appendLabelKey(b []byte, sorted []Label) []byte {
 	for i, l := range sorted {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%s=%q", l.Key, l.Value)
+		b = append(b, l.Key...)
+		b = append(b, '=')
+		b = strconv.AppendQuote(b, l.Value)
 	}
-	return b.String()
+	return b
 }
 
 // L builds labels from alternating key, value strings: L("node",
@@ -115,10 +132,18 @@ func L(kv ...string) []Label {
 // lookup returns (creating on demand) the series for name+labels,
 // enforcing kind consistency within a family.
 func (r *Registry) lookup(name string, kind metricKind, labels []Label) *series {
-	key := labelKey(labels)
+	// The hit path runs per RPC and per query: the key is rendered into
+	// a stack buffer and looked up without becoming a string, so finding
+	// an existing series allocates nothing.
+	var (
+		scratch [4]Label
+		buf     [128]byte
+	)
+	sorted := sortedLabels(labels, &scratch)
+	key := appendLabelKey(buf[:0], sorted)
 	r.mu.RLock()
 	if f, ok := r.families[name]; ok && f.kind == kind {
-		if s, ok := f.series[key]; ok {
+		if s, ok := f.series[string(key)]; ok {
 			r.mu.RUnlock()
 			return s
 		}
@@ -138,12 +163,9 @@ func (r *Registry) lookup(name string, kind metricKind, labels []Label) *series 
 	if f.kind != kind {
 		panic(fmt.Sprintf("telemetry: metric %q registered twice with different kinds", name))
 	}
-	s, ok := f.series[key]
+	s, ok := f.series[string(key)]
 	if !ok {
-		sorted := make([]Label, len(labels))
-		copy(sorted, labels)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
-		s = &series{labels: sorted}
+		s = &series{labels: append([]Label(nil), sorted...)}
 		switch kind {
 		case kindCounter:
 			s.counter = &Counter{}
@@ -152,7 +174,7 @@ func (r *Registry) lookup(name string, kind metricKind, labels []Label) *series 
 		case kindHistogram:
 			s.hist = &Histogram{}
 		}
-		f.series[key] = s
+		f.series[string(key)] = s
 	}
 	return s
 }

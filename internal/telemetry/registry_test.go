@@ -37,6 +37,29 @@ func TestRegistryLabelOrderCanonical(t *testing.T) {
 	}
 }
 
+// TestRegistryLookupHitAllocatesNothing: finding an existing series is
+// on the per-RPC and per-query path, so it must not allocate — for no,
+// one, two, reordered and quoted labels, of every kind.
+func TestRegistryLookupHitAllocatesNothing(t *testing.T) {
+	var r Registry
+	node, typ := Label{"node", `edge "7"`}, Label{"type", "train"}
+	for name, hit := range map[string]func(){
+		"no label":  func() { r.Counter("c").Inc() },
+		"one label": func() { r.Histogram("h", node).Observe(1) },
+		"two":       func() { r.Counter("c2", node, typ).Inc() },
+		"reordered": func() { r.Counter("c2", typ, node).Inc() },
+		"gauge":     func() { r.Gauge("g", node).Set(1) },
+	} {
+		hit() // create the series
+		if n := testing.AllocsPerRun(100, hit); n != 0 {
+			t.Errorf("%s: %v allocations per hit, want 0", name, n)
+		}
+	}
+	if got := r.Counter("c2", node, typ).Value(); got != 2*(1+1+100) { // create + AllocsPerRun's warm-up + runs, twice
+		t.Fatalf("reordered labels hit another series: %d", got)
+	}
+}
+
 func TestRegistryKindMismatchPanics(t *testing.T) {
 	var r Registry
 	r.Counter("metric_x").Inc()

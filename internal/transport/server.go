@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -433,11 +434,47 @@ func (s *Server) SetLogger(logf func(format string, args ...any)) {
 // logkv emits one structured key=value log line through the server's
 // log function.
 func (s *Server) logkv(kvs ...any) {
+	s.logLine(telemetry.FormatKV(append([]any{"component", "transport", "node", s.id}, kvs...)...))
+}
+
+func (s *Server) logLine(line string) {
 	logf := log.Printf
 	if p := s.logf.Load(); p != nil {
 		logf = *p
 	}
-	logf("%s", telemetry.FormatKV(append([]any{"component", "transport", "node", s.id}, kvs...)...))
+	logf("%s", line)
+}
+
+// rpcLinePool recycles rpcLogLine's render buffers.
+var rpcLinePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// rpcLogLine renders the per-RPC line — the text logkv gives for
+// event=rpc type=… dur_ms=… [trace=… span=…] [err=… [code=…]] —
+// into a pooled buffer: it is built for every RPC served, whatever the
+// logger then does with it, so it must not cost logkv's boxing and
+// formatting.
+func (s *Server) rpcLogLine(req *request, resp *response, elapsed time.Duration) string {
+	bp := rpcLinePool.Get().(*[]byte)
+	b := telemetry.AppendKV((*bp)[:0], "component", "transport")
+	b = telemetry.AppendKV(b, "node", s.id)
+	b = telemetry.AppendKV(b, "event", "rpc")
+	b = telemetry.AppendKV(b, "type", req.Type)
+	b = append(b, " dur_ms="...)
+	b = strconv.AppendFloat(b, float64(elapsed)/float64(time.Millisecond), 'f', 3, 64)
+	if req.TraceID != "" {
+		b = telemetry.AppendKV(b, "trace", req.TraceID)
+		b = telemetry.AppendKV(b, "span", req.SpanID)
+	}
+	if resp.Error != "" {
+		b = telemetry.AppendKV(b, "err", resp.Error)
+		if resp.Code != "" {
+			b = telemetry.AppendKV(b, "code", resp.Code)
+		}
+	}
+	line := string(b)
+	*bp = b
+	rpcLinePool.Put(bp)
+	return line
 }
 
 // Addr returns the listening address.
@@ -753,18 +790,7 @@ func (s *Server) dispatch(req request) response {
 		s.lastTrain.Store(time.Now().UnixNano())
 	}
 
-	kvs := []any{"event", "rpc", "type", req.Type,
-		"dur_ms", fmt.Sprintf("%.3f", float64(elapsed)/float64(time.Millisecond))}
-	if req.TraceID != "" {
-		kvs = append(kvs, "trace", req.TraceID, "span", req.SpanID)
-	}
-	if resp.Error != "" {
-		kvs = append(kvs, "err", resp.Error)
-		if resp.Code != "" {
-			kvs = append(kvs, "code", resp.Code)
-		}
-	}
-	s.logkv(kvs...)
+	s.logLine(s.rpcLogLine(&req, &resp, elapsed))
 
 	resp.TraceID = req.TraceID
 	if resp.Error == "" && s.node != nil {

@@ -418,6 +418,42 @@ func TestTraceIDRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRPCLogLine pins the per-RPC log line: byte-equal to what
+// FormatKV renders for every shape dispatch produces, at no more than
+// the line's own string per call.
+func TestRPCLogLine(t *testing.T) {
+	s := &Server{id: "node 7"} // a space: the quoting rule applies to every value
+	elapsed := 1234567 * time.Nanosecond
+	const literal = `component=transport node="node 7" event=rpc type=train dur_ms=1.235 trace="t 1" span=s-2 err="a=b"`
+	if got := s.rpcLogLine(&request{Type: typeTrain, TraceID: "t 1", SpanID: "s-2"}, &response{Error: "a=b"}, elapsed); got != literal {
+		t.Errorf("got  %s\nwant %s", got, literal)
+	}
+	for _, tc := range []struct {
+		name string
+		req  request
+		resp response
+		tail []any
+	}{
+		{"untraced", request{Type: typeTrain}, response{}, nil},
+		{"traced", request{Type: typeRegionPlan, TraceID: "t-1", SpanID: "s-2"}, response{},
+			[]any{"trace", "t-1", "span", "s-2"}},
+		{"error", request{Type: typeEvaluate}, response{Error: `no "data" here`},
+			[]any{"err", `no "data" here`}},
+		{"traced error with code", request{Type: "compress", TraceID: "t=1", SpanID: "s-2"},
+			response{Error: "unknown type", Code: CodeUnknownType},
+			[]any{"trace", "t=1", "span", "s-2", "err", "unknown type", "code", CodeUnknownType}},
+	} {
+		want := telemetry.FormatKV(append([]any{"component", "transport", "node", s.id,
+			"event", "rpc", "type", tc.req.Type, "dur_ms", fmt.Sprintf("%.3f", 1.234567)}, tc.tail...)...)
+		if got := s.rpcLogLine(&tc.req, &tc.resp, elapsed); got != want {
+			t.Errorf("%s:\n got %s\nwant %s", tc.name, got, want)
+		}
+		if n := testing.AllocsPerRun(100, func() { s.rpcLogLine(&tc.req, &tc.resp, elapsed) }); n > 2 {
+			t.Errorf("%s: %v allocations per line, want <= 2", tc.name, n)
+		}
+	}
+}
+
 // TestOversizedFrameWrite verifies a body above MaxFrameSize is
 // refused on the write side before touching the socket.
 func TestOversizedFrameWrite(t *testing.T) {

@@ -163,6 +163,26 @@ case "$load_out" in
         ;;
 esac
 
+# One region.plan round per request: the admission-time plan is the
+# execution plan, so neither region may log more plan RPCs than requests
+# were sent (planning again inside execute logged one more per trained
+# query). This is the live cross-process check of the saved round, and
+# it pins the per-RPC log line's text.
+plans_total=0
+for r in 0 1; do
+    plans=$(grep -c 'event=rpc type=region.plan' "$BIN/region$r.log" || true)
+    if [ "$plans" -gt 32 ]; then
+        echo "loadsmoke: FAIL region-$r logged $plans region.plan RPCs for 32 requests" >&2
+        exit 1
+    fi
+    plans_total=$((plans_total + plans))
+done
+if [ "$plans_total" -eq 0 ]; then
+    echo "loadsmoke: FAIL no 'event=rpc type=region.plan' line in either region log" >&2
+    exit 1
+fi
+echo "loadsmoke: $plans_total region.plan RPCs across both regions for 32 requests"
+
 echo "loadsmoke: checking per-region stats and fleet surfaces"
 stats_json=$(curl -sf "$SHARD_URL/v1/stats")
 for want in '"router"' '"region_id":"region-0"' '"region_id":"region-1"' '"routed"'; do
