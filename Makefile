@@ -25,6 +25,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzWireV2 -fuzztime 30s ./internal/transport/
 	$(GO) test -run '^$$' -fuzz FuzzWirePush -fuzztime 30s ./internal/transport/
 	$(GO) test -run '^$$' -fuzz FuzzRTreePrune -fuzztime 30s ./internal/geometry/
+	$(GO) test -run '^$$' -fuzz FuzzCoverageProfile -fuzztime 30s ./internal/geometry/
 
 fmt:
 	gofmt -w .
@@ -65,7 +66,7 @@ loc:
 # The serving packages' non-test line budget: ROADMAP item 2 pushes
 # federation+region+gateway down, so growing them past the committed
 # number fails the gate. Lower LOC_BUDGET when a PR shrinks them.
-LOC_BUDGET ?= 6439
+LOC_BUDGET ?= 6324
 loc-check:
 	@n=$$(cat $$(ls internal/federation/*.go internal/region/*.go internal/gateway/*.go | grep -v _test.go) | wc -l); \
 	if [ "$$n" -gt $(LOC_BUDGET) ]; then \
@@ -115,9 +116,11 @@ bench-ingest:
 
 # Adaptive-serving replay benchmark (BenchmarkReuseReplay, exact-only
 # reuse cache vs the approximate model-answer tier over the same
-# contained-heavy workload) rendered as BENCH_reuse.json; fails if the
-# approx tier cuts federated training executions by less than 30% or
-# lets served-answer MSE past 2x the exact-only replay.
+# contained-heavy workload) plus the cache-hit microbenchmark
+# (BenchmarkReuseLookup, exact/approx tier x 32/1024 entries) rendered
+# as BENCH_reuse.json; fails if the approx tier cuts federated training
+# executions by less than 30%, lets served-answer MSE past 2x the
+# exact-only replay, or a cache hit allocates.
 bench-reuse:
 	sh scripts/bench_reuse.sh
 

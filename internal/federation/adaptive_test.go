@@ -144,7 +144,7 @@ func TestAdaptiveResidualEviction(t *testing.T) {
 	res := &Result{Query: q, Ensemble: &Ensemble{},
 		TrainMins: []float64{0, 0}, TrainMaxs: []float64{10, 10}, TrainDims: 2}
 	cache.store(res, nil, Fence{})
-	ent := cache.view.Load().entries[0]
+	ent := cache.snapshot()[0]
 
 	// A good probe keeps the entry.
 	cache.recordProbe(ent, 0.1, 0.05)
@@ -333,11 +333,32 @@ func TestAdaptiveDisabledGoldenReplay(t *testing.T) {
 	}
 }
 
+// stressResult is the i-th stored result of the cache stress fixture:
+// a 5x10 window sliding over x in [0,50), its own rectangle as the one
+// training rectangle, every 17th with a third dimension, the epoch
+// advancing every 400.
+func stressResult(i int) *Result {
+	lo := float64(i % 50)
+	dims := []float64{lo, 0}
+	his := []float64{lo + 5, 10}
+	if i%17 == 0 { // mixed dimensionality
+		dims = []float64{lo, 0, 0}
+		his = []float64{lo + 5, 10, 10}
+	}
+	q, _ := query.New(fmt.Sprintf("s-%d", i), geometry.MustRect(dims, his))
+	return &Result{
+		Query: q, Ensemble: &Ensemble{}, Epoch: uint64(1 + i/400),
+		TrainMins: append([]float64(nil), dims...),
+		TrainMaxs: append([]float64(nil), his...),
+		TrainDims: len(dims),
+	}
+}
+
 // TestReuseCacheConcurrentStress hammers Store / lookup /
-// Answer / CacheStats / Len from many goroutines, with mixed dims
-// (forcing the linear fallback), advancing epochs (exercising the
-// prune-on-store path) and capacity churn. Run under -race (make check
-// does); the assertions are only internal-consistency ones.
+// Answer / CacheStats / Len from many goroutines, with mixed dims,
+// advancing epochs (exercising the prune-on-store path) and capacity
+// churn. Run under -race (make check does); the assertions are only
+// internal-consistency ones.
 func TestReuseCacheConcurrentStress(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -351,22 +372,6 @@ func TestReuseCacheConcurrentStress(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mk := func(i int) *Result {
-				lo := float64(i % 50)
-				dims := []float64{lo, 0}
-				his := []float64{lo + 5, 10}
-				if i%17 == 0 { // mixed dimensionality
-					dims = []float64{lo, 0, 0}
-					his = []float64{lo + 5, 10, 10}
-				}
-				q, _ := query.New(fmt.Sprintf("s-%d", i), geometry.MustRect(dims, his))
-				return &Result{
-					Query: q, Ensemble: &Ensemble{}, Epoch: uint64(1 + i/400),
-					TrainMins: append([]float64(nil), dims...),
-					TrainMaxs: append([]float64(nil), his...),
-					TrainDims: len(dims),
-				}
-			}
 			const workers, ops = 8, 800
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {
@@ -377,7 +382,7 @@ func TestReuseCacheConcurrentStress(t *testing.T) {
 						n := w*ops + i
 						switch i % 5 {
 						case 0:
-							cache.store(mk(n), nil, Fence{})
+							cache.store(stressResult(n), nil, Fence{})
 						case 1:
 							q, _ := query.New("p", geometry.MustRect(
 								[]float64{float64(n % 50), 0}, []float64{float64(n%50) + 5, 10}))

@@ -134,3 +134,63 @@ func BenchmarkReuseReplay(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkReuseLookup prices one cache hit — Serve in cache-only mode,
+// so the exact scan and, for tier=approx, the coverage scan behind its
+// miss — on a full cache at the serving capacity (32, what -reuse-cap
+// and the repository benchmark use) and at 1024, where the pass over
+// the snapshot is 32x longer. Every entry carries 12 training
+// rectangles (ℓ=3 nodes x K=4 clusters). scripts/bench_reuse.sh fails
+// when a row allocates.
+func BenchmarkReuseLookup(b *testing.B) {
+	sel := selection.QueryDriven{Epsilon: 0.4, TopL: 3}
+	window := func(id string, lo, hi float64) query.Query {
+		q, err := query.New(id, geometry.MustRect([]float64{lo, -20}, []float64{hi, 200}))
+		if err != nil {
+			b.Fatal(err)
+		}
+		return q
+	}
+	for _, capacity := range []int{32, 1024} {
+		cache, err := NewAdaptiveCache(0.9, capacity, ApproxConfig{MaxPredictedError: 0.35, ProbeEvery: -1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		// 40-wide windows sliding over x in [0,100): neighbours overlap
+		// heavily, as anchors of one workload do.
+		step := 60.0 / float64(capacity)
+		for i := 0; i < capacity; i++ {
+			lo := float64(i) * step
+			res := &Result{
+				Query: window(fmt.Sprintf("anchor-%d", i), lo, lo+40), Ensemble: &Ensemble{},
+				Selector: sel.Name(), Aggregation: WeightedAveraging, TrainDims: 2,
+			}
+			for k := 0; k < 12; k++ {
+				klo := lo - 2 + float64(k)*3.5
+				res.TrainMins = append(res.TrainMins, klo, -30+float64(k%4)*50)
+				res.TrainMaxs = append(res.TrainMaxs, klo+5, 40+float64(k%4)*50)
+			}
+			cache.store(res, nil, Fence{})
+		}
+		mid := float64(capacity/2) * step
+		for _, tier := range []struct {
+			name string
+			q    query.Query
+			want ServeKind
+		}{
+			{"tier=exact", window("hit", mid, mid+40), ServeExact},
+			{"tier=approx", window("sub", mid+6, mid+34), ServeApprox},
+		} {
+			b.Run(fmt.Sprintf("%s/cap=%d", tier.name, capacity), func(b *testing.B) {
+				req := Request{Query: tier.q, Selector: sel, Aggregation: WeightedAveraging, Cache: cache, CacheOnly: true}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, kind, err := Serve(req, Tier{}); err != nil || kind != tier.want {
+						b.Fatalf("served %v, err %v; want %v", kind, err, tier.want)
+					}
+				}
+			})
+		}
+	}
+}

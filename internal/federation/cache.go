@@ -23,17 +23,16 @@ import (
 //   - approximate tier (opt-in, ApproxConfig): a query that misses
 //     the exact tier is still served from a cached ensemble when the
 //     predicted answer error clears a bound. The predictor combines
-//     training-rectangle coverage (geometry.QueryCoverageFlat over
+//     training-rectangle coverage (a geometry.CoverageProfile of
 //     Result.TrainMins/TrainMaxs) with an online per-entry residual
 //     learned from probe rounds — every ProbeEvery-th approx-servable
 //     query trains for real anyway and scores the cached answer
 //     against the fresh one, feeding the residual EWMA and evicting
 //     entries whose residual outgrows the bound.
 //
-// Lookups are lock-free: readers load an immutable cacheView (entry
-// slice + R-tree indexes) through an atomic pointer, so the old
-// O(capacity) mutex-held IoU scan is gone. Mutations serialize on a
-// mutex and publish a rebuilt view.
+// Lookups are lock-free and allocation-free: readers load the immutable
+// entry slice through an atomic pointer and scan it. Mutations serialize
+// on a mutex and publish a fresh slice.
 
 // ApproxConfig tunes the approximate answering tier. The zero value
 // disables it, which keeps the cache's observable behavior bit-exact
@@ -127,15 +126,13 @@ func (k ServeKind) Reused() bool { return k == ServeExact || k == ServeApprox }
 // bits so probes and lookups never contend on a lock.
 type cacheEntry struct {
 	res *Result
-	// seq is the insertion sequence number: the FIFO order and the
-	// deterministic tie-break (older entry wins equal scores, which
-	// reproduces the original first-match-wins scan order).
-	seq uint64
 	// stamps is the vector validity basis (nil under the scalar one,
 	// where Result.Epoch alone fences the entry).
-	stamps   []EpochStamp
-	trainBox geometry.Rect // bounding box of the training rectangles
-	hasBox   bool
+	stamps []EpochStamp
+	// coverage is the approx tier's predictor over the result's
+	// training rectangles, merged once at store time. Nil keeps the
+	// entry exact-tier only.
+	coverage *geometry.CoverageProfile
 
 	residualBits atomic.Uint64
 	probes       atomic.Int64
@@ -165,25 +162,6 @@ func (e *cacheEntry) observeResidual(alpha, realized float64) float64 {
 	}
 }
 
-// cacheView is the immutable read path: a snapshot of the entries plus
-// R-tree indexes over their rectangles. dims > 0 means every entry
-// shares that dimensionality and the trees are valid; dims == 0 means
-// the entries are mixed (or absent) and readers fall back to a linear
-// scan — still lock-free.
-type cacheView struct {
-	entries []*cacheEntry
-	dims    int
-	// exact indexes entry query rectangles; Entry.ID is the position
-	// in entries. Positive IoU needs intersection, so a tree walk
-	// visits a superset of every possible exact-tier candidate.
-	exact *geometry.RTree
-	// approx indexes training-rectangle bounding boxes for entries
-	// that carry them; Entry.ID is the position in entries. Coverage
-	// > 0 needs the query to intersect the box. Nil when the tier is
-	// off or no entry has training bounds.
-	approx *geometry.RTree
-}
-
 // ReuseCache is a bounded cache of query results, safe for concurrent
 // use with lock-free lookups. Hit/miss/eviction totals are exported to
 // the process-default telemetry registry (qens_reuse_cache_* and, for
@@ -194,10 +172,11 @@ type ReuseCache struct {
 	cap    int
 	approx ApproxConfig
 
-	view atomic.Pointer[cacheView]
+	// entries is the published snapshot, in insertion order (oldest
+	// first). The slice it points to is never modified.
+	entries atomic.Pointer[[]*cacheEntry]
 
-	mu  sync.Mutex // serializes mutation; never held during lookups
-	seq uint64
+	mu sync.Mutex // serializes mutation; never held during lookups
 
 	probeTick atomic.Uint64
 
@@ -313,31 +292,30 @@ func (k reuseKey) matches(r *Result) bool {
 	return k.selector == "" || (k.selector == r.Selector && k.agg == r.Aggregation)
 }
 
+// snapshot returns the published entries; callers only read them.
+func (c *ReuseCache) snapshot() []*cacheEntry {
+	if p := c.entries.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
 // lookup returns the best valid cached result under key whose query
 // rectangle matches q at or above the IoU threshold.
 func (c *ReuseCache) lookup(q query.Query, key reuseKey, f Fence) (*Result, bool) {
 	var best *cacheEntry
 	bestIoU := 0.0
-	consider := func(e *cacheEntry) {
+	for _, e := range c.snapshot() {
 		r := e.res
-		if r.Query.Dims() != q.Dims() {
-			return
-		}
-		if !key.matches(r) || !f.valid(e) {
-			return
+		if r.Query.Dims() != q.Dims() || !key.matches(r) || !f.valid(e) {
+			continue
 		}
 		iou := geometry.IoU(q.Bounds, r.Query.Bounds)
-		if iou < c.minIoU {
-			return
-		}
-		// Strictly-better IoU wins; ties go to the older entry, which
-		// reproduces the original first-match-wins scan order exactly.
-		if best == nil || iou > bestIoU || (iou == bestIoU && e.seq < best.seq) {
+		// Only a strictly better IoU displaces an earlier entry, so ties
+		// go to the older one: the original first-match-wins scan order.
+		if iou >= c.minIoU && (best == nil || iou > bestIoU) {
 			best, bestIoU = e, iou
 		}
-	}
-	if v := c.view.Load(); v != nil {
-		c.scan(v, v.exact, q, consider)
 	}
 	if best == nil {
 		c.misses.Add(1)
@@ -353,27 +331,6 @@ func (c *ReuseCache) lookup(q query.Query, key reuseKey, f Fence) (*Result, bool
 	return best.res, true
 }
 
-// scan drives consider over every candidate entry: a sublinear R-tree
-// walk when the index applies (uniform dims matching the query), a
-// lock-free linear pass otherwise. Indexes only prune — consider
-// re-checks every predicate — so both paths pick identical winners.
-func (c *ReuseCache) scan(v *cacheView, index *geometry.RTree, q query.Query, consider func(*cacheEntry)) {
-	if v.dims > 0 && v.dims != q.Dims() {
-		return // uniform-dims view that cannot match this query
-	}
-	if index != nil && v.dims == q.Dims() {
-		if err := index.Search(q.Bounds, func(ent geometry.Entry) bool {
-			consider(v.entries[ent.ID])
-			return true
-		}); err == nil {
-			return
-		}
-	}
-	for _, e := range v.entries {
-		consider(e)
-	}
-}
-
 // lookupApprox finds the cached entry with the lowest predicted error
 // for q, returning it only when the prediction clears the configured
 // bound. It does not touch hit/miss accounting — callers record the
@@ -382,39 +339,30 @@ func (c *ReuseCache) lookupApprox(q query.Query, key reuseKey, f Fence) (*cacheE
 	if !c.approx.Enabled() {
 		return nil, 0, false
 	}
-	v := c.view.Load()
-	if v == nil {
-		return nil, 0, false
-	}
 	var best *cacheEntry
 	bestPred := math.Inf(1)
-	consider := func(e *cacheEntry) {
+	for _, e := range c.snapshot() {
 		r := e.res
-		if !e.hasBox || r.TrainDims != q.Dims() {
-			return
+		if e.coverage == nil || r.TrainDims != q.Dims() {
+			continue
 		}
 		// The query must touch the trained bounding box: coverage is a
 		// per-dimension mean, so a rectangle disjoint in one dimension
 		// could still score — but extrapolating an ensemble to a
 		// subspace it never saw is exactly what the error predictor
-		// cannot bound. This also keeps the linear fallback identical
-		// to the R-tree walk (which only visits intersecting boxes).
-		if !e.trainBox.Intersects(q.Bounds) {
-			return
+		// cannot bound.
+		if !e.coverage.Bounds().Intersects(q.Bounds) || !key.matches(r) || !f.valid(e) {
+			continue
 		}
-		if !key.matches(r) || !f.valid(e) {
-			return
-		}
-		cov := geometry.QueryCoverageFlat(q.Bounds.Min, q.Bounds.Max, r.TrainMins, r.TrainMaxs)
+		cov := e.coverage.Coverage(q.Bounds.Min, q.Bounds.Max)
 		if cov < c.approx.MinCoverage {
-			return
+			continue
 		}
-		pred := (1 - cov) + e.residual()
-		if best == nil || pred < bestPred || (pred == bestPred && e.seq < best.seq) {
+		// Strictly lower wins, so the older entry keeps a tie.
+		if pred := (1 - cov) + e.residual(); best == nil || pred < bestPred {
 			best, bestPred = e, pred
 		}
 	}
-	c.scan(v, v.approx, q, consider)
 	if best == nil || bestPred > c.approx.MaxPredictedError {
 		return nil, 0, false
 	}
@@ -474,11 +422,11 @@ func (c *ReuseCache) store(res *Result, stamps []EpochStamp, f Fence) {
 			c.evictCapCtr.Inc()
 		}
 	}
-	ent := &cacheEntry{res: res, seq: c.seq, stamps: stamps}
-	c.seq++
-	if res.TrainDims > 0 && len(res.TrainMins) >= res.TrainDims {
-		ent.trainBox = trainBoundingBox(res)
-		ent.hasBox = true
+	ent := &cacheEntry{res: res, stamps: stamps}
+	if c.approx.Enabled() && res.TrainDims > 0 {
+		// A pack the profile rejects (ragged, NaN, inverted) has no
+		// predictor: the entry still serves exact-IoU matches.
+		ent.coverage, _ = geometry.NewCoverageProfile(res.TrainDims, res.TrainMins, res.TrainMaxs)
 	}
 	entries = append(entries, ent)
 	c.publishLocked(entries)
@@ -504,76 +452,18 @@ func (c *ReuseCache) evict(target *cacheEntry) {
 }
 
 // entriesLocked returns a mutable copy of the published entry list.
-// Views are immutable, so mutation always works on a fresh slice.
+// Snapshots are immutable, so mutation always works on a fresh slice.
 func (c *ReuseCache) entriesLocked() []*cacheEntry {
-	v := c.view.Load()
-	if v == nil {
-		return nil
-	}
-	return append(make([]*cacheEntry, 0, len(v.entries)+1), v.entries...)
+	cur := c.snapshot()
+	return append(make([]*cacheEntry, 0, len(cur)+1), cur...)
 }
 
-// publishLocked rebuilds the R-tree indexes over the new entry list
-// and publishes the view. Called with c.mu held.
+// publishLocked publishes the new entry list. Called with c.mu held.
 func (c *ReuseCache) publishLocked(entries []*cacheEntry) {
-	v := &cacheView{entries: entries}
-	if len(entries) > 0 {
-		dims := entries[0].res.Query.Dims()
-		for _, e := range entries[1:] {
-			if e.res.Query.Dims() != dims {
-				dims = 0
-				break
-			}
-		}
-		v.dims = dims
-		if dims > 0 {
-			exact := make([]geometry.Entry, len(entries))
-			for i, e := range entries {
-				exact[i] = geometry.Entry{Rect: e.res.Query.Bounds, ID: i}
-			}
-			if t, err := geometry.BuildRTree(exact, 0); err == nil {
-				v.exact = t
-			}
-			if c.approx.Enabled() {
-				boxes := make([]geometry.Entry, 0, len(entries))
-				for i, e := range entries {
-					if e.hasBox && e.res.TrainDims == dims {
-						boxes = append(boxes, geometry.Entry{Rect: e.trainBox, ID: i})
-					}
-				}
-				if len(boxes) == len(entries) {
-					if t, err := geometry.BuildRTree(boxes, 0); err == nil {
-						v.approx = t
-					}
-				}
-				// Entries without training bounds keep the approx
-				// path on the linear scan so they stay reachable by
-				// neither tier silently dropping them.
-			}
-		}
-	}
-	c.view.Store(v)
+	c.entries.Store(&entries)
 	if c.entriesGauge != nil {
 		c.entriesGauge.Set(float64(len(entries)))
 	}
-}
-
-// trainBoundingBox folds the flat training rectangles into one box.
-func trainBoundingBox(res *Result) geometry.Rect {
-	d := res.TrainDims
-	min := append([]float64(nil), res.TrainMins[:d]...)
-	max := append([]float64(nil), res.TrainMaxs[:d]...)
-	for k := d; k+d <= len(res.TrainMins); k += d {
-		for j := 0; j < d; j++ {
-			if res.TrainMins[k+j] < min[j] {
-				min[j] = res.TrainMins[k+j]
-			}
-			if res.TrainMaxs[k+j] > max[j] {
-				max[j] = res.TrainMaxs[k+j]
-			}
-		}
-	}
-	return geometry.MustRect(min, max)
 }
 
 // probeDue deterministically marks every ProbeEvery-th approx-servable
@@ -620,12 +510,7 @@ func (c *ReuseCache) recordFallback() {
 }
 
 // Len returns the current number of cached results.
-func (c *ReuseCache) Len() int {
-	if v := c.view.Load(); v != nil {
-		return len(v.entries)
-	}
-	return 0
-}
+func (c *ReuseCache) Len() int { return len(c.snapshot()) }
 
 // ReuseCacheStats is the full cache scorecard surfaced by /v1/stats.
 type ReuseCacheStats struct {

@@ -273,3 +273,222 @@ func TestIoU(t *testing.T) {
 		t.Fatalf("point self IoU %v", got)
 	}
 }
+
+// rtreeWinners replays both lookup tiers the way the cache ran them
+// while it kept an STR R-tree per tier: walk the tree of the entries'
+// query rectangles (exact) or training bounding boxes (approx) for the
+// ones intersecting q, score each visit, best score wins and the older
+// entry keeps a tie. It is the reference the linear pass must match.
+func rtreeWinners(t *testing.T, c *ReuseCache, q query.Query) (exact *Result, approx *cacheEntry) {
+	t.Helper()
+	entries := c.snapshot()
+	walk := func(rect func(*cacheEntry) (geometry.Rect, bool), visit func(pos int, e *cacheEntry)) {
+		var indexed []geometry.Entry
+		for i, e := range entries {
+			if r, ok := rect(e); ok && r.Dims() == q.Dims() {
+				indexed = append(indexed, geometry.Entry{Rect: r, ID: i})
+			}
+		}
+		if len(indexed) == 0 {
+			return
+		}
+		tree, err := geometry.BuildRTree(indexed, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tree.Search(q.Bounds, func(ent geometry.Entry) bool {
+			visit(ent.ID, entries[ent.ID])
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	bestPos, bestIoU := -1, 0.0
+	walk(func(e *cacheEntry) (geometry.Rect, bool) { return e.res.Query.Bounds, true },
+		func(pos int, e *cacheEntry) {
+			iou := geometry.IoU(q.Bounds, e.res.Query.Bounds)
+			if iou < c.minIoU {
+				return
+			}
+			if bestPos < 0 || iou > bestIoU || (iou == bestIoU && pos < bestPos) {
+				bestPos, bestIoU = pos, iou
+			}
+		})
+	if bestPos >= 0 {
+		exact = entries[bestPos].res
+	}
+
+	bestPos = -1
+	bestPred := 0.0
+	walk(func(e *cacheEntry) (geometry.Rect, bool) {
+		if e.coverage == nil {
+			return geometry.Rect{}, false
+		}
+		return e.coverage.Bounds(), true
+	}, func(pos int, e *cacheEntry) {
+		cov := geometry.QueryCoverageFlat(q.Bounds.Min, q.Bounds.Max, e.res.TrainMins, e.res.TrainMaxs)
+		if cov < c.approx.MinCoverage {
+			return
+		}
+		pred := (1 - cov) + e.residual()
+		if bestPos < 0 || pred < bestPred || (pred == bestPred && pos < bestPos) {
+			bestPos, bestPred = pos, pred
+		}
+	})
+	if bestPos >= 0 && bestPred <= c.approx.MaxPredictedError {
+		approx = entries[bestPos]
+	}
+	return exact, approx
+}
+
+// TestLinearScanMatchesRTreeWinners: dropping the per-publish R-trees
+// for a pass over the snapshot may not change a single answer. Both
+// fixtures are replayed through the old index walk and the cache.
+func TestLinearScanMatchesRTreeWinners(t *testing.T) {
+	rect := func(lo0, lo1, hi0, hi1 float64) query.Query {
+		q, err := query.New("p", geometry.MustRect([]float64{lo0, lo1}, []float64{hi0, hi1}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+
+	// TestAdaptiveAnswerTiers' cache and its three probes.
+	tiers, err := NewAdaptiveCache(0.9, 4, ApproxConfig{MaxPredictedError: 0.6, MinCoverage: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiers.store(&Result{Query: rect(0, 0, 10, 10), Ensemble: &Ensemble{},
+		TrainMins: []float64{0, 0}, TrainMaxs: []float64{10, 10}, TrainDims: 2}, nil, Fence{})
+	tierProbes := []query.Query{rect(0, 0, 10, 10), rect(2, 2, 8, 8), rect(100, 100, 110, 110)}
+
+	// TestReuseCacheConcurrentStress' entries at the serving capacity.
+	// The second half repeats the first half's rectangles, so every
+	// probe that matches at all matches an older and a newer twin, and
+	// a few residuals are moved off zero so approx scores differ.
+	stress, err := NewAdaptiveCache(0.7, 32, ApproxConfig{MaxPredictedError: 0.5, MinCoverage: 0.1, ProbeEvery: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 16; i++ {
+		stress.store(stressResult(i*3), nil, Fence{})
+	}
+	for i := 0; i < 16; i++ {
+		stress.store(stressResult(i*3+50), nil, Fence{})
+	}
+	for i, e := range stress.snapshot() {
+		if i%5 == 2 {
+			e.observeResidual(0.25, 0.05*float64(i%4))
+		}
+	}
+	var stressProbes []query.Query
+	for n := 0; n < 50; n++ {
+		lo := float64(n)
+		stressProbes = append(stressProbes,
+			rect(lo, 0, lo+5, 10),       // a stored rectangle, or between two
+			rect(lo+1, 1, lo+4, 9),      // contained: several entries cover it fully
+			rect(lo+0.5, 0, lo+5.5, 10), // half a step off: IoU 0.82 with two neighbours
+			rect(lo, 0, lo+12, 10))      // wide: partial coverage everywhere
+	}
+	q3, _ := query.New("p3", geometry.MustRect([]float64{0, 0, 0}, []float64{5, 10, 10}))
+	stressProbes = append(stressProbes, q3, rect(200, 0, 205, 10), rect(52, 20, 60, 30))
+
+	for _, fx := range []struct {
+		name   string
+		cache  *ReuseCache
+		probes []query.Query
+	}{{"answer-tiers", tiers, tierProbes}, {"stress", stress, stressProbes}} {
+		exactHits, approxHits := 0, 0
+		for _, q := range fx.probes {
+			wantExact, wantApprox := rtreeWinners(t, fx.cache, q)
+			gotExact, _ := fx.cache.lookup(q, reuseKey{}, Fence{})
+			gotApprox, _, _ := fx.cache.lookupApprox(q, reuseKey{}, Fence{})
+			if gotExact != wantExact {
+				t.Errorf("%s %v: exact winner %v, R-tree walk %v", fx.name, q.Bounds, gotExact, wantExact)
+			}
+			if gotApprox != wantApprox {
+				t.Errorf("%s %v: approx winner %v, R-tree walk %v", fx.name, q.Bounds, gotApprox, wantApprox)
+			}
+			if gotExact != nil {
+				exactHits++
+			}
+			if gotApprox != nil {
+				approxHits++
+			}
+		}
+		if exactHits == 0 || approxHits == 0 || exactHits == len(fx.probes) || approxHits == len(fx.probes) {
+			t.Errorf("%s: %d exact / %d approx winners over %d probes: the table does not exercise both outcomes",
+				fx.name, exactHits, approxHits, len(fx.probes))
+		}
+	}
+}
+
+// TestStoreRaggedTrainingRectangles: a result whose flat training
+// rectangles are malformed used to be stored with a bounding box and
+// then panic inside every later approx lookup. It must be kept as an
+// exact-tier-only entry instead.
+func TestStoreRaggedTrainingRectangles(t *testing.T) {
+	cache, err := NewAdaptiveCache(0.9, 4, ApproxConfig{MaxPredictedError: 0.6, MinCoverage: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, _ := query.New("s", geometry.MustRect([]float64{0, 0}, []float64{10, 10}))
+	for _, bad := range []*Result{
+		{TrainMins: []float64{0, 0, 1}, TrainMaxs: []float64{10, 10, 9}, TrainDims: 2}, // not a multiple of dims
+		{TrainMins: []float64{0, 0, 1, 1}, TrainMaxs: []float64{10, 10}, TrainDims: 2}, // mins/maxs disagree
+	} {
+		bad.Query, bad.Ensemble = q, &Ensemble{}
+		cache.store(bad, nil, Fence{})
+	}
+	if cache.Len() != 2 {
+		t.Fatalf("len %d, want both results stored", cache.Len())
+	}
+	covered, _ := query.New("p", geometry.MustRect([]float64{2, 2}, []float64{8, 8}))
+	if _, _, ok := cache.Answer(covered, 0); ok {
+		t.Fatal("an entry without a usable training pack served the approx tier")
+	}
+	if res, kind, ok := cache.Answer(q, 0); !ok || kind != ServeExact || res.TrainDims != 2 {
+		t.Fatalf("identical query: ok=%v kind=%v, want an exact hit", ok, kind)
+	}
+}
+
+// TestReuseLookupDoesNotAllocate pins the whole hit path — both lookup
+// tiers and Serve around them — at zero heap allocations on a full
+// cache of the serving capacity.
+func TestReuseLookupDoesNotAllocate(t *testing.T) {
+	cache, err := NewAdaptiveCache(0.9, 32, ApproxConfig{MaxPredictedError: 0.5, MinCoverage: 0.1, ProbeEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel := selection.QueryDriven{Epsilon: 0.6, TopL: 2}
+	for i := 1; i <= 32; i++ { // 1..32 skips the fixture's 3-D results
+		res := stressResult(i)
+		res.Selector, res.Aggregation = sel.Name(), WeightedAveraging
+		cache.store(res, nil, Fence{})
+	}
+	key := reuseKey{sel.Name(), WeightedAveraging}
+	fence := Fence{Epoch: 1}
+	stored, _ := query.New("p", geometry.MustRect([]float64{20, 0}, []float64{25, 10}))
+	inner, _ := query.New("p", geometry.MustRect([]float64{21, 1}, []float64{24, 9}))
+	req := Request{Query: inner, Selector: sel, Aggregation: WeightedAveraging, Cache: cache, CacheOnly: true}
+	for name, fn := range map[string]func() bool{
+		"lookup": func() bool { _, ok := cache.lookup(stored, key, fence); return ok },
+		"lookupApprox": func() bool {
+			_, missed := cache.lookup(inner, key, fence)
+			_, _, ok := cache.lookupApprox(inner, key, fence)
+			return ok && !missed
+		},
+		"Serve approx hit": func() bool {
+			_, kind, err := Serve(req, Tier{Fence: fence})
+			return err == nil && kind == ServeApprox
+		},
+	} {
+		if !fn() {
+			t.Fatalf("%s: not the hit it is meant to measure", name)
+		}
+		if n := testing.AllocsPerRun(100, func() { fn() }); n != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", name, n)
+		}
+	}
+}

@@ -1,8 +1,9 @@
 package geometry
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // QueryCoverageFlat measures how much of the query rectangle
@@ -20,6 +21,11 @@ import (
 // A per-dimension union is deliberately optimistic relative to the
 // d-dimensional union volume (which is exponential to compute); the
 // online residual estimate learned from probe rounds absorbs the gap.
+//
+// This is the reference form: it clamps every rectangle to the query
+// and merges per call. A cache entry's rectangles never change, so the
+// serving path merges them once into a CoverageProfile instead, which
+// the tests hold bit-equal to this function.
 //
 // Degenerate query intervals (width 0) count as covered when any
 // rectangle's interval contains the point. Panics if the slices
@@ -41,8 +47,13 @@ func QueryCoverageFlat(qmin, qmax, mins, maxs []float64) float64 {
 	n := len(mins) / d
 
 	// Scratch for one dimension's clamped intervals; n is the number
-	// of training rectangles backing one cache entry, so it is small.
-	spans := make([]span1d, 0, n)
+	// of training rectangles backing one cache entry (at most ℓ·K), so
+	// it normally fits the stack buffer.
+	var buf [32]span1d
+	spans := buf[:0]
+	if n > len(buf) {
+		spans = make([]span1d, 0, n)
+	}
 
 	total := 0.0
 	for dim := 0; dim < d; dim++ {
@@ -72,7 +83,7 @@ func QueryCoverageFlat(qmin, qmax, mins, maxs []float64) float64 {
 		if len(spans) == 0 {
 			continue
 		}
-		sort.Slice(spans, func(i, j int) bool { return spans[i].lo < spans[j].lo })
+		sortSpans(spans)
 		covered := 0.0
 		curLo, curHi := spans[0].lo, spans[0].hi
 		for _, s := range spans[1:] {
@@ -93,6 +104,12 @@ func QueryCoverageFlat(qmin, qmax, mins, maxs []float64) float64 {
 
 type span1d struct{ lo, hi float64 }
 
+// sortSpans orders spans by lo. Unlike sort.Slice it builds no
+// reflective swapper, so it allocates nothing.
+func sortSpans(spans []span1d) {
+	slices.SortFunc(spans, func(a, b span1d) int { return cmp.Compare(a.lo, b.lo) })
+}
+
 // QueryCoverage is the Rect convenience wrapper over QueryCoverageFlat.
 func QueryCoverage(q Rect, rects []Rect) float64 {
 	if len(rects) == 0 {
@@ -100,4 +117,107 @@ func QueryCoverage(q Rect, rects []Rect) float64 {
 	}
 	mins, maxs := FlattenRects(nil, nil, rects)
 	return QueryCoverageFlat(q.Min, q.Max, mins, maxs)
+}
+
+// CoverageProfile is QueryCoverageFlat precomputed for one fixed set of
+// rectangles: per dimension, their intervals sorted and merged into
+// disjoint ascending spans. Clamping to a query never joins two spans
+// or splits one, so clamping the merged spans and summing them in order
+// performs exactly the additions QueryCoverageFlat performs after its
+// own clamp-sort-merge — the scores are bit-identical, without the
+// per-call sort or scratch. Immutable once built.
+type CoverageProfile struct {
+	spans []span1d // every dimension's merged spans, dimension-major
+	end   []int    // dimension d owns spans[end[d-1]:end[d]] (from 0 for d = 0)
+	box   Rect
+}
+
+// NewCoverageProfile builds the profile of the rectangles packed
+// rect-major into mins/maxs (QueryCoverageFlat's layout). It fails on
+// what QueryCoverageFlat would panic on — a pack that is ragged or not
+// a whole number of dims-wide rectangles — and on an empty or invalid
+// (NaN, min > max) one.
+func NewCoverageProfile(dims int, mins, maxs []float64) (*CoverageProfile, error) {
+	if dims <= 0 || len(mins) == 0 || len(mins)%dims != 0 {
+		return nil, fmt.Errorf("%w: %d flat bounds are not rectangles of %d dims", ErrInvalidRect, len(mins), dims)
+	}
+	if err := checkBounds(mins, maxs); err != nil {
+		return nil, fmt.Errorf("flat rectangles: %w", err)
+	}
+	n := len(mins) / dims
+	p := &CoverageProfile{
+		spans: make([]span1d, 0, len(mins)),
+		end:   make([]int, dims),
+		box:   Rect{Min: make([]float64, dims), Max: make([]float64, dims)},
+	}
+	for dim := 0; dim < dims; dim++ {
+		start := len(p.spans)
+		for k := 0; k < n; k++ {
+			p.spans = append(p.spans, span1d{mins[k*dims+dim], maxs[k*dims+dim]})
+		}
+		sortSpans(p.spans[start:])
+		// Merge in place: cur is the last span kept.
+		cur := start
+		for _, s := range p.spans[start+1:] {
+			if s.lo <= p.spans[cur].hi {
+				if s.hi > p.spans[cur].hi {
+					p.spans[cur].hi = s.hi
+				}
+				continue
+			}
+			cur++
+			p.spans[cur] = s
+		}
+		p.spans = p.spans[:cur+1]
+		p.end[dim] = len(p.spans)
+		p.box.Min[dim], p.box.Max[dim] = p.spans[start].lo, p.spans[cur].hi
+	}
+	return p, nil
+}
+
+// Bounds returns the bounding box of the profiled rectangles. The
+// caller must not modify it.
+func (p *CoverageProfile) Bounds() Rect { return p.box }
+
+// Coverage returns QueryCoverageFlat(qmin, qmax, mins, maxs) for the
+// rectangles the profile was built from, for a valid query rectangle
+// (qmin[i] <= qmax[i]) of the profile's dimensionality. It allocates
+// nothing.
+func (p *CoverageProfile) Coverage(qmin, qmax []float64) float64 {
+	d := len(p.end)
+	if len(qmin) != d || len(qmax) != d {
+		panic(fmt.Sprintf("geometry: query dims %d/%d vs profile dims %d", len(qmin), len(qmax), d))
+	}
+	total := 0.0
+	start := 0
+	for dim, end := range p.end {
+		qlo, qhi := qmin[dim], qmax[dim]
+		covered, touched := 0.0, false
+		for _, s := range p.spans[start:end] {
+			if s.hi < qlo {
+				continue
+			}
+			if s.lo > qhi {
+				break
+			}
+			touched = true
+			lo, hi := s.lo, s.hi
+			if lo < qlo {
+				lo = qlo
+			}
+			if hi > qhi {
+				hi = qhi
+			}
+			covered += hi - lo
+		}
+		start = end
+		switch {
+		case !touched:
+		case qhi <= qlo:
+			total += 1
+		default:
+			total += clamp01(covered / (qhi - qlo))
+		}
+	}
+	return total / float64(d)
 }

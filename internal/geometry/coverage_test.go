@@ -1,8 +1,12 @@
 package geometry
 
 import (
+	"errors"
 	"math"
+	"reflect"
 	"testing"
+
+	"qens/internal/rng"
 )
 
 func approxEq(a, b float64) bool { return math.Abs(a-b) < 1e-12 }
@@ -94,4 +98,150 @@ func TestQueryCoverageFlatPanicsOnDimMismatch(t *testing.T) {
 		}
 	}()
 	QueryCoverageFlat([]float64{0, 0}, []float64{1, 1}, []float64{0, 0, 0}, []float64{1, 1, 1})
+}
+
+// gridRects draws n rectangles rect-major into flat mins/maxs. With
+// grid set the corners sit on a small integer lattice, so touching,
+// nested, duplicated and zero-width intervals are the common case
+// rather than a measure-zero one.
+func gridRects(src *rng.Source, n, dims int, grid bool) (mins, maxs []float64) {
+	for i := 0; i < n*dims; i++ {
+		var lo, w float64
+		if grid {
+			lo, w = float64(src.Intn(12)), float64(src.Intn(5))
+		} else {
+			lo, w = src.Uniform(-50, 50), src.Uniform(0, 30)
+		}
+		mins, maxs = append(mins, lo), append(maxs, lo+w)
+	}
+	return mins, maxs
+}
+
+// assertProfileMatchesFlat holds a profile's score bit-equal to the
+// reference for one query.
+func assertProfileMatchesFlat(t *testing.T, p *CoverageProfile, qmin, qmax, mins, maxs []float64) {
+	t.Helper()
+	got, want := p.Coverage(qmin, qmax), QueryCoverageFlat(qmin, qmax, mins, maxs)
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("profile coverage %v (%#x) != flat %v (%#x)\nq=[%v,%v]\nmins=%v\nmaxs=%v",
+			got, math.Float64bits(got), want, math.Float64bits(want), qmin, qmax, mins, maxs)
+	}
+}
+
+// TestCoverageProfileMatchesFlat is the seeded property test behind the
+// serving path's swap of QueryCoverageFlat for a precomputed profile:
+// the two must agree bit for bit, including on touching, nested,
+// zero-width and point-query configurations.
+func TestCoverageProfileMatchesFlat(t *testing.T) {
+	src := rng.New(17)
+	for trial := 0; trial < 400; trial++ {
+		dims, n := 1+src.Intn(4), 1+src.Intn(40) // n > 32 leaves the reference's stack scratch
+		grid := trial%2 == 0
+		mins, maxs := gridRects(src, n, dims, grid)
+		p, err := NewCoverageProfile(dims, mins, maxs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		box := MustRect(mins[:dims], maxs[:dims])
+		for k := dims; k < len(mins); k += dims {
+			box.expandToRect(Rect{Min: mins[k : k+dims], Max: maxs[k : k+dims]})
+		}
+		if got := p.Bounds(); !reflect.DeepEqual(got, box) {
+			t.Fatalf("profile bounds %v, want %v", got, box)
+		}
+		for probe := 0; probe < 25; probe++ {
+			qmin, qmax := gridRects(src, 1, dims, grid)
+			switch probe % 5 {
+			case 1: // point query in one dimension
+				d := src.Intn(dims)
+				qmax[d] = qmin[d]
+			case 2: // exactly one training rectangle: every bound touches
+				k := src.Intn(n) * dims
+				copy(qmin, mins[k:k+dims])
+				copy(qmax, maxs[k:k+dims])
+			case 3: // enclosing everything
+				copy(qmin, box.Min)
+				copy(qmax, box.Max)
+			case 4: // starts where a rectangle ends
+				k := src.Intn(n) * dims
+				for d := range qmin {
+					qmax[d] += maxs[k+d] - qmin[d]
+					qmin[d] = maxs[k+d]
+				}
+			}
+			assertProfileMatchesFlat(t, p, qmin, qmax, mins, maxs)
+		}
+	}
+}
+
+func TestNewCoverageProfileRejectsMalformedPacks(t *testing.T) {
+	for name, tc := range map[string]struct {
+		dims       int
+		mins, maxs []float64
+	}{
+		"ragged":       {2, []float64{0, 0, 1, 1}, []float64{1, 1}},
+		"not multiple": {2, []float64{0, 0, 0}, []float64{1, 1, 1}},
+		"empty":        {2, nil, nil},
+		"zero dims":    {0, []float64{0}, []float64{1}},
+		"inverted":     {1, []float64{0, 5}, []float64{1, 4}},
+		"NaN":          {1, []float64{math.NaN()}, []float64{1}},
+	} {
+		if p, err := NewCoverageProfile(tc.dims, tc.mins, tc.maxs); err == nil || !errors.Is(err, ErrInvalidRect) {
+			t.Errorf("%s: profile %v, err %v; want ErrInvalidRect", name, p, err)
+		}
+	}
+}
+
+// iouByIntersection is IoU as it was written before the in-place
+// intersection volume: materialize the intersection, take its volume.
+func iouByIntersection(a, b Rect) float64 {
+	inter, ok := a.Intersection(b)
+	if !ok {
+		return 0
+	}
+	iv := inter.Volume()
+	union := a.Volume() + b.Volume() - iv
+	if union <= 0 {
+		return 1
+	}
+	return clamp01(iv / union)
+}
+
+func TestIoUMatchesIntersectionFormula(t *testing.T) {
+	src := rng.New(23)
+	for trial := 0; trial < 4000; trial++ {
+		dims := 1 + src.Intn(4)
+		amin, amax := gridRects(src, 1, dims, trial%2 == 0)
+		bmin, bmax := gridRects(src, 1, dims, trial%2 == 0)
+		a, b := MustRect(amin, amax), MustRect(bmin, bmax)
+		if got, want := IoU(a, b), iouByIntersection(a, b); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("IoU(%v, %v) = %v, intersection formula %v", a, b, got, want)
+		}
+	}
+}
+
+// TestLookupKernelsDoNotAllocate pins the kernels a reuse-cache lookup
+// and every query.New run per request at zero heap allocations.
+func TestLookupKernelsDoNotAllocate(t *testing.T) {
+	src := rng.New(5)
+	mins, maxs := gridRects(src, 12, 2, false)
+	p, err := NewCoverageProfile(2, mins, maxs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := MustRect([]float64{-10, -10}, []float64{20, 20})
+	b := MustRect([]float64{0, -30}, []float64{40, 10})
+	var sink float64
+	for name, fn := range map[string]func(){
+		"IoU":               func() { sink += IoU(a, b) },
+		"CoveredFraction":   func() { sink += CoveredFraction(a, b) },
+		"Rect.Validate":     func() { _ = a.Validate() },
+		"profile.Coverage":  func() { sink += p.Coverage(a.Min, a.Max) },
+		"QueryCoverageFlat": func() { sink += QueryCoverageFlat(a.Min, a.Max, mins, maxs) },
+	} {
+		if n := testing.AllocsPerRun(100, fn); n != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", name, n)
+		}
+	}
+	_ = sink
 }

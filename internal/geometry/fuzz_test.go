@@ -3,6 +3,8 @@ package geometry
 import (
 	"math"
 	"testing"
+
+	"qens/internal/rng"
 )
 
 // Fuzz targets complement the property tests: Go's mutation engine
@@ -125,5 +127,45 @@ func FuzzIoU(f *testing.F) {
 		if !a.Intersects(b) && iou != 0 {
 			t.Fatalf("disjoint rects IoU %v", iou)
 		}
+	})
+}
+
+// FuzzCoverageProfile holds CoverageProfile.Coverage bit-equal to the
+// QueryCoverageFlat reference over fuzzer-chosen rectangle sets and
+// queries. Corners are snapped to a coarse lattice for odd seeds so the
+// engine reaches touching and zero-width intervals, not only generic
+// ones.
+func FuzzCoverageProfile(f *testing.F) {
+	f.Add(uint64(1), 2, 6, 0.0, 10.0, 3.0, 3.0)
+	f.Add(uint64(2), 1, 3, 5.0, 0.0, 0.0, 0.0)     // point query
+	f.Add(uint64(3), 3, 40, -20.0, 60.0, 1.0, 8.0) // past the stack scratch
+	f.Add(uint64(9), 2, 1, 4.0, 4.0, 4.0, 0.0)
+	f.Fuzz(func(t *testing.T, seed uint64, dims, n int, q0, w0, q1, w1 float64) {
+		if dims < 1 || dims > 6 || n < 1 || n > 64 {
+			t.Skip()
+		}
+		for _, v := range []float64{q0, w0, q1, w1} {
+			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e12 {
+				t.Skip()
+			}
+		}
+		src := rng.New(seed)
+		mins, maxs := gridRects(src, n, dims, seed%2 == 1)
+		p, err := NewCoverageProfile(dims, mins, maxs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qmin, qmax := make([]float64, dims), make([]float64, dims)
+		for d := range qmin {
+			lo, w := q0, w0
+			if d%2 == 1 {
+				lo, w = q1, w1
+			}
+			qmin[d], qmax[d] = lo, lo+math.Abs(w)
+		}
+		assertProfileMatchesFlat(t, p, qmin, qmax, mins, maxs)
+		// A query cut from the set itself lands exactly on span bounds.
+		k := src.Intn(n) * dims
+		assertProfileMatchesFlat(t, p, mins[k:k+dims], maxs[k:k+dims], mins, maxs)
 	})
 }

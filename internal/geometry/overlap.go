@@ -148,11 +148,10 @@ func OverlapProfile(q, k Rect) (rates []float64, cases []OverlapCase) {
 // and 0 otherwise. Used by the query-reuse cache to judge whether a
 // cached model answers a new query.
 func IoU(a, b Rect) float64 {
-	inter, ok := a.Intersection(b)
+	iv, ok := intersectionVolume(a, b)
 	if !ok {
 		return 0
 	}
-	iv := inter.Volume()
 	union := a.Volume() + b.Volume() - iv
 	if union <= 0 {
 		// Both degenerate: equal iff they intersect at all.
@@ -166,7 +165,7 @@ func IoU(a, b Rect) float64 {
 // selectivity accounting (Fig. 9) and differs from OverlapRate, which
 // is the paper's per-dimension average ratio.
 func CoveredFraction(q, k Rect) float64 {
-	inter, ok := q.Intersection(k)
+	iv, ok := intersectionVolume(q, k)
 	if !ok {
 		return 0
 	}
@@ -176,5 +175,19 @@ func CoveredFraction(q, k Rect) float64 {
 		// intersects the query at all.
 		return 1
 	}
-	return clamp01(inter.Volume() / kv)
+	return clamp01(iv / kv)
+}
+
+// intersectionVolume is a.Intersection(b) followed by Volume() without
+// materializing the rectangle: the same max/min per dimension and the
+// same left-to-right product, so the result is bit-identical.
+func intersectionVolume(a, b Rect) (float64, bool) {
+	if !a.Intersects(b) {
+		return 0, false
+	}
+	v := 1.0
+	for d := range a.Min {
+		v *= math.Min(a.Max[d], b.Max[d]) - math.Max(a.Min[d], b.Min[d])
+	}
+	return v, true
 }

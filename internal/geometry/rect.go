@@ -22,18 +22,27 @@ type Rect struct {
 // ErrInvalidRect reports a malformed rectangle.
 var ErrInvalidRect = errors.New("geometry: invalid rectangle")
 
-// NewRect builds a rectangle from min/max corner vectors, copying both.
-func NewRect(min, max []float64) (Rect, error) {
+// checkBounds reports whether min/max are the corners of a valid
+// rectangle: equal length, no NaN, min[i] <= max[i].
+func checkBounds(min, max []float64) error {
 	if len(min) != len(max) {
-		return Rect{}, fmt.Errorf("%w: min has %d dims, max has %d", ErrInvalidRect, len(min), len(max))
+		return fmt.Errorf("%w: min has %d dims, max has %d", ErrInvalidRect, len(min), len(max))
 	}
 	for i := range min {
 		if math.IsNaN(min[i]) || math.IsNaN(max[i]) {
-			return Rect{}, fmt.Errorf("%w: NaN bound in dimension %d", ErrInvalidRect, i)
+			return fmt.Errorf("%w: NaN bound in dimension %d", ErrInvalidRect, i)
 		}
 		if min[i] > max[i] {
-			return Rect{}, fmt.Errorf("%w: min %g > max %g in dimension %d", ErrInvalidRect, min[i], max[i], i)
+			return fmt.Errorf("%w: min %g > max %g in dimension %d", ErrInvalidRect, min[i], max[i], i)
 		}
+	}
+	return nil
+}
+
+// NewRect builds a rectangle from min/max corner vectors, copying both.
+func NewRect(min, max []float64) (Rect, error) {
+	if err := checkBounds(min, max); err != nil {
+		return Rect{}, err
 	}
 	r := Rect{Min: make([]float64, len(min)), Max: make([]float64, len(max))}
 	copy(r.Min, min)
@@ -54,11 +63,8 @@ func MustRect(min, max []float64) Rect {
 // Dims returns the dimensionality of the rectangle.
 func (r Rect) Dims() int { return len(r.Min) }
 
-// Validate checks the rectangle invariants.
-func (r Rect) Validate() error {
-	_, err := NewRect(r.Min, r.Max)
-	return err
-}
+// Validate checks the rectangle invariants without allocating.
+func (r Rect) Validate() error { return checkBounds(r.Min, r.Max) }
 
 // Clone returns a deep copy of r.
 func (r Rect) Clone() Rect {
@@ -142,15 +148,20 @@ func (r Rect) Intersection(other Rect) (Rect, bool) {
 
 // Union returns the smallest rectangle covering both r and other.
 func (r Rect) Union(other Rect) Rect {
+	out := r.Clone()
+	out.expandToRect(other)
+	return out
+}
+
+// expandToRect grows r in place so that it covers other.
+func (r *Rect) expandToRect(other Rect) {
 	if other.Dims() != r.Dims() {
 		panic(ErrInvalidRect)
 	}
-	out := Rect{Min: make([]float64, r.Dims()), Max: make([]float64, r.Dims())}
 	for d := range r.Min {
-		out.Min[d] = math.Min(r.Min[d], other.Min[d])
-		out.Max[d] = math.Max(r.Max[d], other.Max[d])
+		r.Min[d] = math.Min(r.Min[d], other.Min[d])
+		r.Max[d] = math.Max(r.Max[d], other.Max[d])
 	}
-	return out
 }
 
 // ExpandToInclude grows r in place so that it contains point p.

@@ -156,7 +156,7 @@ func buildUpward(nodes []*rtreeNode, maxFill, dims int) *rtreeNode {
 func boundsOfEntries(entries []Entry) Rect {
 	b := entries[0].Rect.Clone()
 	for _, e := range entries[1:] {
-		b = b.Union(e.Rect)
+		b.expandToRect(e.Rect)
 	}
 	return b
 }
@@ -164,7 +164,7 @@ func boundsOfEntries(entries []Entry) Rect {
 func boundsOfNodes(nodes []*rtreeNode) Rect {
 	b := nodes[0].bounds.Clone()
 	for _, n := range nodes[1:] {
-		b = b.Union(n.bounds)
+		b.expandToRect(n.bounds)
 	}
 	return b
 }

@@ -76,11 +76,14 @@ func (h *Histogram) Observe(v float64) {
 	if v < 0 {
 		v = 0
 	}
-	h.buckets[bucketIndex(v)].Add(1)
-	h.count.Add(1)
-	addFloat(&h.sumBits, v)
+	// Extremes before the bucket: readers load the buckets first, so
+	// every observation they count has already published its min/max
+	// and quantiles stay inside [Min, Max] under concurrent Observe.
 	casMin(&h.minBits, v)
 	casMax(&h.maxBits, v)
+	addFloat(&h.sumBits, v)
+	h.buckets[bucketIndex(v)].Add(1)
+	h.count.Add(1)
 	if w := h.window.Load(); w != nil {
 		w.Observe(v)
 	}
@@ -200,7 +203,9 @@ func quantileFromCounts(counts *[histBuckets + 1]int64, total int64, q, min, max
 				hi = lo
 			}
 			frac := (rank - cum) / n
-			return lo * math.Pow(hi/lo, frac)
+			// lo was lifted off zero for the ratio; an all-zero
+			// histogram must still answer 0, not the smallest float.
+			return math.Min(lo*math.Pow(hi/lo, frac), max)
 		}
 		cum += n
 	}

@@ -35,6 +35,27 @@ func TestServerShutdownIdle(t *testing.T) {
 	}
 }
 
+// holdDispatch installs a test gate that parks every dispatch until
+// release is closed, and signals entered when the first one arrives.
+// Tests wait on entered rather than polling active > 0: the dial
+// handshake in startServer decrements active only after its response is
+// written, so the counter can still read 1 when the test starts — and a
+// Shutdown begun then closes the listener before the test's own
+// connection was ever accepted.
+func holdDispatch(srv *Server) (entered <-chan struct{}, release chan struct{}) {
+	in := make(chan struct{}, 1)
+	release = make(chan struct{})
+	hold := func() {
+		select {
+		case in <- struct{}{}:
+		default:
+		}
+		<-release
+	}
+	srv.gate.Store(&hold)
+	return in, release
+}
+
 // TestServerShutdownWaitsForInFlight pins a ping inside dispatch via
 // the server's test gate, then verifies Shutdown waits for it
 // (graceful drain) instead of cutting the connection, and that the
@@ -43,9 +64,7 @@ func TestServerShutdownWaitsForInFlight(t *testing.T) {
 	srv, _ := startServer(t, 2, 1.5, 0, 10)
 
 	// Pin the next dispatch until we release it.
-	release := make(chan struct{})
-	hold := func() { <-release }
-	srv.gate.Store(&hold)
+	entered, release := holdDispatch(srv)
 
 	// Raw connection so we control framing directly.
 	conn, err := net.Dial("tcp", srv.Addr())
@@ -57,14 +76,12 @@ func TestServerShutdownWaitsForInFlight(t *testing.T) {
 	if err := writeFrame(conn, request{Type: typePing}); err != nil {
 		t.Fatal(err)
 	}
-	// Wait until the handler has read the frame and is executing
-	// (active > 0), i.e. blocked on the gate.
-	deadline := time.Now().Add(2 * time.Second)
-	for srv.active.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("handler never started executing the RPC")
-		}
-		time.Sleep(time.Millisecond)
+	// Wait until the handler has read the frame and is blocked on the
+	// gate.
+	select {
+	case <-entered:
+	case <-time.After(2 * time.Second):
+		t.Fatal("handler never started executing the RPC")
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -105,9 +122,7 @@ func TestServerShutdownWaitsForInFlight(t *testing.T) {
 func TestServerShutdownDeadline(t *testing.T) {
 	srv, _ := startServer(t, 3, 1, 0, 10)
 
-	release := make(chan struct{})
-	hold := func() { <-release }
-	srv.gate.Store(&hold)
+	entered, release := holdDispatch(srv)
 
 	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
@@ -118,12 +133,10 @@ func TestServerShutdownDeadline(t *testing.T) {
 	if err := writeFrame(conn, request{Type: typePing}); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for srv.active.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("handler never started executing the RPC")
-		}
-		time.Sleep(time.Millisecond)
+	select {
+	case <-entered:
+	case <-time.After(2 * time.Second):
+		t.Fatal("handler never started executing the RPC")
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)

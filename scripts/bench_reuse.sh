@@ -2,30 +2,38 @@
 # Runs the adaptive-serving replay benchmark (BenchmarkReuseReplay:
 # one 48-query contained-heavy workload replayed through the original
 # exact-only reuse cache versus the adaptive cache with the
-# approximate model-answer tier) and renders the results as
-# BENCH_reuse.json at the repo root.
+# approximate model-answer tier) and the cache-hit microbenchmark
+# (BenchmarkReuseLookup: one exact / approx hit on a full cache of 32
+# and 1024 entries) and renders the results as BENCH_reuse.json at the
+# repo root.
 #
 #   BENCHTIME=1x sh scripts/bench_reuse.sh   # CI smoke
 #   sh scripts/bench_reuse.sh                # local, default 5 replays
 #
-# Two contracts, both enforced (the script exits non-zero on either):
+# Three contracts, all enforced (the script exits non-zero on any):
 #   - the approximate tier must cut federated training executions by
 #     >=30% versus the exact-only cache on the same workload — the
 #     headline claim: answerable queries stop paying training RPCs.
 #   - served-answer quality must stay bounded: mean held-out MSE under
 #     the approximate tier within 2x of the exact-only replay. Cheap
 #     answers that are wrong answers do not count.
+#   - a cache hit performs no heap allocation, at either tier and
+#     either capacity: the reuse tier must not give back in lookup cost
+#     what it saves in training.
 set -eu
 
 cd "$(dirname "$0")/.."
 benchtime="${BENCHTIME:-5x}"
 
-out=$(go test -run '^$' -bench '^BenchmarkReuseReplay$' -benchmem -benchtime "$benchtime" ./internal/federation/)
+# The lookup rows run a fixed iteration count: a hit is microseconds, so
+# the replay's handful of iterations would time nothing.
+out=$(go test -run '^$' -bench '^BenchmarkReuseReplay$' -benchmem -benchtime "$benchtime" ./internal/federation/ &&
+  go test -run '^$' -bench '^BenchmarkReuseLookup$' -benchmem -benchtime 20000x ./internal/federation/)
 printf '%s\n' "$out"
 
 printf '%s\n' "$out" | awk '
   BEGIN { printf "[\n"; bad = 0 }
-  $1 ~ /^BenchmarkReuseReplay\// {
+  $1 ~ /^BenchmarkReuse(Replay|Lookup)\// {
     name = $1; sub(/-[0-9]+$/, "", name)
     ns_op = ""; tq = ""; m = ""; bytes_op = ""; allocs_op = ""
     for (i = 3; i <= NF; i++) {
@@ -44,6 +52,13 @@ printf '%s\n' "$out" | awk '
     if (allocs_op != "") printf ", \"allocs_per_op\": %s", allocs_op
     printf "}"
     trained[name] = tq; mse[name] = m
+    if (name ~ /^BenchmarkReuseLookup\//) {
+      lookups++
+      if (allocs_op + 0 != 0 || allocs_op == "") {
+        bad = 1
+        printf "ALLOC REGRESSION: %s allocates %s/op on a cache hit (want 0)\n", name, allocs_op > "/dev/stderr"
+      }
+    }
   }
   END {
     printf "\n]\n"
@@ -51,6 +66,10 @@ printf '%s\n' "$out" | awk '
     apx  = "BenchmarkReuseReplay/mode=approx"
     if (!(seed in trained) || !(apx in trained)) {
       printf "MISSING CASES: seed and approx replay modes did not both run\n" > "/dev/stderr"
+      exit 1
+    }
+    if (lookups != 4) {
+      printf "MISSING CASES: %d of 4 BenchmarkReuseLookup rows ran\n", lookups > "/dev/stderr"
       exit 1
     }
     if (trained[seed] + 0 <= 0) {
