@@ -86,10 +86,12 @@ bench:
 bench-train:
 	sh scripts/bench_train.sh
 
-# Wire-protocol microbenchmarks (BenchmarkWireEncode/Decode/RPC, v1
-# JSON vs v2 binary) rendered as BENCH_wire.json; fails if the v2
-# encode path allocates, loses its >=2x encode / >=3x encode+decode /
-# >=2x wire-size edge, or pipelined RPCs drop below 1.5x serialized v1.
+# Wire-protocol microbenchmarks (BenchmarkWireEncode/Decode: v2 binary
+# against an encoding/json reference row; BenchmarkWireRPC: 1 vs 8
+# callers on one connection) rendered as BENCH_wire.json; fails if the
+# v2 encode path allocates, loses its >=2x encode / >=3x encode+decode /
+# >=2x wire-size edge over JSON, or 8 pipelined callers drop below 1.8x
+# one.
 bench-wire:
 	sh scripts/bench_wire.sh
 

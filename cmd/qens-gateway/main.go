@@ -79,7 +79,6 @@ func main() {
 		summaryPush    = flag.Bool("summary-push", true, "subscribe to server-push summary deltas from push-capable nodes; nodes that decline (v1 or pre-push) stay on TTL pull")
 
 		dialTimeout  = flag.Duration("dial-timeout", 2*time.Minute, "remote client dial/request timeout")
-		wireProto    = flag.Int("wire-proto", transport.WireProtoV2, "maximum wire protocol to negotiate with qensd daemons (1 = JSON, 2 = binary multiplexed)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget")
 		tracePath    = flag.String("trace", "", "write per-query spans as JSONL to this file")
 	)
@@ -153,7 +152,7 @@ func main() {
 	}
 	var fleetSize int
 	if *regionAddrs != "" {
-		router, transportStats, cleanup, err := buildRouter(*regionAddrs, *epochs, *seed, *model, *dialTimeout, *wireProto)
+		router, transportStats, cleanup, err := buildRouter(*regionAddrs, *epochs, *seed, *model, *dialTimeout)
 		if err != nil {
 			fatal("%v", err)
 		}
@@ -166,7 +165,7 @@ func main() {
 		}
 		fleetSize = len(ids)
 	} else {
-		leader, transportStats, wireStatus, cleanup, err := buildLeader(*addrs, *nodes, *samples, *k, *epochs, *seed, *model, *dialTimeout, *summaryTTL, *summaryDelta, *wireProto)
+		leader, transportStats, wireStatus, cleanup, err := buildLeader(*addrs, *nodes, *samples, *k, *epochs, *seed, *model, *dialTimeout, *summaryTTL, *summaryDelta)
 		if err != nil {
 			fatal("%v", err)
 		}
@@ -232,12 +231,12 @@ func main() {
 
 // buildRouter dials every qens-region daemon and wires the root
 // coordinator over them.
-func buildRouter(regionAddrs string, epochs int, seed uint64, model string, dialTimeout time.Duration, wireProto int) (*region.Router, func() any, func(), error) {
-	var remotes []*transport.RegionClient
+func buildRouter(regionAddrs string, epochs int, seed uint64, model string, dialTimeout time.Duration) (*region.Router, func() any, func(), error) {
+	var remotes []*transport.Client
 	var services []region.Service
 	closeAll := func() {
-		for _, rc := range remotes {
-			rc.Close()
+		for _, c := range remotes {
+			c.Close()
 		}
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), dialTimeout)
@@ -247,13 +246,13 @@ func buildRouter(regionAddrs string, epochs int, seed uint64, model string, dial
 		if a == "" {
 			continue
 		}
-		rc, err := transport.DialRegion(ctx, a, transport.DialOptions{Timeout: dialTimeout, MaxProto: wireProto})
+		rc, err := transport.DialRegion(ctx, a, transport.DialOptions{Timeout: dialTimeout})
 		if err != nil {
 			closeAll()
 			return nil, nil, nil, err
 		}
-		fmt.Printf("qens-gateway: connected to %s (%s, wire v%d)\n", rc.ID(), a, rc.Client().Proto())
-		remotes = append(remotes, rc)
+		fmt.Printf("qens-gateway: connected to %s (%s)\n", rc.ID(), a)
+		remotes = append(remotes, rc.Client())
 		services = append(services, rc)
 	}
 	router, err := region.NewRouter(region.Config{Spec: specFor(model, 1), LocalEpochs: epochs, Seed: seed}, services)
@@ -261,27 +260,29 @@ func buildRouter(regionAddrs string, epochs int, seed uint64, model string, dial
 		closeAll()
 		return nil, nil, nil, err
 	}
-	stats := func() any {
-		out := make([]fleet.WireStatus, 0, len(remotes))
-		for _, rc := range remotes {
-			c := rc.Client()
-			sent, recv := c.BytesMoved()
-			out = append(out, fleet.WireStatus{
-				NodeID: c.ID(), Addr: c.Addr(), Proto: c.Proto(),
-				InflightRPCs: c.InflightRPCs(), BytesOut: sent, BytesIn: recv,
-			})
-		}
-		return out
+	return router, func() any { return wireStatus(remotes) }, closeAll, nil
+}
+
+// wireStatus reports each connection's in-flight RPC count and byte
+// counters: the /v1/stats transport block in both topologies, and the
+// per-node wire status merged into GET /v1/fleet.
+func wireStatus(remotes []*transport.Client) []fleet.WireStatus {
+	out := make([]fleet.WireStatus, 0, len(remotes))
+	for _, c := range remotes {
+		sent, recv := c.BytesMoved()
+		out = append(out, fleet.WireStatus{
+			NodeID: c.ID(), Addr: c.Addr(),
+			InflightRPCs: c.InflightRPCs(), BytesOut: sent, BytesIn: recv,
+		})
 	}
-	return router, stats, closeAll, nil
+	return out
 }
 
 // buildLeader wires either a simulated in-process fleet or a roster of
 // remote qensd daemons. For a remote fleet it also returns the
-// /v1/stats transport hook reporting each connection's negotiated wire
-// protocol, in-flight RPC count and byte counters, plus the typed
-// per-node wire status merged into GET /v1/fleet.
-func buildLeader(addrs string, nodes, samples, k, epochs int, seed uint64, model string, dialTimeout, summaryTTL time.Duration, summaryDelta bool, wireProto int) (*federation.Leader, func() any, func() []fleet.WireStatus, func(), error) {
+// /v1/stats transport hook and the typed per-node wire status merged
+// into GET /v1/fleet (see wireStatus).
+func buildLeader(addrs string, nodes, samples, k, epochs int, seed uint64, model string, dialTimeout, summaryTTL time.Duration, summaryDelta bool) (*federation.Leader, func() any, func() []fleet.WireStatus, func(), error) {
 	if addrs != "" {
 		var remotes []*transport.Client
 		var clients []federation.Client
@@ -295,12 +296,12 @@ func buildLeader(addrs string, nodes, samples, k, epochs int, seed uint64, model
 			if a == "" {
 				continue
 			}
-			c, err := transport.Dial(a, transport.DialOptions{Timeout: dialTimeout, MaxProto: wireProto})
+			c, err := transport.Dial(a, transport.DialOptions{Timeout: dialTimeout})
 			if err != nil {
 				closeAll()
 				return nil, nil, nil, nil, fmt.Errorf("dial %s: %w", a, err)
 			}
-			fmt.Printf("qens-gateway: connected to %s (%s, wire v%d)\n", c.ID(), a, c.Proto())
+			fmt.Printf("qens-gateway: connected to %s (%s)\n", c.ID(), a)
 			remotes = append(remotes, c)
 			clients = append(clients, c)
 		}
@@ -312,19 +313,8 @@ func buildLeader(addrs string, nodes, samples, k, epochs int, seed uint64, model
 			closeAll()
 			return nil, nil, nil, nil, err
 		}
-		wires := func() []fleet.WireStatus {
-			out := make([]fleet.WireStatus, 0, len(remotes))
-			for _, c := range remotes {
-				sent, recv := c.BytesMoved()
-				out = append(out, fleet.WireStatus{
-					NodeID: c.ID(), Addr: c.Addr(), Proto: c.Proto(),
-					InflightRPCs: c.InflightRPCs(), BytesOut: sent, BytesIn: recv,
-				})
-			}
-			return out
-		}
-		stats := func() any { return wires() }
-		return leader, stats, wires, closeAll, nil
+		wires := func() []fleet.WireStatus { return wireStatus(remotes) }
+		return leader, func() any { return wires() }, wires, closeAll, nil
 	}
 
 	data, err := dataset.PaperNodeDatasets(dataset.Config{

@@ -52,7 +52,6 @@ func main() {
 
 		summaryDelta = flag.Bool("summary-delta", false, "refresh shard summaries via per-node epoch-conditional deltas instead of full re-fetch")
 
-		wireProto    = flag.Int("wire-proto", transport.WireProtoV2, "maximum wire protocol to negotiate (1 = JSON, 2 = binary multiplexed)")
 		drainTimeout = flag.Duration("drain-timeout", 15*time.Second, "graceful shutdown budget before in-flight RPCs are aborted")
 		tracePath    = flag.String("trace", "", "write per-RPC spans as JSONL to this file (flushed on shutdown)")
 	)
@@ -84,12 +83,12 @@ func main() {
 		fatal("%v", err)
 	}
 
-	srv, err := transport.ServeRegion(lead, *addr, transport.WithMaxWireProto(*wireProto))
+	srv, err := transport.ServeRegion(lead, *addr)
 	if err != nil {
 		fatal("%v", err)
 	}
-	fmt.Printf("qens-region: %s serving shard {%s} of %d nodes (K=%d, wire<=v%d) on %s\n",
-		lead.ID(), strings.Join(members, ", "), *nodes, *k, srv.MaxWireProto(), srv.Addr())
+	fmt.Printf("qens-region: %s serving shard {%s} of %d nodes (K=%d) on %s\n",
+		lead.ID(), strings.Join(members, ", "), *nodes, *k, srv.Addr())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -39,7 +39,6 @@ func main() {
 		model       = flag.String("model", "", "model: linear or nn (default linear)")
 		quick       = flag.Bool("quick", false, "reduced scale for a fast sanity run")
 		addrs       = flag.String("addrs", "", "comma-separated qensd addresses for the remote experiment")
-		wireProto   = flag.Int("wire-proto", 2, "maximum wire protocol to negotiate with qensd daemons (1 = JSON, 2 = binary multiplexed)")
 		metricsAddr = flag.String("metrics-addr", "", "observability sidecar address serving /metrics, /healthz and /debug/pprof (e.g. :9091; empty disables)")
 		tracePath   = flag.String("trace", "", "write a JSONL span trace of every executed query to this file")
 	)
@@ -105,7 +104,7 @@ func main() {
 	name := flag.Arg(0)
 	start := time.Now()
 	if name == "remote" {
-		if err := runRemote(strings.Split(*addrs, ","), *wireProto, opts); err != nil {
+		if err := runRemote(strings.Split(*addrs, ","), opts); err != nil {
 			fmt.Fprintf(os.Stderr, "qens: %v\n", err)
 			os.Exit(1)
 		}

@@ -22,20 +22,19 @@ import (
 // selection. Scoring happens on the nodes themselves (the leader holds
 // no data): each query trains a two-round FedAvg global model
 // and every node reports its in-query loss, pooled by sample count.
-func runRemote(addrs []string, wireProto int, opts experiments.Options) error {
+func runRemote(addrs []string, opts experiments.Options) error {
 	opts = opts.WithDefaults()
 	if len(addrs) == 0 {
 		return fmt.Errorf("qens: remote mode needs -addrs")
 	}
 	var clients []federation.Client
 	for _, addr := range addrs {
-		c, err := transport.Dial(strings.TrimSpace(addr),
-			transport.DialOptions{Timeout: 2 * time.Minute, MaxProto: wireProto})
+		c, err := transport.Dial(strings.TrimSpace(addr), transport.DialOptions{Timeout: 2 * time.Minute})
 		if err != nil {
 			return fmt.Errorf("qens: dial %s: %w", addr, err)
 		}
 		defer c.Close()
-		fmt.Printf("connected to %s (%s, wire v%d)\n", c.ID(), addr, c.Proto())
+		fmt.Printf("connected to %s (%s)\n", c.ID(), addr)
 		clients = append(clients, c)
 	}
 

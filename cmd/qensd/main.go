@@ -42,7 +42,6 @@ func main() {
 		tracePath    = flag.String("trace", "", "write per-RPC spans as JSONL to this file (flushed on shutdown)")
 		drainTimeout = flag.Duration("drain-timeout", 15*time.Second, "graceful shutdown budget before in-flight RPCs are aborted")
 		trainConc    = flag.Int("train-concurrency", 0, "max concurrent training/evaluation jobs (0 = GOMAXPROCS); excess requests queue")
-		wireProto    = flag.Int("wire-proto", transport.WireProtoV2, "maximum wire protocol to negotiate (1 = JSON, 2 = binary multiplexed)")
 
 		ingestRate  = flag.Float64("ingest-rate", 0, "simulated streaming ingestion rate in rows/sec (0 disables); rows flow through the incremental requantization path and push summary deltas to subscribed leaders")
 		ingestBatch = flag.Int("ingest-batch", 0, "ingest mini-batch size (0 = default)")
@@ -86,12 +85,12 @@ func main() {
 			fatal("enable ingest: %v", err)
 		}
 	}
-	srv, err := transport.Serve(node, *addr, transport.WithMaxWireProto(*wireProto))
+	srv, err := transport.Serve(node, *addr)
 	if err != nil {
 		fatal("%v", err)
 	}
-	fmt.Printf("qensd: node %s serving %d samples (K=%d, train-concurrency=%d, wire<=v%d) on %s\n",
-		nodeID, data.Len(), *k, node.Engine().Parallelism(), srv.MaxWireProto(), srv.Addr())
+	fmt.Printf("qensd: node %s serving %d samples (K=%d, train-concurrency=%d) on %s\n",
+		nodeID, data.Len(), *k, node.Engine().Parallelism(), srv.Addr())
 
 	if *metricsAddr != "" {
 		obs, err := telemetry.ServeHTTP(*metricsAddr, telemetry.Default(), healthFunc(srv, node, nodeID, data.Len(), *k))
@@ -147,7 +146,6 @@ func main() {
 // ingest/drift block.
 func healthFunc(srv *transport.Server, node *federation.Node, nodeID string, shardSize, k int) telemetry.HealthFunc {
 	return func() map[string]any {
-		v1, v2 := srv.WireConns()
 		doc := map[string]any{
 			"node":             nodeID,
 			"addr":             srv.Addr(),
@@ -156,9 +154,7 @@ func healthFunc(srv *transport.Server, node *federation.Node, nodeID string, sha
 			"summary_epoch":    srv.SummaryEpoch(),
 			"train_slots":      srv.TrainSlots(),
 			"train_inflight":   srv.TrainInflight(),
-			"wire_proto_max":   srv.MaxWireProto(),
-			"wire_conns_v1":    v1,
-			"wire_conns_v2":    v2,
+			"wire_conns":       srv.Conns(),
 			"push_subscribers": srv.PushSubscribers(),
 			"pushes_sent":      srv.PushesSent(),
 		}

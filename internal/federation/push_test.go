@@ -130,3 +130,57 @@ func TestLeaderHandlePushNonBlocking(t *testing.T) {
 		t.Fatalf("late push applied after StopPush: %+v", st)
 	}
 }
+
+// pullOnlyClient declines the subscription the way a peer without the
+// push capability does: ok=false, no error.
+type pullOnlyClient struct{ LocalClient }
+
+func (pullOnlyClient) SubscribeSummaries(context.Context, func(cluster.NodeSummary)) (bool, error) {
+	return false, nil
+}
+
+// TestStartPushExcludesDecliningClient: a participant that declines the
+// subscription is not counted by StartPush and is not an error; it
+// stays on pull, so its epoch bump reaches the registry through the
+// next refresh and through no push.
+func TestStartPushExcludesDecliningClient(t *testing.T) {
+	nodeA, err := NewNode("node-A", lineDataset(200, 2, 1, 0, 30, 7), 4, rng.New(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodeB, err := NewNode("node-B", lineDataset(200, 2, 1, 20, 60, 8), 4, rng.New(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Spec: ml.PaperLR(1), ClusterK: 4, LocalEpochs: 1, Seed: 1}
+	leader, err := NewLeader(cfg, nil, []Client{LocalClient{nodeA}, pullOnlyClient{LocalClient{nodeB}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := leader.Summaries(); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := leader.StartPush(context.Background()); err != nil || n != 1 {
+		t.Fatalf("StartPush: n=%d err=%v, want 1 of 2 subscribed and no error", n, err)
+	}
+	t.Cleanup(leader.StopPush)
+	if got := leader.PushSubscribed(); got != 1 {
+		t.Fatalf("PushSubscribed = %d, want 1", got)
+	}
+
+	if err := nodeB.Requantize(); err != nil {
+		t.Fatal(err)
+	}
+	want := nodeB.SummaryEpoch()
+	time.Sleep(20 * time.Millisecond) // room for a push that must not come
+	if st := leader.Registry().Stats(); st.PushApplied != 0 {
+		t.Fatalf("declining node's bump arrived by push: %+v", st)
+	}
+	if _, err := leader.Registry().Refresh(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	snap, _ := leader.Registry().Current()
+	if got := snap.NodeSummaryEpoch("node-B"); got != want {
+		t.Fatalf("pull sees node-B at epoch %d, want %d", got, want)
+	}
+}

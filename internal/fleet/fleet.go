@@ -34,7 +34,6 @@ type WireStatus struct {
 	// the connection when the slice is served standalone in /v1/stats).
 	NodeID       string `json:"node_id,omitempty"`
 	Addr         string `json:"addr,omitempty"`
-	Proto        int    `json:"proto,omitempty"`
 	InflightRPCs int64  `json:"inflight_rpcs"`
 	BytesOut     int64  `json:"bytes_out"`
 	BytesIn      int64  `json:"bytes_in"`

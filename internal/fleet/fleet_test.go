@@ -129,7 +129,7 @@ func TestTrackerReportStaleness(t *testing.T) {
 func TestTrackerReportUnion(t *testing.T) {
 	tr := newTestTracker()
 	tr.ObserveRound("b-observed", 10*time.Millisecond, "")
-	wire := &WireStatus{NodeID: "a-roster", Addr: "127.0.0.1:7001", Proto: 2, BytesOut: 42}
+	wire := &WireStatus{NodeID: "a-roster", Addr: "127.0.0.1:7001", BytesOut: 42}
 	report := tr.Report(map[string]Meta{
 		"a-roster": {SummaryEpoch: 1, Wire: wire},
 	})

@@ -69,8 +69,8 @@ type ServerConfig struct {
 	// TransportStats, when non-nil, is invoked per GET /v1/stats and
 	// its result embedded under "transport" — the gateway layer stays
 	// agnostic of the fleet wiring (in-process vs TCP) while remote
-	// deployments surface per-node wire-protocol state (negotiated
-	// version, in-flight RPCs, byte counters).
+	// deployments surface per-node wire state (in-flight RPCs, byte
+	// counters).
 	TransportStats func() any
 
 	// Tracer backs GET /v1/trace/{id} and /v1/traces; when nil the

@@ -40,14 +40,15 @@ func benchTrainRequest(n int) request {
 	}
 }
 
-// BenchmarkWireEncode compares the two codecs on the leader->node
-// model frame. frame_bytes makes the wire-size ratio a first-class
-// benchmark metric alongside ns/op and allocs/op; the v2 case must
-// stay at zero allocs/op (pooled buffers satellite).
+// BenchmarkWireEncode measures the v2 codec on the leader->node model
+// frame against encoding/json over the same envelope — the retired v1
+// wire format, kept as a test-only reference row. frame_bytes makes the
+// wire-size ratio a first-class benchmark metric alongside ns/op and
+// allocs/op; the v2 case must stay at zero allocs/op.
 func BenchmarkWireEncode(b *testing.B) {
 	req := benchTrainRequest(4096)
 
-	b.Run("codec=v1", func(b *testing.B) {
+	b.Run("codec=json", func(b *testing.B) {
 		// Pre-measure the frame size once.
 		var buf bytes.Buffer
 		if err := writeFrame(&buf, req); err != nil {
@@ -87,13 +88,13 @@ func BenchmarkWireEncode(b *testing.B) {
 	})
 }
 
-// BenchmarkWireDecode compares decoding the same model frame. The v2
-// case reuses the destination request's nested slices and must stay
-// allocation-free at steady state.
+// BenchmarkWireDecode compares decoding the same model frame against
+// the same JSON reference. The v2 case reuses the destination request's
+// nested slices and must stay allocation-free at steady state.
 func BenchmarkWireDecode(b *testing.B) {
 	req := benchTrainRequest(4096)
 
-	b.Run("codec=v1", func(b *testing.B) {
+	b.Run("codec=json", func(b *testing.B) {
 		var buf bytes.Buffer
 		if err := writeFrame(&buf, req); err != nil {
 			b.Fatal(err)
@@ -129,46 +130,41 @@ func BenchmarkWireDecode(b *testing.B) {
 	})
 }
 
-// benchServer boots a daemon + client pair capped at proto for the
-// end-to-end RPC benchmarks.
-func benchServer(b *testing.B, proto int) *Client {
+// benchServer boots a daemon + client pair for the end-to-end RPC
+// benchmark.
+func benchServer(b *testing.B) *Client {
 	b.Helper()
 	node, err := federation.NewNode("node-A", lineDataset(400, 2, 1, 0, 50, 99), 5, rng.New(99))
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv, err := Serve(node, "127.0.0.1:0", WithMaxWireProto(proto))
+	srv, err := Serve(node, "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
 	}
 	srv.SetLogger(silent)
 	b.Cleanup(func() { srv.Close() })
-	client, err := Dial(srv.Addr(), DialOptions{Timeout: 30 * time.Second, MaxProto: proto})
+	client, err := Dial(srv.Addr(), DialOptions{Timeout: 30 * time.Second})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { client.Close() })
-	if got := client.Proto(); got != proto {
-		b.Fatalf("negotiated proto %d, want %d", got, proto)
-	}
 	return client
 }
 
-// BenchmarkWireRPC measures end-to-end RPC throughput over loopback
-// at 8 concurrent callers on ONE connection. Under v1 the calls
-// serialize on the exchange lock; under v2 they pipeline through the
-// multiplexer, which is where the wall-clock win on the leader->node
-// fan-out path comes from.
+// BenchmarkWireRPC measures end-to-end RPC throughput over loopback on
+// ONE connection, one caller at a time against 8 concurrent callers:
+// the ratio is what multiplexing buys on the leader->node fan-out path
+// (a serialized connection would hold concurrency=8 at concurrency=1).
 func BenchmarkWireRPC(b *testing.B) {
 	// An NN over the node's 1-D data gives a ~600-float parameter
 	// vector; training once yields params guaranteed compatible with
 	// the node's shard, which every Evaluate then carries.
 	spec := ml.Spec{Kind: ml.KindNN, InputDim: 1, Hidden: []int{32, 16},
 		LearningRate: 0.01, Epochs: 1, BatchSize: 32, Seed: 42}
-	const workers = 8
-	for _, proto := range []int{WireProtoV1, WireProtoV2} {
-		b.Run(fmt.Sprintf("proto=v%d/concurrency=%d", proto, workers), func(b *testing.B) {
-			client := benchServer(b, proto)
+	for _, workers := range []int{1, 8} {
+		b.Run(fmt.Sprintf("concurrency=%d", workers), func(b *testing.B) {
+			client := benchServer(b)
 			ctx := context.Background()
 			tr, err := client.Train(ctx, federation.TrainRequest{Spec: spec, LocalEpochs: 1})
 			if err != nil {

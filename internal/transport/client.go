@@ -16,30 +16,23 @@ import (
 
 // Client is a TCP-backed federation.Client: the leader's handle on a
 // remote participant daemon. It keeps one persistent connection,
-// reconnecting on failure, and negotiates the wire protocol on the
-// ping handshake:
-//
-//   - v2 (binary codec, default against a v2 daemon): the connection
-//     is multiplexed. Every request frame carries a request id, one
-//     reader goroutine routes responses to waiting callers through a
-//     pending-call map, and writes interleave under a write lock — so
-//     N concurrent RPCs to the same node pipeline on one connection
-//     instead of queueing head-of-line. The server dispatches
-//     concurrently (see Server), so in-flight calls genuinely overlap.
-//   - v1 (JSON codec, against a pre-v2 daemon): strictly serialized
-//     request/response round-trips, exactly the legacy behaviour.
+// reconnecting on failure. After the JSON hello (see handshake) the
+// connection is multiplexed: every request frame carries a request id,
+// one reader goroutine routes responses to waiting callers through a
+// pending-call map, and writes interleave under a write lock — so N
+// concurrent RPCs to the same node pipeline on one connection instead
+// of queueing head-of-line. The server dispatches concurrently (see
+// Server), so in-flight calls genuinely overlap.
 //
 // Every RPC takes a context.Context: the effective deadline is the
 // earlier of the context deadline and the client's configured
-// timeout. On v2 a canceled call simply abandons its pending slot —
-// the tagged response is dropped on arrival and the connection stays
+// timeout. A canceled call simply abandons its pending slot — the
+// tagged response is dropped on arrival and the connection stays
 // healthy for the other in-flight calls; the deadline also crosses
 // the wire (deadline_unix_ms) so the daemon abandons the work itself.
-// On v1 cancellation slams the connection deadline, as before.
 type Client struct {
-	addr     string
-	timeout  time.Duration
-	maxProto int
+	addr    string
+	timeout time.Duration
 
 	mu   sync.Mutex // guards conn replacement and dialing
 	conn *wireConn
@@ -67,14 +60,10 @@ type DialOptions struct {
 	// Timeout bounds dialing and each request round-trip
 	// (default 30s; training large nodes dominates it).
 	Timeout time.Duration
-	// MaxProto caps the wire protocol the client will negotiate:
-	// WireProtoV1 forces the legacy JSON codec (and serialized
-	// round-trips), 0 defaults to WireProtoV2.
-	MaxProto int
 }
 
 // Dial connects to a participant daemon and learns its node id via
-// the ping handshake (which also negotiates the wire protocol).
+// the hello; a daemon too old to speak v2 fails it with ErrPeerTooOld.
 func Dial(addr string, opts DialOptions) (*Client, error) {
 	return DialContext(context.Background(), addr, opts)
 }
@@ -84,16 +73,9 @@ func DialContext(ctx context.Context, addr string, opts DialOptions) (*Client, e
 	if opts.Timeout == 0 {
 		opts.Timeout = 30 * time.Second
 	}
-	if opts.MaxProto == 0 {
-		opts.MaxProto = WireProtoV2
-	}
-	if opts.MaxProto < WireProtoV1 || opts.MaxProto > WireProtoV2 {
-		return nil, fmt.Errorf("transport: dial %s: unsupported wire protocol %d", addr, opts.MaxProto)
-	}
 	c := &Client{
 		addr:          addr,
 		timeout:       opts.Timeout,
-		maxProto:      opts.MaxProto,
 		inflightGauge: telemetry.Default().Gauge("qens_wire_inflight_rpcs", telemetry.L("peer", addr)...),
 	}
 	c.mu.Lock()
@@ -116,19 +98,8 @@ func (c *Client) ID() string { return c.id }
 // Addr returns the daemon address.
 func (c *Client) Addr() string { return c.addr }
 
-// Proto reports the wire protocol negotiated on the current
-// connection (0 when disconnected).
-func (c *Client) Proto() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conn == nil {
-		return 0
-	}
-	return c.conn.proto
-}
-
-// InflightRPCs reports how many RPCs this client has on the wire
-// right now (pipelined on v2; at most 1 on v1).
+// InflightRPCs reports how many RPCs this client has pipelined on the
+// wire right now.
 func (c *Client) InflightRPCs() int64 { return c.inflight.Load() }
 
 // Close tears down the connection, failing any in-flight calls.
@@ -164,15 +135,17 @@ func (c *Client) ensureConnLocked(ctx context.Context) (*wireConn, error) {
 	// server-side subscription on the fresh connection. The subscribe
 	// round-trip runs on its own goroutine, off c.mu — a slow peer must
 	// not block every other client call behind the connection lock for
-	// the RPC's duration. Failure is non-fatal: the caller's pull path
-	// still works and the next redial retries. Duplicate subscribes are
+	// the RPC's duration. A subscribe that gets no answer drops the
+	// connection: nothing else would ever redial a socket that still
+	// serves pulls, and the node would sit on TTL pull for good — the
+	// next RPC redials and re-arms instead. Duplicate subscribes are
 	// idempotent server-side, so racing SubscribeSummaries is harmless.
 	if conn.pushOK && c.hasPushHandler() {
 		go func() {
 			subCtx, cancel := context.WithTimeout(context.Background(), c.timeout)
 			defer cancel()
 			if _, err := conn.do(subCtx, c, &request{Type: typeSubscribe}); err != nil {
-				c.pushesDroppedNote()
+				c.dropConn(conn)
 			}
 		}()
 	}
@@ -186,10 +159,6 @@ func (c *Client) hasPushHandler() bool {
 	defer c.pushMu.Unlock()
 	return c.pushHandler != nil
 }
-
-// pushesDroppedNote exists so a failed re-subscription is visible in
-// byte counters at least; the TTL pull remains the safety net.
-func (c *Client) pushesDroppedNote() {}
 
 // dispatchPush routes one unsolicited summary push to the registered
 // handler (dropped when none is registered — the server only pushes to
@@ -207,7 +176,7 @@ func (c *Client) dispatchPush(s cluster.NodeSummary) {
 // SubscribeSummaries registers handler for server-pushed summary
 // deltas and arms the subscription on the daemon. It returns ok=true
 // when the peer accepted the subscription; ok=false (with nil error)
-// when the peer cannot push — a v1 connection, or a pre-push daemon —
+// when the peer cannot push — a region server, or a pre-push daemon —
 // in which case the caller keeps pulling forever. The handler runs on
 // the connection's reader goroutine and must hand off quickly.
 func (c *Client) SubscribeSummaries(ctx context.Context, handler func(cluster.NodeSummary)) (bool, error) {
@@ -220,7 +189,7 @@ func (c *Client) SubscribeSummaries(ctx context.Context, handler func(cluster.No
 	if err != nil {
 		return false, err
 	}
-	if conn.proto < WireProtoV2 || !conn.pushOK {
+	if !conn.pushOK {
 		return false, nil
 	}
 	// ensureConnLocked only arms fresh connections; arm the current one
@@ -445,19 +414,15 @@ func (c *Client) Evaluate(ctx context.Context, req federation.EvalRequest) (fede
 
 // ---- connection state ----
 
-// wireConn is one live negotiated connection. On v1 it serializes
-// round-trips under callMu; on v2 it multiplexes: callers register in
-// pending, write their tagged frame under writeMu, and the readLoop
-// goroutine routes tagged responses back.
+// wireConn is one live connection past its hello. It multiplexes:
+// callers register in pending, write their tagged frame under writeMu,
+// and the readLoop goroutine routes tagged responses back.
 type wireConn struct {
 	nc     net.Conn // raw conn: deadlines and Close
 	ncIO   net.Conn // counted wrapper: all reads/writes
-	proto  int
 	nodeID string
 
-	callMu sync.Mutex // v1: one round-trip at a time
-
-	writeMu sync.Mutex // v2: interleaved frame writes
+	writeMu sync.Mutex // interleaved frame writes
 	nextID  atomic.Uint64
 	pendMu  sync.Mutex
 	pending map[uint64]chan response
@@ -494,27 +459,15 @@ func (c *countedConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// handshake performs the version-negotiating ping on a fresh TCP
-// connection: a v1 JSON ping advertising the client's maximum
-// protocol, answered by a v1 JSON response carrying the server's
-// pick. A pre-v2 daemon ignores the unknown field and answers a
-// plain ping — the connection stays on v1.
+// handshake runs the hello on a fresh TCP connection: one JSON ping
+// advertising wire_proto 2 and push support, answered by one JSON
+// response carrying the peer's id and capabilities. A peer that answers
+// without wire_proto >= 2 only speaks the retired JSON codec and is
+// refused (ErrPeerTooOld); past the hello every frame is binary v2.
 func handshake(ctx context.Context, nc net.Conn, c *Client) (*wireConn, error) {
 	counted := &countedConn{Conn: nc, out: &c.bytesOut, in: &c.bytesIn}
-	conn := &wireConn{
-		nc:     nc,
-		ncIO:   counted,
-		proto:  WireProtoV1,
-		closed: make(chan struct{}),
-	}
-
-	hello := request{Type: typePing}
-	if c.maxProto >= WireProtoV2 {
-		hello.WireProto = c.maxProto
-		// Advertise push support; pre-push daemons ignore the unknown
-		// JSON field and leave the response's flag unset.
-		hello.SummaryPush = true
-	}
+	// Pre-push daemons ignore summary_push and leave the reply's unset.
+	hello := request{Type: typePing, WireProto: WireProtoV2, SummaryPush: true}
 	_ = nc.SetDeadline(c.deadlineFor(ctx))
 	if err := writeFrame(counted, hello); err != nil {
 		return nil, err
@@ -527,14 +480,19 @@ func handshake(ctx context.Context, nc net.Conn, c *Client) (*wireConn, error) {
 	if resp.Error != "" {
 		return nil, errors.New(resp.Error)
 	}
-	conn.nodeID = resp.NodeID
-	if resp.WireProto >= WireProtoV2 && c.maxProto >= WireProtoV2 {
-		conn.proto = WireProtoV2
-		conn.pending = make(map[uint64]chan response)
-		conn.pushOK = resp.SummaryPush
-		conn.onPush = c.dispatchPush
-		go conn.readLoop()
+	if resp.WireProto < WireProtoV2 {
+		return nil, fmt.Errorf("%w (node %q)", ErrPeerTooOld, resp.NodeID)
 	}
+	conn := &wireConn{
+		nc:      nc,
+		ncIO:    counted,
+		nodeID:  resp.NodeID,
+		pending: make(map[uint64]chan response),
+		pushOK:  resp.SummaryPush,
+		onPush:  c.dispatchPush,
+		closed:  make(chan struct{}),
+	}
+	go conn.readLoop()
 	return conn, nil
 }
 
@@ -549,14 +507,12 @@ func (w *wireConn) closeWithErr(err error) {
 		w.closeErr.Store(&err)
 		close(w.closed)
 		w.nc.Close()
-		if w.proto == WireProtoV2 {
-			w.pendMu.Lock()
-			pending := w.pending
-			w.pending = nil
-			w.pendMu.Unlock()
-			for _, ch := range pending {
-				close(ch)
-			}
+		w.pendMu.Lock()
+		pending := w.pending
+		w.pending = nil
+		w.pendMu.Unlock()
+		for _, ch := range pending {
+			close(ch)
 		}
 	})
 }
@@ -568,47 +524,12 @@ func (w *wireConn) err() error {
 	return errors.New("transport: connection closed")
 }
 
-// do executes one RPC over the connection using the negotiated codec.
-func (w *wireConn) do(ctx context.Context, c *Client, req *request) (response, error) {
-	if w.proto >= WireProtoV2 {
-		return w.doV2(ctx, c, req)
-	}
-	return w.doV1(ctx, c, req)
-}
-
-// doV1 is the legacy serialized round-trip: one exchange at a time,
-// connection deadline as the cancellation lever.
-func (w *wireConn) doV1(ctx context.Context, c *Client, req *request) (response, error) {
-	w.callMu.Lock()
-	defer w.callMu.Unlock()
-	select {
-	case <-w.closed:
-		return response{}, connError{w.err()}
-	default:
-	}
-	_ = w.nc.SetDeadline(c.deadlineFor(ctx))
-	// Abort the in-flight exchange the moment ctx is canceled:
-	// moving the deadline into the past unblocks any Read/Write.
-	stop := context.AfterFunc(ctx, func() {
-		_ = w.nc.SetDeadline(time.Unix(1, 0))
-	})
-	defer stop()
-	if err := writeFrame(w.ncIO, *req); err != nil {
-		return response{}, connError{err}
-	}
-	var resp response
-	if err := readFrame(w.ncIO, &resp); err != nil {
-		return response{}, connError{err}
-	}
-	return resp, nil
-}
-
-// doV2 issues one multiplexed RPC: register a pending slot, write the
+// do issues one multiplexed RPC: register a pending slot, write the
 // tagged frame, then wait for the reader to deliver the matching
 // response. Cancellation and per-call timeouts abandon the slot
 // without poisoning the connection — the tagged response is dropped
 // whenever it arrives.
-func (w *wireConn) doV2(ctx context.Context, c *Client, req *request) (response, error) {
+func (w *wireConn) do(ctx context.Context, c *Client, req *request) (response, error) {
 	id := w.nextID.Add(1)
 	ch := make(chan response, 1)
 
@@ -680,7 +601,7 @@ func (w *wireConn) forget(id uint64) {
 	w.pendMu.Unlock()
 }
 
-// readLoop is the single reader goroutine of a v2 connection: it
+// readLoop is the connection's single reader goroutine: it
 // decodes tagged response frames and routes each to its pending
 // caller. Unsolicited push frames (their own frame kind and request-id
 // space) are dispatched to the subscriber instead of erroring. Any

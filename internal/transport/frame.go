@@ -3,15 +3,15 @@
 // and a Client implementing federation.Client so the leader can drive
 // remote participants exactly like in-process ones.
 //
-// Two codecs share one outer framing — a 4-byte big-endian length
-// prefix with a hard size cap. Wire protocol v1 frames a JSON body:
-// deliberately simple and debuggable, and what any pre-v2 peer
-// speaks. Wire protocol v2 (see wire.go) frames a hand-rolled binary
-// body with raw little-endian float payloads and per-frame request
-// ids, negotiated on the ping handshake and multiplexed by the
-// client. Only summaries, model parameters and scalar losses cross
-// the wire in either codec — never raw samples — preserving the
-// paper's privacy model and its O(1)-per-node communication story.
+// Every frame is a 4-byte big-endian length prefix with a hard size
+// cap, then a body. A connection is hello, then v2: the first frame
+// each way is a JSON ping (writeFrame/readFrame below) that names the
+// peer and refuses one too old to speak v2; every request, response and
+// push after it is a binary v2 body (see wire.go) with raw
+// little-endian float payloads and per-frame request ids, multiplexed
+// by the client. Only summaries, model parameters and scalar losses
+// cross the wire — never raw samples — preserving the paper's privacy
+// model and its O(1)-per-node communication story.
 package transport
 
 import (
@@ -31,8 +31,7 @@ const MaxFrameSize = 16 << 20
 // ErrFrameTooLarge reports an over-sized frame.
 var ErrFrameTooLarge = errors.New("transport: frame exceeds size limit")
 
-// jsonBufPool recycles the scratch buffers writeFrame encodes into,
-// so the v1 codec allocates no fresh body buffer per frame either.
+// jsonBufPool recycles the scratch buffers writeFrame encodes into.
 var jsonBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // writeFrame encodes v as JSON and writes one length-prefixed frame.
@@ -92,7 +91,7 @@ func readFrameBody(r io.Reader) (*[]byte, error) {
 }
 
 // readFrame reads one length-prefixed frame and decodes its JSON body
-// into v (wire protocol v1). The body transits a pooled buffer.
+// into v (the hello). The body transits a pooled buffer.
 func readFrame(r io.Reader, v any) error {
 	buf, err := readFrameBody(r)
 	if err != nil {
@@ -118,9 +117,9 @@ const (
 	typeRegionTrain = "region.train"
 	typeRegionStats = "region.stats"
 	// typeSubscribe registers the connection for server-push summary
-	// deltas (v2 connections against push-capable daemons only; see
-	// server.go). Pre-push servers answer CodeUnknownType and the
-	// client degrades to pull.
+	// deltas (see server.go). A server that cannot push — a region
+	// server, a pre-push daemon — answers CodeUnknownType and the client
+	// stays on pull.
 	typeSubscribe = "summary.subscribe"
 )
 
@@ -132,8 +131,15 @@ const (
 	CodeUnknownType = "unknown_type"
 	// CodeBadRequest reports a request missing its typed body.
 	CodeBadRequest = "bad_request"
+	// CodeUnsupportedProto refuses a hello that is not a ping
+	// advertising wire_proto >= 2; the connection is closed after it.
+	CodeUnsupportedProto = "unsupported_proto"
 )
 
 // ErrUnknownType is returned by the client when the server rejects a
 // request type (wrapped with the offending type's name).
 var ErrUnknownType = errors.New("transport: unknown request type")
+
+// ErrPeerTooOld fails a dial whose peer answered the hello without
+// wire_proto >= 2: it only speaks the retired JSON codec.
+var ErrPeerTooOld = errors.New("transport: peer speaks only the retired v1 JSON wire protocol; upgrade it")

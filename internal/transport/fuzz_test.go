@@ -13,20 +13,31 @@ import (
 	"qens/internal/ml"
 )
 
-// FuzzReadFrame hardens the wire decoder: arbitrary bytes must either
-// decode into a request or be rejected — never panic, never
+// FuzzReadFrame hardens the hello's JSON framing: arbitrary bytes must
+// either decode into an envelope or be rejected — never panic, never
 // over-allocate past the frame cap.
 func FuzzReadFrame(f *testing.F) {
-	var seed bytes.Buffer
-	_ = writeFrame(&seed, request{Type: typePing})
-	f.Add(seed.Bytes())
+	frame := func(v any) []byte {
+		var b bytes.Buffer
+		_ = writeFrame(&b, v)
+		return b.Bytes()
+	}
+	f.Add(frame(request{Type: typePing}))
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 'x'})
 	f.Add([]byte{0, 0, 0, 2, '{', '}'})
+	// The handshake's own frames: the client hello, a server answer, and
+	// the refusal an old peer gets.
+	f.Add(frame(request{Type: typePing, WireProto: WireProtoV2, SummaryPush: true}))
+	f.Add(frame(response{NodeID: "node-A", WireProto: WireProtoV2, SummaryPush: true, SummaryEpoch: 1}))
+	f.Add(frame(response{Code: CodeUnsupportedProto, Error: "upgrade this peer"}))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// Both hello envelopes: must not panic.
 		var req request
-		_ = readFrame(bytes.NewReader(data), &req) // must not panic
+		_ = readFrame(bytes.NewReader(data), &req)
+		var resp response
+		_ = readFrame(bytes.NewReader(data), &resp)
 	})
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -15,19 +14,19 @@ import (
 
 // startPushServer boots a daemon with its node handle exposed so tests
 // can force advertisement-epoch bumps.
-func startPushServer(t *testing.T, serverMax, clientMax int) (*federation.Node, *Server, *Client) {
+func startPushServer(t *testing.T) (*federation.Node, *Server, *Client) {
 	t.Helper()
 	node, err := federation.NewNode("node-A", lineDataset(300, 2, 1, 0, 50, 3), 5, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := Serve(node, "127.0.0.1:0", WithMaxWireProto(serverMax))
+	srv, err := Serve(node, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv.SetLogger(silent)
 	t.Cleanup(func() { srv.Close() })
-	client, err := Dial(srv.Addr(), DialOptions{Timeout: 30 * time.Second, MaxProto: clientMax})
+	client, err := Dial(srv.Addr(), DialOptions{Timeout: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +35,7 @@ func startPushServer(t *testing.T, serverMax, clientMax int) (*federation.Node, 
 }
 
 func TestPushEndToEnd(t *testing.T) {
-	node, srv, client := startPushServer(t, WireProtoV2, WireProtoV2)
+	node, srv, client := startPushServer(t)
 
 	got := make(chan cluster.NodeSummary, 8)
 	ok, err := client.SubscribeSummaries(context.Background(), func(s cluster.NodeSummary) { got <- s })
@@ -81,62 +80,68 @@ func TestPushEndToEnd(t *testing.T) {
 	}
 }
 
-// TestPushPairings pins the four wire pairings: push works only when
-// both ends speak v2 AND the client subscribed; every other pairing
-// transparently stays on pull with zero push frames on the wire.
+// TestPushPairings pins the push capability bit: a participant daemon
+// pushes to a client that subscribed and keeps answering pulls beside
+// it; a region server declines the subscription — ok=false, no error —
+// and moves no push frame.
 func TestPushPairings(t *testing.T) {
-	cases := []struct {
-		name                 string
-		serverMax, clientMax int
-		wantPush             bool
-	}{
-		{"v2-server_v2-client", WireProtoV2, WireProtoV2, true},
-		{"v2-server_v1-client", WireProtoV2, WireProtoV1, false},
-		{"v1-server_v2-client", WireProtoV1, WireProtoV2, false},
-		{"v1-server_v1-client", WireProtoV1, WireProtoV1, false},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			node, srv, client := startPushServer(t, tc.serverMax, tc.clientMax)
-			var pushes sync.WaitGroup
-			if tc.wantPush {
-				pushes.Add(2) // prime + bump
-			}
-			ok, err := client.SubscribeSummaries(context.Background(), func(cluster.NodeSummary) { pushes.Done() })
-			if err != nil {
-				t.Fatalf("subscribe must degrade, not error: %v", err)
-			}
-			if ok != tc.wantPush {
-				t.Fatalf("subscribe ok=%v, want %v", ok, tc.wantPush)
-			}
-
-			// Pull must work on every pairing, before and after a bump.
-			if sum, err := client.Summary(context.Background()); err != nil || sum.Epoch != 1 {
-				t.Fatalf("pull: %v", err)
-			}
-			if err := node.Requantize(); err != nil {
-				t.Fatal(err)
-			}
-			if sum, err := client.Summary(context.Background()); err != nil || sum.Epoch != 2 {
-				t.Fatalf("pull after bump: %v", err)
-			}
-
-			pushes.Wait()
-			if !tc.wantPush {
-				if srv.PushSubscribers() != 0 || srv.PushesSent() != 0 || client.PushesReceived() != 0 {
-					t.Fatalf("pull-only pairing moved push frames: subs=%d sent=%d recv=%d",
-						srv.PushSubscribers(), srv.PushesSent(), client.PushesReceived())
-				}
-			}
+	t.Run("v2-server_v2-client", func(t *testing.T) {
+		node, srv, client := startPushServer(t)
+		got := make(chan cluster.NodeSummary, 8)
+		ok, err := client.SubscribeSummaries(context.Background(), func(s cluster.NodeSummary) { got <- s })
+		if err != nil || !ok {
+			t.Fatalf("subscribe: ok=%v err=%v", ok, err)
+		}
+		// Pull must work beside push, before and after a bump.
+		if sum, err := client.Summary(context.Background()); err != nil || sum.Epoch != 1 {
+			t.Fatalf("pull: %v", err)
+		}
+		if err := node.Requantize(); err != nil {
+			t.Fatal(err)
+		}
+		if sum, err := client.Summary(context.Background()); err != nil || sum.Epoch != 2 {
+			t.Fatalf("pull after bump: %v", err)
+		}
+		// The bump must arrive by push too. The prime may be coalesced into
+		// it when the pusher first runs after the bump, so wait for the
+		// epoch, not for a frame count.
+		for waitPush(t, got).Epoch != 2 {
+		}
+		if srv.PushSubscribers() != 1 {
+			t.Fatalf("subscribers = %d", srv.PushSubscribers())
+		}
+	})
+	t.Run("region-server", func(t *testing.T) {
+		srv, err := ServeRegion(regionFleet(t)[0], "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.SetLogger(silent)
+		t.Cleanup(func() { srv.Close() })
+		client, err := Dial(srv.Addr(), DialOptions{Timeout: 30 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { client.Close() })
+		ok, err := client.SubscribeSummaries(context.Background(), func(cluster.NodeSummary) {
+			t.Error("region server pushed a summary")
 		})
-	}
+		if err != nil || ok {
+			t.Fatalf("subscribe must be declined, not error: ok=%v err=%v", ok, err)
+		}
+		// Declined at the hello already, so no subscribe RPC was sent.
+		if srv.PushSubscribers() != 0 || srv.PushesSent() != 0 || client.PushesReceived() != 0 {
+			t.Fatalf("declined subscription moved push frames: subs=%d sent=%d recv=%d",
+				srv.PushSubscribers(), srv.PushesSent(), client.PushesReceived())
+		}
+	})
 }
 
 // TestPushSurvivesReconnect: the client re-arms its subscription on a
 // fresh connection, so a server-side connection drop only pauses the
 // stream.
 func TestPushSurvivesReconnect(t *testing.T) {
-	node, _, client := startPushServer(t, WireProtoV2, WireProtoV2)
+	node, _, client := startPushServer(t)
 	got := make(chan cluster.NodeSummary, 8)
 	if ok, err := client.SubscribeSummaries(context.Background(), func(s cluster.NodeSummary) { got <- s }); err != nil || !ok {
 		t.Fatalf("subscribe: ok=%v err=%v", ok, err)
@@ -174,7 +179,7 @@ func TestPushSurvivesReconnect(t *testing.T) {
 // graceful Shutdown with live push subscriptions must terminate every
 // pusher goroutine before returning.
 func TestServerShutdownDrainsPushers(t *testing.T) {
-	node, srv, _ := startPushServer(t, WireProtoV2, WireProtoV2)
+	node, srv, _ := startPushServer(t)
 	// Several subscribed clients, each with in-flight push traffic.
 	for i := 0; i < 3; i++ {
 		c, err := Dial(srv.Addr(), DialOptions{Timeout: 10 * time.Second})
@@ -200,18 +205,7 @@ func TestServerShutdownDrainsPushers(t *testing.T) {
 
 	// Shutdown awaits the serve WaitGroup, which owns every pusher; no
 	// runPusher frame may survive it.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		buf := make([]byte, 1<<20)
-		stacks := string(buf[:runtime.Stack(buf, true)])
-		if !strings.Contains(stacks, "runPusher") {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("pusher goroutines leaked past Shutdown:\n%s", stacks)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitNoGoroutine(t, "runPusher")
 	if n := srv.PushSubscribers(); n != 0 {
 		t.Fatalf("%d subscriptions survive Shutdown", n)
 	}
@@ -225,5 +219,23 @@ func waitPush(t *testing.T, ch <-chan cluster.NodeSummary) cluster.NodeSummary {
 	case <-time.After(10 * time.Second):
 		t.Fatal("no push frame within 10s")
 		panic("unreachable")
+	}
+}
+
+// waitNoGoroutine fails the test unless, within 5s, no goroutine has
+// frame in its stack.
+func waitNoGoroutine(t *testing.T, frame string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		buf := make([]byte, 1<<20)
+		stacks := string(buf[:runtime.Stack(buf, true)])
+		if !strings.Contains(stacks, frame) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines with %s on their stack leaked:\n%s", frame, stacks)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -8,15 +8,51 @@ import (
 	"qens/internal/region"
 )
 
-// Region-tier RPCs: the root coordinator's handle on a remote regional
-// leader (a ServeRegion daemon). They ride the same negotiated
-// connection as the node family — multiplexed and pipelined on v2,
-// serialized on v1 — so a root fanning one query out to N regions
-// overlaps their plan and train rounds on one socket each.
+// RegionClient is the root coordinator's handle on a remote regional
+// leader (a ServeRegion daemon): a Client speaking the region.* RPC
+// family as a region.Service, so the root Router drives remote regions
+// exactly like in-process ones. The calls ride the same multiplexed
+// connection as the node family, so a root fanning one query out to N
+// regions overlaps their plan and train rounds on one socket each.
+type RegionClient struct{ c *Client }
 
-// RegionInfo fetches the region's membership and covering rectangle.
-func (c *Client) RegionInfo(ctx context.Context) (region.Info, error) {
-	resp, err := c.roundTrip(ctx, request{Type: typeRegionInfo})
+var _ region.Service = (*RegionClient)(nil)
+
+// DialRegion connects to a regional-leader daemon and verifies it
+// actually speaks the region RPC family (a participant daemon answers
+// the hello fine but rejects region.info — caught here, at dial time,
+// instead of on the first query).
+func DialRegion(ctx context.Context, addr string, opts DialOptions) (*RegionClient, error) {
+	c, err := DialContext(ctx, addr, opts)
+	if err != nil {
+		return nil, err
+	}
+	rc := &RegionClient{c: c}
+	if _, err := rc.Info(ctx); err != nil {
+		c.Close()
+		if errors.Is(err, ErrUnknownType) {
+			return nil, fmt.Errorf("transport: dial region %s: daemon %s is not a regional leader: %w",
+				addr, c.ID(), err)
+		}
+		return nil, fmt.Errorf("transport: dial region %s: %w", addr, err)
+	}
+	return rc, nil
+}
+
+// Client exposes the underlying transport client (byte accounting).
+func (r *RegionClient) Client() *Client { return r.c }
+
+// Close tears down the connection.
+func (r *RegionClient) Close() error { return r.c.Close() }
+
+// ID implements region.Service with the region id learned on the
+// hello.
+func (r *RegionClient) ID() string { return r.c.ID() }
+
+// Info implements region.Service: the region's membership and covering
+// rectangle.
+func (r *RegionClient) Info(ctx context.Context) (region.Info, error) {
+	resp, err := r.c.roundTrip(ctx, request{Type: typeRegionInfo})
 	if err != nil {
 		return region.Info{}, err
 	}
@@ -26,9 +62,10 @@ func (c *Client) RegionInfo(ctx context.Context) (region.Info, error) {
 	return *resp.RegionInfo, nil
 }
 
-// RegionPlan asks the region to rank its shard for one query.
-func (c *Client) RegionPlan(ctx context.Context, req region.PlanRequest) (region.PlanResponse, error) {
-	resp, err := c.roundTrip(ctx, request{Type: typeRegionPlan, RegionPlan: &req})
+// Plan implements region.Service: the region ranks its shard for one
+// query.
+func (r *RegionClient) Plan(ctx context.Context, req region.PlanRequest) (region.PlanResponse, error) {
+	resp, err := r.c.roundTrip(ctx, request{Type: typeRegionPlan, RegionPlan: &req})
 	if err != nil {
 		return region.PlanResponse{}, err
 	}
@@ -38,11 +75,12 @@ func (c *Client) RegionPlan(ctx context.Context, req region.PlanRequest) (region
 	return *resp.RegionPlan, nil
 }
 
-// RegionTrain runs one training round over shard members. The body's
-// trace/span ids are lifted into the envelope so the daemon's RPC log
-// attributes the round to the originating root query.
-func (c *Client) RegionTrain(ctx context.Context, req region.TrainRequest) (region.TrainResponse, error) {
-	resp, err := c.roundTrip(ctx, request{
+// Train implements region.Service: one training round over shard
+// members. The body's trace/span ids are lifted into the envelope so
+// the daemon's RPC log attributes the round to the originating root
+// query.
+func (r *RegionClient) Train(ctx context.Context, req region.TrainRequest) (region.TrainResponse, error) {
+	resp, err := r.c.roundTrip(ctx, request{
 		Type: typeRegionTrain, TraceID: req.TraceID, SpanID: req.SpanID, RegionTrain: &req})
 	if err != nil {
 		return region.TrainResponse{}, err
@@ -53,9 +91,10 @@ func (c *Client) RegionTrain(ctx context.Context, req region.TrainRequest) (regi
 	return *resp.RegionTrain, nil
 }
 
-// RegionStats fetches the region's registry and fleet-health report.
-func (c *Client) RegionStats(ctx context.Context) (region.Stats, error) {
-	resp, err := c.roundTrip(ctx, request{Type: typeRegionStats})
+// Stats implements region.Service: the region's registry and
+// fleet-health report.
+func (r *RegionClient) Stats(ctx context.Context) (region.Stats, error) {
+	resp, err := r.c.roundTrip(ctx, request{Type: typeRegionStats})
 	if err != nil {
 		return region.Stats{}, err
 	}
@@ -63,61 +102,4 @@ func (c *Client) RegionStats(ctx context.Context) (region.Stats, error) {
 		return region.Stats{}, errors.New("transport: daemon returned no region stats")
 	}
 	return *resp.RegionStats, nil
-}
-
-// RegionClient adapts a Client into a region.Service, so the root
-// Router drives remote regional leaders exactly like in-process ones.
-type RegionClient struct{ c *Client }
-
-var _ region.Service = (*RegionClient)(nil)
-
-// DialRegion connects to a regional-leader daemon and verifies it
-// actually speaks the region RPC family (a participant daemon answers
-// the handshake fine but rejects region.info — caught here, at dial
-// time, instead of on the first query).
-func DialRegion(ctx context.Context, addr string, opts DialOptions) (*RegionClient, error) {
-	c, err := DialContext(ctx, addr, opts)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := c.RegionInfo(ctx); err != nil {
-		c.Close()
-		if errors.Is(err, ErrUnknownType) {
-			return nil, fmt.Errorf("transport: dial region %s: daemon %s is not a regional leader: %w",
-				addr, c.ID(), err)
-		}
-		return nil, fmt.Errorf("transport: dial region %s: %w", addr, err)
-	}
-	return &RegionClient{c: c}, nil
-}
-
-// Client exposes the underlying transport client (byte accounting,
-// negotiated protocol).
-func (r *RegionClient) Client() *Client { return r.c }
-
-// Close tears down the connection.
-func (r *RegionClient) Close() error { return r.c.Close() }
-
-// ID implements region.Service with the region id learned on the ping
-// handshake.
-func (r *RegionClient) ID() string { return r.c.ID() }
-
-// Info implements region.Service.
-func (r *RegionClient) Info(ctx context.Context) (region.Info, error) {
-	return r.c.RegionInfo(ctx)
-}
-
-// Plan implements region.Service.
-func (r *RegionClient) Plan(ctx context.Context, req region.PlanRequest) (region.PlanResponse, error) {
-	return r.c.RegionPlan(ctx, req)
-}
-
-// Train implements region.Service.
-func (r *RegionClient) Train(ctx context.Context, req region.TrainRequest) (region.TrainResponse, error) {
-	return r.c.RegionTrain(ctx, req)
-}
-
-// Stats implements region.Service.
-func (r *RegionClient) Stats(ctx context.Context) (region.Stats, error) {
-	return r.c.RegionStats(ctx)
 }

@@ -61,18 +61,17 @@ func regionFleet(t *testing.T) []*region.Leader {
 	return leaders
 }
 
-func serveRegions(t *testing.T, leaders []*region.Leader, maxProto int) []region.Service {
+func serveRegions(t *testing.T, leaders []*region.Leader) []region.Service {
 	t.Helper()
 	remotes := make([]region.Service, 0, len(leaders))
 	for _, lead := range leaders {
-		srv, err := ServeRegion(lead, "127.0.0.1:0", WithMaxWireProto(maxProto))
+		srv, err := ServeRegion(lead, "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		srv.SetLogger(silent)
 		t.Cleanup(func() { srv.Close() })
-		rc, err := DialRegion(context.Background(), srv.Addr(),
-			DialOptions{Timeout: 30 * time.Second, MaxProto: maxProto})
+		rc, err := DialRegion(context.Background(), srv.Addr(), DialOptions{Timeout: 30 * time.Second})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,17 +79,15 @@ func serveRegions(t *testing.T, leaders []*region.Leader, maxProto int) []region
 		if rc.ID() != lead.ID() {
 			t.Fatalf("dialed region id %q, want %q", rc.ID(), lead.ID())
 		}
-		if got := rc.Client().Proto(); got != maxProto {
-			t.Fatalf("negotiated proto %d, want %d", got, maxProto)
-		}
 		remotes = append(remotes, rc)
 	}
 	return remotes
 }
 
 // TestRegionRPCEquivalentToLocal runs the full region RPC surface over
-// both wire protocols and requires every response — info, rankings,
-// training params, stats — to match the in-process leader bit for bit.
+// the wire and requires every response — info, rankings, training
+// params, stats — to match the in-process leader bit for bit (the "v2"
+// subtest name survives from when the retired JSON codec had a leg).
 func TestRegionRPCEquivalentToLocal(t *testing.T) {
 	rcfg := region.Config{Spec: ml.PaperLR(1), LocalEpochs: 2, Seed: 42}
 	sel := selection.QueryDriven{Epsilon: 1e-9, TopL: 2}
@@ -98,71 +95,69 @@ func TestRegionRPCEquivalentToLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, proto := range []int{WireProtoV1, WireProtoV2} {
-		t.Run(fmt.Sprintf("v%d", proto), func(t *testing.T) {
-			localLeaders := regionFleet(t)
-			locals := make([]region.Service, len(localLeaders))
-			for i, l := range localLeaders {
-				locals[i] = l
-			}
-			remotes := serveRegions(t, regionFleet(t), proto)
+	t.Run("v2", func(t *testing.T) {
+		localLeaders := regionFleet(t)
+		locals := make([]region.Service, len(localLeaders))
+		for i, l := range localLeaders {
+			locals[i] = l
+		}
+		remotes := serveRegions(t, regionFleet(t))
 
-			localRouter, err := region.NewRouter(rcfg, locals)
-			if err != nil {
-				t.Fatal(err)
-			}
-			remoteRouter, err := region.NewRouter(rcfg, remotes)
-			if err != nil {
-				t.Fatal(err)
-			}
+		localRouter, err := region.NewRouter(rcfg, locals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		remoteRouter, err := region.NewRouter(rcfg, remotes)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-			ctx := context.Background()
-			want, _, err := localRouter.Execute(ctx, federation.Request{Query: q, Selector: sel, Aggregation: federation.WeightedAveraging})
-			if err != nil {
-				t.Fatal(err)
+		ctx := context.Background()
+		want, _, err := localRouter.Execute(ctx, federation.Request{Query: q, Selector: sel, Aggregation: federation.WeightedAveraging})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := remoteRouter.Execute(ctx, federation.Request{Query: q, Selector: sel, Aggregation: federation.WeightedAveraging})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want.Participants) != len(got.Participants) {
+			t.Fatalf("%d vs %d participants", len(want.Participants), len(got.Participants))
+		}
+		for i := range want.Participants {
+			if want.Participants[i].NodeID != got.Participants[i].NodeID ||
+				want.Participants[i].Rank != got.Participants[i].Rank {
+				t.Fatalf("participant %d: %+v vs %+v", i, want.Participants[i], got.Participants[i])
 			}
-			got, _, err := remoteRouter.Execute(ctx, federation.Request{Query: q, Selector: sel, Aggregation: federation.WeightedAveraging})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(want.Participants) != len(got.Participants) {
-				t.Fatalf("%d vs %d participants", len(want.Participants), len(got.Participants))
-			}
-			for i := range want.Participants {
-				if want.Participants[i].NodeID != got.Participants[i].NodeID ||
-					want.Participants[i].Rank != got.Participants[i].Rank {
-					t.Fatalf("participant %d: %+v vs %+v", i, want.Participants[i], got.Participants[i])
+		}
+		for i := range want.LocalParams {
+			for j, v := range want.LocalParams[i].Values {
+				if got.LocalParams[i].Values[j] != v {
+					t.Fatalf("params %d value %d: %v vs %v (not bit-exact over the wire)",
+						i, j, v, got.LocalParams[i].Values[j])
 				}
 			}
-			for i := range want.LocalParams {
-				for j, v := range want.LocalParams[i].Values {
-					if got.LocalParams[i].Values[j] != v {
-						t.Fatalf("params %d value %d: %v vs %v (not bit-exact over the wire)",
-							i, j, v, got.LocalParams[i].Values[j])
-					}
-				}
+		}
+		for _, x := range []float64{0, 15, 45, 61} {
+			if a, b := want.Ensemble.Predict([]float64{x}), got.Ensemble.Predict([]float64{x}); a != b {
+				t.Fatalf("ensemble(%v): %v vs %v", x, a, b)
 			}
-			for _, x := range []float64{0, 15, 45, 61} {
-				if a, b := want.Ensemble.Predict([]float64{x}), got.Ensemble.Predict([]float64{x}); a != b {
-					t.Fatalf("ensemble(%v): %v vs %v", x, a, b)
-				}
-			}
+		}
 
-			// Stats and fleet reports cross the wire intact.
-			report, err := remoteRouter.Fleet(ctx)
-			if err != nil {
-				t.Fatal(err)
+		// Stats and fleet reports cross the wire intact.
+		report, err := remoteRouter.Fleet(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(report.Regions) != 2 {
+			t.Fatalf("fleet report has %d regions, want 2", len(report.Regions))
+		}
+		for _, rep := range report.Regions {
+			if rep.RegistryEpoch == 0 || len(rep.NodeIDs) != 2 || len(rep.Nodes) != 2 {
+				t.Fatalf("region report %+v incomplete", rep)
 			}
-			if len(report.Regions) != 2 {
-				t.Fatalf("fleet report has %d regions, want 2", len(report.Regions))
-			}
-			for _, rep := range report.Regions {
-				if rep.RegistryEpoch == 0 || len(rep.NodeIDs) != 2 || len(rep.Nodes) != 2 {
-					t.Fatalf("region report %+v incomplete", rep)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestDialRegionRejectsParticipantDaemon: pointing a root at a node

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
@@ -24,8 +25,8 @@ import (
 // milliseconds) carries the caller's context deadline across the
 // wire, so the daemon can stop training/evaluating — not just stop
 // responding — once the query has expired. WireProto, stamped only on
-// the ping handshake, advertises the highest wire protocol the client
-// speaks (absent/0 means v1-only; see wire.go).
+// the hello ping, advertises the wire protocol the client speaks; the
+// server refuses anything below WireProtoV2 (see handleConn).
 type request struct {
 	Type           string `json:"type"`
 	WireProto      int    `json:"wire_proto,omitempty"`
@@ -53,9 +54,8 @@ type request struct {
 // is stamped on every successful response with the node's current
 // advertisement version, so any RPC — not just summaries — doubles as
 // a drift signal the leader's registry can act on. WireProto, stamped
-// only on the ping-handshake response, confirms the negotiated
-// protocol: after a response carrying wire_proto >= 2 both sides
-// switch the connection to the binary v2 codec.
+// only on the hello response, confirms the server speaks v2: every
+// frame after it is binary.
 type response struct {
 	Error        string               `json:"error,omitempty"`
 	Code         string               `json:"code,omitempty"`
@@ -67,10 +67,10 @@ type response struct {
 	// SummaryUnchanged confirms the requester's known_summary_epoch is
 	// still current; the summary body is omitted.
 	SummaryUnchanged bool `json:"summary_unchanged,omitempty"`
-	// SummaryPush, stamped only on the ping-handshake response,
-	// confirms the server will honor summary-push subscriptions on this
-	// connection (v2 participant daemons answering a push-capable
-	// hello). Absent on pre-push servers, so old peers degrade to pull.
+	// SummaryPush, stamped only on the hello response, confirms the
+	// server will honor summary-push subscriptions on this connection
+	// (participant daemons answering a push-capable hello). Absent on
+	// region and pre-push servers, whose clients stay on pull.
 	SummaryPush bool                      `json:"summary_push,omitempty"`
 	Train       *federation.TrainResponse `json:"train,omitempty"`
 	Eval        *federation.EvalResponse  `json:"eval,omitempty"`
@@ -79,9 +79,6 @@ type response struct {
 	RegionTrain *region.TrainResponse     `json:"region_train,omitempty"`
 	RegionStats *region.Stats             `json:"region_stats,omitempty"`
 }
-
-// codec labels for wire metrics.
-var codecLabel = map[int]string{WireProtoV1: "v1", WireProtoV2: "v2"}
 
 // serverMetrics holds the daemon-side metric handles, resolved once at
 // Serve time so the per-RPC hot path is pure atomics.
@@ -93,21 +90,14 @@ type serverMetrics struct {
 	errorsTotal  *telemetry.Counter
 	bytesIn      *telemetry.Counter
 	bytesOut     *telemetry.Counter
-
-	// Per-codec wire accounting: frame bytes by direction and the
-	// response encode latency (for v1 the encode and the frame write
-	// are fused, so the v1 series includes the write syscall).
-	wireBytesIn  map[int]*telemetry.Counter
-	wireBytesOut map[int]*telemetry.Counter
-	encodeUS     map[int]*telemetry.Histogram
+	encodeUS     *telemetry.Histogram // v2 response encode latency
 }
 
 func newServerMetrics(reg *telemetry.Registry, nodeID string) *serverMetrics {
 	node := telemetry.L("node", nodeID)
 	reg.SetHelp("qens_train_rounds_total", "Training rounds executed by this node.")
 	reg.SetHelp("qens_train_round_ms", "Wall-clock latency of one local training round (ms).")
-	reg.SetHelp("qens_wire_bytes_total", "Wire bytes by codec and direction.")
-	reg.SetHelp("qens_wire_encode_us", "Response encode latency by codec (µs).")
+	reg.SetHelp("qens_wire_encode_us", "Response encode latency (µs).")
 	m := &serverMetrics{
 		trainRounds:  reg.Counter("qens_train_rounds_total", node...),
 		trainRoundMS: reg.Histogram("qens_train_round_ms", node...),
@@ -116,22 +106,12 @@ func newServerMetrics(reg *telemetry.Registry, nodeID string) *serverMetrics {
 		errorsTotal:  reg.Counter("qens_errors_total", node...),
 		bytesIn:      reg.Counter("qens_bytes_received_total", node...),
 		bytesOut:     reg.Counter("qens_bytes_sent_total", node...),
-		wireBytesIn:  map[int]*telemetry.Counter{},
-		wireBytesOut: map[int]*telemetry.Counter{},
-		encodeUS:     map[int]*telemetry.Histogram{},
+		encodeUS:     reg.Histogram("qens_wire_encode_us", node...),
 	}
 	for _, t := range []string{typePing, typeSummary, typeTrain, typeEvaluate, typeSubscribe,
 		typeRegionInfo, typeRegionPlan, typeRegionTrain, typeRegionStats, "unknown"} {
 		m.rpcTotal[t] = reg.Counter("qens_rpc_total",
 			telemetry.Label{Key: "node", Value: nodeID}, telemetry.Label{Key: "type", Value: t})
-	}
-	for proto, codec := range codecLabel {
-		m.wireBytesIn[proto] = reg.Counter("qens_wire_bytes_total",
-			telemetry.L("node", nodeID, "codec", codec, "dir", "in")...)
-		m.wireBytesOut[proto] = reg.Counter("qens_wire_bytes_total",
-			telemetry.L("node", nodeID, "codec", codec, "dir", "out")...)
-		m.encodeUS[proto] = reg.Histogram("qens_wire_encode_us",
-			telemetry.L("node", nodeID, "codec", codec)...)
 	}
 	return m
 }
@@ -159,65 +139,40 @@ func (m *serverMetrics) observeRPC(reqType string, elapsed time.Duration, errore
 	return false
 }
 
-// addBytes tallies per-connection wire bytes under the connection's
-// negotiated codec (nil-safe).
-func (m *serverMetrics) addBytes(proto int, in, out int64) {
+// addBytes tallies the wire bytes a connection moved since the last
+// call (nil-safe).
+func (m *serverMetrics) addBytes(cc *countingConn) {
 	if m == nil {
 		return
 	}
-	if in > 0 {
+	if in := cc.takeRead(); in > 0 {
 		m.bytesIn.Add(in)
-		if c, ok := m.wireBytesIn[proto]; ok {
-			c.Add(in)
-		}
 	}
-	if out > 0 {
+	if out := cc.takeWritten(); out > 0 {
 		m.bytesOut.Add(out)
-		if c, ok := m.wireBytesOut[proto]; ok {
-			c.Add(out)
-		}
 	}
 }
 
 // observeEncode records one response-encode duration (nil-safe).
-func (m *serverMetrics) observeEncode(proto int, elapsed time.Duration) {
-	if m == nil {
-		return
-	}
-	if h, ok := m.encodeUS[proto]; ok {
-		h.Observe(float64(elapsed) / float64(time.Microsecond))
-	}
-}
-
-// ServeOption customizes a Server.
-type ServeOption func(*Server)
-
-// WithMaxWireProto caps the wire protocol the server will negotiate.
-// WireProtoV1 disables the binary codec entirely (every connection
-// stays on length-prefixed JSON); the default is WireProtoV2.
-func WithMaxWireProto(proto int) ServeOption {
-	return func(s *Server) {
-		if proto >= WireProtoV1 && proto <= WireProtoV2 {
-			s.maxProto = proto
-		}
+func (m *serverMetrics) observeEncode(elapsed time.Duration) {
+	if m != nil {
+		m.encodeUS.Observe(float64(elapsed) / float64(time.Microsecond))
 	}
 }
 
 // Server exposes one federation.Node — or one regional leader (see
 // ServeRegion) — over TCP. Each connection may issue any number of
-// requests, and requests execute concurrently — across connections on
-// both protocols, and within one connection on wire protocol v2
-// (tagged frames, per-request dispatch goroutines, responses written
-// as they finish in any order). The node's training engine bounds
+// requests, and requests execute concurrently — across connections and
+// within one (tagged frames, per-request dispatch goroutines, responses
+// written as they finish in any order). The node's training engine bounds
 // actual parallelism (see federation.WithTrainConcurrency), so the
 // transport never serializes dispatch.
 type Server struct {
-	node     *federation.Node // nil on a region server
-	region   region.Service   // nil on a participant server
-	id       string           // node id or region id
-	ln       net.Listener
-	metrics  *serverMetrics
-	maxProto int
+	node    *federation.Node // nil on a region server
+	region  region.Service   // nil on a participant server
+	id      string           // node id or region id
+	ln      net.Listener
+	metrics *serverMetrics
 
 	// baseCtx parents every per-request context; cancel fires when
 	// the server force-closes so in-flight training aborts at the
@@ -239,9 +194,9 @@ type Server struct {
 	gate atomic.Pointer[func()]
 
 	connMu sync.Mutex
-	conns  map[net.Conn]int // live connections → negotiated proto
+	conns  map[net.Conn]struct{} // live connections
 
-	// Push subscriptions: one pusher per subscribed v2 connection.
+	// Push subscriptions: one pusher per subscribed connection.
 	// Node epoch bumps mark every pusher dirty; each pusher goroutine
 	// coalesces marks and writes the freshest summary under its
 	// connection's write lock. Pushers stop at the first drain signal
@@ -286,51 +241,47 @@ func (p *pusher) stop() { p.stopOnce.Do(func() { close(p.done) }) }
 // "127.0.0.1:0") and begins accepting connections in the background.
 // RPC metrics are registered in the process-default telemetry
 // registry under the node's id label.
-func Serve(node *federation.Node, addr string, opts ...ServeOption) (*Server, error) {
+func Serve(node *federation.Node, addr string) (*Server, error) {
 	if node == nil {
 		return nil, errors.New("transport: nil node")
 	}
-	return serve(node, nil, node.ID(), addr, opts)
+	return serve(node, nil, node.ID(), addr)
 }
 
 // ServeRegion starts a regional-leader daemon for svc on addr: the
-// same listener, framing, protocol negotiation, metrics and drain
+// same listener, framing, handshake, metrics and drain
 // semantics as a participant daemon, but serving the region.* RPC
 // family instead of the node family. Ping answers with the region id,
 // so DialContext's non-empty-id handshake check holds unchanged.
-func ServeRegion(svc region.Service, addr string, opts ...ServeOption) (*Server, error) {
+func ServeRegion(svc region.Service, addr string) (*Server, error) {
 	if svc == nil {
 		return nil, errors.New("transport: nil region service")
 	}
 	if svc.ID() == "" {
 		return nil, errors.New("transport: region service with empty id")
 	}
-	return serve(nil, svc, svc.ID(), addr, opts)
+	return serve(nil, svc, svc.ID(), addr)
 }
 
-func serve(node *federation.Node, svc region.Service, id, addr string, opts []ServeOption) (*Server, error) {
+func serve(node *federation.Node, svc region.Service, id, addr string) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
 	baseCtx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		node:     node,
-		region:   svc,
-		id:       id,
-		ln:       ln,
-		metrics:  newServerMetrics(telemetry.Default(), id),
-		maxProto: WireProtoV2,
-		baseCtx:  baseCtx,
-		cancel:   cancel,
-		closed:   make(chan struct{}),
-		conns:    make(map[net.Conn]int),
-		pushers:  make(map[*pusher]struct{}),
+		node:    node,
+		region:  svc,
+		id:      id,
+		ln:      ln,
+		metrics: newServerMetrics(telemetry.Default(), id),
+		baseCtx: baseCtx,
+		cancel:  cancel,
+		closed:  make(chan struct{}),
+		conns:   make(map[net.Conn]struct{}),
+		pushers: make(map[*pusher]struct{}),
 	}
 	s.SetLogger(log.Printf)
-	for _, opt := range opts {
-		opt(s)
-	}
 	if node != nil {
 		// Ingest-driven freshness: every advertisement-epoch bump marks
 		// all subscribed connections dirty; the pushers read the summary
@@ -402,7 +353,7 @@ func (s *Server) runPusher(p *pusher) {
 		_, err := writeWirePush(p.cc, id, &sum)
 		_ = p.cc.SetWriteDeadline(time.Time{})
 		p.writeMu.Unlock()
-		s.metrics.addBytes(WireProtoV2, p.cc.takeRead(), p.cc.takeWritten())
+		s.metrics.addBytes(p.cc)
 		if err != nil {
 			s.logkv("event", "push_write_error", "err", err)
 			return
@@ -484,23 +435,12 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // server — the handshake identity either way).
 func (s *Server) NodeID() string { return s.id }
 
-// MaxWireProto reports the highest wire protocol this server will
-// negotiate (surfaced by the qensd /healthz endpoint).
-func (s *Server) MaxWireProto() int { return s.maxProto }
-
-// WireConns reports how many live connections are speaking each
-// protocol right now.
-func (s *Server) WireConns() (v1, v2 int) {
+// Conns reports how many connections are live right now (surfaced by
+// the qensd /healthz endpoint).
+func (s *Server) Conns() int {
 	s.connMu.Lock()
 	defer s.connMu.Unlock()
-	for _, proto := range s.conns {
-		if proto >= WireProtoV2 {
-			v2++
-		} else {
-			v1++
-		}
-	}
-	return v1, v2
+	return len(s.conns)
 }
 
 // LastTrainAge reports how long ago the last training round completed
@@ -591,17 +531,8 @@ func (s *Server) trackConn(conn net.Conn) bool {
 		return false
 	default:
 	}
-	s.conns[conn] = WireProtoV1
+	s.conns[conn] = struct{}{}
 	return true
-}
-
-// setConnProto records a connection's upgrade to a negotiated proto.
-func (s *Server) setConnProto(conn net.Conn, proto int) {
-	s.connMu.Lock()
-	if _, ok := s.conns[conn]; ok {
-		s.conns[conn] = proto
-	}
-	s.connMu.Unlock()
 }
 
 // untrackConn removes a finished connection.
@@ -638,48 +569,47 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// handleConn serves a connection. It starts in wire protocol v1
-// (length-prefixed JSON, strict request/response) and upgrades to the
-// v2 binary multiplexed codec when a ping handshake negotiates it.
+// handleConn serves a connection: hello, then v2. The first frame must
+// be a JSON ping advertising wire_proto >= 2; it is answered once, in
+// JSON, with the server's identity and capabilities, and everything
+// after it is the binary multiplexed codec. Any other first frame — a
+// v1 peer's plain ping, a request, garbage — gets one JSON error naming
+// the upgrade and the connection is closed.
 func (s *Server) handleConn(conn net.Conn) {
 	cc := &countingConn{Conn: conn}
-	for {
-		var req request
-		if err := readFrame(cc, &req); err != nil {
-			s.metrics.addBytes(WireProtoV1, cc.takeRead(), cc.takeWritten())
-			return // EOF or a broken peer; either way, drop the conn
-		}
-		upgrade := req.Type == typePing && req.WireProto >= WireProtoV2 && s.maxProto >= WireProtoV2
-		s.active.Add(1)
-		resp := s.dispatch(req)
-		if upgrade && resp.Error == "" {
-			resp.WireProto = WireProtoV2
-			// Negotiate the server-push capability alongside the codec:
-			// only participant daemons push, and only to peers that
-			// advertised they can receive unsolicited frames.
-			if req.SummaryPush && s.node != nil {
-				resp.SummaryPush = true
-			}
-		}
-		start := time.Now()
-		err := writeFrame(cc, resp)
-		s.metrics.observeEncode(WireProtoV1, time.Since(start))
-		s.active.Add(-1)
-		s.metrics.addBytes(WireProtoV1, cc.takeRead(), cc.takeWritten())
-		if err != nil {
-			s.logkv("event", "write_error", "type", req.Type, "trace", req.TraceID, "err", err)
-			return
-		}
-		if upgrade && resp.Error == "" {
-			s.setConnProto(conn, WireProtoV2)
-			s.logkv("event", "wire_upgrade", "proto", WireProtoV2)
-			s.serveV2(cc)
-			return
-		}
+	defer s.metrics.addBytes(cc)
+	buf, err := readFrameBody(cc)
+	if err != nil {
+		return // EOF or a broken peer; either way, drop the conn
 	}
+	var hello request
+	_ = json.Unmarshal(*buf, &hello) // garbage leaves hello zero: refused below
+	putFrameBuf(buf)
+	if hello.Type != typePing || hello.WireProto < WireProtoV2 {
+		s.logkv("event", "handshake_rejected", "peer", conn.RemoteAddr(),
+			"type", hello.Type, "wire_proto", hello.WireProto)
+		// Best effort: the connection is closed whether or not it lands.
+		_ = writeFrame(cc, response{Code: CodeUnsupportedProto, Error: fmt.Sprintf(
+			"%s speaks wire protocol v%d only and the first frame must be a ping advertising it: upgrade this peer",
+			s.id, WireProtoV2)})
+		return
+	}
+	s.active.Add(1)
+	resp := s.dispatch(hello)
+	resp.WireProto = WireProtoV2
+	// Only participant daemons push, and only to peers that advertised
+	// they can receive unsolicited frames.
+	resp.SummaryPush = hello.SummaryPush && s.node != nil
+	err = writeFrame(cc, resp)
+	s.active.Add(-1)
+	if err != nil {
+		s.logkv("event", "write_error", "type", hello.Type, "err", err)
+		return
+	}
+	s.serveV2(cc)
 }
 
-// serveV2 runs the multiplexed phase of a connection: tagged binary
+// serveV2 runs a connection after its hello: tagged binary
 // request frames dispatch concurrently, each response is written
 // (under a write lock) as soon as its handler finishes — in whatever
 // order that happens. A malformed frame drops the connection; every
@@ -700,15 +630,13 @@ func (s *Server) serveV2(cc *countingConn) {
 	for {
 		buf, err := readFrameBody(cc)
 		if err != nil {
-			s.metrics.addBytes(WireProtoV2, cc.takeRead(), cc.takeWritten())
 			return
 		}
 		var req request
 		id, err := decodeWireRequest(*buf, &req)
 		putFrameBuf(buf)
 		if err != nil {
-			s.logkv("event", "decode_error", "proto", 2, "err", err)
-			s.metrics.addBytes(WireProtoV2, cc.takeRead(), cc.takeWritten())
+			s.logkv("event", "decode_error", "err", err)
 			return
 		}
 		if req.Type == typeSubscribe {
@@ -726,16 +654,10 @@ func (s *Server) serveV2(cc *countingConn) {
 				resp.SummaryEpoch = s.node.SummaryEpoch()
 			}
 			s.metrics.observeRPC(req.Type, 0, resp.Error != "")
-			buf := getFrameBuf()
-			frame, err := appendWireResponse((*buf)[:0], id, &resp)
-			if err == nil {
-				*buf = frame
-				writeMu.Lock()
-				_, err = cc.Write(frame)
-				writeMu.Unlock()
-			}
-			putFrameBuf(buf)
-			s.metrics.addBytes(WireProtoV2, cc.takeRead(), cc.takeWritten())
+			writeMu.Lock()
+			_, err := writeWireResponse(cc, id, &resp)
+			writeMu.Unlock()
+			s.metrics.addBytes(cc)
 			if err != nil {
 				s.logkv("event", "write_error", "type", req.Type, "err", err)
 				return
@@ -750,7 +672,7 @@ func (s *Server) serveV2(cc *countingConn) {
 			start := time.Now()
 			buf := getFrameBuf()
 			frame, err := appendWireResponse((*buf)[:0], id, &resp)
-			s.metrics.observeEncode(WireProtoV2, time.Since(start))
+			s.metrics.observeEncode(time.Since(start))
 			if err == nil {
 				*buf = frame
 				writeMu.Lock()
@@ -759,7 +681,7 @@ func (s *Server) serveV2(cc *countingConn) {
 			}
 			putFrameBuf(buf)
 			s.active.Add(-1)
-			s.metrics.addBytes(WireProtoV2, cc.takeRead(), cc.takeWritten())
+			s.metrics.addBytes(cc)
 			if err != nil {
 				s.logkv("event", "write_error", "type", req.Type, "trace", req.TraceID, "err", err)
 			}
@@ -769,9 +691,8 @@ func (s *Server) serveV2(cc *countingConn) {
 
 // dispatch executes one request against the node, recording metrics
 // and a structured per-RPC log line attributed to the request's
-// trace. Dispatches run concurrently across connections (and within a
-// v2 connection); the node's engine bounds how many actually execute
-// at once.
+// trace. Dispatches run concurrently across and within connections;
+// the node's engine bounds how many actually execute at once.
 func (s *Server) dispatch(req request) response {
 	if g := s.gate.Load(); g != nil {
 		(*g)()
@@ -934,8 +855,8 @@ func (s *Server) handleRegion(ctx context.Context, req request) response {
 	}
 }
 
-// countingConn tallies bytes crossing a net.Conn with atomics (v2
-// request handlers write concurrently); take* drains the tallies so
+// countingConn tallies bytes crossing a net.Conn with atomics (request
+// handlers write concurrently); take* drains the tallies so
 // callers can feed deltas into counters.
 type countingConn struct {
 	net.Conn

@@ -56,7 +56,7 @@ func holdDispatch(srv *Server) (entered <-chan struct{}, release chan struct{}) 
 	return in, release
 }
 
-// TestServerShutdownWaitsForInFlight pins a ping inside dispatch via
+// TestServerShutdownWaitsForInFlight pins a hello ping inside dispatch via
 // the server's test gate, then verifies Shutdown waits for it
 // (graceful drain) instead of cutting the connection, and that the
 // blocked client still receives its response.
@@ -73,7 +73,7 @@ func TestServerShutdownWaitsForInFlight(t *testing.T) {
 	}
 	defer conn.Close()
 
-	if err := writeFrame(conn, request{Type: typePing}); err != nil {
+	if err := writeFrame(conn, request{Type: typePing, WireProto: WireProtoV2}); err != nil {
 		t.Fatal(err)
 	}
 	// Wait until the handler has read the frame and is blocked on the
@@ -130,7 +130,7 @@ func TestServerShutdownDeadline(t *testing.T) {
 	}
 	defer conn.Close()
 
-	if err := writeFrame(conn, request{Type: typePing}); err != nil {
+	if err := writeFrame(conn, request{Type: typePing, WireProto: WireProtoV2}); err != nil {
 		t.Fatal(err)
 	}
 	select {

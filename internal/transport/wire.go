@@ -1,8 +1,6 @@
-// Wire protocol v2: a hand-rolled binary codec for the leader→node
-// RPC envelopes. v1 frames a JSON body behind a 4-byte length prefix;
-// v2 keeps the identical outer framing (so the size cap and the
-// read-loop are shared) but replaces the body with typed binary
-// sections:
+// Wire protocol v2: the hand-rolled binary codec every request,
+// response and push frame uses. It sits behind the same 4-byte length
+// prefix (and size cap) as the JSON hello in frame.go:
 //
 //	body := magic(u8=0xC2) kind(u8) reqID(u64 LE) section*
 //	section := tag(u8) len(u32 LE) payload
@@ -13,14 +11,8 @@
 // little-endian []float64 (bit-exact round-trip via math.Float64bits,
 // no decimal text, no reflection). The reqID makes frames
 // self-describing for the multiplexed client: responses may return in
-// any order and are matched to callers through it.
-//
-// Protocol selection is negotiated on the ping handshake (see
-// client.go/server.go): a v2-capable client stamps wire_proto=2 on
-// its v1 JSON ping, a v2-capable server echoes the negotiated version
-// and both sides switch the connection to v2 framing; either side
-// predating v2 simply never mentions wire_proto and the connection
-// stays on v1 JSON. All encode paths borrow pooled buffers.
+// any order and are matched to callers through it. All encode paths
+// borrow pooled buffers.
 package transport
 
 import (
@@ -40,15 +32,13 @@ import (
 	"qens/internal/region"
 )
 
-// Wire protocol versions. V1 is the length-prefixed JSON codec the
-// seed shipped with; V2 is the binary codec in this file.
-const (
-	WireProtoV1 = 1
-	WireProtoV2 = 2
-)
+// WireProtoV2 is the version both hellos must advertise (wire_proto).
+// Version 1, the seed's JSON request/response codec, is retired: a peer
+// that cannot say 2 is refused at the handshake.
+const WireProtoV2 = 2
 
 // wireMagic is the first body byte of every v2 frame — a cheap guard
-// against a v1 peer (JSON bodies start with '{' = 0x7B) or garbage.
+// against JSON (bodies start with '{' = 0x7B) or garbage.
 const wireMagic = 0xC2
 
 // Frame kinds. framePush is server-initiated: it carries no pending
@@ -98,14 +88,13 @@ const (
 	// Summary-delta push (server→client, inside a framePush frame): the
 	// node's fresh advertisement, self-delimiting like every section so
 	// decoders predating it skip it by length. Peers that never
-	// subscribe (v1, or old v2) simply never receive push frames and
-	// keep pulling forever.
+	// subscribe simply never receive push frames and keep pulling.
 	secPushSummary byte = 17 // node summary (push)
 
 	// Push capability marker: on a request it advertises the client can
 	// receive push frames, on a response it confirms the server will
-	// emit them. Negotiation normally rides the v1 JSON handshake, but
-	// the marker keeps the binary codec lossless for both envelopes
+	// emit them. Negotiation rides the JSON hello, but the marker
+	// keeps the binary codec lossless for both envelopes
 	// (and pre-push decoders skip it by length).
 	secSummaryPush byte = 18 // u8 1 marker (request and response)
 )
@@ -395,8 +384,8 @@ func appendWireResponse(dst []byte, id uint64, resp *response) ([]byte, error) {
 		e.uvarint(resp.Eval.SummaryEpoch)
 		e.endSection(m)
 	}
-	// Piggybacked node-side phase spans ride in their own section so v1
-	// of this codec (which stops at secEvalResp) skips them by length.
+	// Piggybacked node-side phase spans ride in their own section so a
+	// decoder that stops at secEvalResp skips them by length.
 	// They are emitted after the owning body section — attachment during
 	// the decoder's single pass relies on that order.
 	if resp.Train != nil && len(resp.Train.Spans) > 0 {
@@ -966,7 +955,7 @@ func decodeWireResponse(body []byte) (id uint64, resp response, err error) {
 // ---- pooled frame I/O ----
 
 // framePool recycles encode buffers for v2 frames and read buffers
-// for both codecs. Buffers above poolMaxRetain are dropped on release
+// for every frame. Buffers above poolMaxRetain are dropped on release
 // so one giant model frame does not pin memory forever.
 const poolMaxRetain = 1 << 20
 

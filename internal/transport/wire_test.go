@@ -354,185 +354,53 @@ func TestWireCodecFieldDriftGuard(t *testing.T) {
 	}
 }
 
-// ---- version-skew interop ----
-
-// startServerProto boots a daemon capped at serverMax and dials it
-// with a client capped at clientMax.
-func startServerProto(t *testing.T, seed uint64, serverMax, clientMax int) (*Server, *Client) {
-	t.Helper()
-	node, err := federation.NewNode("node-A", lineDataset(300, 2, 1, 0, 50, seed), 5, rng.New(seed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := Serve(node, "127.0.0.1:0", WithMaxWireProto(serverMax))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.SetLogger(silent)
-	t.Cleanup(func() { srv.Close() })
-	client, err := Dial(srv.Addr(), DialOptions{Timeout: 30 * time.Second, MaxProto: clientMax})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { client.Close() })
-	return srv, client
-}
-
-// TestWireVersionSkew runs the full RPC surface across every protocol
-// pairing: v2↔v2 negotiates the binary codec, while either side
-// capped at v1 transparently falls back to JSON — and all pairings
-// produce identical results.
-func TestWireVersionSkew(t *testing.T) {
-	cases := []struct {
-		name                 string
-		serverMax, clientMax int
-		wantProto            int
-	}{
-		{"v2-client_v2-server", WireProtoV2, WireProtoV2, WireProtoV2},
-		{"v2-client_v1-server", WireProtoV1, WireProtoV2, WireProtoV1},
-		{"v1-client_v2-server", WireProtoV2, WireProtoV1, WireProtoV1},
-		{"v1-client_v1-server", WireProtoV1, WireProtoV1, WireProtoV1},
-	}
-	var baseline *federation.TrainResponse
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			srv, client := startServerProto(t, 7, tc.serverMax, tc.clientMax)
-			if got := client.Proto(); got != tc.wantProto {
-				t.Fatalf("negotiated proto %d, want %d", got, tc.wantProto)
-			}
-			v1Conns, v2Conns := srv.WireConns()
-			if tc.wantProto == WireProtoV2 && v2Conns != 1 {
-				t.Fatalf("server sees (v1=%d, v2=%d) conns, want one v2", v1Conns, v2Conns)
-			}
-			if tc.wantProto == WireProtoV1 && v1Conns != 1 {
-				t.Fatalf("server sees (v1=%d, v2=%d) conns, want one v1", v1Conns, v2Conns)
-			}
-
-			sum, err := client.Summary(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sum.Validate(); err != nil {
-				t.Fatal(err)
-			}
-			if sum.NodeID != "node-A" || sum.K() != 5 || sum.TotalSamples != 300 || sum.Epoch != 1 {
-				t.Fatalf("summary %+v", sum)
-			}
-
-			// Every pairing must produce the bit-identical training
-			// result: node RNG and data are seeded the same, so only a
-			// codec bug can make the pairings diverge. The request is
-			// traced, so the node must piggyback its phase spans on the
-			// response regardless of codec — secSpans on v2, the JSON
-			// spans field on v1 — with zero decode errors either way.
-			tr, err := client.Train(context.Background(), federation.TrainRequest{
-				Spec: ml.PaperLR(1), LocalEpochs: 10, TraceID: "trace-skew",
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if baseline == nil {
-				baseline = &tr
-			} else if !reflect.DeepEqual(baseline.Params, tr.Params) {
-				t.Fatalf("params diverge from first pairing:\n%v\nvs\n%v", baseline.Params, tr.Params)
-			}
-			names := map[string]bool{}
-			for _, s := range tr.Spans {
-				if s.DurationNS < 0 || s.StartUnixNS <= 0 {
-					t.Fatalf("span %+v has impossible timing", s)
-				}
-				names[s.Name] = true
-			}
-			if !names["node.fit"] {
-				t.Fatalf("traced train response lost node spans over proto %d: %+v", tc.wantProto, tr.Spans)
-			}
-
-			// An untraced request must stay span-free on every pairing:
-			// the node only measures phases when asked to.
-			quiet, err := client.Train(context.Background(), federation.TrainRequest{
-				Spec: ml.PaperLR(1), LocalEpochs: 1,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(quiet.Spans) != 0 {
-				t.Fatalf("untraced response carries %d spans", len(quiet.Spans))
-			}
-
-			ev, err := client.Evaluate(context.Background(), federation.EvalRequest{
-				Spec: ml.PaperLR(1), Params: tr.Params,
-				Bounds:  &geometry.Rect{Min: []float64{0, -100}, Max: []float64{50, 200}},
-				TraceID: "trace-skew",
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ev.Samples == 0 || ev.SummaryEpoch != 1 {
-				t.Fatalf("eval %+v", ev)
-			}
-			evNames := map[string]bool{}
-			for _, s := range ev.Spans {
-				evNames[s.Name] = true
-			}
-			if !evNames["node.eval"] {
-				t.Fatalf("traced eval response lost node spans over proto %d: %+v", tc.wantProto, ev.Spans)
-			}
-
-			// Structured errors survive both codecs.
-			if _, err := client.roundTrip(context.Background(), request{Type: "compress"}); !errors.Is(err, ErrUnknownType) {
-				t.Fatalf("unknown type error = %v", err)
-			}
-		})
-	}
-}
+// ---- envelope behaviour over a live connection ----
 
 // TestWireSkewTraceDeadlineEpoch runs the trace/deadline/epoch
-// envelope assertions under both negotiated protocols.
+// envelope assertions over the wire (the "v2" subtest name survives
+// from when the retired JSON codec had a leg of its own).
 func TestWireSkewTraceDeadlineEpoch(t *testing.T) {
-	for _, clientMax := range []int{WireProtoV1, WireProtoV2} {
-		name := map[int]string{WireProtoV1: "v1", WireProtoV2: "v2"}[clientMax]
-		t.Run(name, func(t *testing.T) {
-			srv, client := startServerProto(t, 11, WireProtoV2, clientMax)
+	t.Run("v2", func(t *testing.T) {
+		srv, client := startServer(t, 11, 2, 0, 50)
 
-			// Trace attribution end to end.
-			var lc logCapture
-			srv.SetLogger(lc.logf)
-			resp, err := client.roundTrip(context.Background(), request{
-				Type: typeTrain, TraceID: "trace-aa", SpanID: "span-bb",
-				Train: &federation.TrainRequest{Spec: ml.PaperLR(1), LocalEpochs: 1},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if resp.TraceID != "trace-aa" {
-				t.Fatalf("response trace %q", resp.TraceID)
-			}
-			if logs := lc.joined(); !strings.Contains(logs, "trace=trace-aa") || !strings.Contains(logs, "span=span-bb") {
-				t.Fatalf("daemon log missing trace attribution:\n%s", logs)
-			}
-
-			// Expired envelope deadline refused server-side.
-			if _, err := client.roundTrip(context.Background(), request{
-				Type:           typeTrain,
-				DeadlineUnixMS: time.Now().Add(-time.Second).UnixMilli(),
-				Train:          &federation.TrainRequest{Spec: ml.PaperLR(1), LocalEpochs: 3},
-			}); err == nil || !strings.Contains(err.Error(), "deadline") {
-				t.Fatalf("expired deadline err = %v", err)
-			}
-
-			// Requantization drift visible on the next eval.
-			if err := srv.Requantize(); err != nil {
-				t.Fatal(err)
-			}
-			ev, err := client.Evaluate(context.Background(), federation.EvalRequest{Spec: ml.PaperLR(1)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ev.SummaryEpoch != 2 {
-				t.Fatalf("post-requantize epoch %d, want 2", ev.SummaryEpoch)
-			}
+		// Trace attribution end to end.
+		var lc logCapture
+		srv.SetLogger(lc.logf)
+		resp, err := client.roundTrip(context.Background(), request{
+			Type: typeTrain, TraceID: "trace-aa", SpanID: "span-bb",
+			Train: &federation.TrainRequest{Spec: ml.PaperLR(1), LocalEpochs: 1},
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.TraceID != "trace-aa" {
+			t.Fatalf("response trace %q", resp.TraceID)
+		}
+		if logs := lc.joined(); !strings.Contains(logs, "trace=trace-aa") || !strings.Contains(logs, "span=span-bb") {
+			t.Fatalf("daemon log missing trace attribution:\n%s", logs)
+		}
+
+		// Expired envelope deadline refused server-side.
+		if _, err := client.roundTrip(context.Background(), request{
+			Type:           typeTrain,
+			DeadlineUnixMS: time.Now().Add(-time.Second).UnixMilli(),
+			Train:          &federation.TrainRequest{Spec: ml.PaperLR(1), LocalEpochs: 3},
+		}); err == nil || !strings.Contains(err.Error(), "deadline") {
+			t.Fatalf("expired deadline err = %v", err)
+		}
+
+		// Requantization drift visible on the next eval.
+		if err := srv.Requantize(); err != nil {
+			t.Fatal(err)
+		}
+		ev, err := client.Evaluate(context.Background(), federation.EvalRequest{Spec: ml.PaperLR(1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ev.SummaryEpoch != 2 {
+			t.Fatalf("post-requantize epoch %d, want 2", ev.SummaryEpoch)
+		}
+	})
 }
 
 // TestWireV2EquivalentToLocal drives two identically-seeded nodes —
@@ -564,9 +432,6 @@ func TestWireV2EquivalentToLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { remote.Close() })
-	if remote.Proto() != WireProtoV2 {
-		t.Fatalf("negotiated %d, want v2", remote.Proto())
-	}
 
 	ctx := context.Background()
 	sumL, err := local.Summary(ctx)
@@ -615,8 +480,7 @@ func TestWireV2EquivalentToLocal(t *testing.T) {
 
 // TestMuxPipelining proves true pipelining: with the node's engine held
 // by a gate, several calls from one client must all be in flight on
-// one connection simultaneously — impossible on the serialized v1
-// path.
+// one connection simultaneously.
 func TestMuxPipelining(t *testing.T) {
 	srv, client := startServer(t, 21, 2, 0, 30)
 
@@ -695,15 +559,12 @@ func TestMuxCancellationDoesNotPoisonConnection(t *testing.T) {
 	if after, _ := client.BytesMoved(); after <= before {
 		t.Fatal("no bytes moved on the surviving connection")
 	}
-	if client.Proto() != WireProtoV2 {
-		t.Fatal("client reconnected (or downgraded) after cancellation")
-	}
 }
 
 // TestMuxConcurrentStress hammers one multiplexed connection with
 // mixed Train/Evaluate/Summary/Ping traffic plus mid-flight
 // cancellations, under -race in CI. Every non-canceled call must
-// succeed and the connection must stay on v2 throughout.
+// succeed.
 func TestMuxConcurrentStress(t *testing.T) {
 	_, client := startServer(t, 23, 2, 0, 30)
 	spec := ml.PaperLR(1)
@@ -755,30 +616,29 @@ func TestMuxConcurrentStress(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if client.Proto() != WireProtoV2 {
-		t.Fatalf("connection degraded to proto %d under stress", client.Proto())
-	}
 	if got := client.InflightRPCs(); got != 0 {
 		t.Fatalf("in-flight %d after stress drain", got)
 	}
 }
 
-// TestWireMetricsByCodec: the per-codec byte counters and encode
-// histograms must advance for the codec actually in use.
+// TestWireMetricsByCodec: the daemon's byte counter and the response
+// encode histogram must advance with traffic (the name survives from
+// when both carried a codec label).
 func TestWireMetricsByCodec(t *testing.T) {
 	reg := telemetry.Default()
-	v2In := reg.Counter("qens_wire_bytes_total", telemetry.L("node", "node-A", "codec", "v2", "dir", "in")...)
-	v2Enc := reg.Histogram("qens_wire_encode_us", telemetry.L("node", "node-A", "codec", "v2")...)
-	in0, enc0 := v2In.Value(), v2Enc.Count()
+	node := telemetry.L("node", "node-A")
+	in := reg.Counter("qens_bytes_received_total", node...)
+	enc := reg.Histogram("qens_wire_encode_us", node...)
+	in0, enc0 := in.Value(), enc.Count()
 
 	_, client := startServer(t, 24, 2, 0, 30)
 	if _, err := client.Train(context.Background(), federation.TrainRequest{Spec: ml.PaperLR(1), LocalEpochs: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if got := v2In.Value(); got <= in0 {
-		t.Fatalf("v2 byte counter did not advance: %v -> %v", in0, got)
+	if got := in.Value(); got <= in0 {
+		t.Fatalf("byte counter did not advance: %v -> %v", in0, got)
 	}
-	if got := v2Enc.Count(); got <= enc0 {
-		t.Fatalf("v2 encode histogram did not advance: %d -> %d", enc0, got)
+	if got := enc.Count(); got <= enc0 {
+		t.Fatalf("encode histogram did not advance: %d -> %d", enc0, got)
 	}
 }

@@ -1,10 +1,10 @@
 #!/bin/sh
 # Runs the wire-protocol microbenchmarks (BenchmarkWireEncode /
-# BenchmarkWireDecode: v1 JSON vs v2 binary on the leader->node model
-# frame, with frame_bytes as a reported metric; BenchmarkWireRPC:
-# end-to-end throughput over loopback at 8 concurrent callers on one
-# connection, serialized v1 vs multiplexed v2) and renders the results
-# as BENCH_wire.json at the repo root.
+# BenchmarkWireDecode: the v2 binary codec against an encoding/json
+# reference row over the same leader->node model frame, with
+# frame_bytes as a reported metric; BenchmarkWireRPC: end-to-end
+# throughput over loopback on one connection, 1 caller vs 8 concurrent
+# callers) and renders the results as BENCH_wire.json at the repo root.
 #
 #   BENCHTIME=100ms sh scripts/bench_wire.sh   # CI smoke
 #   sh scripts/bench_wire.sh                   # local, default 1s/op
@@ -13,11 +13,12 @@
 #   - BenchmarkWireEncode/codec=v2 reports a nonzero allocs/op: the
 #     pooled-buffer encode path is contractually allocation-free at
 #     steady state.
-#   - v2 model-frame encode is less than 2x the throughput of v1.
-#   - combined encode+decode is less than 3x faster under v2.
-#   - the v2 frame is not at least 2x smaller than the v1 frame.
-#   - pipelined v2 RPC throughput at 8 concurrent callers is less
-#     than 1.5x serialized v1.
+#   - v2 model-frame encode is less than 2x the throughput of JSON.
+#   - combined encode+decode is less than 3x faster than JSON.
+#   - the v2 frame is not at least 2x smaller than the JSON frame.
+#   - 8 concurrent callers on one connection get less than 1.8x the
+#     throughput of 1 (multiplexing; 22 local runs on 2 cores read
+#     2.1x-3.6x, median 2.6x, with one 100ms-benchtime outlier).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -48,10 +49,10 @@ printf '%s\n' "$out" | awk '
   }
   END {
     printf "\n]\n"
-    e1 = "BenchmarkWireEncode/codec=v1"; e2 = "BenchmarkWireEncode/codec=v2"
-    d1 = "BenchmarkWireDecode/codec=v1"; d2 = "BenchmarkWireDecode/codec=v2"
-    r1 = "BenchmarkWireRPC/proto=v1/concurrency=8"
-    r2 = "BenchmarkWireRPC/proto=v2/concurrency=8"
+    e1 = "BenchmarkWireEncode/codec=json"; e2 = "BenchmarkWireEncode/codec=v2"
+    d1 = "BenchmarkWireDecode/codec=json"; d2 = "BenchmarkWireDecode/codec=v2"
+    r1 = "BenchmarkWireRPC/concurrency=1"
+    r2 = "BenchmarkWireRPC/concurrency=8"
     if (!(e1 in ns) || !(e2 in ns) || !(d1 in ns) || !(d2 in ns)) {
       printf "MISSING CASES: encode/decode benchmarks did not all run\n" > "/dev/stderr"
       exit 1
@@ -62,22 +63,22 @@ printf '%s\n' "$out" | awk '
     }
     if (ns[e2] * 2 > ns[e1] + 0) {
       bad = 1
-      printf "THROUGHPUT REGRESSION: v2 encode (%s ns/op) is not >=2x faster than v1 (%s ns/op)\n", \
+      printf "THROUGHPUT REGRESSION: v2 encode (%s ns/op) is not >=2x faster than JSON (%s ns/op)\n", \
         ns[e2], ns[e1] > "/dev/stderr"
     }
     if ((ns[e2] + ns[d2]) * 3 > ns[e1] + ns[d1]) {
       bad = 1
-      printf "THROUGHPUT REGRESSION: v2 encode+decode (%s ns/op) is not >=3x faster than v1 (%s ns/op)\n", \
+      printf "THROUGHPUT REGRESSION: v2 encode+decode (%s ns/op) is not >=3x faster than JSON (%s ns/op)\n", \
         ns[e2] + ns[d2], ns[e1] + ns[d1] > "/dev/stderr"
     }
     if (frame[e2] != "" && frame[e1] != "" && frame[e2] * 2 > frame[e1] + 0) {
       bad = 1
-      printf "WIRE-SIZE REGRESSION: v2 frame (%s B) is not >=2x smaller than v1 (%s B)\n", \
+      printf "WIRE-SIZE REGRESSION: v2 frame (%s B) is not >=2x smaller than JSON (%s B)\n", \
         frame[e2], frame[e1] > "/dev/stderr"
     }
-    if ((r1 in ns) && (r2 in ns) && ns[r2] * 1.5 > ns[r1] + 0) {
+    if ((r1 in ns) && (r2 in ns) && ns[r2] * 1.8 > ns[r1] + 0) {
       bad = 1
-      printf "RPC REGRESSION: pipelined v2 (%s ns/op) is not >=1.5x faster than serialized v1 (%s ns/op)\n", \
+      printf "RPC REGRESSION: 8 pipelined callers (%s ns/op) are not >=1.8x faster than 1 caller (%s ns/op)\n", \
         ns[r2], ns[r1] > "/dev/stderr"
     }
     exit bad

@@ -4,10 +4,11 @@
 # closed-loop load run, then SIGTERM the gateway and assert it drains
 # cleanly; then repeat against a sharded topology (two qens-region
 # daemons under a root gateway with the reuse cache on) and assert the
-# per-region routing surface and the root's cache hits; then a sustained-ingest soak (one qensd streaming with a
-# drift schedule, one on wire v1, under closed-loop load) asserting
-# autonomous escalation, push-mode freshness with a v1 pull fallback,
-# and a flat p99. Used by `make loadsmoke` / `make ci`.
+# per-region routing surface and the root's cache hits; then a
+# sustained-ingest soak (three qensd, one streaming with a drift
+# schedule, under closed-loop load) asserting autonomous escalation,
+# push-mode freshness on every node and a flat p99. Used by
+# `make loadsmoke` / `make ci`.
 set -eu
 
 ADDR="${QENS_SMOKE_ADDR:-127.0.0.1:18080}"
@@ -244,7 +245,7 @@ echo "loadsmoke: OK (sharded topology served, reported per-region stats, drained
 
 # --- Sustained-ingest soak: live drift + push under closed-loop load --
 
-echo "loadsmoke: starting 3 qensd daemons (node-0 streaming with drift, node-2 wire v1)"
+echo "loadsmoke: starting 3 qensd daemons (node-0 streaming with drift)"
 "$BIN/qensd" -addr "$QD0_ADDR" -synthetic 0 -nodes 3 -samples 200 -k 4 \
     -ingest-rate 400 -ingest-batch 32 -ingest-drift-after 2s -ingest-drift-shift 0.75 \
     -metrics-addr "$QD0_OBS" >"$BIN/qensd0.log" 2>&1 &
@@ -253,7 +254,7 @@ QD0_PID=$!
     >"$BIN/qensd1.log" 2>&1 &
 QD1_PID=$!
 "$BIN/qensd" -addr "$QD2_ADDR" -synthetic 2 -nodes 3 -samples 200 -k 4 \
-    -wire-proto 1 >"$BIN/qensd2.log" 2>&1 &
+    >"$BIN/qensd2.log" 2>&1 &
 QD2_PID=$!
 i=0
 until grep -q "serving" "$BIN/qensd0.log" 2>/dev/null \
@@ -278,9 +279,9 @@ echo "loadsmoke: running pre-drift load burst"
     -topl 2 -timeout-ms 30000 -wait 15s
 p99_pre=$(curl -sf "$INGEST_URL/v1/stats" | sed -n 's/.*"p99_ms":\([0-9.]*\).*/\1/p')
 
-# The v1 daemon must have declined the subscription: 2 of 3 on push.
-if ! grep -q "summary push from 2/3 nodes" "$BIN/ingest-gw.log"; then
-    echo "loadsmoke: FAIL gateway did not report 2/3 push subscriptions (v1 fallback)" >&2
+# Every daemon must have accepted the subscription.
+if ! grep -q "summary push from 3/3 nodes" "$BIN/ingest-gw.log"; then
+    echo "loadsmoke: FAIL gateway did not report 3/3 push subscriptions" >&2
     cat "$BIN/ingest-gw.log" >&2 || true
     exit 1
 fi
@@ -358,4 +359,4 @@ for pid in "$GW_PID" "$QD0_PID" "$QD1_PID" "$QD2_PID"; do
     fi
 done
 GW_PID=""; QD0_PID=""; QD1_PID=""; QD2_PID=""
-echo "loadsmoke: OK (sustained ingest: autonomous escalation, push freshness with v1 pull fallback, p99 flat)"
+echo "loadsmoke: OK (sustained ingest: autonomous escalation, push freshness on 3/3 nodes, p99 flat)"
