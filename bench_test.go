@@ -393,47 +393,6 @@ func BenchmarkRankNodes(b *testing.B) {
 	}
 }
 
-// BenchmarkRankNodesIndexed contrasts R-tree-indexed ranking against
-// the exhaustive scan at 1000 nodes x 5 clusters — the scale where the
-// leader-side index pays off.
-func BenchmarkRankNodesIndexed(b *testing.B) {
-	src := rng.New(11)
-	summaries := make([]cluster.NodeSummary, 1000)
-	for n := range summaries {
-		s := cluster.NodeSummary{NodeID: fmt.Sprintf("node-%04d", n), TotalSamples: 250}
-		for c := 0; c < 5; c++ {
-			x, y := src.Uniform(0, 950), src.Uniform(0, 950)
-			s.Clusters = append(s.Clusters, cluster.Summary{
-				Bounds: geometry.MustRect([]float64{x, y}, []float64{x + 10, y + 10}),
-				Size:   50,
-			})
-		}
-		summaries[n] = s
-	}
-	ix, err := selection.BuildIndex(summaries)
-	if err != nil {
-		b.Fatal(err)
-	}
-	q, err := query.New("q", geometry.MustRect([]float64{100, 100}, []float64{180, 180}))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("indexed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := ix.RankNodes(q, 0.6); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("linear", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := selection.RankNodes(q, summaries, 0.6); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkKMeans measures the node-side quantization of 2000 samples
 // into K=5 (the paper's per-node setting).
 func BenchmarkKMeans(b *testing.B) {

@@ -73,10 +73,7 @@ func main() {
 		banditOn       = flag.Bool("bandit", false, "enable the selector-config bandit behind selector \"auto\"")
 		banditExplore  = flag.Float64("bandit-explore", 0.1, "bandit epsilon-greedy exploration rate")
 
-		summaryTTL     = flag.Duration("summary-ttl", 0, "summary registry snapshot TTL; after this age the next query refetches the fleet advertisement (0 caches until invalidated)")
-		summaryDelta   = flag.Bool("summary-delta", false, "refresh fleet summaries via per-node epoch-conditional deltas instead of full re-fetch (bytes proportional to churn)")
-		summaryRefresh = flag.Duration("summary-refresh", 0, "background summary refresh interval; re-fetches fleet advertisements off the query path (0 disables)")
-		summaryPush    = flag.Bool("summary-push", true, "subscribe to server-push summary deltas from push-capable nodes; nodes that decline (v1 or pre-push) stay on TTL pull")
+		summaryRefresh = flag.Duration("summary-refresh", 0, "anti-entropy period: every tick asks each node whether its advertisement epoch moved, off the query path (0 disables)")
 
 		dialTimeout  = flag.Duration("dial-timeout", 2*time.Minute, "remote client dial/request timeout")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget")
@@ -165,27 +162,25 @@ func main() {
 		}
 		fleetSize = len(ids)
 	} else {
-		leader, transportStats, wireStatus, cleanup, err := buildLeader(*addrs, *nodes, *samples, *k, *epochs, *seed, *model, *dialTimeout, *summaryTTL, *summaryDelta)
+		leader, transportStats, wireStatus, cleanup, err := buildLeader(*addrs, *nodes, *samples, *k, *epochs, *seed, *model, *dialTimeout)
 		if err != nil {
 			fatal("%v", err)
 		}
 		defer cleanup()
 
+		subCtx, cancel := context.WithTimeout(context.Background(), *dialTimeout)
+		n, perr := leader.StartPush(subCtx)
+		cancel()
+		if perr != nil {
+			fmt.Fprintf(os.Stderr, "qens-gateway: summary push: %v\n", perr)
+		}
+		pull := "no anti-entropy pull"
 		if *summaryRefresh > 0 {
 			leader.Registry().StartRefresh(*summaryRefresh)
 			defer leader.Registry().Stop()
-			fmt.Printf("qens-gateway: refreshing fleet summaries every %v\n", *summaryRefresh)
+			pull = fmt.Sprintf("anti-entropy pull every %v", *summaryRefresh)
 		}
-		if *summaryPush {
-			subCtx, cancel := context.WithTimeout(context.Background(), *dialTimeout)
-			n, perr := leader.StartPush(subCtx)
-			cancel()
-			if perr != nil {
-				fmt.Fprintf(os.Stderr, "qens-gateway: summary push: %v\n", perr)
-			}
-			fmt.Printf("qens-gateway: summary push from %d/%d nodes (rest on TTL pull)\n",
-				n, len(leader.NodeIDs()))
-		}
+		fmt.Printf("qens-gateway: summary push from %d/%d nodes, %s\n", n, len(leader.NodeIDs()), pull)
 		cfg.Leader = leader
 		cfg.TransportStats = transportStats
 		cfg.WireStatus = wireStatus
@@ -282,7 +277,7 @@ func wireStatus(remotes []*transport.Client) []fleet.WireStatus {
 // remote qensd daemons. For a remote fleet it also returns the
 // /v1/stats transport hook and the typed per-node wire status merged
 // into GET /v1/fleet (see wireStatus).
-func buildLeader(addrs string, nodes, samples, k, epochs int, seed uint64, model string, dialTimeout, summaryTTL time.Duration, summaryDelta bool) (*federation.Leader, func() any, func() []fleet.WireStatus, func(), error) {
+func buildLeader(addrs string, nodes, samples, k, epochs int, seed uint64, model string, dialTimeout time.Duration) (*federation.Leader, func() any, func() []fleet.WireStatus, func(), error) {
 	if addrs != "" {
 		var remotes []*transport.Client
 		var clients []federation.Client
@@ -307,7 +302,6 @@ func buildLeader(addrs string, nodes, samples, k, epochs int, seed uint64, model
 		}
 		leader, err := federation.NewLeader(federation.Config{
 			Spec: specFor(model, 1), ClusterK: k, LocalEpochs: epochs, Seed: seed,
-			SummaryTTL: summaryTTL, SummaryDelta: summaryDelta,
 		}, nil, clients)
 		if err != nil {
 			closeAll()
@@ -325,7 +319,6 @@ func buildLeader(addrs string, nodes, samples, k, epochs int, seed uint64, model
 	}
 	sim, err := federation.NewSimulatedFleet(data, federation.Config{
 		Spec: specFor(model, data[0].Dims()-1), ClusterK: k, LocalEpochs: epochs, Seed: seed,
-		SummaryTTL: summaryTTL, SummaryDelta: summaryDelta,
 	}, federation.FleetOptions{})
 	if err != nil {
 		return nil, nil, nil, nil, err

@@ -50,8 +50,6 @@ func main() {
 		seed    = flag.Uint64("seed", 1, "fleet seed (must match every region and the root)")
 		model   = flag.String("model", "lr", "model family: lr or nn")
 
-		summaryDelta = flag.Bool("summary-delta", false, "refresh shard summaries via per-node epoch-conditional deltas instead of full re-fetch")
-
 		drainTimeout = flag.Duration("drain-timeout", 15*time.Second, "graceful shutdown budget before in-flight RPCs are aborted")
 		tracePath    = flag.String("trace", "", "write per-RPC spans as JSONL to this file (flushed on shutdown)")
 	)
@@ -78,7 +76,7 @@ func main() {
 		}()
 	}
 
-	lead, members, err := buildRegion(*idx, *regions, *nodes, *samples, *k, *epochs, *seed, *model, *summaryDelta)
+	lead, members, err := buildRegion(*idx, *regions, *nodes, *samples, *k, *epochs, *seed, *model)
 	if err != nil {
 		fatal("%v", err)
 	}
@@ -110,7 +108,7 @@ func main() {
 // draw — split RNG then node RNG, in roster order — so the shard's
 // nodes are bit-identical to the ones a single simulated leader (or
 // any sibling qens-region process) would build from the same flags.
-func buildRegion(idx, regions, nodes, samples, k, epochs int, seed uint64, model string, summaryDelta bool) (*region.Leader, []string, error) {
+func buildRegion(idx, regions, nodes, samples, k, epochs int, seed uint64, model string) (*region.Leader, []string, error) {
 	data, err := dataset.PaperNodeDatasets(dataset.Config{
 		Nodes: nodes, SamplesPerNode: samples, Seed: seed,
 	})
@@ -147,7 +145,6 @@ func buildRegion(idx, regions, nodes, samples, k, epochs int, seed uint64, model
 
 	fed, err := federation.NewLeader(federation.Config{
 		Spec: specFor(model, data[0].Dims()-1), ClusterK: k, LocalEpochs: epochs, Seed: seed,
-		SummaryDelta: summaryDelta,
 	}, nil, clients)
 	if err != nil {
 		return nil, nil, err

@@ -11,7 +11,7 @@
 // full re-quantization *on its own* (nobody sends SIGHUP), and the
 // fresh advertisement is *pushed* to the subscribed leader the moment
 // it exists, so the leader's registry — and every ranking computed
-// from it — reflects the new data space without a TTL pull.
+// from it — reflects the new data space without a pull.
 //
 // The example asserts the whole pipeline end to end and exits
 // non-zero if any stage fails to fire.
@@ -124,7 +124,7 @@ func main() {
 	// subscription. Delivery is asynchronous — the handler hands the
 	// summary off to the leader's applier goroutine so it can never
 	// block a connection reader — so wait (bounded) for the registry to
-	// apply it. No TTL pull is involved either way.
+	// apply it. No pull is involved either way.
 	deadline := time.Now().Add(10 * time.Second)
 	regStats := leader.Registry().Stats()
 	snap1, _ := leader.Registry().Current()
@@ -157,7 +157,7 @@ func main() {
 	fmt.Printf("post-drift advertisement: %d clusters, dim-0 lower bound %.2f (stream shifted +%.2f of range)\n",
 		len(sum.Clusters), lo, driftShift)
 
-	fmt.Println("\nOK: drift detected, re-quantized and pushed — no SIGHUP, no TTL pull.")
+	fmt.Println("\nOK: drift detected, re-quantized and pushed — no SIGHUP, no pull.")
 }
 
 // pullRefreshes counts registry refreshes served by the pull path.

@@ -29,8 +29,8 @@ type Client interface {
 	Evaluate(ctx context.Context, req EvalRequest) (EvalResponse, error)
 }
 
-// DeltaSummaryClient is an optional Client capability used by the
-// registry's delta refresh: an epoch-conditional summary probe that
+// DeltaSummaryClient is an optional Client capability used by every
+// registry refresh: an epoch-conditional summary probe that
 // answers unchanged=true (no summary body) when the node's
 // advertisement still carries the epoch the leader already holds.
 // Clients without the capability are probed with a plain Summary call
@@ -44,9 +44,9 @@ type DeltaSummaryClient interface {
 // pushes its fresh advertisement whenever its epoch bumps (ingest
 // drift, requantization). SubscribeSummaries registers the handler and
 // returns ok=false (nil error) when the participant cannot push — an
-// old daemon or a v1 connection — in which case the leader keeps
-// pulling on the TTL as before. Handlers may be invoked from the
-// participant's own goroutines and must hand off quickly.
+// old daemon or a region server — in which case the node is covered
+// by the registry's anti-entropy pull alone. Handlers may be invoked
+// from the participant's own goroutines and must hand off quickly.
 type PushSummaryClient interface {
 	SubscribeSummaries(ctx context.Context, handler func(cluster.NodeSummary)) (bool, error)
 }

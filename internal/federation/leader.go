@@ -38,25 +38,6 @@ type Config struct {
 	// Seed drives the leader's stochastic choices (random
 	// selection, model init).
 	Seed uint64
-	// SummaryTTL ages out the cached advertisements: a query planned
-	// after the TTL re-fetches the fleet and bumps the registry
-	// epoch. 0 (the default) keeps advertisements until an explicit
-	// InvalidateSummaries or a node-signalled drift — the legacy
-	// behaviour.
-	SummaryTTL time.Duration
-	// SummaryDelta switches registry refreshes after the first from
-	// full-fleet summary re-fetch to per-node epoch-conditional
-	// deltas: nodes whose advertisement epoch is unchanged answer a
-	// tiny "unchanged" probe instead of shipping their summary, so a
-	// refresh moves bytes proportional to churn, not fleet size.
-	// Participants that don't implement DeltaSummaryClient degrade to
-	// a full Summary fetch transparently.
-	SummaryDelta bool
-	// RebuildChurn overrides the registry's churn threshold above
-	// which a delta refresh rebuilds the spatial index from scratch
-	// instead of patching it (default registry.DefaultRebuildChurn).
-	// Ignored without SummaryDelta.
-	RebuildChurn float64
 }
 
 func (c Config) withDefaults() Config {
@@ -80,9 +61,6 @@ func (c Config) Validate() error {
 	}
 	if c.LocalEpochs < 1 {
 		return fmt.Errorf("federation: local epochs %d < 1", c.LocalEpochs)
-	}
-	if c.SummaryTTL < 0 {
-		return fmt.Errorf("federation: negative summary TTL %v", c.SummaryTTL)
 	}
 	return nil
 }
@@ -152,15 +130,7 @@ func NewLeader(cfg Config, leaderData *dataset.Dataset, clients []Client) (*Lead
 	}
 	l.metrics.SetHelp("qens_queries_total", "Queries executed by the leader, by selector.")
 	l.metrics.SetHelp("qens_selection_ms", "Leader-side participant ranking/selection latency (ms).")
-	regCfg := registry.Config{
-		Fetch: l.fetchSummaries,
-		TTL:   cfg.SummaryTTL,
-	}
-	if cfg.SummaryDelta {
-		regCfg.FetchDelta = l.fetchSummaryDeltas
-		regCfg.RebuildChurn = cfg.RebuildChurn
-	}
-	reg, err := registry.New(regCfg)
+	reg, err := registry.New(l.fetchSummaries)
 	if err != nil {
 		return nil, fmt.Errorf("federation: %w", err)
 	}
@@ -169,36 +139,24 @@ func NewLeader(cfg Config, leaderData *dataset.Dataset, clients []Client) (*Lead
 	return l, nil
 }
 
-// fetchSummaries is the registry's FetchFunc: one advertisement per
-// participant, in roster order, validated before publication.
-func (l *Leader) fetchSummaries(ctx context.Context) ([]cluster.NodeSummary, error) {
-	out := make([]cluster.NodeSummary, 0, len(l.clients))
-	for _, c := range l.clients {
-		s, err := c.Summary(ctx)
-		if err != nil {
-			return nil, fmt.Errorf("federation: summary from %s: %w", c.ID(), err)
-		}
-		if err := s.Validate(); err != nil {
-			return nil, fmt.Errorf("federation: summary from %s: %w", c.ID(), err)
-		}
-		out = append(out, s)
-	}
-	return out, nil
-}
-
-// fetchSummaryDeltas is the registry's DeltaFetchFunc: one delta per
-// participant in roster order. Nodes whose advertisement epoch matches
-// the registry's known epoch answer with a summary-free "unchanged"
-// probe; everyone else (and every client without the DeltaSummaryClient
-// capability) ships a validated full summary.
-func (l *Leader) fetchSummaryDeltas(ctx context.Context, known []registry.NodeEpoch) ([]registry.Delta, error) {
-	if len(known) != len(l.clients) {
+// fetchSummaries is the registry's FetchFunc, the one roster walk
+// for advertisements: one delta per participant in roster order. A node
+// whose advertisement epoch matches the registry's known epoch answers
+// with a summary-free "unchanged" probe; everyone else — every node
+// when known is nil, and every client without the DeltaSummaryClient
+// capability — ships a validated full summary.
+func (l *Leader) fetchSummaries(ctx context.Context, known []registry.NodeEpoch) ([]registry.Delta, error) {
+	if known != nil && len(known) != len(l.clients) {
 		return nil, fmt.Errorf("federation: delta refresh over %d known epochs, roster has %d", len(known), len(l.clients))
 	}
 	out := make([]registry.Delta, 0, len(l.clients))
 	for i, c := range l.clients {
-		if known[i].NodeID != c.ID() {
-			return nil, fmt.Errorf("federation: delta roster mismatch at %d: %s vs %s", i, known[i].NodeID, c.ID())
+		var held uint64
+		if known != nil {
+			if known[i].NodeID != c.ID() {
+				return nil, fmt.Errorf("federation: delta roster mismatch at %d: %s vs %s", i, known[i].NodeID, c.ID())
+			}
+			held = known[i].Epoch
 		}
 		var (
 			s         cluster.NodeSummary
@@ -206,7 +164,7 @@ func (l *Leader) fetchSummaryDeltas(ctx context.Context, known []registry.NodeEp
 			err       error
 		)
 		if dc, ok := c.(DeltaSummaryClient); ok {
-			s, unchanged, err = dc.SummaryIfChanged(ctx, known[i].Epoch)
+			s, unchanged, err = dc.SummaryIfChanged(ctx, held)
 		} else {
 			s, err = c.Summary(ctx)
 		}
@@ -245,7 +203,7 @@ func (l *Leader) Summaries() ([]cluster.NodeSummary, error) {
 
 // SummariesContext is Summaries with deadline/cancellation support.
 // It resolves the current registry snapshot (fetching the fleet only
-// when none exists, the TTL lapsed, or the epoch was invalidated);
+// when none exists or it was invalidated);
 // concurrent first callers wait for one round of advertisements
 // instead of each polling the fleet.
 func (l *Leader) SummariesContext(ctx context.Context) ([]cluster.NodeSummary, error) {

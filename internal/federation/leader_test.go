@@ -330,3 +330,62 @@ func TestStatsDataFraction(t *testing.T) {
 		t.Fatal("empty stats fraction should be 0")
 	}
 }
+
+// TestAntiEntropyTickKeepsDerivedState: a refresh over a fleet where
+// every node answers "unchanged" keeps the registry epoch, so a reuse
+// cache entry and a Prepared made before the tick still serve after it;
+// a tick that sees one re-quantized node retires both.
+func TestAntiEntropyTickKeepsDerivedState(t *testing.T) {
+	fleet := testFleet(t)
+	l, ctx := fleet.Leader, context.Background()
+	q, sel := midQuery(t), selection.QueryDriven{Epsilon: 0.1, TopL: 2}
+	cache, err := NewReuseCache(0.9, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, reused, err := executeCached(l, cache, q, sel, WeightedAveraging); err != nil || reused {
+		t.Fatalf("priming execute: reused=%v err=%v", reused, err)
+	}
+	prep, err := l.Prepare(ctx, q, sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromPrepared := func() bool {
+		t.Helper()
+		res, _, err := l.Execute(ctx, Request{Query: q, Selector: sel, Prepared: prep})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Stats.SelectionTime == 0
+	}
+
+	epoch := l.SummaryEpoch()
+	if _, err := l.Registry().Refresh(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if st := l.Registry().Stats(); l.SummaryEpoch() != epoch || st.DeltaRefreshes != 1 || st.NodesReused != int64(len(fleet.Nodes)) {
+		t.Fatalf("unchanged tick moved the epoch %d -> %d: %+v", epoch, l.SummaryEpoch(), st)
+	}
+	if _, reused, err := executeCached(l, cache, q, sel, WeightedAveraging); err != nil || !reused {
+		t.Fatalf("cache entry died on an unchanged tick: reused=%v err=%v", reused, err)
+	}
+	if !fromPrepared() {
+		t.Fatal("Prepared died on an unchanged tick")
+	}
+
+	if err := fleet.Nodes[1].Requantize(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Registry().Refresh(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if st := l.Registry().Stats(); l.SummaryEpoch() != epoch+1 || st.NodesRefetched != 1 {
+		t.Fatalf("tick over one bumped node: epoch %d -> %d, %+v", epoch, l.SummaryEpoch(), st)
+	}
+	if _, reused, err := executeCached(l, cache, q, sel, WeightedAveraging); err != nil || reused {
+		t.Fatalf("cache entry survived a node's epoch bump: reused=%v err=%v", reused, err)
+	}
+	if fromPrepared() {
+		t.Fatal("Prepared survived a node's epoch bump")
+	}
+}

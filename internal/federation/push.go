@@ -11,13 +11,13 @@ import (
 )
 
 // Push subscription state hangs off the Leader but lives in its own
-// file: it is the node-push half of the summary-freshness refactor
+// file: it is the node-push half of summary freshness
 // (registry.ApplyPush is the other half). StartPush walks the roster
 // and subscribes every PushSummaryClient; from then on material
-// advertisement changes arrive push-style and the TTL pull demotes to
-// anti-entropy. StopPush gates delivery off again (gateway Drain) —
-// late frames from participants are dropped at the leader, not
-// applied mid-teardown.
+// advertisement changes arrive push-style and the registry's
+// conditional pull is anti-entropy. StopPush gates delivery off again
+// (gateway Drain) — late frames from participants are dropped at the
+// leader, not applied mid-teardown.
 //
 // Delivery is two-stage: subscription handlers run on the transport
 // connection's reader goroutine (or an in-process node's mutating
@@ -25,7 +25,7 @@ import (
 // the summary into a per-node queue; a dedicated applier goroutine —
 // started by StartPush, stopped by StopPush — drains the queue through
 // the registry's fenced ApplyPush. That keeps a push from ever
-// blocking a reader on the registry's refresh lock: an in-flight TTL
+// blocking a reader on the registry's refresh lock: an in-flight
 // refresh awaiting a summary RPC on the same connection would
 // otherwise deadlock with the reader wedged in the handler.
 type leaderPush struct {

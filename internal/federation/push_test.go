@@ -14,8 +14,9 @@ import (
 	"qens/internal/rng"
 )
 
-// gatedClient is a LocalClient whose Summary can be made to block,
-// pinning the registry's refresh lock mid-fetch.
+// gatedClient is a LocalClient whose summary probe (the call every
+// registry refresh makes) can be made to block, pinning the registry's
+// refresh lock mid-fetch.
 type gatedClient struct {
 	LocalClient
 	block   atomic.Bool
@@ -24,18 +25,18 @@ type gatedClient struct {
 	once    sync.Once
 }
 
-func (c *gatedClient) Summary(ctx context.Context) (cluster.NodeSummary, error) {
+func (c *gatedClient) SummaryIfChanged(ctx context.Context, known uint64) (cluster.NodeSummary, bool, error) {
 	if c.block.Load() {
 		c.once.Do(func() { close(c.entered) })
 		<-c.gate
 	}
-	return c.LocalClient.Summary(ctx)
+	return c.LocalClient.SummaryIfChanged(ctx, known)
 }
 
 // TestLeaderHandlePushNonBlocking is the regression test for the
 // push-delivery deadlock: the subscription handler runs on a transport
 // connection's reader goroutine, so it must return promptly even while
-// a TTL refresh holds the registry's refresh lock awaiting a summary
+// a refresh holds the registry's refresh lock awaiting a summary
 // RPC (possibly on that very connection). The queued push must still
 // land once the refresh completes, and StopPush must terminate the
 // applier goroutine and drop late frames.

@@ -54,8 +54,8 @@ func (l leaderServing) Describe(ctx context.Context) region.Description {
 }
 
 // Health reports the roster size and the summary freshness mode: how
-// many participants push their advertisements (vs being pulled on the
-// TTL), with the registry's applied/dropped push accounting alongside.
+// many participants push their advertisements (the rest are pull-only),
+// with the registry's applied/dropped push accounting alongside.
 func (l leaderServing) Health(context.Context) map[string]any {
 	st := l.Registry().Stats()
 	mode := "pull"

@@ -53,8 +53,12 @@ func synthSummaries(n, k, d int, seed uint64) []cluster.NodeSummary {
 // staticRegistry serves a fixed advertisement.
 func staticRegistry(t testing.TB, summaries []cluster.NodeSummary) *registry.Registry {
 	t.Helper()
-	reg, err := registry.New(registry.Config{
-		Fetch: func(context.Context) ([]cluster.NodeSummary, error) { return summaries, nil },
+	reg, err := registry.New(func(context.Context, []registry.NodeEpoch) ([]registry.Delta, error) {
+		out := make([]registry.Delta, len(summaries))
+		for i, s := range summaries {
+			out[i] = registry.Delta{NodeID: s.NodeID, Summary: s}
+		}
+		return out, nil
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -5,14 +5,17 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"qens/internal/cluster"
 	"qens/internal/geometry"
 )
 
-// deltaFleet is an in-memory fleet answering both the full-fetch and
-// the epoch-conditional delta protocols, with mutable per-node state.
+// deltaFleet is an in-memory fleet with mutable per-node state. fetch
+// answers a pull that knows nothing, fetchDelta a conditional one (see
+// newTestRegistry), so the call counters tell the two apart.
 type deltaFleet struct {
 	mu         sync.Mutex
 	nodes      []cluster.NodeSummary
@@ -103,18 +106,14 @@ func (f *deltaFleet) fetchDelta(_ context.Context, known []NodeEpoch) ([]Delta, 
 	return out, nil
 }
 
-func (f *deltaFleet) registry(t *testing.T, churn float64) *Registry {
+func (f *deltaFleet) registry(t *testing.T) *Registry {
 	t.Helper()
-	return newTestRegistry(t, Config{
-		Fetch:        f.fetch,
-		FetchDelta:   f.fetchDelta,
-		RebuildChurn: churn,
-	})
+	return newTestRegistry(t, f.fetch, f.fetchDelta)
 }
 
 func TestRegistryDeltaLifecycle(t *testing.T) {
 	f := newDeltaFleet(8)
-	r := f.registry(t, 0) // DefaultRebuildChurn
+	r := f.registry(t)
 
 	ctx := context.Background()
 	s1, err := r.Snapshot(ctx)
@@ -125,21 +124,21 @@ func TestRegistryDeltaLifecycle(t *testing.T) {
 		t.Fatalf("first refresh not full: %+v (%d full calls)", st, f.fullCalls)
 	}
 
-	// No churn: every node answers unchanged, summaries are reused, the
-	// index is patched (trivially) rather than rebuilt.
+	// No churn: every node answers unchanged, so the snapshot stays
+	// published at its epoch and nothing is rebuilt or patched.
 	s2, err := r.Refresh(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2 == s1 || s2.Epoch != s1.Epoch+1 {
-		t.Fatalf("refresh did not publish a new epoch: %d -> %d", s1.Epoch, s2.Epoch)
+	if s2 != s1 {
+		t.Fatalf("zero-churn refresh published a new snapshot: epoch %d -> %d", s1.Epoch, s2.Epoch)
 	}
 	st := r.Stats()
 	if st.DeltaRefreshes != 1 || st.NodesReused != 8 || st.NodesRefetched != 0 {
 		t.Fatalf("zero-churn delta accounting: %+v", st)
 	}
-	if st.IndexPatches != 1 {
-		t.Fatalf("zero-churn refresh rebuilt the index: %+v", st)
+	if st.IndexPatches != 0 || st.IndexRebuilds != 1 {
+		t.Fatalf("zero-churn refresh touched the index: %+v", st)
 	}
 	if f.fullCalls != 1 || f.deltaCalls != 1 {
 		t.Fatalf("calls: %d full, %d delta", f.fullCalls, f.deltaCalls)
@@ -154,8 +153,11 @@ func TestRegistryDeltaLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	st = r.Stats()
-	if st.DeltaRefreshes != 2 || st.NodesReused != 15 || st.NodesRefetched != 1 || st.IndexPatches != 2 {
+	if st.DeltaRefreshes != 2 || st.NodesReused != 15 || st.NodesRefetched != 1 || st.IndexPatches != 1 {
 		t.Fatalf("low-churn delta accounting: %+v", st)
+	}
+	if s3.Epoch != s1.Epoch+1 {
+		t.Fatalf("low-churn refresh epoch %d, want %d", s3.Epoch, s1.Epoch+1)
 	}
 	if s3.NodeSummaryEpoch("node-3") != 2 {
 		t.Fatalf("node-3 epoch %d after bump", s3.NodeSummaryEpoch("node-3"))
@@ -181,11 +183,12 @@ func TestRegistryDeltaLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	st = r.Stats()
-	if st.DeltaRefreshes != 3 || st.NodesRefetched != 5 || st.IndexPatches != 2 || st.IndexRebuilds != 2 {
+	if st.DeltaRefreshes != 3 || st.NodesRefetched != 5 || st.IndexPatches != 1 || st.IndexRebuilds != 2 {
 		t.Fatalf("high-churn delta accounting: %+v", st)
 	}
 
-	// Invalidate demotes the next refresh to a full fleet fetch.
+	// Invalidate makes the next refresh tell the fleet nothing, so every
+	// body is re-fetched.
 	r.Invalidate()
 	if _, err := r.Snapshot(ctx); err != nil {
 		t.Fatal(err)
@@ -201,7 +204,7 @@ func TestRegistryDeltaLifecycle(t *testing.T) {
 // entry IDs) while still reusing unchanged bodies.
 func TestRegistryDeltaRosterChange(t *testing.T) {
 	f := newDeltaFleet(4)
-	r := f.registry(t, 0)
+	r := f.registry(t)
 	ctx := context.Background()
 	if _, err := r.Snapshot(ctx); err != nil {
 		t.Fatal(err)
@@ -244,7 +247,7 @@ func TestRegistryDeltaRosterChange(t *testing.T) {
 // zero-epoch re-fetch for that node — and only that node.
 func TestRegistryDeltaStaleEscapeHatch(t *testing.T) {
 	f := newDeltaFleet(6)
-	r := f.registry(t, 0)
+	r := f.registry(t)
 	ctx := context.Background()
 	if _, err := r.Snapshot(ctx); err != nil {
 		t.Fatal(err)
@@ -311,7 +314,7 @@ func TestRegistryDeltaStaleEscapeHatch(t *testing.T) {
 		}
 		return out, nil
 	}
-	r2 := newTestRegistry(t, Config{Fetch: f.fetch, FetchDelta: bad})
+	r2 := newTestRegistry(t, f.fetch, bad)
 	if _, err := r2.Snapshot(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +347,7 @@ func TestRegistryDeltaBytesAtScale(t *testing.T) {
 		}
 		f.nodes = append(f.nodes, s)
 	}
-	r := f.registry(t, 0)
+	r := f.registry(t)
 	ctx := context.Background()
 	if _, err := r.Snapshot(ctx); err != nil {
 		t.Fatal(err)
@@ -366,5 +369,111 @@ func TestRegistryDeltaBytesAtScale(t *testing.T) {
 	if ratio := float64(st.DeltaBytes) / float64(st.FullBytes); ratio >= 0.05 {
 		t.Fatalf("delta refresh moved %.2f%% of full-refresh bytes (delta=%d full=%d), want < 5%%",
 			100*ratio, st.DeltaBytes, st.FullBytes)
+	}
+}
+
+// TestRegistryInvalidationDuringRefresh: an invalidation that lands
+// while a refresh's fetch is on the wire must survive that refresh —
+// the fetched data may predate it. The snapshot stays stale, the next
+// Snapshot call pulls again, and that pull honours what was asked for
+// (every body after Invalidate, a zero known-epoch after
+// InvalidateNode).
+func TestRegistryInvalidationDuringRefresh(t *testing.T) {
+	cases := []struct {
+		name       string
+		invalidate func(*Registry)
+		honoured   func(f *deltaFleet, known []NodeEpoch) bool
+	}{
+		{"Invalidate", func(r *Registry) { r.Invalidate() },
+			func(f *deltaFleet, _ []NodeEpoch) bool { return f.fullCalls == 2 && f.deltaCalls == 1 }},
+		{"InvalidateNode", func(r *Registry) { r.InvalidateNode("node-1") },
+			func(f *deltaFleet, known []NodeEpoch) bool {
+				return f.fullCalls == 1 && f.deltaCalls == 2 && known[1].Epoch == 0 && known[0].Epoch == 1
+			}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newDeltaFleet(3)
+			entered, release := make(chan struct{}), make(chan struct{})
+			var lastKnown []NodeEpoch
+			r := newTestRegistry(t, f.fetch, func(ctx context.Context, known []NodeEpoch) ([]Delta, error) {
+				if lastKnown == nil {
+					close(entered)
+					<-release
+				}
+				lastKnown = known
+				return f.fetchDelta(ctx, known)
+			})
+			ctx := context.Background()
+			if _, err := r.Snapshot(ctx); err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() {
+				_, err := r.Refresh(ctx)
+				done <- err
+			}()
+			<-entered
+			tc.invalidate(r)
+			close(release)
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			if !r.Stats().Stale || r.ReuseEpoch() != r.Epoch()+1 {
+				t.Fatalf("in-flight refresh erased the invalidation: %+v", r.Stats())
+			}
+			if _, err := r.Snapshot(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if !tc.honoured(f, lastKnown) {
+				t.Fatalf("%d full + %d delta fetches, last known %v", f.fullCalls, f.deltaCalls, lastKnown)
+			}
+			if r.Stats().Stale || r.ReuseEpoch() != r.Epoch() {
+				t.Fatalf("still stale after the covering refresh: %+v", r.Stats())
+			}
+			if _, err := r.Snapshot(ctx); err != nil || f.fullCalls+f.deltaCalls != 3 {
+				t.Fatalf("steady-state Snapshot fetched again: %v", err)
+			}
+		})
+	}
+}
+
+// TestRegistryUnchangedTickKeepsEpoch: anti-entropy ticks over a fleet
+// where every node answers "unchanged" keep the published snapshot and
+// its epoch and notify nobody, so epoch-keyed caches survive them; a
+// tick that sees one bumped node publishes the next epoch.
+func TestRegistryUnchangedTickKeepsEpoch(t *testing.T) {
+	f := newDeltaFleet(4)
+	r := f.registry(t)
+	s1, err := r.Snapshot(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var published atomic.Int64
+	r.OnPublish(func(uint64) { published.Add(1) })
+	r.StartRefresh(time.Millisecond)
+	defer r.Stop()
+
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s: %+v", what, r.Stats())
+			}
+		}
+	}
+	waitFor("three ticks", func() bool { return r.Stats().DeltaRefreshes >= 3 })
+	if cur, _ := r.Current(); cur != s1 || r.Epoch() != s1.Epoch || r.ReuseEpoch() != s1.Epoch || published.Load() != 0 {
+		t.Fatalf("unchanged ticks republished: epoch %d -> %d, %d publishes", s1.Epoch, r.Epoch(), published.Load())
+	}
+	if st := r.Stats(); st.NodesReused != 4*st.DeltaRefreshes || st.NodesRefetched != 0 || st.IndexPatches != 0 {
+		t.Fatalf("unchanged tick accounting: %+v", st)
+	}
+
+	f.bump(2)
+	waitFor("the bumped node's epoch", func() bool { return r.Epoch() == s1.Epoch+1 })
+	r.Stop()
+	if cur, _ := r.Current(); cur.NodeSummaryEpoch("node-2") != 2 || published.Load() != 1 {
+		t.Fatalf("bump tick: node-2 epoch %d, %d publishes", cur.NodeSummaryEpoch("node-2"), published.Load())
 	}
 }

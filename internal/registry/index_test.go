@@ -24,9 +24,9 @@ func collectIndex(t *testing.T, s *Snapshot, probe geometry.Rect) map[int]bool {
 }
 
 func TestSnapshotIndex(t *testing.T) {
-	r := newTestRegistry(t, Config{Fetch: func(ctx context.Context) ([]cluster.NodeSummary, error) {
+	r := newTestRegistry(t, func(ctx context.Context) ([]cluster.NodeSummary, error) {
 		return fleet(8, 1), nil
-	}})
+	}, nil)
 	s, err := r.Snapshot(context.Background())
 	if err != nil {
 		t.Fatalf("Snapshot: %v", err)
@@ -74,9 +74,9 @@ func TestSnapshotIndexCoversAllClusters(t *testing.T) {
 		},
 		TotalSamples: 10,
 	}
-	r := newTestRegistry(t, Config{Fetch: func(ctx context.Context) ([]cluster.NodeSummary, error) {
+	r := newTestRegistry(t, func(ctx context.Context) ([]cluster.NodeSummary, error) {
 		return []cluster.NodeSummary{summary}, nil
-	}})
+	}, nil)
 	s, err := r.Snapshot(context.Background())
 	if err != nil {
 		t.Fatalf("Snapshot: %v", err)
@@ -96,7 +96,7 @@ func TestSnapshotIndexCoversAllClusters(t *testing.T) {
 // built index reflecting the new advertisements.
 func TestSnapshotIndexRebuildOnEpoch(t *testing.T) {
 	shift := 0.0
-	r := newTestRegistry(t, Config{Fetch: func(ctx context.Context) ([]cluster.NodeSummary, error) {
+	r := newTestRegistry(t, func(ctx context.Context) ([]cluster.NodeSummary, error) {
 		out := fleet(3, 1)
 		for i := range out {
 			b := &out[i].Clusters[0].Bounds
@@ -106,7 +106,7 @@ func TestSnapshotIndexRebuildOnEpoch(t *testing.T) {
 			}
 		}
 		return out, nil
-	}})
+	}, nil)
 	s1, err := r.Snapshot(context.Background())
 	if err != nil {
 		t.Fatalf("Snapshot: %v", err)

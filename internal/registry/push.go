@@ -2,7 +2,6 @@ package registry
 
 import (
 	"fmt"
-	"time"
 
 	"qens/internal/cluster"
 )
@@ -10,19 +9,14 @@ import (
 // ApplyPush ingests one node-pushed advertisement: the node detected
 // material drift (or re-quantized) and sent its fresh summary instead
 // of waiting to be pulled. The summary goes through the same
-// validation and R-tree patch machinery as a delta refresh. Freshness
-// is tracked per node: a successful apply renews only the pushing
-// node's entry, and the snapshot's TTL clock (FetchedAt) is the
-// roster-wide minimum — so one frequently-pushing node can never
-// starve the anti-entropy pull that covers non-push members, and the
-// TTL demotes to pure fallback only when every roster node pushes.
+// validation and R-tree patch machinery as a refresh.
 //
 // Epoch fencing makes the path safe against reordering and replay: a
 // push whose node epoch is not strictly newer than what the current
 // snapshot records for that node is dropped (idempotent — a duplicate
 // or out-of-order push cannot regress the registry), and pushes
 // serialize with refreshes on the same mutex, so a push landing during
-// an in-flight TTL refresh waits and is then fenced against the
+// an in-flight refresh waits and is then fenced against the
 // refreshed snapshot. Unknown nodes are dropped too: roster changes go
 // through the pull path, which sees the whole fleet.
 //
@@ -91,32 +85,9 @@ func (r *Registry) applyPush(sum cluster.NodeSummary) (uint64, bool, error) {
 	if err != nil {
 		return 0, false, fmt.Errorf("registry: push from %s: %w", sum.NodeID, err)
 	}
-	// Per-node freshness: only the pushing node's clock renews; every
-	// other member keeps its last verified time (prev.FetchedAt when a
-	// pre-freshness snapshot has no entry). FetchedAt becomes the
-	// roster minimum, so the TTL pull still fires for the stalest
-	// non-push member. The stale flag is deliberately left alone: an
-	// Invalidate pending when the push lands still forces the full
-	// re-fetch it asked for.
-	now := r.now()
-	fresh := make(map[string]time.Time, len(snap.Nodes))
-	oldest := now
-	for i := range snap.Nodes {
-		id := snap.Nodes[i].NodeID
-		ft, ok := prev.freshByNode[id]
-		if !ok {
-			ft = prev.FetchedAt
-		}
-		if id == sum.NodeID {
-			ft = now
-		}
-		fresh[id] = ft
-		if ft.Before(oldest) {
-			oldest = ft
-		}
-	}
-	snap.freshByNode = fresh
-	snap.FetchedAt = oldest
+	// covers is inherited: an invalidation pending when the push lands
+	// still forces the re-fetch it asked for.
+	snap.covers = prev.covers
 	snap.Epoch = r.epoch.Add(1)
 	r.cur.Store(snap)
 	r.pushApplied.Add(1)

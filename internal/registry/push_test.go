@@ -2,7 +2,6 @@ package registry
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -42,20 +41,9 @@ func covers(t *testing.T, s *Snapshot, id string, lo float64) bool {
 }
 
 func TestRegistryApplyPush(t *testing.T) {
-	now := time.Unix(1000, 0)
-	var mu sync.Mutex
-	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
-	advance := func(d time.Duration) { mu.Lock(); now = now.Add(d); mu.Unlock() }
-
-	fetches := 0
-	r := newTestRegistry(t, Config{
-		TTL: time.Minute,
-		Now: clock,
-		Fetch: func(ctx context.Context) ([]cluster.NodeSummary, error) {
-			fetches++
-			return fleet(3, 2), nil
-		},
-	})
+	r := newTestRegistry(t, func(ctx context.Context) ([]cluster.NodeSummary, error) {
+		return fleet(3, 2), nil
+	}, nil)
 
 	// Before any snapshot there is no roster to land on: dropped.
 	if applied, err := r.ApplyPush(pushSummary("node-1", 5, 100)); err != nil || applied {
@@ -112,84 +100,34 @@ func TestRegistryApplyPush(t *testing.T) {
 	if st.IndexPatches != 1 {
 		t.Fatalf("push rebuilt the index instead of patching: %+v", st)
 	}
-
-	// Per-node freshness: node-1's push renewed only node-1's clock, so
-	// the fleet TTL keeps running from the seed fetch — the anti-entropy
-	// pull must still cover the non-push members on schedule.
-	advance(45 * time.Second) // t=1045: snapshot 45s old, TTL 60s
-	if _, err := r.Snapshot(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if fetches != 1 {
-		t.Fatalf("TTL pull ran before expiry: %d fetches", fetches)
-	}
-	// Keep node-1 pushing furiously: that must NOT starve the TTL pull
-	// that the other roster members depend on.
-	if applied, err := r.ApplyPush(pushSummary("node-1", 6, 100)); err != nil || !applied {
-		t.Fatalf("second push: applied=%v err=%v", applied, err)
-	}
-	advance(30 * time.Second) // t=1075: 75s past the seed fetch — expired
-	if _, err := r.Snapshot(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if fetches != 2 {
-		t.Fatalf("anti-entropy pull starved by a single pushing node: %d fetches", fetches)
-	}
-
-	// Only when EVERY roster member is push-fresh does the TTL clock
-	// advance: after pushes from all three nodes the snapshot's age is
-	// measured from the oldest push, not the last pull.
-	advance(10 * time.Second) // t=1085
-	for i := 0; i < 3; i++ {
-		id := fmt.Sprintf("node-%d", i)
-		if applied, err := r.ApplyPush(pushSummary(id, 6, 100+float64(i))); err != nil || !applied {
-			t.Fatalf("fleet push %s: applied=%v err=%v", id, applied, err)
-		}
-	}
-	advance(55 * time.Second) // t=1140: 65s past the pull, 55s past the pushes
-	if _, err := r.Snapshot(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if fetches != 2 {
-		t.Fatalf("TTL ignored an all-push-fresh fleet: %d fetches", fetches)
-	}
-	advance(10 * time.Second) // t=1150: 65s past the pushes — expired again
-	if _, err := r.Snapshot(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if fetches != 3 {
-		t.Fatalf("anti-entropy pull did not resume after the push TTL: %d fetches", fetches)
-	}
 }
 
 // TestRegistryPushPullInterleaving is the regression test for the
-// push/pull race: a push arriving around an in-flight single-flight TTL
+// push/pull race: a push arriving around an in-flight single-flight
 // refresh must never regress the registry to the pull's staler body,
 // and re-delivering the push must not double-apply.
 func TestRegistryPushPullInterleaving(t *testing.T) {
 	var mu sync.Mutex
 	nodes := fleet(4, 2)
-	r := newTestRegistry(t, Config{
-		Fetch: func(ctx context.Context) ([]cluster.NodeSummary, error) {
-			mu.Lock()
-			defer mu.Unlock()
-			return append([]cluster.NodeSummary(nil), nodes...), nil
-		},
-		FetchDelta: func(_ context.Context, known []NodeEpoch) ([]Delta, error) {
-			// A slow fleet view: always ships the full (old, epoch-2)
-			// body for node-1 and answers unchanged for the rest.
-			mu.Lock()
-			defer mu.Unlock()
-			out := make([]Delta, len(nodes))
-			for i, n := range nodes {
-				if n.NodeID == "node-1" {
-					out[i] = Delta{NodeID: n.NodeID, Summary: n}
-				} else {
-					out[i] = Delta{NodeID: n.NodeID, Unchanged: true}
-				}
+	full := func(ctx context.Context) ([]cluster.NodeSummary, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]cluster.NodeSummary(nil), nodes...), nil
+	}
+	r := newTestRegistry(t, full, func(_ context.Context, known []NodeEpoch) ([]Delta, error) {
+		// A slow fleet view: always ships the full (old, epoch-2)
+		// body for node-1 and answers unchanged for the rest.
+		mu.Lock()
+		defer mu.Unlock()
+		out := make([]Delta, len(nodes))
+		for i, n := range nodes {
+			if n.NodeID == "node-1" {
+				out[i] = Delta{NodeID: n.NodeID, Summary: n}
+			} else {
+				out[i] = Delta{NodeID: n.NodeID, Unchanged: true}
 			}
-			return out, nil
-		},
+		}
+		return out, nil
 	})
 	ctx := context.Background()
 	if _, err := r.Snapshot(ctx); err != nil {
@@ -197,7 +135,7 @@ func TestRegistryPushPullInterleaving(t *testing.T) {
 	}
 
 	// Order A — push first, stale pull second: the node pushed epoch 6,
-	// then a TTL refresh fetches a delta whose node-1 body is still the
+	// then a refresh fetches a delta whose node-1 body is still the
 	// old epoch-2 advertisement. The refresh must keep the pushed
 	// summary (epoch fencing on the pull side), not regress to the
 	// fetched one.
@@ -209,7 +147,7 @@ func TestRegistryPushPullInterleaving(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Epoch <= preEpoch {
+	if s.Epoch < preEpoch {
 		t.Fatalf("refresh regressed the registry epoch: %d -> %d", preEpoch, s.Epoch)
 	}
 	if got := s.NodeSummaryEpoch("node-1"); got != 6 {
@@ -224,23 +162,16 @@ func TestRegistryPushPullInterleaving(t *testing.T) {
 	// win afterwards: epoch 7 > whatever the refresh republished.
 	release := make(chan struct{})
 	entered := make(chan struct{})
-	r2 := newTestRegistry(t, Config{
-		Fetch: func(ctx context.Context) ([]cluster.NodeSummary, error) {
-			mu.Lock()
-			defer mu.Unlock()
-			return append([]cluster.NodeSummary(nil), nodes...), nil
-		},
-		FetchDelta: func(_ context.Context, known []NodeEpoch) ([]Delta, error) {
-			close(entered)
-			<-release
-			mu.Lock()
-			defer mu.Unlock()
-			out := make([]Delta, len(nodes))
-			for i, n := range nodes {
-				out[i] = Delta{NodeID: n.NodeID, Summary: n}
-			}
-			return out, nil
-		},
+	r2 := newTestRegistry(t, full, func(_ context.Context, known []NodeEpoch) ([]Delta, error) {
+		close(entered)
+		<-release
+		mu.Lock()
+		defer mu.Unlock()
+		out := make([]Delta, len(nodes))
+		for i, n := range nodes {
+			out[i] = Delta{NodeID: n.NodeID, Summary: n}
+		}
+		return out, nil
 	})
 	if _, err := r2.Snapshot(ctx); err != nil {
 		t.Fatal(err)

@@ -1,16 +1,21 @@
 // Package registry is the leader's versioned, epoch-stamped store of
-// fleet cluster advertisements. It replaces the mutex-guarded summary
-// cache that used to live inside federation.Leader with a copy-on-write
-// snapshot published through an atomic.Pointer, so the query planning
-// hot path (internal/plan) reads advertisements lock-free while
-// refreshes happen off to the side.
+// fleet cluster advertisements: a copy-on-write snapshot published
+// through an atomic.Pointer, so the query planning hot path
+// (internal/plan) reads advertisements lock-free while refreshes happen
+// off to the side.
 //
-// Lifecycle: Invalidate marks the current snapshot stale; the next
-// Snapshot call (or the background refresher) re-fetches the fleet,
-// validates every advertisement, and publishes a fresh immutable
-// Snapshot with Epoch = previous+1. Consumers that cache derived state
-// (warm-up models, reuse-cache entries, plan fingerprints) key it to
-// the epoch, so everything derived from a dead snapshot dies with it.
+// Freshness is one mechanism. Every pull is the same epoch-conditional
+// fetch: the registry tells the fleet which per-node summary epochs it
+// holds and each node answers "unchanged" or ships its body. The first
+// refresh, and the one after Invalidate, know nothing, so every node
+// ships its body; InvalidateNode forgets one node's epoch. A pull runs
+// when Snapshot finds an invalidation the current snapshot does not
+// cover, or on the background tick (StartRefresh), which is
+// anti-entropy: over an unchanged fleet it moves N "unchanged" markers
+// and keeps the epoch. Node pushes (ApplyPush) ride on top, fenced by
+// the same per-node epochs. Consumers that cache derived state (warm-up
+// models, reuse-cache entries, prepared plans) key it to the snapshot
+// epoch, so everything derived from a dead snapshot dies with it.
 package registry
 
 import (
@@ -25,14 +30,9 @@ import (
 	"qens/internal/geometry"
 )
 
-// FetchFunc collects the fleet's current advertisements. It is called
-// with refreshes serialized (never concurrently with itself) and must
-// return one summary per node in stable roster order.
-type FetchFunc func(ctx context.Context) ([]cluster.NodeSummary, error)
-
 // NodeEpoch pairs a roster node with the summary epoch the registry
-// already holds for it. A zero Epoch demands a full summary (first
-// fetch for the node, or a forced re-fetch after InvalidateNode).
+// already holds for it. A zero Epoch demands a full summary (forced
+// re-fetch after InvalidateNode, or an un-versioned advertisement).
 type NodeEpoch struct {
 	NodeID string
 	Epoch  uint64
@@ -47,12 +47,13 @@ type Delta struct {
 	Summary   cluster.NodeSummary // valid only when !Unchanged
 }
 
-// DeltaFetchFunc collects per-node summary deltas: one Delta per
-// current roster node, in stable roster order. known carries the
-// per-node epochs the registry holds; implementations must answer an
-// entry with Epoch 0 with a full summary. Called with refreshes
-// serialized, like FetchFunc.
-type DeltaFetchFunc func(ctx context.Context, known []NodeEpoch) ([]Delta, error)
+// FetchFunc collects the fleet's advertisements: one Delta per current
+// roster node, in stable roster order. known carries the per-node
+// epochs the registry holds; nil means it holds nothing (first refresh,
+// or the refresh after Invalidate) and every node must ship its body,
+// as must a listed node whose Epoch is 0. Refreshes are serialized, so
+// it is never called concurrently with itself.
+type FetchFunc func(ctx context.Context, known []NodeEpoch) ([]Delta, error)
 
 // NodeGeom is one node's advertisement re-packed for the batch overlap
 // kernel: all cluster rectangles in flat min/max slices (rect-major,
@@ -89,15 +90,6 @@ type Snapshot struct {
 	// Epoch is the monotonically increasing publish counter (first
 	// snapshot has epoch 1).
 	Epoch uint64
-	// FetchedAt is when the stalest advertisement in the snapshot was
-	// last verified — the TTL clock. A pull refresh verifies the whole
-	// roster, so it stamps the fetch time; an applied push renews only
-	// the pushing node's entry in freshByNode, so FetchedAt (the
-	// roster-wide minimum) advances only once every node is push-fresh.
-	// That keeps the anti-entropy TTL pull firing on schedule for
-	// non-push members (v1 peers, dead subscriptions) no matter how
-	// frequently one node pushes.
-	FetchedAt time.Time
 	// Summaries are the validated advertisements in roster order.
 	Summaries []cluster.NodeSummary
 	// Nodes is the flat-slice re-pack of Summaries, index-aligned.
@@ -121,10 +113,11 @@ type Snapshot struct {
 
 	epochByNode map[string]uint64
 
-	// freshByNode records when each node's advertisement was last
-	// verified (fetched, probed unchanged, or pushed). FetchedAt is the
-	// minimum over the roster; see its comment.
-	freshByNode map[string]time.Time
+	// covers is the invalidation generation this snapshot answers: the
+	// registry's invalidation count read before the fetch that built it
+	// started (a push-built snapshot inherits its predecessor's). The
+	// snapshot is stale while the count has moved past it.
+	covers int64
 }
 
 // NodeSummaryEpoch returns the node-reported advertisement version
@@ -133,60 +126,39 @@ func (s *Snapshot) NodeSummaryEpoch(nodeID string) uint64 {
 	return s.epochByNode[nodeID]
 }
 
-// DefaultRebuildChurn is the changed-node fraction above which a delta
-// refresh rebuilds the R-tree from scratch instead of patching it in
-// place (patching preserves the stale leaf layout, which degrades
-// packing quality as rectangles drift).
-const DefaultRebuildChurn = 0.25
-
-// Config parameterizes a Registry.
-type Config struct {
-	// Fetch collects the fleet's advertisements. Required.
-	Fetch FetchFunc
-	// FetchDelta, when set, switches refreshes of an already-populated
-	// registry to per-node epoch-conditional deltas: nodes whose
-	// advertised epoch still matches the snapshot are reused without
-	// moving a summary body, so refresh bytes scale with churn instead
-	// of fleet size. The first refresh (and any refresh after
-	// Invalidate) still goes through Fetch.
-	FetchDelta DeltaFetchFunc
-	// RebuildChurn overrides DefaultRebuildChurn (a value > 1 patches
-	// always, < 0 rebuilds always). Ignored without FetchDelta.
-	RebuildChurn float64
-	// TTL expires a snapshot after this age, forcing the next
-	// Snapshot call to re-fetch (0 = snapshots never expire by age;
-	// only Invalidate or Refresh replace them).
-	TTL time.Duration
-	// Now overrides the clock (tests); defaults to time.Now.
-	Now func() time.Time
-}
+// rebuildChurn is the changed-node fraction above which a refresh
+// rebuilds the R-tree from scratch instead of patching it in place
+// (patching preserves the stale leaf layout, which degrades packing
+// quality as rectangles drift).
+const rebuildChurn = 0.25
 
 // Registry is the versioned summary store. All read paths (Current,
 // Snapshot at steady state, Epoch, ReuseEpoch) are lock-free; only
 // refreshes serialize on an internal mutex.
 type Registry struct {
-	fetch        FetchFunc
-	fetchDelta   DeltaFetchFunc
-	rebuildChurn float64
-	ttl          time.Duration
-	now          func() time.Time
+	fetch FetchFunc
 
 	cur   atomic.Pointer[Snapshot]
-	stale atomic.Bool
 	epoch atomic.Uint64 // last published epoch
 
 	refreshMu sync.Mutex // serializes fetch+publish
 
-	// forceMu guards the stale-delta escape hatch: nodes listed in
-	// forceFull are re-fetched with a zero known-epoch on the next
-	// delta refresh even when their advertised epoch looks current;
-	// forceAll demotes the next refresh to a full fleet fetch.
-	forceMu   sync.Mutex
-	forceFull map[string]bool
-	forceAll  bool
-
-	refreshes     atomic.Int64
+	// invalidations counts Invalidate/InvalidateNode calls and doubles
+	// as the staleness generation: the current snapshot is stale while
+	// this has moved past Snapshot.covers. forceMu guards what each
+	// call asked for, stamped with its generation so a refresh forgets
+	// only the requests made before its fetch started: forceAll is the
+	// last Invalidate (the next refresh tells the fleet nothing, so
+	// every body ships), forceNode the per-node stale-delta escape
+	// hatch (the next refresh sends a zero known-epoch for the node
+	// even when its advertised epoch looks current).
 	invalidations atomic.Int64
+	forceMu       sync.Mutex
+	forceAll      int64
+	forceNode     map[string]int64
+
+	refreshes atomic.Int64
+	fetchedAt atomic.Pointer[time.Time] // last successful pull
 
 	fullRefreshes  atomic.Int64
 	deltaRefreshes atomic.Int64
@@ -222,31 +194,16 @@ type Registry struct {
 
 // New builds a registry over the given fetcher. No fetch happens until
 // the first Snapshot (or Refresh) call.
-func New(cfg Config) (*Registry, error) {
-	if cfg.Fetch == nil {
+func New(fetch FetchFunc) (*Registry, error) {
+	if fetch == nil {
 		return nil, errors.New("registry: nil fetch func")
 	}
-	if cfg.TTL < 0 {
-		return nil, fmt.Errorf("registry: negative TTL %v", cfg.TTL)
-	}
-	now := cfg.Now
-	if now == nil {
-		now = time.Now
-	}
-	churn := cfg.RebuildChurn
-	if churn == 0 {
-		churn = DefaultRebuildChurn
-	}
-	r := &Registry{fetch: cfg.Fetch, fetchDelta: cfg.FetchDelta, rebuildChurn: churn, ttl: cfg.TTL, now: now}
-	if r.fetchDelta != nil {
-		r.forceFull = make(map[string]bool)
-	}
-	return r, nil
+	return &Registry{fetch: fetch, forceNode: make(map[string]int64)}, nil
 }
 
 // Current returns the latest published snapshot without fetching;
 // ok is false before the first successful refresh. The snapshot may be
-// stale or expired — callers that need freshness use Snapshot.
+// stale — callers that need freshness use Snapshot.
 func (r *Registry) Current() (*Snapshot, bool) {
 	s := r.cur.Load()
 	return s, s != nil
@@ -256,31 +213,36 @@ func (r *Registry) Current() (*Snapshot, bool) {
 // refresh). Lock-free.
 func (r *Registry) Epoch() uint64 { return r.epoch.Load() }
 
+// stale reports whether an invalidation arrived that s does not cover
+// (a nil s covers nothing). It is the one staleness predicate: Snapshot,
+// ReuseEpoch, Stats and the refresh single-flight all read it.
+func (r *Registry) stale(s *Snapshot) bool {
+	var covers int64
+	if s != nil {
+		covers = s.covers
+	}
+	return r.invalidations.Load() > covers
+}
+
 // ReuseEpoch is the epoch derived caches should key their entries on:
 // the published epoch, advanced by one while the current snapshot is
-// stale or age-expired. During that window a lookup keyed on
-// ReuseEpoch misses entries derived from the dying snapshot, and
-// matches entries produced by executions that (by calling Snapshot)
-// already planned against the refreshed one — which will publish
-// exactly that epoch. Lock-free.
+// stale. During that window a lookup keyed on ReuseEpoch misses entries
+// derived from the dying snapshot, and matches entries produced by
+// executions that (by calling Snapshot) already planned against the
+// refreshed one — which will publish exactly that epoch. Lock-free.
 func (r *Registry) ReuseEpoch() uint64 {
 	e := r.epoch.Load()
-	if s := r.cur.Load(); s == nil || r.stale.Load() || r.expired(s) {
+	if s := r.cur.Load(); s == nil || r.stale(s) {
 		e++
 	}
 	return e
 }
 
-// expired reports whether the snapshot has outlived the TTL.
-func (r *Registry) expired(s *Snapshot) bool {
-	return r.ttl > 0 && r.now().Sub(s.FetchedAt) >= r.ttl
-}
-
 // Snapshot returns a fresh-enough snapshot, fetching the fleet when
-// none exists, the current one is age-expired, or Invalidate was
-// called. The steady-state path is a single atomic load — no mutex.
+// none exists or an invalidation arrived since the current one was
+// fetched. The steady-state path is two atomic loads — no mutex.
 func (r *Registry) Snapshot(ctx context.Context) (*Snapshot, error) {
-	if s := r.cur.Load(); s != nil && !r.stale.Load() && !r.expired(s) {
+	if s := r.cur.Load(); s != nil && !r.stale(s) {
 		return s, nil
 	}
 	return r.Refresh(ctx)
@@ -312,10 +274,13 @@ func (r *Registry) notifyPublish(epoch uint64) {
 	}
 }
 
-// Refresh force-fetches the fleet and publishes a new snapshot with
-// the next epoch. Concurrent refreshes are serialized; a caller that
-// lost the race returns the winner's snapshot instead of re-polling
-// the fleet.
+// Refresh pulls the fleet and, when anything moved, publishes a new
+// snapshot with the next epoch. Concurrent refreshes are serialized; a
+// caller that lost the race returns the winner's snapshot instead of
+// re-polling the fleet. A pull over an unchanged fleet (every node
+// answered "unchanged", nothing was forced) returns the current
+// snapshot at its epoch and notifies nobody, so the anti-entropy tick
+// leaves every epoch-keyed cache alone.
 func (r *Registry) Refresh(ctx context.Context) (*Snapshot, error) {
 	snap, published, err := r.refresh(ctx)
 	if published {
@@ -326,225 +291,158 @@ func (r *Registry) Refresh(ctx context.Context) (*Snapshot, error) {
 
 // refresh is Refresh's body under the refresh lock; published reports
 // whether this call stored a new snapshot (vs returning a racing
-// winner's).
+// winner's, or the current one unchanged).
+//
+// The pull is epoch-conditional against prev: unchanged nodes reuse
+// their validated summary and re-packed geometry, changed nodes are
+// re-validated, and the R-tree is patched in place below the churn
+// threshold (rebuilt above it, or whenever the roster itself changed).
+// With no prev — or after Invalidate, which makes the held epochs
+// suspect — known is nil and the snapshot is built from scratch.
 func (r *Registry) refresh(ctx context.Context) (*Snapshot, bool, error) {
 	before := r.epoch.Load()
 	r.refreshMu.Lock()
 	defer r.refreshMu.Unlock()
+	prev := r.cur.Load()
 	// Someone else published while we waited for the lock: if the
 	// result is fresh, use it.
-	if s := r.cur.Load(); s != nil && s.Epoch > before && !r.stale.Load() && !r.expired(s) {
-		return s, false, nil
+	if prev != nil && prev.Epoch > before && !r.stale(prev) {
+		return prev, false, nil
 	}
-	prev := r.cur.Load()
-	var (
-		snap *Snapshot
-		err  error
-	)
-	if r.fetchDelta != nil && prev != nil && !r.takeForceAll() {
-		snap, err = r.refreshDelta(ctx, prev)
-	} else {
-		snap, err = r.refreshFull(ctx)
-	}
-	if err != nil {
-		return nil, false, err
-	}
-	// A refresh verified every roster member (full fetch or per-node
-	// delta probe), so the whole fleet's freshness restarts here.
-	snap.FetchedAt = r.now()
-	snap.freshByNode = make(map[string]time.Time, len(snap.Nodes))
-	for i := range snap.Nodes {
-		snap.freshByNode[snap.Nodes[i].NodeID] = snap.FetchedAt
-	}
-	snap.Epoch = r.epoch.Add(1)
-	r.cur.Store(snap)
-	r.stale.Store(false)
-	r.refreshes.Add(1)
-	return snap, true, nil
-}
-
-// refreshFull re-fetches every advertisement and rebuilds the snapshot
-// (and its index) from scratch. On success the per-node force set is
-// cleared — a full fetch supersedes any pending forced re-fetches.
-func (r *Registry) refreshFull(ctx context.Context) (*Snapshot, error) {
-	var pending []string
-	if r.fetchDelta != nil {
-		r.forceMu.Lock()
-		for id := range r.forceFull {
-			pending = append(pending, id)
-		}
-		r.forceMu.Unlock()
-	}
-	summaries, err := r.fetch(ctx)
-	if err != nil {
-		return nil, err
-	}
-	snap, err := buildSnapshot(summaries)
-	if err != nil {
-		return nil, err
-	}
-	var bytes int64
-	for i := range summaries {
-		bytes += summaryWireBytes(&summaries[i])
-	}
-	r.fullBytes.Add(bytes)
-	r.fullRefreshes.Add(1)
-	if r.fetchDelta != nil {
-		r.indexRebuilds.Add(1)
-		// The full fetch satisfied every re-fetch pending when it
-		// started; signals that arrived during it stay forced.
-		r.forceMu.Lock()
-		for _, id := range pending {
-			delete(r.forceFull, id)
-		}
-		r.forceMu.Unlock()
-	}
-	return snap, nil
-}
-
-// takeForceAll consumes the force-all flag (set by Invalidate on a
-// delta-refreshed registry).
-func (r *Registry) takeForceAll() bool {
-	if r.fetchDelta == nil {
-		return false
-	}
+	// The generation is read before the fetch starts, so an
+	// invalidation landing while it is on the wire stays uncovered and
+	// the next Snapshot call pulls again.
+	gen := r.invalidations.Load()
 	r.forceMu.Lock()
-	defer r.forceMu.Unlock()
-	all := r.forceAll
-	r.forceAll = false
-	return all
-}
-
-// refreshDelta refreshes via epoch-conditional per-node deltas against
-// the previous snapshot: unchanged nodes reuse their validated summary
-// and re-packed geometry, changed nodes are re-validated, and the
-// R-tree is patched in place below the churn threshold (rebuilt above
-// it, or whenever the roster itself changed).
-func (r *Registry) refreshDelta(ctx context.Context, prev *Snapshot) (*Snapshot, error) {
-	r.forceMu.Lock()
-	forced := make(map[string]bool, len(r.forceFull))
-	for id := range r.forceFull {
+	if prev != nil && r.forceAll > prev.covers {
+		prev = nil // an uncovered Invalidate: hold nothing, reuse nothing
+	}
+	forced := make(map[string]bool, len(r.forceNode))
+	for id := range r.forceNode {
 		forced[id] = true
 	}
 	r.forceMu.Unlock()
 
-	known := make([]NodeEpoch, len(prev.Nodes))
-	for i := range prev.Nodes {
-		e := prev.Nodes[i].SummaryEpoch
-		if forced[prev.Nodes[i].NodeID] {
-			e = 0 // stale-delta escape hatch: demand a full summary
+	var (
+		known   []NodeEpoch
+		prevIdx map[string]int
+	)
+	if prev != nil {
+		known = make([]NodeEpoch, len(prev.Nodes))
+		prevIdx = make(map[string]int, len(prev.Nodes))
+		for i := range prev.Nodes {
+			known[i] = NodeEpoch{NodeID: prev.Nodes[i].NodeID, Epoch: prev.Nodes[i].SummaryEpoch}
+			if forced[known[i].NodeID] {
+				known[i].Epoch = 0
+			}
+			prevIdx[known[i].NodeID] = i
 		}
-		known[i] = NodeEpoch{NodeID: prev.Nodes[i].NodeID, Epoch: e}
 	}
-	deltas, err := r.fetchDelta(ctx, known)
+	deltas, err := r.fetch(ctx, known)
 	if err != nil {
-		return nil, err
-	}
-	if len(deltas) == 0 {
-		return nil, errors.New("registry: delta fetch returned no deltas")
+		return nil, false, err
 	}
 
-	prevIdx := make(map[string]int, len(prev.Nodes))
-	for i := range prev.Nodes {
-		prevIdx[prev.Nodes[i].NodeID] = i
-	}
 	summaries := make([]cluster.NodeSummary, len(deltas))
 	changed := make([]int, 0, len(deltas))
-	rosterSame := len(deltas) == len(prev.Nodes)
+	rosterSame := prev != nil && len(deltas) == len(prev.Nodes)
 	var bytes int64
 	for i, d := range deltas {
 		if rosterSame && d.NodeID != prev.Nodes[i].NodeID {
 			rosterSame = false
 		}
+		j, held := prevIdx[d.NodeID]
 		if d.Unchanged {
-			j, ok := prevIdx[d.NodeID]
-			if !ok {
-				return nil, fmt.Errorf("registry: delta marks unknown node %q unchanged", d.NodeID)
+			if !held {
+				return nil, false, fmt.Errorf("registry: delta marks unknown node %q unchanged", d.NodeID)
 			}
 			if forced[d.NodeID] {
-				return nil, fmt.Errorf("registry: node %q answered a forced re-fetch with unchanged", d.NodeID)
+				return nil, false, fmt.Errorf("registry: node %q answered a forced re-fetch with unchanged", d.NodeID)
 			}
-			summaries[i] = prev.Summaries[j]
-			bytes += deltaProbeBytes
-			continue
 		}
-		// Epoch fencing against the push path: a delta fetch issued
-		// before a push landed can deliver an advertisement older than
-		// the one the snapshot already holds. Keeping the recorded
-		// summary (instead of regressing to the fetched one) makes
-		// push/pull interleaving commutative. Forced nodes are exempt —
+		// Epoch fencing against the push path: a fetch issued before a
+		// push landed can deliver an advertisement older than the one
+		// the snapshot already holds. Keeping the recorded summary
+		// (instead of regressing to the fetched one) makes push/pull
+		// interleaving commutative. Forced nodes are exempt —
 		// InvalidateNode means the recorded epoch itself is suspect.
-		if j, ok := prevIdx[d.NodeID]; ok && !forced[d.NodeID] &&
-			d.Summary.Epoch != 0 && d.Summary.Epoch < prev.Nodes[j].SummaryEpoch {
+		fenced := held && !forced[d.NodeID] &&
+			d.Summary.Epoch != 0 && d.Summary.Epoch < prev.Nodes[j].SummaryEpoch
+		if d.Unchanged || fenced {
 			summaries[i] = prev.Summaries[j]
-			bytes += deltaProbeBytes
 			continue
 		}
 		summaries[i] = d.Summary
 		changed = append(changed, i)
-		bytes += deltaProbeBytes + summaryWireBytes(&summaries[i])
+		bytes += summaryWireBytes(&summaries[i])
 	}
 
-	var snap *Snapshot
-	churn := float64(len(changed)) / float64(len(deltas))
-	if rosterSame && prev.Index != nil && churn <= r.rebuildChurn {
-		snap, err = buildSnapshotPatched(prev, summaries, changed)
-		if err == nil {
+	snap := prev
+	switch {
+	case rosterSame && len(changed) == 0 && len(forced) == 0:
+		// Nothing moved: prev stays published at its epoch.
+	case rosterSame && float64(len(changed)) <= rebuildChurn*float64(len(deltas)):
+		if snap, err = buildSnapshotPatched(prev, summaries, changed); err == nil {
 			r.indexPatches.Add(1)
 		}
-	} else {
-		snap, err = buildSnapshot(summaries)
-		if err == nil {
+	default:
+		if snap, err = buildSnapshot(summaries); err == nil {
 			r.indexRebuilds.Add(1)
 		}
 	}
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	r.deltaBytes.Add(bytes)
-	r.deltaRefreshes.Add(1)
-	r.nodesReused.Add(int64(len(deltas) - len(changed)))
-	r.nodesRefetched.Add(int64(len(changed)))
-	// Only now that the snapshot is published-ready may the forced set
-	// shrink; entries signaled during the fetch stay for the next round.
+	if prev == nil {
+		r.fullBytes.Add(bytes)
+		r.fullRefreshes.Add(1)
+	} else {
+		r.deltaBytes.Add(bytes + int64(len(deltas))*deltaProbeBytes)
+		r.deltaRefreshes.Add(1)
+		r.nodesReused.Add(int64(len(deltas) - len(changed)))
+		r.nodesRefetched.Add(int64(len(changed)))
+	}
+	r.refreshes.Add(1)
+	now := time.Now()
+	r.fetchedAt.Store(&now)
+	if snap == prev {
+		return prev, false, nil
+	}
+	snap.covers = gen
+	snap.Epoch = r.epoch.Add(1)
+	r.cur.Store(snap)
+	// Only now that the snapshot is published may the forced set
+	// shrink; requests made during the fetch stay for the next round.
 	r.forceMu.Lock()
-	for id := range forced {
-		delete(r.forceFull, id)
+	for id, g := range r.forceNode {
+		if g <= gen {
+			delete(r.forceNode, id)
+		}
 	}
 	r.forceMu.Unlock()
-	return snap, nil
+	return snap, true, nil
 }
 
 // Invalidate marks the current snapshot stale: the next Snapshot call
-// (or background refresh tick) re-fetches the fleet and bumps the
-// epoch. On a delta-refreshed registry that next refresh is demoted to
-// a full fleet fetch — an explicit invalidation means the epochs the
-// conditional path would trust are themselves suspect. Idempotent.
+// (or background refresh tick) re-fetches every node's body and bumps
+// the epoch — an explicit invalidation means the epochs the conditional
+// fetch would trust are themselves suspect. Idempotent.
 func (r *Registry) Invalidate() {
-	if r.fetchDelta != nil {
-		r.forceMu.Lock()
-		r.forceAll = true
-		r.forceMu.Unlock()
-	}
-	r.stale.Store(true)
-	r.invalidations.Add(1)
+	r.forceMu.Lock()
+	r.forceAll = r.invalidations.Add(1)
+	r.forceMu.Unlock()
 }
 
 // InvalidateNode marks one node's advertisement suspect: the current
-// snapshot goes stale and — on a delta-refreshed registry — the next
-// refresh re-fetches that node with a zero known-epoch, bypassing the
-// "unchanged" fast path even when the node's advertised epoch looks
-// current. This is the stale-delta escape hatch: a node that changed
-// content without (visibly) bumping its epoch would otherwise be
-// served from the reused summary forever.
+// snapshot goes stale and the next refresh re-fetches that node with a
+// zero known-epoch, bypassing the "unchanged" fast path even when the
+// node's advertised epoch looks current. This is the stale-delta escape
+// hatch: a node that changed content without (visibly) bumping its
+// epoch would otherwise be served from the reused summary forever.
 func (r *Registry) InvalidateNode(nodeID string) {
-	if r.fetchDelta != nil {
-		r.forceMu.Lock()
-		r.forceFull[nodeID] = true
-		r.forceMu.Unlock()
-	}
-	r.stale.Store(true)
-	r.invalidations.Add(1)
+	r.forceMu.Lock()
+	r.forceNode[nodeID] = r.invalidations.Add(1)
+	r.forceMu.Unlock()
 }
 
 // SignalNodeEpoch reports a node-side advertisement version observed
@@ -579,7 +477,8 @@ type Stats struct {
 	FetchedAt     time.Time `json:"fetched_at"`
 	Nodes         int       `json:"nodes"`
 
-	// Delta-refresh accounting (all zero on a full-fetch registry).
+	// Pull accounting: a refresh that told the fleet nothing (first
+	// fetch, or after Invalidate) counts as full, every other as delta.
 	FullRefreshes  int64 `json:"full_refreshes"`
 	DeltaRefreshes int64 `json:"delta_refreshes"`
 	NodesReused    int64 `json:"delta_nodes_reused"`
@@ -589,7 +488,7 @@ type Stats struct {
 	IndexPatches   int64 `json:"index_patches"`
 	IndexRebuilds  int64 `json:"index_rebuilds"`
 
-	// Push-ingestion accounting (all zero on a pull-only registry).
+	// Push-ingestion accounting.
 	PushApplied        int64 `json:"push_applied"`
 	PushDroppedStale   int64 `json:"push_dropped_stale"`
 	PushDroppedUnknown int64 `json:"push_dropped_unknown"`
@@ -608,7 +507,7 @@ type Stats struct {
 func (r *Registry) Stats() Stats {
 	st := Stats{
 		Epoch:          r.epoch.Load(),
-		Stale:          r.stale.Load(),
+		Stale:          r.stale(r.cur.Load()),
 		Refreshes:      r.refreshes.Load(),
 		Invalidations:  r.invalidations.Load(),
 		FullRefreshes:  r.fullRefreshes.Load(),
@@ -630,8 +529,10 @@ func (r *Registry) Stats() Stats {
 		NodesPruned:        r.nodesPruned.Load(),
 	}
 	if s := r.cur.Load(); s != nil {
-		st.FetchedAt = s.FetchedAt
 		st.Nodes = len(s.Nodes)
+	}
+	if t := r.fetchedAt.Load(); t != nil {
+		st.FetchedAt = *t
 	}
 	return st
 }
@@ -652,11 +553,10 @@ func (r *Registry) RecordPlanBrute() {
 	r.brutePlans.Add(1)
 }
 
-// StartRefresh launches a background goroutine that re-fetches the
-// fleet every interval (and immediately when Invalidate was called in
-// between ticks). Stop (or a second StartRefresh) terminates it.
-// Refresh errors are swallowed: the previous snapshot keeps serving
-// and the next tick retries.
+// StartRefresh launches the anti-entropy goroutine: one Refresh every
+// interval, off the query path. Stop (or a second StartRefresh)
+// terminates it. Refresh errors are swallowed: the previous snapshot
+// keeps serving and the next tick retries.
 func (r *Registry) StartRefresh(interval time.Duration) {
 	if interval <= 0 {
 		return
@@ -820,7 +720,7 @@ const deltaProbeBytes = 24
 
 // summaryWireBytes approximates one advertisement's v2 wire size: id
 // and counters plus, per cluster, the bounds rectangle, centroid and
-// size. Used for the delta-vs-full refresh accounting in Stats.
+// size. Used for the refresh and push byte accounting in Stats.
 func summaryWireBytes(s *cluster.NodeSummary) int64 {
 	n := int64(len(s.NodeID)) + 16
 	for i := range s.Clusters {

@@ -33,9 +33,27 @@ func fleet(n int, epoch uint64) []cluster.NodeSummary {
 	return out
 }
 
-func newTestRegistry(t *testing.T, cfg Config) *Registry {
+// newTestRegistry is the one adapter between the hand-written fetchers
+// the tests use and FetchFunc: full answers a pull that knows nothing
+// (known == nil), delta every conditional one. Without a delta fetcher
+// the fleet behaves like clients lacking the epoch-conditional
+// capability — every pull ships every body.
+func newTestRegistry(t *testing.T, full func(context.Context) ([]cluster.NodeSummary, error), delta FetchFunc) *Registry {
 	t.Helper()
-	r, err := New(cfg)
+	r, err := New(func(ctx context.Context, known []NodeEpoch) ([]Delta, error) {
+		if known != nil && delta != nil {
+			return delta(ctx, known)
+		}
+		summaries, err := full(ctx)
+		if err != nil {
+			return nil, err
+		}
+		out := make([]Delta, len(summaries))
+		for i, s := range summaries {
+			out[i] = Delta{NodeID: s.NodeID, Summary: s}
+		}
+		return out, nil
+	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -44,10 +62,10 @@ func newTestRegistry(t *testing.T, cfg Config) *Registry {
 
 func TestRegistryLifecycle(t *testing.T) {
 	var fetches atomic.Int64
-	r := newTestRegistry(t, Config{Fetch: func(ctx context.Context) ([]cluster.NodeSummary, error) {
+	r := newTestRegistry(t, func(ctx context.Context) ([]cluster.NodeSummary, error) {
 		fetches.Add(1)
 		return fleet(3, 7), nil
-	}})
+	}, nil)
 
 	if _, ok := r.Current(); ok {
 		t.Fatal("Current reported a snapshot before any refresh")
@@ -107,49 +125,15 @@ func TestRegistryLifecycle(t *testing.T) {
 	}
 }
 
-func TestRegistryTTLExpiry(t *testing.T) {
-	now := time.Unix(1000, 0)
-	var mu sync.Mutex
-	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
-	advance := func(d time.Duration) { mu.Lock(); now = now.Add(d); mu.Unlock() }
-
-	var fetches atomic.Int64
-	r := newTestRegistry(t, Config{
-		TTL: time.Minute,
-		Now: clock,
-		Fetch: func(ctx context.Context) ([]cluster.NodeSummary, error) {
-			fetches.Add(1)
-			return fleet(2, 0), nil
-		},
-	})
-
-	s, err := r.Snapshot(context.Background())
-	if err != nil || s.Epoch != 1 {
-		t.Fatalf("first snapshot: %v %+v", err, s)
-	}
-	advance(30 * time.Second)
-	if s2, _ := r.Snapshot(context.Background()); s2 != s {
-		t.Fatal("snapshot replaced before TTL")
-	}
-	advance(31 * time.Second)
-	if r.ReuseEpoch() != 2 {
-		t.Fatalf("expired ReuseEpoch = %d, want 2", r.ReuseEpoch())
-	}
-	s3, err := r.Snapshot(context.Background())
-	if err != nil || s3.Epoch != 2 || fetches.Load() != 2 {
-		t.Fatalf("expiry refetch: %v epoch=%d fetches=%d", err, s3.Epoch, fetches.Load())
-	}
-}
-
 func TestRegistryFetchErrorKeepsOldSnapshot(t *testing.T) {
 	fail := atomic.Bool{}
 	sentinel := errors.New("fleet down")
-	r := newTestRegistry(t, Config{Fetch: func(ctx context.Context) ([]cluster.NodeSummary, error) {
+	r := newTestRegistry(t, func(ctx context.Context) ([]cluster.NodeSummary, error) {
 		if fail.Load() {
 			return nil, sentinel
 		}
 		return fleet(1, 0), nil
-	}})
+	}, nil)
 	s, err := r.Snapshot(context.Background())
 	if err != nil {
 		t.Fatalf("Snapshot: %v", err)
@@ -172,9 +156,9 @@ func TestRegistryFetchErrorKeepsOldSnapshot(t *testing.T) {
 }
 
 func TestRegistrySignalNodeEpoch(t *testing.T) {
-	r := newTestRegistry(t, Config{Fetch: func(ctx context.Context) ([]cluster.NodeSummary, error) {
+	r := newTestRegistry(t, func(ctx context.Context) ([]cluster.NodeSummary, error) {
 		return fleet(2, 5), nil
-	}})
+	}, nil)
 	if r.SignalNodeEpoch("node-0", 9) {
 		t.Fatal("drift detected before any snapshot")
 	}
@@ -220,9 +204,9 @@ func TestRegistryValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			r := newTestRegistry(t, Config{Fetch: func(ctx context.Context) ([]cluster.NodeSummary, error) {
+			r := newTestRegistry(t, func(ctx context.Context) ([]cluster.NodeSummary, error) {
 				return tc.summaries, nil
-			}})
+			}, nil)
 			if _, err := r.Snapshot(context.Background()); err == nil {
 				t.Fatal("expected validation error")
 			}
@@ -234,11 +218,8 @@ func TestRegistryValidation(t *testing.T) {
 }
 
 func TestNewRejectsBadConfig(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
+	if _, err := New(nil); err == nil {
 		t.Fatal("nil fetch accepted")
-	}
-	if _, err := New(Config{Fetch: func(context.Context) ([]cluster.NodeSummary, error) { return nil, nil }, TTL: -time.Second}); err == nil {
-		t.Fatal("negative TTL accepted")
 	}
 }
 
@@ -248,9 +229,9 @@ func TestNewRejectsBadConfig(t *testing.T) {
 // epoch monotonicity per goroutine and snapshot immutability.
 func TestRegistryConcurrency(t *testing.T) {
 	var fetchEpoch atomic.Uint64
-	r := newTestRegistry(t, Config{Fetch: func(ctx context.Context) ([]cluster.NodeSummary, error) {
+	r := newTestRegistry(t, func(ctx context.Context) ([]cluster.NodeSummary, error) {
 		return fleet(4, fetchEpoch.Add(1)), nil
-	}})
+	}, nil)
 	r.StartRefresh(100 * time.Microsecond)
 	defer r.Stop()
 
@@ -327,9 +308,9 @@ func TestRegistryConcurrency(t *testing.T) {
 }
 
 func TestStartRefreshRestartAndStop(t *testing.T) {
-	r := newTestRegistry(t, Config{Fetch: func(ctx context.Context) ([]cluster.NodeSummary, error) {
+	r := newTestRegistry(t, func(ctx context.Context) ([]cluster.NodeSummary, error) {
 		return fleet(1, 0), nil
-	}})
+	}, nil)
 	r.StartRefresh(time.Millisecond)
 	r.StartRefresh(time.Millisecond) // restart must not leak or deadlock
 	time.Sleep(5 * time.Millisecond)

@@ -137,7 +137,7 @@ func (c *Client) ensureConnLocked(ctx context.Context) (*wireConn, error) {
 	// not block every other client call behind the connection lock for
 	// the RPC's duration. A subscribe that gets no answer drops the
 	// connection: nothing else would ever redial a socket that still
-	// serves pulls, and the node would sit on TTL pull for good — the
+	// serves pulls, and the node would stay pull-only for good — the
 	// next RPC redials and re-arms instead. Duplicate subscribes are
 	// idempotent server-side, so racing SubscribeSummaries is harmless.
 	if conn.pushOK && c.hasPushHandler() {

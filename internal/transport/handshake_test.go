@@ -235,7 +235,7 @@ func TestHandshakeRejectsOldPeer(t *testing.T) {
 
 // TestResubscribeFailureRedials: a re-subscribe that gets no answer on
 // a fresh connection must drop that connection, so the next RPC redials
-// and re-arms — it used to be swallowed, leaving the node on TTL pull
+// and re-arms — it used to be swallowed, leaving the node pull-only
 // for the life of the process. The fake peer answers every hello and
 // every ping, answers the explicit subscribe on connection 0, swallows
 // the re-subscribe on connection 1, and must then see connection 2

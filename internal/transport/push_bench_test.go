@@ -10,9 +10,9 @@ import (
 // BenchmarkSummaryFreshnessBytes compares the wire cost of propagating
 // one advertisement-epoch bump to the leader at equal staleness. Push
 // mode pays a single unsolicited push frame; pull mode pays a summary
-// request plus the response carrying the same body — the floor for any
-// TTL poll that happens to land right after the bump (a real TTL loop
-// also polls nodes that have not changed). scripts/bench_ingest.sh
+// request plus the response carrying the same body — the floor for an
+// anti-entropy tick that happens to land right after the bump (a real
+// tick also probes nodes that have not changed). scripts/bench_ingest.sh
 // gates CI on push staying strictly below pull.
 func BenchmarkSummaryFreshnessBytes(b *testing.B) {
 	sum := cluster.NodeSummary{

@@ -518,11 +518,18 @@ func TestServerMetrics(t *testing.T) {
 	if got := reg.Histogram("qens_train_round_ms", node...).Count(); got != hist0+1 {
 		t.Fatalf("qens_train_round_ms count %d -> %d, want +1", hist0, got)
 	}
-	if got := reg.Counter("qens_bytes_received_total", node...).Value(); got <= in0 {
-		t.Fatalf("qens_bytes_received_total did not advance: %d -> %d", in0, got)
-	}
-	if got := reg.Counter("qens_bytes_sent_total", node...).Value(); got <= out0 {
-		t.Fatalf("qens_bytes_sent_total did not advance: %d -> %d", out0, got)
+	// The server tallies a connection's bytes after it has written the
+	// response, so the client can hold the answer a moment before the
+	// counters move: wait for them, bounded.
+	deadline := time.Now().Add(5 * time.Second)
+	for reg.Counter("qens_bytes_received_total", node...).Value() <= in0 ||
+		reg.Counter("qens_bytes_sent_total", node...).Value() <= out0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("wire byte counters did not advance: received %d -> %d, sent %d -> %d",
+				in0, reg.Counter("qens_bytes_received_total", node...).Value(),
+				out0, reg.Counter("qens_bytes_sent_total", node...).Value())
+		}
+		time.Sleep(time.Millisecond)
 	}
 	if age, ok := srv.LastTrainAge(); !ok || age < 0 || age > time.Minute {
 		t.Fatalf("LastTrainAge = %v, %v", age, ok)

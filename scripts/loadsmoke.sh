@@ -6,9 +6,11 @@
 # daemons under a root gateway with the reuse cache on) and assert the
 # per-region routing surface and the root's cache hits; then a
 # sustained-ingest soak (three qensd, one streaming with a drift
-# schedule, under closed-loop load) asserting autonomous escalation,
-# push-mode freshness on every node and a flat p99. Used by
-# `make loadsmoke` / `make ci`.
+# schedule, under closed-loop load, the gateway ticking its
+# anti-entropy pull every second) asserting autonomous escalation,
+# push-mode freshness on every node, conditional pulls that never
+# re-fetch the fleet, and a flat p99. Used by `make loadsmoke` /
+# `make ci`.
 set -eu
 
 ADDR="${QENS_SMOKE_ADDR:-127.0.0.1:18080}"
@@ -271,7 +273,7 @@ done
 
 echo "loadsmoke: starting gateway on $INGEST_ADDR over the remote fleet"
 "$BIN/qens-gateway" -addr "$INGEST_ADDR" -addrs "$QD0_ADDR,$QD1_ADDR,$QD2_ADDR" \
-    -k 4 -epochs 2 -workers 4 -queue 32 >"$BIN/ingest-gw.log" 2>&1 &
+    -k 4 -epochs 2 -workers 4 -queue 32 -summary-refresh 1s >"$BIN/ingest-gw.log" 2>&1 &
 GW_PID=$!
 
 echo "loadsmoke: running pre-drift load burst"
@@ -324,6 +326,34 @@ case "$health_json" in
         ;;
 esac
 
+# Drift, requantization and the 1s anti-entropy ticks must all have gone
+# through the epoch-conditional pull (known-epoch request, "unchanged"
+# marker or one body back) between two separate processes: the fleet was
+# fetched in full exactly once, at bootstrap. The tick runs on the
+# gateway's clock, so wait (bounded) for one.
+i=0
+while :; do
+    stats_json=$(curl -sf "$INGEST_URL/v1/stats")
+    delta_refreshes=$(printf '%s' "$stats_json" | sed -n 's/.*"delta_refreshes":\([0-9]*\).*/\1/p')
+    if [ -n "$delta_refreshes" ] && [ "$delta_refreshes" -gt 0 ]; then
+        break
+    fi
+    i=$((i + 1))
+    if [ "$i" -gt 100 ]; then
+        echo "loadsmoke: FAIL no conditional pull ran under -summary-refresh 1s: $stats_json" >&2
+        exit 1
+    fi
+    sleep 0.1
+done
+case "$stats_json" in
+    *'"full_refreshes":1,'*) ;;
+    *)
+        echo "loadsmoke: FAIL fleet re-fetched in full after bootstrap: $stats_json" >&2
+        exit 1
+        ;;
+esac
+echo "loadsmoke: $delta_refreshes conditional pulls, 1 full fetch"
+
 # p99 must stay flat through drift + requantization + pushes: allow a
 # generous CI-noise envelope (5x + 250ms) — a refresh stampede or a
 # blocked query path blows far past that.
@@ -359,4 +389,4 @@ for pid in "$GW_PID" "$QD0_PID" "$QD1_PID" "$QD2_PID"; do
     fi
 done
 GW_PID=""; QD0_PID=""; QD1_PID=""; QD2_PID=""
-echo "loadsmoke: OK (sustained ingest: autonomous escalation, push freshness on 3/3 nodes, p99 flat)"
+echo "loadsmoke: OK (sustained ingest: autonomous escalation, push freshness on 3/3 nodes, conditional pulls only, p99 flat)"
