@@ -6,11 +6,11 @@
 
 GO ?= go
 
-.PHONY: all check ci loadsmoke fuzz fmt fmt-check vet build test race bench-check loc loc-check bench bench-train bench-wire bench-telemetry bench-shard bench-ingest bench-reuse bench-paper clean
+.PHONY: all check ci loadsmoke fuzz fmt fmt-check vet build test race rerun bench-check loc loc-check bench bench-train bench-wire bench-telemetry bench-shard bench-ingest bench-reuse bench-paper clean
 
 all: check
 
-check: fmt-check vet build race bench-check loc-check
+check: fmt-check vet build race rerun bench-check loc-check
 
 ci: check loadsmoke
 
@@ -47,6 +47,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Every test twice in one process, without -race: a test asserting an
+# absolute value of process-global state (a telemetry counter, a
+# histogram) fails its second run, and the allocation tests that skip
+# themselves under -race run here.
+rerun:
+	$(GO) test -count=2 ./...
 
 # bench/ is its own module (qens/bench), so `./...` at the root does
 # not see it; it compiles against internal/*, so an API refactor there

@@ -27,6 +27,10 @@ type ReuseResult struct {
 	// times.
 	TimeWithCache    time.Duration
 	TimeWithoutCache time.Duration
+	// SamplesWithCache / SamplesWithoutCache are the summed samples
+	// trained on: the deterministic count behind the time saving.
+	SamplesWithCache    int
+	SamplesWithoutCache int
 	// LossWithCache / LossWithoutCache are mean per-query test MSEs;
 	// reuse trades a little accuracy (an old model answers a nearby
 	// query) for large time savings.
@@ -40,6 +44,7 @@ func (r ReuseResult) String() string {
 	fmt.Fprintf(&b, "Query reuse over %d focused queries\n", r.Queries)
 	fmt.Fprintf(&b, "hit rate        %.1f%%\n", 100*r.HitRate)
 	fmt.Fprintf(&b, "train time      with cache %-12s without %s\n", r.TimeWithCache, r.TimeWithoutCache)
+	fmt.Fprintf(&b, "trained samples with cache %-12d without %d\n", r.SamplesWithCache, r.SamplesWithoutCache)
 	fmt.Fprintf(&b, "mean loss       with cache %-12.2f without %.2f\n", r.LossWithCache, r.LossWithoutCache)
 	return b.String()
 }
@@ -89,6 +94,7 @@ func Reuse(opts Options) (*ReuseResult, error) {
 			hits++
 		} else {
 			out.TimeWithCache += res.Stats.TrainTime
+			out.SamplesWithCache += res.Stats.SamplesUsed
 		}
 		// Score the served model on THIS query's test subspace.
 		served := *res
@@ -104,6 +110,7 @@ func Reuse(opts Options) (*ReuseResult, error) {
 			continue
 		}
 		out.TimeWithoutCache += fresh.Stats.TrainTime
+		out.SamplesWithoutCache += fresh.Stats.SamplesUsed
 		if mse, _, ok := federation.EvaluateResult(fresh, env.Fleet.Test); ok {
 			lossFresh += mse
 			scoredFresh++

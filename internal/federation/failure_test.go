@@ -172,6 +172,13 @@ func TestAbortedQueryKeepsCompletedRounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	epoch := leader.Registry().ReuseEpoch()
+	// The round-latency histograms are process-global and outlive the
+	// test (go test -count=N reruns it in one process): count the delta.
+	rounds := func(i int) int64 {
+		return telemetry.Default().Histogram("qens_leader_train_round_ms",
+			telemetry.Label{Key: "node", Value: fmt.Sprintf("abort-%d", i)}).Count()
+	}
+	before := [3]int64{rounds(0), rounds(1), rounds(2)}
 
 	_, err = execute(leader, midQuery(t), selection.AllNodes{}, ModelAveraging)
 	if err == nil || !strings.Contains(err.Error(), "abort-2") {
@@ -194,8 +201,7 @@ func TestAbortedQueryKeepsCompletedRounds(t *testing.T) {
 		}
 	}
 	for i := 0; i < 3; i++ {
-		node := telemetry.Label{Key: "node", Value: fmt.Sprintf("abort-%d", i)}
-		if n := telemetry.Default().Histogram("qens_leader_train_round_ms", node).Count(); n != 1 {
+		if n := rounds(i) - before[i]; n != 1 {
 			t.Fatalf("abort-%d: %d round-latency observations, want 1", i, n)
 		}
 	}

@@ -77,68 +77,68 @@ func (i Info) nodeIDs() []string {
 // that inspect Overlaps (or replay at a different ε) must leave it
 // false to get full-fidelity rows.
 type PlanRequest struct {
-	Query       query.Query `json:"query"`
-	Epsilon     float64     `json:"epsilon"`
-	QueryDriven bool        `json:"query_driven,omitempty"`
+	Query       query.Query
+	Epsilon     float64
+	QueryDriven bool
 }
 
 // PlanResponse carries the shard's Eq. 2–4 ranking rows and the
 // registry epoch they were computed against.
 type PlanResponse struct {
-	RegionID string               `json:"region_id"`
-	Epoch    uint64               `json:"epoch"`
-	Ranks    []selection.NodeRank `json:"ranks"`
+	RegionID string
+	Epoch    uint64
+	Ranks    []selection.NodeRank
 }
 
 // TrainRequest asks a region to run one training round for the listed
 // participants (all members of its shard) with the root-supplied model
 // spec — seed already drawn at the root — and initial parameters.
 type TrainRequest struct {
-	QueryID      string                  `json:"query_id"`
-	Spec         ml.Spec                 `json:"spec"`
-	Params       ml.Params               `json:"params"`
-	Participants []selection.Participant `json:"participants"`
-	LocalEpochs  int                     `json:"local_epochs"`
+	QueryID      string
+	Spec         ml.Spec
+	Params       ml.Params
+	Participants []selection.Participant
+	LocalEpochs  int
 	// TraceID/SpanID attribute the round to the root query's trace;
 	// node and region phase spans come back on the response for
 	// re-parenting at the root.
-	TraceID string `json:"trace_id,omitempty"`
-	SpanID  string `json:"span_id,omitempty"`
+	TraceID string
+	SpanID  string
 }
 
 // RoundResult is one participant's outcome within a region round.
 type RoundResult struct {
-	NodeID string    `json:"node_id"`
-	Params ml.Params `json:"params"`
+	NodeID string
+	Params ml.Params
 	// SamplesUsed / TotalSamples mirror federation.TrainResponse.
-	SamplesUsed  int `json:"samples_used"`
-	TotalSamples int `json:"total_samples"`
+	SamplesUsed  int
+	TotalSamples int
 	// TrainTime is the node-reported training duration.
-	TrainTime time.Duration `json:"train_time"`
+	TrainTime time.Duration
 	// ElapsedNS is the region-leader-observed round wall time.
-	ElapsedNS int64 `json:"elapsed_ns"`
+	ElapsedNS int64
 	// SummaryEpoch echoes the node's advertisement version (drift
 	// signal, already folded into the region's registry).
-	SummaryEpoch uint64 `json:"summary_epoch,omitempty"`
+	SummaryEpoch uint64
 	// Err is the failure reason ("" on success).
-	Err string `json:"err,omitempty"`
+	Err string
 	// Spans are the node-side phase spans when the request carried a
 	// trace context.
-	Spans []federation.NodeSpan `json:"spans,omitempty"`
+	Spans []federation.NodeSpan
 }
 
 // TrainResponse carries every participant's outcome in request order.
 type TrainResponse struct {
-	RegionID string        `json:"region_id"`
-	Results  []RoundResult `json:"results"`
+	RegionID string
+	Results  []RoundResult
 	// Epoch is the region's reuse epoch after the round: when a node
 	// echoed a newer advertisement version mid-round, this is already
 	// advanced past the epoch the round planned against, so the root
 	// fences its caches without waiting for the region to replan.
-	Epoch uint64 `json:"epoch"`
+	Epoch uint64
 	// Spans are region-leader phase spans ("region.train") when the
 	// request carried a trace context.
-	Spans []federation.NodeSpan `json:"spans,omitempty"`
+	Spans []federation.NodeSpan
 }
 
 // Stats is a region's introspection report, merged into the root

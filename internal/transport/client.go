@@ -555,7 +555,7 @@ func (w *wireConn) do(ctx context.Context, c *Client, req *request) (response, e
 	// Cancellation is instead handled below by abandoning the slot.
 	w.writeMu.Lock()
 	_ = w.nc.SetWriteDeadline(time.Now().Add(c.timeout))
-	_, err := writeWireRequest(w.ncIO, id, req)
+	_, err := writeWireFrame(w.ncIO, func(b []byte) ([]byte, error) { return appendWireRequest(b, id, req) })
 	w.writeMu.Unlock()
 	if err != nil {
 		// A failed write may have emitted a partial frame; the stream

@@ -58,6 +58,19 @@ func FuzzWireV2(f *testing.F) {
 	}
 	f.Add(frame[4:], "train", int64(123), 0.5, uint64(3))
 	f.Add(frame[4:len(frame)/2], "evaluate", int64(-1), -0.0, uint64(0))
+	// Region plan/train sections (fullRequest ends with both, the full
+	// response with both after the node bodies) and cuts inside them.
+	resp := fullResponse()
+	rframe, err := appendWireResponse(nil, 8, &resp)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, body := range [][]byte{frame[4:], rframe[4:]} {
+		for _, cut := range []int{1, 9, 40, 120} {
+			f.Add(body[:len(body)-cut], typeRegionTrain, int64(cut), 2.5, uint64(cut))
+		}
+	}
+	f.Add(rframe[4:], typeRegionPlan, int64(7), 1.0, uint64(5))
 	f.Add([]byte{wireMagic, frameRequest}, "ping", int64(0), 1e308, uint64(1))
 	f.Add([]byte{}, "", int64(9), 0.0, uint64(2))
 	f.Fuzz(func(t *testing.T, raw []byte, typ string, dl int64, v float64, n uint64) {

@@ -271,7 +271,7 @@ func TestResubscribeFailureRedials(t *testing.T) {
 				}
 				resp.SummaryPush = true
 			}
-			if _, err := writeWireResponse(conn, id, &resp); err != nil {
+			if _, err := writeWireFrame(conn, func(b []byte) ([]byte, error) { return appendWireResponse(b, id, &resp) }); err != nil {
 				return
 			}
 		}

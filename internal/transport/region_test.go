@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
+	"reflect"
 	"testing"
 	"time"
 
@@ -144,6 +146,55 @@ func TestRegionRPCEquivalentToLocal(t *testing.T) {
 			}
 		}
 
+		// The service surface itself: each RegionClient answer equals the
+		// in-process leader's field by field, timing fields zeroed. The
+		// Execute above drove both fleets through the same rounds, so
+		// their nodes' RNG streams are still in step.
+		for i, local := range locals {
+			for _, queryDriven := range []bool{false, true} {
+				preq := region.PlanRequest{Query: q, Epsilon: 0.05, QueryDriven: queryDriven}
+				want, err := local.Plan(ctx, preq)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := remotes[i].Plan(ctx, preq)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("region %d plan (query-driven %v):\nlocal:  %+v\nremote: %+v", i, queryDriven, want, got)
+				}
+			}
+			info, err := local.Info(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			treq := region.TrainRequest{
+				QueryID: "remote-q", Spec: rcfg.Spec, LocalEpochs: 2,
+				Participants: []selection.Participant{
+					{NodeID: info.Nodes[0].NodeID, Rank: 0.75, Clusters: []int{0, 1}},
+					{NodeID: info.Nodes[1].NodeID}, // whole local dataset
+				},
+				TraceID: "trace-eq", SpanID: "span-eq",
+			}
+			want, err := local.Train(ctx, treq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := remotes[i].Train(ctx, treq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			zeroRoundTiming(&want)
+			zeroRoundTiming(&got)
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("region %d train:\nlocal:  %+v\nremote: %+v", i, want, got)
+			}
+			if len(got.Spans) != 1 || len(got.Results[0].Spans) == 0 {
+				t.Fatalf("region %d train: traced round returned no spans: %+v", i, got)
+			}
+		}
+
 		// Stats and fleet reports cross the wire intact.
 		report, err := remoteRouter.Fleet(ctx)
 		if err != nil {
@@ -156,6 +207,153 @@ func TestRegionRPCEquivalentToLocal(t *testing.T) {
 			if rep.RegistryEpoch == 0 || len(rep.NodeIDs) != 2 || len(rep.Nodes) != 2 {
 				t.Fatalf("region report %+v incomplete", rep)
 			}
+		}
+	})
+}
+
+// zeroRoundTiming clears the wall-clock fields of a region round, which
+// differ between any two runs of it.
+func zeroRoundTiming(r *region.TrainResponse) {
+	zero := func(spans []federation.NodeSpan) {
+		for i := range spans {
+			spans[i].StartUnixNS, spans[i].DurationNS = 0, 0
+		}
+	}
+	for i := range r.Results {
+		r.Results[i].TrainTime, r.Results[i].ElapsedNS = 0, 0
+		zero(r.Results[i].Spans)
+	}
+	zero(r.Spans)
+}
+
+// jsonEraFrame hand-builds a v2 frame the way a peer predating binary
+// region bodies would: the plan (body kind 0) or train (1) body as
+// JSON text inside section tag 13 (request) or 14 (response).
+func jsonEraFrame(frameKind byte, id uint64, typ string, tag, bodyKind byte, body string) []byte {
+	e, hdr := beginWireFrame(nil, frameKind, id)
+	if typ != "" {
+		m := e.beginSection(secType)
+		e.str(typ)
+		e.endSection(m)
+	}
+	m := e.beginSection(tag)
+	e.u8(bodyKind)
+	e.b = append(e.b, body...)
+	e.endSection(m)
+	frame, _ := finishWireFrame(e.b, hdr) // a few hundred bytes, far below the cap
+	return frame
+}
+
+// TestRegionJSONEraBodiesRefused: a peer still sending plan/train
+// bodies as JSON under tags 13/14 gets the structured missing-body
+// errors in both directions — never a misparse.
+func TestRegionJSONEraBodiesRefused(t *testing.T) {
+	const (
+		planReq   = `{"query":{"id":"q","bounds":{"min":[0],"max":[60]}},"epsilon":0.05,"query_driven":true}`
+		trainReq  = `{"query_id":"q","spec":{"Kind":"linear","InputDim":1},"participants":[{"NodeID":"node-0"}],"local_epochs":1}`
+		planResp  = `{"region_id":"region-0","epoch":1,"ranks":[{"NodeID":"node-0","Rank":0.5}]}`
+		trainResp = `{"region_id":"region-0","results":[{"node_id":"node-0"}],"epoch":1}`
+	)
+	t.Run("server", func(t *testing.T) {
+		srv, err := ServeRegion(regionFleet(t)[0], "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.SetLogger(silent)
+		t.Cleanup(func() { srv.Close() })
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+		if err := writeFrame(conn, request{Type: typePing, WireProto: WireProtoV2}); err != nil {
+			t.Fatal(err)
+		}
+		var hello response
+		if err := readFrame(conn, &hello); err != nil || hello.WireProto != WireProtoV2 {
+			t.Fatalf("hello: %+v, %v", hello, err)
+		}
+		for i, tc := range []struct{ typ, body, want string }{
+			{typeRegionPlan, planReq, "region plan request missing body"},
+			{typeRegionTrain, trainReq, "region train request missing body"},
+		} {
+			if _, err := conn.Write(jsonEraFrame(frameRequest, uint64(i+1), tc.typ, 13, byte(i), tc.body)); err != nil {
+				t.Fatal(err)
+			}
+			buf, err := readFrameBody(conn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			id, resp, err := decodeWireResponse(*buf)
+			putFrameBuf(buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if id != uint64(i+1) || resp.Code != CodeBadRequest || resp.Error != tc.want {
+				t.Fatalf("%s with a JSON body: id %d code %q error %q, want %q / %q",
+					tc.typ, id, resp.Code, resp.Error, CodeBadRequest, tc.want)
+			}
+		}
+	})
+	t.Run("client", func(t *testing.T) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{})
+		t.Cleanup(func() { ln.Close(); <-done })
+		go func() { // a region daemon that still answers in JSON
+			defer close(done)
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			var hello request
+			if readFrame(conn, &hello) != nil ||
+				writeFrame(conn, response{NodeID: "region-0", WireProto: WireProtoV2}) != nil {
+				return
+			}
+			for {
+				buf, err := readFrameBody(conn)
+				if err != nil {
+					return
+				}
+				var req request
+				id, err := decodeWireRequest(*buf, &req)
+				putFrameBuf(buf)
+				if err != nil {
+					return
+				}
+				kind, body := byte(0), planResp
+				if req.Type == typeRegionTrain {
+					kind, body = 1, trainResp
+				}
+				if _, err := conn.Write(jsonEraFrame(frameResponse, id, "", 14, kind, body)); err != nil {
+					return
+				}
+			}
+		}()
+		c, err := Dial(ln.Addr().String(), DialOptions{Timeout: 10 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		rc := &RegionClient{c: c}
+		ctx := context.Background()
+		q, err := query.New("q", geometry.MustRect([]float64{0}, []float64{60}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rc.Plan(ctx, region.PlanRequest{Query: q, Epsilon: 0.05}); err == nil ||
+			err.Error() != "transport: daemon returned no region plan" {
+			t.Fatalf("plan against a JSON-era daemon: %v", err)
+		}
+		if _, err := rc.Train(ctx, region.TrainRequest{QueryID: "q",
+			Participants: []selection.Participant{{NodeID: "node-0"}}}); err == nil ||
+			err.Error() != "transport: daemon returned no region train response" {
+			t.Fatalf("train against a JSON-era daemon: %v", err)
 		}
 	})
 }

@@ -350,7 +350,7 @@ func (s *Server) runPusher(p *pusher) {
 		// error this pusher out, not hold writeMu (and with it every RPC
 		// response on the connection) until the conn is force-closed.
 		_ = p.cc.SetWriteDeadline(time.Now().Add(pushWriteTimeout))
-		_, err := writeWirePush(p.cc, id, &sum)
+		_, err := writeWireFrame(p.cc, func(b []byte) ([]byte, error) { return appendWirePush(b, id, &sum) })
 		_ = p.cc.SetWriteDeadline(time.Time{})
 		p.writeMu.Unlock()
 		s.metrics.addBytes(p.cc)
@@ -655,7 +655,7 @@ func (s *Server) serveV2(cc *countingConn) {
 			}
 			s.metrics.observeRPC(req.Type, 0, resp.Error != "")
 			writeMu.Lock()
-			_, err := writeWireResponse(cc, id, &resp)
+			_, err := writeWireFrame(cc, func(b []byte) ([]byte, error) { return appendWireResponse(b, id, &resp) })
 			writeMu.Unlock()
 			s.metrics.addBytes(cc)
 			if err != nil {

@@ -7,12 +7,16 @@
 //
 // Sections unknown to a decoder are skipped by length, so fields can
 // be added without a version bump. Model parameters, summary
-// rectangles and predictions — the dominant payloads — are raw
-// little-endian []float64 (bit-exact round-trip via math.Float64bits,
-// no decimal text, no reflection). The reqID makes frames
-// self-describing for the multiplexed client: responses may return in
-// any order and are matched to callers through it. All encode paths
-// borrow pooled buffers.
+// rectangles, region rankings and predictions — the dominant payloads —
+// are raw little-endian []float64 (bit-exact round-trip via
+// math.Float64bits, no decimal text, no reflection); so are the
+// root↔region plan and train bodies every sharded query ships twice.
+// Only region.info and region.stats, once per topology rebuild and
+// once per /v1/stats document, still carry JSON inside their section,
+// as the hello does. The reqID makes frames self-describing for the
+// multiplexed client: responses may return in any order and are
+// matched to callers through it. All encode paths borrow pooled
+// buffers.
 package transport
 
 import (
@@ -30,6 +34,7 @@ import (
 	"qens/internal/geometry"
 	"qens/internal/ml"
 	"qens/internal/region"
+	"qens/internal/selection"
 )
 
 // WireProtoV2 is the version both hellos must advertise (wire_proto).
@@ -65,15 +70,15 @@ const (
 	secSummary   byte = 9  // node summary
 	secTrainResp byte = 10 // params, uvarint used, uvarint total, varint ns, uvarint epoch
 	secEvalResp  byte = 11 // f64 mse, uvarint samples, uvarint epoch
-	secSpans     byte = 12 // u8 owner, uvarint count, {str name, varint start_unix_ns, varint dur_ns}*
+	secSpans     byte = 12 // u8 owner, span list: uvarint count, {str name, varint start_unix_ns, varint dur_ns}*
 
-	// Region-tier RPC bodies: u8 subtype followed by a JSON payload.
-	// The region structs nest ranking rows, participants and health
-	// reports whose wire volume is dwarfed by model parameters, so JSON
-	// inside a skippable v2 section buys schema evolution for free while
-	// the connection keeps the multiplexed binary framing. Pre-region
-	// decoders skip both tags by length.
-	secRegionReq  byte = 13 // u8 body kind, JSON body
+	// Region-tier introspection bodies: u8 body kind (info or stats)
+	// followed by a JSON payload. They travel once per topology rebuild
+	// or stats read, so JSON buys their nested health reports schema
+	// evolution for free. Tag 13 (JSON region request bodies) is retired
+	// and must not be reused: decoders skip it by length, so a peer
+	// still sending a JSON plan/train body gets the missing-body error,
+	// never a misparse.
 	secRegionResp byte = 14 // u8 body kind, JSON body
 
 	// Summary-delta refresh (registry delta fetch): a summary request
@@ -97,12 +102,20 @@ const (
 	// keeps the binary codec lossless for both envelopes
 	// (and pre-push decoders skip it by length).
 	secSummaryPush byte = 18 // u8 1 marker (request and response)
+
+	// Root↔region plan (Eq. 2–4 ranking) and train (§IV-B round) bodies.
+	// A slice the in-process value may hold as nil is preceded by a
+	// presence byte (0 nil, 1 present), so a remote answer is
+	// reflect.DeepEqual to the in-process one.
+	secRegionPlanReq   byte = 19 // str query id, rect, f64 epsilon, u8 query-driven
+	secRegionPlanResp  byte = 20 // str region, uvarint epoch, ?{uvarint count, rank*}
+	secRegionTrainReq  byte = 21 // str query id, spec, params, ?{uvarint count, participant*}, varint epochs
+	secRegionTrainResp byte = 22 // str region, uvarint epoch, ?{uvarint count, result*}, ?span list
 )
 
-// Body kinds inside secRegionReq/secRegionResp.
+// Body kinds inside secRegionResp. Kinds 0 and 1 (JSON plan and train
+// bodies) are retired like tag 13: decoders ignore them.
 const (
-	regionBodyPlan  byte = 0
-	regionBodyTrain byte = 1
 	regionBodyInfo  byte = 2
 	regionBodyStats byte = 3
 )
@@ -142,6 +155,12 @@ var internTable = map[string]string{
 	"sigmoid":       "sigmoid",
 	CodeUnknownType: CodeUnknownType,
 	CodeBadRequest:  CodeBadRequest,
+	// Node phase-span names every traced train/eval response carries
+	// (the region leader's "region.train" span shares typeRegionTrain).
+	"node.queue": "node.queue",
+	"node.stage": "node.stage",
+	"node.fit":   "node.fit",
+	"node.eval":  "node.eval",
 }
 
 func internString(b []byte) string {
@@ -240,14 +259,108 @@ func (e *wireEnc) summary(s *cluster.NodeSummary) {
 	}
 }
 
-// regionSection emits one secRegionReq/secRegionResp section: the body
-// kind byte followed by the JSON-marshaled body.
-func (e *wireEnc) regionSection(tag, kind byte, body any) error {
+func (e *wireEnc) int(v int) { e.varint(int64(v)) }
+
+func (e *wireEnc) boolean(v bool) {
+	if v {
+		e.u8(1)
+	} else {
+		e.u8(0)
+	}
+}
+
+// putItems writes a count and then every element of s through put.
+func putItems[T any](e *wireEnc, s []T, put func(T)) {
+	e.uvarint(uint64(len(s)))
+	for _, v := range s {
+		put(v)
+	}
+}
+
+// putList writes a presence byte, so that a nil slice and an empty one
+// stay apart on the wire, and then a non-nil s as putItems does.
+func putList[T any](e *wireEnc, s []T, put func(T)) {
+	e.boolean(s != nil)
+	if s != nil {
+		putItems(e, s, put)
+	}
+}
+
+// span is one element of a span list: of a secSpans section (after its
+// owner byte) and of the region round's node and region span lists.
+func (e *wireEnc) span(s federation.NodeSpan) {
+	e.str(s.Name)
+	e.varint(s.StartUnixNS)
+	e.varint(s.DurationNS)
+}
+
+func (e *wireEnc) rank(n selection.NodeRank) {
+	e.str(n.NodeID)
+	putList(e, n.Overlaps, e.f64)
+	putList(e, n.Supporting, e.int)
+	e.f64(n.Potential)
+	e.f64(n.Rank)
+	e.int(n.SupportingSamples)
+	e.int(n.TotalSamples)
+	putList(e, n.Sizes, e.int)
+}
+
+func (e *wireEnc) participant(p selection.Participant) {
+	e.str(p.NodeID)
+	e.f64(p.Rank)
+	putList(e, p.Clusters, e.int)
+}
+
+func (e *wireEnc) roundResult(x region.RoundResult) {
+	e.str(x.NodeID)
+	e.params(x.Params)
+	e.int(x.SamplesUsed)
+	e.int(x.TotalSamples)
+	e.varint(int64(x.TrainTime))
+	e.varint(x.ElapsedNS)
+	e.uvarint(x.SummaryEpoch)
+	e.str(x.Err)
+	putList(e, x.Spans, e.span)
+}
+
+func (e *wireEnc) regionPlanReq(r *region.PlanRequest) {
+	e.str(r.Query.ID)
+	e.rect(r.Query.Bounds)
+	e.f64(r.Epsilon)
+	e.boolean(r.QueryDriven)
+}
+
+func (e *wireEnc) regionPlanResp(r *region.PlanResponse) {
+	e.str(r.RegionID)
+	e.uvarint(r.Epoch)
+	putList(e, r.Ranks, e.rank)
+}
+
+// regionTrainReq leaves TraceID/SpanID to the envelope, as secTrainReq
+// does; the decoder mirrors them back into the body.
+func (e *wireEnc) regionTrainReq(r *region.TrainRequest) {
+	e.str(r.QueryID)
+	e.spec(r.Spec)
+	e.params(r.Params)
+	putList(e, r.Participants, e.participant)
+	e.int(r.LocalEpochs)
+}
+
+func (e *wireEnc) regionTrainResp(r *region.TrainResponse) {
+	e.str(r.RegionID)
+	e.uvarint(r.Epoch)
+	putList(e, r.Results, e.roundResult)
+	putList(e, r.Spans, e.span)
+}
+
+// jsonSection emits one secRegionResp section: the body kind byte
+// followed by the JSON-marshaled body.
+func (e *wireEnc) jsonSection(kind byte, body any) error {
 	b, err := json.Marshal(body)
 	if err != nil {
 		return fmt.Errorf("transport: encode region body: %w", err)
 	}
-	m := e.beginSection(tag)
+	m := e.beginSection(secRegionResp)
 	e.u8(kind)
 	e.b = append(e.b, b...)
 	e.endSection(m)
@@ -257,12 +370,7 @@ func (e *wireEnc) regionSection(tag, kind byte, body any) error {
 // appendWireRequest appends one complete v2 request frame (4-byte BE
 // length prefix included) for req tagged with id onto dst.
 func appendWireRequest(dst []byte, id uint64, req *request) ([]byte, error) {
-	e := wireEnc{b: dst}
-	hdr := len(e.b)
-	e.b = append(e.b, 0, 0, 0, 0) // frame length placeholder
-	e.u8(wireMagic)
-	e.u8(frameRequest)
-	e.u64(id)
+	e, hdr := beginWireFrame(dst, frameRequest, id)
 
 	m := e.beginSection(secType)
 	e.str(req.Type)
@@ -309,14 +417,14 @@ func appendWireRequest(dst []byte, id uint64, req *request) ([]byte, error) {
 		e.endSection(m)
 	}
 	if req.RegionPlan != nil {
-		if err := e.regionSection(secRegionReq, regionBodyPlan, req.RegionPlan); err != nil {
-			return e.b[:hdr], err
-		}
+		m = e.beginSection(secRegionPlanReq)
+		e.regionPlanReq(req.RegionPlan)
+		e.endSection(m)
 	}
 	if req.RegionTrain != nil {
-		if err := e.regionSection(secRegionReq, regionBodyTrain, req.RegionTrain); err != nil {
-			return e.b[:hdr], err
-		}
+		m = e.beginSection(secRegionTrainReq)
+		e.regionTrainReq(req.RegionTrain)
+		e.endSection(m)
 	}
 	return finishWireFrame(e.b, hdr)
 }
@@ -324,12 +432,7 @@ func appendWireRequest(dst []byte, id uint64, req *request) ([]byte, error) {
 // appendWireResponse appends one complete v2 response frame for resp
 // tagged with id onto dst.
 func appendWireResponse(dst []byte, id uint64, resp *response) ([]byte, error) {
-	e := wireEnc{b: dst}
-	hdr := len(e.b)
-	e.b = append(e.b, 0, 0, 0, 0)
-	e.u8(wireMagic)
-	e.u8(frameResponse)
-	e.u64(id)
+	e, hdr := beginWireFrame(dst, frameResponse, id)
 
 	if resp.Error != "" {
 		m := e.beginSection(secError)
@@ -394,19 +497,23 @@ func appendWireResponse(dst []byte, id uint64, resp *response) ([]byte, error) {
 	if resp.Eval != nil && len(resp.Eval.Spans) > 0 {
 		e.spanSection(spanOwnerEval, resp.Eval.Spans)
 	}
-	for _, rb := range []struct {
-		kind byte
-		body any
-	}{
-		{regionBodyInfo, anyOrNil(resp.RegionInfo)},
-		{regionBodyPlan, anyOrNil(resp.RegionPlan)},
-		{regionBodyTrain, anyOrNil(resp.RegionTrain)},
-		{regionBodyStats, anyOrNil(resp.RegionStats)},
-	} {
-		if rb.body == nil {
-			continue
+	if resp.RegionPlan != nil {
+		m := e.beginSection(secRegionPlanResp)
+		e.regionPlanResp(resp.RegionPlan)
+		e.endSection(m)
+	}
+	if resp.RegionTrain != nil {
+		m := e.beginSection(secRegionTrainResp)
+		e.regionTrainResp(resp.RegionTrain)
+		e.endSection(m)
+	}
+	if resp.RegionInfo != nil {
+		if err := e.jsonSection(regionBodyInfo, resp.RegionInfo); err != nil {
+			return e.b[:hdr], err
 		}
-		if err := e.regionSection(secRegionResp, rb.kind, rb.body); err != nil {
+	}
+	if resp.RegionStats != nil {
+		if err := e.jsonSection(regionBodyStats, resp.RegionStats); err != nil {
 			return e.b[:hdr], err
 		}
 	}
@@ -417,12 +524,7 @@ func appendWireResponse(dst []byte, id uint64, resp *response) ([]byte, error) {
 // unsolicited summary-delta advertisement tagged with a server-minted
 // push id.
 func appendWirePush(dst []byte, pushID uint64, s *cluster.NodeSummary) ([]byte, error) {
-	e := wireEnc{b: dst}
-	hdr := len(e.b)
-	e.b = append(e.b, 0, 0, 0, 0)
-	e.u8(wireMagic)
-	e.u8(framePush)
-	e.u64(pushID)
+	e, hdr := beginWireFrame(dst, framePush, pushID)
 	m := e.beginSection(secPushSummary)
 	e.summary(s)
 	e.endSection(m)
@@ -458,39 +560,23 @@ func decodeWirePush(body []byte) (pushID uint64, s cluster.NodeSummary, err erro
 	return pushID, s, nil
 }
 
-// writeWirePush encodes one push frame through a pooled buffer.
-func writeWirePush(w io.Writer, pushID uint64, s *cluster.NodeSummary) (int, error) {
-	buf := getFrameBuf()
-	defer putFrameBuf(buf)
-	b, err := appendWirePush((*buf)[:0], pushID, s)
-	if err != nil {
-		return 0, err
-	}
-	*buf = b
-	return w.Write(b)
-}
-
-// anyOrNil collapses a typed nil pointer into an untyped nil so the
-// encode loop's nil check works across the region body types.
-func anyOrNil[T any](p *T) any {
-	if p == nil {
-		return nil
-	}
-	return p
-}
-
 // spanSection emits one secSpans section carrying a node-span list for
 // the body identified by owner.
 func (e *wireEnc) spanSection(owner byte, spans []federation.NodeSpan) {
 	m := e.beginSection(secSpans)
 	e.u8(owner)
-	e.uvarint(uint64(len(spans)))
-	for _, s := range spans {
-		e.str(s.Name)
-		e.varint(s.StartUnixNS)
-		e.varint(s.DurationNS)
-	}
+	putItems(e, spans, e.span)
 	e.endSection(m)
+}
+
+// beginWireFrame starts a v2 frame on dst: a 4-byte length slot that
+// finishWireFrame patches at hdr, then magic, kind and id.
+func beginWireFrame(dst []byte, kind byte, id uint64) (e wireEnc, hdr int) {
+	e = wireEnc{b: append(dst, 0, 0, 0, 0)}
+	e.u8(wireMagic)
+	e.u8(kind)
+	e.u64(id)
+	return e, len(dst)
 }
 
 // finishWireFrame patches the 4-byte big-endian length prefix at hdr
@@ -602,7 +688,7 @@ func (d *wireDec) count(elemSize int) int {
 }
 
 // rest consumes and returns every remaining byte of the (sub)decoder —
-// the JSON payload of a region section.
+// the JSON payload of a region.info or region.stats section.
 func (d *wireDec) rest() []byte {
 	if d.err != nil {
 		return nil
@@ -711,6 +797,124 @@ func (d *wireDec) summary(dst *cluster.NodeSummary) {
 	}
 }
 
+// boolean reads a marker or presence byte; anything but 0 or 1 is
+// malformed.
+func (d *wireDec) boolean() bool {
+	switch d.u8() {
+	case 0:
+		return false
+	case 1:
+		return true
+	}
+	d.fail("boolean")
+	return false
+}
+
+func (d *wireDec) int() int { return int(d.varint()) }
+
+// getItems reads what putItems writes. Each element takes at least
+// minSize bytes on the wire, which bounds the count before it
+// allocates; a zero count still yields a non-nil slice.
+func getItems[T any](d *wireDec, minSize int, get func() T) []T {
+	n := d.count(minSize)
+	if d.err != nil {
+		return nil
+	}
+	s := make([]T, n)
+	for i := range s {
+		s[i] = get()
+	}
+	return s
+}
+
+// getList reads what putList writes: nil behind a 0 presence byte.
+func getList[T any](d *wireDec, minSize int, get func() T) []T {
+	if !d.boolean() {
+		return nil
+	}
+	return getItems(d, minSize, get)
+}
+
+// Minimum encoded element sizes, the allocation guards of getItems: a
+// span is an empty name and two one-byte varints; a rank an empty id,
+// three presence bytes, two f64s and two varints; a participant an
+// empty id, an f64 and a presence byte; a round result an empty id, an
+// empty params triple, five varints, an empty error and a presence
+// byte.
+const (
+	minSpan        = 3
+	minRank        = 22
+	minParticipant = 10
+	minRoundResult = 11
+)
+
+func (d *wireDec) span() (s federation.NodeSpan) {
+	s.Name = d.str()
+	s.StartUnixNS = d.varint()
+	s.DurationNS = d.varint()
+	return s
+}
+
+func (d *wireDec) rank() (n selection.NodeRank) {
+	n.NodeID = d.str()
+	n.Overlaps = getList(d, 8, d.f64)
+	n.Supporting = getList(d, 1, d.int)
+	n.Potential = d.f64()
+	n.Rank = d.f64()
+	n.SupportingSamples = d.int()
+	n.TotalSamples = d.int()
+	n.Sizes = getList(d, 1, d.int)
+	return n
+}
+
+func (d *wireDec) participant() (p selection.Participant) {
+	p.NodeID = d.str()
+	p.Rank = d.f64()
+	p.Clusters = getList(d, 1, d.int)
+	return p
+}
+
+func (d *wireDec) roundResult() (x region.RoundResult) {
+	x.NodeID = d.str()
+	d.params(&x.Params)
+	x.SamplesUsed = d.int()
+	x.TotalSamples = d.int()
+	x.TrainTime = time.Duration(d.varint())
+	x.ElapsedNS = d.varint()
+	x.SummaryEpoch = d.uvarint()
+	x.Err = d.str()
+	x.Spans = getList(d, minSpan, d.span)
+	return x
+}
+
+func (d *wireDec) regionPlanReq(r *region.PlanRequest) {
+	r.Query.ID = d.str()
+	d.rect(&r.Query.Bounds)
+	r.Epsilon = d.f64()
+	r.QueryDriven = d.boolean()
+}
+
+func (d *wireDec) regionPlanResp(r *region.PlanResponse) {
+	r.RegionID = d.str()
+	r.Epoch = d.uvarint()
+	r.Ranks = getList(d, minRank, d.rank)
+}
+
+func (d *wireDec) regionTrainReq(r *region.TrainRequest) {
+	r.QueryID = d.str()
+	d.spec(&r.Spec)
+	d.params(&r.Params)
+	r.Participants = getList(d, minParticipant, d.participant)
+	r.LocalEpochs = d.int()
+}
+
+func (d *wireDec) regionTrainResp(r *region.TrainResponse) {
+	r.RegionID = d.str()
+	r.Epoch = d.uvarint()
+	r.Results = getList(d, minRoundResult, d.roundResult)
+	r.Spans = getList(d, minSpan, d.span)
+}
+
 // section reads the next section header, returning its tag and
 // payload sub-decoder. ok is false at end-of-body or on error.
 func (d *wireDec) section() (tag byte, payload wireDec, ok bool) {
@@ -796,24 +1000,12 @@ func decodeWireRequest(body []byte, req *request) (id uint64, err error) {
 				ev.Bounds = bounds
 			}
 			sawEval = true
-		case secRegionReq:
-			kind := p.u8()
-			body := p.rest()
-			if p.err != nil {
-				return id, p.err
-			}
-			switch kind {
-			case regionBodyPlan:
-				req.RegionPlan = &region.PlanRequest{}
-				if err := json.Unmarshal(body, req.RegionPlan); err != nil {
-					return id, fmt.Errorf("%w: region plan body: %v", ErrMalformedFrame, err)
-				}
-			case regionBodyTrain:
-				req.RegionTrain = &region.TrainRequest{}
-				if err := json.Unmarshal(body, req.RegionTrain); err != nil {
-					return id, fmt.Errorf("%w: region train body: %v", ErrMalformedFrame, err)
-				}
-			}
+		case secRegionPlanReq:
+			req.RegionPlan = &region.PlanRequest{}
+			p.regionPlanReq(req.RegionPlan)
+		case secRegionTrainReq:
+			req.RegionTrain = &region.TrainRequest{}
+			p.regionTrainReq(req.RegionTrain)
 		}
 		if p.err != nil {
 			return id, p.err
@@ -840,6 +1032,9 @@ func decodeWireRequest(body []byte, req *request) (id uint64, err error) {
 	}
 	if req.Eval != nil {
 		req.Eval.TraceID, req.Eval.SpanID = req.TraceID, req.SpanID
+	}
+	if req.RegionTrain != nil {
+		req.RegionTrain.TraceID, req.RegionTrain.SpanID = req.TraceID, req.SpanID
 	}
 	return id, nil
 }
@@ -889,18 +1084,7 @@ func decodeWireResponse(body []byte) (id uint64, resp response, err error) {
 			resp.Eval = ev
 		case secSpans:
 			owner := p.u8()
-			// Minimum 3 bytes per span: empty-name length byte plus one
-			// varint byte each for start and duration.
-			n := p.count(3)
-			if p.err != nil {
-				return id, response{}, p.err
-			}
-			spans := make([]federation.NodeSpan, n)
-			for i := range spans {
-				spans[i].Name = p.str()
-				spans[i].StartUnixNS = p.varint()
-				spans[i].DurationNS = p.varint()
-			}
+			spans := getItems(&p, minSpan, p.span)
 			// Attach to the owning body; a spans section arriving before
 			// its body (a peer bug) is dropped rather than erroring.
 			switch owner {
@@ -913,33 +1097,26 @@ func decodeWireResponse(body []byte) (id uint64, resp response, err error) {
 					resp.Eval.Spans = spans
 				}
 			}
+		case secRegionPlanResp:
+			resp.RegionPlan = &region.PlanResponse{}
+			p.regionPlanResp(resp.RegionPlan)
+		case secRegionTrainResp:
+			resp.RegionTrain = &region.TrainResponse{}
+			p.regionTrainResp(resp.RegionTrain)
 		case secRegionResp:
 			kind := p.u8()
 			body := p.rest()
-			if p.err != nil {
-				return id, response{}, p.err
-			}
-			var (
-				dst any
-			)
+			var err error
 			switch kind {
 			case regionBodyInfo:
 				resp.RegionInfo = &region.Info{}
-				dst = resp.RegionInfo
-			case regionBodyPlan:
-				resp.RegionPlan = &region.PlanResponse{}
-				dst = resp.RegionPlan
-			case regionBodyTrain:
-				resp.RegionTrain = &region.TrainResponse{}
-				dst = resp.RegionTrain
+				err = json.Unmarshal(body, resp.RegionInfo)
 			case regionBodyStats:
 				resp.RegionStats = &region.Stats{}
-				dst = resp.RegionStats
+				err = json.Unmarshal(body, resp.RegionStats)
 			}
-			if dst != nil {
-				if err := json.Unmarshal(body, dst); err != nil {
-					return id, response{}, fmt.Errorf("%w: region body %d: %v", ErrMalformedFrame, kind, err)
-				}
+			if err != nil {
+				return id, response{}, fmt.Errorf("%w: region body %d: %v", ErrMalformedFrame, kind, err)
 			}
 		}
 		if p.err != nil {
@@ -974,24 +1151,12 @@ func putFrameBuf(b *[]byte) {
 	framePool.Put(b)
 }
 
-// writeWireRequest encodes req as one v2 frame through a pooled
-// buffer and writes it with a single Write call.
-func writeWireRequest(w io.Writer, id uint64, req *request) (int, error) {
+// writeWireFrame writes the frame encode appends to a pooled buffer
+// with a single Write call.
+func writeWireFrame(w io.Writer, encode func(dst []byte) ([]byte, error)) (int, error) {
 	buf := getFrameBuf()
 	defer putFrameBuf(buf)
-	b, err := appendWireRequest((*buf)[:0], id, req)
-	if err != nil {
-		return 0, err
-	}
-	*buf = b
-	return w.Write(b)
-}
-
-// writeWireResponse is writeWireRequest for the server side.
-func writeWireResponse(w io.Writer, id uint64, resp *response) (int, error) {
-	buf := getFrameBuf()
-	defer putFrameBuf(buf)
-	b, err := appendWireResponse((*buf)[:0], id, resp)
+	b, err := encode((*buf)[:0])
 	if err != nil {
 		return 0, err
 	}

@@ -14,7 +14,10 @@ import (
 	"qens/internal/federation"
 	"qens/internal/geometry"
 	"qens/internal/ml"
+	"qens/internal/query"
+	"qens/internal/region"
 	"qens/internal/rng"
+	"qens/internal/selection"
 	"qens/internal/telemetry"
 )
 
@@ -50,6 +53,53 @@ func fullRequest() request {
 			TraceID: "trace-0ddba11",
 			SpanID:  "span-5ca1ab1e",
 		},
+		RegionPlan: &region.PlanRequest{
+			Query:       query.Query{ID: "q-0ddba11", Bounds: bounds},
+			Epsilon:     0.6,
+			QueryDriven: true,
+		},
+		RegionTrain: &region.TrainRequest{
+			QueryID: "q-0ddba11",
+			Spec:    ml.Spec{Kind: ml.KindLinear, InputDim: 2, LearningRate: 0.03, Epochs: 100, Seed: 1<<63 + 5},
+			Params: ml.Params{Kind: ml.KindLinear, Dims: []int{3},
+				Values: []float64{math.Copysign(0, -1), 5e-324, -math.MaxFloat64}},
+			Participants: []selection.Participant{
+				{NodeID: "node-A", Rank: 0.875, Clusters: []int{0, 3}},
+				{NodeID: "node-B", Rank: 0.5, Clusters: []int{}}, // present, empty
+				{NodeID: "node-C"}, // nil: whole local dataset
+			},
+			LocalEpochs: 3,
+			// Trace ids ride the envelope and are mirrored back on decode.
+			TraceID: "trace-0ddba11",
+			SpanID:  "span-5ca1ab1e",
+		},
+	}
+}
+
+// fullRegionTrainResponse is a region round with a successful result
+// carrying node spans, a failed one without (nil), one with an empty
+// span list, and a region span; params hold -0 and a subnormal.
+func fullRegionTrainResponse() *region.TrainResponse {
+	return &region.TrainResponse{
+		RegionID: "region-1",
+		Epoch:    13,
+		Results: []region.RoundResult{
+			{
+				NodeID: "node-A",
+				Params: ml.Params{Kind: ml.KindLinear, Dims: []int{3},
+					Values: []float64{math.Copysign(0, -1), 5e-324, 1.5}},
+				SamplesUsed: 512, TotalSamples: 1200,
+				TrainTime: 437 * time.Microsecond, ElapsedNS: 512000, SummaryEpoch: 9,
+				Spans: []federation.NodeSpan{
+					{Name: "node.queue", StartUnixNS: 1754464000123000000, DurationNS: 1500},
+					{Name: "node.fit", StartUnixNS: 1754464000123001500, DurationNS: 437000},
+				},
+			},
+			{NodeID: "node-B", Err: "node node-B: context deadline exceeded", ElapsedNS: 90},
+			{NodeID: "node-C", Params: ml.Params{Kind: ml.KindLinear, Dims: []int{1}, Values: []float64{-7}},
+				SamplesUsed: -1, Spans: []federation.NodeSpan{}},
+		},
+		Spans: []federation.NodeSpan{{Name: "region.train", StartUnixNS: 1754464000122000000, DurationNS: 900000}},
 	}
 }
 
@@ -93,6 +143,20 @@ func fullResponse() response {
 				{Name: "node.eval", StartUnixNS: 1754464000999000000, DurationNS: 2750000},
 			},
 		},
+		RegionPlan: &region.PlanResponse{
+			RegionID: "region-1",
+			Epoch:    12,
+			Ranks: []selection.NodeRank{
+				{NodeID: "node-A", Overlaps: []float64{0.25, 0, 1}, Supporting: []int{0, 2},
+					Potential: 1.25, Rank: 2.5 / 3, SupportingSamples: 900, TotalSamples: 1200,
+					Sizes: []int{600, 300, 300}},
+				// A pruned zero-rank row: no overlap vector, no support.
+				{NodeID: "node-B", TotalSamples: 800, Sizes: []int{400, 400}},
+				// Present but empty, which the decoder must not turn into nil.
+				{NodeID: "node-C", Overlaps: []float64{}, Supporting: []int{}, Sizes: []int{}},
+			},
+		},
+		RegionTrain: fullRegionTrainResponse(),
 	}
 }
 
@@ -117,11 +181,8 @@ func TestWireV2RequestRoundTrip(t *testing.T) {
 		t.Fatalf("round trip mismatch:\n in: %+v\nout: %+v", in, out)
 	}
 	// Float payloads must be bit-identical, not merely equal.
-	for i, v := range in.Train.Params.Values {
-		if math.Float64bits(v) != math.Float64bits(out.Train.Params.Values[i]) {
-			t.Fatalf("value %d: bits %x != %x", i, math.Float64bits(v), math.Float64bits(out.Train.Params.Values[i]))
-		}
-	}
+	sameBits(t, in.Train.Params.Values, out.Train.Params.Values)
+	sameBits(t, in.RegionTrain.Params.Values, out.RegionTrain.Params.Values)
 }
 
 func TestWireV2ResponseRoundTrip(t *testing.T) {
@@ -139,6 +200,67 @@ func TestWireV2ResponseRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(in, out) {
 		t.Fatalf("round trip mismatch:\n in: %+v\nout: %+v", in, out)
+	}
+	for i, r := range in.RegionTrain.Results {
+		sameBits(t, r.Params.Values, out.RegionTrain.Results[i].Params.Values)
+	}
+}
+
+// sameBits fails unless got carries want's exact IEEE-754 bit patterns
+// (reflect.DeepEqual takes -0 for +0 and refuses NaN for NaN).
+func sameBits(t *testing.T, want, got []float64) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("%d values, want %d", len(got), len(want))
+	}
+	for i, v := range want {
+		if math.Float64bits(v) != math.Float64bits(got[i]) {
+			t.Fatalf("value %d: bits %x != %x", i, math.Float64bits(got[i]), math.Float64bits(v))
+		}
+	}
+}
+
+// TestWireRegionBodiesNilVersusEmpty: every region-body slice the
+// in-process value may hold as nil comes back nil, and every empty one
+// comes back empty, so RegionClient answers reflect.DeepEqual the
+// in-process region.Leader's.
+func TestWireRegionBodiesNilVersusEmpty(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		req  request
+		resp response
+	}{
+		{"nil lists",
+			request{Type: typeRegionTrain, RegionTrain: &region.TrainRequest{QueryID: "q"}},
+			response{RegionPlan: &region.PlanResponse{RegionID: "r"}, RegionTrain: &region.TrainResponse{RegionID: "r"}}},
+		{"empty lists",
+			request{Type: typeRegionTrain, RegionTrain: &region.TrainRequest{Participants: []selection.Participant{}}},
+			response{RegionPlan: &region.PlanResponse{Ranks: []selection.NodeRank{}},
+				RegionTrain: &region.TrainResponse{Results: []region.RoundResult{}, Spans: []federation.NodeSpan{}}}},
+	} {
+		frame, err := appendWireRequest(nil, 1, &tc.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var req request
+		if _, err := decodeWireRequest(frame[4:], &req); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(tc.req, req) {
+			t.Fatalf("%s: request round trip:\n in: %+v\nout: %+v", tc.name, *tc.req.RegionTrain, *req.RegionTrain)
+		}
+		frame, err = appendWireResponse(nil, 2, &tc.resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, resp, err := decodeWireResponse(frame[4:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(tc.resp, resp) {
+			t.Fatalf("%s: response round trip:\n in: %+v %+v\nout: %+v %+v", tc.name,
+				*tc.resp.RegionPlan, *tc.resp.RegionTrain, *resp.RegionPlan, *resp.RegionTrain)
+		}
 	}
 }
 
@@ -174,11 +296,28 @@ func TestWireV2NaNBitPatterns(t *testing.T) {
 	if _, err := decodeWireRequest(frame[4:], &out); err != nil {
 		t.Fatal(err)
 	}
-	for i, v := range payload {
-		if math.Float64bits(v) != math.Float64bits(out.Train.Params.Values[i]) {
-			t.Fatalf("value %d lost its bit pattern", i)
-		}
+	sameBits(t, payload, out.Train.Params.Values)
+
+	// The region bodies carry them too: JSON could not.
+	regionReq := request{Type: typeRegionTrain, RegionTrain: &region.TrainRequest{
+		Params: ml.Params{Kind: ml.KindLinear, Dims: []int{len(payload)}, Values: payload}}}
+	if frame, err = appendWireRequest(nil, 2, &regionReq); err != nil {
+		t.Fatal(err)
 	}
+	if _, err := decodeWireRequest(frame[4:], &out); err != nil {
+		t.Fatal(err)
+	}
+	sameBits(t, payload, out.RegionTrain.Params.Values)
+	regionResp := response{RegionTrain: &region.TrainResponse{Results: []region.RoundResult{
+		{Params: ml.Params{Kind: ml.KindLinear, Dims: []int{len(payload)}, Values: payload}}}}}
+	if frame, err = appendWireResponse(nil, 3, &regionResp); err != nil {
+		t.Fatal(err)
+	}
+	_, got, err := decodeWireResponse(frame[4:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameBits(t, payload, got.RegionTrain.Results[0].Params.Values)
 }
 
 // TestWireV2UnknownSectionSkipped: a frame with an unrecognized
@@ -255,8 +394,14 @@ func TestWireV2MalformedRejected(t *testing.T) {
 	body := frame[4:]
 	// Truncating exactly at a section boundary legitimately yields a
 	// shorter frame with trailing optional sections absent — but the
-	// mandatory type section must have survived, and there are only a
-	// handful of boundaries. Everything else must be rejected.
+	// mandatory type section must have survived, and there is one such
+	// boundary per section after it. Everything else must be rejected.
+	sections := 0
+	for d := (wireDec{b: body, off: 10}); ; sections++ { // past magic, kind, id
+		if _, _, ok := d.section(); !ok {
+			break
+		}
+	}
 	boundaries := 0
 	for n := 0; n < len(body); n++ {
 		var out request
@@ -267,8 +412,9 @@ func TestWireV2MalformedRejected(t *testing.T) {
 			boundaries++
 		}
 	}
-	if boundaries > 4 {
-		t.Fatalf("%d truncation points accepted; only whole-section boundaries should decode", boundaries)
+	if boundaries > sections-1 {
+		t.Fatalf("%d truncation points accepted for %d sections; only whole-section boundaries should decode",
+			boundaries, sections)
 	}
 	// Forged float count far beyond the body must be rejected before
 	// any allocation.
@@ -326,6 +472,25 @@ func TestWireV2ZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// TestWireRegionTrainEncodeZeroAlloc: a region daemon answers every
+// sharded query with a train response; once the frame buffer is warm,
+// encoding one (results, params, node and region spans) allocates
+// nothing — no JSON, no boxing of the body.
+func TestWireRegionTrainEncodeZeroAlloc(t *testing.T) {
+	resp := response{TraceID: "trace-0ddba11", NodeID: "region-1", RegionTrain: fullRegionTrainResponse()}
+	buf, err := appendWireResponse(nil, 1, &resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		if buf, err = appendWireResponse(buf[:0], 2, &resp); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("region train response encode allocates %.1f/op at steady state, want 0", allocs)
+	}
+}
+
 // TestWireCodecFieldDriftGuard fails when a wire-crossing struct
 // gains or loses fields without the binary codec being updated.
 // Reflection is test-only; the codec itself stays reflection-free.
@@ -343,6 +508,15 @@ func TestWireCodecFieldDriftGuard(t *testing.T) {
 		{reflect.TypeOf(federation.TrainResponse{}), 6},
 		{reflect.TypeOf(federation.EvalRequest{}), 5},
 		{reflect.TypeOf(federation.EvalResponse{}), 4},
+		{reflect.TypeOf(federation.NodeSpan{}), 3},
+		{reflect.TypeOf(query.Query{}), 2},
+		{reflect.TypeOf(selection.NodeRank{}), 8},
+		{reflect.TypeOf(selection.Participant{}), 3},
+		{reflect.TypeOf(region.PlanRequest{}), 3},
+		{reflect.TypeOf(region.PlanResponse{}), 3},
+		{reflect.TypeOf(region.TrainRequest{}), 7},
+		{reflect.TypeOf(region.RoundResult{}), 9},
+		{reflect.TypeOf(region.TrainResponse{}), 4},
 		{reflect.TypeOf(request{}), 11},
 		{reflect.TypeOf(response{}), 15},
 	}
@@ -635,8 +809,13 @@ func TestWireMetricsByCodec(t *testing.T) {
 	if _, err := client.Train(context.Background(), federation.TrainRequest{Spec: ml.PaperLR(1), LocalEpochs: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if got := in.Value(); got <= in0 {
-		t.Fatalf("byte counter did not advance: %v -> %v", in0, got)
+	// The server tallies a connection's bytes after it has written the
+	// response, so the client can hold the answer a moment before the
+	// counter moves: wait for it, bounded.
+	for deadline := time.Now().Add(5 * time.Second); in.Value() <= in0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("byte counter did not advance: %v -> %v", in0, in.Value())
+		}
 	}
 	if got := enc.Count(); got <= enc0 {
 		t.Fatalf("encode histogram did not advance: %d -> %d", enc0, got)
