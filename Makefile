@@ -73,7 +73,7 @@ loc:
 # The serving packages' non-test line budget: ROADMAP item 2 pushes
 # federation+region+gateway down, so growing them past the committed
 # number fails the gate. Lower LOC_BUDGET when a PR shrinks them.
-LOC_BUDGET ?= 6282
+LOC_BUDGET ?= 6280
 loc-check:
 	@n=$$(cat $$(ls internal/federation/*.go internal/region/*.go internal/gateway/*.go | grep -v _test.go) | wc -l); \
 	if [ "$$n" -gt $(LOC_BUDGET) ]; then \
@@ -87,9 +87,10 @@ bench:
 	sh scripts/bench_plan.sh
 
 # Node training-engine microbenchmarks (BenchmarkNodeTrain, view vs
-# copy data paths) rendered as BENCH_train.json; fails if the LR
-# per-cluster data plane allocates or the engine path loses its >=2x
-# edge over the copy path at 10k samples.
+# copy data paths, LR view rows at 1 and 5 local epochs) rendered as
+# BENCH_train.json; fails if the LR per-cluster data plane allocates,
+# a whole LR engine job allocates more than 4 times, or the engine
+# path loses its >=2x edge over the copy path at 10k samples.
 bench-train:
 	sh scripts/bench_train.sh
 

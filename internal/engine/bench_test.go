@@ -108,9 +108,11 @@ func legacyTrain(spec ml.Spec, seed uint64, params ml.Params, quant *cluster.Qua
 //
 // Both paths perform bit-identical training arithmetic (see
 // TestEngineTrainGoldenEquivalence), so the delta is pure data-plane
-// overhead. scripts/bench_train.sh renders these as BENCH_train.json
-// and fails if the view path is not >=2x the copy path's throughput
-// on the LR grid at 10k samples.
+// overhead. LR view rows also run at the paper's E = 5 local epochs
+// (no copy peer). scripts/bench_train.sh renders these as
+// BENCH_train.json and fails if the view path is not >=2x the copy
+// path's throughput on the LR grid at 10k samples, or if an LR view
+// row allocates more than 4 times per job.
 func BenchmarkNodeTrain(b *testing.B) {
 	ctx := context.Background()
 	for _, model := range []string{"lr", "nn"} {
@@ -119,23 +121,32 @@ func BenchmarkNodeTrain(b *testing.B) {
 				state := buildBenchState(b, model, k, n)
 				params := state.initialParams(b)
 
-				b.Run(fmt.Sprintf("path=view/model=%s/clusters=%d/samples=%d", model, k, n), func(b *testing.B) {
-					e := New(Config{NodeID: "bench", Parallelism: 1, Registry: &telemetry.Registry{}},
-						state.data, state.quant)
-					job := TrainJob{Spec: state.spec, Seed: 1, Params: params, Clusters: state.all, Epochs: 1}
-					if _, err := e.Train(ctx, job); err != nil { // warm pool + buffers
-						b.Fatal(err)
-					}
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if _, err := e.Train(ctx, job); err != nil {
+				// Epochs 1 isolates the data plane against the copy
+				// path; the paper's E = 5 (the serving path's) is where
+				// per-fit work such as standardization pays off.
+				epochs := []int{1}
+				if model == "lr" {
+					epochs = append(epochs, 5)
+				}
+				for _, ep := range epochs {
+					b.Run(fmt.Sprintf("path=view/model=%s/epochs=%d/clusters=%d/samples=%d", model, ep, k, n), func(b *testing.B) {
+						e := New(Config{NodeID: "bench", Parallelism: 1, Registry: &telemetry.Registry{}},
+							state.data, state.quant)
+						job := TrainJob{Spec: state.spec, Seed: 1, Params: params, Clusters: state.all, Epochs: ep}
+						if _, err := e.Train(ctx, job); err != nil { // warm pool + buffers
 							b.Fatal(err)
 						}
-					}
-				})
+						b.ReportAllocs()
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							if _, err := e.Train(ctx, job); err != nil {
+								b.Fatal(err)
+							}
+						}
+					})
+				}
 
-				b.Run(fmt.Sprintf("path=copy/model=%s/clusters=%d/samples=%d", model, k, n), func(b *testing.B) {
+				b.Run(fmt.Sprintf("path=copy/model=%s/epochs=1/clusters=%d/samples=%d", model, k, n), func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
 						if _, err := legacyTrain(state.spec, 1, params, state.quant, state.all, 1); err != nil {

@@ -244,10 +244,11 @@ func (e *Engine) OnEpochBump(fn func(epoch uint64)) (unsubscribe func()) {
 }
 
 // acquire claims an execution slot, waiting in the admission queue
-// until one frees or ctx is done. It returns the release function and
-// the time spent queued (the same value qens_node_train_queue_ms
-// observes, surfaced so jobs can attribute it in their phase report).
-func (e *Engine) acquire(ctx context.Context) (release func(), wait time.Duration, err error) {
+// until one frees or ctx is done. It returns the time spent queued (the
+// same value qens_node_train_queue_ms observes, surfaced so jobs can
+// attribute it in their phase report). A nil error obliges the caller
+// to release the slot exactly once.
+func (e *Engine) acquire(ctx context.Context) (wait time.Duration, err error) {
 	start := time.Now()
 	select {
 	case e.sem <- struct{}{}:
@@ -256,20 +257,20 @@ func (e *Engine) acquire(ctx context.Context) (release func(), wait time.Duratio
 		select {
 		case e.sem <- struct{}{}:
 		case <-ctx.Done():
-			return nil, 0, fmt.Errorf("engine: queued for train slot: %w", ctx.Err())
+			return 0, fmt.Errorf("engine: queued for train slot: %w", ctx.Err())
 		}
 	}
 	wait = time.Since(start)
 	e.metrics.queueMS.ObserveDuration(wait)
 	e.metrics.inflight.Set(float64(e.inflight.Add(1)))
 	e.metrics.jobsTotal.Inc()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			e.metrics.inflight.Set(float64(e.inflight.Add(-1)))
-			<-e.sem
-		})
-	}, wait, nil
+	return wait, nil
+}
+
+// release frees a slot claimed by acquire.
+func (e *Engine) release() {
+	e.metrics.inflight.Set(float64(e.inflight.Add(-1)))
+	<-e.sem
 }
 
 // Buffers is the pooled per-job working memory: flat feature/target

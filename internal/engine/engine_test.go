@@ -96,15 +96,14 @@ func TestEngineQueuedJobHonorsContext(t *testing.T) {
 	e := testEngine(t, 1)
 
 	// Occupy the only slot.
-	release, _, err := e.acquire(context.Background())
-	if err != nil {
+	if _, err := e.acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	defer release()
+	defer e.release()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	_, err = e.Train(ctx, TrainJob{Spec: ml.PaperLR(2), Seed: 1, Epochs: 1})
+	_, err := e.Train(ctx, TrainJob{Spec: ml.PaperLR(2), Seed: 1, Epochs: 1})
 	if err == nil || ctx.Err() == nil {
 		t.Fatalf("queued train returned %v before slot freed", err)
 	}
@@ -197,5 +196,34 @@ func TestEngineTrainValidation(t *testing.T) {
 	}
 	if _, err := e.Train(context.Background(), TrainJob{Spec: ml.PaperLR(2), Epochs: 1, Clusters: []int{99}}); err == nil {
 		t.Fatal("out-of-range cluster accepted")
+	}
+}
+
+// TestEngineTrainWarmAllocs pins the warm LR train job's allocation
+// budget: with the model pool and staging buffers warm, a Train job
+// allocates no more than the Params it returns — no per-job pool key,
+// slot or model-return closures, generator or model arena. (The NN
+// kernel still allocates per mini-batch.)
+func TestEngineTrainWarmAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under -race; allocation counts are not meaningful")
+	}
+	ctx := context.Background()
+	e := testEngine(t, 1)
+	spec := ml.PaperLR(2)
+	spec.Seed = 5
+	model := spec.MustNew()
+	job := TrainJob{Spec: ml.PaperLR(2), Seed: 7, Params: model.Params(), Clusters: []int{0, 1, 2, 3}, Epochs: 5}
+	if _, err := e.Train(ctx, job); err != nil { // warm the pool and buffers
+		t.Fatal(err)
+	}
+	budget := testing.AllocsPerRun(20, func() { model.Params() })
+	got := testing.AllocsPerRun(20, func() {
+		if _, err := e.Train(ctx, job); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if budget == 0 || got > budget {
+		t.Fatalf("warm Train allocates %v per job, want <= %v (its Params)", got, budget)
 	}
 }

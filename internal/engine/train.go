@@ -69,19 +69,19 @@ func (e *Engine) Train(ctx context.Context, job TrainJob) (TrainResult, error) {
 		return TrainResult{}, fmt.Errorf("engine: local epochs %d < 1", job.Epochs)
 	}
 	queuedAt := time.Now()
-	release, wait, err := e.acquire(ctx)
+	wait, err := e.acquire(ctx)
 	if err != nil {
 		return TrainResult{}, err
 	}
-	defer release()
+	defer e.release()
 	phases := Phases{QueuedAt: queuedAt, Queue: wait}
 
 	snap := e.Current() // pinned: mutations after this line are invisible
-	model, putModel, err := e.acquireModel(job.Spec, job.Seed, job.Params)
+	model, err := e.acquireModel(job.Spec, job.Seed, job.Params)
 	if err != nil {
 		return TrainResult{}, err
 	}
-	defer putModel()
+	defer e.pool.put(job.Spec, model)
 	bufs := e.getBuffers()
 	defer e.putBuffers(bufs)
 
@@ -166,22 +166,22 @@ type EvalResult struct {
 // at steady state.
 func (e *Engine) Evaluate(ctx context.Context, job EvalJob) (EvalResult, error) {
 	queuedAt := time.Now()
-	release, wait, err := e.acquire(ctx)
+	wait, err := e.acquire(ctx)
 	if err != nil {
 		return EvalResult{}, err
 	}
-	defer release()
+	defer e.release()
 	phases := Phases{QueuedAt: queuedAt, Queue: wait}
 
 	snap := e.Current()
 	// Build the model before filtering, mirroring the pre-engine
 	// order: the seed is consumed even when the subspace is empty, so
 	// seeded workload replays stay aligned.
-	model, putModel, err := e.acquireModel(job.Spec, job.Seed, job.Params)
+	model, err := e.acquireModel(job.Spec, job.Seed, job.Params)
 	if err != nil {
 		return EvalResult{}, err
 	}
-	defer putModel()
+	defer e.pool.put(job.Spec, model)
 
 	stageStart := time.Now()
 	view := snap.Data.View()

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"qens/internal/ml"
 )
@@ -36,14 +37,21 @@ func (a Aggregation) String() string {
 // Ensemble is the leader-side global predictor: the ℓ local models
 // plus their aggregation weights. It satisfies the prediction part of
 // ml.Model usage (Predict / PredictBatch) without being trainable.
+// Members are loaded (ml.Spec.Load) on the first prediction, so a
+// query whose answer is never evaluated builds none; it is safe for
+// concurrent use.
 type Ensemble struct {
-	models  []ml.Model
+	spec    ml.Spec
+	params  []ml.Params
 	weights []float64
+	load    sync.Once
+	models  []ml.Model
 }
 
-// NewEnsemble builds an ensemble from local model parameters. ranks
-// supplies the per-participant r_i used by WeightedAveraging; for
-// ModelAveraging every model gets weight 1/ℓ regardless of rank.
+// NewEnsemble builds an ensemble from local model parameters, which it
+// retains: the caller must not modify them afterwards. ranks supplies
+// the per-participant r_i used by WeightedAveraging; for ModelAveraging
+// every model gets weight 1/ℓ regardless of rank.
 func NewEnsemble(spec ml.Spec, params []ml.Params, ranks []float64, agg Aggregation) (*Ensemble, error) {
 	if len(params) == 0 {
 		return nil, errors.New("federation: ensemble needs at least one model")
@@ -51,47 +59,29 @@ func NewEnsemble(spec ml.Spec, params []ml.Params, ranks []float64, agg Aggregat
 	if len(ranks) != len(params) {
 		return nil, fmt.Errorf("federation: %d ranks for %d models", len(ranks), len(params))
 	}
-	e := &Ensemble{
-		models:  make([]ml.Model, len(params)),
-		weights: make([]float64, len(params)),
-	}
-	for i, p := range params {
-		m, err := spec.New()
-		if err != nil {
-			return nil, err
-		}
-		if err := m.SetParams(p); err != nil {
-			return nil, fmt.Errorf("federation: ensemble model %d: %w", i, err)
-		}
-		e.models[i] = m
-	}
+	total := 0.0
 	switch agg {
 	case ModelAveraging:
-		w := 1 / float64(len(params))
-		for i := range e.weights {
-			e.weights[i] = w
-		}
 	case WeightedAveraging:
-		total := 0.0
 		for _, r := range ranks {
 			if r < 0 {
 				return nil, fmt.Errorf("federation: negative rank %v", r)
 			}
 			total += r
 		}
-		if total <= 0 {
-			// All-zero ranks degrade to plain averaging.
-			w := 1 / float64(len(params))
-			for i := range e.weights {
-				e.weights[i] = w
-			}
-			break
-		}
-		for i, r := range ranks {
-			e.weights[i] = r / total
-		}
 	default:
 		return nil, fmt.Errorf("federation: unknown aggregation %d", agg)
+	}
+	e := &Ensemble{spec: spec, params: params, weights: make([]float64, len(params))}
+	for i := range e.weights {
+		if err := spec.CheckParams(params[i]); err != nil {
+			return nil, fmt.Errorf("federation: ensemble model %d: %w", i, err)
+		}
+		if total <= 0 { // plain averaging, which all-zero ranks degrade to
+			e.weights[i] = 1 / float64(len(params))
+		} else {
+			e.weights[i] = ranks[i] / total
+		}
 	}
 	return e, nil
 }
@@ -100,12 +90,27 @@ func NewEnsemble(spec ml.Spec, params []ml.Params, ranks []float64, agg Aggregat
 func (e *Ensemble) Weights() []float64 { return append([]float64(nil), e.weights...) }
 
 // Size returns the number of member models (the paper's ℓ).
-func (e *Ensemble) Size() int { return len(e.models) }
+func (e *Ensemble) Size() int { return len(e.params) }
+
+// members loads the member models on first use. NewEnsemble checked
+// every params snapshot, so Load cannot fail here.
+func (e *Ensemble) members() []ml.Model {
+	e.load.Do(func() {
+		for _, p := range e.params {
+			m, err := e.spec.Load(p)
+			if err != nil {
+				panic(err)
+			}
+			e.models = append(e.models, m)
+		}
+	})
+	return e.models
+}
 
 // Predict returns the aggregated prediction ŷ(q) for one input.
 func (e *Ensemble) Predict(x []float64) float64 {
 	out := 0.0
-	for i, m := range e.models {
+	for i, m := range e.members() {
 		out += e.weights[i] * m.Predict(x)
 	}
 	return out
@@ -123,14 +128,11 @@ func (e *Ensemble) PredictBatch(x [][]float64) []float64 {
 // PredictWithSpread returns the aggregated prediction together with
 // the weighted standard deviation of the member models' predictions —
 // a cheap uncertainty signal: members trained on well-matched data
-// agree, members stretched outside their data space diverge. A spread
-// of 0 is returned for single-model ensembles.
+// agree, members stretched outside their data space diverge. A
+// single-model ensemble (weight 1) has a spread of 0.
 func (e *Ensemble) PredictWithSpread(x []float64) (prediction, spread float64) {
-	if len(e.models) == 1 {
-		return e.models[0].Predict(x), 0
-	}
-	preds := make([]float64, len(e.models))
-	for i, m := range e.models {
+	preds := make([]float64, len(e.params))
+	for i, m := range e.members() {
 		preds[i] = m.Predict(x)
 		prediction += e.weights[i] * preds[i]
 	}

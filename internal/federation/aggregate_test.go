@@ -2,6 +2,7 @@ package federation
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"qens/internal/ml"
@@ -112,6 +113,47 @@ func TestEnsemblePredictBatchAndSize(t *testing.T) {
 	out := e.PredictBatch([][]float64{{1}, {2}})
 	if len(out) != 2 {
 		t.Fatalf("batch output %v", out)
+	}
+}
+
+// TestEnsembleConcurrentFirstPredict verifies the lazily loaded
+// members: concurrent first predictions on one fresh ensemble (run
+// under -race) all see the same fully loaded models, and every answer
+// is bit-identical to Eq. 7 over models built with New + SetParams.
+func TestEnsembleConcurrentFirstPredict(t *testing.T) {
+	params := []ml.Params{trainedParams(t, 1, 1), trainedParams(t, 3, 2), trainedParams(t, -2, 3)}
+	ranks := []float64{3, 2, 1}
+	x := []float64{7}
+	want := 0.0
+	for i, p := range params {
+		m := ml.PaperLR(1).MustNew()
+		if err := m.SetParams(p); err != nil {
+			t.Fatal(err)
+		}
+		want += ranks[i] / 6 * m.Predict(x)
+	}
+	e, err := NewEnsemble(ml.PaperLR(1), params, ranks, WeightedAveraging)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	got := make([]float64, 8)
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if g%2 == 0 {
+				got[g] = e.Predict(x)
+			} else {
+				got[g], _ = e.PredictWithSpread(x)
+			}
+		}()
+	}
+	wg.Wait()
+	for g, v := range got {
+		if v != want {
+			t.Fatalf("goroutine %d predicted %v, want %v", g, v, want)
+		}
 	}
 }
 

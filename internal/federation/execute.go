@@ -282,13 +282,9 @@ func captureTrainingBounds(res *Result, snap *registry.Snapshot) {
 	if d <= 0 {
 		return
 	}
-	byID := make(map[string]*registry.NodeGeom, len(snap.Nodes))
-	for i := range snap.Nodes {
-		byID[snap.Nodes[i].NodeID] = &snap.Nodes[i]
-	}
 	for _, p := range res.Participants {
-		g, ok := byID[p.NodeID]
-		if !ok {
+		g := snap.Node(p.NodeID)
+		if g == nil {
 			continue
 		}
 		if p.Clusters == nil {

@@ -22,31 +22,40 @@ type linear struct {
 	src     *rng.Source
 	history History
 
-	// scratch holds reusable epoch buffers (permutation, gradient,
-	// flattened params, normalized input) so the steady-state
-	// training loop performs zero allocations. Lazily sized; makes
-	// the model unsafe for concurrent use (see Model docs).
+	// scratch holds reusable fit buffers (permutation, gradient,
+	// flattened params, normalized input, the standardized batch and
+	// per-feature std) so the steady-state training loop performs
+	// zero allocations. Lazily sized; makes the model unsafe for
+	// concurrent use (see Model docs).
 	scratch struct {
 		perm   []int
 		grad   []float64
 		params []float64
 		xn     []float64
+		sd     []float64
+		xs     []float64 // standardized rows, stride InputDim
+		ys     []float64 // standardized targets
 	}
 }
 
+// newLinear allocates an LR model with zero weights: Spec.New draws
+// the initial ones (initWeights), Spec.Load overwrites them.
 func newLinear(spec Spec, src *rng.Source) *linear {
-	m := &linear{
+	return &linear{
 		spec:    spec,
 		weights: make([]float64, spec.InputDim),
 		stats:   newRunningStats(spec.InputDim),
 		src:     src,
+		opt:     newOptimizer(spec.Optimizer, spec.LearningRate, spec.InputDim+1),
 	}
-	// Small symmetric init, matching a Keras Dense(1) glorot-ish start.
+}
+
+// initWeights draws the initial weights: a small symmetric init,
+// matching a Keras Dense(1) glorot-ish start.
+func (m *linear) initWeights() {
 	for i := range m.weights {
-		m.weights[i] = src.Uniform(-0.05, 0.05)
+		m.weights[i] = m.src.Uniform(-0.05, 0.05)
 	}
-	m.opt = newOptimizer(spec.Optimizer, spec.LearningRate, spec.InputDim+1)
-	return m
 }
 
 // Fit trains for the configured epochs with a validation split.
@@ -60,8 +69,9 @@ func (m *linear) Fit(x [][]float64, y []float64) error {
 		tx, ty = x, y
 	}
 	m.stats.observe(tx, ty)
+	xs, ys := m.standardize(tx, nil, ty)
 	for epoch := 0; epoch < m.spec.Epochs; epoch++ {
-		if err := m.runEpoch(context.Background(), tx, nil, ty); err != nil {
+		if err := m.runEpoch(context.Background(), xs, ys); err != nil {
 			return err
 		}
 		m.history.TrainLoss = append(m.history.TrainLoss, MSE(ty, m.PredictBatch(tx)))
@@ -110,8 +120,9 @@ func (m *linear) partialFit(ctx context.Context, x2 [][]float64, xf []float64, y
 	} else {
 		m.stats.observeFlat(xf, y, m.spec.InputDim)
 	}
+	xs, ys := m.standardize(x2, xf, y)
 	for e := 0; e < epochs; e++ {
-		if err := m.runEpoch(ctx, x2, xf, y); err != nil {
+		if err := m.runEpoch(ctx, xs, ys); err != nil {
 			return err
 		}
 		m.applyDecay()
@@ -119,28 +130,55 @@ func (m *linear) partialFit(ctx context.Context, x2 [][]float64, xf []float64, y
 	return nil
 }
 
-// ensureScratch sizes the reusable epoch buffers for n samples.
+// ensureScratch sizes the reusable fit buffers for n samples.
 func (m *linear) ensureScratch(n int) {
 	d := m.spec.InputDim
 	if cap(m.scratch.perm) < n {
 		m.scratch.perm = make([]int, n)
+		m.scratch.xs = make([]float64, n*d)
+		m.scratch.ys = make([]float64, n)
 	}
 	if m.scratch.grad == nil {
 		m.scratch.grad = make([]float64, d+1)
 		m.scratch.params = make([]float64, d+1)
 		m.scratch.xn = make([]float64, d)
+		m.scratch.sd = make([]float64, d)
 	}
 }
 
-// runEpoch performs one pass of shuffled mini-batch updates, checking
-// ctx before every mini-batch. All working memory comes from the
-// model's scratch, so a steady-state epoch allocates nothing.
-func (m *linear) runEpoch(ctx context.Context, x2 [][]float64, xf []float64, y []float64) error {
-	n := len(y)
+// standardize writes the batch, standardized with the current
+// statistics, into model scratch as flat row-major features and
+// targets, which every epoch of the fit then reads: the statistics
+// stay fixed for the rest of the fit, so each feature's std (a Sqrt)
+// is worked out once per call. Each value is the subtract-then-divide
+// normX/normY compute, so the rows are bit-identical to theirs.
+func (m *linear) standardize(x2 [][]float64, xf []float64, y []float64) (xs, ys []float64) {
+	n, d := len(y), m.spec.InputDim
 	m.ensureScratch(n)
-	d := m.spec.InputDim
+	sd := m.scratch.sd
+	for j := range sd {
+		sd[j] = m.stats.std(j)
+	}
+	yMean, ySD := m.stats.yMean, m.stats.yStd()
+	xs, ys = m.scratch.xs[:n*d], m.scratch.ys[:n]
+	for i := range ys {
+		out := xs[i*d : (i+1)*d]
+		for j, v := range rowAt(x2, xf, d, i) {
+			out[j] = (v - m.stats.mean[j]) / sd[j]
+		}
+		ys[i] = (y[i] - yMean) / ySD
+	}
+	return xs, ys
+}
+
+// runEpoch performs one pass of shuffled mini-batch updates over a
+// standardized batch, checking ctx before every mini-batch. All
+// working memory comes from the model's scratch, so a steady-state
+// epoch allocates nothing.
+func (m *linear) runEpoch(ctx context.Context, xs, ys []float64) error {
+	n, d := len(ys), m.spec.InputDim
 	perm := m.src.PermInto(m.scratch.perm[:n])
-	grad, params, xn := m.scratch.grad, m.scratch.params, m.scratch.xn
+	grad, params := m.scratch.grad, m.scratch.params
 	for start := 0; start < n; start += m.spec.BatchSize {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -155,12 +193,12 @@ func (m *linear) runEpoch(ctx context.Context, x2 [][]float64, xf []float64, y [
 		batch := perm[start:end]
 		invN := 1 / float64(len(batch))
 		for _, idx := range batch {
-			m.stats.normX(xn, rowAt(x2, xf, d, idx))
+			xn := xs[idx*d : (idx+1)*d]
 			pred := m.bias
 			for j, w := range m.weights {
 				pred += w * xn[j]
 			}
-			err := pred - m.stats.normY(y[idx])
+			err := pred - ys[idx]
 			for j := range m.weights {
 				grad[j] += 2 * err * xn[j] * invN
 			}
@@ -223,11 +261,8 @@ func (m *linear) PredictFlat(x []float64, out []float64) {
 
 // Reinit re-seeds and re-initializes the model in place (see Model).
 func (m *linear) Reinit(seed uint64, params Params) error {
-	m.src = rng.New(seed)
-	// Same draws, in the same order, as newLinear.
-	for i := range m.weights {
-		m.weights[i] = m.src.Uniform(-0.05, 0.05)
-	}
+	m.src.Reseed(seed)
+	m.initWeights() // the same draws, in the same order, as Spec.New
 	m.bias = 0
 	m.stats.reset()
 	m.opt.reset()
@@ -244,15 +279,14 @@ func (m *linear) Params() Params {
 	values := make([]float64, 0, len(m.weights)+1+statsFlatLen(m.spec.InputDim))
 	values = append(values, m.weights...)
 	values = append(values, m.bias)
-	values = append(values, m.stats.flatten()...)
-	return Params{Kind: KindLinear, Dims: []int{m.spec.InputDim, 1}, Values: values}
+	values = m.stats.appendTo(values)
+	return Params{Kind: KindLinear, Dims: paramDims(m.spec.InputDim, nil), Values: values}
 }
 
 // SetParams loads an exported snapshot.
 func (m *linear) SetParams(p Params) error {
-	want := m.Params()
-	if !p.Compatible(want) {
-		return fmt.Errorf("ml: incompatible params (kind %q dims %v) for linear model dims %v", p.Kind, p.Dims, want.Dims)
+	if err := m.spec.checkParams(p); err != nil {
+		return err
 	}
 	copy(m.weights, p.Values[:m.spec.InputDim])
 	m.bias = p.Values[m.spec.InputDim]

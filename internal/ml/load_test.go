@@ -1,0 +1,146 @@
+package ml
+
+import (
+	"context"
+	"testing"
+)
+
+// TestAppendFingerprintPinned pins the pool key: AppendFingerprint
+// writes exactly the string the former fmt.Sprintf form produced
+// (the literals), appends after an existing prefix, and fills a stack
+// buffer without allocating.
+func TestAppendFingerprintPinned(t *testing.T) {
+	third := 0.1
+	third += 0.2
+	cases := []struct {
+		spec Spec
+		want string
+	}{
+		{PaperLR(3), "linear|in=3|h=[]|lr=0.03|ep=100|bs=32|vs=0.2|opt=sgd|act=|l2=0|dec=0|pat=0"},
+		{PaperNN(2), "nn|in=2|h=[64]|lr=0.001|ep=100|bs=32|vs=0.2|opt=adam|act=|l2=0|dec=0|pat=0"},
+		{Spec{Kind: KindNN, InputDim: 5, Hidden: []int{64, 32, 8}, LearningRate: 1e-7, Epochs: 12, BatchSize: 7,
+			ValidationSplit: 0.25, Optimizer: "momentum", Activation: "tanh", L2: 1e-4, LRDecay: 0.95, Patience: 3, Seed: 9},
+			"nn|in=5|h=[64 32 8]|lr=1e-07|ep=12|bs=7|vs=0.25|opt=momentum|act=tanh|l2=0.0001|dec=0.95|pat=3"},
+		{Spec{Kind: KindLinear, InputDim: 1, LearningRate: 2.5e21, L2: third},
+			"linear|in=1|h=[]|lr=2.5e+21|ep=100|bs=32|vs=0|opt=sgd|act=|l2=0.30000000000000004|dec=0|pat=0"},
+	}
+	for _, c := range cases {
+		if got := c.spec.Fingerprint(); got != c.want {
+			t.Errorf("Fingerprint() = %q\nwant          %q", got, c.want)
+		}
+		if got := string(c.spec.AppendFingerprint([]byte("key:"))); got != "key:"+c.want {
+			t.Errorf("AppendFingerprint after a prefix = %q", got)
+		}
+		var buf [128]byte
+		spec := c.spec
+		if n := testing.AllocsPerRun(10, func() { spec.AppendFingerprint(buf[:0]) }); n != 0 {
+			t.Errorf("AppendFingerprint into a stack buffer allocates %v", n)
+		}
+	}
+}
+
+// TestLoadMatchesNewSetParams verifies Spec.Load is New + SetParams
+// for prediction: bit-identical outputs from every predict method, and
+// the same error text (also from CheckParams) for incompatible params.
+func TestLoadMatchesNewSetParams(t *testing.T) {
+	for _, spec := range flatSpecs() {
+		spec.Seed = 11
+		x2, xf, y := flatBatch(40, spec.InputDim)
+		trained := spec.MustNew()
+		if err := trained.PartialFit(x2, y, 2); err != nil {
+			t.Fatal(err)
+		}
+		p := trained.Params()
+
+		ref := spec.MustNew()
+		if err := ref.SetParams(p); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := spec.Load(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := ref.PredictBatch(x2), loaded.PredictBatch(x2)
+		fa, fb := make([]float64, len(y)), make([]float64, len(y))
+		ref.PredictFlat(xf, fa)
+		loaded.PredictFlat(xf, fb)
+		for i := range a {
+			if a[i] != b[i] || fa[i] != fb[i] || ref.Predict(x2[i]) != loaded.Predict(x2[i]) {
+				t.Fatalf("%s: row %d: loaded predicts %v/%v, New+SetParams %v/%v", spec.Kind, i, b[i], fb[i], a[i], fa[i])
+			}
+		}
+		if pa, pb := ref.Params(), loaded.Params(); !pa.Compatible(pb) {
+			t.Fatalf("%s: loaded params %v incompatible with %v", spec.Kind, pb.Dims, pa.Dims)
+		}
+
+		bad := p.Clone()
+		bad.Dims[0]++
+		wantErr := spec.MustNew().SetParams(bad)
+		if wantErr == nil {
+			t.Fatalf("%s: SetParams accepted dims %v", spec.Kind, bad.Dims)
+		}
+		if _, err := spec.Load(bad); err == nil || err.Error() != wantErr.Error() {
+			t.Fatalf("%s: Load error %v, want %v", spec.Kind, err, wantErr)
+		}
+		if err := spec.CheckParams(bad); err == nil || err.Error() != wantErr.Error() {
+			t.Fatalf("%s: CheckParams error %v, want %v", spec.Kind, err, wantErr)
+		}
+		if err := spec.CheckParams(p); err != nil {
+			t.Fatalf("%s: CheckParams rejected its own export: %v", spec.Kind, err)
+		}
+	}
+}
+
+// pinnedBatch is a deterministic batch for TestLinearFitPinned.
+func pinnedBatch(n, d, off int) (x2 [][]float64, xf []float64, y []float64) {
+	xf = make([]float64, n*d)
+	x2 = make([][]float64, n)
+	y = make([]float64, n)
+	for i := 0; i < n; i++ {
+		row := xf[i*d : (i+1)*d]
+		for j := range row {
+			row[j] = float64(((i+off)*7+j*3)%13)*3 - 6 + float64(i)/17
+		}
+		x2[i] = row
+		y[i] = 40*row[0] - row[1] + float64((i+off)%5)
+	}
+	return x2, xf, y
+}
+
+// TestLinearFitPinned pins the LR kernel's arithmetic to literals
+// produced by the per-epoch standardization (normX/normY on every row
+// of every epoch) that the once-per-fit standardization must match:
+// Fit, and incremental PartialFitBatch calls whose statistics move
+// between calls.
+func TestLinearFitPinned(t *testing.T) {
+	check := func(name string, got, want []float64) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d params, want %d", name, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: param %d = %v, want %v", name, i, got[i], want[i])
+			}
+		}
+	}
+	spec := PaperLR(2)
+	spec.Seed = 3
+	spec.Epochs = 4
+	m := spec.MustNew()
+	x2, _, y := pinnedBatch(60, 2, 0)
+	if err := m.Fit(x2, y); err != nil {
+		t.Fatal(err)
+	}
+	check("Fit", m.Params().Values, []float64{0.35142013086329627, -0.007940714541446951, 0.005944210068179168, 48, 516.1752450980392, 9.506134480896771e+06, 13.205882352941174, 14.080882352941174, 5939.584775086507, 6216.59948096886})
+
+	spec.LRDecay = 0.9
+	m = spec.MustNew()
+	for c := 0; c < 3; c++ {
+		_, xf, y := pinnedBatch(37+c*11, 2, c*5)
+		if err := m.PartialFitBatch(context.Background(), xf, y, 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("PartialFitBatch", m.Params().Values, []float64{0.49671027938995815, -0.06269351460070037, 0.05042785982802899, 144, 523.283905228758, 2.9473927607819125e+07, 13.369281045751633, 13.43178104575164, 18354.286812764323, 18187.724312764323})
+}

@@ -13,6 +13,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 
 	"qens/internal/rng"
 )
@@ -60,8 +61,8 @@ type Model interface {
 	SetParams(Params) error
 	// Reinit re-seeds and re-initializes the model in place, as if
 	// freshly constructed by Spec.New with the given seed, then
-	// loads params when non-empty. Weight and scratch storage is
-	// reused — this is the model pool's arena-reuse hook
+	// loads params when non-empty. Weight, scratch and generator
+	// storage is reused — this is the model pool's arena-reuse hook
 	// (internal/engine). The resulting state is bit-exact with a
 	// fresh construction: the same RNG draws happen in the same
 	// order.
@@ -264,8 +265,14 @@ func stopEarly(valLoss []float64, patience int) bool {
 	return len(valLoss)-1-best >= patience
 }
 
-// New instantiates a model from the spec.
-func (s Spec) New() (Model, error) {
+// model is a Model that can draw its own initial weights.
+type model interface {
+	Model
+	initWeights()
+}
+
+// build allocates a zero-weight model for the spec.
+func (s Spec) build() (model, error) {
 	s = s.withDefaults()
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -278,6 +285,77 @@ func (s Spec) New() (Model, error) {
 		return newNeuralNet(s, src), nil
 	}
 	return nil, fmt.Errorf("ml: unknown model kind %q", s.Kind)
+}
+
+// New instantiates a model from the spec, drawing its initial weights
+// from the spec's Seed.
+func (s Spec) New() (Model, error) {
+	m, err := s.build()
+	if err != nil {
+		return nil, err
+	}
+	m.initWeights()
+	return m, nil
+}
+
+// Load instantiates a model holding p. It predicts exactly as New
+// followed by SetParams(p) does, and fails with the same error, but
+// draws no initial weights: the model's stream is still at Seed, so
+// training a loaded model takes different draws than training the
+// New+SetParams one. It is for models that only predict (the
+// leader's ensemble members).
+func (s Spec) Load(p Params) (Model, error) {
+	m, err := s.build()
+	if err != nil {
+		return nil, err
+	}
+	if err := m.SetParams(p); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// CheckParams returns the error Load(p) would, without building a
+// model.
+func (s Spec) CheckParams(p Params) error {
+	s = s.withDefaults()
+	if err := s.Validate(); err != nil {
+		return err
+	}
+	return s.checkParams(p)
+}
+
+// checkParams reports whether p fits a model built from s — what
+// Params.Compatible against the model's own export checks, without
+// exporting it — with SetParams's error when it does not.
+func (s Spec) checkParams(p Params) error {
+	hidden := s.Hidden
+	if s.Kind == KindLinear {
+		hidden = nil
+	}
+	ok := p.Kind == s.Kind && len(p.Dims) == len(hidden)+2 && p.Dims[0] == s.InputDim && p.Dims[len(hidden)+1] == 1
+	for i, h := range hidden {
+		ok = ok && p.Dims[i+1] == h
+	}
+	if ok {
+		if n, err := expectedValueCount(p.Kind, p.Dims); err == nil && len(p.Values) == n {
+			return nil
+		}
+	}
+	name := "nn"
+	if s.Kind == KindLinear {
+		name = "linear model"
+	}
+	return fmt.Errorf("ml: incompatible params (kind %q dims %v) for %s dims %v", p.Kind, p.Dims, name, paramDims(s.InputDim, hidden))
+}
+
+// paramDims is the Params.Dims of a model: input, hidden widths, one
+// output.
+func paramDims(in int, hidden []int) []int {
+	dims := make([]int, 0, len(hidden)+2)
+	dims = append(dims, in)
+	dims = append(dims, hidden...)
+	return append(dims, 1)
 }
 
 // MustNew is New that panics on error, for tests and examples.
@@ -293,12 +371,34 @@ func (s Spec) MustNew() Model {
 // and training hyper-parameters, excluding the Seed: two specs with
 // equal fingerprints produce interchangeable model instances up to
 // re-seeding. The node-side model pool (internal/engine) keys its
-// arenas on this.
+// arenas on AppendFingerprint.
 func (s Spec) Fingerprint() string {
+	var buf [128]byte
+	return string(s.AppendFingerprint(buf[:0]))
+}
+
+// AppendFingerprint appends Fingerprint's bytes to dst, so a caller
+// with a stack buffer can key a map without allocating.
+func (s Spec) AppendFingerprint(dst []byte) []byte {
 	s = s.withDefaults()
-	return fmt.Sprintf("%s|in=%d|h=%v|lr=%g|ep=%d|bs=%d|vs=%g|opt=%s|act=%s|l2=%g|dec=%g|pat=%d",
-		s.Kind, s.InputDim, s.Hidden, s.LearningRate, s.Epochs, s.BatchSize,
-		s.ValidationSplit, s.Optimizer, s.Activation, s.L2, s.LRDecay, s.Patience)
+	dst = append(dst, s.Kind...)
+	dst = strconv.AppendInt(append(dst, "|in="...), int64(s.InputDim), 10)
+	dst = append(dst, "|h=["...)
+	for i, h := range s.Hidden {
+		if i > 0 {
+			dst = append(dst, ' ')
+		}
+		dst = strconv.AppendInt(dst, int64(h), 10)
+	}
+	dst = strconv.AppendFloat(append(dst, "]|lr="...), s.LearningRate, 'g', -1, 64)
+	dst = strconv.AppendInt(append(dst, "|ep="...), int64(s.Epochs), 10)
+	dst = strconv.AppendInt(append(dst, "|bs="...), int64(s.BatchSize), 10)
+	dst = strconv.AppendFloat(append(dst, "|vs="...), s.ValidationSplit, 'g', -1, 64)
+	dst = append(append(dst, "|opt="...), s.Optimizer...)
+	dst = append(append(dst, "|act="...), s.Activation...)
+	dst = strconv.AppendFloat(append(dst, "|l2="...), s.L2, 'g', -1, 64)
+	dst = strconv.AppendFloat(append(dst, "|dec="...), s.LRDecay, 'g', -1, 64)
+	return strconv.AppendInt(append(dst, "|pat="...), int64(s.Patience), 10)
 }
 
 // checkFlatXY validates a flat row-major training batch: len(x) must

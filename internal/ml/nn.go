@@ -62,6 +62,8 @@ type denseLayer struct {
 	hidden bool
 }
 
+// newNeuralNet allocates an NN with zero weights: Spec.New draws the
+// initial ones (initWeights), Spec.Load overwrites them.
 func newNeuralNet(spec Spec, src *rng.Source) *neuralNet {
 	act, err := lookupActivation(spec.Activation)
 	if err != nil {
@@ -69,20 +71,11 @@ func newNeuralNet(spec Spec, src *rng.Source) *neuralNet {
 		// programming error, not a data condition.
 		panic(err)
 	}
-	widths := append([]int{spec.InputDim}, spec.Hidden...)
-	widths = append(widths, 1)
+	widths := paramDims(spec.InputDim, spec.Hidden)
 	layers := make([]denseLayer, len(widths)-1)
 	for l := range layers {
-		in, out := widths[l], widths[l+1]
-		w := matrix.NewDense(in, out)
-		// He initialization for relu layers.
-		scale := math.Sqrt(2 / float64(in))
-		for i := 0; i < in; i++ {
-			for j := 0; j < out; j++ {
-				w.Set(i, j, src.Normal(0, scale))
-			}
-		}
-		layers[l] = denseLayer{w: w, b: make([]float64, out), hidden: l < len(layers)-1}
+		out := widths[l+1]
+		layers[l] = denseLayer{w: matrix.NewDense(widths[l], out), b: make([]float64, out), hidden: l < len(layers)-1}
 	}
 	m := &neuralNet{
 		spec:   spec,
@@ -93,6 +86,23 @@ func newNeuralNet(spec Spec, src *rng.Source) *neuralNet {
 	}
 	m.opt = newOptimizer(spec.Optimizer, spec.LearningRate, m.paramCount())
 	return m
+}
+
+// initWeights draws He-initialized weights (for relu layers), layer
+// by layer in row-major order, and zeroes the biases.
+func (m *neuralNet) initWeights() {
+	for _, layer := range m.layers {
+		in, out := layer.w.Rows(), layer.w.Cols()
+		scale := math.Sqrt(2 / float64(in))
+		for i := 0; i < in; i++ {
+			for j := 0; j < out; j++ {
+				layer.w.Set(i, j, m.src.Normal(0, scale))
+			}
+		}
+		for j := range layer.b {
+			layer.b[j] = 0
+		}
+	}
 }
 
 func (m *neuralNet) paramCount() int {
@@ -373,11 +383,6 @@ func (m *neuralNet) PredictBatch(x [][]float64) []float64 {
 	return out
 }
 
-// flattenParams serializes weights+biases layer by layer.
-func (m *neuralNet) flattenParams() []float64 {
-	return m.flattenParamsInto(make([]float64, m.paramCount()))
-}
-
 // flattenParamsInto serializes weights+biases into the given buffer
 // (length paramCount) and returns it.
 func (m *neuralNet) flattenParamsInto(out []float64) []float64 {
@@ -403,19 +408,16 @@ func (m *neuralNet) loadParams(v []float64) {
 
 // Params exports weights, biases and normalization state.
 func (m *neuralNet) Params() Params {
-	dims := []int{m.spec.InputDim}
-	dims = append(dims, m.spec.Hidden...)
-	dims = append(dims, 1)
-	values := m.flattenParams()
-	values = append(values, m.stats.flatten()...)
-	return Params{Kind: KindNN, Dims: dims, Values: values}
+	n := m.paramCount()
+	values := m.flattenParamsInto(make([]float64, n, n+statsFlatLen(m.spec.InputDim)))
+	values = m.stats.appendTo(values)
+	return Params{Kind: KindNN, Dims: paramDims(m.spec.InputDim, m.spec.Hidden), Values: values}
 }
 
 // SetParams loads an exported snapshot.
 func (m *neuralNet) SetParams(p Params) error {
-	want := m.Params()
-	if !p.Compatible(want) {
-		return fmt.Errorf("ml: incompatible params (kind %q dims %v) for nn dims %v", p.Kind, p.Dims, want.Dims)
+	if err := m.spec.checkParams(p); err != nil {
+		return err
 	}
 	n := m.paramCount()
 	m.loadParams(p.Values[:n])
@@ -457,23 +459,12 @@ func (m *neuralNet) PredictFlat(x []float64, out []float64) {
 }
 
 // Reinit re-seeds and re-initializes the model in place (see Model).
-// Weight matrices, bias vectors and scratch are reused; the RNG draws
-// mirror newNeuralNet exactly, so the state is bit-exact with a fresh
+// Weight matrices, bias vectors, scratch and the generator are reused;
+// the RNG draws are Spec.New's, so the state is bit-exact with a fresh
 // construction.
 func (m *neuralNet) Reinit(seed uint64, params Params) error {
-	m.src = rng.New(seed)
-	for _, layer := range m.layers {
-		in, out := layer.w.Rows(), layer.w.Cols()
-		scale := math.Sqrt(2 / float64(in))
-		for i := 0; i < in; i++ {
-			for j := 0; j < out; j++ {
-				layer.w.Set(i, j, m.src.Normal(0, scale))
-			}
-		}
-		for j := range layer.b {
-			layer.b[j] = 0
-		}
-	}
+	m.src.Reseed(seed)
+	m.initWeights()
 	m.stats.reset()
 	m.opt.reset()
 	m.opt.setLR(m.spec.LearningRate)

@@ -95,13 +95,11 @@ func (s *runningStats) normY(y float64) float64 { return (y - s.yMean) / s.yStd(
 // denormY maps a standardized prediction back to the target scale.
 func (s *runningStats) denormY(y float64) float64 { return y*s.yStd() + s.yMean }
 
-// flatten serializes the statistics for Params transport.
-func (s *runningStats) flatten() []float64 {
-	out := make([]float64, 0, 2*len(s.mean)+3)
-	out = append(out, s.count, s.yMean, s.yM2)
-	out = append(out, s.mean...)
-	out = append(out, s.m2...)
-	return out
+// appendTo serializes the statistics for Params transport onto dst.
+func (s *runningStats) appendTo(dst []float64) []float64 {
+	dst = append(dst, s.count, s.yMean, s.yM2)
+	dst = append(dst, s.mean...)
+	return append(dst, s.m2...)
 }
 
 // flatLen returns the serialized length for dim features.

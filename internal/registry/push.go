@@ -49,18 +49,12 @@ func (r *Registry) applyPush(sum cluster.NodeSummary) (uint64, bool, error) {
 		r.pushDroppedUnknown.Add(1)
 		return 0, false, nil
 	}
-	idx := -1
-	for i := range prev.Nodes {
-		if prev.Nodes[i].NodeID == sum.NodeID {
-			idx = i
-			break
-		}
-	}
-	if idx == -1 {
+	idx, ok := prev.byID[sum.NodeID]
+	if !ok {
 		r.pushDroppedUnknown.Add(1)
 		return 0, false, nil
 	}
-	if sum.Epoch <= prev.epochByNode[sum.NodeID] {
+	if sum.Epoch <= prev.Nodes[idx].SummaryEpoch {
 		r.pushDroppedStale.Add(1)
 		return 0, false, nil
 	}

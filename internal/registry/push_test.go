@@ -83,6 +83,9 @@ func TestRegistryApplyPush(t *testing.T) {
 	if got := s1.NodeSummaryEpoch("node-1"); got != 5 {
 		t.Fatalf("node-1 epoch after push = %d", got)
 	}
+	if g := s1.Node("node-1"); g != &s1.Nodes[1] || s0.Node("node-1").SummaryEpoch != 2 {
+		t.Fatalf("patched snapshot's lookup: %p (want %p), predecessor epoch %d", g, &s1.Nodes[1], s0.Node("node-1").SummaryEpoch)
+	}
 	if !covers(t, s1, "node-1", 100) {
 		t.Fatal("index not patched to the pushed bounds")
 	}

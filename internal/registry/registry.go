@@ -111,7 +111,9 @@ type Snapshot struct {
 	// freshly built index.
 	Index *geometry.RTree
 
-	epochByNode map[string]uint64
+	// byID maps each NodeID to its roster index in Nodes. It is built
+	// once per roster: a patched snapshot shares its predecessor's.
+	byID map[string]int
 
 	// covers is the invalidation generation this snapshot answers: the
 	// registry's invalidation count read before the fetch that built it
@@ -120,10 +122,23 @@ type Snapshot struct {
 	covers int64
 }
 
+// Node returns the named node's re-packed advertisement (nil when the
+// node is not in the snapshot).
+func (s *Snapshot) Node(nodeID string) *NodeGeom {
+	i, ok := s.byID[nodeID]
+	if !ok {
+		return nil
+	}
+	return &s.Nodes[i]
+}
+
 // NodeSummaryEpoch returns the node-reported advertisement version
 // recorded in this snapshot (0 when unknown).
 func (s *Snapshot) NodeSummaryEpoch(nodeID string) uint64 {
-	return s.epochByNode[nodeID]
+	if g := s.Node(nodeID); g != nil {
+		return g.SummaryEpoch
+	}
+	return 0
 }
 
 // rebuildChurn is the changed-node fraction above which a refresh
@@ -458,8 +473,7 @@ func (r *Registry) SignalNodeEpoch(nodeID string, epoch uint64) bool {
 	if s == nil {
 		return false
 	}
-	known, ok := s.epochByNode[nodeID]
-	if !ok || epoch <= known {
+	if g := s.Node(nodeID); g == nil || epoch <= g.SummaryEpoch {
 		return false
 	}
 	r.InvalidateNode(nodeID)
@@ -606,20 +620,19 @@ func buildSnapshot(summaries []cluster.NodeSummary) (*Snapshot, error) {
 		return nil, errors.New("registry: fetch returned no summaries")
 	}
 	snap := &Snapshot{
-		Summaries:   summaries,
-		Nodes:       make([]NodeGeom, 0, len(summaries)),
-		Dims:        -1,
-		epochByNode: make(map[string]uint64, len(summaries)),
+		Summaries: summaries,
+		Nodes:     make([]NodeGeom, 0, len(summaries)),
+		Dims:      -1,
+		byID:      make(map[string]int, len(summaries)),
 	}
-	seen := make(map[string]bool, len(summaries))
-	for _, s := range summaries {
+	for i, s := range summaries {
 		if err := s.Validate(); err != nil {
 			return nil, fmt.Errorf("registry: node %s: %w", s.NodeID, err)
 		}
-		if seen[s.NodeID] {
+		if _, dup := snap.byID[s.NodeID]; dup {
 			return nil, fmt.Errorf("registry: duplicate node id %q", s.NodeID)
 		}
-		seen[s.NodeID] = true
+		snap.byID[s.NodeID] = i
 		dims := s.Clusters[0].Bounds.Dims()
 		if snap.Dims == -1 {
 			snap.Dims = dims
@@ -631,7 +644,6 @@ func buildSnapshot(summaries []cluster.NodeSummary) (*Snapshot, error) {
 		snap.NodeBounds = append(snap.NodeBounds, bound)
 		snap.TotalClusters += len(s.Clusters)
 		snap.TotalSamples += s.TotalSamples
-		snap.epochByNode[s.NodeID] = s.Epoch
 	}
 	entries := make([]geometry.Entry, len(snap.NodeBounds))
 	for i, b := range snap.NodeBounds {
@@ -677,11 +689,11 @@ func buildNodeGeom(s cluster.NodeSummary) (NodeGeom, geometry.Rect) {
 // roster (ids and order) matches prev.
 func buildSnapshotPatched(prev *Snapshot, summaries []cluster.NodeSummary, changed []int) (*Snapshot, error) {
 	snap := &Snapshot{
-		Summaries:   summaries,
-		Nodes:       append([]NodeGeom(nil), prev.Nodes...),
-		Dims:        prev.Dims,
-		NodeBounds:  append([]geometry.Rect(nil), prev.NodeBounds...),
-		epochByNode: make(map[string]uint64, len(summaries)),
+		Summaries:  summaries,
+		Nodes:      append([]NodeGeom(nil), prev.Nodes...),
+		Dims:       prev.Dims,
+		NodeBounds: append([]geometry.Rect(nil), prev.NodeBounds...),
+		byID:       prev.byID,
 	}
 	updates := make(map[int]geometry.Rect, len(changed))
 	for _, i := range changed {
@@ -703,7 +715,6 @@ func buildSnapshotPatched(prev *Snapshot, summaries []cluster.NodeSummary, chang
 	for i := range snap.Nodes {
 		snap.TotalClusters += snap.Nodes[i].K()
 		snap.TotalSamples += snap.Nodes[i].TotalSamples
-		snap.epochByNode[snap.Nodes[i].NodeID] = snap.Nodes[i].SummaryEpoch
 	}
 	index, err := prev.Index.Patch(updates)
 	if err != nil {

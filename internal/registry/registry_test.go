@@ -90,6 +90,12 @@ func TestRegistryLifecycle(t *testing.T) {
 	if got := s.NodeSummaryEpoch("nope"); got != 0 {
 		t.Fatalf("NodeSummaryEpoch(unknown) = %d", got)
 	}
+	if g := s.Node("node-2"); g != &s.Nodes[2] {
+		t.Fatalf("Node(node-2) = %p, want &Nodes[2] %p", g, &s.Nodes[2])
+	}
+	if g := s.Node("nope"); g != nil {
+		t.Fatalf("Node(unknown) = %+v", g)
+	}
 
 	// Steady state: no re-fetch, same pointer, ReuseEpoch == Epoch.
 	s2, err := r.Snapshot(context.Background())

@@ -6,6 +6,14 @@
 // determined by its seed. Streams can be split hierarchically
 // (dataset -> node -> feature), which keeps results stable when one
 // component draws a different number of variates than before.
+//
+// Seeding is lazy: New and Split only record the seed, and the
+// math/rand state (a ~4.9 KB table) is built on the first draw, so a
+// stream that is split but never drawn from costs one small struct.
+// Reseed re-seeds a stream in place, reusing that state — the model
+// pool's per-job reset (ml.Model.Reinit) goes through it. Neither
+// changes a single variate: a stream yields exactly the sequence an
+// eagerly seeded New(seed) would.
 package rng
 
 import (
@@ -26,7 +34,7 @@ import (
 // same seeded stream without a data race.
 type Source struct {
 	mu sync.Mutex
-	r  *rand.Rand
+	r  *rand.Rand // nil until the first draw (see gen)
 	// seed is the original seed, retained so the stream can be split.
 	seed uint64
 	// splits counts how many child streams have been derived.
@@ -35,8 +43,28 @@ type Source struct {
 
 // New returns a Source seeded with seed.
 func New(seed uint64) *Source {
-	mixed := splitMix64(seed)
-	return &Source{r: rand.New(rand.NewSource(int64(mixed))), seed: seed}
+	return &Source{seed: seed}
+}
+
+// Reseed resets s in place to the state New(seed) would return: the
+// same draws follow and the same children split off. The generator
+// state is reused rather than reallocated. It must not race with
+// other uses of s that expect the old stream.
+func (s *Source) Reseed(seed uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.seed, s.splits = seed, 0
+	if s.r != nil {
+		s.r.Seed(int64(splitMix64(seed)))
+	}
+}
+
+// gen returns the generator, seeding it on first use. Callers hold mu.
+func (s *Source) gen() *rand.Rand {
+	if s.r == nil {
+		s.r = rand.New(rand.NewSource(int64(splitMix64(s.seed))))
+	}
+	return s.r
 }
 
 // splitMix64 is the finalizer of the SplitMix64 generator; it is used
@@ -71,7 +99,7 @@ func (s *Source) SplitN(n int) []*Source {
 func (s *Source) Float64() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.r.Float64()
+	return s.gen().Float64()
 }
 
 // Uniform returns a uniform variate in [lo, hi).
@@ -84,14 +112,14 @@ func (s *Source) Uniform(lo, hi float64) float64 {
 func (s *Source) Intn(n int) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.r.Intn(n)
+	return s.gen().Intn(n)
 }
 
 // Int63 returns a non-negative 63-bit integer.
 func (s *Source) Int63() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.r.Int63()
+	return s.gen().Int63()
 }
 
 // Normal returns a normal variate with the given mean and standard
@@ -99,7 +127,7 @@ func (s *Source) Int63() int64 {
 func (s *Source) Normal(mean, stddev float64) float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return mean + stddev*s.r.NormFloat64()
+	return mean + stddev*s.gen().NormFloat64()
 }
 
 // Exponential returns an exponential variate with the given rate
@@ -107,14 +135,14 @@ func (s *Source) Normal(mean, stddev float64) float64 {
 func (s *Source) Exponential(lambda float64) float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.r.ExpFloat64() / lambda
+	return s.gen().ExpFloat64() / lambda
 }
 
 // Perm returns a random permutation of [0, n).
 func (s *Source) Perm(n int) []int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.r.Perm(n)
+	return s.gen().Perm(n)
 }
 
 // PermInto writes a random permutation of [0, len(buf)) into buf and
@@ -128,8 +156,9 @@ func (s *Source) PermInto(buf []int) []int {
 	defer s.mu.Unlock()
 	// Mirror math/rand's Perm: an inside-out Fisher–Yates that calls
 	// Intn(i+1) once per element.
+	r := s.gen()
 	for i := range buf {
-		j := s.r.Intn(i + 1)
+		j := r.Intn(i + 1)
 		buf[i] = buf[j]
 		buf[j] = i
 	}
@@ -140,7 +169,7 @@ func (s *Source) PermInto(buf []int) []int {
 func (s *Source) Shuffle(n int, swap func(i, j int)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.r.Shuffle(n, swap)
+	s.gen().Shuffle(n, swap)
 }
 
 // Bool returns true with probability p.

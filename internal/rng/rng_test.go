@@ -282,3 +282,74 @@ func TestPermIntoZeroAlloc(t *testing.T) {
 		t.Fatalf("PermInto allocates %v per run", allocs)
 	}
 }
+
+// trace draws from every method in a fixed order and returns what it
+// saw, so two sources can be compared variate for variate.
+func trace(s *Source) []float64 {
+	var out []float64
+	for i := 0; i < 5; i++ {
+		out = append(out, s.Float64(), float64(s.Intn(97)), float64(s.Int63()),
+			s.Normal(1, 2), s.Exponential(3))
+	}
+	for _, v := range s.Perm(9) {
+		out = append(out, float64(v))
+	}
+	for _, v := range s.PermInto(make([]int, 7)) {
+		out = append(out, float64(v))
+	}
+	xs := []float64{1, 2, 3, 4, 5, 6}
+	s.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
+	out = append(out, xs...)
+	for _, child := range s.SplitN(2) {
+		out = append(out, child.Float64(), float64(child.Int63()))
+	}
+	return append(out, s.Float64())
+}
+
+// TestReseedMatchesNew pins Reseed: a source reseeded after arbitrary
+// draws and splits continues exactly as a fresh New with that seed,
+// from every method and through its Split children.
+func TestReseedMatchesNew(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 42, 1 << 63} {
+		s := New(seed + 5)
+		trace(s)
+		s.Split()
+		s.Reseed(seed)
+		got, want := trace(s), trace(New(seed))
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d variates vs %d", seed, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: variate %d = %v after Reseed, %v from New", seed, i, got[i], want[i])
+			}
+		}
+		// Reseeding a source that never drew is the same as New too.
+		fresh := New(seed + 9)
+		fresh.Reseed(seed)
+		if a, b := fresh.Float64(), New(seed).Float64(); a != b {
+			t.Fatalf("seed %d: never-drawn Reseed gives %v, New %v", seed, a, b)
+		}
+	}
+}
+
+// TestLazySeedingKeepsStream pins that deferring the generator's
+// seeding to the first draw changed no variate: the literals are what
+// the eagerly seeded Source produced, and a source that has never
+// drawn splits exactly as one that has.
+func TestLazySeedingKeepsStream(t *testing.T) {
+	a := New(42)
+	if f, n, c := a.Float64(), a.Int63(), a.Split().Int63(); f != 0.7652101070519493 || n != 3886379789183912854 || c != 7077701637087532738 {
+		t.Fatalf("New(42) drew %v, %v, child %v", f, n, c)
+	}
+	if v := New(42).Split().Float64(); v != 0.7673659491134515 {
+		t.Fatalf("never-drawn New(42)'s first child drew %v", v)
+	}
+	idle, drawn := New(8), New(8)
+	drawn.Float64()
+	for i := 0; i < 3; i++ {
+		if a, b := idle.Split().Int63(), drawn.Split().Int63(); a != b {
+			t.Fatalf("split %d: never-drawn child %d, drawn parent's child %d", i, a, b)
+		}
+	}
+}

@@ -37,11 +37,15 @@ type Span struct {
 // it (and on the span handles it returns) is safe to call, so
 // instrumented code never branches on "is tracing on".
 type Tracer struct {
-	mu    sync.Mutex
-	bw    *bufio.Writer // buffers the JSONL sink; nil when w is nil
-	enc   *json.Encoder // persistent encoder over bw (one per tracer, not per span)
-	spans []Span        // finished spans retained in memory
-	max   int           // retention cap (0 = unlimited)
+	mu  sync.Mutex
+	bw  *bufio.Writer // buffers the JSONL sink; nil when w is nil
+	enc *json.Encoder // persistent encoder over bw (one per tracer, not per span)
+	// spans holds the finished spans retained in memory. Under a
+	// retention cap it is a ring allocated once by SetRetention: it
+	// fills by append, then each span overwrites the oldest, at head.
+	spans []Span
+	head  int // oldest span once the ring is full, else 0
+	max   int // retention cap (0 = unlimited)
 }
 
 // NewTracer returns a tracer streaming finished spans to w as JSONL
@@ -58,14 +62,29 @@ func NewTracer(w io.Writer) *Tracer {
 }
 
 // SetRetention caps the number of finished spans kept in memory
-// (oldest dropped first). JSONL streaming is unaffected.
+// (oldest dropped first; n <= 0 means unlimited). The cap's storage is
+// allocated here, once, so recording at the cap allocates nothing.
+// JSONL streaming is unaffected.
 func (t *Tracer) SetRetention(n int) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.max = n
+	kept := t.appendOrdered(nil)
+	if n > 0 {
+		if len(kept) > n {
+			kept = kept[len(kept)-n:]
+		}
+		kept = append(make([]Span, 0, n), kept...)
+	}
+	t.spans, t.head, t.max = kept, 0, n
+}
+
+// appendOrdered appends the retained spans to dst in completion order.
+// Callers hold mu.
+func (t *Tracer) appendOrdered(dst []Span) []Span {
+	return append(append(dst, t.spans[t.head:]...), t.spans[:t.head]...)
 }
 
 // defaultTracer is the process-wide tracer; nil (no-op) until a main
@@ -208,9 +227,11 @@ func (sp *SpanHandle) End(err error) {
 func (t *Tracer) record(span Span) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.spans = append(t.spans, span)
-	if t.max > 0 && len(t.spans) > t.max {
-		t.spans = t.spans[len(t.spans)-t.max:]
+	if t.max <= 0 || len(t.spans) < t.max {
+		t.spans = append(t.spans, span)
+	} else {
+		t.spans[t.head] = span
+		t.head = (t.head + 1) % t.max
 	}
 	if t.enc != nil {
 		_ = t.enc.Encode(span) // best effort: a broken sink must not fail queries
@@ -257,9 +278,7 @@ func (t *Tracer) Spans() []Span {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Span, len(t.spans))
-	copy(out, t.spans)
-	return out
+	return t.appendOrdered(make([]Span, 0, len(t.spans)))
 }
 
 // TraceSpans returns the retained spans belonging to one trace, in
@@ -271,22 +290,26 @@ func (t *Tracer) TraceSpans(traceID string) []Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var out []Span
-	for _, s := range t.spans {
-		if s.TraceID == traceID {
-			out = append(out, s)
+	for _, part := range [2][]Span{t.spans[t.head:], t.spans[:t.head]} {
+		for _, s := range part {
+			if s.TraceID == traceID {
+				out = append(out, s)
+			}
 		}
 	}
 	return out
 }
 
-// Reset drops the retained spans (the JSONL sink is untouched).
+// Reset drops the retained spans (the JSONL sink is untouched). A
+// retention ring keeps its storage.
 func (t *Tracer) Reset() {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.spans = nil
+	clear(t.spans)
+	t.spans, t.head = t.spans[:0], 0
 }
 
 // WriteJSONL exports every retained span to w, one JSON object per

@@ -297,3 +297,65 @@ func TestFormatKV(t *testing.T) {
 		t.Fatalf("odd-arity FormatKV = %q", got)
 	}
 }
+
+// TestTracerRetentionRing pins the retention ring: once the cap is
+// reached, recording overwrites the oldest span without allocating,
+// every read keeps completion order, and re-capping keeps the newest.
+func TestTracerRetentionRing(t *testing.T) {
+	tr := NewTracer(nil)
+	tr.SetRetention(4)
+	start := time.Unix(0, 0)
+	span := func(i int) Span {
+		return Span{TraceID: "t" + strconv.Itoa(i%2), SpanID: strconv.Itoa(i), Name: "s", Start: start, End: start.Add(time.Millisecond)}
+	}
+	for i := 0; i < 10; i++ {
+		tr.RecordSpan(span(i))
+	}
+	ids := func(spans []Span) string {
+		out := make([]string, len(spans))
+		for i, s := range spans {
+			out[i] = s.SpanID
+		}
+		return strings.Join(out, ",")
+	}
+	if got := ids(tr.Spans()); got != "6,7,8,9" {
+		t.Fatalf("Spans() = %s, want 6,7,8,9", got)
+	}
+	if got := ids(tr.TraceSpans("t1")); got != "7,9" {
+		t.Fatalf("TraceSpans(t1) = %s, want 7,9", got)
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if back, err := ReadJSONL(&buf); err != nil || ids(back) != "6,7,8,9" {
+		t.Fatalf("WriteJSONL round trip = %s (%v), want 6,7,8,9", ids(back), err)
+	}
+
+	// 100 spans per run: a trim that reallocated only every few
+	// spans would still average below one allocation per span.
+	s := span(10)
+	if n := testing.AllocsPerRun(20, func() {
+		for i := 0; i < 100; i++ {
+			tr.RecordSpan(s)
+		}
+	}); n != 0 {
+		t.Fatalf("100 RecordSpans at the cap allocate %v, want 0", n)
+	}
+
+	tr.SetRetention(2)
+	if got := ids(tr.Spans()); got != "10,10" {
+		t.Fatalf("after SetRetention(2): %s, want 10,10", got)
+	}
+	tr.SetRetention(0)
+	for i := 11; i < 14; i++ {
+		tr.RecordSpan(span(i))
+	}
+	if got := ids(tr.Spans()); got != "10,10,11,12,13" {
+		t.Fatalf("unlimited after the ring: %s, want 10,10,11,12,13", got)
+	}
+	tr.Reset()
+	if n := len(tr.Spans()); n != 0 {
+		t.Fatalf("%d spans after Reset", n)
+	}
+}

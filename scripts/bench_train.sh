@@ -1,8 +1,9 @@
 #!/bin/sh
 # Runs the node training-engine microbenchmarks (BenchmarkNodeTrain:
 # view vs copy data paths over model family x cluster count x shard
-# size, plus BenchmarkNodeTrainClusterAccess) and renders the results
-# as BENCH_train.json at the repo root.
+# size, with LR view rows at 1 and 5 local epochs, plus
+# BenchmarkNodeTrainClusterAccess) and renders the results as
+# BENCH_train.json at the repo root.
 #
 #   BENCHTIME=100ms sh scripts/bench_train.sh   # CI smoke
 #   sh scripts/bench_train.sh                   # local, default 1s/op
@@ -14,6 +15,10 @@
 #     state.
 #   - the engine (view) path is less than 2x the throughput of the
 #     pre-refactor copy path on any LR case with >= 10k samples.
+#   - a whole LR train job on the engine path (path=view/model=lr)
+#     reports more than 4 allocs/op: with the model pool and staging
+#     buffers warm, a job allocates its returned Params and little
+#     else.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -33,6 +38,10 @@ printf '%s\n' "$out" | awk '
     if (name == "BenchmarkNodeTrainClusterAccess" && $7 + 0 != 0) {
       bad = 1
       printf "\nALLOC REGRESSION: %s reports %s allocs/op, want 0\n", name, $7 > "/dev/stderr"
+    }
+    if (name ~ /path=view\/model=lr\// && $7 + 0 > 4) {
+      bad = 1
+      printf "\nALLOC REGRESSION: %s reports %s allocs/op, want <= 4\n", name, $7 > "/dev/stderr"
     }
   }
   END {
