@@ -23,6 +23,7 @@ import (
 	"qens/internal/geometry"
 	"qens/internal/ml"
 	"qens/internal/rng"
+	"qens/internal/telemetry"
 )
 
 // Node is a participant edge node: it owns a local dataset, a k-means
@@ -221,8 +222,8 @@ type TrainRequest struct {
 	// TraceID/SpanID optionally attribute this round to the
 	// originating query's trace (see internal/telemetry); transports
 	// propagate them so remote daemon logs are correlatable.
-	TraceID string `json:"trace_id,omitempty"`
-	SpanID  string `json:"span_id,omitempty"`
+	TraceID telemetry.ID `json:"trace_id,omitempty"`
+	SpanID  telemetry.ID `json:"span_id,omitempty"`
 }
 
 // NodeSpan is one node-side timed phase of an RPC, piggybacked on the
@@ -339,7 +340,7 @@ func (n *Node) TrainContext(ctx context.Context, req TrainRequest) (TrainRespons
 		TrainTime:    time.Since(start),
 		SummaryEpoch: res.Epoch,
 	}
-	if req.TraceID != "" {
+	if req.TraceID != 0 {
 		out.Spans = phaseSpans(res.Phases, "")
 	}
 	return out, nil
@@ -355,8 +356,8 @@ type EvalRequest struct {
 	Bounds *geometry.Rect `json:"bounds,omitempty"`
 	// TraceID/SpanID optionally attribute this evaluation to the
 	// originating query's trace.
-	TraceID string `json:"trace_id,omitempty"`
-	SpanID  string `json:"span_id,omitempty"`
+	TraceID telemetry.ID `json:"trace_id,omitempty"`
+	SpanID  telemetry.ID `json:"span_id,omitempty"`
 }
 
 // EvalResponse carries the local loss.
@@ -398,7 +399,7 @@ func (n *Node) EvaluateContext(ctx context.Context, req EvalRequest) (EvalRespon
 		return EvalResponse{}, fmt.Errorf("federation: node %s: %w", n.id, err)
 	}
 	out := EvalResponse{MSE: res.MSE, Samples: res.Samples, SummaryEpoch: res.Epoch}
-	if req.TraceID != "" {
+	if req.TraceID != 0 {
 		out.Spans = phaseSpans(res.Phases, "node.eval")
 	}
 	return out, nil

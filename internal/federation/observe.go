@@ -86,17 +86,7 @@ func startTrainSpan(parent *telemetry.SpanHandle, nodeID string, round int) *tel
 // node spans piggybacked on region RPCs into one cross-process trace
 // tree. No-op when tracing is off or the response carried no spans.
 func RecordRemoteSpans(t *telemetry.Tracer, rpc *telemetry.SpanHandle, proc string, spans []NodeSpan) {
-	if t == nil || rpc == nil || len(spans) == 0 {
-		return
-	}
 	for _, s := range spans {
-		t.RecordSpan(telemetry.Span{
-			TraceID:  rpc.TraceID(),
-			ParentID: rpc.SpanID(),
-			Name:     s.Name,
-			Start:    s.Start(),
-			End:      s.End(),
-			Attrs:    map[string]string{"node": proc, "proc": proc},
-		})
+		t.RecordRemote(rpc, proc, s.Name, s.Start(), s.End())
 	}
 }

@@ -41,7 +41,7 @@ type RoundRequest struct {
 	// TraceID/SpanID instead: they propagate to the nodes and the node
 	// spans stay on the outcomes for the remote owner to re-parent.
 	Parent          *telemetry.SpanHandle
-	TraceID, SpanID string
+	TraceID, SpanID telemetry.ID
 }
 
 // RoundOutcome is one participant's outcome from Leader.Round: the raw
@@ -107,7 +107,7 @@ func (l *Leader) trainOne(ctx context.Context, req *RoundRequest, p selection.Pa
 	tspan := startTrainSpan(req.Parent, p.NodeID, req.Round)
 	traceID, spanID := req.TraceID, req.SpanID
 	if tspan != nil {
-		traceID, spanID = tspan.TraceID(), tspan.SpanID()
+		traceID, spanID = tspan.Trace(), tspan.Span()
 	}
 	o := RoundOutcome{NodeID: p.NodeID}
 	start := time.Now()

@@ -179,7 +179,7 @@ func (l *Leader) Train(ctx context.Context, req TrainRequest) (TrainResponse, er
 		}
 		resp.Results = append(resp.Results, rr)
 	}
-	if req.TraceID != "" {
+	if req.TraceID != 0 {
 		resp.Spans = []federation.NodeSpan{{
 			Name:        "region.train",
 			StartUnixNS: start.UnixNano(),

@@ -739,8 +739,8 @@ func (r *Router) trainFanout(ctx context.Context, qspan *telemetry.SpanHandle, t
 				Params:       initial,
 				Participants: g.parts,
 				LocalEpochs:  r.cfg.LocalEpochs,
-				TraceID:      rspan.TraceID(),
-				SpanID:       rspan.SpanID(),
+				TraceID:      rspan.Trace(),
+				SpanID:       rspan.Span(),
 			})
 			if err == nil && len(resp.Results) != len(g.parts) {
 				err = fmt.Errorf("region: %s returned %d results for %d participants", m.id, len(resp.Results), len(g.parts))

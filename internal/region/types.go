@@ -32,6 +32,7 @@ import (
 	"qens/internal/query"
 	"qens/internal/registry"
 	"qens/internal/selection"
+	"qens/internal/telemetry"
 
 	"qens/internal/fleet"
 )
@@ -102,8 +103,8 @@ type TrainRequest struct {
 	// TraceID/SpanID attribute the round to the root query's trace;
 	// node and region phase spans come back on the response for
 	// re-parenting at the root.
-	TraceID string
-	SpanID  string
+	TraceID telemetry.ID
+	SpanID  telemetry.ID
 }
 
 // RoundResult is one participant's outcome within a region round.

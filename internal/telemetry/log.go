@@ -39,3 +39,17 @@ func AppendKV(b []byte, key, value string) []byte {
 	}
 	return append(b, value...)
 }
+
+// AppendIDKV is AppendKV for an ID value: the hex form appended in
+// place, with no string built (the zero ID renders as AppendKV's "").
+func AppendIDKV(b []byte, key string, id ID) []byte {
+	if id == 0 {
+		return AppendKV(b, key, "")
+	}
+	if len(b) > 0 {
+		b = append(b, ' ')
+	}
+	b = append(b, key...)
+	b = append(b, '=')
+	return id.AppendHex(b)
+}

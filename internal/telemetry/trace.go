@@ -2,8 +2,6 @@ package telemetry
 
 import (
 	"bufio"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"io"
 	"sync"
@@ -17,7 +15,8 @@ import (
 // originating query, and finished spans export as JSONL — one JSON
 // object per line — for the experiment harness to consume.
 
-// Span is one finished timed operation within a trace.
+// Span is one finished timed operation within a trace — the read form
+// a Tracer builds from its records, and the JSONL schema.
 type Span struct {
 	TraceID  string    `json:"trace_id"`
 	SpanID   string    `json:"span_id"`
@@ -36,16 +35,84 @@ type Span struct {
 // to a writer. A nil *Tracer is a valid no-op tracer: every method on
 // it (and on the span handles it returns) is safe to call, so
 // instrumented code never branches on "is tracing on".
+//
+// Recording a span allocates nothing: the tracer keeps plain records
+// (binary IDs, attributes inline) and builds the Span read form only
+// when someone reads — Spans, TraceSpans, WriteJSONL or the JSONL sink.
+// An always-on trace therefore costs one allocation per span handle.
 type Tracer struct {
 	mu  sync.Mutex
 	bw  *bufio.Writer // buffers the JSONL sink; nil when w is nil
 	enc *json.Encoder // persistent encoder over bw (one per tracer, not per span)
-	// spans holds the finished spans retained in memory. Under a
+	// recs holds the finished spans retained in memory. Under a
 	// retention cap it is a ring allocated once by SetRetention: it
 	// fills by append, then each span overwrites the oldest, at head.
-	spans []Span
-	head  int // oldest span once the ring is full, else 0
-	max   int // retention cap (0 = unlimited)
+	recs []record
+	head int // oldest record once the ring is full, else 0
+	max  int // retention cap (0 = unlimited)
+}
+
+// inlineAttrs is how many attributes a record holds without a map; no
+// span sets more than 3 today, so the overflow map stays nil.
+const inlineAttrs = 4
+
+// record is one span as the tracer stores it: plain values, copied by
+// value into the ring when the span ends.
+type record struct {
+	trace, id, parent ID
+	name              string
+	start, end        time.Time
+	err               string
+	nattrs            int
+	attrs             [inlineAttrs][2]string // key, value
+	extra             map[string]string      // attributes past the inline ones
+}
+
+// setAttr sets key to value, overwriting an earlier value of key. The
+// overflow map is used only once the inline attrs are full, so a key
+// is never in both.
+func (r *record) setAttr(key, value string) {
+	for i := range r.attrs[:r.nattrs] {
+		if r.attrs[i][0] == key {
+			r.attrs[i][1] = value
+			return
+		}
+	}
+	if r.nattrs < inlineAttrs {
+		r.attrs[r.nattrs] = [2]string{key, value}
+		r.nattrs++
+		return
+	}
+	if r.extra == nil {
+		r.extra = map[string]string{}
+	}
+	r.extra[key] = value
+}
+
+// toSpan builds the Span read form of r.
+func (r *record) toSpan() Span {
+	s := Span{
+		TraceID:  r.trace.String(),
+		SpanID:   r.id.String(),
+		ParentID: r.parent.String(),
+		Name:     r.name,
+		Start:    r.start,
+		End:      r.end,
+		Error:    r.err,
+	}
+	if d := r.end.Sub(r.start); d > 0 {
+		s.DurationMS = float64(d) / float64(time.Millisecond)
+	}
+	if n := r.nattrs + len(r.extra); n > 0 {
+		s.Attrs = make(map[string]string, n)
+		for _, kv := range r.attrs[:r.nattrs] {
+			s.Attrs[kv[0]] = kv[1]
+		}
+		for k, v := range r.extra {
+			s.Attrs[k] = v
+		}
+	}
+	return s
 }
 
 // NewTracer returns a tracer streaming finished spans to w as JSONL
@@ -71,20 +138,31 @@ func (t *Tracer) SetRetention(n int) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	kept := t.appendOrdered(nil)
+	kept := t.appendOrdered(nil, 0)
 	if n > 0 {
 		if len(kept) > n {
 			kept = kept[len(kept)-n:]
 		}
-		kept = append(make([]Span, 0, n), kept...)
+		kept = append(make([]record, 0, n), kept...)
 	}
-	t.spans, t.head, t.max = kept, 0, n
+	t.recs, t.head, t.max = kept, 0, n
 }
 
-// appendOrdered appends the retained spans to dst in completion order.
-// Callers hold mu.
-func (t *Tracer) appendOrdered(dst []Span) []Span {
-	return append(append(dst, t.spans[t.head:]...), t.spans[:t.head]...)
+// appendOrdered appends the retained records of trace (every trace
+// when it is 0) to dst in completion order. Callers hold mu.
+func (t *Tracer) appendOrdered(dst []record, trace ID) []record {
+	for _, part := range [2][]record{t.recs[t.head:], t.recs[:t.head]} {
+		if trace == 0 {
+			dst = append(dst, part...)
+			continue
+		}
+		for i := range part {
+			if part[i].trace == trace {
+				dst = append(dst, part[i])
+			}
+		}
+	}
+	return dst
 }
 
 // defaultTracer is the process-wide tracer; nil (no-op) until a main
@@ -109,30 +187,14 @@ func SetDefaultTracer(t *Tracer) {
 	defaultTracer = t
 }
 
-// newID returns a 16-hex-char random identifier.
-func newID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		// crypto/rand failure is effectively impossible; fall back
-		// to a timestamp so tracing degrades instead of panicking.
-		return hex.EncodeToString([]byte(time.Now().Format("150405.000")))[:16]
-	}
-	return hex.EncodeToString(b[:])
-}
-
 // SpanHandle is an open span. End finishes it; Child opens a sub-span
-// sharing the trace ID. A nil handle is a valid no-op.
+// sharing the trace ID. A nil handle is a valid no-op. The handle is
+// the only allocation a span costs.
 type SpanHandle struct {
-	tracer  *Tracer
-	traceID string
-	spanID  string
-	parent  string
-	name    string
-	start   time.Time
-
-	mu    sync.Mutex
-	attrs map[string]string
-	done  bool
+	tracer *Tracer
+	mu     sync.Mutex
+	rec    record // trace, id, parent, name and start never change
+	done   bool
 }
 
 // StartTrace mints a fresh trace ID and opens its root span.
@@ -140,13 +202,7 @@ func (t *Tracer) StartTrace(name string) *SpanHandle {
 	if t == nil {
 		return nil
 	}
-	return &SpanHandle{
-		tracer:  t,
-		traceID: newID(),
-		spanID:  newID(),
-		name:    name,
-		start:   time.Now(),
-	}
+	return &SpanHandle{tracer: t, rec: record{trace: newID(), id: newID(), name: name, start: time.Now()}}
 }
 
 // Child opens a sub-span under sp sharing its trace ID.
@@ -154,43 +210,45 @@ func (sp *SpanHandle) Child(name string) *SpanHandle {
 	if sp == nil {
 		return nil
 	}
-	return &SpanHandle{
-		tracer:  sp.tracer,
-		traceID: sp.traceID,
-		spanID:  newID(),
-		parent:  sp.spanID,
-		name:    name,
-		start:   time.Now(),
-	}
+	return &SpanHandle{tracer: sp.tracer,
+		rec: record{trace: sp.rec.trace, id: newID(), parent: sp.rec.id, name: name, start: time.Now()}}
 }
 
-// TraceID returns the span's trace identifier ("" on a nil handle).
-func (sp *SpanHandle) TraceID() string {
+// Trace returns the span's trace ID (0 on a nil handle).
+func (sp *SpanHandle) Trace() ID {
 	if sp == nil {
-		return ""
+		return 0
 	}
-	return sp.traceID
+	return sp.rec.trace
 }
 
-// SpanID returns the span's own identifier ("" on a nil handle).
-func (sp *SpanHandle) SpanID() string {
+// Span returns the span's own ID (0 on a nil handle).
+func (sp *SpanHandle) Span() ID {
 	if sp == nil {
-		return ""
+		return 0
 	}
-	return sp.spanID
+	return sp.rec.id
 }
 
-// SetAttr attaches a key=value attribute to the span.
+// TraceID returns the span's trace identifier in its text form (""
+// on a nil handle).
+func (sp *SpanHandle) TraceID() string { return sp.Trace().String() }
+
+// SpanID returns the span's own identifier in its text form ("" on a
+// nil handle).
+func (sp *SpanHandle) SpanID() string { return sp.Span().String() }
+
+// SetAttr attaches a key=value attribute to the span. After End it is
+// a no-op: the finished span is already retained, and stays as it was.
 func (sp *SpanHandle) SetAttr(key, value string) {
 	if sp == nil {
 		return
 	}
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
-	if sp.attrs == nil {
-		sp.attrs = map[string]string{}
+	if !sp.done {
+		sp.rec.setAttr(key, value)
 	}
-	sp.attrs[key] = value
 }
 
 // End finishes the span, recording err (may be nil) and handing the
@@ -205,54 +263,44 @@ func (sp *SpanHandle) End(err error) {
 		return
 	}
 	sp.done = true
-	end := time.Now()
-	span := Span{
-		TraceID:    sp.traceID,
-		SpanID:     sp.spanID,
-		ParentID:   sp.parent,
-		Name:       sp.name,
-		Start:      sp.start,
-		End:        end,
-		DurationMS: float64(end.Sub(sp.start)) / float64(time.Millisecond),
-		Attrs:      sp.attrs,
-	}
+	sp.rec.end = time.Now()
 	if err != nil {
-		span.Error = err.Error()
+		sp.rec.err = err.Error()
 	}
 	sp.mu.Unlock()
-	sp.tracer.record(span)
+	// done is set, so nothing writes sp.rec any more.
+	sp.tracer.record(&sp.rec)
 }
 
-// record stores (and optionally streams) one finished span.
-func (t *Tracer) record(span Span) {
+// record stores (and optionally streams) one finished span by value.
+func (t *Tracer) record(rec *record) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.max <= 0 || len(t.spans) < t.max {
-		t.spans = append(t.spans, span)
+	if t.max <= 0 || len(t.recs) < t.max {
+		t.recs = append(t.recs, *rec)
 	} else {
-		t.spans[t.head] = span
+		t.recs[t.head] = *rec
 		t.head = (t.head + 1) % t.max
 	}
 	if t.enc != nil {
-		_ = t.enc.Encode(span) // best effort: a broken sink must not fail queries
+		_ = t.enc.Encode(rec.toSpan()) // best effort: a broken sink must not fail queries
 	}
 }
 
-// RecordSpan records an externally finished span — typically one
-// shipped back from a remote process so the leader's tracer holds the
-// complete cross-process tree. A missing SpanID is minted, and a zero
-// DurationMS is derived from End-Start. No-op on a nil tracer.
-func (t *Tracer) RecordSpan(span Span) {
-	if t == nil {
+// RecordRemote records a finished phase span reported by a remote
+// process — a node, or a regional leader — under the local span that
+// solicited it, so the tracer holds the complete cross-process tree.
+// proc names the owning process and is stamped as both the "node" and
+// the "proc" attribute. No-op on a nil tracer or a nil parent.
+func (t *Tracer) RecordRemote(parent *SpanHandle, proc, name string, start, end time.Time) {
+	if t == nil || parent == nil {
 		return
 	}
-	if span.SpanID == "" {
-		span.SpanID = newID()
-	}
-	if span.DurationMS == 0 && span.End.After(span.Start) {
-		span.DurationMS = float64(span.End.Sub(span.Start)) / float64(time.Millisecond)
-	}
-	t.record(span)
+	rec := record{trace: parent.rec.trace, id: newID(), parent: parent.rec.id,
+		name: name, start: start, end: end, nattrs: 2}
+	rec.attrs[0] = [2]string{"node", proc}
+	rec.attrs[1] = [2]string{"proc", proc}
+	t.record(&rec)
 }
 
 // Flush forces buffered JSONL output through to the underlying sink.
@@ -271,31 +319,41 @@ func (t *Tracer) Flush() error {
 	return t.bw.Flush()
 }
 
-// Spans returns a copy of the finished spans (nil on a nil tracer).
+// Spans returns the finished spans in completion order (nil on a nil
+// tracer).
 func (t *Tracer) Spans() []Span {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.appendOrdered(make([]Span, 0, len(t.spans)))
+	return t.read(0)
 }
 
 // TraceSpans returns the retained spans belonging to one trace, in
 // completion order (nil on a nil tracer or an unknown trace).
 func (t *Tracer) TraceSpans(traceID string) []Span {
-	if t == nil || traceID == "" {
+	id, err := ParseID(traceID)
+	if t == nil || err != nil || id == 0 {
 		return nil
 	}
+	return t.read(id)
+}
+
+// read copies the retained records of trace (every trace when it is 0)
+// under the lock and renders them outside it.
+func (t *Tracer) read(trace ID) []Span {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	var out []Span
-	for _, part := range [2][]Span{t.spans[t.head:], t.spans[:t.head]} {
-		for _, s := range part {
-			if s.TraceID == traceID {
-				out = append(out, s)
-			}
-		}
+	var recs []record
+	if trace == 0 {
+		recs = make([]record, 0, len(t.recs))
+	}
+	recs = t.appendOrdered(recs, trace)
+	t.mu.Unlock()
+	if recs == nil {
+		return nil
+	}
+	out := make([]Span, len(recs))
+	for i := range recs {
+		out[i] = recs[i].toSpan()
 	}
 	return out
 }
@@ -308,8 +366,8 @@ func (t *Tracer) Reset() {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	clear(t.spans)
-	t.spans, t.head = t.spans[:0], 0
+	clear(t.recs)
+	t.recs, t.head = t.recs[:0], 0
 }
 
 // WriteJSONL exports every retained span to w, one JSON object per

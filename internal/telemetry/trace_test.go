@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"strconv"
 	"strings"
@@ -182,22 +183,40 @@ func TestTracerRetentionDropsOldestConcurrent(t *testing.T) {
 	}
 }
 
-func TestTracerRecordSpan(t *testing.T) {
+func TestTracerRecordRemote(t *testing.T) {
 	tr := NewTracer(nil)
+	rpc := tr.StartTrace("train")
 	start := time.Now().Add(-10 * time.Millisecond)
-	tr.RecordSpan(Span{TraceID: "t", Name: "node.fit", Start: start, End: start.Add(4 * time.Millisecond)})
+	tr.RecordRemote(rpc, "node-3", "node.fit", start, start.Add(4*time.Millisecond))
 	spans := tr.Spans()
 	if len(spans) != 1 {
 		t.Fatalf("%d spans", len(spans))
 	}
-	if spans[0].SpanID == "" {
-		t.Fatal("RecordSpan did not mint a span id")
+	s := spans[0]
+	if s.SpanID == "" || s.SpanID == rpc.SpanID() {
+		t.Fatalf("RecordRemote did not mint a span id: %q", s.SpanID)
 	}
-	if d := spans[0].DurationMS; d < 3.9 || d > 4.1 {
-		t.Fatalf("derived duration %v, want ~4ms", d)
+	if s.TraceID != rpc.TraceID() || s.ParentID != rpc.SpanID() || s.Name != "node.fit" {
+		t.Fatalf("remote span = %+v, want trace %s parent %s", s, rpc.TraceID(), rpc.SpanID())
+	}
+	if len(s.Attrs) != 2 || s.Attrs["node"] != "node-3" || s.Attrs["proc"] != "node-3" {
+		t.Fatalf("remote span attrs = %v", s.Attrs)
+	}
+	if d := s.DurationMS; d != 4 {
+		t.Fatalf("derived duration %v, want 4ms", d)
+	}
+	// An interval that does not move forward reads zero, as a span
+	// whose end is not after its start always has.
+	tr.RecordRemote(rpc, "node-3", "node.queue", start, start.Add(-time.Millisecond))
+	if d := tr.Spans()[1].DurationMS; d != 0 {
+		t.Fatalf("backwards interval duration %v, want 0", d)
 	}
 	var nilTr *Tracer
-	nilTr.RecordSpan(Span{TraceID: "x", Name: "noop"}) // must not panic
+	nilTr.RecordRemote(rpc, "x", "noop", start, start) // must not panic
+	tr.RecordRemote(nil, "x", "noop", start, start)
+	if n := len(tr.Spans()); n != 2 {
+		t.Fatalf("a nil parent recorded a span: %d spans", n)
+	}
 }
 
 func TestTracerTraceSpans(t *testing.T) {
@@ -273,17 +292,77 @@ func TestDefaultTracerInstall(t *testing.T) {
 	}
 }
 
+// TestNewIDUnique: IDs are nonzero, render as 16 hex characters, and
+// never repeat across concurrent draws.
 func TestNewIDUnique(t *testing.T) {
-	seen := map[string]bool{}
-	for i := 0; i < 1000; i++ {
-		id := newID()
-		if len(id) != 16 {
-			t.Fatalf("id %q has length %d", id, len(id))
+	const workers, each = 8, 10000
+	ids := make([][]ID, workers)
+	var wg sync.WaitGroup
+	for w := range ids {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				ids[w] = append(ids[w], newID())
+			}
+		}(w)
+	}
+	wg.Wait()
+	seen := make(map[ID]bool, workers*each)
+	for _, part := range ids {
+		for _, id := range part {
+			if id == 0 || len(id.String()) != 16 {
+				t.Fatalf("id %d renders as %q", uint64(id), id.String())
+			}
+			if seen[id] {
+				t.Fatalf("duplicate id %s", id)
+			}
+			seen[id] = true
 		}
-		if seen[id] {
-			t.Fatalf("duplicate id %q", id)
+	}
+}
+
+// TestIDText pins the text form: String, AppendHex, ParseID and the
+// TextMarshaler pair agree, and the zero ID is the empty string.
+func TestIDText(t *testing.T) {
+	for _, tc := range []struct {
+		id   ID
+		text string
+	}{
+		{0, ""},
+		{1, "0000000000000001"},
+		{0xcafe01, "0000000000cafe01"},
+		{0xfedcba9876543210, "fedcba9876543210"},
+	} {
+		if got := tc.id.String(); got != tc.text {
+			t.Errorf("ID(%#x).String() = %q, want %q", uint64(tc.id), got, tc.text)
 		}
-		seen[id] = true
+		if got := string(tc.id.AppendHex([]byte("x="))); got != "x="+tc.text {
+			t.Errorf("AppendHex = %q", got)
+		}
+		back, err := ParseID(tc.text)
+		if err != nil || back != tc.id {
+			t.Errorf("ParseID(%q) = %s, %v", tc.text, back, err)
+		}
+		b, err := json.Marshal(struct {
+			ID ID `json:"id,omitempty"`
+		}{tc.id})
+		want := `{"id":"` + tc.text + `"}`
+		if tc.id == 0 {
+			want = `{}`
+		}
+		if err != nil || string(b) != want {
+			t.Errorf("json = %s (%v), want %s", b, err, want)
+		}
+		var u ID
+		if err := u.UnmarshalText([]byte(tc.text)); err != nil || u != tc.id {
+			t.Errorf("UnmarshalText(%q) = %s, %v", tc.text, u, err)
+		}
+	}
+	for _, bad := range []string{"t 1", "cafe01", "CAFE0000000000FF", "0x00000000000001", "00000000000000001"} {
+		if _, err := ParseID(bad); err == nil {
+			t.Errorf("ParseID(%q) accepted", bad)
+		}
 	}
 }
 
@@ -304,24 +383,26 @@ func TestFormatKV(t *testing.T) {
 func TestTracerRetentionRing(t *testing.T) {
 	tr := NewTracer(nil)
 	tr.SetRetention(4)
+	roots := [2]*SpanHandle{tr.StartTrace("t0"), tr.StartTrace("t1")}
 	start := time.Unix(0, 0)
-	span := func(i int) Span {
-		return Span{TraceID: "t" + strconv.Itoa(i%2), SpanID: strconv.Itoa(i), Name: "s", Start: start, End: start.Add(time.Millisecond)}
+	// Span i belongs to trace i%2 and is labelled by its proc attr.
+	span := func(i int) {
+		tr.RecordRemote(roots[i%2], strconv.Itoa(i), "s", start, start.Add(time.Millisecond))
 	}
 	for i := 0; i < 10; i++ {
-		tr.RecordSpan(span(i))
+		span(i)
 	}
 	ids := func(spans []Span) string {
 		out := make([]string, len(spans))
 		for i, s := range spans {
-			out[i] = s.SpanID
+			out[i] = s.Attrs["proc"]
 		}
 		return strings.Join(out, ",")
 	}
 	if got := ids(tr.Spans()); got != "6,7,8,9" {
 		t.Fatalf("Spans() = %s, want 6,7,8,9", got)
 	}
-	if got := ids(tr.TraceSpans("t1")); got != "7,9" {
+	if got := ids(tr.TraceSpans(roots[1].TraceID())); got != "7,9" {
 		t.Fatalf("TraceSpans(t1) = %s, want 7,9", got)
 	}
 	var buf bytes.Buffer
@@ -334,13 +415,12 @@ func TestTracerRetentionRing(t *testing.T) {
 
 	// 100 spans per run: a trim that reallocated only every few
 	// spans would still average below one allocation per span.
-	s := span(10)
 	if n := testing.AllocsPerRun(20, func() {
 		for i := 0; i < 100; i++ {
-			tr.RecordSpan(s)
+			tr.RecordRemote(roots[0], "10", "s", start, start.Add(time.Millisecond))
 		}
 	}); n != 0 {
-		t.Fatalf("100 RecordSpans at the cap allocate %v, want 0", n)
+		t.Fatalf("100 RecordRemotes at the cap allocate %v, want 0", n)
 	}
 
 	tr.SetRetention(2)
@@ -349,7 +429,7 @@ func TestTracerRetentionRing(t *testing.T) {
 	}
 	tr.SetRetention(0)
 	for i := 11; i < 14; i++ {
-		tr.RecordSpan(span(i))
+		span(i)
 	}
 	if got := ids(tr.Spans()); got != "10,10,11,12,13" {
 		t.Fatalf("unlimited after the ring: %s, want 10,10,11,12,13", got)
@@ -357,5 +437,129 @@ func TestTracerRetentionRing(t *testing.T) {
 	tr.Reset()
 	if n := len(tr.Spans()); n != 0 {
 		t.Fatalf("%d spans after Reset", n)
+	}
+}
+
+// traceQuery records one miss_train-shaped query trace: the root, a
+// selection span, three train spans each with three node phase spans
+// re-parented under it, and an aggregation span — 6 handles, 5 attrs
+// and 9 remote spans.
+func traceQuery(tr *Tracer, start, end time.Time) {
+	root := tr.StartTrace("query")
+	root.SetAttr("query", "q-1")
+	root.SetAttr("selector", "query-driven")
+	root.Child("selection").End(nil)
+	for _, node := range [3]string{"node-0", "node-1", "node-2"} {
+		train := root.Child("train")
+		train.SetAttr("node", node)
+		for _, phase := range [3]string{"node.queue", "node.stage", "node.fit"} {
+			tr.RecordRemote(train, node, phase, start, end)
+		}
+		train.End(nil)
+	}
+	root.Child("aggregate").End(nil)
+	root.End(nil)
+}
+
+// TestTraceQueryAllocs: at the ring cap, a traced query allocates its
+// span handles and nothing else — no ID text, no attribute maps, no
+// per-span copies.
+func TestTraceQueryAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is not meaningful under -race")
+	}
+	tr := NewTracer(nil)
+	tr.SetRetention(64)
+	start := time.Now()
+	end := start.Add(time.Millisecond)
+	for i := 0; i < 8; i++ {
+		traceQuery(tr, start, end) // fill the ring
+	}
+	if n := testing.AllocsPerRun(100, func() { traceQuery(tr, start, end) }); n != 6 {
+		t.Fatalf("a traced query allocates %v, want 6 (one per span handle)", n)
+	}
+	// The read form is unchanged: 15 spans, one trace, the root last.
+	spans := tr.Spans()
+	last := spans[len(spans)-15:]
+	root := last[14]
+	if root.Name != "query" || root.ParentID != "" || root.Attrs["selector"] != "query-driven" {
+		t.Fatalf("root span = %+v", root)
+	}
+	for _, s := range last {
+		if s.TraceID != root.TraceID {
+			t.Fatalf("span %s left the trace", s.Name)
+		}
+	}
+}
+
+// TestSetAttrAfterEnd: a finished span is retained by value, so a
+// late SetAttr changes nothing a reader sees — and does not race with
+// readers iterating the retained spans.
+func TestSetAttrAfterEnd(t *testing.T) {
+	tr := NewTracer(nil)
+	sp := tr.StartTrace("q")
+	sp.SetAttr("k", "before")
+	sp.End(nil)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 200; i++ {
+			for _, s := range tr.Spans() {
+				for range s.Attrs {
+				}
+			}
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		sp.SetAttr("k", strconv.Itoa(i))
+		sp.SetAttr("late"+strconv.Itoa(i%8), "x")
+	}
+	<-done
+	spans := tr.Spans()
+	if len(spans) != 1 || len(spans[0].Attrs) != 1 || spans[0].Attrs["k"] != "before" {
+		t.Fatalf("retained span changed after End: %+v", spans)
+	}
+}
+
+// TestTracerAttrOverflow: attributes past the inline ones and
+// overwrites of an existing key both read back as a map would hold
+// them.
+func TestTracerAttrOverflow(t *testing.T) {
+	tr := NewTracer(nil)
+	sp := tr.StartTrace("q")
+	for i := 0; i < 7; i++ {
+		sp.SetAttr("k"+strconv.Itoa(i), strconv.Itoa(i))
+	}
+	sp.SetAttr("k1", "one")
+	sp.SetAttr("k6", "six")
+	sp.End(nil)
+	attrs := tr.Spans()[0].Attrs
+	want := map[string]string{"k0": "0", "k1": "one", "k2": "2", "k3": "3", "k4": "4", "k5": "5", "k6": "six"}
+	if len(attrs) != len(want) {
+		t.Fatalf("attrs = %v, want %v", attrs, want)
+	}
+	for k, v := range want {
+		if attrs[k] != v {
+			t.Fatalf("attrs = %v, want %v", attrs, want)
+		}
+	}
+}
+
+// BenchmarkTraceQuery records one miss_train-shaped query trace per op
+// into a tracer at its retention cap — the cost an always-on trace adds
+// to every query (scripts/bench_telemetry.sh gates it at 6 allocs/op,
+// one per span handle).
+func BenchmarkTraceQuery(b *testing.B) {
+	tr := NewTracer(nil)
+	tr.SetRetention(4096)
+	start := time.Now()
+	end := start.Add(time.Millisecond)
+	for i := 0; i < 4096/15+1; i++ {
+		traceQuery(tr, start, end)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		traceQuery(tr, start, end)
 	}
 }

@@ -27,11 +27,11 @@ func benchTrainRequest(n int) request {
 	}
 	return request{
 		Type:    typeTrain,
-		TraceID: "trace-bench-0001",
-		SpanID:  "span-bench-0001",
+		TraceID: 0xbe7c0001,
+		SpanID:  0xbe7c0002,
 		Train: &federation.TrainRequest{
-			TraceID: "trace-bench-0001",
-			SpanID:  "span-bench-0001",
+			TraceID: 0xbe7c0001,
+			SpanID:  0xbe7c0002,
 			Spec: ml.Spec{Kind: ml.KindNN, InputDim: 8, Hidden: []int{32, 16},
 				LearningRate: 0.01, Epochs: 50, BatchSize: 32, Seed: 42},
 			Params:      ml.Params{Kind: ml.KindNN, Dims: []int{n}, Values: vals},

@@ -568,9 +568,15 @@ func (w *wireConn) do(ctx context.Context, c *Client, req *request) (response, e
 
 	// The timer enforces only the client-level timeout; the context
 	// deadline already has its own select arm, so folding it into the
-	// timer would just race ctx.Done() and misattribute the error.
-	timer := time.NewTimer(c.timeout)
-	defer timer.Stop()
+	// timer would just race ctx.Done() and misattribute the error. A
+	// deadline due before the timeout always wins that race, so then no
+	// timer is armed at all (a nil channel never fires).
+	var timeout <-chan time.Time
+	if dl, ok := ctx.Deadline(); !ok || !dl.Before(time.Now().Add(c.timeout)) {
+		timer := time.NewTimer(c.timeout)
+		defer timer.Stop()
+		timeout = timer.C
+	}
 	select {
 	case resp, ok := <-ch:
 		if !ok {
@@ -580,7 +586,7 @@ func (w *wireConn) do(ctx context.Context, c *Client, req *request) (response, e
 	case <-ctx.Done():
 		w.forget(id)
 		return response{}, ctx.Err()
-	case <-timer.C:
+	case <-timeout:
 		w.forget(id)
 		if err := ctx.Err(); err != nil {
 			return response{}, err

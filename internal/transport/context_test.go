@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -88,5 +89,43 @@ func TestCancelMidFlight(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("canceled round-trip took %v", elapsed)
+	}
+}
+
+// TestCallTimeoutBranches covers both ways a stalled call ends. With a
+// context deadline due before the client timeout, no timer is armed
+// and the call returns the context's error; without a deadline, the
+// client timeout still fires with its own error.
+func TestCallTimeoutBranches(t *testing.T) {
+	srv, _ := startServer(t, 35, 2, 0, 50)
+	release := make(chan struct{})
+	hold := func() { <-release }
+	stall := func(timeout time.Duration) *Client {
+		client, err := Dial(srv.Addr(), DialOptions{Timeout: timeout})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { client.Close() })
+		return client
+	}
+	short, long := stall(100*time.Millisecond), stall(time.Minute)
+	srv.gate.Store(&hold)
+	defer func() {
+		srv.gate.Store(nil)
+		close(release)
+	}()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if _, err := long.Summary(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("deadline before the timeout: err = %v, want context.DeadlineExceeded", err)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("deadline-bounded call took %v", elapsed)
+	}
+
+	if _, err := short.Summary(context.Background()); err == nil || !strings.Contains(err.Error(), "timed out after 100ms") {
+		t.Fatalf("no deadline: err = %v, want the client timeout", err)
 	}
 }

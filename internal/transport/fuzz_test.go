@@ -11,6 +11,7 @@ import (
 	"qens/internal/federation"
 	"qens/internal/geometry"
 	"qens/internal/ml"
+	"qens/internal/telemetry"
 )
 
 // FuzzReadFrame hardens the hello's JSON framing: arbitrary bytes must
@@ -71,6 +72,21 @@ func FuzzWireV2(f *testing.F) {
 		}
 	}
 	f.Add(rframe[4:], typeRegionPlan, int64(7), 1.0, uint64(5))
+	// The trace context (tag 23) alone, both ways, and a frame from a
+	// peer still sending the retired tag-2 string section.
+	traced := request{Type: typeTrain, TraceID: 0x0ddba11, SpanID: 0x5ca1ab1e}
+	tframe, err := appendWireRequest(nil, 9, &traced)
+	if err != nil {
+		f.Fatal(err)
+	}
+	echo := response{TraceID: 0x0ddba11}
+	eframe, err := appendWireResponse(nil, 9, &echo)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(tframe[4:], typeTrain, int64(0), 0.25, uint64(0x0ddba11))
+	f.Add(eframe[4:], typeTrain, int64(0), 0.25, uint64(0x0ddba11))
+	f.Add(retiredTraceFrame(frameRequest)[4:], typeTrain, int64(1), 0.5, uint64(2))
 	f.Add([]byte{wireMagic, frameRequest}, "ping", int64(0), 1e308, uint64(1))
 	f.Add([]byte{}, "", int64(9), 0.0, uint64(2))
 	f.Fuzz(func(t *testing.T, raw []byte, typ string, dl int64, v float64, n uint64) {
@@ -93,7 +109,7 @@ func FuzzWireV2(f *testing.F) {
 		}
 		in := request{
 			Type:           typ,
-			TraceID:        typ + "-trace",
+			TraceID:        telemetry.ID(n),
 			DeadlineUnixMS: dl,
 		}
 		if len(vals) > 0 {

@@ -86,7 +86,7 @@ func TestHandshakeRejectsOldPeer(t *testing.T) {
 		// A traced request must come back with the node's phase spans
 		// piggybacked (secSpans), with zero decode errors.
 		tr, err := client.Train(context.Background(), federation.TrainRequest{
-			Spec: ml.PaperLR(1), LocalEpochs: 10, TraceID: "trace-skew",
+			Spec: ml.PaperLR(1), LocalEpochs: 10, TraceID: 0x5ce3,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -117,7 +117,7 @@ func TestHandshakeRejectsOldPeer(t *testing.T) {
 		ev, err := client.Evaluate(context.Background(), federation.EvalRequest{
 			Spec: ml.PaperLR(1), Params: tr.Params,
 			Bounds:  &geometry.Rect{Min: []float64{0, -100}, Max: []float64{50, 200}},
-			TraceID: "trace-skew",
+			TraceID: 0x5ce3,
 		})
 		if err != nil {
 			t.Fatal(err)

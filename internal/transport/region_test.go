@@ -175,7 +175,7 @@ func TestRegionRPCEquivalentToLocal(t *testing.T) {
 					{NodeID: info.Nodes[0].NodeID, Rank: 0.75, Clusters: []int{0, 1}},
 					{NodeID: info.Nodes[1].NodeID}, // whole local dataset
 				},
-				TraceID: "trace-eq", SpanID: "span-eq",
+				TraceID: 0xe1, SpanID: 0xe2,
 			}
 			want, err := local.Train(ctx, treq)
 			if err != nil {

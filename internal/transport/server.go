@@ -28,11 +28,11 @@ import (
 // the hello ping, advertises the wire protocol the client speaks; the
 // server refuses anything below WireProtoV2 (see handleConn).
 type request struct {
-	Type           string `json:"type"`
-	WireProto      int    `json:"wire_proto,omitempty"`
-	TraceID        string `json:"trace_id,omitempty"`
-	SpanID         string `json:"span_id,omitempty"`
-	DeadlineUnixMS int64  `json:"deadline_unix_ms,omitempty"`
+	Type           string       `json:"type"`
+	WireProto      int          `json:"wire_proto,omitempty"`
+	TraceID        telemetry.ID `json:"trace_id,omitempty"`
+	SpanID         telemetry.ID `json:"span_id,omitempty"`
+	DeadlineUnixMS int64        `json:"deadline_unix_ms,omitempty"`
 	// KnownSummaryEpoch (summary requests only) advertises the summary
 	// epoch the caller already holds; a node whose advertisement still
 	// carries that epoch answers summary_unchanged instead of the full
@@ -60,7 +60,7 @@ type response struct {
 	Error        string               `json:"error,omitempty"`
 	Code         string               `json:"code,omitempty"`
 	WireProto    int                  `json:"wire_proto,omitempty"`
-	TraceID      string               `json:"trace_id,omitempty"`
+	TraceID      telemetry.ID         `json:"trace_id,omitempty"`
 	NodeID       string               `json:"node_id,omitempty"`
 	SummaryEpoch uint64               `json:"summary_epoch,omitempty"`
 	Summary      *cluster.NodeSummary `json:"summary,omitempty"`
@@ -375,7 +375,9 @@ func (s *Server) PushSubscribers() int {
 func (s *Server) PushesSent() int64 { return s.pushSent.Load() }
 
 // SetLogger replaces the server's log function (tests use a silent
-// one). Safe to call while the server is accepting traffic.
+// one). Safe to call while the server is accepting traffic. The logger
+// must not keep args after it returns — log.Printf does not: the
+// per-RPC line is a pooled buffer, reused by the next RPC.
 func (s *Server) SetLogger(logf func(format string, args ...any)) {
 	if logf != nil {
 		s.logf.Store(&logf)
@@ -385,36 +387,50 @@ func (s *Server) SetLogger(logf func(format string, args ...any)) {
 // logkv emits one structured key=value log line through the server's
 // log function.
 func (s *Server) logkv(kvs ...any) {
-	s.logLine(telemetry.FormatKV(append([]any{"component", "transport", "node", s.id}, kvs...)...))
+	s.logger()("%s", telemetry.FormatKV(append([]any{"component", "transport", "node", s.id}, kvs...)...))
 }
 
-func (s *Server) logLine(line string) {
-	logf := log.Printf
+// logger returns the server's log function.
+func (s *Server) logger() func(format string, args ...any) {
 	if p := s.logf.Load(); p != nil {
-		logf = *p
+		return *p
 	}
-	logf("%s", line)
+	return log.Printf
 }
 
-// rpcLinePool recycles rpcLogLine's render buffers.
-var rpcLinePool = sync.Pool{New: func() any { return new([]byte) }}
+// logBuf is a pooled per-RPC log line that hands itself to the logger
+// as its own argument: args is boxed once, when the buffer is made, and
+// Format writes the bytes through, so a line reaches the logger with no
+// string, no boxing and no variadic slice built per RPC.
+type logBuf struct {
+	b    []byte
+	args [1]any
+}
 
-// rpcLogLine renders the per-RPC line — the text logkv gives for
-// event=rpc type=… dur_ms=… [trace=… span=…] [err=… [code=…]] —
-// into a pooled buffer: it is built for every RPC served, whatever the
-// logger then does with it, so it must not cost logkv's boxing and
-// formatting.
-func (s *Server) rpcLogLine(req *request, resp *response, elapsed time.Duration) string {
-	bp := rpcLinePool.Get().(*[]byte)
-	b := telemetry.AppendKV((*bp)[:0], "component", "transport")
+// Format implements fmt.Formatter: every verb writes the line as is.
+func (lb *logBuf) Format(f fmt.State, _ rune) { _, _ = f.Write(lb.b) }
+
+var logBufPool = sync.Pool{New: func() any {
+	lb := &logBuf{}
+	lb.args[0] = lb
+	return lb
+}}
+
+// logRPC logs the per-RPC line — the text logkv gives for event=rpc
+// type=… dur_ms=… [trace=… span=…] [err=… [code=…]] — rendered into a
+// pooled buffer: it is built for every RPC served, whatever the logger
+// then does with it, so it must not cost logkv's boxing and formatting.
+func (s *Server) logRPC(req *request, resp *response, elapsed time.Duration) {
+	lb := logBufPool.Get().(*logBuf)
+	b := telemetry.AppendKV(lb.b[:0], "component", "transport")
 	b = telemetry.AppendKV(b, "node", s.id)
 	b = telemetry.AppendKV(b, "event", "rpc")
 	b = telemetry.AppendKV(b, "type", req.Type)
 	b = append(b, " dur_ms="...)
 	b = strconv.AppendFloat(b, float64(elapsed)/float64(time.Millisecond), 'f', 3, 64)
-	if req.TraceID != "" {
-		b = telemetry.AppendKV(b, "trace", req.TraceID)
-		b = telemetry.AppendKV(b, "span", req.SpanID)
+	if req.TraceID != 0 {
+		b = telemetry.AppendIDKV(b, "trace", req.TraceID)
+		b = telemetry.AppendIDKV(b, "span", req.SpanID)
 	}
 	if resp.Error != "" {
 		b = telemetry.AppendKV(b, "err", resp.Error)
@@ -422,10 +438,9 @@ func (s *Server) rpcLogLine(req *request, resp *response, elapsed time.Duration)
 			b = telemetry.AppendKV(b, "code", resp.Code)
 		}
 	}
-	line := string(b)
-	*bp = b
-	rpcLinePool.Put(bp)
-	return line
+	lb.b = b
+	s.logger()("%s", lb.args[:]...)
+	logBufPool.Put(lb)
 }
 
 // Addr returns the listening address.
@@ -711,7 +726,7 @@ func (s *Server) dispatch(req request) response {
 		s.lastTrain.Store(time.Now().UnixNano())
 	}
 
-	s.logLine(s.rpcLogLine(&req, &resp, elapsed))
+	s.logRPC(&req, &resp, elapsed)
 
 	resp.TraceID = req.TraceID
 	if resp.Error == "" && s.node != nil {

@@ -386,18 +386,18 @@ func TestTraceIDRoundTrip(t *testing.T) {
 
 	resp, err := client.roundTrip(context.Background(), request{
 		Type:    typeTrain,
-		TraceID: "trace-cafe01",
-		SpanID:  "span-beef02",
+		TraceID: 0xcafe01,
+		SpanID:  0xbeef02,
 		Train:   &federation.TrainRequest{Spec: ml.PaperLR(1), LocalEpochs: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.TraceID != "trace-cafe01" {
-		t.Fatalf("response echoes trace %q, want trace-cafe01", resp.TraceID)
+	if resp.TraceID != 0xcafe01 {
+		t.Fatalf("response echoes trace %s, want 0000000000cafe01", resp.TraceID)
 	}
 	logs := lc.joined()
-	if !strings.Contains(logs, "trace=trace-cafe01") || !strings.Contains(logs, "span=span-beef02") {
+	if !strings.Contains(logs, "trace=0000000000cafe01") || !strings.Contains(logs, "span=0000000000beef02") {
 		t.Fatalf("daemon log not attributed to the trace:\n%s", logs)
 	}
 	if !strings.Contains(logs, "event=rpc") || !strings.Contains(logs, "type=train") {
@@ -409,24 +409,29 @@ func TestTraceIDRoundTrip(t *testing.T) {
 	lc2 := logCapture{}
 	srv.SetLogger(lc2.logf)
 	if _, err := client.Train(context.Background(), federation.TrainRequest{
-		Spec: ml.PaperLR(1), LocalEpochs: 1, TraceID: "trace-feed03", SpanID: "span-dead04",
+		Spec: ml.PaperLR(1), LocalEpochs: 1, TraceID: 0xfeed03, SpanID: 0xdead04,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if logs := lc2.joined(); !strings.Contains(logs, "trace=trace-feed03") {
+	if logs := lc2.joined(); !strings.Contains(logs, "trace=0000000000feed03") {
 		t.Fatalf("Train() did not propagate trace id:\n%s", logs)
 	}
 }
 
 // TestRPCLogLine pins the per-RPC log line: byte-equal to what
-// FormatKV renders for every shape dispatch produces, at no more than
-// the line's own string per call.
+// FormatKV renders for every shape dispatch produces, and handed to the
+// logger without allocating.
 func TestRPCLogLine(t *testing.T) {
 	s := &Server{id: "node 7"} // a space: the quoting rule applies to every value
 	elapsed := 1234567 * time.Nanosecond
-	const literal = `component=transport node="node 7" event=rpc type=train dur_ms=1.235 trace="t 1" span=s-2 err="a=b"`
-	if got := s.rpcLogLine(&request{Type: typeTrain, TraceID: "t 1", SpanID: "s-2"}, &response{Error: "a=b"}, elapsed); got != literal {
-		t.Errorf("got  %s\nwant %s", got, literal)
+	var out bytes.Buffer
+	s.SetLogger(func(format string, args ...any) {
+		out.Reset()
+		fmt.Fprintf(&out, format, args...)
+	})
+	const literal = `component=transport node="node 7" event=rpc type=train dur_ms=1.235 trace=0000000000000001 span=00000000000000a2 err="a=b"`
+	if s.logRPC(&request{Type: typeTrain, TraceID: 1, SpanID: 0xa2}, &response{Error: "a=b"}, elapsed); out.String() != literal {
+		t.Errorf("got  %s\nwant %s", out.String(), literal)
 	}
 	for _, tc := range []struct {
 		name string
@@ -435,21 +440,26 @@ func TestRPCLogLine(t *testing.T) {
 		tail []any
 	}{
 		{"untraced", request{Type: typeTrain}, response{}, nil},
-		{"traced", request{Type: typeRegionPlan, TraceID: "t-1", SpanID: "s-2"}, response{},
-			[]any{"trace", "t-1", "span", "s-2"}},
+		{"traced", request{Type: typeRegionPlan, TraceID: 0xfedcba9876543210, SpanID: 2}, response{},
+			[]any{"trace", "fedcba9876543210", "span", "0000000000000002"}},
+		{"traced without a span", request{Type: typeTrain, TraceID: 3}, response{},
+			[]any{"trace", "0000000000000003", "span", ""}},
 		{"error", request{Type: typeEvaluate}, response{Error: `no "data" here`},
 			[]any{"err", `no "data" here`}},
-		{"traced error with code", request{Type: "compress", TraceID: "t=1", SpanID: "s-2"},
+		{"traced error with code", request{Type: "compress", TraceID: 0xff, SpanID: 2},
 			response{Error: "unknown type", Code: CodeUnknownType},
-			[]any{"trace", "t=1", "span", "s-2", "err", "unknown type", "code", CodeUnknownType}},
+			[]any{"trace", "00000000000000ff", "span", "0000000000000002", "err", "unknown type", "code", CodeUnknownType}},
 	} {
 		want := telemetry.FormatKV(append([]any{"component", "transport", "node", s.id,
 			"event", "rpc", "type", tc.req.Type, "dur_ms", fmt.Sprintf("%.3f", 1.234567)}, tc.tail...)...)
-		if got := s.rpcLogLine(&tc.req, &tc.resp, elapsed); got != want {
-			t.Errorf("%s:\n got %s\nwant %s", tc.name, got, want)
+		if s.logRPC(&tc.req, &tc.resp, elapsed); out.String() != want {
+			t.Errorf("%s:\n got %s\nwant %s", tc.name, out.String(), want)
 		}
-		if n := testing.AllocsPerRun(100, func() { s.rpcLogLine(&tc.req, &tc.resp, elapsed) }); n > 2 {
-			t.Errorf("%s: %v allocations per line, want <= 2", tc.name, n)
+		if raceEnabled {
+			continue // sync.Pool drops Puts under -race
+		}
+		if n := testing.AllocsPerRun(100, func() { s.logRPC(&tc.req, &tc.resp, elapsed) }); n != 0 {
+			t.Errorf("%s: %v allocations per logged line, want 0", tc.name, n)
 		}
 	}
 }

@@ -35,6 +35,7 @@ import (
 	"qens/internal/ml"
 	"qens/internal/region"
 	"qens/internal/selection"
+	"qens/internal/telemetry"
 )
 
 // WireProtoV2 is the version both hellos must advertise (wire_proto).
@@ -60,7 +61,6 @@ const (
 // namespace so a decoder can reject misplaced sections cheaply.
 const (
 	secType      byte = 1  // str rpc type
-	secTrace     byte = 2  // str trace, str span
 	secDeadline  byte = 3  // varint deadline_unix_ms
 	secTrainReq  byte = 4  // spec, params, ints clusters, uvarint epochs
 	secEvalReq   byte = 5  // spec, params, u8 hasBounds [+ rect]
@@ -111,6 +111,11 @@ const (
 	secRegionPlanResp  byte = 20 // str region, uvarint epoch, ?{uvarint count, rank*}
 	secRegionTrainReq  byte = 21 // str query id, spec, params, ?{uvarint count, participant*}, varint epochs
 	secRegionTrainResp byte = 22 // str region, uvarint epoch, ?{uvarint count, result*}, ?span list
+
+	// Trace context: binary telemetry IDs, present only when nonzero.
+	// Tag 2 (the same context as two strings) is retired like tag 13:
+	// decoders skip it by length, so it must not be reused.
+	secTraceCtx byte = 23 // u64 trace, u64 span (request); u64 trace (response)
 )
 
 // Body kinds inside secRegionResp. Kinds 0 and 1 (JSON plan and train
@@ -375,10 +380,10 @@ func appendWireRequest(dst []byte, id uint64, req *request) ([]byte, error) {
 	m := e.beginSection(secType)
 	e.str(req.Type)
 	e.endSection(m)
-	if req.TraceID != "" || req.SpanID != "" {
-		m = e.beginSection(secTrace)
-		e.str(req.TraceID)
-		e.str(req.SpanID)
+	if req.TraceID != 0 || req.SpanID != 0 {
+		m = e.beginSection(secTraceCtx)
+		e.u64(uint64(req.TraceID))
+		e.u64(uint64(req.SpanID))
 		e.endSection(m)
 	}
 	if req.DeadlineUnixMS != 0 {
@@ -440,10 +445,9 @@ func appendWireResponse(dst []byte, id uint64, resp *response) ([]byte, error) {
 		e.str(resp.Error)
 		e.endSection(m)
 	}
-	if resp.TraceID != "" {
-		m := e.beginSection(secTrace)
-		e.str(resp.TraceID)
-		e.str("")
+	if resp.TraceID != 0 {
+		m := e.beginSection(secTraceCtx)
+		e.u64(uint64(resp.TraceID))
 		e.endSection(m)
 	}
 	if resp.NodeID != "" {
@@ -961,9 +965,9 @@ func decodeWireRequest(body []byte, req *request) (id uint64, err error) {
 		switch tag {
 		case secType:
 			req.Type = p.str()
-		case secTrace:
-			req.TraceID = p.str()
-			req.SpanID = p.str()
+		case secTraceCtx:
+			req.TraceID = telemetry.ID(p.u64())
+			req.SpanID = telemetry.ID(p.u64())
 		case secDeadline:
 			req.DeadlineUnixMS = p.varint()
 		case secKnownEpoch:
@@ -1054,9 +1058,8 @@ func decodeWireResponse(body []byte) (id uint64, resp response, err error) {
 		case secError:
 			resp.Code = p.str()
 			resp.Error = p.str()
-		case secTrace:
-			resp.TraceID = p.str()
-			p.str() // span slot, unused on responses
+		case secTraceCtx:
+			resp.TraceID = telemetry.ID(p.u64())
 		case secNodeID:
 			resp.NodeID = p.str()
 		case secEpoch:

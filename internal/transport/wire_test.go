@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math"
@@ -27,8 +28,8 @@ func fullRequest() request {
 	bounds := geometry.MustRect([]float64{-1.5, 0}, []float64{2.25, 7})
 	return request{
 		Type:           typeTrain,
-		TraceID:        "trace-0ddba11",
-		SpanID:         "span-5ca1ab1e",
+		TraceID:        0x0ddba11,
+		SpanID:         0x5ca1ab1e,
 		DeadlineUnixMS: 1754464000123,
 		Train: &federation.TrainRequest{
 			Spec: ml.Spec{
@@ -43,15 +44,15 @@ func fullRequest() request {
 			},
 			Clusters:    []int{0, 2, 4},
 			LocalEpochs: 7,
-			TraceID:     "trace-0ddba11",
-			SpanID:      "span-5ca1ab1e",
+			TraceID:     0x0ddba11,
+			SpanID:      0x5ca1ab1e,
 		},
 		Eval: &federation.EvalRequest{
 			Spec:    ml.Spec{Kind: ml.KindLinear, InputDim: 2, LearningRate: 0.03},
 			Params:  ml.Params{Kind: ml.KindLinear, Dims: []int{3}, Values: []float64{1, 2, 3}},
 			Bounds:  &bounds,
-			TraceID: "trace-0ddba11",
-			SpanID:  "span-5ca1ab1e",
+			TraceID: 0x0ddba11,
+			SpanID:  0x5ca1ab1e,
 		},
 		RegionPlan: &region.PlanRequest{
 			Query:       query.Query{ID: "q-0ddba11", Bounds: bounds},
@@ -70,8 +71,8 @@ func fullRequest() request {
 			},
 			LocalEpochs: 3,
 			// Trace ids ride the envelope and are mirrored back on decode.
-			TraceID: "trace-0ddba11",
-			SpanID:  "span-5ca1ab1e",
+			TraceID: 0x0ddba11,
+			SpanID:  0x5ca1ab1e,
 		},
 	}
 }
@@ -105,7 +106,7 @@ func fullRegionTrainResponse() *region.TrainResponse {
 
 func fullResponse() response {
 	return response{
-		TraceID:      "trace-0ddba11",
+		TraceID:      0x0ddba11,
 		NodeID:       "node-A",
 		SummaryEpoch: 9,
 		Summary: &cluster.NodeSummary{
@@ -340,6 +341,83 @@ func TestWireV2UnknownSectionSkipped(t *testing.T) {
 	}
 }
 
+// TestWireTraceContextSection pins tag 23: a request carries the
+// trace and span as two raw u64s, a response echoes the trace as one,
+// and both decode back to the same IDs; an untraced envelope carries
+// no section at all.
+func TestWireTraceContextSection(t *testing.T) {
+	req := request{Type: typeTrain, TraceID: 0xfedcba9876543210, SpanID: 1}
+	frame, err := appendWireRequest(nil, 5, &req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []byte{secTraceCtx, 16, 0, 0, 0, 0x10, 0x32, 0x54, 0x76, 0x98, 0xba, 0xdc, 0xfe, 1, 0, 0, 0, 0, 0, 0, 0}
+	if !bytes.HasSuffix(frame, want) {
+		t.Fatalf("request frame % x does not end in the tag-23 section % x", frame, want)
+	}
+	var out request
+	if _, err := decodeWireRequest(frame[4:], &out); err != nil || out.TraceID != req.TraceID || out.SpanID != req.SpanID {
+		t.Fatalf("request trace context = %s/%s (%v)", out.TraceID, out.SpanID, err)
+	}
+
+	resp := response{TraceID: 0xcafe01}
+	rframe, err := appendWireResponse(nil, 5, &resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []byte{secTraceCtx, 8, 0, 0, 0, 0x01, 0xfe, 0xca, 0, 0, 0, 0, 0}; !bytes.HasSuffix(rframe, want) {
+		t.Fatalf("response frame % x does not end in the tag-23 echo % x", rframe, want)
+	}
+	if _, back, err := decodeWireResponse(rframe[4:]); err != nil || back.TraceID != resp.TraceID {
+		t.Fatalf("response trace echo = %s (%v)", back.TraceID, err)
+	}
+
+	plain := request{Type: typeTrain}
+	pframe, err := appendWireRequest(nil, 5, &plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pframe) != len(frame)-len(want) {
+		t.Fatalf("untraced frame is %d bytes, traced %d: want exactly one section apart", len(pframe), len(frame))
+	}
+}
+
+// retiredTraceFrame builds a frame as a peer still on the retired
+// tag-2 trace section would send it: the trace and span as strings.
+func retiredTraceFrame(kind byte) []byte {
+	e, hdr := beginWireFrame(nil, kind, 3)
+	if kind == frameRequest {
+		m := e.beginSection(secType)
+		e.str(typeTrain)
+		e.endSection(m)
+	}
+	m := e.beginSection(2)
+	e.str("trace-0ddba11")
+	e.str("span-5ca1ab1e")
+	e.endSection(m)
+	frame, err := finishWireFrame(e.b, hdr)
+	if err != nil {
+		panic(err)
+	}
+	return frame
+}
+
+// TestWireRetiredTraceSectionSkipped: tag 2 is retired, not reused — a
+// frame that still carries it decodes cleanly, untraced.
+func TestWireRetiredTraceSectionSkipped(t *testing.T) {
+	var req request
+	if _, err := decodeWireRequest(retiredTraceFrame(frameRequest)[4:], &req); err != nil {
+		t.Fatalf("tag-2 request: %v", err)
+	}
+	if req.Type != typeTrain || req.TraceID != 0 || req.SpanID != 0 {
+		t.Fatalf("tag-2 request decoded as %+v, want an untraced train request", req)
+	}
+	_, resp, err := decodeWireResponse(retiredTraceFrame(frameResponse)[4:])
+	if err != nil || resp.TraceID != 0 {
+		t.Fatalf("tag-2 response decoded as trace %s (%v), want 0", resp.TraceID, err)
+	}
+}
+
 // TestWireV2SpanSectionSkippedByLength: the secSpans section is
 // self-delimiting, so a peer that predates it (or postdates it with
 // yet-newer tags) keeps decoding cleanly. Simulated both ways: an
@@ -477,7 +555,7 @@ func TestWireV2ZeroAllocSteadyState(t *testing.T) {
 // encoding one (results, params, node and region spans) allocates
 // nothing — no JSON, no boxing of the body.
 func TestWireRegionTrainEncodeZeroAlloc(t *testing.T) {
-	resp := response{TraceID: "trace-0ddba11", NodeID: "region-1", RegionTrain: fullRegionTrainResponse()}
+	resp := response{TraceID: 0x0ddba11, NodeID: "region-1", RegionTrain: fullRegionTrainResponse()}
 	buf, err := appendWireResponse(nil, 1, &resp)
 	if err != nil {
 		t.Fatal(err)
@@ -541,16 +619,16 @@ func TestWireSkewTraceDeadlineEpoch(t *testing.T) {
 		var lc logCapture
 		srv.SetLogger(lc.logf)
 		resp, err := client.roundTrip(context.Background(), request{
-			Type: typeTrain, TraceID: "trace-aa", SpanID: "span-bb",
+			Type: typeTrain, TraceID: 0xaa, SpanID: 0xbb,
 			Train: &federation.TrainRequest{Spec: ml.PaperLR(1), LocalEpochs: 1},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resp.TraceID != "trace-aa" {
-			t.Fatalf("response trace %q", resp.TraceID)
+		if resp.TraceID != 0xaa {
+			t.Fatalf("response trace %s", resp.TraceID)
 		}
-		if logs := lc.joined(); !strings.Contains(logs, "trace=trace-aa") || !strings.Contains(logs, "span=span-bb") {
+		if logs := lc.joined(); !strings.Contains(logs, "trace=00000000000000aa") || !strings.Contains(logs, "span=00000000000000bb") {
 			t.Fatalf("daemon log missing trace attribution:\n%s", logs)
 		}
 

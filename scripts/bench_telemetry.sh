@@ -1,9 +1,11 @@
 #!/bin/sh
-# Runs the rolling-window telemetry microbenchmarks
-# (BenchmarkRollingObserve: the per-observation write path every
-# request on the serving hot path pays; BenchmarkRollingStats: the
-# memoized merged read behind /metrics scrapes and /v1/stats) and
-# renders the results as BENCH_telemetry.json at the repo root.
+# Runs the telemetry microbenchmarks (BenchmarkRollingObserve: the
+# per-observation write path every request on the serving hot path
+# pays; BenchmarkRollingStats: the memoized merged read behind /metrics
+# scrapes and /v1/stats; BenchmarkTraceQuery: one traced query — root,
+# selection, 3 train, aggregation spans plus 9 re-parented node phase
+# spans — into a tracer at its retention cap) and renders the results
+# as BENCH_telemetry.json at the repo root.
 #
 #   BENCHTIME=100ms sh scripts/bench_telemetry.sh   # CI smoke
 #   sh scripts/bench_telemetry.sh                   # local, default 1s/op
@@ -13,17 +15,20 @@
 #     write path is contractually wait-free and allocation-free.
 #   - BenchmarkRollingStats exceeds 200 ns/op: the memoized read must
 #     stay one atomic load on the common path, not a full ring merge.
+#   - BenchmarkTraceQuery reports more than 6 allocs/op: an always-on
+#     trace allocates its 6 span handles and nothing else (no ID text,
+#     no attribute maps, no retained-span copies).
 set -eu
 
 cd "$(dirname "$0")/.."
 benchtime="${BENCHTIME:-1s}"
 
-out=$(go test -run '^$' -bench '^BenchmarkRolling(Observe|Stats)$' -benchmem -benchtime "$benchtime" ./internal/telemetry/)
+out=$(go test -run '^$' -bench '^Benchmark(Rolling(Observe|Stats)|TraceQuery)$' -benchmem -benchtime "$benchtime" ./internal/telemetry/)
 printf '%s\n' "$out"
 
 printf '%s\n' "$out" | awk '
   BEGIN { printf "[\n"; bad = 0 }
-  $1 ~ /^BenchmarkRolling/ {
+  $1 ~ /^Benchmark(Rolling|TraceQuery)/ {
     name = $1; sub(/-[0-9]+$/, "", name)
     ns_op = ""; bytes_op = ""; allocs_op = ""
     for (i = 3; i <= NF; i++) {
@@ -41,14 +46,18 @@ printf '%s\n' "$out" | awk '
   }
   END {
     printf "\n]\n"
-    ob = "BenchmarkRollingObserve"; st = "BenchmarkRollingStats"
-    if (!(ob in ns) || !(st in ns)) {
-      printf "MISSING CASES: rolling benchmarks did not all run\n" > "/dev/stderr"
+    ob = "BenchmarkRollingObserve"; st = "BenchmarkRollingStats"; tq = "BenchmarkTraceQuery"
+    if (!(ob in ns) || !(st in ns) || !(tq in ns)) {
+      printf "MISSING CASES: telemetry benchmarks did not all run\n" > "/dev/stderr"
       exit 1
     }
     if (allocs[ob] + 0 != 0) {
       bad = 1
       printf "ALLOC REGRESSION: %s reports %s allocs/op, want 0\n", ob, allocs[ob] > "/dev/stderr"
+    }
+    if (allocs[tq] + 0 > 6) {
+      bad = 1
+      printf "ALLOC REGRESSION: %s reports %s allocs/op, want <= 6 (one per span handle)\n", tq, allocs[tq] > "/dev/stderr"
     }
     if (ns[st] + 0 > 200) {
       bad = 1

@@ -13,6 +13,9 @@
 #   - BenchmarkWireEncode/codec=v2 reports a nonzero allocs/op: the
 #     pooled-buffer encode path is contractually allocation-free at
 #     steady state.
+#   - BenchmarkWireDecode/codec=v2 reports a nonzero allocs/op: decode
+#     reuses the destination's slices and the trace context is two raw
+#     u64s, so a traced train frame decodes without allocating.
 #   - v2 model-frame encode is less than 2x the throughput of JSON.
 #   - combined encode+decode is less than 3x faster than JSON.
 #   - the v2 frame is not at least 2x smaller than the JSON frame.
@@ -60,6 +63,10 @@ printf '%s\n' "$out" | awk '
     if (allocs[e2] + 0 != 0) {
       bad = 1
       printf "ALLOC REGRESSION: %s reports %s allocs/op, want 0\n", e2, allocs[e2] > "/dev/stderr"
+    }
+    if (allocs[d2] + 0 != 0) {
+      bad = 1
+      printf "ALLOC REGRESSION: %s reports %s allocs/op, want 0\n", d2, allocs[d2] > "/dev/stderr"
     }
     if (ns[e2] * 2 > ns[e1] + 0) {
       bad = 1
