@@ -41,7 +41,6 @@ import (
 	"qens/internal/gateway"
 	"qens/internal/ml"
 	"qens/internal/region"
-	"qens/internal/selection"
 	"qens/internal/telemetry"
 	"qens/internal/transport"
 )
@@ -70,8 +69,6 @@ func main() {
 		approxErr      = flag.Float64("approx-err", 0, "approximate answering: max predicted error for serving a query from the model cache (0 disables the tier; requires -reuse-iou)")
 		approxCoverage = flag.Float64("approx-coverage", 0.25, "minimum coverage of the query by a cached result's training rectangles before an approximate answer is considered (the root records the query rectangle as its training rectangle)")
 		approxProbe    = flag.Int("approx-probe", 8, "ground-truth probe cadence: every Nth cache-servable query still trains fresh to score the cached answer")
-		banditOn       = flag.Bool("bandit", false, "enable the selector-config bandit behind selector \"auto\"")
-		banditExplore  = flag.Float64("bandit-explore", 0.1, "bandit epsilon-greedy exploration rate")
 
 		summaryRefresh = flag.Duration("summary-refresh", 0, "anti-entropy period: every tick asks each node whether its advertisement epoch moved, off the query path (0 disables)")
 
@@ -117,16 +114,6 @@ func main() {
 		DefaultEpsilon: *epsilon,
 		DefaultTopL:    *topL,
 		Tracer:         tracer,
-	}
-	if *banditOn {
-		bandit, err := selection.NewConfigBandit(selection.DefaultConfigArms(*epsilon),
-			selection.BanditConfig{Explore: *banditExplore, Seed: *seed})
-		if err != nil {
-			fatal("%v", err)
-		}
-		cfg.Bandit = bandit
-		fmt.Printf("qens-gateway: config bandit on (%d arms, explore %.2f); submit with selector \"auto\"\n",
-			len(selection.DefaultConfigArms(*epsilon)), *banditExplore)
 	}
 	// One reuse cache, handed to whichever topology serves.
 	if *approxErr > 0 && *reuseIoU <= 0 {

@@ -50,15 +50,6 @@ type ServerConfig struct {
 	DefaultEpsilon float64
 	DefaultTopL    int
 
-	// Bandit, when non-nil, serves selector "auto": each auto query
-	// plays one (ℓ, ψ, selector) arm, and the realized reward —
-	// success fraction and data coverage discounted by the slowest
-	// node round — is folded back into that arm once the query
-	// finishes fresh (reused and coalesced outcomes trained nothing,
-	// so they teach the bandit nothing). EXPLAIN uses the side-effect
-	// free greedy arm.
-	Bandit *selection.ConfigBandit
-
 	// RecordCapacity bounds the finished-query store backing
 	// GET /v1/query/{id} (default 256; oldest evicted).
 	RecordCapacity int
@@ -118,12 +109,11 @@ type Server struct {
 	nextID  atomic.Int64
 	handler http.Handler
 
-	// statefulSels holds one persistent instance per stateful selector
-	// configuration — fairness rotation cursors and contribution
-	// histories must survive across requests, and the selectors guard
-	// their own state, so concurrent queries share them safely.
-	selMu        sync.Mutex
-	statefulSels map[string]selection.Selector
+	// fairness holds one persistent rotation per L — its cursor must
+	// survive across requests, and the selector guards its own state,
+	// so concurrent queries share it safely.
+	selMu    sync.Mutex
+	fairness map[int]*selection.Fairness
 }
 
 // NewServer builds a gateway server (and its scheduler) over a leader
@@ -157,13 +147,13 @@ func newServer(cfg ServerConfig, srv Serving, cache *federation.ReuseCache) (*Se
 		srv.SetTracer(cfg.Tracer)
 	}
 	s := &Server{
-		cfg:          cfg,
-		srv:          srv,
-		cache:        cache,
-		sched:        sched,
-		records:      newRecordStore(cfg.RecordCapacity),
-		start:        time.Now(),
-		statefulSels: make(map[string]selection.Selector),
+		cfg:      cfg,
+		srv:      srv,
+		cache:    cache,
+		sched:    sched,
+		records:  newRecordStore(cfg.RecordCapacity),
+		start:    time.Now(),
+		fairness: make(map[int]*selection.Fairness),
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/query", s.handleSubmit)
@@ -306,10 +296,10 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 }
 
 // buildSelector maps the request's selector spec to a
-// selection.Selector. Stateful mechanisms (fairness, contribution)
-// resolve to one persistent, internally locked instance per
-// (mechanism, L) so their cursors/histories carry across requests —
-// concurrent queries advance them under the selector's own mutex.
+// selection.Selector. The stateful fairness rotation resolves to one
+// persistent, internally locked instance per L so its cursor carries
+// across requests — concurrent queries advance it under the selector's
+// own mutex.
 func (s *Server) buildSelector(req queryRequest) (selection.Selector, error) {
 	eps := req.Epsilon
 	if eps == 0 {
@@ -320,8 +310,6 @@ func (s *Server) buildSelector(req queryRequest) (selection.Selector, error) {
 		l = s.cfg.DefaultTopL
 	}
 	switch strings.ToLower(req.Selector) {
-	case "auto", "bandit":
-		return nil, fmt.Errorf("selector %q needs the gateway bandit enabled", req.Selector)
 	case "", "query-driven":
 		if req.Psi > 0 {
 			return selection.QueryDriven{Epsilon: eps, Psi: req.Psi}, nil
@@ -338,52 +326,23 @@ func (s *Server) buildSelector(req queryRequest) (selection.Selector, error) {
 	case "game-theory":
 		return selection.GameTheory{L: l}, nil
 	case "fairness":
-		return s.statefulSelector(fmt.Sprintf("fairness/%d", l), func() selection.Selector {
-			return &selection.Fairness{L: l}
-		}), nil
-	case "contribution":
-		return s.statefulSelector(fmt.Sprintf("contribution/%d", l), func() selection.Selector {
-			return &selection.Contribution{L: l}
-		}), nil
+		return s.fairnessFor(l), nil
 	default:
 		return nil, fmt.Errorf("unknown selector %q", req.Selector)
 	}
 }
 
-// resolveSelector maps the request to a selector, routing "auto" /
-// "bandit" through the config bandit. It returns the bandit arm index
-// played (-1 when the bandit was not involved) so the submit path can
-// credit the arm with the realized reward. EXPLAIN passes explain=true
-// to use the side-effect-free greedy arm — planning must not advance
-// the bandit's RNG or play counts.
-func (s *Server) resolveSelector(req queryRequest, explain bool) (selection.Selector, int, error) {
-	switch strings.ToLower(req.Selector) {
-	case "auto", "bandit":
-		if s.cfg.Bandit == nil {
-			return nil, -1, fmt.Errorf("selector %q needs the gateway bandit enabled", req.Selector)
-		}
-		if explain {
-			arm, sel := s.cfg.Bandit.Best()
-			return sel, arm, nil
-		}
-		arm, sel := s.cfg.Bandit.Pick()
-		return sel, arm, nil
-	}
-	sel, err := s.buildSelector(req)
-	return sel, -1, err
-}
-
-// statefulSelector returns the server's persistent selector instance
-// under key, creating it on first use.
-func (s *Server) statefulSelector(key string, mk func() selection.Selector) selection.Selector {
+// fairnessFor returns the server's persistent fairness rotation for l,
+// creating it on first use.
+func (s *Server) fairnessFor(l int) *selection.Fairness {
 	s.selMu.Lock()
 	defer s.selMu.Unlock()
-	if sel, ok := s.statefulSels[key]; ok {
-		return sel
+	f, ok := s.fairness[l]
+	if !ok {
+		f = &selection.Fairness{L: l}
+		s.fairness[l] = f
 	}
-	sel := mk()
-	s.statefulSels[key] = sel
-	return sel
+	return f
 }
 
 // planAhead runs the selection stage at admission time for
@@ -468,7 +427,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	sel, banditArm, err := s.resolveSelector(req, false)
+	sel, err := s.buildSelector(req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -537,7 +496,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// The record tracker outlives the HTTP request: async clients and
 	// sync clients whose connection died both find the outcome under
 	// GET /v1/query/{id}.
-	go s.trackRecord(id, req.IncludeParams, banditArm, tk)
+	go s.trackRecord(id, req.IncludeParams, tk)
 
 	if req.Async {
 		writeJSON(w, http.StatusAccepted, map[string]string{"id": id, "status": string(recordPending)})
@@ -553,10 +512,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // trackRecord waits for the task (detached from any HTTP context) and
-// finalizes the stored record. It is also where a bandit-played arm is
-// credited: the tracker runs exactly once per admitted query, whether
-// or not the submitting client stayed connected.
-func (s *Server) trackRecord(id string, includeParams bool, banditArm int, tk *Ticket) {
+// finalizes the stored record.
+func (s *Server) trackRecord(id string, includeParams bool, tk *Ticket) {
 	out, err := tk.Wait(context.Background())
 	now := time.Now()
 	if err != nil {
@@ -566,11 +523,6 @@ func (s *Server) trackRecord(id string, includeParams bool, banditArm int, tk *T
 			rec.Finished = &now
 		})
 		return
-	}
-	if banditArm >= 0 && s.cfg.Bandit != nil && !out.Kind.Reused() && !out.Coalesced {
-		// Only fresh executions carry a signal about the arm's config —
-		// cache hits and coalesced waits trained nothing.
-		s.cfg.Bandit.Observe(banditArm, banditReward(out))
 	}
 	resp := buildResponse(id, out, includeParams)
 	s.records.update(id, func(rec *record) {
@@ -592,31 +544,6 @@ func (s *Server) answerFromCache(ctx context.Context, id string, req federation.
 	}
 	resp := buildResponse(id, &Outcome{Result: res, Kind: kind}, false)
 	return &resp, true
-}
-
-// banditReward scores one fresh execution for the config bandit:
-// round success fraction times a data-coverage quality proxy (the
-// Fig. 9 selectivity — how much of the fleet's relevant data the arm's
-// config actually trained on), discounted by the slowest node round's
-// wall time so expensive configs must earn their latency.
-func banditReward(out *Outcome) float64 {
-	res := out.Result
-	var worst time.Duration
-	failed := 0
-	for _, nr := range res.NodeRounds {
-		if nr.Failed() {
-			failed++
-		}
-		if nr.Elapsed > worst {
-			worst = nr.Elapsed
-		}
-	}
-	success := 1.0
-	if n := len(res.NodeRounds); n > 0 {
-		success = 1 - float64(failed)/float64(n)
-	}
-	quality := 0.3 + 0.7*res.Stats.DataFraction()
-	return success * quality / (1 + worst.Seconds())
 }
 
 // buildResponse shapes one outcome for the wire.
@@ -690,8 +617,8 @@ type rankJSON struct {
 // handlePlan serves POST /v1/plan — EXPLAIN for a query: it runs only
 // the pure-CPU planning stage (registry snapshot, candidate ranking,
 // selection) and reports what the leader would train, without touching
-// a node. Stateful selectors are rejected: explaining a fairness or
-// contribution query would advance its cursor/history.
+// a node. Stateful selectors are rejected: explaining a fairness query
+// would advance its cursor.
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
@@ -709,7 +636,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	sel, _, err := s.resolveSelector(req, true)
+	sel, err := s.buildSelector(req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -797,10 +724,7 @@ type statsResponse struct {
 	// Reuse is the reuse cache's full scoreboard: exact-tier
 	// hit/miss/eviction counts plus the approximate tier's hits,
 	// ground-truth probes and fallbacks when it is enabled.
-	Reuse *federation.ReuseCacheStats `json:"reuse_cache,omitempty"`
-	// Bandit is the config bandit's per-arm scoreboard (selector
-	// "auto" enabled only).
-	Bandit  []selection.ArmStats `json:"bandit,omitempty"`
+	Reuse   *federation.ReuseCacheStats `json:"reuse_cache,omitempty"`
 	Latency struct {
 		Count  int64   `json:"count"`
 		MeanMS float64 `json:"mean_ms"`
@@ -829,9 +753,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if s.cache != nil {
 		st := s.cache.CacheStats()
 		resp.Reuse = &st
-	}
-	if s.cfg.Bandit != nil {
-		resp.Bandit = s.cfg.Bandit.Stats()
 	}
 	snap := s.sched.LatencySnapshot()
 	resp.Latency.Count = snap.Count

@@ -385,18 +385,26 @@ func TestGatewayBadRequests(t *testing.T) {
 	cases := []struct {
 		name string
 		body string
+		want string // error substring, when the row pins one
 	}{
-		{"malformed json", `{"bounds":`},
-		{"unknown field", `{"boundz":{"min":[0],"max":[1]}}`},
-		{"invalid bounds", `{"bounds":{"min":[10,0],"max":[0,10]}}`},
-		{"unknown selector", `{"bounds":{"min":[0,-50],"max":[20,150]},"selector":"psychic"}`},
-		{"bad aggregation", `{"bounds":{"min":[0,-50],"max":[20,150]},"aggregation":"median"}`},
-		{"negative timeout", `{"bounds":{"min":[0,-50],"max":[20,150]},"timeout_ms":-5}`},
-		{"bad deadline", `{"bounds":{"min":[0,-50],"max":[20,150]},"deadline":"yesterday"}`},
+		{"malformed json", `{"bounds":`, ""},
+		{"unknown field", `{"boundz":{"min":[0],"max":[1]}}`, ""},
+		{"invalid bounds", `{"bounds":{"min":[10,0],"max":[0,10]}}`, ""},
+		{"unknown selector", `{"bounds":{"min":[0,-50],"max":[20,150]},"selector":"psychic"}`, "unknown selector"},
+		{"auto selector", `{"bounds":{"min":[0,-50],"max":[20,150]},"selector":"auto"}`, "unknown selector"},
+		{"bandit selector", `{"bounds":{"min":[0,-50],"max":[20,150]},"selector":"bandit"}`, "unknown selector"},
+		{"contribution selector", `{"bounds":{"min":[0,-50],"max":[20,150]},"selector":"contribution"}`, "unknown selector"},
+		{"bad aggregation", `{"bounds":{"min":[0,-50],"max":[20,150]},"aggregation":"median"}`, ""},
+		{"negative timeout", `{"bounds":{"min":[0,-50],"max":[20,150]},"timeout_ms":-5}`, ""},
+		{"bad deadline", `{"bounds":{"min":[0,-50],"max":[20,150]},"deadline":"yesterday"}`, ""},
 	}
 	for _, tc := range cases {
-		if code, doc, _ := postQuery(t, ts.URL, tc.body); code != http.StatusBadRequest {
+		code, doc, _ := postQuery(t, ts.URL, tc.body)
+		if code != http.StatusBadRequest {
 			t.Errorf("%s: status %d (%v), want 400", tc.name, code, doc)
+		}
+		if msg, _ := doc["error"].(string); !strings.Contains(msg, tc.want) {
+			t.Errorf("%s: error %q, want it to mention %q", tc.name, msg, tc.want)
 		}
 	}
 	resp, err := http.Get(ts.URL + "/v1/query/nope")
@@ -462,9 +470,9 @@ func TestRecordStoreEviction(t *testing.T) {
 	}
 }
 
-// TestGatewayStatefulSelectors: fairness and contribution are served
-// through persistent per-(mechanism,L) instances, so the fairness
-// rotation advances across requests instead of resetting.
+// TestGatewayStatefulSelectors: fairness is served through one
+// persistent instance per L, so its rotation advances across requests
+// instead of resetting.
 func TestGatewayStatefulSelectors(t *testing.T) {
 	fleet := testFleet(t)
 	_, ts := newGatewayServer(t, ServerConfig{Leader: fleet.Leader, CoalesceIoU: -1})
@@ -489,11 +497,5 @@ func TestGatewayStatefulSelectors(t *testing.T) {
 	}
 	if first(doc1) == first(doc2) {
 		t.Fatalf("fairness rotation did not advance: %s twice", first(doc1))
-	}
-
-	code, doc, _ := postQuery(t, ts.URL,
-		`{"bounds":{"min":[0,-50],"max":[90,200]},"selector":"contribution","l":2}`)
-	if code != http.StatusOK {
-		t.Fatalf("contribution: status %d (%v)", code, doc)
 	}
 }

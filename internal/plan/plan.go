@@ -223,6 +223,23 @@ func (p *Planner) ExplainOn(snap *registry.Snapshot, q query.Query, sel selectio
 	return p.planOn(snap, q, sel, sctx, true)
 }
 
+// EpsilonFor is the ε a selector's candidate set is ranked at: a
+// query-driven selector's own ε, the intrinsic ε of any other
+// EpsilonCarrier, and DefaultEpsilon for the rest. The region tier's
+// root coordinator resolves ε through it too, so cross-region rankings
+// threshold exactly like single-leader plans.
+func EpsilonFor(sel selection.Selector) float64 {
+	if qd, ok := sel.(selection.QueryDriven); ok {
+		return qd.Epsilon
+	}
+	if ec, ok := sel.(selection.EpsilonCarrier); ok {
+		if e := ec.SupportEpsilon(); e > 0 {
+			return e
+		}
+	}
+	return DefaultEpsilon
+}
+
 func (p *Planner) planOn(snap *registry.Snapshot, q query.Query, sel selection.Selector, sctx *selection.Context, brute bool) (*Plan, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("plan: nil snapshot")
@@ -232,25 +249,12 @@ func (p *Planner) planOn(snap *registry.Snapshot, q query.Query, sel selection.S
 		return p.planQueryDriven(snap, q, s, brute)
 	}
 
-	eps := DefaultEpsilon
-	if ec, ok := sel.(selection.EpsilonCarrier); ok {
-		if e := ec.SupportEpsilon(); e > 0 {
-			eps = e
-		}
-	}
+	eps := EpsilonFor(sel)
 	pl, err := p.rank(snap, q, eps, sel.Name())
 	if err != nil {
 		return nil, err
 	}
-	var parts []selection.Participant
-	if cs, ok := sel.(selection.CandidateSelector); ok {
-		set := selection.CandidateSet{Query: q, Epsilon: eps, Ranks: pl.Rankings}
-		parts, err = cs.SelectFrom(&set, sctx)
-	} else {
-		// Opaque third-party selector: hand it the raw summaries,
-		// exactly like the legacy path did.
-		parts, err = sel.Select(q, snap.Summaries, sctx)
-	}
+	parts, err := sel.SelectFrom(&selection.CandidateSet{Query: q, Epsilon: eps, Ranks: pl.Rankings}, sctx)
 	if err != nil {
 		pl.Release()
 		return nil, err
@@ -345,8 +349,8 @@ func (p *Planner) RankQueryDrivenOn(snap *registry.Snapshot, q query.Query, epsi
 // snapshots the ranking walks the R-tree first (see rankIndexed); the
 // participant set is bit-identical either way.
 func (p *Planner) planQueryDriven(snap *registry.Snapshot, q query.Query, s selection.QueryDriven, brute bool) (*Plan, error) {
-	if (s.TopL > 0) == (s.Psi > 0) {
-		return nil, fmt.Errorf("selection: query-driven needs exactly one of TopL (%d) or Psi (%v)", s.TopL, s.Psi)
+	if err := s.Validate(); err != nil {
+		return nil, err
 	}
 	var (
 		pl  *Plan
@@ -424,7 +428,7 @@ func compareRank(a, b selection.NodeRank) int {
 // Eq. 2 overlaps via the flat kernel, supporting sets, Eq. 3
 // potentials and Eq. 4 ranks at the given ε. The arithmetic (operation
 // order included) matches selection.RankNodes exactly, so the outcome
-// is bit-identical to the legacy per-summary path.
+// is bit-identical to the reference selection.NewCandidateSet.
 func (p *Planner) rank(snap *registry.Snapshot, q query.Query, epsilon float64, selName string) (*Plan, error) {
 	pl, err := p.acquire(snap, q, epsilon, selName)
 	if err != nil {

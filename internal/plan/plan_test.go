@@ -115,11 +115,23 @@ func evalStub(nodeID string) (float64, error) {
 	return h, nil
 }
 
+// reference selects through the reference pipeline: RankNodes over the
+// raw summaries (via NewCandidateSet) at the ε the planner resolves,
+// then the selector's own SelectFrom.
+func reference(q query.Query, summaries []cluster.NodeSummary, sel selection.Selector, sctx *selection.Context) ([]selection.Participant, error) {
+	cs, err := selection.NewCandidateSet(q, summaries, EpsilonFor(sel))
+	if err != nil {
+		return nil, err
+	}
+	return sel.SelectFrom(cs, sctx)
+}
+
 // TestPlannerGoldenEquivalence replays a seeded 200-query workload
-// through both pipelines — legacy Selector.Select over raw summaries
-// vs. Planner.PlanOn over a registry snapshot — for every stateless
-// mechanism (and Random with mirrored RNG streams) and requires
-// bit-exact participant agreement.
+// through both pipelines — the reference RankNodes candidate set over
+// raw summaries vs. Planner.PlanOn's arena kernel over a registry
+// snapshot — for every stateless mechanism (plus Random with mirrored
+// RNG streams and Adaptive with one instance per pipeline) and
+// requires bit-exact participant agreement.
 func TestPlannerGoldenEquivalence(t *testing.T) {
 	summaries := synthSummaries(12, 5, 3, 42)
 	reg := staticRegistry(t, summaries)
@@ -129,15 +141,11 @@ func TestPlannerGoldenEquivalence(t *testing.T) {
 	}
 	planner := NewPlanner(reg)
 
-	caps := map[string]selection.Capabilities{
-		"node-00": {Compute: 2, Bandwidth: 0.5, Battery: 0.9},
-		"node-03": {Compute: 0.5, Bandwidth: 2, Battery: 0.2},
-	}
 	type selCase struct {
-		name   string
-		sel    selection.Selector
-		legacy func() *selection.Context
-		plan   func() *selection.Context
+		name string
+		sel  selection.Selector
+		ref  func() *selection.Context
+		plan func() *selection.Context
 	}
 	none := func() *selection.Context { return nil }
 	cases := []selCase{
@@ -145,20 +153,30 @@ func TestPlannerGoldenEquivalence(t *testing.T) {
 		{"query-driven-topl-tight", selection.QueryDriven{Epsilon: 0.9, TopL: 2}, none, none},
 		{"query-driven-psi", selection.QueryDriven{Epsilon: 0.3, Psi: 0.4}, none, none},
 		{"all-nodes", selection.AllNodes{}, none, none},
-		{"data-centric", selection.DataCentric{L: 4, Capabilities: caps}, none, none},
-		{"reward", selection.Reward{L: 4, Capabilities: caps}, none, none},
 		{
 			"game-theory", selection.GameTheory{L: 3},
 			func() *selection.Context { return &selection.Context{Evaluate: evalStub} },
 			func() *selection.Context { return &selection.Context{Evaluate: evalStub} },
 		},
 	}
+	// Adaptive carries its own ε, so it exercises the generic path at a
+	// non-default threshold. evalStub's losses are distinct, so a
+	// pre-test ratio just above 1 commits both instances to the
+	// query-driven branch; each pipeline gets its own instance so the
+	// cached regimes stay independent.
+	refAdaptive := &selection.Adaptive{Epsilon: 0.5, TopL: 3, RatioThreshold: 1.01}
+	planAdaptive := &selection.Adaptive{Epsilon: 0.5, TopL: 3, RatioThreshold: 1.01}
+	cases = append(cases, selCase{
+		"adaptive", planAdaptive,
+		func() *selection.Context { return &selection.Context{Evaluate: evalStub} },
+		func() *selection.Context { return &selection.Context{Evaluate: evalStub} },
+	})
 	// Random: two mirrored RNG streams, one per pipeline, seeded
 	// identically so the draws stay in lock-step across 200 queries.
-	legacyRNG, planRNG := rng.New(7), rng.New(7)
+	refRNG, planRNG := rng.New(7), rng.New(7)
 	cases = append(cases, selCase{
 		"random", selection.Random{L: 3},
-		func() *selection.Context { return &selection.Context{RNG: legacyRNG} },
+		func() *selection.Context { return &selection.Context{RNG: refRNG} },
 		func() *selection.Context { return &selection.Context{RNG: planRNG} },
 	})
 
@@ -170,19 +188,24 @@ func TestPlannerGoldenEquivalence(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			mismatches := 0
+			refSel := tc.sel
+			if tc.sel == selection.Selector(planAdaptive) {
+				refSel = refAdaptive
+			}
+			mismatches, compared := 0, 0
 			for _, q := range queries {
-				want, wantErr := tc.sel.Select(q, summaries, tc.legacy())
+				want, wantErr := reference(q, summaries, refSel, tc.ref())
 				pl, gotErr := planner.PlanOn(snap, q, tc.sel, tc.plan())
 				if (wantErr == nil) != (gotErr == nil) {
-					t.Fatalf("query %s: legacy err %v, planner err %v", q.ID, wantErr, gotErr)
+					t.Fatalf("query %s: reference err %v, planner err %v", q.ID, wantErr, gotErr)
 				}
 				if wantErr != nil {
 					if errors.Is(wantErr, selection.ErrNoCandidates) != errors.Is(gotErr, selection.ErrNoCandidates) {
-						t.Fatalf("query %s: error class diverged: legacy %v, planner %v", q.ID, wantErr, gotErr)
+						t.Fatalf("query %s: error class diverged: reference %v, planner %v", q.ID, wantErr, gotErr)
 					}
 					continue
 				}
+				compared++
 				if err := sameParticipants(want, pl.Participants); err != nil {
 					t.Errorf("query %s: %v", q.ID, err)
 					if mismatches++; mismatches > 3 {
@@ -191,7 +214,15 @@ func TestPlannerGoldenEquivalence(t *testing.T) {
 				}
 				pl.Release()
 			}
+			if compared == 0 {
+				t.Fatal("every query failed to select; nothing was compared")
+			}
 		})
+	}
+	for _, a := range []*selection.Adaptive{refAdaptive, planAdaptive} {
+		if regime, ok := a.Regime(); !ok || regime != selection.RegimeHeterogeneous {
+			t.Fatalf("adaptive regime %v (ok=%v), want the query-driven branch", regime, ok)
+		}
 	}
 }
 
@@ -213,17 +244,11 @@ func TestPlannerIndexedMatchesBruteGolden(t *testing.T) {
 	}
 	planner := NewPlanner(reg)
 
-	caps := map[string]selection.Capabilities{
-		"node-05": {Compute: 2, Bandwidth: 0.5, Battery: 0.9},
-		"node-21": {Compute: 0.5, Bandwidth: 2, Battery: 0.2},
-	}
 	selectors := []selection.Selector{
 		selection.QueryDriven{Epsilon: 0.6, TopL: 3},
 		selection.QueryDriven{Epsilon: 0.9, TopL: 2},
 		selection.QueryDriven{Epsilon: 0.3, Psi: 0.4},
 		selection.AllNodes{},
-		selection.DataCentric{L: 4, Capabilities: caps},
-		selection.Reward{L: 4, Capabilities: caps},
 	}
 
 	qsrc := rng.New(2718)

@@ -423,21 +423,6 @@ func regionCanSupport(q, region geometry.Rect, eps float64) bool {
 	return float64(overlapDims)/float64(dims) >= eps
 }
 
-// epsilonFor mirrors plan.PlanOn's ε resolution so cross-region
-// rankings thre­shold exactly like single-leader plans.
-func epsilonFor(sel selection.Selector) float64 {
-	if qd, ok := sel.(selection.QueryDriven); ok {
-		return qd.Epsilon
-	}
-	eps := plan.DefaultEpsilon
-	if ec, ok := sel.(selection.EpsilonCarrier); ok {
-		if e := ec.SupportEpsilon(); e > 0 {
-			eps = e
-		}
-	}
-	return eps
-}
-
 // rank fans Plan RPCs out to the listed members and merges their
 // ranking rows into global roster order. stamps[k] is members[k]'s
 // epoch behind the rows: a result (or plan key) built on them is valid
@@ -507,31 +492,31 @@ func (r *Router) selectionContext() *selection.Context {
 // fleet). Stamps describes the routed regions either way.
 func (r *Router) plan(ctx context.Context, qspan *telemetry.SpanHandle, q query.Query, sel selection.Selector, explain bool) (_ *federation.Prepared, _ *topology, ranks []selection.NodeRank, err error) {
 	start := time.Now()
-	cs, ok := sel.(selection.CandidateSelector)
-	if !ok {
-		return nil, nil, nil, fmt.Errorf("region: selector %s is not supported by the sharded topology", sel.Name())
-	}
 	t, err := r.topology(ctx)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	span := qspan.Child("selection")
-	eps := epsilonFor(sel)
+	eps := plan.EpsilonFor(sel)
 	qd, queryDriven := sel.(selection.QueryDriven)
 	var (
 		routed []int
 		basis  []federation.EpochStamp // the routed members' epochs behind ranks
 		parts  []selection.Participant
 	)
-	if queryDriven && (qd.TopL > 0) == (qd.Psi > 0) {
-		err = fmt.Errorf("selection: query-driven needs exactly one of TopL (%d) or Psi (%v)", qd.TopL, qd.Psi)
-	} else if routed, err = r.route(t, q, sel, eps); !explain && queryDriven && (err == nil || errors.Is(err, selection.ErrNoCandidates)) {
-		r.regionsPruned.Add(int64(len(r.members) - len(routed)))
-		switch len(routed) {
-		case 0:
-			r.noRoute.Add(1)
-		case len(r.members):
-			r.spanning.Add(1)
+	if queryDriven {
+		err = qd.Validate()
+	}
+	if err == nil {
+		routed, err = r.route(t, q, sel, eps)
+		if !explain && queryDriven && (err == nil || errors.Is(err, selection.ErrNoCandidates)) {
+			r.regionsPruned.Add(int64(len(r.members) - len(routed)))
+			switch len(routed) {
+			case 0:
+				r.noRoute.Add(1)
+			case len(r.members):
+				r.spanning.Add(1)
+			}
 		}
 	}
 	if err == nil && !explain {
@@ -550,7 +535,7 @@ func (r *Router) plan(ctx context.Context, qspan *telemetry.SpanHandle, q query.
 	if err == nil {
 		set := selection.CandidateSet{Query: q, Epsilon: eps, Ranks: ranks}
 		r.selectMu.Lock()
-		parts, err = cs.SelectFrom(&set, r.selectionContext())
+		parts, err = sel.SelectFrom(&set, r.selectionContext())
 		r.selectMu.Unlock()
 	}
 	span.End(err)
@@ -797,7 +782,7 @@ func (r *Router) ExplainQuery(ctx context.Context, q query.Query, sel selection.
 	return &federation.Explanation{
 		Epoch:        p.Epoch,
 		Selector:     sel.Name(),
-		Epsilon:      epsilonFor(sel),
+		Epsilon:      plan.EpsilonFor(sel),
 		Key:          p.PlanKey,
 		Regions:      r.Regions(),
 		Participants: p.Participants,

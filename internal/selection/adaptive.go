@@ -3,9 +3,6 @@ package selection
 import (
 	"fmt"
 	"sync"
-
-	"qens/internal/cluster"
-	"qens/internal/query"
 )
 
 // Adaptive implements the complete §II decision procedure as a single
@@ -62,8 +59,8 @@ func (s *Adaptive) validate() error {
 }
 
 // regimeFor returns the committed regime, running the pre-test over
-// the given node ids on first use.
-func (s *Adaptive) regimeFor(n int, id func(int) string, ctx *Context) (Regime, error) {
+// the candidates on first use.
+func (s *Adaptive) regimeFor(ranks []NodeRank, ctx *Context) (Regime, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.regime != nil {
@@ -72,9 +69,9 @@ func (s *Adaptive) regimeFor(n int, id func(int) string, ctx *Context) (Regime, 
 	if ctx == nil || ctx.Evaluate == nil {
 		return 0, fmt.Errorf("selection: adaptive selector needs a Context evaluator for the pre-test")
 	}
-	ids := make([]string, n)
-	for i := range ids {
-		ids[i] = id(i)
+	ids := make([]string, len(ranks))
+	for i, r := range ranks {
+		ids[i] = r.NodeID
 	}
 	res, err := PreTest(ids, ctx.Evaluate, s.RatioThreshold)
 	if err != nil {
@@ -84,27 +81,12 @@ func (s *Adaptive) regimeFor(n int, id func(int) string, ctx *Context) (Regime, 
 	return *s.regime, nil
 }
 
-// Select implements Selector.
-func (s *Adaptive) Select(q query.Query, summaries []cluster.NodeSummary, ctx *Context) ([]Participant, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	regime, err := s.regimeFor(len(summaries), func(i int) string { return summaries[i].NodeID }, ctx)
-	if err != nil {
-		return nil, err
-	}
-	if regime == RegimeHomogeneous {
-		return Random{L: s.TopL}.Select(q, summaries, ctx)
-	}
-	return QueryDriven{Epsilon: s.Epsilon, TopL: s.TopL}.Select(q, summaries, ctx)
-}
-
-// SelectFrom implements CandidateSelector.
+// SelectFrom implements Selector.
 func (s *Adaptive) SelectFrom(cs *CandidateSet, ctx *Context) ([]Participant, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	regime, err := s.regimeFor(len(cs.Ranks), func(i int) string { return cs.Ranks[i].NodeID }, ctx)
+	regime, err := s.regimeFor(cs.Ranks, ctx)
 	if err != nil {
 		return nil, err
 	}

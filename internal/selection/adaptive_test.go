@@ -24,7 +24,7 @@ func heterogeneousCtx() *Context {
 
 func TestAdaptiveHomogeneousUsesRandom(t *testing.T) {
 	sel := &Adaptive{Epsilon: 0.3, TopL: 2}
-	parts, err := sel.Select(mkQuery(t, 2, 12), fourNodes(), homogeneousCtx())
+	parts, err := sel.SelectFrom(candidates(t, mkQuery(t, 2, 12), fourNodes()), homogeneousCtx())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestAdaptiveHomogeneousUsesRandom(t *testing.T) {
 
 func TestAdaptiveHeterogeneousUsesQueryDriven(t *testing.T) {
 	sel := &Adaptive{Epsilon: 0.3, TopL: 2}
-	parts, err := sel.Select(mkQuery(t, 2, 12), fourNodes(), heterogeneousCtx())
+	parts, err := sel.SelectFrom(candidates(t, mkQuery(t, 2, 12), fourNodes()), heterogeneousCtx())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestAdaptivePreTestRunsOnce(t *testing.T) {
 	}
 	sel := &Adaptive{Epsilon: 0.3, TopL: 1}
 	for i := 0; i < 3; i++ {
-		if _, err := sel.Select(mkQuery(t, 2, 12), fourNodes(), ctx); err != nil {
+		if _, err := sel.SelectFrom(candidates(t, mkQuery(t, 2, 12), fourNodes()), ctx); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -83,17 +83,17 @@ func TestAdaptivePreTestRunsOnce(t *testing.T) {
 }
 
 func TestAdaptiveValidation(t *testing.T) {
-	if _, err := (&Adaptive{Epsilon: 0.3}).Select(mkQuery(t, 0, 1), fourNodes(), homogeneousCtx()); err == nil {
+	if _, err := (&Adaptive{Epsilon: 0.3}).SelectFrom(candidates(t, mkQuery(t, 0, 1), fourNodes()), homogeneousCtx()); err == nil {
 		t.Fatal("accepted TopL=0")
 	}
-	if _, err := (&Adaptive{TopL: 1}).Select(mkQuery(t, 0, 1), fourNodes(), homogeneousCtx()); err == nil {
+	if _, err := (&Adaptive{TopL: 1}).SelectFrom(candidates(t, mkQuery(t, 0, 1), fourNodes()), homogeneousCtx()); err == nil {
 		t.Fatal("accepted Epsilon=0")
 	}
-	if _, err := (&Adaptive{Epsilon: 0.3, TopL: 1}).Select(mkQuery(t, 0, 1), fourNodes(), nil); err == nil {
+	if _, err := (&Adaptive{Epsilon: 0.3, TopL: 1}).SelectFrom(candidates(t, mkQuery(t, 0, 1), fourNodes()), nil); err == nil {
 		t.Fatal("accepted nil context")
 	}
 	failing := &Context{Evaluate: func(string) (float64, error) { return 0, fmt.Errorf("down") }}
-	if _, err := (&Adaptive{Epsilon: 0.3, TopL: 1}).Select(mkQuery(t, 0, 1), fourNodes(), failing); err == nil {
+	if _, err := (&Adaptive{Epsilon: 0.3, TopL: 1}).SelectFrom(candidates(t, mkQuery(t, 0, 1), fourNodes()), failing); err == nil {
 		t.Fatal("ignored pre-test failure")
 	}
 	// Regime before any select.

@@ -7,13 +7,13 @@ import (
 	"qens/internal/query"
 )
 
-// CandidateSet is the precomputed, query-specific ranking that
-// candidate-aware selectors draw from. The planner (internal/plan)
+// CandidateSet is the precomputed, query-specific ranking every
+// Selector draws from. The planner (internal/plan)
 // builds one per query from a registry snapshot — every node's Eq. 2
 // overlaps, supporting set, potential and Eq. 4 rank at the set's ε —
 // so selectors can decide without ever re-walking cluster rectangles.
 // Ranks are in roster (advertisement) order, unsorted; selectors that
-// need rank order sort a copy, exactly like the legacy Select path.
+// need rank order sort a copy.
 type CandidateSet struct {
 	// Query is the workload rectangle the set was ranked against.
 	Query query.Query
@@ -71,28 +71,17 @@ func (cs *CandidateSet) AtEpsilon(epsilon float64) ([]NodeRank, error) {
 	return out, nil
 }
 
-// CandidateSelector is a Selector that can decide from a precomputed
-// CandidateSet instead of raw summaries. All built-in selectors
-// implement it; the planner prefers this path so overlap rates are
-// computed exactly once per (query, snapshot).
-type CandidateSelector interface {
-	Selector
-	// SelectFrom returns the chosen participants in priority order,
-	// equivalent to Select over the summaries the set was built from.
-	SelectFrom(cs *CandidateSet, ctx *Context) ([]Participant, error)
-}
-
 // EpsilonCarrier is implemented by selectors with an intrinsic support
 // threshold. The planner builds the CandidateSet at that ε so the
 // selector's SelectFrom hits the precomputed ranking without a
-// re-threshold pass.
+// re-threshold pass (see plan.EpsilonFor).
 type EpsilonCarrier interface {
 	// SupportEpsilon returns the ε the selector ranks at.
 	SupportEpsilon() float64
 }
 
-// Stateful marks selectors whose Select/SelectFrom mutates internal
-// state (rotation cursors, contribution histories, cached pre-tests).
+// Stateful marks selectors whose SelectFrom mutates internal state
+// (rotation cursors, cached pre-tests).
 // Planning ahead — dry-running selection for cache keys or EXPLAIN —
 // must be skipped for these, because every invocation advances state.
 type Stateful interface {

@@ -1,9 +1,10 @@
 // Package selection implements the paper's core contribution — the
 // query-driven edge node selection mechanism of §III-C — together with
 // the baselines it is evaluated against (§V-C): Random selection [6],
-// Game-Theory selection [7], all-node selection, and two additional
-// literature-style baselines (fairness rotation [12] and
-// contribution-based scoring [11]) used by the ablation benches.
+// Game-Theory selection [7] and all-node selection. It also holds the
+// §II Adaptive selector (pre-test, then Random or query-driven) and a
+// fairness rotation in the spirit of [12] that the gateway serves on
+// request.
 //
 // The leader only ever sees cluster.NodeSummary advertisements — the
 // cluster bounding rectangles and counts — never raw node data, which
@@ -14,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 
 	"qens/internal/cluster"
 	"qens/internal/geometry"
@@ -133,3 +135,33 @@ func AboveThreshold(ranks []NodeRank, psi float64) []NodeRank {
 // ErrNoCandidates reports that no node satisfied the selection policy
 // for a query.
 var ErrNoCandidates = errors.New("selection: no node supports the query")
+
+// Explain renders a human-readable account of the query-driven ranking
+// for one query: every node's per-cluster overlaps, supporting set,
+// potential and rank — the leader-side view behind a selection
+// decision.
+func Explain(q query.Query, summaries []cluster.NodeSummary, epsilon float64) (string, error) {
+	ranks, err := RankNodes(q, summaries, epsilon)
+	if err != nil {
+		return "", err
+	}
+	SortByRank(ranks)
+	var b strings.Builder
+	fmt.Fprintf(&b, "query %s: %v (ε=%.2f)\n", q.ID, q.Bounds, epsilon)
+	for _, r := range ranks {
+		fmt.Fprintf(&b, "%-10s rank=%.4f potential=%.4f supporting=%d/%d samples=%d/%d\n",
+			r.NodeID, r.Rank, r.Potential, len(r.Supporting), len(r.Overlaps),
+			r.SupportingSamples, r.TotalSamples)
+		for k, h := range r.Overlaps {
+			marker := " "
+			for _, sk := range r.Supporting {
+				if sk == k {
+					marker = "*"
+					break
+				}
+			}
+			fmt.Fprintf(&b, "  %s cluster %d h=%.4f\n", marker, k, h)
+		}
+	}
+	return b.String(), nil
+}

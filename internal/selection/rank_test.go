@@ -3,6 +3,7 @@ package selection
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -220,5 +221,24 @@ func TestRankInvariantsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestExplain(t *testing.T) {
+	out, err := Explain(mkQuery(t, 2, 12), fourNodes(), 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"q:", "n0", "n2", "cluster 0", "rank="} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("explain output missing %q:\n%s", want, out)
+		}
+	}
+	// Supporting clusters are starred.
+	if !strings.Contains(out, "* cluster") {
+		t.Fatal("no supporting cluster starred")
+	}
+	if _, err := Explain(mkQuery(t, 0, 1), fourNodes(), 0); err == nil {
+		t.Fatal("accepted ε=0")
 	}
 }

@@ -5,8 +5,6 @@ import (
 	"sort"
 	"sync"
 
-	"qens/internal/cluster"
-	"qens/internal/query"
 	"qens/internal/rng"
 )
 
@@ -33,13 +31,14 @@ type Context struct {
 	Evaluate func(nodeID string) (loss float64, err error)
 }
 
-// Selector chooses participants for a query from the advertised node
-// summaries.
+// Selector chooses participants for a query from the planner's
+// candidate set: every advertised node's Eq. 2–4 ranking, computed
+// once per (query, snapshot).
 type Selector interface {
 	// Name identifies the mechanism in experiment output.
 	Name() string
-	// Select returns the chosen participants in priority order.
-	Select(q query.Query, summaries []cluster.NodeSummary, ctx *Context) ([]Participant, error)
+	// SelectFrom returns the chosen participants in priority order.
+	SelectFrom(cs *CandidateSet, ctx *Context) ([]Participant, error)
 }
 
 // QueryDriven is the paper's mechanism: rank nodes by Eq. 4 and keep
@@ -61,16 +60,23 @@ func (s QueryDriven) Name() string { return "query-driven" }
 // SupportEpsilon implements EpsilonCarrier.
 func (s QueryDriven) SupportEpsilon() float64 { return s.Epsilon }
 
-// validate checks the TopL/Psi exclusivity contract.
-func (s QueryDriven) validate() error {
+// Validate checks the TopL/Psi exclusivity contract.
+func (s QueryDriven) Validate() error {
 	if (s.TopL > 0) == (s.Psi > 0) {
 		return fmt.Errorf("selection: query-driven needs exactly one of TopL (%d) or Psi (%v)", s.TopL, s.Psi)
 	}
 	return nil
 }
 
-// choose applies the TopL/ψ policy to an already-computed ranking.
-func (s QueryDriven) choose(ranks []NodeRank) ([]Participant, error) {
+// SelectFrom implements Selector.
+func (s QueryDriven) SelectFrom(cs *CandidateSet, _ *Context) ([]Participant, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	ranks, err := cs.AtEpsilon(s.Epsilon)
+	if err != nil {
+		return nil, err
+	}
 	var chosen []NodeRank
 	if s.TopL > 0 {
 		chosen = TopL(ranks, s.TopL)
@@ -83,30 +89,6 @@ func (s QueryDriven) choose(ranks []NodeRank) ([]Participant, error) {
 	return participantsFromRanks(chosen), nil
 }
 
-// Select implements Selector.
-func (s QueryDriven) Select(q query.Query, summaries []cluster.NodeSummary, _ *Context) ([]Participant, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	ranks, err := RankNodes(q, summaries, s.Epsilon)
-	if err != nil {
-		return nil, err
-	}
-	return s.choose(ranks)
-}
-
-// SelectFrom implements CandidateSelector over a precomputed set.
-func (s QueryDriven) SelectFrom(cs *CandidateSet, _ *Context) ([]Participant, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	ranks, err := cs.AtEpsilon(s.Epsilon)
-	if err != nil {
-		return nil, err
-	}
-	return s.choose(ranks)
-}
-
 // Random is the baseline of [6]: ℓ nodes drawn uniformly, training on
 // their whole datasets.
 type Random struct {
@@ -117,38 +99,25 @@ type Random struct {
 // Name implements Selector.
 func (s Random) Name() string { return "random" }
 
-// draw samples l of n node ids uniformly without replacement.
-func (s Random) draw(n int, id func(int) string, ctx *Context) ([]Participant, error) {
+// SelectFrom implements Selector: it samples L candidates uniformly
+// without replacement, one Context RNG draw per call.
+func (s Random) SelectFrom(cs *CandidateSet, ctx *Context) ([]Participant, error) {
 	if s.L < 1 {
 		return nil, fmt.Errorf("selection: random selector needs L >= 1, got %d", s.L)
 	}
 	if ctx == nil || ctx.RNG == nil {
 		return nil, fmt.Errorf("selection: random selector needs a Context RNG")
 	}
+	n := len(cs.Ranks)
 	if n == 0 {
 		return nil, ErrNoCandidates
 	}
-	l := s.L
-	if l > n {
-		l = n
-	}
-	idx := ctx.RNG.SampleWithoutReplacement(n, l)
+	idx := ctx.RNG.SampleWithoutReplacement(n, min(s.L, n))
 	out := make([]Participant, len(idx))
 	for i, j := range idx {
-		out[i] = Participant{NodeID: id(j), Rank: 1}
+		out[i] = Participant{NodeID: cs.Ranks[j].NodeID, Rank: 1}
 	}
 	return out, nil
-}
-
-// Select implements Selector.
-func (s Random) Select(_ query.Query, summaries []cluster.NodeSummary, ctx *Context) ([]Participant, error) {
-	return s.draw(len(summaries), func(i int) string { return summaries[i].NodeID }, ctx)
-}
-
-// SelectFrom implements CandidateSelector. It consumes the Context RNG
-// exactly like Select, so mirrored sources stay in lock-step.
-func (s Random) SelectFrom(cs *CandidateSet, ctx *Context) ([]Participant, error) {
-	return s.draw(len(cs.Ranks), func(i int) string { return cs.Ranks[i].NodeID }, ctx)
 }
 
 // AllNodes selects every advertised node, training on whole datasets —
@@ -158,25 +127,16 @@ type AllNodes struct{}
 // Name implements Selector.
 func (AllNodes) Name() string { return "all-nodes" }
 
-func allNodes(n int, id func(int) string) ([]Participant, error) {
-	if n == 0 {
+// SelectFrom implements Selector.
+func (AllNodes) SelectFrom(cs *CandidateSet, _ *Context) ([]Participant, error) {
+	if len(cs.Ranks) == 0 {
 		return nil, ErrNoCandidates
 	}
-	out := make([]Participant, n)
-	for i := range out {
-		out[i] = Participant{NodeID: id(i), Rank: 1}
+	out := make([]Participant, len(cs.Ranks))
+	for i, r := range cs.Ranks {
+		out[i] = Participant{NodeID: r.NodeID, Rank: 1}
 	}
 	return out, nil
-}
-
-// Select implements Selector.
-func (AllNodes) Select(_ query.Query, summaries []cluster.NodeSummary, _ *Context) ([]Participant, error) {
-	return allNodes(len(summaries), func(i int) string { return summaries[i].NodeID })
-}
-
-// SelectFrom implements CandidateSelector.
-func (AllNodes) SelectFrom(cs *CandidateSet, _ *Context) ([]Participant, error) {
-	return allNodes(len(cs.Ranks), func(i int) string { return cs.Ranks[i].NodeID })
 }
 
 // GameTheory is the pre-test baseline of [7]: the leader first trains
@@ -194,28 +154,28 @@ type GameTheory struct {
 // Name implements Selector.
 func (s GameTheory) Name() string { return "game-theory" }
 
-func (s GameTheory) preTest(n int, id func(int) string, ctx *Context) ([]Participant, error) {
+// SelectFrom implements Selector.
+func (s GameTheory) SelectFrom(cs *CandidateSet, ctx *Context) ([]Participant, error) {
 	if s.L < 1 {
 		return nil, fmt.Errorf("selection: game-theory selector needs L >= 1, got %d", s.L)
 	}
 	if ctx == nil || ctx.Evaluate == nil {
 		return nil, fmt.Errorf("selection: game-theory selector needs a Context evaluator")
 	}
-	if n == 0 {
+	if len(cs.Ranks) == 0 {
 		return nil, ErrNoCandidates
 	}
 	type scored struct {
 		id   string
 		loss float64
 	}
-	scores := make([]scored, 0, n)
-	for i := 0; i < n; i++ {
-		nodeID := id(i)
-		loss, err := ctx.Evaluate(nodeID)
+	scores := make([]scored, 0, len(cs.Ranks))
+	for _, r := range cs.Ranks {
+		loss, err := ctx.Evaluate(r.NodeID)
 		if err != nil {
-			return nil, fmt.Errorf("selection: game-theory pre-test on %s: %w", nodeID, err)
+			return nil, fmt.Errorf("selection: game-theory pre-test on %s: %w", r.NodeID, err)
 		}
-		scores = append(scores, scored{id: nodeID, loss: loss})
+		scores = append(scores, scored{id: r.NodeID, loss: loss})
 	}
 	sort.SliceStable(scores, func(i, j int) bool {
 		if scores[i].loss != scores[j].loss {
@@ -223,32 +183,18 @@ func (s GameTheory) preTest(n int, id func(int) string, ctx *Context) ([]Partici
 		}
 		return scores[i].id < scores[j].id
 	})
-	l := s.L
-	if l > len(scores) {
-		l = len(scores)
-	}
-	out := make([]Participant, l)
-	for i := 0; i < l; i++ {
+	out := make([]Participant, min(s.L, len(scores)))
+	for i := range out {
 		out[i] = Participant{NodeID: scores[i].id, Rank: 1}
 	}
 	return out, nil
-}
-
-// Select implements Selector.
-func (s GameTheory) Select(_ query.Query, summaries []cluster.NodeSummary, ctx *Context) ([]Participant, error) {
-	return s.preTest(len(summaries), func(i int) string { return summaries[i].NodeID }, ctx)
-}
-
-// SelectFrom implements CandidateSelector.
-func (s GameTheory) SelectFrom(cs *CandidateSet, ctx *Context) ([]Participant, error) {
-	return s.preTest(len(cs.Ranks), func(i int) string { return cs.Ranks[i].NodeID }, ctx)
 }
 
 // Fairness is a rotation baseline in the spirit of [12]: every node
 // gets the same long-run chance of participating. It keeps a cursor
 // and hands out the next ℓ nodes round-robin. The cursor is guarded by
 // an internal mutex, so one instance can serve concurrent queries
-// (each Select advances the rotation atomically); ordering between
+// (each call advances the rotation atomically); ordering between
 // racing queries is whatever the lock arrivals produce.
 type Fairness struct {
 	// L is the number of nodes per query.
@@ -271,121 +217,21 @@ func (s *Fairness) Cursor() int {
 	return s.cursor
 }
 
-func (s *Fairness) rotate(n int, id func(int) string) ([]Participant, error) {
+// SelectFrom implements Selector.
+func (s *Fairness) SelectFrom(cs *CandidateSet, _ *Context) ([]Participant, error) {
 	if s.L < 1 {
 		return nil, fmt.Errorf("selection: fairness selector needs L >= 1, got %d", s.L)
 	}
+	n := len(cs.Ranks)
 	if n == 0 {
 		return nil, ErrNoCandidates
 	}
-	l := s.L
-	if l > n {
-		l = n
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]Participant, l)
-	for i := 0; i < l; i++ {
-		out[i] = Participant{NodeID: id((s.cursor + i) % n), Rank: 1}
+	out := make([]Participant, min(s.L, n))
+	for i := range out {
+		out[i] = Participant{NodeID: cs.Ranks[(s.cursor+i)%n].NodeID, Rank: 1}
 	}
-	s.cursor = (s.cursor + l) % n
+	s.cursor = (s.cursor + len(out)) % n
 	return out, nil
-}
-
-// Select implements Selector.
-func (s *Fairness) Select(_ query.Query, summaries []cluster.NodeSummary, _ *Context) ([]Participant, error) {
-	return s.rotate(len(summaries), func(i int) string { return summaries[i].NodeID })
-}
-
-// SelectFrom implements CandidateSelector.
-func (s *Fairness) SelectFrom(cs *CandidateSet, _ *Context) ([]Participant, error) {
-	return s.rotate(len(cs.Ranks), func(i int) string { return cs.Ranks[i].NodeID })
-}
-
-// Contribution is a history-based baseline in the spirit of [11]: the
-// leader remembers how much each node improved the global model in
-// past rounds (reported via Report) and prefers high contributors.
-// Unknown nodes get an optimistic default so they are explored. The
-// score table is guarded by an internal mutex, so Report and Select
-// may race from concurrent queries.
-type Contribution struct {
-	// L is the number of nodes per query.
-	L int
-
-	mu sync.Mutex
-	// scores maps node id -> running average contribution.
-	scores map[string]float64
-	counts map[string]int
-}
-
-// Name implements Selector.
-func (s *Contribution) Name() string { return "contribution" }
-
-// StatefulSelection implements Stateful: selection reads a history
-// that Report mutates between queries.
-func (s *Contribution) StatefulSelection() {}
-
-// Report records the observed contribution of a node in a finished
-// round — the paper's [11] defines it as the global-model accuracy
-// delta attributable to the node.
-func (s *Contribution) Report(nodeID string, contribution float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.scores == nil {
-		s.scores = map[string]float64{}
-		s.counts = map[string]int{}
-	}
-	s.counts[nodeID]++
-	n := float64(s.counts[nodeID])
-	s.scores[nodeID] += (contribution - s.scores[nodeID]) / n
-}
-
-func (s *Contribution) rank(n int, id func(int) string) ([]Participant, error) {
-	if s.L < 1 {
-		return nil, fmt.Errorf("selection: contribution selector needs L >= 1, got %d", s.L)
-	}
-	if n == 0 {
-		return nil, ErrNoCandidates
-	}
-	type scored struct {
-		id    string
-		score float64
-	}
-	const optimism = 1e6 // unseen nodes first
-	all := make([]scored, 0, n)
-	s.mu.Lock()
-	for i := 0; i < n; i++ {
-		nodeID := id(i)
-		sc := optimism
-		if s.counts[nodeID] > 0 {
-			sc = s.scores[nodeID]
-		}
-		all = append(all, scored{id: nodeID, score: sc})
-	}
-	s.mu.Unlock()
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].score != all[j].score {
-			return all[i].score > all[j].score
-		}
-		return all[i].id < all[j].id
-	})
-	l := s.L
-	if l > len(all) {
-		l = len(all)
-	}
-	out := make([]Participant, l)
-	for i := 0; i < l; i++ {
-		out[i] = Participant{NodeID: all[i].id, Rank: 1}
-	}
-	return out, nil
-}
-
-// Select implements Selector.
-func (s *Contribution) Select(_ query.Query, summaries []cluster.NodeSummary, _ *Context) ([]Participant, error) {
-	return s.rank(len(summaries), func(i int) string { return summaries[i].NodeID })
-}
-
-// SelectFrom implements CandidateSelector.
-func (s *Contribution) SelectFrom(cs *CandidateSet, _ *Context) ([]Participant, error) {
-	return s.rank(len(cs.Ranks), func(i int) string { return cs.Ranks[i].NodeID })
 }

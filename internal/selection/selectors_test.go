@@ -6,8 +6,20 @@ import (
 	"testing"
 
 	"qens/internal/cluster"
+	"qens/internal/query"
 	"qens/internal/rng"
 )
+
+// candidates ranks the summaries with the reference constructor at a
+// permissive ε, as the planner does for selectors without their own.
+func candidates(t *testing.T, q query.Query, summaries []cluster.NodeSummary) *CandidateSet {
+	t.Helper()
+	cs, err := NewCandidateSet(q, summaries, 1e-9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cs
+}
 
 func fourNodes() []cluster.NodeSummary {
 	return []cluster.NodeSummary{
@@ -21,7 +33,7 @@ func fourNodes() []cluster.NodeSummary {
 func TestQueryDrivenTopL(t *testing.T) {
 	sel := QueryDriven{Epsilon: 0.05, TopL: 2}
 	q := mkQuery(t, 2, 12)
-	parts, err := sel.Select(q, fourNodes(), nil)
+	parts, err := sel.SelectFrom(candidates(t, q, fourNodes()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +56,7 @@ func TestQueryDrivenTopL(t *testing.T) {
 
 func TestQueryDrivenPsi(t *testing.T) {
 	sel := QueryDriven{Epsilon: 0.05, Psi: 0.01}
-	parts, err := sel.Select(mkQuery(t, 2, 12), fourNodes(), nil)
+	parts, err := sel.SelectFrom(candidates(t, mkQuery(t, 2, 12), fourNodes()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,20 +69,20 @@ func TestQueryDrivenPsi(t *testing.T) {
 
 func TestQueryDrivenConfigErrors(t *testing.T) {
 	q := mkQuery(t, 0, 1)
-	if _, err := (QueryDriven{Epsilon: 0.1}).Select(q, fourNodes(), nil); err == nil {
+	if _, err := (QueryDriven{Epsilon: 0.1}).SelectFrom(candidates(t, q, fourNodes()), nil); err == nil {
 		t.Fatal("accepted neither TopL nor Psi")
 	}
-	if _, err := (QueryDriven{Epsilon: 0.1, TopL: 2, Psi: 0.5}).Select(q, fourNodes(), nil); err == nil {
+	if _, err := (QueryDriven{Epsilon: 0.1, TopL: 2, Psi: 0.5}).SelectFrom(candidates(t, q, fourNodes()), nil); err == nil {
 		t.Fatal("accepted both TopL and Psi")
 	}
-	if _, err := (QueryDriven{TopL: 2}).Select(q, fourNodes(), nil); err == nil {
+	if _, err := (QueryDriven{TopL: 2}).SelectFrom(candidates(t, q, fourNodes()), nil); err == nil {
 		t.Fatal("accepted ε=0")
 	}
 }
 
 func TestQueryDrivenNoCandidates(t *testing.T) {
 	sel := QueryDriven{Epsilon: 0.1, TopL: 3}
-	_, err := sel.Select(mkQuery(t, 5000, 6000), fourNodes(), nil)
+	_, err := sel.SelectFrom(candidates(t, mkQuery(t, 5000, 6000), fourNodes()), nil)
 	if !errors.Is(err, ErrNoCandidates) {
 		t.Fatalf("err = %v, want ErrNoCandidates", err)
 	}
@@ -79,7 +91,7 @@ func TestQueryDrivenNoCandidates(t *testing.T) {
 func TestRandomSelector(t *testing.T) {
 	sel := Random{L: 2}
 	ctx := &Context{RNG: rng.New(1)}
-	parts, err := sel.Select(mkQuery(t, 0, 1), fourNodes(), ctx)
+	parts, err := sel.SelectFrom(candidates(t, mkQuery(t, 0, 1), fourNodes()), ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,20 +108,20 @@ func TestRandomSelector(t *testing.T) {
 		}
 	}
 	// Oversized L clamps.
-	parts, err = (Random{L: 99}).Select(mkQuery(t, 0, 1), fourNodes(), ctx)
+	parts, err = (Random{L: 99}).SelectFrom(candidates(t, mkQuery(t, 0, 1), fourNodes()), ctx)
 	if err != nil || len(parts) != 4 {
 		t.Fatalf("oversized L: %v, %d", err, len(parts))
 	}
 }
 
 func TestRandomSelectorErrors(t *testing.T) {
-	if _, err := (Random{}).Select(mkQuery(t, 0, 1), fourNodes(), &Context{RNG: rng.New(1)}); err == nil {
+	if _, err := (Random{}).SelectFrom(candidates(t, mkQuery(t, 0, 1), fourNodes()), &Context{RNG: rng.New(1)}); err == nil {
 		t.Fatal("accepted L=0")
 	}
-	if _, err := (Random{L: 1}).Select(mkQuery(t, 0, 1), fourNodes(), nil); err == nil {
+	if _, err := (Random{L: 1}).SelectFrom(candidates(t, mkQuery(t, 0, 1), fourNodes()), nil); err == nil {
 		t.Fatal("accepted nil context")
 	}
-	if _, err := (Random{L: 1}).Select(mkQuery(t, 0, 1), nil, &Context{RNG: rng.New(1)}); !errors.Is(err, ErrNoCandidates) {
+	if _, err := (Random{L: 1}).SelectFrom(candidates(t, mkQuery(t, 0, 1), nil), &Context{RNG: rng.New(1)}); !errors.Is(err, ErrNoCandidates) {
 		t.Fatal("empty summaries should be ErrNoCandidates")
 	}
 }
@@ -118,7 +130,7 @@ func TestRandomSelectorUniform(t *testing.T) {
 	ctx := &Context{RNG: rng.New(7)}
 	counts := map[string]int{}
 	for i := 0; i < 4000; i++ {
-		parts, err := (Random{L: 1}).Select(mkQuery(t, 0, 1), fourNodes(), ctx)
+		parts, err := (Random{L: 1}).SelectFrom(candidates(t, mkQuery(t, 0, 1), fourNodes()), ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,14 +144,14 @@ func TestRandomSelectorUniform(t *testing.T) {
 }
 
 func TestAllNodesSelector(t *testing.T) {
-	parts, err := (AllNodes{}).Select(mkQuery(t, 0, 1), fourNodes(), nil)
+	parts, err := (AllNodes{}).SelectFrom(candidates(t, mkQuery(t, 0, 1), fourNodes()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(parts) != 4 {
 		t.Fatalf("%d participants", len(parts))
 	}
-	if _, err := (AllNodes{}).Select(mkQuery(t, 0, 1), nil, nil); !errors.Is(err, ErrNoCandidates) {
+	if _, err := (AllNodes{}).SelectFrom(candidates(t, mkQuery(t, 0, 1), nil), nil); !errors.Is(err, ErrNoCandidates) {
 		t.Fatal("empty summaries should error")
 	}
 }
@@ -147,7 +159,7 @@ func TestAllNodesSelector(t *testing.T) {
 func TestGameTheorySelectsWorstLoss(t *testing.T) {
 	losses := map[string]float64{"n0": 1, "n1": 50, "n2": 10, "n3": 2}
 	ctx := &Context{Evaluate: func(id string) (float64, error) { return losses[id], nil }}
-	parts, err := (GameTheory{L: 2}).Select(mkQuery(t, 0, 1), fourNodes(), ctx)
+	parts, err := (GameTheory{L: 2}).SelectFrom(candidates(t, mkQuery(t, 0, 1), fourNodes()), ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,14 +170,14 @@ func TestGameTheorySelectsWorstLoss(t *testing.T) {
 
 func TestGameTheoryErrors(t *testing.T) {
 	ctx := &Context{Evaluate: func(string) (float64, error) { return 0, nil }}
-	if _, err := (GameTheory{}).Select(mkQuery(t, 0, 1), fourNodes(), ctx); err == nil {
+	if _, err := (GameTheory{}).SelectFrom(candidates(t, mkQuery(t, 0, 1), fourNodes()), ctx); err == nil {
 		t.Fatal("accepted L=0")
 	}
-	if _, err := (GameTheory{L: 1}).Select(mkQuery(t, 0, 1), fourNodes(), nil); err == nil {
+	if _, err := (GameTheory{L: 1}).SelectFrom(candidates(t, mkQuery(t, 0, 1), fourNodes()), nil); err == nil {
 		t.Fatal("accepted nil evaluator")
 	}
 	failing := &Context{Evaluate: func(string) (float64, error) { return 0, fmt.Errorf("down") }}
-	if _, err := (GameTheory{L: 1}).Select(mkQuery(t, 0, 1), fourNodes(), failing); err == nil {
+	if _, err := (GameTheory{L: 1}).SelectFrom(candidates(t, mkQuery(t, 0, 1), fourNodes()), failing); err == nil {
 		t.Fatal("ignored evaluator failure")
 	}
 }
@@ -174,7 +186,7 @@ func TestFairnessRotation(t *testing.T) {
 	sel := &Fairness{L: 2}
 	seen := map[string]int{}
 	for i := 0; i < 6; i++ { // 6 rounds * 2 = 12 slots over 4 nodes
-		parts, err := sel.Select(mkQuery(t, 0, 1), fourNodes(), nil)
+		parts, err := sel.SelectFrom(candidates(t, mkQuery(t, 0, 1), fourNodes()), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,38 +201,9 @@ func TestFairnessRotation(t *testing.T) {
 	}
 }
 
-func TestContributionSelector(t *testing.T) {
-	sel := &Contribution{L: 2}
-	// First round: all unseen, optimistic — selects first two by id.
-	parts, err := sel.Select(mkQuery(t, 0, 1), fourNodes(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(parts) != 2 {
-		t.Fatalf("%d participants", len(parts))
-	}
-	// Report n3 as a star contributor, n0/n1 as poor.
-	sel.Report("n0", 0.1)
-	sel.Report("n1", 0.1)
-	sel.Report("n2", 0.2)
-	sel.Report("n3", 5.0)
-	parts, err = sel.Select(mkQuery(t, 0, 1), fourNodes(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parts[0].NodeID != "n3" {
-		t.Fatalf("top contributor not selected first: %s", parts[0].NodeID)
-	}
-	// Running average: repeated reports converge.
-	sel.Report("n3", 1.0)
-	if s := sel.scores["n3"]; s != 3.0 {
-		t.Fatalf("running average = %v, want 3.0", s)
-	}
-}
-
 func TestSelectorNames(t *testing.T) {
 	names := map[string]bool{}
-	for _, s := range []Selector{QueryDriven{}, Random{}, AllNodes{}, GameTheory{}, &Fairness{}, &Contribution{}} {
+	for _, s := range []Selector{QueryDriven{}, Random{}, AllNodes{}, GameTheory{}, &Fairness{}, &Adaptive{}} {
 		n := s.Name()
 		if n == "" || names[n] {
 			t.Fatalf("bad or duplicate selector name %q", n)
