@@ -21,7 +21,6 @@ loadsmoke:
 
 # Short fuzz campaigns over the wire-facing parsers.
 fuzz:
-	$(GO) test -fuzz FuzzReadWorkload -fuzztime 30s ./internal/query/
 	$(GO) test -run '^$$' -fuzz FuzzWireV2 -fuzztime 30s ./internal/transport/
 	$(GO) test -run '^$$' -fuzz FuzzWirePush -fuzztime 30s ./internal/transport/
 	$(GO) test -run '^$$' -fuzz FuzzRTreePrune -fuzztime 30s ./internal/geometry/
@@ -73,7 +72,7 @@ loc:
 # The serving packages' non-test line budget: ROADMAP item 2 pushes
 # federation+region+gateway down, so growing them past the committed
 # number fails the gate. Lower LOC_BUDGET when a PR shrinks them.
-LOC_BUDGET ?= 6178
+LOC_BUDGET ?= 6141
 loc-check:
 	@n=$$(cat $$(ls internal/federation/*.go internal/region/*.go internal/gateway/*.go | grep -v _test.go) | wc -l); \
 	if [ "$$n" -gt $(LOC_BUDGET) ]; then \

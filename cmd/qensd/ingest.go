@@ -19,8 +19,7 @@ import (
 // summary pushes all exercise end to end from a lone qensd. After the
 // configured drift delay the generator shifts every feature by a
 // fraction of its observed range, which the node's drift detector
-// should eventually escalate into a full re-quantization without any
-// operator SIGHUP.
+// should eventually escalate into a full re-quantization on its own.
 type ingestSim struct {
 	node  ingestNode
 	src   *rng.Source

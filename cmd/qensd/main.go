@@ -101,24 +101,8 @@ func main() {
 		fmt.Printf("qensd: observability on http://%s (/metrics /healthz /debug/pprof)\n", obs.Addr())
 	}
 
-	// SIGHUP requantizes the node in place: the k-means synopsis is
-	// rebuilt over the current local data and the advertisement epoch
-	// bumps, so the next RPC response tells the leader its cached
-	// summaries drifted.
-	hup := make(chan os.Signal, 1)
-	signal.Notify(hup, syscall.SIGHUP)
-	defer signal.Stop(hup)
-	go func() {
-		for range hup {
-			if err := srv.Requantize(); err != nil {
-				fmt.Fprintf(os.Stderr, "qensd: requantize: %v\n", err)
-				continue
-			}
-			fmt.Printf("qensd: requantized, advertisement epoch now %d\n", srv.SummaryEpoch())
-		}
-	}()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	// SIGHUP drains like SIGTERM rather than killing the process.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM, syscall.SIGHUP)
 	defer stop()
 
 	if *ingestRate > 0 {

@@ -8,7 +8,7 @@
 // material movement. Then the stream's distribution shifts — a regime
 // change the node's EWMA drift detector sees as rising reconstruction
 // error and a skewed assignment distribution. The node escalates to a
-// full re-quantization *on its own* (nobody sends SIGHUP), and the
+// full re-quantization *on its own* (no operator action), and the
 // fresh advertisement is *pushed* to the subscribed leader the moment
 // it exists, so the leader's registry — and every ranking computed
 // from it — reflects the new data space without a pull.

@@ -1,7 +1,7 @@
 // Streaming (incremental) requantization. A StreamQuantizer warm-starts
 // from an existing k-means Result and folds mini-batches of new samples
-// into the centroids with the same per-centroid decaying learning rate
-// MiniBatchKMeans uses (Sculley 2010) — but without re-seeding, so the
+// into the centroids with mini-batch k-means' per-centroid decaying
+// learning rate (Sculley 2010) — but without re-seeding, so the
 // cluster identities survive across batches and the leader's summaries
 // stay comparable between epochs. A full assignment pass over the whole
 // dataset (the only O(n·K) step) then rebuilds bounds/sizes/inertia;
@@ -54,9 +54,6 @@ func (s *StreamQuantizer) Reset(res *Result) {
 	}
 	s.dims = len(s.centroids[0])
 }
-
-// K returns the number of centroids tracked.
-func (s *StreamQuantizer) K() int { return len(s.centroids) }
 
 // BatchStats reports how one absorbed batch related to the centroids it
 // moved: the drift detector's raw signals.

@@ -21,7 +21,7 @@ func TestCSVRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !d.SameSchema(got) {
-		t.Fatalf("schema changed: %v vs %v", d.Columns(), got.Columns())
+		t.Fatalf("schema changed: %v vs %v", d.columns, got.columns)
 	}
 	if got.Len() != 2 || got.Row(0)[0] != 12.5 || got.Row(1)[1] != 140 {
 		t.Fatalf("rows changed: %v", got.Rows())

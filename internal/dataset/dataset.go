@@ -33,7 +33,6 @@ type Dataset struct {
 // Common errors returned by dataset operations.
 var (
 	ErrNoColumns     = errors.New("dataset: no columns")
-	ErrBadTarget     = errors.New("dataset: target column out of range")
 	ErrRowWidth      = errors.New("dataset: row width mismatch")
 	ErrEmpty         = errors.New("dataset: empty dataset")
 	ErrColumnUnknown = errors.New("dataset: unknown column")
@@ -98,9 +97,6 @@ func (d *Dataset) Len() int { return len(d.rows) }
 
 // Dims returns the number of columns (the paper's d, joint space).
 func (d *Dataset) Dims() int { return len(d.columns) }
-
-// Columns returns the column names (a copy).
-func (d *Dataset) Columns() []string { return append([]string(nil), d.columns...) }
 
 // TargetIndex returns the index of the target column.
 func (d *Dataset) TargetIndex() int { return d.target }
@@ -176,13 +172,6 @@ func (d *Dataset) Merge(other *Dataset) error {
 		d.rows = append(d.rows, append([]float64(nil), r...))
 	}
 	return nil
-}
-
-// Subset returns the zero-copy view over the rows at the given
-// indices (the index slice is adopted, not copied). Callers that need
-// an independent, mutable dataset use SubsetCopy.
-func (d *Dataset) Subset(indices []int) View {
-	return d.ViewOf(indices)
 }
 
 // SubsetCopy returns a new dataset containing the rows at the given
@@ -279,17 +268,6 @@ func (d *Dataset) XY() (x [][]float64, y []float64) {
 	return x, y
 }
 
-// FeatureNames returns the non-target column names in order.
-func (d *Dataset) FeatureNames() []string {
-	out := make([]string, 0, len(d.columns)-1)
-	for i, c := range d.columns {
-		if i != d.target {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // Split partitions the dataset into train and test subsets with the
 // given test fraction in [0, 1), shuffling with src. The split is
 // deterministic for a given source.
@@ -324,20 +302,6 @@ func (d *Dataset) SplitTemporal(testFraction float64) (train, test *Dataset) {
 		testIdx[i] = cut + i
 	}
 	return d.SubsetCopy(trainIdx), d.SubsetCopy(testIdx)
-}
-
-// Shuffle returns a copy of the dataset with rows in random order.
-func (d *Dataset) Shuffle(src *rng.Source) *Dataset {
-	return d.SubsetCopy(src.Perm(len(d.rows)))
-}
-
-// Sample returns a uniform random subset of n rows without
-// replacement; if n exceeds Len it returns a shuffled copy.
-func (d *Dataset) Sample(n int, src *rng.Source) *Dataset {
-	if n >= len(d.rows) {
-		return d.Shuffle(src)
-	}
-	return d.SubsetCopy(src.SampleWithoutReplacement(len(d.rows), n))
 }
 
 // String summarizes the dataset.

@@ -93,10 +93,6 @@ func TestXY(t *testing.T) {
 	if y[0] != 100 || y[1] != 200 {
 		t.Fatalf("Y = %v", y)
 	}
-	names := d.FeatureNames()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("FeatureNames = %v", names)
-	}
 }
 
 func TestCloneMergeSubset(t *testing.T) {
@@ -117,7 +113,7 @@ func TestCloneMergeSubset(t *testing.T) {
 	if err := d.Merge(diff); err == nil {
 		t.Fatal("merged different schema")
 	}
-	sub := d.Subset([]int{2, 0})
+	sub := d.ViewOf([]int{2, 0})
 	if sub.Len() != 2 || sub.Row(0)[0] != 3 || sub.Row(1)[0] != 1 {
 		t.Fatalf("Subset wrong: %v %v", sub.Row(0), sub.Row(1))
 	}
@@ -182,21 +178,6 @@ func TestSplitPanicsOnBadFraction(t *testing.T) {
 		}
 	}()
 	d.Split(1.0, rng.New(1))
-}
-
-func TestSample(t *testing.T) {
-	d := MustNew([]string{"x", "y"}, "y")
-	for i := 0; i < 50; i++ {
-		d.MustAppend([]float64{float64(i), 0})
-	}
-	s := d.Sample(10, rng.New(2))
-	if s.Len() != 10 {
-		t.Fatalf("Sample len %d", s.Len())
-	}
-	all := d.Sample(500, rng.New(2))
-	if all.Len() != 50 {
-		t.Fatalf("oversample len %d", all.Len())
-	}
 }
 
 func TestProject(t *testing.T) {

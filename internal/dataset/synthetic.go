@@ -62,24 +62,6 @@ type Config struct {
 	FlipFraction float64
 }
 
-// DefaultConfig returns the configuration used by the paper-scale
-// experiments: 10 nodes, heterogeneous.
-func DefaultConfig(seed uint64) Config {
-	return Config{Nodes: 10, SamplesPerNode: 2000, Seed: seed, Heterogeneity: 0.6, FlipFraction: 0.2}
-}
-
-// HomogeneousConfig returns the Table I regime: all sites share data
-// patterns and ranges, so any node subset trains an equivalent model.
-func HomogeneousConfig(seed uint64) Config {
-	return Config{Nodes: 10, SamplesPerNode: 2000, Seed: seed, Heterogeneity: 0.02, FlipFraction: 0}
-}
-
-// HeterogeneousConfig returns the Table II regime: strong distribution
-// shift across sites including sign-flipped regressions.
-func HeterogeneousConfig(seed uint64) Config {
-	return Config{Nodes: 10, SamplesPerNode: 2000, Seed: seed, Heterogeneity: 1, FlipFraction: 0.3}
-}
-
 func (c Config) withDefaults() Config {
 	if c.Nodes == 0 {
 		c.Nodes = 10

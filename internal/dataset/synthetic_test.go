@@ -119,8 +119,8 @@ func TestHomogeneousVsHeterogeneousSpread(t *testing.T) {
 		}
 		return hi - lo
 	}
-	homo := spread(HomogeneousConfig(1))
-	hetero := spread(HeterogeneousConfig(1))
+	homo := spread(Config{Nodes: 10, SamplesPerNode: 2000, Seed: 1, Heterogeneity: 0.02})
+	hetero := spread(Config{Nodes: 10, SamplesPerNode: 2000, Seed: 1, Heterogeneity: 1, FlipFraction: 0.3})
 	if hetero < 3*homo {
 		t.Fatalf("heterogeneous spread %v not clearly larger than homogeneous %v", hetero, homo)
 	}
@@ -168,17 +168,6 @@ func TestPaperNodeDatasets(t *testing.T) {
 		}
 		if d.Len() != 100 {
 			t.Fatalf("len %d", d.Len())
-		}
-	}
-}
-
-func TestConfigPresets(t *testing.T) {
-	for _, cfg := range []Config{DefaultConfig(1), HomogeneousConfig(1), HeterogeneousConfig(1)} {
-		if err := cfg.Validate(); err != nil {
-			t.Errorf("preset invalid: %+v: %v", cfg, err)
-		}
-		if cfg.Nodes != 10 {
-			t.Errorf("preset nodes = %d, want 10 (paper N)", cfg.Nodes)
 		}
 	}
 }

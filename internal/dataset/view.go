@@ -3,8 +3,6 @@ package dataset
 import (
 	"context"
 	"fmt"
-
-	"qens/internal/geometry"
 )
 
 // View is a zero-copy, read-only window over a dataset: an index
@@ -53,14 +51,8 @@ func (v View) Len() int {
 	return len(v.rows)
 }
 
-// Dims returns the number of columns (the joint-space d).
-func (v View) Dims() int { return v.dims }
-
 // FeatureDims returns the number of non-target columns.
 func (v View) FeatureDims() int { return v.dims - 1 }
-
-// TargetIndex returns the index of the target column.
-func (v View) TargetIndex() int { return v.target }
 
 // Index returns the underlying dataset row index of view position i.
 func (v View) Index(i int) int {
@@ -73,24 +65,6 @@ func (v View) Index(i int) int {
 // Row returns sample i of the view. The slice aliases dataset
 // storage; callers must not mutate it.
 func (v View) Row(i int) []float64 { return v.rows[v.Index(i)] }
-
-// Schema returns the dataset whose schema (column names, target) the
-// view was built over. The dataset's rows may have changed since; use
-// the view's own accessors for data.
-func (v View) Schema() *Dataset { return v.schema }
-
-// Bounds returns the tight bounding rectangle of the viewed samples,
-// and ok=false when the view is empty.
-func (v View) Bounds() (geometry.Rect, bool) {
-	if v.indices == nil {
-		return geometry.BoundingRect(v.rows)
-	}
-	pts := make([][]float64, len(v.indices))
-	for i, idx := range v.indices {
-		pts[i] = v.rows[idx]
-	}
-	return geometry.BoundingRect(pts)
-}
 
 // XY splits the viewed samples into a copied feature matrix and
 // target vector, mirroring Dataset.XY.

@@ -27,10 +27,10 @@ func viewFixture(t *testing.T) *Dataset {
 func TestViewIdentityAndSubset(t *testing.T) {
 	d := viewFixture(t)
 	v := d.View()
-	if v.Len() != 5 || v.Dims() != 3 || v.FeatureDims() != 2 {
-		t.Fatalf("identity view shape: len=%d dims=%d fd=%d", v.Len(), v.Dims(), v.FeatureDims())
+	if v.Len() != 5 || v.FeatureDims() != 2 {
+		t.Fatalf("identity view shape: len=%d fd=%d", v.Len(), v.FeatureDims())
 	}
-	sub := d.Subset([]int{4, 0, 2})
+	sub := d.ViewOf([]int{4, 0, 2})
 	if sub.Len() != 3 {
 		t.Fatalf("subset len %d", sub.Len())
 	}
@@ -71,7 +71,7 @@ func TestViewXYMatchesDatasetXY(t *testing.T) {
 
 func TestViewXYIntoReusesBuffers(t *testing.T) {
 	d := viewFixture(t)
-	v := d.Subset([]int{1, 3})
+	v := d.ViewOf([]int{1, 3})
 	x, y := v.XYInto(nil, nil)
 	if len(x) != 4 || len(y) != 2 {
 		t.Fatalf("flat lens %d/%d", len(x), len(y))
@@ -151,7 +151,7 @@ func TestFilterInRectViewAndEmptyMatch(t *testing.T) {
 
 func TestViewMaterializeAndCopyVariants(t *testing.T) {
 	d := viewFixture(t)
-	v := d.Subset([]int{0, 2})
+	v := d.ViewOf([]int{0, 2})
 	m := v.Materialize()
 	if m.Len() != 2 || m.Dims() != 3 {
 		t.Fatalf("materialize shape %d x %d", m.Len(), m.Dims())

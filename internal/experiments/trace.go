@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
-	"os"
 	"sort"
 	"strings"
 	"time"
@@ -102,25 +100,6 @@ func SummarizeTraceSpans(spans []telemetry.Span) (*TraceSummary, error) {
 		}
 	}
 	return s, nil
-}
-
-// SummarizeTrace parses a JSONL span stream and aggregates it.
-func SummarizeTrace(r io.Reader) (*TraceSummary, error) {
-	spans, err := telemetry.ReadJSONL(r)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: parse trace: %w", err)
-	}
-	return SummarizeTraceSpans(spans)
-}
-
-// SummarizeTraceFile aggregates the JSONL trace at path.
-func SummarizeTraceFile(path string) (*TraceSummary, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: open trace: %w", err)
-	}
-	defer f.Close()
-	return SummarizeTrace(f)
 }
 
 // String renders the summary as an aligned table, span names sorted by

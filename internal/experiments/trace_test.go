@@ -3,7 +3,6 @@ package experiments
 import (
 	"bytes"
 	"errors"
-	"os"
 	"strings"
 	"testing"
 	"time"
@@ -42,8 +41,18 @@ func traceFixture(t *testing.T) *bytes.Buffer {
 
 var errTest = errors.New("simulated edge outage")
 
+// summarizeFixture reads the fixture back through the JSONL sink's
+// reader, as a trace file would be read.
+func summarizeFixture(t *testing.T) (*TraceSummary, error) {
+	spans, err := telemetry.ReadJSONL(traceFixture(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return SummarizeTraceSpans(spans)
+}
+
 func TestSummarizeTrace(t *testing.T) {
-	sum, err := SummarizeTrace(traceFixture(t))
+	sum, err := summarizeFixture(t)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +98,7 @@ func TestSpanAggregateMean(t *testing.T) {
 }
 
 func TestTraceSummaryString(t *testing.T) {
-	sum, err := SummarizeTrace(traceFixture(t))
+	sum, err := summarizeFixture(t)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,22 +110,5 @@ func TestTraceSummaryString(t *testing.T) {
 		if !strings.Contains(out, name) {
 			t.Fatalf("table missing %q:\n%s", name, out)
 		}
-	}
-}
-
-func TestSummarizeTraceFile(t *testing.T) {
-	path := t.TempDir() + "/run.jsonl"
-	if err := os.WriteFile(path, traceFixture(t).Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	sum, err := SummarizeTraceFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Traces != 2 || sum.Spans != 8 {
-		t.Fatalf("file summary = %+v", sum)
-	}
-	if _, err := SummarizeTraceFile(path + ".missing"); err == nil {
-		t.Fatal("missing file did not error")
 	}
 }

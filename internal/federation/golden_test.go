@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"context"
 	"testing"
 
 	"qens/internal/cluster"
@@ -206,7 +207,7 @@ func TestEngineTrainGoldenEquivalence(t *testing.T) {
 			cur[op.family] = resp.Params
 			curLegacy[op.family] = want
 		} else {
-			resp, err := node.Evaluate(EvalRequest{Spec: spec, Params: cur[op.family], Bounds: op.bounds})
+			resp, err := node.EvaluateContext(context.Background(), EvalRequest{Spec: spec, Params: cur[op.family], Bounds: op.bounds})
 			if err != nil {
 				t.Fatalf("op %d: engine eval: %v", i, err)
 			}
@@ -244,7 +245,7 @@ func TestGoldenSeedDrawOrderOnEmptySubspace(t *testing.T) {
 		t.Fatal(err)
 	}
 	empty := &geometry.Rect{Min: []float64{1e9, 1e9}, Max: []float64{2e9, 2e9}}
-	if resp, err := node.Evaluate(EvalRequest{Spec: ml.PaperLR(1), Bounds: empty}); err != nil || resp.Samples != 0 {
+	if resp, err := node.EvaluateContext(context.Background(), EvalRequest{Spec: ml.PaperLR(1), Bounds: empty}); err != nil || resp.Samples != 0 {
 		t.Fatalf("empty-subspace eval: %+v, %v", resp, err)
 	}
 	// The mirror skips the empty evaluation: its next train must
@@ -268,7 +269,7 @@ func TestGoldenSeedDrawOrderOnEmptySubspace(t *testing.T) {
 		t.Fatal("empty-subspace evaluation did not consume a seed draw")
 	}
 	// … and after the mirror burns one draw too, they re-align.
-	if _, err := mirror.Evaluate(EvalRequest{Spec: ml.PaperLR(1), Bounds: empty}); err != nil {
+	if _, err := mirror.EvaluateContext(context.Background(), EvalRequest{Spec: ml.PaperLR(1), Bounds: empty}); err != nil {
 		t.Fatal(err)
 	}
 	r3, err := node.Train(TrainRequest{Spec: ml.PaperNN(1), LocalEpochs: 1})

@@ -9,8 +9,8 @@
 // stampeding the leader. A per-cluster reconstruction-error /
 // assignment-rate EWMA drift detector watches every batch and
 // autonomously escalates to a full re-quantization when the streamed
-// codebook stops describing the data — the operator SIGHUP is now just
-// a forced walk through the same path.
+// codebook stops describing the data; Node.Requantize forces a walk
+// through the same path.
 package federation
 
 import (
@@ -138,13 +138,6 @@ func (n *Node) EnableIngest(cfg IngestConfig) error {
 	ing.advertised = adv
 	n.ingest = ing
 	return nil
-}
-
-// IngestEnabled reports whether the streaming path is active.
-func (n *Node) IngestEnabled() bool {
-	n.ingestMu.Lock()
-	defer n.ingestMu.Unlock()
-	return n.ingest != nil
 }
 
 // IngestStats returns the streaming counters; ok is false when
@@ -309,10 +302,10 @@ func (n *Node) fullRequantizeLocked(ing *ingester, extra [][]float64) error {
 	return err
 }
 
-// forceFullRequantize is the forced full re-run behind Requantize (the
-// SIGHUP path) when ingestion is enabled: it drains the buffer into the
-// dataset and requantizes from scratch through the same machinery the
-// autonomous escalation uses.
+// forceFullRequantize is the forced full re-run behind Requantize when
+// ingestion is enabled: it drains the buffer into the dataset and
+// requantizes from scratch through the same machinery the autonomous
+// escalation uses.
 func (n *Node) forceFullRequantize(ing *ingester) error {
 	ing.mu.Lock()
 	defer ing.mu.Unlock()

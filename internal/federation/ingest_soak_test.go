@@ -16,7 +16,7 @@ import (
 
 // TestIngestConcurrentSoak hammers the streaming path from every side
 // at once: ingesters feeding mini-batches (incremental requantization),
-// a forced full requantizer (the SIGHUP path), trainers and summary
+// a forced full requantizer (Node.Requantize), trainers and summary
 // readers. Run under -race (make check does); the assertions pin that
 // every observed snapshot is internally consistent and the ingest
 // accounting adds up afterwards.

@@ -144,10 +144,9 @@ func (n *Node) AddSamples(rows [][]float64) error {
 // current local dataset and bumps the advertisement epoch, so leaders
 // that see the new epoch echoed on later RPCs know their cached
 // summaries drifted.
-// With streaming ingestion enabled this is the forced full re-run
-// (the SIGHUP path): it drains the ingest buffer and re-anchors the
-// drift detector through the same machinery autonomous escalation
-// uses.
+// With streaming ingestion enabled this is the forced full re-run: it
+// drains the ingest buffer and re-anchors the drift detector through
+// the same machinery autonomous escalation uses.
 func (n *Node) Requantize() error {
 	n.ingestMu.Lock()
 	ing := n.ingest
@@ -375,16 +374,11 @@ type EvalResponse struct {
 	Spans []NodeSpan `json:"spans,omitempty"`
 }
 
-// Evaluate implements the pre-test and scoring step: the node runs the
-// provided model over (a subspace of) its local data and reports the
-// loss — the data itself never leaves the node.
-func (n *Node) Evaluate(req EvalRequest) (EvalResponse, error) {
-	return n.EvaluateContext(context.Background(), req)
-}
-
-// EvaluateContext is Evaluate with deadline/cancellation support: the
-// context is honored while queued, during the subspace filter scan
-// (huge nodes cancel mid-scan) and between prediction mini-batches.
+// EvaluateContext implements the pre-test and scoring step: the node
+// runs the provided model over (a subspace of) its local data and
+// reports the loss — the data itself never leaves the node. The context
+// is honored while queued, during the subspace filter scan (huge nodes
+// cancel mid-scan) and between prediction mini-batches.
 func (n *Node) EvaluateContext(ctx context.Context, req EvalRequest) (EvalResponse, error) {
 	if err := ctx.Err(); err != nil {
 		return EvalResponse{}, fmt.Errorf("federation: node %s: %w", n.id, err)

@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -153,7 +154,7 @@ func TestNodeEvaluate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := n.Evaluate(EvalRequest{Spec: spec, Params: resp.Params})
+	ev, err := n.EvaluateContext(context.Background(), EvalRequest{Spec: spec, Params: resp.Params})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestNodeEvaluate(t *testing.T) {
 	}
 	// An untrained model must do much worse.
 	fresh := spec.MustNew()
-	evFresh, err := n.Evaluate(EvalRequest{Spec: spec, Params: fresh.Params()})
+	evFresh, err := n.EvaluateContext(context.Background(), EvalRequest{Spec: spec, Params: fresh.Params()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestNodeEvaluateWithBounds(t *testing.T) {
 	spec := ml.PaperLR(1)
 	resp, _ := n.Train(TrainRequest{Spec: spec, LocalEpochs: 10})
 	bounds := geometry.MustRect([]float64{0, -10}, []float64{20, 40})
-	ev, err := n.Evaluate(EvalRequest{Spec: spec, Params: resp.Params, Bounds: &bounds})
+	ev, err := n.EvaluateContext(context.Background(), EvalRequest{Spec: spec, Params: resp.Params, Bounds: &bounds})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,7 @@ func TestNodeEvaluateWithBounds(t *testing.T) {
 	}
 	// Disjoint bounds: zero samples, zero loss, no error.
 	far := geometry.MustRect([]float64{1e6, 1e6}, []float64{2e6, 2e6})
-	ev, err = n.Evaluate(EvalRequest{Spec: spec, Params: resp.Params, Bounds: &far})
+	ev, err = n.EvaluateContext(context.Background(), EvalRequest{Spec: spec, Params: resp.Params, Bounds: &far})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,14 +87,3 @@ func RunWorkload(l *Leader, queries []query.Query, sel selection.Selector, agg A
 	}
 	return report, nil
 }
-
-// FailedQueries returns the ids of queries that produced no result.
-func (r *WorkloadReport) FailedQueries() []string {
-	var out []string
-	for _, o := range r.Outcomes {
-		if o.Err != nil {
-			out = append(out, o.Query.ID)
-		}
-	}
-	return out
-}

@@ -36,8 +36,14 @@ func TestRunWorkload(t *testing.T) {
 		t.Fatal("no train time recorded")
 	}
 	// Failures + successes must partition the workload.
-	if len(report.FailedQueries())+report.Executed != 10 {
-		t.Fatalf("failed %d + executed %d != 10", len(report.FailedQueries()), report.Executed)
+	failed := 0
+	for _, o := range report.Outcomes {
+		if o.Err != nil {
+			failed++
+		}
+	}
+	if failed+report.Executed != 10 {
+		t.Fatalf("failed %d + executed %d != 10", failed, report.Executed)
 	}
 }
 

@@ -384,13 +384,6 @@ func (s *Scheduler) run(t *task) {
 	close(t.done)
 }
 
-// Draining reports whether the scheduler has begun shutting down.
-func (s *Scheduler) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
-
 // Drain stops admission (new Submits return ErrDraining), lets queued
 // and in-flight queries finish, and releases the workers. If ctx
 // expires first, the remaining executions are canceled and Drain

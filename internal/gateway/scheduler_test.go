@@ -286,8 +286,13 @@ func TestSchedulerDrain(t *testing.T) {
 
 	// Drain must flip admission off promptly even while work is
 	// blocked on the gate.
+	draining := func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.draining
+	}
 	deadline := time.Now().Add(2 * time.Second)
-	for !s.Draining() {
+	for !draining() {
 		if time.Now().After(deadline) {
 			t.Fatal("scheduler never started draining")
 		}

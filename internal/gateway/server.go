@@ -174,9 +174,6 @@ func newServer(cfg ServerConfig, srv Serving, cache *federation.ReuseCache) (*Se
 // Handler returns the gateway's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.handler }
 
-// Scheduler exposes the underlying scheduler (stats, tests).
-func (s *Server) Scheduler() *Scheduler { return s.sched }
-
 // Drain stops admission and waits for in-flight queries (bounded by
 // ctx). Call before shutting the HTTP listener down so waiting
 // handlers can still deliver their responses. Summary push delivery is

@@ -110,15 +110,6 @@ func sortSpans(spans []span1d) {
 	slices.SortFunc(spans, func(a, b span1d) int { return cmp.Compare(a.lo, b.lo) })
 }
 
-// QueryCoverage is the Rect convenience wrapper over QueryCoverageFlat.
-func QueryCoverage(q Rect, rects []Rect) float64 {
-	if len(rects) == 0 {
-		return 0
-	}
-	mins, maxs := FlattenRects(nil, nil, rects)
-	return QueryCoverageFlat(q.Min, q.Max, mins, maxs)
-}
-
 // CoverageProfile is QueryCoverageFlat precomputed for one fixed set of
 // rectangles: per dimension, their intervals sorted and merged into
 // disjoint ascending spans. Clamping to a query never joins two spans

@@ -11,10 +11,15 @@ import (
 
 func approxEq(a, b float64) bool { return math.Abs(a-b) < 1e-12 }
 
+func queryCoverage(q Rect, rects []Rect) float64 {
+	mins, maxs := FlattenRects(nil, nil, rects)
+	return QueryCoverageFlat(q.Min, q.Max, mins, maxs)
+}
+
 func TestQueryCoverageFullCover(t *testing.T) {
 	q := MustRect([]float64{0, 0}, []float64{10, 10})
 	rects := []Rect{MustRect([]float64{-5, -5}, []float64{15, 15})}
-	if got := QueryCoverage(q, rects); !approxEq(got, 1) {
+	if got := queryCoverage(q, rects); !approxEq(got, 1) {
 		t.Fatalf("enclosing rect coverage = %v, want 1", got)
 	}
 }
@@ -22,7 +27,7 @@ func TestQueryCoverageFullCover(t *testing.T) {
 func TestQueryCoverageDisjoint(t *testing.T) {
 	q := MustRect([]float64{0, 0}, []float64{10, 10})
 	rects := []Rect{MustRect([]float64{20, 20}, []float64{30, 30})}
-	if got := QueryCoverage(q, rects); !approxEq(got, 0) {
+	if got := queryCoverage(q, rects); !approxEq(got, 0) {
 		t.Fatalf("disjoint rect coverage = %v, want 0", got)
 	}
 }
@@ -31,7 +36,7 @@ func TestQueryCoveragePartial(t *testing.T) {
 	// Covers [0,5] of [0,10] on x and all of y: mean(0.5, 1) = 0.75.
 	q := MustRect([]float64{0, 0}, []float64{10, 10})
 	rects := []Rect{MustRect([]float64{-1, -1}, []float64{5, 11})}
-	if got := QueryCoverage(q, rects); !approxEq(got, 0.75) {
+	if got := queryCoverage(q, rects); !approxEq(got, 0.75) {
 		t.Fatalf("partial coverage = %v, want 0.75", got)
 	}
 }
@@ -44,7 +49,7 @@ func TestQueryCoverageUnionNoDoubleCount(t *testing.T) {
 		MustRect([]float64{0}, []float64{6}),
 		MustRect([]float64{4}, []float64{10}),
 	}
-	if got := QueryCoverage(q, rects); !approxEq(got, 1) {
+	if got := queryCoverage(q, rects); !approxEq(got, 1) {
 		t.Fatalf("overlapping union coverage = %v, want 1", got)
 	}
 	// Disjoint pieces [0,2] and [8,10]: 0.4 of the interval.
@@ -52,7 +57,7 @@ func TestQueryCoverageUnionNoDoubleCount(t *testing.T) {
 		MustRect([]float64{0}, []float64{2}),
 		MustRect([]float64{8}, []float64{10}),
 	}
-	if got := QueryCoverage(q, rects); !approxEq(got, 0.4) {
+	if got := queryCoverage(q, rects); !approxEq(got, 0.4) {
 		t.Fatalf("gapped union coverage = %v, want 0.4", got)
 	}
 }
@@ -65,7 +70,7 @@ func TestQueryCoverageUnsortedInput(t *testing.T) {
 		MustRect([]float64{0}, []float64{3}),
 		MustRect([]float64{2}, []float64{5}),
 	}
-	if got := QueryCoverage(q, rects); !approxEq(got, 0.7) {
+	if got := queryCoverage(q, rects); !approxEq(got, 0.7) {
 		t.Fatalf("unsorted coverage = %v, want 0.7", got)
 	}
 }
@@ -75,18 +80,18 @@ func TestQueryCoverageDegenerateDim(t *testing.T) {
 	// interval contains the point.
 	q := MustRect([]float64{5, 0}, []float64{5, 10})
 	hit := []Rect{MustRect([]float64{0, 0}, []float64{10, 10})}
-	if got := QueryCoverage(q, hit); !approxEq(got, 1) {
+	if got := queryCoverage(q, hit); !approxEq(got, 1) {
 		t.Fatalf("degenerate covered = %v, want 1", got)
 	}
 	miss := []Rect{MustRect([]float64{6, 0}, []float64{10, 10})}
-	if got := QueryCoverage(q, miss); !approxEq(got, 0.5) {
+	if got := queryCoverage(q, miss); !approxEq(got, 0.5) {
 		t.Fatalf("degenerate uncovered = %v, want 0.5", got)
 	}
 }
 
 func TestQueryCoverageEmptyRects(t *testing.T) {
 	q := MustRect([]float64{0}, []float64{1})
-	if got := QueryCoverage(q, nil); got != 0 {
+	if got := queryCoverage(q, nil); got != 0 {
 		t.Fatalf("no rects coverage = %v, want 0", got)
 	}
 }

@@ -128,20 +128,6 @@ func OverlapRate(q, k Rect) float64 {
 	return sum / float64(q.Dims())
 }
 
-// OverlapProfile returns the per-dimension overlap rates and cases, for
-// diagnostics and the Fig. 6 visualization.
-func OverlapProfile(q, k Rect) (rates []float64, cases []OverlapCase) {
-	if q.Dims() != k.Dims() {
-		panic("geometry: dimension mismatch")
-	}
-	rates = make([]float64, q.Dims())
-	cases = make([]OverlapCase, q.Dims())
-	for d := range q.Min {
-		rates[d], cases[d] = IntervalOverlap(q.Min[d], q.Max[d], k.Min[d], k.Max[d])
-	}
-	return rates, cases
-}
-
 // IoU returns the intersection-over-union of two rectangles by volume:
 // 1 for identical rectangles, 0 for disjoint ones. Degenerate
 // rectangles (zero volume) score 1 against themselves-by-containment

@@ -209,21 +209,6 @@ func TestOverlapRateBounded(t *testing.T) {
 	}
 }
 
-func TestOverlapProfile(t *testing.T) {
-	q := MustRect([]float64{2, 100}, []float64{4, 110})
-	k := MustRect([]float64{0, 0}, []float64{10, 10})
-	rates, cases := OverlapProfile(q, k)
-	if len(rates) != 2 || len(cases) != 2 {
-		t.Fatalf("profile lengths %d/%d", len(rates), len(cases))
-	}
-	if cases[0] != CaseQueryInside || cases[1] != CaseZeroRight {
-		t.Fatalf("cases = %v", cases)
-	}
-	if math.Abs(rates[0]-0.2) > 1e-12 || rates[1] != 0 {
-		t.Fatalf("rates = %v", rates)
-	}
-}
-
 func TestCoveredFraction(t *testing.T) {
 	k := MustRect([]float64{0, 0}, []float64{10, 10})
 	// Query covering the left half of the cluster.

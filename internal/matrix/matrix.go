@@ -161,16 +161,8 @@ func MulInto(dst, a, b *Dense) {
 	}
 }
 
-// MulTransA returns aᵀ * b without materializing the transpose.
-func MulTransA(a, b *Dense) *Dense {
-	out := NewDense(a.cols, b.cols)
-	MulTransAInto(out, a, b)
-	return out
-}
-
 // MulTransAInto computes dst = aᵀ * b, reusing dst's storage. dst must
-// be a.cols x b.cols and must not alias a or b. The accumulation order
-// is identical to MulTransA, so results are bit-exact across the two.
+// be a.cols x b.cols and must not alias a or b.
 func MulTransAInto(dst, a, b *Dense) {
 	if a.rows != b.rows || dst.rows != a.cols || dst.cols != b.cols {
 		panic(ErrShape)
@@ -191,16 +183,8 @@ func MulTransAInto(dst, a, b *Dense) {
 	}
 }
 
-// MulTransB returns a * bᵀ without materializing the transpose.
-func MulTransB(a, b *Dense) *Dense {
-	out := NewDense(a.rows, b.rows)
-	MulTransBInto(out, a, b)
-	return out
-}
-
 // MulTransBInto computes dst = a * bᵀ, reusing dst's storage. dst must
-// be a.rows x b.rows and must not alias a or b. The accumulation order
-// is identical to MulTransB, so results are bit-exact across the two.
+// be a.rows x b.rows and must not alias a or b.
 func MulTransBInto(dst, a, b *Dense) {
 	if a.cols != b.cols || dst.rows != a.rows || dst.cols != b.rows {
 		panic(ErrShape)
@@ -239,52 +223,11 @@ func Sub(a, b *Dense) *Dense {
 	return out
 }
 
-// AddInPlace adds b into a.
-func AddInPlace(a, b *Dense) {
-	sameShape(a, b)
-	for i, v := range b.data {
-		a.data[i] += v
-	}
-}
-
-// SubInPlace subtracts b from a.
-func SubInPlace(a, b *Dense) {
-	sameShape(a, b)
-	for i, v := range b.data {
-		a.data[i] -= v
-	}
-}
-
-// AxpyInPlace computes a += alpha * b.
-func AxpyInPlace(a *Dense, alpha float64, b *Dense) {
-	sameShape(a, b)
-	for i, v := range b.data {
-		a.data[i] += alpha * v
-	}
-}
-
-// Scale multiplies every element of m by alpha in place.
-func (m *Dense) Scale(alpha float64) {
-	for i := range m.data {
-		m.data[i] *= alpha
-	}
-}
-
 // Apply replaces every element x with f(x) in place.
 func (m *Dense) Apply(f func(float64) float64) {
 	for i, v := range m.data {
 		m.data[i] = f(v)
 	}
-}
-
-// Hadamard returns the element-wise product a ⊙ b.
-func Hadamard(a, b *Dense) *Dense {
-	sameShape(a, b)
-	out := a.Clone()
-	for i, v := range b.data {
-		out.data[i] *= v
-	}
-	return out
 }
 
 // AddRowVector adds vector v (length cols) to every row of m in place.
@@ -300,15 +243,8 @@ func (m *Dense) AddRowVector(v []float64) {
 	}
 }
 
-// ColSums returns the per-column sum of m.
-func (m *Dense) ColSums() []float64 {
-	out := make([]float64, m.cols)
-	m.ColSumsInto(out)
-	return out
-}
-
 // ColSumsInto writes the per-column sum of m into out, which must have
-// length Cols(). Summation order matches ColSums bit-exactly.
+// length Cols().
 func (m *Dense) ColSumsInto(out []float64) {
 	if len(out) != m.cols {
 		panic(ErrShape)
@@ -322,26 +258,6 @@ func (m *Dense) ColSumsInto(out []float64) {
 			out[j] += v
 		}
 	}
-}
-
-// Norm returns the Frobenius norm of m.
-func (m *Dense) Norm() float64 {
-	s := 0.0
-	for _, v := range m.data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// MaxAbs returns the largest absolute element value, or 0 if empty.
-func (m *Dense) MaxAbs() float64 {
-	mx := 0.0
-	for _, v := range m.data {
-		if a := math.Abs(v); a > mx {
-			mx = a
-		}
-	}
-	return mx
 }
 
 // Equal reports whether a and b have identical shape and all elements

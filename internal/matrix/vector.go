@@ -50,89 +50,6 @@ func ScaleVec(v []float64, alpha float64) {
 	}
 }
 
-// SumVec returns the sum of the elements of v.
-func SumVec(v []float64) float64 {
-	s := 0.0
-	for _, x := range v {
-		s += x
-	}
-	return s
-}
-
-// MeanVec returns the arithmetic mean of v, or 0 for an empty slice.
-func MeanVec(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	return SumVec(v) / float64(len(v))
-}
-
-// VarianceVec returns the population variance of v, or 0 when it has
-// fewer than two elements.
-func VarianceVec(v []float64) float64 {
-	if len(v) < 2 {
-		return 0
-	}
-	m := MeanVec(v)
-	s := 0.0
-	for _, x := range v {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(v))
-}
-
-// StdDevVec returns the population standard deviation of v.
-func StdDevVec(v []float64) float64 { return math.Sqrt(VarianceVec(v)) }
-
-// MinMaxVec returns the minimum and maximum of v. It panics on an
-// empty slice.
-func MinMaxVec(v []float64) (lo, hi float64) {
-	if len(v) == 0 {
-		panic("matrix: MinMaxVec of empty slice")
-	}
-	lo, hi = v[0], v[0]
-	for _, x := range v[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi
-}
-
-// ArgMin returns the index of the smallest element of v, or -1 for an
-// empty slice.
-func ArgMin(v []float64) int {
-	if len(v) == 0 {
-		return -1
-	}
-	best := 0
-	for i, x := range v[1:] {
-		if x < v[best] {
-			best = i + 1
-		}
-	}
-	return best
-}
-
-// ArgMax returns the index of the largest element of v, or -1 for an
-// empty slice.
-func ArgMax(v []float64) int {
-	if len(v) == 0 {
-		return -1
-	}
-	best := 0
-	for i, x := range v[1:] {
-		if x > v[best] {
-			best = i + 1
-		}
-	}
-	return best
-}
-
 // CloneVec returns a copy of v.
 func CloneVec(v []float64) []float64 {
 	out := make([]float64, len(v))

@@ -46,51 +46,6 @@ func TestAxpyScale(t *testing.T) {
 	}
 }
 
-func TestStats(t *testing.T) {
-	v := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if MeanVec(v) != 5 {
-		t.Fatalf("Mean = %v", MeanVec(v))
-	}
-	if VarianceVec(v) != 4 {
-		t.Fatalf("Variance = %v", VarianceVec(v))
-	}
-	if StdDevVec(v) != 2 {
-		t.Fatalf("StdDev = %v", StdDevVec(v))
-	}
-}
-
-func TestStatsDegenerate(t *testing.T) {
-	if MeanVec(nil) != 0 || VarianceVec(nil) != 0 || VarianceVec([]float64{5}) != 0 {
-		t.Fatal("degenerate stats should be zero")
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	lo, hi := MinMaxVec([]float64{3, -1, 7, 2})
-	if lo != -1 || hi != 7 {
-		t.Fatalf("MinMax = %v,%v", lo, hi)
-	}
-}
-
-func TestMinMaxPanicsEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MinMaxVec(nil)
-}
-
-func TestArgMinMax(t *testing.T) {
-	v := []float64{3, -1, 7, 2}
-	if ArgMin(v) != 1 || ArgMax(v) != 2 {
-		t.Fatalf("ArgMin/ArgMax = %d/%d", ArgMin(v), ArgMax(v))
-	}
-	if ArgMin(nil) != -1 || ArgMax(nil) != -1 {
-		t.Fatal("empty arg ops should return -1")
-	}
-}
-
 func TestCloneVec(t *testing.T) {
 	a := []float64{1, 2}
 	b := CloneVec(a)

@@ -121,93 +121,6 @@ func TestStopEarlyLogic(t *testing.T) {
 	}
 }
 
-func TestParamsEncodeDecode(t *testing.T) {
-	x, y := syntheticLinear(200, 2, 1, 0.3, 35)
-	m := PaperLR(1).MustNew()
-	if err := m.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	data, err := EncodeParams(m.Params())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := DecodeParams(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clone := PaperLR(1).MustNew()
-	if err := clone.SetParams(p); err != nil {
-		t.Fatal(err)
-	}
-	if a, b := m.Predict([]float64{7}), clone.Predict([]float64{7}); a != b {
-		t.Fatalf("decoded model diverges: %v vs %v", a, b)
-	}
-}
-
-func TestParamsValidate(t *testing.T) {
-	good := PaperLR(2).MustNew().Params()
-	if err := good.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	goodNN := PaperNN(1).MustNew().Params()
-	if err := goodNN.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := []Params{
-		{Kind: "forest", Dims: []int{1, 1}, Values: make([]float64, 7)},
-		{Kind: KindLinear, Dims: []int{1}, Values: make([]float64, 7)},
-		{Kind: KindLinear, Dims: []int{0, 1}, Values: make([]float64, 6)},
-		{Kind: KindLinear, Dims: []int{1, 1}, Values: make([]float64, 3)},
-		{Kind: KindLinear, Dims: []int{1, 2}, Values: make([]float64, 7)},
-		{Kind: KindNN, Dims: []int{1, 4, 1}, Values: make([]float64, 2)},
-	}
-	for i, p := range bad {
-		if err := p.Validate(); err == nil {
-			t.Errorf("bad params %d accepted: %+v", i, p)
-		}
-	}
-	nan := good.Clone()
-	nan.Values[0] = math.NaN()
-	if err := nan.Validate(); err == nil {
-		t.Fatal("accepted NaN params")
-	}
-	if _, err := EncodeParams(nan); err == nil {
-		t.Fatal("encoded NaN params")
-	}
-}
-
-func TestDecodeParamsRejectsGarbage(t *testing.T) {
-	if _, err := DecodeParams([]byte("{not json")); err == nil {
-		t.Fatal("accepted broken json")
-	}
-	if _, err := DecodeParams([]byte(`{"kind":"linear","dims":[1,1],"values":[1]}`)); err == nil {
-		t.Fatal("accepted wrong value count")
-	}
-}
-
-func TestNewFromParams(t *testing.T) {
-	x, y := syntheticLinear(300, 3, -1, 0.2, 36)
-	spec := PaperNN(1)
-	spec.Epochs = 20
-	trained := spec.MustNew()
-	if err := trained.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	rebuilt, err := NewFromParams(trained.Params())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, xi := range []float64{-4, 0, 9} {
-		a, b := trained.Predict([]float64{xi}), rebuilt.Predict([]float64{xi})
-		if math.Abs(a-b) > 1e-9 {
-			t.Fatalf("rebuilt model diverges at %v", xi)
-		}
-	}
-	if _, err := NewFromParams(Params{Kind: "x"}); err == nil {
-		t.Fatal("accepted invalid params")
-	}
-}
-
 func TestPatienceValidation(t *testing.T) {
 	if _, err := (Spec{Kind: KindLinear, InputDim: 1, Patience: -1}).New(); err == nil {
 		t.Fatal("accepted negative patience")

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"qens/internal/matrix"
 	"qens/internal/rng"
 )
 
@@ -314,25 +313,6 @@ func (m *linear) Clone() Model {
 
 // History returns the last Fit's loss curves.
 func (m *linear) History() History { return m.history }
-
-// FitOLS solves ordinary least squares in closed form (ridge-damped
-// normal equations over an intercept-augmented design); used by tests
-// as a ground-truth reference for the gradient-trained model.
-func FitOLS(x [][]float64, y []float64) (w []float64, b float64, err error) {
-	if len(x) == 0 || len(x) != len(y) {
-		return nil, 0, fmt.Errorf("ml: bad OLS inputs (%d x, %d y)", len(x), len(y))
-	}
-	d := len(x[0])
-	augmented := make([][]float64, len(x))
-	for i, row := range x {
-		augmented[i] = append(append(make([]float64, 0, d+1), row...), 1)
-	}
-	coef, err := matrix.SolveNormalEquations(augmented, y, 1e-9)
-	if err != nil {
-		return nil, 0, fmt.Errorf("ml: OLS: %w", err)
-	}
-	return coef[:d], coef[d], nil
-}
 
 // applyDecay applies the spec's per-epoch learning-rate decay.
 func (m *linear) applyDecay() { applyDecay(m.opt, m.spec.LRDecay) }

@@ -172,37 +172,9 @@ func TestLinearDeterministicTraining(t *testing.T) {
 	}
 }
 
-func TestFitOLSExact(t *testing.T) {
-	// Noiseless data: OLS must recover the coefficients exactly.
-	x := [][]float64{{1, 0}, {0, 1}, {1, 1}, {2, 3}, {-1, 2}}
-	var y []float64
-	for _, r := range x {
-		y = append(y, 4*r[0]-3*r[1]+2)
-	}
-	w, b, err := FitOLS(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(w[0]-4) > 1e-6 || math.Abs(w[1]+3) > 1e-6 || math.Abs(b-2) > 1e-6 {
-		t.Fatalf("OLS = %v, %v", w, b)
-	}
-}
-
-func TestFitOLSErrors(t *testing.T) {
-	if _, _, err := FitOLS(nil, nil); err == nil {
-		t.Fatal("accepted empty")
-	}
-	if _, _, err := FitOLS([][]float64{{1}}, []float64{1, 2}); err == nil {
-		t.Fatal("accepted mismatch")
-	}
-}
-
 func TestSGDMatchesOLSOnCleanData(t *testing.T) {
+	// With noise 0.01 the least-squares line is the generating one.
 	x, y := syntheticLinear(1000, 3, -2, 0.01, 10)
-	w, b, err := FitOLS(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
 	spec := PaperLR(1)
 	spec.Epochs = 300
 	m := spec.MustNew()
@@ -210,7 +182,7 @@ func TestSGDMatchesOLSOnCleanData(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, xi := range []float64{-8, 0, 20} {
-		ols := w[0]*xi + b
+		ols := 3*xi - 2
 		sgd := m.Predict([]float64{xi})
 		if math.Abs(ols-sgd) > 1.0 {
 			t.Fatalf("SGD %v vs OLS %v at x=%v", sgd, ols, xi)

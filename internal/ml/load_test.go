@@ -25,8 +25,8 @@ func TestAppendFingerprintPinned(t *testing.T) {
 			"linear|in=1|h=[]|lr=2.5e+21|ep=100|bs=32|vs=0|opt=sgd|act=|l2=0.30000000000000004|dec=0|pat=0"},
 	}
 	for _, c := range cases {
-		if got := c.spec.Fingerprint(); got != c.want {
-			t.Errorf("Fingerprint() = %q\nwant          %q", got, c.want)
+		if got := string(c.spec.AppendFingerprint(nil)); got != c.want {
+			t.Errorf("AppendFingerprint(nil) = %q\nwant                  %q", got, c.want)
 		}
 		if got := string(c.spec.AppendFingerprint([]byte("key:"))); got != "key:"+c.want {
 			t.Errorf("AppendFingerprint after a prefix = %q", got)

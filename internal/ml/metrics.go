@@ -1,10 +1,5 @@
 package ml
 
-import (
-	"fmt"
-	"math"
-)
-
 // Regression metrics. All take (truth, prediction) slices of equal
 // length and panic on mismatch — a length mismatch is always a
 // programming error in the harness, never a data condition.
@@ -25,22 +20,6 @@ func MSE(y, pred []float64) float64 {
 	for i := range y {
 		d := y[i] - pred[i]
 		s += d * d
-	}
-	return s / float64(len(y))
-}
-
-// RMSE returns the root mean squared error.
-func RMSE(y, pred []float64) float64 { return math.Sqrt(MSE(y, pred)) }
-
-// MAE returns the mean absolute error.
-func MAE(y, pred []float64) float64 {
-	checkLens(y, pred)
-	if len(y) == 0 {
-		return 0
-	}
-	s := 0.0
-	for i := range y {
-		s += math.Abs(y[i] - pred[i])
 	}
 	return s / float64(len(y))
 }
@@ -66,32 +45,4 @@ func R2(y, pred []float64) float64 {
 		return 0
 	}
 	return 1 - ssRes/ssTot
-}
-
-// Report bundles the four regression metrics for one evaluation — the
-// struct every experiment would otherwise rebuild by hand.
-type Report struct {
-	MSE  float64 `json:"mse"`
-	RMSE float64 `json:"rmse"`
-	MAE  float64 `json:"mae"`
-	R2   float64 `json:"r2"`
-	// Samples is the evaluation size.
-	Samples int `json:"samples"`
-}
-
-// Evaluate computes all metrics of a model over a labelled set.
-func Evaluate(m Model, x [][]float64, y []float64) Report {
-	pred := m.PredictBatch(x)
-	return Report{
-		MSE:     MSE(y, pred),
-		RMSE:    RMSE(y, pred),
-		MAE:     MAE(y, pred),
-		R2:      R2(y, pred),
-		Samples: len(y),
-	}
-}
-
-// String renders the report on one line.
-func (r Report) String() string {
-	return fmt.Sprintf("mse=%.3f rmse=%.3f mae=%.3f r2=%.3f (n=%d)", r.MSE, r.RMSE, r.MAE, r.R2, r.Samples)
 }

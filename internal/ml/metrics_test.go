@@ -2,9 +2,7 @@ package ml
 
 import (
 	"math"
-	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestMSE(t *testing.T) {
@@ -19,17 +17,6 @@ func TestMSE(t *testing.T) {
 	}
 	if MSE(nil, nil) != 0 {
 		t.Fatal("empty MSE should be 0")
-	}
-}
-
-func TestRMSEMAE(t *testing.T) {
-	y := []float64{0, 0}
-	pred := []float64{3, -4}
-	if got := RMSE(y, pred); math.Abs(got-math.Sqrt(12.5)) > 1e-12 {
-		t.Fatalf("RMSE = %v", got)
-	}
-	if got := MAE(y, pred); got != 3.5 {
-		t.Fatalf("MAE = %v", got)
 	}
 }
 
@@ -51,7 +38,6 @@ func TestR2(t *testing.T) {
 func TestMetricsPanicOnMismatch(t *testing.T) {
 	for name, f := range map[string]func(){
 		"MSE": func() { MSE([]float64{1}, []float64{1, 2}) },
-		"MAE": func() { MAE([]float64{1}, []float64{1, 2}) },
 		"R2":  func() { R2([]float64{1}, []float64{1, 2}) },
 	} {
 		func() {
@@ -62,51 +48,5 @@ func TestMetricsPanicOnMismatch(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-// Property: MSE >= MAE^2 is not generally true, but MSE >= 0 and
-// RMSE^2 == MSE always hold.
-func TestMetricProperties(t *testing.T) {
-	f := func(raw [5][2]float64) bool {
-		y := make([]float64, len(raw))
-		pred := make([]float64, len(raw))
-		for i, p := range raw {
-			if math.IsNaN(p[0]) || math.IsNaN(p[1]) || math.Abs(p[0]) > 1e100 || math.Abs(p[1]) > 1e100 {
-				return true
-			}
-			y[i], pred[i] = p[0], p[1]
-		}
-		mse := MSE(y, pred)
-		rmse := RMSE(y, pred)
-		return mse >= 0 && math.Abs(rmse*rmse-mse) <= 1e-9*math.Max(1, mse)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestEvaluateReport(t *testing.T) {
-	x, y := syntheticLinear(300, 2, 1, 0.2, 70)
-	m := PaperLR(1).MustNew()
-	if err := m.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	rep := Evaluate(m, x, y)
-	if rep.Samples != 300 {
-		t.Fatalf("samples %d", rep.Samples)
-	}
-	if rep.MSE <= 0 || rep.R2 < 0.9 {
-		t.Fatalf("report %+v", rep)
-	}
-	if math.Abs(rep.RMSE*rep.RMSE-rep.MSE) > 1e-9 {
-		t.Fatalf("rmse^2 %v != mse %v", rep.RMSE*rep.RMSE, rep.MSE)
-	}
-	if rep.MAE <= 0 || rep.MAE > rep.RMSE+1e-12 {
-		t.Fatalf("MAE %v vs RMSE %v violates Jensen", rep.MAE, rep.RMSE)
-	}
-	s := rep.String()
-	if s == "" || !strings.Contains(s, "r2=") {
-		t.Fatalf("rendering %q", s)
 	}
 }

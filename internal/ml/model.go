@@ -367,18 +367,12 @@ func (s Spec) MustNew() Model {
 	return m
 }
 
-// Fingerprint returns a stable identity for the model architecture
-// and training hyper-parameters, excluding the Seed: two specs with
-// equal fingerprints produce interchangeable model instances up to
-// re-seeding. The node-side model pool (internal/engine) keys its
-// arenas on AppendFingerprint.
-func (s Spec) Fingerprint() string {
-	var buf [128]byte
-	return string(s.AppendFingerprint(buf[:0]))
-}
-
-// AppendFingerprint appends Fingerprint's bytes to dst, so a caller
-// with a stack buffer can key a map without allocating.
+// AppendFingerprint appends a stable identity for the model
+// architecture and training hyper-parameters, excluding the Seed, to
+// dst: two specs with equal fingerprints produce interchangeable model
+// instances up to re-seeding. The node-side model pool
+// (internal/engine) keys its arenas on it, from a stack buffer so the
+// map lookup does not allocate.
 func (s Spec) AppendFingerprint(dst []byte) []byte {
 	s = s.withDefaults()
 	dst = append(dst, s.Kind...)
@@ -470,5 +464,26 @@ func splitTrainVal(x [][]float64, y []float64, fraction float64, src *rng.Source
 func applyDecay(opt optimizer, decay float64) {
 	if decay > 0 && decay < 1 {
 		opt.scaleLR(decay)
+	}
+}
+
+// expectedValueCount computes the flat length implied by an
+// architecture fingerprint: weights + biases per layer, plus the
+// streaming-normalization state (statsFlatLen over the input dim).
+func expectedValueCount(kind string, dims []int) (int, error) {
+	switch kind {
+	case KindLinear:
+		if len(dims) != 2 || dims[1] != 1 {
+			return 0, fmt.Errorf("ml: linear params must have dims [in 1], got %v", dims)
+		}
+		return dims[0] + 1 + statsFlatLen(dims[0]), nil
+	case KindNN:
+		n := 0
+		for l := 0; l+1 < len(dims); l++ {
+			n += dims[l]*dims[l+1] + dims[l+1]
+		}
+		return n + statsFlatLen(dims[0]), nil
+	default:
+		return 0, fmt.Errorf("ml: unknown params kind %q", kind)
 	}
 }

@@ -92,9 +92,6 @@ type Plan struct {
 // Snapshot returns the registry snapshot the plan was derived from.
 func (pl *Plan) Snapshot() *registry.Snapshot { return pl.snap }
 
-// NumCandidates returns the number of nodes ranked.
-func (pl *Plan) NumCandidates() int { return len(pl.Rankings) }
-
 // Key is the plan's identity fingerprint:
 // "e<epoch>|<selector>|node:clusters|…". Two queries with equal keys
 // selected the same participants with the same training directives
@@ -192,20 +189,6 @@ type Planner struct {
 // NewPlanner builds a planner over the registry.
 func NewPlanner(reg *registry.Registry) *Planner {
 	return &Planner{reg: reg}
-}
-
-// Registry exposes the underlying registry (epoch and stats access).
-func (p *Planner) Registry() *registry.Registry { return p.reg }
-
-// Plan resolves a fresh-enough snapshot from the registry and plans
-// the query against it. sctx supplies selector dependencies (RNG,
-// warm-up evaluator); it may be nil for selectors that need neither.
-func (p *Planner) Plan(ctx context.Context, q query.Query, sel selection.Selector, sctx *selection.Context) (*Plan, error) {
-	snap, err := p.reg.Snapshot(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return p.PlanOn(snap, q, sel, sctx)
 }
 
 // PlanOn plans the query against an explicit snapshot (tests and

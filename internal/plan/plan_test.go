@@ -435,8 +435,15 @@ func TestPlanEpochAndKey(t *testing.T) {
 	planner := NewPlanner(reg)
 	q := randomQuery("epoch", 2, rng.New(21))
 	sel := selection.QueryDriven{Epsilon: 0.1, TopL: 3}
+	plan := func() (*Plan, error) {
+		snap, err := reg.Snapshot(context.Background())
+		if err != nil {
+			return nil, err
+		}
+		return planner.PlanOn(snap, q, sel, nil)
+	}
 
-	pl1, err := planner.Plan(context.Background(), q, sel, nil)
+	pl1, err := plan()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +465,7 @@ func TestPlanEpochAndKey(t *testing.T) {
 	}
 
 	reg.Invalidate()
-	pl2, err := planner.Plan(context.Background(), q, sel, nil)
+	pl2, err := plan()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -177,3 +177,24 @@ func GlobalSpace(bounds []geometry.Rect) (geometry.Rect, error) {
 	}
 	return space, nil
 }
+
+// Replay reconstructs a query stream from (id, bounds) pairs, such as
+// the records of a federation audit log (examples/operations replays
+// one).
+func Replay(ids []string, bounds []geometry.Rect) ([]Query, error) {
+	if len(ids) != len(bounds) {
+		return nil, fmt.Errorf("query: %d ids for %d bounds", len(ids), len(bounds))
+	}
+	if len(ids) == 0 {
+		return nil, fmt.Errorf("query: empty replay")
+	}
+	out := make([]Query, len(ids))
+	for i := range ids {
+		q, err := New(ids[i], bounds[i])
+		if err != nil {
+			return nil, fmt.Errorf("query: replay entry %d: %w", i, err)
+		}
+		out[i] = q
+	}
+	return out, nil
+}

@@ -147,3 +147,27 @@ func TestGlobalSpace(t *testing.T) {
 		t.Fatal("accepted mismatched dims")
 	}
 }
+
+func TestReplay(t *testing.T) {
+	ids := []string{"a", "b"}
+	bounds := []geometry.Rect{
+		geometry.MustRect([]float64{0}, []float64{1}),
+		geometry.MustRect([]float64{2}, []float64{3}),
+	}
+	qs, err := Replay(ids, bounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(qs) != 2 || qs[1].ID != "b" || qs[1].Bounds.Min[0] != 2 {
+		t.Fatalf("replay %+v", qs)
+	}
+	if _, err := Replay([]string{"a"}, bounds); err == nil {
+		t.Fatal("accepted length mismatch")
+	}
+	if _, err := Replay(nil, nil); err == nil {
+		t.Fatal("accepted empty replay")
+	}
+	if _, err := Replay([]string{""}, bounds[:1]); err == nil {
+		t.Fatal("accepted empty id")
+	}
+}

@@ -2,93 +2,16 @@ package query
 
 import (
 	"fmt"
-	"math"
-	"sort"
-	"strings"
 
 	"qens/internal/cluster"
 	"qens/internal/geometry"
 )
 
-// Workload statistics and leader-side selectivity estimation. The
-// leader never sees raw data, but the cluster summaries let it
-// estimate how many samples a query will touch before committing to a
-// selection — the estimate assumes samples are uniform within each
-// cluster rectangle, the standard R-tree-style selectivity model.
-
-// WorkloadStats summarizes a generated query stream.
-type WorkloadStats struct {
-	Count int
-	// MeanWidthFraction is the average per-dimension width as a
-	// fraction of the space width.
-	MeanWidthFraction float64
-	// MeanVolumeFraction is the average query volume over the space
-	// volume.
-	MeanVolumeFraction float64
-	// CenterSpread is the mean pairwise distance between successive
-	// query centers, normalized by the space diagonal — a drift
-	// indicator (low = focused workload, high = jumpy).
-	CenterSpread float64
-}
-
-// AnalyzeWorkload computes statistics of a query stream over its
-// space.
-func AnalyzeWorkload(queries []Query, space geometry.Rect) (WorkloadStats, error) {
-	if len(queries) == 0 {
-		return WorkloadStats{}, fmt.Errorf("query: empty workload")
-	}
-	if err := space.Validate(); err != nil {
-		return WorkloadStats{}, err
-	}
-	dims := space.Dims()
-	spaceVol := space.Volume()
-	diag := 0.0
-	for d := 0; d < dims; d++ {
-		diag += space.Width(d) * space.Width(d)
-	}
-	diag = math.Sqrt(diag)
-
-	var stats WorkloadStats
-	stats.Count = len(queries)
-	var widthSum, volSum, spreadSum float64
-	spreadN := 0
-	for i, q := range queries {
-		if q.Dims() != dims {
-			return WorkloadStats{}, fmt.Errorf("query %s: %d dims, space has %d", q.ID, q.Dims(), dims)
-		}
-		for d := 0; d < dims; d++ {
-			if w := space.Width(d); w > 0 {
-				widthSum += q.Bounds.Width(d) / w
-			}
-		}
-		if spaceVol > 0 {
-			volSum += q.Bounds.Volume() / spaceVol
-		}
-		if i > 0 && diag > 0 {
-			a, b := queries[i-1].Bounds.Center(), q.Bounds.Center()
-			dist := 0.0
-			for d := range a {
-				dist += (a[d] - b[d]) * (a[d] - b[d])
-			}
-			spreadSum += math.Sqrt(dist) / diag
-			spreadN++
-		}
-	}
-	stats.MeanWidthFraction = widthSum / float64(len(queries)*dims)
-	stats.MeanVolumeFraction = volSum / float64(len(queries))
-	if spreadN > 0 {
-		stats.CenterSpread = spreadSum / float64(spreadN)
-	}
-	return stats, nil
-}
-
-// String renders the statistics.
-func (s WorkloadStats) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "workload: %d queries, mean width %.1f%% of space, mean volume %.2f%%, center spread %.2f",
-		s.Count, 100*s.MeanWidthFraction, 100*s.MeanVolumeFraction, s.CenterSpread)
-	return b.String()
-}
+// Leader-side selectivity estimation. The leader never sees raw data,
+// but the cluster summaries let it estimate how many samples a query
+// will touch before committing to a selection — the estimate assumes
+// samples are uniform within each cluster rectangle, the standard
+// R-tree-style selectivity model.
 
 // SelectivityEstimate is the leader's pre-execution estimate for one
 // query.
@@ -130,21 +53,4 @@ func EstimateSelectivity(q Query, summaries []cluster.NodeSummary) (SelectivityE
 		est.Fraction = est.Samples / float64(total)
 	}
 	return est, nil
-}
-
-// TopNodes returns the node ids in descending order of estimated
-// in-query samples (ties broken by id).
-func (e SelectivityEstimate) TopNodes() []string {
-	ids := make([]string, 0, len(e.PerNode))
-	for id := range e.PerNode {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		a, b := e.PerNode[ids[i]], e.PerNode[ids[j]]
-		if a != b {
-			return a > b
-		}
-		return ids[i] < ids[j]
-	})
-	return ids
 }

@@ -2,7 +2,6 @@ package query
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"qens/internal/cluster"
@@ -10,64 +9,6 @@ import (
 	"qens/internal/geometry"
 	"qens/internal/rng"
 )
-
-func TestAnalyzeWorkload(t *testing.T) {
-	space := space2D()
-	qs, err := Workload(WorkloadConfig{Space: space, Count: 100,
-		MinWidthFraction: 0.2, MaxWidthFraction: 0.4}, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, err := AnalyzeWorkload(qs, space)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Count != 100 {
-		t.Fatalf("count %d", stats.Count)
-	}
-	// Mean width must land inside the configured band (clamping can
-	// shrink it slightly below the minimum).
-	if stats.MeanWidthFraction < 0.15 || stats.MeanWidthFraction > 0.4 {
-		t.Fatalf("mean width fraction %v", stats.MeanWidthFraction)
-	}
-	if stats.MeanVolumeFraction <= 0 || stats.MeanVolumeFraction > 0.16+0.05 {
-		t.Fatalf("mean volume fraction %v", stats.MeanVolumeFraction)
-	}
-	if stats.CenterSpread <= 0 {
-		t.Fatalf("center spread %v", stats.CenterSpread)
-	}
-	if !strings.Contains(stats.String(), "queries") {
-		t.Fatal("rendering broken")
-	}
-}
-
-func TestAnalyzeWorkloadDriftLowersSpread(t *testing.T) {
-	space := space2D()
-	jumpy, _ := Workload(WorkloadConfig{Space: space, Count: 200}, rng.New(2))
-	focused, _ := Workload(WorkloadConfig{Space: space, Count: 200,
-		DriftPeriod: 100, FocusSpread: 0.02}, rng.New(2))
-	js, err := AnalyzeWorkload(jumpy, space)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs, err := AnalyzeWorkload(focused, space)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fs.CenterSpread >= js.CenterSpread {
-		t.Fatalf("focused workload spread %v not below independent %v", fs.CenterSpread, js.CenterSpread)
-	}
-}
-
-func TestAnalyzeWorkloadErrors(t *testing.T) {
-	if _, err := AnalyzeWorkload(nil, space2D()); err == nil {
-		t.Fatal("accepted empty workload")
-	}
-	q1, _ := New("q", geometry.MustRect([]float64{0}, []float64{1}))
-	if _, err := AnalyzeWorkload([]Query{q1}, space2D()); err == nil {
-		t.Fatal("accepted dimension mismatch")
-	}
-}
 
 func TestEstimateSelectivityExact(t *testing.T) {
 	// One node, one cluster [0,10]x[0,10] with 100 samples; query
@@ -138,13 +79,5 @@ func TestEstimateSelectivityApproximatesTruth(t *testing.T) {
 	ratio := est.Samples / float64(actual)
 	if ratio < 0.5 || ratio > 2 {
 		t.Fatalf("estimate %v vs actual %d (ratio %v)", est.Samples, actual, ratio)
-	}
-}
-
-func TestTopNodes(t *testing.T) {
-	est := SelectivityEstimate{PerNode: map[string]float64{"a": 5, "b": 50, "c": 5}}
-	top := est.TopNodes()
-	if top[0] != "b" || top[1] != "a" || top[2] != "c" {
-		t.Fatalf("TopNodes = %v", top)
 	}
 }

@@ -47,9 +47,6 @@ func NewLeader(id string, fed *federation.Leader, rosterIndex map[string]int) (*
 // ID returns the region identifier.
 func (l *Leader) ID() string { return l.id }
 
-// Federation exposes the embedded shard leader (tests, daemons).
-func (l *Leader) Federation() *federation.Leader { return l.fed }
-
 // Info implements Service: membership with global roster indices, the
 // shard covering rectangle, and the registry epoch — all derived from
 // one snapshot, so a concurrent refresh can never produce a torn view.

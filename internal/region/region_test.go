@@ -366,7 +366,7 @@ func TestRouterPrepare(t *testing.T) {
 	}
 	regionPlans := func() (n int64) {
 		for _, l := range leaders {
-			st := l.Federation().Registry().Stats()
+			st := l.fed.Registry().Stats()
 			n += st.IndexedPlans + st.BrutePlans
 		}
 		return n
@@ -400,7 +400,7 @@ func TestRouterPrepare(t *testing.T) {
 	if err := nodes[5].Requantize(); err != nil {
 		t.Fatal(err)
 	}
-	leaders[1].Federation().InvalidateSummaries()
+	leaders[1].fed.InvalidateSummaries()
 	moved, err := leaders[1].Info(ctx)
 	if err != nil {
 		t.Fatal(err)

@@ -165,13 +165,6 @@ func (s *Source) PermInto(buf []int) []int {
 	return buf
 }
 
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.gen().Shuffle(n, swap)
-}
-
 // Bool returns true with probability p.
 func (s *Source) Bool(p float64) bool { return s.Float64() < p }
 

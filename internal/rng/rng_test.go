@@ -297,9 +297,6 @@ func trace(s *Source) []float64 {
 	for _, v := range s.PermInto(make([]int, 7)) {
 		out = append(out, float64(v))
 	}
-	xs := []float64{1, 2, 3, 4, 5, 6}
-	s.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	out = append(out, xs...)
 	for _, child := range s.SplitN(2) {
 		out = append(out, child.Float64(), float64(child.Int63()))
 	}

@@ -210,13 +210,6 @@ func (s *Fairness) Name() string { return "fairness" }
 // StatefulSelection implements Stateful: every call moves the cursor.
 func (s *Fairness) StatefulSelection() {}
 
-// Cursor returns the current rotation position (tests/ops).
-func (s *Fairness) Cursor() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cursor
-}
-
 // SelectFrom implements Selector.
 func (s *Fairness) SelectFrom(cs *CandidateSet, _ *Context) ([]Participant, error) {
 	if s.L < 1 {

@@ -104,14 +104,6 @@ type CriticalPathReport struct {
 	ByCategory map[string]float64 `json:"by_category_ms"`
 }
 
-// Share returns category's fraction of the total (0 when empty).
-func (r CriticalPathReport) Share(category string) float64 {
-	if r.TotalMS <= 0 {
-		return 0
-	}
-	return r.ByCategory[category] / r.TotalMS
-}
-
 // SpanCategory maps a span name to its critical-path category.
 // hasChildren distinguishes an RPC span whose node reported phase
 // spans (self time = wire/codec/network residue) from one that did not

@@ -174,11 +174,8 @@ func TestCriticalPathExactSum(t *testing.T) {
 	if math.Abs(sum-cp.TotalMS) > 1e-9 {
 		t.Fatalf("categories sum to %v, total %v", sum, cp.TotalMS)
 	}
-	if s := cp.Share("train"); math.Abs(s-0.5) > 1e-9 {
-		t.Fatalf("train share = %v, want 0.5", s)
-	}
-	if (CriticalPathReport{}).Share("train") != 0 {
-		t.Fatal("empty report share != 0")
+	if s := cp.ByCategory["train"]; math.Abs(s-50) > 1e-9 {
+		t.Fatalf("train = %v ms, want half the total", s)
 	}
 }
 

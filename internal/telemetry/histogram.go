@@ -135,25 +135,6 @@ func (h *Histogram) Max() float64 {
 	return math.Float64frombits(h.maxBits.Load())
 }
 
-// Mean returns the arithmetic mean (0 when empty).
-func (h *Histogram) Mean() float64 {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return h.Sum() / float64(n)
-}
-
-// Quantile estimates the q-quantile (0 < q < 1) from the bucket
-// counts, interpolating geometrically inside the winning bucket. The
-// estimate's relative error is bounded by the bucket growth factor
-// (~19%). Returns 0 when the histogram is empty.
-func (h *Histogram) Quantile(q float64) float64 {
-	var counts [histBuckets + 1]int64
-	total := h.loadBuckets(&counts)
-	return quantileFromCounts(&counts, total, q, h.Min(), h.Max())
-}
-
 // loadBuckets copies the live bucket counts into counts in one pass
 // and returns their sum. Deriving totals from the same loads that fill
 // the array is what makes snapshots self-consistent: the count can

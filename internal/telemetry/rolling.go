@@ -89,9 +89,6 @@ func NewRollingHistogram(window time.Duration, shards int) *RollingHistogram {
 	}
 }
 
-// Span returns the nominal window the histogram covers.
-func (r *RollingHistogram) Span() time.Duration { return r.span }
-
 // Observe records one value into the shard owning the current
 // interval. Wait-free and allocation-free: one clock read, one ring
 // index, and the underlying Histogram's atomic updates.
@@ -107,12 +104,6 @@ func (r *RollingHistogram) Observe(v float64) {
 	}
 	s.hist.Observe(v)
 	r.gen.Add(1)
-}
-
-// ObserveDuration records a latency in float milliseconds, matching
-// Histogram.ObserveDuration.
-func (r *RollingHistogram) ObserveDuration(d time.Duration) {
-	r.Observe(float64(d) / float64(time.Millisecond))
 }
 
 // WindowStats is the merged summary of the observations inside the

@@ -36,8 +36,8 @@ func testRolling() (*RollingHistogram, *fakeClock) {
 
 func TestRollingDefaults(t *testing.T) {
 	r := NewRollingHistogram(0, 0)
-	if r.Span() != 60*time.Second {
-		t.Fatalf("default span = %v, want 60s", r.Span())
+	if r.span != 60*time.Second {
+		t.Fatalf("default span = %v, want 60s", r.span)
 	}
 	if len(r.shards) != 6 {
 		t.Fatalf("default shards = %d, want 6", len(r.shards))
@@ -145,18 +145,9 @@ func TestRollingStatsCached(t *testing.T) {
 	}
 	// Idle past the TTL: the re-merge notices time-driven change (here,
 	// everything expiring out of the window).
-	c.advance(2 * r.Span())
+	c.advance(2 * r.span)
 	if st := r.Stats(); st.Count != 0 {
 		t.Fatalf("after expiry count = %d, want 0", st.Count)
-	}
-}
-
-func TestRollingObserveDuration(t *testing.T) {
-	r, _ := testRolling()
-	r.ObserveDuration(1500 * time.Millisecond)
-	st := r.Stats()
-	if st.Count != 1 || st.Max != 1500 {
-		t.Fatalf("ObserveDuration recorded %+v, want max 1500ms", st)
 	}
 }
 

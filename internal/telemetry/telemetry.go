@@ -1,107 +1,5 @@
-// Package telemetry provides the lightweight counters and timers the
-// experiment harness uses to account for training time, data volumes
-// and bytes moved — the quantities behind the paper's Figs. 8 and 9.
+// Package telemetry provides the process's metrics (lock-free labeled
+// counters, gauges and log-bucket histograms in a Registry), per-query
+// distributed tracing with a JSONL sink, and the /metrics, /healthz and
+// pprof HTTP sidecar.
 package telemetry
-
-import (
-	"fmt"
-	"sort"
-	"strings"
-	"sync"
-	"time"
-)
-
-// Collector accumulates named counters and durations. It is safe for
-// concurrent use; the zero value is ready.
-type Collector struct {
-	mu        sync.Mutex
-	counters  map[string]int64
-	durations map[string]time.Duration
-}
-
-// Add increments a counter.
-func (c *Collector) Add(name string, delta int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.counters == nil {
-		c.counters = map[string]int64{}
-	}
-	c.counters[name] += delta
-}
-
-// AddDuration accumulates elapsed time under a name.
-func (c *Collector) AddDuration(name string, d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.durations == nil {
-		c.durations = map[string]time.Duration{}
-	}
-	c.durations[name] += d
-}
-
-// Time starts a timer; calling the returned stop function accumulates
-// the elapsed time under name.
-func (c *Collector) Time(name string) (stop func()) {
-	start := time.Now()
-	return func() { c.AddDuration(name, time.Since(start)) }
-}
-
-// Counter returns the current value of a counter.
-func (c *Collector) Counter(name string) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.counters[name]
-}
-
-// Duration returns the accumulated duration under a name.
-func (c *Collector) Duration(name string) time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.durations[name]
-}
-
-// Reset clears all accumulated values.
-func (c *Collector) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.counters = nil
-	c.durations = nil
-}
-
-// Snapshot returns copies of both maps.
-func (c *Collector) Snapshot() (counters map[string]int64, durations map[string]time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	counters = make(map[string]int64, len(c.counters))
-	for k, v := range c.counters {
-		counters[k] = v
-	}
-	durations = make(map[string]time.Duration, len(c.durations))
-	for k, v := range c.durations {
-		durations[k] = v
-	}
-	return counters, durations
-}
-
-// String renders a sorted, human-readable summary.
-func (c *Collector) String() string {
-	counters, durations := c.Snapshot()
-	var b strings.Builder
-	keys := make([]string, 0, len(counters))
-	for k := range counters {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(&b, "%s=%d ", k, counters[k])
-	}
-	keys = keys[:0]
-	for k := range durations {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(&b, "%s=%s ", k, durations[k])
-	}
-	return strings.TrimSpace(b.String())
-}

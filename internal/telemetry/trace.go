@@ -38,7 +38,7 @@ type Span struct {
 //
 // Recording a span allocates nothing: the tracer keeps plain records
 // (binary IDs, attributes inline) and builds the Span read form only
-// when someone reads — Spans, TraceSpans, WriteJSONL or the JSONL sink.
+// when someone reads — Spans, TraceSpans or the JSONL sink.
 // An always-on trace therefore costs one allocation per span handle.
 type Tracer struct {
 	mu  sync.Mutex
@@ -117,8 +117,8 @@ func (r *record) toSpan() Span {
 
 // NewTracer returns a tracer streaming finished spans to w as JSONL
 // (w may be nil to only retain them in memory). The sink is buffered:
-// call Flush (or WriteJSONL, which flushes) before handing the
-// underlying writer to a reader or closing it.
+// call Flush before handing the underlying writer to a reader or
+// closing it.
 func NewTracer(w io.Writer) *Tracer {
 	t := &Tracer{}
 	if w != nil {
@@ -229,14 +229,6 @@ func (sp *SpanHandle) Span() ID {
 	}
 	return sp.rec.id
 }
-
-// TraceID returns the span's trace identifier in its text form (""
-// on a nil handle).
-func (sp *SpanHandle) TraceID() string { return sp.Trace().String() }
-
-// SpanID returns the span's own identifier in its text form ("" on a
-// nil handle).
-func (sp *SpanHandle) SpanID() string { return sp.Span().String() }
 
 // SetAttr attaches a key=value attribute to the span. After End it is
 // a no-op: the finished span is already retained, and stays as it was.
@@ -368,23 +360,6 @@ func (t *Tracer) Reset() {
 	defer t.mu.Unlock()
 	clear(t.recs)
 	t.recs, t.head = t.recs[:0], 0
-}
-
-// WriteJSONL exports every retained span to w, one JSON object per
-// line — the same schema the streaming sink emits. It also flushes the
-// tracer's own buffered sink, so a drain that exports retained spans
-// leaves the streaming file complete too.
-func (t *Tracer) WriteJSONL(w io.Writer) error {
-	if err := t.Flush(); err != nil {
-		return err
-	}
-	enc := json.NewEncoder(w)
-	for _, span := range t.Spans() {
-		if err := enc.Encode(span); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // ReadJSONL parses a JSONL span stream (blank lines skipped).

@@ -64,7 +64,7 @@ func TestTracerNilSafe(t *testing.T) {
 	child := sp.Child("x")
 	child.End(nil)
 	sp.End(errors.New("ignored"))
-	if sp.TraceID() != "" || sp.SpanID() != "" {
+	if sp.Trace().String() != "" || sp.Span().String() != "" {
 		t.Fatal("nil span has ids")
 	}
 	if tr.Spans() != nil {
@@ -97,16 +97,6 @@ func TestTracerJSONLRoundTrip(t *testing.T) {
 	}
 	if spans[0].TraceID != spans[1].TraceID {
 		t.Fatal("JSONL round trip lost the shared trace id")
-	}
-
-	// WriteJSONL re-export matches the streamed form.
-	var again bytes.Buffer
-	if err := tr.WriteJSONL(&again); err != nil {
-		t.Fatal(err)
-	}
-	reparsed, err := ReadJSONL(&again)
-	if err != nil || len(reparsed) != 2 {
-		t.Fatalf("re-export parse: %v (%d spans)", err, len(reparsed))
 	}
 }
 
@@ -193,11 +183,11 @@ func TestTracerRecordRemote(t *testing.T) {
 		t.Fatalf("%d spans", len(spans))
 	}
 	s := spans[0]
-	if s.SpanID == "" || s.SpanID == rpc.SpanID() {
+	if s.SpanID == "" || s.SpanID == rpc.Span().String() {
 		t.Fatalf("RecordRemote did not mint a span id: %q", s.SpanID)
 	}
-	if s.TraceID != rpc.TraceID() || s.ParentID != rpc.SpanID() || s.Name != "node.fit" {
-		t.Fatalf("remote span = %+v, want trace %s parent %s", s, rpc.TraceID(), rpc.SpanID())
+	if s.TraceID != rpc.Trace().String() || s.ParentID != rpc.Span().String() || s.Name != "node.fit" {
+		t.Fatalf("remote span = %+v, want trace %s parent %s", s, rpc.Trace().String(), rpc.Span().String())
 	}
 	if len(s.Attrs) != 2 || s.Attrs["node"] != "node-3" || s.Attrs["proc"] != "node-3" {
 		t.Fatalf("remote span attrs = %v", s.Attrs)
@@ -227,9 +217,9 @@ func TestTracerTraceSpans(t *testing.T) {
 	b := tr.StartTrace("qb")
 	b.End(nil)
 
-	got := tr.TraceSpans(a.TraceID())
+	got := tr.TraceSpans(a.Trace().String())
 	if len(got) != 2 {
-		t.Fatalf("trace %s has %d spans, want 2", a.TraceID(), len(got))
+		t.Fatalf("trace %s has %d spans, want 2", a.Trace().String(), len(got))
 	}
 	if got[0].Name != "selection" || got[1].Name != "qa" {
 		t.Fatalf("completion order lost: %v, %v", got[0].Name, got[1].Name)
@@ -402,15 +392,8 @@ func TestTracerRetentionRing(t *testing.T) {
 	if got := ids(tr.Spans()); got != "6,7,8,9" {
 		t.Fatalf("Spans() = %s, want 6,7,8,9", got)
 	}
-	if got := ids(tr.TraceSpans(roots[1].TraceID())); got != "7,9" {
+	if got := ids(tr.TraceSpans(roots[1].Trace().String())); got != "7,9" {
 		t.Fatalf("TraceSpans(t1) = %s, want 7,9", got)
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if back, err := ReadJSONL(&buf); err != nil || ids(back) != "6,7,8,9" {
-		t.Fatalf("WriteJSONL round trip = %s (%v), want 6,7,8,9", ids(back), err)
 	}
 
 	// 100 spans per run: a trim that reallocated only every few

@@ -210,10 +210,6 @@ func (c *Client) SubscribeSummaries(ctx context.Context, handler func(cluster.No
 	return true, nil
 }
 
-// PushesReceived reports how many summary push frames this client has
-// dispatched (across all connections in its lifetime).
-func (c *Client) PushesReceived() int64 { return c.pushesReceived.Load() }
-
 // dropConn discards conn if it is still the client's current
 // connection, so the next call redials.
 func (c *Client) dropConn(conn *wireConn) {

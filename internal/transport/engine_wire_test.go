@@ -74,7 +74,7 @@ func TestEvalResponseCarriesSummaryEpoch(t *testing.T) {
 	if resp.SummaryEpoch != 1 {
 		t.Fatalf("initial eval epoch %d, want 1", resp.SummaryEpoch)
 	}
-	if err := srv.Requantize(); err != nil {
+	if err := srv.node.Requantize(); err != nil {
 		t.Fatal(err)
 	}
 	resp, err = client.Evaluate(context.Background(), req)

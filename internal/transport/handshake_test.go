@@ -206,18 +206,18 @@ func TestHandshakeRejectsOldPeer(t *testing.T) {
 			for name, first := range firsts {
 				resp, conn := rawHello(t, srv.Addr(), first)
 				if resp.Code != CodeUnsupportedProto || !strings.Contains(resp.Error, "upgrade") || resp.NodeID != "" {
-					t.Fatalf("%s on %s: answer %+v, want an unsupported_proto error naming the upgrade", name, srv.NodeID(), resp)
+					t.Fatalf("%s on %s: answer %+v, want an unsupported_proto error naming the upgrade", name, srv.id, resp)
 				}
 				if _, err := conn.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
-					t.Fatalf("%s on %s: connection left open after the refusal (read err %v)", name, srv.NodeID(), err)
+					t.Fatalf("%s on %s: connection left open after the refusal (read err %v)", name, srv.id, err)
 				}
 			}
 			logs := lc.joined()
 			if got := strings.Count(logs, "event=handshake_rejected"); got != len(firsts) {
-				t.Fatalf("%s logged %d handshake_rejected events, want %d:\n%s", srv.NodeID(), got, len(firsts), logs)
+				t.Fatalf("%s logged %d handshake_rejected events, want %d:\n%s", srv.id, got, len(firsts), logs)
 			}
 			if strings.Contains(logs, "event=rpc") {
-				t.Fatalf("%s dispatched a refused first frame:\n%s", srv.NodeID(), logs)
+				t.Fatalf("%s dispatched a refused first frame:\n%s", srv.id, logs)
 			}
 
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

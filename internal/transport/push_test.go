@@ -68,8 +68,8 @@ func TestPushEndToEnd(t *testing.T) {
 	for deadline := time.Now().Add(10 * time.Second); srv.PushesSent() < 2 && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
 	}
-	if srv.PushesSent() < 2 || client.PushesReceived() < 2 {
-		t.Fatalf("push counters: sent=%d received=%d", srv.PushesSent(), client.PushesReceived())
+	if srv.PushesSent() < 2 || client.pushesReceived.Load() < 2 {
+		t.Fatalf("push counters: sent=%d received=%d", srv.PushesSent(), client.pushesReceived.Load())
 	}
 
 	// Push frames must not disturb the request/response path sharing
@@ -130,9 +130,9 @@ func TestPushPairings(t *testing.T) {
 			t.Fatalf("subscribe must be declined, not error: ok=%v err=%v", ok, err)
 		}
 		// Declined at the hello already, so no subscribe RPC was sent.
-		if srv.PushSubscribers() != 0 || srv.PushesSent() != 0 || client.PushesReceived() != 0 {
+		if srv.PushSubscribers() != 0 || srv.PushesSent() != 0 || client.pushesReceived.Load() != 0 {
 			t.Fatalf("declined subscription moved push frames: subs=%d sent=%d recv=%d",
-				srv.PushSubscribers(), srv.PushesSent(), client.PushesReceived())
+				srv.PushSubscribers(), srv.PushesSent(), client.pushesReceived.Load())
 		}
 	})
 }

@@ -379,14 +379,11 @@ func TestRegionServerRejectsNodeRPCs(t *testing.T) {
 	}
 	srv.SetLogger(silent)
 	t.Cleanup(func() { srv.Close() })
-	if srv.NodeID() != leaders[0].ID() {
-		t.Fatalf("region server id %q, want %q", srv.NodeID(), leaders[0].ID())
+	if srv.id != leaders[0].ID() {
+		t.Fatalf("region server id %q, want %q", srv.id, leaders[0].ID())
 	}
 	if srv.SummaryEpoch() != 0 || srv.TrainSlots() != 0 || srv.TrainInflight() != 0 {
 		t.Fatal("region server leaked node-backed introspection values")
-	}
-	if err := srv.Requantize(); err == nil {
-		t.Fatal("requantize on a region server should fail")
 	}
 	client, err := Dial(srv.Addr(), DialOptions{Timeout: 10 * time.Second})
 	if err != nil {

@@ -446,10 +446,6 @@ func (s *Server) logRPC(req *request, resp *response, elapsed time.Duration) {
 // Addr returns the listening address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// NodeID returns the served node's id (the region id on a region
-// server — the handshake identity either way).
-func (s *Server) NodeID() string { return s.id }
-
 // Conns reports how many connections are live right now (surfaced by
 // the qensd /healthz endpoint).
 func (s *Server) Conns() int {
@@ -733,20 +729,6 @@ func (s *Server) dispatch(req request) response {
 		resp.SummaryEpoch = s.node.SummaryEpoch()
 	}
 	return resp
-}
-
-// Requantize re-runs the served node's quantization over its current
-// local data, bumping the advertisement epoch. Node mutation is
-// copy-on-write (see internal/engine), so it is safe to call while
-// RPCs are in flight: running jobs keep their pinned snapshot and
-// leaders learn of the new epoch from the next response envelope they
-// receive. Exposed so qensd can requantize on demand (e.g. on SIGHUP)
-// after local data collection.
-func (s *Server) Requantize() error {
-	if s.node == nil {
-		return errors.New("transport: region server has no node to requantize")
-	}
-	return s.node.Requantize()
 }
 
 // SummaryEpoch reports the served node's current advertisement version

@@ -642,7 +642,7 @@ func TestWireSkewTraceDeadlineEpoch(t *testing.T) {
 		}
 
 		// Requantization drift visible on the next eval.
-		if err := srv.Requantize(); err != nil {
+		if err := srv.node.Requantize(); err != nil {
 			t.Fatal(err)
 		}
 		ev, err := client.Evaluate(context.Background(), federation.EvalRequest{Spec: ml.PaperLR(1)})
