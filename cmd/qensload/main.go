@@ -33,9 +33,9 @@ func main() {
 		clients   = flag.Int("clients", 8, "concurrent closed-loop clients")
 		requests  = flag.Int("requests", 100, "total requests to issue")
 		distinct  = flag.Int("distinct", 12, "distinct query rectangles in the workload")
-		selector  = flag.String("selector", "query-driven", "selector to request")
+		selector  = flag.String("selector", "query-driven", "selector to request: query-driven or all-nodes")
 		epsilon   = flag.Float64("epsilon", 0.6, "query-driven epsilon")
-		topL      = flag.Int("topl", 2, "query-driven top-l / baseline l")
+		topL      = flag.Int("topl", 2, "query-driven top-l")
 		timeoutMS = flag.Int64("timeout-ms", 30000, "per-query budget sent to the gateway")
 		seed      = flag.Uint64("seed", 7, "workload seed")
 		waitUp    = flag.Duration("wait", 10*time.Second, "how long to wait for the gateway to come up")
@@ -80,7 +80,6 @@ func main() {
 					"selector":   *selector,
 					"epsilon":    *epsilon,
 					"top_l":      *topL,
-					"l":          *topL,
 					"timeout_ms": *timeoutMS,
 				})
 				t0 := time.Now()

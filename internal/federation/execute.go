@@ -46,9 +46,9 @@ type Request struct {
 }
 
 // Prepared is a selection stage's outcome. It owns its memory, so a
-// request that is shed, cancelled or coalesced away just drops it. Only
-// selection.Deterministic selections are prepared ahead — planning any
-// other consumes RNG draws or selector state that belong to execution.
+// request that is shed, cancelled or coalesced away just drops it. The
+// gateway prepares every query it admits: it serves only deterministic
+// selectors, whose planning consumes no draw that execution owns.
 type Prepared struct {
 	Participants []selection.Participant
 	// Epoch is the basis the participants were ranked against: the
@@ -214,7 +214,7 @@ func (l *Leader) train(ctx context.Context, req Request) (_ *Result, retErr erro
 
 	prep := req.Prepared
 	var selectionTime time.Duration
-	if prep == nil || prep.snap == nil || prep.Epoch != l.reg.ReuseEpoch() || !selection.Deterministic(req.Selector) {
+	if prep == nil || prep.snap == nil || prep.Epoch != l.reg.ReuseEpoch() {
 		var err error
 		if prep, err = l.prepare(ctx, qspan, req.Query, req.Selector); err != nil {
 			return nil, err

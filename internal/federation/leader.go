@@ -83,7 +83,7 @@ func (c Config) Validate() error {
 // internal/gateway depends on this).
 // The shared RNG is internally locked (see internal/rng), the summary
 // registry publishes copy-on-write snapshots, and the stateful
-// selectors (Fairness, Adaptive) lock internally.
+// Adaptive selector locks internally.
 type Leader struct {
 	cfg     Config
 	data    *dataset.Dataset // the leader's own local data (§II pre-test)

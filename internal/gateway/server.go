@@ -108,12 +108,6 @@ type Server struct {
 	start   time.Time
 	nextID  atomic.Int64
 	handler http.Handler
-
-	// fairness holds one persistent rotation per L — its cursor must
-	// survive across requests, and the selector guards its own state,
-	// so concurrent queries share it safely.
-	selMu    sync.Mutex
-	fairness map[int]*selection.Fairness
 }
 
 // NewServer builds a gateway server (and its scheduler) over a leader
@@ -147,13 +141,12 @@ func newServer(cfg ServerConfig, srv Serving, cache *federation.ReuseCache) (*Se
 		srv.SetTracer(cfg.Tracer)
 	}
 	s := &Server{
-		cfg:      cfg,
-		srv:      srv,
-		cache:    cache,
-		sched:    sched,
-		records:  newRecordStore(cfg.RecordCapacity),
-		start:    time.Now(),
-		fairness: make(map[int]*selection.Fairness),
+		cfg:     cfg,
+		srv:     srv,
+		cache:   cache,
+		sched:   sched,
+		records: newRecordStore(cfg.RecordCapacity),
+		start:   time.Now(),
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/query", s.handleSubmit)
@@ -214,15 +207,14 @@ type queryRequest struct {
 	ID string `json:"id"`
 	// Bounds is the query hyper-rectangle.
 	Bounds geometry.Rect `json:"bounds"`
-	// Selector picks the mechanism: "query-driven" (default),
-	// "random", "all-nodes" or "game-theory".
+	// Selector picks the mechanism: "query-driven" (default) or
+	// "all-nodes".
 	Selector string `json:"selector"`
-	// Epsilon, TopL, Psi parameterize query-driven selection; L
-	// parameterizes random / game-theory.
+	// Epsilon, TopL, Psi parameterize query-driven selection; at most
+	// one of TopL and Psi may be set.
 	Epsilon float64 `json:"epsilon"`
 	TopL    int     `json:"top_l"`
 	Psi     float64 `json:"psi"`
-	L       int     `json:"l"`
 	// Aggregation is "weighted" (default) or "averaging".
 	Aggregation string `json:"aggregation"`
 	// TimeoutMS bounds execution; Deadline (RFC3339) is the absolute
@@ -292,69 +284,45 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, errorJSON{Error: fmt.Sprintf(format, args...)})
 }
 
-// buildSelector maps the request's selector spec to a
-// selection.Selector. The stateful fairness rotation resolves to one
-// persistent, internally locked instance per L so its cursor carries
-// across requests — concurrent queries advance it under the selector's
-// own mutex.
+// buildSelector maps the request's selector spec to one of the two
+// served mechanisms: query-driven (top-ℓ or ψ, Eq. 4–5) and all-nodes.
+// The paper's baselines run in the harness (internal/experiments), not
+// here. The default top-ℓ applies only when neither top_l nor psi is
+// given, and malformed query-driven parameters fail here, before the
+// query can take a queue slot.
 func (s *Server) buildSelector(req queryRequest) (selection.Selector, error) {
-	eps := req.Epsilon
-	if eps == 0 {
-		eps = s.cfg.DefaultEpsilon
-	}
-	l := req.L
-	if l == 0 {
-		l = s.cfg.DefaultTopL
-	}
 	switch strings.ToLower(req.Selector) {
 	case "", "query-driven":
-		if req.Psi > 0 {
-			return selection.QueryDriven{Epsilon: eps, Psi: req.Psi}, nil
+		qd := selection.QueryDriven{Epsilon: req.Epsilon, TopL: req.TopL, Psi: req.Psi}
+		if qd.Epsilon == 0 {
+			qd.Epsilon = s.cfg.DefaultEpsilon
 		}
-		topL := req.TopL
-		if topL == 0 {
-			topL = s.cfg.DefaultTopL
+		if qd.TopL == 0 && qd.Psi == 0 {
+			qd.TopL = s.cfg.DefaultTopL
 		}
-		return selection.QueryDriven{Epsilon: eps, TopL: topL}, nil
-	case "random":
-		return selection.Random{L: l}, nil
+		if qd.Epsilon < 0 {
+			return nil, fmt.Errorf("epsilon %v must be > 0", qd.Epsilon)
+		}
+		if err := qd.Validate(); err != nil {
+			return nil, err
+		}
+		return qd, nil
 	case "all-nodes":
 		return selection.AllNodes{}, nil
-	case "game-theory":
-		return selection.GameTheory{L: l}, nil
-	case "fairness":
-		return s.fairnessFor(l), nil
 	default:
 		return nil, fmt.Errorf("unknown selector %q", req.Selector)
 	}
 }
 
-// fairnessFor returns the server's persistent fairness rotation for l,
-// creating it on first use.
-func (s *Server) fairnessFor(l int) *selection.Fairness {
-	s.selMu.Lock()
-	defer s.selMu.Unlock()
-	f, ok := s.fairness[l]
-	if !ok {
-		f = &selection.Fairness{L: l}
-		s.fairness[l] = f
-	}
-	return f
-}
-
-// planAhead runs the selection stage at admission time for
-// deterministic mechanisms: the scheduler coalesces on the outcome's
-// key without an IoU approximation, and execution trains from it
-// instead of planning again. Nondeterministic and stateful selectors
-// return nil so admission does not consume their draws or state; they
-// plan inside execute and coalesce by IoU. A query no advertised
-// cluster supports fails here with selection.ErrNoCandidates before it
-// can occupy a queue slot; any other planning error is advisory
-// (execution replans and surfaces it).
+// planAhead runs the selection stage at admission time: the scheduler
+// coalesces on the outcome's key without an IoU approximation, and
+// execution trains from it instead of planning again. Both served
+// selectors are deterministic, so planning early consumes no draw or
+// state that belongs to execution. A query no advertised cluster
+// supports fails here with selection.ErrNoCandidates before it can
+// occupy a queue slot; any other planning error is advisory (execution
+// replans and surfaces it).
 func (s *Server) planAhead(ctx context.Context, q query.Query, sel selection.Selector) (*federation.Prepared, error) {
-	if !selection.Deterministic(sel) {
-		return nil, nil
-	}
 	p, err := s.srv.Prepare(ctx, q, sel)
 	if err != nil && !errors.Is(err, selection.ErrNoCandidates) {
 		return nil, nil
@@ -614,8 +582,7 @@ type rankJSON struct {
 // handlePlan serves POST /v1/plan — EXPLAIN for a query: it runs only
 // the pure-CPU planning stage (registry snapshot, candidate ranking,
 // selection) and reports what the leader would train, without touching
-// a node. Stateful selectors are rejected: explaining a fairness query
-// would advance its cursor.
+// a node.
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
@@ -636,10 +603,6 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	sel, err := s.buildSelector(req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if _, stateful := sel.(selection.Stateful); stateful {
-		writeError(w, http.StatusBadRequest, "selector %q is stateful; planning it would advance its state", sel.Name())
 		return
 	}
 	ex, err := s.srv.ExplainQuery(r.Context(), q, sel)

@@ -377,10 +377,11 @@ func TestGatewayDraining503(t *testing.T) {
 	}
 }
 
-// TestGatewayBadRequests covers the 400/404 surface.
+// TestGatewayBadRequests covers the 400/404 surface. Every 400 is
+// decided before admission: none of the rows takes a queue slot.
 func TestGatewayBadRequests(t *testing.T) {
 	fleet := testFleet(t)
-	_, ts := newGatewayServer(t, ServerConfig{Leader: fleet.Leader})
+	s, ts := newGatewayServer(t, ServerConfig{Leader: fleet.Leader})
 
 	cases := []struct {
 		name string
@@ -394,6 +395,13 @@ func TestGatewayBadRequests(t *testing.T) {
 		{"auto selector", `{"bounds":{"min":[0,-50],"max":[20,150]},"selector":"auto"}`, "unknown selector"},
 		{"bandit selector", `{"bounds":{"min":[0,-50],"max":[20,150]},"selector":"bandit"}`, "unknown selector"},
 		{"contribution selector", `{"bounds":{"min":[0,-50],"max":[20,150]},"selector":"contribution"}`, "unknown selector"},
+		{"random selector", `{"bounds":{"min":[0,-50],"max":[20,150]},"selector":"random"}`, "unknown selector"},
+		{"game-theory selector", `{"bounds":{"min":[0,-50],"max":[20,150]},"selector":"game-theory"}`, "unknown selector"},
+		{"fairness selector", `{"bounds":{"min":[0,-50],"max":[20,150]},"selector":"fairness"}`, "unknown selector"},
+		{"negative top_l", `{"bounds":{"min":[0,-50],"max":[20,150]},"top_l":-1}`, "exactly one of TopL"},
+		{"negative epsilon", `{"bounds":{"min":[0,-50],"max":[20,150]},"epsilon":-0.5}`, "must be > 0"},
+		{"negative psi", `{"bounds":{"min":[0,-50],"max":[20,150]},"psi":-1}`, "exactly one of TopL"},
+		{"psi and top_l", `{"bounds":{"min":[0,-50],"max":[20,150]},"psi":0.3,"top_l":2}`, "exactly one of TopL"},
 		{"bad aggregation", `{"bounds":{"min":[0,-50],"max":[20,150]},"aggregation":"median"}`, ""},
 		{"negative timeout", `{"bounds":{"min":[0,-50],"max":[20,150]},"timeout_ms":-5}`, ""},
 		{"bad deadline", `{"bounds":{"min":[0,-50],"max":[20,150]},"deadline":"yesterday"}`, ""},
@@ -406,6 +414,12 @@ func TestGatewayBadRequests(t *testing.T) {
 		if msg, _ := doc["error"].(string); !strings.Contains(msg, tc.want) {
 			t.Errorf("%s: error %q, want it to mention %q", tc.name, msg, tc.want)
 		}
+	}
+	if n := s.sched.SchedStats().Admitted; n != 0 {
+		t.Errorf("%d bad requests admitted, want 0", n)
+	}
+	if code, doc := postPlan(t, ts.URL, `{"bounds":{"min":[0,-50],"max":[20,150]},"top_l":-1}`); code != http.StatusBadRequest {
+		t.Errorf("plan with negative top_l: status %d (%v), want 400", code, doc)
 	}
 	resp, err := http.Get(ts.URL + "/v1/query/nope")
 	if err != nil {
@@ -467,35 +481,5 @@ func TestRecordStoreEviction(t *testing.T) {
 	rec, _ := rs.get("q2")
 	if rec.Status != recordDone {
 		t.Fatal("update lost")
-	}
-}
-
-// TestGatewayStatefulSelectors: fairness is served through one
-// persistent instance per L, so its rotation advances across requests
-// instead of resetting.
-func TestGatewayStatefulSelectors(t *testing.T) {
-	fleet := testFleet(t)
-	_, ts := newGatewayServer(t, ServerConfig{Leader: fleet.Leader, CoalesceIoU: -1})
-
-	first := func(doc map[string]any) string {
-		parts, _ := doc["participants"].([]any)
-		if len(parts) == 0 {
-			t.Fatalf("no participants in %v", doc)
-		}
-		p, _ := parts[0].(map[string]any)
-		id, _ := p["node_id"].(string)
-		return id
-	}
-	body := `{"bounds":{"min":[0,-50],"max":[90,200]},"selector":"fairness","l":1}`
-	code, doc1, _ := postQuery(t, ts.URL, body)
-	if code != http.StatusOK {
-		t.Fatalf("status %d (%v)", code, doc1)
-	}
-	code, doc2, _ := postQuery(t, ts.URL, body)
-	if code != http.StatusOK {
-		t.Fatalf("status %d (%v)", code, doc2)
-	}
-	if first(doc1) == first(doc2) {
-		t.Fatalf("fairness rotation did not advance: %s twice", first(doc1))
 	}
 }

@@ -178,11 +178,10 @@ func TestServingSurface(t *testing.T) {
 					t.Fatalf("planning trained %v", n)
 				}
 			}
-			// Stateful selectors are not EXPLAINable (planning would
-			// advance their state); unsupported bounds are the query's
-			// fault.
-			if code, doc := postPlan(t, ts.URL, `{`+left+`,"selector":"fairness"}`); code != http.StatusBadRequest {
-				t.Fatalf("stateful plan: %d (%v), want 400", code, doc)
+			// The baselines are not served (400); unsupported bounds
+			// are the query's fault (422).
+			if code, doc := postPlan(t, ts.URL, `{`+left+`,"selector":"fairness"}`); code != http.StatusBadRequest || !strings.Contains(fmt.Sprint(doc["error"]), "unknown selector") {
+				t.Fatalf("fairness plan: %d (%v), want 400 unknown selector", code, doc)
 			}
 			if code, doc := postPlan(t, ts.URL, `{"bounds":{"min":[500,2000],"max":[600,3000]},"selector":"query-driven"}`); code != http.StatusUnprocessableEntity {
 				t.Fatalf("unsupported plan: %d (%v), want 422", code, doc)
@@ -201,21 +200,18 @@ func TestServingSurface(t *testing.T) {
 			if code, doc, _ = postQuery(t, ts.URL, qd); code != http.StatusOK || doc["reused"] != true || doc["approx"] == true {
 				t.Fatalf("replay: %d: %v, want an exact reuse", code, doc)
 			}
-			// Reuse is keyed: another aggregation, another selector and
-			// a random draw over the same rectangle all train, and the
-			// random draw is never stored.
+			// Reuse is keyed: another aggregation and another selector
+			// over the same rectangle both train.
 			for _, body := range []string{
 				`{` + left + `,"selector":"query-driven","epsilon":1e-9,"top_l":2,"aggregation":"averaging"}`,
 				`{` + left + `,"selector":"all-nodes"}`,
-				`{` + left + `,"selector":"random","l":2}`,
-				`{` + left + `,"selector":"random","l":2}`,
 			} {
 				if code, doc, _ = postQuery(t, ts.URL, body); code != http.StatusOK || doc["reused"] != false {
 					t.Fatalf("%s: %d: %v, want a fresh training", body, code, doc)
 				}
 			}
 			if got := cache.Len(); got != 3 {
-				t.Fatalf("cache holds %d results, want 3 (random is not stored)", got)
+				t.Fatalf("cache holds %d results, want 3", got)
 			}
 
 			// Cache before 422: the same rectangle at an unsatisfiable
@@ -240,8 +236,8 @@ func TestServingSurface(t *testing.T) {
 				Scheduler Stats `json:"scheduler"`
 			}
 			getJSON(t, ts.URL+"/v1/stats", &admitted)
-			if admitted.Scheduler.Admitted != 6 {
-				t.Fatalf("scheduler admitted %d queries, want 6 (cache answers and 422s bypass admission)", admitted.Scheduler.Admitted)
+			if admitted.Scheduler.Admitted != 4 {
+				t.Fatalf("scheduler admitted %d queries, want 4 (cache answers and 422s bypass admission)", admitted.Scheduler.Admitted)
 			}
 			stats := getJSONDoc(t, ts.URL+"/v1/stats")
 			if nodes, _ := stats["nodes"].([]any); len(nodes) != 4 || stats["space"] == nil {
@@ -537,6 +533,7 @@ type stubRegion struct {
 	bounds geometry.Rect
 	epoch  atomic.Uint64
 	plans  atomic.Int64
+	trains atomic.Int64  // Train calls, counted before the gate
 	gate   chan struct{} // non-nil: Train waits for it to close
 
 	mu   sync.Mutex
@@ -585,6 +582,7 @@ func (s *stubRegion) Plan(context.Context, region.PlanRequest) (region.PlanRespo
 }
 
 func (s *stubRegion) Train(ctx context.Context, req region.TrainRequest) (region.TrainResponse, error) {
+	s.trains.Add(1)
 	if s.gate != nil {
 		select {
 		case <-s.gate:
@@ -684,7 +682,13 @@ func TestAdmissionPlanStaleness(t *testing.T) {
 		west.gate, east.gate = gate, gate
 		rec, ts := recordedServer(t, ServerConfig{Router: router, Workers: 1, QueueDepth: 4, CoalesceIoU: -1})
 		submit(t, ts.URL, "a", -1)
-		awaitInflight(t, ts.URL, 1)
+		// a is past its basis check once both regions hold its train
+		// call; an epoch moved any earlier would make a replan too.
+		for deadline := time.Now().Add(5 * time.Second); west.trains.Load() == 0 || east.trains.Load() == 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("a never reached the regions' train gate")
+			}
+		}
 		submit(t, ts.URL, "b", -2) // admitted and planned at east's epoch 1
 		east.epoch.Store(2)
 		if info, _ := east.Info(context.Background()); !router.ApplyRegionInfo(info) {
@@ -746,8 +750,8 @@ func TestAdmissionPlanStaleness(t *testing.T) {
 
 // replayWorkload is a seeded stream of rectangles over slabFleet's
 // space — some supported by nobody, every fourth a repeat the cache can
-// answer — under deterministic selectors and, every seventh query, a
-// random draw that must stay in stream order.
+// answer — under query-driven top-ℓ, every seventh query ψ instead, and
+// every fifth all-nodes.
 func replayWorkload(n int) []queryRequest {
 	src := rng.New(77)
 	out := make([]queryRequest, n)
@@ -764,7 +768,7 @@ func replayWorkload(n int) []queryRequest {
 		}
 		switch {
 		case i%7 == 6:
-			out[i].Selector, out[i].L = "random", 2
+			out[i].Selector, out[i].Epsilon, out[i].Psi = "query-driven", 0.3, 0.05
 		case i%5 == 4:
 			out[i].Selector = "all-nodes"
 		default:
@@ -910,15 +914,15 @@ func TestSeedDrawnAtExecution(t *testing.T) {
 	}
 }
 
-// TestOnlyDeterministicSelectionsPrepared: a selector that draws or
-// keeps state is never planned at admission, and requests that never
-// reach a worker of their own — shed, abandoned by their client,
-// coalesced onto another — leave the planner exactly as a served one
-// does: every admission plans once, and nobody plans again.
-func TestOnlyDeterministicSelectionsPrepared(t *testing.T) {
+// TestAdmissionPlansEveryQuery: every served query executes with its
+// admission plan, and requests that never reach a worker of their own —
+// shed, abandoned by their client, coalesced onto another — leave the
+// planner exactly as a served one does: every admission plans once, and
+// nobody plans again.
+func TestAdmissionPlansEveryQuery(t *testing.T) {
 	gate := make(chan struct{})
 	lead := gatedLeader(t, gate)
-	rec, ts := recordedServer(t, ServerConfig{Leader: lead, Workers: 1, QueueDepth: 2, CoalesceIoU: 0.95})
+	rec, ts := recordedServer(t, ServerConfig{Leader: lead, Workers: 1, QueueDepth: 1, CoalesceIoU: 0.95})
 	const rect = `"bounds":{"min":[%d,-50],"max":[35,150]}`
 	post := func(id, rest string, lo, want int) {
 		t.Helper()
@@ -931,21 +935,20 @@ func TestOnlyDeterministicSelectionsPrepared(t *testing.T) {
 	awaitInflight(t, ts.URL, 1)
 	post("follower", `"selector":"query-driven","top_l":2,"async":true`, 0, http.StatusAccepted) // coalesces onto held
 	post("abandoned", `"selector":"all-nodes","timeout_ms":30`, 2, http.StatusGatewayTimeout)    // its client gives up; the task stays queued
-	post("random", `"selector":"random","l":1,"async":true`, 4, http.StatusAccepted)
 	post("shed", `"selector":"query-driven","top_l":2,"async":true`, 6, http.StatusTooManyRequests)
 	if got := leaderPlans(lead); got != 3 {
 		t.Fatalf("planner ran %d times at admission, want 3 (held, follower, shed)", got)
 	}
 	close(gate)
-	for _, id := range []string{"held", "follower", "random"} {
+	for _, id := range []string{"held", "follower"} {
 		if r := awaitRecord(t, ts.URL, id); r.Status != recordDone {
 			t.Fatalf("%s: %s %s", id, r.Status, r.Error)
 		}
 	}
-	post("fairness", `"selector":"fairness","l":1`, 8, http.StatusOK)
-	for id, prepared := range map[string]bool{"held": true, "random": false, "fairness": false} {
-		if got := rec.run(t, id).req.Prepared != nil; got != prepared {
-			t.Fatalf("%s executed with an admission plan: %v, want %v", id, got, prepared)
+	post("all-nodes", `"selector":"all-nodes"`, 8, http.StatusOK)
+	for _, id := range []string{"held", "all-nodes"} {
+		if rec.run(t, id).req.Prepared == nil {
+			t.Fatalf("%s executed without its admission plan", id)
 		}
 	}
 	if got := leaderPlans(lead); got != 3 {

@@ -220,16 +220,6 @@ func (t *RTree) search(n *rtreeNode, probe Rect, fn func(Entry) bool) bool {
 	return true
 }
 
-// Depth returns the tree height (1 for a single leaf), a diagnostics
-// aid for the packing tests.
-func (t *RTree) Depth() int {
-	d := 1
-	for n := t.root; n.children != nil; n = n.children[0] {
-		d++
-	}
-	return d
-}
-
 // AppendOverlapCandidates appends to dst the IDs of every entry whose
 // rectangle overlaps the probe in at least a minFrac fraction of its
 // dimensions, and returns the extended slice (append semantics: a dst

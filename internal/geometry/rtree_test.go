@@ -119,9 +119,6 @@ func TestRTreeSingleEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tree.Depth() != 1 {
-		t.Fatalf("depth %d", tree.Depth())
-	}
 	got := treeIntersecting(t, tree, MustRect([]float64{0.5, 0.5}, []float64{2, 2}))
 	if len(got) != 1 || got[0] != 7 {
 		t.Fatalf("got %v", got)
@@ -151,14 +148,6 @@ func TestRTreeDimMismatch(t *testing.T) {
 	tree, _ := BuildRTree(randomEntries(10, 2, 6), 0)
 	if err := tree.Search(MustRect([]float64{0}, []float64{1}), func(Entry) bool { return true }); err == nil {
 		t.Fatal("accepted probe with wrong dims")
-	}
-}
-
-func TestRTreeDepthGrows(t *testing.T) {
-	small, _ := BuildRTree(randomEntries(10, 2, 7), 4)
-	big, _ := BuildRTree(randomEntries(2000, 2, 8), 4)
-	if big.Depth() <= small.Depth() {
-		t.Fatalf("depths %d vs %d", small.Depth(), big.Depth())
 	}
 }
 

@@ -205,20 +205,12 @@ func MulTransBInto(dst, a, b *Dense) {
 
 // Add returns a + b element-wise.
 func Add(a, b *Dense) *Dense {
-	sameShape(a, b)
+	if a.rows != b.rows || a.cols != b.cols {
+		panic(ErrShape)
+	}
 	out := a.Clone()
 	for i, v := range b.data {
 		out.data[i] += v
-	}
-	return out
-}
-
-// Sub returns a - b element-wise.
-func Sub(a, b *Dense) *Dense {
-	sameShape(a, b)
-	out := a.Clone()
-	for i, v := range b.data {
-		out.data[i] -= v
 	}
 	return out
 }
@@ -272,12 +264,6 @@ func Equal(a, b *Dense, tol float64) bool {
 		}
 	}
 	return true
-}
-
-func sameShape(a, b *Dense) {
-	if a.rows != b.rows || a.cols != b.cols {
-		panic(ErrShape)
-	}
 }
 
 // String renders the matrix for debugging.

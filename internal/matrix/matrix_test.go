@@ -133,17 +133,6 @@ func TestMulTransB(t *testing.T) {
 	}
 }
 
-func TestAddSub(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	b := FromRows([][]float64{{10, 20}, {30, 40}})
-	if got := Add(a, b); !Equal(got, FromRows([][]float64{{11, 22}, {33, 44}}), 0) {
-		t.Fatalf("Add = %v", got)
-	}
-	if got := Sub(b, a); !Equal(got, FromRows([][]float64{{9, 18}, {27, 36}}), 0) {
-		t.Fatalf("Sub = %v", got)
-	}
-}
-
 func TestApply(t *testing.T) {
 	a := FromRows([][]float64{{2, -4}, {6, -8}})
 	a.Apply(math.Abs)

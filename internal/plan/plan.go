@@ -35,7 +35,7 @@ import (
 )
 
 // DefaultEpsilon is the permissive support threshold used to rank for
-// selectors that carry no intrinsic ε (Random, AllNodes, Fairness, …):
+// selectors that carry no intrinsic ε (Random, AllNodes, GameTheory, …):
 // any overlap counts, so EXPLAIN output still shows which clusters
 // touch the query even when the mechanism ignores the ranking. The
 // region tier's root coordinator uses the same value so merged

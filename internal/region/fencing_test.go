@@ -62,12 +62,12 @@ func TestReuseFencedPerRegion(t *testing.T) {
 
 	// Drift inside region-1: node-5 requantizes. The root only learns
 	// when a region-1 response echoes the newer epoch, so drive one
-	// uncacheable round through the full fleet (random selection is
-	// never served from the reuse cache).
+	// uncached round through the full fleet (all-nodes, without the
+	// cache).
 	if err := nodes[5].Requantize(); err != nil {
 		t.Fatal(err)
 	}
-	if _, kind, err := router.run(ctx, mustQuery(t, "q-all", -10, 80, -30, 160), selection.Random{L: 6}, federation.ModelAveraging); err != nil || kind.Reused() {
+	if _, kind, err := router.Execute(ctx, federation.Request{Query: mustQuery(t, "q-all", -10, 80, -30, 160), Selector: selection.AllNodes{}, Aggregation: federation.ModelAveraging}); err != nil || kind.Reused() {
 		t.Fatalf("drift round: kind=%v err=%v", kind, err)
 	}
 

@@ -78,9 +78,9 @@ func sameParams(t *testing.T, q string, a, b []ml.Params) {
 
 // TestGoldenShardedMatchesSingleLeader replays a 200-query seeded
 // workload against a 2-region sharded topology and a single leader
-// over the same fleet, per stateless selector, and requires bit-exact
+// over the same fleet, per served selector, and requires bit-exact
 // participants, local model parameters and aggregated-model
-// predictions. Both sides are rebuilt per selector so their RNG
+// predictions. Both sides are rebuilt per selector so their seed
 // streams stay in lock-step across the whole replay.
 func TestGoldenShardedMatchesSingleLeader(t *testing.T) {
 	queries := goldenWorkload(200)
@@ -94,7 +94,6 @@ func TestGoldenShardedMatchesSingleLeader(t *testing.T) {
 		{"query-driven-topl", selection.QueryDriven{Epsilon: 1e-9, TopL: 2}, federation.WeightedAveraging},
 		{"query-driven-psi", selection.QueryDriven{Epsilon: 1e-9, Psi: 0.4}, federation.WeightedAveraging},
 		{"all-nodes", selection.AllNodes{}, federation.ModelAveraging},
-		{"random", selection.Random{L: 3}, federation.ModelAveraging},
 	}
 
 	for _, tc := range selectors {

@@ -472,8 +472,6 @@ func TestPipelineCacheParity(t *testing.T) {
 					federation.ServeFresh, nil, 2},
 				{"another selector trains and is stored apart", context.Background(), with(func(r *federation.Request) { r.Selector = selection.AllNodes{} }),
 					federation.ServeFresh, nil, 3},
-				{"a random draw never reuses and is never stored", context.Background(), with(func(r *federation.Request) { r.Selector = selection.Random{L: 2} }),
-					federation.ServeFresh, nil, 3},
 				{"the original key still hits", context.Background(), req,
 					federation.ServeExact, nil, 3},
 			} {

@@ -32,8 +32,8 @@ type Config struct {
 	// TolerateFailures skips participants whose round failed instead
 	// of aborting the query, as long as one participant succeeds.
 	TolerateFailures bool
-	// Seed drives the root's stochastic choices (random selection,
-	// model init). With the same seed, fleet and query sequence, the
+	// Seed drives the root's one stochastic choice, the model-init
+	// draw. With the same seed, fleet and query sequence, the
 	// sharded topology reproduces the single-leader path bit-exactly.
 	Seed uint64
 }
@@ -114,7 +114,6 @@ type Router struct {
 	noRoute       atomic.Int64 // queries rejected with zero overlapping regions
 	regionsPruned atomic.Int64 // regions skipped by the Eq. 2 routing bound
 	topoPatches   atomic.Int64 // pushed Infos folded in without a rebuild
-	selectMu      sync.Mutex   // serializes selection RNG draws with the seed draw
 	metricReg     *telemetry.Registry
 }
 
@@ -356,9 +355,8 @@ func (r *Router) NodeIDs(ctx context.Context) ([]string, error) {
 }
 
 // route picks the regions that could hold supporting clusters for the
-// query. Only the paper's query-driven mechanism may prune: every
-// other selector picks by roster position (or warm-up loss), so its
-// candidate set must span the whole fleet.
+// query. Only the paper's query-driven mechanism may prune: all-nodes
+// picks the whole roster, so its candidate set must span the fleet.
 //
 // Pruning must be sound against Eq. 2, which scores support as the
 // per-dimension MEAN of interval overlaps — a cluster overlapping the
@@ -469,20 +467,6 @@ func (r *Router) rank(ctx context.Context, parent *telemetry.SpanHandle, t *topo
 	return merged, stamps, nil
 }
 
-// selectionContext builds the selector Context: the root's RNG (kept
-// in lock-step with a single leader seeded identically) and a warm-up
-// evaluator stub — the §II pre-test needs leader-local data the root
-// doesn't hold, so game-theory selection is served by the single-leader
-// topology only.
-func (r *Router) selectionContext() *selection.Context {
-	return &selection.Context{
-		RNG: r.src,
-		Evaluate: func(string) (float64, error) {
-			return 0, errors.New("region: warm-up evaluation is not available in the sharded topology")
-		},
-	}
-}
-
 // plan is the root's selection stage, behind Prepare, execute and
 // ExplainQuery: resolve the topology, route, fan the ranking out, merge
 // (ranks, in global roster order), apply the policy — under one
@@ -534,9 +518,7 @@ func (r *Router) plan(ctx context.Context, qspan *telemetry.SpanHandle, q query.
 	}
 	if err == nil {
 		set := selection.CandidateSet{Query: q, Epsilon: eps, Ranks: ranks}
-		r.selectMu.Lock()
-		parts, err = sel.SelectFrom(&set, r.selectionContext())
-		r.selectMu.Unlock()
+		parts, err = sel.SelectFrom(&set, nil)
 	}
 	span.End(err)
 	if err != nil {
@@ -615,11 +597,10 @@ func (r *Router) execute(ctx context.Context, req federation.Request) (_ *federa
 	r.queries.Add(1)
 
 	// Stage 1: the selection (req.Prepared while its basis holds, else
-	// planned now), then the seed draw — under the selection lock, so it
-	// cannot split another query's draws.
+	// planned now), then the seed draw.
 	prep, t := req.Prepared, r.current(req.Prepared)
 	var selectionTime time.Duration
-	if t == nil || !selection.Deterministic(sel) {
+	if t == nil {
 		var err error
 		if prep, t, _, err = r.plan(ctx, qspan, q, sel, false); err != nil {
 			return nil, nil, err
@@ -632,9 +613,7 @@ func (r *Router) execute(ctx context.Context, req federation.Request) (_ *federa
 		r.metricReg.Counter("qens_region_routed_total", telemetry.Label{Key: "region", Value: m.id}).Inc()
 	}
 	spec := r.cfg.Spec
-	r.selectMu.Lock()
 	spec.Seed = uint64(r.src.Int63())
-	r.selectMu.Unlock()
 
 	// Stage 2: initial global model at the root (exactly the
 	// single-leader executor's draw), then the region train fan-out.

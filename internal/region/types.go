@@ -40,9 +40,8 @@ import (
 // NodeInfo identifies one member node of a region together with its
 // position in the global fleet roster. The root sorts merged rankings
 // by RosterIndex so cross-region candidate sets preserve the exact
-// node order a single leader would see — selectors that pick by roster
-// position (all-nodes, random, fairness) and the order-sensitive
-// ensemble summation depend on it.
+// node order a single leader would see — all-nodes, which picks in
+// roster order, and the order-sensitive ensemble summation depend on it.
 type NodeInfo struct {
 	NodeID      string `json:"node_id"`
 	RosterIndex int    `json:"roster_index"`

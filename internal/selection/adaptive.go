@@ -31,11 +31,6 @@ type Adaptive struct {
 // Name implements Selector.
 func (s *Adaptive) Name() string { return "adaptive" }
 
-// StatefulSelection implements Stateful: the first call runs and
-// caches the pre-test, and the homogeneous branch consumes Context
-// RNG state.
-func (s *Adaptive) StatefulSelection() {}
-
 // Regime returns the cached pre-test classification, or ok=false if no
 // selection has run yet.
 func (s *Adaptive) Regime() (Regime, bool) {

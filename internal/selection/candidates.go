@@ -80,21 +80,11 @@ type EpsilonCarrier interface {
 	SupportEpsilon() float64
 }
 
-// Stateful marks selectors whose SelectFrom mutates internal state
-// (rotation cursors, cached pre-tests).
-// Planning ahead — dry-running selection for cache keys or EXPLAIN —
-// must be skipped for these, because every invocation advances state.
-type Stateful interface {
-	// StatefulSelection is a marker; it has no behaviour.
-	StatefulSelection()
-}
-
 // Deterministic reports whether sel picks the same participants from
 // the same candidates every time: no RNG draw, no per-invocation state,
-// no pre-test. Only such selections may be planned ahead for a
-// coalescing key or served from (and stored into) a reuse cache — a
-// random draw must stay in lock-step with the RNG stream, and stateful
-// selectors advance on every call.
+// no pre-test. Only such selections may be served from (and stored
+// into) a reuse cache (federation.Serve) — a random draw must stay in
+// lock-step with the RNG stream. The gateway serves only these.
 func Deterministic(sel Selector) bool {
 	switch sel.(type) {
 	case QueryDriven, AllNodes:

@@ -2,9 +2,7 @@
 // query-driven edge node selection mechanism of §III-C — together with
 // the baselines it is evaluated against (§V-C): Random selection [6],
 // Game-Theory selection [7] and all-node selection. It also holds the
-// §II Adaptive selector (pre-test, then Random or query-driven) and a
-// fairness rotation in the spirit of [12] that the gateway serves on
-// request.
+// §II Adaptive selector (pre-test, then Random or query-driven).
 //
 // The leader only ever sees cluster.NodeSummary advertisements — the
 // cluster bounding rectangles and counts — never raw node data, which

@@ -3,7 +3,6 @@ package selection
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"qens/internal/rng"
 )
@@ -187,44 +186,5 @@ func (s GameTheory) SelectFrom(cs *CandidateSet, ctx *Context) ([]Participant, e
 	for i := range out {
 		out[i] = Participant{NodeID: scores[i].id, Rank: 1}
 	}
-	return out, nil
-}
-
-// Fairness is a rotation baseline in the spirit of [12]: every node
-// gets the same long-run chance of participating. It keeps a cursor
-// and hands out the next ℓ nodes round-robin. The cursor is guarded by
-// an internal mutex, so one instance can serve concurrent queries
-// (each call advances the rotation atomically); ordering between
-// racing queries is whatever the lock arrivals produce.
-type Fairness struct {
-	// L is the number of nodes per query.
-	L int
-
-	mu     sync.Mutex
-	cursor int
-}
-
-// Name implements Selector.
-func (s *Fairness) Name() string { return "fairness" }
-
-// StatefulSelection implements Stateful: every call moves the cursor.
-func (s *Fairness) StatefulSelection() {}
-
-// SelectFrom implements Selector.
-func (s *Fairness) SelectFrom(cs *CandidateSet, _ *Context) ([]Participant, error) {
-	if s.L < 1 {
-		return nil, fmt.Errorf("selection: fairness selector needs L >= 1, got %d", s.L)
-	}
-	n := len(cs.Ranks)
-	if n == 0 {
-		return nil, ErrNoCandidates
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Participant, min(s.L, n))
-	for i := range out {
-		out[i] = Participant{NodeID: cs.Ranks[(s.cursor+i)%n].NodeID, Rank: 1}
-	}
-	s.cursor = (s.cursor + len(out)) % n
 	return out, nil
 }

@@ -182,28 +182,9 @@ func TestGameTheoryErrors(t *testing.T) {
 	}
 }
 
-func TestFairnessRotation(t *testing.T) {
-	sel := &Fairness{L: 2}
-	seen := map[string]int{}
-	for i := 0; i < 6; i++ { // 6 rounds * 2 = 12 slots over 4 nodes
-		parts, err := sel.SelectFrom(candidates(t, mkQuery(t, 0, 1), fourNodes()), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range parts {
-			seen[p.NodeID]++
-		}
-	}
-	for id, c := range seen {
-		if c != 3 {
-			t.Fatalf("fairness gave node %s %d slots, want exactly 3", id, c)
-		}
-	}
-}
-
 func TestSelectorNames(t *testing.T) {
 	names := map[string]bool{}
-	for _, s := range []Selector{QueryDriven{}, Random{}, AllNodes{}, GameTheory{}, &Fairness{}, &Adaptive{}} {
+	for _, s := range []Selector{QueryDriven{}, Random{}, AllNodes{}, GameTheory{}, &Adaptive{}} {
 		n := s.Name()
 		if n == "" || names[n] {
 			t.Fatalf("bad or duplicate selector name %q", n)
