@@ -25,6 +25,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -136,20 +137,20 @@ func main() {
 	}
 	var fleetSize int
 	if *regionAddrs != "" {
-		router, transportStats, cleanup, err := buildRouter(*regionAddrs, *epochs, *seed, *model, *dialTimeout)
+		router, wires, cleanup, err := buildRouter(*regionAddrs, *epochs, *seed, *model, *dialTimeout)
 		if err != nil {
 			fatal("%v", err)
 		}
 		defer cleanup()
 		cfg.Router = router
-		cfg.TransportStats = transportStats
+		cfg.WireStatus = wires
 		ids, err := router.NodeIDs(context.Background())
 		if err != nil {
 			fatal("fleet roster: %v", err)
 		}
 		fleetSize = len(ids)
 	} else {
-		leader, transportStats, wireStatus, cleanup, err := buildLeader(*addrs, *nodes, *samples, *k, *epochs, *seed, *model, *dialTimeout)
+		leader, wires, cleanup, err := buildLeader(*addrs, *nodes, *samples, *k, *epochs, *seed, *model, *dialTimeout)
 		if err != nil {
 			fatal("%v", err)
 		}
@@ -169,8 +170,7 @@ func main() {
 		}
 		fmt.Printf("qens-gateway: summary push from %d/%d nodes, %s\n", n, len(leader.NodeIDs()), pull)
 		cfg.Leader = leader
-		cfg.TransportStats = transportStats
-		cfg.WireStatus = wireStatus
+		cfg.WireStatus = wires
 		fleetSize = len(leader.NodeIDs())
 	}
 
@@ -213,7 +213,7 @@ func main() {
 
 // buildRouter dials every qens-region daemon and wires the root
 // coordinator over them.
-func buildRouter(regionAddrs string, epochs int, seed uint64, model string, dialTimeout time.Duration) (*region.Router, func() any, func(), error) {
+func buildRouter(regionAddrs string, epochs int, seed uint64, model string, dialTimeout time.Duration) (*region.Router, func() []fleet.WireStatus, func(), error) {
 	var remotes []*transport.Client
 	var services []region.Service
 	closeAll := func() {
@@ -237,12 +237,21 @@ func buildRouter(regionAddrs string, epochs int, seed uint64, model string, dial
 		remotes = append(remotes, rc.Client())
 		services = append(services, rc)
 	}
-	router, err := region.NewRouter(region.Config{Spec: specFor(model, 1), LocalEpochs: epochs, Seed: seed}, services)
+	if len(services) == 0 {
+		return nil, nil, nil, errors.New("-region-addrs names no address")
+	}
+	// The model's input width is the fleet's data space less the target.
+	info, err := services[0].Info(ctx)
+	if err != nil {
+		closeAll()
+		return nil, nil, nil, fmt.Errorf("region info from %s: %w", services[0].ID(), err)
+	}
+	router, err := region.NewRouter(region.Config{Spec: specFor(model, info.Dims-1), LocalEpochs: epochs, Seed: seed}, services)
 	if err != nil {
 		closeAll()
 		return nil, nil, nil, err
 	}
-	return router, func() any { return wireStatus(remotes) }, closeAll, nil
+	return router, func() []fleet.WireStatus { return wireStatus(remotes) }, closeAll, nil
 }
 
 // wireStatus reports each connection's in-flight RPC count and byte
@@ -262,9 +271,8 @@ func wireStatus(remotes []*transport.Client) []fleet.WireStatus {
 
 // buildLeader wires either a simulated in-process fleet or a roster of
 // remote qensd daemons. For a remote fleet it also returns the
-// /v1/stats transport hook and the typed per-node wire status merged
-// into GET /v1/fleet (see wireStatus).
-func buildLeader(addrs string, nodes, samples, k, epochs int, seed uint64, model string, dialTimeout time.Duration) (*federation.Leader, func() any, func() []fleet.WireStatus, func(), error) {
+// per-node wire status (see wireStatus).
+func buildLeader(addrs string, nodes, samples, k, epochs int, seed uint64, model string, dialTimeout time.Duration) (*federation.Leader, func() []fleet.WireStatus, func(), error) {
 	if addrs != "" {
 		var remotes []*transport.Client
 		var clients []federation.Client
@@ -281,36 +289,50 @@ func buildLeader(addrs string, nodes, samples, k, epochs int, seed uint64, model
 			c, err := transport.Dial(a, transport.DialOptions{Timeout: dialTimeout})
 			if err != nil {
 				closeAll()
-				return nil, nil, nil, nil, fmt.Errorf("dial %s: %w", a, err)
+				return nil, nil, nil, fmt.Errorf("dial %s: %w", a, err)
 			}
 			fmt.Printf("qens-gateway: connected to %s (%s)\n", c.ID(), a)
 			remotes = append(remotes, c)
 			clients = append(clients, c)
 		}
+		if len(remotes) == 0 {
+			return nil, nil, nil, errors.New("-addrs names no address")
+		}
+		// The model's input width is the advertised data space less the
+		// target.
+		ctx, cancel := context.WithTimeout(context.Background(), dialTimeout)
+		sum, err := remotes[0].Summary(ctx)
+		cancel()
+		if err == nil {
+			err = sum.Validate()
+		}
+		if err != nil {
+			closeAll()
+			return nil, nil, nil, fmt.Errorf("summary from %s: %w", remotes[0].ID(), err)
+		}
 		leader, err := federation.NewLeader(federation.Config{
-			Spec: specFor(model, 1), ClusterK: k, LocalEpochs: epochs, Seed: seed,
+			Spec: specFor(model, sum.Clusters[0].Bounds.Dims()-1), ClusterK: k, LocalEpochs: epochs, Seed: seed,
 		}, nil, clients)
 		if err != nil {
 			closeAll()
-			return nil, nil, nil, nil, err
+			return nil, nil, nil, err
 		}
-		wires := func() []fleet.WireStatus { return wireStatus(remotes) }
-		return leader, func() any { return wires() }, wires, closeAll, nil
+		return leader, func() []fleet.WireStatus { return wireStatus(remotes) }, closeAll, nil
 	}
 
 	data, err := dataset.PaperNodeDatasets(dataset.Config{
 		Nodes: nodes, SamplesPerNode: samples, Seed: seed,
 	})
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, nil, err
 	}
 	sim, err := federation.NewSimulatedFleet(data, federation.Config{
 		Spec: specFor(model, data[0].Dims()-1), ClusterK: k, LocalEpochs: epochs, Seed: seed,
 	}, federation.FleetOptions{})
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, nil, err
 	}
-	return sim.Leader, nil, nil, func() {}, nil
+	return sim.Leader, nil, func() {}, nil
 }
 
 func specFor(model string, inputDim int) ml.Spec {

@@ -23,8 +23,8 @@ func benchPoints(n, modes int, src *rng.Source) [][]float64 {
 // BenchmarkRequantize10k is the streaming-ingestion speed contract: at
 // 10k samples with 1%-sized mini-batches, one incremental step (absorb
 // a batch, then a single assignment pass to rebuild bounds and sizes)
-// must beat a full Lloyd re-quantization by >=3x. scripts/bench_ingest.sh
-// gates CI on the ratio.
+// must beat a full Lloyd re-quantization by >=3x. The ingest gate of
+// scripts/benchgate checks the ratio.
 func BenchmarkRequantize10k(b *testing.B) {
 	const (
 		n     = 10_000

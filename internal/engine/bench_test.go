@@ -109,10 +109,10 @@ func legacyTrain(spec ml.Spec, seed uint64, params ml.Params, quant *cluster.Qua
 // Both paths perform bit-identical training arithmetic (see
 // TestEngineTrainGoldenEquivalence), so the delta is pure data-plane
 // overhead. LR view rows also run at the paper's E = 5 local epochs
-// (no copy peer). scripts/bench_train.sh renders these as
+// (no copy peer). The train gate of scripts/benchgate renders these as
 // BENCH_train.json and fails if the view path is not >=2x the copy
-// path's throughput on the LR grid at 10k samples, or if an LR view
-// row allocates more than 4 times per job.
+// path's throughput on the two LR pairs at 10k samples, or if an LR
+// view row allocates more than 4 times per job.
 func BenchmarkNodeTrain(b *testing.B) {
 	ctx := context.Background()
 	for _, model := range []string{"lr", "nn"} {
@@ -162,8 +162,8 @@ func BenchmarkNodeTrain(b *testing.B) {
 // BenchmarkNodeTrainClusterAccess isolates the per-cluster data plane
 // of the LR training loop at steady state: zero-copy view -> flat
 // staging buffers -> PartialFitBatch on a warmed model. This is the
-// allocation contract the engine refactor exists to provide;
-// scripts/bench_train.sh fails the build if it reports a nonzero
+// allocation contract the engine refactor exists to provide; the
+// train gate of scripts/benchgate fails if it reports a nonzero
 // allocs/op.
 func BenchmarkNodeTrainClusterAccess(b *testing.B) {
 	ctx := context.Background()

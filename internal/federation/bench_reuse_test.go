@@ -78,8 +78,9 @@ func benchReplayFleet(b *testing.B) *Fleet {
 //	                  query subspace, so the training savings can be
 //	                  priced in answer quality.
 //
-// scripts/bench_reuse.sh gates on trained_queries[approx] being at
-// least 30% below trained_queries[seed] with mse within 1.5x.
+// The reuse gate of scripts/benchgate checks trained_queries[approx]
+// / trained_queries[seed] <= 0.70 (a >= 30% cut) and mse[approx] /
+// mse[seed] <= 2.
 func BenchmarkReuseReplay(b *testing.B) {
 	const replayLen = 48
 	sel := selection.QueryDriven{Epsilon: 0.4, TopL: 2}
@@ -140,8 +141,8 @@ func BenchmarkReuseReplay(b *testing.B) {
 // miss — on a full cache at the serving capacity (32, what -reuse-cap
 // and the repository benchmark use) and at 1024, where the pass over
 // the snapshot is 32x longer. Every entry carries 12 training
-// rectangles (ℓ=3 nodes x K=4 clusters). scripts/bench_reuse.sh fails
-// when a row allocates.
+// rectangles (ℓ=3 nodes x K=4 clusters). The reuse gate of
+// scripts/benchgate fails when a row allocates or not all four run.
 func BenchmarkReuseLookup(b *testing.B) {
 	sel := selection.QueryDriven{Epsilon: 0.4, TopL: 3}
 	window := func(id string, lo, hi float64) query.Query {

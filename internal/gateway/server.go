@@ -57,21 +57,16 @@ type ServerConfig struct {
 	// Registry receives gateway metrics (default telemetry.Default()).
 	Registry *telemetry.Registry
 
-	// TransportStats, when non-nil, is invoked per GET /v1/stats and
-	// its result embedded under "transport" — the gateway layer stays
-	// agnostic of the fleet wiring (in-process vs TCP) while remote
-	// deployments surface per-node wire state (in-flight RPCs, byte
-	// counters).
-	TransportStats func() any
-
 	// Tracer backs GET /v1/trace/{id} and /v1/traces; when nil the
 	// process-default tracer (telemetry.DefaultTracer) serves them. The
 	// endpoints 404 when neither is installed. NewServer pins a non-nil
 	// Tracer to the topology, so query spans land in the same store the
 	// endpoints serve.
 	Tracer *telemetry.Tracer
-	// WireStatus, when non-nil, supplies typed per-node transport state
-	// merged into GET /v1/fleet for remote single-leader fleets.
+	// WireStatus, when non-nil, supplies per-connection transport state
+	// (in-flight RPCs, byte counters) for a remote fleet: the /v1/stats
+	// "transport" block in both topologies, and merged per node into
+	// GET /v1/fleet for a single leader.
 	WireStatus func() []fleet.WireStatus
 }
 
@@ -699,7 +694,7 @@ type statsResponse struct {
 	// Description is the topology's part: nodes, space and registry
 	// (single leader) or router (sharded) stats.
 	region.Description
-	Transport any `json:"transport,omitempty"`
+	Transport []fleet.WireStatus `json:"transport,omitempty"`
 }
 
 // handleStats serves GET /v1/stats: scheduler counters, reuse-cache
@@ -733,8 +728,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		P99MS:   win.P99,
 		MaxMS:   win.Max,
 	}
-	if s.cfg.TransportStats != nil {
-		resp.Transport = s.cfg.TransportStats()
+	if s.cfg.WireStatus != nil {
+		resp.Transport = s.cfg.WireStatus()
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

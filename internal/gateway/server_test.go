@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -52,10 +53,12 @@ func testFleet(t *testing.T) *federation.Fleet {
 // HTTP.
 type gatedClient struct {
 	federation.Client
-	gate <-chan struct{}
+	gate    <-chan struct{}
+	arrived *atomic.Int64 // Train calls that reached the gate
 }
 
 func (g gatedClient) Train(ctx context.Context, req federation.TrainRequest) (federation.TrainResponse, error) {
+	g.arrived.Add(1)
 	select {
 	case <-g.gate:
 	case <-ctx.Done():
@@ -65,20 +68,21 @@ func (g gatedClient) Train(ctx context.Context, req federation.TrainRequest) (fe
 }
 
 // gatedLeader wires a leader whose every training round blocks on
-// gate.
-func gatedLeader(t *testing.T, gate <-chan struct{}) *federation.Leader {
+// gate, and counts the Train calls that reached it.
+func gatedLeader(t *testing.T, gate <-chan struct{}) (*federation.Leader, *atomic.Int64) {
 	t.Helper()
 	data := []*dataset.Dataset{
 		lineDataset(200, 2, 1, 0, 40, 20),
 		lineDataset(200, 2, 1, 10, 50, 21),
 	}
 	var clients []federation.Client
+	arrived := new(atomic.Int64)
 	for i, d := range data {
 		n, err := federation.NewNode(fmt.Sprintf("node-%d", i), d, 3, rng.New(uint64(30+i)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		clients = append(clients, gatedClient{Client: federation.LocalClient{Node: n}, gate: gate})
+		clients = append(clients, gatedClient{Client: federation.LocalClient{Node: n}, gate: gate, arrived: arrived})
 	}
 	leader, err := federation.NewLeader(federation.Config{
 		Spec: ml.PaperLR(1), ClusterK: 3, LocalEpochs: 5, Seed: 2,
@@ -86,7 +90,7 @@ func gatedLeader(t *testing.T, gate <-chan struct{}) *federation.Leader {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return leader
+	return leader, arrived
 }
 
 func newGatewayServer(t *testing.T, cfg ServerConfig) (*Server, *httptest.Server) {
@@ -240,7 +244,7 @@ func TestGatewayE2EConcurrentClients(t *testing.T) {
 // fleet: the duplicate of a blocked in-flight query must attach to it.
 func TestGatewayCoalesceDeterministic(t *testing.T) {
 	gate := make(chan struct{})
-	leader := gatedLeader(t, gate)
+	leader, _ := gatedLeader(t, gate)
 	_, ts := newGatewayServer(t, ServerConfig{
 		Leader: leader, Workers: 2, QueueDepth: 8, CoalesceIoU: 0.95,
 	})
@@ -283,7 +287,7 @@ func TestGatewayCoalesceDeterministic(t *testing.T) {
 func TestGatewayQueueOverflow429(t *testing.T) {
 	gate := make(chan struct{})
 	defer close(gate)
-	leader := gatedLeader(t, gate)
+	leader, _ := gatedLeader(t, gate)
 	_, ts := newGatewayServer(t, ServerConfig{
 		Leader: leader, Workers: 1, QueueDepth: 1, CoalesceIoU: -1, // coalescing off
 	})
@@ -316,7 +320,7 @@ func TestGatewayQueueOverflow429(t *testing.T) {
 func TestGatewayExpiredDeadline(t *testing.T) {
 	gate := make(chan struct{})
 	defer close(gate)
-	leader := gatedLeader(t, gate)
+	leader, _ := gatedLeader(t, gate)
 	_, ts := newGatewayServer(t, ServerConfig{Leader: leader, Workers: 1, QueueDepth: 4})
 
 	past := time.Now().Add(-time.Minute).Format(time.RFC3339)
@@ -344,7 +348,7 @@ func TestGatewayExpiredDeadline(t *testing.T) {
 func TestGatewayExecutionTimeout504(t *testing.T) {
 	gate := make(chan struct{})
 	defer close(gate)
-	leader := gatedLeader(t, gate)
+	leader, _ := gatedLeader(t, gate)
 	_, ts := newGatewayServer(t, ServerConfig{Leader: leader, Workers: 1, QueueDepth: 4})
 
 	code, doc, _ := postQuery(t, ts.URL,

@@ -17,6 +17,7 @@ import (
 
 	"qens/internal/cluster"
 	"qens/internal/federation"
+	"qens/internal/fleet"
 	"qens/internal/geometry"
 	"qens/internal/ml"
 	"qens/internal/query"
@@ -146,6 +147,9 @@ func TestServingSurface(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg.Cache, cfg.Workers, cfg.QueueDepth = cache, 2, 8
+			cfg.WireStatus = func() []fleet.WireStatus {
+				return []fleet.WireStatus{{NodeID: "node-0", Addr: "127.0.0.1:7001", InflightRPCs: 1, BytesOut: 10, BytesIn: 20}}
+			}
 			_, ts := newGatewayServer(t, cfg)
 
 			// EXPLAIN: the selection, the full-fleet ranking and the
@@ -231,13 +235,18 @@ func TestServingSurface(t *testing.T) {
 			}
 
 			// /v1/stats: roster, space, the cache scoreboard at the top
-			// level, and exactly one topology block.
+			// level, the same transport block, and exactly one topology
+			// block.
 			var admitted struct {
-				Scheduler Stats `json:"scheduler"`
+				Scheduler Stats           `json:"scheduler"`
+				Transport json.RawMessage `json:"transport"`
 			}
 			getJSON(t, ts.URL+"/v1/stats", &admitted)
 			if admitted.Scheduler.Admitted != 4 {
 				t.Fatalf("scheduler admitted %d queries, want 4 (cache answers and 422s bypass admission)", admitted.Scheduler.Admitted)
+			}
+			if want := `[{"node_id":"node-0","addr":"127.0.0.1:7001","inflight_rpcs":1,"bytes_out":10,"bytes_in":20}]`; string(admitted.Transport) != want {
+				t.Fatalf("stats transport = %s, want %s", admitted.Transport, want)
 			}
 			stats := getJSONDoc(t, ts.URL+"/v1/stats")
 			if nodes, _ := stats["nodes"].([]any); len(nodes) != 4 || stats["space"] == nil {
@@ -718,10 +727,16 @@ func TestAdmissionPlanStaleness(t *testing.T) {
 	})
 	t.Run("leader", func(t *testing.T) {
 		gate := make(chan struct{})
-		lead := gatedLeader(t, gate)
+		lead, arrived := gatedLeader(t, gate)
 		rec, ts := recordedServer(t, ServerConfig{Leader: lead, Workers: 1, QueueDepth: 4, CoalesceIoU: -1})
 		submit(t, ts.URL, "a", 5)
-		awaitInflight(t, ts.URL, 1)
+		// a is past its basis check once a train call holds at the
+		// gate; an invalidation any earlier would make a replan too.
+		for deadline := time.Now().Add(5 * time.Second); arrived.Load() == 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("a never reached the train gate")
+			}
+		}
 		submit(t, ts.URL, "b", 6)
 		submit(t, ts.URL, "c", 7)
 		lead.InvalidateSummaries()
@@ -921,7 +936,7 @@ func TestSeedDrawnAtExecution(t *testing.T) {
 // nobody plans again.
 func TestAdmissionPlansEveryQuery(t *testing.T) {
 	gate := make(chan struct{})
-	lead := gatedLeader(t, gate)
+	lead, _ := gatedLeader(t, gate)
 	rec, ts := recordedServer(t, ServerConfig{Leader: lead, Workers: 1, QueueDepth: 1, CoalesceIoU: 0.95})
 	const rect = `"bounds":{"min":[%d,-50],"max":[35,150]}`
 	post := func(id, rest string, lo, want int) {

@@ -73,7 +73,8 @@ func hotspotQuery(d int) query.Query {
 // dimensionalities d. The query-driven fast path must stay at
 // 0 allocs/op at every size (enforced hard by TestPlanZeroAlloc;
 // visible here via -benchmem), and the N=10000 rows must stay
-// sub-millisecond — both gated in CI by scripts/bench_plan.sh.
+// sub-millisecond at d=16 — both checked in CI by the plan gate of
+// scripts/benchgate.
 // The small-N rows keep the historical full-space scatter (weak
 // pruning, kernel-bound); the N=10000 rows use the localized fleet at
 // the paper's ε=0.6, where the R-tree does the heavy lifting.

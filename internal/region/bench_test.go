@@ -134,8 +134,8 @@ func benchSharded(b *testing.B, samples, regions int) *Router {
 // so the numbers reflect coordination overlap rather than the
 // benchmark host's core count.
 //
-// scripts/bench_shard.sh gates on the ratio: the 2-region topology
-// must serve at least 1.6x the single-leader throughput.
+// The shard gate of scripts/benchgate checks the ratio: the 2-region
+// topology must serve at least 1.6x the single-leader throughput.
 func BenchmarkShardServe(b *testing.B) {
 	const samples = 400
 	sel := selection.QueryDriven{Epsilon: 1e-9, TopL: 8}

@@ -220,7 +220,7 @@ func TestRollingConcurrent(t *testing.T) {
 }
 
 // BenchmarkRollingObserve gates the hot write path: it must not
-// allocate (see scripts/bench_telemetry.sh).
+// allocate (the telemetry gate of scripts/benchgate checks 0 allocs/op).
 func BenchmarkRollingObserve(b *testing.B) {
 	r := NewRollingHistogram(60*time.Second, 6)
 	b.ReportAllocs()

@@ -530,8 +530,8 @@ func TestTracerAttrOverflow(t *testing.T) {
 
 // BenchmarkTraceQuery records one miss_train-shaped query trace per op
 // into a tracer at its retention cap — the cost an always-on trace adds
-// to every query (scripts/bench_telemetry.sh gates it at 6 allocs/op,
-// one per span handle).
+// to every query (the telemetry gate of scripts/benchgate holds it at
+// <= 6 allocs/op, one per span handle).
 func BenchmarkTraceQuery(b *testing.B) {
 	tr := NewTracer(nil)
 	tr.SetRetention(4096)

@@ -12,8 +12,8 @@ import (
 // mode pays a single unsolicited push frame; pull mode pays a summary
 // request plus the response carrying the same body — the floor for an
 // anti-entropy tick that happens to land right after the bump (a real
-// tick also probes nodes that have not changed). scripts/bench_ingest.sh
-// gates CI on push staying strictly below pull.
+// tick also probes nodes that have not changed). The ingest gate of
+// scripts/benchgate checks push staying strictly below pull.
 func BenchmarkSummaryFreshnessBytes(b *testing.B) {
 	sum := cluster.NodeSummary{
 		NodeID:       "node-7",
