@@ -26,7 +26,6 @@ func main() {
 		heterogeneity = flag.Float64("heterogeneity", 0.6, "site distribution shift in [0,1]")
 		flip          = flag.Float64("flip", 0.2, "fraction of sites with sign-flipped regression")
 		paper         = flag.Bool("paper", false, "emit the paper's reduced 2-column (TEMP, PM2.5) node datasets")
-		describe      = flag.Bool("describe", false, "print per-column summary statistics for each node")
 	)
 	flag.Parse()
 
@@ -62,13 +61,6 @@ func main() {
 			fatal("write %s: %v", path, err)
 		}
 		fmt.Printf("wrote %s (%d samples, %d columns)\n", path, d.Len(), d.Dims())
-		if *describe {
-			stats, err := d.DescribeString()
-			if err != nil {
-				fatal("describe %s: %v", path, err)
-			}
-			fmt.Print(stats)
-		}
 	}
 }
 

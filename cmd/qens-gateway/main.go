@@ -46,6 +46,10 @@ import (
 	"qens/internal/transport"
 )
 
+// reuseCapacity bounds the reuse cache: it holds at most this many
+// answered queries.
+const reuseCapacity = 32
+
 func main() {
 	var (
 		addr        = flag.String("addr", "127.0.0.1:8080", "HTTP listen address")
@@ -63,8 +67,6 @@ func main() {
 		timeout     = flag.Duration("timeout", 30*time.Second, "default per-query execution budget")
 		coalesceIoU = flag.Float64("coalesce-iou", 0.95, "IoU threshold for coalescing in-flight queries (<0 disables)")
 		reuseIoU    = flag.Float64("reuse-iou", 0.9, "IoU threshold for the result reuse cache (0 disables)")
-		reuseCap    = flag.Int("reuse-cap", 32, "reuse cache capacity")
-		epsilon     = flag.Float64("epsilon", 0.6, "default query-driven support threshold")
 		topL        = flag.Int("topl", 3, "default query-driven top-l")
 
 		approxErr      = flag.Float64("approx-err", 0, "approximate answering: max predicted error for serving a query from the model cache (0 disables the tier; requires -reuse-iou)")
@@ -112,7 +114,6 @@ func main() {
 		QueueDepth:     *queueDepth,
 		DefaultTimeout: *timeout,
 		CoalesceIoU:    *coalesceIoU,
-		DefaultEpsilon: *epsilon,
 		DefaultTopL:    *topL,
 		Tracer:         tracer,
 	}
@@ -121,7 +122,7 @@ func main() {
 		fatal("-approx-err requires the reuse cache (-reuse-iou > 0)")
 	}
 	if *reuseIoU > 0 {
-		cache, err := federation.NewAdaptiveCache(*reuseIoU, *reuseCap, federation.ApproxConfig{
+		cache, err := federation.NewAdaptiveCache(*reuseIoU, reuseCapacity, federation.ApproxConfig{
 			MaxPredictedError: *approxErr,
 			MinCoverage:       *approxCoverage,
 			ProbeEvery:        *approxProbe,

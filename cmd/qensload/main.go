@@ -34,7 +34,6 @@ func main() {
 		requests  = flag.Int("requests", 100, "total requests to issue")
 		distinct  = flag.Int("distinct", 12, "distinct query rectangles in the workload")
 		selector  = flag.String("selector", "query-driven", "selector to request: query-driven or all-nodes")
-		epsilon   = flag.Float64("epsilon", 0.6, "query-driven epsilon")
 		topL      = flag.Int("topl", 2, "query-driven top-l")
 		timeoutMS = flag.Int64("timeout-ms", 30000, "per-query budget sent to the gateway")
 		seed      = flag.Uint64("seed", 7, "workload seed")
@@ -78,7 +77,6 @@ func main() {
 				body, _ := json.Marshal(map[string]any{
 					"bounds":     q.Bounds,
 					"selector":   *selector,
-					"epsilon":    *epsilon,
 					"top_l":      *topL,
 					"timeout_ms": *timeoutMS,
 				})

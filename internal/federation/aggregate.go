@@ -3,7 +3,6 @@ package federation
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 
 	"qens/internal/ml"
@@ -123,25 +122,6 @@ func (e *Ensemble) PredictBatch(x [][]float64) []float64 {
 		out[i] = e.Predict(row)
 	}
 	return out
-}
-
-// PredictWithSpread returns the aggregated prediction together with
-// the weighted standard deviation of the member models' predictions —
-// a cheap uncertainty signal: members trained on well-matched data
-// agree, members stretched outside their data space diverge. A
-// single-model ensemble (weight 1) has a spread of 0.
-func (e *Ensemble) PredictWithSpread(x []float64) (prediction, spread float64) {
-	preds := make([]float64, len(e.params))
-	for i, m := range e.members() {
-		preds[i] = m.Predict(x)
-		prediction += e.weights[i] * preds[i]
-	}
-	variance := 0.0
-	for i, p := range preds {
-		d := p - prediction
-		variance += e.weights[i] * d * d
-	}
-	return prediction, math.Sqrt(variance)
 }
 
 // FedAvgParams computes a parameter-space weighted average of local

@@ -142,11 +142,7 @@ func TestEnsembleConcurrentFirstPredict(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if g%2 == 0 {
-				got[g] = e.Predict(x)
-			} else {
-				got[g], _ = e.PredictWithSpread(x)
-			}
+			got[g] = e.Predict(x)
 		}()
 	}
 	wg.Wait()

@@ -138,7 +138,7 @@ func BenchmarkReuseReplay(b *testing.B) {
 
 // BenchmarkReuseLookup prices one cache hit — Serve in cache-only mode,
 // so the exact scan and, for tier=approx, the coverage scan behind its
-// miss — on a full cache at the serving capacity (32, what -reuse-cap
+// miss — on a full cache at the serving capacity (32, what qens-gateway
 // and the repository benchmark use) and at 1024, where the pass over
 // the snapshot is 32x longer. Every entry carries 12 training
 // rectangles (ℓ=3 nodes x K=4 clusters). The reuse gate of

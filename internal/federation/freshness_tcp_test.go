@@ -115,10 +115,11 @@ func (f *tcpFleet) samePlans(t *testing.T, l *federation.Leader) {
 	src := rng.New(7)
 	sel := selection.QueryDriven{Epsilon: 0.3, TopL: 3}
 	for i := 0; i < 25; i++ {
-		q, err := query.Uniform(space, src)
+		qs, err := query.Workload(query.WorkloadConfig{Space: space, Count: 1}, src)
 		if err != nil {
 			t.Fatal(err)
 		}
+		q := qs[0]
 		a, errA := l.PlanContext(ctx, q, sel)
 		b, errB := fresh.PlanContext(ctx, q, sel)
 		if (errA == nil) != (errB == nil) {

@@ -224,6 +224,15 @@ func (l *Leader) Space(ctx context.Context) (geometry.Rect, error) {
 	return query.GlobalSpace(snap.NodeBounds)
 }
 
+// Dims returns the fleet's feature-space dimensionality.
+func (l *Leader) Dims(ctx context.Context) (int, error) {
+	snap, err := l.reg.Snapshot(ctx)
+	if err != nil {
+		return 0, err
+	}
+	return snap.Dims, nil
+}
+
 // InvalidateSummaries marks the cached advertisements stale (call
 // after node data changes): the next query re-fetches the fleet and
 // bumps the registry epoch, flushing every epoch-keyed derived cache.

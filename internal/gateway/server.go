@@ -368,28 +368,40 @@ func (s *Server) timeoutFor(req queryRequest, now time.Time) (time.Duration, boo
 	return timeout, true, nil
 }
 
-// handleSubmit serves POST /v1/query.
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// parseQuery decodes a /v1/query or /v1/plan body: a malformed body,
+// selector or bounds, wrong dims included, is a 400 before any planning.
+func (s *Server) parseQuery(w http.ResponseWriter, r *http.Request, idFormat string) (queryRequest, query.Query, selection.Selector, bool) {
 	var req queryRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
+		return req, query.Query{}, nil, false
 	}
-
-	id := req.ID
-	if id == "" {
-		id = fmt.Sprintf("gw-%d", s.nextID.Add(1))
+	if req.ID == "" {
+		req.ID = fmt.Sprintf(idFormat, s.nextID.Add(1))
 	}
-	q, err := query.New(id, req.Bounds)
+	q, err := query.New(req.ID, req.Bounds)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		return req, q, nil, false
 	}
 	sel, err := s.buildSelector(req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
+		return req, q, nil, false
+	}
+	if dims, err := s.srv.Dims(r.Context()); err == nil && q.Dims() != dims {
+		writeError(w, http.StatusBadRequest, "query %s has %d dims, fleet has %d", q.ID, q.Dims(), dims)
+		return req, q, nil, false
+	}
+	return req, q, sel, true
+}
+
+// handleSubmit serves POST /v1/query.
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	req, q, sel, ok := s.parseQuery(w, r, "gw-%d")
+	if !ok {
 		return
 	}
 	agg, err := buildAggregation(req.Aggregation)
@@ -405,7 +417,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !alive {
 		// The deadline expired before admission: fail promptly with
 		// the context error, exactly as a late cancellation would.
-		writeError(w, http.StatusGatewayTimeout, "query %s: %v", id, context.DeadlineExceeded)
+		writeError(w, http.StatusGatewayTimeout, "query %s: %v", q.ID, context.DeadlineExceeded)
 		return
 	}
 
@@ -415,11 +427,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// Before rejecting, ask the model cache: an ensemble trained on
 		// a nearby subspace can still answer within the predicted-error
 		// bound even when nobody can train this exact rectangle.
-		if resp, ok := s.answerFromCache(r.Context(), id, freq); ok {
+		if resp, ok := s.answerFromCache(r.Context(), q.ID, freq); ok {
 			now := time.Now()
-			s.records.put(id, &record{ID: id, Status: recordDone, Submitted: now, Finished: &now, Result: resp})
+			s.records.put(q.ID, &record{ID: q.ID, Status: recordDone, Submitted: now, Finished: &now, Result: resp})
 			if req.Async {
-				writeJSON(w, http.StatusAccepted, map[string]string{"id": id, "status": string(recordDone)})
+				writeJSON(w, http.StatusAccepted, map[string]string{"id": q.ID, "status": string(recordDone)})
 				return
 			}
 			writeJSON(w, http.StatusOK, *resp)
@@ -427,7 +439,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		// A property of the query, not a server fault — rejected before
 		// it can occupy a queue slot.
-		writeError(w, http.StatusUnprocessableEntity, "query %s: %v", id, err)
+		writeError(w, http.StatusUnprocessableEntity, "query %s: %v", q.ID, err)
 		return
 	}
 
@@ -445,30 +457,30 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Retry-After", "5")
 			writeError(w, http.StatusServiceUnavailable, "%v", err)
 		case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-			writeError(w, http.StatusGatewayTimeout, "query %s: %v", id, err)
+			writeError(w, http.StatusGatewayTimeout, "query %s: %v", q.ID, err)
 		default:
 			writeError(w, http.StatusBadRequest, "%v", err)
 		}
 		return
 	}
 
-	s.records.put(id, &record{ID: id, Status: recordPending, Submitted: time.Now()})
+	s.records.put(q.ID, &record{ID: q.ID, Status: recordPending, Submitted: time.Now()})
 	// The record tracker outlives the HTTP request: async clients and
 	// sync clients whose connection died both find the outcome under
 	// GET /v1/query/{id}.
-	go s.trackRecord(id, req.IncludeParams, tk)
+	go s.trackRecord(q.ID, req.IncludeParams, tk)
 
 	if req.Async {
-		writeJSON(w, http.StatusAccepted, map[string]string{"id": id, "status": string(recordPending)})
+		writeJSON(w, http.StatusAccepted, map[string]string{"id": q.ID, "status": string(recordPending)})
 		return
 	}
 
 	out, err := tk.Wait(ctx)
 	if err != nil {
-		writeServingError(w, id, err)
+		writeServingError(w, q.ID, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, buildResponse(id, out, req.IncludeParams))
+	writeJSON(w, http.StatusOK, buildResponse(q.ID, out, req.IncludeParams))
 }
 
 // trackRecord waits for the task (detached from any HTTP context) and
@@ -579,33 +591,16 @@ type rankJSON struct {
 // selection) and reports what the leader would train, without touching
 // a node.
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
-	var req queryRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	id := req.ID
-	if id == "" {
-		id = fmt.Sprintf("plan-%d", s.nextID.Add(1))
-	}
-	q, err := query.New(id, req.Bounds)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	sel, err := s.buildSelector(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	_, q, sel, ok := s.parseQuery(w, r, "plan-%d")
+	if !ok {
 		return
 	}
 	ex, err := s.srv.ExplainQuery(r.Context(), q, sel)
 	if err != nil {
-		writeServingError(w, id, err)
+		writeServingError(w, q.ID, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, buildPlanResponse(id, ex))
+	writeJSON(w, http.StatusOK, buildPlanResponse(q.ID, ex))
 }
 
 // writeServingError maps what the topology reports for a query to a

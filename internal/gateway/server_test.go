@@ -409,6 +409,8 @@ func TestGatewayBadRequests(t *testing.T) {
 		{"bad aggregation", `{"bounds":{"min":[0,-50],"max":[20,150]},"aggregation":"median"}`, ""},
 		{"negative timeout", `{"bounds":{"min":[0,-50],"max":[20,150]},"timeout_ms":-5}`, ""},
 		{"bad deadline", `{"bounds":{"min":[0,-50],"max":[20,150]},"deadline":"yesterday"}`, ""},
+		{"1-dim bounds", `{"bounds":{"min":[0],"max":[20]}}`, "has 1 dims, fleet has 2"},
+		{"3-dim bounds", `{"bounds":{"min":[0,-50,0],"max":[20,150,1]}}`, "has 3 dims, fleet has 2"},
 	}
 	for _, tc := range cases {
 		code, doc, _ := postQuery(t, ts.URL, tc.body)
@@ -424,6 +426,9 @@ func TestGatewayBadRequests(t *testing.T) {
 	}
 	if code, doc := postPlan(t, ts.URL, `{"bounds":{"min":[0,-50],"max":[20,150]},"top_l":-1}`); code != http.StatusBadRequest {
 		t.Errorf("plan with negative top_l: status %d (%v), want 400", code, doc)
+	}
+	if code, doc := postPlan(t, ts.URL, `{"bounds":{"min":[0],"max":[20]}}`); code != http.StatusBadRequest {
+		t.Errorf("plan with 1-dim bounds: status %d (%v), want 400", code, doc)
 	}
 	resp, err := http.Get(ts.URL + "/v1/query/nope")
 	if err != nil {

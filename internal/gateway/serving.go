@@ -23,6 +23,8 @@ type Serving interface {
 	Prepare(ctx context.Context, q query.Query, sel selection.Selector) (*federation.Prepared, error)
 	// ExplainQuery plans without training and keeps the full ranking.
 	ExplainQuery(ctx context.Context, q query.Query, sel selection.Selector) (*federation.Explanation, error)
+	// Dims is the fleet's feature-space dimensionality.
+	Dims(ctx context.Context) (int, error)
 	// Describe is the topology's part of /v1/stats; what cannot be
 	// resolved is left empty.
 	Describe(ctx context.Context) region.Description
@@ -37,7 +39,7 @@ type Serving interface {
 }
 
 // leaderServing serves a single-leader fleet. Execute, Prepare,
-// ExplainQuery, SetTracer and StopPush are the leader's own.
+// ExplainQuery, Dims, SetTracer and StopPush are the leader's own.
 type leaderServing struct {
 	*federation.Leader
 	wire func() []fleet.WireStatus // ServerConfig.WireStatus

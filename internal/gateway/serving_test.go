@@ -150,7 +150,7 @@ func TestServingSurface(t *testing.T) {
 			cfg.WireStatus = func() []fleet.WireStatus {
 				return []fleet.WireStatus{{NodeID: "node-0", Addr: "127.0.0.1:7001", InflightRPCs: 1, BytesOut: 10, BytesIn: 20}}
 			}
-			_, ts := newGatewayServer(t, cfg)
+			s, ts := newGatewayServer(t, cfg)
 
 			// EXPLAIN: the selection, the full-fleet ranking and the
 			// coalescing key, without a single training round.
@@ -189,6 +189,20 @@ func TestServingSurface(t *testing.T) {
 			}
 			if code, doc := postPlan(t, ts.URL, `{"bounds":{"min":[500,2000],"max":[600,3000]},"selector":"query-driven"}`); code != http.StatusUnprocessableEntity {
 				t.Fatalf("unsupported plan: %d (%v), want 422", code, doc)
+			}
+			// Bounds of other than the fleet's dims are the client's
+			// fault too: a 400 from both endpoints, nothing admitted.
+			for _, bounds := range []string{`{"min":[1],"max":[20]}`, `{"min":[1,-500,0],"max":[20,75,1]}`} {
+				body := `{"bounds":` + bounds + `}`
+				if code, doc, _ := postQuery(t, ts.URL, body); code != http.StatusBadRequest || !strings.Contains(fmt.Sprint(doc["error"]), "fleet has 2") {
+					t.Fatalf("query %s: %d (%v), want 400 naming the fleet's dims", bounds, code, doc)
+				}
+				if code, doc := postPlan(t, ts.URL, body); code != http.StatusBadRequest || !strings.Contains(fmt.Sprint(doc["error"]), "fleet has 2") {
+					t.Fatalf("plan %s: %d (%v), want 400 naming the fleet's dims", bounds, code, doc)
+				}
+			}
+			if n := s.sched.SchedStats().Admitted; n != 0 {
+				t.Fatalf("%d wrong-dims queries admitted, want 0", n)
 			}
 
 			// Execute, then replay: the second answer comes from the
@@ -375,6 +389,8 @@ func (s *stubServing) Prepare(context.Context, query.Query, selection.Selector) 
 func (s *stubServing) ExplainQuery(_ context.Context, _ query.Query, sel selection.Selector) (*federation.Explanation, error) {
 	return &federation.Explanation{Selector: sel.Name()}, s.explainErr
 }
+
+func (s *stubServing) Dims(context.Context) (int, error) { return 2, nil }
 
 func (s *stubServing) Describe(context.Context) region.Description { return region.Description{} }
 

@@ -152,16 +152,6 @@ func Workload(cfg WorkloadConfig, src *rng.Source) ([]Query, error) {
 	return queries, nil
 }
 
-// Uniform draws a single query uniformly over space with the default
-// width range; a convenience for examples and quick experiments.
-func Uniform(space geometry.Rect, src *rng.Source) (Query, error) {
-	qs, err := Workload(WorkloadConfig{Space: space, Count: 1}, src)
-	if err != nil {
-		return Query{}, err
-	}
-	return qs[0], nil
-}
-
 // GlobalSpace computes the union of all node bounding rectangles — the
 // "whole data space" the paper draws queries from.
 func GlobalSpace(bounds []geometry.Rect) (geometry.Rect, error) {
@@ -176,25 +166,4 @@ func GlobalSpace(bounds []geometry.Rect) (geometry.Rect, error) {
 		space = space.Union(b)
 	}
 	return space, nil
-}
-
-// Replay reconstructs a query stream from (id, bounds) pairs, such as
-// the records of a federation audit log (examples/operations replays
-// one).
-func Replay(ids []string, bounds []geometry.Rect) ([]Query, error) {
-	if len(ids) != len(bounds) {
-		return nil, fmt.Errorf("query: %d ids for %d bounds", len(ids), len(bounds))
-	}
-	if len(ids) == 0 {
-		return nil, fmt.Errorf("query: empty replay")
-	}
-	out := make([]Query, len(ids))
-	for i := range ids {
-		q, err := New(ids[i], bounds[i])
-		if err != nil {
-			return nil, fmt.Errorf("query: replay entry %d: %w", i, err)
-		}
-		out[i] = q
-	}
-	return out, nil
 }

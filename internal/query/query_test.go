@@ -119,16 +119,6 @@ func TestWorkloadValidation(t *testing.T) {
 	}
 }
 
-func TestUniform(t *testing.T) {
-	q, err := Uniform(space2D(), rng.New(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !space2D().ContainsRect(q.Bounds) {
-		t.Fatal("uniform query escapes space")
-	}
-}
-
 func TestGlobalSpace(t *testing.T) {
 	a := geometry.MustRect([]float64{0, 0}, []float64{10, 10})
 	b := geometry.MustRect([]float64{-5, 5}, []float64{5, 20})
@@ -145,29 +135,5 @@ func TestGlobalSpace(t *testing.T) {
 	}
 	if _, err := GlobalSpace([]geometry.Rect{a, geometry.MustRect([]float64{0}, []float64{1})}); err == nil {
 		t.Fatal("accepted mismatched dims")
-	}
-}
-
-func TestReplay(t *testing.T) {
-	ids := []string{"a", "b"}
-	bounds := []geometry.Rect{
-		geometry.MustRect([]float64{0}, []float64{1}),
-		geometry.MustRect([]float64{2}, []float64{3}),
-	}
-	qs, err := Replay(ids, bounds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(qs) != 2 || qs[1].ID != "b" || qs[1].Bounds.Min[0] != 2 {
-		t.Fatalf("replay %+v", qs)
-	}
-	if _, err := Replay([]string{"a"}, bounds); err == nil {
-		t.Fatal("accepted length mismatch")
-	}
-	if _, err := Replay(nil, nil); err == nil {
-		t.Fatal("accepted empty replay")
-	}
-	if _, err := Replay([]string{""}, bounds[:1]); err == nil {
-		t.Fatal("accepted empty id")
 	}
 }

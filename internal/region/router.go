@@ -354,6 +354,15 @@ func (r *Router) NodeIDs(ctx context.Context) ([]string, error) {
 	return t.nodeIDs, nil
 }
 
+// Dims returns the fleet's feature-space dimensionality.
+func (r *Router) Dims(ctx context.Context) (int, error) {
+	t, err := r.topology(ctx)
+	if err != nil {
+		return 0, err
+	}
+	return t.dims, nil
+}
+
 // route picks the regions that could hold supporting clusters for the
 // query. Only the paper's query-driven mechanism may prune: all-nodes
 // picks the whole roster, so its candidate set must span the fleet.

@@ -17,9 +17,9 @@ import (
 )
 
 // TestReachability keeps internal/ free of code that no shipped program
-// runs. The roots are the non-test code of cmd/ and examples/, every
-// non-test file of bench/ (the repository benchmark) and bench_test.go
-// (the paper-figure harness). A package-level func, type, var or const,
+// runs. The roots are the non-test code of cmd/, every non-test file
+// of bench/ (the repository benchmark) and bench_test.go (the
+// paper-figure harness). A package-level func, type, var or const,
 // or a method, declared in non-test internal/ code is reached when a
 // root or reached internal code refers to it; a method is also reached
 // when its type is and some interface in the checked program, the
@@ -150,7 +150,7 @@ func findUnreached(root string) ([]string, error) {
 	l := &reachLoader{root: root, fset: fset, std: importer.ForCompiler(fset, "gc", nil), pkgs: make(map[string]*reachPkg)}
 
 	var roots []*reachPkg
-	for _, top := range []string{"cmd", "examples", "internal"} {
+	for _, top := range []string{"cmd", "internal"} {
 		err := filepath.WalkDir(filepath.Join(root, top), func(dir string, d os.DirEntry, err error) error {
 			if err != nil || !d.IsDir() {
 				return err
