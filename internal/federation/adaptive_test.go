@@ -22,9 +22,6 @@ func TestAdaptiveCacheValidation(t *testing.T) {
 	if _, err := NewAdaptiveCache(0.8, 4, ApproxConfig{MaxPredictedError: 0.3, MinCoverage: 2}); err == nil {
 		t.Fatal("accepted coverage > 1")
 	}
-	if _, err := NewAdaptiveCache(0.8, 4, ApproxConfig{MaxPredictedError: 0.3, ResidualAlpha: -0.1}); err == nil {
-		t.Fatal("accepted negative residual alpha")
-	}
 	// Disabled configs may carry tuning values without tripping anything.
 	if _, err := NewAdaptiveCache(0.8, 4, ApproxConfig{MinCoverage: 0.25, ProbeEvery: 8}); err != nil {
 		t.Fatal(err)
@@ -33,7 +30,7 @@ func TestAdaptiveCacheValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.approx; got.MinCoverage != 0.5 || got.ProbeEvery != 8 || got.ResidualAlpha != 0.25 {
+	if got := c.approx; got.MinCoverage != 0.5 || got.ProbeEvery != 8 {
 		t.Fatalf("defaults not applied: %+v", got)
 	}
 }
@@ -132,10 +129,11 @@ func TestAdaptiveProbeTrainsAndScores(t *testing.T) {
 }
 
 // TestAdaptiveResidualEviction: an entry whose probe-measured residual
-// outgrows the serve bound is removed by the feedback loop.
+// outgrows the serve bound is removed by the feedback loop; the EWMA
+// (step 0.25) needs two bad probes to get there.
 func TestAdaptiveResidualEviction(t *testing.T) {
 	cache, err := NewAdaptiveCache(0.9, 4, ApproxConfig{
-		MaxPredictedError: 0.3, MinCoverage: 0.1, ResidualAlpha: 0.9,
+		MaxPredictedError: 0.3, MinCoverage: 0.1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -151,14 +149,19 @@ func TestAdaptiveResidualEviction(t *testing.T) {
 	if cache.Len() != 1 {
 		t.Fatal("well-predicted entry evicted")
 	}
-	// A terrible one pushes the residual past the bound and evicts.
+	// A terrible one moves the residual to 0.05 + 0.25·0.95 = 0.2875,
+	// still inside the bound; a second pushes it to 0.47 and evicts.
+	cache.recordProbe(ent, 0.1, 1.0)
+	if cache.Len() != 1 {
+		t.Fatal("entry evicted before its residual passed the bound")
+	}
 	cache.recordProbe(ent, 0.1, 1.0)
 	if cache.Len() != 0 {
 		t.Fatal("entry with residual past the bound survived")
 	}
 	st := cache.CacheStats()
-	if st.Evictions != 1 || st.Probes != 2 {
-		t.Fatalf("stats %+v: want 1 eviction, 2 probes", st)
+	if st.Evictions != 1 || st.Probes != 3 {
+		t.Fatalf("stats %+v: want 1 eviction, 3 probes", st)
 	}
 }
 

@@ -51,9 +51,6 @@ type ApproxConfig struct {
 	// one (deterministic modulus, no RNG draw — seeded replays stay
 	// bit-exact). Default 8; negative disables probing.
 	ProbeEvery int
-	// ResidualAlpha is the EWMA step for the per-entry residual
-	// estimate updated at each probe. Default 0.25.
-	ResidualAlpha float64
 }
 
 // Enabled reports whether the approximate tier is on.
@@ -66,9 +63,6 @@ func (c ApproxConfig) withDefaults() ApproxConfig {
 	if c.ProbeEvery == 0 {
 		c.ProbeEvery = 8
 	}
-	if c.ResidualAlpha == 0 {
-		c.ResidualAlpha = 0.25
-	}
 	return c
 }
 
@@ -78,9 +72,6 @@ func (c ApproxConfig) validate() error {
 	}
 	if c.MinCoverage < 0 || c.MinCoverage > 1 {
 		return fmt.Errorf("federation: approx min coverage %v outside [0,1]", c.MinCoverage)
-	}
-	if c.ResidualAlpha < 0 || c.ResidualAlpha > 1 {
-		return fmt.Errorf("federation: approx residual alpha %v outside [0,1]", c.ResidualAlpha)
 	}
 	return nil
 }
@@ -143,9 +134,12 @@ func (e *cacheEntry) residual() float64 {
 	return math.Float64frombits(e.residualBits.Load())
 }
 
+// residualAlpha is the EWMA step of the per-entry residual estimate.
+const residualAlpha = 0.25
+
 // observeResidual folds one probe measurement into the EWMA and
 // returns the updated value.
-func (e *cacheEntry) observeResidual(alpha, realized float64) float64 {
+func (e *cacheEntry) observeResidual(realized float64) float64 {
 	for {
 		old := e.residualBits.Load()
 		cur := math.Float64frombits(old)
@@ -153,7 +147,7 @@ func (e *cacheEntry) observeResidual(alpha, realized float64) float64 {
 		if e.probes.Load() == 0 {
 			next = realized
 		} else {
-			next = cur + alpha*(realized-cur)
+			next = cur + residualAlpha*(realized-cur)
 		}
 		if e.residualBits.CompareAndSwap(old, math.Float64bits(next)) {
 			e.probes.Add(1)
@@ -496,7 +490,7 @@ func (c *ReuseCache) recordProbe(e *cacheEntry, predicted, realized float64) {
 	if c.errGapHist != nil {
 		c.errGapHist.Observe(predicted - realized)
 	}
-	if e.observeResidual(c.approx.ResidualAlpha, realized) > c.approx.MaxPredictedError {
+	if e.observeResidual(realized) > c.approx.MaxPredictedError {
 		c.evict(e)
 	}
 }

@@ -379,7 +379,7 @@ func TestLinearScanMatchesRTreeWinners(t *testing.T) {
 	}
 	for i, e := range stress.snapshot() {
 		if i%5 == 2 {
-			e.observeResidual(0.25, 0.05*float64(i%4))
+			e.observeResidual(0.05 * float64(i%4))
 		}
 	}
 	var stressProbes []query.Query

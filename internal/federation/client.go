@@ -21,34 +21,22 @@ import (
 type Client interface {
 	// ID returns the participant's node id.
 	ID() string
-	// Summary fetches the cluster advertisement.
-	Summary(ctx context.Context) (cluster.NodeSummary, error)
+	// SummaryIfChanged is the epoch-conditional advertisement probe
+	// every registry refresh makes: unchanged=true (no summary body)
+	// when the node's advertisement still carries epoch known, the one
+	// the leader already holds; known=0 always fetches the summary.
+	SummaryIfChanged(ctx context.Context, known uint64) (cluster.NodeSummary, bool, error)
+	// SubscribeSummaries inverts the freshness flow: the node pushes
+	// its fresh advertisement whenever its epoch bumps (ingest drift,
+	// requantization). It returns ok=false (nil error) when the peer
+	// cannot push, which leaves the node to the registry's
+	// anti-entropy pull. Handlers may be invoked from the participant's
+	// own goroutines and must hand off quickly.
+	SubscribeSummaries(ctx context.Context, handler func(cluster.NodeSummary)) (bool, error)
 	// Train runs a local training round.
 	Train(ctx context.Context, req TrainRequest) (TrainResponse, error)
 	// Evaluate scores a model on the node's local data.
 	Evaluate(ctx context.Context, req EvalRequest) (EvalResponse, error)
-}
-
-// DeltaSummaryClient is an optional Client capability used by every
-// registry refresh: an epoch-conditional summary probe that
-// answers unchanged=true (no summary body) when the node's
-// advertisement still carries the epoch the leader already holds.
-// Clients without the capability are probed with a plain Summary call
-// — correct, just not byte-proportional to churn.
-type DeltaSummaryClient interface {
-	SummaryIfChanged(ctx context.Context, known uint64) (cluster.NodeSummary, bool, error)
-}
-
-// PushSummaryClient is an optional Client capability inverting the
-// summary-freshness flow: instead of the leader polling, the node
-// pushes its fresh advertisement whenever its epoch bumps (ingest
-// drift, requantization). SubscribeSummaries registers the handler and
-// returns ok=false (nil error) when the participant cannot push — an
-// old daemon or a region server — in which case the node is covered
-// by the registry's anti-entropy pull alone. Handlers may be invoked
-// from the participant's own goroutines and must hand off quickly.
-type PushSummaryClient interface {
-	SubscribeSummaries(ctx context.Context, handler func(cluster.NodeSummary)) (bool, error)
 }
 
 // LocalClient adapts an in-process Node to the Client interface.
@@ -59,16 +47,8 @@ type LocalClient struct {
 // ID implements Client.
 func (c LocalClient) ID() string { return c.Node.ID() }
 
-// Summary implements Client.
-func (c LocalClient) Summary(ctx context.Context) (cluster.NodeSummary, error) {
-	if err := ctx.Err(); err != nil {
-		return cluster.NodeSummary{}, err
-	}
-	return c.Node.Summary(), nil
-}
-
-// SummaryIfChanged implements DeltaSummaryClient. The epoch check and
-// the summary read race benignly with a concurrent requantize: a stale
+// SummaryIfChanged implements Client. The epoch check and the
+// summary read race benignly with a concurrent requantize: a stale
 // "unchanged" answer is impossible because the node bumps its epoch
 // before publishing the new summary, so at worst the probe returns the
 // fresh summary for an epoch that was current a moment ago.
@@ -82,11 +62,11 @@ func (c LocalClient) SummaryIfChanged(ctx context.Context, known uint64) (cluste
 	return c.Node.Summary(), false, nil
 }
 
-// SubscribeSummaries implements PushSummaryClient for an in-process
-// node: the handler hangs off the node engine's epoch-bump watcher
-// list, so every material advertisement change (incremental ingest or
-// full requantize) is delivered push-style, exactly like a remote
-// daemon's push frame.
+// SubscribeSummaries implements Client for an in-process node: the
+// handler hangs off the node engine's epoch-bump watcher list, so every
+// material advertisement change (incremental ingest or full
+// requantize) is delivered push-style, exactly like a remote daemon's
+// push frame.
 func (c LocalClient) SubscribeSummaries(ctx context.Context, handler func(cluster.NodeSummary)) (bool, error) {
 	if err := ctx.Err(); err != nil {
 		return false, err

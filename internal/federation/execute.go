@@ -58,20 +58,8 @@ type Prepared struct {
 	Stamps []EpochStamp
 	// PlanTime is how long ranking and selection took (qens_selection_ms).
 	PlanTime time.Duration
-	// PlanKey fingerprints the selection (plan.Plan.Key's format): equal
-	// keys mean the same participants with the same training directives
-	// at the same basis, so the executions are interchangeable.
-	PlanKey string
 
 	snap *registry.Snapshot // leader: where the training rectangles are cut from
-}
-
-// Key is PlanKey, "" on a nil Prepared.
-func (p *Prepared) Key() string {
-	if p == nil {
-		return ""
-	}
-	return p.PlanKey
 }
 
 // ErrNotCached is a CacheOnly request's miss.
@@ -193,7 +181,7 @@ func (l *Leader) prepare(ctx context.Context, qspan *telemetry.SpanHandle, q que
 	}
 	defer pl.Release()
 	return &Prepared{
-		Participants: pl.CopyParticipants(), Epoch: pl.Epoch, PlanKey: pl.Key(),
+		Participants: pl.CopyParticipants(), Epoch: pl.Epoch,
 		snap: pl.Snapshot(), PlanTime: time.Since(start),
 	}, nil
 }

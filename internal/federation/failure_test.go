@@ -34,8 +34,11 @@ func (f *flakyClient) Train(ctx context.Context, req TrainRequest) (TrainRespons
 type deadClient struct{ id string }
 
 func (d deadClient) ID() string { return d.id }
-func (d deadClient) Summary(context.Context) (cluster.NodeSummary, error) {
-	return cluster.NodeSummary{}, errors.New("dead")
+func (d deadClient) SummaryIfChanged(context.Context, uint64) (cluster.NodeSummary, bool, error) {
+	return cluster.NodeSummary{}, false, errors.New("dead")
+}
+func (d deadClient) SubscribeSummaries(context.Context, func(cluster.NodeSummary)) (bool, error) {
+	return false, errors.New("dead")
 }
 func (d deadClient) Train(context.Context, TrainRequest) (TrainResponse, error) {
 	return TrainResponse{}, errors.New("dead")

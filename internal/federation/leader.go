@@ -143,8 +143,7 @@ func NewLeader(cfg Config, leaderData *dataset.Dataset, clients []Client) (*Lead
 // for advertisements: one delta per participant in roster order. A node
 // whose advertisement epoch matches the registry's known epoch answers
 // with a summary-free "unchanged" probe; everyone else — every node
-// when known is nil, and every client without the DeltaSummaryClient
-// capability — ships a validated full summary.
+// when known is nil — ships a validated full summary.
 func (l *Leader) fetchSummaries(ctx context.Context, known []registry.NodeEpoch) ([]registry.Delta, error) {
 	if known != nil && len(known) != len(l.clients) {
 		return nil, fmt.Errorf("federation: delta refresh over %d known epochs, roster has %d", len(known), len(l.clients))
@@ -158,16 +157,7 @@ func (l *Leader) fetchSummaries(ctx context.Context, known []registry.NodeEpoch)
 			}
 			held = known[i].Epoch
 		}
-		var (
-			s         cluster.NodeSummary
-			unchanged bool
-			err       error
-		)
-		if dc, ok := c.(DeltaSummaryClient); ok {
-			s, unchanged, err = dc.SummaryIfChanged(ctx, held)
-		} else {
-			s, err = c.Summary(ctx)
-		}
+		s, unchanged, err := c.SummaryIfChanged(ctx, held)
 		if err != nil {
 			return nil, fmt.Errorf("federation: summary from %s: %w", c.ID(), err)
 		}

@@ -248,7 +248,8 @@ func TestExecuteNoCandidates(t *testing.T) {
 }
 
 // TestPreparedOwnsItsMemory: a Prepared is detached from the planner's
-// pooled arenas and keys like the plan it came from, so it can sit in a
+// pooled arenas and carries the epoch and selection of the plan it came
+// from, so it can sit in a
 // queue (or be dropped) while other queries plan; Execute trains exactly
 // its participants, and falls back to planning for one it cannot vouch
 // for.
@@ -259,11 +260,11 @@ func TestPreparedOwnsItsMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, want := pl.Key(), pl.CopyParticipants()
+	epoch, want := pl.Epoch, pl.CopyParticipants()
 	pl.Release()
 	prep, err := l.Prepare(ctx, q, sel)
-	if err != nil || prep.Key() != key || prep.Epoch != l.SummaryEpoch() {
-		t.Fatalf("Prepare: key %q epoch %d err %v, want the plan's key %q at epoch %d", prep.Key(), prep.Epoch, err, key, l.SummaryEpoch())
+	if err != nil || prep.Epoch != epoch || prep.Epoch != l.SummaryEpoch() || !reflect.DeepEqual(prep.Participants, want) {
+		t.Fatalf("Prepare: %+v at epoch %d, err %v; want the plan's %+v at epoch %d", prep.Participants, prep.Epoch, err, want, epoch)
 	}
 	// Other plans reuse the pooled arenas the selection was copied from.
 	for x := 0.0; x < 40; x += 5 {

@@ -13,7 +13,7 @@ import (
 // Push subscription state hangs off the Leader but lives in its own
 // file: it is the node-push half of summary freshness
 // (registry.ApplyPush is the other half). StartPush walks the roster
-// and subscribes every PushSummaryClient; from then on material
+// and subscribes every participant; from then on material
 // advertisement changes arrive push-style and the registry's
 // conditional pull is anti-entropy. StopPush gates delivery off again
 // (gateway Drain) — late frames from participants are dropped at the
@@ -46,13 +46,12 @@ type leaderPush struct {
 }
 
 // StartPush subscribes the leader to summary pushes from every
-// push-capable participant, feeding each pushed advertisement through
-// the registry's fenced ApplyPush path. It returns how many
-// participants accepted a subscription; participants without the
-// capability (or on connections that cannot push) are skipped and
-// keep being pulled. Subscription errors are joined but do not stop
-// the walk — a partly-push fleet is still strictly fresher than a
-// pull-only one. Idempotent: a second call re-arms subscriptions
+// participant, feeding each pushed advertisement through the
+// registry's fenced ApplyPush path. It returns how many participants
+// accepted a subscription; a participant that declines (a peer that
+// cannot push) keeps being pulled. Subscription errors are joined but
+// do not stop the walk — a partly-push fleet is still strictly fresher
+// than a pull-only one. Idempotent: a second call re-arms subscriptions
 // (client implementations tolerate duplicate subscribes). Callers must
 // pair it with StopPush (gateway Drain/Close does) or the applier
 // goroutine outlives the leader's serving phase.
@@ -74,11 +73,7 @@ func (l *Leader) StartPush(ctx context.Context) (int, error) {
 	var errs []error
 	n := 0
 	for _, c := range l.clients {
-		pc, ok := c.(PushSummaryClient)
-		if !ok {
-			continue
-		}
-		accepted, err := pc.SubscribeSummaries(ctx, l.handlePush)
+		accepted, err := c.SubscribeSummaries(ctx, l.handlePush)
 		if err != nil {
 			errs = append(errs, fmt.Errorf("federation: subscribe %s: %w", c.ID(), err))
 			continue

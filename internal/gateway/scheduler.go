@@ -72,8 +72,7 @@ type Config struct {
 	// rectangle has IoU >= CoalesceIoU with a live (queued or
 	// executing) query under the same selector and aggregation
 	// attaches to that query instead of enqueueing. 1 coalesces only
-	// identical rectangles; 0 leaves only the exact match on the
-	// requests' Prepared keys; negative disables coalescing.
+	// identical rectangles; 0 or negative disables coalescing.
 	CoalesceIoU float64
 	// Executor runs admitted queries. Required.
 	Executor Executor
@@ -264,27 +263,15 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 }
 
 // coalesceMatch reports whether a live task can serve req: same
-// selector mechanism, same aggregation, and either equal Prepared keys
-// (the two queries would train the same participants on the same
-// clusters at the same advertisement epoch, whatever their rectangles)
-// or rectangle IoU at or above the threshold.
+// selector mechanism, same aggregation, same dimensionality and
+// rectangle IoU at or above the threshold. Equal selections are not
+// enough: the Eq. 4 ranks, and with them the Eq. 7 weights, depend on
+// the rectangle.
 func coalesceMatch(live, incoming Request, minIoU float64) bool {
-	if live.Selector.Name() != incoming.Selector.Name() {
-		return false
-	}
-	if live.Aggregation != incoming.Aggregation {
-		return false
-	}
-	if key := live.Prepared.Key(); key != "" && key == incoming.Prepared.Key() {
-		return true
-	}
-	if minIoU <= 0 {
-		return false
-	}
-	if live.Query.Dims() != incoming.Query.Dims() {
-		return false
-	}
-	return geometry.IoU(live.Query.Bounds, incoming.Query.Bounds) >= minIoU
+	return live.Selector.Name() == incoming.Selector.Name() &&
+		live.Aggregation == incoming.Aggregation &&
+		live.Query.Dims() == incoming.Query.Dims() &&
+		geometry.IoU(live.Query.Bounds, incoming.Query.Bounds) >= minIoU
 }
 
 // Submit offers a query for execution. It never blocks: the request is
@@ -310,7 +297,7 @@ func (s *Scheduler) Submit(ctx context.Context, req Request) (*Ticket, error) {
 		s.m.rejectedDrain.Inc()
 		return nil, ErrDraining
 	}
-	if s.cfg.CoalesceIoU >= 0 {
+	if s.cfg.CoalesceIoU > 0 {
 		for _, t := range s.live {
 			if coalesceMatch(t.req, req, s.cfg.CoalesceIoU) {
 				s.mu.Unlock()

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -33,10 +34,9 @@ type ServerConfig struct {
 	Cache *federation.ReuseCache
 
 	// Workers, QueueDepth, DefaultTimeout and CoalesceIoU configure
-	// the scheduler (see Config). CoalesceIoU defaults to 0.95 here —
-	// the serving layer wants near-identical concurrent queries to
-	// share one training run; pass a negative value to disable
-	// coalescing entirely.
+	// the scheduler (see Config). CoalesceIoU 0 means 0.95 here — the
+	// serving layer wants near-identical concurrent queries to share
+	// one training run; pass a negative value to disable coalescing.
 	Workers        int
 	QueueDepth     int
 	DefaultTimeout time.Duration
@@ -197,8 +197,8 @@ func (s *Server) health() map[string]any {
 
 // queryRequest is the POST /v1/query body.
 type queryRequest struct {
-	// ID names the query (generated when empty; must be unique among
-	// retained records).
+	// ID names the query (generated when empty). An id that names a
+	// retained record is refused with 409.
 	ID string `json:"id"`
 	// Bounds is the query hyper-rectangle.
 	Bounds geometry.Rect `json:"bounds"`
@@ -309,9 +309,8 @@ func (s *Server) buildSelector(req queryRequest) (selection.Selector, error) {
 	}
 }
 
-// planAhead runs the selection stage at admission time: the scheduler
-// coalesces on the outcome's key without an IoU approximation, and
-// execution trains from it instead of planning again. Both served
+// planAhead runs the selection stage at admission time, and execution
+// trains from the outcome instead of planning again. Both served
 // selectors are deterministic, so planning early consumes no draw or
 // state that belongs to execution. A query no advertised cluster
 // supports fails here with selection.ErrNoCandidates before it can
@@ -421,6 +420,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// The record is claimed before admission: a second query under a
+	// retained id would have its tracker finalize the first one's record.
+	rec := &record{ID: q.ID, Status: recordPending, Submitted: time.Now()}
+	if !s.records.add(q.ID, rec) {
+		writeError(w, http.StatusConflict, "query id %q names a retained record", q.ID)
+		return
+	}
+
 	freq := federation.Request{Query: q, Selector: sel, Aggregation: agg, Cache: s.cache}
 	if freq.Prepared, err = s.planAhead(r.Context(), q, sel); err != nil {
 		// No edge node's cluster space supports the requested bounds.
@@ -429,7 +436,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// bound even when nobody can train this exact rectangle.
 		if resp, ok := s.answerFromCache(r.Context(), q.ID, freq); ok {
 			now := time.Now()
-			s.records.put(q.ID, &record{ID: q.ID, Status: recordDone, Submitted: now, Finished: &now, Result: resp})
+			s.records.update(q.ID, func(rec *record) {
+				rec.Status, rec.Finished, rec.Result = recordDone, &now, resp
+			})
 			if req.Async {
 				writeJSON(w, http.StatusAccepted, map[string]string{"id": q.ID, "status": string(recordDone)})
 				return
@@ -439,6 +448,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		// A property of the query, not a server fault — rejected before
 		// it can occupy a queue slot.
+		s.records.remove(q.ID, rec)
 		writeError(w, http.StatusUnprocessableEntity, "query %s: %v", q.ID, err)
 		return
 	}
@@ -449,6 +459,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	tk, err := s.sched.Submit(ctx, Request{Request: freq, Timeout: timeout})
 	if err != nil {
+		s.records.remove(q.ID, rec)
 		switch {
 		case errors.Is(err, ErrQueueFull):
 			w.Header().Set("Retry-After", "1")
@@ -464,7 +475,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	s.records.put(q.ID, &record{ID: q.ID, Status: recordPending, Submitted: time.Now()})
 	// The record tracker outlives the HTTP request: async clients and
 	// sync clients whose connection died both find the outcome under
 	// GET /v1/query/{id}.
@@ -851,17 +861,32 @@ func newRecordStore(capacity int) *recordStore {
 	return &recordStore{cap: capacity, byID: make(map[string]*record)}
 }
 
-func (rs *recordStore) put(id string, rec *record) {
+// add stores rec under id, evicting the oldest record when full; false
+// when id already names a retained record.
+func (rs *recordStore) add(id string, rec *record) bool {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	if _, exists := rs.byID[id]; !exists {
-		if len(rs.order) == rs.cap {
-			delete(rs.byID, rs.order[0])
-			rs.order = rs.order[1:]
-		}
-		rs.order = append(rs.order, id)
+	if _, exists := rs.byID[id]; exists {
+		return false
 	}
+	if len(rs.order) == rs.cap {
+		delete(rs.byID, rs.order[0])
+		rs.order = rs.order[1:]
+	}
+	rs.order = append(rs.order, id)
 	rs.byID[id] = rec
+	return true
+}
+
+// remove drops rec, a submission that was not admitted, unless it was
+// already evicted.
+func (rs *recordStore) remove(id string, rec *record) {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	if rs.byID[id] == rec {
+		delete(rs.byID, id)
+		rs.order = slices.DeleteFunc(rs.order, func(o string) bool { return o == id })
+	}
 }
 
 func (rs *recordStore) update(id string, fn func(*record)) {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -282,6 +283,102 @@ func TestGatewayCoalesceDeterministic(t *testing.T) {
 	}
 }
 
+// TestGatewayCoalesceKeepsOwnRanks: two live queries whose selections
+// are equal (same participants, same clusters, same epoch) but whose
+// rectangles are not near-identical are not coalesced. The Eq. 4 ranks,
+// and with them the Eq. 7 weights, depend on the rectangle, so each
+// answer carries its own.
+func TestGatewayCoalesceKeepsOwnRanks(t *testing.T) {
+	// The federation package's test fleet, every round held at a gate.
+	data := []*dataset.Dataset{
+		lineDataset(400, 2, 1, 0, 30, 10),
+		lineDataset(400, 2, 1, 20, 60, 11),
+		lineDataset(400, 2, 1, 50, 90, 12),
+		lineDataset(400, -2, 500, 200, 300, 13),
+	}
+	cfg := federation.Config{Spec: ml.PaperLR(1), ClusterK: 5, LocalEpochs: 15, Seed: 1}
+	fleet, err := federation.NewSimulatedFleet(data, cfg, federation.FleetOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := make(chan struct{})
+	var clients []federation.Client
+	for _, n := range fleet.Nodes {
+		clients = append(clients, gatedClient{Client: federation.LocalClient{Node: n}, gate: gate, arrived: new(atomic.Int64)})
+	}
+	leader, err := federation.NewLeader(cfg, nil, clients)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newGatewayServer(t, ServerConfig{Leader: leader, Workers: 2, QueueDepth: 8, CoalesceIoU: 0.95})
+
+	// x in [2,37] and [2,42] (IoU 0.875) both select node-0 on clusters
+	// 0,1,3,4 and node-1 on 0,3 at epoch 1; node-1 ranks 0.643 for the
+	// first rectangle and 0.8 for the second.
+	const body = `{"id":%q,"bounds":{"min":[2,-50],"max":[%d,150]},"epsilon":0.6,"top_l":2,"async":true}`
+	queries := []struct {
+		id   string
+		hi   int
+		rank float64
+	}{{"narrow", 37, 0.643}, {"wide", 42, 0.8}}
+	for _, q := range queries {
+		if code, doc, _ := postQuery(t, ts.URL, fmt.Sprintf(body, q.id, q.hi)); code != http.StatusAccepted {
+			t.Fatalf("submit %s: %d (%v)", q.id, code, doc)
+		}
+	}
+	close(gate)
+	for _, q := range queries {
+		rec := awaitRecord(t, ts.URL, q.id)
+		if rec.Status != recordDone || rec.Result.Coalesced || len(rec.Result.Participants) != 2 {
+			t.Fatalf("%s: %s %s, result %+v", q.id, rec.Status, rec.Error, rec.Result)
+		}
+		if p := rec.Result.Participants[1]; p.NodeID != "node-1" || math.Abs(p.Rank-q.rank) > 5e-4 {
+			t.Fatalf("%s: second participant %+v, want node-1 at rank %.3f", q.id, p, q.rank)
+		}
+	}
+	var stats statsResponse
+	getJSON(t, ts.URL+"/v1/stats", &stats)
+	if stats.Scheduler.Coalesced != 0 || stats.Scheduler.Admitted != 2 {
+		t.Fatalf("want two executions, got %+v", stats.Scheduler)
+	}
+}
+
+// TestGatewayDuplicateID409: an id that names a retained record is
+// refused with 409 before admission, async or sync, and the first
+// query's record still completes. An id whose submission was refused
+// (here a 422) names no record and stays free.
+func TestGatewayDuplicateID409(t *testing.T) {
+	gate := make(chan struct{})
+	leader, _ := gatedLeader(t, gate)
+	_, ts := newGatewayServer(t, ServerConfig{Leader: leader, Workers: 2, QueueDepth: 8, CoalesceIoU: -1})
+
+	const body = `{"id":"dup","bounds":{"min":[%d,-50],"max":[35,150]},"selector":"all-nodes","async":%v}`
+	if code, doc, _ := postQuery(t, ts.URL, fmt.Sprintf(body, 5, true)); code != http.StatusAccepted {
+		t.Fatalf("first submit: %d (%v)", code, doc)
+	}
+	for _, async := range []bool{true, false} {
+		if code, doc, _ := postQuery(t, ts.URL, fmt.Sprintf(body, 10, async)); code != http.StatusConflict {
+			t.Fatalf("duplicate id (async %v): %d (%v), want 409", async, code, doc)
+		}
+	}
+	var stats statsResponse
+	getJSON(t, ts.URL+"/v1/stats", &stats)
+	if stats.Scheduler.Admitted != 1 {
+		t.Fatalf("duplicates admitted: %+v", stats.Scheduler)
+	}
+	close(gate)
+	if rec := awaitRecord(t, ts.URL, "dup"); rec.Status != recordDone || rec.Result.Stats.SamplesAll == 0 {
+		t.Fatalf("first query's record: %s %s %+v", rec.Status, rec.Error, rec.Result)
+	}
+
+	unsupported := `{"id":"free","bounds":{"min":[500,500],"max":[600,600]},"epsilon":0.9}`
+	for i := 0; i < 2; i++ {
+		if code, doc, _ := postQuery(t, ts.URL, unsupported); code != http.StatusUnprocessableEntity {
+			t.Fatalf("unsupported query %d: %d (%v), want 422", i, code, doc)
+		}
+	}
+}
+
 // TestGatewayQueueOverflow429: with the worker wedged and the queue
 // full, the gateway sheds load with 429 + Retry-After.
 func TestGatewayQueueOverflow429(t *testing.T) {
@@ -476,7 +573,9 @@ func TestRecordStoreEviction(t *testing.T) {
 	rs := newRecordStore(2)
 	for i := 0; i < 3; i++ {
 		id := fmt.Sprintf("q%d", i)
-		rs.put(id, &record{ID: id, Status: recordPending})
+		if !rs.add(id, &record{ID: id, Status: recordPending}) {
+			t.Fatalf("fresh id %s refused", id)
+		}
 	}
 	if _, ok := rs.get("q0"); ok {
 		t.Fatal("oldest record not evicted")

@@ -383,7 +383,7 @@ func (s *stubServing) Execute(ctx context.Context, req federation.Request) (*fed
 }
 
 func (s *stubServing) Prepare(context.Context, query.Query, selection.Selector) (*federation.Prepared, error) {
-	return &federation.Prepared{PlanKey: "k"}, s.planErr
+	return &federation.Prepared{}, s.planErr
 }
 
 func (s *stubServing) ExplainQuery(_ context.Context, _ query.Query, sel selection.Selector) (*federation.Explanation, error) {
@@ -562,7 +562,7 @@ type stubRegion struct {
 	gate   chan struct{} // non-nil: Train waits for it to close
 
 	mu   sync.Mutex
-	dead map[string][]string // query id -> participants trained on a dead directive
+	dead map[int64][]string // Train call, in arrival order from 1 -> participants trained on a dead directive
 }
 
 // stubRegions builds west (w0, w1 over x in [0,10]) and east (e0, e1
@@ -574,7 +574,7 @@ func stubRegions(t *testing.T) (west, east *stubRegion, router *region.Router) {
 			id:     id,
 			nodes:  []region.NodeInfo{{NodeID: id[:1] + "0", RosterIndex: first}, {NodeID: id[:1] + "1", RosterIndex: first + 1}},
 			bounds: geometry.MustRect([]float64{lo, 0}, []float64{lo + 10, 10}),
-			dead:   map[string][]string{},
+			dead:   map[int64][]string{},
 		}
 		s.epoch.Store(1)
 		return s
@@ -607,7 +607,7 @@ func (s *stubRegion) Plan(context.Context, region.PlanRequest) (region.PlanRespo
 }
 
 func (s *stubRegion) Train(ctx context.Context, req region.TrainRequest) (region.TrainResponse, error) {
-	s.trains.Add(1)
+	call := s.trains.Add(1)
 	if s.gate != nil {
 		select {
 		case <-s.gate:
@@ -620,7 +620,7 @@ func (s *stubRegion) Train(ctx context.Context, req region.TrainRequest) (region
 	for _, p := range req.Participants {
 		if !reflect.DeepEqual(p.Clusters, []int{int(epoch)}) {
 			s.mu.Lock()
-			s.dead[req.QueryID] = append(s.dead[req.QueryID], p.NodeID)
+			s.dead[call] = append(s.dead[call], p.NodeID)
 			s.mu.Unlock()
 		}
 		resp.Results = append(resp.Results, region.RoundResult{NodeID: p.NodeID, Params: req.Params, SamplesUsed: 10, TotalSamples: 100})
@@ -692,7 +692,9 @@ func TestPlanOncePerQuery(t *testing.T) {
 // and execution is not trained. With the worker held, a query is
 // admitted, the epoch moves, and the worker is released: execute plans
 // again, the result carries the new epoch, and no directive of the dead
-// generation reaches a node.
+// generation reaches a node. Under the router the root learns of the
+// move the way it does across processes, from the epoch on a region's
+// response.
 func TestAdmissionPlanStaleness(t *testing.T) {
 	const body = `{"id":%q,"bounds":{"min":[%d,-50],"max":[35,150]},"selector":"query-driven","top_l":4,"async":true}`
 	submit := func(t *testing.T, url, id string, lo int) {
@@ -715,10 +717,9 @@ func TestAdmissionPlanStaleness(t *testing.T) {
 			}
 		}
 		submit(t, ts.URL, "b", -2) // admitted and planned at east's epoch 1
+		// a's own train response carries east's epoch 2 to the root
+		// before the one worker takes b.
 		east.epoch.Store(2)
-		if info, _ := east.Info(context.Background()); !router.ApplyRegionInfo(info) {
-			t.Fatal("the root did not take east's new epoch")
-		}
 		close(gate)
 		for _, id := range []string{"a", "b"} {
 			if r := awaitRecord(t, ts.URL, id); r.Status != recordDone {
@@ -732,7 +733,11 @@ func TestAdmissionPlanStaleness(t *testing.T) {
 		if w, e := west.plans.Load(), east.plans.Load(); w != 3 || e != 3 {
 			t.Fatalf("plan RPCs west=%d east=%d, want 3 each (a, b at admission, b again at execution)", w, e)
 		}
-		if dead := append(west.dead["b"], east.dead["b"]...); len(dead) != 0 {
+		// Workers: 1 runs a, then b: b is each region's second Train call.
+		if w, e := west.trains.Load(), east.trains.Load(); w != 2 || e != 2 {
+			t.Fatalf("train RPCs west=%d east=%d, want 2 each (a, then b)", w, e)
+		}
+		if dead := append(west.dead[2], east.dead[2]...); len(dead) != 0 {
 			t.Fatalf("b trained %v on a dead generation's directive", dead)
 		}
 		for _, p := range b.res.Participants {

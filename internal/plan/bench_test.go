@@ -137,8 +137,8 @@ func BenchmarkPlan(b *testing.B) {
 	}
 }
 
-// BenchmarkPlanKey isolates the fingerprint used by the gateway's
-// coalescing and reuse caches. The first call per plan renders and
+// BenchmarkPlanKey isolates the selection fingerprint EXPLAIN shows.
+// The first call per plan renders and
 // memoizes (one string copy, since keys outlive Release); steady-state
 // calls — what this measures — must be allocation-free.
 func BenchmarkPlanKey(b *testing.B) {

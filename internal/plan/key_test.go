@@ -12,8 +12,8 @@ import (
 )
 
 // legacyKey reimplements the pre-memoization fingerprint rendering so
-// the format stays pinned: memoizing must not change a single byte,
-// or coalescing/reuse keys would silently partition across versions.
+// the format stays pinned: memoizing must not change a single byte of
+// the key EXPLAIN shows.
 func legacyKey(pl *Plan) string {
 	var b strings.Builder
 	b.WriteByte('e')
@@ -69,8 +69,8 @@ func TestPlanKeyFormatPinned(t *testing.T) {
 	}
 }
 
-// TestPlanKeyZeroAlloc pins the coalescing hot path: after the first
-// render, repeated Key() calls on a live plan must not allocate.
+// TestPlanKeyZeroAlloc pins the memoization: after the first render,
+// repeated Key() calls on a live plan must not allocate.
 func TestPlanKeyZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is not meaningful under the race detector")

@@ -9,8 +9,7 @@
 // (geometry.OverlapRatesFlat), applies the selection policy, and emits
 // a Plan carrying the chosen participants, the full per-node ranking,
 // and the snapshot epoch it was derived from. Executors (see
-// internal/federation) then run the I/O half against the plan, and
-// gateways key reuse/coalescing caches on Plan.Key.
+// internal/federation) then run the I/O half against the plan.
 //
 // The query-driven fast path is allocation-free at steady state: Plans
 // are pooled, and every slice a Plan hands out (overlaps, supporting
@@ -50,8 +49,8 @@ type Plan struct {
 	// Query is the workload rectangle the plan was built for.
 	Query query.Query
 	// Epoch is the registry snapshot epoch the plan derives from.
-	// Everything cached against the plan (reuse entries, coalesced
-	// results) dies when the epoch moves.
+	// Everything cached against the plan (reuse entries) dies when the
+	// epoch moves.
 	Epoch uint64
 	// Selector names the mechanism that chose the participants.
 	Selector string
@@ -83,8 +82,8 @@ type Plan struct {
 
 	// keyBuf is the persistent fingerprint arena Key() renders into;
 	// key memoizes the rendered string for the plan's lifetime so
-	// repeated Key() calls (coalescing probes, reuse lookups) cost
-	// zero allocations. Cleared on Release, kept across pooling.
+	// repeated Key() calls cost zero allocations. Cleared on Release,
+	// kept across pooling.
 	keyBuf []byte
 	key    string
 }
@@ -92,19 +91,19 @@ type Plan struct {
 // Snapshot returns the registry snapshot the plan was derived from.
 func (pl *Plan) Snapshot() *registry.Snapshot { return pl.snap }
 
-// Key is the plan's identity fingerprint:
+// Key is the plan's selection fingerprint, shown by EXPLAIN:
 // "e<epoch>|<selector>|node:clusters|…". Two queries with equal keys
 // selected the same participants with the same training directives
-// against the same advertisement epoch, so their executions are
-// interchangeable — which is exactly what result-reuse and coalescing
-// caches want to key on. (Rank values are intentionally excluded: they
-// only weight aggregation, and equal participant sets at one epoch
-// imply equal ranks for deterministic selectors.)
+// against the same advertisement epoch, but their executions are NOT
+// interchangeable: the key leaves out the Eq. 4 ranks, which depend on
+// the query rectangle and weight the Eq. 7 aggregation. So nothing
+// coalesces or reuses results on it; the gateway coalesces on
+// rectangle IoU.
 //
 // The first call renders into the plan's persistent key arena and pays
-// one string copy (the key must outlive Release — schedulers retain it
-// past the plan's lifetime, so it cannot alias pooled memory); every
-// later call returns the memoized string for free.
+// one string copy (the key must outlive Release, so it cannot alias
+// pooled memory); every later call returns the memoized string for
+// free.
 func (pl *Plan) Key() string {
 	if pl.key != "" {
 		return pl.key

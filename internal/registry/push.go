@@ -30,15 +30,6 @@ func (r *Registry) ApplyPush(sum cluster.NodeSummary) (bool, error) {
 		r.pushDroppedStale.Add(1)
 		return false, nil
 	}
-	epoch, applied, err := r.applyPush(sum)
-	if applied {
-		r.notifyPublish(epoch)
-	}
-	return applied, err
-}
-
-// applyPush is ApplyPush's body under the refresh lock.
-func (r *Registry) applyPush(sum cluster.NodeSummary) (uint64, bool, error) {
 	r.refreshMu.Lock()
 	defer r.refreshMu.Unlock()
 
@@ -47,16 +38,16 @@ func (r *Registry) applyPush(sum cluster.NodeSummary) (uint64, bool, error) {
 		// No snapshot to patch yet — the first pull establishes the
 		// roster; pushing ahead of it would invent a one-node fleet.
 		r.pushDroppedUnknown.Add(1)
-		return 0, false, nil
+		return false, nil
 	}
 	idx, ok := prev.byID[sum.NodeID]
 	if !ok {
 		r.pushDroppedUnknown.Add(1)
-		return 0, false, nil
+		return false, nil
 	}
 	if sum.Epoch <= prev.Nodes[idx].SummaryEpoch {
 		r.pushDroppedStale.Add(1)
-		return 0, false, nil
+		return false, nil
 	}
 
 	summaries := append([]cluster.NodeSummary(nil), prev.Summaries...)
@@ -77,7 +68,7 @@ func (r *Registry) applyPush(sum cluster.NodeSummary) (uint64, bool, error) {
 		}
 	}
 	if err != nil {
-		return 0, false, fmt.Errorf("registry: push from %s: %w", sum.NodeID, err)
+		return false, fmt.Errorf("registry: push from %s: %w", sum.NodeID, err)
 	}
 	// covers is inherited: an invalidation pending when the push lands
 	// still forces the re-fetch it asked for.
@@ -86,5 +77,5 @@ func (r *Registry) applyPush(sum cluster.NodeSummary) (uint64, bool, error) {
 	r.cur.Store(snap)
 	r.pushApplied.Add(1)
 	r.pushBytes.Add(summaryWireBytes(&sum))
-	return snap.Epoch, true, nil
+	return true, nil
 }

@@ -67,9 +67,6 @@ func TestRegistryApplyPush(t *testing.T) {
 		t.Fatal("equal-epoch push applied")
 	}
 
-	var published []uint64
-	r.OnPublish(func(epoch uint64) { published = append(published, epoch) })
-
 	// A genuinely newer advertisement lands: new snapshot, patched
 	// index, epoch advanced, counters moved.
 	applied, err := r.ApplyPush(pushSummary("node-1", 5, 100))
@@ -92,8 +89,8 @@ func TestRegistryApplyPush(t *testing.T) {
 	if covers(t, s1, "node-1", 1) {
 		t.Fatal("index still covers the pre-push bounds")
 	}
-	if len(published) != 1 || published[0] != s1.Epoch {
-		t.Fatalf("OnPublish fired %v, want [%d]", published, s1.Epoch)
+	if r.Epoch() != s1.Epoch {
+		t.Fatalf("registry at epoch %d after one push, want the pushed snapshot's %d", r.Epoch(), s1.Epoch)
 	}
 
 	st := r.Stats()

@@ -201,10 +201,6 @@ type Registry struct {
 	bgMu   sync.Mutex
 	bgStop chan struct{}
 	bgDone chan struct{}
-
-	// pubMu guards the publish watcher list (see OnPublish).
-	pubMu    sync.Mutex
-	pubHooks []func(epoch uint64)
 }
 
 // New builds a registry over the given fetcher. No fetch happens until
@@ -263,50 +259,13 @@ func (r *Registry) Snapshot(ctx context.Context) (*Snapshot, error) {
 	return r.Refresh(ctx)
 }
 
-// OnPublish registers fn to run after every snapshot publication —
-// refreshes and applied pushes alike. Hooks run outside the refresh
-// lock on the publishing goroutine; rapid publications may deliver
-// epochs out of order, so treat the epoch as a floor and re-read
-// Current. Watchers cannot be removed — gate delivery with your own
-// flag. This is the upward-propagation seam: a regional leader hangs
-// its covering-rect notifier here so the root router learns about
-// shard movement without a full Info re-fetch.
-func (r *Registry) OnPublish(fn func(epoch uint64)) {
-	r.pubMu.Lock()
-	r.pubHooks = append(r.pubHooks, fn)
-	r.pubMu.Unlock()
-}
-
-// notifyPublish invokes the publish watchers. Must be called without
-// refreshMu held.
-func (r *Registry) notifyPublish(epoch uint64) {
-	r.pubMu.Lock()
-	hooks := make([]func(uint64), len(r.pubHooks))
-	copy(hooks, r.pubHooks)
-	r.pubMu.Unlock()
-	for _, fn := range hooks {
-		fn(epoch)
-	}
-}
-
 // Refresh pulls the fleet and, when anything moved, publishes a new
 // snapshot with the next epoch. Concurrent refreshes are serialized; a
 // caller that lost the race returns the winner's snapshot instead of
 // re-polling the fleet. A pull over an unchanged fleet (every node
 // answered "unchanged", nothing was forced) returns the current
-// snapshot at its epoch and notifies nobody, so the anti-entropy tick
-// leaves every epoch-keyed cache alone.
-func (r *Registry) Refresh(ctx context.Context) (*Snapshot, error) {
-	snap, published, err := r.refresh(ctx)
-	if published {
-		r.notifyPublish(snap.Epoch)
-	}
-	return snap, err
-}
-
-// refresh is Refresh's body under the refresh lock; published reports
-// whether this call stored a new snapshot (vs returning a racing
-// winner's, or the current one unchanged).
+// snapshot at its epoch, so the anti-entropy tick leaves every
+// epoch-keyed cache alone.
 //
 // The pull is epoch-conditional against prev: unchanged nodes reuse
 // their validated summary and re-packed geometry, changed nodes are
@@ -314,7 +273,7 @@ func (r *Registry) Refresh(ctx context.Context) (*Snapshot, error) {
 // threshold (rebuilt above it, or whenever the roster itself changed).
 // With no prev — or after Invalidate, which makes the held epochs
 // suspect — known is nil and the snapshot is built from scratch.
-func (r *Registry) refresh(ctx context.Context) (*Snapshot, bool, error) {
+func (r *Registry) Refresh(ctx context.Context) (*Snapshot, error) {
 	before := r.epoch.Load()
 	r.refreshMu.Lock()
 	defer r.refreshMu.Unlock()
@@ -322,7 +281,7 @@ func (r *Registry) refresh(ctx context.Context) (*Snapshot, bool, error) {
 	// Someone else published while we waited for the lock: if the
 	// result is fresh, use it.
 	if prev != nil && prev.Epoch > before && !r.stale(prev) {
-		return prev, false, nil
+		return prev, nil
 	}
 	// The generation is read before the fetch starts, so an
 	// invalidation landing while it is on the wire stays uncovered and
@@ -355,7 +314,7 @@ func (r *Registry) refresh(ctx context.Context) (*Snapshot, bool, error) {
 	}
 	deltas, err := r.fetch(ctx, known)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 
 	summaries := make([]cluster.NodeSummary, len(deltas))
@@ -369,10 +328,10 @@ func (r *Registry) refresh(ctx context.Context) (*Snapshot, bool, error) {
 		j, held := prevIdx[d.NodeID]
 		if d.Unchanged {
 			if !held {
-				return nil, false, fmt.Errorf("registry: delta marks unknown node %q unchanged", d.NodeID)
+				return nil, fmt.Errorf("registry: delta marks unknown node %q unchanged", d.NodeID)
 			}
 			if forced[d.NodeID] {
-				return nil, false, fmt.Errorf("registry: node %q answered a forced re-fetch with unchanged", d.NodeID)
+				return nil, fmt.Errorf("registry: node %q answered a forced re-fetch with unchanged", d.NodeID)
 			}
 		}
 		// Epoch fencing against the push path: a fetch issued before a
@@ -406,7 +365,7 @@ func (r *Registry) refresh(ctx context.Context) (*Snapshot, bool, error) {
 		}
 	}
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	if prev == nil {
 		r.fullBytes.Add(bytes)
@@ -421,7 +380,7 @@ func (r *Registry) refresh(ctx context.Context) (*Snapshot, bool, error) {
 	now := time.Now()
 	r.fetchedAt.Store(&now)
 	if snap == prev {
-		return prev, false, nil
+		return prev, nil
 	}
 	snap.covers = gen
 	snap.Epoch = r.epoch.Add(1)
@@ -435,7 +394,7 @@ func (r *Registry) refresh(ctx context.Context) (*Snapshot, bool, error) {
 		}
 	}
 	r.forceMu.Unlock()
-	return snap, true, nil
+	return snap, nil
 }
 
 // Invalidate marks the current snapshot stale: the next Snapshot call

@@ -53,7 +53,6 @@ type Client struct {
 }
 
 var _ federation.Client = (*Client)(nil)
-var _ federation.DeltaSummaryClient = (*Client)(nil)
 
 // DialOptions configures a client.
 type DialOptions struct {
@@ -329,22 +328,10 @@ func (c *Client) BytesMoved() (out, in int64) {
 	return c.bytesOut.Load(), c.bytesIn.Load()
 }
 
-// Summary implements federation.Client.
+// Summary fetches the node's full advertisement.
 func (c *Client) Summary(ctx context.Context) (cluster.NodeSummary, error) {
-	resp, err := c.roundTrip(ctx, request{Type: typeSummary})
-	if err != nil {
-		return cluster.NodeSummary{}, err
-	}
-	if resp.Summary == nil {
-		return cluster.NodeSummary{}, errors.New("transport: daemon returned no summary")
-	}
-	sum := *resp.Summary
-	if sum.Epoch == 0 {
-		// Older daemons only stamp the envelope; lift it so the
-		// leader's registry always sees a versioned advertisement.
-		sum.Epoch = resp.SummaryEpoch
-	}
-	return sum, nil
+	sum, _, err := c.SummaryIfChanged(ctx, 0)
+	return sum, err
 }
 
 // SummaryIfChanged implements the registry's delta-refresh probe: it
@@ -367,6 +354,8 @@ func (c *Client) SummaryIfChanged(ctx context.Context, known uint64) (cluster.No
 	}
 	sum := *resp.Summary
 	if sum.Epoch == 0 {
+		// Older daemons only stamp the envelope; lift it so the
+		// leader's registry always sees a versioned advertisement.
 		sum.Epoch = resp.SummaryEpoch
 	}
 	return sum, false, nil

@@ -170,7 +170,7 @@ func TestRegionRPCEquivalentToLocal(t *testing.T) {
 				t.Fatal(err)
 			}
 			treq := region.TrainRequest{
-				QueryID: "remote-q", Spec: rcfg.Spec, LocalEpochs: 2,
+				Spec: rcfg.Spec, LocalEpochs: 2,
 				Participants: []selection.Participant{
 					{NodeID: info.Nodes[0].NodeID, Rank: 0.75, Clusters: []int{0, 1}},
 					{NodeID: info.Nodes[1].NodeID}, // whole local dataset
@@ -350,7 +350,7 @@ func TestRegionJSONEraBodiesRefused(t *testing.T) {
 			err.Error() != "transport: daemon returned no region plan" {
 			t.Fatalf("plan against a JSON-era daemon: %v", err)
 		}
-		if _, err := rc.Train(ctx, region.TrainRequest{QueryID: "q",
+		if _, err := rc.Train(ctx, region.TrainRequest{
 			Participants: []selection.Participant{{NodeID: "node-0"}}}); err == nil ||
 			err.Error() != "transport: daemon returned no region train response" {
 			t.Fatalf("train against a JSON-era daemon: %v", err)

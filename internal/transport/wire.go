@@ -323,7 +323,6 @@ func (e *wireEnc) roundResult(x region.RoundResult) {
 	e.int(x.TotalSamples)
 	e.varint(int64(x.TrainTime))
 	e.varint(x.ElapsedNS)
-	e.uvarint(x.SummaryEpoch)
 	e.str(x.Err)
 	putList(e, x.Spans, e.span)
 }
@@ -344,7 +343,6 @@ func (e *wireEnc) regionPlanResp(r *region.PlanResponse) {
 // regionTrainReq leaves TraceID/SpanID to the envelope, as secTrainReq
 // does; the decoder mirrors them back into the body.
 func (e *wireEnc) regionTrainReq(r *region.TrainRequest) {
-	e.str(r.QueryID)
 	e.spec(r.Spec)
 	e.params(r.Params)
 	putList(e, r.Participants, e.participant)
@@ -843,13 +841,13 @@ func getList[T any](d *wireDec, minSize int, get func() T) []T {
 // span is an empty name and two one-byte varints; a rank an empty id,
 // three presence bytes, two f64s and two varints; a participant an
 // empty id, an f64 and a presence byte; a round result an empty id, an
-// empty params triple, five varints, an empty error and a presence
+// empty params triple, four varints, an empty error and a presence
 // byte.
 const (
 	minSpan        = 3
 	minRank        = 22
 	minParticipant = 10
-	minRoundResult = 11
+	minRoundResult = 10
 )
 
 func (d *wireDec) span() (s federation.NodeSpan) {
@@ -885,7 +883,6 @@ func (d *wireDec) roundResult() (x region.RoundResult) {
 	x.TotalSamples = d.int()
 	x.TrainTime = time.Duration(d.varint())
 	x.ElapsedNS = d.varint()
-	x.SummaryEpoch = d.uvarint()
 	x.Err = d.str()
 	x.Spans = getList(d, minSpan, d.span)
 	return x
@@ -905,7 +902,6 @@ func (d *wireDec) regionPlanResp(r *region.PlanResponse) {
 }
 
 func (d *wireDec) regionTrainReq(r *region.TrainRequest) {
-	r.QueryID = d.str()
 	d.spec(&r.Spec)
 	d.params(&r.Params)
 	r.Participants = getList(d, minParticipant, d.participant)

@@ -60,8 +60,7 @@ func fullRequest() request {
 			QueryDriven: true,
 		},
 		RegionTrain: &region.TrainRequest{
-			QueryID: "q-0ddba11",
-			Spec:    ml.Spec{Kind: ml.KindLinear, InputDim: 2, LearningRate: 0.03, Epochs: 100, Seed: 1<<63 + 5},
+			Spec: ml.Spec{Kind: ml.KindLinear, InputDim: 2, LearningRate: 0.03, Epochs: 100, Seed: 1<<63 + 5},
 			Params: ml.Params{Kind: ml.KindLinear, Dims: []int{3},
 				Values: []float64{math.Copysign(0, -1), 5e-324, -math.MaxFloat64}},
 			Participants: []selection.Participant{
@@ -90,7 +89,7 @@ func fullRegionTrainResponse() *region.TrainResponse {
 				Params: ml.Params{Kind: ml.KindLinear, Dims: []int{3},
 					Values: []float64{math.Copysign(0, -1), 5e-324, 1.5}},
 				SamplesUsed: 512, TotalSamples: 1200,
-				TrainTime: 437 * time.Microsecond, ElapsedNS: 512000, SummaryEpoch: 9,
+				TrainTime: 437 * time.Microsecond, ElapsedNS: 512000,
 				Spans: []federation.NodeSpan{
 					{Name: "node.queue", StartUnixNS: 1754464000123000000, DurationNS: 1500},
 					{Name: "node.fit", StartUnixNS: 1754464000123001500, DurationNS: 437000},
@@ -232,7 +231,7 @@ func TestWireRegionBodiesNilVersusEmpty(t *testing.T) {
 		resp response
 	}{
 		{"nil lists",
-			request{Type: typeRegionTrain, RegionTrain: &region.TrainRequest{QueryID: "q"}},
+			request{Type: typeRegionTrain, RegionTrain: &region.TrainRequest{}},
 			response{RegionPlan: &region.PlanResponse{RegionID: "r"}, RegionTrain: &region.TrainResponse{RegionID: "r"}}},
 		{"empty lists",
 			request{Type: typeRegionTrain, RegionTrain: &region.TrainRequest{Participants: []selection.Participant{}}},
@@ -592,8 +591,8 @@ func TestWireCodecFieldDriftGuard(t *testing.T) {
 		{reflect.TypeOf(selection.Participant{}), 3},
 		{reflect.TypeOf(region.PlanRequest{}), 3},
 		{reflect.TypeOf(region.PlanResponse{}), 3},
-		{reflect.TypeOf(region.TrainRequest{}), 7},
-		{reflect.TypeOf(region.RoundResult{}), 9},
+		{reflect.TypeOf(region.TrainRequest{}), 6},
+		{reflect.TypeOf(region.RoundResult{}), 8},
 		{reflect.TypeOf(region.TrainResponse{}), 4},
 		{reflect.TypeOf(request{}), 11},
 		{reflect.TypeOf(response{}), 15},
@@ -686,7 +685,7 @@ func TestWireV2EquivalentToLocal(t *testing.T) {
 	t.Cleanup(func() { remote.Close() })
 
 	ctx := context.Background()
-	sumL, err := local.Summary(ctx)
+	sumL, _, err := local.SummaryIfChanged(ctx, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
