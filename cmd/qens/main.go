@@ -7,7 +7,7 @@
 //	qens [flags] <experiment>
 //
 // Experiments: table1 table2 fig6 fig7 fig8 fig9 pretest
-// ablation-k ablation-eps ablation-l ablation-psi ablation-agg all
+// ablation-k ablation-eps ablation-l ablation-psi ablation-agg report
 //
 // Flags scale the run; the defaults are the paper's setting (10 nodes,
 // 2000 samples per node, K=5, 200 queries). Use -quick for a reduced
@@ -18,7 +18,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"qens/internal/experiments"
@@ -38,7 +37,6 @@ func main() {
 		localEpochs = flag.Int("epochs", 0, "local epochs E per cluster (default 5)")
 		model       = flag.String("model", "", "model: linear or nn (default linear)")
 		quick       = flag.Bool("quick", false, "reduced scale for a fast sanity run")
-		addrs       = flag.String("addrs", "", "comma-separated qensd addresses for the remote experiment")
 		metricsAddr = flag.String("metrics-addr", "", "observability sidecar address serving /metrics, /healthz and /debug/pprof (e.g. :9091; empty disables)")
 		tracePath   = flag.String("trace", "", "write a JSONL span trace of every executed query to this file")
 	)
@@ -103,14 +101,6 @@ func main() {
 
 	name := flag.Arg(0)
 	start := time.Now()
-	if name == "remote" {
-		if err := runRemote(strings.Split(*addrs, ","), opts); err != nil {
-			fmt.Fprintf(os.Stderr, "qens: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("\n[remote completed in %s]\n", time.Since(start).Round(time.Millisecond))
-		return
-	}
 	if err := run(name, opts); err != nil {
 		fmt.Fprintf(os.Stderr, "qens: %v\n", err)
 		os.Exit(1)
@@ -173,16 +163,6 @@ func run(name string, opts experiments.Options) error {
 		return show(experiments.QuantizerAblation(opts))
 	case "adaptive":
 		return show(experiments.Adaptive(opts))
-	case "all":
-		for _, n := range []string{"table1", "table2", "fig6", "fig7", "fig8", "fig9", "drift",
-			"ablation-k", "ablation-eps", "ablation-l", "ablation-psi", "ablation-agg"} {
-			fmt.Printf("=== %s ===\n", n)
-			if err := run(n, opts); err != nil {
-				return fmt.Errorf("%s: %w", n, err)
-			}
-			fmt.Println()
-		}
-		return nil
 	default:
 		usage()
 		return nil
@@ -275,8 +255,6 @@ experiments:
   robustness    behaviour under corrupted-label (broken-sensor) nodes
   ablation-quantizer  k-means vs equi-width grid synopses
   adaptive      the §II decision procedure (pre-test -> mechanism) end-to-end
-  remote        drive live qensd daemons (-addrs host:port,host:port)
-  all           run everything
 
 run 'qens -h' for flags`)
 	os.Exit(2)

@@ -129,7 +129,6 @@ func TestExecuteExpiredContext(t *testing.T) {
 	}
 	for name, req := range map[string]Request{
 		"single round": {},
-		"rounds":       {Rounds: 2},
 		"cached":       {Cache: cache},
 	} {
 		req.Query, req.Selector, req.Aggregation = midQuery(t), selection.AllNodes{}, ModelAveraging

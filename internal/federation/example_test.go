@@ -53,9 +53,9 @@ func Example() {
 	// Output: selected 2 participants, used 9% of federation data
 }
 
-// ExampleLeader_Execute shows multi-round FedAvg training: the leader
-// re-distributes the parameter average between rounds and the
-// per-round deltas trace convergence.
+// ExampleLeader_Execute shows the leader's one query entry point: the
+// paper's single round behind the reuse cache, so repeating the query
+// is answered from the cache without training.
 func ExampleLeader_Execute() {
 	data, _ := dataset.PaperNodeDatasets(dataset.Config{
 		Nodes: 4, SamplesPerNode: 400, Seed: 5,
@@ -66,19 +66,28 @@ func ExampleLeader_Execute() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	space, _ := fleet.Space()
-	qs, _ := query.Workload(query.WorkloadConfig{Space: space, Count: 1}, rng.New(9))
-	q := qs[0]
-	res, _, err := fleet.Leader.Execute(context.Background(), federation.Request{
-		Query:    q,
-		Selector: selection.QueryDriven{Epsilon: 0.6, TopL: 2},
-		Rounds:   3,
-	})
+	cache, err := federation.NewReuseCache(0.9, 8)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("rounds=%d, single global model: %v\n", len(res.RoundDeltas), res.Ensemble.Size() == 1)
-	// Output: rounds=3, single global model: true
+	space, _ := fleet.Space()
+	qs, _ := query.Workload(query.WorkloadConfig{Space: space, Count: 1}, rng.New(9))
+	req := federation.Request{
+		Query:       qs[0],
+		Selector:    selection.QueryDriven{Epsilon: 0.6, TopL: 2},
+		Aggregation: federation.WeightedAveraging,
+		Cache:       cache,
+	}
+	for i := 0; i < 2; i++ {
+		res, kind, err := fleet.Leader.Execute(context.Background(), req)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("%s: %d participants, %d local models\n", kind, len(res.Participants), res.Ensemble.Size())
+	}
+	// Output:
+	// fresh: 2 participants, 2 local models
+	// exact: 2 participants, 2 local models
 }
 
 // hospital generates a synthetic patient registry over ages

@@ -3,7 +3,6 @@ package federation
 import (
 	"context"
 	"errors"
-	"fmt"
 	"time"
 
 	"qens/internal/query"
@@ -17,16 +16,6 @@ type Request struct {
 	Query       query.Query
 	Selector    selection.Selector
 	Aggregation Aggregation
-	// Rounds is the number of communication rounds; 0 means the
-	// paper's single round (select, train locally, aggregate
-	// predictions). With more than one the leader runs the classic
-	// FedAvg loop ([6], [15], [16]) over the once-selected
-	// participants: after every round it replaces the global model
-	// with the rank-weighted parameter average and re-distributes it,
-	// so the Result's ensemble is the single converged model
-	// (GlobalParams, with RoundDeltas as its convergence history) and
-	// Aggregation is recorded as WeightedAveraging.
-	Rounds int
 	// Cache, when non-nil, fronts training with the reuse tiers: exact
 	// IoU reuse, then (when the cache enables it) the approximate
 	// model-answer tier with its deterministic probe schedule. Fresh
@@ -138,25 +127,19 @@ func Serve(req Request, t Tier) (*Result, ServeKind, error) {
 	return res, kind, nil
 }
 
-// Execute runs the §IV-B loop for one query — plan the participants
-// (Eq. 2–4), draw the initial global model, Round × Rounds, Assemble
-// (Eq. 5–7) — behind Serve's reuse tiers, and reports which tier
-// answered. It is the leader's one query entry point; the number of
-// rounds and the cache are fields of Request.
+// Execute runs the paper's §IV-B query once — plan the participants
+// (Eq. 2–4), draw the initial global model, one Round of local
+// training, Assemble (Eq. 5–7) — behind Serve's reuse tiers, and
+// reports which tier answered. It is the leader's one query entry
+// point; the cache and a prepared plan are fields of Request.
 //
-// The context is consulted before selection and before every training
-// round and handed to each participant client, so an expired query
-// aborts instead of occupying the fleet. Cache lookups are fenced by
-// the registry's reuse epoch: after InvalidateSummaries or a node drift
-// signal, results trained against the old advertisements stop
-// matching.
+// The context is consulted before selection and before every
+// participant's training and handed to each participant client, so an
+// expired query aborts instead of occupying the fleet. Cache lookups
+// are fenced by the registry's reuse epoch: after InvalidateSummaries
+// or a node drift signal, results trained against the old
+// advertisements stop matching.
 func (l *Leader) Execute(ctx context.Context, req Request) (*Result, ServeKind, error) {
-	if req.Rounds < 0 {
-		return nil, ServeFresh, fmt.Errorf("federation: rounds %d < 0", req.Rounds)
-	}
-	if req.Rounds > 1 {
-		req.Aggregation = WeightedAveraging
-	}
 	return Serve(req, Tier{
 		Fence:    Fence{Epoch: l.reg.ReuseEpoch()},
 		InputDim: l.cfg.Spec.InputDim,
@@ -189,10 +172,9 @@ func (l *Leader) prepare(ctx context.Context, qspan *telemetry.SpanHandle, q que
 // train is Execute past the cache: the selection stage — req.Prepared
 // while the registry still reports the epoch it was ranked against (the
 // reuse fence's comparison), planned now otherwise — then the I/O-bound
-// rounds. With a tracer installed it emits one trace of selection (when
+// round. With a tracer installed it emits one trace of selection (when
 // it planned), per-node train and aggregation spans.
 func (l *Leader) train(ctx context.Context, req Request) (_ *Result, retErr error) {
-	rounds, agg := max(req.Rounds, 1), req.Aggregation
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -218,40 +200,34 @@ func (l *Leader) train(ctx context.Context, req Request) (_ *Result, retErr erro
 	if err != nil {
 		return nil, err
 	}
-	current := global.Params()
+	initial := global.Params()
 
 	res := &Result{
 		Query:        req.Query,
 		Epoch:        prep.Epoch,
 		Selector:     req.Selector.Name(),
-		Aggregation:  agg,
+		Aggregation:  req.Aggregation,
 		Participants: prep.Participants,
 	}
 	res.Stats.SamplesAllNodes = prep.snap.TotalSamples
 	captureTrainingBounds(res, prep.snap)
-	for r := 0; r < rounds; r++ {
-		outs := l.Round(ctx, RoundRequest{
-			Spec:         l.cfg.Spec,
-			Params:       current,
-			Participants: res.Participants,
-			LocalEpochs:  l.cfg.LocalEpochs,
-			Round:        r,
-			Parent:       qspan,
-		})
-		if outs == nil {
-			return nil, ctx.Err()
-		}
-		if err := Assemble(res, outs, Assembly{
-			Spec:             l.cfg.Spec,
-			Initial:          current,
-			Round:            r,
-			TolerateFailures: l.cfg.TolerateFailures,
-			FedAvg:           rounds > 1,
-			Span:             qspan,
-		}); err != nil {
-			return nil, err
-		}
-		current = res.GlobalParams // FedAvg re-distribution; unused after a single round
+	outs := l.Round(ctx, RoundRequest{
+		Spec:         l.cfg.Spec,
+		Params:       initial,
+		Participants: res.Participants,
+		LocalEpochs:  l.cfg.LocalEpochs,
+		Parent:       qspan,
+	})
+	if outs == nil {
+		return nil, ctx.Err()
+	}
+	if err := Assemble(res, outs, Assembly{
+		Spec:             l.cfg.Spec,
+		Initial:          initial,
+		TolerateFailures: l.cfg.TolerateFailures,
+		Span:             qspan,
+	}); err != nil {
+		return nil, err
 	}
 	res.Stats.SelectionTime = selectionTime
 	res.Stats.WallTime = time.Since(start)

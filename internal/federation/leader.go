@@ -416,13 +416,7 @@ type Result struct {
 	TrainMins []float64
 	TrainMaxs []float64
 	TrainDims int
-	// RoundDeltas and GlobalParams are set by multi-round execution
-	// (Request.Rounds > 1): the L2 distance between consecutive global
-	// parameter vectors, one per round — a shrinking sequence indicates
-	// convergence — and the final FedAvg parameter vector.
-	RoundDeltas  []float64
-	GlobalParams ml.Params
-	Stats        Stats
+	Stats     Stats
 }
 
 // plan resolves the registry snapshot (fetching the fleet at most once)
@@ -495,34 +489,6 @@ func (l *Leader) ExplainQuery(ctx context.Context, q query.Query, sel selection.
 		ex.Rankings[i] = nr
 	}
 	return ex, nil
-}
-
-// EvaluateGlobal scores a single global model (e.g. the FedAvg output
-// of a multi-round Execute) against the federation's own data, restricted
-// to bounds, without any raw data reaching the leader: every participant
-// reports its local (MSE, sample count) and the leader pools them by
-// sample weight. ok is false when no participant holds in-bounds data.
-func (l *Leader) EvaluateGlobal(params ml.Params, bounds geometry.Rect) (mse float64, samples int, err error) {
-	return l.EvaluateGlobalContext(context.Background(), params, bounds)
-}
-
-// EvaluateGlobalContext is EvaluateGlobal with deadline/cancellation
-// support.
-func (l *Leader) EvaluateGlobalContext(ctx context.Context, params ml.Params, bounds geometry.Rect) (mse float64, samples int, err error) {
-	totalSq := 0.0
-	for _, c := range l.clients {
-		resp, err := c.Evaluate(ctx, EvalRequest{Spec: l.cfg.Spec, Params: params, Bounds: &bounds})
-		if err != nil {
-			return 0, 0, fmt.Errorf("federation: evaluate on %s: %w", c.ID(), err)
-		}
-		l.reg.SignalNodeEpoch(c.ID(), resp.SummaryEpoch)
-		totalSq += resp.MSE * float64(resp.Samples)
-		samples += resp.Samples
-	}
-	if samples == 0 {
-		return 0, 0, nil
-	}
-	return totalSq / float64(samples), samples, nil
 }
 
 // EvaluateResult scores a result's ensemble against test data

@@ -1,7 +1,6 @@
 package federation
 
 import (
-	"strconv"
 	"time"
 
 	"qens/internal/query"
@@ -24,9 +23,6 @@ import (
 type NodeRound struct {
 	// NodeID is the participant.
 	NodeID string
-	// Round is the communication round index (0 for the paper's
-	// single round).
-	Round int
 	// Elapsed is the leader-observed wall time of the round.
 	Elapsed time.Duration
 	// Err is the failure reason ("" on success). Failed rounds are
@@ -70,12 +66,9 @@ func (l *Leader) startQuerySpan(q query.Query, sel selection.Selector) *telemetr
 }
 
 // startTrainSpan opens a per-node train child span.
-func startTrainSpan(parent *telemetry.SpanHandle, nodeID string, round int) *telemetry.SpanHandle {
+func startTrainSpan(parent *telemetry.SpanHandle, nodeID string) *telemetry.SpanHandle {
 	sp := parent.Child("train")
 	sp.SetAttr("node", nodeID)
-	if round > 0 {
-		sp.SetAttr("round", strconv.Itoa(round))
-	}
 	return sp
 }
 

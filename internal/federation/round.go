@@ -26,9 +26,6 @@ type RoundRequest struct {
 	// LocalEpochs is the paper's E; values below 1 use the leader's
 	// configured default.
 	LocalEpochs int
-	// Round is the communication-round index (0 for the paper's
-	// single round), stamped on the train spans.
-	Round int
 	// Concurrent trains every participant at once — the region tier's
 	// mode, where each node sits on its own hardware behind TCP.
 	// Otherwise participants train one after another on the caller's
@@ -104,7 +101,7 @@ func (l *Leader) fanOut(ctx context.Context, req RoundRequest, outs []RoundOutco
 
 // trainOne runs and records one participant's share of a round.
 func (l *Leader) trainOne(ctx context.Context, req *RoundRequest, p selection.Participant) RoundOutcome {
-	tspan := startTrainSpan(req.Parent, p.NodeID, req.Round)
+	tspan := startTrainSpan(req.Parent, p.NodeID)
 	traceID, spanID := req.TraceID, req.SpanID
 	if tspan != nil {
 		traceID, spanID = tspan.Trace(), tspan.Span()

@@ -347,7 +347,11 @@ func (s *Server) timeoutFor(req queryRequest, now time.Time) (time.Duration, boo
 		if req.TimeoutMS < 0 {
 			return 0, false, fmt.Errorf("timeout_ms %d is negative", req.TimeoutMS)
 		}
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
+		// Capped before scaling: a huge timeout_ms overflows Duration.
+		timeout = s.cfg.MaxTimeout
+		if req.TimeoutMS < s.cfg.MaxTimeout.Milliseconds() {
+			timeout = time.Duration(req.TimeoutMS) * time.Millisecond
+		}
 	}
 	if req.Deadline != "" {
 		abs, err := time.Parse(time.RFC3339, req.Deadline)
@@ -436,7 +440,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// bound even when nobody can train this exact rectangle.
 		if resp, ok := s.answerFromCache(r.Context(), q.ID, freq); ok {
 			now := time.Now()
-			s.records.update(q.ID, func(rec *record) {
+			s.records.update(q.ID, rec, func() {
 				rec.Status, rec.Finished, rec.Result = recordDone, &now, resp
 			})
 			if req.Async {
@@ -478,7 +482,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// The record tracker outlives the HTTP request: async clients and
 	// sync clients whose connection died both find the outcome under
 	// GET /v1/query/{id}.
-	go s.trackRecord(q.ID, req.IncludeParams, tk)
+	go s.trackRecord(rec, req.IncludeParams, tk)
 
 	if req.Async {
 		writeJSON(w, http.StatusAccepted, map[string]string{"id": q.ID, "status": string(recordPending)})
@@ -494,20 +498,20 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // trackRecord waits for the task (detached from any HTTP context) and
-// finalizes the stored record.
-func (s *Server) trackRecord(id string, includeParams bool, tk *Ticket) {
+// finalizes its record while the store still holds it.
+func (s *Server) trackRecord(rec *record, includeParams bool, tk *Ticket) {
 	out, err := tk.Wait(context.Background())
 	now := time.Now()
 	if err != nil {
-		s.records.update(id, func(rec *record) {
+		s.records.update(rec.ID, rec, func() {
 			rec.Status = recordError
 			rec.Error = err.Error()
 			rec.Finished = &now
 		})
 		return
 	}
-	resp := buildResponse(id, out, includeParams)
-	s.records.update(id, func(rec *record) {
+	resp := buildResponse(rec.ID, out, includeParams)
+	s.records.update(rec.ID, rec, func() {
 		rec.Status = recordDone
 		rec.Result = &resp
 		rec.Finished = &now
@@ -889,11 +893,13 @@ func (rs *recordStore) remove(id string, rec *record) {
 	}
 }
 
-func (rs *recordStore) update(id string, fn func(*record)) {
+// update applies fn to rec unless it was evicted: a later submission may
+// hold its id by now.
+func (rs *recordStore) update(id string, rec *record, fn func()) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	if rec, ok := rs.byID[id]; ok {
-		fn(rec)
+	if rs.byID[id] == rec {
+		fn()
 	}
 }
 

@@ -379,6 +379,45 @@ func TestGatewayDuplicateID409(t *testing.T) {
 	}
 }
 
+// TestGatewayEvictedIDReuse: a query whose record was evicted while it
+// ran does not finalize the record of a later query that reuses its id.
+func TestGatewayEvictedIDReuse(t *testing.T) {
+	gate := make(chan struct{})
+	leader, arrived := gatedLeader(t, gate)
+	_, ts := newGatewayServer(t, ServerConfig{
+		Leader: leader, Workers: 1, QueueDepth: 8, CoalesceIoU: -1, RecordCapacity: 1,
+	})
+
+	// A ("x") runs; "y" evicts A's record; B reuses "x" and queues
+	// behind "y".
+	const body = `{"id":%q,"bounds":{"min":[%d,-50],"max":[35,150]},"selector":"all-nodes","async":true}`
+	for i, id := range []string{"x", "y", "x"} {
+		if code, doc, _ := postQuery(t, ts.URL, fmt.Sprintf(body, id, 5*(i+1))); code != http.StatusAccepted {
+			t.Fatalf("submit %d (%s): %d (%v)", i, id, code, doc)
+		}
+	}
+	// Release A's two Train calls; "y" reaching the gate means A is done.
+	gate <- struct{}{}
+	gate <- struct{}{}
+	for deadline := time.Now().Add(5 * time.Second); arrived.Load() < 3; time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d Train calls reached the gate, want 3", arrived.Load())
+		}
+	}
+	for i := 0; i < 50; i++ {
+		var rec record
+		getJSON(t, ts.URL+"/v1/query/x", &rec)
+		if rec.Status != recordPending {
+			t.Fatalf("B's record reads %s (%+v) while B is queued", rec.Status, rec.Result)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	close(gate)
+	if rec := awaitRecord(t, ts.URL, "x"); rec.Status != recordDone {
+		t.Fatalf("B's record: %s %s", rec.Status, rec.Error)
+	}
+}
+
 // TestGatewayQueueOverflow429: with the worker wedged and the queue
 // full, the gateway sheds load with 429 + Retry-After.
 func TestGatewayQueueOverflow429(t *testing.T) {
@@ -452,6 +491,33 @@ func TestGatewayExecutionTimeout504(t *testing.T) {
 		`{"bounds":{"min":[0,-50],"max":[20,150]},"timeout_ms":60}`)
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d (%v), want 504", code, doc)
+	}
+}
+
+// TestGatewayTimeoutCapped: a timeout_ms beyond MaxTimeout runs under
+// MaxTimeout, however large, instead of overflowing into an expired or
+// arbitrary budget.
+func TestGatewayTimeoutCapped(t *testing.T) {
+	fleet := testFleet(t)
+	s, ts := newGatewayServer(t, ServerConfig{Leader: fleet.Leader, MaxTimeout: time.Minute})
+	for _, tc := range []struct {
+		name string
+		ms   int64
+		want time.Duration
+	}{
+		{"within the cap", 2000, 2 * time.Second},
+		{"beyond the cap", 3_600_000, time.Minute},
+		{"wraps negative", 10_000_000_000_000, time.Minute},
+		{"wraps to under a millisecond", 18_446_744_073_710, time.Minute},
+		{"max int64", math.MaxInt64, time.Minute},
+	} {
+		if got, ok, err := s.timeoutFor(queryRequest{TimeoutMS: tc.ms}, time.Now()); got != tc.want || !ok || err != nil {
+			t.Errorf("%s: budget %v (ok %v, err %v), want %v", tc.name, got, ok, err, tc.want)
+		}
+		body := fmt.Sprintf(`{"bounds":{"min":[0,-50],"max":[20,150]},"timeout_ms":%d}`, tc.ms)
+		if code, doc, _ := postQuery(t, ts.URL, body); code != http.StatusOK {
+			t.Errorf("%s: status %d (%v), want 200", tc.name, code, doc)
+		}
 	}
 }
 
@@ -585,7 +651,8 @@ func TestRecordStoreEviction(t *testing.T) {
 			t.Fatalf("record %s missing", id)
 		}
 	}
-	rs.update("q2", func(r *record) { r.Status = recordDone })
+	q2 := rs.byID["q2"]
+	rs.update("q2", q2, func() { q2.Status = recordDone })
 	rec, _ := rs.get("q2")
 	if rec.Status != recordDone {
 		t.Fatal("update lost")

@@ -486,9 +486,6 @@ func (r *Router) current(p *federation.Prepared) *topology {
 // leader's signature and serving sequence (federation.Serve): the reuse
 // tiers of req.Cache, fenced per region, in front of execute.
 func (r *Router) Execute(ctx context.Context, req federation.Request) (*federation.Result, federation.ServeKind, error) {
-	if req.Rounds > 1 {
-		return nil, federation.ServeFresh, fmt.Errorf("region: %d rounds; the sharded topology runs the paper's single round", req.Rounds)
-	}
 	return federation.Serve(req, federation.Tier{
 		Fence:    r.fence,
 		InputDim: r.cfg.Spec.InputDim,
