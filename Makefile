@@ -19,8 +19,8 @@ ci: check loadsmoke
 loadsmoke:
 	sh scripts/loadsmoke.sh
 
-# Short fuzz campaigns over the wire-facing parsers; CI runs this
-# list with FUZZTIME=20s.
+# Short fuzz campaigns over the wire-facing parsers and the training
+# shuffle's match with math/rand; CI runs this list with FUZZTIME=20s.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime $(FUZZTIME) ./internal/transport/
@@ -28,6 +28,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzWirePush -fuzztime $(FUZZTIME) ./internal/transport/
 	$(GO) test -run '^$$' -fuzz FuzzRTreePrune -fuzztime $(FUZZTIME) ./internal/geometry/
 	$(GO) test -run '^$$' -fuzz FuzzCoverageProfile -fuzztime $(FUZZTIME) ./internal/geometry/
+	$(GO) test -run '^$$' -fuzz FuzzPermInto -fuzztime $(FUZZTIME) ./internal/rng/
 
 fmt:
 	gofmt -w .

@@ -20,9 +20,12 @@
 //
 //   - Allocation-free steady state. Models are pooled per spec
 //     fingerprint and re-initialized in place (ml.Model.Reinit), and
-//     cluster data reaches the trainer through zero-copy views
-//     (dataset.View.XYInto into pooled flat buffers + PartialFitBatch)
-//     instead of materialized [][]float64 copies.
+//     cluster data reaches the trainer as flat rows staged once per
+//     snapshot: its first cluster Train copies every cluster through
+//     its zero-copy view (dataset.View.XYInto) into slices the
+//     snapshot owns, and every job pinned to it hands them straight to
+//     PartialFitBatch. The whole-data path and Evaluate stream through
+//     pooled flat buffers instead. No job materializes [][]float64.
 package engine
 
 import (
@@ -41,7 +44,9 @@ import (
 // Snapshot is one immutable generation of a node's local state: the
 // dataset, its quantization, and the advertisement epoch they belong
 // to. Jobs pin a snapshot at admission; mutators never modify a
-// published snapshot, they publish a successor.
+// published snapshot, they publish a successor. The one thing filled
+// in after publication is the snapshot's own staged copy of its
+// cluster rows, written once (sync.Once) and read-only after.
 type Snapshot struct {
 	// Data is the node's local dataset at this epoch. Its rows are
 	// never mutated in place after publication (mutators go through
@@ -52,6 +57,43 @@ type Snapshot struct {
 	// Epoch is the advertisement version: 1 for the initial state,
 	// bumped by every successful Mutate.
 	Epoch uint64
+
+	// staged is every cluster's flat (x, y), built by the snapshot's
+	// first cluster Train (see clusterXY) and read by every later one.
+	staged struct {
+		once sync.Once
+		x, y []float64
+		off  []int // cluster k's rows are [off[k], off[k+1])
+	}
+}
+
+// clusterXY returns cluster k's samples as flat row-major features
+// and targets, the same values in the same order View.XYInto stages
+// from Quant.ClusterView(k). The first call stages every cluster at
+// once into one pair of slices owned by the snapshot; later calls, from
+// any job pinned to it, slice them. Callers must not write to them.
+func (s *Snapshot) clusterXY(k int) (x, y []float64, err error) {
+	st := &s.staged
+	st.once.Do(func() {
+		clusters := s.Quant.Result.Clusters
+		st.off = make([]int, len(clusters)+1)
+		for i, c := range clusters {
+			st.off[i+1] = st.off[i] + len(c.Members)
+		}
+		fd := s.Quant.Data.Dims() - 1
+		st.x, st.y = make([]float64, st.off[len(clusters)]*fd), make([]float64, st.off[len(clusters)])
+		for i := range clusters {
+			view, _ := s.Quant.ClusterView(i)
+			view.XYInto(st.x[st.off[i]*fd:st.off[i+1]*fd], st.y[st.off[i]:st.off[i+1]])
+		}
+	})
+	if k < 0 || k >= len(st.off)-1 {
+		_, err = s.Quant.ClusterView(k) // the quantization's out-of-range error
+		return nil, nil, err
+	}
+	fd := s.Quant.Data.Dims() - 1
+	lo, hi := st.off[k], st.off[k+1]
+	return st.x[lo*fd : hi*fd], st.y[lo:hi], nil
 }
 
 // Config parameterizes an Engine.
@@ -273,10 +315,11 @@ func (e *Engine) release() {
 	<-e.sem
 }
 
-// Buffers is the pooled per-job working memory: flat feature/target
-// staging for XYInto and a prediction buffer for evaluation. Slices
-// only ever grow, so a warmed pool makes the data-staging path
-// allocation-free.
+// Buffers is the pooled per-job working memory of the paths that do
+// not read a snapshot's staged cluster rows: flat feature/target
+// staging for the whole-data Train and Evaluate, and a prediction
+// buffer for evaluation. Slices only ever grow, so a warmed pool makes
+// those paths allocation-free.
 type Buffers struct {
 	X    []float64
 	Y    []float64

@@ -31,9 +31,10 @@ type Phases struct {
 	QueuedAt time.Time
 	// Queue is the time spent waiting for an engine slot.
 	Queue time.Duration
-	// Stage is the cumulative data-staging time: cluster view
-	// resolution plus XYInto copies (Train) or the subspace filter
-	// scan (Evaluate).
+	// Stage is the cumulative data-staging time: the lookup of each
+	// cluster's staged rows, plus the one-off staging of the snapshot
+	// by its first cluster Train or the whole-data XYInto copy
+	// (Train), or the subspace filter scan (Evaluate).
 	Stage time.Duration
 	// Fit is the cumulative model-compute time: PartialFitBatch
 	// (Train) or the batched predict loop (Evaluate).
@@ -55,15 +56,16 @@ type TrainResult struct {
 }
 
 // Train executes one training round: queue for a slot, pin the
-// current snapshot, check a pooled model out, and stream each
-// requested cluster through flat staging buffers into the model's
-// zero-copy fit path. ctx is honored while queued, between clusters
-// and at every mini-batch boundary inside the fit.
+// current snapshot, check a pooled model out, and fit each requested
+// cluster's rows, staged once per snapshot (the first cluster job on
+// it stages them all), through the model's flat fit path. ctx is
+// honored while queued, between clusters and at every mini-batch
+// boundary inside the fit.
 //
 // The arithmetic is bit-exact with the pre-engine path (materialize
-// cluster → [][]float64 → PartialFit): views deliver the same values
-// in the same order, and PartialFitBatch performs the same FLOPs as
-// PartialFit.
+// cluster → [][]float64 → PartialFit): the staged rows are the values
+// the cluster's view delivers, in its order, and PartialFitBatch
+// performs the same FLOPs as PartialFit.
 func (e *Engine) Train(ctx context.Context, job TrainJob) (TrainResult, error) {
 	if job.Epochs < 1 {
 		return TrainResult{}, fmt.Errorf("engine: local epochs %d < 1", job.Epochs)
@@ -82,11 +84,11 @@ func (e *Engine) Train(ctx context.Context, job TrainJob) (TrainResult, error) {
 		return TrainResult{}, err
 	}
 	defer e.pool.put(job.Spec, model)
-	bufs := e.getBuffers()
-	defer e.putBuffers(bufs)
 
 	used := 0
 	if len(job.Clusters) == 0 {
+		bufs := e.getBuffers()
+		defer e.putBuffers(bufs)
 		view := snap.Data.View()
 		stageStart := time.Now()
 		x, y := view.XYInto(bufs.X[:0], bufs.Y[:0])
@@ -104,16 +106,14 @@ func (e *Engine) Train(ctx context.Context, job TrainJob) (TrainResult, error) {
 				return TrainResult{}, err
 			}
 			stageStart := time.Now()
-			view, err := snap.Quant.ClusterView(c)
+			x, y, err := snap.clusterXY(c)
 			if err != nil {
 				return TrainResult{}, err
 			}
-			if view.Len() == 0 {
+			if len(y) == 0 {
 				phases.Stage += time.Since(stageStart)
 				continue
 			}
-			x, y := view.XYInto(bufs.X[:0], bufs.Y[:0])
-			bufs.X, bufs.Y = x, y
 			start := time.Now()
 			phases.Stage += start.Sub(stageStart)
 			if err := model.PartialFitBatch(ctx, x, y, job.Epochs); err != nil {
@@ -122,7 +122,7 @@ func (e *Engine) Train(ctx context.Context, job TrainJob) (TrainResult, error) {
 			fit := time.Since(start)
 			phases.Fit += fit
 			e.metrics.clusterMS.ObserveDuration(fit)
-			used += view.Len()
+			used += len(y)
 		}
 		if used == 0 {
 			return TrainResult{}, fmt.Errorf("no data in requested clusters %v", job.Clusters)

@@ -29,12 +29,15 @@ func NewDense(rows, cols int) *Dense {
 	return &Dense{rows: rows, cols: cols, data: make([]float64, rows*cols)}
 }
 
-// NewDenseData wraps data (length rows*cols, row-major) without copying.
-func NewDenseData(rows, cols int, data []float64) *Dense {
+// SetData re-points m at data (length rows*cols, row-major) without
+// copying and returns m. A kernel that reshapes its scratch every call
+// keeps one header per matrix this way instead of allocating one.
+func (m *Dense) SetData(rows, cols int, data []float64) *Dense {
 	if len(data) != rows*cols {
 		panic(fmt.Sprintf("matrix: data length %d != %d x %d", len(data), rows, cols))
 	}
-	return &Dense{rows: rows, cols: cols, data: data}
+	m.rows, m.cols, m.data = rows, cols, data
+	return m
 }
 
 // FromRows builds a matrix from row slices, which must share a length.

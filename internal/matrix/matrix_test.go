@@ -20,6 +20,27 @@ func TestNewDenseZero(t *testing.T) {
 	}
 }
 
+// TestSetData checks that a re-pointed header reads and writes the
+// given backing in place, reshapes on every call, and refuses a
+// backing of the wrong length.
+func TestSetData(t *testing.T) {
+	backing := []float64{1, 2, 3, 4, 5, 6}
+	var m Dense
+	if got := m.SetData(2, 3, backing); got != &m || m.At(1, 0) != 4 {
+		t.Fatalf("SetData(2, 3) reads %v at (1,0), want 4", m.At(1, 0))
+	}
+	m.SetData(3, 2, backing).Set(2, 1, 9)
+	if backing[5] != 9 || m.Rows() != 3 || m.Cols() != 2 {
+		t.Fatalf("reshaped header is %dx%d and wrote %v", m.Rows(), m.Cols(), backing)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SetData accepted 5 values for a 2x3 matrix")
+		}
+	}()
+	m.SetData(2, 3, backing[:5])
+}
+
 func TestSetAt(t *testing.T) {
 	m := NewDense(2, 2)
 	m.Set(0, 1, 3.5)

@@ -21,13 +21,14 @@ type linear struct {
 	src     *rng.Source
 	history History
 
-	// scratch holds reusable fit buffers (permutation, gradient,
-	// flattened params, normalized input, the standardized batch and
-	// per-feature std) so the steady-state training loop performs
-	// zero allocations. Lazily sized; makes the model unsafe for
-	// concurrent use (see Model docs).
+	// scratch holds reusable fit buffers (permutation, residuals,
+	// gradient, flattened params, normalized input, the standardized
+	// batch and per-feature std) so the steady-state training loop
+	// performs zero allocations. Lazily sized; makes the model unsafe
+	// for concurrent use (see Model docs).
 	scratch struct {
 		perm   []int
+		res    []float64 // one mini-batch's 2·residuals
 		grad   []float64
 		params []float64
 		xn     []float64
@@ -138,6 +139,7 @@ func (m *linear) ensureScratch(n int) {
 		m.scratch.ys = make([]float64, n)
 	}
 	if m.scratch.grad == nil {
+		m.scratch.res = make([]float64, m.spec.BatchSize)
 		m.scratch.grad = make([]float64, d+1)
 		m.scratch.params = make([]float64, d+1)
 		m.scratch.xn = make([]float64, d)
@@ -174,45 +176,55 @@ func (m *linear) standardize(x2 [][]float64, xf []float64, y []float64) (xs, ys 
 // standardized batch, checking ctx before every mini-batch. All
 // working memory comes from the model's scratch, so a steady-state
 // epoch allocates nothing.
+//
+// Each mini-batch first scores its samples into 2·residual terms, then
+// sums every gradient component in a register over the batch. That is
+// the per-sample loop with its two loops interchanged: component j
+// still adds 2·err·x_j·invN, evaluated left to right, sample by sample
+// in shuffled order onto a zero start, so every sum is bit-identical.
 func (m *linear) runEpoch(ctx context.Context, xs, ys []float64) error {
 	n, d := len(ys), m.spec.InputDim
 	perm := m.src.PermInto(m.scratch.perm[:n])
-	grad, params := m.scratch.grad, m.scratch.params
+	grad, params := m.scratch.grad[:d+1], m.scratch.params[:d+1]
+	weights := m.weights[:d]
 	for start := 0; start < n; start += m.spec.BatchSize {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		end := start + m.spec.BatchSize
-		if end > n {
-			end = n
-		}
-		for i := range grad {
-			grad[i] = 0
-		}
+		end := min(start+m.spec.BatchSize, n)
 		batch := perm[start:end]
+		res := m.scratch.res[:len(batch)]
 		invN := 1 / float64(len(batch))
-		for _, idx := range batch {
-			xn := xs[idx*d : (idx+1)*d]
+		for k, idx := range batch {
+			xn := xs[idx*d : idx*d+d]
 			pred := m.bias
-			for j, w := range m.weights {
+			for j, w := range weights {
 				pred += w * xn[j]
 			}
-			err := pred - ys[idx]
-			for j := range m.weights {
-				grad[j] += 2 * err * xn[j] * invN
-			}
-			grad[d] += 2 * err * invN
+			res[k] = 2 * (pred - ys[idx])
 		}
+		for j := range weights {
+			g := 0.0
+			for k, idx := range batch {
+				g += res[k] * xs[idx*d+j] * invN
+			}
+			grad[j] = g
+		}
+		g := 0.0
+		for _, r := range res {
+			g += r * invN
+		}
+		grad[d] = g
 		if m.spec.L2 > 0 {
-			for j, w := range m.weights {
+			for j, w := range weights {
 				grad[j] += m.spec.L2 * w
 			}
 		}
 		clipGradient(grad, 10)
-		copy(params, m.weights)
+		copy(params, weights)
 		params[d] = m.bias
 		m.opt.step(params, grad)
-		copy(m.weights, params[:d])
+		copy(weights, params[:d])
 		m.bias = params[d]
 	}
 	return nil

@@ -42,8 +42,9 @@ type Model interface {
 	PartialFitContext(ctx context.Context, x [][]float64, y []float64, epochs int) error
 	// PartialFitBatch is the zero-copy training path: x is a flat
 	// row-major feature buffer with stride InputDim (len(x) ==
-	// len(y)*InputDim), typically filled by dataset.View.XYInto into
-	// a pooled buffer. Arithmetic is bit-exact with PartialFit over
+	// len(y)*InputDim), typically filled by dataset.View.XYInto (the
+	// engine stages cluster rows this way once per snapshot; see
+	// internal/engine). The model only reads x and y. Arithmetic is bit-exact with PartialFit over
 	// the equivalent [][]float64 batch. ctx is checked at mini-batch
 	// boundaries.
 	PartialFitBatch(ctx context.Context, x []float64, y []float64, epochs int) error

@@ -26,32 +26,26 @@ type neuralNet struct {
 
 	// scratch holds the reusable forward/backward working set: the
 	// permutation, the normalized input matrix, per-layer activation
-	// and delta backings, the flat gradient and parameter vectors.
-	// Sized lazily to the largest batch seen; reuse across batches
-	// and epochs keeps steady-state training allocation-light and is
-	// what the engine's model pool recycles. Makes the model unsafe
-	// for concurrent use (see Model docs).
+	// and delta backings and the matrix headers over them, the flat
+	// gradient and parameter vectors. Sized lazily to the largest
+	// batch seen; reuse across batches and epochs keeps steady-state
+	// training allocation-free and is what the engine's model pool
+	// recycles. Makes the model unsafe for concurrent use (see Model
+	// docs).
 	scratch struct {
 		perm     []int
 		input    []float64
-		actBuf   [][]float64 // index l+1: backing for layer l's output
-		deltaBuf [][]float64 // index l: backing for deltas with widths[l] cols
+		actBuf   [][]float64    // index l+1: backing for layer l's output
+		deltaBuf [][]float64    // index l: backing for deltas with widths[l] cols
+		acts     []matrix.Dense // index 0: the input; l+1: layer l's output
+		deltas   []matrix.Dense // index l: deltas over deltaBuf[l]
+		gw       matrix.Dense   // the weight gradient of the layer in hand
 		target   []float64
 		grad     []float64
 		params   []float64
 		xn       []float64
 		pred     []float64
 	}
-}
-
-// widths returns the layer widths including input and output.
-func (m *neuralNet) widths() []int {
-	out := make([]int, 0, len(m.layers)+1)
-	out = append(out, m.spec.InputDim)
-	for _, l := range m.layers {
-		out = append(out, l.w.Cols())
-	}
-	return out
 }
 
 // denseLayer holds weights (in x out) and biases (out). hidden marks
@@ -214,20 +208,22 @@ func (m *neuralNet) runEpoch(ctx context.Context, x2 [][]float64, xf []float64, 
 // flat gradient/parameter vectors. Growth is monotonic, so steady
 // state never reallocates.
 func (m *neuralNet) ensureBatchScratch(nb int) {
-	widths := m.widths()
 	if cap(m.scratch.input) < nb*m.spec.InputDim {
 		m.scratch.input = make([]float64, nb*m.spec.InputDim)
 	}
 	if m.scratch.actBuf == nil {
 		m.scratch.actBuf = make([][]float64, len(m.layers)+1)
 		m.scratch.deltaBuf = make([][]float64, len(m.layers)+1)
+		m.scratch.acts = make([]matrix.Dense, len(m.layers)+1)
+		m.scratch.deltas = make([]matrix.Dense, len(m.layers)+1)
 	}
-	for l := 1; l <= len(m.layers); l++ {
-		if cap(m.scratch.actBuf[l]) < nb*widths[l] {
-			m.scratch.actBuf[l] = make([]float64, nb*widths[l])
+	for l, layer := range m.layers {
+		w := nb * layer.w.Cols() // layer l's output is width l+1
+		if cap(m.scratch.actBuf[l+1]) < w {
+			m.scratch.actBuf[l+1] = make([]float64, w)
 		}
-		if cap(m.scratch.deltaBuf[l]) < nb*widths[l] {
-			m.scratch.deltaBuf[l] = make([]float64, nb*widths[l])
+		if cap(m.scratch.deltaBuf[l+1]) < w {
+			m.scratch.deltaBuf[l+1] = make([]float64, w)
 		}
 	}
 	if cap(m.scratch.target) < nb {
@@ -240,13 +236,15 @@ func (m *neuralNet) ensureBatchScratch(nb int) {
 }
 
 // trainBatch runs forward + backward on one mini-batch and applies
-// the optimizer step. All matrices are views over the model's scratch
-// backings; the arithmetic (and therefore the result) is bit-exact
-// with the historical allocate-per-batch implementation.
+// the optimizer step. All matrices are the model's scratch headers
+// over its scratch backings, so a mini-batch allocates nothing; the
+// arithmetic (and therefore the result) is bit-exact with the
+// historical allocate-per-batch implementation.
 func (m *neuralNet) trainBatch(x2 [][]float64, xf []float64, y []float64, batch []int) {
 	n := len(batch)
 	d := m.spec.InputDim
-	input := matrix.NewDenseData(n, d, m.scratch.input[:n*d])
+	acts := m.scratch.acts
+	input := acts[0].SetData(n, d, m.scratch.input[:n*d])
 	target := m.scratch.target[:n]
 	for i, idx := range batch {
 		m.stats.normX(input.Row(i), rowAt(x2, xf, d, idx))
@@ -254,21 +252,18 @@ func (m *neuralNet) trainBatch(x2 [][]float64, xf []float64, y []float64, batch 
 	}
 
 	// Forward pass, keeping activation outputs per layer.
-	acts := make([]*matrix.Dense, len(m.layers)+1)
-	acts[0] = input
 	for l, layer := range m.layers {
-		z := matrix.NewDenseData(n, layer.w.Cols(), m.scratch.actBuf[l+1][:n*layer.w.Cols()])
-		matrix.MulInto(z, acts[l], layer.w)
+		z := acts[l+1].SetData(n, layer.w.Cols(), m.scratch.actBuf[l+1][:n*layer.w.Cols()])
+		matrix.MulInto(z, &acts[l], layer.w)
 		z.AddRowVector(layer.b)
 		if layer.hidden {
 			z.Apply(m.act.fn)
 		}
-		acts[l+1] = z
 	}
 
 	// Output delta: dL/dz = 2(pred - target)/n for MSE.
-	out := acts[len(m.layers)]
-	delta := matrix.NewDenseData(n, 1, m.scratch.deltaBuf[len(m.layers)][:n])
+	out := &acts[len(m.layers)]
+	delta := m.scratch.deltas[len(m.layers)].SetData(n, 1, m.scratch.deltaBuf[len(m.layers)][:n])
 	invN := 1 / float64(n)
 	for i := 0; i < n; i++ {
 		delta.Set(i, 0, 2*(out.At(i, 0)-target[i])*invN)
@@ -286,17 +281,17 @@ func (m *neuralNet) trainBatch(x2 [][]float64, xf []float64, y []float64, batch 
 		offset -= wRows*wCols + wCols
 
 		// Gradient wrt weights: actsᵀ · delta.
-		gw := matrix.NewDenseData(wRows, wCols, grad[offset:offset+wRows*wCols])
-		matrix.MulTransAInto(gw, acts[l], delta)
+		gw := m.scratch.gw.SetData(wRows, wCols, grad[offset:offset+wRows*wCols])
+		matrix.MulTransAInto(gw, &acts[l], delta)
 		// Gradient wrt biases: column sums of delta.
 		delta.ColSumsInto(grad[offset+wRows*wCols : offset+wRows*wCols+wCols])
 
 		if l > 0 {
 			// Propagate: delta_prev = (delta · wᵀ) ⊙ f'(acts[l]),
 			// with f' expressed in terms of the activation output.
-			next := matrix.NewDenseData(n, wRows, m.scratch.deltaBuf[l][:n*wRows])
+			next := m.scratch.deltas[l].SetData(n, wRows, m.scratch.deltaBuf[l][:n*wRows])
 			matrix.MulTransBInto(next, delta, layer.w)
-			prevAct := acts[l]
+			prevAct := &acts[l]
 			for i := 0; i < next.Rows(); i++ {
 				row := next.Row(i)
 				actRow := prevAct.Row(i)
@@ -439,13 +434,14 @@ func (m *neuralNet) PredictFlat(x []float64, out []float64) {
 		return
 	}
 	m.ensureBatchScratch(n)
-	input := matrix.NewDenseData(n, d, m.scratch.input[:n*d])
+	acts := m.scratch.acts
+	input := acts[0].SetData(n, d, m.scratch.input[:n*d])
 	for i := 0; i < n; i++ {
 		m.stats.normX(input.Row(i), x[i*d:(i+1)*d])
 	}
 	cur := input
 	for l, layer := range m.layers {
-		z := matrix.NewDenseData(n, layer.w.Cols(), m.scratch.actBuf[l+1][:n*layer.w.Cols()])
+		z := acts[l+1].SetData(n, layer.w.Cols(), m.scratch.actBuf[l+1][:n*layer.w.Cols()])
 		matrix.MulInto(z, cur, layer.w)
 		z.AddRowVector(layer.b)
 		if layer.hidden {

@@ -1,6 +1,9 @@
 package ml
 
 import (
+	"context"
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -248,4 +251,54 @@ func TestNNPredictBatchPanicsOnBadWidth(t *testing.T) {
 		}
 	}()
 	m.PredictBatch([][]float64{{1}})
+}
+
+// bitsHash is FNV-1a over the IEEE-754 bits of v: two vectors hash
+// alike only if they agree bit for bit (up to a 64-bit collision).
+func bitsHash(v []float64) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, f := range v {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
+		h.Write(b[:])
+	}
+	return h.Sum64()
+}
+
+// TestNNFitPinned pins the NN kernel's arithmetic: incremental
+// PartialFitBatch calls over three batches (each ending on a partial
+// mini-batch) at the paper's shape and with two hidden layers, so the
+// backward pass also propagates through a hidden-to-hidden layer. The
+// hashes and end values were produced before the mini-batch scratch
+// kept its matrix headers.
+func TestNNFitPinned(t *testing.T) {
+	cases := []struct {
+		hidden      []int
+		n           int
+		hash        uint64
+		first, last float64
+	}{
+		{[]int{64}, 264, 0x2e91299838eef0d, -0.39543973192627396, 27525.964228501864},
+		{[]int{8, 4}, 72, 0x9c34ebb486e829a, -0.37300052398163885, 27525.964228501864},
+	}
+	for _, c := range cases {
+		spec := PaperNN(2)
+		spec.Hidden = c.hidden
+		spec.Seed = 23
+		m := spec.MustNew()
+		for b, n := range []int{70, 45, 101} {
+			_, xf, y := pinnedBatch(n, 2, b*3)
+			if err := m.PartialFitBatch(context.Background(), xf, y, 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		v := m.Params().Values
+		if len(v) != c.n {
+			t.Fatalf("hidden %v: %d params, want %d", c.hidden, len(v), c.n)
+		}
+		if h := bitsHash(v); h != c.hash || v[0] != c.first || v[len(v)-1] != c.last {
+			t.Fatalf("hidden %v: params hash %#x, first %v, last %v; want %#x, %v, %v",
+				c.hidden, h, v[0], v[len(v)-1], c.hash, c.first, c.last)
+		}
+	}
 }

@@ -18,8 +18,10 @@ package rng
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 )
 
 // Source is a deterministic random stream. It wraps math/rand with a
@@ -35,6 +37,8 @@ import (
 type Source struct {
 	mu sync.Mutex
 	r  *rand.Rand // nil until the first draw (see gen)
+	// src is the generator r wraps; PermInto draws from it directly.
+	src rand.Source64
 	// seed is the original seed, retained so the stream can be split.
 	seed uint64
 	// splits counts how many child streams have been derived.
@@ -62,7 +66,8 @@ func (s *Source) Reseed(seed uint64) {
 // gen returns the generator, seeding it on first use. Callers hold mu.
 func (s *Source) gen() *rand.Rand {
 	if s.r == nil {
-		s.r = rand.New(rand.NewSource(int64(splitMix64(s.seed))))
+		s.src = rand.NewSource(int64(splitMix64(s.seed))).(rand.Source64)
+		s.r = rand.New(s.src)
 	}
 	return s.r
 }
@@ -140,29 +145,98 @@ func (s *Source) Exponential(lambda float64) float64 {
 
 // Perm returns a random permutation of [0, n).
 func (s *Source) Perm(n int) []int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.gen().Perm(n)
+	return s.PermInto(make([]int, n))
 }
 
 // PermInto writes a random permutation of [0, len(buf)) into buf and
-// returns it, drawing exactly the same variates as Perm(len(buf)) —
-// a caller that switches between the two observes identical
-// permutations and leaves the stream in an identical state. This is
-// the allocation-free variant used by the training hot path
-// (internal/ml flat-batch epochs).
+// returns it, allocation-free once any stream has shuffled a buffer
+// this long (see multipliers). It is math/rand's Perm, an inside-out Fisher–Yates that
+// draws Intn(i+1) for element i, and yields the same permutation and
+// leaves the same stream state; it just reaches Intn's result without
+// a division.
+//
+// For a bound n < 2³¹, Intn(n) is Int31n(n): it draws v = Int63()>>32
+// until v ≤ 2³¹−1−2³¹%n, then returns v%n. PermInto draws v from the
+// generator directly and takes v%n with Lemire's fastmod (reduce31),
+// which is exact for 32-bit operands; the acceptance test needs no
+// second remainder, because v ≤ 2³¹−1−2³¹%n holds exactly when the
+// multiple of n at or below v, v−v%n, is at most 2³¹−n (the one
+// multiple of n in (2³¹−n, 2³¹) is 2³¹−2³¹%n, when that remainder is
+// nonzero). A power-of-two n, where Int31n masks instead, gets the
+// same value from both: v%n is the mask and no v is rejected.
 func (s *Source) PermInto(buf []int) []int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Mirror math/rand's Perm: an inside-out Fisher–Yates that calls
-	// Intn(i+1) once per element.
 	r := s.gen()
+	if len(buf) > math.MaxInt32 {
+		// Intn draws Int63n past 2³¹−1; stay on math/rand's path.
+		for i := range buf {
+			j := r.Intn(i + 1)
+			buf[i] = buf[j]
+			buf[j] = i
+		}
+		return buf
+	}
+	mul, src := multipliers(len(buf)), s.src
 	for i := range buf {
-		j := r.Intn(i + 1)
+		n := uint32(i + 1)
+		var j uint32
+		for ok := false; !ok; {
+			j, ok = reduce31(uint32(src.Int63()>>32), n, mul[n])
+		}
 		buf[i] = buf[j]
 		buf[j] = i
 	}
 	return buf
+}
+
+// fastmod holds Lemire's remainder multipliers, fastmodMul(d) at
+// index d ≥ 1. They depend on d alone, so every Source shares one
+// table (a model pool's streams would otherwise each hold a copy) and
+// Reseed keeps it. It only grows, copy-on-write under fastmodMu, so
+// PermInto reads it with one atomic load.
+var (
+	fastmodMu sync.Mutex
+	fastmod   atomic.Pointer[[]uint64]
+)
+
+// multipliers returns the multiplier table covering every d in [1, n],
+// growing it (doubling, at least to n+1 entries) on demand.
+func multipliers(n int) []uint64 {
+	if t := fastmod.Load(); t != nil && len(*t) > n {
+		return *t
+	}
+	fastmodMu.Lock()
+	defer fastmodMu.Unlock()
+	var old []uint64
+	if t := fastmod.Load(); t != nil {
+		if len(*t) > n {
+			return *t
+		}
+		old = *t
+	}
+	m := make([]uint64, max(n+1, 2*len(old)))
+	copy(m, old)
+	for d := max(1, len(old)); d < len(m); d++ {
+		m[d] = fastmodMul(uint32(d))
+	}
+	fastmod.Store(&m)
+	return m
+}
+
+// fastmodMul is ⌈2⁶⁴/d⌉ modulo 2⁶⁴ for d ≥ 1: ⌊(2⁶⁴−1)/d⌋+1 is that
+// ceiling for every such d, and it wraps to 0 at d = 1, where 0 is
+// also the multiplier reduce31 needs.
+func fastmodMul(d uint32) uint64 { return ^uint64(0)/uint64(d) + 1 }
+
+// reduce31 is Int31n's step for one 31-bit draw v and a bound
+// 1 ≤ n < 2³¹ with multiplier mul = ⌈2⁶⁴/n⌉: it returns v%n and
+// whether Int31n accepts v (see PermInto). The remainder is the high
+// word of (mul·v mod 2⁶⁴)·n, Lemire, Kaser and Kurz's direct
+// remainder, exact for numerators and divisors below 2³².
+func reduce31(v, n uint32, mul uint64) (uint32, bool) {
+	rem, _ := bits.Mul64(mul*uint64(v), uint64(n))
+	return uint32(rem), v-uint32(rem) <= 1<<31-n
 }
 
 // Bool returns true with probability p.

@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -281,6 +282,75 @@ func TestPermIntoZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("PermInto allocates %v per run", allocs)
 	}
+}
+
+// TestReduce31MatchesInt31n checks PermInto's division-free step
+// against math/rand's Int31n formula on the draws where the two could
+// part: the largest accepted draw, the smallest rejected one, 0 and
+// 2³¹−1, for bounds at and around every power of two and at 2³¹−1.
+// Rejection has probability about n/2³¹, so the Perm lengths a shuffle
+// reaches would almost never exercise it.
+func TestReduce31MatchesInt31n(t *testing.T) {
+	bounds := []uint32{3, math.MaxInt32}
+	for k := 1; k <= 31; k++ {
+		p := uint32(1) << k
+		bounds = append(bounds, p-1)
+		if k < 31 {
+			bounds = append(bounds, p, p+1)
+		}
+	}
+	for _, n := range bounds {
+		// Int31n: a power of two masks; otherwise draws above max are
+		// rejected and an accepted draw is reduced with %.
+		max := uint32(math.MaxInt32)
+		if n&(n-1) != 0 {
+			max = uint32((1<<31)-1) - uint32(1<<31)%n
+		}
+		m := fastmodMul(n)
+		for _, v := range []uint32{0, max, max + 1, math.MaxInt32} {
+			if v > math.MaxInt32 {
+				continue // not a 31-bit draw
+			}
+			want, wantOK := v%n, v <= max
+			if n&(n-1) == 0 {
+				want = v & (n - 1)
+			}
+			got, ok := reduce31(v, n, m)
+			if got != want || ok != wantOK {
+				t.Fatalf("reduce31(%d, %d) = %d, %v; Int31n gives %d, %v", v, n, got, ok, want, wantOK)
+			}
+		}
+	}
+}
+
+// FuzzPermInto checks PermInto against math/rand's Perm over the same
+// seeded generator: the same permutation, twice in a row (the second
+// one shorter, so the multiplier table is reused), and the same next
+// Int63 after them.
+func FuzzPermInto(f *testing.F) {
+	for _, c := range []struct {
+		seed uint64
+		n    uint16
+	}{{0, 0}, {1, 1}, {42, 33}, {7, 1000}, {1 << 63, 4096}} {
+		f.Add(c.seed, c.n)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, n uint16) {
+		size := int(n) % 4097
+		s := New(seed)
+		ref := rand.New(rand.NewSource(int64(splitMix64(seed))))
+		for _, l := range []int{size, size / 2} {
+			want := ref.Perm(l)
+			got := s.PermInto(make([]int, l))
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("seed %d, n %d: PermInto[%d] = %d, Perm %d", seed, l, i, got[i], want[i])
+				}
+			}
+		}
+		if a, b := s.Int63(), ref.Int63(); a != b {
+			t.Fatalf("seed %d, n %d: next Int63 %d after PermInto, %d after Perm", seed, size, a, b)
+		}
+	})
 }
 
 // trace draws from every method in a fixed order and returns what it

@@ -53,6 +53,7 @@ var gates = map[string]gate{
 	"train": {"1s", []run{{`^BenchmarkNodeTrain`, "./internal/engine/", ""}}, []check{
 		{[]string{"BenchmarkNodeTrainClusterAccess"}, nil, "allocs/op", "==", 0, "the LR per-cluster data plane is allocation-free"},
 		{[]string{"BenchmarkNodeTrain/path=view/model=lr/*"}, nil, "allocs/op", "<=", 4, "a warm LR train job allocates its returned Params and little else"},
+		{[]string{"BenchmarkNodeTrain/path=view/model=nn/*"}, nil, "allocs/op", "<=", 4, "a warm NN train job allocates its returned Params and little else: no per-mini-batch matrix headers"},
 		{[]string{"BenchmarkNodeTrain/path=copy/model=lr/epochs=1/clusters=4/samples=10000", "BenchmarkNodeTrain/path=copy/model=lr/epochs=1/clusters=16/samples=10000"},
 			[]string{"BenchmarkNodeTrain/path=view/model=lr/epochs=1/clusters=4/samples=10000", "BenchmarkNodeTrain/path=view/model=lr/epochs=1/clusters=16/samples=10000"},
 			"ns/op", ">=", 2, "the engine (view) path is >=2x the copy path on LR at 10k samples"},
