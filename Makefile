@@ -1,23 +1,16 @@
 # qens build/verify harness. `make check` is the tier-1 gate referenced
-# by ROADMAP.md: formatting, vet, build, the race-enabled test run, and
-# the same for the nested benchmark module.
-# `make ci` is what the GitHub Actions workflow runs: the full check
-# plus a live gateway load-smoke against a tiny simulated fleet.
+# by ROADMAP.md and what the GitHub Actions workflow runs: formatting,
+# vet, build, the race-enabled test run (which includes the live-stack
+# drill, TestLiveStack in live_test.go), and the same for the nested
+# benchmark module.
 
 GO ?= go
 
-.PHONY: all check ci loadsmoke fuzz fmt fmt-check vet build test race rerun bench-check loc loc-check bench bench-train bench-wire bench-telemetry bench-shard bench-ingest bench-reuse bench-paper clean
+.PHONY: all check fuzz fmt fmt-check vet build test race rerun bench-check loc loc-check bench bench-train bench-wire bench-telemetry bench-shard bench-ingest bench-reuse bench-paper clean
 
 all: check
 
 check: fmt-check vet build race rerun bench-check loc-check
-
-ci: check loadsmoke
-
-# End-to-end serving smoke: boots qens-gateway, drives it with
-# qensload, then asserts a clean SIGTERM drain and trace flush.
-loadsmoke:
-	sh scripts/loadsmoke.sh
 
 # Short fuzz campaigns over the wire-facing parsers and the training
 # shuffle's match with math/rand; CI runs this list with FUZZTIME=20s.

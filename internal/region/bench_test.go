@@ -129,7 +129,8 @@ func benchSharded(b *testing.B, samples, regions int) *Router {
 // regional leaders that each train their shard concurrently
 // (Router.Execute). The workload mixes
 // spanning rectangles (fan out everywhere) with half-space ones
-// (routing prunes to one region), mirroring what qensload generates.
+// (routing prunes to one region), like the rectangles the live-stack
+// drill (TestLiveStack) sends to a sharded gateway.
 // Node rounds carry benchServiceTime of modeled remote service time,
 // so the numbers reflect coordination overlap rather than the
 // benchmark host's core count.

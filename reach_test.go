@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -54,6 +55,164 @@ func TestReachability(t *testing.T) {
 	for _, name := range stale {
 		t.Errorf("%s: listed in testdata/unreached.txt but now reached or gone; remove the line", name)
 	}
+}
+
+// TestFlagsRead keeps every command-line flag of cmd/ live. Each
+// flag.<Type>(name, ...) or flag.<Type>Var(&v, name, ...) call in
+// non-test cmd/ code defines a flag bound to a variable, and some use
+// of that variable must come after the binary's flag.Parse call in the
+// same file. A flag that stays unread is listed, with the reason, in
+// testdata/unread_flags.txt as "binary/name", and a listed flag must
+// still be unread. The per-binary counts are pinned so that adding or
+// deleting a flag is a deliberate edit here.
+func TestFlagsRead(t *testing.T) {
+	allowed, err := readAllowList(filepath.Join("testdata", "unread_flags.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flags, err := findFlags(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := make(map[string]int)
+	for _, f := range flags {
+		counts[f.binary]++
+		key := f.binary + "/" + f.name
+		_, listed := allowed[key]
+		switch {
+		case !f.read && !listed:
+			t.Errorf("%s: flag -%s is never read after flag.Parse; delete it, or list %s with a reason in testdata/unread_flags.txt", f.binary, f.name, key)
+		case f.read && listed:
+			t.Errorf("%s: listed in testdata/unread_flags.txt but now read or gone; remove the line", key)
+		}
+		delete(allowed, key)
+	}
+	for key := range allowed {
+		t.Errorf("%s: listed in testdata/unread_flags.txt but no such flag is defined; remove the line", key)
+	}
+	want := map[string]int{"datagen": 7, "qens": 12, "qens-gateway": 22, "qens-region": 11, "qensd": 16}
+	for bin := range counts {
+		if _, ok := want[bin]; !ok {
+			want[bin] = 0
+		}
+	}
+	for bin, n := range want {
+		if counts[bin] != n {
+			t.Errorf("cmd/%s defines %d flags, want %d", bin, counts[bin], n)
+		}
+	}
+}
+
+// cmdFlag is one flag definition in a cmd/ binary.
+type cmdFlag struct {
+	binary, name string
+	read         bool
+}
+
+// findFlags type-checks every cmd/ package and returns its package-level
+// flag definitions, with whether each bound variable is read after
+// flag.Parse.
+func findFlags(root string) ([]cmdFlag, error) {
+	fset := token.NewFileSet()
+	l := &reachLoader{root: root, fset: fset, std: importer.ForCompiler(fset, "gc", nil), pkgs: make(map[string]*reachPkg)}
+	dirs, err := os.ReadDir(filepath.Join(root, "cmd"))
+	if err != nil {
+		return nil, err
+	}
+	var out []cmdFlag
+	for _, d := range dirs {
+		if !d.IsDir() {
+			continue
+		}
+		p, err := l.load("qens/cmd/"+d.Name(), filepath.Join(root, "cmd", d.Name()), nil)
+		if err != nil {
+			return nil, err
+		}
+		flagFunc := func(e ast.Expr) string {
+			call, ok := e.(*ast.CallExpr)
+			if !ok {
+				return ""
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return ""
+			}
+			if fn, ok := p.info.Uses[sel.Sel].(*types.Func); ok && fn.Pkg().Path() == "flag" {
+				return fn.Name()
+			}
+			return ""
+		}
+		for _, f := range p.files {
+			type def struct {
+				name string
+				obj  types.Object
+			}
+			var defs []def
+			var parse token.Pos
+			bound := make(map[ast.Expr]types.Object)
+			bind := func(lhs, rhs []ast.Expr) {
+				if len(lhs) != len(rhs) {
+					return
+				}
+				for i, e := range rhs {
+					if id, ok := lhs[i].(*ast.Ident); ok {
+						bound[e] = p.info.ObjectOf(id)
+					}
+				}
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.ValueSpec:
+					lhs := make([]ast.Expr, len(n.Names))
+					for i, id := range n.Names {
+						lhs[i] = id
+					}
+					bind(lhs, n.Values)
+				case *ast.AssignStmt:
+					bind(n.Lhs, n.Rhs)
+				case *ast.CallExpr:
+					name := flagFunc(n)
+					switch {
+					case name == "Parse":
+						parse = n.Pos()
+					case name == "Var" || strings.HasSuffix(name, "Var"):
+						var obj types.Object
+						if u, ok := n.Args[0].(*ast.UnaryExpr); ok && u.Op == token.AND {
+							if id, ok := u.X.(*ast.Ident); ok {
+								obj = p.info.Uses[id]
+							}
+						}
+						defs = append(defs, def{flagName(n.Args[1]), obj})
+					case name == "Bool" || name == "Duration" || name == "Float64" || name == "Int" ||
+						name == "Int64" || name == "String" || name == "Uint" || name == "Uint64":
+						defs = append(defs, def{flagName(n.Args[0]), bound[n]})
+					}
+				}
+				return true
+			})
+			for _, fd := range defs {
+				read := false
+				for id, obj := range p.info.Uses {
+					if obj != nil && obj == fd.obj && parse.IsValid() && id.Pos() > parse {
+						read = true
+						break
+					}
+				}
+				out = append(out, cmdFlag{binary: d.Name(), name: fd.name, read: read})
+			}
+		}
+	}
+	return out, nil
+}
+
+// flagName is a flag's name from its string-literal argument.
+func flagName(e ast.Expr) string {
+	if lit, ok := e.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+		if s, err := strconv.Unquote(lit.Value); err == nil {
+			return s
+		}
+	}
+	return fmt.Sprintf("<%T>", e)
 }
 
 // readAllowList parses "pkg.Name reason..." lines; blank lines and
