@@ -25,14 +25,14 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
+	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -184,7 +184,29 @@ func main() {
 	if err != nil {
 		fatal("listen %s: %v", *addr, err)
 	}
-	httpSrv := &http.Server{Handler: gw.Handler(), ReadHeaderTimeout: 5 * time.Second}
+	// Once shutdown starts, close every connection that has not sent a
+	// request: net/http's Shutdown counts one as active until it is 5 s
+	// old, so a client's spare connection would hold the exit that long.
+	var fresh sync.Map
+	var closing atomic.Bool
+	httpSrv := &http.Server{Handler: gw.Handler(), ReadHeaderTimeout: 5 * time.Second,
+		ConnState: func(c net.Conn, st http.ConnState) {
+			if st != http.StateNew {
+				fresh.Delete(c)
+				return
+			}
+			fresh.Store(c, nil)
+			if closing.Load() {
+				c.Close()
+			}
+		}}
+	httpSrv.RegisterOnShutdown(func() {
+		closing.Store(true)
+		fresh.Range(func(c, _ any) bool {
+			c.(net.Conn).Close()
+			return true
+		})
+	})
 	go func() { _ = httpSrv.Serve(ln) }() // returns ErrServerClosed on Shutdown
 
 	if cfg.Router != nil {
@@ -215,32 +237,21 @@ func main() {
 // buildRouter dials every qens-region daemon and wires the root
 // coordinator over them.
 func buildRouter(regionAddrs string, epochs int, seed uint64, model string, dialTimeout time.Duration) (*region.Router, func() []fleet.WireStatus, func(), error) {
-	var remotes []*transport.Client
-	var services []region.Service
-	closeAll := func() {
-		for _, c := range remotes {
-			c.Close()
-		}
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), dialTimeout)
 	defer cancel()
-	for _, a := range strings.Split(regionAddrs, ",") {
-		a = strings.TrimSpace(a)
-		if a == "" {
-			continue
-		}
-		rc, err := transport.DialRegion(ctx, a, transport.DialOptions{Timeout: dialTimeout})
-		if err != nil {
-			closeAll()
-			return nil, nil, nil, err
-		}
-		fmt.Printf("qens-gateway: connected to %s (%s)\n", rc.ID(), a)
-		remotes = append(remotes, rc.Client())
-		services = append(services, rc)
+	rcs, err := transport.DialAll(regionAddrs, func(a string) (*transport.RegionClient, error) {
+		return transport.DialRegion(ctx, a, transport.DialOptions{Timeout: dialTimeout})
+	})
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	if len(services) == 0 {
-		return nil, nil, nil, errors.New("-region-addrs names no address")
+	remotes := make([]*transport.Client, len(rcs))
+	services := make([]region.Service, len(rcs))
+	for i, rc := range rcs {
+		fmt.Printf("qens-gateway: connected to %s (%s)\n", rc.ID(), rc.Client().Addr())
+		remotes[i], services[i] = rc.Client(), rc
 	}
+	closeAll := func() { closeClients(remotes) }
 	// The model's input width is the fleet's data space less the target.
 	info, err := services[0].Info(ctx)
 	if err != nil {
@@ -253,6 +264,12 @@ func buildRouter(regionAddrs string, epochs int, seed uint64, model string, dial
 		return nil, nil, nil, err
 	}
 	return router, func() []fleet.WireStatus { return wireStatus(remotes) }, closeAll, nil
+}
+
+func closeClients(remotes []*transport.Client) {
+	for _, c := range remotes {
+		c.Close()
+	}
 }
 
 // wireStatus reports each connection's in-flight RPC count and byte
@@ -275,30 +292,18 @@ func wireStatus(remotes []*transport.Client) []fleet.WireStatus {
 // per-node wire status (see wireStatus).
 func buildLeader(addrs string, nodes, samples, k, epochs int, seed uint64, model string, dialTimeout time.Duration) (*federation.Leader, func() []fleet.WireStatus, func(), error) {
 	if addrs != "" {
-		var remotes []*transport.Client
-		var clients []federation.Client
-		closeAll := func() {
-			for _, c := range remotes {
-				c.Close()
-			}
+		remotes, err := transport.DialAll(addrs, func(a string) (*transport.Client, error) {
+			return transport.Dial(a, transport.DialOptions{Timeout: dialTimeout})
+		})
+		if err != nil {
+			return nil, nil, nil, err
 		}
-		for _, a := range strings.Split(addrs, ",") {
-			a = strings.TrimSpace(a)
-			if a == "" {
-				continue
-			}
-			c, err := transport.Dial(a, transport.DialOptions{Timeout: dialTimeout})
-			if err != nil {
-				closeAll()
-				return nil, nil, nil, fmt.Errorf("dial %s: %w", a, err)
-			}
-			fmt.Printf("qens-gateway: connected to %s (%s)\n", c.ID(), a)
-			remotes = append(remotes, c)
-			clients = append(clients, c)
+		clients := make([]federation.Client, len(remotes))
+		for i, c := range remotes {
+			fmt.Printf("qens-gateway: connected to %s (%s)\n", c.ID(), c.Addr())
+			clients[i] = c
 		}
-		if len(remotes) == 0 {
-			return nil, nil, nil, errors.New("-addrs names no address")
-		}
+		closeAll := func() { closeClients(remotes) }
 		// The model's input width is the advertised data space less the
 		// target.
 		ctx, cancel := context.WithTimeout(context.Background(), dialTimeout)

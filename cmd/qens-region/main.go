@@ -1,20 +1,19 @@
 // Command qens-region runs one regional leader as a TCP daemon: a
-// federation.Leader over its spatial shard of the fleet, exposed
-// through the region RPC family (region.info/plan/train/stats) for a
-// root coordinator (qens-gateway -region-addrs) to drive.
+// federation.Leader over its spatial shard of a fleet of qensd members,
+// served through the region RPC family for a root coordinator
+// (qens-gateway -region-addrs).
 //
-// Every qens-region process derives the SAME fleet layout from the
-// shared flags: it regenerates the full synthetic corpus, splits and
-// seeds every node exactly like federation.NewSimulatedFleet (two
-// root RNG draws per node, in roster order), computes the spatial
-// partition over all node summaries, and then serves only its own
-// shard. Processes started with identical -nodes/-samples/-seed/-k
-// and consecutive -region indices therefore agree on membership
-// without any coordination traffic — and the resulting sharded
-// topology reproduces the single-leader simulated fleet bit-exactly.
+// -addrs is the whole fleet in roster order: the same list on every
+// region, and the list qens-gateway -addrs would take. Each process
+// partitions the fleet once, at startup, from the members' cluster
+// advertisements alone (region.Partition), keeps its own shard and
+// subscribes to its summary pushes, so siblings agree on membership
+// without talking to each other. The root over the regions equals
+// qens-gateway -addrs over the same list (same -seed, -epochs, -model)
+// bit for bit, as TestGoldenShardedMatchesSingleLeader checks in-process.
 //
-//	qens-region -addr :7101 -region 0 -regions 2 -nodes 8 -samples 500
-//	qens-region -addr :7102 -region 1 -regions 2 -nodes 8 -samples 500
+//	qens-region -addr :7101 -region 0 -regions 2 -addrs 127.0.0.1:7001,127.0.0.1:7002,127.0.0.1:7003,127.0.0.1:7004
+//	qens-region -addr :7102 -region 1 -regions 2 -addrs 127.0.0.1:7001,127.0.0.1:7002,127.0.0.1:7003,127.0.0.1:7004
 //	qens-gateway -addr :8080 -region-addrs 127.0.0.1:7101,127.0.0.1:7102
 package main
 
@@ -29,26 +28,22 @@ import (
 	"time"
 
 	"qens/internal/cluster"
-	"qens/internal/dataset"
 	"qens/internal/federation"
 	"qens/internal/ml"
 	"qens/internal/region"
-	"qens/internal/rng"
 	"qens/internal/telemetry"
 	"qens/internal/transport"
 )
+
+// rpcTimeout bounds each member dial and RPC, as qens-gateway's default -dial-timeout does.
+const rpcTimeout = 2 * time.Minute
 
 func main() {
 	var (
 		addr    = flag.String("addr", "127.0.0.1:7101", "listen address")
 		idx     = flag.Int("region", -1, "this region's index in the partition (0-based)")
 		regions = flag.Int("regions", 2, "total regions in the topology")
-		nodes   = flag.Int("nodes", 8, "total fleet size (across all regions)")
-		samples = flag.Int("samples", 500, "samples per node")
-		k       = flag.Int("k", 5, "per-node k-means clusters")
-		epochs  = flag.Int("epochs", 5, "local epochs per supporting cluster")
-		seed    = flag.Uint64("seed", 1, "fleet seed (must match every region and the root)")
-		model   = flag.String("model", "lr", "model family: lr or nn")
+		addrs   = flag.String("addrs", "", "comma-separated qensd addresses of the whole fleet, in roster order (the same list on every region)")
 
 		drainTimeout = flag.Duration("drain-timeout", 15*time.Second, "graceful shutdown budget before in-flight RPCs are aborted")
 		tracePath    = flag.String("trace", "", "write per-RPC spans as JSONL to this file (flushed on shutdown)")
@@ -76,91 +71,89 @@ func main() {
 		}()
 	}
 
-	lead, members, err := buildRegion(*idx, *regions, *nodes, *samples, *k, *epochs, *seed, *model)
+	fleet, err := transport.DialAll(*addrs, func(a string) (*transport.Client, error) {
+		return transport.Dial(a, transport.DialOptions{Timeout: rpcTimeout})
+	})
 	if err != nil {
 		fatal("%v", err)
 	}
+	fed, lead, err := buildRegion(*idx, *regions, fleet)
+	if err != nil {
+		fatal("%v", err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), rpcTimeout)
+	n, err := fed.StartPush(ctx)
+	cancel()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "qens-region: summary push: %v\n", err)
+	}
+	fmt.Printf("qens-region: %s summary push from %d/%d members\n", lead.ID(), n, len(fed.NodeIDs()))
 
 	srv, err := transport.ServeRegion(lead, *addr)
 	if err != nil {
 		fatal("%v", err)
 	}
-	fmt.Printf("qens-region: %s serving shard {%s} of %d nodes (K=%d) on %s\n",
-		lead.ID(), strings.Join(members, ", "), *nodes, *k, srv.Addr())
+	fmt.Printf("qens-region: %s serving shard {%s} of %d nodes on %s\n",
+		lead.ID(), strings.Join(fed.NodeIDs(), ", "), len(fleet), srv.Addr())
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	<-ctx.Done()
+	<-sigCtx.Done()
 	stop()
 
 	fmt.Println("qens-region: draining (no new connections; waiting for in-flight RPCs)")
+	fed.StopPush()
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	if err := srv.Shutdown(drainCtx); err != nil {
 		fmt.Fprintf(os.Stderr, "qens-region: shutdown: %v\n", err)
 	}
+	for _, c := range fleet {
+		c.Close()
+	}
 	fmt.Println("qens-region: stopped")
 }
 
-// buildRegion reconstructs the deterministic fleet layout and returns
-// the regional leader for shard idx plus its member ids. The node
-// construction loop mirrors federation.NewSimulatedFleet draw for
-// draw — split RNG then node RNG, in roster order — so the shard's
-// nodes are bit-identical to the ones a single simulated leader (or
-// any sibling qens-region process) would build from the same flags.
-func buildRegion(idx, regions, nodes, samples, k, epochs int, seed uint64, model string) (*region.Leader, []string, error) {
-	data, err := dataset.PaperNodeDatasets(dataset.Config{
-		Nodes: nodes, SamplesPerNode: samples, Seed: seed,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-
-	root := rng.New(seed)
-	all := make([]*federation.Node, len(data))
-	summaries := make([]cluster.NodeSummary, len(data))
-	rosterIndex := make(map[string]int, len(data))
-	for i, d := range data {
-		train, _ := d.Split(0.2, root.Split()) // held-out fraction matches the simulated fleet
-		node, err := federation.NewNode(fmt.Sprintf("node-%d", i), train, k, root.Split())
-		if err != nil {
-			return nil, nil, err
+// buildRegion returns the shard leader of region idx and its region
+// wrapper, and closes the connections to every other shard. Roster
+// indices are positions in the fleet list: the order a single leader
+// over the same list sees.
+func buildRegion(idx, regions int, fleet []*transport.Client) (*federation.Leader, *region.Leader, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), rpcTimeout)
+	defer cancel()
+	summaries := make([]cluster.NodeSummary, len(fleet))
+	rosterIndex := make(map[string]int, len(fleet))
+	for i, c := range fleet {
+		var err error
+		if summaries[i], err = c.Summary(ctx); err != nil {
+			return nil, nil, fmt.Errorf("summary from %s: %w", c.ID(), err)
 		}
-		all[i] = node
-		summaries[i] = node.Summary()
-		rosterIndex[node.ID()] = i
+		rosterIndex[c.ID()] = i
 	}
-
-	shards, err := region.Partition(summaries, regions)
+	shards, err := region.Partition(summaries, regions) // validates every summary
 	if err != nil {
 		return nil, nil, err
 	}
-	shard := shards[idx]
-	clients := make([]federation.Client, 0, len(shard))
-	members := make([]string, 0, len(shard))
-	for _, n := range shard {
-		clients = append(clients, federation.LocalClient{Node: all[n]})
-		members = append(members, all[n].ID())
+	var shard []federation.Client
+	for r, members := range shards {
+		for _, n := range members {
+			if r == idx {
+				shard = append(shard, fleet[n])
+			} else {
+				fleet[n].Close()
+			}
+		}
 	}
-
-	fed, err := federation.NewLeader(federation.Config{
-		Spec: specFor(model, data[0].Dims()-1), ClusterK: k, LocalEpochs: epochs, Seed: seed,
-	}, nil, clients)
+	// region.Leader.Train ships each request's own Spec and LocalEpochs,
+	// so this config is never read; it only has to be valid.
+	inputDim := summaries[0].Clusters[0].Bounds.Dims() - 1
+	fed, err := federation.NewLeader(federation.Config{Spec: ml.PaperLR(inputDim)}, nil, shard)
 	if err != nil {
 		return nil, nil, err
 	}
 	lead, err := region.NewLeader(fmt.Sprintf("region-%d", idx), fed, rosterIndex)
-	if err != nil {
-		return nil, nil, err
-	}
-	return lead, members, nil
-}
-
-func specFor(model string, inputDim int) ml.Spec {
-	if model == "nn" {
-		return ml.PaperNN(inputDim)
-	}
-	return ml.PaperLR(inputDim)
+	return fed, lead, err
 }
 
 func fatal(format string, args ...any) {

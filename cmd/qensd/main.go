@@ -18,6 +18,8 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"path/filepath"
+	"strings"
 	"syscall"
 	"time"
 
@@ -182,24 +184,14 @@ func loadData(path string, shard, nodes, samples int, seed uint64) (*dataset.Dat
 	}
 }
 
+// trimExt is the file name without its directory and extension; a
+// dotfile keeps its whole name.
 func trimExt(path string) string {
-	base := path
-	if i := lastIndexByte(base, '/'); i >= 0 {
-		base = base[i+1:]
-	}
-	if i := lastIndexByte(base, '.'); i > 0 {
-		base = base[:i]
+	base := filepath.Base(path)
+	if i := strings.LastIndexByte(base, '.'); i > 0 {
+		return base[:i]
 	}
 	return base
-}
-
-func lastIndexByte(s string, b byte) int {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == b {
-			return i
-		}
-	}
-	return -1
 }
 
 func fatal(format string, args ...any) {

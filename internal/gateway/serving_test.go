@@ -688,6 +688,44 @@ func TestPlanOncePerQuery(t *testing.T) {
 	})
 }
 
+// TestRouterCountersShareADenominator: the router's routing counters
+// count executed queries, like its queries counter, so reuse-cache hits
+// and 422s at admission never push spanning_fanouts past queries.
+func TestRouterCountersShareADenominator(t *testing.T) {
+	_, _, router := stubRegions(t)
+	cache, err := federation.NewReuseCache(0.9, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newGatewayServer(t, ServerConfig{Router: router, Cache: cache, Workers: 2, QueueDepth: 8, CoalesceIoU: -1})
+	for i, tc := range []struct {
+		bounds string
+		code   int
+		reused bool
+	}{
+		{`"min":[-1,-1],"max":[31,11]`, http.StatusOK, false}, // spans west and east
+		{`"min":[-1,-1],"max":[31,11]`, http.StatusOK, true},
+		{`"min":[50,50],"max":[60,60]`, http.StatusUnprocessableEntity, false}, // routes nowhere
+		{`"min":[-1,-1],"max":[31,11]`, http.StatusOK, true},
+		{`"min":[0,0],"max":[5,5]`, http.StatusOK, false}, // east pruned at ε 0.6
+		{`"min":[50,50],"max":[60,60]`, http.StatusUnprocessableEntity, false},
+	} {
+		body := fmt.Sprintf(`{"bounds":{%s},"selector":"query-driven","epsilon":0.6,"top_l":2}`, tc.bounds)
+		code, doc, _ := postQuery(t, ts.URL, body)
+		if code != tc.code || (code == http.StatusOK && doc["reused"] != tc.reused) {
+			t.Fatalf("query %d: %d, reused %v; want %d, reused %v: %v", i, code, doc["reused"], tc.code, tc.reused, doc)
+		}
+	}
+	rs := getJSONDoc(t, ts.URL+"/v1/stats")["router"].(map[string]any)
+	queries, spanning := rs["queries"].(float64), rs["spanning_fanouts"].(float64)
+	if spanning > queries {
+		t.Fatalf("spanning_fanouts %v > queries %v: %v", spanning, queries, rs)
+	}
+	if queries != 2 || spanning != 1 || rs["regions_pruned"].(float64) != 1 || rs["no_route_rejects"].(float64) != 2 {
+		t.Fatalf("router stats %v, want 2 queries, 1 spanning fan-out, 1 region pruned, 2 no-route rejects", rs)
+	}
+}
+
 // TestAdmissionPlanStaleness: a plan whose basis moved between admission
 // and execution is not trained. With the worker held, a query is
 // admitted, the epoch moves, and the worker is released: execute plans

@@ -72,19 +72,6 @@ func (l *Leader) Info(ctx context.Context) (Info, error) {
 	return info, nil
 }
 
-// StartPush subscribes the shard leader to summary pushes from its
-// members (see federation.Leader.StartPush): a member that detects
-// drift re-quantizes and pushes its advertisement into the shard
-// registry. The root learns of the move from the epoch on the region's
-// next plan or train response. Returns how many members accepted a
-// subscription.
-func (l *Leader) StartPush(ctx context.Context) (int, error) {
-	return l.fed.StartPush(ctx)
-}
-
-// StopPush gates member push delivery off (daemon drain).
-func (l *Leader) StopPush() { l.fed.StopPush() }
-
 // Plan implements Service: the shard's Eq. 2–4 ranking at the
 // requested ε, computed by the same planner kernel the single-leader
 // path runs, with rows that own their memory (wire-safe). Requests

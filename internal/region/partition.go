@@ -17,9 +17,8 @@ import (
 // R-tree over shard covering rects prunes effectively.
 //
 // The assignment is fully deterministic in the advertisements, so every
-// process that sees the same fleet layout (e.g. each cmd/qens-region
-// instance regenerating the simulated fleet from a shared seed)
-// computes the same shards without coordination.
+// process that sees the same advertisements (each cmd/qens-region over
+// the same -addrs list) computes the same shards without coordination.
 func Partition(summaries []cluster.NodeSummary, regions int) ([][]int, error) {
 	if regions < 1 {
 		return nil, fmt.Errorf("region: partition into %d regions", regions)
@@ -37,10 +36,7 @@ func Partition(summaries []cluster.NodeSummary, regions int) ([][]int, error) {
 		if err := s.Validate(); err != nil {
 			return nil, fmt.Errorf("region: node %s: %w", s.NodeID, err)
 		}
-		bound := s.Clusters[0].Bounds.Clone()
-		for _, c := range s.Clusters[1:] {
-			bound = bound.Union(c.Bounds)
-		}
+		bound := CoveringRect(s)
 		entries[i] = entry{idx: i, center: (bound.Min[0] + bound.Max[0]) / 2, id: s.NodeID}
 	}
 	sort.SliceStable(entries, func(i, j int) bool {

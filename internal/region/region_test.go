@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -323,8 +324,8 @@ func TestRouterAllNodesFansOutEverywhere(t *testing.T) {
 		t.Fatalf("all-nodes selected %d of %d", len(res.Participants), len(slabs))
 	}
 	st, _ := router.Stats(ctx)
-	if st.Regions[0].Routed != 1 || st.Regions[1].Routed != 1 {
-		t.Fatalf("routed counts %+v", st.Regions)
+	if st.Regions[0].Routed != 1 || st.Regions[1].Routed != 1 || st.Spanning != 1 {
+		t.Fatalf("routed counts %+v, %d spanning fan-outs", st.Regions, st.Spanning)
 	}
 }
 
@@ -344,10 +345,55 @@ func TestRouterSpanningRectFansOutEverywhere(t *testing.T) {
 	}
 }
 
+// TestLeaderTrainsWithRequestSettings: a region trains with the spec
+// and local epochs the root ships on each request, never its wrapped
+// leader's config, so a region daemon needs no model settings of its
+// own. The shard leader is configured for LR at E=5; an NN request at
+// E=1 comes back NN-shaped and equal to the member's own E=1 fit.
+func TestLeaderTrainsWithRequestSettings(t *testing.T) {
+	nodes := buildNodes(t)
+	twins := buildNodes(t)
+	fed, err := federation.NewLeader(federation.Config{Spec: ml.PaperLR(1), LocalEpochs: 5, Seed: 42},
+		nil, []federation.Client{federation.LocalClient{Node: nodes[0]}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lead, err := NewLeader("region-0", fed, map[string]int{nodes[0].ID(): 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := ml.PaperNN(1)
+	spec.Seed = 7
+	global, err := spec.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	resp, err := lead.Train(ctx, TrainRequest{
+		Spec: spec, Params: global.Params(), LocalEpochs: 1,
+		Participants: []selection.Participant{{NodeID: nodes[0].ID(), Clusters: []int{0}}},
+	})
+	if err != nil || len(resp.Results) != 1 || resp.Results[0].Err != "" {
+		t.Fatalf("train: %+v, %v", resp, err)
+	}
+	got := resp.Results[0].Params
+	if !got.Compatible(global.Params()) {
+		t.Fatalf("trained params %s %v, want the request's NN shape %v", got.Kind, got.Dims, global.Params().Dims)
+	}
+	want, err := federation.LocalClient{Node: twins[0]}.Train(ctx, federation.TrainRequest{
+		Spec: spec, Params: global.Params(), Clusters: []int{0}, LocalEpochs: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.Values, want.Params.Values) {
+		t.Fatal("region fit differs from the member's own E=1 fit")
+	}
+}
+
 // TestRouterPrepare: Prepare is the selection stage alone — keyed as
-// ever, one routing decision, nothing routed or trained — and Execute
-// starts from it, without another plan round, until a routed region
-// moves.
+// ever, nothing counted, routed or trained — and Execute starts from
+// it, without another plan round, until a routed region moves.
 func TestRouterPrepare(t *testing.T) {
 	router, leaders, nodes := shardedFixture(t, 2, Config{})
 	ctx, q := context.Background(), mustQuery(t, "q", 1, 45, -500, 130)
@@ -376,9 +422,9 @@ func TestRouterPrepare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// PlanKey and Prepare each decided a query-driven route; EXPLAIN
-	// counts nothing.
-	if st, _ := router.Stats(ctx); st.Queries != 0 || st.Spanning != 2 || st.Regions[0].Routed+st.Regions[1].Routed != 0 {
+	// Routing is counted where a query executes: PlanKey, EXPLAIN and
+	// Prepare count nothing.
+	if st, _ := router.Stats(ctx); st.Queries != 0 || st.Spanning != 0 || st.Regions[0].Routed+st.Regions[1].Routed != 0 {
 		t.Fatalf("after Prepare: %+v", st)
 	}
 	planned := regionPlans()
@@ -387,7 +433,7 @@ func TestRouterPrepare(t *testing.T) {
 		t.Fatalf("Execute from the prepared plan: epoch %d (prepared at %d), selection %v, %d more region plans, err %v",
 			res.Epoch, prep.Epoch, res.Stats.SelectionTime, regionPlans()-planned, err)
 	}
-	if st, _ := router.Stats(ctx); st.Queries != 1 || st.Spanning != 2 || st.Regions[0].Routed != 1 || st.Regions[1].Routed != 1 {
+	if st, _ := router.Stats(ctx); st.Queries != 1 || st.Spanning != 1 || st.Regions[0].Routed != 1 || st.Regions[1].Routed != 1 {
 		t.Fatalf("after Execute: %+v", st)
 	}
 

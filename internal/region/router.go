@@ -109,10 +109,10 @@ type Router struct {
 	// observed epochs (see federation.Fence.Current).
 	fence federation.Fence
 
-	queries       atomic.Int64
-	spanning      atomic.Int64 // fan-outs that hit every region
-	noRoute       atomic.Int64 // queries rejected with zero overlapping regions
-	regionsPruned atomic.Int64 // regions skipped by the Eq. 2 routing bound
+	queries       atomic.Int64 // executions
+	spanning      atomic.Int64 // executions that fanned out to every region
+	regionsPruned atomic.Int64 // regions an execution's route skipped
+	noRoute       atomic.Int64 // admission-time plans that routed to no region
 	metricReg     *telemetry.Registry
 }
 
@@ -296,8 +296,8 @@ func (r *Router) Dims(ctx context.Context) (int, error) {
 // support threshold. Returns member indices in ascending order. A
 // query no region can support has no supporting cluster anywhere, so
 // it surfaces selection.ErrNoCandidates — the gateway's 422
-// no-candidates taxonomy, not a routing failure. Pure: plan does the
-// counting.
+// no-candidates taxonomy, not a routing failure. Pure: plan and
+// execute do the counting.
 func (r *Router) route(t *topology, q query.Query, sel selection.Selector, eps float64) ([]int, error) {
 	_, prune := sel.(selection.QueryDriven)
 	// Rectangle-spanning fallback: a query covering the whole indexed
@@ -398,10 +398,10 @@ func (r *Router) rank(ctx context.Context, parent *telemetry.SpanHandle, t *topo
 // plan is the root's selection stage, behind Prepare, execute and
 // ExplainQuery: resolve the topology, route, fan the ranking out, merge
 // (ranks, in global roster order), apply the policy — under one
-// "selection" span like the single-leader path. It counts one routing
-// decision per query-driven query; explain counts nothing and ranks
-// every region with full-fidelity rows (EXPLAIN shows the complete
-// fleet). Stamps describes the routed regions either way.
+// "selection" span like the single-leader path. It counts a query-driven
+// plan that routes nowhere; explain counts nothing and ranks every
+// region with full-fidelity rows (EXPLAIN shows the complete fleet).
+// Stamps describes the routed regions either way.
 func (r *Router) plan(ctx context.Context, qspan *telemetry.SpanHandle, q query.Query, sel selection.Selector, explain bool) (_ *federation.Prepared, _ *topology, ranks []selection.NodeRank, err error) {
 	start := time.Now()
 	t, err := r.topology(ctx)
@@ -421,14 +421,8 @@ func (r *Router) plan(ctx context.Context, qspan *telemetry.SpanHandle, q query.
 	}
 	if err == nil {
 		routed, err = r.route(t, q, sel, eps)
-		if !explain && queryDriven && (err == nil || errors.Is(err, selection.ErrNoCandidates)) {
-			r.regionsPruned.Add(int64(len(r.members) - len(routed)))
-			switch len(routed) {
-			case 0:
-				r.noRoute.Add(1)
-			case len(r.members):
-				r.spanning.Add(1)
-			}
+		if !explain && errors.Is(err, selection.ErrNoCandidates) {
+			r.noRoute.Add(1)
 		}
 	}
 	if err == nil && !explain {
@@ -524,6 +518,10 @@ func (r *Router) execute(ctx context.Context, req federation.Request) (_ *federa
 		m := r.members[st.Source]
 		m.routed.Add(1)
 		r.metricReg.Counter("qens_region_routed_total", telemetry.Label{Key: "region", Value: m.id}).Inc()
+	}
+	r.regionsPruned.Add(int64(len(r.members) - len(prep.Stamps)))
+	if len(prep.Stamps) == len(r.members) {
+		r.spanning.Add(1)
 	}
 	spec := r.cfg.Spec
 	spec.Seed = uint64(r.src.Int63())
@@ -715,7 +713,9 @@ type RegionStat struct {
 }
 
 // RouterStats is the root coordinator's introspection block served
-// under /v1/stats.
+// under /v1/stats. Queries counts executions (a reuse-cache hit is
+// none), and Spanning and RegionsPruned count within them; NoRoute
+// counts at admission, where a query that routes nowhere ends.
 type RouterStats struct {
 	Generation    uint64       `json:"generation"`
 	Queries       int64        `json:"queries"`

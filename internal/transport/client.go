@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -89,6 +91,30 @@ func DialContext(ctx context.Context, addr string, opts DialOptions) (*Client, e
 	}
 	c.id = conn.nodeID
 	return c, nil
+}
+
+// DialAll calls dial on every address of a comma-separated list (the
+// form the -addrs flags take; blank entries are skipped), in list
+// order. If any dial fails it closes what it already opened.
+func DialAll[C io.Closer](list string, dial func(addr string) (C, error)) ([]C, error) {
+	var out []C
+	for _, a := range strings.Split(list, ",") {
+		if a = strings.TrimSpace(a); a == "" {
+			continue
+		}
+		c, err := dial(a)
+		if err != nil {
+			for _, o := range out {
+				o.Close()
+			}
+			return nil, err
+		}
+		out = append(out, c)
+	}
+	if len(out) == 0 {
+		return nil, errors.New("transport: address list names no address")
+	}
+	return out, nil
 }
 
 // ID implements federation.Client.

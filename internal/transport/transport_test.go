@@ -545,3 +545,35 @@ func TestServerMetrics(t *testing.T) {
 		t.Fatalf("LastTrainAge = %v, %v", age, ok)
 	}
 }
+
+// TestDialAll: a list dials in order and skips blanks; one dial that
+// fails closes every connection the list already opened.
+func TestDialAll(t *testing.T) {
+	srv, _ := startServer(t, 1, 2, 0, 10)
+	dial := func(a string) (*Client, error) { return Dial(a, DialOptions{Timeout: 5 * time.Second}) }
+	clients, err := DialAll(" "+srv.Addr()+", ,"+srv.Addr(), dial)
+	if err != nil || len(clients) != 2 || clients[0].ID() != "node-A" || clients[1].Addr() != srv.Addr() {
+		t.Fatalf("DialAll = %v, %v", clients, err)
+	}
+	for _, c := range clients {
+		c.Close()
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := ln.Addr().String()
+	ln.Close()
+	if _, err := DialAll(srv.Addr()+","+srv.Addr()+","+refused, dial); err == nil {
+		t.Fatal("DialAll succeeded with a refused address in the list")
+	}
+	for deadline := time.Now().Add(5 * time.Second); srv.Conns() != 1; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("server holds %d connections after the failed DialAll, want only the fixture's 1", srv.Conns())
+		}
+	}
+	if _, err := DialAll(" , ", dial); err == nil {
+		t.Fatal("DialAll accepted a list naming no address")
+	}
+}

@@ -5,11 +5,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -80,7 +82,8 @@ func TestLiveStack(t *testing.T) {
 		tracePath := filepath.Join(t.TempDir(), "trace.jsonl")
 		gw := startLive(t, bin("qens-gateway"), "-addr", "127.0.0.1:0", "-nodes", "3", "-samples", "200",
 			"-k", "4", "-epochs", "3", "-workers", "4", "-queue", "32", "-trace", tracePath)
-		url := "http://" + gw.await(t, gatewayAddrRE)
+		gwAddr := gw.await(t, gatewayAddrRE)
+		url := "http://" + gwAddr
 
 		checkBurst(t, "load", drive(t, url, 64, 8))
 
@@ -117,7 +120,10 @@ func TestLiveStack(t *testing.T) {
 			t.Errorf("none of %d retained traces has both a critical path and node.* spans", len(traces.Traces))
 		}
 
-		stopLive(t, gw)
+		// A connection that never sends a request, like a client's
+		// spare pooled one, must not hold the drain.
+		holdConn(t, gwAddr)
+		stopLive(t, 2*time.Second, gw)
 		// The sink is buffered: the trace file holds the root span of
 		// every retained trace only if shutdown flushed it.
 		raw, err := os.ReadFile(tracePath)
@@ -142,25 +148,61 @@ func TestLiveStack(t *testing.T) {
 		}
 	})
 
-	// A root over two qens-region daemons with the reuse cache on:
-	// per-region routing and stats, one region.plan per request per
-	// region, and the root's own cache hits.
+	// A root over two qens-region daemons over four qensd members,
+	// with the reuse cache on: per-region routing and stats, one
+	// region.plan per request per region, the root's own cache hits,
+	// and node-0's drift pushed to its region and seen by the root.
 	t.Run("regions", func(t *testing.T) {
 		t.Parallel()
+		var nodes []*liveProc
+		var nodeAddrs []string
+		for i, extra := range [][]string{
+			{"-ingest-rate", "400", "-ingest-batch", "32", "-ingest-drift-after", "2s",
+				"-ingest-drift-shift", "0.75", "-metrics-addr", "127.0.0.1:0"},
+			nil,
+			nil,
+			nil,
+		} {
+			args := append([]string{"-addr", "127.0.0.1:0", "-synthetic", strconv.Itoa(i),
+				"-nodes", "4", "-samples", "200", "-k", "3"}, extra...)
+			n := startLive(t, bin("qensd"), args...)
+			nodes = append(nodes, n)
+			nodeAddrs = append(nodeAddrs, n.await(t, qensdAddrRE))
+		}
+		obs := "http://" + nodes[0].await(t, obsAddrRE)
 		var regions []*liveProc
 		var addrs []string
 		for _, idx := range []string{"0", "1"} {
 			r := startLive(t, bin("qens-region"), "-addr", "127.0.0.1:0", "-region", idx, "-regions", "2",
-				"-nodes", "4", "-samples", "200", "-k", "3", "-epochs", "2")
+				"-addrs", strings.Join(nodeAddrs, ","))
 			regions = append(regions, r)
 			addrs = append(addrs, r.await(t, regionAddrRE))
+			if m := regionPushRE.FindStringSubmatch(r.out.String()); m == nil || m[1] != m[2] || m[2] == "0" {
+				t.Errorf("region-%s does not report summary push from all of its members (%q)", idx, m)
+			}
 		}
 		gw := startLive(t, bin("qens-gateway"), "-addr", "127.0.0.1:0", "-region-addrs", strings.Join(addrs, ","),
 			"-workers", "4", "-queue", "32", "-reuse-iou", "0.9")
-		url := "http://" + gw.await(t, gatewayAddrRE)
+		gwAddr := gw.await(t, gatewayAddrRE)
+		url := "http://" + gwAddr
 
 		const requests = 32
-		checkBurst(t, "load", drive(t, url, requests, 4))
+		load := drive(t, url, requests, 4)
+		checkBurst(t, "load", load)
+		// The admission-time plan is the execution plan unless node-0's
+		// streaming moved its region in between, so no region logs more
+		// plan RPCs than requests were sent plus answers re-planned.
+		total := 0
+		for i, r := range regions {
+			n := strings.Count(r.out.String(), "event=rpc type=region.plan ")
+			if n > requests+load.replanned {
+				t.Errorf("region-%d logged %d region.plan RPCs for %d requests, %d of them re-planned", i, n, requests, load.replanned)
+			}
+			total += n
+		}
+		if total == 0 {
+			t.Error("no 'event=rpc type=region.plan' line in either region log")
+		}
 
 		var stats struct {
 			Reuse *struct {
@@ -168,29 +210,41 @@ func TestLiveStack(t *testing.T) {
 			} `json:"reuse_cache"`
 			Router *struct {
 				Regions []struct {
-					RegionID string `json:"region_id"`
-					Routed   int64  `json:"routed"`
+					RegionID string   `json:"region_id"`
+					Routed   int64    `json:"routed"`
+					Epoch    uint64   `json:"epoch"`
+					NodeIDs  []string `json:"node_ids"`
+					Registry *struct {
+						Epoch       uint64 `json:"epoch"`
+						PushApplied int64  `json:"push_applied"`
+					} `json:"registry"`
 				} `json:"regions"`
 				Reuse json.RawMessage `json:"reuse_cache"`
 			} `json:"router"`
 		}
 		getJSON(t, url+"/v1/stats", &stats)
+		owner := -1
 		switch {
 		case stats.Router == nil:
-			t.Error("/v1/stats has no router block")
+			t.Fatal("/v1/stats has no router block")
 		case len(stats.Router.Reuse) > 0:
 			t.Error("/v1/stats nests a reuse_cache under router")
-		default:
-			var ids []string
-			for _, r := range stats.Router.Regions {
-				ids = append(ids, r.RegionID)
-				if r.Routed == 0 {
-					t.Errorf("/v1/stats: %s routed no query", r.RegionID)
-				}
+		}
+		var ids []string
+		for i, r := range stats.Router.Regions {
+			ids = append(ids, r.RegionID)
+			if r.Routed == 0 {
+				t.Errorf("/v1/stats: %s routed no query", r.RegionID)
 			}
-			if strings.Join(ids, ",") != "region-0,region-1" {
-				t.Errorf("/v1/stats router regions = %v, want region-0 and region-1", ids)
+			if slices.Contains(r.NodeIDs, "node-0") {
+				owner = i
 			}
+		}
+		if strings.Join(ids, ",") != "region-0,region-1" {
+			t.Fatalf("/v1/stats router regions = %v, want region-0 and region-1", ids)
+		}
+		if owner < 0 {
+			t.Fatal("/v1/stats: no region owns node-0")
 		}
 		if stats.Reuse == nil || stats.Reuse.Hits == 0 {
 			t.Errorf("root /v1/stats reports no reuse_cache hits: %+v", stats.Reuse)
@@ -214,20 +268,27 @@ func TestLiveStack(t *testing.T) {
 			checkNodes(t, "sharded /v1/fleet "+r.RegionID, r.Nodes, "")
 		}
 
-		stopLive(t, append([]*liveProc{gw}, regions...)...)
-		// The admission-time plan is the execution plan, so no region
-		// logs more plan RPCs than requests were sent.
-		total := 0
-		for i, r := range regions {
-			n := strings.Count(r.out.String(), "event=rpc type=region.plan ")
-			if n > requests {
-				t.Errorf("region-%d logged %d region.plan RPCs for %d requests", i, n, requests)
-			}
-			total += n
+		// node-0 drifts; its re-quantized advertisement reaches its
+		// region by push, and the root learns of the move from the
+		// epoch on that region's next responses.
+		before := stats.Router.Regions[owner].Epoch
+		awaitEscalation(t, obs)
+		poll(t, 10*time.Second, "node-0's push to move its region past the root's epoch", func() bool {
+			getJSON(t, url+"/v1/stats", &stats)
+			reg := stats.Router.Regions[owner].Registry
+			return reg != nil && reg.PushApplied > 0 && reg.Epoch > before
+		})
+		checkBurst(t, "post-drift burst", drive(t, url, requests, 4))
+		getJSON(t, url+"/v1/stats", &stats)
+		if after := stats.Router.Regions[owner].Epoch; after <= before {
+			t.Errorf("root holds %s at epoch %d after node-0 drifted, as before it", stats.Router.Regions[owner].RegionID, after)
 		}
-		if total == 0 {
-			t.Error("no 'event=rpc type=region.plan' line in either region log")
+
+		// No process waits on a connection that never sends a request.
+		for _, a := range append(append([]string{gwAddr}, addrs...), nodeAddrs...) {
+			holdConn(t, a)
 		}
+		stopLive(t, 2*time.Second, append(append([]*liveProc{gw}, regions...), nodes...)...)
 	})
 
 	// A gateway over three qensd daemons while node-0 streams rows and
@@ -260,15 +321,7 @@ func TestLiveStack(t *testing.T) {
 		pre := drive(t, url, 32, 4)
 		checkBurst(t, "pre-drift burst", pre)
 
-		poll(t, 60*time.Second, "node-0's drift detector to escalate", func() bool {
-			var h struct {
-				Ingest struct {
-					Escalations int64 `json:"escalations"`
-				} `json:"ingest"`
-			}
-			getJSON(t, obs+"/healthz", &h)
-			return h.Ingest.Escalations > 0
-		})
+		awaitEscalation(t, obs)
 
 		post := drive(t, url, 32, 4)
 		checkBurst(t, "post-drift burst", post)
@@ -308,13 +361,14 @@ func TestLiveStack(t *testing.T) {
 			t.Errorf("p99 not flat through drift: %v before, %v after (limit %v)", pre.p99, post.p99, limit)
 		}
 
-		stopLive(t, append([]*liveProc{gw}, nodes...)...)
+		stopLive(t, 30*time.Second, append([]*liveProc{gw}, nodes...)...)
 	})
 }
 
 var (
 	gatewayAddrRE = regexp.MustCompile(`on http://(\S+) \(POST /v1/query`)
 	regionAddrRE  = regexp.MustCompile(`serving shard .* on (\S+)\n`)
+	regionPushRE  = regexp.MustCompile(`summary push from (\d+)/(\d+) members`)
 	qensdAddrRE   = regexp.MustCompile(`qensd: node \S+ serving .* on (\S+)\n`)
 	obsAddrRE     = regexp.MustCompile(`observability on http://(\S+) `)
 )
@@ -374,15 +428,15 @@ func (p *liveProc) await(t *testing.T, re *regexp.Regexp) string {
 }
 
 // stopLive sends SIGTERM to every process, then requires each to exit
-// 0 within 30 s.
-func stopLive(t *testing.T, procs ...*liveProc) {
+// 0 within limit.
+func stopLive(t *testing.T, limit time.Duration, procs ...*liveProc) {
 	t.Helper()
 	for _, p := range procs {
 		if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 			t.Errorf("SIGTERM %s: %v", p.name, err)
 		}
 	}
-	deadline := time.After(30 * time.Second)
+	deadline := time.After(limit)
 	for _, p := range procs {
 		select {
 		case <-p.done:
@@ -390,10 +444,37 @@ func stopLive(t *testing.T, procs ...*liveProc) {
 				t.Errorf("%s: %v after SIGTERM", p.name, p.err)
 			}
 		case <-deadline:
-			t.Errorf("%s did not exit within 30s of SIGTERM", p.name)
+			t.Errorf("%s did not exit within %v of SIGTERM", p.name, limit)
 			return
 		}
 	}
+}
+
+// holdConn opens a TCP connection to addr that never sends a byte, as
+// a client's spare pooled connection does, and closes it at cleanup.
+func holdConn(t *testing.T, addr string) {
+	t.Helper()
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+}
+
+// awaitEscalation waits for the drift detector of the node whose
+// observability sidecar is at obs to escalate to a full
+// re-quantization.
+func awaitEscalation(t *testing.T, obs string) {
+	t.Helper()
+	poll(t, 60*time.Second, "the drift detector at "+obs+" to escalate", func() bool {
+		var h struct {
+			Ingest struct {
+				Escalations int64 `json:"escalations"`
+			} `json:"ingest"`
+		}
+		getJSON(t, obs+"/healthz", &h)
+		return h.Ingest.Escalations > 0
+	})
 }
 
 type lockedBuffer struct {
@@ -414,11 +495,13 @@ func (b *lockedBuffer) String() string {
 }
 
 // burst is what the client saw of one closed-loop run: a count per
-// HTTP status (0 for a transport error) and the p99 latency of the 200
-// answers.
+// HTTP status (0 for a transport error), the p99 latency of the 200
+// answers, and how many of those executed on a fresh plan because
+// their admission plan went stale (nonzero selection time).
 type burst struct {
-	status map[int]int
-	p99    time.Duration
+	status    map[int]int
+	p99       time.Duration
+	replanned int
 }
 
 var liveHTTP = &http.Client{Timeout: 40 * time.Second}
@@ -440,13 +523,6 @@ func drive(t *testing.T, url string, n, outstanding int) burst {
 		t.Fatal(err)
 	}
 
-	// The burst's own connections close when it ends, as a load
-	// generator's do when it exits: net/http's Shutdown waits up to 5 s
-	// on a connection that was dialed but never carried a request.
-	tr := &http.Transport{}
-	defer tr.CloseIdleConnections()
-	client := &http.Client{Transport: tr, Timeout: liveHTTP.Timeout}
-
 	b := burst{status: make(map[int]int)}
 	var (
 		mu        sync.Mutex
@@ -467,7 +543,14 @@ func drive(t *testing.T, url string, n, outstanding int) burst {
 				})
 				start := time.Now()
 				code := 0
-				if resp, err := client.Post(url+"/v1/query", "application/json", bytes.NewReader(body)); err == nil {
+				var answer struct {
+					Reused, Coalesced bool
+					Stats             struct {
+						SelectionMS float64 `json:"selection_ms"`
+					}
+				}
+				if resp, err := liveHTTP.Post(url+"/v1/query", "application/json", bytes.NewReader(body)); err == nil {
+					json.NewDecoder(resp.Body).Decode(&answer)
 					io.Copy(io.Discard, resp.Body)
 					resp.Body.Close()
 					code = resp.StatusCode
@@ -477,6 +560,9 @@ func drive(t *testing.T, url string, n, outstanding int) burst {
 				b.status[code]++
 				if code == http.StatusOK {
 					latencies = append(latencies, lat)
+					if !answer.Reused && !answer.Coalesced && answer.Stats.SelectionMS > 0 {
+						b.replanned++
+					}
 				}
 				mu.Unlock()
 			}
