@@ -108,6 +108,16 @@ func main() {
 	if *addrs != "" && *regionAddrs != "" {
 		fatal("-addrs and -region-addrs are mutually exclusive")
 	}
+	if *addrs != "" || *regionAddrs != "" {
+		// A remote fleet is what the daemons hold: the fleet-synthesis
+		// flags would be silently ignored, so naming one is an error.
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "k" || f.Name == "nodes" || f.Name == "samples" {
+				fmt.Fprintf(os.Stderr, "qens-gateway: -%s synthesizes a fleet; it does not apply with -addrs or -region-addrs\n", f.Name)
+				os.Exit(2)
+			}
+		})
+	}
 
 	cfg := gateway.ServerConfig{
 		Workers:        *workers,

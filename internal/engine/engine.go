@@ -290,7 +290,15 @@ func (e *Engine) OnEpochBump(fn func(epoch uint64)) (unsubscribe func()) {
 // same value qens_node_train_queue_ms observes, surfaced so jobs can
 // attribute it in their phase report). A nil error obliges the caller
 // to release the slot exactly once.
+//
+// ctx is checked at admission, so an expired deadline is refused
+// before it queues. Only a job that must queue reads ctx.Done: a
+// context that keeps its deadline as a value (the transport's wire
+// deadline) arms its timer there, and a job that runs at once arms none.
 func (e *Engine) acquire(ctx context.Context) (wait time.Duration, err error) {
+	if err := ctx.Err(); err != nil {
+		return 0, fmt.Errorf("engine: admission: %w", err)
+	}
 	start := time.Now()
 	select {
 	case e.sem <- struct{}{}:

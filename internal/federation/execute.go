@@ -238,33 +238,34 @@ func (l *Leader) train(ctx context.Context, req Request) (_ *Result, retErr erro
 // captureTrainingBounds copies the supporting-cluster rectangles of
 // every participant out of the plan snapshot into the Result. A
 // participant with a nil cluster directive trains on its whole dataset,
-// so all of its advertised cluster rectangles count. The copy is a few
-// hundred floats at most and never touches the RNG, so seeded replays
-// are unaffected.
+// so all of its advertised cluster rectangles count. The rectangles are
+// walked twice, to count and then to copy into one buffer sized once;
+// the copy never touches the RNG, so seeded replays are unaffected.
 func captureTrainingBounds(res *Result, snap *registry.Snapshot) {
 	d := snap.Dims
-	if d <= 0 {
+	walk := func(visit func(lo, hi []float64)) {
+		for _, p := range res.Participants {
+			g := snap.Node(p.NodeID)
+			switch {
+			case g == nil || d <= 0:
+			case p.Clusters == nil:
+				visit(g.Mins, g.Maxs)
+			default:
+				for _, k := range p.Clusters {
+					if k >= 0 && (k+1)*d <= len(g.Mins) {
+						visit(g.Mins[k*d:(k+1)*d], g.Maxs[k*d:(k+1)*d])
+					}
+				}
+			}
+		}
+	}
+	n := 0
+	walk(func(lo, _ []float64) { n += len(lo) })
+	if n == 0 {
 		return
 	}
-	for _, p := range res.Participants {
-		g := snap.Node(p.NodeID)
-		if g == nil {
-			continue
-		}
-		if p.Clusters == nil {
-			res.TrainMins = append(res.TrainMins, g.Mins...)
-			res.TrainMaxs = append(res.TrainMaxs, g.Maxs...)
-			continue
-		}
-		for _, k := range p.Clusters {
-			if k < 0 || (k+1)*d > len(g.Mins) {
-				continue
-			}
-			res.TrainMins = append(res.TrainMins, g.Mins[k*d:(k+1)*d]...)
-			res.TrainMaxs = append(res.TrainMaxs, g.Maxs[k*d:(k+1)*d]...)
-		}
-	}
-	if len(res.TrainMins) > 0 {
-		res.TrainDims = d
-	}
+	buf := make([]float64, 2*n)
+	mins, maxs := buf[:0:n], buf[n:n]
+	walk(func(lo, hi []float64) { mins, maxs = append(mins, lo...), append(maxs, hi...) })
+	res.TrainMins, res.TrainMaxs, res.TrainDims = mins, maxs, d
 }

@@ -390,3 +390,43 @@ func TestAntiEntropyTickKeepsDerivedState(t *testing.T) {
 		t.Fatal("Prepared survived a node's epoch bump")
 	}
 }
+
+// TestCaptureTrainingBoundsSizedOnce: a prepared query's training
+// rectangles are copied into one buffer sized up front — one
+// allocation however many participants and clusters — and equal what
+// appending rectangle by rectangle gives.
+func TestCaptureTrainingBoundsSizedOnce(t *testing.T) {
+	fleet := testFleet(t)
+	for _, sel := range []selection.Selector{selection.QueryDriven{Epsilon: 0.6, TopL: 3}, selection.AllNodes{}} {
+		prep, err := fleet.Leader.Prepare(context.Background(), midQuery(t), sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want Result
+		d := prep.snap.Dims
+		for _, p := range prep.Participants {
+			g := prep.snap.Node(p.NodeID)
+			if p.Clusters == nil {
+				want.TrainMins = append(want.TrainMins, g.Mins...)
+				want.TrainMaxs = append(want.TrainMaxs, g.Maxs...)
+			}
+			for _, k := range p.Clusters {
+				want.TrainMins = append(want.TrainMins, g.Mins[k*d:(k+1)*d]...)
+				want.TrainMaxs = append(want.TrainMaxs, g.Maxs[k*d:(k+1)*d]...)
+			}
+		}
+		var got Result
+		capture := func() {
+			got = Result{Participants: prep.Participants}
+			captureTrainingBounds(&got, prep.snap)
+		}
+		capture()
+		if len(want.TrainMins) == 0 || got.TrainDims != d ||
+			!reflect.DeepEqual(got.TrainMins, want.TrainMins) || !reflect.DeepEqual(got.TrainMaxs, want.TrainMaxs) {
+			t.Fatalf("%s: bounds %v/%v (dims %d), want %v/%v", sel.Name(), got.TrainMins, got.TrainMaxs, got.TrainDims, want.TrainMins, want.TrainMaxs)
+		}
+		if n := testing.AllocsPerRun(100, capture); n != 1 {
+			t.Errorf("%s: captureTrainingBounds allocates %v, want 1", sel.Name(), n)
+		}
+	}
+}

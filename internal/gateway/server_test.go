@@ -652,7 +652,7 @@ func TestRecordStoreEviction(t *testing.T) {
 		}
 	}
 	q2 := rs.byID["q2"]
-	rs.update("q2", q2, func() { q2.Status = recordDone })
+	rs.update(func() { q2.Status = recordDone })
 	rec, _ := rs.get("q2")
 	if rec.Status != recordDone {
 		t.Fatal("update lost")

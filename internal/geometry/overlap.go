@@ -164,9 +164,10 @@ func CoveredFraction(q, k Rect) float64 {
 	return clamp01(iv / kv)
 }
 
-// intersectionVolume is a.Intersection(b) followed by Volume() without
-// materializing the rectangle: the same max/min per dimension and the
-// same left-to-right product, so the result is bit-identical.
+// intersectionVolume is the test reference a.Intersection(b) followed
+// by Volume() without materializing the rectangle: the same max/min per
+// dimension and the same left-to-right product, so the result is
+// bit-identical.
 func intersectionVolume(a, b Rect) (float64, bool) {
 	if !a.Intersects(b) {
 		return 0, false

@@ -132,20 +132,6 @@ func (r Rect) Intersects(other Rect) bool {
 	return true
 }
 
-// Intersection returns the overlapping region of r and other and
-// whether it is non-empty.
-func (r Rect) Intersection(other Rect) (Rect, bool) {
-	if !r.Intersects(other) {
-		return Rect{}, false
-	}
-	out := Rect{Min: make([]float64, r.Dims()), Max: make([]float64, r.Dims())}
-	for d := range r.Min {
-		out.Min[d] = math.Max(r.Min[d], other.Min[d])
-		out.Max[d] = math.Min(r.Max[d], other.Max[d])
-	}
-	return out, true
-}
-
 // Union returns the smallest rectangle covering both r and other.
 func (r Rect) Union(other Rect) Rect {
 	out := r.Clone()

@@ -6,6 +6,21 @@ import (
 	"testing/quick"
 )
 
+// Intersection, the reference that IoU and intersectionVolume are held
+// bit-equal to, returns the overlapping region of r and other and
+// whether it is non-empty.
+func (r Rect) Intersection(other Rect) (Rect, bool) {
+	if !r.Intersects(other) {
+		return Rect{}, false
+	}
+	out := Rect{Min: make([]float64, r.Dims()), Max: make([]float64, r.Dims())}
+	for d := range r.Min {
+		out.Min[d] = math.Max(r.Min[d], other.Min[d])
+		out.Max[d] = math.Min(r.Max[d], other.Max[d])
+	}
+	return out, true
+}
+
 func TestNewRectValidation(t *testing.T) {
 	if _, err := NewRect([]float64{0, 0}, []float64{1, 1}); err != nil {
 		t.Fatalf("valid rect rejected: %v", err)

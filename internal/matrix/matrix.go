@@ -40,22 +40,6 @@ func (m *Dense) SetData(rows, cols int, data []float64) *Dense {
 	return m
 }
 
-// FromRows builds a matrix from row slices, which must share a length.
-func FromRows(rows [][]float64) *Dense {
-	if len(rows) == 0 {
-		return NewDense(0, 0)
-	}
-	cols := len(rows[0])
-	m := NewDense(len(rows), cols)
-	for i, r := range rows {
-		if len(r) != cols {
-			panic("matrix: ragged rows")
-		}
-		copy(m.data[i*cols:(i+1)*cols], r)
-	}
-	return m
-}
-
 // Rows returns the row count.
 func (m *Dense) Rows() int { return m.rows }
 
@@ -107,18 +91,6 @@ func (m *Dense) Fill(v float64) {
 
 // Zero sets every element to 0.
 func (m *Dense) Zero() { m.Fill(0) }
-
-// T returns the transpose of m as a new matrix.
-func (m *Dense) T() *Dense {
-	out := NewDense(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		ri := m.data[i*m.cols : (i+1)*m.cols]
-		for j, v := range ri {
-			out.data[j*m.rows+i] = v
-		}
-	}
-	return out
-}
 
 // Mul returns a * b. It panics with ErrShape on dimension mismatch.
 func Mul(a, b *Dense) *Dense {
@@ -204,18 +176,6 @@ func MulTransBInto(dst, a, b *Dense) {
 			orow[j] = sum
 		}
 	}
-}
-
-// Add returns a + b element-wise.
-func Add(a, b *Dense) *Dense {
-	if a.rows != b.rows || a.cols != b.cols {
-		panic(ErrShape)
-	}
-	out := a.Clone()
-	for i, v := range b.data {
-		out.data[i] += v
-	}
-	return out
 }
 
 // Apply replaces every element x with f(x) in place.

@@ -6,6 +6,49 @@ import (
 	"testing/quick"
 )
 
+// The helpers below build and combine the fixtures the kernels are
+// checked against; no shipped code needs them.
+
+// FromRows builds a matrix from row slices, which must share a length.
+func FromRows(rows [][]float64) *Dense {
+	if len(rows) == 0 {
+		return NewDense(0, 0)
+	}
+	cols := len(rows[0])
+	m := NewDense(len(rows), cols)
+	for i, r := range rows {
+		if len(r) != cols {
+			panic("matrix: ragged rows")
+		}
+		copy(m.data[i*cols:(i+1)*cols], r)
+	}
+	return m
+}
+
+// T returns the transpose of m as a new matrix.
+func (m *Dense) T() *Dense {
+	out := NewDense(m.cols, m.rows)
+	for i := 0; i < m.rows; i++ {
+		ri := m.data[i*m.cols : (i+1)*m.cols]
+		for j, v := range ri {
+			out.data[j*m.rows+i] = v
+		}
+	}
+	return out
+}
+
+// Add returns a + b element-wise.
+func Add(a, b *Dense) *Dense {
+	if a.rows != b.rows || a.cols != b.cols {
+		panic(ErrShape)
+	}
+	out := a.Clone()
+	for i, v := range b.data {
+		out.data[i] += v
+	}
+	return out
+}
+
 func TestNewDenseZero(t *testing.T) {
 	m := NewDense(3, 4)
 	if m.Rows() != 3 || m.Cols() != 4 {

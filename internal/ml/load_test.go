@@ -206,3 +206,28 @@ func TestLinearServingFitPinned(t *testing.T) {
 		check(fmt.Sprintf("short fit, %d rows", c.n), m.Params().Values, c.want)
 	}
 }
+
+// TestParamsShareDimsPerShape: every Params of one model shape carries
+// the same immutable dims slice, so exporting one allocates no dims;
+// another shape gets a slice of its own, and SharedDims never keeps
+// the caller's buffer.
+func TestParamsShareDimsPerShape(t *testing.T) {
+	nn := PaperNN(3)
+	a, b := nn.MustNew().Params(), nn.MustNew().Params()
+	if &a.Dims[0] != &b.Dims[0] {
+		t.Fatal("two models of one shape export separate dims slices")
+	}
+	lr := PaperLR(3).MustNew().Params()
+	if &lr.Dims[0] == &a.Dims[0] || fmt.Sprint(lr.Dims) != "[3 1]" {
+		t.Fatalf("the LR shape shares %v with the NN's %v", lr.Dims, a.Dims)
+	}
+	scratch := []int{3, 1}
+	shared := SharedDims(scratch)
+	scratch[0] = 5
+	if &shared[0] != &lr.Dims[0] || shared[0] != 3 {
+		t.Fatalf("SharedDims returned %v backed by the caller's buffer or a new copy", shared)
+	}
+	if n := testing.AllocsPerRun(100, func() { paramDims(nn.InputDim, nn.Hidden) }); n != 0 {
+		t.Fatalf("paramDims of a known shape allocates %v", n)
+	}
+}

@@ -13,7 +13,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
+	"sync"
 
 	"qens/internal/rng"
 )
@@ -351,12 +353,44 @@ func (s Spec) checkParams(p Params) error {
 }
 
 // paramDims is the Params.Dims of a model: input, hidden widths, one
-// output.
+// output — the shared slice of that shape (see SharedDims).
 func paramDims(in int, hidden []int) []int {
-	dims := make([]int, 0, len(hidden)+2)
-	dims = append(dims, in)
-	dims = append(dims, hidden...)
-	return append(dims, 1)
+	var buf [8]int
+	dims := append(append(append(buf[:0], in), hidden...), 1)
+	return SharedDims(dims)
+}
+
+// shapes holds one immutable Params.Dims slice per model shape, so the
+// Params a model exports and the ones the wire decodes share their dims
+// instead of allocating them per round.
+var shapes struct {
+	sync.Mutex
+	all [][]int
+}
+
+// maxShapes bounds shapes: a shape past it gets its own copy.
+const maxShapes = 64
+
+// SharedDims returns the shared, immutable slice equal to dims (nil for
+// an empty one), adding a copy when the shape is new. dims itself is
+// never kept, so callers may pass a scratch buffer; nobody may write to
+// a Params.Dims.
+func SharedDims(dims []int) []int {
+	if len(dims) == 0 {
+		return nil
+	}
+	shapes.Lock()
+	defer shapes.Unlock()
+	for _, s := range shapes.all {
+		if slices.Equal(s, dims) {
+			return s
+		}
+	}
+	own := slices.Clone(dims)
+	if len(shapes.all) < maxShapes {
+		shapes.all = append(shapes.all, own)
+	}
+	return own
 }
 
 // MustNew is New that panics on error, for tests and examples.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -570,5 +571,69 @@ func TestRouterHealthBounded(t *testing.T) {
 	}
 	if _, err := router.NodeIDs(ctx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("roster refresh: err = %v, want the stalled Info's deadline", err)
+	}
+}
+
+// countingRegion counts the Info calls its region answers.
+type countingRegion struct {
+	Service
+	infos atomic.Int64
+}
+
+func (c *countingRegion) Info(ctx context.Context) (Info, error) {
+	c.infos.Add(1)
+	return c.Service.Info(ctx)
+}
+
+// TestRouterRebuildAsksOnlyMovedRegion: when one region's epoch moves,
+// the topology rebuild asks that region alone for its Info, reuses the
+// other's, and equals a topology built from scratch over the same
+// regions.
+func TestRouterRebuildAsksOnlyMovedRegion(t *testing.T) {
+	ctx := context.Background()
+	_, leaders, nodes := shardedFixture(t, 2, Config{})
+	cfg := Config{Spec: fedConfig().Spec, LocalEpochs: fedConfig().LocalEpochs, Seed: fedConfig().Seed}
+	counted := []*countingRegion{{Service: leaders[0]}, {Service: leaders[1]}}
+	router, err := NewRouter(cfg, []Service{counted[0], counted[1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := router.topology(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// node-5 drifts inside region-1; an all-nodes round carries the
+	// moved epoch back to the root.
+	if err := nodes[5].Requantize(); err != nil {
+		t.Fatal(err)
+	}
+	all := federation.Request{Query: mustQuery(t, "q-all", -10, 80, -30, 160), Selector: selection.AllNodes{}, Aggregation: federation.ModelAveraging}
+	if _, _, err := router.Execute(ctx, all); err != nil {
+		t.Fatal(err)
+	}
+	after, err := router.topology(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after == before || after.epochs[1] == before.epochs[1] || after.epochs[0] != before.epochs[0] {
+		t.Fatalf("epochs %v -> %v: want a rebuild for region-1 alone", before.epochs, after.epochs)
+	}
+	if n0, n1 := counted[0].infos.Load(), counted[1].infos.Load(); n0 != 1 || n1 != 2 {
+		t.Fatalf("Info calls %d and %d, want 1 and 2: only the moved region is asked again", n0, n1)
+	}
+
+	fresh, err := NewRouter(cfg, []Service{leaders[0], leaders[1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.topology(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := *after
+	got.gen = want.gen
+	if !reflect.DeepEqual(&got, want) {
+		t.Fatalf("rebuilt topology differs from a fresh build:\n got %+v\nwant %+v", got, *want)
 	}
 }

@@ -117,13 +117,13 @@ func BenchmarkWireDecode(b *testing.B) {
 		}
 		body := frame[4:]
 		var dst request
-		if _, err := decodeWireRequest(body, &dst); err != nil {
+		if _, err := decodeWireRequest(body, &dst, nil); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := decodeWireRequest(body, &dst); err != nil {
+			if _, err := decodeWireRequest(body, &dst, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -189,5 +189,26 @@ func BenchmarkWireRPC(b *testing.B) {
 			}
 			wg.Wait()
 		})
+	}
+}
+
+// BenchmarkWireTrainRPC measures one leader->node train RPC as a query
+// issues it — an LR round, 1 local epoch over a supporting-cluster
+// list, under a context carrying the query's deadline — over loopback,
+// one caller at a time. allocs/op counts client and server together.
+func BenchmarkWireTrainRPC(b *testing.B) {
+	client := benchServer(b)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	req := federation.TrainRequest{Spec: ml.PaperLR(1), Clusters: []int{0, 1, 2}, LocalEpochs: 1}
+	if _, err := client.Train(ctx, req); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := client.Train(ctx, req); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

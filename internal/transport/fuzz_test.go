@@ -93,8 +93,8 @@ func FuzzWireV2(f *testing.F) {
 		// Property 1: arbitrary bytes never panic the decoders, and a
 		// forged count can never make them allocate beyond the body.
 		var junk request
-		_, _ = decodeWireRequest(raw, &junk)
-		_, _, _ = decodeWireResponse(raw)
+		_, _ = decodeWireRequest(raw, &junk, nil)
+		_, _, _ = decodeWireResponse(raw, idTable{})
 		_, _, _ = decodeWirePush(raw)
 
 		// Property 2: encode→decode round-trips fuzz-chosen values.
@@ -132,7 +132,7 @@ func FuzzWireV2(f *testing.F) {
 			t.Fatalf("length prefix %d for %d-byte body", got, len(enc)-4)
 		}
 		var out request
-		id, err := decodeWireRequest(enc[4:], &out)
+		id, err := decodeWireRequest(enc[4:], &out, nil)
 		if err != nil {
 			t.Fatalf("decode(encode(x)) failed: %v", err)
 		}
@@ -185,10 +185,10 @@ func FuzzWirePush(f *testing.F) {
 		_, _, _ = decodeWirePush(raw)
 		if len(raw) >= 2 && raw[0] == wireMagic && raw[1] == framePush {
 			var junk request
-			if _, err := decodeWireRequest(raw, &junk); err == nil {
+			if _, err := decodeWireRequest(raw, &junk, nil); err == nil {
 				t.Fatal("push body accepted as a request")
 			}
-			if _, _, err := decodeWireResponse(raw); err == nil {
+			if _, _, err := decodeWireResponse(raw, nil); err == nil {
 				t.Fatal("push body accepted as a response")
 			}
 		}
@@ -260,7 +260,7 @@ func FuzzWirePush(f *testing.F) {
 			spliced = append(spliced, byte(i)^byte(epoch))
 		}
 		var got request
-		if _, err := decodeWireRequest(spliced, &got); err != nil {
+		if _, err := decodeWireRequest(spliced, &got, nil); err != nil {
 			t.Fatalf("unknown trailing section not skipped: %v", err)
 		}
 		if !got.SummaryPush || got.Type != typeSummary {

@@ -258,7 +258,7 @@ func TestResubscribeFailureRedials(t *testing.T) {
 				return
 			}
 			var req request
-			id, err := decodeWireRequest(*buf, &req)
+			id, err := decodeWireRequest(*buf, &req, nil)
 			putFrameBuf(buf)
 			if err != nil {
 				return

@@ -285,7 +285,7 @@ func TestRegionJSONEraBodiesRefused(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			id, resp, err := decodeWireResponse(*buf)
+			id, resp, err := decodeWireResponse(*buf, nil)
 			putFrameBuf(buf)
 			if err != nil {
 				t.Fatal(err)
@@ -321,7 +321,7 @@ func TestRegionJSONEraBodiesRefused(t *testing.T) {
 					return
 				}
 				var req request
-				id, err := decodeWireRequest(*buf, &req)
+				id, err := decodeWireRequest(*buf, &req, nil)
 				putFrameBuf(buf)
 				if err != nil {
 					return

@@ -604,7 +604,17 @@ type wireDec struct {
 	b   []byte
 	off int
 	err error
+	ids idTable // nil: ids are not interned
 }
+
+// idTable interns the node and region ids one connection decodes: a
+// peer names the same few nodes in every frame, so each id string is
+// made once per connection instead of once per frame. Only the
+// connection's reader uses it, so it takes no lock, and it stops
+// growing at maxConnIDs entries (a peer cannot grow it without bound).
+type idTable map[string]string
+
+const maxConnIDs = 4096
 
 func (d *wireDec) fail(what string) {
 	if d.err == nil {
@@ -700,13 +710,29 @@ func (d *wireDec) rest() []byte {
 	return b
 }
 
-func (d *wireDec) str() string {
+// raw consumes a length-prefixed byte run (nil after an error).
+func (d *wireDec) raw() []byte {
 	n := d.count(1)
 	if d.err != nil {
-		return ""
+		return nil
 	}
-	s := internString(d.b[d.off : d.off+n])
+	b := d.b[d.off : d.off+n]
 	d.off += n
+	return b
+}
+
+func (d *wireDec) str() string { return internString(d.raw()) }
+
+// id is str for a node or region id, interned in d.ids.
+func (d *wireDec) id() string {
+	b := d.raw()
+	if s, ok := d.ids[string(b)]; ok {
+		return s
+	}
+	s := internString(b)
+	if d.ids != nil && len(d.ids) < maxConnIDs {
+		d.ids[s] = s
+	}
 	return s
 }
 
@@ -756,9 +782,12 @@ func (d *wireDec) rect(dst *geometry.Rect) {
 	dst.Max = d.floats(dst.Max)
 }
 
+// params decodes a Params whose Dims is the shape's shared slice (see
+// ml.SharedDims): read into a stack buffer, never into dst's old Dims.
 func (d *wireDec) params(dst *ml.Params) {
 	dst.Kind = d.str()
-	dst.Dims = d.ints(dst.Dims)
+	var buf [8]int
+	dst.Dims = ml.SharedDims(d.ints(buf[:0]))
 	dst.Values = d.floats(dst.Values)
 }
 
@@ -779,7 +808,7 @@ func (d *wireDec) spec(dst *ml.Spec) {
 }
 
 func (d *wireDec) summary(dst *cluster.NodeSummary) {
-	dst.NodeID = d.str()
+	dst.NodeID = d.id()
 	dst.TotalSamples = int(d.uvarint())
 	dst.Epoch = d.uvarint()
 	n := d.count(1)
@@ -858,7 +887,7 @@ func (d *wireDec) span() (s federation.NodeSpan) {
 }
 
 func (d *wireDec) rank() (n selection.NodeRank) {
-	n.NodeID = d.str()
+	n.NodeID = d.id()
 	n.Overlaps = getList(d, 8, d.f64)
 	n.Supporting = getList(d, 1, d.int)
 	n.Potential = d.f64()
@@ -870,14 +899,14 @@ func (d *wireDec) rank() (n selection.NodeRank) {
 }
 
 func (d *wireDec) participant() (p selection.Participant) {
-	p.NodeID = d.str()
+	p.NodeID = d.id()
 	p.Rank = d.f64()
 	p.Clusters = getList(d, 1, d.int)
 	return p
 }
 
 func (d *wireDec) roundResult() (x region.RoundResult) {
-	x.NodeID = d.str()
+	x.NodeID = d.id()
 	d.params(&x.Params)
 	x.SamplesUsed = d.int()
 	x.TotalSamples = d.int()
@@ -896,7 +925,7 @@ func (d *wireDec) regionPlanReq(r *region.PlanRequest) {
 }
 
 func (d *wireDec) regionPlanResp(r *region.PlanResponse) {
-	r.RegionID = d.str()
+	r.RegionID = d.id()
 	r.Epoch = d.uvarint()
 	r.Ranks = getList(d, minRank, d.rank)
 }
@@ -909,7 +938,7 @@ func (d *wireDec) regionTrainReq(r *region.TrainRequest) {
 }
 
 func (d *wireDec) regionTrainResp(r *region.TrainResponse) {
-	r.RegionID = d.str()
+	r.RegionID = d.id()
 	r.Epoch = d.uvarint()
 	r.Results = getList(d, minRoundResult, d.roundResult)
 	r.Spans = getList(d, minSpan, d.span)
@@ -927,7 +956,7 @@ func (d *wireDec) section() (tag byte, payload wireDec, ok bool) {
 		d.fail("section length exceeds frame")
 		return 0, wireDec{}, false
 	}
-	payload = wireDec{b: d.b[d.off : d.off+n]}
+	payload = wireDec{b: d.b[d.off : d.off+n], ids: d.ids}
 	d.off += n
 	return tag, payload, true
 }
@@ -947,9 +976,10 @@ func decodeWireHeader(d *wireDec, wantKind byte) (id uint64) {
 }
 
 // decodeWireRequest parses a v2 request body into req, reusing req's
-// nested allocations where capacities allow.
-func decodeWireRequest(body []byte, req *request) (id uint64, err error) {
-	d := wireDec{b: body}
+// nested allocations where capacities allow; ids (nil: none) interns
+// the ids it names.
+func decodeWireRequest(body []byte, req *request, ids idTable) (id uint64, err error) {
+	d := wireDec{b: body, ids: ids}
 	id = decodeWireHeader(&d, frameRequest)
 	*req = request{Train: req.Train, Eval: req.Eval}
 	sawTrain, sawEval := false, false
@@ -976,7 +1006,7 @@ func decodeWireRequest(body []byte, req *request) (id uint64, err error) {
 			}
 			t := req.Train
 			*t = federation.TrainRequest{Spec: ml.Spec{Hidden: t.Spec.Hidden},
-				Params: ml.Params{Dims: t.Params.Dims, Values: t.Params.Values}, Clusters: t.Clusters}
+				Params: ml.Params{Values: t.Params.Values}, Clusters: t.Clusters}
 			p.spec(&t.Spec)
 			p.params(&t.Params)
 			t.Clusters = p.ints(t.Clusters)
@@ -989,7 +1019,7 @@ func decodeWireRequest(body []byte, req *request) (id uint64, err error) {
 			ev := req.Eval
 			bounds := ev.Bounds
 			*ev = federation.EvalRequest{Spec: ml.Spec{Hidden: ev.Spec.Hidden},
-				Params: ml.Params{Dims: ev.Params.Dims, Values: ev.Params.Values}}
+				Params: ml.Params{Values: ev.Params.Values}}
 			p.spec(&ev.Spec)
 			p.params(&ev.Params)
 			if p.u8() == 1 {
@@ -1041,9 +1071,10 @@ func decodeWireRequest(body []byte, req *request) (id uint64, err error) {
 
 // decodeWireResponse parses a v2 response body into resp. resp is
 // reset first; nested slices are freshly allocated because responses
-// escape to callers (the mux reader never reuses them).
-func decodeWireResponse(body []byte) (id uint64, resp response, err error) {
-	d := wireDec{b: body}
+// escape to callers (the mux reader never reuses them). ids (nil: none)
+// interns the node and region ids it names.
+func decodeWireResponse(body []byte, ids idTable) (id uint64, resp response, err error) {
+	d := wireDec{b: body, ids: ids}
 	id = decodeWireHeader(&d, frameResponse)
 	for {
 		tag, p, ok := d.section()
@@ -1057,7 +1088,7 @@ func decodeWireResponse(body []byte) (id uint64, resp response, err error) {
 		case secTraceCtx:
 			resp.TraceID = telemetry.ID(p.u64())
 		case secNodeID:
-			resp.NodeID = p.str()
+			resp.NodeID = p.id()
 		case secEpoch:
 			resp.SummaryEpoch = p.uvarint()
 		case secSummary:

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"qens/internal/cluster"
 	"qens/internal/federation"
@@ -170,7 +172,7 @@ func TestWireV2RequestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out request
-	id, err := decodeWireRequest(frame[4:], &out)
+	id, err := decodeWireRequest(frame[4:], &out, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +193,7 @@ func TestWireV2ResponseRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, out, err := decodeWireResponse(frame[4:])
+	id, out, err := decodeWireResponse(frame[4:], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +245,7 @@ func TestWireRegionBodiesNilVersusEmpty(t *testing.T) {
 			t.Fatal(err)
 		}
 		var req request
-		if _, err := decodeWireRequest(frame[4:], &req); err != nil {
+		if _, err := decodeWireRequest(frame[4:], &req, nil); err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(tc.req, req) {
@@ -253,7 +255,7 @@ func TestWireRegionBodiesNilVersusEmpty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, resp, err := decodeWireResponse(frame[4:])
+		_, resp, err := decodeWireResponse(frame[4:], nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,7 +273,7 @@ func TestWireV2ErrorRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, out, err := decodeWireResponse(frame[4:])
+	_, out, err := decodeWireResponse(frame[4:], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +295,7 @@ func TestWireV2NaNBitPatterns(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out request
-	if _, err := decodeWireRequest(frame[4:], &out); err != nil {
+	if _, err := decodeWireRequest(frame[4:], &out, nil); err != nil {
 		t.Fatal(err)
 	}
 	sameBits(t, payload, out.Train.Params.Values)
@@ -304,7 +306,7 @@ func TestWireV2NaNBitPatterns(t *testing.T) {
 	if frame, err = appendWireRequest(nil, 2, &regionReq); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := decodeWireRequest(frame[4:], &out); err != nil {
+	if _, err := decodeWireRequest(frame[4:], &out, nil); err != nil {
 		t.Fatal(err)
 	}
 	sameBits(t, payload, out.RegionTrain.Params.Values)
@@ -313,7 +315,7 @@ func TestWireV2NaNBitPatterns(t *testing.T) {
 	if frame, err = appendWireResponse(nil, 3, &regionResp); err != nil {
 		t.Fatal(err)
 	}
-	_, got, err := decodeWireResponse(frame[4:])
+	_, got, err := decodeWireResponse(frame[4:], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +334,7 @@ func TestWireV2UnknownSectionSkipped(t *testing.T) {
 	// frame length prefix.
 	body := append(append([]byte{}, frame[4:]...), 200, 3, 0, 0, 0, 0xAA, 0xBB, 0xCC)
 	var out request
-	if _, err := decodeWireRequest(body, &out); err != nil {
+	if _, err := decodeWireRequest(body, &out, nil); err != nil {
 		t.Fatalf("unknown section not skipped: %v", err)
 	}
 	if out.Type != typePing {
@@ -355,7 +357,7 @@ func TestWireTraceContextSection(t *testing.T) {
 		t.Fatalf("request frame % x does not end in the tag-23 section % x", frame, want)
 	}
 	var out request
-	if _, err := decodeWireRequest(frame[4:], &out); err != nil || out.TraceID != req.TraceID || out.SpanID != req.SpanID {
+	if _, err := decodeWireRequest(frame[4:], &out, nil); err != nil || out.TraceID != req.TraceID || out.SpanID != req.SpanID {
 		t.Fatalf("request trace context = %s/%s (%v)", out.TraceID, out.SpanID, err)
 	}
 
@@ -367,7 +369,7 @@ func TestWireTraceContextSection(t *testing.T) {
 	if want := []byte{secTraceCtx, 8, 0, 0, 0, 0x01, 0xfe, 0xca, 0, 0, 0, 0, 0}; !bytes.HasSuffix(rframe, want) {
 		t.Fatalf("response frame % x does not end in the tag-23 echo % x", rframe, want)
 	}
-	if _, back, err := decodeWireResponse(rframe[4:]); err != nil || back.TraceID != resp.TraceID {
+	if _, back, err := decodeWireResponse(rframe[4:], nil); err != nil || back.TraceID != resp.TraceID {
 		t.Fatalf("response trace echo = %s (%v)", back.TraceID, err)
 	}
 
@@ -405,13 +407,13 @@ func retiredTraceFrame(kind byte) []byte {
 // frame that still carries it decodes cleanly, untraced.
 func TestWireRetiredTraceSectionSkipped(t *testing.T) {
 	var req request
-	if _, err := decodeWireRequest(retiredTraceFrame(frameRequest)[4:], &req); err != nil {
+	if _, err := decodeWireRequest(retiredTraceFrame(frameRequest)[4:], &req, nil); err != nil {
 		t.Fatalf("tag-2 request: %v", err)
 	}
 	if req.Type != typeTrain || req.TraceID != 0 || req.SpanID != 0 {
 		t.Fatalf("tag-2 request decoded as %+v, want an untraced train request", req)
 	}
-	_, resp, err := decodeWireResponse(retiredTraceFrame(frameResponse)[4:])
+	_, resp, err := decodeWireResponse(retiredTraceFrame(frameResponse)[4:], nil)
 	if err != nil || resp.TraceID != 0 {
 		t.Fatalf("tag-2 response decoded as trace %s (%v), want 0", resp.TraceID, err)
 	}
@@ -431,7 +433,7 @@ func TestWireV2SpanSectionSkippedByLength(t *testing.T) {
 	}
 	// Future tag after the span sections.
 	body := append(append([]byte{}, frame[4:]...), 213, 2, 0, 0, 0, 0x01, 0x02)
-	_, out, err := decodeWireResponse(body)
+	_, out, err := decodeWireResponse(body, nil)
 	if err != nil {
 		t.Fatalf("future tag after spans broke decode: %v", err)
 	}
@@ -451,7 +453,7 @@ func TestWireV2SpanSectionSkippedByLength(t *testing.T) {
 	if len(bareFrame) >= len(frame) {
 		t.Fatalf("span sections added no bytes: %d vs %d", len(frame), len(bareFrame))
 	}
-	_, bareOut, err := decodeWireResponse(bareFrame[4:])
+	_, bareOut, err := decodeWireResponse(bareFrame[4:], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +484,7 @@ func TestWireV2MalformedRejected(t *testing.T) {
 	boundaries := 0
 	for n := 0; n < len(body); n++ {
 		var out request
-		if _, err := decodeWireRequest(body[:n], &out); err == nil {
+		if _, err := decodeWireRequest(body[:n], &out, nil); err == nil {
 			if out.Type != in.Type {
 				t.Fatalf("truncation at %d accepted with type %q", n, out.Type)
 			}
@@ -498,7 +500,7 @@ func TestWireV2MalformedRejected(t *testing.T) {
 	forged := append([]byte{}, body...)
 	forged[len(forged)-1] = 0xFF
 	var out request
-	_, _ = decodeWireRequest(forged, &out) // must not panic
+	_, _ = decodeWireRequest(forged, &out, nil) // must not panic
 }
 
 // TestWireV2ZeroAllocSteadyState is the pooled-buffer satellite's
@@ -524,7 +526,7 @@ func TestWireV2ZeroAllocSteadyState(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf = b
-	if _, err := decodeWireRequest(buf[4:], &dst); err != nil {
+	if _, err := decodeWireRequest(buf[4:], &dst, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -538,7 +540,7 @@ func TestWireV2ZeroAllocSteadyState(t *testing.T) {
 		t.Fatalf("v2 encode allocates %.1f/op at steady state, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(200, func() {
-		if _, err := decodeWireRequest(buf[4:], &dst); err != nil {
+		if _, err := decodeWireRequest(buf[4:], &dst, nil); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
@@ -896,5 +898,35 @@ func TestWireMetricsByCodec(t *testing.T) {
 	}
 	if got := enc.Count(); got <= enc0 {
 		t.Fatalf("encode histogram did not advance: %d -> %d", enc0, got)
+	}
+}
+
+// TestWireIDsInternedPerConnection: a connection's id table hands every
+// frame naming the same node the one string it made for the first, and
+// a peer naming ever new ids cannot grow it past maxConnIDs.
+func TestWireIDsInternedPerConnection(t *testing.T) {
+	ids := idTable{}
+	decode := func(nodeID string) string {
+		frame, err := appendWireResponse(nil, 1, &response{NodeID: nodeID})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, resp, err := decodeWireResponse(frame[4:], ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.NodeID
+	}
+	first, second := decode("edge-7"), decode("edge-7")
+	if first != "edge-7" || unsafe.StringData(first) != unsafe.StringData(second) {
+		t.Fatalf("ids %q and %q are not one interned string", first, second)
+	}
+	for i := 0; i < maxConnIDs+10; i++ {
+		if got, want := decode(fmt.Sprint("peer-", i)), fmt.Sprint("peer-", i); got != want {
+			t.Fatalf("id %q decoded as %q", want, got)
+		}
+	}
+	if len(ids) != maxConnIDs {
+		t.Fatalf("id table holds %d entries, want the cap %d", len(ids), maxConnIDs)
 	}
 }

@@ -3,6 +3,7 @@ package qens
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -311,8 +312,15 @@ func TestLiveStack(t *testing.T) {
 			addrs = append(addrs, n.await(t, qensdAddrRE))
 		}
 		obs := "http://" + nodes[0].await(t, obsAddrRE)
+		// A fleet-synthesis flag beside a remote fleet is refused, not
+		// ignored.
+		out, err := exec.Command(bin("qens-gateway"), "-addr", "127.0.0.1:0", "-addrs", strings.Join(addrs, ","), "-k", "4").CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "-k ") {
+			t.Errorf("-k with -addrs: %v, output %q; want exit 2 naming -k", err, out)
+		}
 		gw := startLive(t, bin("qens-gateway"), "-addr", "127.0.0.1:0", "-addrs", strings.Join(addrs, ","),
-			"-k", "4", "-epochs", "2", "-workers", "4", "-queue", "32", "-summary-refresh", "1s")
+			"-epochs", "2", "-workers", "4", "-queue", "32", "-summary-refresh", "1s")
 		url := "http://" + gw.await(t, gatewayAddrRE)
 		if !strings.Contains(gw.out.String(), "summary push from 3/3 nodes") {
 			t.Error("gateway did not report 3/3 push subscriptions")

@@ -58,13 +58,14 @@ var gates = map[string]gate{
 			[]string{"BenchmarkNodeTrain/path=view/model=lr/epochs=1/clusters=4/samples=10000", "BenchmarkNodeTrain/path=view/model=lr/epochs=1/clusters=16/samples=10000"},
 			"ns/op", ">=", 2, "the engine (view) path is >=2x the copy path on LR at 10k samples"},
 	}},
-	"wire": {"1s", []run{{`^BenchmarkWire(Encode|Decode|RPC)$`, "./internal/transport/", ""}}, []check{
+	"wire": {"1s", []run{{`^BenchmarkWire(Encode|Decode|RPC|TrainRPC)$`, "./internal/transport/", ""}}, []check{
 		{[]string{"BenchmarkWireEncode/codec=v2"}, nil, "allocs/op", "==", 0, "v2 encode is allocation-free (pooled buffers)"},
 		{[]string{"BenchmarkWireDecode/codec=v2"}, nil, "allocs/op", "==", 0, "v2 decode of a traced train frame is allocation-free"},
 		{[]string{"BenchmarkWireEncode/codec=json"}, []string{"BenchmarkWireEncode/codec=v2"}, "ns/op", ">=", 2, "v2 encodes >=2x faster than JSON"},
 		{[]string{"BenchmarkWireEncode/codec=json+BenchmarkWireDecode/codec=json"}, []string{"BenchmarkWireEncode/codec=v2+BenchmarkWireDecode/codec=v2"}, "ns/op", ">=", 3, "v2 encode+decode is >=3x faster than JSON"},
 		{[]string{"BenchmarkWireEncode/codec=json"}, []string{"BenchmarkWireEncode/codec=v2"}, "frame_bytes", ">=", 2, "the v2 frame is >=2x smaller than JSON"},
 		{[]string{"BenchmarkWireRPC/concurrency=1"}, []string{"BenchmarkWireRPC/concurrency=8"}, "ns/op", ">=", 1.8, "8 pipelined callers on one connection get >=1.8x the throughput of 1"},
+		{[]string{"BenchmarkWireTrainRPC"}, nil, "allocs/op", "<=", 13, "a warm LR train RPC under a deadline allocates at most 13 objects, client and server together: no deadline timer, a pooled reply channel, shared dims and node ids"},
 	}},
 	"telemetry": {"1s", []run{{`^Benchmark(Rolling(Observe|Stats)|TraceQuery)$`, "./internal/telemetry/", ""}}, []check{
 		{[]string{"BenchmarkRollingObserve"}, nil, "allocs/op", "==", 0, "the rolling write path is allocation-free"},
