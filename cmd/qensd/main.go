@@ -43,7 +43,7 @@ func main() {
 		metricsAddr  = flag.String("metrics-addr", "", "observability sidecar address serving /metrics, /healthz and /debug/pprof (e.g. :9090; empty disables)")
 		tracePath    = flag.String("trace", "", "write per-RPC spans as JSONL to this file (flushed on shutdown)")
 		drainTimeout = flag.Duration("drain-timeout", 15*time.Second, "graceful shutdown budget before in-flight RPCs are aborted")
-		trainConc    = flag.Int("train-concurrency", 0, "max concurrent training/evaluation jobs (0 = GOMAXPROCS); excess requests queue")
+		trainConc    = flag.Int("train-concurrency", 0, "max concurrent training jobs (0 = GOMAXPROCS); excess requests queue")
 
 		ingestRate  = flag.Float64("ingest-rate", 0, "simulated streaming ingestion rate in rows/sec (0 disables); rows flow through the incremental requantization path and push summary deltas to subscribed leaders")
 		ingestBatch = flag.Int("ingest-batch", 0, "ingest mini-batch size (0 = default)")

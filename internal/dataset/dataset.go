@@ -12,7 +12,6 @@
 package dataset
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -215,32 +214,13 @@ func (d *Dataset) Bounds() (geometry.Rect, bool) {
 // no row data is copied. Callers that need a mutable dataset use
 // FilterInRectCopy (or View.Materialize).
 func (d *Dataset) FilterInRect(rect geometry.Rect) View {
-	v, _ := d.FilterInRectContext(context.Background(), rect)
-	return v
-}
-
-// filterCheckEvery is how many rows FilterInRectContext scans between
-// context checks: rare enough to stay off the profile, frequent
-// enough that filtering a multi-million-row node cancels promptly.
-const filterCheckEvery = 4096
-
-// FilterInRectContext is FilterInRect with cancellation: the context
-// is checked every few thousand rows, so huge-node scans (the
-// evaluation path filters the entire local shard per query) abandon
-// work as soon as the query deadline expires.
-func (d *Dataset) FilterInRectContext(ctx context.Context, rect geometry.Rect) (View, error) {
 	indices := []int{} // non-nil: an empty match must not become the identity view
 	for i, r := range d.rows {
-		if i%filterCheckEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return View{}, err
-			}
-		}
 		if rect.Contains(r) {
 			indices = append(indices, i)
 		}
 	}
-	return d.ViewOf(indices), nil
+	return d.ViewOf(indices)
 }
 
 // FilterInRectCopy returns the samples falling inside rect as a

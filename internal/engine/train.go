@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"qens/internal/geometry"
 	"qens/internal/ml"
 )
 
@@ -22,10 +21,9 @@ type TrainJob struct {
 	Epochs   int
 }
 
-// Phases is the engine-side wall-clock decomposition of one job,
-// captured as plain values on the hot path (no allocation) so remote
-// callers can reassemble a cross-process trace. Fields not applicable
-// to a job kind stay zero.
+// Phases is the engine-side wall-clock decomposition of one training
+// job, captured as plain values on the hot path (no allocation) so
+// remote callers can reassemble a cross-process trace.
 type Phases struct {
 	// QueuedAt is when the job entered the admission queue.
 	QueuedAt time.Time
@@ -33,11 +31,9 @@ type Phases struct {
 	Queue time.Duration
 	// Stage is the cumulative data-staging time: the lookup of each
 	// cluster's staged rows, plus the one-off staging of the snapshot
-	// by its first cluster Train or the whole-data XYInto copy
-	// (Train), or the subspace filter scan (Evaluate).
+	// by its first cluster Train or the whole-data XYInto copy.
 	Stage time.Duration
-	// Fit is the cumulative model-compute time: PartialFitBatch
-	// (Train) or the batched predict loop (Evaluate).
+	// Fit is the cumulative model-compute time (PartialFitBatch).
 	Fit time.Duration
 	// Done is when the job finished.
 	Done time.Time
@@ -139,13 +135,12 @@ func (e *Engine) Train(ctx context.Context, job TrainJob) (TrainResult, error) {
 }
 
 // EvalJob describes one scoring pass: run the model described by
-// Spec/Seed/Params over the snapshot's local data (optionally
-// restricted to Bounds) and report the MSE.
+// Spec/Seed/Params over the snapshot's whole local data and report the
+// MSE.
 type EvalJob struct {
 	Spec   ml.Spec
 	Seed   uint64
 	Params ml.Params
-	Bounds *geometry.Rect
 }
 
 // EvalResult carries the local loss.
@@ -154,48 +149,32 @@ type EvalResult struct {
 	Samples int
 	// Epoch is the snapshot epoch the score was computed against.
 	Epoch uint64
-	// Phases decomposes the job's wall time (queue/stage/fit).
-	Phases Phases
 }
 
 // Evaluate executes one scoring job under the same admission
-// discipline as Train. The evaluation subspace is selected with a
-// zero-copy rectangle filter (cancellable for huge nodes), and
-// predictions stream through pooled flat buffers in mini-batches so
-// arbitrarily large evaluations are ctx-responsive and allocation-free
-// at steady state.
+// discipline as Train. Predictions stream through pooled flat buffers
+// in mini-batches, so arbitrarily large evaluations are ctx-responsive
+// and allocation-free at steady state.
 func (e *Engine) Evaluate(ctx context.Context, job EvalJob) (EvalResult, error) {
-	queuedAt := time.Now()
-	wait, err := e.acquire(ctx)
-	if err != nil {
+	if _, err := e.acquire(ctx); err != nil {
 		return EvalResult{}, err
 	}
 	defer e.release()
-	phases := Phases{QueuedAt: queuedAt, Queue: wait}
 
 	snap := e.Current()
-	// Build the model before filtering, mirroring the pre-engine
-	// order: the seed is consumed even when the subspace is empty, so
-	// seeded workload replays stay aligned.
+	// Build the model before looking at the data: the seed is consumed
+	// even when the node is empty, so seeded workload replays stay
+	// aligned.
 	model, err := e.acquireModel(job.Spec, job.Seed, job.Params)
 	if err != nil {
 		return EvalResult{}, err
 	}
 	defer e.pool.put(job.Spec, model)
 
-	stageStart := time.Now()
 	view := snap.Data.View()
-	if job.Bounds != nil {
-		view, err = snap.Data.FilterInRectContext(ctx, *job.Bounds)
-		if err != nil {
-			return EvalResult{}, err
-		}
-	}
-	phases.Stage = time.Since(stageStart)
 	n := view.Len()
 	if n == 0 {
-		phases.Done = time.Now()
-		return EvalResult{Samples: 0, Epoch: snap.Epoch, Phases: phases}, nil
+		return EvalResult{Epoch: snap.Epoch}, nil
 	}
 	bufs := e.getBuffers()
 	defer e.putBuffers(bufs)
@@ -213,7 +192,6 @@ func (e *Engine) Evaluate(ctx context.Context, job EvalJob) (EvalResult, error) 
 		bufs.Pred = make([]float64, batch)
 	}
 	sse := 0.0
-	fitStart := time.Now()
 	err = view.ForEachBatch(ctx, e.cfg.EvalBatch, bufs.X, bufs.Y, func(x, y []float64) error {
 		pred := bufs.Pred[:len(y)]
 		model.PredictFlat(x, pred)
@@ -226,7 +204,5 @@ func (e *Engine) Evaluate(ctx context.Context, job EvalJob) (EvalResult, error) 
 	if err != nil {
 		return EvalResult{}, err
 	}
-	phases.Fit = time.Since(fitStart)
-	phases.Done = time.Now()
-	return EvalResult{MSE: sse / float64(n), Samples: n, Epoch: snap.Epoch, Phases: phases}, nil
+	return EvalResult{MSE: sse / float64(n), Samples: n, Epoch: snap.Epoch}, nil
 }

@@ -35,8 +35,6 @@ type Client interface {
 	SubscribeSummaries(ctx context.Context, handler func(cluster.NodeSummary)) (bool, error)
 	// Train runs a local training round.
 	Train(ctx context.Context, req TrainRequest) (TrainResponse, error)
-	// Evaluate scores a model on the node's local data.
-	Evaluate(ctx context.Context, req EvalRequest) (EvalResponse, error)
 }
 
 // LocalClient adapts an in-process Node to the Client interface.
@@ -80,11 +78,4 @@ func (c LocalClient) SubscribeSummaries(ctx context.Context, handler func(cluste
 // mid-epoch (see Node.TrainContext).
 func (c LocalClient) Train(ctx context.Context, req TrainRequest) (TrainResponse, error) {
 	return c.Node.TrainContext(ctx, req)
-}
-
-// Evaluate implements Client. Cancellation propagates into the node's
-// engine: the job honors ctx while queued, during the subspace filter
-// scan and between prediction mini-batches.
-func (c LocalClient) Evaluate(ctx context.Context, req EvalRequest) (EvalResponse, error) {
-	return c.Node.EvaluateContext(ctx, req)
 }

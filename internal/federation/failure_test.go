@@ -43,9 +43,6 @@ func (d deadClient) SubscribeSummaries(context.Context, func(cluster.NodeSummary
 func (d deadClient) Train(context.Context, TrainRequest) (TrainResponse, error) {
 	return TrainResponse{}, errors.New("dead")
 }
-func (d deadClient) Evaluate(context.Context, EvalRequest) (EvalResponse, error) {
-	return EvalResponse{}, errors.New("dead")
-}
 
 func failureFleet(t *testing.T, tolerate bool) (*Leader, []*Node, *dataset.Dataset) {
 	t.Helper()

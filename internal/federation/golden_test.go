@@ -6,7 +6,6 @@ import (
 
 	"qens/internal/cluster"
 	"qens/internal/dataset"
-	"qens/internal/geometry"
 	"qens/internal/ml"
 	"qens/internal/rng"
 )
@@ -18,16 +17,12 @@ type goldenOp struct {
 	family   string // "lr" | "nn"
 	clusters []int  // nil = whole dataset
 	epochs   int
-	bounds   *geometry.Rect
 }
 
 // goldenWorkload deterministically generates a 200-request mixed
-// workload over k clusters and the dataset's bounds.
+// workload over k clusters of a dataset with d.Dims() columns.
 func goldenWorkload(d *dataset.Dataset, k int) []goldenOp {
 	wl := rng.New(2024)
-	lo, _ := d.Bounds()
-	hi := lo.Max
-	lo2 := lo.Min
 	ops := make([]goldenOp, 0, 200)
 	for i := 0; i < 200; i++ {
 		op := goldenOp{train: wl.Float64() < 0.6}
@@ -49,24 +44,13 @@ func goldenWorkload(d *dataset.Dataset, k int) []goldenOp {
 				op.clusters = wl.SampleWithoutReplacement(k, 1+wl.Intn(k-1))
 			}
 		} else if wl.Float64() < 0.5 {
-			// Evaluate on a random subspace rectangle; occasionally an
-			// empty one, which must still consume the node's seed draw.
-			rect := geometry.Rect{Min: make([]float64, len(hi)), Max: make([]float64, len(hi))}
-			for j := range hi {
-				a := wl.Uniform(lo2[j], hi[j])
-				b := wl.Uniform(lo2[j], hi[j])
-				if a > b {
-					a, b = b, a
-				}
-				rect.Min[j], rect.Max[j] = a, b
+			// Half the evaluations once scored a random (sometimes
+			// empty) subspace rectangle. Evaluations now score the whole
+			// data, but the rectangle's draws stay, so every later op of
+			// the workload is unchanged.
+			for range 2*d.Dims() + 1 {
+				wl.Float64()
 			}
-			if wl.Float64() < 0.1 {
-				for j := range rect.Min {
-					rect.Min[j] = hi[j] + 1
-					rect.Max[j] = hi[j] + 2
-				}
-			}
-			op.bounds = &rect
 		}
 		ops = append(ops, op)
 	}
@@ -126,25 +110,18 @@ func (n *legacyNode) train(spec ml.Spec, params ml.Params, clusters []int, epoch
 	return model.Params(), nil
 }
 
-func (n *legacyNode) evaluate(spec ml.Spec, params ml.Params, bounds *geometry.Rect) (float64, int, error) {
+func (n *legacyNode) evaluate(spec ml.Spec, params ml.Params) (float64, int, error) {
 	model, err := n.buildModel(spec, params)
 	if err != nil {
 		return 0, 0, err
 	}
-	data := n.data
-	if bounds != nil {
-		data = n.data.FilterInRectCopy(*bounds)
-	}
-	if data.Len() == 0 {
-		return 0, 0, nil
-	}
-	x, y := data.XY()
-	return ml.MSE(y, model.PredictBatch(x)), data.Len(), nil
+	x, y := n.data.XY()
+	return ml.MSE(y, model.PredictBatch(x)), n.data.Len(), nil
 }
 
 // TestEngineTrainGoldenEquivalence replays a seeded 200-request
 // workload (mixed Train/Evaluate, LR and NN, whole-data / all-cluster
-// / subset rounds, bounded and empty-subspace evaluations) through the
+// / subset rounds, whole-data evaluations) through the
 // engine-backed Node and through a reimplementation of the pre-engine
 // request path driven by a mirrored RNG. Every response must match
 // bit-exactly: same params, same MSE, same sample counts. This is the
@@ -207,17 +184,17 @@ func TestEngineTrainGoldenEquivalence(t *testing.T) {
 			cur[op.family] = resp.Params
 			curLegacy[op.family] = want
 		} else {
-			resp, err := node.EvaluateContext(context.Background(), EvalRequest{Spec: spec, Params: cur[op.family], Bounds: op.bounds})
+			resp, err := node.EvaluateContext(context.Background(), EvalRequest{Spec: spec, Params: cur[op.family]})
 			if err != nil {
 				t.Fatalf("op %d: engine eval: %v", i, err)
 			}
-			mse, samples, err := legacy.evaluate(spec, curLegacy[op.family], op.bounds)
+			mse, samples, err := legacy.evaluate(spec, curLegacy[op.family])
 			if err != nil {
 				t.Fatalf("op %d: legacy eval: %v", i, err)
 			}
 			if resp.Samples != samples || resp.MSE != mse {
-				t.Fatalf("op %d (%s, bounds=%v): engine (mse=%v n=%d) != legacy (mse=%v n=%d)",
-					i, op.family, op.bounds != nil, resp.MSE, resp.Samples, mse, samples)
+				t.Fatalf("op %d (%s): engine (mse=%v n=%d) != legacy (mse=%v n=%d)",
+					i, op.family, resp.MSE, resp.Samples, mse, samples)
 			}
 		}
 	}
@@ -230,11 +207,11 @@ func TestEngineTrainGoldenEquivalence(t *testing.T) {
 	}
 }
 
-// TestGoldenSeedDrawOrderOnEmptySubspace verifies an evaluation over
-// an empty subspace still consumes exactly one seed draw (the engine
-// builds the model before filtering, mirroring the legacy order) —
-// otherwise every subsequent response in a replay would diverge.
-func TestGoldenSeedDrawOrderOnEmptySubspace(t *testing.T) {
+// TestGoldenEvalSeedDrawOrder verifies an evaluation consumes exactly
+// one seed draw (the engine builds the model before it reads the data,
+// mirroring the legacy order) — otherwise every subsequent response in
+// a replay would diverge.
+func TestGoldenEvalSeedDrawOrder(t *testing.T) {
 	d := lineDataset(60, 1, 0, 0, 10, 5)
 	node, err := NewNode("n", d, 3, rng.New(11))
 	if err != nil {
@@ -244,11 +221,10 @@ func TestGoldenSeedDrawOrderOnEmptySubspace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	empty := &geometry.Rect{Min: []float64{1e9, 1e9}, Max: []float64{2e9, 2e9}}
-	if resp, err := node.EvaluateContext(context.Background(), EvalRequest{Spec: ml.PaperLR(1), Bounds: empty}); err != nil || resp.Samples != 0 {
-		t.Fatalf("empty-subspace eval: %+v, %v", resp, err)
+	if resp, err := node.EvaluateContext(context.Background(), EvalRequest{Spec: ml.PaperLR(1)}); err != nil || resp.Samples != 60 {
+		t.Fatalf("eval: %+v, %v", resp, err)
 	}
-	// The mirror skips the empty evaluation: its next train must
+	// The mirror skips the evaluation: its next train must
 	// DIFFER from the node's (proving the node consumed a draw) …
 	r1, err := node.Train(TrainRequest{Spec: ml.PaperNN(1), LocalEpochs: 1})
 	if err != nil {
@@ -266,10 +242,10 @@ func TestGoldenSeedDrawOrderOnEmptySubspace(t *testing.T) {
 		}
 	}
 	if same {
-		t.Fatal("empty-subspace evaluation did not consume a seed draw")
+		t.Fatal("evaluation did not consume a seed draw")
 	}
 	// … and after the mirror burns one draw too, they re-align.
-	if _, err := mirror.EvaluateContext(context.Background(), EvalRequest{Spec: ml.PaperLR(1), Bounds: empty}); err != nil {
+	if _, err := mirror.EvaluateContext(context.Background(), EvalRequest{Spec: ml.PaperLR(1)}); err != nil {
 		t.Fatal(err)
 	}
 	r3, err := node.Train(TrainRequest{Spec: ml.PaperNN(1), LocalEpochs: 1})

@@ -312,6 +312,12 @@ func (l *Leader) warmupParams() (ml.Params, error) {
 	return p, nil
 }
 
+// ErrPreTestNotLocal reports a §II pre-test score (PreTest, or
+// GameTheory selection) asked of a participant that is not an
+// in-process LocalClient: the pre-test is §V comparison machinery, and
+// no RPC carries it.
+var ErrPreTestNotLocal = errors.New("federation: the pre-test scores in-process nodes only")
+
 // evaluateWarmup scores the warm-up model on one node's local data.
 func (l *Leader) evaluateWarmup(ctx context.Context, nodeID string) (float64, error) {
 	params, err := l.warmupParams()
@@ -322,7 +328,11 @@ func (l *Leader) evaluateWarmup(ctx context.Context, nodeID string) (float64, er
 	if err != nil {
 		return 0, err
 	}
-	resp, err := c.Evaluate(ctx, EvalRequest{Spec: l.cfg.Spec, Params: params})
+	local, ok := c.(LocalClient)
+	if !ok {
+		return 0, fmt.Errorf("node %s: %w", nodeID, ErrPreTestNotLocal)
+	}
+	resp, err := local.Node.EvaluateContext(ctx, EvalRequest{Spec: l.cfg.Spec, Params: params})
 	if err != nil {
 		return 0, err
 	}

@@ -2,6 +2,7 @@ package federation
 
 import (
 	"context"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -216,6 +217,32 @@ func TestLeaderPreTest(t *testing.T) {
 	}
 	if worst != "node-3" {
 		t.Fatalf("worst node %s, want node-3", worst)
+	}
+}
+
+// remoteClient stands in for any participant that is not an in-process
+// LocalClient, such as a transport.Client over TCP.
+type remoteClient struct{ Client }
+
+// TestPreTestScoresInProcessNodesOnly: GameTheory selection and the §II
+// pre-test score nodes in process; over any other participant they fail
+// with ErrPreTestNotLocal instead of reaching for an RPC.
+func TestPreTestScoresInProcessNodesOnly(t *testing.T) {
+	fleet := testFleet(t)
+	clients := make([]Client, len(fleet.Nodes))
+	for i, n := range fleet.Nodes {
+		clients[i] = remoteClient{LocalClient{n}}
+	}
+	leader, err := NewLeader(fleet.Leader.cfg, fleet.Leader.data, clients)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := leader.PreTest(0); !errors.Is(err, ErrPreTestNotLocal) {
+		t.Fatalf("pre-test over remote participants: err = %v, want ErrPreTestNotLocal", err)
+	}
+	_, _, err = leader.Execute(context.Background(), Request{Query: midQuery(t), Selector: selection.GameTheory{L: 1}, Aggregation: ModelAveraging})
+	if !errors.Is(err, ErrPreTestNotLocal) {
+		t.Fatalf("GT over remote participants: err = %v, want ErrPreTestNotLocal", err)
 	}
 }
 

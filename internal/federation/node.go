@@ -20,7 +20,6 @@ import (
 	"qens/internal/cluster"
 	"qens/internal/dataset"
 	"qens/internal/engine"
-	"qens/internal/geometry"
 	"qens/internal/ml"
 	"qens/internal/rng"
 	"qens/internal/telemetry"
@@ -235,8 +234,8 @@ type TrainRequest struct {
 // field omitted when empty.
 type NodeSpan struct {
 	// Name identifies the phase: "node.queue" (engine admission
-	// wait), "node.stage" (cluster staging/filter scan), "node.fit"
-	// (model compute), "node.eval" (batched prediction scoring).
+	// wait), "node.stage" (cluster staging), "node.fit" (model
+	// compute).
 	Name string `json:"name"`
 	// StartUnixNS is the phase start as Unix nanoseconds on the
 	// node's clock.
@@ -256,8 +255,8 @@ func (s NodeSpan) End() time.Time { return time.Unix(0, s.StartUnixNS+s.Duration
 // laid out sequentially after it, which matches how the engine
 // actually interleaves them closely enough for attribution (their
 // durations are exact; only their ordering within the slot is
-// flattened). evalName swaps the compute span's name for evaluations.
-func phaseSpans(p engine.Phases, evalName string) []NodeSpan {
+// flattened).
+func phaseSpans(p engine.Phases) []NodeSpan {
 	if p.QueuedAt.IsZero() {
 		return nil
 	}
@@ -272,11 +271,7 @@ func phaseSpans(p engine.Phases, evalName string) []NodeSpan {
 	}
 	add("node.queue", p.Queue)
 	add("node.stage", p.Stage)
-	fitName := "node.fit"
-	if evalName != "" {
-		fitName = evalName
-	}
-	add(fitName, p.Fit)
+	add("node.fit", p.Fit)
 	return out
 }
 
@@ -340,7 +335,7 @@ func (n *Node) TrainContext(ctx context.Context, req TrainRequest) (TrainRespons
 		SummaryEpoch: res.Epoch,
 	}
 	if req.TraceID != 0 {
-		out.Spans = phaseSpans(res.Phases, "")
+		out.Spans = phaseSpans(res.Phases)
 	}
 	return out, nil
 }
@@ -349,14 +344,6 @@ func (n *Node) TrainContext(ctx context.Context, req TrainRequest) (TrainRespons
 type EvalRequest struct {
 	Spec   ml.Spec   `json:"spec"`
 	Params ml.Params `json:"params"`
-	// Bounds optionally restricts evaluation to local samples
-	// falling inside the rectangle (used to score per-query loss
-	// on the query's data subspace). Nil evaluates on everything.
-	Bounds *geometry.Rect `json:"bounds,omitempty"`
-	// TraceID/SpanID optionally attribute this evaluation to the
-	// originating query's trace.
-	TraceID telemetry.ID `json:"trace_id,omitempty"`
-	SpanID  telemetry.ID `json:"span_id,omitempty"`
 }
 
 // EvalResponse carries the local loss.
@@ -369,16 +356,12 @@ type EvalResponse struct {
 	// the evaluation ran against, so evaluations double as drift
 	// signals exactly like training responses.
 	SummaryEpoch uint64 `json:"summary_epoch,omitempty"`
-	// Spans reports the node-side phase timings when the request
-	// carried a trace context (see NodeSpan); empty otherwise.
-	Spans []NodeSpan `json:"spans,omitempty"`
 }
 
-// EvaluateContext implements the pre-test and scoring step: the node
-// runs the provided model over (a subspace of) its local data and
-// reports the loss — the data itself never leaves the node. The context
-// is honored while queued, during the subspace filter scan (huge nodes
-// cancel mid-scan) and between prediction mini-batches.
+// EvaluateContext implements the §II pre-test's scoring step: the node
+// runs the provided model over its whole local data and reports the
+// loss — the data itself never leaves the node. The context is honored
+// while queued and between prediction mini-batches.
 func (n *Node) EvaluateContext(ctx context.Context, req EvalRequest) (EvalResponse, error) {
 	if err := ctx.Err(); err != nil {
 		return EvalResponse{}, fmt.Errorf("federation: node %s: %w", n.id, err)
@@ -387,14 +370,9 @@ func (n *Node) EvaluateContext(ctx context.Context, req EvalRequest) (EvalRespon
 		Spec:   req.Spec,
 		Seed:   uint64(n.src.Int63()),
 		Params: req.Params,
-		Bounds: req.Bounds,
 	})
 	if err != nil {
 		return EvalResponse{}, fmt.Errorf("federation: node %s: %w", n.id, err)
 	}
-	out := EvalResponse{MSE: res.MSE, Samples: res.Samples, SummaryEpoch: res.Epoch}
-	if req.TraceID != 0 {
-		out.Spans = phaseSpans(res.Phases, "node.eval")
-	}
-	return out, nil
+	return EvalResponse{MSE: res.MSE, Samples: res.Samples, SummaryEpoch: res.Epoch}, nil
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"qens/internal/dataset"
-	"qens/internal/geometry"
 	"qens/internal/ml"
 	"qens/internal/rng"
 )
@@ -172,29 +171,5 @@ func TestNodeEvaluate(t *testing.T) {
 	}
 	if evFresh.MSE < ev.MSE*5 {
 		t.Fatalf("untrained MSE %v not clearly worse than trained %v", evFresh.MSE, ev.MSE)
-	}
-}
-
-func TestNodeEvaluateWithBounds(t *testing.T) {
-	d := lineDataset(300, 1, 0, 0, 100, 8)
-	n, _ := NewNode("n", d, 5, rng.New(8))
-	spec := ml.PaperLR(1)
-	resp, _ := n.Train(TrainRequest{Spec: spec, LocalEpochs: 10})
-	bounds := geometry.MustRect([]float64{0, -10}, []float64{20, 40})
-	ev, err := n.EvaluateContext(context.Background(), EvalRequest{Spec: spec, Params: resp.Params, Bounds: &bounds})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev.Samples == 0 || ev.Samples >= 300 {
-		t.Fatalf("bounded evaluation covered %d samples", ev.Samples)
-	}
-	// Disjoint bounds: zero samples, zero loss, no error.
-	far := geometry.MustRect([]float64{1e6, 1e6}, []float64{2e6, 2e6})
-	ev, err = n.EvaluateContext(context.Background(), EvalRequest{Spec: spec, Params: resp.Params, Bounds: &far})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev.Samples != 0 || ev.MSE != 0 {
-		t.Fatalf("disjoint bounds gave %+v", ev)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"qens/internal/cluster"
-	"qens/internal/geometry"
 	"qens/internal/ml"
 	"qens/internal/rng"
 )
@@ -62,13 +61,12 @@ func TestNodeConcurrentMutationAndTraining(t *testing.T) {
 		}(w)
 	}
 
-	// Trainers: alternate cluster-restricted training and bounded
+	// Trainers: alternate cluster-restricted training and whole-data
 	// evaluation against whatever snapshot admission pins.
 	for g := 0; g < trainers; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			bounds := &geometry.Rect{Min: []float64{0, -1e9}, Max: []float64{5, 1e9}}
 			for r := 0; r < rounds; r++ {
 				resp, err := node.Train(TrainRequest{Spec: spec, Clusters: []int{0, 1, 2, 3}, LocalEpochs: 1})
 				if err != nil {
@@ -83,7 +81,7 @@ func TestNodeConcurrentMutationAndTraining(t *testing.T) {
 						resp.SamplesUsed, resp.TotalSamples, resp.SummaryEpoch)
 					return
 				}
-				ev, err := node.EvaluateContext(context.Background(), EvalRequest{Spec: spec, Bounds: bounds})
+				ev, err := node.EvaluateContext(context.Background(), EvalRequest{Spec: spec})
 				if err != nil {
 					errs <- err
 					return

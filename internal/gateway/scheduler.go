@@ -16,7 +16,6 @@
 package gateway
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -52,10 +51,10 @@ type Executor interface {
 // Executor is handed, plus how the scheduler treats it.
 type Request struct {
 	federation.Request
-	// Timeout is the query's budget (0 uses the scheduler default).
-	// Submit turns it into one absolute deadline at admission, so time
-	// spent queued counts against it.
-	Timeout time.Duration
+	// Deadline is the query's one absolute deadline, fixed before
+	// admission, so time spent planning and queued counts against it
+	// (zero: admission time plus the scheduler default).
+	Deadline time.Time
 	// Done, when set, gets the submission's outcome once, on the worker,
 	// as its task completes and before any waiter wakes: keep it short.
 	Done func(Outcome, error)
@@ -170,10 +169,16 @@ func (tk *Ticket) Wait(ctx context.Context) (*Outcome, error) {
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	case <-expiry.Done():
-		if !tk.covered() {
-			return nil, expiry.Err()
+		// run cancels the task's context right after done closes, so
+		// a finished task can make both arms ready: it wins.
+		select {
+		case <-t.done:
+		default:
+			if !tk.covered() {
+				return nil, expiry.Err()
+			}
+			<-t.done
 		}
-		<-t.done
 	}
 	if tk.err != nil {
 		return nil, tk.err
@@ -318,9 +323,9 @@ func coalesceMatch(live, incoming Request, minIoU float64) bool {
 // Submit offers a query for execution. It never blocks: the request is
 // either coalesced onto a live task, enqueued, or rejected
 // (ErrQueueFull / ErrDraining). A ctx that is already done is rejected
-// with its error before touching the queue — an expired deadline must
-// not consume fleet capacity. The query's deadline is fixed here: now
-// plus its Timeout.
+// with its error before touching the queue, as is a request whose
+// Deadline has passed — an expired deadline must not consume fleet
+// capacity.
 func (s *Scheduler) Submit(ctx context.Context, req Request) (*Ticket, error) {
 	if err := ctx.Err(); err != nil {
 		s.m.rejectedExp.Inc()
@@ -334,7 +339,13 @@ func (s *Scheduler) Submit(ctx context.Context, req Request) (*Ticket, error) {
 	}
 
 	now := time.Now()
-	deadline := now.Add(cmp.Or(max(req.Timeout, 0), s.cfg.DefaultTimeout))
+	deadline := req.Deadline
+	if deadline.IsZero() {
+		deadline = now.Add(s.cfg.DefaultTimeout)
+	} else if !now.Before(deadline) {
+		s.m.rejectedExp.Inc()
+		return nil, context.DeadlineExceeded
+	}
 
 	s.mu.Lock()
 	if s.draining {

@@ -231,7 +231,7 @@ func TestSchedulerExecutionTimeout(t *testing.T) {
 	exec := &stubExecutor{gate: gate}
 	s := newTestScheduler(t, Config{Workers: 1, QueueDepth: 1, Executor: exec})
 	slow := work(testQuery(t, "slow", 0), selection.AllNodes{})
-	slow.Timeout = 50 * time.Millisecond
+	slow.Deadline = time.Now().Add(50 * time.Millisecond)
 	tk, err := s.Submit(context.Background(), slow)
 	if err != nil {
 		t.Fatal(err)
@@ -412,7 +412,7 @@ func TestSchedulerDeadlineFixedAtAdmission(t *testing.T) {
 	outcomes := map[string]error{}
 	submit := func(id string, lo float64, timeout time.Duration) *Ticket {
 		req := work(testQuery(t, id, lo), selection.AllNodes{})
-		req.Timeout = timeout
+		req.Deadline = time.Now().Add(timeout)
 		hooks.Add(1)
 		req.Done = func(_ Outcome, err error) {
 			mu.Lock()
@@ -467,7 +467,7 @@ func TestSchedulerPeerOutlivesQueuedOriginator(t *testing.T) {
 	s := newTestScheduler(t, Config{Workers: 1, QueueDepth: 4, CoalesceIoU: 0.95, Executor: exec})
 	submit := func(id string, lo float64, timeout time.Duration) *Ticket {
 		req := work(testQuery(t, id, lo), selection.AllNodes{})
-		req.Timeout = timeout
+		req.Deadline = time.Now().Add(timeout)
 		tk, err := s.Submit(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
@@ -494,5 +494,39 @@ func TestSchedulerPeerOutlivesQueuedOriginator(t *testing.T) {
 	}
 	if out.Result == nil || !out.Coalesced {
 		t.Fatalf("b: outcome %+v", out)
+	}
+}
+
+// TestSchedulerWaitAfterCompletion: an originator that waits only after
+// its task finished, under a later peer's deadline, gets the answer on
+// every Wait, although run cancels the task's context once done closes.
+func TestSchedulerWaitAfterCompletion(t *testing.T) {
+	gate := make(chan struct{})
+	exec := &stubExecutor{gate: gate, started: make(chan struct{}, 4)}
+	s := newTestScheduler(t, Config{Workers: 1, QueueDepth: 4, CoalesceIoU: 0.95, Executor: exec})
+	submit := func(id string, lo float64, timeout time.Duration) *Ticket {
+		req := work(testQuery(t, id, lo), selection.AllNodes{})
+		req.Deadline = time.Now().Add(timeout)
+		tk, err := s.Submit(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tk
+	}
+	held := submit("held", 500, time.Minute)
+	<-exec.started
+	orig := submit("orig", 0, time.Minute)
+	if peer := submit("peer", 0, 2*time.Minute); !peer.Coalesced {
+		t.Fatal("peer did not coalesce onto the queued orig")
+	}
+	close(gate)
+	if _, err := held.Wait(context.Background()); err != nil {
+		t.Fatalf("held: %v", err)
+	}
+	<-orig.t.ctx.Done() // canceled by run right after done closed
+	for i := 0; i < 20; i++ {
+		if _, err := orig.Wait(context.Background()); err != nil {
+			t.Fatalf("wait %d after completion: %v", i, err)
+		}
 	}
 }

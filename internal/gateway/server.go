@@ -412,7 +412,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	timeout, alive, err := s.timeoutFor(req, time.Now())
+	now := time.Now()
+	timeout, alive, err := s.timeoutFor(req, now)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -426,14 +427,20 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	// The record is claimed before admission: a second query under a
 	// retained id would have its outcome finalize the first one's record.
-	rec := &record{ID: q.ID, Status: recordPending, Submitted: time.Now()}
+	rec := &record{ID: q.ID, Status: recordPending, Submitted: now}
 	if !s.records.add(q.ID, rec) {
 		writeError(w, http.StatusConflict, "query id %q names a retained record", q.ID)
 		return
 	}
 
+	// The query's one deadline bounds admission-time planning (a
+	// region's plan RPCs) and then the scheduler.
+	deadline := now.Add(timeout)
+	planCtx, cancel := context.WithDeadline(r.Context(), deadline)
 	freq := federation.Request{Query: q, Selector: sel, Aggregation: agg, Cache: s.cache}
-	if freq.Prepared, err = s.planAhead(r.Context(), q, sel); err != nil {
+	freq.Prepared, err = s.planAhead(planCtx, q, sel)
+	cancel()
+	if err != nil {
 		// No edge node's cluster space supports the requested bounds.
 		// Before rejecting, ask the model cache: an ensemble trained on
 		// a nearby subspace can still answer within the predicted-error
@@ -458,7 +465,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// or not a client still waits; a sync client gets the same response.
 	includeParams := req.IncludeParams
 	done := func(out Outcome, err error) { s.finish(rec, includeParams, out, err) }
-	tk, err := s.sched.Submit(r.Context(), Request{Request: freq, Timeout: timeout, Done: done})
+	tk, err := s.sched.Submit(r.Context(), Request{Request: freq, Deadline: deadline, Done: done})
 	if err != nil {
 		s.records.remove(q.ID, rec)
 		switch {

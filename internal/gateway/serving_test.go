@@ -560,6 +560,7 @@ type stubRegion struct {
 	plans  atomic.Int64
 	trains atomic.Int64  // Train calls, counted before the gate
 	gate   chan struct{} // non-nil: Train waits for it to close
+	stall  bool          // Plan answers only when its ctx is done
 
 	mu   sync.Mutex
 	dead map[int64][]string // Train call, in arrival order from 1 -> participants trained on a dead directive
@@ -593,8 +594,12 @@ func (s *stubRegion) Info(context.Context) (region.Info, error) {
 	return region.Info{RegionID: s.id, Nodes: s.nodes, Epoch: s.epoch.Load(), Bounds: s.bounds, Dims: 2, TotalSamples: 200}, nil
 }
 
-func (s *stubRegion) Plan(context.Context, region.PlanRequest) (region.PlanResponse, error) {
+func (s *stubRegion) Plan(ctx context.Context, _ region.PlanRequest) (region.PlanResponse, error) {
 	s.plans.Add(1)
+	if s.stall {
+		<-ctx.Done()
+		return region.PlanResponse{}, ctx.Err()
+	}
 	epoch := s.epoch.Load()
 	ranks := make([]selection.NodeRank, len(s.nodes))
 	for i, n := range s.nodes {
@@ -686,6 +691,26 @@ func TestPlanOncePerQuery(t *testing.T) {
 			t.Fatalf("planner ran %d times for %d queries", got, n)
 		}
 	})
+}
+
+// TestAdmissionPlanUnderQueryDeadline: the query's one deadline is
+// fixed before admission-time planning, so a region whose plan never
+// answers costs a query its timeout_ms, not the plan RPC's dial timeout.
+func TestAdmissionPlanUnderQueryDeadline(t *testing.T) {
+	west, east, router := stubRegions(t)
+	west.stall, east.stall = true, true
+	_, ts := newGatewayServer(t, ServerConfig{Router: router, Workers: 1, QueueDepth: 4, CoalesceIoU: -1})
+	start := time.Now()
+	code, doc, _ := postQuery(t, ts.URL, `{"bounds":{"min":[-1,-1],"max":[31,11]},"selector":"query-driven","top_l":4,"timeout_ms":200}`)
+	if code != http.StatusGatewayTimeout {
+		t.Fatalf("stalled plan: %d %v, want 504", code, doc)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("stalled plan answered after %v, want about the 200ms budget", elapsed)
+	}
+	if west.plans.Load() == 0 || east.plans.Load() == 0 {
+		t.Fatal("no region was asked to plan")
+	}
 }
 
 // TestRouterCountersShareADenominator: the router's routing counters

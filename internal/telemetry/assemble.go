@@ -112,7 +112,7 @@ func SpanCategory(name string, hasChildren bool) string {
 	switch name {
 	case "selection":
 		return "plan"
-	case "train", "evaluate":
+	case "train":
 		if hasChildren {
 			return "wire"
 		}
@@ -121,7 +121,7 @@ func SpanCategory(name string, hasChildren bool) string {
 		return "aggregate"
 	case "node.queue":
 		return "queue"
-	case "node.stage", "node.fit", "node.eval":
+	case "node.stage", "node.fit":
 		return "train"
 	default:
 		return "other"

@@ -129,13 +129,10 @@ func TestSpanCategory(t *testing.T) {
 		{"selection", false, "plan"},
 		{"train", false, "rpc"},
 		{"train", true, "wire"},
-		{"evaluate", false, "rpc"},
-		{"evaluate", true, "wire"},
 		{"aggregation", false, "aggregate"},
 		{"node.queue", false, "queue"},
 		{"node.stage", false, "train"},
 		{"node.fit", false, "train"},
-		{"node.eval", false, "train"},
 		{"query", true, "other"},
 	} {
 		if got := SpanCategory(tc.name, tc.children); got != tc.want {

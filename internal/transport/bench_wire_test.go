@@ -157,17 +157,15 @@ func benchServer(b *testing.B) *Client {
 // the ratio is what multiplexing buys on the leader->node fan-out path
 // (a serialized connection would hold concurrency=8 at concurrency=1).
 func BenchmarkWireRPC(b *testing.B) {
-	// An NN over the node's 1-D data gives a ~600-float parameter
-	// vector; training once yields params guaranteed compatible with
-	// the node's shard, which every Evaluate then carries.
-	spec := ml.Spec{Kind: ml.KindNN, InputDim: 1, Hidden: []int{32, 16},
-		LearningRate: 0.01, Epochs: 1, BatchSize: 32, Seed: 42}
+	// The train RPC BenchmarkWireTrainRPC issues: an LR round, 1 local
+	// epoch over a supporting-cluster list, under a deadline.
+	req := federation.TrainRequest{Spec: ml.PaperLR(1), Clusters: []int{0, 1, 2}, LocalEpochs: 1}
 	for _, workers := range []int{1, 8} {
 		b.Run(fmt.Sprintf("concurrency=%d", workers), func(b *testing.B) {
 			client := benchServer(b)
-			ctx := context.Background()
-			tr, err := client.Train(ctx, federation.TrainRequest{Spec: spec, LocalEpochs: 1})
-			if err != nil {
+			ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+			defer cancel()
+			if _, err := client.Train(ctx, req); err != nil {
 				b.Fatal(err)
 			}
 			var next atomic.Int64
@@ -178,9 +176,7 @@ func BenchmarkWireRPC(b *testing.B) {
 				go func() {
 					defer wg.Done()
 					for next.Add(1) <= int64(b.N) {
-						if _, err := client.Evaluate(ctx, federation.EvalRequest{
-							Spec: spec, Params: tr.Params,
-						}); err != nil {
+						if _, err := client.Train(ctx, req); err != nil {
 							b.Error(err)
 							return
 						}

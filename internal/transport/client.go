@@ -413,24 +413,6 @@ func (c *Client) Train(ctx context.Context, req federation.TrainRequest) (federa
 	return out, nil
 }
 
-// Evaluate implements federation.Client.
-func (c *Client) Evaluate(ctx context.Context, req federation.EvalRequest) (federation.EvalResponse, error) {
-	resp, err := c.roundTrip(ctx, request{Type: typeEvaluate, TraceID: req.TraceID, SpanID: req.SpanID, Eval: &req})
-	if err != nil {
-		return federation.EvalResponse{}, err
-	}
-	if resp.Eval == nil {
-		return federation.EvalResponse{}, errors.New("transport: daemon returned no eval response")
-	}
-	out := *resp.Eval
-	if out.SummaryEpoch == 0 {
-		// Older daemons only stamp the envelope; lift it so
-		// evaluations double as drift signals like train responses.
-		out.SummaryEpoch = resp.SummaryEpoch
-	}
-	return out, nil
-}
-
 // ---- connection state ----
 
 // wireConn is one live connection past its hello. It multiplexes:

@@ -59,30 +59,30 @@ func TestServerHonorsEnvelopeDeadline(t *testing.T) {
 	}
 }
 
-// TestEvalResponseCarriesSummaryEpoch verifies evaluations double as
-// drift signals over the wire: the typed Evaluate client lifts the
-// envelope's SummaryEpoch into the EvalResponse, and a requantization
-// on the daemon is visible on the very next evaluation.
-func TestEvalResponseCarriesSummaryEpoch(t *testing.T) {
+// TestTrainResponseCarriesSummaryEpoch verifies train rounds double as
+// drift signals over the wire: the typed Train client carries the
+// snapshot's SummaryEpoch into the TrainResponse, and a requantization
+// on the daemon is visible on the very next round.
+func TestTrainResponseCarriesSummaryEpoch(t *testing.T) {
 	srv, client := startServer(t, 42, 2, 0, 20)
-	req := federation.EvalRequest{Spec: ml.PaperLR(1)}
+	req := federation.TrainRequest{Spec: ml.PaperLR(1), LocalEpochs: 1}
 
-	resp, err := client.Evaluate(context.Background(), req)
+	resp, err := client.Train(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.SummaryEpoch != 1 {
-		t.Fatalf("initial eval epoch %d, want 1", resp.SummaryEpoch)
+		t.Fatalf("initial train epoch %d, want 1", resp.SummaryEpoch)
 	}
 	if err := srv.node.Requantize(); err != nil {
 		t.Fatal(err)
 	}
-	resp, err = client.Evaluate(context.Background(), req)
+	resp, err = client.Train(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.SummaryEpoch != 2 {
-		t.Fatalf("post-requantize eval epoch %d, want 2", resp.SummaryEpoch)
+		t.Fatalf("post-requantize train epoch %d, want 2", resp.SummaryEpoch)
 	}
 }
 

@@ -111,7 +111,6 @@ const (
 	typePing        = "ping"
 	typeSummary     = "summary"
 	typeTrain       = "train"
-	typeEvaluate    = "evaluate"
 	typeRegionInfo  = "region.info"
 	typeRegionPlan  = "region.plan"
 	typeRegionTrain = "region.train"

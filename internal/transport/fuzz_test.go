@@ -275,7 +275,7 @@ func FuzzDispatch(f *testing.F) {
 	f.Add(typePing)
 	f.Add(typeSummary)
 	f.Add(typeTrain)
-	f.Add(typeEvaluate)
+	f.Add("evaluate") // the retired Eval RPC: an unknown type
 	f.Add("bogus")
 	node, err := newFuzzNode()
 	if err != nil {

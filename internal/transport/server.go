@@ -23,7 +23,7 @@ import (
 // leader runs a traced query, they attribute the daemon-side work to
 // the originating query's trace. DeadlineUnixMS (optional, epoch
 // milliseconds) carries the caller's context deadline across the
-// wire, so the daemon can stop training/evaluating — not just stop
+// wire, so the daemon can stop training — not just stop
 // responding — once the query has expired. WireProto, stamped only on
 // the hello ping, advertises the wire protocol the client speaks; the
 // server refuses anything below WireProtoV2 (see handleConn).
@@ -43,7 +43,6 @@ type request struct {
 	// subscribes (see typeSubscribe). Pre-push peers ignore the field.
 	SummaryPush bool                     `json:"summary_push,omitempty"`
 	Train       *federation.TrainRequest `json:"train,omitempty"`
-	Eval        *federation.EvalRequest  `json:"eval,omitempty"`
 	RegionPlan  *region.PlanRequest      `json:"region_plan,omitempty"`
 	RegionTrain *region.TrainRequest     `json:"region_train,omitempty"`
 }
@@ -73,7 +72,6 @@ type response struct {
 	// region and pre-push servers, whose clients stay on pull.
 	SummaryPush bool                      `json:"summary_push,omitempty"`
 	Train       *federation.TrainResponse `json:"train,omitempty"`
-	Eval        *federation.EvalResponse  `json:"eval,omitempty"`
 	RegionInfo  *region.Info              `json:"region_info,omitempty"`
 	RegionPlan  *region.PlanResponse      `json:"region_plan,omitempty"`
 	RegionTrain *region.TrainResponse     `json:"region_train,omitempty"`
@@ -108,7 +106,7 @@ func newServerMetrics(reg *telemetry.Registry, nodeID string) *serverMetrics {
 		bytesOut:     reg.Counter("qens_bytes_sent_total", node...),
 		encodeUS:     reg.Histogram("qens_wire_encode_us", node...),
 	}
-	for _, t := range []string{typePing, typeSummary, typeTrain, typeEvaluate, typeSubscribe,
+	for _, t := range []string{typePing, typeSummary, typeTrain, typeSubscribe,
 		typeRegionInfo, typeRegionPlan, typeRegionTrain, typeRegionStats, "unknown"} {
 		m.rpcTotal[t] = reg.Counter("qens_rpc_total",
 			telemetry.Label{Key: "node", Value: nodeID}, telemetry.Label{Key: "type", Value: t})
@@ -875,15 +873,6 @@ func (s *Server) handle(ctx context.Context, req request) response {
 			return response{Error: err.Error()}
 		}
 		return response{NodeID: s.node.ID(), Train: &out}
-	case typeEvaluate:
-		if req.Eval == nil {
-			return response{Error: "evaluate request missing body", Code: CodeBadRequest}
-		}
-		out, err := s.node.EvaluateContext(ctx, *req.Eval)
-		if err != nil {
-			return response{Error: err.Error()}
-		}
-		return response{NodeID: s.node.ID(), Eval: &out}
 	default:
 		return response{
 			Error: fmt.Sprintf("unknown request type %q", req.Type),
@@ -894,7 +883,7 @@ func (s *Server) handle(ctx context.Context, req request) response {
 
 // handleRegion runs the per-type logic of a regional-leader daemon.
 // Ping identifies the daemon by its region id; the node RPC family
-// (summary/train/evaluate) is rejected as unknown, so a root that
+// (summary/train) is rejected as unknown, so a root that
 // mistakes a region daemon for a participant fails loudly.
 func (s *Server) handleRegion(ctx context.Context, req request) response {
 	switch req.Type {

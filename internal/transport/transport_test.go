@@ -126,7 +126,7 @@ func TestRemoteSummary(t *testing.T) {
 	}
 }
 
-func TestRemoteTrainAndEvaluate(t *testing.T) {
+func TestRemoteTrain(t *testing.T) {
 	_, client := startServer(t, 3, 3, 0, 20)
 	spec := ml.PaperLR(1)
 	resp, err := client.Train(context.Background(), federation.TrainRequest{Spec: spec, LocalEpochs: 40})
@@ -142,13 +142,6 @@ func TestRemoteTrainAndEvaluate(t *testing.T) {
 	}
 	if got := m.Predict([]float64{10}); math.Abs(got-31) > 4 {
 		t.Fatalf("remote-trained model predicts %v, want ~31", got)
-	}
-	ev, err := client.Evaluate(context.Background(), federation.EvalRequest{Spec: spec, Params: resp.Params})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev.Samples != 300 || ev.MSE > 2 {
-		t.Fatalf("remote eval %+v", ev)
 	}
 }
 
@@ -253,14 +246,6 @@ func TestFederationOverTCP(t *testing.T) {
 	}
 	if got := res.Ensemble.Predict([]float64{20}); math.Abs(got-41) > 8 {
 		t.Fatalf("TCP ensemble predicts %v at x=20, want ~41", got)
-	}
-	// GT selection must also work over TCP (it exercises Evaluate).
-	gt, _, err := leader.Execute(context.Background(), federation.Request{Query: q, Selector: selection.GameTheory{L: 1}, Aggregation: federation.ModelAveraging})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gt.Participants[0].NodeID != "gamma" {
-		t.Fatalf("GT over TCP picked %s, want gamma", gt.Participants[0].NodeID)
 	}
 }
 
@@ -444,7 +429,7 @@ func TestRPCLogLine(t *testing.T) {
 			[]any{"trace", "fedcba9876543210", "span", "0000000000000002"}},
 		{"traced without a span", request{Type: typeTrain, TraceID: 3}, response{},
 			[]any{"trace", "0000000000000003", "span", ""}},
-		{"error", request{Type: typeEvaluate}, response{Error: `no "data" here`},
+		{"error", request{Type: typeTrain}, response{Error: `no "data" here`},
 			[]any{"err", `no "data" here`}},
 		{"traced error with code", request{Type: "compress", TraceID: 0xff, SpanID: 2},
 			response{Error: "unknown type", Code: CodeUnknownType},

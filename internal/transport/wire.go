@@ -63,14 +63,17 @@ const (
 	secType      byte = 1  // str rpc type
 	secDeadline  byte = 3  // varint deadline_unix_ms
 	secTrainReq  byte = 4  // spec, params, ints clusters, uvarint epochs
-	secEvalReq   byte = 5  // spec, params, u8 hasBounds [+ rect]
 	secError     byte = 6  // str code, str message
 	secNodeID    byte = 7  // str node id
 	secEpoch     byte = 8  // uvarint summary epoch
 	secSummary   byte = 9  // node summary
 	secTrainResp byte = 10 // params, uvarint used, uvarint total, varint ns, uvarint epoch
-	secEvalResp  byte = 11 // f64 mse, uvarint samples, uvarint epoch
 	secSpans     byte = 12 // u8 owner, span list: uvarint count, {str name, varint start_unix_ns, varint dur_ns}*
+
+	// Tags 5 and 11 (the node Eval RPC's request and response bodies)
+	// are retired like tags 2 and 13: the §II pre-test scores
+	// in-process nodes only, decoders skip them by length, and they
+	// must not be reused.
 
 	// Region-tier introspection bodies: u8 body kind (info or stats)
 	// followed by a JSON payload. They travel once per topology rebuild
@@ -127,11 +130,9 @@ const (
 
 // Owner byte inside a secSpans section: which typed body the span
 // list belongs to. The encoder always emits secSpans after the owning
-// body's section, so the decoder can attach in one pass.
-const (
-	spanOwnerTrain byte = 0
-	spanOwnerEval  byte = 1
-)
+// body's section, so the decoder can attach in one pass. Owner 1 (the
+// retired Eval body) is never reused; the decoder drops its spans.
+const spanOwnerTrain byte = 0
 
 // ErrMalformedFrame reports a v2 body that violates the wire grammar.
 var ErrMalformedFrame = errors.New("transport: malformed v2 frame")
@@ -144,7 +145,6 @@ var internTable = map[string]string{
 	typePing:        typePing,
 	typeSummary:     typeSummary,
 	typeTrain:       typeTrain,
-	typeEvaluate:    typeEvaluate,
 	typeSubscribe:   typeSubscribe,
 	typeRegionInfo:  typeRegionInfo,
 	typeRegionPlan:  typeRegionPlan,
@@ -160,12 +160,11 @@ var internTable = map[string]string{
 	"sigmoid":       "sigmoid",
 	CodeUnknownType: CodeUnknownType,
 	CodeBadRequest:  CodeBadRequest,
-	// Node phase-span names every traced train/eval response carries
-	// (the region leader's "region.train" span shares typeRegionTrain).
+	// Node phase-span names every traced train response carries (the
+	// region leader's "region.train" span shares typeRegionTrain).
 	"node.queue": "node.queue",
 	"node.stage": "node.stage",
 	"node.fit":   "node.fit",
-	"node.eval":  "node.eval",
 }
 
 func internString(b []byte) string {
@@ -397,18 +396,6 @@ func appendWireRequest(dst []byte, id uint64, req *request) ([]byte, error) {
 		e.varint(int64(req.Train.LocalEpochs))
 		e.endSection(m)
 	}
-	if req.Eval != nil {
-		m = e.beginSection(secEvalReq)
-		e.spec(req.Eval.Spec)
-		e.params(req.Eval.Params)
-		if req.Eval.Bounds != nil {
-			e.u8(1)
-			e.rect(*req.Eval.Bounds)
-		} else {
-			e.u8(0)
-		}
-		e.endSection(m)
-	}
 	if req.KnownSummaryEpoch != 0 {
 		m = e.beginSection(secKnownEpoch)
 		e.uvarint(req.KnownSummaryEpoch)
@@ -482,22 +469,12 @@ func appendWireResponse(dst []byte, id uint64, resp *response) ([]byte, error) {
 		e.uvarint(resp.Train.SummaryEpoch)
 		e.endSection(m)
 	}
-	if resp.Eval != nil {
-		m := e.beginSection(secEvalResp)
-		e.f64(resp.Eval.MSE)
-		e.uvarint(uint64(resp.Eval.Samples))
-		e.uvarint(resp.Eval.SummaryEpoch)
-		e.endSection(m)
-	}
 	// Piggybacked node-side phase spans ride in their own section so a
-	// decoder that stops at secEvalResp skips them by length.
+	// decoder that stops at secTrainResp skips them by length.
 	// They are emitted after the owning body section — attachment during
 	// the decoder's single pass relies on that order.
 	if resp.Train != nil && len(resp.Train.Spans) > 0 {
 		e.spanSection(spanOwnerTrain, resp.Train.Spans)
-	}
-	if resp.Eval != nil && len(resp.Eval.Spans) > 0 {
-		e.spanSection(spanOwnerEval, resp.Eval.Spans)
 	}
 	if resp.RegionPlan != nil {
 		m := e.beginSection(secRegionPlanResp)
@@ -981,8 +958,8 @@ func decodeWireHeader(d *wireDec, wantKind byte) (id uint64) {
 func decodeWireRequest(body []byte, req *request, ids idTable) (id uint64, err error) {
 	d := wireDec{b: body, ids: ids}
 	id = decodeWireHeader(&d, frameRequest)
-	*req = request{Train: req.Train, Eval: req.Eval}
-	sawTrain, sawEval := false, false
+	*req = request{Train: req.Train}
+	sawTrain := false
 	for {
 		tag, p, ok := d.section()
 		if !ok {
@@ -1012,24 +989,6 @@ func decodeWireRequest(body []byte, req *request, ids idTable) (id uint64, err e
 			t.Clusters = p.ints(t.Clusters)
 			t.LocalEpochs = int(p.varint())
 			sawTrain = true
-		case secEvalReq:
-			if req.Eval == nil {
-				req.Eval = &federation.EvalRequest{}
-			}
-			ev := req.Eval
-			bounds := ev.Bounds
-			*ev = federation.EvalRequest{Spec: ml.Spec{Hidden: ev.Spec.Hidden},
-				Params: ml.Params{Values: ev.Params.Values}}
-			p.spec(&ev.Spec)
-			p.params(&ev.Params)
-			if p.u8() == 1 {
-				if bounds == nil {
-					bounds = &geometry.Rect{}
-				}
-				p.rect(bounds)
-				ev.Bounds = bounds
-			}
-			sawEval = true
 		case secRegionPlanReq:
 			req.RegionPlan = &region.PlanRequest{}
 			p.regionPlanReq(req.RegionPlan)
@@ -1044,9 +1003,6 @@ func decodeWireRequest(body []byte, req *request, ids idTable) (id uint64, err e
 	if !sawTrain {
 		req.Train = nil
 	}
-	if !sawEval {
-		req.Eval = nil
-	}
 	if d.err != nil {
 		return id, d.err
 	}
@@ -1059,9 +1015,6 @@ func decodeWireRequest(body []byte, req *request, ids idTable) (id uint64, err e
 	// bodies exactly like the JSON codec's struct tags would.
 	if req.Train != nil {
 		req.Train.TraceID, req.Train.SpanID = req.TraceID, req.SpanID
-	}
-	if req.Eval != nil {
-		req.Eval.TraceID, req.Eval.SpanID = req.TraceID, req.SpanID
 	}
 	if req.RegionTrain != nil {
 		req.RegionTrain.TraceID, req.RegionTrain.SpanID = req.TraceID, req.SpanID
@@ -1106,26 +1059,13 @@ func decodeWireResponse(body []byte, ids idTable) (id uint64, resp response, err
 			t.TrainTime = time.Duration(p.varint())
 			t.SummaryEpoch = p.uvarint()
 			resp.Train = t
-		case secEvalResp:
-			ev := &federation.EvalResponse{}
-			ev.MSE = p.f64()
-			ev.Samples = int(p.uvarint())
-			ev.SummaryEpoch = p.uvarint()
-			resp.Eval = ev
 		case secSpans:
 			owner := p.u8()
 			spans := getItems(&p, minSpan, p.span)
 			// Attach to the owning body; a spans section arriving before
 			// its body (a peer bug) is dropped rather than erroring.
-			switch owner {
-			case spanOwnerTrain:
-				if resp.Train != nil {
-					resp.Train.Spans = spans
-				}
-			case spanOwnerEval:
-				if resp.Eval != nil {
-					resp.Eval.Spans = spans
-				}
+			if owner == spanOwnerTrain && resp.Train != nil {
+				resp.Train.Spans = spans
 			}
 		case secRegionPlanResp:
 			resp.RegionPlan = &region.PlanResponse{}

@@ -49,13 +49,6 @@ func fullRequest() request {
 			TraceID:     0x0ddba11,
 			SpanID:      0x5ca1ab1e,
 		},
-		Eval: &federation.EvalRequest{
-			Spec:    ml.Spec{Kind: ml.KindLinear, InputDim: 2, LearningRate: 0.03},
-			Params:  ml.Params{Kind: ml.KindLinear, Dims: []int{3}, Values: []float64{1, 2, 3}},
-			Bounds:  &bounds,
-			TraceID: 0x0ddba11,
-			SpanID:  0x5ca1ab1e,
-		},
 		RegionPlan: &region.PlanRequest{
 			Query:       query.Query{ID: "q-0ddba11", Bounds: bounds},
 			Epsilon:     0.6,
@@ -137,12 +130,6 @@ func fullResponse() response {
 				{Name: "node.queue", StartUnixNS: 1754464000123000000, DurationNS: 1500},
 				{Name: "node.stage", StartUnixNS: 1754464000123001500, DurationNS: 42000},
 				{Name: "node.fit", StartUnixNS: 1754464000123043500, DurationNS: 437000000},
-			},
-		},
-		Eval: &federation.EvalResponse{
-			MSE: 0.03125, Samples: 640, SummaryEpoch: 9,
-			Spans: []federation.NodeSpan{
-				{Name: "node.eval", StartUnixNS: 1754464000999000000, DurationNS: 2750000},
 			},
 		},
 		RegionPlan: &region.PlanResponse{
@@ -419,6 +406,65 @@ func TestWireRetiredTraceSectionSkipped(t *testing.T) {
 	}
 }
 
+// spliceSection returns a copy of the v2 body (frame without its
+// length prefix) with a section built by fill inserted right after the
+// header (magic, kind, id).
+func spliceSection(body []byte, tag byte, fill func(e *wireEnc)) []byte {
+	const header = 1 + 1 + 8
+	e := wireEnc{b: append([]byte{}, body[:header]...)}
+	m := e.beginSection(tag)
+	fill(&e)
+	e.endSection(m)
+	return append(e.b, body[header:]...)
+}
+
+// TestWireRetiredEvalSectionsSkipped: tags 5 and 11 (the Eval RPC's
+// bodies) and span owner 1 are retired, not reused — a frame that still
+// carries them decodes to exactly the frame without them.
+func TestWireRetiredEvalSectionsSkipped(t *testing.T) {
+	in := request{Type: typeTrain, Train: &federation.TrainRequest{Spec: ml.PaperLR(1), Clusters: []int{1}, LocalEpochs: 2}}
+	frame, err := appendWireRequest(nil, 6, &in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := spliceSection(frame[4:], 5, func(e *wireEnc) {
+		e.spec(ml.PaperLR(1))
+		e.params(ml.Params{Kind: ml.KindLinear, Dims: []int{2}, Values: []float64{1, 2}})
+		e.u8(1)
+		e.rect(geometry.MustRect([]float64{0, -1}, []float64{4, 9}))
+	})
+	var req request
+	if _, err := decodeWireRequest(body, &req, nil); err != nil {
+		t.Fatalf("tag-5 request: %v", err)
+	}
+	if !reflect.DeepEqual(req, in) {
+		t.Fatalf("tag-5 request decoded as %+v, want %+v", req, in)
+	}
+
+	out := response{NodeID: "node-A", SummaryEpoch: 3}
+	frame, err = appendWireResponse(nil, 6, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Inserted in reverse: the tag-11 body, then its owner-1 spans.
+	body = spliceSection(frame[4:], secSpans, func(e *wireEnc) {
+		e.u8(1)
+		putItems(e, []federation.NodeSpan{{Name: "node.eval", StartUnixNS: 1, DurationNS: 2}}, e.span)
+	})
+	body = spliceSection(body, 11, func(e *wireEnc) {
+		e.f64(0.5)
+		e.uvarint(640)
+		e.uvarint(3)
+	})
+	_, resp, err := decodeWireResponse(body, nil)
+	if err != nil {
+		t.Fatalf("tag-11 response: %v", err)
+	}
+	if !reflect.DeepEqual(resp, out) {
+		t.Fatalf("tag-11 response decoded as %+v, want %+v", resp, out)
+	}
+}
+
 // TestWireV2SpanSectionSkippedByLength: the secSpans section is
 // self-delimiting, so a peer that predates it (or postdates it with
 // yet-newer tags) keeps decoding cleanly. Simulated both ways: an
@@ -445,7 +491,6 @@ func TestWireV2SpanSectionSkippedByLength(t *testing.T) {
 	// bodies minus spans — the v1-peer view of the world.
 	bare := fullResponse()
 	bare.Train.Spans = nil
-	bare.Eval.Spans = nil
 	bareFrame, err := appendWireResponse(nil, 5, &bare)
 	if err != nil {
 		t.Fatal(err)
@@ -457,7 +502,7 @@ func TestWireV2SpanSectionSkippedByLength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bareOut.Train.Spans != nil || bareOut.Eval.Spans != nil {
+	if bareOut.Train.Spans != nil {
 		t.Fatalf("spans materialized from nothing: %+v", bareOut)
 	}
 }
@@ -585,8 +630,6 @@ func TestWireCodecFieldDriftGuard(t *testing.T) {
 		{reflect.TypeOf(cluster.NodeSummary{}), 4},
 		{reflect.TypeOf(federation.TrainRequest{}), 6},
 		{reflect.TypeOf(federation.TrainResponse{}), 6},
-		{reflect.TypeOf(federation.EvalRequest{}), 5},
-		{reflect.TypeOf(federation.EvalResponse{}), 4},
 		{reflect.TypeOf(federation.NodeSpan{}), 3},
 		{reflect.TypeOf(query.Query{}), 2},
 		{reflect.TypeOf(selection.NodeRank{}), 8},
@@ -596,8 +639,8 @@ func TestWireCodecFieldDriftGuard(t *testing.T) {
 		{reflect.TypeOf(region.TrainRequest{}), 6},
 		{reflect.TypeOf(region.RoundResult{}), 8},
 		{reflect.TypeOf(region.TrainResponse{}), 4},
-		{reflect.TypeOf(request{}), 11},
-		{reflect.TypeOf(response{}), 15},
+		{reflect.TypeOf(request{}), 10},
+		{reflect.TypeOf(response{}), 14},
 	}
 	for _, w := range want {
 		if got := w.typ.NumField(); got != w.n {
@@ -642,16 +685,16 @@ func TestWireSkewTraceDeadlineEpoch(t *testing.T) {
 			t.Fatalf("expired deadline err = %v", err)
 		}
 
-		// Requantization drift visible on the next eval.
+		// Requantization drift visible on the next train.
 		if err := srv.node.Requantize(); err != nil {
 			t.Fatal(err)
 		}
-		ev, err := client.Evaluate(context.Background(), federation.EvalRequest{Spec: ml.PaperLR(1)})
+		tr, err := client.Train(context.Background(), federation.TrainRequest{Spec: ml.PaperLR(1), LocalEpochs: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ev.SummaryEpoch != 2 {
-			t.Fatalf("post-requantize epoch %d, want 2", ev.SummaryEpoch)
+		if tr.SummaryEpoch != 2 {
+			t.Fatalf("post-requantize epoch %d, want 2", tr.SummaryEpoch)
 		}
 	})
 }
@@ -714,18 +757,6 @@ func TestWireV2EquivalentToLocal(t *testing.T) {
 			t.Fatalf("round %d: train diverges:\nlocal:  %+v\nremote: %+v", round, trL, trR)
 		}
 		params = trL.Params
-
-		evL, err := local.Evaluate(ctx, federation.EvalRequest{Spec: ml.PaperLR(1), Params: params})
-		if err != nil {
-			t.Fatal(err)
-		}
-		evR, err := remote.Evaluate(ctx, federation.EvalRequest{Spec: ml.PaperLR(1), Params: params})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Float64bits(evL.MSE) != math.Float64bits(evR.MSE) || evL.Samples != evR.Samples {
-			t.Fatalf("round %d: eval diverges: %+v vs %+v", round, evL, evR)
-		}
 	}
 }
 
@@ -815,7 +846,7 @@ func TestMuxCancellationDoesNotPoisonConnection(t *testing.T) {
 }
 
 // TestMuxConcurrentStress hammers one multiplexed connection with
-// mixed Train/Evaluate/Summary/Ping traffic plus mid-flight
+// mixed Train/Summary traffic plus mid-flight
 // cancellations, under -race in CI. Every non-canceled call must
 // succeed.
 func TestMuxConcurrentStress(t *testing.T) {
@@ -837,7 +868,7 @@ func TestMuxConcurrentStress(t *testing.T) {
 						errs <- err
 					}
 				case 1:
-					if _, err := client.Evaluate(context.Background(), federation.EvalRequest{Spec: spec}); err != nil {
+					if _, _, err := client.SummaryIfChanged(context.Background(), 1); err != nil {
 						errs <- err
 					}
 				case 2:
