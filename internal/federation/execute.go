@@ -3,8 +3,10 @@ package federation
 import (
 	"context"
 	"errors"
+	"sync"
 	"time"
 
+	"qens/internal/ml"
 	"qens/internal/query"
 	"qens/internal/registry"
 	"qens/internal/selection"
@@ -194,13 +196,10 @@ func (l *Leader) train(ctx context.Context, req Request) (_ *Result, retErr erro
 
 	// Initial global model w. Only its parameters travel: nodes seed
 	// their own models, so they are sent the configured spec.
-	spec := l.cfg.Spec
-	spec.Seed = uint64(l.src.Int63())
-	global, err := spec.New()
+	initial, err := l.w0.Params(uint64(l.src.Int63()))
 	if err != nil {
 		return nil, err
 	}
-	initial := global.Params()
 
 	res := &Result{
 		Query:        req.Query,
@@ -268,4 +267,36 @@ func captureTrainingBounds(res *Result, snap *registry.Snapshot) {
 	mins, maxs := buf[:0:n], buf[n:n]
 	walk(func(lo, hi []float64) { mins, maxs = append(mins, lo...), append(maxs, hi...) })
 	res.TrainMins, res.TrainMaxs, res.TrainDims = mins, maxs, d
+}
+
+// InitialModel draws the initial global model w0 of one spec from a
+// pooled model: Reinit makes it, bit for bit, the model spec.New builds
+// with the drawn seed (the guarantee the node engine's model pool rests
+// on too), without a fresh weight, optimizer and generator arena per
+// query. It is safe for concurrent use.
+type InitialModel struct {
+	spec ml.Spec
+	pool sync.Pool // ml.Model of spec
+}
+
+// NewInitialModel returns the w0 source for spec.
+func NewInitialModel(spec ml.Spec) *InitialModel { return &InitialModel{spec: spec} }
+
+// Params returns the parameters of the model spec.New builds with Seed
+// seed; the caller owns them.
+func (m *InitialModel) Params(seed uint64) (ml.Params, error) {
+	model, _ := m.pool.Get().(ml.Model)
+	if model == nil {
+		spec := m.spec
+		spec.Seed = seed
+		var err error
+		if model, err = spec.New(); err != nil {
+			return ml.Params{}, err
+		}
+	} else if err := model.Reinit(seed, ml.Params{}); err != nil {
+		return ml.Params{}, err
+	}
+	p := model.Params()
+	m.pool.Put(model)
+	return p, nil
 }

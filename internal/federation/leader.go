@@ -89,6 +89,7 @@ type Leader struct {
 	data    *dataset.Dataset // the leader's own local data (§II pre-test)
 	clients []Client
 	src     *rng.Source
+	w0      *InitialModel
 
 	reg     *registry.Registry // versioned advertisement store
 	planner *plan.Planner      // pure-CPU planning stage
@@ -124,7 +125,7 @@ func NewLeader(cfg Config, leaderData *dataset.Dataset, clients []Client) (*Lead
 		seen[c.ID()] = true
 	}
 	l := &Leader{
-		cfg: cfg, data: leaderData, clients: clients, src: rng.New(cfg.Seed),
+		cfg: cfg, data: leaderData, clients: clients, src: rng.New(cfg.Seed), w0: NewInitialModel(cfg.Spec),
 		metrics: telemetry.Default(),
 		health:  fleet.NewTracker(telemetry.Default()),
 	}

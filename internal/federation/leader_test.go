@@ -3,6 +3,7 @@ package federation
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -454,6 +455,75 @@ func TestCaptureTrainingBoundsSizedOnce(t *testing.T) {
 		}
 		if n := testing.AllocsPerRun(100, capture); n != 1 {
 			t.Errorf("%s: captureTrainingBounds allocates %v, want 1", sel.Name(), n)
+		}
+	}
+}
+
+// TestInitialModelMatchesSpecNew: w0 from the pooled model is, bit for
+// bit, the model spec.New builds, for consecutive seeds and both model
+// kinds, though the pooled model is trained between draws. After each
+// draw the pooled model and the fresh one train alike and must stay
+// bit-identical, so Reinit is shown to reset the optimizer state, the
+// running statistics and the generator a fit leaves behind.
+func TestInitialModelMatchesSpecNew(t *testing.T) {
+	x := [][]float64{{1, 2}, {3, -1}, {0.5, 4}, {-2, 1}, {7, 3}, {2, 2}}
+	y := []float64{3, 1, 5, -1, 11, 4}
+	differ := func(got, want ml.Params) string {
+		if got.Kind != want.Kind || !reflect.DeepEqual(got.Dims, want.Dims) || len(got.Values) != len(want.Values) {
+			return fmt.Sprintf("%s %v ×%d against %s %v ×%d", got.Kind, got.Dims, len(got.Values), want.Kind, want.Dims, len(want.Values))
+		}
+		for i := range want.Values {
+			if math.Float64bits(got.Values[i]) != math.Float64bits(want.Values[i]) {
+				return fmt.Sprintf("value %d is %v against %v", i, got.Values[i], want.Values[i])
+			}
+		}
+		return ""
+	}
+	adamLR := ml.PaperLR(2) // the paper's LR is plain SGD, which keeps no optimizer state
+	adamLR.Optimizer = "adam"
+	for _, spec := range []ml.Spec{ml.PaperLR(2), adamLR, ml.PaperNN(2)} {
+		w0 := NewInitialModel(spec)
+		trained := 0
+		for seed := uint64(1); seed <= 128; seed++ {
+			got, err := w0.Params(seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := spec
+			s.Seed = seed
+			fresh, err := s.New()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := differ(got, fresh.Params()); d != "" {
+				t.Fatalf("%s/%s seed %d: w0 against spec.New's: %s", spec.Kind, spec.Optimizer, seed, d)
+			}
+			// Train every pooled model. The one Params just reinitialized
+			// (the pool may hold others, kept per P) still holds w0, and
+			// trains exactly as the fresh one does.
+			var pooled []ml.Model
+			for m, ok := w0.pool.Get().(ml.Model); ok; m, ok = w0.pool.Get().(ml.Model) {
+				pooled = append(pooled, m)
+			}
+			for _, m := range pooled {
+				drawn := differ(m.Params(), got) == ""
+				if err := m.PartialFit(x, y, 3); err != nil {
+					t.Fatal(err)
+				}
+				if drawn {
+					if err := fresh.PartialFit(x, y, 3); err != nil {
+						t.Fatal(err)
+					}
+					if d := differ(m.Params(), fresh.Params()); d != "" {
+						t.Fatalf("%s/%s seed %d: the pooled model trained against a fresh one: %s", spec.Kind, spec.Optimizer, seed, d)
+					}
+					trained++
+				}
+				w0.pool.Put(m)
+			}
+		}
+		if trained == 0 {
+			t.Fatalf("%s/%s: the pool never kept a model to train", spec.Kind, spec.Optimizer)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -269,8 +270,12 @@ type errorJSON struct {
 	Error string `json:"error"`
 }
 
+// jsonContentType is every response's Content-Type header value,
+// shared so that setting it allocates nothing.
+var jsonContentType = []string{"application/json"}
+
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
 }
@@ -324,6 +329,67 @@ func (s *Server) planAhead(ctx context.Context, q query.Query, sel selection.Sel
 	return p, err
 }
 
+// planContext is admission's context: the request's, bounded by the
+// query's deadline, with no timer until something waits. Deadline
+// reports the stored time and Err reads the clock, so a plan over a
+// fresh snapshot, which never blocks, costs this one value. The first
+// Done — a stale registry's summary pull, a region's plan RPC — derives
+// the context.WithDeadline whose channel it returns, and so does an Err
+// that sees the deadline or the request end; Err defers to it from then
+// on, so a non-nil Err comes with a closed Done. release stops the
+// timer, and ends the context as a WithDeadline's cancel would.
+type planContext struct {
+	context.Context
+	at       time.Time
+	mu       sync.Mutex
+	derived  context.Context
+	cancel   context.CancelFunc
+	released bool
+}
+
+func newPlanContext(parent context.Context, at time.Time) *planContext {
+	if d, ok := parent.Deadline(); ok && d.Before(at) {
+		at = d
+	}
+	return &planContext{Context: parent, at: at}
+}
+
+func (c *planContext) Deadline() (time.Time, bool) { return c.at, true }
+
+func (c *planContext) Done() <-chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.deriveLocked().Done()
+}
+
+func (c *planContext) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.derived == nil && !c.released && c.Context.Err() == nil && time.Now().Before(c.at) {
+		return nil
+	}
+	return c.deriveLocked().Err()
+}
+
+func (c *planContext) deriveLocked() context.Context {
+	if c.derived == nil {
+		c.derived, c.cancel = context.WithDeadline(c.Context, c.at)
+		if c.released {
+			c.cancel()
+		}
+	}
+	return c.derived
+}
+
+func (c *planContext) release() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.released = true
+	if c.cancel != nil {
+		c.cancel()
+	}
+}
+
 func buildAggregation(name string) (federation.Aggregation, error) {
 	switch strings.ToLower(name) {
 	case "", "weighted":
@@ -372,17 +438,16 @@ func (s *Server) timeoutFor(req queryRequest, now time.Time) (time.Duration, boo
 }
 
 // parseQuery decodes a /v1/query or /v1/plan body: a malformed body,
-// selector or bounds, wrong dims included, is a 400 before any planning.
-func (s *Server) parseQuery(w http.ResponseWriter, r *http.Request, idFormat string) (queryRequest, query.Query, selection.Selector, bool) {
+// selector or bounds is a 400 before any planning. An unnamed query is
+// named idPrefix and a sequence number.
+func (s *Server) parseQuery(w http.ResponseWriter, r *http.Request, idPrefix string) (queryRequest, query.Query, selection.Selector, bool) {
 	var req queryRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := readQuery(w, r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return req, query.Query{}, nil, false
 	}
 	if req.ID == "" {
-		req.ID = fmt.Sprintf(idFormat, s.nextID.Add(1))
+		req.ID = idPrefix + strconv.FormatInt(s.nextID.Add(1), 10)
 	}
 	q, err := query.New(req.ID, req.Bounds)
 	if err != nil {
@@ -394,16 +459,22 @@ func (s *Server) parseQuery(w http.ResponseWriter, r *http.Request, idFormat str
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return req, q, nil, false
 	}
-	if dims, err := s.srv.Dims(r.Context()); err == nil && q.Dims() != dims {
-		writeError(w, http.StatusBadRequest, "query %s has %d dims, fleet has %d", q.ID, q.Dims(), dims)
-		return req, q, nil, false
-	}
 	return req, q, sel, true
+}
+
+// dimsMatch answers 400 unless the query has the fleet's dims; ctx
+// bounds resolving them.
+func (s *Server) dimsMatch(ctx context.Context, w http.ResponseWriter, q query.Query) bool {
+	if dims, err := s.srv.Dims(ctx); err == nil && q.Dims() != dims {
+		writeError(w, http.StatusBadRequest, "query %s has %d dims, fleet has %d", q.ID, q.Dims(), dims)
+		return false
+	}
+	return true
 }
 
 // handleSubmit serves POST /v1/query.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	req, q, sel, ok := s.parseQuery(w, r, "gw-%d")
+	req, q, sel, ok := s.parseQuery(w, r, "gw-")
 	if !ok {
 		return
 	}
@@ -425,6 +496,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// The query's one deadline bounds admission: resolving the fleet's
+	// dims and planning (a stale registry's summary pull, a region's
+	// plan RPCs), then the scheduler.
+	deadline := now.Add(timeout)
+	planCtx := newPlanContext(r.Context(), deadline)
+	defer planCtx.release() // on every path; planning's end releases it first
+	if !s.dimsMatch(planCtx, w, q) {
+		return
+	}
+
 	// The record is claimed before admission: a second query under a
 	// retained id would have its outcome finalize the first one's record.
 	rec := &record{ID: q.ID, Status: recordPending, Submitted: now}
@@ -433,13 +514,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The query's one deadline bounds admission-time planning (a
-	// region's plan RPCs) and then the scheduler.
-	deadline := now.Add(timeout)
-	planCtx, cancel := context.WithDeadline(r.Context(), deadline)
 	freq := federation.Request{Query: q, Selector: sel, Aggregation: agg, Cache: s.cache}
 	freq.Prepared, err = s.planAhead(planCtx, q, sel)
-	cancel()
+	planCtx.release()
 	if err != nil {
 		// No edge node's cluster space supports the requested bounds.
 		// Before rejecting, ask the model cache: an ensemble trained on
@@ -598,8 +675,8 @@ type rankJSON struct {
 // selection) and reports what the leader would train, without touching
 // a node.
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
-	_, q, sel, ok := s.parseQuery(w, r, "plan-%d")
-	if !ok {
+	_, q, sel, ok := s.parseQuery(w, r, "plan-")
+	if !ok || !s.dimsMatch(r.Context(), w, q) {
 		return
 	}
 	ex, err := s.srv.ExplainQuery(r.Context(), q, sel)

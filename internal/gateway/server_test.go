@@ -544,38 +544,48 @@ func TestGatewayDraining503(t *testing.T) {
 	}
 }
 
+// badRequests are the 400 rows of TestGatewayBadRequests, and seeds of
+// FuzzQueryRequest.
+var badRequests = []struct {
+	name string
+	body string
+	want string // error substring, when the row pins one
+}{
+	{"malformed json", `{"bounds":`, ""},
+	{"unknown field", `{"boundz":{"min":[0],"max":[1]}}`, ""},
+	{"invalid bounds", `{"bounds":{"min":[10,0],"max":[0,10]}}`, ""},
+	{"unknown selector", `{"bounds":{"min":[0,-50],"max":[20,150]},"selector":"psychic"}`, "unknown selector"},
+	{"auto selector", `{"bounds":{"min":[0,-50],"max":[20,150]},"selector":"auto"}`, "unknown selector"},
+	{"bandit selector", `{"bounds":{"min":[0,-50],"max":[20,150]},"selector":"bandit"}`, "unknown selector"},
+	{"contribution selector", `{"bounds":{"min":[0,-50],"max":[20,150]},"selector":"contribution"}`, "unknown selector"},
+	{"random selector", `{"bounds":{"min":[0,-50],"max":[20,150]},"selector":"random"}`, "unknown selector"},
+	{"game-theory selector", `{"bounds":{"min":[0,-50],"max":[20,150]},"selector":"game-theory"}`, "unknown selector"},
+	{"fairness selector", `{"bounds":{"min":[0,-50],"max":[20,150]},"selector":"fairness"}`, "unknown selector"},
+	{"negative top_l", `{"bounds":{"min":[0,-50],"max":[20,150]},"top_l":-1}`, "exactly one of TopL"},
+	{"negative epsilon", `{"bounds":{"min":[0,-50],"max":[20,150]},"epsilon":-0.5}`, "must be > 0"},
+	{"negative psi", `{"bounds":{"min":[0,-50],"max":[20,150]},"psi":-1}`, "exactly one of TopL"},
+	{"psi and top_l", `{"bounds":{"min":[0,-50],"max":[20,150]},"psi":0.3,"top_l":2}`, "exactly one of TopL"},
+	{"bad aggregation", `{"bounds":{"min":[0,-50],"max":[20,150]},"aggregation":"median"}`, ""},
+	{"negative timeout", `{"bounds":{"min":[0,-50],"max":[20,150]},"timeout_ms":-5}`, ""},
+	{"bad deadline", `{"bounds":{"min":[0,-50],"max":[20,150]},"deadline":"yesterday"}`, ""},
+	{"1-dim bounds", `{"bounds":{"min":[0],"max":[20]}}`, "has 1 dims, fleet has 2"},
+	{"3-dim bounds", `{"bounds":{"min":[0,-50,0],"max":[20,150,1]}}`, "has 3 dims, fleet has 2"},
+	// Only whitespace may follow the object, whichever decoder
+	// reads it (an escaped or case-folded key takes encoding/json's).
+	{"trailing garbage", `{"bounds":{"min":[0,-50],"max":[20,150]}} garbage`, "invalid data after the request object"},
+	{"two objects", `{"bounds":{"min":[0,-50],"max":[20,150]}}{"bounds":{"min":[0,-50],"max":[20,150]}}`, "invalid data after the request object"},
+	{"trailing garbage, escaped key", `{"bound\u0073":{"min":[0,-50],"max":[20,150]}} garbage`, "invalid data after the request object"},
+	{"two objects, folded key", `{"Bounds":{"min":[0,-50],"max":[20,150]}} {}`, "invalid data after the request object"},
+	{"trailing bracket", "{\"bounds\":{\"min\":[0,-50],\"max\":[20,150]}}\n}", "invalid data after the request object"},
+}
+
 // TestGatewayBadRequests covers the 400/404 surface. Every 400 is
 // decided before admission: none of the rows takes a queue slot.
 func TestGatewayBadRequests(t *testing.T) {
 	fleet := testFleet(t)
 	s, ts := newGatewayServer(t, ServerConfig{Leader: fleet.Leader})
 
-	cases := []struct {
-		name string
-		body string
-		want string // error substring, when the row pins one
-	}{
-		{"malformed json", `{"bounds":`, ""},
-		{"unknown field", `{"boundz":{"min":[0],"max":[1]}}`, ""},
-		{"invalid bounds", `{"bounds":{"min":[10,0],"max":[0,10]}}`, ""},
-		{"unknown selector", `{"bounds":{"min":[0,-50],"max":[20,150]},"selector":"psychic"}`, "unknown selector"},
-		{"auto selector", `{"bounds":{"min":[0,-50],"max":[20,150]},"selector":"auto"}`, "unknown selector"},
-		{"bandit selector", `{"bounds":{"min":[0,-50],"max":[20,150]},"selector":"bandit"}`, "unknown selector"},
-		{"contribution selector", `{"bounds":{"min":[0,-50],"max":[20,150]},"selector":"contribution"}`, "unknown selector"},
-		{"random selector", `{"bounds":{"min":[0,-50],"max":[20,150]},"selector":"random"}`, "unknown selector"},
-		{"game-theory selector", `{"bounds":{"min":[0,-50],"max":[20,150]},"selector":"game-theory"}`, "unknown selector"},
-		{"fairness selector", `{"bounds":{"min":[0,-50],"max":[20,150]},"selector":"fairness"}`, "unknown selector"},
-		{"negative top_l", `{"bounds":{"min":[0,-50],"max":[20,150]},"top_l":-1}`, "exactly one of TopL"},
-		{"negative epsilon", `{"bounds":{"min":[0,-50],"max":[20,150]},"epsilon":-0.5}`, "must be > 0"},
-		{"negative psi", `{"bounds":{"min":[0,-50],"max":[20,150]},"psi":-1}`, "exactly one of TopL"},
-		{"psi and top_l", `{"bounds":{"min":[0,-50],"max":[20,150]},"psi":0.3,"top_l":2}`, "exactly one of TopL"},
-		{"bad aggregation", `{"bounds":{"min":[0,-50],"max":[20,150]},"aggregation":"median"}`, ""},
-		{"negative timeout", `{"bounds":{"min":[0,-50],"max":[20,150]},"timeout_ms":-5}`, ""},
-		{"bad deadline", `{"bounds":{"min":[0,-50],"max":[20,150]},"deadline":"yesterday"}`, ""},
-		{"1-dim bounds", `{"bounds":{"min":[0],"max":[20]}}`, "has 1 dims, fleet has 2"},
-		{"3-dim bounds", `{"bounds":{"min":[0,-50,0],"max":[20,150,1]}}`, "has 3 dims, fleet has 2"},
-	}
-	for _, tc := range cases {
+	for _, tc := range badRequests {
 		code, doc, _ := postQuery(t, ts.URL, tc.body)
 		if code != http.StatusBadRequest {
 			t.Errorf("%s: status %d (%v), want 400", tc.name, code, doc)
@@ -592,6 +602,11 @@ func TestGatewayBadRequests(t *testing.T) {
 	}
 	if code, doc := postPlan(t, ts.URL, `{"bounds":{"min":[0],"max":[20]}}`); code != http.StatusBadRequest {
 		t.Errorf("plan with 1-dim bounds: status %d (%v), want 400", code, doc)
+	}
+	for _, body := range []string{`{"bounds":{"min":[0,-50],"max":[20,150]}} garbage`, `{"Bounds":{"min":[0,-50],"max":[20,150]}}{}`} {
+		if code, doc := postPlan(t, ts.URL, body); code != http.StatusBadRequest {
+			t.Errorf("plan with trailing data %q: status %d (%v), want 400", body, code, doc)
+		}
 	}
 	resp, err := http.Get(ts.URL + "/v1/query/nope")
 	if err != nil {

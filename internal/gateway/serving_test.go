@@ -693,24 +693,71 @@ func TestPlanOncePerQuery(t *testing.T) {
 	})
 }
 
+// stallingClient stalls the summary pull, while stall is set, until
+// the caller's context ends.
+type stallingClient struct {
+	federation.Client
+	stall *atomic.Bool
+	pulls *atomic.Int64 // stalled pulls
+}
+
+func (c stallingClient) SummaryIfChanged(ctx context.Context, known uint64) (cluster.NodeSummary, bool, error) {
+	if !c.stall.Load() {
+		return c.Client.SummaryIfChanged(ctx, known)
+	}
+	c.pulls.Add(1)
+	<-ctx.Done()
+	return cluster.NodeSummary{}, false, ctx.Err()
+}
+
 // TestAdmissionPlanUnderQueryDeadline: the query's one deadline is
-// fixed before admission-time planning, so a region whose plan never
-// answers costs a query its timeout_ms, not the plan RPC's dial timeout.
+// fixed before admission, so a plan that waits on a peer which never
+// answers — a region's plan RPC, a stale registry's summary pull —
+// costs a query its timeout_ms, not the client's dial timeout.
 func TestAdmissionPlanUnderQueryDeadline(t *testing.T) {
-	west, east, router := stubRegions(t)
-	west.stall, east.stall = true, true
-	_, ts := newGatewayServer(t, ServerConfig{Router: router, Workers: 1, QueueDepth: 4, CoalesceIoU: -1})
-	start := time.Now()
-	code, doc, _ := postQuery(t, ts.URL, `{"bounds":{"min":[-1,-1],"max":[31,11]},"selector":"query-driven","top_l":4,"timeout_ms":200}`)
-	if code != http.StatusGatewayTimeout {
-		t.Fatalf("stalled plan: %d %v, want 504", code, doc)
+	const body = `{"bounds":{"min":[-1,-1],"max":[31,11]},"selector":"query-driven","top_l":4,"timeout_ms":200}`
+	answersInBudget := func(t *testing.T, url string) {
+		t.Helper()
+		start := time.Now()
+		if code, doc, _ := postQuery(t, url, body); code != http.StatusGatewayTimeout {
+			t.Fatalf("stalled plan: %d %v, want 504", code, doc)
+		}
+		if elapsed := time.Since(start); elapsed > time.Second {
+			t.Fatalf("stalled plan answered after %v, want about the 200ms budget", elapsed)
+		}
 	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("stalled plan answered after %v, want about the 200ms budget", elapsed)
-	}
-	if west.plans.Load() == 0 || east.plans.Load() == 0 {
-		t.Fatal("no region was asked to plan")
-	}
+	t.Run("router", func(t *testing.T) {
+		west, east, router := stubRegions(t)
+		west.stall, east.stall = true, true
+		_, ts := newGatewayServer(t, ServerConfig{Router: router, Workers: 1, QueueDepth: 4, CoalesceIoU: -1})
+		answersInBudget(t, ts.URL)
+		if west.plans.Load() == 0 || east.plans.Load() == 0 {
+			t.Fatal("no region was asked to plan")
+		}
+	})
+	t.Run("leader", func(t *testing.T) {
+		cfg, nodes := slabFleet(t)
+		var stall atomic.Bool
+		var pulls atomic.Int64
+		clients := make([]federation.Client, len(nodes))
+		for i, n := range nodes {
+			clients[i] = stallingClient{Client: federation.LocalClient{Node: n}, stall: &stall, pulls: &pulls}
+		}
+		lead, err := federation.NewLeader(cfg, nil, clients)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, ts := newGatewayServer(t, ServerConfig{Leader: lead, Workers: 1, QueueDepth: 4, CoalesceIoU: -1})
+		if _, err := lead.Registry().Snapshot(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		stall.Store(true)
+		lead.InvalidateSummaries()
+		answersInBudget(t, ts.URL)
+		if pulls.Load() == 0 {
+			t.Fatal("no summary pull stalled")
+		}
+	})
 }
 
 // TestRouterCountersShareADenominator: the router's routing counters

@@ -230,11 +230,15 @@ func (m *linear) runEpoch(ctx context.Context, xs, ys []float64) error {
 	return nil
 }
 
-// Predict returns the raw-scale prediction for one input.
+// Predict returns the raw-scale prediction for one input, standardizing
+// each feature as it scores it: the arithmetic of normX then
+// predictNormed, without a buffer, so concurrent calls share nothing.
 func (m *linear) Predict(x []float64) float64 {
-	xn := make([]float64, m.spec.InputDim)
-	m.stats.normX(xn, x)
-	return m.predictNormed(xn)
+	out := m.bias
+	for j, v := range x {
+		out += m.weights[j] * ((v - m.stats.mean[j]) / m.stats.std(j))
+	}
+	return m.stats.denormY(out)
 }
 
 // predictNormed scores one standardized input.

@@ -99,6 +99,7 @@ type Router struct {
 	cfg     Config
 	members []*member
 	src     *rng.Source
+	w0      *federation.InitialModel
 	tracer  *telemetry.Tracer
 
 	topoMu sync.Mutex
@@ -130,7 +131,7 @@ func NewRouter(cfg Config, services []Service) (*Router, error) {
 	if len(services) == 0 {
 		return nil, errors.New("region: router needs at least one region")
 	}
-	r := &Router{cfg: cfg, src: rng.New(cfg.Seed), metricReg: telemetry.Default()}
+	r := &Router{cfg: cfg, src: rng.New(cfg.Seed), w0: federation.NewInitialModel(cfg.Spec), metricReg: telemetry.Default()}
 	seen := map[string]bool{}
 	for _, svc := range services {
 		if svc == nil {
@@ -532,11 +533,10 @@ func (r *Router) execute(ctx context.Context, req federation.Request) (_ *federa
 
 	// Stage 2: initial global model at the root (exactly the
 	// single-leader executor's draw), then the region train fan-out.
-	global, err := spec.New()
+	initial, err := r.w0.Params(spec.Seed)
 	if err != nil {
 		return nil, nil, err
 	}
-	initial := global.Params()
 
 	res := &federation.Result{
 		Query:        q,
