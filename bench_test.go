@@ -412,11 +412,11 @@ func BenchmarkKMeans(b *testing.B) {
 // BenchmarkLinearTrainEpoch measures one PartialFit epoch of the
 // Table III LR model over a 500-sample cluster.
 func BenchmarkLinearTrainEpoch(b *testing.B) {
-	x, y := benchBatch(500, 4)
+	v := benchBatch(500, 4)
 	m := ml.PaperLR(1).MustNew()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := m.PartialFit(x, y, 1); err != nil {
+		if err := m.PartialFit(context.Background(), v, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -425,11 +425,11 @@ func BenchmarkLinearTrainEpoch(b *testing.B) {
 // BenchmarkNNTrainEpoch measures one PartialFit epoch of the Table III
 // NN (64 relu units) over a 500-sample cluster.
 func BenchmarkNNTrainEpoch(b *testing.B) {
-	x, y := benchBatch(500, 5)
+	v := benchBatch(500, 5)
 	m := ml.PaperNN(1).MustNew()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := m.PartialFit(x, y, 1); err != nil {
+		if err := m.PartialFit(context.Background(), v, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -438,13 +438,13 @@ func BenchmarkNNTrainEpoch(b *testing.B) {
 // BenchmarkEnsemblePredict measures the leader-side aggregated
 // prediction (Eq. 7) over a 3-model ensemble.
 func BenchmarkEnsemblePredict(b *testing.B) {
-	x, y := benchBatch(300, 6)
+	v := benchBatch(300, 6)
 	var params []ml.Params
 	for i := 0; i < 3; i++ {
 		spec := ml.PaperLR(1)
 		spec.Seed = uint64(i)
 		m := spec.MustNew()
-		if err := m.PartialFit(x, y, 5); err != nil {
+		if err := m.PartialFit(context.Background(), v, 5); err != nil {
 			b.Fatal(err)
 		}
 		params = append(params, m.Params())
@@ -564,16 +564,14 @@ func BenchmarkCounterLookupAdd(b *testing.B) {
 }
 
 // benchBatch builds a simple y = 2x + 1 batch.
-func benchBatch(n int, seed uint64) ([][]float64, []float64) {
+func benchBatch(n int, seed uint64) dataset.View {
 	src := rng.New(seed)
-	x := make([][]float64, n)
-	y := make([]float64, n)
-	for i := range x {
+	d := dataset.MustNew([]string{"x", "y"}, "y")
+	for i := 0; i < n; i++ {
 		v := src.Uniform(0, 50)
-		x[i] = []float64{v}
-		y[i] = 2*v + 1 + src.Normal(0, 0.5)
+		d.MustAppend([]float64{v, 2*v + 1 + src.Normal(0, 0.5)})
 	}
-	return x, y
+	return d.View()
 }
 
 func minf(a, b float64) float64 {

@@ -30,8 +30,8 @@ func (d *Dataset) WriteCSV(w io.Writer) error {
 		return fmt.Errorf("dataset: write header: %w", err)
 	}
 	rec := make([]string, len(d.columns))
-	for _, row := range d.rows {
-		for j, v := range row {
+	for i := range d.Len() {
+		for j, v := range d.Row(i) {
 			rec[j] = strconv.FormatFloat(v, 'g', -1, 64)
 		}
 		if err := cw.Write(rec); err != nil {

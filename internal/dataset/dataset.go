@@ -15,6 +15,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"sync/atomic"
 
 	"qens/internal/geometry"
 	"qens/internal/rng"
@@ -23,10 +25,21 @@ import (
 // Dataset is an in-memory table of float64 samples over named columns.
 // One column is designated as the learning target. The zero value is
 // not usable; construct with New.
+//
+// The samples live in one row-major slice with stride Dims(), and rows
+// are only ever appended: nothing rewrites a stored value, so a View
+// taken earlier keeps reading the rows it saw, and CopyAppend can hand
+// its result the same storage.
 type Dataset struct {
 	columns []string
-	target  int // index into columns
-	rows    [][]float64
+	target  int       // index into columns
+	data    []float64 // row i is data[i*Dims() : (i+1)*Dims()]
+	// end is shared by every dataset over data's backing array: the
+	// length of its longest claimed prefix. A dataset writes past its
+	// own length only after claiming the space with a CompareAndSwap
+	// from its length, so two datasets grown from one parent never
+	// write the same spare capacity.
+	end *atomic.Int64
 }
 
 // Common errors returned by dataset operations.
@@ -72,6 +85,15 @@ func MustNew(columns []string, target string) *Dataset {
 
 // Append adds a sample row. The row is copied.
 func (d *Dataset) Append(row []float64) error {
+	if err := d.checkRow(row); err != nil {
+		return err
+	}
+	d.appendValues(row)
+	return nil
+}
+
+// checkRow reports a row that does not fit the schema.
+func (d *Dataset) checkRow(row []float64) error {
 	if len(row) != len(d.columns) {
 		return fmt.Errorf("%w: got %d values for %d columns", ErrRowWidth, len(row), len(d.columns))
 	}
@@ -80,8 +102,20 @@ func (d *Dataset) Append(row []float64) error {
 			return fmt.Errorf("dataset: non-finite value %v in column %q", v, d.columns[i])
 		}
 	}
-	d.rows = append(d.rows, append([]float64(nil), row...))
 	return nil
+}
+
+// appendValues appends whole rows of values, writing into the backing
+// array's spare capacity when d claims it and into a grown copy
+// otherwise.
+func (d *Dataset) appendValues(vals []float64) {
+	n := len(d.data)
+	if d.end == nil || cap(d.data)-n < len(vals) || !d.end.CompareAndSwap(int64(n), int64(n+len(vals))) {
+		d.data = slices.Grow(d.data[:n:n], len(vals))
+		d.end = new(atomic.Int64)
+		d.end.Store(int64(n + len(vals)))
+	}
+	d.data = append(d.data, vals...)
 }
 
 // MustAppend is Append that panics on error.
@@ -92,7 +126,7 @@ func (d *Dataset) MustAppend(row []float64) {
 }
 
 // Len returns the number of samples m.
-func (d *Dataset) Len() int { return len(d.rows) }
+func (d *Dataset) Len() int { return len(d.data) / len(d.columns) }
 
 // Dims returns the number of columns (the paper's d, joint space).
 func (d *Dataset) Dims() int { return len(d.columns) }
@@ -113,13 +147,25 @@ func (d *Dataset) ColumnIndex(name string) int {
 	return -1
 }
 
-// Row returns sample i. The slice aliases internal storage; callers
-// must not mutate it.
-func (d *Dataset) Row(i int) []float64 { return d.rows[i] }
+// Row returns sample i. The slice aliases internal storage, capped at
+// the row's end so an append to it cannot reach the next row; callers
+// must not write to it.
+func (d *Dataset) Row(i int) []float64 { return row(d.data, len(d.columns), i) }
 
-// Rows returns all samples. The outer slice is a copy, the rows alias
-// internal storage.
-func (d *Dataset) Rows() [][]float64 { return append([][]float64(nil), d.rows...) }
+// row returns row i of the row-major data with the given stride.
+func row(data []float64, stride, i int) []float64 {
+	return data[i*stride : (i+1)*stride : (i+1)*stride]
+}
+
+// Rows returns all samples as row slices aliasing internal storage, as
+// Row returns them.
+func (d *Dataset) Rows() [][]float64 {
+	out := make([][]float64, d.Len())
+	for i := range out {
+		out[i] = d.Row(i)
+	}
+	return out
+}
 
 // Column returns a copy of the values of the named column.
 func (d *Dataset) Column(name string) ([]float64, error) {
@@ -127,20 +173,17 @@ func (d *Dataset) Column(name string) ([]float64, error) {
 	if idx < 0 {
 		return nil, fmt.Errorf("%w: %q", ErrColumnUnknown, name)
 	}
-	out := make([]float64, len(d.rows))
-	for i, r := range d.rows {
-		out[i] = r[idx]
+	out := make([]float64, d.Len())
+	for i := range out {
+		out[i] = d.data[i*len(d.columns)+idx]
 	}
 	return out, nil
 }
 
 // Clone returns a deep copy of the dataset.
 func (d *Dataset) Clone() *Dataset {
-	out := &Dataset{columns: append([]string(nil), d.columns...), target: d.target}
-	out.rows = make([][]float64, len(d.rows))
-	for i, r := range d.rows {
-		out.rows[i] = append([]float64(nil), r...)
-	}
+	out := d.Empty()
+	out.data = append([]float64(nil), d.data...)
 	return out
 }
 
@@ -167,22 +210,14 @@ func (d *Dataset) Merge(other *Dataset) error {
 	if !d.SameSchema(other) {
 		return errors.New("dataset: merge with different schema")
 	}
-	for _, r := range other.rows {
-		d.rows = append(d.rows, append([]float64(nil), r...))
-	}
+	d.appendValues(other.data)
 	return nil
 }
 
 // SubsetCopy returns a new dataset containing the rows at the given
-// indices, deep-copied — the pre-view behaviour, kept for callers
-// that go on to mutate the result.
+// indices, copied, for callers that go on to mutate the result.
 func (d *Dataset) SubsetCopy(indices []int) *Dataset {
-	out := d.Empty()
-	out.rows = make([][]float64, 0, len(indices))
-	for _, i := range indices {
-		out.rows = append(out.rows, append([]float64(nil), d.rows[i]...))
-	}
-	return out
+	return d.ViewOf(indices).Materialize()
 }
 
 // CopyAppend returns a new dataset whose rows are d's current rows
@@ -191,13 +226,14 @@ func (d *Dataset) SubsetCopy(indices []int) *Dataset {
 // what makes copy-on-write ingestion safe while concurrent readers
 // hold views over the old dataset.
 func (d *Dataset) CopyAppend(rows [][]float64) (*Dataset, error) {
-	out := &Dataset{columns: append([]string(nil), d.columns...), target: d.target}
-	out.rows = make([][]float64, len(d.rows), len(d.rows)+len(rows))
-	copy(out.rows, d.rows)
 	for i, r := range rows {
-		if err := out.Append(r); err != nil {
+		if err := d.checkRow(r); err != nil {
 			return nil, fmt.Errorf("dataset: append row %d: %w", i, err)
 		}
+	}
+	out := &Dataset{columns: d.columns, target: d.target, data: d.data, end: d.end}
+	for _, r := range rows {
+		out.appendValues(r)
 	}
 	return out, nil
 }
@@ -205,7 +241,7 @@ func (d *Dataset) CopyAppend(rows [][]float64) (*Dataset, error) {
 // Bounds returns the tight bounding rectangle of all samples in the
 // joint data space, and ok=false when the dataset is empty.
 func (d *Dataset) Bounds() (geometry.Rect, bool) {
-	return geometry.BoundingRect(d.rows)
+	return geometry.BoundingRect(d.Rows())
 }
 
 // FilterInRect returns a zero-copy view over the samples falling
@@ -215,8 +251,8 @@ func (d *Dataset) Bounds() (geometry.Rect, bool) {
 // FilterInRectCopy (or View.Materialize).
 func (d *Dataset) FilterInRect(rect geometry.Rect) View {
 	indices := []int{} // non-nil: an empty match must not become the identity view
-	for i, r := range d.rows {
-		if rect.Contains(r) {
+	for i := range d.Len() {
+		if rect.Contains(d.Row(i)) {
 			indices = append(indices, i)
 		}
 	}
@@ -229,25 +265,6 @@ func (d *Dataset) FilterInRectCopy(rect geometry.Rect) *Dataset {
 	return d.FilterInRect(rect).Materialize()
 }
 
-// XY splits the samples into a feature matrix X (every column except
-// the target) and target vector Y, both copied.
-func (d *Dataset) XY() (x [][]float64, y []float64) {
-	x = make([][]float64, len(d.rows))
-	y = make([]float64, len(d.rows))
-	for i, r := range d.rows {
-		xi := make([]float64, 0, len(r)-1)
-		for j, v := range r {
-			if j == d.target {
-				y[i] = v
-				continue
-			}
-			xi = append(xi, v)
-		}
-		x[i] = xi
-	}
-	return x, y
-}
-
 // Split partitions the dataset into train and test subsets with the
 // given test fraction in [0, 1), shuffling with src. The split is
 // deterministic for a given source.
@@ -255,7 +272,7 @@ func (d *Dataset) Split(testFraction float64, src *rng.Source) (train, test *Dat
 	if testFraction < 0 || testFraction >= 1 {
 		panic(fmt.Sprintf("dataset: invalid test fraction %v", testFraction))
 	}
-	n := len(d.rows)
+	n := d.Len()
 	perm := src.Perm(n)
 	nTest := int(math.Round(float64(n) * testFraction))
 	test = d.SubsetCopy(perm[:nTest])
@@ -271,7 +288,7 @@ func (d *Dataset) SplitTemporal(testFraction float64) (train, test *Dataset) {
 	if testFraction < 0 || testFraction >= 1 {
 		panic(fmt.Sprintf("dataset: invalid test fraction %v", testFraction))
 	}
-	n := len(d.rows)
+	n := d.Len()
 	cut := n - int(math.Round(float64(n)*testFraction))
 	trainIdx := make([]int, cut)
 	for i := range trainIdx {
@@ -286,5 +303,5 @@ func (d *Dataset) SplitTemporal(testFraction float64) (train, test *Dataset) {
 
 // String summarizes the dataset.
 func (d *Dataset) String() string {
-	return fmt.Sprintf("Dataset(%d rows, %d cols, target=%s)", len(d.rows), len(d.columns), d.TargetName())
+	return fmt.Sprintf("Dataset(%d rows, %d cols, target=%s)", d.Len(), len(d.columns), d.TargetName())
 }

@@ -86,8 +86,8 @@ func TestXY(t *testing.T) {
 	d := MustNew([]string{"a", "t", "b"}, "t")
 	d.MustAppend([]float64{1, 100, 2})
 	d.MustAppend([]float64{3, 200, 4})
-	x, y := d.XY()
-	if len(x) != 2 || len(x[0]) != 2 || x[0][0] != 1 || x[0][1] != 2 {
+	x, y := d.View().XY()
+	if len(x) != 2 || len(x[0]) != 2 || x[0][0] != 1 || x[0][1] != 2 || x[1][0] != 3 || x[1][1] != 4 {
 		t.Fatalf("X = %v", x)
 	}
 	if y[0] != 100 || y[1] != 200 {

@@ -255,7 +255,7 @@ func (d *Dataset) CorruptTarget(src *rng.Source) (*Dataset, error) {
 	out := d.Clone()
 	ti := out.TargetIndex()
 	for i := 0; i < out.Len(); i++ {
-		out.rows[i][ti] = src.Uniform(lo, hi)
+		out.data[i*out.Dims()+ti] = src.Uniform(lo, hi)
 	}
 	return out, nil
 }
@@ -276,7 +276,8 @@ func (d *Dataset) Project(columns []string, target string) (*Dataset, error) {
 		return nil, err
 	}
 	row := make([]float64, len(columns))
-	for _, r := range d.rows {
+	for i := range d.Len() {
+		r := d.Row(i)
 		for j, idx := range indices {
 			row[j] = r[idx]
 		}

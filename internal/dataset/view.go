@@ -1,25 +1,21 @@
 package dataset
 
-import (
-	"context"
-	"fmt"
-)
-
-// View is a zero-copy, read-only window over a dataset: an index
-// slice into the dataset's row storage. Constructing a view copies no
-// sample data — only (at most) the index slice — which makes it the
-// right currency for the per-query training inner loop: a node trains
-// over the supporting clusters only (paper §IV, Eq. 3–4), and each
-// cluster is already a materialized index slice.
+// View is a zero-copy, read-only window over a dataset: the dataset's
+// row-major storage, an optional index into it, the row stride and the
+// target column. Constructing a view copies no sample data — only (at
+// most) the index slice — which makes it the one input a model trains
+// and predicts on (internal/ml): a node trains over the supporting
+// clusters only (paper §IV, Eq. 3–4), and each cluster is already a
+// materialized index slice.
 //
-// A View pins the row-slice header at construction time: rows later
+// A View pins the storage's length at construction time: rows later
 // appended to the parent dataset are invisible to the view, and the
 // view stays readable even while the parent is replaced wholesale
 // (the engine's epoch-pinned snapshots rely on this). Views must
 // never mutate row contents; callers that need to mutate use
 // Materialize (or the *Copy dataset variants) instead.
 type View struct {
-	rows    [][]float64
+	data    []float64
 	indices []int // nil means the identity view over all rows
 	dims    int
 	target  int
@@ -28,7 +24,7 @@ type View struct {
 
 // View returns the zero-copy identity view over all current rows.
 func (d *Dataset) View() View {
-	return View{rows: d.rows, dims: len(d.columns), target: d.target, schema: d}
+	return View{data: d.data, dims: len(d.columns), target: d.target, schema: d}
 }
 
 // ViewOf returns the zero-copy view over the rows at the given
@@ -40,19 +36,34 @@ func (d *Dataset) ViewOf(indices []int) View {
 	if indices == nil {
 		indices = []int{}
 	}
-	return View{rows: d.rows, indices: indices, dims: len(d.columns), target: d.target, schema: d}
+	return View{data: d.data, indices: indices, dims: len(d.columns), target: d.target, schema: d}
+}
+
+// Select returns the view over v's rows at the given positions, in
+// their order. The positions are translated into a new index slice;
+// pos itself is not kept.
+func (v View) Select(pos []int) View {
+	indices := make([]int, len(pos))
+	for k, p := range pos {
+		indices[k] = v.Index(p)
+	}
+	v.indices = indices
+	return v
 }
 
 // Len returns the number of samples in the view.
 func (v View) Len() int {
-	if v.indices != nil {
+	if v.indices != nil || v.dims == 0 { // the zero View is empty
 		return len(v.indices)
 	}
-	return len(v.rows)
+	return len(v.data) / v.dims
 }
 
 // FeatureDims returns the number of non-target columns.
 func (v View) FeatureDims() int { return v.dims - 1 }
+
+// TargetIndex returns the index of the target column within a row.
+func (v View) TargetIndex() int { return v.target }
 
 // Index returns the underlying dataset row index of view position i.
 func (v View) Index(i int) int {
@@ -62,104 +73,38 @@ func (v View) Index(i int) int {
 	return i
 }
 
-// Row returns sample i of the view. The slice aliases dataset
-// storage; callers must not mutate it.
-func (v View) Row(i int) []float64 { return v.rows[v.Index(i)] }
+// Row returns sample i of the view, the whole joint-space row with
+// the target in column TargetIndex(). The slice aliases dataset
+// storage, capped at the row's end; callers must not write to it.
+func (v View) Row(i int) []float64 { return row(v.data, v.dims, v.Index(i)) }
+
+// Target returns the target value of sample i.
+func (v View) Target(i int) float64 { return v.data[v.Index(i)*v.dims+v.target] }
 
 // XY splits the viewed samples into a copied feature matrix and
-// target vector, mirroring Dataset.XY.
+// target vector.
 func (v View) XY() (x [][]float64, y []float64) {
-	n := v.Len()
+	n, fd := v.Len(), v.FeatureDims()
 	x = make([][]float64, n)
 	y = make([]float64, n)
-	flat := make([]float64, n*v.FeatureDims())
-	for i := 0; i < n; i++ {
-		xi := flat[i*v.FeatureDims() : (i+1)*v.FeatureDims()]
-		v.splitRow(v.Row(i), xi, &y[i])
-		x[i] = xi
+	flat := make([]float64, 0, n*fd)
+	for i := range x {
+		r := v.Row(i)
+		start := len(flat)
+		flat = append(append(flat, r[:v.target]...), r[v.target+1:]...)
+		x[i] = flat[start:len(flat):len(flat)]
+		y[i] = r[v.target]
 	}
 	return x, y
-}
-
-// splitRow scatters one joint-space row into a feature slice and the
-// target scalar.
-func (v View) splitRow(row []float64, x []float64, y *float64) {
-	j := 0
-	for c, val := range row {
-		if c == v.target {
-			*y = val
-			continue
-		}
-		x[j] = val
-		j++
-	}
-}
-
-// XYInto fills caller-owned flat buffers with the view's samples: x
-// receives the features row-major with stride FeatureDims(), y the
-// targets. Both are appended onto the given slices' zero-length
-// prefixes, so passing buffers with sufficient capacity makes the
-// call allocation-free; undersized buffers grow transparently. The
-// returned slices are the filled prefixes.
-func (v View) XYInto(x []float64, y []float64) (xs, ys []float64) {
-	n := v.Len()
-	fd := v.FeatureDims()
-	xs = grow(x, n*fd)
-	ys = grow(y, n)
-	for i := 0; i < n; i++ {
-		v.splitRow(v.Row(i), xs[i*fd:(i+1)*fd], &ys[i])
-	}
-	return xs, ys
-}
-
-// grow resizes buf to length n, reusing its capacity when possible.
-func grow(buf []float64, n int) []float64 {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	return make([]float64, n)
-}
-
-// ForEachBatch walks the view in order in chunks of at most batchSize
-// samples, filling the caller-owned flat buffers and invoking fn with
-// the filled prefixes (x row-major with stride FeatureDims(), y the
-// targets). The context is checked before every batch, so arbitrarily
-// large views stay cancellable at batch granularity. fn must not
-// retain the slices across calls.
-func (v View) ForEachBatch(ctx context.Context, batchSize int, x, y []float64, fn func(x, y []float64) error) error {
-	if batchSize < 1 {
-		return fmt.Errorf("dataset: batch size %d < 1", batchSize)
-	}
-	n := v.Len()
-	fd := v.FeatureDims()
-	x = grow(x, batchSize*fd)
-	y = grow(y, batchSize)
-	for start := 0; start < n; start += batchSize {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		end := start + batchSize
-		if end > n {
-			end = n
-		}
-		m := end - start
-		for i := 0; i < m; i++ {
-			v.splitRow(v.Row(start+i), x[i*fd:(i+1)*fd], &y[i])
-		}
-		if err := fn(x[:m*fd], y[:m]); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Materialize copies the viewed samples into a fresh dataset with the
 // view's schema — the escape hatch for callers that need to mutate.
 func (v View) Materialize() *Dataset {
 	out := v.schema.Empty()
-	out.rows = make([][]float64, v.Len())
-	for i := range out.rows {
-		out.rows[i] = append([]float64(nil), v.Row(i)...)
+	out.data = make([]float64, 0, v.Len()*v.dims)
+	for i := range v.Len() {
+		out.data = append(out.data, v.Row(i)...)
 	}
 	return out
 }

@@ -1,8 +1,7 @@
 package dataset
 
 import (
-	"context"
-	"errors"
+	"sync"
 	"testing"
 
 	"qens/internal/geometry"
@@ -53,66 +52,44 @@ func TestViewOfNilIsEmpty(t *testing.T) {
 	}
 }
 
+// TestViewXYMatchesDatasetXY: a view's XY splits each row it views
+// into the row's non-target columns, in order, and its target, and
+// the feature slices are capped so an append to one cannot write into
+// the next.
 func TestViewXYMatchesDatasetXY(t *testing.T) {
-	d := viewFixture(t)
-	wantX, wantY := d.XY()
-	gotX, gotY := d.View().XY()
-	for i := range wantY {
-		if gotY[i] != wantY[i] {
-			t.Fatalf("y[%d] = %v want %v", i, gotY[i], wantY[i])
+	d := MustNew([]string{"a", "y", "b"}, "y")
+	for _, r := range [][]float64{{1, 10, 2}, {3, 30, 4}, {5, 50, 6}} {
+		d.MustAppend(r)
+	}
+	for _, v := range []View{d.View(), d.ViewOf([]int{2, 0})} {
+		x, y := v.XY()
+		for i := range y {
+			row := v.Row(i)
+			if y[i] != row[1] || len(x[i]) != 2 || x[i][0] != row[0] || x[i][1] != row[2] {
+				t.Fatalf("view row %d = %v split into x %v, y %v", i, row, x[i], y[i])
+			}
 		}
-		for j := range wantX[i] {
-			if gotX[i][j] != wantX[i][j] {
-				t.Fatalf("x[%d][%d] = %v want %v", i, j, gotX[i][j], wantX[i][j])
+		if len(x) > 1 {
+			_ = append(x[0], -1)
+			if x[1][0] == -1 {
+				t.Fatal("an append to one feature slice overwrote the next")
 			}
 		}
 	}
 }
 
-func TestViewXYIntoReusesBuffers(t *testing.T) {
+// TestRowIsCapped: an append to a row, from the dataset or a view,
+// cannot overwrite the next row of the shared storage.
+func TestRowIsCapped(t *testing.T) {
 	d := viewFixture(t)
-	v := d.ViewOf([]int{1, 3})
-	x, y := v.XYInto(nil, nil)
-	if len(x) != 4 || len(y) != 2 {
-		t.Fatalf("flat lens %d/%d", len(x), len(y))
-	}
-	if x[0] != 2 || x[1] != 20 || y[0] != 200 || x[2] != 4 || y[1] != 400 {
-		t.Fatalf("flat contents %v / %v", x, y)
-	}
-	// Re-filling with the returned buffers must not allocate.
-	allocs := testing.AllocsPerRun(100, func() {
-		x, y = v.XYInto(x[:0], y[:0])
-	})
-	if allocs != 0 {
-		t.Fatalf("XYInto with warm buffers allocates %v per run", allocs)
-	}
-}
-
-func TestViewForEachBatch(t *testing.T) {
-	d := viewFixture(t)
-	v := d.View()
-	var got []float64
-	var batches int
-	err := v.ForEachBatch(context.Background(), 2, nil, nil, func(x, y []float64) error {
-		batches++
-		got = append(got, y...)
-		if len(x) != len(y)*v.FeatureDims() {
-			t.Fatalf("batch stride mismatch: %d x for %d y", len(x), len(y))
+	for _, row := range [][]float64{d.Row(1), d.View().Row(1), d.ViewOf([]int{1}).Row(0), d.Rows()[1]} {
+		if cap(row) != len(row) {
+			t.Fatalf("row has cap %d beyond its %d values", cap(row), len(row))
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if batches != 3 || len(got) != 5 || got[0] != 100 || got[4] != 500 {
-		t.Fatalf("batches=%d got=%v", batches, got)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	err = v.ForEachBatch(ctx, 2, nil, nil, func(x, y []float64) error { return nil })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled ForEachBatch = %v", err)
+		_ = append(row, -1, -1, -1)
+		if d.Row(2)[0] != 3 {
+			t.Fatalf("an append to row 1 overwrote row 2: %v", d.Row(2))
+		}
 	}
 }
 
@@ -187,5 +164,52 @@ func TestCopyAppendIsCopyOnWrite(t *testing.T) {
 	}
 	if _, err := d.CopyAppend([][]float64{{1, 2}}); err == nil {
 		t.Fatal("CopyAppend accepted a short row")
+	}
+}
+
+// TestCopyAppendSuccessorsDoNotCollide: successors grown from one
+// parent, concurrently and in turn, each keep their own new rows,
+// although all of them share the parent's storage and its spare
+// capacity; the parent and a view over it see none of them.
+func TestCopyAppendSuccessorsDoNotCollide(t *testing.T) {
+	d := viewFixture(t)
+	for i := 0; i < 30; i++ {
+		d.MustAppend([]float64{9, 9, 9})
+	}
+	if cap(d.data)-len(d.data) < 6 {
+		t.Fatalf("the fixture leaves %d values of spare capacity, want room for two rows", cap(d.data)-len(d.data))
+	}
+	v := d.View()
+	const n = 8
+	succ := make([]*Dataset, n)
+	var wg sync.WaitGroup
+	for g := 0; g < n; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			next, err := d.CopyAppend([][]float64{{float64(g), 1, 1}, {float64(g), 2, 2}})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			succ[g] = next
+		}(g)
+	}
+	wg.Wait()
+	// One more successor of the first, grown after the others.
+	last, err := succ[0].CopyAppend([][]float64{{-1, -1, -1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for g, s := range succ {
+		if s.Len() != d.Len()+2 || s.Row(d.Len())[0] != float64(g) || s.Row(d.Len() + 1)[2] != 2 {
+			t.Fatalf("successor %d holds %v, %v after its parent's rows", g, s.Row(d.Len()), s.Row(d.Len()+1))
+		}
+	}
+	if last.Len() != d.Len()+3 || last.Row(d.Len())[0] != 0 || last.Row(d.Len() + 2)[0] != -1 {
+		t.Fatalf("the successor's successor holds %v", last.Rows()[d.Len():])
+	}
+	if d.Len() != 35 || v.Len() != 35 || v.Row(34)[0] != 9 {
+		t.Fatalf("the parent grew to %d rows, its view to %d", d.Len(), v.Len())
 	}
 }

@@ -66,10 +66,11 @@ func (s *benchState) initialParams(b *testing.B) ml.Params {
 	return m.Params()
 }
 
-// legacyTrain reproduces the pre-engine request path: build a fresh
-// model, materialize every supporting cluster into a copied dataset,
-// split it into [][]float64, and PartialFit — the copy baseline the
-// view path is measured against.
+// legacyTrain reproduces the pre-engine request path's copies: build a
+// fresh model, materialize every supporting cluster into a copied
+// dataset, split it into per-row feature slices and targets, rebuild a
+// dataset from them, and fit — the copy baseline the view path is
+// measured against.
 func legacyTrain(spec ml.Spec, seed uint64, params ml.Params, quant *cluster.Quantization, clusters []int, epochs int) (ml.Params, error) {
 	spec.Seed = seed
 	model, err := spec.New()
@@ -89,8 +90,13 @@ func legacyTrain(spec ml.Spec, seed uint64, params ml.Params, quant *cluster.Qua
 		if cd.Len() == 0 {
 			continue
 		}
-		x, y := cd.XY()
-		if err := model.PartialFit(x, y, epochs); err != nil {
+		rebuilt, t := cd.Empty(), cd.TargetIndex()
+		for i := range cd.Len() {
+			row := cd.Row(i)
+			x := append(append(make([]float64, 0, len(row)-1), row[:t]...), row[t+1:]...)
+			rebuilt.MustAppend(append(append(append(make([]float64, 0, len(row)), x[:t]...), row[t]), x[t:]...))
+		}
+		if err := model.PartialFit(context.Background(), rebuilt.View(), epochs); err != nil {
 			return ml.Params{}, err
 		}
 	}
@@ -102,9 +108,9 @@ func legacyTrain(spec ml.Spec, seed uint64, params ml.Params, quant *cluster.Qua
 // count x shard size, on two paths:
 //
 //   - view: the engine path — pooled model (Reinit), zero-copy
-//     cluster views staged into pooled flat buffers, PartialFitBatch.
+//     cluster views fitted where their rows lie.
 //   - copy: the pre-engine path — fresh model, materialized cluster
-//     datasets, [][]float64 PartialFit.
+//     datasets split per row and rebuilt, then fitted.
 //
 // Both paths perform bit-identical training arithmetic (see
 // TestEngineTrainGoldenEquivalence), so the delta is pure data-plane
@@ -133,7 +139,7 @@ func BenchmarkNodeTrain(b *testing.B) {
 						e := New(Config{NodeID: "bench", Parallelism: 1, Registry: &telemetry.Registry{}},
 							state.data, state.quant)
 						job := TrainJob{Spec: state.spec, Seed: 1, Params: params, Clusters: state.all, Epochs: ep}
-						if _, err := e.Train(ctx, job); err != nil { // warm pool + buffers
+						if _, err := e.Train(ctx, job); err != nil { // warm the pool
 							b.Fatal(err)
 						}
 						b.ReportAllocs()
@@ -160,11 +166,10 @@ func BenchmarkNodeTrain(b *testing.B) {
 }
 
 // BenchmarkNodeTrainClusterAccess isolates the per-cluster data plane
-// of the LR training loop at steady state: zero-copy view -> flat
-// staging buffers -> PartialFitBatch on a warmed model. This is the
-// allocation contract the engine refactor exists to provide; the
-// train gate of scripts/benchgate fails if it reports a nonzero
-// allocs/op.
+// of the LR training loop at steady state: zero-copy cluster view ->
+// PartialFit on a warmed model. This is the allocation contract the
+// engine exists to provide; the train gate of scripts/benchgate fails
+// if it reports a nonzero allocs/op.
 func BenchmarkNodeTrainClusterAccess(b *testing.B) {
 	ctx := context.Background()
 	state := buildBenchState(b, "lr", 8, 10000)
@@ -174,30 +179,23 @@ func BenchmarkNodeTrainClusterAccess(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var bufX, bufY []float64
-	// Warm the scratch: one pass over every cluster grows the model's
-	// internal buffers and the staging slices to their high-water mark.
-	for _, c := range state.all {
+	fit := func(c int) {
 		view, err := state.quant.ClusterView(c)
 		if err != nil {
 			b.Fatal(err)
 		}
-		bufX, bufY = view.XYInto(bufX[:0], bufY[:0])
-		if err := model.PartialFitBatch(ctx, bufX, bufY, 1); err != nil {
+		if err := model.PartialFit(ctx, view, 1); err != nil {
 			b.Fatal(err)
 		}
+	}
+	// Warm the scratch: one pass over every cluster grows the model's
+	// internal buffers to their high-water mark.
+	for _, c := range state.all {
+		fit(c)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := state.all[i%len(state.all)]
-		view, err := state.quant.ClusterView(c)
-		if err != nil {
-			b.Fatal(err)
-		}
-		bufX, bufY = view.XYInto(bufX[:0], bufY[:0])
-		if err := model.PartialFitBatch(ctx, bufX, bufY, 1); err != nil {
-			b.Fatal(err)
-		}
+		fit(state.all[i%len(state.all)])
 	}
 }

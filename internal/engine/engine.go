@@ -20,12 +20,12 @@
 //
 //   - Allocation-free steady state. Models are pooled per spec
 //     fingerprint and re-initialized in place (ml.Model.Reinit), and
-//     cluster data reaches the trainer as flat rows staged once per
-//     snapshot: its first cluster Train copies every cluster through
-//     its zero-copy view (dataset.View.XYInto) into slices the
-//     snapshot owns, and every job pinned to it hands them straight to
-//     PartialFitBatch. The whole-data path and Evaluate stream through
-//     pooled flat buffers instead. No job materializes [][]float64.
+//     data reaches the model as a zero-copy view of the snapshot's
+//     one row store: a cluster Train hands each supporting cluster's
+//     view (its member index over the dataset) straight to
+//     ml.Model.PartialFit, which reads the rows where they lie. No job
+//     copies a row, and a warm train job allocates only the Params it
+//     returns.
 package engine
 
 import (
@@ -44,9 +44,7 @@ import (
 // Snapshot is one immutable generation of a node's local state: the
 // dataset, its quantization, and the advertisement epoch they belong
 // to. Jobs pin a snapshot at admission; mutators never modify a
-// published snapshot, they publish a successor. The one thing filled
-// in after publication is the snapshot's own staged copy of its
-// cluster rows, written once (sync.Once) and read-only after.
+// published snapshot, they publish a successor.
 type Snapshot struct {
 	// Data is the node's local dataset at this epoch. Its rows are
 	// never mutated in place after publication (mutators go through
@@ -57,43 +55,6 @@ type Snapshot struct {
 	// Epoch is the advertisement version: 1 for the initial state,
 	// bumped by every successful Mutate.
 	Epoch uint64
-
-	// staged is every cluster's flat (x, y), built by the snapshot's
-	// first cluster Train (see clusterXY) and read by every later one.
-	staged struct {
-		once sync.Once
-		x, y []float64
-		off  []int // cluster k's rows are [off[k], off[k+1])
-	}
-}
-
-// clusterXY returns cluster k's samples as flat row-major features
-// and targets, the same values in the same order View.XYInto stages
-// from Quant.ClusterView(k). The first call stages every cluster at
-// once into one pair of slices owned by the snapshot; later calls, from
-// any job pinned to it, slice them. Callers must not write to them.
-func (s *Snapshot) clusterXY(k int) (x, y []float64, err error) {
-	st := &s.staged
-	st.once.Do(func() {
-		clusters := s.Quant.Result.Clusters
-		st.off = make([]int, len(clusters)+1)
-		for i, c := range clusters {
-			st.off[i+1] = st.off[i] + len(c.Members)
-		}
-		fd := s.Quant.Data.Dims() - 1
-		st.x, st.y = make([]float64, st.off[len(clusters)]*fd), make([]float64, st.off[len(clusters)])
-		for i := range clusters {
-			view, _ := s.Quant.ClusterView(i)
-			view.XYInto(st.x[st.off[i]*fd:st.off[i+1]*fd], st.y[st.off[i]:st.off[i+1]])
-		}
-	})
-	if k < 0 || k >= len(st.off)-1 {
-		_, err = s.Quant.ClusterView(k) // the quantization's out-of-range error
-		return nil, nil, err
-	}
-	fd := s.Quant.Data.Dims() - 1
-	lo, hi := st.off[k], st.off[k+1]
-	return st.x[lo*fd : hi*fd], st.y[lo:hi], nil
 }
 
 // Config parameterizes an Engine.
@@ -106,9 +67,6 @@ type Config struct {
 	// Registry receives the engine's metrics; nil means
 	// telemetry.Default().
 	Registry *telemetry.Registry
-	// EvalBatch is the mini-batch size used when streaming evaluation
-	// data through pooled buffers. Zero means 512.
-	EvalBatch int
 }
 
 // Engine executes training and evaluation jobs over epoch-pinned
@@ -129,8 +87,7 @@ type Engine struct {
 	watchers []epochWatcher
 	watchSeq uint64
 
-	pool    modelPool
-	buffers sync.Pool // *Buffers
+	pool modelPool
 
 	inflight atomic.Int64
 	metrics  engineMetrics
@@ -153,9 +110,6 @@ type engineMetrics struct {
 func New(cfg Config, data *dataset.Dataset, quant *cluster.Quantization) *Engine {
 	if cfg.Parallelism < 1 {
 		cfg.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	if cfg.EvalBatch < 1 {
-		cfg.EvalBatch = 512
 	}
 	reg := cfg.Registry
 	if reg == nil {
@@ -183,7 +137,6 @@ func New(cfg Config, data *dataset.Dataset, quant *cluster.Quantization) *Engine
 		},
 	}
 	e.pool.init(cfg.Parallelism)
-	e.buffers.New = func() any { return &Buffers{} }
 	e.snap.Store(&Snapshot{Data: data, Quant: quant, Epoch: 1})
 	e.metrics.epochGauge.Set(1)
 	return e
@@ -321,23 +274,4 @@ func (e *Engine) acquire(ctx context.Context) (wait time.Duration, err error) {
 func (e *Engine) release() {
 	e.metrics.inflight.Set(float64(e.inflight.Add(-1)))
 	<-e.sem
-}
-
-// Buffers is the pooled per-job working memory of the paths that do
-// not read a snapshot's staged cluster rows: flat feature/target
-// staging for the whole-data Train and Evaluate, and a prediction
-// buffer for evaluation. Slices only ever grow, so a warmed pool makes
-// those paths allocation-free.
-type Buffers struct {
-	X    []float64
-	Y    []float64
-	Pred []float64
-}
-
-// getBuffers checks a buffer set out of the pool.
-func (e *Engine) getBuffers() *Buffers { return e.buffers.Get().(*Buffers) }
-
-// putBuffers returns a buffer set, keeping the grown capacity.
-func (e *Engine) putBuffers(b *Buffers) {
-	e.buffers.Put(b)
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"qens/internal/federation"
+	"qens/internal/ml"
 	"qens/internal/selection"
 )
 
@@ -211,14 +212,7 @@ func AblationAggregation(opts Options) (*AblationResult, error) {
 		if sub.Len() == 0 {
 			continue
 		}
-		x, y := sub.XY()
-		pred := model.PredictBatch(x)
-		mse := 0.0
-		for i := range y {
-			d := y[i] - pred[i]
-			mse += d * d
-		}
-		total += mse / float64(len(y))
+		total += ml.Loss(model, sub)
 		executed++
 	}
 	if executed > 0 {

@@ -107,7 +107,6 @@ func Drift(opts Options) (*DriftResult, error) {
 		}
 
 		out := &DriftResult{QueryID: q.ID}
-		tx, ty := test.XY()
 		evalLoss := func(p ml.Params) (float64, error) {
 			m, err := spec.New()
 			if err != nil {
@@ -116,7 +115,7 @@ func Drift(opts Options) (*DriftResult, error) {
 			if err := m.SetParams(p); err != nil {
 				return 0, err
 			}
-			return ml.MSE(ty, m.PredictBatch(tx)), nil
+			return ml.Loss(m, test), nil
 		}
 
 		// Query-driven path: ranked nodes, supporting clusters only.

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"qens/internal/dataset"
 	"qens/internal/ml"
 )
 
@@ -15,14 +16,12 @@ func trainedParams(t *testing.T, slope float64, seed uint64) ml.Params {
 	spec := ml.PaperLR(1)
 	spec.Seed = seed
 	m := spec.MustNew()
-	var x [][]float64
-	var y []float64
+	d := dataset.MustNew([]string{"x", "y"}, "y")
 	for i := 0; i < 200; i++ {
 		xv := float64(i%40) - 20
-		x = append(x, []float64{xv})
-		y = append(y, slope*xv)
+		d.MustAppend([]float64{xv, slope * xv})
 	}
-	if err := m.Fit(x, y); err != nil {
+	if err := m.Fit(d.View()); err != nil {
 		t.Fatal(err)
 	}
 	return m.Params()

@@ -59,9 +59,9 @@ func goldenWorkload(d *dataset.Dataset, k int) []goldenOp {
 
 // legacyNode reimplements the pre-engine Node request path with its
 // own RNG: one Int63 draw per request, fresh model per request,
-// materialized cluster data, [][]float64 PartialFit, PredictBatch +
-// ml.MSE evaluation. It is the bit-exact reference the engine-backed
-// Node is replayed against.
+// materialized copies of the cluster or whole data, PartialFit on
+// each copy, PredictBatch + ml.MSE evaluation. It is the bit-exact
+// reference the engine-backed Node is replayed against.
 type legacyNode struct {
 	data  *dataset.Dataset
 	quant *cluster.Quantization
@@ -88,8 +88,7 @@ func (n *legacyNode) train(spec ml.Spec, params ml.Params, clusters []int, epoch
 		return ml.Params{}, err
 	}
 	if len(clusters) == 0 {
-		x, y := n.data.XY()
-		if err := model.PartialFit(x, y, epochs); err != nil {
+		if err := model.PartialFit(context.Background(), n.data.Clone().View(), epochs); err != nil {
 			return ml.Params{}, err
 		}
 		return model.Params(), nil
@@ -102,8 +101,7 @@ func (n *legacyNode) train(spec ml.Spec, params ml.Params, clusters []int, epoch
 		if cd.Len() == 0 {
 			continue
 		}
-		x, y := cd.XY()
-		if err := model.PartialFit(x, y, epochs); err != nil {
+		if err := model.PartialFit(context.Background(), cd.View(), epochs); err != nil {
 			return ml.Params{}, err
 		}
 	}
@@ -115,8 +113,9 @@ func (n *legacyNode) evaluate(spec ml.Spec, params ml.Params) (float64, int, err
 	if err != nil {
 		return 0, 0, err
 	}
-	x, y := n.data.XY()
-	return ml.MSE(y, model.PredictBatch(x)), n.data.Len(), nil
+	cp := n.data.Clone().View()
+	_, y := cp.XY()
+	return ml.MSE(y, model.PredictBatch(cp)), cp.Len(), nil
 }
 
 // TestEngineTrainGoldenEquivalence replays a seeded 200-request

@@ -303,8 +303,7 @@ func (l *Leader) warmupParams() (ml.Params, error) {
 	if err != nil {
 		return ml.Params{}, err
 	}
-	x, y := l.data.XY()
-	if err := model.Fit(x, y); err != nil {
+	if err := model.Fit(l.data.View()); err != nil {
 		return ml.Params{}, fmt.Errorf("federation: warm-up fit: %w", err)
 	}
 	p := model.Params()
@@ -341,18 +340,6 @@ func (l *Leader) evaluateWarmup(ctx context.Context, nodeID string) (float64, er
 	// training responses, so pre-test scoring doubles as a drift probe.
 	l.reg.SignalNodeEpoch(nodeID, resp.SummaryEpoch)
 	return resp.MSE, nil
-}
-
-// selectionContext binds the selector dependencies to one query's
-// context, so pre-test evaluations issued during selection honor the
-// query's deadline.
-func (l *Leader) selectionContext(ctx context.Context) *selection.Context {
-	return &selection.Context{
-		RNG: l.src,
-		Evaluate: func(nodeID string) (float64, error) {
-			return l.evaluateWarmup(ctx, nodeID)
-		},
-	}
 }
 
 // PreTest runs the §II heterogeneity pre-test across all participants.
@@ -441,12 +428,20 @@ func (l *Leader) plan(ctx context.Context, qspan *telemetry.SpanHandle, q query.
 	if err != nil {
 		return nil, err
 	}
+	// Only a stochastic or pre-testing selector reads the selector
+	// dependencies; the pre-test's evaluations honor the query's ctx.
+	var sctx *selection.Context
+	if !selection.Deterministic(sel) {
+		sctx = &selection.Context{RNG: l.src, Evaluate: func(nodeID string) (float64, error) {
+			return l.evaluateWarmup(ctx, nodeID)
+		}}
+	}
 	span := qspan.Child("selection")
 	var pl *plan.Plan
 	if explain {
-		pl, err = l.planner.ExplainOn(snap, q, sel, l.selectionContext(ctx))
+		pl, err = l.planner.ExplainOn(snap, q, sel, sctx)
 	} else {
-		pl, err = l.planner.PlanOn(snap, q, sel, l.selectionContext(ctx))
+		pl, err = l.planner.PlanOn(snap, q, sel, sctx)
 	}
 	span.End(err)
 	if err != nil {

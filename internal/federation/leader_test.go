@@ -466,8 +466,10 @@ func TestCaptureTrainingBoundsSizedOnce(t *testing.T) {
 // bit-identical, so Reinit is shown to reset the optimizer state, the
 // running statistics and the generator a fit leaves behind.
 func TestInitialModelMatchesSpecNew(t *testing.T) {
-	x := [][]float64{{1, 2}, {3, -1}, {0.5, 4}, {-2, 1}, {7, 3}, {2, 2}}
-	y := []float64{3, 1, 5, -1, 11, 4}
+	data := dataset.MustNew([]string{"x0", "x1", "y"}, "y")
+	for _, row := range [][]float64{{1, 2, 3}, {3, -1, 1}, {0.5, 4, 5}, {-2, 1, -1}, {7, 3, 11}, {2, 2, 4}} {
+		data.MustAppend(row)
+	}
 	differ := func(got, want ml.Params) string {
 		if got.Kind != want.Kind || !reflect.DeepEqual(got.Dims, want.Dims) || len(got.Values) != len(want.Values) {
 			return fmt.Sprintf("%s %v ×%d against %s %v ×%d", got.Kind, got.Dims, len(got.Values), want.Kind, want.Dims, len(want.Values))
@@ -507,11 +509,11 @@ func TestInitialModelMatchesSpecNew(t *testing.T) {
 			}
 			for _, m := range pooled {
 				drawn := differ(m.Params(), got) == ""
-				if err := m.PartialFit(x, y, 3); err != nil {
+				if err := m.PartialFit(context.Background(), data.View(), 3); err != nil {
 					t.Fatal(err)
 				}
 				if drawn {
-					if err := fresh.PartialFit(x, y, 3); err != nil {
+					if err := fresh.PartialFit(context.Background(), data.View(), 3); err != nil {
 						t.Fatal(err)
 					}
 					if d := differ(m.Params(), fresh.Params()); d != "" {

@@ -234,8 +234,7 @@ type TrainRequest struct {
 // field omitted when empty.
 type NodeSpan struct {
 	// Name identifies the phase: "node.queue" (engine admission
-	// wait), "node.stage" (cluster staging), "node.fit" (model
-	// compute).
+	// wait) or "node.fit" (model compute).
 	Name string `json:"name"`
 	// StartUnixNS is the phase start as Unix nanoseconds on the
 	// node's clock.
@@ -251,16 +250,14 @@ func (s NodeSpan) Start() time.Time { return time.Unix(0, s.StartUnixNS) }
 func (s NodeSpan) End() time.Time { return time.Unix(0, s.StartUnixNS+s.DurationNS) }
 
 // phaseSpans converts an engine phase report into the piggybacked
-// span list. The queue span starts at admission; stage and fit are
-// laid out sequentially after it, which matches how the engine
-// actually interleaves them closely enough for attribution (their
-// durations are exact; only their ordering within the slot is
-// flattened).
+// span list. The queue span starts at admission and the fit span is
+// laid out right after it: both durations are exact; only the short
+// gaps between the fits of successive clusters are left out.
 func phaseSpans(p engine.Phases) []NodeSpan {
 	if p.QueuedAt.IsZero() {
 		return nil
 	}
-	out := make([]NodeSpan, 0, 3)
+	out := make([]NodeSpan, 0, 2)
 	cursor := p.QueuedAt
 	add := func(name string, d time.Duration) {
 		if d <= 0 {
@@ -270,7 +267,6 @@ func phaseSpans(p engine.Phases) []NodeSpan {
 		cursor = cursor.Add(d)
 	}
 	add("node.queue", p.Queue)
-	add("node.stage", p.Stage)
 	add("node.fit", p.Fit)
 	return out
 }

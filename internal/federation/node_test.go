@@ -139,8 +139,7 @@ func TestNodeTrainContinuesFromParams(t *testing.T) {
 	if err := m.SetParams(r2.Params); err != nil {
 		t.Fatal(err)
 	}
-	x, y := d.XY()
-	if mse := ml.MSE(y, m.PredictBatch(x)); mse > 2 {
+	if mse := ml.Loss(m, d.View()); mse > 2 {
 		t.Fatalf("two-round training MSE %v", mse)
 	}
 }

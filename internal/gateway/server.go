@@ -401,17 +401,20 @@ func buildAggregation(name string) (federation.Aggregation, error) {
 	}
 }
 
-// timeoutFor resolves the request's execution budget: timeout_ms
-// and/or an absolute RFC3339 deadline, capped at MaxTimeout. ok=false
-// with a zero duration means the deadline already passed.
-func (s *Server) timeoutFor(req queryRequest, now time.Time) (time.Duration, bool, error) {
+// deadlineFor resolves the query's one deadline from timeout_ms
+// and/or an absolute RFC3339 deadline, capped at MaxTimeout. A bad
+// value is a 400; a deadline already past is a 504 with the context
+// error, exactly as a late cancellation would end the query. Either is
+// written to w, and ok is false.
+func (s *Server) deadlineFor(w http.ResponseWriter, req queryRequest, q query.Query, now time.Time) (deadline time.Time, ok bool) {
 	timeout := s.cfg.DefaultTimeout
 	if timeout == 0 {
 		timeout = 30 * time.Second
 	}
 	if req.TimeoutMS != 0 {
 		if req.TimeoutMS < 0 {
-			return 0, false, fmt.Errorf("timeout_ms %d is negative", req.TimeoutMS)
+			writeError(w, http.StatusBadRequest, "timeout_ms %d is negative", req.TimeoutMS)
+			return deadline, false
 		}
 		// Capped before scaling: a huge timeout_ms overflows Duration.
 		timeout = s.cfg.MaxTimeout
@@ -422,19 +425,18 @@ func (s *Server) timeoutFor(req queryRequest, now time.Time) (time.Duration, boo
 	if req.Deadline != "" {
 		abs, err := time.Parse(time.RFC3339, req.Deadline)
 		if err != nil {
-			return 0, false, fmt.Errorf("bad deadline %q: %v", req.Deadline, err)
+			writeError(w, http.StatusBadRequest, "bad deadline %q: %v", req.Deadline, err)
+			return deadline, false
 		}
 		if until := abs.Sub(now); until < timeout {
 			timeout = until
 		}
 	}
 	if timeout <= 0 {
-		return 0, false, nil
+		writeError(w, http.StatusGatewayTimeout, "query %s: %v", q.ID, context.DeadlineExceeded)
+		return deadline, false
 	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	return timeout, true, nil
+	return now.Add(min(timeout, s.cfg.MaxTimeout)), true
 }
 
 // parseQuery decodes a /v1/query or /v1/plan body: a malformed body,
@@ -484,22 +486,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	now := time.Now()
-	timeout, alive, err := s.timeoutFor(req, now)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if !alive {
-		// The deadline expired before admission: fail promptly with
-		// the context error, exactly as a late cancellation would.
-		writeError(w, http.StatusGatewayTimeout, "query %s: %v", q.ID, context.DeadlineExceeded)
+	deadline, ok := s.deadlineFor(w, req, q, now)
+	if !ok {
 		return
 	}
 
 	// The query's one deadline bounds admission: resolving the fleet's
 	// dims and planning (a stale registry's summary pull, a region's
 	// plan RPCs), then the scheduler.
-	deadline := now.Add(timeout)
 	planCtx := newPlanContext(r.Context(), deadline)
 	defer planCtx.release() // on every path; planning's end releases it first
 	if !s.dimsMatch(planCtx, w, q) {
@@ -675,11 +669,20 @@ type rankJSON struct {
 // selection) and reports what the leader would train, without touching
 // a node.
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
-	_, q, sel, ok := s.parseQuery(w, r, "plan-")
-	if !ok || !s.dimsMatch(r.Context(), w, q) {
+	req, q, sel, ok := s.parseQuery(w, r, "plan-")
+	if !ok {
 		return
 	}
-	ex, err := s.srv.ExplainQuery(r.Context(), q, sel)
+	deadline, ok := s.deadlineFor(w, req, q, time.Now())
+	if !ok {
+		return
+	}
+	ctx := newPlanContext(r.Context(), deadline) // as /v1/query plans
+	defer ctx.release()
+	if !s.dimsMatch(ctx, w, q) {
+		return
+	}
+	ex, err := s.srv.ExplainQuery(ctx, q, sel)
 	if err != nil {
 		writeServingError(w, q.ID, err)
 		return

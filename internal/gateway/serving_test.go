@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -716,14 +717,25 @@ func (c stallingClient) SummaryIfChanged(ctx context.Context, known uint64) (clu
 // costs a query its timeout_ms, not the client's dial timeout.
 func TestAdmissionPlanUnderQueryDeadline(t *testing.T) {
 	const body = `{"bounds":{"min":[-1,-1],"max":[31,11]},"selector":"query-driven","top_l":4,"timeout_ms":200}`
+	// Both endpoints plan under the body's deadline; the client gives
+	// up long after it, so a plan that ignores it fails, not hangs.
+	client := &http.Client{Timeout: 5 * time.Second}
 	answersInBudget := func(t *testing.T, url string) {
 		t.Helper()
-		start := time.Now()
-		if code, doc, _ := postQuery(t, url, body); code != http.StatusGatewayTimeout {
-			t.Fatalf("stalled plan: %d %v, want 504", code, doc)
-		}
-		if elapsed := time.Since(start); elapsed > time.Second {
-			t.Fatalf("stalled plan answered after %v, want about the 200ms budget", elapsed)
+		for _, path := range []string{"/v1/query", "/v1/plan"} {
+			start := time.Now()
+			resp, err := client.Post(url+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatalf("stalled %s: %v", path, err)
+			}
+			raw, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusGatewayTimeout {
+				t.Fatalf("stalled %s: %d %s, want 504", path, resp.StatusCode, raw)
+			}
+			if elapsed := time.Since(start); elapsed > time.Second {
+				t.Fatalf("stalled %s answered after %v, want about the 200ms budget", path, elapsed)
+			}
 		}
 	}
 	t.Run("router", func(t *testing.T) {

@@ -92,28 +92,6 @@ func (m *Dense) Fill(v float64) {
 // Zero sets every element to 0.
 func (m *Dense) Zero() { m.Fill(0) }
 
-// Mul returns a * b. It panics with ErrShape on dimension mismatch.
-func Mul(a, b *Dense) *Dense {
-	if a.cols != b.rows {
-		panic(ErrShape)
-	}
-	out := NewDense(a.rows, b.cols)
-	for i := 0; i < a.rows; i++ {
-		arow := a.data[i*a.cols : (i+1)*a.cols]
-		orow := out.data[i*out.cols : (i+1)*out.cols]
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.data[k*b.cols : (k+1)*b.cols]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
-	return out
-}
-
 // MulInto computes dst = a * b, reusing dst's storage. dst must be
 // a.rows x b.cols and must not alias a or b.
 func MulInto(dst, a, b *Dense) {

@@ -49,6 +49,13 @@ func Add(a, b *Dense) *Dense {
 	return out
 }
 
+// mul returns a * b in a fresh matrix.
+func mul(a, b *Dense) *Dense {
+	out := NewDense(a.Rows(), b.Cols())
+	MulInto(out, a, b)
+	return out
+}
+
 func TestNewDenseZero(t *testing.T) {
 	m := NewDense(3, 4)
 	if m.Rows() != 3 || m.Cols() != 4 {
@@ -128,7 +135,7 @@ func TestFromRowsRaggedPanics(t *testing.T) {
 func TestMul(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {3, 4}})
 	b := FromRows([][]float64{{5, 6}, {7, 8}})
-	got := Mul(a, b)
+	got := mul(a, b)
 	want := FromRows([][]float64{{19, 22}, {43, 50}})
 	if !Equal(got, want, 1e-12) {
 		t.Fatalf("Mul = %v, want %v", got, want)
@@ -138,7 +145,7 @@ func TestMul(t *testing.T) {
 func TestMulIdentity(t *testing.T) {
 	a := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	id := FromRows([][]float64{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}})
-	if !Equal(Mul(a, id), a, 0) {
+	if !Equal(mul(a, id), a, 0) {
 		t.Fatal("a * I != a")
 	}
 }
@@ -149,7 +156,7 @@ func TestMulShapePanics(t *testing.T) {
 			t.Fatal("expected shape panic")
 		}
 	}()
-	Mul(NewDense(2, 3), NewDense(2, 3))
+	MulInto(NewDense(2, 3), NewDense(2, 3), NewDense(2, 3))
 }
 
 func TestMulInto(t *testing.T) {
@@ -180,7 +187,7 @@ func TestMulTransA(t *testing.T) {
 	b := FromRows([][]float64{{1, 0}, {0, 1}, {1, 1}})
 	got := NewDense(2, 2)
 	MulTransAInto(got, a, b)
-	want := Mul(a.T(), b)
+	want := mul(a.T(), b)
 	if !Equal(got, want, 1e-12) {
 		t.Fatalf("MulTransAInto = %v, want %v", got, want)
 	}
@@ -191,7 +198,7 @@ func TestMulTransB(t *testing.T) {
 	b := FromRows([][]float64{{1, 1, 1}, {2, 0, 2}})
 	got := NewDense(2, 2)
 	MulTransBInto(got, a, b)
-	want := Mul(a, b.T())
+	want := mul(a, b.T())
 	if !Equal(got, want, 1e-12) {
 		t.Fatalf("MulTransBInto = %v, want %v", got, want)
 	}
@@ -244,8 +251,8 @@ func TestMulDistributesOverAdd(t *testing.T) {
 		a := randomMatrix(seed, 3, 4)
 		b := randomMatrix(seed+1, 4, 2)
 		c := randomMatrix(seed+2, 4, 2)
-		left := Mul(a, Add(b, c))
-		right := Add(Mul(a, b), Mul(a, c))
+		left := mul(a, Add(b, c))
+		right := Add(mul(a, b), mul(a, c))
 		return Equal(left, right, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -258,7 +265,7 @@ func TestMulTransposeIdentity(t *testing.T) {
 	f := func(seed int64) bool {
 		a := randomMatrix(seed, 3, 5)
 		b := randomMatrix(seed+7, 5, 2)
-		return Equal(Mul(a, b).T(), Mul(b.T(), a.T()), 1e-9)
+		return Equal(mul(a, b).T(), mul(b.T(), a.T()), 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

@@ -21,10 +21,10 @@ func TestActivationsLearn(t *testing.T) {
 		spec := Spec{Kind: KindNN, InputDim: 1, Hidden: []int{32}, LearningRate: 0.005,
 			Epochs: 120, Optimizer: "adam", Activation: act, Seed: 5}
 		m := spec.MustNew()
-		if err := m.Fit(x, y); err != nil {
+		if err := m.Fit(xyView(x, y)); err != nil {
 			t.Fatalf("%s: %v", act, err)
 		}
-		if r2 := R2(y, m.PredictBatch(x)); r2 < 0.85 {
+		if r2 := R2(y, m.PredictBatch(xyView(x, nil))); r2 < 0.85 {
 			t.Errorf("%s: R2 = %v, want > 0.85", act, r2)
 		}
 	}
@@ -44,10 +44,10 @@ func TestLinearActivationCannotFitSquare(t *testing.T) {
 	spec := Spec{Kind: KindNN, InputDim: 1, Hidden: []int{32}, LearningRate: 0.005,
 		Epochs: 80, Optimizer: "adam", Activation: ActivationLinear, Seed: 5}
 	m := spec.MustNew()
-	if err := m.Fit(x, y); err != nil {
+	if err := m.Fit(xyView(x, y)); err != nil {
 		t.Fatal(err)
 	}
-	if r2 := R2(y, m.PredictBatch(x)); r2 > 0.3 {
+	if r2 := R2(y, m.PredictBatch(xyView(x, nil))); r2 > 0.3 {
 		t.Fatalf("linear activation fit x^2 with R2 %v — nonlinearity is leaking", r2)
 	}
 }
@@ -64,13 +64,13 @@ func TestL2ShrinksWeights(t *testing.T) {
 	base := PaperLR(1)
 	base.Seed = 9
 	unreg := base.MustNew()
-	if err := unreg.Fit(x, y); err != nil {
+	if err := unreg.Fit(xyView(x, y)); err != nil {
 		t.Fatal(err)
 	}
 	reg := base
 	reg.L2 = 5 // heavy decay
 	regM := reg.MustNew()
-	if err := regM.Fit(x, y); err != nil {
+	if err := regM.Fit(xyView(x, y)); err != nil {
 		t.Fatal(err)
 	}
 	// Compare the learned (standardized-space) weight magnitude.
@@ -90,7 +90,7 @@ func TestEarlyStopping(t *testing.T) {
 	spec.Epochs = 100
 	spec.Patience = 3
 	m := spec.MustNew()
-	if err := m.Fit(x, y); err != nil {
+	if err := m.Fit(xyView(x, y)); err != nil {
 		t.Fatal(err)
 	}
 	h := m.History()
@@ -146,10 +146,10 @@ func TestLRDecayStabilizes(t *testing.T) {
 	decayed := Spec{Kind: KindLinear, InputDim: 1, LearningRate: 0.5,
 		Epochs: 80, LRDecay: 0.93, Seed: 4}
 	m := decayed.MustNew()
-	if err := m.Fit(x, y); err != nil {
+	if err := m.Fit(xyView(x, y)); err != nil {
 		t.Fatal(err)
 	}
-	if r2 := R2(y, m.PredictBatch(x)); r2 < 0.95 {
+	if r2 := R2(y, m.PredictBatch(xyView(x, nil))); r2 < 0.95 {
 		t.Fatalf("decayed run R2 = %v", r2)
 	}
 	// And decay must actually shrink the optimizer step: final-epoch

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"qens/internal/dataset"
 	"qens/internal/rng"
 )
 
@@ -22,16 +23,15 @@ type linear struct {
 	history History
 
 	// scratch holds reusable fit buffers (permutation, residuals,
-	// gradient, flattened params, normalized input, the standardized
-	// batch and per-feature std) so the steady-state training loop
-	// performs zero allocations. Lazily sized; makes the model unsafe
-	// for concurrent use (see Model docs).
+	// gradient, flattened params, the standardized batch and
+	// per-feature std) so the steady-state training loop performs zero
+	// allocations. Lazily sized; makes the model unsafe for concurrent
+	// use (see Model docs).
 	scratch struct {
 		perm   []int
 		res    []float64 // one mini-batch's 2·residuals
 		grad   []float64
 		params []float64
-		xn     []float64
 		sd     []float64
 		xs     []float64 // standardized rows, stride InputDim
 		ys     []float64 // standardized targets
@@ -59,24 +59,21 @@ func (m *linear) initWeights() {
 }
 
 // Fit trains for the configured epochs with a validation split.
-func (m *linear) Fit(x [][]float64, y []float64) error {
-	if err := checkXY(x, y, m.spec.InputDim); err != nil {
+func (m *linear) Fit(v dataset.View) error {
+	if err := checkView(v, m.spec.InputDim); err != nil {
 		return err
 	}
 	m.history = History{}
-	tx, ty, vx, vy := splitTrainVal(x, y, m.spec.ValidationSplit, m.src)
-	if len(tx) == 0 {
-		tx, ty = x, y
-	}
-	m.stats.observe(tx, ty)
-	xs, ys := m.standardize(tx, nil, ty)
+	train, val := splitTrainVal(v, m.spec.ValidationSplit, m.src)
+	m.stats.observe(train)
+	xs, ys := m.standardize(train)
 	for epoch := 0; epoch < m.spec.Epochs; epoch++ {
 		if err := m.runEpoch(context.Background(), xs, ys); err != nil {
 			return err
 		}
-		m.history.TrainLoss = append(m.history.TrainLoss, MSE(ty, m.PredictBatch(tx)))
-		if len(vx) > 0 {
-			m.history.ValLoss = append(m.history.ValLoss, MSE(vy, m.PredictBatch(vx)))
+		m.history.TrainLoss = append(m.history.TrainLoss, Loss(m, train))
+		if val.Len() > 0 {
+			m.history.ValLoss = append(m.history.ValLoss, Loss(m, val))
 		}
 		if stopEarly(m.history.ValLoss, m.spec.Patience) {
 			break
@@ -87,40 +84,15 @@ func (m *linear) Fit(x [][]float64, y []float64) error {
 }
 
 // PartialFit continues training on a batch without resetting weights.
-func (m *linear) PartialFit(x [][]float64, y []float64, epochs int) error {
-	return m.PartialFitContext(context.Background(), x, y, epochs)
-}
-
-// PartialFitContext is PartialFit with cancellation at mini-batch
-// boundaries.
-func (m *linear) PartialFitContext(ctx context.Context, x [][]float64, y []float64, epochs int) error {
-	if err := checkXY(x, y, m.spec.InputDim); err != nil {
+func (m *linear) PartialFit(ctx context.Context, v dataset.View, epochs int) error {
+	if err := checkView(v, m.spec.InputDim); err != nil {
 		return err
 	}
-	return m.partialFit(ctx, x, nil, y, epochs)
-}
-
-// PartialFitBatch is the flat, zero-copy training path: x is
-// row-major with stride InputDim. Bit-exact with PartialFit over the
-// equivalent [][]float64 batch.
-func (m *linear) PartialFitBatch(ctx context.Context, x []float64, y []float64, epochs int) error {
-	if err := checkFlatXY(x, y, m.spec.InputDim); err != nil {
-		return err
-	}
-	return m.partialFit(ctx, nil, x, y, epochs)
-}
-
-// partialFit drives epochs over either data representation.
-func (m *linear) partialFit(ctx context.Context, x2 [][]float64, xf []float64, y []float64, epochs int) error {
 	if epochs < 1 {
 		return fmt.Errorf("ml: partial fit epochs %d < 1", epochs)
 	}
-	if x2 != nil {
-		m.stats.observe(x2, y)
-	} else {
-		m.stats.observeFlat(xf, y, m.spec.InputDim)
-	}
-	xs, ys := m.standardize(x2, xf, y)
+	m.stats.observe(v)
+	xs, ys := m.standardize(v)
 	for e := 0; e < epochs; e++ {
 		if err := m.runEpoch(ctx, xs, ys); err != nil {
 			return err
@@ -142,19 +114,18 @@ func (m *linear) ensureScratch(n int) {
 		m.scratch.res = make([]float64, m.spec.BatchSize)
 		m.scratch.grad = make([]float64, d+1)
 		m.scratch.params = make([]float64, d+1)
-		m.scratch.xn = make([]float64, d)
 		m.scratch.sd = make([]float64, d)
 	}
 }
 
-// standardize writes the batch, standardized with the current
+// standardize writes the view's rows, standardized with the current
 // statistics, into model scratch as flat row-major features and
 // targets, which every epoch of the fit then reads: the statistics
 // stay fixed for the rest of the fit, so each feature's std (a Sqrt)
 // is worked out once per call. Each value is the subtract-then-divide
 // normX/normY compute, so the rows are bit-identical to theirs.
-func (m *linear) standardize(x2 [][]float64, xf []float64, y []float64) (xs, ys []float64) {
-	n, d := len(y), m.spec.InputDim
+func (m *linear) standardize(v dataset.View) (xs, ys []float64) {
+	n, d, t := v.Len(), m.spec.InputDim, v.TargetIndex()
 	m.ensureScratch(n)
 	sd := m.scratch.sd
 	for j := range sd {
@@ -163,11 +134,15 @@ func (m *linear) standardize(x2 [][]float64, xf []float64, y []float64) (xs, ys 
 	yMean, ySD := m.stats.yMean, m.stats.yStd()
 	xs, ys = m.scratch.xs[:n*d], m.scratch.ys[:n]
 	for i := range ys {
-		out := xs[i*d : (i+1)*d]
-		for j, v := range rowAt(x2, xf, d, i) {
-			out[j] = (v - m.stats.mean[j]) / sd[j]
+		row, out, j := v.Row(i), xs[i*d:(i+1)*d], 0
+		for c, x := range row {
+			if c == t {
+				continue
+			}
+			out[j] = (x - m.stats.mean[j]) / sd[j]
+			j++
 		}
-		ys[i] = (y[i] - yMean) / ySD
+		ys[i] = (row[t] - yMean) / ySD
 	}
 	return xs, ys
 }
@@ -230,48 +205,34 @@ func (m *linear) runEpoch(ctx context.Context, xs, ys []float64) error {
 	return nil
 }
 
-// Predict returns the raw-scale prediction for one input, standardizing
-// each feature as it scores it: the arithmetic of normX then
-// predictNormed, without a buffer, so concurrent calls share nothing.
-func (m *linear) Predict(x []float64) float64 {
-	out := m.bias
-	for j, v := range x {
+// Predict returns the raw-scale prediction for one input.
+func (m *linear) Predict(x []float64) float64 { return m.predict(x, -1) }
+
+// predict scores the features of row — every column but skip —
+// standardizing each as it scores it: the arithmetic of normX then the
+// weighted sum, without a buffer, so concurrent calls share nothing.
+func (m *linear) predict(row []float64, skip int) float64 {
+	out, j := m.bias, 0
+	for c, v := range row {
+		if c == skip {
+			continue
+		}
 		out += m.weights[j] * ((v - m.stats.mean[j]) / m.stats.std(j))
+		j++
 	}
 	return m.stats.denormY(out)
 }
 
-// predictNormed scores one standardized input.
-func (m *linear) predictNormed(xn []float64) float64 {
-	out := m.bias
-	for j, w := range m.weights {
-		out += w * xn[j]
+// PredictBatch returns raw-scale predictions for every row of v.
+func (m *linear) PredictBatch(v dataset.View) []float64 {
+	if err := checkWidth(v, m.spec.InputDim); err != nil {
+		panic(err)
 	}
-	return m.stats.denormY(out)
-}
-
-// PredictBatch returns raw-scale predictions for many inputs.
-func (m *linear) PredictBatch(x [][]float64) []float64 {
-	out := make([]float64, len(x))
-	for i, row := range x {
-		out[i] = m.Predict(row)
+	out := make([]float64, v.Len())
+	for i := range out {
+		out[i] = m.predict(v.Row(i), v.TargetIndex())
 	}
 	return out
-}
-
-// PredictFlat writes raw-scale predictions for the flat row-major
-// input buffer into out, allocation-free at steady state.
-func (m *linear) PredictFlat(x []float64, out []float64) {
-	d := m.spec.InputDim
-	if len(x) != len(out)*d {
-		panic(fmt.Sprintf("ml: flat predict length %d != %d samples x %d features", len(x), len(out), d))
-	}
-	m.ensureScratch(0)
-	xn := m.scratch.xn
-	for i := range out {
-		m.stats.normX(xn, x[i*d:(i+1)*d])
-		out[i] = m.predictNormed(xn)
-	}
 }
 
 // Reinit re-seeds and re-initializes the model in place (see Model).

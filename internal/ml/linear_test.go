@@ -1,11 +1,40 @@
 package ml
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"testing"
 
+	"qens/internal/dataset"
 	"qens/internal/rng"
 )
+
+// xyView is the identity view over a dataset whose rows are x's with
+// y appended as the target column; a nil y gives zero targets, for
+// views that are only predicted on.
+func xyView(x [][]float64, y []float64) dataset.View {
+	d := 1
+	if len(x) > 0 {
+		d = len(x[0])
+	}
+	cols := make([]string, d+1)
+	for j := range cols {
+		cols[j] = fmt.Sprintf("x%d", j)
+	}
+	cols[d] = "y"
+	ds := dataset.MustNew(cols, "y")
+	row := make([]float64, d+1)
+	for i, xi := range x {
+		copy(row, xi)
+		row[d] = 0
+		if y != nil {
+			row[d] = y[i]
+		}
+		ds.MustAppend(row)
+	}
+	return ds.View()
+}
 
 // syntheticLinear draws y = slope*x + intercept + noise.
 func syntheticLinear(n int, slope, intercept, noise float64, seed uint64) (x [][]float64, y []float64) {
@@ -21,7 +50,7 @@ func syntheticLinear(n int, slope, intercept, noise float64, seed uint64) (x [][
 func TestLinearLearnsLine(t *testing.T) {
 	x, y := syntheticLinear(500, 2.5, -7, 0.5, 1)
 	m := PaperLR(1).MustNew()
-	if err := m.Fit(x, y); err != nil {
+	if err := m.Fit(xyView(x, y)); err != nil {
 		t.Fatal(err)
 	}
 	// Check predictions at known points.
@@ -46,10 +75,10 @@ func TestLinearMultiFeature(t *testing.T) {
 	spec := PaperLR(2)
 	spec.Epochs = 200
 	m := spec.MustNew()
-	if err := m.Fit(x, y); err != nil {
+	if err := m.Fit(xyView(x, y)); err != nil {
 		t.Fatal(err)
 	}
-	pred := m.PredictBatch(x)
+	pred := m.PredictBatch(xyView(x, nil))
 	if r2 := R2(y, pred); r2 < 0.97 {
 		t.Fatalf("R2 = %v, want > 0.97", r2)
 	}
@@ -58,7 +87,7 @@ func TestLinearMultiFeature(t *testing.T) {
 func TestLinearHistory(t *testing.T) {
 	x, y := syntheticLinear(200, 1, 0, 0.1, 3)
 	m := PaperLR(1).MustNew()
-	if err := m.Fit(x, y); err != nil {
+	if err := m.Fit(xyView(x, y)); err != nil {
 		t.Fatal(err)
 	}
 	h := m.History()
@@ -79,10 +108,10 @@ func TestLinearPartialFitIncremental(t *testing.T) {
 	x1, y1 := syntheticLinear(300, 2, 5, 0.3, 4)
 	x2, y2 := syntheticLinear(300, 2, 5, 0.3, 5)
 	m := PaperLR(1).MustNew()
-	if err := m.PartialFit(x1, y1, 60); err != nil {
+	if err := m.PartialFit(context.Background(), xyView(x1, y1), 60); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.PartialFit(x2, y2, 60); err != nil {
+	if err := m.PartialFit(context.Background(), xyView(x2, y2), 60); err != nil {
 		t.Fatal(err)
 	}
 	got := m.Predict([]float64{10})
@@ -93,16 +122,13 @@ func TestLinearPartialFitIncremental(t *testing.T) {
 
 func TestLinearErrors(t *testing.T) {
 	m := PaperLR(2).MustNew()
-	if err := m.Fit(nil, nil); err == nil {
+	if err := m.Fit(xyView([][]float64{}, nil)); err == nil {
 		t.Fatal("fit accepted empty batch")
 	}
-	if err := m.Fit([][]float64{{1}}, []float64{1}); err == nil {
+	if err := m.Fit(xyView([][]float64{{1}}, []float64{1})); err == nil {
 		t.Fatal("fit accepted wrong width")
 	}
-	if err := m.Fit([][]float64{{1, 2}}, []float64{1, 2}); err == nil {
-		t.Fatal("fit accepted length mismatch")
-	}
-	if err := m.PartialFit([][]float64{{1, 2}}, []float64{1}, 0); err == nil {
+	if err := m.PartialFit(context.Background(), xyView([][]float64{{1, 2}}, []float64{1}), 0); err == nil {
 		t.Fatal("partial fit accepted zero epochs")
 	}
 }
@@ -110,7 +136,7 @@ func TestLinearErrors(t *testing.T) {
 func TestLinearParamsRoundTrip(t *testing.T) {
 	x, y := syntheticLinear(300, -1.5, 3, 0.2, 6)
 	m := PaperLR(1).MustNew()
-	if err := m.Fit(x, y); err != nil {
+	if err := m.Fit(xyView(x, y)); err != nil {
 		t.Fatal(err)
 	}
 	p := m.Params()
@@ -141,14 +167,14 @@ func TestLinearSetParamsIncompatible(t *testing.T) {
 func TestLinearCloneIndependent(t *testing.T) {
 	x, y := syntheticLinear(200, 1, 1, 0.1, 7)
 	m := PaperLR(1).MustNew()
-	if err := m.Fit(x, y); err != nil {
+	if err := m.Fit(xyView(x, y)); err != nil {
 		t.Fatal(err)
 	}
 	c := m.Clone()
 	before := m.Predict([]float64{5})
 	// Training the clone must not affect the original.
 	x2, y2 := syntheticLinear(200, -10, 0, 0.1, 8)
-	if err := c.PartialFit(x2, y2, 50); err != nil {
+	if err := c.PartialFit(context.Background(), xyView(x2, y2), 50); err != nil {
 		t.Fatal(err)
 	}
 	if after := m.Predict([]float64{5}); after != before {
@@ -162,7 +188,7 @@ func TestLinearDeterministicTraining(t *testing.T) {
 		spec := PaperLR(1)
 		spec.Seed = 42
 		m := spec.MustNew()
-		if err := m.Fit(x, y); err != nil {
+		if err := m.Fit(xyView(x, y)); err != nil {
 			t.Fatal(err)
 		}
 		return m.Predict([]float64{3})
@@ -178,7 +204,7 @@ func TestSGDMatchesOLSOnCleanData(t *testing.T) {
 	spec := PaperLR(1)
 	spec.Epochs = 300
 	m := spec.MustNew()
-	if err := m.Fit(x, y); err != nil {
+	if err := m.Fit(xyView(x, y)); err != nil {
 		t.Fatal(err)
 	}
 	for _, xi := range []float64{-8, 0, 20} {

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"testing"
+
+	"qens/internal/dataset"
 )
 
 // TestAppendFingerprintPinned pins the pool key: AppendFingerprint
@@ -46,9 +48,9 @@ func TestAppendFingerprintPinned(t *testing.T) {
 func TestLoadMatchesNewSetParams(t *testing.T) {
 	for _, spec := range flatSpecs() {
 		spec.Seed = 11
-		x2, xf, y := flatBatch(40, spec.InputDim)
+		x2, y := flatBatch(40, spec.InputDim)
 		trained := spec.MustNew()
-		if err := trained.PartialFit(x2, y, 2); err != nil {
+		if err := trained.PartialFit(context.Background(), xyView(x2, y), 2); err != nil {
 			t.Fatal(err)
 		}
 		p := trained.Params()
@@ -61,13 +63,10 @@ func TestLoadMatchesNewSetParams(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, b := ref.PredictBatch(x2), loaded.PredictBatch(x2)
-		fa, fb := make([]float64, len(y)), make([]float64, len(y))
-		ref.PredictFlat(xf, fa)
-		loaded.PredictFlat(xf, fb)
+		a, b := ref.PredictBatch(xyView(x2, nil)), loaded.PredictBatch(xyView(x2, nil))
 		for i := range a {
-			if a[i] != b[i] || fa[i] != fb[i] || ref.Predict(x2[i]) != loaded.Predict(x2[i]) {
-				t.Fatalf("%s: row %d: loaded predicts %v/%v, New+SetParams %v/%v", spec.Kind, i, b[i], fb[i], a[i], fa[i])
+			if a[i] != b[i] || ref.Predict(x2[i]) != loaded.Predict(x2[i]) {
+				t.Fatalf("%s: row %d: loaded predicts %v, New+SetParams %v", spec.Kind, i, b[i], a[i])
 			}
 		}
 		if pa, pb := ref.Params(), loaded.Params(); !pa.Compatible(pb) {
@@ -93,26 +92,25 @@ func TestLoadMatchesNewSetParams(t *testing.T) {
 }
 
 // pinnedBatch is a deterministic batch for TestLinearFitPinned.
-func pinnedBatch(n, d, off int) (x2 [][]float64, xf []float64, y []float64) {
-	xf = make([]float64, n*d)
-	x2 = make([][]float64, n)
+func pinnedBatch(n, d, off int) (x [][]float64, y []float64) {
+	x = make([][]float64, n)
 	y = make([]float64, n)
-	for i := 0; i < n; i++ {
-		row := xf[i*d : (i+1)*d]
+	for i := range x {
+		row := make([]float64, d)
 		for j := range row {
 			row[j] = float64(((i+off)*7+j*3)%13)*3 - 6 + float64(i)/17
 		}
-		x2[i] = row
+		x[i] = row
 		y[i] = 40*row[0] - row[1] + float64((i+off)%5)
 	}
-	return x2, xf, y
+	return x, y
 }
 
 // TestLinearFitPinned pins the LR kernel's arithmetic to literals
 // produced by the per-epoch standardization (normX/normY on every row
 // of every epoch) that the once-per-fit standardization must match:
-// Fit, and incremental PartialFitBatch calls whose statistics move
-// between calls.
+// Fit, and incremental PartialFit calls whose statistics move between
+// calls.
 func TestLinearFitPinned(t *testing.T) {
 	check := func(name string, got, want []float64) {
 		t.Helper()
@@ -129,8 +127,7 @@ func TestLinearFitPinned(t *testing.T) {
 	spec.Seed = 3
 	spec.Epochs = 4
 	m := spec.MustNew()
-	x2, _, y := pinnedBatch(60, 2, 0)
-	if err := m.Fit(x2, y); err != nil {
+	if err := m.Fit(xyView(pinnedBatch(60, 2, 0))); err != nil {
 		t.Fatal(err)
 	}
 	check("Fit", m.Params().Values, []float64{0.35142013086329627, -0.007940714541446951, 0.005944210068179168, 48, 516.1752450980392, 9.506134480896771e+06, 13.205882352941174, 14.080882352941174, 5939.584775086507, 6216.59948096886})
@@ -138,23 +135,23 @@ func TestLinearFitPinned(t *testing.T) {
 	spec.LRDecay = 0.9
 	m = spec.MustNew()
 	for c := 0; c < 3; c++ {
-		_, xf, y := pinnedBatch(37+c*11, 2, c*5)
-		if err := m.PartialFitBatch(context.Background(), xf, y, 3); err != nil {
+		if err := m.PartialFit(context.Background(), xyView(pinnedBatch(37+c*11, 2, c*5)), 3); err != nil {
 			t.Fatal(err)
 		}
 	}
-	check("PartialFitBatch", m.Params().Values, []float64{0.49671027938995815, -0.06269351460070037, 0.05042785982802899, 144, 523.283905228758, 2.9473927607819125e+07, 13.369281045751633, 13.43178104575164, 18354.286812764323, 18187.724312764323})
+	check("PartialFit", m.Params().Values, []float64{0.49671027938995815, -0.06269351460070037, 0.05042785982802899, 144, 523.283905228758, 2.9473927607819125e+07, 13.369281045751633, 13.43178104575164, 18354.286812764323, 18187.724312764323})
 }
 
 // servingBatch is a deterministic one-feature batch in the serving
 // shape: the benchmark fleet's LR model has one input feature.
-func servingBatch(n, off int) (x, y []float64) {
-	x, y = make([]float64, n), make([]float64, n)
+func servingBatch(n, off int) dataset.View {
+	x, y := make([][]float64, n), make([]float64, n)
 	for i := range x {
-		x[i] = float64(((i+off)*37)%101)/4 - 10 + float64(i)/97
-		y[i] = 3*x[i] + float64((i*13+off)%7) - 3
+		xi := float64(((i+off)*37)%101)/4 - 10 + float64(i)/97
+		x[i] = []float64{xi}
+		y[i] = 3*xi + float64((i*13+off)%7) - 3
 	}
-	return x, y
+	return xyView(x, y)
 }
 
 // TestLinearServingFitPinned pins the LR kernel at the shape a serving
@@ -168,8 +165,7 @@ func TestLinearServingFitPinned(t *testing.T) {
 	spec.Seed = 17
 	m := spec.MustNew()
 	for c, n := range []int{412, 353, 517} {
-		x, y := servingBatch(n, c*29)
-		if err := m.PartialFitBatch(context.Background(), x, y, 5); err != nil {
+		if err := m.PartialFit(context.Background(), servingBatch(n, c*29), 5); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -199,8 +195,7 @@ func TestLinearServingFitPinned(t *testing.T) {
 		spec := PaperLR(3)
 		spec.Seed = 5
 		m := spec.MustNew()
-		_, xf, y := pinnedBatch(c.n, 3, 1)
-		if err := m.PartialFitBatch(context.Background(), xf, y, 2); err != nil {
+		if err := m.PartialFit(context.Background(), xyView(pinnedBatch(c.n, 3, 1)), 2); err != nil {
 			t.Fatal(err)
 		}
 		check(fmt.Sprintf("short fit, %d rows", c.n), m.Params().Values, c.want)

@@ -3,8 +3,11 @@
 // mini-batch gradient training, MSE loss, relu activations, validation
 // splits and the Table III hyper-parameters, plus regression metrics.
 //
-// Models train incrementally (PartialFit) so that a node can feed each
-// supporting cluster as a mini-batch in turn, exactly the incremental
+// Models train and batch-predict on a dataset.View, reading each row
+// in place from the dataset's one row store and skipping its target
+// column, so no sample is copied on the way in. They train
+// incrementally (PartialFit) so that a node can feed each supporting
+// cluster's view as a mini-batch in turn, exactly the incremental
 // per-cluster training loop of §IV-B, and their parameters serialize
 // to flat vectors so local models can travel to the leader.
 package ml
@@ -17,13 +20,16 @@ import (
 	"strconv"
 	"sync"
 
+	"qens/internal/dataset"
 	"qens/internal/rng"
 )
 
 // Model is a trainable regression model.
 //
-// A Model is not safe for concurrent use: the flat-batch methods
-// reuse per-model scratch buffers (gradients, activations,
+// Every train and batch-predict method takes a dataset.View whose
+// feature count is the spec's InputDim; only Predict takes a feature
+// vector. A Model is not safe for concurrent use: training and batch
+// prediction reuse per-model scratch buffers (gradients, activations,
 // permutations) across calls, which is what keeps the training inner
 // loop allocation-free. The node-side engine (internal/engine) hands
 // each in-flight request its own pooled model instance.
@@ -31,33 +37,18 @@ type Model interface {
 	// Fit trains from scratch for the spec's configured number of
 	// epochs, using the spec's validation split for held-out loss
 	// tracking.
-	Fit(x [][]float64, y []float64) error
+	Fit(v dataset.View) error
 	// PartialFit continues training on a batch for the given number
 	// of local epochs without resetting parameters — the paper's
 	// per-cluster incremental step (each supporting cluster is a
-	// mini-batch, §IV-A Remark).
-	PartialFit(x [][]float64, y []float64, epochs int) error
-	// PartialFitContext is PartialFit with cancellation: ctx is
-	// checked at every mini-batch boundary, so a slow fit stops
-	// consuming compute shortly after its deadline expires instead
-	// of outliving it.
-	PartialFitContext(ctx context.Context, x [][]float64, y []float64, epochs int) error
-	// PartialFitBatch is the zero-copy training path: x is a flat
-	// row-major feature buffer with stride InputDim (len(x) ==
-	// len(y)*InputDim), typically filled by dataset.View.XYInto (the
-	// engine stages cluster rows this way once per snapshot; see
-	// internal/engine). The model only reads x and y. Arithmetic is bit-exact with PartialFit over
-	// the equivalent [][]float64 batch. ctx is checked at mini-batch
-	// boundaries.
-	PartialFitBatch(ctx context.Context, x []float64, y []float64, epochs int) error
-	// Predict returns the model output for a single input.
+	// mini-batch, §IV-A Remark). ctx is checked at every mini-batch
+	// boundary, so a slow fit stops consuming compute shortly after
+	// its deadline expires instead of outliving it.
+	PartialFit(ctx context.Context, v dataset.View, epochs int) error
+	// Predict returns the model output for a single feature vector.
 	Predict(x []float64) float64
-	// PredictBatch returns outputs for many inputs.
-	PredictBatch(x [][]float64) []float64
-	// PredictFlat writes predictions for the flat row-major input
-	// buffer (stride InputDim, len(x) == len(out)*InputDim) into
-	// out, reusing model scratch instead of allocating.
-	PredictFlat(x []float64, out []float64)
+	// PredictBatch returns the outputs for every row of v, in order.
+	PredictBatch(v dataset.View) []float64
 	// Params exports the parameters for transport or aggregation.
 	Params() Params
 	// SetParams loads previously exported parameters.
@@ -430,68 +421,50 @@ func (s Spec) AppendFingerprint(dst []byte) []byte {
 	return strconv.AppendInt(append(dst, "|pat="...), int64(s.Patience), 10)
 }
 
-// checkFlatXY validates a flat row-major training batch: len(x) must
-// be len(y)*inputDim.
-func checkFlatXY(x []float64, y []float64, inputDim int) error {
-	if len(y) == 0 {
-		return errors.New("ml: empty training batch")
-	}
-	if len(x) != len(y)*inputDim {
-		return fmt.Errorf("ml: flat batch length %d != %d samples x %d features", len(x), len(y), inputDim)
-	}
-	return nil
-}
-
-// rowAt returns row idx of a design matrix stored either as row
-// slices (x2) or as a flat row-major buffer (xf with stride d).
-// Exactly one of x2/xf is non-nil.
-func rowAt(x2 [][]float64, xf []float64, d, idx int) []float64 {
-	if x2 != nil {
-		return x2[idx]
-	}
-	return xf[idx*d : (idx+1)*d]
-}
-
-// checkXY validates a training batch against the expected input
+// checkView validates a training batch against the expected input
 // dimensionality.
-func checkXY(x [][]float64, y []float64, inputDim int) error {
-	if len(x) == 0 {
+func checkView(v dataset.View, inputDim int) error {
+	if v.Len() == 0 {
 		return errors.New("ml: empty training batch")
 	}
-	if len(x) != len(y) {
-		return fmt.Errorf("ml: %d inputs vs %d targets", len(x), len(y))
-	}
-	for i, row := range x {
-		if len(row) != inputDim {
-			return fmt.Errorf("ml: input %d has %d features, want %d", i, len(row), inputDim)
-		}
+	return checkWidth(v, inputDim)
+}
+
+// checkWidth reports a view whose feature count is not inputDim.
+func checkWidth(v dataset.View, inputDim int) error {
+	if v.FeatureDims() != inputDim {
+		return fmt.Errorf("ml: view has %d features, want %d", v.FeatureDims(), inputDim)
 	}
 	return nil
 }
 
-// splitTrainVal carves a validation tail off a shuffled copy of the
-// batch, matching Keras's validation_split semantics.
-func splitTrainVal(x [][]float64, y []float64, fraction float64, src *rng.Source) (tx [][]float64, ty []float64, vx [][]float64, vy []float64) {
-	n := len(x)
+// splitTrainVal carves a validation part off a shuffle of the batch:
+// the first fraction of the permutation validates, the rest trains,
+// matching Keras's validation_split semantics.
+func splitTrainVal(v dataset.View, fraction float64, src *rng.Source) (train, val dataset.View) {
+	n := v.Len()
 	perm := src.Perm(n)
 	nVal := int(fraction * float64(n))
 	if nVal >= n {
 		nVal = n - 1
 	}
-	tx = make([][]float64, 0, n-nVal)
-	ty = make([]float64, 0, n-nVal)
-	vx = make([][]float64, 0, nVal)
-	vy = make([]float64, 0, nVal)
-	for i, idx := range perm {
-		if i < nVal {
-			vx = append(vx, x[idx])
-			vy = append(vy, y[idx])
-		} else {
-			tx = append(tx, x[idx])
-			ty = append(ty, y[idx])
-		}
+	return v.Select(perm[nVal:]), v.Select(perm[:nVal])
+}
+
+// Loss returns m's mean squared error over the rows of v — the
+// paper's loss metric, summed over the rows in order as MSE sums it.
+// An empty view scores 0.
+func Loss(m Model, v dataset.View) float64 {
+	pred := m.PredictBatch(v)
+	if len(pred) == 0 {
+		return 0
 	}
-	return tx, ty, vx, vy
+	s := 0.0
+	for i, p := range pred {
+		d := v.Target(i) - p
+		s += d * d
+	}
+	return s / float64(len(pred))
 }
 
 // applyDecay is shared by both model families: multiply the

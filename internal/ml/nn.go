@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"qens/internal/dataset"
 	"qens/internal/matrix"
 	"qens/internal/rng"
 )
@@ -43,8 +44,6 @@ type neuralNet struct {
 		target   []float64
 		grad     []float64
 		params   []float64
-		xn       []float64
-		pred     []float64
 	}
 }
 
@@ -108,23 +107,20 @@ func (m *neuralNet) paramCount() int {
 }
 
 // Fit trains for the configured epochs with a validation split.
-func (m *neuralNet) Fit(x [][]float64, y []float64) error {
-	if err := checkXY(x, y, m.spec.InputDim); err != nil {
+func (m *neuralNet) Fit(v dataset.View) error {
+	if err := checkView(v, m.spec.InputDim); err != nil {
 		return err
 	}
 	m.history = History{}
-	tx, ty, vx, vy := splitTrainVal(x, y, m.spec.ValidationSplit, m.src)
-	if len(tx) == 0 {
-		tx, ty = x, y
-	}
-	m.stats.observe(tx, ty)
+	train, val := splitTrainVal(v, m.spec.ValidationSplit, m.src)
+	m.stats.observe(train)
 	for epoch := 0; epoch < m.spec.Epochs; epoch++ {
-		if err := m.runEpoch(context.Background(), tx, nil, ty); err != nil {
+		if err := m.runEpoch(context.Background(), train); err != nil {
 			return err
 		}
-		m.history.TrainLoss = append(m.history.TrainLoss, MSE(ty, m.PredictBatch(tx)))
-		if len(vx) > 0 {
-			m.history.ValLoss = append(m.history.ValLoss, MSE(vy, m.PredictBatch(vx)))
+		m.history.TrainLoss = append(m.history.TrainLoss, Loss(m, train))
+		if val.Len() > 0 {
+			m.history.ValLoss = append(m.history.ValLoss, Loss(m, val))
 		}
 		if stopEarly(m.history.ValLoss, m.spec.Patience) {
 			break
@@ -135,41 +131,16 @@ func (m *neuralNet) Fit(x [][]float64, y []float64) error {
 }
 
 // PartialFit continues training on a batch without resetting weights.
-func (m *neuralNet) PartialFit(x [][]float64, y []float64, epochs int) error {
-	return m.PartialFitContext(context.Background(), x, y, epochs)
-}
-
-// PartialFitContext is PartialFit with cancellation at mini-batch
-// boundaries.
-func (m *neuralNet) PartialFitContext(ctx context.Context, x [][]float64, y []float64, epochs int) error {
-	if err := checkXY(x, y, m.spec.InputDim); err != nil {
+func (m *neuralNet) PartialFit(ctx context.Context, v dataset.View, epochs int) error {
+	if err := checkView(v, m.spec.InputDim); err != nil {
 		return err
 	}
-	return m.partialFit(ctx, x, nil, y, epochs)
-}
-
-// PartialFitBatch is the flat, zero-copy training path: x is
-// row-major with stride InputDim. Bit-exact with PartialFit over the
-// equivalent [][]float64 batch.
-func (m *neuralNet) PartialFitBatch(ctx context.Context, x []float64, y []float64, epochs int) error {
-	if err := checkFlatXY(x, y, m.spec.InputDim); err != nil {
-		return err
-	}
-	return m.partialFit(ctx, nil, x, y, epochs)
-}
-
-// partialFit drives epochs over either data representation.
-func (m *neuralNet) partialFit(ctx context.Context, x2 [][]float64, xf []float64, y []float64, epochs int) error {
 	if epochs < 1 {
 		return fmt.Errorf("ml: partial fit epochs %d < 1", epochs)
 	}
-	if x2 != nil {
-		m.stats.observe(x2, y)
-	} else {
-		m.stats.observeFlat(xf, y, m.spec.InputDim)
-	}
+	m.stats.observe(v)
 	for e := 0; e < epochs; e++ {
-		if err := m.runEpoch(ctx, x2, xf, y); err != nil {
+		if err := m.runEpoch(ctx, v); err != nil {
 			return err
 		}
 		m.applyDecay()
@@ -179,8 +150,8 @@ func (m *neuralNet) partialFit(ctx context.Context, x2 [][]float64, xf []float64
 
 // runEpoch performs one shuffled pass of mini-batch backprop,
 // checking ctx before every mini-batch.
-func (m *neuralNet) runEpoch(ctx context.Context, x2 [][]float64, xf []float64, y []float64) error {
-	n := len(y)
+func (m *neuralNet) runEpoch(ctx context.Context, v dataset.View) error {
+	n := v.Len()
 	if cap(m.scratch.perm) < n {
 		m.scratch.perm = make([]int, n)
 	}
@@ -198,7 +169,7 @@ func (m *neuralNet) runEpoch(ctx context.Context, x2 [][]float64, xf []float64, 
 		if end > n {
 			end = n
 		}
-		m.trainBatch(x2, xf, y, perm[start:end])
+		m.trainBatch(v, perm[start:end])
 	}
 	return nil
 }
@@ -240,26 +211,14 @@ func (m *neuralNet) ensureBatchScratch(nb int) {
 // over its scratch backings, so a mini-batch allocates nothing; the
 // arithmetic (and therefore the result) is bit-exact with the
 // historical allocate-per-batch implementation.
-func (m *neuralNet) trainBatch(x2 [][]float64, xf []float64, y []float64, batch []int) {
+func (m *neuralNet) trainBatch(v dataset.View, batch []int) {
 	n := len(batch)
-	d := m.spec.InputDim
-	acts := m.scratch.acts
-	input := acts[0].SetData(n, d, m.scratch.input[:n*d])
 	target := m.scratch.target[:n]
 	for i, idx := range batch {
-		m.stats.normX(input.Row(i), rowAt(x2, xf, d, idx))
-		target[i] = m.stats.normY(y[idx])
+		target[i] = m.stats.normY(v.Target(idx))
 	}
-
-	// Forward pass, keeping activation outputs per layer.
-	for l, layer := range m.layers {
-		z := acts[l+1].SetData(n, layer.w.Cols(), m.scratch.actBuf[l+1][:n*layer.w.Cols()])
-		matrix.MulInto(z, &acts[l], layer.w)
-		z.AddRowVector(layer.b)
-		if layer.hidden {
-			z.Apply(m.act.fn)
-		}
-	}
+	acts := m.scratch.acts
+	m.forwardBatch(v, batch, 0, n)
 
 	// Output delta: dL/dz = 2(pred - target)/n for MSE.
 	out := &acts[len(m.layers)]
@@ -322,10 +281,35 @@ func (m *neuralNet) trainBatch(x2 [][]float64, xf []float64, y []float64, batch 
 	m.loadParams(params)
 }
 
+// forwardBatch runs the matrix forward pass over n rows of v — rows
+// batch[0:n] when batch is non-nil, else rows start..start+n — through
+// the model's scratch, keeping every layer's output in acts. Each
+// output row depends on its input row only.
+func (m *neuralNet) forwardBatch(v dataset.View, batch []int, start, n int) {
+	d, t := m.spec.InputDim, v.TargetIndex()
+	acts := m.scratch.acts
+	input := acts[0].SetData(n, d, m.scratch.input[:n*d])
+	for i := range n {
+		idx := start + i
+		if batch != nil {
+			idx = batch[i]
+		}
+		m.stats.normX(input.Row(i), v.Row(idx), t)
+	}
+	for l, layer := range m.layers {
+		z := acts[l+1].SetData(n, layer.w.Cols(), m.scratch.actBuf[l+1][:n*layer.w.Cols()])
+		matrix.MulInto(z, &acts[l], layer.w)
+		z.AddRowVector(layer.b)
+		if layer.hidden {
+			z.Apply(m.act.fn)
+		}
+	}
+}
+
 // forward computes the standardized output for one input vector.
 func (m *neuralNet) forward(x []float64) float64 {
 	cur := make([]float64, len(x))
-	m.stats.normX(cur, x)
+	m.stats.normX(cur, x, -1)
 	for _, layer := range m.layers {
 		next := make([]float64, layer.w.Cols())
 		for j := range next {
@@ -348,32 +332,27 @@ func (m *neuralNet) Predict(x []float64) float64 {
 	return m.stats.denormY(m.forward(x))
 }
 
-// PredictBatch returns raw-scale predictions for many inputs. Batches
-// run through the matrix forward pass, which amortizes the layer loops
-// far better than per-sample prediction.
-func (m *neuralNet) PredictBatch(x [][]float64) []float64 {
-	if len(x) == 0 {
+// PredictBatch returns raw-scale predictions for every row of v. The
+// rows run through the matrix forward pass a mini-batch at a time,
+// which amortizes the layer loops far better than per-sample
+// prediction and keeps the scratch at one mini-batch.
+func (m *neuralNet) PredictBatch(v dataset.View) []float64 {
+	if err := checkWidth(v, m.spec.InputDim); err != nil {
+		panic(err)
+	}
+	n := v.Len()
+	if n == 0 {
 		return nil
 	}
-	input := matrix.NewDense(len(x), m.spec.InputDim)
-	for i, row := range x {
-		if len(row) != m.spec.InputDim {
-			panic(fmt.Sprintf("ml: input %d has %d features, want %d", i, len(row), m.spec.InputDim))
+	m.ensureBatchScratch(min(m.spec.BatchSize, n))
+	out := make([]float64, n)
+	for start := 0; start < n; start += m.spec.BatchSize {
+		nb := min(m.spec.BatchSize, n-start)
+		m.forwardBatch(v, nil, start, nb)
+		res := &m.scratch.acts[len(m.layers)]
+		for i := range nb {
+			out[start+i] = m.stats.denormY(res.At(i, 0))
 		}
-		m.stats.normX(input.Row(i), row)
-	}
-	cur := input
-	for _, layer := range m.layers {
-		z := matrix.Mul(cur, layer.w)
-		z.AddRowVector(layer.b)
-		if layer.hidden {
-			z.Apply(m.act.fn)
-		}
-		cur = z
-	}
-	out := make([]float64, len(x))
-	for i := range out {
-		out[i] = m.stats.denormY(cur.At(i, 0))
 	}
 	return out
 }
@@ -419,39 +398,6 @@ func (m *neuralNet) SetParams(p Params) error {
 	m.stats.unflatten(p.Values[n:])
 	m.opt.reset()
 	return nil
-}
-
-// PredictFlat writes raw-scale predictions for the flat row-major
-// input buffer into out via one batched forward pass over the model's
-// scratch backings.
-func (m *neuralNet) PredictFlat(x []float64, out []float64) {
-	n := len(out)
-	d := m.spec.InputDim
-	if len(x) != n*d {
-		panic(fmt.Sprintf("ml: flat predict length %d != %d samples x %d features", len(x), n, d))
-	}
-	if n == 0 {
-		return
-	}
-	m.ensureBatchScratch(n)
-	acts := m.scratch.acts
-	input := acts[0].SetData(n, d, m.scratch.input[:n*d])
-	for i := 0; i < n; i++ {
-		m.stats.normX(input.Row(i), x[i*d:(i+1)*d])
-	}
-	cur := input
-	for l, layer := range m.layers {
-		z := acts[l+1].SetData(n, layer.w.Cols(), m.scratch.actBuf[l+1][:n*layer.w.Cols()])
-		matrix.MulInto(z, cur, layer.w)
-		z.AddRowVector(layer.b)
-		if layer.hidden {
-			z.Apply(m.act.fn)
-		}
-		cur = z
-	}
-	for i := range out {
-		out[i] = m.stats.denormY(cur.At(i, 0))
-	}
 }
 
 // Reinit re-seeds and re-initializes the model in place (see Model).

@@ -15,10 +15,10 @@ func TestNNLearnsLinearFunction(t *testing.T) {
 	spec := PaperNN(1)
 	spec.Epochs = 60
 	m := spec.MustNew()
-	if err := m.Fit(x, y); err != nil {
+	if err := m.Fit(xyView(x, y)); err != nil {
 		t.Fatal(err)
 	}
-	pred := m.PredictBatch(x)
+	pred := m.PredictBatch(xyView(x, nil))
 	if r2 := R2(y, pred); r2 < 0.95 {
 		t.Fatalf("R2 = %v, want > 0.95", r2)
 	}
@@ -37,19 +37,19 @@ func TestNNLearnsNonlinearFunction(t *testing.T) {
 	spec := PaperNN(1)
 	spec.Epochs = 150
 	m := spec.MustNew()
-	if err := m.Fit(x, y); err != nil {
+	if err := m.Fit(xyView(x, y)); err != nil {
 		t.Fatal(err)
 	}
-	nnR2 := R2(y, m.PredictBatch(x))
+	nnR2 := R2(y, m.PredictBatch(xyView(x, nil)))
 	if nnR2 < 0.9 {
 		t.Fatalf("NN R2 on x^2 = %v, want > 0.9", nnR2)
 	}
 	// Reference: the linear model must do much worse on the same data.
 	lin := PaperLR(1).MustNew()
-	if err := lin.Fit(x, y); err != nil {
+	if err := lin.Fit(xyView(x, y)); err != nil {
 		t.Fatal(err)
 	}
-	linR2 := R2(y, lin.PredictBatch(x))
+	linR2 := R2(y, lin.PredictBatch(xyView(x, nil)))
 	if linR2 > nnR2-0.2 {
 		t.Fatalf("linear R2 %v unexpectedly close to NN %v on x^2", linR2, nnR2)
 	}
@@ -67,10 +67,10 @@ func TestNNMultiLayer(t *testing.T) {
 		y = append(y, a*b) // multiplicative interaction
 	}
 	m := spec.MustNew()
-	if err := m.Fit(x, y); err != nil {
+	if err := m.Fit(xyView(x, y)); err != nil {
 		t.Fatal(err)
 	}
-	if r2 := R2(y, m.PredictBatch(x)); r2 < 0.8 {
+	if r2 := R2(y, m.PredictBatch(xyView(x, nil))); r2 < 0.8 {
 		t.Fatalf("deep net R2 on a*b = %v, want > 0.8", r2)
 	}
 }
@@ -80,7 +80,7 @@ func TestNNHistoryAndImprovement(t *testing.T) {
 	spec := PaperNN(1)
 	spec.Epochs = 40
 	m := spec.MustNew()
-	if err := m.Fit(x, y); err != nil {
+	if err := m.Fit(xyView(x, y)); err != nil {
 		t.Fatal(err)
 	}
 	h := m.History()
@@ -97,10 +97,10 @@ func TestNNPartialFit(t *testing.T) {
 	x2, y2 := syntheticLinear(300, 2, 5, 0.2, 16)
 	spec := PaperNN(1)
 	m := spec.MustNew()
-	if err := m.PartialFit(x1, y1, 30); err != nil {
+	if err := m.PartialFit(context.Background(), xyView(x1, y1), 30); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.PartialFit(x2, y2, 30); err != nil {
+	if err := m.PartialFit(context.Background(), xyView(x2, y2), 30); err != nil {
 		t.Fatal(err)
 	}
 	got := m.Predict([]float64{10})
@@ -114,7 +114,7 @@ func TestNNParamsRoundTrip(t *testing.T) {
 	spec := PaperNN(1)
 	spec.Epochs = 30
 	m := spec.MustNew()
-	if err := m.Fit(x, y); err != nil {
+	if err := m.Fit(xyView(x, y)); err != nil {
 		t.Fatal(err)
 	}
 	fresh := spec.MustNew()
@@ -144,13 +144,13 @@ func TestNNCloneIndependent(t *testing.T) {
 	spec := PaperNN(1)
 	spec.Epochs = 20
 	m := spec.MustNew()
-	if err := m.Fit(x, y); err != nil {
+	if err := m.Fit(xyView(x, y)); err != nil {
 		t.Fatal(err)
 	}
 	c := m.Clone()
 	before := m.Predict([]float64{5})
 	x2, y2 := syntheticLinear(200, -10, 0, 0.2, 19)
-	if err := c.PartialFit(x2, y2, 30); err != nil {
+	if err := c.PartialFit(context.Background(), xyView(x2, y2), 30); err != nil {
 		t.Fatal(err)
 	}
 	if after := m.Predict([]float64{5}); after != before {
@@ -165,7 +165,7 @@ func TestNNDeterministic(t *testing.T) {
 		spec.Epochs = 15
 		spec.Seed = 99
 		m := spec.MustNew()
-		if err := m.Fit(x, y); err != nil {
+		if err := m.Fit(xyView(x, y)); err != nil {
 			t.Fatal(err)
 		}
 		return m.Predict([]float64{3})
@@ -214,10 +214,10 @@ func TestOptimizers(t *testing.T) {
 			Epochs: 80, Optimizer: opt, Seed: 21}
 		m := spec.MustNew()
 		x, y := syntheticLinear(300, 4, -1, 0.2, 22)
-		if err := m.Fit(x, y); err != nil {
+		if err := m.Fit(xyView(x, y)); err != nil {
 			t.Fatalf("%s: %v", opt, err)
 		}
-		if r2 := R2(y, m.PredictBatch(x)); r2 < 0.9 {
+		if r2 := R2(y, m.PredictBatch(xyView(x, nil))); r2 < 0.9 {
 			t.Errorf("%s: R2 = %v", opt, r2)
 		}
 	}
@@ -228,17 +228,17 @@ func TestNNPredictBatchMatchesPredict(t *testing.T) {
 	spec := PaperNN(1)
 	spec.Epochs = 10
 	m := spec.MustNew()
-	if err := m.Fit(x, y); err != nil {
+	if err := m.Fit(xyView(x, y)); err != nil {
 		t.Fatal(err)
 	}
-	batch := m.PredictBatch(x)
+	batch := m.PredictBatch(xyView(x, nil))
 	for i, row := range x {
 		single := m.Predict(row)
 		if math.Abs(batch[i]-single) > 1e-9 {
 			t.Fatalf("batch[%d]=%v vs single=%v", i, batch[i], single)
 		}
 	}
-	if m.PredictBatch(nil) != nil {
+	if m.PredictBatch(xyView(nil, nil)) != nil {
 		t.Fatal("empty batch should be nil")
 	}
 }
@@ -250,7 +250,7 @@ func TestNNPredictBatchPanicsOnBadWidth(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	m.PredictBatch([][]float64{{1}})
+	m.PredictBatch(xyView([][]float64{{1}}, nil))
 }
 
 // bitsHash is FNV-1a over the IEEE-754 bits of v: two vectors hash
@@ -266,7 +266,7 @@ func bitsHash(v []float64) uint64 {
 }
 
 // TestNNFitPinned pins the NN kernel's arithmetic: incremental
-// PartialFitBatch calls over three batches (each ending on a partial
+// PartialFit calls over three batches (each ending on a partial
 // mini-batch) at the paper's shape and with two hidden layers, so the
 // backward pass also propagates through a hidden-to-hidden layer. The
 // hashes and end values were produced before the mini-batch scratch
@@ -287,8 +287,7 @@ func TestNNFitPinned(t *testing.T) {
 		spec.Seed = 23
 		m := spec.MustNew()
 		for b, n := range []int{70, 45, 101} {
-			_, xf, y := pinnedBatch(n, 2, b*3)
-			if err := m.PartialFitBatch(context.Background(), xf, y, 2); err != nil {
+			if err := m.PartialFit(context.Background(), xyView(pinnedBatch(n, 2, b*3)), 2); err != nil {
 				t.Fatal(err)
 			}
 		}

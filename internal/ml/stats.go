@@ -1,6 +1,10 @@
 package ml
 
-import "math"
+import (
+	"math"
+
+	"qens/internal/dataset"
+)
 
 // runningStats tracks streaming per-feature mean/variance (Welford's
 // algorithm) plus the same for the target. Models standardize inputs
@@ -20,32 +24,28 @@ func newRunningStats(dim int) *runningStats {
 	return &runningStats{mean: make([]float64, dim), m2: make([]float64, dim)}
 }
 
-// observe folds a batch into the statistics.
-func (s *runningStats) observe(x [][]float64, y []float64) {
-	for i, row := range x {
-		s.observeRow(row, y[i])
+// observe folds every row of v into the statistics, in order (a
+// Welford update per sample: the features, then the target).
+func (s *runningStats) observe(v dataset.View) {
+	t := v.TargetIndex()
+	for i := range v.Len() {
+		row := v.Row(i)
+		s.count++
+		j := 0
+		for c, x := range row {
+			if c == t {
+				continue
+			}
+			delta := x - s.mean[j]
+			s.mean[j] += delta / s.count
+			s.m2[j] += delta * (x - s.mean[j])
+			j++
+		}
+		y := row[t]
+		dy := y - s.yMean
+		s.yMean += dy / s.count
+		s.yM2 += dy * (y - s.yMean)
 	}
-}
-
-// observeFlat folds a flat row-major batch (stride d) into the
-// statistics, bit-exact with observe over the equivalent row slices.
-func (s *runningStats) observeFlat(x []float64, y []float64, d int) {
-	for i := range y {
-		s.observeRow(x[i*d:(i+1)*d], y[i])
-	}
-}
-
-// observeRow folds one sample into the statistics (Welford update).
-func (s *runningStats) observeRow(row []float64, y float64) {
-	s.count++
-	for j, v := range row {
-		delta := v - s.mean[j]
-		s.mean[j] += delta / s.count
-		s.m2[j] += delta * (v - s.mean[j])
-	}
-	dy := y - s.yMean
-	s.yMean += dy / s.count
-	s.yM2 += dy * (y - s.yMean)
 }
 
 // reset returns the statistics to the freshly-constructed state
@@ -82,10 +82,17 @@ func (s *runningStats) yStd() float64 {
 	return sd
 }
 
-// normX standardizes one input vector into dst.
-func (s *runningStats) normX(dst, x []float64) {
-	for j, v := range x {
+// normX standardizes the features of row into dst: every column but
+// skip, which names the target column of a joint-space row (-1 for a
+// feature vector).
+func (s *runningStats) normX(dst, row []float64, skip int) {
+	j := 0
+	for c, v := range row {
+		if c == skip {
+			continue
+		}
 		dst[j] = (v - s.mean[j]) / s.std(j)
+		j++
 	}
 }
 

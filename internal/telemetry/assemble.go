@@ -121,7 +121,7 @@ func SpanCategory(name string, hasChildren bool) string {
 		return "aggregate"
 	case "node.queue":
 		return "queue"
-	case "node.stage", "node.fit":
+	case "node.fit":
 		return "train"
 	default:
 		return "other"

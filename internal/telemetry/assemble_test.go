@@ -131,7 +131,6 @@ func TestSpanCategory(t *testing.T) {
 		{"train", true, "wire"},
 		{"aggregation", false, "aggregate"},
 		{"node.queue", false, "queue"},
-		{"node.stage", false, "train"},
 		{"node.fit", false, "train"},
 		{"query", true, "other"},
 	} {

@@ -163,7 +163,6 @@ var internTable = map[string]string{
 	// Node phase-span names every traced train response carries (the
 	// region leader's "region.train" span shares typeRegionTrain).
 	"node.queue": "node.queue",
-	"node.stage": "node.stage",
 	"node.fit":   "node.fit",
 }
 
