@@ -397,9 +397,9 @@ func BenchmarkRankNodes(b *testing.B) {
 // into K=5 (the paper's per-node setting).
 func BenchmarkKMeans(b *testing.B) {
 	src := rng.New(3)
-	points := make([][]float64, 2000)
-	for i := range points {
-		points[i] = []float64{src.Uniform(0, 100), src.Uniform(0, 300)}
+	points := dataset.MustNew([]string{"x", "y"}, "y")
+	for i := 0; i < 2000; i++ {
+		points.MustAppend([]float64{src.Uniform(0, 100), src.Uniform(0, 300)})
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

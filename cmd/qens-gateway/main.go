@@ -327,7 +327,7 @@ func buildLeader(addrs string, nodes, samples, k, epochs int, seed uint64, model
 			return nil, nil, nil, fmt.Errorf("summary from %s: %w", remotes[0].ID(), err)
 		}
 		leader, err := federation.NewLeader(federation.Config{
-			Spec: specFor(model, sum.Clusters[0].Bounds.Dims()-1), ClusterK: k, LocalEpochs: epochs, Seed: seed,
+			Spec: specFor(model, sum.Clusters[0].Bounds.Dims()-1), LocalEpochs: epochs, Seed: seed,
 		}, nil, clients)
 		if err != nil {
 			closeAll()

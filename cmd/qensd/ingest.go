@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"fmt"
-	"math"
 	"os"
 	"time"
 
@@ -23,10 +22,9 @@ import (
 type ingestSim struct {
 	node  ingestNode
 	src   *rng.Source
-	rows  [][]float64 // seed rows (borrowed views of the base shard)
-	lo    []float64   // per-column min over the seed shard
-	span  []float64   // per-column range (>= tiny epsilon)
-	rate  float64     // rows per second
+	data  *dataset.Dataset // the seed rows: the base shard
+	span  []float64        // per-column range (>= tiny epsilon)
+	rate  float64          // rows per second
 	drift time.Duration
 	shift float64
 }
@@ -38,29 +36,17 @@ type ingestNode interface {
 }
 
 func newIngestSim(node ingestNode, data *dataset.Dataset, seed uint64, rate float64, drift time.Duration, shift float64) *ingestSim {
-	rows := data.Rows()
-	dims := data.Dims()
-	lo := make([]float64, dims)
-	hi := make([]float64, dims)
-	for d := 0; d < dims; d++ {
-		lo[d], hi[d] = math.Inf(1), math.Inf(-1)
-	}
-	for _, row := range rows {
-		for d, v := range row {
-			lo[d] = math.Min(lo[d], v)
-			hi[d] = math.Max(hi[d], v)
-		}
-	}
-	span := make([]float64, dims)
-	for d := 0; d < dims; d++ {
-		span[d] = hi[d] - lo[d]
+	bounds, _ := data.Bounds()
+	span := make([]float64, data.Dims())
+	for d := range span {
+		span[d] = bounds.Width(d)
 		if span[d] <= 0 {
 			span[d] = 1e-9
 		}
 	}
 	return &ingestSim{
-		node: node, src: rng.New(seed ^ 0x1ce57), rows: rows,
-		lo: lo, span: span, rate: rate, drift: drift, shift: shift,
+		node: node, src: rng.New(seed ^ 0x1ce57), data: data,
+		span: span, rate: rate, drift: drift, shift: shift,
 	}
 }
 
@@ -103,7 +89,7 @@ func (s *ingestSim) run(ctx context.Context) {
 // displaced by shift×range, a regime change the EWMA detector sees as
 // rising reconstruction error and a skewed assignment distribution.
 func (s *ingestSim) sample(drifted bool) []float64 {
-	base := s.rows[s.src.Intn(len(s.rows))]
+	base := s.data.Row(s.src.Intn(s.data.Len()))
 	row := make([]float64, len(base))
 	for d, v := range base {
 		row[d] = v + s.src.Normal(0, 0.05*s.span[d])

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"qens/internal/dataset"
-	"qens/internal/geometry"
 )
 
 // Grid quantization: the classic database alternative to the paper's
@@ -28,10 +27,7 @@ func GridQuantize(d *dataset.Dataset, bucketsPerDim int) (*Quantization, error) 
 	if bucketsPerDim < 1 {
 		return nil, fmt.Errorf("cluster: buckets per dim %d < 1", bucketsPerDim)
 	}
-	bounds, ok := d.Bounds()
-	if !ok {
-		return nil, dataset.ErrEmpty
-	}
+	bounds, _ := d.Bounds()
 	dims := d.Dims()
 
 	// Assign each row to its grid cell.
@@ -60,31 +56,27 @@ func GridQuantize(d *dataset.Dataset, bucketsPerDim int) (*Quantization, error) 
 		members[k] = append(members[k], i)
 	}
 
-	clusters := make([]Cluster, 0, len(order))
+	clusters := make([]Cluster, len(order))
 	assign := make([]int, d.Len())
 	for ci, key := range order {
 		idxs := members[key]
-		points := make([][]float64, len(idxs))
-		centroid := make([]float64, dims)
-		for j, idx := range idxs {
-			points[j] = d.Row(idx)
+		cl := &clusters[ci]
+		cl.Centroid = make([]float64, dims)
+		for _, idx := range idxs {
 			assign[idx] = ci
-			for dim, v := range d.Row(idx) {
-				centroid[dim] += v
+			row := d.Row(idx)
+			cl.Bounds.ExpandToInclude(row)
+			for dim, v := range row {
+				cl.Centroid[dim] += v
 			}
 		}
-		for dim := range centroid {
-			centroid[dim] /= float64(len(idxs))
+		for dim := range cl.Centroid {
+			cl.Centroid[dim] /= float64(len(idxs))
 		}
-		rect, _ := geometry.BoundingRect(points)
-		clusters = append(clusters, Cluster{
-			Centroid: centroid,
-			Bounds:   rect,
-			Members:  append([]int(nil), idxs...),
-			Size:     len(idxs),
-		})
+		cl.Members = idxs
+		cl.Size = len(idxs)
 	}
 	res := &Result{Clusters: clusters, Assignments: assign}
-	res.Inertia = Inertia(d.Rows(), clusters, assign)
+	res.Inertia = Inertia(d, clusters, assign)
 	return &Quantization{Data: d, Result: res}, nil
 }

@@ -13,6 +13,7 @@ import (
 	"runtime"
 	"sync"
 
+	"qens/internal/dataset"
 	"qens/internal/geometry"
 	"qens/internal/matrix"
 	"qens/internal/rng"
@@ -83,23 +84,16 @@ type Result struct {
 	Assignments []int
 }
 
-// KMeans clusters points (each a d-dimensional sample, the paper's ξ)
-// into cfg.K cells.
-func KMeans(points [][]float64, cfg Config, src *rng.Source) (*Result, error) {
+// KMeans clusters the samples of d (each a d-dimensional point, the
+// paper's ξ) into cfg.K cells.
+func KMeans(d *dataset.Dataset, cfg Config, src *rng.Source) (*Result, error) {
 	cfg = cfg.withDefaults()
-	if err := cfg.Validate(len(points)); err != nil {
+	if err := cfg.Validate(d.Len()); err != nil {
 		return nil, err
 	}
-	d := len(points[0])
-	for i, p := range points {
-		if len(p) != d {
-			return nil, fmt.Errorf("cluster: point %d has %d dims, want %d", i, len(p), d)
-		}
-	}
-
 	var best *Result
 	for r := 0; r < cfg.Restarts; r++ {
-		res := lloyd(points, cfg, src)
+		res := lloyd(d.Values(), d.Dims(), cfg, src)
 		if best == nil || res.Inertia < best.Inertia {
 			best = res
 		}
@@ -107,21 +101,27 @@ func KMeans(points [][]float64, cfg Config, src *rng.Source) (*Result, error) {
 	return best, nil
 }
 
+// The functions below read the points as one row-major slice with
+// stride dims, taking point i as points[i*dims:(i+1)*dims] of a local
+// slice. The assignment and update loops run once per point per Lloyd
+// iteration: on a 6000-row Quantize (2-core Xeon, -cpu 1) this form
+// measured as fast as ranging over a [][]float64, and walking the
+// slice by a shrinking stride (rest = rest[dims:]) about 10% slower.
+
 // lloyd runs one seeded Lloyd optimization.
-func lloyd(points [][]float64, cfg Config, src *rng.Source) *Result {
-	centroids := seedPlusPlus(points, cfg.K, src)
-	d := len(points[0])
-	assign := make([]int, len(points))
+func lloyd(points []float64, dims int, cfg Config, src *rng.Source) *Result {
+	centroids := seedPlusPlus(points, dims, cfg.K, src)
+	assign := make([]int, len(points)/dims)
 	counts := make([]int, cfg.K)
 	sums := make([][]float64, cfg.K)
 	for k := range sums {
-		sums[k] = make([]float64, d)
+		sums[k] = make([]float64, dims)
 	}
 
 	iterations := 0
 	for ; iterations < cfg.MaxIterations; iterations++ {
 		// Assignment step (parallel across GOMAXPROCS; bit-exact).
-		assignPoints(points, centroids, assign)
+		assignPoints(points, dims, centroids, assign)
 		// Update step.
 		for k := range sums {
 			counts[k] = 0
@@ -129,18 +129,17 @@ func lloyd(points [][]float64, cfg Config, src *rng.Source) *Result {
 				sums[k][j] = 0
 			}
 		}
-		for i, p := range points {
-			k := assign[i]
+		for i, k := range assign {
 			counts[k]++
-			matrix.AxpyVec(sums[k], 1, p)
+			matrix.AxpyVec(sums[k], 1, point(points, dims, i))
 		}
 		moved := 0.0
 		for k := range centroids {
 			if counts[k] == 0 {
 				// Empty cluster: reseed at the point farthest from
 				// its current centroid, a standard Lloyd repair.
-				far := farthestPoint(points, centroids, assign)
-				copy(centroids[k], points[far])
+				far := farthestPoint(points, dims, centroids, assign)
+				copy(centroids[k], point(points, dims, far))
 				assign[far] = k
 				moved = math.Inf(1)
 				continue
@@ -159,8 +158,13 @@ func lloyd(points [][]float64, cfg Config, src *rng.Source) *Result {
 	}
 
 	// Final assignment with the settled centroids.
-	assignPoints(points, centroids, assign)
-	return buildResult(points, centroids, assign, iterations)
+	assignPoints(points, dims, centroids, assign)
+	return buildResult(points, dims, centroids, assign, iterations)
+}
+
+// point returns point i of the row-major points.
+func point(points []float64, dims, i int) []float64 {
+	return points[i*dims : (i+1)*dims]
 }
 
 // assignParallelThreshold is the dataset size below which sharding the
@@ -169,31 +173,30 @@ func lloyd(points [][]float64, cfg Config, src *rng.Source) *Result {
 // path.
 const assignParallelThreshold = 2048
 
-// assignPoints computes assign[i] = nearest(points[i], centroids),
+// assignPoints computes assign[i] = nearest(point i, centroids),
 // sharding the loop across GOMAXPROCS workers for large datasets.
 // Each point's nearest centroid depends only on that point and the
 // (read-only) centroids, and every worker writes a disjoint slice of
 // assign, so the parallel result is bit-for-bit identical to the
 // sequential loop — the update and inertia accumulations, whose float
 // summation order matters, stay sequential in the caller.
-func assignPoints(points [][]float64, centroids [][]float64, assign []int) {
+func assignPoints(points []float64, dims int, centroids [][]float64, assign []int) {
+	n := len(assign)
 	workers := runtime.GOMAXPROCS(0)
-	if len(points) < assignParallelThreshold || workers < 2 {
-		for i, p := range points {
-			assign[i] = nearest(p, centroids)
-		}
+	if n < assignParallelThreshold || workers < 2 {
+		assignRange(points, dims, centroids, assign)
 		return
 	}
-	if workers > len(points) {
-		workers = len(points)
+	if workers > n {
+		workers = n
 	}
-	chunk := (len(points) + workers - 1) / workers
+	chunk := (n + workers - 1) / workers
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		lo := w * chunk
 		hi := lo + chunk
-		if hi > len(points) {
-			hi = len(points)
+		if hi > n {
+			hi = n
 		}
 		if lo >= hi {
 			break
@@ -201,29 +204,36 @@ func assignPoints(points [][]float64, centroids [][]float64, assign []int) {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				assign[i] = nearest(points[i], centroids)
-			}
+			assignRange(points[lo*dims:hi*dims], dims, centroids, assign[lo:hi])
 		}(lo, hi)
 	}
 	wg.Wait()
 }
 
-// seedPlusPlus performs k-means++ initialization.
-func seedPlusPlus(points [][]float64, k int, src *rng.Source) [][]float64 {
-	centroids := make([][]float64, 0, k)
-	first := src.Intn(len(points))
-	centroids = append(centroids, matrix.CloneVec(points[first]))
+// assignRange sets assign[i] to the centroid nearest point i, for
+// every point of the row-major points.
+func assignRange(points []float64, dims int, centroids [][]float64, assign []int) {
+	for i := range assign {
+		assign[i] = nearest(point(points, dims, i), centroids)
+	}
+}
 
-	dist := make([]float64, len(points))
-	for i, p := range points {
-		dist[i] = matrix.SqDist(p, centroids[0])
+// seedPlusPlus performs k-means++ initialization.
+func seedPlusPlus(points []float64, dims, k int, src *rng.Source) [][]float64 {
+	n := len(points) / dims
+	centroids := make([][]float64, 0, k)
+	first := src.Intn(n)
+	centroids = append(centroids, matrix.CloneVec(point(points, dims, first)))
+
+	dist := make([]float64, n)
+	for i := range dist {
+		dist[i] = matrix.SqDist(point(points, dims, i), centroids[0])
 	}
 	for len(centroids) < k {
 		idx := src.Choice(dist)
-		centroids = append(centroids, matrix.CloneVec(points[idx]))
-		for i, p := range points {
-			if d2 := matrix.SqDist(p, centroids[len(centroids)-1]); d2 < dist[i] {
+		centroids = append(centroids, matrix.CloneVec(point(points, dims, idx)))
+		for i := range dist {
+			if d2 := matrix.SqDist(point(points, dims, i), centroids[len(centroids)-1]); d2 < dist[i] {
 				dist[i] = d2
 			}
 		}
@@ -244,61 +254,46 @@ func nearest(p []float64, centroids [][]float64) int {
 
 // farthestPoint returns the index of the point farthest from its
 // assigned centroid, used to repair empty clusters.
-func farthestPoint(points [][]float64, centroids [][]float64, assign []int) int {
+func farthestPoint(points []float64, dims int, centroids [][]float64, assign []int) int {
 	best, bestDist := 0, -1.0
-	for i, p := range points {
-		if d2 := matrix.SqDist(p, centroids[assign[i]]); d2 > bestDist {
+	for i, c := range assign {
+		if d2 := matrix.SqDist(point(points, dims, i), centroids[c]); d2 > bestDist {
 			best, bestDist = i, d2
 		}
 	}
 	return best
 }
 
-// buildResult assembles clusters, bounds and inertia.
-func buildResult(points [][]float64, centroids [][]float64, assign []int, iterations int) *Result {
-	k := len(centroids)
-	clusters := make([]Cluster, k)
+// buildResult assembles clusters, bounds and inertia. The result
+// adopts assign as its Assignments.
+func buildResult(points []float64, dims int, centroids [][]float64, assign []int, iterations int) *Result {
+	clusters := make([]Cluster, len(centroids))
 	for c := range clusters {
 		clusters[c].Centroid = matrix.CloneVec(centroids[c])
 	}
 	inertia := 0.0
-	for i, p := range points {
-		c := assign[i]
+	for i, c := range assign {
+		p := point(points, dims, i)
 		clusters[c].Members = append(clusters[c].Members, i)
+		clusters[c].Bounds.ExpandToInclude(p)
 		inertia += matrix.SqDist(p, centroids[c])
 	}
 	for c := range clusters {
 		clusters[c].Size = len(clusters[c].Members)
-		memberPoints := make([][]float64, 0, clusters[c].Size)
-		for _, idx := range clusters[c].Members {
-			memberPoints = append(memberPoints, points[idx])
-		}
-		if rect, ok := geometry.BoundingRect(memberPoints); ok {
-			clusters[c].Bounds = rect
-		} else {
+		if clusters[c].Size == 0 {
 			// Empty cluster (possible only at K > distinct points):
 			// degenerate rectangle at the centroid.
-			clusters[c].Bounds = geometry.Rect{
-				Min: matrix.CloneVec(clusters[c].Centroid),
-				Max: matrix.CloneVec(clusters[c].Centroid),
-			}
+			clusters[c].Bounds.ExpandToInclude(clusters[c].Centroid)
 		}
 	}
-	out := &Result{
-		Clusters:    clusters,
-		Inertia:     inertia,
-		Iterations:  iterations,
-		Assignments: append([]int(nil), assign...),
-	}
-	return out
+	return &Result{Clusters: clusters, Inertia: inertia, Iterations: iterations, Assignments: assign}
 }
 
-// Inertia recomputes Eq. 1 for a given assignment; exposed for tests
-// and diagnostics.
-func Inertia(points [][]float64, clusters []Cluster, assign []int) float64 {
+// Inertia recomputes Eq. 1 for a given assignment of d's samples.
+func Inertia(d *dataset.Dataset, clusters []Cluster, assign []int) float64 {
 	total := 0.0
-	for i, p := range points {
-		total += matrix.SqDist(p, clusters[assign[i]].Centroid)
+	for i, c := range assign {
+		total += matrix.SqDist(d.Row(i), clusters[c].Centroid)
 	}
 	return total
 }

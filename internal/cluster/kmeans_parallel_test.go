@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"qens/internal/dataset"
 	"qens/internal/rng"
 )
 
@@ -16,9 +17,9 @@ import (
 func TestAssignPointsMatchesSequential(t *testing.T) {
 	src := rng.New(41)
 	n := assignParallelThreshold * 2
-	points := make([][]float64, n)
+	points := make([]float64, 3*n)
 	for i := range points {
-		points[i] = []float64{src.Float64() * 10, src.Float64() * 10, src.Float64() * 10}
+		points[i] = src.Float64() * 10
 	}
 	centroids := make([][]float64, 7)
 	for k := range centroids {
@@ -26,11 +27,11 @@ func TestAssignPointsMatchesSequential(t *testing.T) {
 	}
 
 	want := make([]int, n)
-	for i, p := range points {
-		want[i] = nearest(p, centroids)
+	for i := range want {
+		want[i] = nearest(point(points, 3, i), centroids)
 	}
 	got := make([]int, n)
-	assignPoints(points, centroids, got)
+	assignPoints(points, 3, centroids, got)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("assign[%d] = %d parallel, %d sequential", i, got[i], want[i])
@@ -48,10 +49,10 @@ func TestAssignPointsMatchesSequential(t *testing.T) {
 func TestKMeansParallelDeterminism(t *testing.T) {
 	src := rng.New(42)
 	n := assignParallelThreshold + 512
-	points := make([][]float64, n)
-	for i := range points {
+	points := dataset.MustNew([]string{"x", "y"}, "y")
+	for i := 0; i < n; i++ {
 		c := float64(i % 3 * 8)
-		points[i] = []float64{c + src.Normal(0, 1), c + src.Normal(0, 1)}
+		points.MustAppend([]float64{c + src.Normal(0, 1), c + src.Normal(0, 1)})
 	}
 
 	prev := runtime.GOMAXPROCS(1)
@@ -93,9 +94,9 @@ func TestKMeansParallelDeterminism(t *testing.T) {
 func BenchmarkAssignPoints(b *testing.B) {
 	src := rng.New(43)
 	n := 32768
-	points := make([][]float64, n)
+	points := make([]float64, 4*n)
 	for i := range points {
-		points[i] = []float64{src.Float64(), src.Float64(), src.Float64(), src.Float64()}
+		points[i] = src.Float64()
 	}
 	centroids := make([][]float64, 8)
 	for k := range centroids {
@@ -105,14 +106,12 @@ func BenchmarkAssignPoints(b *testing.B) {
 
 	b.Run("sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			for j, p := range points {
-				assign[j] = nearest(p, centroids)
-			}
+			assignRange(points, 4, centroids, assign)
 		}
 	})
 	b.Run("parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			assignPoints(points, centroids, assign)
+			assignPoints(points, 4, centroids, assign)
 		}
 	})
 }

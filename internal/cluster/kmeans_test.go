@@ -1,26 +1,42 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 
+	"qens/internal/dataset"
 	"qens/internal/matrix"
 	"qens/internal/rng"
 )
 
 // threeBlobs generates three well-separated Gaussian blobs.
-func threeBlobs(n int, src *rng.Source) (points [][]float64, labels []int) {
+func threeBlobs(n int, src *rng.Source) (points *dataset.Dataset, labels []int) {
 	centers := [][]float64{{0, 0}, {20, 0}, {0, 20}}
+	points = dataset.MustNew([]string{"x", "y"}, "y")
 	for i := 0; i < n; i++ {
 		c := i % 3
-		points = append(points, []float64{
+		points.MustAppend([]float64{
 			src.Normal(centers[c][0], 1),
 			src.Normal(centers[c][1], 1),
 		})
 		labels = append(labels, c)
 	}
 	return points, labels
+}
+
+// rowsDataset holds the given rows, one column per value.
+func rowsDataset(rows ...[]float64) *dataset.Dataset {
+	cols := make([]string, len(rows[0]))
+	for j := range cols {
+		cols[j] = fmt.Sprint("c", j)
+	}
+	d := dataset.MustNew(cols, cols[len(cols)-1])
+	for _, r := range rows {
+		d.MustAppend(r)
+	}
+	return d
 }
 
 func TestKMeansRecoversBlobs(t *testing.T) {
@@ -35,7 +51,7 @@ func TestKMeansRecoversBlobs(t *testing.T) {
 	}
 	// Every pair of points from the same blob must share a cluster.
 	blobToCluster := map[int]int{}
-	for i := range points {
+	for i := range labels {
 		b := labels[i]
 		if c, ok := blobToCluster[b]; ok {
 			if res.Assignments[i] != c {
@@ -65,19 +81,16 @@ func TestKMeansInertiaConsistent(t *testing.T) {
 
 func TestKMeansErrors(t *testing.T) {
 	src := rng.New(1)
-	if _, err := KMeans([][]float64{{1}}, Config{K: 2}, src); err == nil {
+	if _, err := KMeans(rowsDataset([]float64{1}), Config{K: 2}, src); err == nil {
 		t.Fatal("accepted fewer points than clusters")
 	}
-	if _, err := KMeans([][]float64{{1}, {2}}, Config{K: 0}, src); err == nil {
+	if _, err := KMeans(rowsDataset([]float64{1}, []float64{2}), Config{K: 0}, src); err == nil {
 		t.Fatal("accepted K=0")
-	}
-	if _, err := KMeans([][]float64{{1, 2}, {1}}, Config{K: 1}, src); err == nil {
-		t.Fatal("accepted ragged points")
 	}
 }
 
 func TestKMeansSinglePointPerCluster(t *testing.T) {
-	points := [][]float64{{0, 0}, {10, 10}, {20, 20}}
+	points := rowsDataset([]float64{0, 0}, []float64{10, 10}, []float64{20, 20})
 	res, err := KMeans(points, Config{K: 3}, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
@@ -101,20 +114,20 @@ func TestKMeansK1(t *testing.T) {
 	}
 	// The single centroid must be the global mean.
 	mean := make([]float64, 2)
-	for _, p := range points {
-		matrix.AxpyVec(mean, 1, p)
+	for i := range points.Len() {
+		matrix.AxpyVec(mean, 1, points.Row(i))
 	}
-	matrix.ScaleVec(mean, 1/float64(len(points)))
+	matrix.ScaleVec(mean, 1/float64(points.Len()))
 	if matrix.Dist(mean, res.Clusters[0].Centroid) > 1e-6 {
 		t.Fatalf("K=1 centroid %v, want mean %v", res.Clusters[0].Centroid, mean)
 	}
-	if res.Clusters[0].Size != len(points) {
+	if res.Clusters[0].Size != points.Len() {
 		t.Fatal("K=1 cluster must hold all points")
 	}
 }
 
 func TestKMeansDuplicatePoints(t *testing.T) {
-	points := [][]float64{{1, 1}, {1, 1}, {1, 1}, {5, 5}}
+	points := rowsDataset([]float64{1, 1}, []float64{1, 1}, []float64{1, 1}, []float64{5, 5})
 	res, err := KMeans(points, Config{K: 2}, rng.New(5))
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +150,7 @@ func TestKMeansBoundsContainMembers(t *testing.T) {
 	}
 	for ci, c := range res.Clusters {
 		for _, m := range c.Members {
-			if !c.Bounds.Contains(points[m]) {
+			if !c.Bounds.Contains(points.Row(m)) {
 				t.Fatalf("cluster %d bounds exclude member %d", ci, m)
 			}
 		}
@@ -184,7 +197,8 @@ func TestKMeansNearestAssignmentInvariant(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for i, p := range points {
+		for i := range points.Len() {
+			p := points.Row(i)
 			assigned := matrix.SqDist(p, res.Clusters[res.Assignments[i]].Centroid)
 			for _, c := range res.Clusters {
 				if matrix.SqDist(p, c.Centroid) < assigned-1e-9 {

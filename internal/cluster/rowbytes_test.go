@@ -1,0 +1,40 @@
+//go:build !race
+
+package cluster
+
+import (
+	"runtime"
+	"testing"
+
+	"qens/internal/rng"
+)
+
+// TestRequantizeRowBytes: a stream requantization reads the dataset's
+// rows in place. Over a 3000-row, two-column dataset it may allocate
+// at most 48 bytes a row: the assignment slice, the member lists and
+// the per-cluster bounds, and no per-row header.
+func TestRequantizeRowBytes(t *testing.T) {
+	const rows, runs = 3000, 20
+	d := pinDataset(rows, 0, 17)
+	base, err := Quantize(d, Config{K: 5}, rng.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sq, err := NewStreamQuantizer(base.Result)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		if _, err := sq.Requantize(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perRow := float64(after.TotalAlloc-before.TotalAlloc) / (runs * rows)
+	if perRow > 48 {
+		t.Fatalf("Requantize over %d two-column rows allocates %.1f bytes a row, want <= 48", rows, perRow)
+	}
+	t.Logf("%.1f bytes a row", perRow)
+}

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 
+	"qens/internal/dataset"
 	"qens/internal/matrix"
 )
 
@@ -89,18 +90,16 @@ func (s *StreamQuantizer) Absorb(batch [][]float64) (BatchStats, error) {
 }
 
 // Requantize rebuilds a full Result (assignments, bounds, sizes,
-// inertia) for points against the current streamed centroids: one
-// parallel assignment pass, no Lloyd iterations.
-func (s *StreamQuantizer) Requantize(points [][]float64) (*Result, error) {
-	if len(points) < len(s.centroids) {
-		return nil, fmt.Errorf("%w: %d points for K=%d", ErrTooFewPoints, len(points), len(s.centroids))
+// inertia) for d's samples against the current streamed centroids:
+// one parallel assignment pass, no Lloyd iterations.
+func (s *StreamQuantizer) Requantize(d *dataset.Dataset) (*Result, error) {
+	if d.Len() < len(s.centroids) {
+		return nil, fmt.Errorf("%w: %d points for K=%d", ErrTooFewPoints, d.Len(), len(s.centroids))
 	}
-	for i, p := range points {
-		if len(p) != s.dims {
-			return nil, fmt.Errorf("cluster: point %d has %d dims, want %d", i, len(p), s.dims)
-		}
+	if d.Dims() != s.dims {
+		return nil, fmt.Errorf("cluster: dataset has %d dims, want %d", d.Dims(), s.dims)
 	}
-	assign := make([]int, len(points))
-	assignPoints(points, s.centroids, assign)
-	return buildResult(points, s.centroids, assign, 0), nil
+	assign := make([]int, d.Len())
+	assignPoints(d.Values(), s.dims, s.centroids, assign)
+	return buildResult(d.Values(), s.dims, s.centroids, assign, 0), nil
 }

@@ -31,7 +31,7 @@ func BenchmarkRequantize10k(b *testing.B) {
 		batch = n / 100
 		k     = 5
 	)
-	points := benchPoints(n, k, rng.New(7))
+	points := rowsDataset(benchPoints(n, k, rng.New(7))...)
 	base, err := KMeans(points, Config{K: k}, rng.New(7))
 	if err != nil {
 		b.Fatal(err)

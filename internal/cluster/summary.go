@@ -121,7 +121,7 @@ func Quantize(d *dataset.Dataset, cfg Config, src *rng.Source) (*Quantization, e
 	if d.Len() == 0 {
 		return nil, dataset.ErrEmpty
 	}
-	res, err := KMeans(d.Rows(), cfg, src)
+	res, err := KMeans(d, cfg, src)
 	if err != nil {
 		return nil, err
 	}

@@ -24,7 +24,7 @@ func TestCSVRoundTrip(t *testing.T) {
 		t.Fatalf("schema changed: %v vs %v", d.columns, got.columns)
 	}
 	if got.Len() != 2 || got.Row(0)[0] != 12.5 || got.Row(1)[1] != 140 {
-		t.Fatalf("rows changed: %v", got.Rows())
+		t.Fatalf("rows changed: %v", got.Values())
 	}
 }
 
@@ -79,7 +79,7 @@ func TestSaveLoadFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Len() != 1 || got.Row(0)[1] != 2 {
-		t.Fatalf("loaded %v", got.Rows())
+		t.Fatalf("loaded %v", got.Values())
 	}
 	if _, err := LoadFile(filepath.Join(t.TempDir(), "missing.csv")); err == nil {
 		t.Fatal("expected error loading missing file")

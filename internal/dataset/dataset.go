@@ -157,15 +157,9 @@ func row(data []float64, stride, i int) []float64 {
 	return data[i*stride : (i+1)*stride : (i+1)*stride]
 }
 
-// Rows returns all samples as row slices aliasing internal storage, as
-// Row returns them.
-func (d *Dataset) Rows() [][]float64 {
-	out := make([][]float64, d.Len())
-	for i := range out {
-		out[i] = d.Row(i)
-	}
-	return out
-}
+// Values returns every sample in one row-major slice with stride
+// Dims(), aliasing internal storage; callers must not write to it.
+func (d *Dataset) Values() []float64 { return d.data[:len(d.data):len(d.data)] }
 
 // Column returns a copy of the values of the named column.
 func (d *Dataset) Column(name string) ([]float64, error) {
@@ -241,7 +235,11 @@ func (d *Dataset) CopyAppend(rows [][]float64) (*Dataset, error) {
 // Bounds returns the tight bounding rectangle of all samples in the
 // joint data space, and ok=false when the dataset is empty.
 func (d *Dataset) Bounds() (geometry.Rect, bool) {
-	return geometry.BoundingRect(d.Rows())
+	var r geometry.Rect
+	for i := range d.Len() {
+		r.ExpandToInclude(d.Row(i))
+	}
+	return r, d.Len() > 0
 }
 
 // FilterInRect returns a zero-copy view over the samples falling

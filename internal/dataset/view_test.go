@@ -78,11 +78,11 @@ func TestViewXYMatchesDatasetXY(t *testing.T) {
 	}
 }
 
-// TestRowIsCapped: an append to a row, from the dataset or a view,
-// cannot overwrite the next row of the shared storage.
+// TestRowIsCapped: an append to a row, from the dataset or a view, or
+// to Values, cannot write past it into the shared storage.
 func TestRowIsCapped(t *testing.T) {
 	d := viewFixture(t)
-	for _, row := range [][]float64{d.Row(1), d.View().Row(1), d.ViewOf([]int{1}).Row(0), d.Rows()[1]} {
+	for _, row := range [][]float64{d.Row(1), d.View().Row(1), d.ViewOf([]int{1}).Row(0), d.Values()} {
 		if cap(row) != len(row) {
 			t.Fatalf("row has cap %d beyond its %d values", cap(row), len(row))
 		}
@@ -207,7 +207,7 @@ func TestCopyAppendSuccessorsDoNotCollide(t *testing.T) {
 		}
 	}
 	if last.Len() != d.Len()+3 || last.Row(d.Len())[0] != 0 || last.Row(d.Len() + 2)[0] != -1 {
-		t.Fatalf("the successor's successor holds %v", last.Rows()[d.Len():])
+		t.Fatalf("the successor's successor holds %v", last.Values()[d.Len()*d.Dims():])
 	}
 	if d.Len() != 35 || v.Len() != 35 || v.Row(34)[0] != 9 {
 		t.Fatalf("the parent grew to %d rows, its view to %d", d.Len(), v.Len())

@@ -192,7 +192,9 @@ func TestEngineStagingFollowsSnapshot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		oldRows = append(oldRows, cd.Rows()...)
+		for i := range cd.Len() {
+			oldRows = append(oldRows, cd.Row(i))
+		}
 	}
 
 	// Four workers run eight jobs each, Train and Evaluate in turn; the

@@ -251,7 +251,7 @@ func (n *Node) flushBatch(ing *ingester, batch [][]float64) error {
 		if err != nil {
 			return nil, nil, false, err
 		}
-		res, err := ing.sq.Requantize(data.Rows())
+		res, err := ing.sq.Requantize(data)
 		if err != nil {
 			return nil, nil, false, err
 		}

@@ -25,7 +25,8 @@ type Config struct {
 	// Spec is the model architecture and hyper-parameters every
 	// participant trains (Table III).
 	Spec ml.Spec
-	// ClusterK is the per-node k-means K (the paper fixes 5).
+	// ClusterK is the per-node k-means K (the paper fixes 5). Only
+	// NewSimulatedFleet reads it, for the nodes it builds.
 	ClusterK int
 	// LocalEpochs is the paper's E: local iterations per supporting
 	// cluster (default 5).

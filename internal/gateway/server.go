@@ -42,18 +42,12 @@ type ServerConfig struct {
 	QueueDepth     int
 	DefaultTimeout time.Duration
 	CoalesceIoU    float64
-	// MaxTimeout caps client-supplied per-query budgets (default 5m).
-	MaxTimeout time.Duration
 
 	// DefaultEpsilon and DefaultTopL parameterize the query-driven
 	// selector when the request omits them (defaults 0.6 and 3, the
 	// paper's operating point).
 	DefaultEpsilon float64
 	DefaultTopL    int
-
-	// RecordCapacity bounds the finished-query store backing
-	// GET /v1/query/{id} (default 256; oldest evicted).
-	RecordCapacity int
 
 	// Registry receives gateway metrics (default telemetry.Default()).
 	Registry *telemetry.Registry
@@ -71,21 +65,23 @@ type ServerConfig struct {
 	WireStatus func() []fleet.WireStatus
 }
 
+const (
+	// maxTimeout caps client-supplied per-query budgets.
+	maxTimeout = 5 * time.Minute
+	// recordCapacity bounds the finished-query store backing
+	// GET /v1/query/{id}; the oldest record is evicted.
+	recordCapacity = 256
+)
+
 func (c ServerConfig) withDefaults() ServerConfig {
 	if c.CoalesceIoU == 0 {
 		c.CoalesceIoU = 0.95
-	}
-	if c.MaxTimeout == 0 {
-		c.MaxTimeout = 5 * time.Minute
 	}
 	if c.DefaultEpsilon == 0 {
 		c.DefaultEpsilon = 0.6
 	}
 	if c.DefaultTopL == 0 {
 		c.DefaultTopL = 3
-	}
-	if c.RecordCapacity == 0 {
-		c.RecordCapacity = 256
 	}
 	if c.Registry == nil {
 		c.Registry = telemetry.Default()
@@ -141,7 +137,7 @@ func newServer(cfg ServerConfig, srv Serving, cache *federation.ReuseCache) (*Se
 		srv:     srv,
 		cache:   cache,
 		sched:   sched,
-		records: newRecordStore(cfg.RecordCapacity),
+		records: newRecordStore(recordCapacity),
 		start:   time.Now(),
 	}
 	mux := http.NewServeMux()
@@ -402,7 +398,7 @@ func buildAggregation(name string) (federation.Aggregation, error) {
 }
 
 // deadlineFor resolves the query's one deadline from timeout_ms
-// and/or an absolute RFC3339 deadline, capped at MaxTimeout. A bad
+// and/or an absolute RFC3339 deadline, capped at maxTimeout. A bad
 // value is a 400; a deadline already past is a 504 with the context
 // error, exactly as a late cancellation would end the query. Either is
 // written to w, and ok is false.
@@ -417,8 +413,8 @@ func (s *Server) deadlineFor(w http.ResponseWriter, req queryRequest, q query.Qu
 			return deadline, false
 		}
 		// Capped before scaling: a huge timeout_ms overflows Duration.
-		timeout = s.cfg.MaxTimeout
-		if req.TimeoutMS < s.cfg.MaxTimeout.Milliseconds() {
+		timeout = maxTimeout
+		if req.TimeoutMS < maxTimeout.Milliseconds() {
 			timeout = time.Duration(req.TimeoutMS) * time.Millisecond
 		}
 	}
@@ -436,7 +432,7 @@ func (s *Server) deadlineFor(w http.ResponseWriter, req queryRequest, q query.Qu
 		writeError(w, http.StatusGatewayTimeout, "query %s: %v", q.ID, context.DeadlineExceeded)
 		return deadline, false
 	}
-	return now.Add(min(timeout, s.cfg.MaxTimeout)), true
+	return now.Add(min(timeout, maxTimeout)), true
 }
 
 // parseQuery decodes a /v1/query or /v1/plan body: a malformed body,

@@ -385,9 +385,14 @@ func TestGatewayDuplicateID409(t *testing.T) {
 func TestGatewayEvictedIDReuse(t *testing.T) {
 	gate := make(chan struct{})
 	leader, arrived := gatedLeader(t, gate)
-	_, ts := newGatewayServer(t, ServerConfig{
-		Leader: leader, Workers: 1, QueueDepth: 8, CoalesceIoU: -1, RecordCapacity: 1,
+	s, err := NewServer(ServerConfig{
+		Leader: leader, Workers: 1, QueueDepth: 8, CoalesceIoU: -1, Registry: &telemetry.Registry{},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.records = newRecordStore(1)
+	ts := newHTTPServer(t, s)
 
 	// A ("x") runs; "y" evicts A's record; B reuses "x" and queues
 	// behind "y".
@@ -498,22 +503,22 @@ func TestGatewayExecutionTimeout504(t *testing.T) {
 	}
 }
 
-// TestGatewayTimeoutCapped: a timeout_ms beyond MaxTimeout runs under
-// MaxTimeout, however large, instead of overflowing into an expired or
-// arbitrary budget.
+// TestGatewayTimeoutCapped: a timeout_ms beyond the 5-minute cap runs
+// under the cap, however large, instead of overflowing into an expired
+// or arbitrary budget.
 func TestGatewayTimeoutCapped(t *testing.T) {
 	fleet := testFleet(t)
-	s, ts := newGatewayServer(t, ServerConfig{Leader: fleet.Leader, MaxTimeout: time.Minute})
+	s, ts := newGatewayServer(t, ServerConfig{Leader: fleet.Leader})
 	for _, tc := range []struct {
 		name string
 		ms   int64
 		want time.Duration
 	}{
 		{"within the cap", 2000, 2 * time.Second},
-		{"beyond the cap", 3_600_000, time.Minute},
-		{"wraps negative", 10_000_000_000_000, time.Minute},
-		{"wraps to under a millisecond", 18_446_744_073_710, time.Minute},
-		{"max int64", math.MaxInt64, time.Minute},
+		{"beyond the cap", 3_600_000, 5 * time.Minute},
+		{"wraps negative", 10_000_000_000_000, 5 * time.Minute},
+		{"wraps to under a millisecond", 18_446_744_073_710, 5 * time.Minute},
+		{"max int64", math.MaxInt64, 5 * time.Minute},
 	} {
 		now := time.Now()
 		if deadline, ok := s.deadlineFor(httptest.NewRecorder(), queryRequest{TimeoutMS: tc.ms}, query.Query{}, now); deadline.Sub(now) != tc.want || !ok {

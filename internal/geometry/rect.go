@@ -150,8 +150,14 @@ func (r *Rect) expandToRect(other Rect) {
 	}
 }
 
-// ExpandToInclude grows r in place so that it contains point p.
+// ExpandToInclude grows r in place so that it contains point p. The
+// zero Rect becomes the degenerate rectangle at p, so growing one from
+// the zero value over a set of points yields their tight bounding box.
 func (r *Rect) ExpandToInclude(p []float64) {
+	if r.Min == nil {
+		r.Min, r.Max = append([]float64(nil), p...), append([]float64(nil), p...)
+		return
+	}
 	if len(p) != r.Dims() {
 		panic(ErrInvalidRect)
 	}
@@ -163,22 +169,6 @@ func (r *Rect) ExpandToInclude(p []float64) {
 			r.Max[d] = x
 		}
 	}
-}
-
-// BoundingRect returns the tight bounding box of the given points.
-// ok is false when points is empty.
-func BoundingRect(points [][]float64) (r Rect, ok bool) {
-	if len(points) == 0 {
-		return Rect{}, false
-	}
-	r = Rect{
-		Min: append([]float64(nil), points[0]...),
-		Max: append([]float64(nil), points[0]...),
-	}
-	for _, p := range points[1:] {
-		r.ExpandToInclude(p)
-	}
-	return r, true
 }
 
 // String renders the rectangle as [min,max] pairs per dimension.
