@@ -344,7 +344,7 @@ func buildLeader(addrs string, nodes, samples, k, epochs int, seed uint64, model
 	}
 	sim, err := federation.NewSimulatedFleet(data, federation.Config{
 		Spec: specFor(model, data[0].Dims()-1), ClusterK: k, LocalEpochs: epochs, Seed: seed,
-	}, federation.FleetOptions{})
+	})
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -6,8 +6,7 @@
 //
 //	qens [flags] <experiment>
 //
-// Experiments: table1 table2 fig6 fig7 fig8 fig9 pretest
-// ablation-k ablation-eps ablation-l ablation-psi ablation-agg report
+// Run qens with no experiment to list the experiments.
 //
 // Flags scale the run; the defaults are the paper's setting (10 nodes,
 // 2000 samples per node, K=5, 200 queries). Use -quick for a reduced
@@ -108,65 +107,74 @@ func main() {
 	fmt.Printf("\n[%s completed in %s]\n", name, time.Since(start).Round(time.Millisecond))
 }
 
+// command is one subcommand: its name, its usage line and what it
+// runs.
+type command struct {
+	name, help string
+	run        func(experiments.Options) error
+}
+
+// commands is every subcommand, in usage order.
+var commands = []command{
+	{"table1", "Table I  — all-node vs random loss, homogeneous nodes",
+		func(o experiments.Options) error { return show(experiments.TableI(o)) }},
+	{"table2", "Table II — all-node vs random loss, heterogeneous nodes",
+		func(o experiments.Options) error { return show(experiments.TableII(o)) }},
+	{"fig6", "Fig. 6   — query space vs node data spaces",
+		func(o experiments.Options) error { return show(experiments.Figure6(o)) }},
+	{"fig7", "Fig. 7   — average loss: GT, Random, Averaging, Weighted",
+		func(o experiments.Options) error { return show(experiments.Figure7(o)) }},
+	{"fig8", "Fig. 8   — training time w/ and w/o the query-driven mechanism",
+		func(o experiments.Options) error { return show(experiments.Figure8(o)) }},
+	{"fig9", "Fig. 9   — % of data needed per query w/ and w/o the mechanism",
+		func(o experiments.Options) error { return show(experiments.Figure9(o)) }},
+	{"pretest", "§II heterogeneity pre-test on both corpus regimes", runPreTest},
+	{"drift", "model forgetting under sequential training, query-driven vs naive path",
+		func(o experiments.Options) error {
+			if o.Heterogeneity == 0 {
+				o.Heterogeneity = 1
+			}
+			if o.FlipFraction == 0 {
+				o.FlipFraction = 0.3
+			}
+			return show(experiments.Drift(o))
+		}},
+	{"ablation-k", "sweep clusters per node K",
+		func(o experiments.Options) error { return show(experiments.AblationK(o, nil)) }},
+	{"ablation-eps", "sweep support threshold ε",
+		func(o experiments.Options) error { return show(experiments.AblationEpsilon(o, nil)) }},
+	{"ablation-l", "sweep participant budget ℓ",
+		func(o experiments.Options) error { return show(experiments.AblationTopL(o, nil)) }},
+	{"ablation-psi", "sweep rank threshold ψ (Eq. 5)",
+		func(o experiments.Options) error { return show(experiments.AblationPsi(o, nil)) }},
+	{"ablation-agg", "prediction averaging vs weighted vs parameter FedAvg",
+		func(o experiments.Options) error { return show(experiments.AblationAggregation(o)) }},
+	{"sweep", "loss advantage of the mechanism as heterogeneity rises",
+		func(o experiments.Options) error { return show(experiments.HeterogeneitySweep(o, nil)) }},
+	{"comm", "per-query communication bytes vs GT and centralized shipping",
+		func(o experiments.Options) error { return show(experiments.CommunicationCost(o)) }},
+	{"multifeature", "full pipeline over a 4-dimensional feature space",
+		func(o experiments.Options) error { return show(experiments.MultiFeature(o, nil)) }},
+	{"reuse", "query-result caching under a focused workload ([5]-style)",
+		func(o experiments.Options) error { return show(experiments.Reuse(o)) }},
+	{"temporal", "train-on-past / test-on-future prequential evaluation",
+		func(o experiments.Options) error { return show(experiments.Temporal(o)) }},
+	{"explain", "print the full Eq. 2-4 ranking for one query", runExplain},
+	{"report", "run everything and emit one markdown report", runReport},
+	{"robustness", "behaviour under corrupted-label (broken-sensor) nodes",
+		func(o experiments.Options) error { return show(experiments.NoiseRobustness(o, nil)) }},
+	{"ablation-quantizer", "k-means vs equi-width grid synopses",
+		func(o experiments.Options) error { return show(experiments.QuantizerAblation(o)) }},
+}
+
 func run(name string, opts experiments.Options) error {
-	switch name {
-	case "table1":
-		return show(experiments.TableI(opts))
-	case "table2":
-		return show(experiments.TableII(opts))
-	case "fig6":
-		return show(experiments.Figure6(opts))
-	case "fig7":
-		return show(experiments.Figure7(opts))
-	case "fig8":
-		return show(experiments.Figure8(opts))
-	case "fig9":
-		return show(experiments.Figure9(opts))
-	case "pretest":
-		return runPreTest(opts)
-	case "drift":
-		o := opts
-		if o.Heterogeneity == 0 {
-			o.Heterogeneity = 1
+	for _, c := range commands {
+		if c.name == name {
+			return c.run(opts)
 		}
-		if o.FlipFraction == 0 {
-			o.FlipFraction = 0.3
-		}
-		return show(experiments.Drift(o))
-	case "ablation-k":
-		return show(experiments.AblationK(opts, nil))
-	case "ablation-eps":
-		return show(experiments.AblationEpsilon(opts, nil))
-	case "ablation-l":
-		return show(experiments.AblationTopL(opts, nil))
-	case "ablation-psi":
-		return show(experiments.AblationPsi(opts, nil))
-	case "ablation-agg":
-		return show(experiments.AblationAggregation(opts))
-	case "sweep":
-		return show(experiments.HeterogeneitySweep(opts, nil))
-	case "comm":
-		return show(experiments.CommunicationCost(opts))
-	case "multifeature":
-		return show(experiments.MultiFeature(opts, nil))
-	case "reuse":
-		return show(experiments.Reuse(opts))
-	case "temporal":
-		return show(experiments.Temporal(opts))
-	case "explain":
-		return runExplain(opts)
-	case "report":
-		return runReport(opts)
-	case "robustness":
-		return show(experiments.NoiseRobustness(opts, nil))
-	case "ablation-quantizer":
-		return show(experiments.QuantizerAblation(opts))
-	case "adaptive":
-		return show(experiments.Adaptive(opts))
-	default:
-		usage()
-		return nil
 	}
+	usage()
+	return nil
 }
 
 // show prints any experiment result that knows how to render itself.
@@ -229,33 +237,10 @@ func runPreTest(opts experiments.Options) error {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: qens [flags] <experiment>
-
-experiments:
-  table1        Table I  — all-node vs random loss, homogeneous nodes
-  table2        Table II — all-node vs random loss, heterogeneous nodes
-  fig6          Fig. 6   — query space vs node data spaces
-  fig7          Fig. 7   — average loss: GT, Random, Averaging, Weighted
-  fig8          Fig. 8   — training time w/ and w/o the query-driven mechanism
-  fig9          Fig. 9   — % of data needed per query w/ and w/o the mechanism
-  pretest       §II heterogeneity pre-test on both corpus regimes
-  drift         model forgetting under sequential training, query-driven vs naive path
-  ablation-k    sweep clusters per node K
-  ablation-eps  sweep support threshold ε
-  ablation-l    sweep participant budget ℓ
-  ablation-psi  sweep rank threshold ψ (Eq. 5)
-  ablation-agg  prediction averaging vs weighted vs parameter FedAvg
-  sweep         loss advantage of the mechanism as heterogeneity rises
-  comm          per-query communication bytes vs GT and centralized shipping
-  multifeature  full pipeline over a 4-dimensional feature space
-  reuse         query-result caching under a focused workload ([5]-style)
-  temporal      train-on-past / test-on-future prequential evaluation
-  explain       print the full Eq. 2-4 ranking for one query
-  report        run everything and emit one markdown report
-  robustness    behaviour under corrupted-label (broken-sensor) nodes
-  ablation-quantizer  k-means vs equi-width grid synopses
-  adaptive      the §II decision procedure (pre-test -> mechanism) end-to-end
-
-run 'qens -h' for flags`)
+	fmt.Fprint(os.Stderr, "usage: qens [flags] <experiment>\n\nexperiments:\n")
+	for _, c := range commands {
+		fmt.Fprintf(os.Stderr, "  %-13s %s\n", c.name, c.help)
+	}
+	fmt.Fprint(os.Stderr, "\nrun 'qens -h' for flags\n")
 	os.Exit(2)
 }

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"os"
+	"regexp"
+	"strings"
 	"testing"
 
 	"qens/internal/experiments"
@@ -14,24 +17,56 @@ func tinyOpts() experiments.Options {
 	}
 }
 
-// TestRunExperiments drives the CLI dispatcher end to end for every
-// simulated experiment (printing to stdout is fine under go test).
+// TestRunExperiments drives every subcommand of the dispatch table end
+// to end (printing to stdout is fine under go test).
 func TestRunExperiments(t *testing.T) {
-	for _, name := range []string{
-		"table1", "table2", "fig6", "fig7", "fig8", "fig9",
-		"pretest", "drift", "sweep", "comm", "reuse", "temporal",
-		"multifeature", "robustness", "explain",
-		"ablation-k", "ablation-eps", "ablation-l", "ablation-psi",
-		"ablation-agg", "ablation-quantizer", "adaptive",
-	} {
+	for _, c := range commands {
 		opts := tinyOpts()
-		if name == "drift" {
+		if c.name == "drift" {
 			opts.Heterogeneity = 1
 			opts.FlipFraction = 0.3
 			opts.Queries = 15
 		}
-		if err := run(name, opts); err != nil {
-			t.Errorf("%s: %v", name, err)
+		if err := c.run(opts); err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
+	}
+}
+
+// TestEverySubcommandRegenerates holds the dispatch table and
+// EXPERIMENTS.md's regeneration index to the same names: a subcommand
+// without a row backs no reported claim, and a row naming no
+// subcommand cannot be regenerated.
+func TestEverySubcommandRegenerates(t *testing.T) {
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, index, ok := strings.Cut(string(doc), "## Regeneration index\n")
+	if !ok {
+		t.Fatal("EXPERIMENTS.md has no regeneration index")
+	}
+	index, _, _ = strings.Cut(index, "\n## ")
+	rows := map[string]bool{}
+	for _, m := range regexp.MustCompile("`qens ([a-z0-9-]+)(?:\\{([a-z0-9,]+)\\})?").FindAllStringSubmatch(index, -1) {
+		if m[2] == "" {
+			rows[m[1]] = true
+			continue
+		}
+		for _, suffix := range strings.Split(m[2], ",") {
+			rows[m[1]+suffix] = true
+		}
+	}
+	table := map[string]bool{}
+	for _, c := range commands {
+		table[c.name] = true
+		if !rows[c.name] {
+			t.Errorf("subcommand %q has no row in EXPERIMENTS.md's regeneration index", c.name)
+		}
+	}
+	for name := range rows {
+		if !table[name] {
+			t.Errorf("regeneration index names %q, which is no subcommand", name)
 		}
 	}
 }

@@ -24,23 +24,20 @@ type Config struct {
 	// K is the number of clusters (the paper fixes K = 5 for all
 	// nodes "to avoid biases", §V-A).
 	K int
-	// MaxIterations bounds Lloyd's algorithm (default 100).
-	MaxIterations int
-	// Tolerance stops iteration when no centroid moves farther than
-	// this Euclidean distance (default 1e-6).
-	Tolerance float64
 	// Restarts runs the algorithm this many times with different
 	// seedings and keeps the lowest-inertia result (default 1).
 	Restarts int
 }
 
+const (
+	// maxIterations bounds Lloyd's algorithm.
+	maxIterations = 100
+	// tolerance stops iteration when no centroid moves farther than
+	// this Euclidean distance.
+	tolerance = 1e-6
+)
+
 func (c Config) withDefaults() Config {
-	if c.MaxIterations == 0 {
-		c.MaxIterations = 100
-	}
-	if c.Tolerance == 0 {
-		c.Tolerance = 1e-6
-	}
 	if c.Restarts == 0 {
 		c.Restarts = 1
 	}
@@ -119,7 +116,7 @@ func lloyd(points []float64, dims int, cfg Config, src *rng.Source) *Result {
 	}
 
 	iterations := 0
-	for ; iterations < cfg.MaxIterations; iterations++ {
+	for ; iterations < maxIterations; iterations++ {
 		// Assignment step (parallel across GOMAXPROCS; bit-exact).
 		assignPoints(points, dims, centroids, assign)
 		// Update step.
@@ -151,7 +148,7 @@ func lloyd(points []float64, dims int, cfg Config, src *rng.Source) *Result {
 				centroids[k][j] = next
 			}
 		}
-		if moved <= cfg.Tolerance {
+		if moved <= tolerance {
 			iterations++
 			break
 		}
@@ -265,11 +262,17 @@ func farthestPoint(points []float64, dims int, centroids [][]float64, assign []i
 }
 
 // buildResult assembles clusters, bounds and inertia. The result
-// adopts assign as its Assignments.
+// adopts assign as its Assignments. Member lists are sized from a
+// count over assign: lloyd's counts predate the final assignment.
 func buildResult(points []float64, dims int, centroids [][]float64, assign []int, iterations int) *Result {
+	sizes := make([]int, len(centroids))
+	for _, c := range assign {
+		sizes[c]++
+	}
 	clusters := make([]Cluster, len(centroids))
 	for c := range clusters {
 		clusters[c].Centroid = matrix.CloneVec(centroids[c])
+		clusters[c].Members = make([]int, 0, sizes[c])
 	}
 	inertia := 0.0
 	for i, c := range assign {

@@ -11,8 +11,9 @@ import (
 
 // TestRequantizeRowBytes: a stream requantization reads the dataset's
 // rows in place. Over a 3000-row, two-column dataset it may allocate
-// at most 48 bytes a row: the assignment slice, the member lists and
-// the per-cluster bounds, and no per-row header.
+// at most 24 bytes a row: the assignment slice, member lists sized
+// exactly (16 bytes a row between them) and the per-cluster bounds,
+// and no per-row header.
 func TestRequantizeRowBytes(t *testing.T) {
 	const rows, runs = 3000, 20
 	d := pinDataset(rows, 0, 17)
@@ -33,8 +34,8 @@ func TestRequantizeRowBytes(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perRow := float64(after.TotalAlloc-before.TotalAlloc) / (runs * rows)
-	if perRow > 48 {
-		t.Fatalf("Requantize over %d two-column rows allocates %.1f bytes a row, want <= 48", rows, perRow)
+	if perRow > 24 {
+		t.Fatalf("Requantize over %d two-column rows allocates %.1f bytes a row, want <= 24", rows, perRow)
 	}
 	t.Logf("%.1f bytes a row", perRow)
 }

@@ -44,30 +44,17 @@ func (r AblationResult) String() string {
 }
 
 // sweepQueryDriven executes the whole workload under one query-driven
-// configuration and reports mean loss + data fraction.
+// configuration and reports mean loss + data fraction over the scored
+// queries.
 func sweepQueryDriven(env *Environment, sel selection.QueryDriven) (AblationPoint, error) {
-	total, frac := 0.0, 0.0
-	executed := 0
-	for _, q := range env.Queries {
-		res, err := env.Fleet.Execute(q, sel, federation.WeightedAveraging)
-		if err != nil {
-			continue
-		}
-		mse, _, ok := federation.EvaluateResult(res, env.Fleet.Test)
-		if !ok {
-			continue
-		}
-		total += mse
-		frac += res.Stats.DataFraction()
-		executed++
-	}
-	if executed == 0 {
+	s := runStream(env.Fleet.Leader, env.Queries, sel, federation.WeightedAveraging, env.Fleet.Test)
+	if s.scored == 0 {
 		return AblationPoint{}, fmt.Errorf("experiments: no evaluable query in sweep")
 	}
 	return AblationPoint{
-		Loss:         total / float64(executed),
-		DataFraction: frac / float64(executed),
-		Executed:     executed,
+		Loss:         s.meanLoss(),
+		DataFraction: s.scoredFrac / float64(s.scored),
+		Executed:     s.scored,
 	}, nil
 }
 

@@ -11,6 +11,8 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"fmt"
 
 	"qens/internal/cluster"
@@ -143,7 +145,7 @@ func NewEnvironment(opts Options) (*Environment, error) {
 		LocalEpochs: opts.LocalEpochs,
 		Seed:        opts.Seed + 1,
 	}
-	fleet, err := federation.NewSimulatedFleet(data, cfg, federation.FleetOptions{})
+	fleet, err := federation.NewSimulatedFleet(data, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -164,24 +166,58 @@ func NewEnvironment(opts Options) (*Environment, error) {
 // meanLoss executes every query with the given selector/aggregation
 // and averages the per-query test MSE over the query subspace; queries
 // with no test data or no candidate nodes are skipped (and counted).
-func (e *Environment) meanLoss(sel selection.Selector, agg federation.Aggregation) (mean float64, executed int, err error) {
-	total := 0.0
-	for _, q := range e.Queries {
-		res, execErr := e.Fleet.Execute(q, sel, agg)
-		if execErr != nil {
-			continue // e.g. no node supports this query
-		}
-		mse, _, ok := federation.EvaluateResult(res, e.Fleet.Test)
-		if !ok {
-			continue
-		}
-		total += mse
-		executed++
-	}
-	if executed == 0 {
+func (e *Environment) meanLoss(sel selection.Selector, agg federation.Aggregation) (mean float64, scored int, err error) {
+	s := runStream(e.Fleet.Leader, e.Queries, sel, agg, e.Fleet.Test)
+	if s.scored == 0 {
 		return 0, 0, fmt.Errorf("experiments: no query produced an evaluable result")
 	}
-	return total / float64(executed), executed, nil
+	return s.meanLoss(), s.scored, nil
+}
+
+// stream is one query stream's outcome under one selector and
+// aggregation.
+type stream struct {
+	// results are the executed queries' results, in workload order.
+	results []*federation.Result
+	// scored counts the results with test data inside their query
+	// rectangle; loss sums their test MSEs.
+	scored int
+	loss   float64
+	// frac sums the data fraction over every executed query,
+	// scoredFrac over the scored ones only.
+	frac, scoredFrac float64
+}
+
+// runStream executes the queries through l in order, skips the ones
+// that fail (e.g. no node supports the query), and scores each result
+// against test.
+func runStream(l *federation.Leader, queries []query.Query, sel selection.Selector, agg federation.Aggregation, test *dataset.Dataset) *stream {
+	s := &stream{}
+	for _, q := range queries {
+		res, _, err := l.Execute(context.Background(), federation.Request{Query: q, Selector: sel, Aggregation: agg})
+		if err != nil {
+			continue
+		}
+		s.results = append(s.results, res)
+		s.frac += res.Stats.DataFraction()
+		if mse, _, ok := federation.EvaluateResult(res, test); ok {
+			s.scored++
+			s.loss += mse
+			s.scoredFrac += res.Stats.DataFraction()
+		}
+	}
+	return s
+}
+
+// errNoneExecuted reports a stream in which every query failed.
+var errNoneExecuted = errors.New("experiments: no query in the workload executed")
+
+// meanLoss is the mean test MSE over the scored queries, 0 if none.
+func (s *stream) meanLoss() float64 {
+	if s.scored == 0 {
+		return 0
+	}
+	return s.loss / float64(s.scored)
 }
 
 // summariesSpace computes the global data space implied by a set of

@@ -88,7 +88,7 @@ func MultiFeature(opts Options, columns []string) (*MultiFeatureResult, error) {
 		ClusterK:    opts.ClusterK,
 		LocalEpochs: opts.LocalEpochs,
 		Seed:        opts.Seed + 1,
-	}, federation.FleetOptions{})
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -118,45 +118,18 @@ func MultiFeature(opts Options, columns []string) (*MultiFeatureResult, error) {
 	// the threshold binding in any dimensionality.
 	eps := (float64(len(columns)) - 0.5) / float64(len(columns))
 
-	sel := selection.QueryDriven{Epsilon: eps, TopL: opts.TopL}
-	sumLoss, sumFrac, executed := 0.0, 0.0, 0
-	for _, q := range queries {
-		r, err := fleet.Execute(q, sel, federation.WeightedAveraging)
-		if err != nil {
-			continue
-		}
-		mse, _, ok := federation.EvaluateResult(r, fleet.Test)
-		if !ok {
-			continue
-		}
-		sumLoss += mse
-		sumFrac += r.Stats.DataFraction()
-		executed++
-	}
-	if executed == 0 {
+	qd := runStream(fleet.Leader, queries, selection.QueryDriven{Epsilon: eps, TopL: opts.TopL}, federation.WeightedAveraging, fleet.Test)
+	if qd.scored == 0 {
 		return nil, fmt.Errorf("experiments: no evaluable multi-feature query (ε=%.2f)", eps)
 	}
-	res.Losses["weighted"] = sumLoss / float64(executed)
-	res.DataFraction = sumFrac / float64(executed)
-	res.Executed = executed
+	res.Losses["weighted"] = qd.meanLoss()
+	res.DataFraction = qd.scoredFrac / float64(qd.scored)
+	res.Executed = qd.scored
 
-	rndLoss, rndN := 0.0, 0
-	ctxSel := selection.Random{L: opts.TopL}
-	for _, q := range queries {
-		r, err := fleet.Execute(q, ctxSel, federation.ModelAveraging)
-		if err != nil {
-			continue
-		}
-		mse, _, ok := federation.EvaluateResult(r, fleet.Test)
-		if !ok {
-			continue
-		}
-		rndLoss += mse
-		rndN++
-	}
-	if rndN == 0 {
+	rnd := runStream(fleet.Leader, queries, selection.Random{L: opts.TopL}, federation.ModelAveraging, fleet.Test)
+	if rnd.scored == 0 {
 		return nil, fmt.Errorf("experiments: random arm executed no multi-feature query")
 	}
-	res.Losses["random"] = rndLoss / float64(rndN)
+	res.Losses["random"] = rnd.meanLoss()
 	return res, nil
 }

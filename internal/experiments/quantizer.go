@@ -111,16 +111,16 @@ func QuantizerAblation(opts Options) (*QuantizerResult, error) {
 			return nil, err
 		}
 		sel := selection.QueryDriven{Epsilon: opts.Epsilon, TopL: opts.TopL}
-		report, err := federation.RunWorkload(leader, workload, sel, federation.WeightedAveraging, test)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s arm: %w", family, err)
+		s := runStream(leader, workload, sel, federation.WeightedAveraging, test)
+		if len(s.results) == 0 {
+			return nil, fmt.Errorf("experiments: %s arm: %w", family, errNoneExecuted)
 		}
 		out.Points = append(out.Points, QuantizerPoint{
 			Quantizer:    family,
 			MeanClusters: float64(totalClusters) / float64(len(data)),
-			Loss:         report.MeanMSE,
-			DataFraction: report.MeanDataFraction,
-			Executed:     report.Scored,
+			Loss:         s.meanLoss(),
+			DataFraction: s.frac / float64(len(s.results)),
+			Executed:     s.scored,
 		})
 	}
 	return out, nil

@@ -66,7 +66,7 @@ func Reuse(opts Options) (*ReuseResult, error) {
 	workload, err := query.Workload(query.WorkloadConfig{
 		Space:       space,
 		Count:       opts.Queries,
-		DriftPeriod: maxInt(2, opts.Queries/3),
+		DriftPeriod: max(2, opts.Queries/3),
 		FocusSpread: 0.03,
 	}, rng.New(opts.Seed+9))
 	if err != nil {
@@ -123,11 +123,4 @@ func Reuse(opts Options) (*ReuseResult, error) {
 	out.LossWithCache = lossCached / float64(scoredCached)
 	out.LossWithoutCache = lossFresh / float64(scoredFresh)
 	return out, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

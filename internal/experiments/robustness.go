@@ -93,7 +93,7 @@ func robustnessPoint(opts Options, frac float64) (*RobustnessPoint, error) {
 	}
 	fleet, err := federation.NewSimulatedFleet(data, federation.Config{
 		Spec: spec, ClusterK: opts.ClusterK, LocalEpochs: opts.LocalEpochs, Seed: opts.Seed + 1,
-	}, federation.FleetOptions{})
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -122,17 +122,14 @@ func robustnessPoint(opts Options, frac float64) (*RobustnessPoint, error) {
 
 	point := &RobustnessPoint{CorruptFraction: frac}
 	sel := selection.QueryDriven{Epsilon: opts.Epsilon, TopL: opts.TopL}
-	qdReport, err := federation.RunWorkload(fleet.Leader, workload, sel, federation.WeightedAveraging, cleanTest)
-	if err != nil {
-		return nil, err
+	qd := runStream(fleet.Leader, workload, sel, federation.WeightedAveraging, cleanTest)
+	if len(qd.results) == 0 {
+		return nil, errNoneExecuted
 	}
-	point.QueryDrivenLoss = qdReport.MeanMSE
+	point.QueryDrivenLoss = qd.meanLoss()
 	slots, corruptSlots := 0, 0
-	for _, o := range qdReport.Outcomes {
-		if o.Result == nil {
-			continue
-		}
-		for _, p := range o.Result.Participants {
+	for _, r := range qd.results {
+		for _, p := range r.Participants {
 			slots++
 			if corrupted[p.NodeID] {
 				corruptSlots++
@@ -143,10 +140,10 @@ func robustnessPoint(opts Options, frac float64) (*RobustnessPoint, error) {
 		point.CorruptSelected = float64(corruptSlots) / float64(slots)
 	}
 
-	rndReport, err := federation.RunWorkload(fleet.Leader, workload, selection.Random{L: opts.TopL}, federation.ModelAveraging, cleanTest)
-	if err != nil {
-		return nil, err
+	rnd := runStream(fleet.Leader, workload, selection.Random{L: opts.TopL}, federation.ModelAveraging, cleanTest)
+	if len(rnd.results) == 0 {
+		return nil, errNoneExecuted
 	}
-	point.RandomLoss = rndReport.MeanMSE
+	point.RandomLoss = rnd.meanLoss()
 	return point, nil
 }

@@ -1,13 +1,11 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"qens/internal/dataset"
 	"qens/internal/federation"
-	"qens/internal/geometry"
 	"qens/internal/ml"
 	"qens/internal/query"
 	"qens/internal/rng"
@@ -80,15 +78,7 @@ func Temporal(opts Options) (*TemporalResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	var bounds []geometry.Rect
-	for _, s := range summaries {
-		node := s.Clusters[0].Bounds.Clone()
-		for _, c := range s.Clusters[1:] {
-			node = node.Union(c.Bounds)
-		}
-		bounds = append(bounds, node)
-	}
-	space, err := query.GlobalSpace(bounds)
+	space, err := summariesSpace(summaries)
 	if err != nil {
 		return nil, err
 	}
@@ -107,24 +97,12 @@ func Temporal(opts Options) (*TemporalResult, error) {
 		{"weighted", selection.QueryDriven{Epsilon: opts.Epsilon, TopL: opts.TopL}, federation.WeightedAveraging},
 	}
 	for _, arm := range arms {
-		total, executed := 0.0, 0
-		for _, q := range workload {
-			r, _, err := leader.Execute(context.Background(), federation.Request{Query: q, Selector: arm.sel, Aggregation: arm.agg})
-			if err != nil {
-				continue
-			}
-			mse, _, ok := federation.EvaluateResult(r, test)
-			if !ok {
-				continue
-			}
-			total += mse
-			executed++
-		}
-		if executed == 0 {
+		s := runStream(leader, workload, arm.sel, arm.agg, test)
+		if s.scored == 0 {
 			return nil, fmt.Errorf("experiments: temporal arm %s executed no queries", arm.name)
 		}
-		res.Losses[arm.name] = total / float64(executed)
-		res.Executed[arm.name] = executed
+		res.Losses[arm.name] = s.meanLoss()
+		res.Executed[arm.name] = s.scored
 	}
 	return res, nil
 }

@@ -58,7 +58,7 @@ func benchReplayFleet(b *testing.B) *Fleet {
 		lineDataset(200, 2, 1, 50, 90, 12),
 	}
 	cfg := Config{Spec: ml.PaperLR(1), ClusterK: 4, LocalEpochs: 5, Seed: 7}
-	fleet, err := NewSimulatedFleet(data, cfg, FleetOptions{})
+	fleet, err := NewSimulatedFleet(data, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

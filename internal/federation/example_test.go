@@ -29,7 +29,7 @@ func Example() {
 	}
 	fleet, err := federation.NewSimulatedFleet(data, federation.Config{
 		Spec: ml.PaperLR(1), ClusterK: 5, LocalEpochs: 5, Seed: 7,
-	}, federation.FleetOptions{})
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func ExampleLeader_Execute() {
 	})
 	fleet, err := federation.NewSimulatedFleet(data, federation.Config{
 		Spec: ml.PaperLR(1), ClusterK: 5, LocalEpochs: 3, Seed: 2,
-	}, federation.FleetOptions{})
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func Example_cohortQuery() {
 		ClusterK:    5,
 		LocalEpochs: 8,
 		Seed:        9,
-	}, federation.FleetOptions{})
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -22,20 +22,14 @@ type Fleet struct {
 	Test *dataset.Dataset
 }
 
-// FleetOptions controls fleet construction.
-type FleetOptions struct {
-	// TestFraction is held out of every node's data for evaluation
-	// (default 0.2).
-	TestFraction float64
-	// LeaderDataIndex selects which node's training split doubles
-	// as the leader's local data for the §II pre-test (default 0).
-	LeaderDataIndex int
-}
+// fleetTestFraction is held out of every node's data for evaluation.
+const fleetTestFraction = 0.2
 
 // NewSimulatedFleet builds nodes node-0..node-(n-1) from the given
-// datasets, holds out a test fraction from each, and wires them to a
-// leader via in-process clients.
-func NewSimulatedFleet(data []*dataset.Dataset, cfg Config, opts FleetOptions) (*Fleet, error) {
+// datasets, holds out fleetTestFraction of each, and wires them to a
+// leader via in-process clients. node-0's training split doubles as
+// the leader's local data for the §II pre-test.
+func NewSimulatedFleet(data []*dataset.Dataset, cfg Config) (*Fleet, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("federation: fleet needs at least one dataset")
 	}
@@ -43,16 +37,6 @@ func NewSimulatedFleet(data []*dataset.Dataset, cfg Config, opts FleetOptions) (
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.TestFraction == 0 {
-		opts.TestFraction = 0.2
-	}
-	if opts.TestFraction < 0 || opts.TestFraction >= 1 {
-		return nil, fmt.Errorf("federation: test fraction %v outside [0,1)", opts.TestFraction)
-	}
-	if opts.LeaderDataIndex < 0 || opts.LeaderDataIndex >= len(data) {
-		return nil, fmt.Errorf("federation: leader data index %d out of range", opts.LeaderDataIndex)
-	}
-
 	root := rng.New(cfg.Seed)
 	test := data[0].Empty()
 	nodes := make([]*Node, len(data))
@@ -62,7 +46,7 @@ func NewSimulatedFleet(data []*dataset.Dataset, cfg Config, opts FleetOptions) (
 		if !data[0].SameSchema(d) {
 			return nil, fmt.Errorf("federation: dataset %d has a different schema", i)
 		}
-		train, held := d.Split(opts.TestFraction, root.Split())
+		train, held := d.Split(fleetTestFraction, root.Split())
 		if err := test.Merge(held); err != nil {
 			return nil, err
 		}
@@ -72,7 +56,7 @@ func NewSimulatedFleet(data []*dataset.Dataset, cfg Config, opts FleetOptions) (
 		}
 		nodes[i] = node
 		clients[i] = LocalClient{Node: node}
-		if i == opts.LeaderDataIndex {
+		if i == 0 {
 			leaderData = train
 		}
 	}

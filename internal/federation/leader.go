@@ -83,8 +83,8 @@ func (c Config) Validate() error {
 // simultaneously from many goroutines (the serving path in
 // internal/gateway depends on this).
 // The shared RNG is internally locked (see internal/rng), the summary
-// registry publishes copy-on-write snapshots, and the stateful
-// Adaptive selector locks internally.
+// registry publishes copy-on-write snapshots, and every selector is a
+// stateless value.
 type Leader struct {
 	cfg     Config
 	data    *dataset.Dataset // the leader's own local data (§II pre-test)

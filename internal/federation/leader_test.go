@@ -28,7 +28,7 @@ func testFleet(t *testing.T) *Fleet {
 		lineDataset(400, -2, 500, 200, 300, 13), // flipped, shifted
 	}
 	cfg := Config{Spec: ml.PaperLR(1), ClusterK: 5, LocalEpochs: 15, Seed: 1}
-	fleet, err := NewSimulatedFleet(data, cfg, FleetOptions{})
+	fleet, err := NewSimulatedFleet(data, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestLeaderPreTestHomogeneous(t *testing.T) {
 		lineDataset(300, 2, 1, 0, 50, 22),
 	}
 	cfg := Config{Spec: ml.PaperLR(1), Seed: 2}
-	fleet, err := NewSimulatedFleet(data, cfg, FleetOptions{})
+	fleet, err := NewSimulatedFleet(data, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,20 +318,14 @@ func TestPreparedOwnsItsMemory(t *testing.T) {
 
 func TestFleetValidation(t *testing.T) {
 	cfg := Config{Spec: ml.PaperLR(1)}
-	if _, err := NewSimulatedFleet(nil, cfg, FleetOptions{}); err == nil {
+	if _, err := NewSimulatedFleet(nil, cfg); err == nil {
 		t.Fatal("accepted no datasets")
 	}
 	d1 := lineDataset(50, 1, 0, 0, 10, 30)
 	bad := dataset.MustNew([]string{"a", "b"}, "b")
 	bad.MustAppend([]float64{1, 2})
-	if _, err := NewSimulatedFleet([]*dataset.Dataset{d1, bad}, cfg, FleetOptions{}); err == nil {
+	if _, err := NewSimulatedFleet([]*dataset.Dataset{d1, bad}, cfg); err == nil {
 		t.Fatal("accepted mixed schemas")
-	}
-	if _, err := NewSimulatedFleet([]*dataset.Dataset{d1}, cfg, FleetOptions{TestFraction: 1}); err == nil {
-		t.Fatal("accepted test fraction 1")
-	}
-	if _, err := NewSimulatedFleet([]*dataset.Dataset{d1}, cfg, FleetOptions{LeaderDataIndex: 5}); err == nil {
-		t.Fatal("accepted bad leader index")
 	}
 }
 

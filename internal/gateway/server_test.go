@@ -43,7 +43,7 @@ func testFleet(t *testing.T) *federation.Fleet {
 		lineDataset(300, 2, 1, 50, 90, 12),
 	}
 	cfg := federation.Config{Spec: ml.PaperLR(1), ClusterK: 4, LocalEpochs: 8, Seed: 1}
-	fleet, err := federation.NewSimulatedFleet(data, cfg, federation.FleetOptions{})
+	fleet, err := federation.NewSimulatedFleet(data, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestGatewayCoalesceKeepsOwnRanks(t *testing.T) {
 		lineDataset(400, -2, 500, 200, 300, 13),
 	}
 	cfg := federation.Config{Spec: ml.PaperLR(1), ClusterK: 5, LocalEpochs: 15, Seed: 1}
-	fleet, err := federation.NewSimulatedFleet(data, cfg, federation.FleetOptions{})
+	fleet, err := federation.NewSimulatedFleet(data, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -206,18 +206,12 @@ func (p *Planner) ExplainOn(snap *registry.Snapshot, q query.Query, sel selectio
 }
 
 // EpsilonFor is the ε a selector's candidate set is ranked at: a
-// query-driven selector's own ε, the intrinsic ε of any other
-// EpsilonCarrier, and DefaultEpsilon for the rest. The region tier's
-// root coordinator resolves ε through it too, so cross-region rankings
-// threshold exactly like single-leader plans.
+// query-driven selector's own ε, and DefaultEpsilon for the rest. The
+// region tier's root coordinator resolves ε through it too, so
+// cross-region rankings threshold exactly like single-leader plans.
 func EpsilonFor(sel selection.Selector) float64 {
 	if qd, ok := sel.(selection.QueryDriven); ok {
 		return qd.Epsilon
-	}
-	if ec, ok := sel.(selection.EpsilonCarrier); ok {
-		if e := ec.SupportEpsilon(); e > 0 {
-			return e
-		}
 	}
 	return DefaultEpsilon
 }

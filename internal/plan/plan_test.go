@@ -130,8 +130,7 @@ func reference(q query.Query, summaries []cluster.NodeSummary, sel selection.Sel
 // through both pipelines — the reference RankNodes candidate set over
 // raw summaries vs. Planner.PlanOn's arena kernel over a registry
 // snapshot — for every stateless mechanism (plus Random with mirrored
-// RNG streams and Adaptive with one instance per pipeline) and
-// requires bit-exact participant agreement.
+// RNG streams) and requires bit-exact participant agreement.
 func TestPlannerGoldenEquivalence(t *testing.T) {
 	summaries := synthSummaries(12, 5, 3, 42)
 	reg := staticRegistry(t, summaries)
@@ -159,18 +158,6 @@ func TestPlannerGoldenEquivalence(t *testing.T) {
 			func() *selection.Context { return &selection.Context{Evaluate: evalStub} },
 		},
 	}
-	// Adaptive carries its own ε, so it exercises the generic path at a
-	// non-default threshold. evalStub's losses are distinct, so a
-	// pre-test ratio just above 1 commits both instances to the
-	// query-driven branch; each pipeline gets its own instance so the
-	// cached regimes stay independent.
-	refAdaptive := &selection.Adaptive{Epsilon: 0.5, TopL: 3, RatioThreshold: 1.01}
-	planAdaptive := &selection.Adaptive{Epsilon: 0.5, TopL: 3, RatioThreshold: 1.01}
-	cases = append(cases, selCase{
-		"adaptive", planAdaptive,
-		func() *selection.Context { return &selection.Context{Evaluate: evalStub} },
-		func() *selection.Context { return &selection.Context{Evaluate: evalStub} },
-	})
 	// Random: two mirrored RNG streams, one per pipeline, seeded
 	// identically so the draws stay in lock-step across 200 queries.
 	refRNG, planRNG := rng.New(7), rng.New(7)
@@ -188,13 +175,9 @@ func TestPlannerGoldenEquivalence(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			refSel := tc.sel
-			if tc.sel == selection.Selector(planAdaptive) {
-				refSel = refAdaptive
-			}
 			mismatches, compared := 0, 0
 			for _, q := range queries {
-				want, wantErr := reference(q, summaries, refSel, tc.ref())
+				want, wantErr := reference(q, summaries, tc.sel, tc.ref())
 				pl, gotErr := planner.PlanOn(snap, q, tc.sel, tc.plan())
 				if (wantErr == nil) != (gotErr == nil) {
 					t.Fatalf("query %s: reference err %v, planner err %v", q.ID, wantErr, gotErr)
@@ -218,11 +201,6 @@ func TestPlannerGoldenEquivalence(t *testing.T) {
 				t.Fatal("every query failed to select; nothing was compared")
 			}
 		})
-	}
-	for _, a := range []*selection.Adaptive{refAdaptive, planAdaptive} {
-		if regime, ok := a.Regime(); !ok || regime != selection.RegimeHeterogeneous {
-			t.Fatalf("adaptive regime %v (ok=%v), want the query-driven branch", regime, ok)
-		}
 	}
 }
 

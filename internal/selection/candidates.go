@@ -71,15 +71,6 @@ func (cs *CandidateSet) AtEpsilon(epsilon float64) ([]NodeRank, error) {
 	return out, nil
 }
 
-// EpsilonCarrier is implemented by selectors with an intrinsic support
-// threshold. The planner builds the CandidateSet at that ε so the
-// selector's SelectFrom hits the precomputed ranking without a
-// re-threshold pass (see plan.EpsilonFor).
-type EpsilonCarrier interface {
-	// SupportEpsilon returns the ε the selector ranks at.
-	SupportEpsilon() float64
-}
-
 // Deterministic reports whether sel picks the same participants from
 // the same candidates every time: no RNG draw, no per-invocation state,
 // no pre-test. Only such selections may be served from (and stored

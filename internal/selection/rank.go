@@ -1,8 +1,8 @@
 // Package selection implements the paper's core contribution — the
 // query-driven edge node selection mechanism of §III-C — together with
 // the baselines it is evaluated against (§V-C): Random selection [6],
-// Game-Theory selection [7] and all-node selection. It also holds the
-// §II Adaptive selector (pre-test, then Random or query-driven).
+// Game-Theory selection [7] and all-node selection. Every selector is
+// a stateless value.
 //
 // The leader only ever sees cluster.NodeSummary advertisements — the
 // cluster bounding rectangles and counts — never raw node data, which

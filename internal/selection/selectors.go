@@ -56,9 +56,6 @@ type QueryDriven struct {
 // Name implements Selector.
 func (s QueryDriven) Name() string { return "query-driven" }
 
-// SupportEpsilon implements EpsilonCarrier.
-func (s QueryDriven) SupportEpsilon() float64 { return s.Epsilon }
-
 // Validate checks the TopL/Psi exclusivity contract.
 func (s QueryDriven) Validate() error {
 	if (s.TopL > 0) == (s.Psi > 0) {

@@ -184,7 +184,7 @@ func TestGameTheoryErrors(t *testing.T) {
 
 func TestSelectorNames(t *testing.T) {
 	names := map[string]bool{}
-	for _, s := range []Selector{QueryDriven{}, Random{}, AllNodes{}, GameTheory{}, &Adaptive{}} {
+	for _, s := range []Selector{QueryDriven{}, Random{}, AllNodes{}, GameTheory{}} {
 		n := s.Name()
 		if n == "" || names[n] {
 			t.Fatalf("bad or duplicate selector name %q", n)
