@@ -4,13 +4,11 @@
 // per-query deadlines; GET /v1/stats and /metrics expose the serving
 // telemetry.
 //
-// Simulated fleet (self-contained, no daemons needed):
+// The fleet is a set of qensd daemons, for example three synthetic
+// ones on one machine:
 //
-//	qens-gateway -addr :8080 -nodes 6 -samples 500
-//
-// Remote fleet of qensd daemons:
-//
-//	qens-gateway -addr :8080 -addrs 127.0.0.1:7001,127.0.0.1:7002
+//	for i in 0 1 2; do qensd -addr :700$i -synthetic $i & done
+//	qens-gateway -addr :8080 -addrs 127.0.0.1:7000,127.0.0.1:7001,127.0.0.1:7002
 //
 // Sharded topology — the gateway becomes the root coordinator over
 // qens-region daemons, routing each query to the overlapping regions
@@ -36,7 +34,6 @@ import (
 	"syscall"
 	"time"
 
-	"qens/internal/dataset"
 	"qens/internal/federation"
 	"qens/internal/fleet"
 	"qens/internal/gateway"
@@ -53,13 +50,10 @@ const reuseCapacity = 32
 func main() {
 	var (
 		addr        = flag.String("addr", "127.0.0.1:8080", "HTTP listen address")
-		addrs       = flag.String("addrs", "", "comma-separated qensd daemon addresses (remote fleet; empty runs a simulated fleet)")
-		regionAddrs = flag.String("region-addrs", "", "comma-separated qens-region daemon addresses (sharded topology; mutually exclusive with -addrs)")
-		nodes       = flag.Int("nodes", 6, "simulated fleet size")
-		samples     = flag.Int("samples", 500, "samples per simulated node")
-		k           = flag.Int("k", 5, "per-node k-means clusters")
+		addrs       = flag.String("addrs", "", "comma-separated qensd daemon addresses (single leader; give this or -region-addrs)")
+		regionAddrs = flag.String("region-addrs", "", "comma-separated qens-region daemon addresses (sharded topology; give this or -addrs)")
 		epochs      = flag.Int("epochs", 5, "local epochs per supporting cluster")
-		seed        = flag.Uint64("seed", 1, "simulation / leader seed")
+		seed        = flag.Uint64("seed", 1, "leader seed")
 		model       = flag.String("model", "lr", "model family: lr or nn")
 
 		workers     = flag.Int("workers", 4, "worker pool size (concurrent queries on the fleet)")
@@ -105,18 +99,8 @@ func main() {
 		}()
 	}
 
-	if *addrs != "" && *regionAddrs != "" {
-		fatal("-addrs and -region-addrs are mutually exclusive")
-	}
-	if *addrs != "" || *regionAddrs != "" {
-		// A remote fleet is what the daemons hold: the fleet-synthesis
-		// flags would be silently ignored, so naming one is an error.
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "k" || f.Name == "nodes" || f.Name == "samples" {
-				fmt.Fprintf(os.Stderr, "qens-gateway: -%s synthesizes a fleet; it does not apply with -addrs or -region-addrs\n", f.Name)
-				os.Exit(2)
-			}
-		})
+	if (*addrs == "") == (*regionAddrs == "") {
+		fatal("give exactly one of -addrs (qensd daemons) and -region-addrs (qens-region daemons)")
 	}
 
 	cfg := gateway.ServerConfig{
@@ -161,7 +145,7 @@ func main() {
 		}
 		fleetSize = len(ids)
 	} else {
-		leader, wires, cleanup, err := buildLeader(*addrs, *nodes, *samples, *k, *epochs, *seed, *model, *dialTimeout)
+		leader, wires, cleanup, err := buildLeader(*addrs, *epochs, *seed, *model, *dialTimeout)
 		if err != nil {
 			fatal("%v", err)
 		}
@@ -297,58 +281,41 @@ func wireStatus(remotes []*transport.Client) []fleet.WireStatus {
 	return out
 }
 
-// buildLeader wires either a simulated in-process fleet or a roster of
-// remote qensd daemons. For a remote fleet it also returns the
-// per-node wire status (see wireStatus).
-func buildLeader(addrs string, nodes, samples, k, epochs int, seed uint64, model string, dialTimeout time.Duration) (*federation.Leader, func() []fleet.WireStatus, func(), error) {
-	if addrs != "" {
-		remotes, err := transport.DialAll(addrs, func(a string) (*transport.Client, error) {
-			return transport.Dial(a, transport.DialOptions{Timeout: dialTimeout})
-		})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		clients := make([]federation.Client, len(remotes))
-		for i, c := range remotes {
-			fmt.Printf("qens-gateway: connected to %s (%s)\n", c.ID(), c.Addr())
-			clients[i] = c
-		}
-		closeAll := func() { closeClients(remotes) }
-		// The model's input width is the advertised data space less the
-		// target.
-		ctx, cancel := context.WithTimeout(context.Background(), dialTimeout)
-		sum, err := remotes[0].Summary(ctx)
-		cancel()
-		if err == nil {
-			err = sum.Validate()
-		}
-		if err != nil {
-			closeAll()
-			return nil, nil, nil, fmt.Errorf("summary from %s: %w", remotes[0].ID(), err)
-		}
-		leader, err := federation.NewLeader(federation.Config{
-			Spec: specFor(model, sum.Clusters[0].Bounds.Dims()-1), LocalEpochs: epochs, Seed: seed,
-		}, nil, clients)
-		if err != nil {
-			closeAll()
-			return nil, nil, nil, err
-		}
-		return leader, func() []fleet.WireStatus { return wireStatus(remotes) }, closeAll, nil
-	}
-
-	data, err := dataset.PaperNodeDatasets(dataset.Config{
-		Nodes: nodes, SamplesPerNode: samples, Seed: seed,
+// buildLeader dials a roster of qensd daemons and wires the leader
+// over them, with the per-node wire status (see wireStatus).
+func buildLeader(addrs string, epochs int, seed uint64, model string, dialTimeout time.Duration) (*federation.Leader, func() []fleet.WireStatus, func(), error) {
+	remotes, err := transport.DialAll(addrs, func(a string) (*transport.Client, error) {
+		return transport.Dial(a, transport.DialOptions{Timeout: dialTimeout})
 	})
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	sim, err := federation.NewSimulatedFleet(data, federation.Config{
-		Spec: specFor(model, data[0].Dims()-1), ClusterK: k, LocalEpochs: epochs, Seed: seed,
-	})
+	clients := make([]federation.Client, len(remotes))
+	for i, c := range remotes {
+		fmt.Printf("qens-gateway: connected to %s (%s)\n", c.ID(), c.Addr())
+		clients[i] = c
+	}
+	closeAll := func() { closeClients(remotes) }
+	// The model's input width is the advertised data space less the
+	// target.
+	ctx, cancel := context.WithTimeout(context.Background(), dialTimeout)
+	sum, err := remotes[0].Summary(ctx)
+	cancel()
+	if err == nil {
+		err = sum.Validate()
+	}
 	if err != nil {
+		closeAll()
+		return nil, nil, nil, fmt.Errorf("summary from %s: %w", remotes[0].ID(), err)
+	}
+	leader, err := federation.NewLeader(federation.Config{
+		Spec: specFor(model, sum.Clusters[0].Bounds.Dims()-1), LocalEpochs: epochs, Seed: seed,
+	}, nil, clients)
+	if err != nil {
+		closeAll()
 		return nil, nil, nil, err
 	}
-	return sim.Leader, nil, func() {}, nil
+	return leader, func() []fleet.WireStatus { return wireStatus(remotes) }, closeAll, nil
 }
 
 func specFor(model string, inputDim int) ml.Spec {

@@ -71,7 +71,7 @@ func TestBuildLeaderRemoteMultiFeature(t *testing.T) {
 		srv, err := transport.Serve(n, "127.0.0.1:0")
 		addrs = append(addrs, serve(t, srv, err))
 	}
-	leader, wires, cleanup, err := buildLeader(strings.Join(addrs, ","), 0, 0, 3, 2, 1, "lr", 30*time.Second)
+	leader, wires, cleanup, err := buildLeader(strings.Join(addrs, ","), 2, 1, "lr", 30*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

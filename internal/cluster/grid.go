@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 
 	"qens/internal/dataset"
 )
@@ -30,9 +31,21 @@ func GridQuantize(d *dataset.Dataset, bucketsPerDim int) (*Quantization, error) 
 	bounds, _ := d.Bounds()
 	dims := d.Dims()
 
-	// Assign each row to its grid cell.
-	cellOf := func(row []float64) string {
-		key := make([]byte, 0, dims*3)
+	// A cell's key is its bucket indices as base-bucketsPerDim digits.
+	for dim, cells := 0, uint64(1); dim < dims; dim, cells = dim+1, cells*uint64(bucketsPerDim) {
+		if cells > math.MaxUint64/uint64(bucketsPerDim) {
+			return nil, fmt.Errorf("cluster: %d buckets over %d dims make more cells than a 64-bit key holds", bucketsPerDim, dims)
+		}
+	}
+
+	// Assign each row to its grid cell; cells are numbered in the order
+	// their first row appears.
+	cellOf := map[uint64]int{}
+	assign := make([]int, d.Len())
+	var sizes []int
+	for i := range assign {
+		row := d.Row(i)
+		var key uint64
 		for dim := 0; dim < dims; dim++ {
 			span := bounds.Width(dim)
 			idx := 0
@@ -42,39 +55,37 @@ func GridQuantize(d *dataset.Dataset, bucketsPerDim int) (*Quantization, error) 
 					idx = bucketsPerDim - 1
 				}
 			}
-			key = append(key, byte(idx), '|')
+			key = key*uint64(bucketsPerDim) + uint64(idx)
 		}
-		return string(key)
-	}
-	members := map[string][]int{}
-	var order []string
-	for i := 0; i < d.Len(); i++ {
-		k := cellOf(d.Row(i))
-		if _, seen := members[k]; !seen {
-			order = append(order, k)
+		ci, seen := cellOf[key]
+		if !seen {
+			ci = len(sizes)
+			cellOf[key] = ci
+			sizes = append(sizes, 0)
 		}
-		members[k] = append(members[k], i)
+		assign[i] = ci
+		sizes[ci]++
 	}
 
-	clusters := make([]Cluster, len(order))
-	assign := make([]int, d.Len())
-	for ci, key := range order {
-		idxs := members[key]
+	clusters := make([]Cluster, len(sizes))
+	for ci := range clusters {
+		clusters[ci].Centroid = make([]float64, dims)
+		clusters[ci].Members = make([]int, 0, sizes[ci])
+		clusters[ci].Size = sizes[ci]
+	}
+	for i, ci := range assign {
 		cl := &clusters[ci]
-		cl.Centroid = make([]float64, dims)
-		for _, idx := range idxs {
-			assign[idx] = ci
-			row := d.Row(idx)
-			cl.Bounds.ExpandToInclude(row)
-			for dim, v := range row {
-				cl.Centroid[dim] += v
-			}
+		row := d.Row(i)
+		cl.Members = append(cl.Members, i)
+		cl.Bounds.ExpandToInclude(row)
+		for dim, v := range row {
+			cl.Centroid[dim] += v
 		}
-		for dim := range cl.Centroid {
-			cl.Centroid[dim] /= float64(len(idxs))
+	}
+	for ci := range clusters {
+		for dim := range clusters[ci].Centroid {
+			clusters[ci].Centroid[dim] /= float64(sizes[ci])
 		}
-		cl.Members = idxs
-		cl.Size = len(idxs)
 	}
 	res := &Result{Clusters: clusters, Assignments: assign}
 	res.Inertia = Inertia(d, clusters, assign)

@@ -73,6 +73,10 @@ func TestGridQuantizeErrors(t *testing.T) {
 	if _, err := GridQuantize(d, 0); err == nil {
 		t.Fatal("accepted zero buckets")
 	}
+	// 2^33 buckets in each of 2 dims make 2^66 cells: no 64-bit key.
+	if _, err := GridQuantize(d, 1<<33); err == nil {
+		t.Fatal("accepted a grid whose cell key overflows 64 bits")
+	}
 }
 
 func TestGridQuantizeSingleBucket(t *testing.T) {
@@ -115,5 +119,28 @@ func TestGridVsKMeansInertia(t *testing.T) {
 	// not be (much) worse than the data-oblivious grid.
 	if km.Result.Inertia > grid.Result.Inertia*1.1 {
 		t.Fatalf("k-means inertia %v worse than grid %v", km.Result.Inertia, grid.Result.Inertia)
+	}
+}
+
+// TestGridQuantizeManyBuckets: a cell is keyed by its full bucket
+// indices, so past 256 buckets a dimension's index does not wrap and
+// alias two cells into one.
+func TestGridQuantizeManyBuckets(t *testing.T) {
+	const n = 300
+	d := dataset.MustNew([]string{"x", "y"}, "y")
+	for i := 0; i < n; i++ {
+		d.MustAppend([]float64{float64(i), float64(i)})
+	}
+	q, err := GridQuantize(d, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(q.Result.Clusters); got != n {
+		t.Fatalf("%d buckets over %d distinct rows give %d cells, want %d", n, n, got, n)
+	}
+	for ci, c := range q.Result.Clusters {
+		if c.Size != 1 || c.Members[0] != ci {
+			t.Fatalf("cell %d holds rows %v, want [%d]", ci, c.Members, ci)
+		}
 	}
 }

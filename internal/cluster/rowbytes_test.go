@@ -39,3 +39,20 @@ func TestRequantizeRowBytes(t *testing.T) {
 	}
 	t.Logf("%.1f bytes a row", perRow)
 }
+
+// TestGridQuantizeRowAllocs: a grid cell is keyed by an integer, so
+// quantizing 3000 rows at 3 buckets a dimension allocates per cell,
+// not per row.
+func TestGridQuantizeRowAllocs(t *testing.T) {
+	const rows = 3000
+	d := pinDataset(rows, 0, 17)
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := GridQuantize(d, 3); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perRow := allocs / rows; perRow > 0.1 {
+		t.Fatalf("GridQuantize over %d rows at 3 buckets makes %.0f allocations, %.3f a row, want <= 0.1", rows, allocs, perRow)
+	}
+	t.Logf("%.0f allocations", allocs)
+}

@@ -157,10 +157,10 @@ func (e *cacheEntry) observeResidual(realized float64) float64 {
 }
 
 // ReuseCache is a bounded cache of query results, safe for concurrent
-// use with lock-free lookups. Hit/miss/eviction totals are exported to
-// the process-default telemetry registry (qens_reuse_cache_* and, for
-// the approximate tier, qens_model_cache_*), so the gateway's /metrics
-// and /v1/stats endpoints surface cache effectiveness live.
+// use with lock-free lookups. Its counters are per cache and surface
+// through CacheStats (/v1/stats' reuse_cache block); only the
+// predicted-minus-realized error gap goes to the process-default
+// registry, as qens_model_cache_err_gap.
 type ReuseCache struct {
 	minIoU float64
 	cap    int
@@ -182,16 +182,7 @@ type ReuseCache struct {
 	probes     atomic.Int64
 	fallbacks  atomic.Int64 // approx tier consulted, bound not met
 
-	hitsCtr       *telemetry.Counter
-	missesCtr     *telemetry.Counter
-	evictCapCtr   *telemetry.Counter
-	evictEpochCtr *telemetry.Counter
-	evictResCtr   *telemetry.Counter
-	entriesGauge  *telemetry.Gauge
-	approxCtr     *telemetry.Counter
-	probesCtr     *telemetry.Counter
-	fallbackCtr   *telemetry.Counter
-	errGapHist    *telemetry.Histogram
+	errGapHist *telemetry.Histogram
 }
 
 // NewReuseCache builds a cache serving queries whose rectangle IoU
@@ -219,28 +210,12 @@ func NewAdaptiveCache(minIoU float64, capacity int, approx ApproxConfig) (*Reuse
 		approx = approx.withDefaults()
 	}
 	reg := telemetry.Default()
-	reg.SetHelp("qens_reuse_cache_hits_total", "Queries answered from the reuse cache (IoU match).")
-	reg.SetHelp("qens_reuse_cache_misses_total", "Queries that missed the reuse cache.")
-	reg.SetHelp("qens_reuse_cache_evictions_total", "Cache entries removed, by reason (capacity, epoch, residual).")
-	reg.SetHelp("qens_reuse_cache_entries", "Current reuse cache size (last mutated cache).")
-	reg.SetHelp("qens_model_cache_approx_hits_total", "Queries served approximately from cached ensembles (zero training RPCs).")
-	reg.SetHelp("qens_model_cache_probes_total", "Approx-servable queries trained anyway to score the cached answer.")
-	reg.SetHelp("qens_model_cache_fallbacks_total", "Queries where the approx tier was consulted but the error bound was not met.")
-	reg.SetHelp("qens_model_cache_err_gap", "Predicted minus probe-realized answer error (negative = underestimated).")
+	reg.SetHelp("qens_model_cache_err_gap", "Predicted minus probe-realized answer error; underestimates (negative gaps) clamp to 0.")
 	return &ReuseCache{
-		minIoU:        minIoU,
-		cap:           capacity,
-		approx:        approx,
-		hitsCtr:       reg.Counter("qens_reuse_cache_hits_total"),
-		missesCtr:     reg.Counter("qens_reuse_cache_misses_total"),
-		evictCapCtr:   reg.Counter("qens_reuse_cache_evictions_total", telemetry.Label{Key: "reason", Value: "capacity"}),
-		evictEpochCtr: reg.Counter("qens_reuse_cache_evictions_total", telemetry.Label{Key: "reason", Value: "epoch"}),
-		evictResCtr:   reg.Counter("qens_reuse_cache_evictions_total", telemetry.Label{Key: "reason", Value: "residual"}),
-		entriesGauge:  reg.Gauge("qens_reuse_cache_entries"),
-		approxCtr:     reg.Counter("qens_model_cache_approx_hits_total"),
-		probesCtr:     reg.Counter("qens_model_cache_probes_total"),
-		fallbackCtr:   reg.Counter("qens_model_cache_fallbacks_total"),
-		errGapHist:    reg.Histogram("qens_model_cache_err_gap"),
+		minIoU:     minIoU,
+		cap:        capacity,
+		approx:     approx,
+		errGapHist: reg.Histogram("qens_model_cache_err_gap"),
 	}, nil
 }
 
@@ -313,15 +288,9 @@ func (c *ReuseCache) lookup(q query.Query, key reuseKey, f Fence) (*Result, bool
 	}
 	if best == nil {
 		c.misses.Add(1)
-		if c.missesCtr != nil {
-			c.missesCtr.Inc()
-		}
 		return nil, false
 	}
 	c.hits.Add(1)
-	if c.hitsCtr != nil {
-		c.hitsCtr.Inc()
-	}
 	return best.res, true
 }
 
@@ -393,9 +362,6 @@ func (c *ReuseCache) store(res *Result, stamps []EpochStamp, f Fence) {
 		}
 		if dead {
 			c.pruned.Add(1)
-			if c.evictEpochCtr != nil {
-				c.evictEpochCtr.Inc()
-			}
 			continue
 		}
 		kept = append(kept, e)
@@ -412,9 +378,6 @@ func (c *ReuseCache) store(res *Result, stamps []EpochStamp, f Fence) {
 		}
 		entries = append(entries[:victim], entries[victim+1:]...)
 		c.evictions.Add(1)
-		if c.evictCapCtr != nil {
-			c.evictCapCtr.Inc()
-		}
 	}
 	ent := &cacheEntry{res: res, stamps: stamps}
 	if c.approx.Enabled() && res.TrainDims > 0 {
@@ -423,7 +386,7 @@ func (c *ReuseCache) store(res *Result, stamps []EpochStamp, f Fence) {
 		ent.coverage, _ = geometry.NewCoverageProfile(res.TrainDims, res.TrainMins, res.TrainMaxs)
 	}
 	entries = append(entries, ent)
-	c.publishLocked(entries)
+	c.entries.Store(&entries)
 }
 
 // evict removes one entry (residual outgrew the bound). No-op if the
@@ -436,10 +399,7 @@ func (c *ReuseCache) evict(target *cacheEntry) {
 		if e == target {
 			entries = append(entries[:i], entries[i+1:]...)
 			c.evictions.Add(1)
-			if c.evictResCtr != nil {
-				c.evictResCtr.Inc()
-			}
-			c.publishLocked(entries)
+			c.entries.Store(&entries)
 			return
 		}
 	}
@@ -450,14 +410,6 @@ func (c *ReuseCache) evict(target *cacheEntry) {
 func (c *ReuseCache) entriesLocked() []*cacheEntry {
 	cur := c.snapshot()
 	return append(make([]*cacheEntry, 0, len(cur)+1), cur...)
-}
-
-// publishLocked publishes the new entry list. Called with c.mu held.
-func (c *ReuseCache) publishLocked(entries []*cacheEntry) {
-	c.entries.Store(&entries)
-	if c.entriesGauge != nil {
-		c.entriesGauge.Set(float64(len(entries)))
-	}
 }
 
 // probeDue deterministically marks every ProbeEvery-th approx-servable
@@ -474,9 +426,6 @@ func (c *ReuseCache) probeDue() bool {
 func (c *ReuseCache) recordApproxHit(e *cacheEntry) {
 	e.served.Add(1)
 	c.approxHits.Add(1)
-	if c.approxCtr != nil {
-		c.approxCtr.Inc()
-	}
 }
 
 // recordProbe folds one probe outcome into the entry's residual and
@@ -484,12 +433,7 @@ func (c *ReuseCache) recordApproxHit(e *cacheEntry) {
 // breaches the serve bound are evicted — feedback-driven removal.
 func (c *ReuseCache) recordProbe(e *cacheEntry, predicted, realized float64) {
 	c.probes.Add(1)
-	if c.probesCtr != nil {
-		c.probesCtr.Inc()
-	}
-	if c.errGapHist != nil {
-		c.errGapHist.Observe(predicted - realized)
-	}
+	c.errGapHist.Observe(predicted - realized)
 	if e.observeResidual(realized) > c.approx.MaxPredictedError {
 		c.evict(e)
 	}
@@ -498,9 +442,6 @@ func (c *ReuseCache) recordProbe(e *cacheEntry, predicted, realized float64) {
 // recordFallback books one approx-tier miss (bound not met).
 func (c *ReuseCache) recordFallback() {
 	c.fallbacks.Add(1)
-	if c.fallbackCtr != nil {
-		c.fallbackCtr.Inc()
-	}
 }
 
 // Len returns the current number of cached results.

@@ -22,17 +22,22 @@ import (
 	"qens/internal/engine"
 )
 
+const (
+	// materialDrift is the cluster.SummaryDrift threshold at or above
+	// which an incremental batch bumps the advertisement epoch; smaller
+	// movement publishes the fresh snapshot under the current epoch.
+	materialDrift = 0.01
+	// ingestAlpha is the EWMA smoothing factor for both drift-detector
+	// signals.
+	ingestAlpha = 0.3
+)
+
 // IngestConfig parameterizes a node's streaming ingestion path.
 type IngestConfig struct {
 	// BatchSize bounds the ingest buffer: Ingest flushes a mini-batch
 	// into the quantization whenever this many rows have accumulated.
 	// Default 64.
 	BatchSize int
-	// MaterialDrift is the cluster.SummaryDrift threshold at or above
-	// which an incremental batch bumps the advertisement epoch; smaller
-	// movement publishes the fresh snapshot under the current epoch.
-	// Default 0.01.
-	MaterialDrift float64
 	// EscalateError escalates to a full re-quantization when the EWMA
 	// of per-batch reconstruction error (normalized by the per-point
 	// inertia of the last full quantization) reaches this ratio.
@@ -43,26 +48,17 @@ type IngestConfig struct {
 	// assignment distribution and the last full quantization's cluster
 	// share distribution, in [0,1] — reaches this level. Default 0.5.
 	EscalateAssign float64
-	// Alpha is the EWMA smoothing factor for both detector signals.
-	// Default 0.3.
-	Alpha float64
 }
 
 func (c IngestConfig) withDefaults() IngestConfig {
 	if c.BatchSize <= 0 {
 		c.BatchSize = 64
 	}
-	if c.MaterialDrift <= 0 {
-		c.MaterialDrift = 0.01
-	}
 	if c.EscalateError <= 0 {
 		c.EscalateError = 4
 	}
 	if c.EscalateAssign <= 0 {
 		c.EscalateAssign = 0.5
-	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.3
 	}
 	return c
 }
@@ -212,7 +208,7 @@ func (ing *ingester) observeBatch(st cluster.BatchStats, batchLen int) bool {
 	if base <= 0 {
 		base = 1e-12
 	}
-	a := ing.cfg.Alpha
+	a := ingestAlpha
 	ing.errEWMA = a*(perPoint/base) + (1-a)*ing.errEWMA
 	shift := 0.0
 	for k, c := range st.AssignCounts {
@@ -261,7 +257,7 @@ func (n *Node) flushBatch(ing *ingester, batch [][]float64) error {
 		if err != nil {
 			return nil, nil, false, err
 		}
-		bump := drift >= ing.cfg.MaterialDrift
+		bump := drift >= materialDrift
 		ing.stats.IncrementalRequants++
 		if bump {
 			ing.stats.EpochBumps++

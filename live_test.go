@@ -3,7 +3,6 @@ package qens
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -64,7 +63,7 @@ func liveBinaries(t *testing.T) string {
 
 // TestLiveStack is the live-stack drill: the shipped binaries run as
 // separate processes over loopback TCP, as the paper's leader and edge
-// nodes do, in the three topologies the gateway serves. Each topology
+// nodes do, in the two topologies the gateway serves. Each drill
 // listens on ephemeral ports, reads every bound address from the line
 // its binary prints, takes closed-loop query bursts and must drain to
 // exit 0 within 30 s of SIGTERM.
@@ -74,80 +73,6 @@ func TestLiveStack(t *testing.T) {
 	}
 	dir := liveBinaries(t)
 	bin := func(name string) string { return filepath.Join(dir, name) }
-
-	// A single leader over a simulated fleet: fleet health, a trace
-	// assembled across the node boundary, and the trace file flushed on
-	// shutdown.
-	t.Run("leader", func(t *testing.T) {
-		t.Parallel()
-		tracePath := filepath.Join(t.TempDir(), "trace.jsonl")
-		gw := startLive(t, bin("qens-gateway"), "-addr", "127.0.0.1:0", "-nodes", "3", "-samples", "200",
-			"-k", "4", "-epochs", "3", "-workers", "4", "-queue", "32", "-trace", tracePath)
-		gwAddr := gw.await(t, gatewayAddrRE)
-		url := "http://" + gwAddr
-
-		checkBurst(t, "load", drive(t, url, 64, 8))
-
-		var fleet struct {
-			Nodes []liveNode `json:"nodes"`
-		}
-		getJSON(t, url+"/v1/fleet", &fleet)
-		checkNodes(t, "/v1/fleet", fleet.Nodes, "node-0")
-
-		var traces struct {
-			Traces []struct {
-				TraceID string `json:"trace_id"`
-			} `json:"traces"`
-		}
-		getJSON(t, url+"/v1/traces", &traces)
-		if len(traces.Traces) == 0 {
-			t.Fatal("/v1/traces lists no retained trace")
-		}
-		assembled := false
-		for _, tr := range traces.Traces {
-			var doc struct {
-				Root         liveSpan `json:"root"`
-				CriticalPath struct {
-					TotalMS float64 `json:"total_ms"`
-				} `json:"critical_path"`
-			}
-			getJSON(t, url+"/v1/trace/"+tr.TraceID, &doc)
-			if doc.CriticalPath.TotalMS > 0 && doc.Root.hasPrefix("node.") {
-				assembled = true
-				break
-			}
-		}
-		if !assembled {
-			t.Errorf("none of %d retained traces has both a critical path and node.* spans", len(traces.Traces))
-		}
-
-		// A connection that never sends a request, like a client's
-		// spare pooled one, must not hold the drain.
-		holdConn(t, gwAddr)
-		stopLive(t, 2*time.Second, gw)
-		// The sink is buffered: the trace file holds the root span of
-		// every retained trace only if shutdown flushed it.
-		raw, err := os.ReadFile(tracePath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		roots := make(map[string]bool)
-		for _, line := range strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n") {
-			var span struct {
-				TraceID  string `json:"trace_id"`
-				ParentID string `json:"parent_id"`
-			}
-			if err := json.Unmarshal([]byte(line), &span); err != nil {
-				t.Fatalf("trace file line %q: %v", line, err)
-			}
-			roots[span.TraceID] = roots[span.TraceID] || span.ParentID == ""
-		}
-		for _, tr := range traces.Traces {
-			if !roots[tr.TraceID] {
-				t.Errorf("trace file lacks the root span of trace %s: spans not flushed on shutdown", tr.TraceID)
-			}
-		}
-	})
 
 	// A root over two qens-region daemons over four qensd members,
 	// with the reuse cache on: per-region routing and stats, one
@@ -292,6 +217,90 @@ func TestLiveStack(t *testing.T) {
 		stopLive(t, 2*time.Second, append(append([]*liveProc{gw}, regions...), nodes...)...)
 	})
 
+	// A single leader over three qensd daemons: fleet health, a trace
+	// assembled across the process boundary, and the trace file flushed
+	// on shutdown.
+	t.Run("leader", func(t *testing.T) {
+		t.Parallel()
+		tracePath := filepath.Join(t.TempDir(), "trace.jsonl")
+		var nodes []*liveProc
+		var addrs []string
+		for i := range 3 {
+			n := startLive(t, bin("qensd"), "-addr", "127.0.0.1:0", "-synthetic", strconv.Itoa(i),
+				"-nodes", "3", "-samples", "200", "-k", "4")
+			nodes = append(nodes, n)
+			addrs = append(addrs, n.await(t, qensdAddrRE))
+		}
+		gw := startLive(t, bin("qens-gateway"), "-addr", "127.0.0.1:0", "-addrs", strings.Join(addrs, ","),
+			"-epochs", "3", "-workers", "4", "-queue", "32", "-trace", tracePath)
+		gwAddr := gw.await(t, gatewayAddrRE)
+		url := "http://" + gwAddr
+
+		checkBurst(t, "load", drive(t, url, 64, 8))
+
+		var fleet struct {
+			Nodes []liveNode `json:"nodes"`
+		}
+		getJSON(t, url+"/v1/fleet", &fleet)
+		checkNodes(t, "/v1/fleet", fleet.Nodes, "node-0")
+
+		var traces struct {
+			Traces []struct {
+				TraceID string `json:"trace_id"`
+			} `json:"traces"`
+		}
+		getJSON(t, url+"/v1/traces", &traces)
+		if len(traces.Traces) == 0 {
+			t.Fatal("/v1/traces lists no retained trace")
+		}
+		assembled := false
+		for _, tr := range traces.Traces {
+			var doc struct {
+				Root         liveSpan `json:"root"`
+				Procs        []string `json:"procs"`
+				CriticalPath struct {
+					TotalMS float64 `json:"total_ms"`
+				} `json:"critical_path"`
+			}
+			getJSON(t, url+"/v1/trace/"+tr.TraceID, &doc)
+			if doc.CriticalPath.TotalMS > 0 && doc.Root.hasPrefix("node.") && len(doc.Procs) >= 2 {
+				assembled = true
+				break
+			}
+		}
+		if !assembled {
+			t.Errorf("none of %d retained traces has a critical path and node.* spans from at least 2 procs", len(traces.Traces))
+		}
+
+		// A connection that never sends a request, like a client's
+		// spare pooled one, must not hold the drain.
+		holdConn(t, gwAddr)
+		stopLive(t, 2*time.Second, gw)
+		// The sink is buffered: the trace file holds the root span of
+		// every retained trace only if shutdown flushed it.
+		raw, err := os.ReadFile(tracePath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		roots := make(map[string]bool)
+		for _, line := range strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n") {
+			var span struct {
+				TraceID  string `json:"trace_id"`
+				ParentID string `json:"parent_id"`
+			}
+			if err := json.Unmarshal([]byte(line), &span); err != nil {
+				t.Fatalf("trace file line %q: %v", line, err)
+			}
+			roots[span.TraceID] = roots[span.TraceID] || span.ParentID == ""
+		}
+		for _, tr := range traces.Traces {
+			if !roots[tr.TraceID] {
+				t.Errorf("trace file lacks the root span of trace %s: spans not flushed on shutdown", tr.TraceID)
+			}
+		}
+		stopLive(t, 30*time.Second, nodes...)
+	})
+
 	// A gateway over three qensd daemons while node-0 streams rows and
 	// drifts: push freshness from every node, autonomous escalation,
 	// conditional pulls only, and a flat p99 through the drift.
@@ -312,13 +321,6 @@ func TestLiveStack(t *testing.T) {
 			addrs = append(addrs, n.await(t, qensdAddrRE))
 		}
 		obs := "http://" + nodes[0].await(t, obsAddrRE)
-		// A fleet-synthesis flag beside a remote fleet is refused, not
-		// ignored.
-		out, err := exec.Command(bin("qens-gateway"), "-addr", "127.0.0.1:0", "-addrs", strings.Join(addrs, ","), "-k", "4").CombinedOutput()
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "-k ") {
-			t.Errorf("-k with -addrs: %v, output %q; want exit 2 naming -k", err, out)
-		}
 		gw := startLive(t, bin("qens-gateway"), "-addr", "127.0.0.1:0", "-addrs", strings.Join(addrs, ","),
 			"-epochs", "2", "-workers", "4", "-queue", "32", "-summary-refresh", "1s")
 		url := "http://" + gw.await(t, gatewayAddrRE)

@@ -90,7 +90,7 @@ func TestFlagsRead(t *testing.T) {
 	for key := range allowed {
 		t.Errorf("%s: listed in testdata/unread_flags.txt but no such flag is defined; remove the line", key)
 	}
-	want := map[string]int{"datagen": 7, "qens": 12, "qens-gateway": 22, "qens-region": 6, "qensd": 16}
+	want := map[string]int{"datagen": 7, "qens": 12, "qens-gateway": 19, "qens-region": 6, "qensd": 16}
 	for bin := range counts {
 		if _, ok := want[bin]; !ok {
 			want[bin] = 0
@@ -113,8 +113,7 @@ type cmdFlag struct {
 // flag definitions, with whether each bound variable is read after
 // flag.Parse.
 func findFlags(root string) ([]cmdFlag, error) {
-	fset := token.NewFileSet()
-	l := &reachLoader{root: root, fset: fset, std: importer.ForCompiler(fset, "gc", nil), pkgs: make(map[string]*reachPkg)}
+	l := newReachLoader(root)
 	dirs, err := os.ReadDir(filepath.Join(root, "cmd"))
 	if err != nil {
 		return nil, err
@@ -251,6 +250,11 @@ type reachLoader struct {
 	pkgs map[string]*reachPkg
 }
 
+func newReachLoader(root string) *reachLoader {
+	fset := token.NewFileSet()
+	return &reachLoader{root: root, fset: fset, std: importer.ForCompiler(fset, "gc", nil), pkgs: make(map[string]*reachPkg)}
+}
+
 type reachPkg struct {
 	types *types.Package
 	files []*ast.File
@@ -302,33 +306,41 @@ func (l *reachLoader) load(path, dir string, names []string) (*reachPkg, error) 
 	return p, nil
 }
 
+// loadTree type-checks the non-test code of every package under
+// root/top and passes each to visit with its import path.
+func (l *reachLoader) loadTree(top string, visit func(path string, p *reachPkg)) error {
+	return filepath.WalkDir(filepath.Join(l.root, top), func(dir string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		rel, err := filepath.Rel(l.root, dir)
+		if err != nil {
+			return err
+		}
+		path := "qens/" + filepath.ToSlash(rel)
+		p, err := l.load(path, dir, nil)
+		if _, none := err.(*build.NoGoError); none {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		visit(path, p)
+		return nil
+	})
+}
+
 // findUnreached returns the unreached internal/ names of the module at
 // root, sorted, as pkg.Name or pkg.Type.Method.
 func findUnreached(root string) ([]string, error) {
-	fset := token.NewFileSet()
-	l := &reachLoader{root: root, fset: fset, std: importer.ForCompiler(fset, "gc", nil), pkgs: make(map[string]*reachPkg)}
+	l := newReachLoader(root)
 
 	var roots []*reachPkg
 	for _, top := range []string{"cmd", "internal"} {
-		err := filepath.WalkDir(filepath.Join(root, top), func(dir string, d os.DirEntry, err error) error {
-			if err != nil || !d.IsDir() {
-				return err
-			}
-			rel, err := filepath.Rel(root, dir)
-			if err != nil {
-				return err
-			}
-			p, err := l.load("qens/"+filepath.ToSlash(rel), dir, nil)
-			if _, none := err.(*build.NoGoError); none {
-				return nil
-			}
-			if err != nil {
-				return err
-			}
+		err := l.loadTree(top, func(_ string, p *reachPkg) {
 			if top != "internal" {
 				roots = append(roots, p)
 			}
-			return nil
 		})
 		if err != nil {
 			return nil, err
