@@ -17,23 +17,22 @@ func tinyOpts() experiments.Options {
 	}
 }
 
-// TestRunExperiments drives every subcommand of the dispatch table end
-// to end (printing to stdout is fine under go test).
+// TestRunExperiments runs every entry of the experiment table end to
+// end and renders its result.
 func TestRunExperiments(t *testing.T) {
-	for _, c := range commands {
-		opts := tinyOpts()
-		if c.name == "drift" {
-			opts.Heterogeneity = 1
-			opts.FlipFraction = 0.3
-			opts.Queries = 15
+	for _, e := range experiments.Experiments() {
+		res, err := e.Run(tinyOpts())
+		if err != nil {
+			t.Errorf("%s: %v", e.Name, err)
+			continue
 		}
-		if err := c.run(opts); err != nil {
-			t.Errorf("%s: %v", c.name, err)
+		if res.String() == "" {
+			t.Errorf("%s: empty rendering", e.Name)
 		}
 	}
 }
 
-// TestEverySubcommandRegenerates holds the dispatch table and
+// TestEverySubcommandRegenerates holds the experiment table and
 // EXPERIMENTS.md's regeneration index to the same names: a subcommand
 // without a row backs no reported claim, and a row naming no
 // subcommand cannot be regenerated.
@@ -58,10 +57,10 @@ func TestEverySubcommandRegenerates(t *testing.T) {
 		}
 	}
 	table := map[string]bool{}
-	for _, c := range commands {
-		table[c.name] = true
-		if !rows[c.name] {
-			t.Errorf("subcommand %q has no row in EXPERIMENTS.md's regeneration index", c.name)
+	for _, e := range experiments.Experiments() {
+		table[e.Name] = true
+		if !rows[e.Name] {
+			t.Errorf("subcommand %q has no row in EXPERIMENTS.md's regeneration index", e.Name)
 		}
 	}
 	for name := range rows {

@@ -15,10 +15,8 @@ import (
 	"errors"
 	"fmt"
 
-	"qens/internal/cluster"
 	"qens/internal/dataset"
 	"qens/internal/federation"
-	"qens/internal/geometry"
 	"qens/internal/ml"
 	"qens/internal/query"
 	"qens/internal/rng"
@@ -91,6 +89,21 @@ func (o Options) WithDefaults() Options {
 	}
 	if o.FlipFraction == 0 && o.Heterogeneity > 0.5 {
 		o.FlipFraction = 0.2
+	}
+	return o
+}
+
+// Quick fills unset scale fields with qens -quick's reduced run: 6
+// nodes, 500 samples per node, 20 queries.
+func (o Options) Quick() Options {
+	if o.Nodes == 0 {
+		o.Nodes = 6
+	}
+	if o.SamplesPerNode == 0 {
+		o.SamplesPerNode = 500
+	}
+	if o.Queries == 0 {
+		o.Queries = 20
 	}
 	return o
 }
@@ -218,18 +231,4 @@ func (s *stream) meanLoss() float64 {
 		return 0
 	}
 	return s.loss / float64(s.scored)
-}
-
-// summariesSpace computes the global data space implied by a set of
-// node advertisements.
-func summariesSpace(summaries []cluster.NodeSummary) (geometry.Rect, error) {
-	bounds := make([]geometry.Rect, 0, len(summaries))
-	for _, s := range summaries {
-		node := s.Clusters[0].Bounds.Clone()
-		for _, c := range s.Clusters[1:] {
-			node = node.Union(c.Bounds)
-		}
-		bounds = append(bounds, node)
-	}
-	return query.GlobalSpace(bounds)
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -98,11 +99,7 @@ func QuantizerAblation(opts Options) (*QuantizerResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		summaries, err := leader.Summaries()
-		if err != nil {
-			return nil, err
-		}
-		space, err := summariesSpace(summaries)
+		space, err := leader.Space(context.Background())
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -74,11 +75,7 @@ func Temporal(opts Options) (*TemporalResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	summaries, err := leader.Summaries()
-	if err != nil {
-		return nil, err
-	}
-	space, err := summariesSpace(summaries)
+	space, err := leader.Space(context.Background())
 	if err != nil {
 		return nil, err
 	}
