@@ -145,17 +145,17 @@ func TestAdaptiveResidualEviction(t *testing.T) {
 	ent := cache.snapshot()[0]
 
 	// A good probe keeps the entry.
-	cache.recordProbe(ent, 0.1, 0.05)
+	cache.recordProbe(ent, 0.05)
 	if cache.Len() != 1 {
 		t.Fatal("well-predicted entry evicted")
 	}
 	// A terrible one moves the residual to 0.05 + 0.25·0.95 = 0.2875,
 	// still inside the bound; a second pushes it to 0.47 and evicts.
-	cache.recordProbe(ent, 0.1, 1.0)
+	cache.recordProbe(ent, 1.0)
 	if cache.Len() != 1 {
 		t.Fatal("entry evicted before its residual passed the bound")
 	}
-	cache.recordProbe(ent, 0.1, 1.0)
+	cache.recordProbe(ent, 1.0)
 	if cache.Len() != 0 {
 		t.Fatal("entry with residual past the bound survived")
 	}

@@ -8,7 +8,6 @@ import (
 
 	"qens/internal/geometry"
 	"qens/internal/query"
-	"qens/internal/telemetry"
 )
 
 // Query-result reuse, following the knowledge-reuse idea of Long et
@@ -158,9 +157,7 @@ func (e *cacheEntry) observeResidual(realized float64) float64 {
 
 // ReuseCache is a bounded cache of query results, safe for concurrent
 // use with lock-free lookups. Its counters are per cache and surface
-// through CacheStats (/v1/stats' reuse_cache block); only the
-// predicted-minus-realized error gap goes to the process-default
-// registry, as qens_model_cache_err_gap.
+// through CacheStats (/v1/stats' reuse_cache block).
 type ReuseCache struct {
 	minIoU float64
 	cap    int
@@ -181,8 +178,6 @@ type ReuseCache struct {
 	approxHits atomic.Int64
 	probes     atomic.Int64
 	fallbacks  atomic.Int64 // approx tier consulted, bound not met
-
-	errGapHist *telemetry.Histogram
 }
 
 // NewReuseCache builds a cache serving queries whose rectangle IoU
@@ -209,14 +204,7 @@ func NewAdaptiveCache(minIoU float64, capacity int, approx ApproxConfig) (*Reuse
 	if approx.Enabled() {
 		approx = approx.withDefaults()
 	}
-	reg := telemetry.Default()
-	reg.SetHelp("qens_model_cache_err_gap", "Predicted minus probe-realized answer error; underestimates (negative gaps) clamp to 0.")
-	return &ReuseCache{
-		minIoU:     minIoU,
-		cap:        capacity,
-		approx:     approx,
-		errGapHist: reg.Histogram("qens_model_cache_err_gap"),
-	}, nil
+	return &ReuseCache{minIoU: minIoU, cap: capacity, approx: approx}, nil
 }
 
 // EpochStamp pins a cached result to the epoch one of its sources (a
@@ -298,9 +286,9 @@ func (c *ReuseCache) lookup(q query.Query, key reuseKey, f Fence) (*Result, bool
 // for q, returning it only when the prediction clears the configured
 // bound. It does not touch hit/miss accounting — callers record the
 // outcome once they decide between serving and probing.
-func (c *ReuseCache) lookupApprox(q query.Query, key reuseKey, f Fence) (*cacheEntry, float64, bool) {
+func (c *ReuseCache) lookupApprox(q query.Query, key reuseKey, f Fence) (*cacheEntry, bool) {
 	if !c.approx.Enabled() {
-		return nil, 0, false
+		return nil, false
 	}
 	var best *cacheEntry
 	bestPred := math.Inf(1)
@@ -327,9 +315,9 @@ func (c *ReuseCache) lookupApprox(q query.Query, key reuseKey, f Fence) (*cacheE
 		}
 	}
 	if best == nil || bestPred > c.approx.MaxPredictedError {
-		return nil, 0, false
+		return nil, false
 	}
-	return best, bestPred, true
+	return best, true
 }
 
 // Answer serves q from the cache without any fleet interaction — Serve
@@ -428,12 +416,11 @@ func (c *ReuseCache) recordApproxHit(e *cacheEntry) {
 	c.approxHits.Add(1)
 }
 
-// recordProbe folds one probe outcome into the entry's residual and
-// the predicted-vs-realized histogram; entries whose residual alone
-// breaches the serve bound are evicted — feedback-driven removal.
-func (c *ReuseCache) recordProbe(e *cacheEntry, predicted, realized float64) {
+// recordProbe folds one probe outcome into the entry's residual;
+// entries whose residual alone breaches the serve bound are evicted —
+// feedback-driven removal.
+func (c *ReuseCache) recordProbe(e *cacheEntry, realized float64) {
 	c.probes.Add(1)
-	c.errGapHist.Observe(predicted - realized)
 	if e.observeResidual(realized) > c.approx.MaxPredictedError {
 		c.evict(e)
 	}

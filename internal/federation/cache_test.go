@@ -403,7 +403,7 @@ func TestLinearScanMatchesRTreeWinners(t *testing.T) {
 		for _, q := range fx.probes {
 			wantExact, wantApprox := rtreeWinners(t, fx.cache, q)
 			gotExact, _ := fx.cache.lookup(q, reuseKey{}, Fence{})
-			gotApprox, _, _ := fx.cache.lookupApprox(q, reuseKey{}, Fence{})
+			gotApprox, _ := fx.cache.lookupApprox(q, reuseKey{}, Fence{})
 			if gotExact != wantExact {
 				t.Errorf("%s %v: exact winner %v, R-tree walk %v", fx.name, q.Bounds, gotExact, wantExact)
 			}
@@ -476,7 +476,7 @@ func TestReuseLookupDoesNotAllocate(t *testing.T) {
 		"lookup": func() bool { _, ok := cache.lookup(stored, key, fence); return ok },
 		"lookupApprox": func() bool {
 			_, missed := cache.lookup(inner, key, fence)
-			_, _, ok := cache.lookupApprox(inner, key, fence)
+			_, ok := cache.lookupApprox(inner, key, fence)
 			return ok && !missed
 		},
 		"Serve approx hit": func() bool {

@@ -83,23 +83,20 @@ func Serve(req Request, t Tier) (*Result, ServeKind, error) {
 		key = reuseKey{req.Selector.Name(), req.Aggregation}
 	}
 	kind := ServeFresh
-	var (
-		probed    *cacheEntry // approx-servable entry this query probes
-		predicted float64
-	)
+	var probed *cacheEntry // approx-servable entry this query probes
 	if c != nil {
 		if hit, ok := c.lookup(req.Query, key, t.Fence); ok {
 			return hit, ServeExact, nil
 		}
 		if c.approx.Enabled() {
-			ent, pred, ok := c.lookupApprox(req.Query, key, t.Fence)
+			ent, ok := c.lookupApprox(req.Query, key, t.Fence)
 			switch {
 			case !ok:
 				if !req.CacheOnly {
 					c.recordFallback()
 				}
 			case !req.CacheOnly && c.probeDue():
-				probed, predicted, kind = ent, pred, ServeProbe
+				probed, kind = ent, ServeProbe
 			default:
 				c.recordApproxHit(ent)
 				return ent.res, ServeApprox, nil
@@ -121,7 +118,7 @@ func Serve(req Request, t Tier) (*Result, ServeKind, error) {
 	}
 	if probed != nil {
 		realized := ensembleDivergence(probed.res.Ensemble, res.Ensemble, req.Query, t.InputDim)
-		c.recordProbe(probed, predicted, realized)
+		c.recordProbe(probed, realized)
 	}
 	if c != nil {
 		c.store(res, stamps, t.Fence)
