@@ -59,10 +59,10 @@ rerun:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) build -o /dev/null ./... && $(GO) test -race ./...
 
-# Non-test Go lines per internal package — ROADMAP's "number to push
-# down" — and for the whole repo outside bench/.
+# Non-test Go lines per internal package and per command — ROADMAP's
+# "number to push down" — and for the whole repo outside bench/.
 loc:
-	@for d in internal/*/; do \
+	@for d in internal/*/ cmd/*/; do \
 		printf '%-22s %6d\n' "$$d" "$$(cat $$(ls $$d*.go | grep -v _test.go) | wc -l)"; \
 	done
 	@printf '%-22s %6d\n' "repo (without bench/)" \
@@ -71,7 +71,7 @@ loc:
 # The serving packages' non-test line budget: ROADMAP item 2 pushes
 # federation+region+gateway down, so growing them past the committed
 # number fails the gate. Lower LOC_BUDGET when a PR shrinks them.
-LOC_BUDGET ?= 5831
+LOC_BUDGET ?= 5815
 loc-check:
 	@n=$$(cat $$(ls internal/federation/*.go internal/region/*.go internal/gateway/*.go | grep -v _test.go) | wc -l); \
 	if [ "$$n" -gt $(LOC_BUDGET) ]; then \
