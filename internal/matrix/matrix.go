@@ -75,13 +75,6 @@ func (m *Dense) Row(i int) []float64 {
 // Data returns the backing slice (row-major). Mutating it mutates m.
 func (m *Dense) Data() []float64 { return m.data }
 
-// Clone returns a deep copy of m.
-func (m *Dense) Clone() *Dense {
-	out := NewDense(m.rows, m.cols)
-	copy(out.data, m.data)
-	return out
-}
-
 // Fill sets every element to v.
 func (m *Dense) Fill(v float64) {
 	for i := range m.data {

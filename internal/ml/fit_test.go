@@ -6,15 +6,12 @@ import (
 	"testing"
 )
 
-// flatSpecs returns one spec per model family, exercising the
-// non-default optimizer/decay paths so Reinit has real state to reset.
+// flatSpecs returns one spec per model family; the NN's two hidden
+// layers and Adam moments give Reinit real state to reset.
 func flatSpecs() []Spec {
-	lr := PaperLR(3)
-	lr.LRDecay = 0.97
 	nn := PaperNN(3)
 	nn.Hidden = []int{8, 4}
-	nn.L2 = 1e-4
-	return []Spec{lr, nn}
+	return []Spec{PaperLR(3), nn}
 }
 
 // flatBatch synthesizes a deterministic training batch.

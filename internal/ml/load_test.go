@@ -3,15 +3,17 @@ package ml
 import (
 	"context"
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"qens/internal/dataset"
 )
 
 // TestAppendFingerprintPinned pins the pool key: AppendFingerprint
-// writes exactly the string the former fmt.Sprintf form produced
-// (the literals), appends after an existing prefix, and fills a stack
-// buffer without allocating.
+// writes exactly the literals (defaults filled in, floats in their
+// shortest exact form), appends after an existing prefix, and fills a
+// stack buffer without allocating.
 func TestAppendFingerprintPinned(t *testing.T) {
 	third := 0.1
 	third += 0.2
@@ -19,13 +21,13 @@ func TestAppendFingerprintPinned(t *testing.T) {
 		spec Spec
 		want string
 	}{
-		{PaperLR(3), "linear|in=3|h=[]|lr=0.03|ep=100|bs=32|vs=0.2|opt=sgd|act=|l2=0|dec=0|pat=0"},
-		{PaperNN(2), "nn|in=2|h=[64]|lr=0.001|ep=100|bs=32|vs=0.2|opt=adam|act=|l2=0|dec=0|pat=0"},
-		{Spec{Kind: KindNN, InputDim: 5, Hidden: []int{64, 32, 8}, LearningRate: 1e-7, Epochs: 12, BatchSize: 7,
-			ValidationSplit: 0.25, Optimizer: "momentum", Activation: "tanh", L2: 1e-4, LRDecay: 0.95, Patience: 3, Seed: 9},
-			"nn|in=5|h=[64 32 8]|lr=1e-07|ep=12|bs=7|vs=0.25|opt=momentum|act=tanh|l2=0.0001|dec=0.95|pat=3"},
-		{Spec{Kind: KindLinear, InputDim: 1, LearningRate: 2.5e21, L2: third},
-			"linear|in=1|h=[]|lr=2.5e+21|ep=100|bs=32|vs=0|opt=sgd|act=|l2=0.30000000000000004|dec=0|pat=0"},
+		{PaperLR(3), "linear|in=3|h=[]|lr=0.03|ep=100|vs=0.2"},
+		{PaperNN(2), "nn|in=2|h=[64]|lr=0.001|ep=100|vs=0.2"},
+		{Spec{Kind: KindNN, InputDim: 5, Hidden: []int{64, 32, 8}, LearningRate: 1e-7, Epochs: 12,
+			ValidationSplit: 0.25, Seed: 9},
+			"nn|in=5|h=[64 32 8]|lr=1e-07|ep=12|vs=0.25"},
+		{Spec{Kind: KindLinear, InputDim: 1, LearningRate: 2.5e21, ValidationSplit: third},
+			"linear|in=1|h=[]|lr=2.5e+21|ep=100|vs=0.30000000000000004"},
 	}
 	for _, c := range cases {
 		if got := string(c.spec.AppendFingerprint(nil)); got != c.want {
@@ -38,6 +40,42 @@ func TestAppendFingerprintPinned(t *testing.T) {
 		spec := c.spec
 		if n := testing.AllocsPerRun(10, func() { spec.AppendFingerprint(buf[:0]) }); n != 0 {
 			t.Errorf("AppendFingerprint into a stack buffer allocates %v", n)
+		}
+	}
+}
+
+// TestFingerprintCoversSpec: the engine's model pool hands a pooled
+// instance to any spec with the same fingerprint, so every Spec field
+// but Seed must reach it. Moving any other field to another valid
+// value changes the fingerprint; moving Seed does not.
+func TestFingerprintCoversSpec(t *testing.T) {
+	base := PaperNN(3)
+	base.Seed = 1
+	want := string(base.AppendFingerprint(nil))
+	typ := reflect.TypeOf(base)
+	for i := range typ.NumField() {
+		spec := base
+		f := reflect.ValueOf(&spec).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.String:
+			f.SetString(KindLinear)
+		case reflect.Int:
+			f.SetInt(f.Int() + 1)
+		case reflect.Uint64:
+			f.SetUint(f.Uint() + 1)
+		case reflect.Float64:
+			f.SetFloat(f.Float() / 2)
+		case reflect.Slice:
+			f.Set(reflect.ValueOf(append(slices.Clone(base.Hidden), 8)))
+		default:
+			t.Fatalf("Spec.%s: no other value for kind %s", typ.Field(i).Name, f.Kind())
+		}
+		if err := spec.Validate(); err != nil {
+			t.Fatalf("Spec.%s: the changed spec is invalid: %v", typ.Field(i).Name, err)
+		}
+		got := string(spec.AppendFingerprint(nil))
+		if same, isSeed := got == want, typ.Field(i).Name == "Seed"; same != isSeed {
+			t.Errorf("Spec.%s moved: fingerprint %q, base %q", typ.Field(i).Name, got, want)
 		}
 	}
 }
@@ -106,11 +144,10 @@ func pinnedBatch(n, d, off int) (x [][]float64, y []float64) {
 	return x, y
 }
 
-// TestLinearFitPinned pins the LR kernel's arithmetic to literals
-// produced by the per-epoch standardization (normX/normY on every row
-// of every epoch) that the once-per-fit standardization must match:
-// Fit, and incremental PartialFit calls whose statistics move between
-// calls.
+// TestLinearFitPinned pins the LR kernel's Fit to literals produced by
+// the per-epoch standardization (normX/normY on every row of every
+// epoch) that the once-per-fit standardization must match. Incremental
+// PartialFit calls are pinned by TestLinearServingFitPinned.
 func TestLinearFitPinned(t *testing.T) {
 	check := func(name string, got, want []float64) {
 		t.Helper()
@@ -131,15 +168,6 @@ func TestLinearFitPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("Fit", m.Params().Values, []float64{0.35142013086329627, -0.007940714541446951, 0.005944210068179168, 48, 516.1752450980392, 9.506134480896771e+06, 13.205882352941174, 14.080882352941174, 5939.584775086507, 6216.59948096886})
-
-	spec.LRDecay = 0.9
-	m = spec.MustNew()
-	for c := 0; c < 3; c++ {
-		if err := m.PartialFit(context.Background(), xyView(pinnedBatch(37+c*11, 2, c*5)), 3); err != nil {
-			t.Fatal(err)
-		}
-	}
-	check("PartialFit", m.Params().Values, []float64{0.49671027938995815, -0.06269351460070037, 0.05042785982802899, 144, 523.283905228758, 2.9473927607819125e+07, 13.369281045751633, 13.43178104575164, 18354.286812764323, 18187.724312764323})
 }
 
 // servingBatch is a deterministic one-feature batch in the serving

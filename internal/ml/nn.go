@@ -12,18 +12,16 @@ import (
 
 // neuralNet is the paper's NN model: a dense multi-layer perceptron
 // with relu hidden activations and a linear output unit, trained with
-// mini-batch gradient descent under MSE loss (Table III: one hidden
-// layer of 64 units, lr 0.001, 100 epochs, validation split 0.2).
+// mini-batch Adam under MSE loss (Table III: one hidden layer of 64
+// units, lr 0.001, 100 epochs, validation split 0.2).
 // Like the linear model it standardizes inputs/targets with streaming
 // statistics.
 type neuralNet struct {
-	spec    Spec
-	act     activation
-	layers  []denseLayer
-	stats   *runningStats
-	opt     optimizer
-	src     *rng.Source
-	history History
+	spec   Spec
+	layers []denseLayer
+	stats  *runningStats
+	opt    *adam
+	src    *rng.Source
 
 	// scratch holds the reusable forward/backward working set: the
 	// permutation, the normalized input matrix, per-layer activation
@@ -48,7 +46,7 @@ type neuralNet struct {
 }
 
 // denseLayer holds weights (in x out) and biases (out). hidden marks
-// layers followed by the nonlinearity; the output layer is linear.
+// layers followed by relu; the output layer is linear.
 type denseLayer struct {
 	w      *matrix.Dense
 	b      []float64
@@ -58,12 +56,6 @@ type denseLayer struct {
 // newNeuralNet allocates an NN with zero weights: Spec.New draws the
 // initial ones (initWeights), Spec.Load overwrites them.
 func newNeuralNet(spec Spec, src *rng.Source) *neuralNet {
-	act, err := lookupActivation(spec.Activation)
-	if err != nil {
-		// Spec.Validate runs before construction; this is a
-		// programming error, not a data condition.
-		panic(err)
-	}
 	widths := paramDims(spec.InputDim, spec.Hidden)
 	layers := make([]denseLayer, len(widths)-1)
 	for l := range layers {
@@ -72,12 +64,11 @@ func newNeuralNet(spec Spec, src *rng.Source) *neuralNet {
 	}
 	m := &neuralNet{
 		spec:   spec,
-		act:    act,
 		layers: layers,
 		stats:  newRunningStats(spec.InputDim),
 		src:    src,
 	}
-	m.opt = newOptimizer(spec.Optimizer, spec.LearningRate, m.paramCount())
+	m.opt = newAdam(spec.LearningRate, m.paramCount())
 	return m
 }
 
@@ -111,21 +102,12 @@ func (m *neuralNet) Fit(v dataset.View) error {
 	if err := checkView(v, m.spec.InputDim); err != nil {
 		return err
 	}
-	m.history = History{}
-	train, val := splitTrainVal(v, m.spec.ValidationSplit, m.src)
+	train := trainSplit(v, m.spec.ValidationSplit, m.src)
 	m.stats.observe(train)
 	for epoch := 0; epoch < m.spec.Epochs; epoch++ {
 		if err := m.runEpoch(context.Background(), train); err != nil {
 			return err
 		}
-		m.history.TrainLoss = append(m.history.TrainLoss, Loss(m, train))
-		if val.Len() > 0 {
-			m.history.ValLoss = append(m.history.ValLoss, Loss(m, val))
-		}
-		if stopEarly(m.history.ValLoss, m.spec.Patience) {
-			break
-		}
-		m.applyDecay()
 	}
 	return nil
 }
@@ -143,7 +125,6 @@ func (m *neuralNet) PartialFit(ctx context.Context, v dataset.View, epochs int) 
 		if err := m.runEpoch(ctx, v); err != nil {
 			return err
 		}
-		m.applyDecay()
 	}
 	return nil
 }
@@ -155,21 +136,13 @@ func (m *neuralNet) runEpoch(ctx context.Context, v dataset.View) error {
 	if cap(m.scratch.perm) < n {
 		m.scratch.perm = make([]int, n)
 	}
-	nb := m.spec.BatchSize
-	if n < nb {
-		nb = n
-	}
-	m.ensureBatchScratch(nb)
+	m.ensureBatchScratch(min(batchSize, n))
 	perm := m.src.PermInto(m.scratch.perm[:n])
-	for start := 0; start < n; start += m.spec.BatchSize {
+	for start := 0; start < n; start += batchSize {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		end := start + m.spec.BatchSize
-		if end > n {
-			end = n
-		}
-		m.trainBatch(v, perm[start:end])
+		m.trainBatch(v, perm[start:min(start+batchSize, n)])
 	}
 	return nil
 }
@@ -246,8 +219,8 @@ func (m *neuralNet) trainBatch(v dataset.View, batch []int) {
 		delta.ColSumsInto(grad[offset+wRows*wCols : offset+wRows*wCols+wCols])
 
 		if l > 0 {
-			// Propagate: delta_prev = (delta · wᵀ) ⊙ f'(acts[l]),
-			// with f' expressed in terms of the activation output.
+			// Propagate: delta_prev = (delta · wᵀ) ⊙ relu'(acts[l]),
+			// with relu' read off the activation output.
 			next := m.scratch.deltas[l].SetData(n, wRows, m.scratch.deltaBuf[l][:n*wRows])
 			matrix.MulTransBInto(next, delta, layer.w)
 			prevAct := &acts[l]
@@ -255,23 +228,10 @@ func (m *neuralNet) trainBatch(v dataset.View, batch []int) {
 				row := next.Row(i)
 				actRow := prevAct.Row(i)
 				for j := range row {
-					row[j] *= m.act.dFromOutput(actRow[j])
+					row[j] *= reluGrad(actRow[j])
 				}
 			}
 			delta = next
-		}
-	}
-
-	// L2 weight decay: applies to weights, not biases.
-	if m.spec.L2 > 0 {
-		offset := 0
-		for _, layer := range m.layers {
-			n := layer.w.Rows() * layer.w.Cols()
-			wdata := layer.w.Data()
-			for i := 0; i < n; i++ {
-				grad[offset+i] += m.spec.L2 * wdata[i]
-			}
-			offset += n + len(layer.b)
 		}
 	}
 
@@ -301,7 +261,7 @@ func (m *neuralNet) forwardBatch(v dataset.View, batch []int, start, n int) {
 		matrix.MulInto(z, &acts[l], layer.w)
 		z.AddRowVector(layer.b)
 		if layer.hidden {
-			z.Apply(m.act.fn)
+			z.Apply(relu)
 		}
 	}
 }
@@ -318,7 +278,7 @@ func (m *neuralNet) forward(x []float64) float64 {
 				sum += v * layer.w.At(i, j)
 			}
 			if layer.hidden {
-				sum = m.act.fn(sum)
+				sum = relu(sum)
 			}
 			next[j] = sum
 		}
@@ -344,10 +304,10 @@ func (m *neuralNet) PredictBatch(v dataset.View) []float64 {
 	if n == 0 {
 		return nil
 	}
-	m.ensureBatchScratch(min(m.spec.BatchSize, n))
+	m.ensureBatchScratch(min(batchSize, n))
 	out := make([]float64, n)
-	for start := 0; start < n; start += m.spec.BatchSize {
-		nb := min(m.spec.BatchSize, n-start)
+	for start := 0; start < n; start += batchSize {
+		nb := min(batchSize, n-start)
 		m.forwardBatch(v, nil, start, nb)
 		res := &m.scratch.acts[len(m.layers)]
 		for i := range nb {
@@ -409,36 +369,25 @@ func (m *neuralNet) Reinit(seed uint64, params Params) error {
 	m.initWeights()
 	m.stats.reset()
 	m.opt.reset()
-	m.opt.setLR(m.spec.LearningRate)
-	m.history = History{}
 	if len(params.Values) > 0 {
 		return m.SetParams(params)
 	}
 	return nil
 }
 
-// Clone returns an independent copy.
-func (m *neuralNet) Clone() Model {
-	layers := make([]denseLayer, len(m.layers))
-	for i, l := range m.layers {
-		layers[i] = denseLayer{w: l.w.Clone(), b: append([]float64(nil), l.b...), hidden: l.hidden}
+// relu is the hidden-layer nonlinearity (Table III).
+func relu(v float64) float64 {
+	if v < 0 {
+		return 0
 	}
-	return &neuralNet{
-		spec:   m.spec,
-		act:    m.act,
-		layers: layers,
-		stats:  m.stats.clone(),
-		opt:    m.opt.clone(),
-		src:    m.src.Split(),
-		history: History{
-			TrainLoss: append([]float64(nil), m.history.TrainLoss...),
-			ValLoss:   append([]float64(nil), m.history.ValLoss...),
-		},
-	}
+	return v
 }
 
-// History returns the last Fit's loss curves.
-func (m *neuralNet) History() History { return m.history }
-
-// applyDecay applies the spec's per-epoch learning-rate decay.
-func (m *neuralNet) applyDecay() { applyDecay(m.opt, m.spec.LRDecay) }
+// reluGrad is relu's derivative given its output y = relu(z), which
+// lets backprop work from the stored activations alone.
+func reluGrad(y float64) float64 {
+	if y > 0 {
+		return 1
+	}
+	return 0
+}

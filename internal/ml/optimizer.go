@@ -2,80 +2,14 @@ package ml
 
 import "math"
 
-// optimizer applies gradient updates to a flat parameter vector. All
-// models in this package expose their parameters as one flat []float64
-// so a single optimizer implementation serves both LR and the NN.
-type optimizer interface {
-	// step applies one update given the gradient; params and grad
-	// share a length.
-	step(params, grad []float64)
-	// reset clears accumulated state (after SetParams replaces the
-	// weights wholesale).
-	reset()
-	// clone returns an optimizer of the same configuration with
-	// fresh state.
-	clone() optimizer
-	// scaleLR multiplies the learning rate (for per-epoch decay).
-	scaleLR(factor float64)
-	// setLR restores the learning rate to an absolute value (model
-	// Reinit undoes any accumulated decay without reallocating).
-	setLR(lr float64)
+// newAdam returns an Adam optimizer over size parameters.
+func newAdam(lr float64, size int) *adam {
+	return &adam{lr: lr, beta1: 0.9, beta2: 0.999, eps: 1e-8,
+		m: make([]float64, size), v: make([]float64, size)}
 }
 
-// newOptimizer builds the optimizer named by the spec.
-func newOptimizer(name string, lr float64, size int) optimizer {
-	switch name {
-	case "momentum":
-		return &momentum{lr: lr, beta: 0.9, velocity: make([]float64, size)}
-	case "adam":
-		return &adam{lr: lr, beta1: 0.9, beta2: 0.999, eps: 1e-8,
-			m: make([]float64, size), v: make([]float64, size)}
-	default:
-		return &sgd{lr: lr}
-	}
-}
-
-// sgd is plain stochastic gradient descent.
-type sgd struct{ lr float64 }
-
-func (o *sgd) step(params, grad []float64) {
-	for i, g := range grad {
-		params[i] -= o.lr * g
-	}
-}
-func (o *sgd) reset()                 {}
-func (o *sgd) clone() optimizer       { return &sgd{lr: o.lr} }
-func (o *sgd) scaleLR(factor float64) { o.lr *= factor }
-func (o *sgd) setLR(lr float64)       { o.lr = lr }
-
-// momentum is SGD with classical momentum.
-type momentum struct {
-	lr, beta float64
-	velocity []float64
-}
-
-func (o *momentum) step(params, grad []float64) {
-	for i, g := range grad {
-		o.velocity[i] = o.beta*o.velocity[i] + g
-		params[i] -= o.lr * o.velocity[i]
-	}
-}
-
-func (o *momentum) reset() {
-	for i := range o.velocity {
-		o.velocity[i] = 0
-	}
-}
-
-func (o *momentum) clone() optimizer {
-	return &momentum{lr: o.lr, beta: o.beta, velocity: make([]float64, len(o.velocity))}
-}
-
-func (o *momentum) scaleLR(factor float64) { o.lr *= factor }
-
-func (o *momentum) setLR(lr float64) { o.lr = lr }
-
-// adam is the Adam optimizer (Kingma & Ba 2015).
+// adam is the Adam optimizer (Kingma & Ba 2015), the NN's update rule.
+// It works on the flat parameter vector the NN exports.
 type adam struct {
 	lr, beta1, beta2, eps float64
 	m, v                  []float64
@@ -95,6 +29,8 @@ func (o *adam) step(params, grad []float64) {
 	}
 }
 
+// reset clears the moment estimates (after Reinit or SetParams
+// replaces the weights wholesale).
 func (o *adam) reset() {
 	o.t = 0
 	for i := range o.m {
@@ -102,15 +38,6 @@ func (o *adam) reset() {
 		o.v[i] = 0
 	}
 }
-
-func (o *adam) clone() optimizer {
-	return &adam{lr: o.lr, beta1: o.beta1, beta2: o.beta2, eps: o.eps,
-		m: make([]float64, len(o.m)), v: make([]float64, len(o.v))}
-}
-
-func (o *adam) scaleLR(factor float64) { o.lr *= factor }
-
-func (o *adam) setLR(lr float64) { o.lr = lr }
 
 // clipGradient rescales grad in place if its L2 norm exceeds maxNorm,
 // a standard guard against exploding updates on badly conditioned

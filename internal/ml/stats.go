@@ -119,14 +119,3 @@ func (s *runningStats) unflatten(v []float64) {
 	copy(s.mean, v[3:3+dim])
 	copy(s.m2, v[3+dim:3+2*dim])
 }
-
-// clone returns a deep copy.
-func (s *runningStats) clone() *runningStats {
-	return &runningStats{
-		count: s.count,
-		mean:  append([]float64(nil), s.mean...),
-		m2:    append([]float64(nil), s.m2...),
-		yMean: s.yMean,
-		yM2:   s.yM2,
-	}
-}

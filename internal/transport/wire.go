@@ -152,12 +152,6 @@ var internTable = map[string]string{
 	typeRegionStats: typeRegionStats,
 	ml.KindLinear:   ml.KindLinear,
 	ml.KindNN:       ml.KindNN,
-	"sgd":           "sgd",
-	"momentum":      "momentum",
-	"adam":          "adam",
-	"relu":          "relu",
-	"tanh":          "tanh",
-	"sigmoid":       "sigmoid",
 	CodeUnknownType: CodeUnknownType,
 	CodeBadRequest:  CodeBadRequest,
 	// Node phase-span names every traced train response carries (the
@@ -239,13 +233,7 @@ func (e *wireEnc) spec(s ml.Spec) {
 	e.ints(s.Hidden)
 	e.f64(s.LearningRate)
 	e.varint(int64(s.Epochs))
-	e.varint(int64(s.BatchSize))
 	e.f64(s.ValidationSplit)
-	e.str(s.Optimizer)
-	e.str(s.Activation)
-	e.f64(s.L2)
-	e.f64(s.LRDecay)
-	e.varint(int64(s.Patience))
 	e.uvarint(s.Seed)
 }
 
@@ -773,13 +761,7 @@ func (d *wireDec) spec(dst *ml.Spec) {
 	dst.Hidden = d.ints(dst.Hidden)
 	dst.LearningRate = d.f64()
 	dst.Epochs = int(d.varint())
-	dst.BatchSize = int(d.varint())
 	dst.ValidationSplit = d.f64()
-	dst.Optimizer = d.str()
-	dst.Activation = d.str()
-	dst.L2 = d.f64()
-	dst.LRDecay = d.f64()
-	dst.Patience = int(d.varint())
 	dst.Seed = d.uvarint()
 }
 

@@ -36,9 +36,8 @@ func fullRequest() request {
 		Train: &federation.TrainRequest{
 			Spec: ml.Spec{
 				Kind: ml.KindNN, InputDim: 3, Hidden: []int{16, 8},
-				LearningRate: 0.015, Epochs: 100, BatchSize: 32,
-				ValidationSplit: 0.2, Optimizer: "adam", Activation: "tanh",
-				L2: 1e-4, LRDecay: 0.99, Patience: 5, Seed: 42,
+				LearningRate: 0.015, Epochs: 100,
+				ValidationSplit: 0.2, Seed: 42,
 			},
 			Params: ml.Params{
 				Kind: ml.KindNN, Dims: []int{3, 16, 8, 1},
@@ -623,7 +622,7 @@ func TestWireCodecFieldDriftGuard(t *testing.T) {
 		typ reflect.Type
 		n   int
 	}{
-		{reflect.TypeOf(ml.Spec{}), 13},
+		{reflect.TypeOf(ml.Spec{}), 7},
 		{reflect.TypeOf(ml.Params{}), 3},
 		{reflect.TypeOf(geometry.Rect{}), 2},
 		{reflect.TypeOf(cluster.Summary{}), 3},
