@@ -22,11 +22,12 @@ import (
 // of bench/ (the repository benchmark) and bench_test.go (the
 // paper-figure harness). A package-level func, type, var or const,
 // or a method, declared in non-test internal/ code is reached when a
-// root or reached internal code refers to it; a method is also reached
-// when its type is and some interface in the checked program, the
-// standard library included, has a method of the same name and
-// signature. Struct fields are out of scope: encoding/json reads them
-// by reflection. Every unreached name must be listed, with the reason it
+// root or reached internal code refers to it. A method is also reached
+// when its type is and it could be called through an interface: one
+// of the standard library (error, fmt.Stringer, ...) that has a method
+// of the same name and signature, or one declared in this module whose
+// matching method reached code calls. Struct fields are out of scope:
+// encoding/json reads them by reflection. Every unreached name must be listed, with the reason it
 // stays, in testdata/unreached.txt, and every listed name must still be
 // unreached, so the list can only shrink.
 func TestReachability(t *testing.T) {
@@ -356,7 +357,7 @@ func findUnreached(root string) ([]string, error) {
 	}
 	roots = append(roots, benchMain, harness)
 
-	g := &reachGraph{edges: make(map[types.Object][]types.Object)}
+	g := &reachGraph{edges: make(map[types.Object][]types.Object), called: make(map[types.Object]bool)}
 	for path, p := range l.pkgs {
 		if strings.HasPrefix(path, "qens/internal/") {
 			g.addDecls(p)
@@ -367,6 +368,9 @@ func findUnreached(root string) ([]string, error) {
 	reached := make(map[types.Object]bool)
 	var queue []types.Object
 	mark := func(obj types.Object) {
+		if _, ok := g.called[obj]; ok {
+			g.called[obj] = true
+		}
 		if _, tracked := g.edges[obj]; tracked && !reached[obj] {
 			reached[obj] = true
 			queue = append(queue, obj)
@@ -386,6 +390,16 @@ func findUnreached(root string) ([]string, error) {
 		for _, next := range g.edges[obj] {
 			mark(next)
 		}
+		if len(queue) == 0 {
+			// A module interface method reaches the methods of
+			// reached types that implement it once reached code
+			// calls it.
+			for _, c := range g.impls {
+				if g.called[c.iface] && reached[c.typ] {
+					mark(c.fn)
+				}
+			}
+		}
 	}
 
 	var out []string
@@ -403,7 +417,16 @@ func findUnreached(root string) ([]string, error) {
 type reachGraph struct {
 	edges map[types.Object][]types.Object
 	roots []types.Object // referenced by init funcs
+	// called holds every method of an interface declared in this
+	// module, true once reached code refers to it; impls are the
+	// methods each could dispatch to.
+	called map[types.Object]bool
+	impls  []reachImpl
 }
+
+// reachImpl is a method fn of type typ that a call of the module
+// interface method iface could dispatch to.
+type reachImpl struct{ iface, typ, fn types.Object }
 
 func (g *reachGraph) addDecls(p *reachPkg) {
 	uses := func(n ast.Node) []types.Object {
@@ -458,7 +481,8 @@ func (g *reachGraph) addDecls(p *reachPkg) {
 }
 
 // linkInterfaceMethods adds an edge from each type to each of its
-// methods that some interface in the checked program could call.
+// methods that a standard-library interface could call, and records
+// as impls the methods that an interface of this module could call.
 func (g *reachGraph) linkInterfaceMethods(pkgs map[string]*reachPkg) {
 	byName := make(map[string][]*types.Func)
 	addIface := func(t types.Type) {
@@ -506,16 +530,38 @@ func (g *reachGraph) linkInterfaceMethods(pkgs map[string]*reachPkg) {
 		if recv == nil {
 			continue
 		}
+		n := namedOf(recv.Type())
+		if n == nil {
+			continue
+		}
+		tn := n.Obj()
+		var impls []reachImpl
+		std := false
 		for _, m := range byName[fn.Name()] {
-			if types.Identical(m.Type(), fn.Type()) {
-				if n := namedOf(recv.Type()); n != nil {
-					tn := n.Obj()
-					g.edges[tn] = append(g.edges[tn], fn)
-				}
+			if !types.Identical(m.Type(), fn.Type()) {
+				continue
+			}
+			if !inModule(m.Pkg()) {
+				std = true
 				break
 			}
+			impls = append(impls, reachImpl{m, tn, fn})
+		}
+		if std {
+			g.edges[tn] = append(g.edges[tn], fn)
+			continue
+		}
+		for _, c := range impls {
+			g.called[c.iface] = false
+			g.impls = append(g.impls, c)
 		}
 	}
+}
+
+// inModule reports whether pkg is this module's, not the standard
+// library's (error's methods have no package).
+func inModule(pkg *types.Package) bool {
+	return pkg != nil && (pkg.Path() == "qens" || strings.HasPrefix(pkg.Path(), "qens/"))
 }
 
 // origin maps an instantiated generic func or method to its
