@@ -247,20 +247,35 @@ func (p *Planner) planOn(snap *registry.Snapshot, q query.Query, sel selection.S
 // shard and ships the rows to the root coordinator, which merges them
 // into a global candidate set — running the exact arena kernel the
 // single-leader path uses keeps the cross-tier arithmetic bit-identical.
-func (p *Planner) Rank(ctx context.Context, q query.Query, epsilon float64) ([]selection.NodeRank, uint64, error) {
+//
+// With pruned set, for callers serving the query-driven policy, the
+// ranking goes through the snapshot's spatial index: nodes the index
+// proves cannot reach ε are returned as explicit zero rows (rank 0, no
+// overlap detail) instead of being scored by the kernel. Participant
+// selection over these rows is bit-identical to the brute ranking —
+// zero-rank nodes are never selected — but the rows are NOT a full
+// EXPLAIN surface (pruned rows carry nil Overlaps). A snapshot without
+// an index is ranked by the brute kernel either way.
+func (p *Planner) Rank(ctx context.Context, q query.Query, epsilon float64, pruned bool) ([]selection.NodeRank, uint64, error) {
 	snap, err := p.reg.Snapshot(ctx)
 	if err != nil {
 		return nil, 0, err
 	}
-	return p.RankOn(snap, q, epsilon)
+	return p.RankOn(snap, q, epsilon, pruned)
 }
 
 // RankOn is Rank against an explicit snapshot.
-func (p *Planner) RankOn(snap *registry.Snapshot, q query.Query, epsilon float64) ([]selection.NodeRank, uint64, error) {
+func (p *Planner) RankOn(snap *registry.Snapshot, q query.Query, epsilon float64, pruned bool) ([]selection.NodeRank, uint64, error) {
 	if snap == nil {
 		return nil, 0, fmt.Errorf("plan: nil snapshot")
 	}
-	pl, err := p.rank(snap, q, epsilon, "")
+	var pl *Plan
+	var err error
+	if pruned && snap.Index != nil {
+		pl, err = p.rankIndexed(snap, q, epsilon, "")
+	} else {
+		pl, err = p.rank(snap, q, epsilon, "")
+	}
 	if err != nil {
 		return nil, 0, err
 	}
@@ -270,47 +285,6 @@ func (p *Planner) RankOn(snap *registry.Snapshot, q query.Query, epsilon float64
 		// Overlaps and Supporting are arena sub-slices that die with
 		// Release; Sizes points into the immutable snapshot and is safe
 		// to retain as-is.
-		out[i].Overlaps = append([]float64(nil), r.Overlaps...)
-		if r.Supporting != nil {
-			out[i].Supporting = append([]int(nil), r.Supporting...)
-		}
-	}
-	epoch := pl.Epoch
-	pl.Release()
-	return out, epoch, nil
-}
-
-// RankQueryDriven is Rank through the snapshot's spatial index, for
-// callers serving the query-driven policy: nodes the index proves
-// cannot reach ε are returned as explicit zero rows (rank 0, no
-// overlap detail) instead of being scored by the kernel. Participant
-// selection over these rows is bit-identical to the brute ranking —
-// zero-rank nodes are never selected — but the rows are NOT a full
-// EXPLAIN surface (pruned rows carry nil Overlaps). Falls back to the
-// brute kernel when the snapshot has no index.
-func (p *Planner) RankQueryDriven(ctx context.Context, q query.Query, epsilon float64) ([]selection.NodeRank, uint64, error) {
-	snap, err := p.reg.Snapshot(ctx)
-	if err != nil {
-		return nil, 0, err
-	}
-	return p.RankQueryDrivenOn(snap, q, epsilon)
-}
-
-// RankQueryDrivenOn is RankQueryDriven against an explicit snapshot.
-func (p *Planner) RankQueryDrivenOn(snap *registry.Snapshot, q query.Query, epsilon float64) ([]selection.NodeRank, uint64, error) {
-	if snap == nil {
-		return nil, 0, fmt.Errorf("plan: nil snapshot")
-	}
-	if snap.Index == nil {
-		return p.RankOn(snap, q, epsilon)
-	}
-	pl, err := p.rankIndexed(snap, q, epsilon, "")
-	if err != nil {
-		return nil, 0, err
-	}
-	out := make([]selection.NodeRank, len(pl.Rankings))
-	for i, r := range pl.Rankings {
-		out[i] = r
 		out[i].Overlaps = append([]float64(nil), r.Overlaps...)
 		if r.Supporting != nil {
 			out[i].Supporting = append([]int(nil), r.Supporting...)

@@ -263,11 +263,11 @@ func TestPlannerIndexedMatchesBruteGolden(t *testing.T) {
 	// rows explicit zeros with no overlap detail.
 	pruned := 0
 	for _, q := range queries {
-		want, wantEpoch, err := planner.RankOn(snap, q, 0.6)
+		want, wantEpoch, err := planner.RankOn(snap, q, 0.6, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, gotEpoch, err := planner.RankQueryDrivenOn(snap, q, 0.6)
+		got, gotEpoch, err := planner.RankOn(snap, q, 0.6, true)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"qens/internal/federation"
-	"qens/internal/selection"
 )
 
 // Leader is a regional leader: the Service implementation that owns
@@ -78,16 +77,7 @@ func (l *Leader) Info(ctx context.Context) (Info, error) {
 // flagged QueryDriven take the R-tree-pruned kernel: identical ranks,
 // but provably-zero nodes skip the per-dimension overlap vectors.
 func (l *Leader) Plan(ctx context.Context, req PlanRequest) (PlanResponse, error) {
-	var (
-		ranks []selection.NodeRank
-		epoch uint64
-		err   error
-	)
-	if req.QueryDriven {
-		ranks, epoch, err = l.fed.Planner().RankQueryDriven(ctx, req.Query, req.Epsilon)
-	} else {
-		ranks, epoch, err = l.fed.Planner().Rank(ctx, req.Query, req.Epsilon)
-	}
+	ranks, epoch, err := l.fed.Planner().Rank(ctx, req.Query, req.Epsilon, req.QueryDriven)
 	if err != nil {
 		return PlanResponse{}, fmt.Errorf("region %s: %w", l.id, err)
 	}
