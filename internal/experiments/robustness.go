@@ -44,7 +44,7 @@ func (r RobustnessResult) String() string {
 	var b strings.Builder
 	b.WriteString("Sensor-noise robustness (corrupted-label nodes)\n")
 	for _, p := range r.Points {
-		fmt.Fprintf(&b, "corrupt=%.0f%%  query-driven=%-10.2f random=%-10.2f corrupted picked %4.1f%% of slots\n",
+		fmt.Fprintf(&b, "corrupt=%3.0f%%  query-driven=%-10.2f random=%-10.2f corrupted picked %4.1f%% of slots\n",
 			100*p.CorruptFraction, p.QueryDrivenLoss, p.RandomLoss, 100*p.CorruptSelected)
 	}
 	return b.String()
