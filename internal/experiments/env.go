@@ -199,13 +199,15 @@ type stream struct {
 	// frac sums the data fraction over every executed query,
 	// scoredFrac over the scored ones only.
 	frac, scoredFrac float64
+	// mse is the test MSE of each scored query, by query ID.
+	mse map[string]float64
 }
 
 // runStream executes the queries through l in order, skips the ones
 // that fail (e.g. no node supports the query), and scores each result
 // against test.
 func runStream(l *federation.Leader, queries []query.Query, sel selection.Selector, agg federation.Aggregation, test *dataset.Dataset) *stream {
-	s := &stream{}
+	s := &stream{mse: make(map[string]float64)}
 	for _, q := range queries {
 		res, _, err := l.Execute(context.Background(), federation.Request{Query: q, Selector: sel, Aggregation: agg})
 		if err != nil {
@@ -217,6 +219,7 @@ func runStream(l *federation.Leader, queries []query.Query, sel selection.Select
 			s.scored++
 			s.loss += mse
 			s.scoredFrac += res.Stats.DataFraction()
+			s.mse[q.ID] = mse
 		}
 	}
 	return s
