@@ -71,7 +71,7 @@ loc:
 # The serving packages' non-test line budget: ROADMAP item 2 pushes
 # federation+region+gateway down, so growing them past the committed
 # number fails the gate. Lower LOC_BUDGET when a PR shrinks them.
-LOC_BUDGET ?= 5815
+LOC_BUDGET ?= 5805
 loc-check:
 	@n=$$(cat $$(ls internal/federation/*.go internal/region/*.go internal/gateway/*.go | grep -v _test.go) | wc -l); \
 	if [ "$$n" -gt $(LOC_BUDGET) ]; then \
