@@ -12,16 +12,23 @@ all: check
 
 check: fmt-check vet build race rerun bench-check loc-check
 
-# Short fuzz campaigns over the wire-facing parsers, the gateway's
-# request-body fast path against encoding/json, and the training
-# shuffle's match with math/rand; CI runs this list with FUZZTIME=20s.
+# Short fuzz campaigns over every fuzz target outside bench/: the
+# wire-facing parsers and dispatcher, the CSV reader behind qensd -data,
+# the geometry kernels, the gateway's request-body fast path against
+# encoding/json, and the training shuffle's match with math/rand; CI
+# runs this list with FUZZTIME=20s. TestFuzzTargetsInMakefile fails
+# when a target is missing here or a line names no target.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime $(FUZZTIME) ./internal/transport/
 	$(GO) test -run '^$$' -fuzz FuzzWireV2 -fuzztime $(FUZZTIME) ./internal/transport/
 	$(GO) test -run '^$$' -fuzz FuzzWirePush -fuzztime $(FUZZTIME) ./internal/transport/
+	$(GO) test -run '^$$' -fuzz FuzzDispatch -fuzztime $(FUZZTIME) ./internal/transport/
+	$(GO) test -run '^$$' -fuzz FuzzReadCSV -fuzztime $(FUZZTIME) ./internal/dataset/
 	$(GO) test -run '^$$' -fuzz FuzzRTreePrune -fuzztime $(FUZZTIME) ./internal/geometry/
 	$(GO) test -run '^$$' -fuzz FuzzCoverageProfile -fuzztime $(FUZZTIME) ./internal/geometry/
+	$(GO) test -run '^$$' -fuzz FuzzIntervalOverlap -fuzztime $(FUZZTIME) ./internal/geometry/
+	$(GO) test -run '^$$' -fuzz FuzzIoU -fuzztime $(FUZZTIME) ./internal/geometry/
 	$(GO) test -run '^$$' -fuzz FuzzPermInto -fuzztime $(FUZZTIME) ./internal/rng/
 	$(GO) test -run '^$$' -fuzz FuzzQueryRequest -fuzztime $(FUZZTIME) ./internal/gateway/
 
@@ -71,7 +78,7 @@ loc:
 # The serving packages' non-test line budget: ROADMAP item 2 pushes
 # federation+region+gateway down, so growing them past the committed
 # number fails the gate. Lower LOC_BUDGET when a PR shrinks them.
-LOC_BUDGET ?= 5805
+LOC_BUDGET ?= 5804
 loc-check:
 	@n=$$(cat $$(ls internal/federation/*.go internal/region/*.go internal/gateway/*.go | grep -v _test.go) | wc -l); \
 	if [ "$$n" -gt $(LOC_BUDGET) ]; then \

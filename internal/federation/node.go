@@ -229,9 +229,8 @@ type TrainRequest struct {
 // only name + wall-clock interval; the leader mints span IDs and
 // parents the span under the RPC span it holds, reassembling the
 // cross-process trace tree without a separate span-shipping channel.
-// On the v2 wire these travel in a dedicated self-delimiting section
-// (skipped by length by older peers); on v1 JSON they are an optional
-// field omitted when empty.
+// On the wire they travel in their own section (tag 12) after the
+// train body, and only when there are any.
 type NodeSpan struct {
 	// Name identifies the phase: "node.queue" (engine admission
 	// wait) or "node.fit" (model compute).

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -1111,5 +1112,163 @@ func TestAdmissionPlansEveryQuery(t *testing.T) {
 	}
 	if got := leaderPlans(lead); got != 3 {
 		t.Fatalf("planner ran %d times in all, want 3: execution must not plan a prepared query again", got)
+	}
+}
+
+// statsShape flattens a decoded JSON document into "path type" lines:
+// object members join with ".", array elements and the members of a
+// per-node map (a map keyed by the fleet's node ids) collapse to one
+// "[]" or "{node}" step, and the type is JSON's (object, array, string,
+// number, bool, null).
+func statsShape(path string, v any, nodeIDs map[string]bool, out map[string]bool) {
+	var typ string
+	switch v := v.(type) {
+	case map[string]any:
+		typ = "object"
+		for k, x := range v {
+			step := "." + k
+			if nodeIDs[k] {
+				step = ".{node}"
+			}
+			statsShape(path+step, x, nodeIDs, out)
+		}
+	case []any:
+		typ = "array"
+		for _, x := range v {
+			statsShape(path+"[]", x, nodeIDs, out)
+		}
+	case string:
+		typ = "string"
+	case float64:
+		typ = "number"
+	case bool:
+		typ = "bool"
+	case nil:
+		typ = "null"
+	}
+	if path != "" {
+		out[path+" "+typ] = true
+	}
+}
+
+// TestStatsSchema pins the /v1/stats document of a single leader with
+// the reuse cache on — the shape qens-gateway -addrs … -reuse-iou
+// serves — as a literal sorted list of field paths and JSON types:
+// renaming, adding, dropping or retyping a field fails it, so a schema
+// change is a deliberate edit of the list.
+func TestStatsSchema(t *testing.T) {
+	cfg, nodes := slabFleet(t)
+	nodeIDs := map[string]bool{}
+	for _, n := range nodes {
+		nodeIDs[n.ID()] = true
+	}
+	cache, err := federation.NewAdaptiveCache(0.9, 8, federation.ApproxConfig{
+		MaxPredictedError: 0.9, MinCoverage: 0.05, ProbeEvery: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newGatewayServer(t, ServerConfig{
+		Leader: slabLeader(t, cfg, nodes), Cache: cache, Workers: 2, QueueDepth: 8,
+		WireStatus: func() []fleet.WireStatus {
+			return []fleet.WireStatus{{NodeID: "node-0", Addr: "127.0.0.1:7001", InflightRPCs: 1, BytesOut: 10, BytesIn: 20}}
+		},
+	})
+	// One trained answer and its replay, so every counter has moved.
+	qd := `{"bounds":{"min":[1,-500],"max":[20,75]},"selector":"query-driven","epsilon":1e-9,"top_l":2}`
+	for _, want := range []bool{false, true} {
+		if code, doc, _ := postQuery(t, ts.URL, qd); code != http.StatusOK || doc["reused"] != want {
+			t.Fatalf("query: %d: %v, want reused=%v", code, doc, want)
+		}
+	}
+	shape := map[string]bool{}
+	statsShape("", getJSONDoc(t, ts.URL+"/v1/stats"), nodeIDs, shape)
+	got := make([]string, 0, len(shape))
+	for line := range shape {
+		got = append(got, line)
+	}
+	sort.Strings(got)
+	want := []string{
+		".latency object",
+		".latency.count number",
+		".latency.max_ms number",
+		".latency.mean_ms number",
+		".latency.p50_ms number",
+		".latency.p95_ms number",
+		".latency.p99_ms number",
+		".latency.window object",
+		".latency.window.count number",
+		".latency.window.max_ms number",
+		".latency.window.mean_ms number",
+		".latency.window.p50_ms number",
+		".latency.window.p95_ms number",
+		".latency.window.p99_ms number",
+		".latency.window.window_s number",
+		".nodes array",
+		".nodes[] string",
+		".registry object",
+		".registry.brute_plans number",
+		".registry.delta_nodes_refetched number",
+		".registry.delta_nodes_reused number",
+		".registry.delta_refresh_bytes number",
+		".registry.delta_refreshes number",
+		".registry.epoch number",
+		".registry.fetched_at string",
+		".registry.full_refresh_bytes number",
+		".registry.full_refreshes number",
+		".registry.index_patches number",
+		".registry.index_rebuilds number",
+		".registry.indexed_plans number",
+		".registry.invalidations number",
+		".registry.nodes number",
+		".registry.nodes_pruned number",
+		".registry.nodes_ranked number",
+		".registry.push_applied number",
+		".registry.push_bytes number",
+		".registry.push_dropped_stale number",
+		".registry.push_dropped_unknown number",
+		".registry.refreshes number",
+		".registry.stale bool",
+		".reuse_cache object",
+		".reuse_cache.approx_enabled bool",
+		".reuse_cache.approx_hits number",
+		".reuse_cache.evictions number",
+		".reuse_cache.fallbacks number",
+		".reuse_cache.hits number",
+		".reuse_cache.max_predicted_error number",
+		".reuse_cache.misses number",
+		".reuse_cache.probes number",
+		".reuse_cache.pruned number",
+		".reuse_cache.size number",
+		".scheduler object",
+		".scheduler.admitted number",
+		".scheduler.coalesced number",
+		".scheduler.completed_error number",
+		".scheduler.completed_ok number",
+		".scheduler.completed_timeout number",
+		".scheduler.draining bool",
+		".scheduler.inflight number",
+		".scheduler.queue_capacity number",
+		".scheduler.queue_depth number",
+		".scheduler.rejected_draining number",
+		".scheduler.rejected_expired number",
+		".scheduler.rejected_queue_full number",
+		".scheduler.workers number",
+		".space object",
+		".space.max array",
+		".space.max[] number",
+		".space.min array",
+		".space.min[] number",
+		".transport array",
+		".transport[] object",
+		".transport[].addr string",
+		".transport[].bytes_in number",
+		".transport[].bytes_out number",
+		".transport[].inflight_rpcs number",
+		".transport[].node_id string",
+		".uptime_s number",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("/v1/stats shape changed; the document now reads:\n%s", strings.Join(got, "\n"))
 	}
 }

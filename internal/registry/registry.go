@@ -67,10 +67,10 @@ type NodeGeom struct {
 	Sizes []int
 	// TotalSamples is the node's |D_i|.
 	TotalSamples int
-	// SummaryEpoch is the node-reported advertisement version (bumped
-	// by the node on requantization); 0 when the node predates the
-	// field. The executor compares it against training responses to
-	// detect drift.
+	// SummaryEpoch is the node-reported advertisement version, bumped
+	// by the node on requantization and carried by its summary and by
+	// every train response body. The executor compares it against
+	// training responses to detect drift.
 	SummaryEpoch uint64
 }
 

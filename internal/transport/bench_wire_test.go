@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -38,6 +39,37 @@ func benchTrainRequest(n int) request {
 			LocalEpochs: 5,
 		},
 	}
+}
+
+// jsonBufPool recycles the scratch buffers writeFrame encodes into.
+var jsonBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// writeFrame encodes v as JSON and writes one length-prefixed frame: the
+// retired v1 wire format, kept as the codec=json reference rows of the
+// wire gate. The header and body go out in a single Write through a
+// pooled buffer (one syscall, no per-frame buffer allocation).
+func writeFrame(w io.Writer, v any) error {
+	buf := jsonBufPool.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= poolMaxRetain {
+			buf.Reset()
+			jsonBufPool.Put(buf)
+		}
+	}()
+	buf.Reset()
+	buf.Write([]byte{0, 0, 0, 0}) // length placeholder
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		return fmt.Errorf("transport: encode: %w", err)
+	}
+	b := buf.Bytes()
+	if len(b)-4 > MaxFrameSize {
+		return ErrFrameTooLarge
+	}
+	binary.BigEndian.PutUint32(b[:4], uint32(len(b)-4))
+	if _, err := w.Write(b); err != nil {
+		return fmt.Errorf("transport: write frame: %w", err)
+	}
+	return nil
 }
 
 // BenchmarkWireEncode measures the v2 codec on the leader->node model

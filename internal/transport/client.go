@@ -18,8 +18,8 @@ import (
 
 // Client is a TCP-backed federation.Client: the leader's handle on a
 // remote participant daemon. It keeps one persistent connection,
-// reconnecting on failure. After the JSON hello (see handshake) the
-// connection is multiplexed: every request frame carries a request id,
+// reconnecting on failure. The connection is multiplexed from its first
+// frame (see handshake): every request frame carries a request id,
 // one reader goroutine routes responses to waiting callers through a
 // pending-call map, and writes interleave under a write lock — so N
 // concurrent RPCs to the same node pipeline on one connection instead
@@ -47,8 +47,8 @@ type Client struct {
 	inflightGauge *telemetry.Gauge
 
 	// Push subscription state: the handler survives reconnects — every
-	// fresh handshake against a push-capable daemon re-arms the
-	// server-side subscription (see ensureConnLocked).
+	// fresh connection re-arms the server-side subscription (see
+	// ensureConnLocked).
 	pushMu         sync.Mutex
 	pushHandler    func(cluster.NodeSummary)
 	pushesReceived atomic.Int64
@@ -63,8 +63,8 @@ type DialOptions struct {
 	Timeout time.Duration
 }
 
-// Dial connects to a participant daemon and learns its node id via
-// the hello; a daemon too old to speak v2 fails it with ErrPeerTooOld.
+// Dial connects to a participant daemon and learns its node id from the
+// connection's first ping; a peer that does not answer in v2 fails it.
 func Dial(addr string, opts DialOptions) (*Client, error) {
 	return DialContext(context.Background(), addr, opts)
 }
@@ -152,7 +152,6 @@ func (c *Client) ensureConnLocked(ctx context.Context) (*wireConn, error) {
 	}
 	conn, err := handshake(ctx, nc, c)
 	if err != nil {
-		nc.Close()
 		return nil, err
 	}
 	c.conn = conn
@@ -165,7 +164,7 @@ func (c *Client) ensureConnLocked(ctx context.Context) (*wireConn, error) {
 	// serves pulls, and the node would stay pull-only for good — the
 	// next RPC redials and re-arms instead. Duplicate subscribes are
 	// idempotent server-side, so racing SubscribeSummaries is harmless.
-	if conn.pushOK && c.hasPushHandler() {
+	if c.hasPushHandler() {
 		go func() {
 			subCtx, cancel := context.WithTimeout(context.Background(), c.timeout)
 			defer cancel()
@@ -201,7 +200,7 @@ func (c *Client) dispatchPush(s cluster.NodeSummary) {
 // SubscribeSummaries registers handler for server-pushed summary
 // deltas and arms the subscription on the daemon. It returns ok=true
 // when the peer accepted the subscription; ok=false (with nil error)
-// when the peer cannot push — a region server, or a pre-push daemon —
+// when the peer cannot push — a region server answers unknown_type —
 // in which case the caller keeps pulling forever. The handler runs on
 // the connection's reader goroutine and must hand off quickly.
 func (c *Client) SubscribeSummaries(ctx context.Context, handler func(cluster.NodeSummary)) (bool, error) {
@@ -214,16 +213,11 @@ func (c *Client) SubscribeSummaries(ctx context.Context, handler func(cluster.No
 	if err != nil {
 		return false, err
 	}
-	if !conn.pushOK {
-		return false, nil
-	}
-	// ensureConnLocked only arms fresh connections; arm the current one
-	// explicitly. Subscribing twice is idempotent server-side.
+	// ensureConnLocked arms fresh connections on its own goroutine; arm
+	// the current one explicitly. Subscribing twice is idempotent
+	// server-side.
 	resp, err := conn.do(ctx, c, &request{Type: typeSubscribe})
 	if err != nil {
-		if errors.Is(err, ErrUnknownType) {
-			return false, nil
-		}
 		return false, err
 	}
 	if resp.Error != "" {
@@ -244,16 +238,6 @@ func (c *Client) dropConn(conn *wireConn) {
 		c.conn = nil
 	}
 	c.mu.Unlock()
-}
-
-// deadlineFor merges the client timeout with the context deadline,
-// returning whichever comes first.
-func (c *Client) deadlineFor(ctx context.Context) time.Time {
-	deadline := time.Now().Add(c.timeout)
-	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
-	}
-	return deadline
 }
 
 // roundTrip sends one request and reads its response, retrying once
@@ -372,9 +356,6 @@ func (c *Client) Summary(ctx context.Context) (cluster.NodeSummary, error) {
 // advertises the summary epoch the caller already holds and returns
 // unchanged=true (zero summary) when the daemon confirms it is still
 // current, or the fresh summary otherwise. known == 0 always fetches.
-// Daemons predating the epoch-conditional fast path skip the request
-// section by length and answer with the full summary — the probe
-// degrades to Summary, never to an error.
 func (c *Client) SummaryIfChanged(ctx context.Context, known uint64) (cluster.NodeSummary, bool, error) {
 	resp, err := c.roundTrip(ctx, request{Type: typeSummary, KnownSummaryEpoch: known})
 	if err != nil {
@@ -386,13 +367,7 @@ func (c *Client) SummaryIfChanged(ctx context.Context, known uint64) (cluster.No
 	if resp.Summary == nil {
 		return cluster.NodeSummary{}, false, errors.New("transport: daemon returned no summary")
 	}
-	sum := *resp.Summary
-	if sum.Epoch == 0 {
-		// Older daemons only stamp the envelope; lift it so the
-		// leader's registry always sees a versioned advertisement.
-		sum.Epoch = resp.SummaryEpoch
-	}
-	return sum, false, nil
+	return *resp.Summary, false, nil
 }
 
 // Train implements federation.Client. The request's trace/span IDs
@@ -406,16 +381,12 @@ func (c *Client) Train(ctx context.Context, req federation.TrainRequest) (federa
 	if resp.Train == nil {
 		return federation.TrainResponse{}, errors.New("transport: daemon returned no train response")
 	}
-	out := *resp.Train
-	if out.SummaryEpoch == 0 {
-		out.SummaryEpoch = resp.SummaryEpoch
-	}
-	return out, nil
+	return *resp.Train, nil
 }
 
 // ---- connection state ----
 
-// wireConn is one live connection past its hello. It multiplexes:
+// wireConn is one live connection. It multiplexes:
 // callers register in pending, write their tagged frame under writeMu,
 // and the readLoop goroutine routes tagged responses back.
 type wireConn struct {
@@ -428,10 +399,8 @@ type wireConn struct {
 	pendMu  sync.Mutex
 	pending map[uint64]chan response
 
-	// pushOK records the handshake's summary-push capability; onPush
-	// (armed before the readLoop starts, immutable afterwards) receives
-	// unsolicited push frames instead of the pending-call map.
-	pushOK bool
+	// onPush (armed before the readLoop starts, immutable afterwards)
+	// receives unsolicited push frames instead of the pending-call map.
 	onPush func(cluster.NodeSummary)
 
 	closeOnce sync.Once
@@ -460,40 +429,28 @@ func (c *countedConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// handshake runs the hello on a fresh TCP connection: one JSON ping
-// advertising wire_proto 2 and push support, answered by one JSON
-// response carrying the peer's id and capabilities. A peer that answers
-// without wire_proto >= 2 only speaks the retired JSON codec and is
-// refused (ErrPeerTooOld); past the hello every frame is binary v2.
+// handshake starts a fresh TCP connection's reader and pings the peer
+// through the multiplexer; the reply names it. A peer that answers in
+// anything but v2 fails the reader's decode, which fails the ping at
+// once; on any error the connection is closed.
 func handshake(ctx context.Context, nc net.Conn, c *Client) (*wireConn, error) {
-	counted := &countedConn{Conn: nc, out: &c.bytesOut, in: &c.bytesIn}
-	// Pre-push daemons ignore summary_push and leave the reply's unset.
-	hello := request{Type: typePing, WireProto: WireProtoV2, SummaryPush: true}
-	_ = nc.SetDeadline(c.deadlineFor(ctx))
-	if err := writeFrame(counted, hello); err != nil {
-		return nil, err
-	}
-	var resp response
-	if err := readFrame(counted, &resp); err != nil {
-		return nil, err
-	}
-	_ = nc.SetDeadline(time.Time{})
-	if resp.Error != "" {
-		return nil, errors.New(resp.Error)
-	}
-	if resp.WireProto < WireProtoV2 {
-		return nil, fmt.Errorf("%w (node %q)", ErrPeerTooOld, resp.NodeID)
-	}
 	conn := &wireConn{
 		nc:      nc,
-		ncIO:    counted,
-		nodeID:  resp.NodeID,
+		ncIO:    &countedConn{Conn: nc, out: &c.bytesOut, in: &c.bytesIn},
 		pending: make(map[uint64]chan response),
-		pushOK:  resp.SummaryPush,
 		onPush:  c.dispatchPush,
 		closed:  make(chan struct{}),
 	}
 	go conn.readLoop()
+	resp, err := conn.do(ctx, c, &request{Type: typePing})
+	if err == nil && resp.Error != "" {
+		err = errors.New(resp.Error)
+	}
+	if err != nil {
+		conn.Close()
+		return nil, err
+	}
+	conn.nodeID = resp.NodeID
 	return conn, nil
 }
 

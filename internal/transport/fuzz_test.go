@@ -3,6 +3,8 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
 	"math"
 	"reflect"
 	"testing"
@@ -14,31 +16,59 @@ import (
 	"qens/internal/telemetry"
 )
 
-// FuzzReadFrame hardens the hello's JSON framing: arbitrary bytes must
-// either decode into an envelope or be rejected — never panic, never
-// over-allocate past the frame cap.
+// FuzzReadFrame hardens the length-prefixed framing every frame rides
+// on: readFrameBody returns exactly the body its 4-byte prefix names,
+// refuses a prefix over MaxFrameSize before allocating, and rejects a
+// short header or body — never panics.
 func FuzzReadFrame(f *testing.F) {
-	frame := func(v any) []byte {
+	frame := func(encode func([]byte) ([]byte, error)) []byte {
 		var b bytes.Buffer
-		_ = writeFrame(&b, v)
+		if _, err := writeWireFrame(&b, encode); err != nil {
+			f.Fatal(err)
+		}
 		return b.Bytes()
 	}
-	f.Add(frame(request{Type: typePing}))
+	ping := frame(func(b []byte) ([]byte, error) { return appendWireRequest(b, 1, &request{Type: typePing}) })
+	f.Add(ping)
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 'x'})
-	f.Add([]byte{0, 0, 0, 2, '{', '}'})
-	// The handshake's own frames: the client hello, a server answer, and
-	// the refusal an old peer gets.
-	f.Add(frame(request{Type: typePing, WireProto: WireProtoV2, SummaryPush: true}))
-	f.Add(frame(response{NodeID: "node-A", WireProto: WireProtoV2, SummaryPush: true, SummaryEpoch: 1}))
-	f.Add(frame(response{Code: CodeUnsupportedProto, Error: "upgrade this peer"}))
+	f.Add([]byte{0, 0, 0, 2, '{', '}'}) // a JSON-era frame: framed fine, refused by the v2 decode
+	f.Add(frame(func(b []byte) ([]byte, error) { return appendWireResponse(b, 1, &response{NodeID: "node-A"}) }))
+	f.Add(ping[:len(ping)-1]) // truncated body
+	f.Add(binary.BigEndian.AppendUint32(nil, MaxFrameSize+1))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Both hello envelopes: must not panic.
-		var req request
-		_ = readFrame(bytes.NewReader(data), &req)
-		var resp response
-		_ = readFrame(bytes.NewReader(data), &resp)
+		buf, err := readFrameBody(bytes.NewReader(data))
+		if buf != nil {
+			defer putFrameBuf(buf)
+		}
+		if len(data) == 0 {
+			if err != io.EOF {
+				t.Fatalf("empty input: err %v, want io.EOF", err)
+			}
+			return
+		}
+		if len(data) < 4 {
+			if err == nil {
+				t.Fatalf("%d-byte header accepted", len(data))
+			}
+			return
+		}
+		size := binary.BigEndian.Uint32(data)
+		switch {
+		case size > MaxFrameSize:
+			if !errors.Is(err, ErrFrameTooLarge) {
+				t.Fatalf("prefix %d over the cap: err %v, want ErrFrameTooLarge", size, err)
+			}
+		case int(size) > len(data)-4:
+			if err == nil {
+				t.Fatalf("prefix %d with a %d-byte body accepted", size, len(data)-4)
+			}
+		case err != nil:
+			t.Fatalf("whole %d-byte frame refused: %v", size, err)
+		case !bytes.Equal(*buf, data[4:4+size]):
+			t.Fatalf("body %x, want %x", *buf, data[4:4+size])
+		}
 	})
 }
 
@@ -79,8 +109,12 @@ func FuzzWireV2(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	echo := response{TraceID: 0x0ddba11}
-	eframe, err := appendWireResponse(nil, 9, &echo)
+	// A response still echoing the trace: tag 23 is request-only now.
+	e, hdr := beginWireFrame(nil, frameResponse, 9)
+	m := e.beginSection(secTraceCtx)
+	e.u64(0x0ddba11)
+	e.endSection(m)
+	eframe, err := finishWireFrame(e.b, hdr)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -156,10 +190,10 @@ func FuzzWireV2(f *testing.F) {
 //     decodeWirePush must reproduce the summary exactly, every strict
 //     prefix of the frame must be rejected as truncated, and a
 //     one-byte corruption must at worst error — never panic.
-//  3. As a request carrying the summary-push marker plus an unknown
-//     trailing section: the decoder must take the marker and skip the
-//     unknown tag by length — the same forward-compatibility contract
-//     that lets pre-push peers ignore the marker itself.
+//  3. As a summary request carrying a known epoch plus an unknown
+//     trailing section: the decoder must take the epoch and skip the
+//     unknown tag by length — the contract that lets a retired tag
+//     (such as 18, the old push marker) pass through harmlessly.
 func FuzzWirePush(f *testing.F) {
 	seed := cluster.NodeSummary{
 		NodeID: "node-A",
@@ -246,9 +280,9 @@ func FuzzWirePush(f *testing.F) {
 		mut[int(epoch%uint64(len(mut)))] ^= byte(n | 1)
 		_, _, _ = decodeWirePush(mut)
 
-		// Property 3: the summary-push marker survives an unknown
-		// trailing section, which the decoder must skip by length.
-		req := request{Type: typeSummary, SummaryPush: true}
+		// Property 3: the known epoch survives an unknown trailing
+		// section, which the decoder must skip by length.
+		req := request{Type: typeSummary, KnownSummaryEpoch: epoch}
 		reqEnc, err := appendWireRequest(nil, 1, &req)
 		if err != nil {
 			t.Fatal(err)
@@ -263,14 +297,16 @@ func FuzzWirePush(f *testing.F) {
 		if _, err := decodeWireRequest(spliced, &got, nil); err != nil {
 			t.Fatalf("unknown trailing section not skipped: %v", err)
 		}
-		if !got.SummaryPush || got.Type != typeSummary {
-			t.Fatalf("summary-push marker lost around unknown section: %+v", got)
+		if got.KnownSummaryEpoch != epoch || got.Type != typeSummary {
+			t.Fatalf("known epoch lost around unknown section: %+v", got)
 		}
 	})
 }
 
 // FuzzDispatch drives the server's request dispatcher with decoded
-// fuzz inputs; every outcome must be a well-formed response.
+// fuzz inputs; every outcome must be a well-formed response: an error,
+// or a success carrying the body its type names (and the node id on a
+// ping's answer only).
 func FuzzDispatch(f *testing.F) {
 	f.Add(typePing)
 	f.Add(typeSummary)
@@ -285,8 +321,23 @@ func FuzzDispatch(f *testing.F) {
 	srv.SetLogger(silent)
 	f.Fuzz(func(t *testing.T, reqType string) {
 		resp := srv.dispatch(request{Type: reqType})
-		if resp.Error == "" && resp.NodeID == "" {
-			t.Fatalf("dispatch(%q) returned neither result nor error", reqType)
+		if resp.Error != "" {
+			return
+		}
+		var body bool
+		switch reqType {
+		case typePing:
+			body = resp.NodeID != ""
+		case typeSummary:
+			body = resp.Summary != nil || resp.SummaryUnchanged
+		case typeTrain:
+			body = resp.Train != nil
+		}
+		if !body {
+			t.Fatalf("dispatch(%q) succeeded without the body its type names: %+v", reqType, resp)
+		}
+		if reqType != typePing && resp.NodeID != "" {
+			t.Fatalf("dispatch(%q) answered with a node id: only a ping's answer names the peer", reqType)
 		}
 	})
 }

@@ -1,9 +1,9 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"errors"
-	"io"
 	"net"
 	"reflect"
 	"strings"
@@ -39,31 +39,32 @@ func fakePeer(t *testing.T, serve func(i int, conn net.Conn)) string {
 	return ln.Addr().String()
 }
 
-// rawHello opens a raw connection to addr, sends first as its first
-// frame and returns the server's one JSON answer plus the connection
-// (so the caller can check it was closed).
-func rawHello(t *testing.T, addr string, first func(io.Writer) error) (response, net.Conn) {
+// rawFirstFrame opens a raw connection to addr, sends first as its
+// first frame and fails unless the server closes the connection without
+// answering.
+func rawFirstFrame(t *testing.T, addr, name string, first []byte) {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { conn.Close() })
+	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if err := first(conn); err != nil {
+	if _, err := conn.Write(first); err != nil {
 		t.Fatal(err)
 	}
-	var resp response
-	if err := readFrame(conn, &resp); err != nil {
-		t.Fatalf("no JSON answer to the first frame: %v", err)
+	// EOF, or a reset when the server closed on bytes it never read.
+	n, err := conn.Read(make([]byte, 1))
+	var ne net.Error
+	if n > 0 || err == nil || errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("%s: connection answered or left open (read %d bytes, err %v)", name, n, err)
 	}
-	return resp, conn
 }
 
-// TestHandshakeRejectsOldPeer pins the hello in both directions: two
-// current peers connect and the whole RPC surface works; a peer that
-// only speaks the retired JSON codec is refused loudly — never served
-// over JSON, never silently degraded.
+// TestHandshakeRejectsOldPeer pins the v2-only connection in both
+// directions: two current peers connect, the first ping names the peer
+// and the whole RPC surface works; a peer speaking anything else — the
+// retired JSON codec, garbage — fails fast and is never served.
 func TestHandshakeRejectsOldPeer(t *testing.T) {
 	t.Run("v2-client_v2-server", func(t *testing.T) {
 		srv, client := startServer(t, 7, 2, 0, 50)
@@ -122,42 +123,41 @@ func TestHandshakeRejectsOldPeer(t *testing.T) {
 		}
 	})
 
-	// A v1-only daemon answers the hello like any ping — node id, no
-	// wire_proto — and waits for the next JSON request. Dial must fail
-	// with the sentinel well inside its timeout, not hang or degrade.
+	// A daemon that answers in JSON — the retired v1 codec — and then
+	// waits for more. Dial and DialRegion must fail with the malformed
+	// frame well inside their timeout, not hang or degrade.
 	t.Run("v2-client_v1-server", func(t *testing.T) {
 		addr := fakePeer(t, func(_ int, conn net.Conn) {
-			var hello request
-			if readFrame(conn, &hello) != nil {
+			buf, err := readFrameBody(conn)
+			if err != nil {
 				return
 			}
-			_ = writeFrame(conn, response{NodeID: "old-node"})
-			_ = readFrame(conn, &hello) // parked, as an old server would be
+			putFrameBuf(buf)
+			_ = writeFrame(conn, map[string]string{"node_id": "old-node"})
+			_, _ = readFrameBody(conn) // parked, as an old server would be
 		})
 		opts := DialOptions{Timeout: 30 * time.Second}
 		start := time.Now()
-		if c, err := Dial(addr, opts); !errors.Is(err, ErrPeerTooOld) {
+		if c, err := Dial(addr, opts); !errors.Is(err, ErrMalformedFrame) {
 			if c != nil {
 				c.Close()
 			}
-			t.Fatalf("Dial against a v1-only daemon: err %v, want ErrPeerTooOld", err)
-		} else if !strings.Contains(err.Error(), "old-node") {
-			t.Fatalf("error does not name the old peer: %v", err)
+			t.Fatalf("Dial against a JSON daemon: err %v, want ErrMalformedFrame", err)
 		}
-		if rc, err := DialRegion(context.Background(), addr, opts); !errors.Is(err, ErrPeerTooOld) {
+		if rc, err := DialRegion(context.Background(), addr, opts); !errors.Is(err, ErrMalformedFrame) {
 			if rc != nil {
 				rc.Close()
 			}
-			t.Fatalf("DialRegion against a v1-only daemon: err %v, want ErrPeerTooOld", err)
+			t.Fatalf("DialRegion against a JSON daemon: err %v, want ErrMalformedFrame", err)
 		}
 		if took := time.Since(start); took > 5*time.Second {
-			t.Fatalf("refusing an old peer took %v of a 30s dial timeout", took)
+			t.Fatalf("refusing a JSON peer took %v of a 30s dial timeout", took)
 		}
 	})
 
 	// The other direction, on a participant and a region server alike: a
-	// first frame that is not a ping advertising wire_proto >= 2 gets one
-	// JSON error and a closed connection, and nothing is dispatched.
+	// first frame that is not v2 closes the connection unanswered, nothing
+	// is dispatched, and the server keeps serving v2 clients.
 	t.Run("v1-client_v2-server", func(t *testing.T) {
 		node, err := newFuzzNode()
 		if err != nil {
@@ -171,40 +171,56 @@ func TestHandshakeRejectsOldPeer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v2Frame, err := appendWireRequest(nil, 1, &request{Type: typePing})
+		jsonFrame := func(v any) []byte {
+			var b bytes.Buffer
+			if err := writeFrame(&b, v); err != nil {
+				t.Fatal(err)
+			}
+			return b.Bytes()
+		}
+		pong, err := appendWireResponse(nil, 1, &response{NodeID: "node-A"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		firsts := map[string]func(io.Writer) error{
-			"v1 ping":        func(w io.Writer) error { return writeFrame(w, request{Type: typePing}) },
-			"v1 summary":     func(w io.Writer) error { return writeFrame(w, request{Type: typeSummary}) },
-			"non-ping hello": func(w io.Writer) error { return writeFrame(w, request{Type: typeTrain, WireProto: WireProtoV2}) },
-			"binary frame":   func(w io.Writer) error { _, err := w.Write(v2Frame); return err },
-			"not a request":  func(w io.Writer) error { return writeFrame(w, []int{1, 2, 3}) },
+		// Every first frame but the last is framed, so the server reads it
+		// whole and logs why it failed to decode.
+		firsts := []struct {
+			name  string
+			frame []byte
+		}{
+			{"v1 ping", jsonFrame(map[string]any{"type": typePing, "wire_proto": 2})},
+			{"v1 summary", jsonFrame(map[string]any{"type": typeSummary})},
+			{"not a request", jsonFrame([]int{1, 2, 3})},
+			{"v2 response", pong},
+			{"garbage body", []byte{0, 0, 0, 3, 1, 2, 3}},
+			{"unframed garbage", []byte("GET / HTTP/1.1\r\n\r\n")},
 		}
 		for _, srv := range []*Server{nodeSrv, regionSrv} {
 			t.Cleanup(func() { srv.Close() })
 			var lc logCapture
 			srv.SetLogger(lc.logf)
-			for name, first := range firsts {
-				resp, conn := rawHello(t, srv.Addr(), first)
-				if resp.Code != CodeUnsupportedProto || !strings.Contains(resp.Error, "upgrade") || resp.NodeID != "" {
-					t.Fatalf("%s on %s: answer %+v, want an unsupported_proto error naming the upgrade", name, srv.id, resp)
-				}
-				if _, err := conn.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
-					t.Fatalf("%s on %s: connection left open after the refusal (read err %v)", name, srv.id, err)
-				}
+			for _, first := range firsts {
+				rawFirstFrame(t, srv.Addr(), first.name+" on "+srv.id, first.frame)
 			}
+			// The server goes on serving a v2 client after the refusals.
+			c, err := Dial(srv.Addr(), DialOptions{Timeout: 5 * time.Second})
+			if err != nil {
+				t.Fatalf("%s after the refusals: %v", srv.id, err)
+			}
+			if c.ID() != srv.id {
+				t.Fatalf("%s answered the first ping as %q", srv.id, c.ID())
+			}
+			c.Close()
 			logs := lc.joined()
-			if got := strings.Count(logs, "event=handshake_rejected"); got != len(firsts) {
-				t.Fatalf("%s logged %d handshake_rejected events, want %d:\n%s", srv.id, got, len(firsts), logs)
+			if got := strings.Count(logs, "event=decode_error"); got != len(firsts)-1 {
+				t.Fatalf("%s logged %d decode_error events, want %d:\n%s", srv.id, got, len(firsts)-1, logs)
 			}
-			if strings.Contains(logs, "event=rpc") {
-				t.Fatalf("%s dispatched a refused first frame:\n%s", srv.id, logs)
+			if got := strings.Count(logs, "event=rpc"); got != 1 || !strings.Contains(logs, "type=ping") {
+				t.Fatalf("%s dispatched %d RPCs, want only the v2 client's ping:\n%s", srv.id, got, logs)
 			}
 
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			err := srv.Shutdown(ctx)
+			err = srv.Shutdown(ctx)
 			cancel()
 			if err != nil {
 				t.Fatalf("shutdown: %v", err)
@@ -219,7 +235,7 @@ func TestHandshakeRejectsOldPeer(t *testing.T) {
 // TestResubscribeFailureRedials: a re-subscribe that gets no answer on
 // a fresh connection must drop that connection, so the next RPC redials
 // and re-arms — it used to be swallowed, leaving the node pull-only
-// for the life of the process. The fake peer answers every hello and
+// for the life of the process. The fake peer speaks v2: it answers
 // every ping, answers the explicit subscribe on connection 0, swallows
 // the re-subscribe on connection 1, and must then see connection 2
 // arrive carrying a fresh subscribe.
@@ -228,13 +244,6 @@ func TestResubscribeFailureRedials(t *testing.T) {
 	// expected so the fake never blocks on the test.
 	subscribes := make(chan int, 8)
 	addr := fakePeer(t, func(i int, conn net.Conn) {
-		var hello request
-		if readFrame(conn, &hello) != nil {
-			return
-		}
-		if writeFrame(conn, response{NodeID: "fake", WireProto: WireProtoV2, SummaryPush: true}) != nil {
-			return
-		}
 		for {
 			buf, err := readFrameBody(conn)
 			if err != nil {
@@ -246,13 +255,15 @@ func TestResubscribeFailureRedials(t *testing.T) {
 			if err != nil {
 				return
 			}
-			resp := response{NodeID: "fake"}
-			if req.Type == typeSubscribe {
+			var resp response
+			switch req.Type {
+			case typePing:
+				resp.NodeID = "fake"
+			case typeSubscribe:
 				subscribes <- i
 				if i == 1 {
 					continue // swallowed: the client's re-subscribe times out
 				}
-				resp.SummaryPush = true
 			}
 			if _, err := writeWireFrame(conn, func(b []byte) ([]byte, error) { return appendWireResponse(b, id, &resp) }); err != nil {
 				return

@@ -43,7 +43,7 @@ func BenchmarkSummaryFreshnessBytes(b *testing.B) {
 
 	b.Run("mode=pull", func(b *testing.B) {
 		req := request{Type: typeSummary, KnownSummaryEpoch: sum.Epoch - 1}
-		resp := response{NodeID: sum.NodeID, SummaryEpoch: sum.Epoch, Summary: &sum}
+		resp := response{Summary: &sum}
 		var reqBuf, respBuf []byte
 		var err error
 		for i := 0; i < b.N; i++ {

@@ -80,10 +80,10 @@ func TestPushEndToEnd(t *testing.T) {
 	}
 }
 
-// TestPushPairings pins the push capability bit: a participant daemon
-// pushes to a client that subscribed and keeps answering pulls beside
-// it; a region server declines the subscription — ok=false, no error —
-// and moves no push frame.
+// TestPushPairings pins who pushes: a participant daemon pushes to a
+// client that subscribed and keeps answering pulls beside it; a region
+// server declines the subscription — ok=false, no error — and moves no
+// push frame.
 func TestPushPairings(t *testing.T) {
 	t.Run("v2-server_v2-client", func(t *testing.T) {
 		node, srv, client := startPushServer(t)
@@ -129,7 +129,7 @@ func TestPushPairings(t *testing.T) {
 		if err != nil || ok {
 			t.Fatalf("subscribe must be declined, not error: ok=%v err=%v", ok, err)
 		}
-		// Declined at the hello already, so no subscribe RPC was sent.
+		// The subscribe RPC got unknown_type, and no pusher started.
 		if srv.PushSubscribers() != 0 || srv.PushesSent() != 0 || client.pushesReceived.Load() != 0 {
 			t.Fatalf("declined subscription moved push frames: subs=%d sent=%d recv=%d",
 				srv.PushSubscribers(), srv.PushesSent(), client.pushesReceived.Load())

@@ -20,8 +20,8 @@ var _ region.Service = (*RegionClient)(nil)
 
 // DialRegion connects to a regional-leader daemon and verifies it
 // actually speaks the region RPC family (a participant daemon answers
-// the hello fine but rejects region.info — caught here, at dial time,
-// instead of on the first query).
+// the first ping fine but rejects region.info — caught here, at dial
+// time, instead of on the first query).
 func DialRegion(ctx context.Context, addr string, opts DialOptions) (*RegionClient, error) {
 	c, err := DialContext(ctx, addr, opts)
 	if err != nil {
@@ -45,8 +45,8 @@ func (r *RegionClient) Client() *Client { return r.c }
 // Close tears down the connection.
 func (r *RegionClient) Close() error { return r.c.Close() }
 
-// ID implements region.Service with the region id learned on the
-// hello.
+// ID implements region.Service with the region id the connection's
+// first ping learned.
 func (r *RegionClient) ID() string { return r.c.ID() }
 
 // Info implements region.Service: the region's membership and covering

@@ -267,13 +267,6 @@ func TestRegionJSONEraBodiesRefused(t *testing.T) {
 		}
 		defer conn.Close()
 		_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
-		if err := writeFrame(conn, request{Type: typePing, WireProto: WireProtoV2}); err != nil {
-			t.Fatal(err)
-		}
-		var hello response
-		if err := readFrame(conn, &hello); err != nil || hello.WireProto != WireProtoV2 {
-			t.Fatalf("hello: %+v, %v", hello, err)
-		}
 		for i, tc := range []struct{ typ, body, want string }{
 			{typeRegionPlan, planReq, "region plan request missing body"},
 			{typeRegionTrain, trainReq, "region train request missing body"},
@@ -310,11 +303,6 @@ func TestRegionJSONEraBodiesRefused(t *testing.T) {
 				return
 			}
 			defer conn.Close()
-			var hello request
-			if readFrame(conn, &hello) != nil ||
-				writeFrame(conn, response{NodeID: "region-0", WireProto: WireProtoV2}) != nil {
-				return
-			}
 			for {
 				buf, err := readFrameBody(conn)
 				if err != nil {
@@ -326,11 +314,17 @@ func TestRegionJSONEraBodiesRefused(t *testing.T) {
 				if err != nil {
 					return
 				}
-				kind, body := byte(0), planResp
-				if req.Type == typeRegionTrain {
-					kind, body = 1, trainResp
+				frame := jsonEraFrame(frameResponse, id, "", 14, 0, planResp)
+				switch req.Type {
+				case typePing:
+					frame, err = appendWireResponse(nil, id, &response{NodeID: "region-0"})
+				case typeRegionTrain:
+					frame = jsonEraFrame(frameResponse, id, "", 14, 1, trainResp)
 				}
-				if _, err := conn.Write(jsonEraFrame(frameResponse, id, "", 14, kind, body)); err != nil {
+				if err != nil {
+					return
+				}
+				if _, err := conn.Write(frame); err != nil {
 					return
 				}
 			}

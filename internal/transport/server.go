@@ -2,7 +2,6 @@ package transport
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
@@ -24,12 +23,9 @@ import (
 // the originating query's trace. DeadlineUnixMS (optional, epoch
 // milliseconds) carries the caller's context deadline across the
 // wire, so the daemon can stop training — not just stop
-// responding — once the query has expired. WireProto, stamped only on
-// the hello ping, advertises the wire protocol the client speaks; the
-// server refuses anything below WireProtoV2 (see handleConn).
+// responding — once the query has expired.
 type request struct {
 	Type           string       `json:"type"`
-	WireProto      int          `json:"wire_proto,omitempty"`
 	TraceID        telemetry.ID `json:"trace_id,omitempty"`
 	SpanID         telemetry.ID `json:"span_id,omitempty"`
 	DeadlineUnixMS int64        `json:"deadline_unix_ms,omitempty"`
@@ -37,45 +33,28 @@ type request struct {
 	// epoch the caller already holds; a node whose advertisement still
 	// carries that epoch answers summary_unchanged instead of the full
 	// body. Zero means "send everything" (the pre-delta behavior).
-	KnownSummaryEpoch uint64 `json:"known_summary_epoch,omitempty"`
-	// SummaryPush, stamped only on the ping handshake, advertises that
-	// the client can accept unsolicited summary-push frames once it
-	// subscribes (see typeSubscribe). Pre-push peers ignore the field.
-	SummaryPush bool                     `json:"summary_push,omitempty"`
-	Train       *federation.TrainRequest `json:"train,omitempty"`
-	RegionPlan  *region.PlanRequest      `json:"region_plan,omitempty"`
-	RegionTrain *region.TrainRequest     `json:"region_train,omitempty"`
+	KnownSummaryEpoch uint64                   `json:"known_summary_epoch,omitempty"`
+	Train             *federation.TrainRequest `json:"train,omitempty"`
+	RegionPlan        *region.PlanRequest      `json:"region_plan,omitempty"`
+	RegionTrain       *region.TrainRequest     `json:"region_train,omitempty"`
 }
 
-// response is the wire envelope returned by a participant. Code
-// carries a structured error class (see Code* constants); TraceID
-// echoes the request's trace for client-side correlation. SummaryEpoch
-// is stamped on every successful response with the node's current
-// advertisement version, so any RPC — not just summaries — doubles as
-// a drift signal the leader's registry can act on. WireProto, stamped
-// only on the hello response, confirms the server speaks v2: every
-// frame after it is binary.
+// response is the wire envelope returned by a daemon. Code carries a
+// structured error class (see Code* constants). NodeID is set only on a
+// ping's answer: it names the peer to a dialing client.
 type response struct {
-	Error        string               `json:"error,omitempty"`
-	Code         string               `json:"code,omitempty"`
-	WireProto    int                  `json:"wire_proto,omitempty"`
-	TraceID      telemetry.ID         `json:"trace_id,omitempty"`
-	NodeID       string               `json:"node_id,omitempty"`
-	SummaryEpoch uint64               `json:"summary_epoch,omitempty"`
-	Summary      *cluster.NodeSummary `json:"summary,omitempty"`
+	Error   string               `json:"error,omitempty"`
+	Code    string               `json:"code,omitempty"`
+	NodeID  string               `json:"node_id,omitempty"`
+	Summary *cluster.NodeSummary `json:"summary,omitempty"`
 	// SummaryUnchanged confirms the requester's known_summary_epoch is
 	// still current; the summary body is omitted.
-	SummaryUnchanged bool `json:"summary_unchanged,omitempty"`
-	// SummaryPush, stamped only on the hello response, confirms the
-	// server will honor summary-push subscriptions on this connection
-	// (participant daemons answering a push-capable hello). Absent on
-	// region and pre-push servers, whose clients stay on pull.
-	SummaryPush bool                      `json:"summary_push,omitempty"`
-	Train       *federation.TrainResponse `json:"train,omitempty"`
-	RegionInfo  *region.Info              `json:"region_info,omitempty"`
-	RegionPlan  *region.PlanResponse      `json:"region_plan,omitempty"`
-	RegionTrain *region.TrainResponse     `json:"region_train,omitempty"`
-	RegionStats *region.Stats             `json:"region_stats,omitempty"`
+	SummaryUnchanged bool                      `json:"summary_unchanged,omitempty"`
+	Train            *federation.TrainResponse `json:"train,omitempty"`
+	RegionInfo       *region.Info              `json:"region_info,omitempty"`
+	RegionPlan       *region.PlanResponse      `json:"region_plan,omitempty"`
+	RegionTrain      *region.TrainResponse     `json:"region_train,omitempty"`
+	RegionStats      *region.Stats             `json:"region_stats,omitempty"`
 }
 
 // serverMetrics holds the daemon-side metric handles, resolved once at
@@ -247,10 +226,10 @@ func Serve(node *federation.Node, addr string) (*Server, error) {
 }
 
 // ServeRegion starts a regional-leader daemon for svc on addr: the
-// same listener, framing, handshake, metrics and drain
-// semantics as a participant daemon, but serving the region.* RPC
-// family instead of the node family. Ping answers with the region id,
-// so DialContext's non-empty-id handshake check holds unchanged.
+// same listener, framing, metrics and drain semantics as a participant
+// daemon, but serving the region.* RPC family instead of the node
+// family. Ping answers with the region id, so DialContext's
+// non-empty-id check holds unchanged.
 func ServeRegion(svc region.Service, addr string) (*Server, error) {
 	if svc == nil {
 		return nil, errors.New("transport: nil region service")
@@ -578,52 +557,20 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// handleConn serves a connection: hello, then v2. The first frame must
-// be a JSON ping advertising wire_proto >= 2; it is answered once, in
-// JSON, with the server's identity and capabilities, and everything
-// after it is the binary multiplexed codec. Any other first frame — a
-// v1 peer's plain ping, a request, garbage — gets one JSON error naming
-// the upgrade and the connection is closed.
+// handleConn serves a connection, which speaks v2 from its first frame.
 func (s *Server) handleConn(conn net.Conn) {
 	cc := &countingConn{Conn: conn}
 	defer s.metrics.addBytes(cc)
-	buf, err := readFrameBody(cc)
-	if err != nil {
-		return // EOF or a broken peer; either way, drop the conn
-	}
-	var hello request
-	_ = json.Unmarshal(*buf, &hello) // garbage leaves hello zero: refused below
-	putFrameBuf(buf)
-	if hello.Type != typePing || hello.WireProto < WireProtoV2 {
-		s.logkv("event", "handshake_rejected", "peer", conn.RemoteAddr(),
-			"type", hello.Type, "wire_proto", hello.WireProto)
-		// Best effort: the connection is closed whether or not it lands.
-		_ = writeFrame(cc, response{Code: CodeUnsupportedProto, Error: fmt.Sprintf(
-			"%s speaks wire protocol v%d only and the first frame must be a ping advertising it: upgrade this peer",
-			s.id, WireProtoV2)})
-		return
-	}
-	s.active.Add(1)
-	resp := s.dispatch(hello)
-	resp.WireProto = WireProtoV2
-	// Only participant daemons push, and only to peers that advertised
-	// they can receive unsolicited frames.
-	resp.SummaryPush = hello.SummaryPush && s.node != nil
-	err = writeFrame(cc, resp)
-	s.active.Add(-1)
-	if err != nil {
-		s.logkv("event", "write_error", "type", hello.Type, "err", err)
-		return
-	}
 	s.serveV2(cc)
 }
 
-// serveV2 runs a connection after its hello: tagged binary
-// request frames dispatch concurrently, each response is written
-// (under a write lock) as soon as its handler finishes — in whatever
-// order that happens. A malformed frame drops the connection; every
-// spawned handler is awaited before the connection handler returns,
-// so server Close/Shutdown semantics are unchanged.
+// serveV2 runs a connection: tagged binary request frames dispatch
+// concurrently, each response is written (under a write lock) as soon
+// as its handler finishes — in whatever order that happens. A malformed
+// frame — JSON or garbage from a peer that does not speak v2 among
+// them — drops the connection undispatched; every spawned handler is
+// awaited before the connection handler returns, so server
+// Close/Shutdown semantics are unchanged.
 func (s *Server) serveV2(cc *countingConn) {
 	var (
 		writeMu sync.Mutex
@@ -653,15 +600,11 @@ func (s *Server) serveV2(cc *countingConn) {
 			// Handled inline rather than in dispatch: the subscription is
 			// per-connection state, so it needs this loop's write lock and
 			// teardown scope. Region servers have no node summary to push.
-			resp := response{NodeID: s.id}
+			var resp response
 			if s.node == nil {
 				resp = response{Error: "push subscription on a region server", Code: CodeUnknownType}
-			} else {
-				if push == nil {
-					push = s.addPusher(cc, &writeMu)
-				}
-				resp.SummaryPush = true
-				resp.SummaryEpoch = s.node.SummaryEpoch()
+			} else if push == nil {
+				push = s.addPusher(cc, &writeMu)
 			}
 			s.metrics.observeRPC(req.Type, 0, resp.Error != "")
 			writeMu.Lock()
@@ -732,11 +675,6 @@ func (s *Server) dispatch(req request) response {
 	}
 
 	s.logRPC(&req, &resp, elapsed)
-
-	resp.TraceID = req.TraceID
-	if resp.Error == "" && s.node != nil {
-		resp.SummaryEpoch = s.node.SummaryEpoch()
-	}
 	return resp
 }
 
@@ -855,15 +793,13 @@ func (s *Server) handle(ctx context.Context, req request) response {
 	case typeSummary:
 		// Epoch-conditional fast path for delta refreshes: when the
 		// caller already holds the current advertisement, confirm it in
-		// a summary-free response. The epoch is re-read by dispatch
-		// after this returns; a requantize racing in between flips the
-		// stamped epoch past the confirmed one, which the registry
-		// treats as a drift signal — never as silent staleness.
+		// a summary-free response. A requantize racing the answer bumps
+		// the epoch, which the next push or refresh delivers.
 		if req.KnownSummaryEpoch != 0 && req.KnownSummaryEpoch == s.node.SummaryEpoch() {
-			return response{NodeID: s.node.ID(), SummaryUnchanged: true}
+			return response{SummaryUnchanged: true}
 		}
 		sum := s.node.Summary()
-		return response{NodeID: s.node.ID(), Summary: &sum}
+		return response{Summary: &sum}
 	case typeTrain:
 		if req.Train == nil {
 			return response{Error: "train request missing body", Code: CodeBadRequest}
@@ -872,7 +808,7 @@ func (s *Server) handle(ctx context.Context, req request) response {
 		if err != nil {
 			return response{Error: err.Error()}
 		}
-		return response{NodeID: s.node.ID(), Train: &out}
+		return response{Train: &out}
 	default:
 		return response{
 			Error: fmt.Sprintf("unknown request type %q", req.Type),
@@ -894,7 +830,7 @@ func (s *Server) handleRegion(ctx context.Context, req request) response {
 		if err != nil {
 			return response{Error: err.Error()}
 		}
-		return response{NodeID: s.region.ID(), RegionInfo: &info}
+		return response{RegionInfo: &info}
 	case typeRegionPlan:
 		if req.RegionPlan == nil {
 			return response{Error: "region plan request missing body", Code: CodeBadRequest}
@@ -903,7 +839,7 @@ func (s *Server) handleRegion(ctx context.Context, req request) response {
 		if err != nil {
 			return response{Error: err.Error()}
 		}
-		return response{NodeID: s.region.ID(), RegionPlan: &out}
+		return response{RegionPlan: &out}
 	case typeRegionTrain:
 		if req.RegionTrain == nil {
 			return response{Error: "region train request missing body", Code: CodeBadRequest}
@@ -912,13 +848,13 @@ func (s *Server) handleRegion(ctx context.Context, req request) response {
 		if err != nil {
 			return response{Error: err.Error()}
 		}
-		return response{NodeID: s.region.ID(), RegionTrain: &out}
+		return response{RegionTrain: &out}
 	case typeRegionStats:
 		out, err := s.region.Stats(ctx)
 		if err != nil {
 			return response{Error: err.Error()}
 		}
-		return response{NodeID: s.region.ID(), RegionStats: &out}
+		return response{RegionStats: &out}
 	default:
 		return response{
 			Error: fmt.Sprintf("unknown request type %q", req.Type),

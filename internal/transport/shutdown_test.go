@@ -37,8 +37,8 @@ func TestServerShutdownIdle(t *testing.T) {
 
 // holdDispatch installs a test gate that parks every dispatch until
 // release is closed, and signals entered when the first one arrives.
-// Tests wait on entered rather than polling active > 0: the dial
-// handshake in startServer decrements active only after its response is
+// Tests wait on entered rather than polling active > 0: the dial's
+// first ping in startServer decrements active only after its response is
 // written, so the counter can still read 1 when the test starts — and a
 // Shutdown begun then closes the listener before the test's own
 // connection was ever accepted.
@@ -56,7 +56,19 @@ func holdDispatch(srv *Server) (entered <-chan struct{}, release chan struct{}) 
 	return in, release
 }
 
-// TestServerShutdownWaitsForInFlight pins a hello ping inside dispatch via
+// writePing sends one v2 ping frame on a raw connection.
+func writePing(t *testing.T, conn net.Conn) {
+	t.Helper()
+	frame, err := appendWireRequest(nil, 1, &request{Type: typePing})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestServerShutdownWaitsForInFlight pins a ping inside dispatch via
 // the server's test gate, then verifies Shutdown waits for it
 // (graceful drain) instead of cutting the connection, and that the
 // blocked client still receives its response.
@@ -73,9 +85,7 @@ func TestServerShutdownWaitsForInFlight(t *testing.T) {
 	}
 	defer conn.Close()
 
-	if err := writeFrame(conn, request{Type: typePing, WireProto: WireProtoV2}); err != nil {
-		t.Fatal(err)
-	}
+	writePing(t, conn)
 	// Wait until the handler has read the frame and is blocked on the
 	// gate.
 	select {
@@ -108,11 +118,13 @@ func TestServerShutdownWaitsForInFlight(t *testing.T) {
 
 	// The in-flight RPC's response must have been written before the
 	// connection was closed.
-	var resp response
-	if err := readFrame(conn, &resp); err != nil {
+	buf, err := readFrameBody(conn)
+	if err != nil {
 		t.Fatalf("in-flight response lost during drain: %v", err)
 	}
-	if resp.NodeID == "" || resp.Error != "" {
+	_, resp, err := decodeWireResponse(*buf, nil)
+	putFrameBuf(buf)
+	if err != nil || resp.NodeID == "" || resp.Error != "" {
 		t.Fatalf("unexpected ping response %+v", resp)
 	}
 }
@@ -130,9 +142,7 @@ func TestServerShutdownDeadline(t *testing.T) {
 	}
 	defer conn.Close()
 
-	if err := writeFrame(conn, request{Type: typePing, WireProto: WireProtoV2}); err != nil {
-		t.Fatal(err)
-	}
+	writePing(t, conn)
 	select {
 	case <-entered:
 	case <-time.After(2 * time.Second):

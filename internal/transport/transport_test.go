@@ -55,24 +55,36 @@ func startServer(t *testing.T, seed uint64, slope, lo, hi float64) (*Server, *Cl
 	return srv, client
 }
 
+// writeSummaryRequest writes one v2 summary request frame to w.
+func writeSummaryRequest(w io.Writer, known uint64) (int, error) {
+	return writeWireFrame(w, func(b []byte) ([]byte, error) {
+		return appendWireRequest(b, 42, &request{Type: typeSummary, KnownSummaryEpoch: known})
+	})
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	in := map[string]any{"hello": "world", "n": 42.0}
-	if err := writeFrame(&buf, in); err != nil {
+	n, err := writeSummaryRequest(&buf, 7)
+	if err != nil || n != buf.Len() {
+		t.Fatalf("wrote %d of %d bytes: %v", n, buf.Len(), err)
+	}
+	body, err := readFrameBody(&buf)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var out map[string]any
-	if err := readFrame(&buf, &out); err != nil {
-		t.Fatal(err)
+	defer putFrameBuf(body)
+	var out request
+	id, err := decodeWireRequest(*body, &out, nil)
+	if err != nil || id != 42 || out.Type != typeSummary || out.KnownSummaryEpoch != 7 {
+		t.Fatalf("round trip = id %d %+v (%v)", id, out, err)
 	}
-	if out["hello"] != "world" || out["n"] != 42.0 {
-		t.Fatalf("round trip = %v", out)
+	if buf.Len() != 0 {
+		t.Fatalf("%d bytes left after one frame", buf.Len())
 	}
 }
 
 func TestFrameEOF(t *testing.T) {
-	var out map[string]any
-	if err := readFrame(strings.NewReader(""), &out); !errors.Is(err, io.EOF) {
+	if _, err := readFrameBody(strings.NewReader("")); !errors.Is(err, io.EOF) {
 		t.Fatalf("err = %v, want EOF", err)
 	}
 }
@@ -81,20 +93,18 @@ func TestFrameTooLarge(t *testing.T) {
 	// A forged header claiming a giant frame must be rejected.
 	var buf bytes.Buffer
 	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	var out map[string]any
-	if err := readFrame(&buf, &out); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := readFrameBody(&buf); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
 	}
 }
 
 func TestFrameTruncatedBody(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, map[string]int{"a": 1}); err != nil {
+	if _, err := writeSummaryRequest(&buf, 7); err != nil {
 		t.Fatal(err)
 	}
 	trunc := buf.Bytes()[:buf.Len()-2]
-	var out map[string]int
-	if err := readFrame(bytes.NewReader(trunc), &out); err == nil {
+	if _, err := readFrameBody(bytes.NewReader(trunc)); err == nil {
 		t.Fatal("accepted truncated body")
 	}
 }
@@ -361,25 +371,20 @@ func TestUnknownTypeStructuredError(t *testing.T) {
 	}
 }
 
-// TestTraceIDRoundTrip verifies trace/span IDs survive the wire in
-// both directions: the daemon's structured log attributes the RPC to
-// the trace and the response envelope echoes it.
+// TestTraceIDRoundTrip verifies trace/span IDs cross the wire: the
+// daemon's structured log attributes the RPC to the trace.
 func TestTraceIDRoundTrip(t *testing.T) {
 	srv, client := startServer(t, 31, 2, 0, 40)
 	var lc logCapture
 	srv.SetLogger(lc.logf)
 
-	resp, err := client.roundTrip(context.Background(), request{
+	if _, err := client.roundTrip(context.Background(), request{
 		Type:    typeTrain,
 		TraceID: 0xcafe01,
 		SpanID:  0xbeef02,
 		Train:   &federation.TrainRequest{Spec: ml.PaperLR(1), LocalEpochs: 2},
-	})
-	if err != nil {
+	}); err != nil {
 		t.Fatal(err)
-	}
-	if resp.TraceID != 0xcafe01 {
-		t.Fatalf("response echoes trace %s, want 0000000000cafe01", resp.TraceID)
 	}
 	logs := lc.joined()
 	if !strings.Contains(logs, "trace=0000000000cafe01") || !strings.Contains(logs, "span=0000000000beef02") {
@@ -453,7 +458,9 @@ func TestRPCLogLine(t *testing.T) {
 // refused on the write side before touching the socket.
 func TestOversizedFrameWrite(t *testing.T) {
 	var buf bytes.Buffer
-	err := writeFrame(&buf, map[string]any{"v": strings.Repeat("a", MaxFrameSize)})
+	huge := request{Type: typeTrain, Train: &federation.TrainRequest{
+		Params: ml.Params{Kind: ml.KindLinear, Values: make([]float64, MaxFrameSize/8)}}}
+	_, err := writeWireFrame(&buf, func(b []byte) ([]byte, error) { return appendWireRequest(b, 1, &huge) })
 	if !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
 	}

@@ -1,6 +1,6 @@
 // Wire protocol v2: the hand-rolled binary codec every request,
-// response and push frame uses. It sits behind the same 4-byte length
-// prefix (and size cap) as the JSON hello in frame.go:
+// response and push frame uses, from a connection's first frame on. It
+// sits behind the 4-byte length prefix (and size cap) of frame.go:
 //
 //	body := magic(u8=0xC2) kind(u8) reqID(u64 LE) section*
 //	section := tag(u8) len(u32 LE) payload
@@ -12,8 +12,8 @@
 // math.Float64bits, no decimal text, no reflection); so are the
 // root↔region plan and train bodies every sharded query ships twice.
 // Only region.info and region.stats, once per topology rebuild and
-// once per /v1/stats document, still carry JSON inside their section,
-// as the hello does. The reqID makes frames self-describing for the
+// once per /v1/stats document, carry JSON inside their section. The
+// reqID makes frames self-describing for the
 // multiplexed client: responses may return in any order and are
 // matched to callers through it. All encode paths borrow pooled
 // buffers.
@@ -38,13 +38,9 @@ import (
 	"qens/internal/telemetry"
 )
 
-// WireProtoV2 is the version both hellos must advertise (wire_proto).
-// Version 1, the seed's JSON request/response codec, is retired: a peer
-// that cannot say 2 is refused at the handshake.
-const WireProtoV2 = 2
-
 // wireMagic is the first body byte of every v2 frame — a cheap guard
-// against JSON (bodies start with '{' = 0x7B) or garbage.
+// against JSON (bodies start with '{' = 0x7B) or garbage: a peer that
+// does not speak v2 fails the decode on its first frame.
 const wireMagic = 0xC2
 
 // Frame kinds. framePush is server-initiated: it carries no pending
@@ -64,8 +60,7 @@ const (
 	secDeadline  byte = 3  // varint deadline_unix_ms
 	secTrainReq  byte = 4  // spec, params, ints clusters, uvarint epochs
 	secError     byte = 6  // str code, str message
-	secNodeID    byte = 7  // str node id
-	secEpoch     byte = 8  // uvarint summary epoch
+	secNodeID    byte = 7  // str node id (ping response)
 	secSummary   byte = 9  // node summary
 	secTrainResp byte = 10 // params, uvarint used, uvarint total, varint ns, uvarint epoch
 	secSpans     byte = 12 // u8 owner, span list: uvarint count, {str name, varint start_unix_ns, varint dur_ns}*
@@ -73,7 +68,8 @@ const (
 	// Tags 5 and 11 (the node Eval RPC's request and response bodies)
 	// are retired like tags 2 and 13: the §II pre-test scores
 	// in-process nodes only, decoders skip them by length, and they
-	// must not be reused.
+	// must not be reused. So is tag 8, the summary epoch every response
+	// used to echo: the train and summary bodies carry their own.
 
 	// Region-tier introspection bodies: u8 body kind (info or stats)
 	// followed by a JSON payload. They travel once per topology rebuild
@@ -87,24 +83,16 @@ const (
 	// Summary-delta refresh (registry delta fetch): a summary request
 	// may advertise the epoch it already holds; a server whose summary
 	// still carries that epoch answers with an "unchanged" marker
-	// instead of the full summary body. Both sections are skipped by
-	// length on pre-delta peers, which degrades to a full summary —
-	// correct, just not byte-proportional to churn.
+	// instead of the full summary body.
 	secKnownEpoch       byte = 15 // uvarint known summary epoch (request)
 	secSummaryUnchanged byte = 16 // u8 1 marker (response)
 
 	// Summary-delta push (server→client, inside a framePush frame): the
-	// node's fresh advertisement, self-delimiting like every section so
-	// decoders predating it skip it by length. Peers that never
-	// subscribe simply never receive push frames and keep pulling.
+	// node's fresh advertisement. Peers that never subscribe simply
+	// never receive push frames and keep pulling. Tag 18, the push
+	// capability marker the retired JSON hello negotiated, is retired:
+	// decoders skip it by length, and it must not be reused.
 	secPushSummary byte = 17 // node summary (push)
-
-	// Push capability marker: on a request it advertises the client can
-	// receive push frames, on a response it confirms the server will
-	// emit them. Negotiation rides the JSON hello, but the marker
-	// keeps the binary codec lossless for both envelopes
-	// (and pre-push decoders skip it by length).
-	secSummaryPush byte = 18 // u8 1 marker (request and response)
 
 	// Root↔region plan (Eq. 2–4 ranking) and train (§IV-B round) bodies.
 	// A slice the in-process value may hold as nil is preceded by a
@@ -117,8 +105,10 @@ const (
 
 	// Trace context: binary telemetry IDs, present only when nonzero.
 	// Tag 2 (the same context as two strings) is retired like tag 13:
-	// decoders skip it by length, so it must not be reused.
-	secTraceCtx byte = 23 // u64 trace, u64 span (request); u64 trace (response)
+	// decoders skip it by length, so it must not be reused. Tag 23 is
+	// request-only: the response-side trace echo is retired, and a
+	// response decoder skips it by length.
+	secTraceCtx byte = 23 // u64 trace, u64 span (request)
 )
 
 // Body kinds inside secRegionResp. Kinds 0 and 1 (JSON plan and train
@@ -388,11 +378,6 @@ func appendWireRequest(dst []byte, id uint64, req *request) ([]byte, error) {
 		e.uvarint(req.KnownSummaryEpoch)
 		e.endSection(m)
 	}
-	if req.SummaryPush {
-		m = e.beginSection(secSummaryPush)
-		e.u8(1)
-		e.endSection(m)
-	}
 	if req.RegionPlan != nil {
 		m = e.beginSection(secRegionPlanReq)
 		e.regionPlanReq(req.RegionPlan)
@@ -417,19 +402,9 @@ func appendWireResponse(dst []byte, id uint64, resp *response) ([]byte, error) {
 		e.str(resp.Error)
 		e.endSection(m)
 	}
-	if resp.TraceID != 0 {
-		m := e.beginSection(secTraceCtx)
-		e.u64(uint64(resp.TraceID))
-		e.endSection(m)
-	}
 	if resp.NodeID != "" {
 		m := e.beginSection(secNodeID)
 		e.str(resp.NodeID)
-		e.endSection(m)
-	}
-	if resp.SummaryEpoch != 0 {
-		m := e.beginSection(secEpoch)
-		e.uvarint(resp.SummaryEpoch)
 		e.endSection(m)
 	}
 	if resp.Summary != nil {
@@ -439,11 +414,6 @@ func appendWireResponse(dst []byte, id uint64, resp *response) ([]byte, error) {
 	}
 	if resp.SummaryUnchanged {
 		m := e.beginSection(secSummaryUnchanged)
-		e.u8(1)
-		e.endSection(m)
-	}
-	if resp.SummaryPush {
-		m := e.beginSection(secSummaryPush)
 		e.u8(1)
 		e.endSection(m)
 	}
@@ -956,8 +926,6 @@ func decodeWireRequest(body []byte, req *request, ids idTable) (id uint64, err e
 			req.DeadlineUnixMS = p.varint()
 		case secKnownEpoch:
 			req.KnownSummaryEpoch = p.uvarint()
-		case secSummaryPush:
-			req.SummaryPush = p.u8() == 1
 		case secTrainReq:
 			if req.Train == nil {
 				req.Train = &federation.TrainRequest{}
@@ -1019,19 +987,13 @@ func decodeWireResponse(body []byte, ids idTable) (id uint64, resp response, err
 		case secError:
 			resp.Code = p.str()
 			resp.Error = p.str()
-		case secTraceCtx:
-			resp.TraceID = telemetry.ID(p.u64())
 		case secNodeID:
 			resp.NodeID = p.id()
-		case secEpoch:
-			resp.SummaryEpoch = p.uvarint()
 		case secSummary:
 			resp.Summary = &cluster.NodeSummary{}
 			p.summary(resp.Summary)
 		case secSummaryUnchanged:
 			resp.SummaryUnchanged = p.u8() == 1
-		case secSummaryPush:
-			resp.SummaryPush = p.u8() == 1
 		case secTrainResp:
 			t := &federation.TrainResponse{}
 			p.params(&t.Params)

@@ -593,3 +593,86 @@ func reachName(obj types.Object) string {
 	}
 	return name + obj.Name()
 }
+
+// TestFuzzTargetsInMakefile keeps `make fuzz`, the recipe CI runs as
+// campaigns, in step with the fuzz targets: every func Fuzz* in a test
+// file outside bench/ must have a line in the recipe, naming its own
+// package and matching no other target there, and every line must name
+// a target that exists. `go test` alone runs a target's seed corpus
+// only, so a target left out of the recipe is never searched.
+func TestFuzzTargetsInMakefile(t *testing.T) {
+	mk, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	recipe := map[string]bool{}
+	inFuzz := false
+	for _, line := range strings.Split(string(mk), "\n") {
+		if !strings.HasPrefix(line, "\t") {
+			inFuzz = strings.HasPrefix(line, "fuzz:")
+			continue
+		}
+		f := strings.Fields(line)
+		for i := 0; inFuzz && i+1 < len(f); i++ {
+			if f[i] == "-fuzz" {
+				pkg := strings.Trim(strings.TrimPrefix(f[len(f)-1], "./"), "/")
+				recipe[pkg+" "+f[i+1]] = true
+			}
+		}
+	}
+	if len(recipe) == 0 {
+		t.Fatal("Makefile has no fuzz recipe lines")
+	}
+
+	defined := map[string][]string{} // package dir -> its fuzz targets
+	err = filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (path == "bench" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Fuzz") {
+				dir := filepath.ToSlash(filepath.Dir(path))
+				defined[dir] = append(defined[dir], fn.Name.Name)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for dir, names := range defined {
+		for _, name := range names {
+			if !recipe[dir+" "+name] {
+				t.Errorf("%s.%s is not in the Makefile's fuzz recipe; add `$(GO) test -run '^$$' -fuzz %s -fuzztime $(FUZZTIME) ./%s/`", dir, name, name, dir)
+			}
+			delete(recipe, dir+" "+name)
+		}
+	}
+	for key := range recipe {
+		t.Errorf("the Makefile's fuzz recipe names %s, which no test file outside bench/ defines", key)
+	}
+	// go test -fuzz takes a pattern and refuses one that matches two
+	// targets of the package.
+	for dir, names := range defined {
+		for _, name := range names {
+			for _, other := range names {
+				if other != name && strings.Contains(other, name) {
+					t.Errorf("./%s: -fuzz %s also matches %s; rename one", dir, name, other)
+				}
+			}
+		}
+	}
+}
