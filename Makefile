@@ -67,18 +67,21 @@ bench-check:
 	cd bench && $(GO) vet ./... && $(GO) build -o /dev/null ./... && $(GO) test -race ./...
 
 # Non-test Go lines per internal package and per command — ROADMAP's
-# "number to push down" — and for the whole repo outside bench/.
+# "number to push down" — and for the whole repo outside bench/, then
+# the test lines outside bench/.
 loc:
 	@for d in internal/*/ cmd/*/; do \
 		printf '%-22s %6d\n' "$$d" "$$(cat $$(ls $$d*.go | grep -v _test.go) | wc -l)"; \
 	done
 	@printf '%-22s %6d\n' "repo (without bench/)" \
 		"$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l)"
+	@printf '%-22s %6d\n' "tests (without bench/)" \
+		"$$(find . -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l)"
 
 # The serving packages' non-test line budget: ROADMAP item 2 pushes
 # federation+region+gateway down, so growing them past the committed
 # number fails the gate. Lower LOC_BUDGET when a PR shrinks them.
-LOC_BUDGET ?= 5804
+LOC_BUDGET ?= 5776
 loc-check:
 	@n=$$(cat $$(ls internal/federation/*.go internal/region/*.go internal/gateway/*.go | grep -v _test.go) | wc -l); \
 	if [ "$$n" -gt $(LOC_BUDGET) ]; then \

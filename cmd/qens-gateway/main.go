@@ -88,7 +88,6 @@ func main() {
 	}
 	tracer := telemetry.NewTracer(traceFile) // nil sink = memory-only
 	tracer.SetRetention(4096)
-	telemetry.SetDefaultTracer(tracer)
 	if traceFile != nil {
 		defer func() {
 			if err := tracer.Flush(); err != nil {

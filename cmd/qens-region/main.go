@@ -31,7 +31,6 @@ import (
 	"qens/internal/federation"
 	"qens/internal/ml"
 	"qens/internal/region"
-	"qens/internal/telemetry"
 	"qens/internal/transport"
 )
 
@@ -46,29 +45,11 @@ func main() {
 		addrs   = flag.String("addrs", "", "comma-separated qensd addresses of the whole fleet, in roster order (the same list on every region)")
 
 		drainTimeout = flag.Duration("drain-timeout", 15*time.Second, "graceful shutdown budget before in-flight RPCs are aborted")
-		tracePath    = flag.String("trace", "", "write per-RPC spans as JSONL to this file (flushed on shutdown)")
 	)
 	flag.Parse()
 
 	if *idx < 0 || *idx >= *regions {
 		fatal("-region %d out of range (need 0 <= region < %d)", *idx, *regions)
-	}
-
-	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			fatal("trace file: %v", err)
-		}
-		tracer := telemetry.NewTracer(f)
-		tracer.SetRetention(4096)
-		telemetry.SetDefaultTracer(tracer)
-		defer func() {
-			if err := tracer.Flush(); err != nil {
-				fmt.Fprintf(os.Stderr, "qens-region: trace flush: %v\n", err)
-			}
-			f.Close()
-			fmt.Printf("qens-region: trace written to %s\n", *tracePath)
-		}()
 	}
 
 	fleet, err := transport.DialAll(*addrs, func(a string) (*transport.Client, error) {

@@ -41,7 +41,6 @@ func main() {
 		nodes        = flag.Int("nodes", 10, "total synthetic shards (with -synthetic)")
 		samples      = flag.Int("samples", 2000, "samples per synthetic shard (with -synthetic)")
 		metricsAddr  = flag.String("metrics-addr", "", "observability sidecar address serving /metrics, /healthz and /debug/pprof (e.g. :9090; empty disables)")
-		tracePath    = flag.String("trace", "", "write per-RPC spans as JSONL to this file (flushed on shutdown)")
 		drainTimeout = flag.Duration("drain-timeout", 15*time.Second, "graceful shutdown budget before in-flight RPCs are aborted")
 		trainConc    = flag.Int("train-concurrency", 0, "max concurrent training jobs (0 = GOMAXPROCS); excess requests queue")
 
@@ -51,23 +50,6 @@ func main() {
 		driftShift  = flag.Float64("ingest-drift-shift", 0.5, "drift displacement as a fraction of each feature's range (with -ingest-drift-after)")
 	)
 	flag.Parse()
-
-	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			fatal("trace file: %v", err)
-		}
-		tracer := telemetry.NewTracer(f)
-		tracer.SetRetention(4096)
-		telemetry.SetDefaultTracer(tracer)
-		defer func() {
-			if err := tracer.Flush(); err != nil {
-				fmt.Fprintf(os.Stderr, "qensd: trace flush: %v\n", err)
-			}
-			f.Close()
-			fmt.Printf("qensd: trace written to %s\n", *tracePath)
-		}()
-	}
 
 	data, nodeID, err := loadData(*dataPath, *synthetic, *nodes, *samples, *seed)
 	if err != nil {

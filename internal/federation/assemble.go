@@ -38,17 +38,13 @@ func Assemble(res *Result, outs []RoundOutcome, a Assembly) error {
 	ranks := make([]float64, 0, len(outs))
 	for i := range outs {
 		o, p := &outs[i], res.Participants[i]
-		round := NodeRound{NodeID: p.NodeID, Elapsed: o.Elapsed}
 		if o.Err != nil {
 			if !a.TolerateFailures {
 				return fmt.Errorf("federation: training on %s: %w", p.NodeID, o.Err)
 			}
-			round.Err = o.Err.Error()
-			res.NodeRounds = append(res.NodeRounds, round)
 			res.Failed = append(res.Failed, p.NodeID)
 			continue
 		}
-		res.NodeRounds = append(res.NodeRounds, round)
 		res.LocalParams = append(res.LocalParams, o.Resp.Params)
 		ranks = append(ranks, p.Rank)
 		res.Stats.TrainTime += o.Resp.TrainTime

@@ -400,11 +400,6 @@ type Result struct {
 	// Config.TolerateFailures; their models are excluded from the
 	// ensemble).
 	Failed []string
-	// NodeRounds records per-participant round timings and outcomes
-	// in execution order, including failed rounds with their error
-	// strings — the per-query attribution behind the
-	// qens_leader_train_round_ms metric family.
-	NodeRounds []NodeRound
 	// TrainMins/TrainMaxs pack the cluster rectangles the ensemble
 	// was actually trained on (every supporting cluster of every
 	// participant), rect-major with TrainDims values per rectangle —

@@ -10,28 +10,14 @@ import (
 
 // Leader-side observability: every query execution opens a trace
 // (selection → per-node train rounds → aggregation) and feeds the
-// process-default metric registry. Tracing is a no-op until a tracer
-// is installed (Leader.SetTracer or telemetry.SetDefaultTracer), and
-// metric updates are lock-free, so the uninstrumented cost is a few
-// atomic ops per query.
-
-// NodeRound records one participant's training-round outcome as
-// observed by the leader — wall time including the network, plus the
-// error string when the round failed. With Config.TolerateFailures a
-// failed round is skipped but stays visible here instead of vanishing
-// into a bare node-id list.
-type NodeRound struct {
-	// NodeID is the participant.
-	NodeID string
-	// Elapsed is the leader-observed wall time of the round.
-	Elapsed time.Duration
-	// Err is the failure reason ("" on success). Failed rounds are
-	// excluded from the ensemble.
-	Err string
-}
-
-// Failed reports whether the round failed.
-func (r NodeRound) Failed() bool { return r.Err != "" }
+// process-default metric registry. A participant's round is recorded
+// once per sink: its "train" span carries the node, the leader-observed
+// duration and the error, qens_leader_train_round_ms{node} the latency,
+// and Result.Failed plus qens_node_failures_total a tolerated failure.
+// Tracing is a no-op until a tracer is installed (Leader.SetTracer, or
+// telemetry.SetDefaultTracer for leaders built where no caller can pin
+// one), and metric updates are lock-free, so the uninstrumented cost is
+// a few atomic ops per query.
 
 // ObserveQuery records one trained query in reg — qens_queries_total by
 // selector, qens_selection_ms, and qens_node_failures_total for

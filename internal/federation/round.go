@@ -54,10 +54,10 @@ type RoundOutcome struct {
 // Round drives one training round and returns one outcome per
 // participant, in participant order. It is the only place the leader
 // calls Client.Train: every outcome, as it completes, closes its train
-// span, feeds the qens_leader_train_round* metrics and the per-node
-// health EWMAs, and — on success — signals the node's echoed
-// advertisement epoch to the registry, so drift is noticed even when
-// a later participant fails the query.
+// span, feeds qens_leader_train_round_ms and the per-node health
+// EWMAs, and — on success — signals the node's echoed advertisement
+// epoch to the registry, so drift is noticed even when a later
+// participant fails the query.
 //
 // A sequential round can end early. It returns nil when ctx was done
 // before a participant could start (the caller reports ctx.Err()), and
@@ -124,7 +124,6 @@ func (l *Leader) trainOne(ctx context.Context, req *RoundRequest, p selection.Pa
 	tspan.End(err)
 
 	node := telemetry.Label{Key: "node", Value: p.NodeID}
-	l.metrics.Counter("qens_leader_train_rounds_total", node).Inc()
 	l.metrics.Histogram("qens_leader_train_round_ms", node).ObserveDuration(o.Elapsed)
 	if err != nil {
 		l.health.ObserveRound(p.NodeID, o.Elapsed, err.Error())

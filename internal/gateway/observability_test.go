@@ -88,10 +88,11 @@ func TestGatewayTraceEndpoints(t *testing.T) {
 }
 
 func TestGatewayTraceDisabled404(t *testing.T) {
-	// No config tracer and no process default: the endpoints 404
-	// instead of serving empty documents.
+	// No config tracer: the endpoints 404 instead of serving empty
+	// documents, even with a process-default tracer installed (only the
+	// experiment harness installs one; the gateway pins its own).
 	old := telemetry.DefaultTracer()
-	telemetry.SetDefaultTracer(nil)
+	telemetry.SetDefaultTracer(telemetry.NewTracer(nil))
 	defer telemetry.SetDefaultTracer(old)
 
 	fl := testFleet(t)

@@ -52,11 +52,9 @@ type ServerConfig struct {
 	// Registry receives gateway metrics (default telemetry.Default()).
 	Registry *telemetry.Registry
 
-	// Tracer backs GET /v1/trace/{id} and /v1/traces; when nil the
-	// process-default tracer (telemetry.DefaultTracer) serves them. The
-	// endpoints 404 when neither is installed. NewServer pins a non-nil
-	// Tracer to the topology, so query spans land in the same store the
-	// endpoints serve.
+	// Tracer backs GET /v1/trace/{id} and /v1/traces, which 404 when
+	// it is nil. NewServer pins a non-nil Tracer to the topology, so
+	// query spans land in the same store the endpoints serve.
 	Tracer *telemetry.Tracer
 	// WireStatus, when non-nil, supplies per-connection transport state
 	// (in-flight RPCs, byte counters) for a remote fleet: the /v1/stats
@@ -812,15 +810,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// tracer resolves the tracer backing the trace endpoints: the
-// configured one, else the process default (possibly nil).
-func (s *Server) tracer() *telemetry.Tracer {
-	if s.cfg.Tracer != nil {
-		return s.cfg.Tracer
-	}
-	return telemetry.DefaultTracer()
-}
-
 // traceResponse is the GET /v1/trace/{id} document: the assembled
 // cross-process span tree plus its critical-path decomposition.
 type traceResponse struct {
@@ -832,7 +821,7 @@ type traceResponse struct {
 // query's trace — leader spans plus the node-side spans piggybacked on
 // RPC responses — with wall time attributed per phase category.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	tr := s.tracer()
+	tr := s.cfg.Tracer
 	if tr == nil {
 		writeError(w, http.StatusNotFound, "tracing is not enabled on this gateway")
 		return
@@ -864,7 +853,7 @@ type traceListEntry struct {
 // handleTraces serves GET /v1/traces: the most recent retained trace
 // roots, newest first — the index for /v1/trace/{id}.
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	tr := s.tracer()
+	tr := s.cfg.Tracer
 	if tr == nil {
 		writeError(w, http.StatusNotFound, "tracing is not enabled on this gateway")
 		return

@@ -1151,13 +1151,28 @@ func statsShape(path string, v any, nodeIDs map[string]bool, out map[string]bool
 	}
 }
 
-// TestStatsSchema pins the /v1/stats document of a single leader with
-// the reuse cache on — the shape qens-gateway -addrs … -reuse-iou
-// serves — as a literal sorted list of field paths and JSON types:
-// renaming, adding, dropping or retyping a field fails it, so a schema
-// change is a deliberate edit of the list.
+// TestStatsSchema pins the /v1/stats document of both topologies with
+// the reuse cache on — the shapes qens-gateway -addrs … -reuse-iou and
+// -region-addrs … -reuse-iou serve — as literal sorted lists of field
+// paths and JSON types: renaming, adding, dropping or retyping a field
+// fails it, so a schema change is a deliberate edit of a list. Arrays
+// (per-region, per-connection) and per-node maps collapse to one shape.
 func TestStatsSchema(t *testing.T) {
-	cfg, nodes := slabFleet(t)
+	t.Run("leader", func(t *testing.T) {
+		cfg, nodes := slabFleet(t)
+		statsSchema(t, ServerConfig{Leader: slabLeader(t, cfg, nodes)}, nodes, statsSchemaLeader)
+	})
+	t.Run("router", func(t *testing.T) {
+		_, nodes := slabFleet(t)
+		statsSchema(t, ServerConfig{Router: routerFixture(t)}, nodes, statsSchemaRouter)
+	})
+}
+
+// statsSchema serves cfg with the reuse cache on and a stand-in wire
+// status, trains one answer and replays it, so every counter has
+// moved, and compares the /v1/stats document's shape with want.
+func statsSchema(t *testing.T, cfg ServerConfig, nodes []*federation.Node, want []string) {
+	t.Helper()
 	nodeIDs := map[string]bool{}
 	for _, n := range nodes {
 		nodeIDs[n.ID()] = true
@@ -1168,17 +1183,15 @@ func TestStatsSchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ts := newGatewayServer(t, ServerConfig{
-		Leader: slabLeader(t, cfg, nodes), Cache: cache, Workers: 2, QueueDepth: 8,
-		WireStatus: func() []fleet.WireStatus {
-			return []fleet.WireStatus{{NodeID: "node-0", Addr: "127.0.0.1:7001", InflightRPCs: 1, BytesOut: 10, BytesIn: 20}}
-		},
-	})
-	// One trained answer and its replay, so every counter has moved.
+	cfg.Cache, cfg.Workers, cfg.QueueDepth = cache, 2, 8
+	cfg.WireStatus = func() []fleet.WireStatus {
+		return []fleet.WireStatus{{NodeID: "node-0", Addr: "127.0.0.1:7001", InflightRPCs: 1, BytesOut: 10, BytesIn: 20}}
+	}
+	_, ts := newGatewayServer(t, cfg)
 	qd := `{"bounds":{"min":[1,-500],"max":[20,75]},"selector":"query-driven","epsilon":1e-9,"top_l":2}`
-	for _, want := range []bool{false, true} {
-		if code, doc, _ := postQuery(t, ts.URL, qd); code != http.StatusOK || doc["reused"] != want {
-			t.Fatalf("query: %d: %v, want reused=%v", code, doc, want)
+	for _, reused := range []bool{false, true} {
+		if code, doc, _ := postQuery(t, ts.URL, qd); code != http.StatusOK || doc["reused"] != reused {
+			t.Fatalf("query: %d: %v, want reused=%v", code, doc, reused)
 		}
 	}
 	shape := map[string]bool{}
@@ -1188,87 +1201,183 @@ func TestStatsSchema(t *testing.T) {
 		got = append(got, line)
 	}
 	sort.Strings(got)
-	want := []string{
-		".latency object",
-		".latency.count number",
-		".latency.max_ms number",
-		".latency.mean_ms number",
-		".latency.p50_ms number",
-		".latency.p95_ms number",
-		".latency.p99_ms number",
-		".latency.window object",
-		".latency.window.count number",
-		".latency.window.max_ms number",
-		".latency.window.mean_ms number",
-		".latency.window.p50_ms number",
-		".latency.window.p95_ms number",
-		".latency.window.p99_ms number",
-		".latency.window.window_s number",
-		".nodes array",
-		".nodes[] string",
-		".registry object",
-		".registry.brute_plans number",
-		".registry.delta_nodes_refetched number",
-		".registry.delta_nodes_reused number",
-		".registry.delta_refresh_bytes number",
-		".registry.delta_refreshes number",
-		".registry.epoch number",
-		".registry.fetched_at string",
-		".registry.full_refresh_bytes number",
-		".registry.full_refreshes number",
-		".registry.index_patches number",
-		".registry.index_rebuilds number",
-		".registry.indexed_plans number",
-		".registry.invalidations number",
-		".registry.nodes number",
-		".registry.nodes_pruned number",
-		".registry.nodes_ranked number",
-		".registry.push_applied number",
-		".registry.push_bytes number",
-		".registry.push_dropped_stale number",
-		".registry.push_dropped_unknown number",
-		".registry.refreshes number",
-		".registry.stale bool",
-		".reuse_cache object",
-		".reuse_cache.approx_enabled bool",
-		".reuse_cache.approx_hits number",
-		".reuse_cache.evictions number",
-		".reuse_cache.fallbacks number",
-		".reuse_cache.hits number",
-		".reuse_cache.max_predicted_error number",
-		".reuse_cache.misses number",
-		".reuse_cache.probes number",
-		".reuse_cache.pruned number",
-		".reuse_cache.size number",
-		".scheduler object",
-		".scheduler.admitted number",
-		".scheduler.coalesced number",
-		".scheduler.completed_error number",
-		".scheduler.completed_ok number",
-		".scheduler.completed_timeout number",
-		".scheduler.draining bool",
-		".scheduler.inflight number",
-		".scheduler.queue_capacity number",
-		".scheduler.queue_depth number",
-		".scheduler.rejected_draining number",
-		".scheduler.rejected_expired number",
-		".scheduler.rejected_queue_full number",
-		".scheduler.workers number",
-		".space object",
-		".space.max array",
-		".space.max[] number",
-		".space.min array",
-		".space.min[] number",
-		".transport array",
-		".transport[] object",
-		".transport[].addr string",
-		".transport[].bytes_in number",
-		".transport[].bytes_out number",
-		".transport[].inflight_rpcs number",
-		".transport[].node_id string",
-		".uptime_s number",
-	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("/v1/stats shape changed; the document now reads:\n%s", strings.Join(got, "\n"))
 	}
+}
+
+var statsSchemaLeader = []string{
+	".latency object",
+	".latency.count number",
+	".latency.max_ms number",
+	".latency.mean_ms number",
+	".latency.p50_ms number",
+	".latency.p95_ms number",
+	".latency.p99_ms number",
+	".latency.window object",
+	".latency.window.count number",
+	".latency.window.max_ms number",
+	".latency.window.mean_ms number",
+	".latency.window.p50_ms number",
+	".latency.window.p95_ms number",
+	".latency.window.p99_ms number",
+	".latency.window.window_s number",
+	".nodes array",
+	".nodes[] string",
+	".registry object",
+	".registry.brute_plans number",
+	".registry.delta_nodes_refetched number",
+	".registry.delta_nodes_reused number",
+	".registry.delta_refresh_bytes number",
+	".registry.delta_refreshes number",
+	".registry.epoch number",
+	".registry.fetched_at string",
+	".registry.full_refresh_bytes number",
+	".registry.full_refreshes number",
+	".registry.index_patches number",
+	".registry.index_rebuilds number",
+	".registry.indexed_plans number",
+	".registry.invalidations number",
+	".registry.nodes number",
+	".registry.nodes_pruned number",
+	".registry.nodes_ranked number",
+	".registry.push_applied number",
+	".registry.push_bytes number",
+	".registry.push_dropped_stale number",
+	".registry.push_dropped_unknown number",
+	".registry.refreshes number",
+	".registry.stale bool",
+	".reuse_cache object",
+	".reuse_cache.approx_enabled bool",
+	".reuse_cache.approx_hits number",
+	".reuse_cache.evictions number",
+	".reuse_cache.fallbacks number",
+	".reuse_cache.hits number",
+	".reuse_cache.max_predicted_error number",
+	".reuse_cache.misses number",
+	".reuse_cache.probes number",
+	".reuse_cache.pruned number",
+	".reuse_cache.size number",
+	".scheduler object",
+	".scheduler.admitted number",
+	".scheduler.coalesced number",
+	".scheduler.completed_error number",
+	".scheduler.completed_ok number",
+	".scheduler.completed_timeout number",
+	".scheduler.draining bool",
+	".scheduler.inflight number",
+	".scheduler.queue_capacity number",
+	".scheduler.queue_depth number",
+	".scheduler.rejected_draining number",
+	".scheduler.rejected_expired number",
+	".scheduler.rejected_queue_full number",
+	".scheduler.workers number",
+	".space object",
+	".space.max array",
+	".space.max[] number",
+	".space.min array",
+	".space.min[] number",
+	".transport array",
+	".transport[] object",
+	".transport[].addr string",
+	".transport[].bytes_in number",
+	".transport[].bytes_out number",
+	".transport[].inflight_rpcs number",
+	".transport[].node_id string",
+	".uptime_s number",
+}
+
+var statsSchemaRouter = []string{
+	".latency object",
+	".latency.count number",
+	".latency.max_ms number",
+	".latency.mean_ms number",
+	".latency.p50_ms number",
+	".latency.p95_ms number",
+	".latency.p99_ms number",
+	".latency.window object",
+	".latency.window.count number",
+	".latency.window.max_ms number",
+	".latency.window.mean_ms number",
+	".latency.window.p50_ms number",
+	".latency.window.p95_ms number",
+	".latency.window.p99_ms number",
+	".latency.window.window_s number",
+	".nodes array",
+	".nodes[] string",
+	".reuse_cache object",
+	".reuse_cache.approx_enabled bool",
+	".reuse_cache.approx_hits number",
+	".reuse_cache.evictions number",
+	".reuse_cache.fallbacks number",
+	".reuse_cache.hits number",
+	".reuse_cache.max_predicted_error number",
+	".reuse_cache.misses number",
+	".reuse_cache.probes number",
+	".reuse_cache.pruned number",
+	".reuse_cache.size number",
+	".router object",
+	".router.generation number",
+	".router.no_route_rejects number",
+	".router.queries number",
+	".router.regions array",
+	".router.regions[] object",
+	".router.regions[].epoch number",
+	".router.regions[].node_ids array",
+	".router.regions[].node_ids[] string",
+	".router.regions[].nodes number",
+	".router.regions[].region_id string",
+	".router.regions[].registry object",
+	".router.regions[].registry.brute_plans number",
+	".router.regions[].registry.delta_nodes_refetched number",
+	".router.regions[].registry.delta_nodes_reused number",
+	".router.regions[].registry.delta_refresh_bytes number",
+	".router.regions[].registry.delta_refreshes number",
+	".router.regions[].registry.epoch number",
+	".router.regions[].registry.fetched_at string",
+	".router.regions[].registry.full_refresh_bytes number",
+	".router.regions[].registry.full_refreshes number",
+	".router.regions[].registry.index_patches number",
+	".router.regions[].registry.index_rebuilds number",
+	".router.regions[].registry.indexed_plans number",
+	".router.regions[].registry.invalidations number",
+	".router.regions[].registry.nodes number",
+	".router.regions[].registry.nodes_pruned number",
+	".router.regions[].registry.nodes_ranked number",
+	".router.regions[].registry.push_applied number",
+	".router.regions[].registry.push_bytes number",
+	".router.regions[].registry.push_dropped_stale number",
+	".router.regions[].registry.push_dropped_unknown number",
+	".router.regions[].registry.refreshes number",
+	".router.regions[].registry.stale bool",
+	".router.regions[].routed number",
+	".router.regions_pruned number",
+	".router.spanning_fanouts number",
+	".scheduler object",
+	".scheduler.admitted number",
+	".scheduler.coalesced number",
+	".scheduler.completed_error number",
+	".scheduler.completed_ok number",
+	".scheduler.completed_timeout number",
+	".scheduler.draining bool",
+	".scheduler.inflight number",
+	".scheduler.queue_capacity number",
+	".scheduler.queue_depth number",
+	".scheduler.rejected_draining number",
+	".scheduler.rejected_expired number",
+	".scheduler.rejected_queue_full number",
+	".scheduler.workers number",
+	".space object",
+	".space.max array",
+	".space.max[] number",
+	".space.min array",
+	".space.min[] number",
+	".transport array",
+	".transport[] object",
+	".transport[].addr string",
+	".transport[].bytes_in number",
+	".transport[].bytes_out number",
+	".transport[].inflight_rpcs number",
+	".transport[].node_id string",
+	".uptime_s number",
 }

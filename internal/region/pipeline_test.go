@@ -13,6 +13,7 @@ import (
 	"qens/internal/query"
 	"qens/internal/rng"
 	"qens/internal/selection"
+	"qens/internal/telemetry"
 )
 
 // The shared execute pipeline — Leader.Round feeding
@@ -141,12 +142,17 @@ func sameAggregate(t *testing.T, label string, want, got *federation.Result) {
 	}
 }
 
-// trainedNodes lists the node ids of the successful rounds, in order.
+// trainedNodes lists the participants whose round succeeded, in
+// participant order.
 func trainedNodes(res *federation.Result) []string {
+	failed := map[string]bool{}
+	for _, id := range res.Failed {
+		failed[id] = true
+	}
 	var ids []string
-	for _, nr := range res.NodeRounds {
-		if !nr.Failed() {
-			ids = append(ids, nr.NodeID)
+	for _, p := range res.Participants {
+		if !failed[p.NodeID] {
+			ids = append(ids, p.NodeID)
 		}
 	}
 	return ids
@@ -191,9 +197,6 @@ func TestPipelineModesAgree(t *testing.T) {
 					want.Stats.BytesUp != got.Stats.BytesUp || want.Stats.BytesDown != got.Stats.BytesDown {
 					t.Fatalf("%s: stats %+v vs %+v", mode.name, want.Stats, got.Stats)
 				}
-				if w, g := strings.Join(trainedNodes(want), ","), strings.Join(trainedNodes(got), ","); w != g || len(got.NodeRounds) != len(got.Participants) {
-					t.Fatalf("%s: node rounds %+v, want one healthy round per participant (%s)", mode.name, got.NodeRounds, w)
-				}
 			}
 		})
 	}
@@ -227,20 +230,93 @@ func TestPipelineToleratedFailureEqualsSurvivors(t *testing.T) {
 			if w, g := strings.Join(trainedNodes(want), ","), strings.Join(trainedNodes(got), ","); w != g {
 				t.Fatalf("healthy rounds on %s, survivors-only run trained %s", g, w)
 			}
-			// The skipped round stays visible with its reason.
-			if len(got.NodeRounds) != 3 {
-				t.Fatalf("node rounds %+v, want 3 (failed rounds must be recorded)", got.NodeRounds)
-			}
-			for i, nr := range got.NodeRounds {
-				if nr.NodeID != got.Participants[i].NodeID || nr.Elapsed < 0 {
-					t.Fatalf("round %d: %+v for participant %s", i, nr, got.Participants[i].NodeID)
-				}
-				if nr.NodeID == "node-1" && !strings.Contains(nr.Err, errOutage.Error()) {
-					t.Fatalf("node-1 round = %+v, want %v", nr, errOutage)
-				}
-			}
 			if got.Stats.SamplesUsed != want.Stats.SamplesUsed || got.Stats.BytesUp != want.Stats.BytesUp {
 				t.Fatalf("stats %+v count the failed round; survivors-only %+v", got.Stats, want.Stats)
+			}
+		})
+	}
+}
+
+// TestTrainSpansPerParticipant: a round is recorded once, and in both
+// topologies a traced query's record of it is one "train" span per
+// participant carrying its node, with the node's own phase spans under
+// it. A tolerated failure's span carries the node's error, and
+// Result.Failed names the node.
+func TestTrainSpansPerParticipant(t *testing.T) {
+	f := faults{dead: "node-1", tolerate: true}
+	req := federation.Request{
+		Query: leftQuery(t), Selector: selection.QueryDriven{Epsilon: 0.3, TopL: 3}, Aggregation: federation.WeightedAveraging,
+	}
+	topologies := []struct {
+		name string
+		run  func(*telemetry.Tracer) (*federation.Result, error)
+	}{
+		{"leader", func(tr *telemetry.Tracer) (*federation.Result, error) {
+			lead := f.leader(t)
+			lead.SetTracer(tr)
+			res, _, err := lead.Execute(context.Background(), req)
+			return res, err
+		}},
+		{"2-region router", func(tr *telemetry.Tracer) (*federation.Result, error) {
+			cfg := fedConfig()
+			router, _ := shardNodes(t, f.nodes(t), f.wrap, 2, Config{
+				Spec: cfg.Spec, LocalEpochs: cfg.LocalEpochs, Seed: cfg.Seed, TolerateFailures: true,
+			})
+			router.SetTracer(tr)
+			res, _, err := router.Execute(context.Background(), req)
+			return res, err
+		}},
+	}
+	for _, top := range topologies {
+		t.Run(top.name, func(t *testing.T) {
+			tr := telemetry.NewTracer(nil)
+			res, err := top.run(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Participants) != 3 || len(res.Failed) != 1 || res.Failed[0] != "node-1" {
+				t.Fatalf("participants %v, failed %v; want 3 participants and [node-1]", res.Participants, res.Failed)
+			}
+			spans := tr.Spans()
+			trains := map[string]telemetry.Span{} // node -> its train span
+			for _, sp := range spans {
+				if sp.Name != "train" {
+					continue
+				}
+				node := sp.Attrs["node"]
+				if _, dup := trains[node]; dup || node == "" {
+					t.Fatalf("train span %+v: no node, or a second span for it", sp)
+				}
+				trains[node] = sp
+			}
+			if len(trains) != len(res.Participants) {
+				t.Fatalf("%d train spans for %d participants", len(trains), len(res.Participants))
+			}
+			for _, p := range res.Participants {
+				sp, ok := trains[p.NodeID]
+				switch {
+				case !ok:
+					t.Fatalf("no train span for participant %s", p.NodeID)
+				case sp.End.Before(sp.Start):
+					t.Fatalf("train span %+v ends before it starts", sp)
+				case p.NodeID == "node-1" && !strings.Contains(sp.Error, errOutage.Error()):
+					t.Fatalf("failed node's train span %+v, want error %v", sp, errOutage)
+				case p.NodeID != "node-1" && sp.Error != "":
+					t.Fatalf("healthy node's train span %+v carries an error", sp)
+				}
+			}
+			fits := 0
+			for _, sp := range spans {
+				if sp.Name != "node.fit" {
+					continue
+				}
+				fits++
+				if parent := trains[sp.Attrs["node"]]; sp.ParentID != parent.SpanID {
+					t.Fatalf("node.fit %+v is not under its node's train span %s", sp, parent.SpanID)
+				}
+			}
+			if fits != len(res.Participants)-len(res.Failed) {
+				t.Fatalf("%d node.fit spans, want one per surviving participant", fits)
 			}
 		})
 	}

@@ -148,16 +148,9 @@ func NewRouter(cfg Config, services []Service) (*Router, error) {
 	return r, nil
 }
 
-// SetTracer pins a tracer to the router (overriding the process
-// default). Pass nil to fall back to telemetry.DefaultTracer.
+// SetTracer sets the tracer the router's queries record into; nil
+// (the default) leaves them untraced.
 func (r *Router) SetTracer(t *telemetry.Tracer) { r.tracer = t }
-
-func (r *Router) activeTracer() *telemetry.Tracer {
-	if r.tracer != nil {
-		return r.tracer
-	}
-	return telemetry.DefaultTracer()
-}
 
 // Regions returns the region ids in construction order.
 func (r *Router) Regions() []string {
@@ -501,7 +494,7 @@ func (r *Router) execute(ctx context.Context, req federation.Request) (_ *federa
 	}
 	q, sel := req.Query, req.Selector
 	start := time.Now()
-	qspan := r.activeTracer().StartTrace("query")
+	qspan := r.tracer.StartTrace("query")
 	qspan.SetAttr("query", q.ID)
 	qspan.SetAttr("selector", sel.Name())
 	qspan.SetAttr("topology", "sharded")
@@ -575,9 +568,9 @@ func (r *Router) execute(ctx context.Context, req federation.Request) (_ *federa
 // trainFanout groups the participants by owning region (preserving
 // global participant order inside each group), issues one Train RPC
 // per region concurrently, and scatters the results back into global
-// participant slots as round outcomes. Remote region and node phase
-// spans are re-parented under the per-region RPC span, completing the
-// cross-process trace.
+// participant slots as round outcomes. The region's phase span is
+// re-parented under the per-region RPC span and each node's under its
+// participant's train span, completing the cross-process trace.
 func (r *Router) trainFanout(ctx context.Context, qspan *telemetry.SpanHandle, t *topology, spec ml.Spec, initial ml.Params, parts []selection.Participant) ([]federation.RoundOutcome, error) {
 	type group struct {
 		mi    int
@@ -612,6 +605,15 @@ func (r *Router) trainFanout(ctx context.Context, qspan *telemetry.SpanHandle, t
 			m := r.members[g.mi]
 			rspan := qspan.Child("region.train")
 			rspan.SetAttr("region", m.id)
+			// One root-observed "train" span per participant, as a
+			// single leader records: dispatch to the region's answer,
+			// with the node's error and its phase spans under it.
+			tspans := make([]*telemetry.SpanHandle, 0, 4)
+			for _, p := range g.parts {
+				ts := rspan.Child("train")
+				ts.SetAttr("node", p.NodeID)
+				tspans = append(tspans, ts)
+			}
 			resp, err := m.svc.Train(ctx, TrainRequest{
 				Spec:         spec,
 				Params:       initial,
@@ -624,19 +626,24 @@ func (r *Router) trainFanout(ctx context.Context, qspan *telemetry.SpanHandle, t
 				err = fmt.Errorf("region: %s returned %d results for %d participants", m.id, len(resp.Results), len(g.parts))
 			}
 			if err != nil {
+				for _, ts := range tspans {
+					ts.End(err)
+				}
 				rspan.End(err)
 				errs[k] = fmt.Errorf("region: training on %s: %w", m.id, err)
 				return
 			}
 			m.observe(resp.Epoch)
-			tr := r.activeTracer()
-			federation.RecordRemoteSpans(tr, rspan, m.id, resp.Spans)
+			federation.RecordRemoteSpans(r.tracer, rspan, m.id, resp.Spans)
 			for j, rr := range resp.Results {
-				federation.RecordRemoteSpans(tr, rspan, rr.NodeID, rr.Spans)
 				o := &outs[g.slots[j]]
 				o.NodeID, o.Elapsed = rr.NodeID, time.Duration(rr.ElapsedNS)
 				if rr.Err != "" {
 					o.Err = errors.New(rr.Err)
+				}
+				federation.RecordRemoteSpans(r.tracer, tspans[j], rr.NodeID, rr.Spans)
+				tspans[j].End(o.Err)
+				if o.Err != nil {
 					continue
 				}
 				o.Resp = federation.TrainResponse{

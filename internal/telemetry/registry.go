@@ -180,7 +180,7 @@ func (r *Registry) lookup(name string, kind metricKind, labels []Label) *series 
 }
 
 // Counter returns the counter for name with the given labels, creating
-// it on first use: Counter("qens_train_rounds_total", L("node", id)...).
+// it on first use: Counter("qens_errors_total", L("node", id)...).
 func (r *Registry) Counter(name string, labels ...Label) *Counter {
 	return r.lookup(name, kindCounter, labels).counter
 }

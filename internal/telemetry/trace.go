@@ -166,7 +166,9 @@ func (t *Tracer) appendOrdered(dst []record, trace ID) []record {
 }
 
 // defaultTracer is the process-wide tracer; nil (no-op) until a main
-// installs one via SetDefaultTracer.
+// installs one via SetDefaultTracer. Only a federation.Leader with no
+// tracer of its own reads it: `qens -trace` installs one for the
+// leaders its experiments build.
 var (
 	defaultTracerMu sync.RWMutex
 	defaultTracer   *Tracer

@@ -40,8 +40,8 @@ type Client struct {
 	conn *wireConn
 	id   string
 
-	bytesOut atomic.Int64
-	bytesIn  atomic.Int64
+	bytesOut telemetry.Counter
+	bytesIn  telemetry.Counter
 	inflight atomic.Int64
 
 	inflightGauge *telemetry.Gauge
@@ -343,7 +343,7 @@ func (c *Client) Ping() (string, error) {
 // received — ground truth for the communication accounting the
 // experiments otherwise estimate from parameter sizes.
 func (c *Client) BytesMoved() (out, in int64) {
-	return c.bytesOut.Load(), c.bytesIn.Load()
+	return c.bytesOut.Value(), c.bytesIn.Value()
 }
 
 // Summary fetches the node's full advertisement.
@@ -408,13 +408,14 @@ type wireConn struct {
 	closeErr  atomic.Pointer[error]
 }
 
-// countedConn adapts a net.Conn so every read/write feeds the
-// client's byte counters (atomics: the mux reader and concurrent
-// writers race on them by design).
+// countedConn adapts a net.Conn so every read/write feeds a pair of
+// byte counters: a client's own tallies, or a server's
+// qens_bytes_*_total (atomic: the mux reader and concurrent writers
+// race on them by design).
 type countedConn struct {
 	net.Conn
-	out *atomic.Int64
-	in  *atomic.Int64
+	out *telemetry.Counter
+	in  *telemetry.Counter
 }
 
 func (c *countedConn) Read(p []byte) (int, error) {

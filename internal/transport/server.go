@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"strconv"
@@ -60,7 +61,6 @@ type response struct {
 // serverMetrics holds the daemon-side metric handles, resolved once at
 // Serve time so the per-RPC hot path is pure atomics.
 type serverMetrics struct {
-	trainRounds  *telemetry.Counter
 	trainRoundMS *telemetry.Histogram
 	rpcMS        *telemetry.Histogram
 	rpcTotal     map[string]*telemetry.Counter
@@ -72,11 +72,9 @@ type serverMetrics struct {
 
 func newServerMetrics(reg *telemetry.Registry, nodeID string) *serverMetrics {
 	node := telemetry.L("node", nodeID)
-	reg.SetHelp("qens_train_rounds_total", "Training rounds executed by this node.")
 	reg.SetHelp("qens_train_round_ms", "Wall-clock latency of one local training round (ms).")
 	reg.SetHelp("qens_wire_encode_us", "Response encode latency (µs).")
 	m := &serverMetrics{
-		trainRounds:  reg.Counter("qens_train_rounds_total", node...),
 		trainRoundMS: reg.Histogram("qens_train_round_ms", node...),
 		rpcMS:        reg.Histogram("qens_rpc_ms", node...),
 		rpcTotal:     map[string]*telemetry.Counter{},
@@ -109,25 +107,10 @@ func (m *serverMetrics) observeRPC(reqType string, elapsed time.Duration, errore
 		m.errorsTotal.Inc()
 	}
 	if reqType == typeTrain && !errored {
-		m.trainRounds.Inc()
 		m.trainRoundMS.ObserveDuration(elapsed)
 		return true
 	}
 	return false
-}
-
-// addBytes tallies the wire bytes a connection moved since the last
-// call (nil-safe).
-func (m *serverMetrics) addBytes(cc *countingConn) {
-	if m == nil {
-		return
-	}
-	if in := cc.takeRead(); in > 0 {
-		m.bytesIn.Add(in)
-	}
-	if out := cc.takeWritten(); out > 0 {
-		m.bytesOut.Add(out)
-	}
 }
 
 // observeEncode records one response-encode duration (nil-safe).
@@ -198,7 +181,7 @@ const pushWriteTimeout = 10 * time.Second
 
 // pusher is one connection's push subscription.
 type pusher struct {
-	cc       *countingConn
+	cc       net.Conn
 	writeMu  *sync.Mutex
 	dirty    chan struct{} // cap 1: coalesced "summary may have moved"
 	done     chan struct{}
@@ -282,7 +265,7 @@ func (s *Server) notifyPushers() {
 
 // addPusher registers a subscription and starts its goroutine, priming
 // it so the subscriber converges on the current summary immediately.
-func (s *Server) addPusher(cc *countingConn, writeMu *sync.Mutex) *pusher {
+func (s *Server) addPusher(cc net.Conn, writeMu *sync.Mutex) *pusher {
 	p := &pusher{cc: cc, writeMu: writeMu, dirty: make(chan struct{}, 1), done: make(chan struct{})}
 	s.pushMu.Lock()
 	s.pushers[p] = struct{}{}
@@ -330,7 +313,6 @@ func (s *Server) runPusher(p *pusher) {
 		_, err := writeWireFrame(p.cc, func(b []byte) ([]byte, error) { return appendWirePush(b, id, &sum) })
 		_ = p.cc.SetWriteDeadline(time.Time{})
 		p.writeMu.Unlock()
-		s.metrics.addBytes(p.cc)
 		if err != nil {
 			s.logkv("event", "push_write_error", "err", err)
 			return
@@ -557,11 +539,10 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// handleConn serves a connection, which speaks v2 from its first frame.
+// handleConn serves a connection, which speaks v2 from its first
+// frame; its bytes count straight into qens_bytes_*_total.
 func (s *Server) handleConn(conn net.Conn) {
-	cc := &countingConn{Conn: conn}
-	defer s.metrics.addBytes(cc)
-	s.serveV2(cc)
+	s.serveV2(&countedConn{Conn: conn, out: s.metrics.bytesOut, in: s.metrics.bytesIn})
 }
 
 // serveV2 runs a connection: tagged binary request frames dispatch
@@ -571,7 +552,7 @@ func (s *Server) handleConn(conn net.Conn) {
 // them — drops the connection undispatched; every spawned handler is
 // awaited before the connection handler returns, so server
 // Close/Shutdown semantics are unchanged.
-func (s *Server) serveV2(cc *countingConn) {
+func (s *Server) serveV2(cc net.Conn) {
 	var (
 		writeMu sync.Mutex
 		wg      sync.WaitGroup
@@ -587,6 +568,13 @@ func (s *Server) serveV2(cc *countingConn) {
 	for {
 		buf, err := readFrameBody(cc)
 		if err != nil {
+			// A clean EOF or a network failure ends the connection
+			// quietly; an oversized or truncated frame is a peer that
+			// does not speak v2 (an HTTP request's first four bytes read
+			// as a length over MaxFrameSize).
+			if errors.Is(err, ErrFrameTooLarge) || errors.Is(err, io.ErrUnexpectedEOF) {
+				s.logkv("event", "decode_error", "err", err)
+			}
 			return
 		}
 		var req request
@@ -610,7 +598,6 @@ func (s *Server) serveV2(cc *countingConn) {
 			writeMu.Lock()
 			_, err := writeWireFrame(cc, func(b []byte) ([]byte, error) { return appendWireResponse(b, id, &resp) })
 			writeMu.Unlock()
-			s.metrics.addBytes(cc)
 			if err != nil {
 				s.logkv("event", "write_error", "type", req.Type, "err", err)
 				return
@@ -634,7 +621,6 @@ func (s *Server) serveV2(cc *countingConn) {
 			}
 			putFrameBuf(buf)
 			s.active.Add(-1)
-			s.metrics.addBytes(cc)
 			if err != nil {
 				s.logkv("event", "write_error", "type", req.Type, "trace", req.TraceID, "err", err)
 			}
@@ -862,27 +848,3 @@ func (s *Server) handleRegion(ctx context.Context, req request) response {
 		}
 	}
 }
-
-// countingConn tallies bytes crossing a net.Conn with atomics (request
-// handlers write concurrently); take* drains the tallies so
-// callers can feed deltas into counters.
-type countingConn struct {
-	net.Conn
-	written atomic.Int64
-	read    atomic.Int64
-}
-
-func (cc *countingConn) Write(p []byte) (int, error) {
-	n, err := cc.Conn.Write(p)
-	cc.written.Add(int64(n))
-	return n, err
-}
-
-func (cc *countingConn) Read(p []byte) (int, error) {
-	n, err := cc.Conn.Read(p)
-	cc.read.Add(int64(n))
-	return n, err
-}
-
-func (cc *countingConn) takeRead() int64    { return cc.read.Swap(0) }
-func (cc *countingConn) takeWritten() int64 { return cc.written.Swap(0) }

@@ -105,9 +105,14 @@ func TestTraceEndToEndOverTCP(t *testing.T) {
 	if len(trains) != len(clients) {
 		t.Fatalf("train spans = %d, want %d", len(trains), len(clients))
 	}
+	// Each participant's round over TCP is recorded once, as its train
+	// span: the node, the leader-observed duration and no error.
 	seenNodes := map[string]bool{}
 	for _, sp := range trains {
 		seenNodes[sp.Attrs["node"]] = true
+		if sp.Error != "" || sp.DurationMS <= 0 {
+			t.Fatalf("train span for %s: error %q, duration %vms", sp.Attrs["node"], sp.Error, sp.DurationMS)
+		}
 	}
 	for _, name := range names {
 		if !seenNodes[name] {
@@ -186,20 +191,6 @@ func TestTraceEndToEndOverTCP(t *testing.T) {
 	for _, cat := range []string{"plan", "aggregate"} {
 		if cp.ByCategory[cat] < 0 {
 			t.Fatalf("category %s negative: %+v", cat, cp.ByCategory)
-		}
-	}
-
-	// The leader-side result must carry per-node timings for every
-	// participant that was dispatched over TCP.
-	if len(res.NodeRounds) != len(clients) {
-		t.Fatalf("NodeRounds = %d, want %d", len(res.NodeRounds), len(clients))
-	}
-	for _, nr := range res.NodeRounds {
-		if nr.Failed() {
-			t.Fatalf("unexpected failed round %+v", nr)
-		}
-		if nr.Elapsed <= 0 {
-			t.Fatalf("round for %s has non-positive elapsed %v", nr.NodeID, nr.Elapsed)
 		}
 	}
 }

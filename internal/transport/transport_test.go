@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"qens/internal/cluster"
 	"qens/internal/dataset"
 	"qens/internal/federation"
 	"qens/internal/geometry"
@@ -500,13 +501,13 @@ func TestOversizedFrameServer(t *testing.T) {
 }
 
 // TestServerMetrics verifies the daemon-side Prometheus families
-// advance: train rounds, round latency histogram and wire bytes.
+// advance: the round latency histogram (its _count is the number of
+// rounds) and wire bytes.
 func TestServerMetrics(t *testing.T) {
 	reg := telemetry.Default()
 	node := telemetry.L("node", "node-A")
 	srv, client := startServer(t, 33, 2, 0, 30)
 
-	rounds0 := reg.Counter("qens_train_rounds_total", node...).Value()
 	in0 := reg.Counter("qens_bytes_received_total", node...).Value()
 	out0 := reg.Counter("qens_bytes_sent_total", node...).Value()
 	hist0 := reg.Histogram("qens_train_round_ms", node...).Count()
@@ -514,15 +515,12 @@ func TestServerMetrics(t *testing.T) {
 	if _, err := client.Train(context.Background(), federation.TrainRequest{Spec: ml.PaperLR(1), LocalEpochs: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.Counter("qens_train_rounds_total", node...).Value(); got != rounds0+1 {
-		t.Fatalf("qens_train_rounds_total %d -> %d, want +1", rounds0, got)
-	}
 	if got := reg.Histogram("qens_train_round_ms", node...).Count(); got != hist0+1 {
 		t.Fatalf("qens_train_round_ms count %d -> %d, want +1", hist0, got)
 	}
-	// The server tallies a connection's bytes after it has written the
-	// response, so the client can hold the answer a moment before the
-	// counters move: wait for them, bounded.
+	// The server counts a response's bytes when its write returns, so
+	// the client can hold the answer a moment before the counter moves:
+	// wait for it, bounded.
 	deadline := time.Now().Add(5 * time.Second)
 	for reg.Counter("qens_bytes_received_total", node...).Value() <= in0 ||
 		reg.Counter("qens_bytes_sent_total", node...).Value() <= out0 {
@@ -535,6 +533,68 @@ func TestServerMetrics(t *testing.T) {
 	}
 	if age, ok := srv.LastTrainAge(); !ok || age < 0 || age > time.Minute {
 		t.Fatalf("LastTrainAge = %v, %v", age, ok)
+	}
+}
+
+// TestServerBytesMatchClient: a server counts its connection's bytes
+// once, as they cross the socket. After a scripted exchange — the
+// handshake ping, a push subscription with its primed push frame and a
+// pushed epoch step, a summary pull and a train round — the server's
+// qens_bytes_received_total and qens_bytes_sent_total have moved by
+// exactly what the client's BytesMoved reports sent and received.
+func TestServerBytesMatchClient(t *testing.T) {
+	reg := telemetry.Default()
+	node := telemetry.L("node", "node-bytes")
+	in0 := reg.Counter("qens_bytes_received_total", node...).Value()
+	out0 := reg.Counter("qens_bytes_sent_total", node...).Value()
+
+	n, err := federation.NewNode("node-bytes", lineDataset(300, 2, 1, 0, 50, 5), 5, rng.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := Serve(n, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.SetLogger(silent)
+	defer srv.Close()
+	client, err := Dial(srv.Addr(), DialOptions{Timeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+
+	got := make(chan cluster.NodeSummary, 4)
+	if ok, err := client.SubscribeSummaries(context.Background(), func(s cluster.NodeSummary) { got <- s }); err != nil || !ok {
+		t.Fatalf("subscribe: ok=%v err=%v", ok, err)
+	}
+	waitPush(t, got) // the primed push
+	if err := n.Requantize(); err != nil {
+		t.Fatal(err)
+	}
+	if s := waitPush(t, got); s.Epoch != 2 {
+		t.Fatalf("pushed epoch %d, want 2", s.Epoch)
+	}
+	if _, err := client.Summary(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.Train(context.Background(), federation.TrainRequest{Spec: ml.PaperLR(1), LocalEpochs: 1}); err != nil {
+		t.Fatal(err)
+	}
+	// Every frame is in; closing both ends (Close awaits the server's
+	// connection handler and pusher) lets the last counts land.
+	client.Close()
+	srv.Close()
+
+	out, in := client.BytesMoved()
+	if out == 0 || in == 0 {
+		t.Fatalf("client moved %d bytes out, %d in", out, in)
+	}
+	if got := reg.Counter("qens_bytes_received_total", node...).Value() - in0; got != out {
+		t.Fatalf("server received %d bytes, client sent %d", got, out)
+	}
+	if got := reg.Counter("qens_bytes_sent_total", node...).Value() - out0; got != in {
+		t.Fatalf("server sent %d bytes, client received %d", got, in)
 	}
 }
 

@@ -91,7 +91,7 @@ func TestFlagsRead(t *testing.T) {
 	for key := range allowed {
 		t.Errorf("%s: listed in testdata/unread_flags.txt but no such flag is defined; remove the line", key)
 	}
-	want := map[string]int{"datagen": 7, "qens": 12, "qens-gateway": 19, "qens-region": 6, "qensd": 16}
+	want := map[string]int{"datagen": 7, "qens": 12, "qens-gateway": 19, "qens-region": 5, "qensd": 15}
 	for bin := range counts {
 		if _, ok := want[bin]; !ok {
 			want[bin] = 0
